@@ -28,7 +28,7 @@
 
 use genie_srg::traverse::{topo_order, CycleError};
 use genie_srg::{NodeId, Srg};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Debug;
 use std::marker::PhantomData;
 
@@ -113,14 +113,18 @@ impl FlowGraph for Timeline {
 pub struct SrgFlow<'a> {
     srg: &'a Srg,
     order: Vec<NodeId>,
-    index: BTreeMap<NodeId, usize>,
+    /// Vertex of each node, indexed by [`NodeId::index`].
+    index: Vec<usize>,
 }
 
 impl<'a> SrgFlow<'a> {
     /// Build the adapter; fails with the witness cycle on a cyclic graph.
     pub fn new(srg: &'a Srg) -> Result<Self, CycleError> {
         let order = topo_order(srg)?;
-        let index = order.iter().enumerate().map(|(i, n)| (*n, i)).collect();
+        let mut index = vec![0; order.len()];
+        for (v, n) in order.iter().enumerate() {
+            index[n.index()] = v;
+        }
         Ok(SrgFlow { srg, order, index })
     }
 
@@ -131,12 +135,24 @@ impl<'a> SrgFlow<'a> {
 
     /// The vertex index of a node.
     pub fn index_of(&self, node: NodeId) -> Option<usize> {
-        self.index.get(&node).copied()
+        self.index.get(node.index()).copied()
     }
 
     /// The underlying topological order.
     pub fn order(&self) -> &[NodeId] {
         &self.order
+    }
+
+    /// Vertices of `nodes`, first mention only (parallel edges collapse).
+    fn vertices(&self, nodes: impl Iterator<Item = NodeId>) -> Vec<usize> {
+        let mut out = Vec::new();
+        for n in nodes {
+            let v = self.index[n.index()];
+            if !out.contains(&v) {
+                out.push(v);
+            }
+        }
+        out
     }
 }
 
@@ -145,18 +161,10 @@ impl FlowGraph for SrgFlow<'_> {
         self.order.len()
     }
     fn preds(&self, v: usize) -> Vec<usize> {
-        self.srg
-            .predecessors(self.order[v])
-            .into_iter()
-            .filter_map(|n| self.index_of(n))
-            .collect()
+        self.vertices(self.srg.in_edges(self.order[v]).map(|e| e.src))
     }
     fn succs(&self, v: usize) -> Vec<usize> {
-        self.srg
-            .successors(self.order[v])
-            .into_iter()
-            .filter_map(|n| self.index_of(n))
-            .collect()
+        self.vertices(self.srg.out_edges(self.order[v]).map(|e| e.dst))
     }
 }
 

@@ -584,11 +584,15 @@ impl Report {
 /// Run one lint pass under a timing span (`lint.<name>` in the `lint`
 /// category), so per-pass cost shows up in trace exports.
 pub(crate) fn timed_pass(name: &str, f: impl FnOnce()) {
-    let _span = genie_telemetry::global().collector.span_with(
-        format!("lint.{name}"),
-        "lint",
-        genie_telemetry::SemAttrs::new().with("pass", name),
-    );
+    let collector = &genie_telemetry::global().collector;
+    // The name and attributes are only worth building for a live span.
+    let _span = collector.is_enabled().then(|| {
+        collector.span_with(
+            format!("lint.{name}"),
+            "lint",
+            genie_telemetry::SemAttrs::new().with("pass", name),
+        )
+    });
     f();
 }
 

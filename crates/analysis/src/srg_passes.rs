@@ -7,7 +7,7 @@
 //! one canonical [`Report`].
 
 use crate::diag::{timed_pass, Anchor, LintCode, LintConfig, Report};
-use genie_srg::{Edge, ElemType, OpKind, Phase, Residency, Srg};
+use genie_srg::{ElemType, OpKind, Phase, Residency, Srg};
 
 /// Run every SRG pass under `cfg` and return the merged report.
 pub fn run_srg_passes(srg: &Srg, cfg: &LintConfig) -> Report {
@@ -27,22 +27,31 @@ pub fn run_srg_passes(srg: &Srg, cfg: &LintConfig) -> Report {
     report.finish().record_metrics()
 }
 
-fn data_inputs(srg: &Srg, node: genie_srg::NodeId) -> Vec<&Edge> {
-    srg.in_edges(node).collect()
+/// The items of `it` when there are exactly `N` of them.
+fn exactly<T: Copy + Default, const N: usize>(mut it: impl Iterator<Item = T>) -> Option<[T; N]> {
+    let mut out = [T::default(); N];
+    for slot in &mut out {
+        *slot = it.next()?;
+    }
+    it.next().is_none().then_some(out)
+}
+
+/// Shapes on a node's in-edges, in slot order.
+fn input_shapes(srg: &Srg, node: genie_srg::NodeId) -> impl Iterator<Item = &[usize]> {
+    srg.in_edges(node).map(|e| e.meta.shape.as_slice())
 }
 
 /// GA001 — shape propagation: every op family with known composition rules
 /// gets its input `TensorMeta`s checked against each other.
 pub fn check_shapes(srg: &Srg, cfg: &LintConfig, report: &mut Report) {
     for node in srg.nodes() {
-        let ins = data_inputs(srg, node.id);
-        let shapes: Vec<&[usize]> = ins.iter().map(|e| e.meta.shape.as_slice()).collect();
+        let shapes = || input_shapes(srg, node.id);
         let mut flag = |msg: String| {
             report.push(cfg, LintCode::ShapeMismatch, Anchor::Node(node.id), msg);
         };
         match &node.op {
             OpKind::MatMul => {
-                if let [a, b] = shapes.as_slice() {
+                if let Some([a, b]) = exactly(shapes()) {
                     if a.len() == 2 && b.len() == 2 && a[1] != b[0] {
                         flag(format!(
                             "matmul inner dims disagree: [{},{}] x [{},{}]",
@@ -52,7 +61,7 @@ pub fn check_shapes(srg: &Srg, cfg: &LintConfig, report: &mut Report) {
                 }
             }
             OpKind::Attention => {
-                if let [q, k, v] = shapes.as_slice() {
+                if let Some([q, k, v]) = exactly(shapes()) {
                     if k != v {
                         flag(format!("attention k {k:?} vs v {v:?}"));
                     } else if q.len() == 2 && k.len() == 2 && q[1] != k[1] {
@@ -61,7 +70,7 @@ pub fn check_shapes(srg: &Srg, cfg: &LintConfig, report: &mut Report) {
                 }
             }
             OpKind::KvAppend => {
-                if let [cache, new] = shapes.as_slice() {
+                if let Some([cache, new]) = exactly(shapes()) {
                     if cache.len() == 2 && new.len() == 2 && cache[1] != new[1] {
                         flag(format!(
                             "kv_append row width {} vs cache width {}",
@@ -76,7 +85,8 @@ pub fn check_shapes(srg: &Srg, cfg: &LintConfig, report: &mut Report) {
                     .get("dim")
                     .and_then(|d| d.parse().ok())
                     .unwrap_or(0);
-                if let [a, rest @ ..] = shapes.as_slice() {
+                let mut rest = shapes();
+                if let Some(a) = rest.next() {
                     for b in rest {
                         let ranks_match = a.len() == b.len() && dim < a.len();
                         let other_dims_match = ranks_match
@@ -94,24 +104,26 @@ pub fn check_shapes(srg: &Srg, cfg: &LintConfig, report: &mut Report) {
                 // `add_bias` legitimately broadcasts a rank-1 bias over the
                 // innermost dim and is marked with a "bias" attr.
                 if node.attrs.contains_key("bias") {
-                    if let [x, b] = shapes.as_slice() {
+                    if let Some([x, b]) = exactly(shapes()) {
                         if b.len() != 1 || x.last() != b.first() {
                             flag(format!("bias {b:?} does not match innermost of {x:?}"));
                         }
                     }
-                } else if let [a, b] = shapes.as_slice() {
+                } else if let Some([a, b]) = exactly(shapes()) {
                     if a != b {
                         flag(format!("elementwise operands {a:?} vs {b:?}"));
                     }
                 }
             }
-            OpKind::Conv2d if shapes.len() >= 2 => {
-                let (x, w) = (shapes[0], shapes[1]);
-                if x.len() == 4 && w.len() == 4 && x[1] != w[1] {
-                    flag(format!(
-                        "conv2d input channels {} vs weight channels {}",
-                        x[1], w[1]
-                    ));
+            OpKind::Conv2d => {
+                let mut ins = shapes();
+                if let (Some(x), Some(w)) = (ins.next(), ins.next()) {
+                    if x.len() == 4 && w.len() == 4 && x[1] != w[1] {
+                        flag(format!(
+                            "conv2d input channels {} vs weight channels {}",
+                            x[1], w[1]
+                        ));
+                    }
                 }
             }
             _ => {}
@@ -138,13 +150,12 @@ pub fn check_dtypes(srg: &Srg, cfg: &LintConfig, report: &mut Report) {
         ) {
             continue;
         }
-        let elems: Vec<ElemType> = data_inputs(srg, node.id)
-            .iter()
+        let mut elems = srg
+            .in_edges(node.id)
             .map(|e| e.meta.elem)
-            .filter(|e| !is_index_elem(*e))
-            .collect();
-        if let Some(first) = elems.first() {
-            if let Some(other) = elems.iter().find(|e| *e != first) {
+            .filter(|e| !is_index_elem(*e));
+        if let Some(first) = elems.next() {
+            if let Some(other) = elems.find(|e| *e != first) {
                 report.push(
                     cfg,
                     LintCode::DtypeMismatch,
@@ -239,11 +250,7 @@ pub fn check_cost_hints(srg: &Srg, cfg: &LintConfig, report: &mut Report) {
             continue;
         }
         if node.op == OpKind::MatMul {
-            let shapes: Vec<Vec<usize>> = data_inputs(srg, node.id)
-                .iter()
-                .map(|e| e.meta.shape.clone())
-                .collect();
-            if let [a, b] = shapes.as_slice() {
+            if let Some([a, b]) = exactly(input_shapes(srg, node.id)) {
                 if a.len() == 2 && b.len() == 2 && a[1] == b[0] {
                     let expected = 2.0 * a[0] as f64 * a[1] as f64 * b[1] as f64;
                     let ratio = node.cost.flops / expected.max(1.0);

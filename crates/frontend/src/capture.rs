@@ -14,10 +14,11 @@ use genie_analysis::{run_srg_passes, LintConfig, Report};
 use genie_srg::{
     CostHints, ElemType, Modality, Node, NodeId, OpKind, Phase, Residency, Srg, TensorMeta,
 };
+use genie_telemetry::{Counter, Histogram, DEFAULT_TIME_BOUNDS};
 use genie_tensor::{IndexTensor, Tensor};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The result of a finished capture: a validated SRG plus the payloads of
 /// its source nodes (parameters and inputs) when running functionally.
@@ -32,15 +33,73 @@ pub struct CapturedGraph {
     pub outputs: Vec<NodeId>,
 }
 
+/// Annotation scope tiers; the discriminant indexes [`TIER_LABELS`] and
+/// [`CaptureMetrics::scopes`].
+#[derive(Clone, Copy)]
+enum Tier {
+    Module,
+    Phase,
+    Modality,
+}
+
+const TIER_LABELS: [&str; 3] = ["module", "phase", "modality"];
+
+/// The capture path's metric handles, resolved once per process: a
+/// registry lookup builds its key and searches under the registry mutex,
+/// a held handle is one atomic add — and a decode step records ~55 ops
+/// under ~20 scopes.
+struct CaptureMetrics {
+    source_ops: Counter,
+    compute_ops: Counter,
+    /// `(genie_capture_scopes_total, genie_capture_scope_seconds)` per tier.
+    scopes: [(Counter, Histogram); 3],
+    capture_seconds: Histogram,
+}
+
+fn capture_metrics() -> &'static CaptureMetrics {
+    static HANDLES: OnceLock<CaptureMetrics> = OnceLock::new();
+    HANDLES.get_or_init(|| {
+        let m = &genie_telemetry::global().metrics;
+        let ops = |kind| m.counter("genie_capture_ops_total", &[("kind", kind)]);
+        CaptureMetrics {
+            source_ops: ops("source"),
+            compute_ops: ops("compute"),
+            scopes: TIER_LABELS.map(|tier| {
+                let labels = [("tier", tier)];
+                (
+                    m.counter("genie_capture_scopes_total", &labels),
+                    m.histogram("genie_capture_scope_seconds", &labels, &DEFAULT_TIME_BOUNDS),
+                )
+            }),
+            capture_seconds: m.histogram("genie_capture_seconds", &[], &DEFAULT_TIME_BOUNDS),
+        }
+    })
+}
+
 #[derive(Default)]
 struct CaptureState {
     srg: Option<Srg>,
     values: HashMap<NodeId, Value>,
     outputs: Vec<NodeId>,
-    module_stack: Vec<String>,
+    /// Dotted path of the open module scopes, kept joined so recording a
+    /// node clones it instead of re-joining a stack.
+    module_path: String,
+    /// `module_path.len()` before each open module scope was pushed.
+    module_marks: Vec<usize>,
     phase_stack: Vec<Phase>,
     modality_stack: Vec<Modality>,
     started: Option<std::time::Instant>,
+}
+
+impl CaptureState {
+    /// A node carrying the scopes active right now.
+    fn annotated(&self, op: OpKind, name: &str, residency: Residency) -> Node {
+        Node::new(NodeId::new(0), op, name)
+            .with_module_path(self.module_path.clone())
+            .with_phase(self.phase_stack.last().cloned().unwrap_or_default())
+            .with_modality(self.modality_stack.last().copied().unwrap_or_default())
+            .with_residency(residency)
+    }
 }
 
 /// A capture context: the graph under construction plus the annotation
@@ -68,9 +127,19 @@ impl CaptureCtx {
     /// Run `f` with `name` pushed onto the module-path stack. Mirrors
     /// entering an `nn.Module`'s `forward`.
     pub fn scope<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
-        self.state.lock().module_stack.push(name.to_string());
-        let out = Self::timed_scope("module", f);
-        self.state.lock().module_stack.pop();
+        {
+            let mut st = self.state.lock();
+            let mark = st.module_path.len();
+            if !st.module_marks.is_empty() {
+                st.module_path.push('.');
+            }
+            st.module_path.push_str(name);
+            st.module_marks.push(mark);
+        }
+        let out = Self::timed_scope(Tier::Module, f);
+        let mut st = self.state.lock();
+        let mark = st.module_marks.pop().expect("scope pushed above");
+        st.module_path.truncate(mark);
         out
     }
 
@@ -78,7 +147,7 @@ impl CaptureCtx {
     /// `genie.annotate_phase` developer hook of §3.2.
     pub fn phase_scope<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
         self.state.lock().phase_stack.push(phase);
-        let out = Self::timed_scope("phase", f);
+        let out = Self::timed_scope(Tier::Phase, f);
         self.state.lock().phase_stack.pop();
         out
     }
@@ -86,34 +155,24 @@ impl CaptureCtx {
     /// Run `f` with a modality annotation active.
     pub fn modality_scope<R>(&self, modality: Modality, f: impl FnOnce() -> R) -> R {
         self.state.lock().modality_stack.push(modality);
-        let out = Self::timed_scope("modality", f);
+        let out = Self::timed_scope(Tier::Modality, f);
         self.state.lock().modality_stack.pop();
         out
     }
 
     /// Count and time one annotation scope of the given tier.
-    fn timed_scope<R>(tier: &'static str, f: impl FnOnce() -> R) -> R {
-        let telemetry = genie_telemetry::global();
-        telemetry
-            .metrics
-            .counter("genie_capture_scopes_total", &[("tier", tier)])
-            .inc();
+    fn timed_scope<R>(tier: Tier, f: impl FnOnce() -> R) -> R {
+        let (count, seconds) = &capture_metrics().scopes[tier as usize];
+        count.inc();
         let begin = std::time::Instant::now();
         let out = f();
-        telemetry
-            .metrics
-            .histogram(
-                "genie_capture_scope_seconds",
-                &[("tier", tier)],
-                &genie_telemetry::DEFAULT_TIME_BOUNDS,
-            )
-            .observe(begin.elapsed().as_secs_f64());
+        seconds.observe(begin.elapsed().as_secs_f64());
         out
     }
 
     /// Current dotted module path.
     pub fn module_path(&self) -> String {
-        self.state.lock().module_stack.join(".")
+        self.state.lock().module_path.clone()
     }
 
     /// Nodes recorded so far. Snapshot before/after a region to attribute
@@ -146,11 +205,14 @@ impl CaptureCtx {
                 "parameter {name} payload shape mismatch"
             );
         }
-        let id = self.push_source(OpKind::Parameter, name, Residency::PersistentWeight);
-        if let Some(t) = payload {
-            self.state.lock().values.insert(id, Value::F(t));
-        }
-        self.lazy(id, meta)
+        let payload = payload.map(Value::F);
+        self.source(
+            OpKind::Parameter,
+            name,
+            Residency::PersistentWeight,
+            meta,
+            payload,
+        )
     }
 
     /// Declare a dense float input.
@@ -169,43 +231,41 @@ impl CaptureCtx {
                 "input {name} payload shape mismatch"
             );
         }
-        let id = self.push_source(OpKind::Input, name, Residency::ModelInput);
-        if let Some(t) = payload {
-            self.state.lock().values.insert(id, Value::F(t));
-        }
-        self.lazy(id, meta)
+        let payload = payload.map(Value::F);
+        self.source(OpKind::Input, name, Residency::ModelInput, meta, payload)
     }
 
     /// Declare an integer-index input (token ids, embedding rows).
     pub fn input_ids(&self, name: &str, ids: &[i64]) -> LazyTensor {
         let meta = TensorMeta::new([ids.len()], ElemType::I64);
-        let id = self.push_source(OpKind::Input, name, Residency::ModelInput);
-        self.state
-            .lock()
-            .values
-            .insert(id, Value::I(IndexTensor::from_slice(ids)));
-        self.lazy(id, meta)
+        let payload = Value::I(IndexTensor::from_slice(ids));
+        self.source(
+            OpKind::Input,
+            name,
+            Residency::ModelInput,
+            meta,
+            Some(payload),
+        )
     }
 
     /// Declare an index input with no payload (simulation plane).
     pub fn input_ids_spec(&self, name: &str, len: usize) -> LazyTensor {
         let meta = TensorMeta::new([len], ElemType::I64);
-        let id = self.push_source(OpKind::Input, name, Residency::ModelInput);
-        self.lazy(id, meta)
+        self.source(OpKind::Input, name, Residency::ModelInput, meta, None)
     }
 
     /// An empty KV-cache seed of shape `[0, dim]` — the starting state of
     /// a decode loop.
     pub fn empty_cache(&self, name: &str, dim: usize, elem: ElemType) -> LazyTensor {
-        let meta = TensorMeta::new([0, dim], ElemType::I64);
-        let _ = meta;
         let meta = TensorMeta::new([0, dim], elem);
-        let id = self.push_source(OpKind::Input, name, Residency::StatefulKvCache);
-        self.state
-            .lock()
-            .values
-            .insert(id, Value::F(Tensor::zeros(vec![0, dim])));
-        self.lazy(id, meta)
+        let payload = Value::F(Tensor::zeros(vec![0, dim]));
+        self.source(
+            OpKind::Input,
+            name,
+            Residency::StatefulKvCache,
+            meta,
+            Some(payload),
+        )
     }
 
     // ---- finish -----------------------------------------------------
@@ -249,13 +309,8 @@ impl CaptureCtx {
                 .with("ops", srg.node_count().to_string()),
         );
         if let Some(started) = started {
-            telemetry
-                .metrics
-                .histogram(
-                    "genie_capture_seconds",
-                    &[],
-                    &genie_telemetry::DEFAULT_TIME_BOUNDS,
-                )
+            capture_metrics()
+                .capture_seconds
                 .observe(started.elapsed().as_secs_f64());
         }
         let report = run_srg_passes(&srg, cfg);
@@ -272,22 +327,32 @@ impl CaptureCtx {
 
     // ---- internals --------------------------------------------------
 
-    fn push_source(&self, op: OpKind, name: &str, residency: Residency) -> NodeId {
-        genie_telemetry::global()
-            .metrics
-            .counter("genie_capture_ops_total", &[("kind", "source")])
-            .inc();
+    /// Record a source node, bind its payload (functional plane) and
+    /// hand back its handle, all under one lock.
+    fn source(
+        &self,
+        op: OpKind,
+        name: &str,
+        residency: Residency,
+        meta: TensorMeta,
+        payload: Option<Value>,
+    ) -> LazyTensor {
+        capture_metrics().source_ops.inc();
         let mut st = self.state.lock();
-        let module_path = st.module_stack.join(".");
-        let phase = st.phase_stack.last().cloned().unwrap_or_default();
-        let modality = st.modality_stack.last().copied().unwrap_or_default();
-        st.srg.as_mut().expect("capture already finished").add_node(
-            Node::new(NodeId::new(0), op, name)
-                .with_module_path(module_path)
-                .with_phase(phase)
-                .with_modality(modality)
-                .with_residency(residency),
-        )
+        let node = st.annotated(op, name, residency);
+        let srg = st.srg.as_mut().expect("capture already finished");
+        let id = srg.add_node(node);
+        let tensor = srg.fresh_tensor();
+        if let Some(value) = payload {
+            st.values.insert(id, value);
+        }
+        drop(st);
+        LazyTensor {
+            ctx: self.clone(),
+            node: id,
+            tensor,
+            meta,
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -298,25 +363,14 @@ impl CaptureCtx {
         inputs: &[&LazyTensor],
         out_meta: TensorMeta,
         cost: CostHints,
-        attrs: &[(&str, String)],
+        attrs: impl IntoIterator<Item = (&'static str, String)>,
         residency: Residency,
     ) -> LazyTensor {
-        genie_telemetry::global()
-            .metrics
-            .counter("genie_capture_ops_total", &[("kind", "compute")])
-            .inc();
+        capture_metrics().compute_ops.inc();
         let mut st = self.state.lock();
-        let module_path = st.module_stack.join(".");
-        let phase = st.phase_stack.last().cloned().unwrap_or_default();
-        let modality = st.modality_stack.last().copied().unwrap_or_default();
-        let mut node = Node::new(NodeId::new(0), op, name)
-            .with_module_path(module_path)
-            .with_phase(phase)
-            .with_modality(modality)
-            .with_residency(residency)
-            .with_cost(cost);
+        let mut node = st.annotated(op, name, residency).with_cost(cost);
         for (k, v) in attrs {
-            node = node.with_attr(*k, v.clone());
+            node = node.with_attr(k, v);
         }
         let srg = st.srg.as_mut().expect("capture already finished");
         let id = srg.add_node(node);
@@ -354,7 +408,7 @@ impl CaptureCtx {
                 k * bytes,
                 bytes,
             ),
-            &[("shards", parts.len().to_string())],
+            [("shards", parts.len().to_string())],
             Residency::EphemeralActivation,
         )
     }
@@ -374,28 +428,12 @@ impl CaptureCtx {
             parts,
             meta,
             CostHints::new(0.0, bytes, bytes),
-            &[
+            [
                 ("dim", dim.to_string()),
                 ("shards", parts.len().to_string()),
             ],
             Residency::EphemeralActivation,
         )
-    }
-
-    fn lazy(&self, node: NodeId, meta: TensorMeta) -> LazyTensor {
-        let tensor = {
-            let mut st = self.state.lock();
-            st.srg
-                .as_mut()
-                .expect("capture already finished")
-                .fresh_tensor()
-        };
-        LazyTensor {
-            ctx: self.clone(),
-            node,
-            tensor,
-            meta,
-        }
     }
 }
 
@@ -461,7 +499,7 @@ impl LazyTensor {
             &[self, rhs],
             out,
             CostHints::new(flops, read, write),
-            &[],
+            [],
             Residency::EphemeralActivation,
         )
     }
@@ -492,7 +530,7 @@ impl LazyTensor {
             &[self, bias],
             self.meta.clone(),
             CostHints::new(n, 2.0 * n * self.es(), n * self.es()),
-            &[("bias", "1".into())],
+            [("bias", "1".into())],
             Residency::EphemeralActivation,
         )
     }
@@ -531,7 +569,7 @@ impl LazyTensor {
             &[self, gamma, beta],
             self.meta.clone(),
             CostHints::new(8.0 * n, 2.0 * n * self.es(), n * self.es()),
-            &[("eps", eps.to_string())],
+            [("eps", eps.to_string())],
             Residency::EphemeralActivation,
         )
     }
@@ -547,7 +585,7 @@ impl LazyTensor {
             &[self, gamma],
             self.meta.clone(),
             CostHints::new(5.0 * n, 2.0 * n * self.es(), n * self.es()),
-            &[("eps", eps.to_string())],
+            [("eps", eps.to_string())],
             Residency::EphemeralActivation,
         )
     }
@@ -578,7 +616,7 @@ impl LazyTensor {
             &[self, k, v],
             TensorMeta::new([tq, dm], self.meta.elem),
             CostHints::new(flops, read, write),
-            &[("heads", heads.to_string()), ("causal", causal.to_string())],
+            [("heads", heads.to_string()), ("causal", causal.to_string())],
             Residency::EphemeralActivation,
         )
     }
@@ -601,7 +639,7 @@ impl LazyTensor {
             &[self, new],
             out,
             CostHints::new(0.0, delta, delta),
-            &[],
+            [],
             Residency::StatefulKvCache,
         )
     }
@@ -639,7 +677,7 @@ impl LazyTensor {
             &[self, w, bias],
             out,
             CostHints::new(flops, read, write),
-            &[
+            [
                 ("stride", stride.to_string()),
                 ("padding", padding.to_string()),
             ],
@@ -667,7 +705,7 @@ impl LazyTensor {
             &[self],
             out,
             CostHints::new(nelem, nelem * self.es(), out_elems * self.es()),
-            &[
+            [
                 ("k", k.to_string()),
                 ("stride", stride.to_string()),
                 ("avg", avg.to_string()),
@@ -688,7 +726,7 @@ impl LazyTensor {
             &[self],
             out,
             CostHints::new(nelem, nelem * self.es(), (n * c) as f64 * self.es()),
-            &[("gap", "true".into())],
+            [("gap", "true".into())],
             Residency::EphemeralActivation,
         )
     }
@@ -710,7 +748,7 @@ impl LazyTensor {
             &[self, indices],
             out,
             CostHints::new(0.0, bytes, bytes),
-            &[],
+            [],
             Residency::EphemeralActivation,
         )
     }
@@ -728,7 +766,7 @@ impl LazyTensor {
             &[self, indices],
             out,
             CostHints::new((n * d) as f64, bytes, d as f64 * self.es()),
-            &[("pooled", "true".into())],
+            [("pooled", "true".into())],
             Residency::EphemeralActivation,
         )
     }
@@ -757,7 +795,7 @@ impl LazyTensor {
             &[self, rhs, init],
             out,
             CostHints::new(flops, read, write),
-            &[],
+            [],
             Residency::EphemeralActivation,
         )
     }
@@ -773,7 +811,7 @@ impl LazyTensor {
             &[self],
             self.meta.clone(),
             CostHints::new(0.0, bytes, bytes),
-            &[
+            [
                 ("from_shard", from_shard.to_string()),
                 ("to_shard", to_shard.to_string()),
             ],
@@ -796,7 +834,7 @@ impl LazyTensor {
             &[self, rhs],
             out,
             CostHints::new(0.0, bytes, bytes),
-            &[("dim", dim.to_string())],
+            [("dim", dim.to_string())],
             Residency::EphemeralActivation,
         )
     }
@@ -814,7 +852,7 @@ impl LazyTensor {
             &[self],
             out,
             CostHints::new(0.0, bytes, bytes),
-            &[
+            [
                 ("dim", dim.to_string()),
                 ("start", start.to_string()),
                 ("len", len.to_string()),
@@ -838,7 +876,7 @@ impl LazyTensor {
             &[self],
             out,
             CostHints::ZERO,
-            &[("shape", format_dims(&shape))],
+            [("shape", format_dims(&shape))],
             Residency::EphemeralActivation,
         )
     }
@@ -854,7 +892,7 @@ impl LazyTensor {
             &[self],
             out,
             CostHints::new(0.0, bytes, bytes),
-            &[],
+            [],
             Residency::EphemeralActivation,
         )
     }
@@ -875,7 +913,7 @@ impl LazyTensor {
             &[self],
             out,
             CostHints::new(n, n * self.es(), 8.0),
-            &[],
+            [],
             Residency::ModelOutput,
         )
     }
@@ -896,7 +934,7 @@ impl LazyTensor {
             &[self],
             out,
             CostHints::new(n, n * self.es(), out_elems * self.es()),
-            &[("kind", "mean".into())],
+            [("kind", "mean".into())],
             Residency::EphemeralActivation,
         )
     }
@@ -905,17 +943,21 @@ impl LazyTensor {
         let n = self.meta.num_elements() as f64;
         let reads = if rhs.is_some() { 2.0 } else { 1.0 };
         let cost = CostHints::new(n, reads * n * self.es(), n * self.es());
-        let inputs: Vec<&LazyTensor> = match rhs {
-            Some(r) => vec![self, r],
-            None => vec![self],
+        let pair;
+        let inputs: &[&LazyTensor] = match rhs {
+            Some(r) => {
+                pair = [self, r];
+                &pair
+            }
+            None => &[self],
         };
         self.ctx.record(
             op,
             name,
-            &inputs,
+            inputs,
             self.meta.clone(),
             cost,
-            &[],
+            [],
             Residency::EphemeralActivation,
         )
     }

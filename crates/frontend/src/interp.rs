@@ -6,24 +6,25 @@
 //! must reproduce lost values exactly. Backends delegate to this
 //! interpreter for the compute they "run".
 //!
-//! Execution is *wavefront*-ordered: the topological order is grouped into
-//! dependency levels (via [`genie_srg::traverse::levels`]) and every node
-//! in a level is evaluated before the next level starts. Nodes within a
-//! level are mutually independent, so wide levels are fanned out over
-//! the process-wide persistent worker pool ([`genie_tensor::pool`] — no
-//! per-level thread spawning). Because each node's kernel is
-//! deterministic and level order respects every edge, the wavefront
-//! engine produces bit-identical values to the sequential reference
-//! ([`execute_sequential`]), which is kept as the oracle the wavefront
-//! path is tested against. Dead intermediates dropped by
-//! [`execute_outputs`] return their buffers to the tensor arena for the
-//! next allocation to reuse.
+//! There is one executor. It groups the graph into dependency levels
+//! (longest-path depth, via [`genie_srg::traverse::levels`]), keeps live
+//! values in a dense slot table indexed by [`NodeId::index`], and
+//! evaluates level by level. Nodes within a level are mutually
+//! independent, so a level *may* be fanned out over the process-wide
+//! worker pool ([`genie_tensor::pool`]); whether it is, is decided by
+//! cost, not by count (see [`level_fans_out`]). Node-level scheduling
+//! never changes arithmetic — each node's kernel is deterministic and
+//! level order respects every edge — so [`execute`], [`execute_outputs`]
+//! and [`execute_sequential`] (the same loop told never to fan out) are
+//! bit-identical. Dead intermediates dropped by [`execute_outputs`]
+//! return their buffers to the tensor arena for the next allocation to
+//! reuse.
 
 use crate::value::Value;
 use genie_srg::{NodeId, OpKind, Srg};
 use genie_tensor::ops;
 use genie_tensor::{pool, Tensor};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Interpretation failure.
 #[derive(Debug)]
@@ -63,37 +64,23 @@ impl std::fmt::Display for InterpError {
 impl std::error::Error for InterpError {}
 
 /// Execute every node of `srg`, reading source payloads from `bindings`.
-/// Returns the value of every node. Runs the wavefront engine with no
-/// value dropping (every node's value is part of the contract).
+/// Returns the value of every node (every node's value is part of the
+/// contract, so nothing is dropped along the way).
 pub fn execute(
     srg: &Srg,
     bindings: &HashMap<NodeId, Value>,
 ) -> Result<HashMap<NodeId, Value>, InterpError> {
-    execute_wavefront(srg, bindings, None)
+    run(srg, bindings, pool::size() + 1, None).map(into_map)
 }
 
-/// Sequential reference executor: one node at a time in topological order.
-/// The wavefront engine is tested against this oracle; it stays available
-/// for debugging and for environments where spawning threads is unwanted.
+/// Sequential reference: the same executor with one core, so no level
+/// ever fans out. The oracle the pooled path is tested against; also for
+/// environments where touching the worker pool is unwanted.
 pub fn execute_sequential(
     srg: &Srg,
     bindings: &HashMap<NodeId, Value>,
 ) -> Result<HashMap<NodeId, Value>, InterpError> {
-    let stats_before = genie_tensor::stats::snapshot();
-    let order = genie_srg::traverse::topo_order(srg).map_err(|_| InterpError::Cycle)?;
-    let mut values: HashMap<NodeId, Value> = HashMap::new();
-
-    for id in order {
-        let node = srg.node(id);
-        let inputs: Vec<&Value> = srg
-            .in_edges(id)
-            .map(|e| values.get(&e.src).expect("topo order guarantees inputs"))
-            .collect();
-        let out = eval_node(srg, id, &node.op, &inputs, bindings)?;
-        values.insert(id, out);
-    }
-    publish_dispatch_delta(&stats_before);
-    Ok(values)
+    run(srg, bindings, 1, None).map(into_map)
 }
 
 /// Execute and return only the requested outputs, in order. Interior
@@ -104,113 +91,167 @@ pub fn execute_outputs(
     bindings: &HashMap<NodeId, Value>,
     outputs: &[NodeId],
 ) -> Result<Vec<Value>, InterpError> {
-    let mut all = execute_wavefront(srg, bindings, Some(outputs))?;
+    let mut slots = run(srg, bindings, pool::size() + 1, Some(outputs))?;
     Ok(outputs
         .iter()
-        .map(|id| {
-            all.remove(id)
-                .or_else(|| all.get(id).cloned())
-                .expect("outputs exist in graph")
+        .enumerate()
+        .map(|(i, id)| {
+            // An id listed twice is cloned for all but its last mention.
+            let slot = &mut slots[id.index()];
+            let value = if outputs[i + 1..].contains(id) {
+                slot.clone()
+            } else {
+                slot.take()
+            };
+            value.expect("outputs exist in graph")
         })
         .collect())
 }
 
-/// Group nodes into dependency levels: every node's inputs live in a
-/// strictly earlier level, and nodes within a level are independent.
-fn level_groups(srg: &Srg) -> Result<Vec<Vec<NodeId>>, InterpError> {
-    let lv = genie_srg::traverse::levels(srg).map_err(|_| InterpError::Cycle)?;
-    let depth = lv.iter().copied().max().map_or(0, |d| d + 1);
-    let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); depth];
-    // node_ids is ascending, so each group is deterministically ordered.
-    for id in srg.node_ids() {
-        groups[lv[id.index()]].push(id);
+fn into_map(slots: Vec<Option<Value>>) -> HashMap<NodeId, Value> {
+    let mut map = HashMap::with_capacity(slots.len());
+    for (i, v) in slots.into_iter().enumerate() {
+        if let Some(v) = v {
+            map.insert(NodeId::new(i as u32), v);
+        }
     }
-    Ok(groups)
+    map
 }
 
-/// Wavefront engine. With `retain = Some(outputs)`, a node's value is
-/// removed from the map once every consumer has executed (outputs are
-/// always kept); with `None`, every value is kept.
-fn execute_wavefront(
+/// Dependency levels in flat form: level `l` is
+/// `order[starts[l]..starts[l + 1]]` (ascending id within a level, so
+/// evaluation order is deterministic) and costs `flops[l]` in total.
+struct Levels {
+    order: Vec<NodeId>,
+    starts: Vec<usize>,
+    flops: Vec<f64>,
+}
+
+/// Group nodes into dependency levels: every node's inputs live in a
+/// strictly earlier level, and nodes within a level are independent.
+fn level_order(srg: &Srg) -> Result<Levels, InterpError> {
+    let lv = genie_srg::traverse::levels(srg).map_err(|_| InterpError::Cycle)?;
+    let depth = lv.iter().copied().max().map_or(0, |d| d + 1);
+    let mut starts = vec![0usize; depth + 1];
+    let mut flops = vec![0f64; depth];
+    for node in srg.nodes() {
+        let l = lv[node.id.index()];
+        starts[l + 1] += 1;
+        flops[l] += node.cost.flops;
+    }
+    for l in 0..depth {
+        starts[l + 1] += starts[l];
+    }
+    // Counting sort by level; `cursor[l]` is the next free place of level `l`.
+    let mut cursor = starts.clone();
+    let mut order = vec![NodeId::new(0); lv.len()];
+    for id in srg.node_ids() {
+        let at = &mut cursor[lv[id.index()]];
+        order[*at] = id;
+        *at += 1;
+    }
+    Ok(Levels {
+        order,
+        starts,
+        flops,
+    })
+}
+
+/// Whether a level of `width` independent nodes costing `flops` in total
+/// is worth a trip through the worker pool on `cores` cores. The
+/// threshold is the kernels' own ([`ops::MATMUL_PAR_MIN_FLOPS`]): below
+/// the work at which a single matmul pays for a queue round-trip and a
+/// wake-up, a whole level does not pay for one either.
+pub fn level_fans_out(flops: f64, width: usize, cores: usize) -> bool {
+    width >= 2 && cores >= 2 && flops >= ops::MATMUL_PAR_MIN_FLOPS as f64
+}
+
+/// The one evaluation loop. `cores` is pool workers plus the helping
+/// caller (1 = never fan out). With `retain = Some(outputs)` a value is
+/// released once its last consumer has run (outputs are always kept);
+/// with `None` every value is kept. Returns the slot table.
+fn run(
     srg: &Srg,
     bindings: &HashMap<NodeId, Value>,
+    cores: usize,
     retain: Option<&[NodeId]>,
-) -> Result<HashMap<NodeId, Value>, InterpError> {
+) -> Result<Vec<Option<Value>>, InterpError> {
     let stats_before = genie_tensor::stats::snapshot();
-    let groups = level_groups(srg)?;
-    let keep: Option<HashSet<NodeId>> = retain.map(|o| o.iter().copied().collect());
-    let mut remaining: Vec<usize> = srg.node_ids().map(|id| srg.out_degree(id)).collect();
-    let mut values: HashMap<NodeId, Value> = HashMap::new();
+    let levels = level_order(srg)?;
+    let n = srg.node_count();
+    let mut slots: Vec<Option<Value>> = vec![None; n];
+    // Consumers still to run per node; `usize::MAX` pins a kept value.
+    let mut remaining: Vec<usize> = match retain {
+        Some(_) => srg.node_ids().map(|id| srg.out_degree(id)).collect(),
+        None => Vec::new(),
+    };
+    for id in retain.unwrap_or_default() {
+        remaining[id.index()] = usize::MAX;
+    }
 
-    for group in groups {
-        let results = eval_level(srg, &group, &values, bindings);
-        for (id, res) in group.iter().copied().zip(results) {
-            values.insert(id, res?);
+    for (l, bounds) in levels.starts.windows(2).enumerate() {
+        let group = &levels.order[bounds[0]..bounds[1]];
+        if level_fans_out(levels.flops[l], group.len(), cores) {
+            let results = eval_level_pooled(srg, group, &slots, bindings, cores);
+            for (id, res) in group.iter().zip(results) {
+                slots[id.index()] = Some(res?);
+            }
+        } else {
+            for &id in group {
+                let value = eval_node(srg, id, |src| input_slot(&slots, src), bindings)?;
+                slots[id.index()] = Some(value);
+            }
         }
-        if let Some(keep) = &keep {
+        if retain.is_some() {
             // All of this level's reads are done; release inputs whose
             // last consumer just ran.
-            for &id in &group {
+            for &id in group {
                 for e in srg.in_edges(id) {
                     let r = &mut remaining[e.src.index()];
-                    *r = r.saturating_sub(1);
-                    if *r == 0 && !keep.contains(&e.src) {
-                        values.remove(&e.src);
+                    if *r != usize::MAX {
+                        *r = r.saturating_sub(1);
+                        if *r == 0 {
+                            slots[e.src.index()] = None;
+                        }
                     }
                 }
             }
         }
     }
     publish_dispatch_delta(&stats_before);
-    Ok(values)
+    Ok(slots)
 }
 
-/// Evaluate one level: in parallel over cores when the level is wide
-/// enough, sequentially otherwise. Result order matches `group` order.
-fn eval_level(
+fn input_slot(slots: &[Option<Value>], src: NodeId) -> &Value {
+    slots[src.index()]
+        .as_ref()
+        .expect("level order guarantees inputs")
+}
+
+/// Evaluate one level across the pool, in contiguous chunks of `group`.
+/// Result order matches `group` order.
+fn eval_level_pooled(
     srg: &Srg,
     group: &[NodeId],
-    values: &HashMap<NodeId, Value>,
+    slots: &[Option<Value>],
     bindings: &HashMap<NodeId, Value>,
+    cores: usize,
 ) -> Vec<Result<Value, InterpError>> {
-    let eval_one = |id: NodeId| {
-        let node = srg.node(id);
-        let inputs: Vec<&Value> = srg
-            .in_edges(id)
-            .map(|e| values.get(&e.src).expect("level order guarantees inputs"))
-            .collect();
-        eval_node(srg, id, &node.op, &inputs, bindings)
-    };
-    // Pool workers plus the helping scope owner; 1 means single-core —
-    // stay sequential instead of paying a queue round-trip.
-    let cores = pool::size() + 1;
-    if group.len() < 2 || cores < 2 {
-        return group.iter().copied().map(eval_one).collect();
-    }
-    let workers = cores.min(group.len());
-    let per = group.len().div_ceil(workers);
-    let mut slots: Vec<Option<Result<Value, InterpError>>> =
+    let per = group.len().div_ceil(cores.min(group.len()));
+    let mut results: Vec<Option<Result<Value, InterpError>>> =
         (0..group.len()).map(|_| None).collect();
     pool::scope(|scope| {
-        let mut rest = slots.as_mut_slice();
-        let mut base = 0;
-        while !rest.is_empty() {
-            let take = per.min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            let eval_ref = &eval_one;
-            let ids = &group[base..base + take];
+        for (chunk, ids) in results.chunks_mut(per).zip(group.chunks(per)) {
             scope.spawn(move || {
                 for (slot, &id) in chunk.iter_mut().zip(ids) {
-                    *slot = Some(eval_ref(id));
+                    *slot = Some(eval_node(srg, id, |src| input_slot(slots, src), bindings));
                 }
             });
-            base += take;
-            rest = tail;
         }
     });
-    slots
+    results
         .into_iter()
-        .map(|s| s.expect("every level slot filled"))
+        .map(|r| r.expect("every level slot filled"))
         .collect()
 }
 
@@ -239,18 +280,20 @@ fn publish_dispatch_delta(before: &genie_tensor::stats::Snapshot) {
     }
 }
 
-pub(crate) fn eval_node(
+/// Evaluate one node. `input` resolves a producer to its value; operand
+/// `i` is the producer on the node's `i`-th in-edge (slot order).
+pub(crate) fn eval_node<'v>(
     srg: &Srg,
     id: NodeId,
-    op: &OpKind,
-    inputs: &[&Value],
+    input: impl Fn(NodeId) -> &'v Value,
     bindings: &HashMap<NodeId, Value>,
 ) -> Result<Value, InterpError> {
     let node = srg.node(id);
-    let attr = |key: &str| node.attrs.get(key).cloned().unwrap_or_default();
+    let arg = |i: usize| input(srg.in_edges(id).nth(i).expect("operand edge present").src);
+    let attr = |key: &str| node.attrs.get(key).map_or("", String::as_str);
     let attr_usize = |key: &str| attr(key).parse::<usize>().unwrap_or(0);
 
-    Ok(match op {
+    Ok(match &node.op {
         OpKind::Parameter | OpKind::Input => {
             bindings
                 .get(&id)
@@ -260,36 +303,33 @@ pub(crate) fn eval_node(
                     name: node.name.clone(),
                 })?
         }
-        OpKind::MatMul => Value::F(ops::matmul(
-            inputs[0].as_f("matmul"),
-            inputs[1].as_f("matmul"),
-        )),
+        OpKind::MatMul => Value::F(ops::matmul(arg(0).as_f("matmul"), arg(1).as_f("matmul"))),
         OpKind::Add => {
             if attr("bias") == "1" {
-                Value::F(ops::add_bias(inputs[0].as_f("add"), inputs[1].as_f("bias")))
+                Value::F(ops::add_bias(arg(0).as_f("add"), arg(1).as_f("bias")))
             } else {
-                Value::F(ops::add(inputs[0].as_f("add"), inputs[1].as_f("add")))
+                Value::F(ops::add(arg(0).as_f("add"), arg(1).as_f("add")))
             }
         }
-        OpKind::Mul => Value::F(ops::mul(inputs[0].as_f("mul"), inputs[1].as_f("mul"))),
-        OpKind::Relu => Value::F(ops::relu(inputs[0].as_f("relu"))),
-        OpKind::Gelu => Value::F(ops::gelu(inputs[0].as_f("gelu"))),
-        OpKind::Silu => Value::F(ops::silu(inputs[0].as_f("silu"))),
-        OpKind::Softmax => Value::F(ops::softmax_lastdim(inputs[0].as_f("softmax"))),
+        OpKind::Mul => Value::F(ops::mul(arg(0).as_f("mul"), arg(1).as_f("mul"))),
+        OpKind::Relu => Value::F(ops::relu(arg(0).as_f("relu"))),
+        OpKind::Gelu => Value::F(ops::gelu(arg(0).as_f("gelu"))),
+        OpKind::Silu => Value::F(ops::silu(arg(0).as_f("silu"))),
+        OpKind::Softmax => Value::F(ops::softmax_lastdim(arg(0).as_f("softmax"))),
         OpKind::LayerNorm => {
             let eps: f32 = attr("eps").parse().unwrap_or(1e-5);
             Value::F(ops::layer_norm(
-                inputs[0].as_f("layer_norm"),
-                inputs[1].as_f("gamma"),
-                inputs[2].as_f("beta"),
+                arg(0).as_f("layer_norm"),
+                arg(1).as_f("gamma"),
+                arg(2).as_f("beta"),
                 eps,
             ))
         }
         OpKind::RmsNorm => {
             let eps: f32 = attr("eps").parse().unwrap_or(1e-6);
             Value::F(ops::rms_norm(
-                inputs[0].as_f("rms_norm"),
-                inputs[1].as_f("gamma"),
+                arg(0).as_f("rms_norm"),
+                arg(1).as_f("gamma"),
                 eps,
             ))
         }
@@ -297,27 +337,23 @@ pub(crate) fn eval_node(
             let heads = attr_usize("heads").max(1);
             let causal = attr("causal") == "true";
             Value::F(ops::multi_head_attention(
-                inputs[0].as_f("q"),
-                inputs[1].as_f("k"),
-                inputs[2].as_f("v"),
+                arg(0).as_f("q"),
+                arg(1).as_f("k"),
+                arg(2).as_f("v"),
                 heads,
                 causal,
             ))
         }
-        OpKind::KvAppend => Value::F(ops::concat(
-            inputs[0].as_f("cache"),
-            inputs[1].as_f("new"),
-            0,
-        )),
+        OpKind::KvAppend => Value::F(ops::concat(arg(0).as_f("cache"), arg(1).as_f("new"), 0)),
         OpKind::Conv2d => Value::F(ops::conv2d(
-            inputs[0].as_f("x"),
-            inputs[1].as_f("w"),
-            inputs[2].as_f("bias"),
+            arg(0).as_f("x"),
+            arg(1).as_f("w"),
+            arg(2).as_f("bias"),
             attr_usize("stride").max(1),
             attr_usize("padding"),
         )),
         OpKind::Pool2d => {
-            let x = inputs[0].as_f("pool");
+            let x = arg(0).as_f("pool");
             if attr("gap") == "true" {
                 Value::F(ops::global_avg_pool(x))
             } else {
@@ -335,8 +371,8 @@ pub(crate) fn eval_node(
             }
         }
         OpKind::EmbeddingGather => {
-            let table = inputs[0].as_f("table");
-            let idx = inputs[1].as_i("indices");
+            let table = arg(0).as_f("table");
+            let idx = arg(1).as_i("indices");
             if attr("pooled") == "true" {
                 Value::F(ops::gather_sum(table, idx))
             } else {
@@ -344,12 +380,12 @@ pub(crate) fn eval_node(
             }
         }
         OpKind::Concat => Value::F(ops::concat(
-            inputs[0].as_f("concat"),
-            inputs[1].as_f("concat"),
+            arg(0).as_f("concat"),
+            arg(1).as_f("concat"),
             attr_usize("dim"),
         )),
         OpKind::Slice => Value::F(ops::narrow(
-            inputs[0].as_f("narrow"),
+            arg(0).as_f("narrow"),
             attr_usize("dim"),
             attr_usize("start"),
             attr_usize("len"),
@@ -361,40 +397,46 @@ pub(crate) fn eval_node(
                 .map(|s| s.parse().expect("valid reshape attr"))
                 .collect();
             // Zero-copy: a reshaped view shares the input's buffer.
-            Value::F(inputs[0].as_f("reshape").reshaped(shape))
+            Value::F(arg(0).as_f("reshape").reshaped(shape))
         }
-        OpKind::Transpose => Value::F(ops::transpose2d(inputs[0].as_f("transpose"))),
+        OpKind::Transpose => Value::F(ops::transpose2d(arg(0).as_f("transpose"))),
         OpKind::Reduce => {
-            let x = inputs[0].as_f("reduce");
-            match attr("kind").as_str() {
+            let x = arg(0).as_f("reduce");
+            match attr("kind") {
                 "sum" => Value::F(ops::sum_lastdim(x)),
                 "max" => Value::F(ops::max_lastdim(x)),
                 _ => Value::F(ops::mean_lastdim(x)),
             }
         }
         OpKind::Sample => {
-            let logits = inputs[0].as_f("sample");
+            let logits = arg(0).as_f("sample");
             let t = logits.dims()[0];
             let last = ops::narrow(logits, 0, t - 1, 1);
             Value::I(ops::argmax_lastdim(&last))
         }
         OpKind::MatMulAcc => Value::F(ops::matmul_acc(
-            inputs[0].as_f("matmul_acc"),
-            inputs[1].as_f("matmul_acc"),
-            inputs[2].as_f("acc"),
+            arg(0).as_f("matmul_acc"),
+            arg(1).as_f("matmul_acc"),
+            arg(2).as_f("acc"),
         )),
         OpKind::AllReduce => {
-            let parts: Vec<&Tensor> = inputs.iter().map(|v| v.as_f("all_reduce")).collect();
+            let parts: Vec<&Tensor> = srg
+                .in_edges(id)
+                .map(|e| input(e.src).as_f("all_reduce"))
+                .collect();
             Value::F(ops::all_reduce_sum(&parts))
         }
         OpKind::AllGather => {
-            let parts: Vec<&Tensor> = inputs.iter().map(|v| v.as_f("all_gather")).collect();
+            let parts: Vec<&Tensor> = srg
+                .in_edges(id)
+                .map(|e| input(e.src).as_f("all_gather"))
+                .collect();
             Value::F(ops::all_gather(&parts, attr_usize("dim")))
         }
         // A point-to-point send is the identity on the value; its cost
         // lives in the plan's transfer schedule, not the arithmetic.
-        OpKind::SendActivation => inputs[0].clone(),
-        OpKind::Output => inputs[0].clone(),
+        OpKind::SendActivation => arg(0).clone(),
+        OpKind::Output => arg(0).clone(),
         other => {
             return Err(InterpError::Unsupported {
                 node: id,
@@ -647,7 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn level_groups_respect_dependencies() {
+    fn level_order_respects_dependencies() {
         let ctx = CaptureCtx::new("g");
         let lx = ctx.input("x", [2, 2], ElemType::F32, Some(Tensor::ones([2, 2])));
         let a = lx.relu();
@@ -655,16 +697,46 @@ mod tests {
         let y = a.add(&b);
         y.mark_output();
         let cap = ctx.finish();
-        let groups = level_groups(&cap.srg).unwrap();
+        let levels = level_order(&cap.srg).unwrap();
         let level_of = |n: genie_srg::NodeId| {
-            groups
-                .iter()
-                .position(|g| g.contains(&n))
-                .expect("node in some level")
+            let at = levels.order.iter().position(|&o| o == n).expect("placed");
+            levels.starts.iter().rposition(|&s| s <= at).expect("level")
         };
         assert_eq!(level_of(a.node), level_of(b.node), "siblings share a level");
         assert!(level_of(lx.node) < level_of(a.node));
         assert!(level_of(a.node) < level_of(y.node));
+        // relu + gelu: 4 flops each; the other levels hold one node.
+        assert_eq!(levels.flops[level_of(a.node)], 8.0);
+        assert_eq!(levels.starts.last(), Some(&cap.srg.node_count()));
+    }
+
+    #[test]
+    fn fan_out_is_gated_by_cost_not_count() {
+        let min = ops::MATMUL_PAR_MIN_FLOPS as f64;
+        assert!(level_fans_out(min, 2, 2), "at the threshold");
+        assert!(!level_fans_out(min - 1.0, 64, 8), "wide but cheap");
+        assert!(!level_fans_out(min * 100.0, 1, 8), "nothing to split");
+        assert!(!level_fans_out(min * 100.0, 8, 1), "single core");
+    }
+
+    #[test]
+    fn execute_outputs_allows_repeated_ids() {
+        // Regression: the second mention of an id used to panic with
+        // "outputs exist in graph" (the first had removed the value).
+        let ctx = CaptureCtx::new("g");
+        let x = ctx.input("x", [2, 2], ElemType::F32, Some(randn([2, 2], 60)));
+        let y = x.relu();
+        y.mark_output();
+        y.mark_output();
+        let cap = ctx.finish();
+        assert_eq!(cap.outputs, vec![y.node, y.node]);
+        let outs = execute_outputs(&cap.srg, &cap.values, &cap.outputs).unwrap();
+        assert_eq!(outs.len(), 2);
+        assert_eq!(outs[0], outs[1]);
+        assert_eq!(
+            outs[0],
+            execute_sequential(&cap.srg, &cap.values).unwrap()[&y.node]
+        );
     }
 
     #[test]

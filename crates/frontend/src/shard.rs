@@ -102,12 +102,8 @@ pub fn execute_sharded(
         } else {
             None
         };
-        let inputs: Vec<&Value> = srg
-            .in_edges(id)
-            .map(|e| values.get(&e.src).expect("topo order guarantees inputs"))
-            .collect();
-        let out = eval_node(srg, id, &node.op, &inputs, bindings)?;
-        drop(inputs);
+        let input = |src: NodeId| values.get(&src).expect("topo order guarantees inputs");
+        let out = eval_node(srg, id, input, bindings)?;
         values.insert(id, out);
     }
     Ok((values, report))

@@ -32,7 +32,7 @@
 //! [`matmul_acc`]: genie_frontend::capture::LazyTensor::matmul_acc
 //! [`send_activation`]: genie_frontend::capture::LazyTensor::send_activation
 
-use crate::transformer::{collect_kv, take_token, KvState, LmCapture, TransformerLm};
+use crate::transformer::{KvState, LmCapture, TransformerLm};
 use genie_frontend::capture::{CaptureCtx, LazyTensor};
 use genie_frontend::shard::{execute_sharded, ShardExecReport};
 use genie_srg::shard::ShardSpec;
@@ -434,25 +434,8 @@ impl ShardedTransformerLm {
             total.collective_bytes += r.collective_bytes;
         };
 
-        let ctx = CaptureCtx::new(format!("prefill.{}", self.spec.label()));
-        let sc = self.capture_prefill(&ctx, prompt);
-        let sampled = sc.cap.logits.sample();
-        sampled.mark_output();
-        for (k, v) in sc.cap.k_caches.iter().zip(&sc.cap.v_caches) {
-            k.mark_output();
-            v.mark_output();
-        }
-        let captured = ctx.finish();
-        let (values, report) = execute_sharded(&captured.srg, &captured.values, &sc.shard_of)
-            .expect("sharded prefill executes");
-        merge(report, &mut total);
-        let mut token = take_token(&values, sampled.node);
-        let mut kv = collect_kv(&values, &sc.cap);
-        tokens.push(token);
-
-        for step in 0..steps.saturating_sub(1) {
-            let ctx = CaptureCtx::new(format!("decode.{step}.{}", self.spec.label()));
-            let sc = self.capture_decode_step(&ctx, token, &kv);
+        // Sample from, finish and run one sharded capture.
+        let mut run = |ctx: CaptureCtx, sc: ShardedLmCapture| -> (i64, KvState) {
             let sampled = sc.cap.logits.sample();
             sampled.mark_output();
             for (k, v) in sc.cap.k_caches.iter().zip(&sc.cap.v_caches) {
@@ -461,10 +444,24 @@ impl ShardedTransformerLm {
             }
             let captured = ctx.finish();
             let (values, report) = execute_sharded(&captured.srg, &captured.values, &sc.shard_of)
-                .expect("sharded decode executes");
+                .expect("sharded step executes");
             merge(report, &mut total);
-            token = take_token(&values, sampled.node);
-            kv = collect_kv(&values, &sc.cap);
+            let cache = |lt: &LazyTensor| values[&lt.node].as_f("kv cache").clone();
+            let kv = KvState {
+                k: sc.cap.k_caches.iter().map(cache).collect(),
+                v: sc.cap.v_caches.iter().map(cache).collect(),
+            };
+            (values[&sampled.node].as_i("sampled token").data()[0], kv)
+        };
+
+        let ctx = CaptureCtx::new(format!("prefill.{}", self.spec.label()));
+        let sc = self.capture_prefill(&ctx, prompt);
+        let (mut token, mut kv) = run(ctx, sc);
+        tokens.push(token);
+        for step in 0..steps.saturating_sub(1) {
+            let ctx = CaptureCtx::new(format!("decode.{step}.{}", self.spec.label()));
+            let sc = self.capture_decode_step(&ctx, token, &kv);
+            (token, kv) = run(ctx, sc);
             tokens.push(token);
         }
         (tokens, total)

@@ -7,10 +7,10 @@
 
 use crate::config::TransformerConfig;
 use genie_frontend::capture::{CaptureCtx, LazyTensor};
+use genie_frontend::interp;
 use genie_frontend::value::Value;
-use genie_srg::{ElemType, Phase};
+use genie_srg::{ElemType, NodeId, Phase};
 use genie_tensor::{init, Tensor};
-use std::collections::HashMap;
 
 /// Per-layer weight payloads (functional plane only).
 #[derive(Clone, Debug)]
@@ -274,6 +274,23 @@ impl TransformerLm {
         }
     }
 
+    /// Functional prefill of `prompt`: capture, lint, interpret. Returns
+    /// the first sampled token and the materialized KV cache.
+    pub fn prefill_step(&self, prompt: &[i64]) -> (i64, KvState) {
+        let ctx = CaptureCtx::new("prefill");
+        let cap = self.capture_prefill(&ctx, prompt);
+        run_step(&ctx, &cap)
+    }
+
+    /// One functional incremental decode step for `token` against `kv`:
+    /// re-capture (the data-dependent token feeds in), lint, interpret.
+    /// Returns the next token and the grown KV cache.
+    pub fn decode_step(&self, token: i64, kv: &KvState) -> (i64, KvState) {
+        let ctx = CaptureCtx::new("decode");
+        let cap = self.capture_decode_step(&ctx, token, kv);
+        run_step(&ctx, &cap)
+    }
+
     /// Functional greedy generation: prefill the prompt, then decode
     /// `steps` tokens via per-step re-capture. Returns the generated
     /// tokens. This is the reference semantics every execution mode must
@@ -281,34 +298,10 @@ impl TransformerLm {
     pub fn generate(&self, prompt: &[i64], steps: usize) -> Vec<i64> {
         assert!(self.is_functional(), "generate needs real weights");
         let mut tokens = Vec::with_capacity(steps);
-
-        // Prefill.
-        let ctx = CaptureCtx::new("prefill");
-        let cap = self.capture_prefill(&ctx, prompt);
-        let sampled = cap.logits.sample();
-        sampled.mark_output();
-        for (k, v) in cap.k_caches.iter().zip(&cap.v_caches) {
-            k.mark_output();
-            v.mark_output();
-        }
-        let captured = ctx.finish();
-        let values = genie_frontend::interp::execute(&captured.srg, &captured.values)
-            .expect("prefill executes");
-        let mut token = take_token(&values, sampled.node);
-        let mut kv = collect_kv(&values, &cap);
+        let (mut token, mut kv) = self.prefill_step(prompt);
         tokens.push(token);
-
-        // Decode loop (re-capture per step: data-dependent token feeds in).
-        for step in 0..steps.saturating_sub(1) {
-            let ctx = CaptureCtx::new(format!("decode.{step}"));
-            let cap = self.capture_decode_step(&ctx, token, &kv);
-            let sampled = cap.logits.sample();
-            sampled.mark_output();
-            let captured = ctx.finish();
-            let values = genie_frontend::interp::execute(&captured.srg, &captured.values)
-                .expect("decode executes");
-            token = take_token(&values, sampled.node);
-            kv = collect_kv(&values, &cap);
+        for _ in 1..steps {
+            (token, kv) = self.decode_step(token, &kv);
             tokens.push(token);
         }
         tokens
@@ -323,30 +316,31 @@ impl TransformerLm {
         let cap = self.capture_prefill(&ctx, sequence);
         cap.logits.mark_output();
         let captured = ctx.finish();
-        genie_frontend::interp::run_single_output(&captured).expect("full forward executes")
+        interp::run_single_output(&captured).expect("full forward executes")
     }
 }
 
-pub(crate) fn take_token(
-    values: &HashMap<genie_srg::NodeId, Value>,
-    node: genie_srg::NodeId,
-) -> i64 {
-    values[&node].as_i("sampled token").data()[0]
-}
-
-pub(crate) fn collect_kv(values: &HashMap<genie_srg::NodeId, Value>, cap: &LmCapture) -> KvState {
-    KvState {
-        k: cap
-            .k_caches
-            .iter()
-            .map(|lt| values[&lt.node].as_f("k cache").clone())
-            .collect(),
-        v: cap
-            .v_caches
-            .iter()
-            .map(|lt| values[&lt.node].as_f("v cache").clone())
-            .collect(),
-    }
+/// Sample from a captured step's logits, finish the capture, and run
+/// it for exactly what the next step needs: the sampled token and the
+/// grown caches. Interior values are dropped as they die.
+fn run_step(ctx: &CaptureCtx, cap: &LmCapture) -> (i64, KvState) {
+    let sampled = cap.logits.sample();
+    sampled.mark_output();
+    let captured = ctx.finish();
+    let wanted: Vec<NodeId> = std::iter::once(&sampled)
+        .chain(&cap.k_caches)
+        .chain(&cap.v_caches)
+        .map(|lt| lt.node)
+        .collect();
+    let values = interp::execute_outputs(&captured.srg, &captured.values, &wanted)
+        .expect("captured step executes");
+    let cache = |v: &Value| v.as_f("kv cache").clone();
+    let (k, v) = values[1..].split_at(cap.k_caches.len());
+    let kv = KvState {
+        k: k.iter().map(cache).collect(),
+        v: v.iter().map(cache).collect(),
+    };
+    (values[0].as_i("sampled token").data()[0], kv)
 }
 
 #[cfg(test)]
@@ -465,18 +459,7 @@ mod tests {
 
     #[test]
     fn kv_state_accounting() {
-        let m = tiny();
-        let prompt = vec![1, 2, 3, 4, 5];
-        let ctx = CaptureCtx::new("p");
-        let cap = m.capture_prefill(&ctx, &prompt);
-        for (k, v) in cap.k_caches.iter().zip(&cap.v_caches) {
-            k.mark_output();
-            v.mark_output();
-        }
-        cap.logits.sample().mark_output();
-        let captured = ctx.finish();
-        let values = genie_frontend::interp::execute(&captured.srg, &captured.values).unwrap();
-        let kv = collect_kv(&values, &cap);
+        let (_, kv) = tiny().prefill_step(&[1, 2, 3, 4, 5]);
         assert_eq!(kv.len(), 5);
         assert_eq!(kv.k.len(), 2);
         // 2 layers × (K+V) × 5 tokens × 16 dims × 4 bytes

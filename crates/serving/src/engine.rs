@@ -35,7 +35,6 @@ use crate::request::{EventKind, LogEvent, Outcome, ServingRequest, ShedReason};
 use crate::slo::{SloConfig, SloTracker};
 use genie_backend::{batched_step_time, sharded_step_time, ShardPlan, StepWork};
 use genie_cluster::GpuSpec;
-use genie_frontend::capture::CaptureCtx;
 use genie_models::{KvState, TransformerConfig, TransformerLm};
 use genie_netsim::{FaultPlan, FaultSpec, Nanos, TransferOutcome, XorShift64};
 use genie_scheduler::{CostModel, KvMigrationPlanner, MigrationDecision};
@@ -867,7 +866,7 @@ impl ServingLoop {
                         }
                         match &self.model {
                             ServingModel::Functional(m) => {
-                                let (token, kv) = prefill_exec(m, &seq);
+                                let (token, kv) = m.prefill_step(&seq);
                                 job.kv = Some(kv);
                                 if generated == 0 {
                                     job.tokens.push(token);
@@ -901,7 +900,7 @@ impl ServingLoop {
                         let token = match &self.model {
                             ServingModel::Functional(m) => {
                                 let kv = job.kv.as_ref().expect("functional resident KV");
-                                let (token, kv_next) = decode_exec(m, last, kv);
+                                let (token, kv_next) = m.decode_step(last, kv);
                                 job.kv = Some(kv_next);
                                 token
                             }
@@ -1246,64 +1245,6 @@ fn synth_token(cfg: &TransformerConfig, id: u64, position: usize) -> i64 {
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(position as u64 * 31 + 7);
     (mixed % cfg.vocab as u64) as i64
-}
-
-/// Execute one prefill over `seq`: capture, run the interpreter, return
-/// the sampled token and the materialized KV cache. Mirrors the capture
-/// discipline of [`TransformerLm::generate`] exactly so the serving
-/// loop's numerics are pinned to the sequential oracle.
-fn prefill_exec(m: &TransformerLm, seq: &[i64]) -> (i64, KvState) {
-    let ctx = CaptureCtx::new("serving.prefill");
-    let cap = m.capture_prefill(&ctx, seq);
-    let sampled = cap.logits.sample();
-    sampled.mark_output();
-    for (k, v) in cap.k_caches.iter().zip(&cap.v_caches) {
-        k.mark_output();
-        v.mark_output();
-    }
-    let captured = ctx.finish();
-    let values = genie_frontend::interp::execute(&captured.srg, &captured.values)
-        .expect("serving prefill executes");
-    let token = values[&sampled.node].as_i("sampled token").data()[0];
-    let kv = KvState {
-        k: cap
-            .k_caches
-            .iter()
-            .map(|lt| values[&lt.node].as_f("k cache").clone())
-            .collect(),
-        v: cap
-            .v_caches
-            .iter()
-            .map(|lt| values[&lt.node].as_f("v cache").clone())
-            .collect(),
-    };
-    (token, kv)
-}
-
-/// Execute one incremental decode step for `token` against `kv`,
-/// returning the next token and the grown KV cache.
-fn decode_exec(m: &TransformerLm, token: i64, kv: &KvState) -> (i64, KvState) {
-    let ctx = CaptureCtx::new("serving.decode");
-    let cap = m.capture_decode_step(&ctx, token, kv);
-    let sampled = cap.logits.sample();
-    sampled.mark_output();
-    let captured = ctx.finish();
-    let values = genie_frontend::interp::execute(&captured.srg, &captured.values)
-        .expect("serving decode executes");
-    let next = values[&sampled.node].as_i("sampled token").data()[0];
-    let kv_next = KvState {
-        k: cap
-            .k_caches
-            .iter()
-            .map(|lt| values[&lt.node].as_f("k cache").clone())
-            .collect(),
-        v: cap
-            .v_caches
-            .iter()
-            .map(|lt| values[&lt.node].as_f("v cache").clone())
-            .collect(),
-    };
-    (next, kv_next)
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 
 use crate::graph::Srg;
 use crate::ids::NodeId;
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// Error returned when an SRG contains a cycle (and therefore is not a
 /// valid dataflow graph).
@@ -25,17 +26,21 @@ impl std::error::Error for CycleError {}
 pub fn topo_order(g: &Srg) -> Result<Vec<NodeId>, CycleError> {
     let n = g.node_count();
     let mut in_deg: Vec<usize> = (0..n).map(|i| g.in_degree(NodeId::new(i as u32))).collect();
-    // BTreeSet gives deterministic smallest-id-first ordering.
-    let mut ready: BTreeSet<NodeId> = g.node_ids().filter(|&id| in_deg[id.index()] == 0).collect();
+    // A min-heap gives deterministic smallest-id-first ordering (a node
+    // becomes ready exactly once, so it never holds duplicates).
+    let mut ready: BinaryHeap<Reverse<NodeId>> = g
+        .node_ids()
+        .filter(|&id| in_deg[id.index()] == 0)
+        .map(Reverse)
+        .collect();
     let mut order = Vec::with_capacity(n);
-    while let Some(&next) = ready.iter().next() {
-        ready.remove(&next);
+    while let Some(Reverse(next)) = ready.pop() {
         order.push(next);
         for edge in g.out_edges(next) {
             let d = edge.dst;
             in_deg[d.index()] -= 1;
             if in_deg[d.index()] == 0 {
-                ready.insert(d);
+                ready.push(Reverse(d));
             }
         }
     }

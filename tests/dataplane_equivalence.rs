@@ -1,32 +1,46 @@
-//! Wavefront interpretation must be a pure performance optimization:
-//! across the whole functional model zoo, `interp::execute` (level-
-//! parallel) and `interp::execute_outputs` (level-parallel + value
-//! dropping) must produce exactly the same values as the sequential
-//! oracle `interp::execute_sequential` — bit for bit, not approximately.
+//! Level fan-out and value dropping must be pure performance
+//! optimizations: across the whole functional model zoo,
+//! `interp::execute` (may fan levels out over the pool) and
+//! `interp::execute_outputs` (same, plus value dropping) must produce
+//! exactly the same values as `interp::execute_sequential` — bit for bit,
+//! not approximately. The three share one executor, so the zoo is also
+//! held against `execute_sharded` on a single shard: an independent
+//! topological-order loop over the same kernels.
 
 use genie::frontend::capture::{CaptureCtx, CapturedGraph};
-use genie::frontend::interp;
+use genie::frontend::{execute_sharded, interp};
 use genie::models::{
-    CnnConfig, Dlrm, DlrmConfig, KvState, Multimodal, MultimodalConfig, SimpleCnn,
-    TransformerConfig, TransformerLm,
+    CnnConfig, Dlrm, DlrmConfig, KvState, Multimodal, MultimodalConfig, ShardedTransformerLm,
+    SimpleCnn, TransformerConfig, TransformerLm,
 };
-use genie::srg::NodeId;
+use genie::srg::shard::ShardSpec;
+use genie::srg::{ElemType, NodeId};
 use genie::tensor::init;
 use genie::tensor::stats::{force_path, Path};
+use std::collections::BTreeMap;
 
-/// Assert the three execution strategies agree exactly on `captured`.
+/// Assert every execution strategy agrees exactly on `captured`.
 fn assert_wavefront_matches(captured: &CapturedGraph, output: NodeId) {
     let seq = interp::execute_sequential(&captured.srg, &captured.values).expect("sequential");
     let wave = interp::execute(&captured.srg, &captured.values).expect("wavefront");
+    let (independent, _) = execute_sharded(&captured.srg, &captured.values, &BTreeMap::new())
+        .expect("single-shard loop");
 
+    assert_eq!(seq.len(), captured.srg.node_count(), "every node evaluated");
     assert_eq!(seq.len(), wave.len(), "same set of evaluated nodes");
     for (id, v) in &seq {
         assert_eq!(Some(v), wave.get(id), "node {id:?} diverged");
+        assert_eq!(Some(v), independent.get(id), "node {id:?} left the oracle");
     }
 
-    let outs =
-        interp::execute_outputs(&captured.srg, &captured.values, &[output]).expect("outputs");
-    assert_eq!(Some(&outs[0]), seq.get(&output), "output diverged");
+    // One output, every marked output, and a repeated id.
+    let mut wanted = vec![output];
+    wanted.extend(&captured.outputs);
+    let outs = interp::execute_outputs(&captured.srg, &captured.values, &wanted).expect("outputs");
+    assert_eq!(outs.len(), wanted.len());
+    for (id, v) in wanted.iter().zip(&outs) {
+        assert_eq!(Some(v), seq.get(id), "output {id:?} diverged");
+    }
 }
 
 #[test]
@@ -183,4 +197,106 @@ fn multimodal_inference_wavefront_matches_sequential() {
     scores.mark_output();
     let out = scores.node;
     assert_wavefront_matches(&ctx.finish(), out);
+}
+
+/// Wide enough that whole levels clear the fan-out threshold (q/k/v
+/// projections: 3 × 2·48·128·128 ≈ 4.7 MFLOP), so on a multi-core host
+/// the pooled path really runs.
+fn wide_transformer() -> TransformerLm {
+    let config = TransformerConfig {
+        d_model: 128,
+        heads: 4,
+        vocab: 64,
+        ..TransformerConfig::tiny()
+    };
+    TransformerLm::new_functional(config, 17)
+}
+
+#[test]
+fn wide_transformer_prefill_and_decode_match_sequential() {
+    let model = wide_transformer();
+    let prompt: Vec<i64> = (0..48).map(|i| (i * 7) % 64).collect();
+    let ctx = CaptureCtx::new("llm.wide.prefill");
+    let cap = model.capture_prefill(&ctx, &prompt);
+    cap.logits.mark_output();
+    for (k, v) in cap.k_caches.iter().zip(&cap.v_caches) {
+        k.mark_output();
+        v.mark_output();
+    }
+    let captured = ctx.finish();
+    let levels = genie::srg::traverse::levels(&captured.srg).expect("acyclic");
+    let mut flops = vec![0.0; captured.srg.node_count()];
+    for (level, node) in levels.iter().zip(captured.srg.nodes()) {
+        flops[*level] += node.cost.flops;
+    }
+    assert!(
+        flops.iter().any(|&f| interp::level_fans_out(f, 2, 2)),
+        "some level clears the fan-out threshold"
+    );
+    assert_wavefront_matches(&captured, cap.logits.node);
+
+    let (token, kv) = model.prefill_step(&prompt);
+    let ctx = CaptureCtx::new("llm.wide.decode");
+    let cap = model.capture_decode_step(&ctx, token, &kv);
+    cap.logits.mark_output();
+    assert_wavefront_matches(&ctx.finish(), cap.logits.node);
+}
+
+#[test]
+fn tensor_parallel_sharded_graph_matches_sequential() {
+    let sharded = ShardedTransformerLm::new(wide_transformer(), ShardSpec::tensor(2));
+    let prompt: Vec<i64> = (0..24).map(|i| (i * 5) % 64).collect();
+    let ctx = CaptureCtx::new("llm.tp2.prefill");
+    let sc = sharded.capture_prefill(&ctx, &prompt);
+    sc.cap.logits.mark_output();
+    assert_wavefront_matches(&ctx.finish(), sc.cap.logits.node);
+
+    let (token, kv) = sharded.model.prefill_step(&prompt);
+    let ctx = CaptureCtx::new("llm.tp2.decode");
+    let sc = sharded.capture_decode_step(&ctx, token, &kv);
+    sc.cap.logits.mark_output();
+    assert_wavefront_matches(&ctx.finish(), sc.cap.logits.node);
+}
+
+#[test]
+fn resnet_shaped_cnn_matches_sequential() {
+    // `resnet_like`'s depth and classifier, shrunk to functional size.
+    let cfg = CnnConfig {
+        base_channels: 4,
+        image_size: 16,
+        elem: ElemType::F32,
+        ..CnnConfig::resnet_like()
+    };
+    let model = SimpleCnn::new_functional(cfg.clone(), 23);
+    let pixels = init::randn([2, 3, cfg.image_size, cfg.image_size], 24);
+    let ctx = CaptureCtx::new("cnn.resnet_shaped");
+    let scores = model.capture_inference(&ctx, 2, Some(pixels));
+    scores.mark_output();
+    assert_wavefront_matches(&ctx.finish(), scores.node);
+}
+
+#[test]
+fn production_shaped_dlrm_matches_sequential() {
+    // `production_like`'s 26 tables × 32 lookups (one wide level of
+    // pooled gathers), with tables shrunk to functional size.
+    let cfg = DlrmConfig {
+        rows_per_table: 64,
+        embedding_dim: 16,
+        mlp_hidden: 64,
+        elem: ElemType::F32,
+        ..DlrmConfig::production_like()
+    };
+    let model = Dlrm::new_functional(cfg.clone(), 29);
+    let ids: Vec<Vec<i64>> = (0..cfg.tables)
+        .map(|t| {
+            (0..cfg.lookups_per_table)
+                .map(|i| ((t * 17 + i * 5) % cfg.rows_per_table) as i64)
+                .collect()
+        })
+        .collect();
+    let dense = init::randn([1, cfg.dense_features], 30);
+    let ctx = CaptureCtx::new("dlrm.production_shaped");
+    let logit = model.capture_inference(&ctx, &ids, Some(dense));
+    logit.mark_output();
+    assert_wavefront_matches(&ctx.finish(), logit.node);
 }
