@@ -120,9 +120,9 @@ fn simulate(
     seed: u64,
     pooled: bool,
 ) -> FleetReport {
-    let mut q: EventQueue<Arrival> = EventQueue::new();
+    let mut q: EventQueue<(), Arrival> = EventQueue::new();
     for a in arrivals(tenants, horizon_s, seed) {
-        q.schedule(a.at, a);
+        q.schedule(a.at, (), a);
     }
     let mut device_free = vec![Nanos::ZERO; devices];
     let mut busy_s = vec![0.0f64; devices];

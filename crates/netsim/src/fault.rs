@@ -254,15 +254,48 @@ impl FaultPlan {
         self.schedule.specs.iter().filter(move |s| s.touches(a, b))
     }
 
+    /// Whole-run degradation of the `(a, b)` link as `(derate,
+    /// jitter_s)`: derate factors multiply (each floored at 1e-3) and
+    /// every jitter fault draws once from `rng`, in schedule order.
+    pub fn link_condition(&self, rng: &mut XorShift64, a: u32, b: u32) -> (f64, f64) {
+        let mut derate = 1.0f64;
+        let mut jitter_s = 0.0f64;
+        for fault in self.faults_for(a, b) {
+            match fault {
+                FaultSpec::Derate { factor, .. } => derate *= factor.max(1e-3),
+                FaultSpec::Jitter { max, .. } => jitter_s += rng.next_f64() * max.as_secs_f64(),
+                _ => {}
+            }
+        }
+        (derate, jitter_s)
+    }
+
+    /// The first instant at or after `t` outside every outage window
+    /// (link-down or partition) on the pair — `t` itself when the link
+    /// is up, else when the last overlapping window has closed.
+    pub fn clear_at(&self, a: u32, b: u32, t: Nanos) -> Nanos {
+        let mut clear = t;
+        while let Some(until) = self
+            .faults_for(a, b)
+            .filter_map(FaultSpec::window)
+            .filter(|&(from, until)| clear >= from && clear < until)
+            .map(|(_, until)| until)
+            .max()
+        {
+            clear = until;
+        }
+        clear
+    }
+
     /// Simulate one bulk transfer of `bytes` from host `a` to host `b`
     /// starting at `start`, over a link of `bandwidth_bps` /
     /// `latency_s` (one-way). This is how the serving plane executes a
-    /// KV-prefix migration as real simulated link traffic: whole-run
-    /// derates stretch the serialization time, jitter faults draw
-    /// seeded extra latency from `rng`, and any outage window
-    /// (link-down or partition) overlapping the transfer interval
-    /// severs it — the in-flight payload is lost at the window start
-    /// (or at `start` when the window is already open).
+    /// KV-prefix migration as real simulated link traffic: the
+    /// [`link_condition`](Self::link_condition) stretches the
+    /// serialization time and adds seeded latency, and any outage
+    /// window overlapping the transfer interval severs it — the
+    /// in-flight payload is lost at the window start (or at `start`
+    /// when the window is already open).
     ///
     /// Deterministic: the outcome is a pure function of the plan, the
     /// RNG state, and the arguments.
@@ -277,30 +310,17 @@ impl FaultPlan {
         latency_s: f64,
         start: Nanos,
     ) -> TransferOutcome {
-        let mut derate = 1.0f64;
-        let mut jitter = 0.0f64;
-        for fault in self.faults_for(a, b) {
-            match fault {
-                FaultSpec::Derate { factor, .. } => derate *= factor.max(1e-3),
-                FaultSpec::Jitter { max, .. } => {
-                    jitter += rng.next_f64() * max.as_secs_f64();
-                }
-                _ => {}
-            }
-        }
+        let (derate, jitter) = self.link_condition(rng, a, b);
         let wire_s = latency_s + jitter + bytes as f64 * 8.0 / (bandwidth_bps * derate).max(1.0);
         let done_at = start + Nanos::from_secs_f64(wire_s);
         // The earliest outage window that overlaps [start, done_at)
         // severs the transfer.
-        let mut severed: Option<Nanos> = None;
-        for fault in self.faults_for(a, b) {
-            if let Some((from, until)) = fault.window() {
-                if from < done_at && until > start {
-                    let at = from.max(start);
-                    severed = Some(severed.map_or(at, |s: Nanos| s.min(at)));
-                }
-            }
-        }
+        let severed = self
+            .faults_for(a, b)
+            .filter_map(FaultSpec::window)
+            .filter(|&(from, until)| from < done_at && until > start)
+            .map(|(from, _)| from.max(start))
+            .min();
         match severed {
             Some(at) => TransferOutcome::Lost { at },
             None => TransferOutcome::Delivered { done_at },
@@ -310,10 +330,7 @@ impl FaultPlan {
     /// Whether the pair is inside any partition or link-down window at
     /// `now`.
     pub fn is_severed(&self, a: u32, b: u32, now: Nanos) -> bool {
-        self.faults_for(a, b).any(|s| match s.window() {
-            Some((from, until)) => now >= from && now < until,
-            None => false,
-        })
+        self.clear_at(a, b, now) > now
     }
 
     /// Project the plan onto scheduler-visible cluster state over `hosts`
@@ -406,6 +423,67 @@ mod tests {
         assert!(plan.is_severed(1, 0, Nanos(19)), "unordered pair");
         assert!(!plan.is_severed(0, 1, Nanos(20)), "window end exclusive");
         assert!(!plan.is_severed(0, 2, Nanos(15)), "other link untouched");
+    }
+
+    #[test]
+    fn clear_at_chains_through_overlapping_windows() {
+        let down = |from, until| FaultSpec::LinkDown {
+            a: 0,
+            b: 1,
+            from: Nanos(from),
+            until: Nanos(until),
+        };
+        let plan = FaultPlan::new(
+            1,
+            FaultSchedule {
+                specs: vec![down(10, 20), down(15, 40), down(40, 45), down(60, 70)],
+            },
+        );
+        assert_eq!(plan.clear_at(0, 1, Nanos(5)), Nanos(5), "link is up");
+        assert_eq!(plan.clear_at(0, 1, Nanos(10)), Nanos(45), "10→40→45");
+        assert_eq!(plan.clear_at(1, 0, Nanos(45)), Nanos(45), "end exclusive");
+        assert_eq!(plan.clear_at(0, 1, Nanos(65)), Nanos(70));
+        assert_eq!(plan.clear_at(0, 2, Nanos(15)), Nanos(15), "other link");
+    }
+
+    #[test]
+    fn link_condition_draws_once_per_jitter_fault_in_schedule_order() {
+        let plan = FaultPlan::new(
+            1,
+            FaultSchedule {
+                specs: vec![
+                    FaultSpec::Derate {
+                        a: 0,
+                        b: 1,
+                        factor: 0.5,
+                    },
+                    FaultSpec::Jitter {
+                        a: 0,
+                        b: 1,
+                        max: Nanos(1_000),
+                    },
+                    FaultSpec::Derate {
+                        a: 1,
+                        b: 0,
+                        factor: 0.0,
+                    },
+                    FaultSpec::Jitter {
+                        a: 1,
+                        b: 0,
+                        max: Nanos(4_000),
+                    },
+                ],
+            },
+        );
+        let mut rng = XorShift64::new(7);
+        let mut mirror = rng;
+        let (derate, jitter_s) = plan.link_condition(&mut rng, 0, 1);
+        assert_eq!(derate, 0.5 * 1e-3, "factors multiply, floored at 1e-3");
+        let want = mirror.next_f64() * 1e-6 + mirror.next_f64() * 4e-6;
+        assert_eq!(jitter_s, want);
+        assert_eq!(rng, mirror, "exactly two draws");
+        assert_eq!(plan.link_condition(&mut rng, 0, 2), (1.0, 0.0));
+        assert_eq!(rng, mirror, "a clean link draws nothing");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! - [`fabric::Fabric`] — per-host-pair channels over a
 //!   `genie_cluster::Topology`;
 //! - [`queue::EventQueue`] / [`time::Nanos`] — a deterministic event core
-//!   (integer nanoseconds, ties broken by insertion order);
+//!   (integer nanoseconds, ties broken by a caller key, then insertion
+//!   order); the serving engine's agenda and the bench fleet run on it;
 //! - [`fault::FaultPlan`] — seeded, wall-clock-free fault injection:
 //!   bandwidth derates, latency jitter, link outages and host partitions
 //!   applied inside [`link::LinkSim`] and surfaced as trace marks;

@@ -117,8 +117,8 @@ impl KvMigrationPlanner {
 
     /// Price both alternatives for one finished prefill and pick the
     /// cheaper (ties ship: the bytes already exist, recompute burns the
-    /// decode host).
-    pub fn plan(&self, request: u64, from: u32, to: u32, kv_tokens: u64) -> MigrationPlan {
+    /// decode host). Pure: touches no telemetry sink.
+    pub fn price(&self, request: u64, from: u32, to: u32, kv_tokens: u64) -> MigrationPlan {
         let kv_bytes = self.kv_bytes(kv_tokens);
         let ship_s = self.ship_time(kv_bytes);
         let reprefill_s = self.reprefill_time(kv_tokens);
@@ -127,18 +127,6 @@ impl KvMigrationPlanner {
         } else {
             MigrationDecision::Reprefill
         };
-        genie_telemetry::global().collector.instant(
-            "kv.plan",
-            "scheduler",
-            genie_telemetry::SemAttrs::new()
-                .request(request)
-                .with("from", from.to_string())
-                .with("to", to.to_string())
-                .with("kv_tokens", kv_tokens.to_string())
-                .with("ship_s", format!("{ship_s:.6}"))
-                .with("reprefill_s", format!("{reprefill_s:.6}"))
-                .with("decision", format!("{decision:?}")),
-        );
         MigrationPlan {
             request,
             from,
@@ -149,6 +137,25 @@ impl KvMigrationPlanner {
             reprefill_s,
             decision,
         }
+    }
+
+    /// [`price`](Self::price), recorded as a `kv.plan` instant on the
+    /// process-global collector.
+    pub fn plan(&self, request: u64, from: u32, to: u32, kv_tokens: u64) -> MigrationPlan {
+        let plan = self.price(request, from, to, kv_tokens);
+        genie_telemetry::global().collector.instant(
+            "kv.plan",
+            "scheduler",
+            genie_telemetry::SemAttrs::new()
+                .request(request)
+                .with("from", from.to_string())
+                .with("to", to.to_string())
+                .with("kv_tokens", kv_tokens.to_string())
+                .with("ship_s", format!("{:.6}", plan.ship_s))
+                .with("reprefill_s", format!("{:.6}", plan.reprefill_s))
+                .with("decision", format!("{:?}", plan.decision)),
+        );
+        plan
     }
 }
 

@@ -1,4 +1,4 @@
-//! The continuous-batching serving loop.
+//! The continuous-batching serving engine.
 //!
 //! A deterministic discrete-event engine in the Orca/vLLM mold, scaled
 //! to the repo's simulation plane: requests arrive on a virtual clock,
@@ -25,6 +25,10 @@
 //! generated prefix — the lineage-style re-materialization the repo's
 //! incremental-decode ≡ full-forward equivalence guarantees is exact.
 //!
+//! Shape (DESIGN.md, "Serving engine"): one private state struct, one
+//! handler per phase listed by [`ServingLoop::run`], one [`EventQueue`]
+//! agenda; a step is a global barrier; telemetry derives from the report.
+//!
 //! Determinism contract: no wall clock, no global RNG, `BTreeMap`
 //! iteration everywhere ties break by request id. Same requests + same
 //! config ⇒ byte-identical event log, a property the test suite replays.
@@ -33,15 +37,15 @@ use crate::kv::KvLedger;
 use crate::report::ServingReport;
 use crate::request::{EventKind, LogEvent, Outcome, ServingRequest, ShedReason};
 use crate::slo::{SloConfig, SloTracker};
-use genie_backend::{batched_step_time, sharded_step_time, ShardPlan, StepWork};
+use genie_backend::{sharded_step_time, ShardPlan, StepWork};
 use genie_cluster::GpuSpec;
 use genie_models::{KvState, TransformerConfig, TransformerLm};
-use genie_netsim::{FaultPlan, FaultSpec, Nanos, TransferOutcome, XorShift64};
+use genie_netsim::{EventQueue, FaultPlan, Nanos, TransferOutcome, XorShift64};
 use genie_scheduler::{CostModel, KvMigrationPlanner, MigrationDecision};
 use genie_srg::shard::ShardSpec;
 use genie_telemetry::causal::{MemberPhase, StepMember, StepSlice};
-use genie_telemetry::{SemAttrs, SpanKind, SpanRecord, Track, DEFAULT_TIME_BOUNDS};
-use std::collections::{BTreeMap, VecDeque};
+use genie_telemetry::{SemAttrs, SpanKind, SpanRecord, Track};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The model a serving loop executes.
 #[derive(Clone, Debug)]
@@ -215,26 +219,12 @@ struct Job {
     reprefill_cause: Option<ReprefillCause>,
 }
 
-/// A KV prefix in transit between a prefill and a decode lane. The
-/// outcome is resolved at departure (the fault schedule is static and
-/// the RNG stream deterministic), but takes effect only when the
-/// virtual clock reaches it.
-#[derive(Clone, Debug)]
-struct PendingMigration {
-    job: Job,
-    to: u32,
-    bytes: u64,
-    outcome: TransferOutcome,
-}
-
-impl PendingMigration {
-    /// When the transfer resolves (lands or is reported lost).
-    fn event_at(&self) -> Nanos {
-        match self.outcome {
-            TransferOutcome::Delivered { done_at } => done_at,
-            TransferOutcome::Lost { at } => at,
-        }
-    }
+/// What the agenda holds: everything scheduled for a future instant.
+enum Event {
+    Arrive(ServingRequest),
+    /// A migrating KV prefix reaches the end of its transfer, intact or
+    /// not: resolved at departure (static faults, seeded RNG), felt now.
+    Land(Job, bool),
 }
 
 impl Job {
@@ -251,6 +241,14 @@ impl Job {
             landed: None,
             reprefill_cause: None,
         }
+    }
+
+    /// The job's KV is gone (evicted, lost in flight, or not shipped):
+    /// its next step re-prefills, attributed to `cause`.
+    fn lose_kv(&mut self, cause: ReprefillCause) {
+        self.kv = None;
+        self.landed = None;
+        self.reprefill_cause = Some(cause);
     }
 
     /// Resident KV tokens this job will hold after its next step: a
@@ -293,839 +291,595 @@ impl ServingLoop {
         &self.model
     }
 
-    /// Drive `requests` (any order; sorted internally) to completion and
-    /// return the full report. Every request ends with exactly one
+    /// Drive `requests` (any order; the agenda sorts them) to completion
+    /// and return the full report. Every request ends with exactly one
     /// terminal outcome: completed or shed with a typed reason.
     pub fn run(&self, requests: &[ServingRequest]) -> ServingReport {
-        let cfg = self.model.config().clone();
+        for r in requests {
+            assert!(!r.prompt.is_empty(), "request {} has empty prompt", r.id);
+            assert!(r.total_tokens >= 1, "request {} asks for 0 tokens", r.id);
+        }
+        let ids: BTreeSet<u64> = requests.iter().map(|r| r.id).collect();
+        assert_eq!(ids.len(), requests.len(), "request ids must be unique");
+        let mut sim = Sim::new(self, requests);
+        loop {
+            // 1–3. Deliver what is due; shed what waited past the budget
+            // *before* admission, so no admitted request waited longer.
+            sim.pump();
+            sim.shed_stale();
+            sim.admit();
+            // 4. Idle: jump the clock to the next event, or drain out.
+            if sim.active.is_empty() {
+                let Some(next) = sim.agenda.peek_time() else {
+                    break;
+                };
+                debug_assert!(next > sim.now, "pump left a due event behind");
+                sim.now = next;
+                continue;
+            }
+            // 5. Enforce per-lane KV capacity for the upcoming step.
+            for lane in 0..sim.lanes {
+                while sim.relieve(lane) {}
+            }
+            if sim.active.is_empty() {
+                continue; // everything shed under KV pressure; re-admit
+            }
+            // 6–9. Lanes step in parallel; the loop ticks at the slowest.
+            let step_end = sim.price();
+            let finished = sim.execute(step_end);
+            sim.retire(finished, step_end);
+            sim.depart_prefills(step_end);
+            sim.end_step(step_end);
+        }
+        let report = sim.finish();
+        if self.config.record_telemetry {
+            report.publish();
+        }
+        report
+    }
+}
+
+/// All state of one [`ServingLoop::run`]; one method per phase.
+struct Sim<'a> {
+    model: &'a ServingModel,
+    config: &'a ServingConfig,
+    kv_bytes: u64,
+    /// Decode lanes `0..config.lanes`, then any prefill lanes.
+    lanes: u32,
+    shard: ShardPlan,
+    planner: Option<KvMigrationPlanner>,
+    ledger: KvLedger,
+    /// Admission queue, FIFO in event-time order.
+    queue: VecDeque<Job>,
+    /// Jobs on a lane (`Job::lane`): the only record of membership.
+    active: BTreeMap<u64, Job>,
+    /// Future arrivals, then landings, each by request id, per instant.
+    agenda: EventQueue<(bool, u64), Event>,
+    /// Its `steps` and `spans.len()` count steps and span ids.
+    report: ServingReport,
+    now: Nanos,
+    chaos_rng: XorShift64,
+    slo: SloTracker,
+}
+
+impl<'a> Sim<'a> {
+    fn new(engine: &'a ServingLoop, requests: &[ServingRequest]) -> Self {
+        let (model, config) = (&engine.model, &engine.config);
+        let cfg = model.config();
         let kv_bytes = cfg.kv_bytes_per_token();
-        let decode_lanes = self.config.lanes as usize;
-        let disagg = self.config.disagg.clone();
-        let prefill_lanes = disagg.as_ref().map_or(0, |d| d.prefill_lanes as usize);
-        let lanes = decode_lanes + prefill_lanes;
+        let lanes = config.lanes + config.disagg.as_ref().map_or(0, |d| d.prefill_lanes);
         // Ship-vs-reprefill pricing: the planner's network side is the
         // migration fabric, and its kernel side runs at unit efficiency
         // so its re-prefill estimate matches the engine's own roofline
         // step pricing (`batched_step_time` does not derate either).
-        let planner = disagg.as_ref().map(|d| {
+        let planner = config.disagg.as_ref().map(|d| {
             let mut cost = CostModel::ideal_25g();
             cost.network_bandwidth = d.migrate_bandwidth_bps / 8.0;
             cost.network_latency_s = d.migrate_latency_s;
             cost.per_call_overhead_s = 0.0;
-            KvMigrationPlanner::new(
-                cost,
-                self.config.gpu.clone(),
-                kv_bytes,
-                cfg.flops_per_token(),
-                cfg.weight_bytes(),
-            )
+            let (flops, weights) = (cfg.flops_per_token(), cfg.weight_bytes());
+            KvMigrationPlanner::new(cost, config.gpu.clone(), kv_bytes, flops, weights)
         });
-
-        let mut pending: Vec<ServingRequest> = requests.to_vec();
-        pending.sort_by_key(|r| (r.arrival, r.id));
-        for r in &pending {
-            assert!(!r.prompt.is_empty(), "request {} has empty prompt", r.id);
-            assert!(r.total_tokens >= 1, "request {} asks for 0 tokens", r.id);
+        let spec = config.shard.unwrap_or_else(ShardSpec::single);
+        let mut agenda = EventQueue::new();
+        for r in requests {
+            agenda.schedule(r.arrival, (false, r.id), Event::Arrive(r.clone()));
         }
-        {
-            let mut ids: Vec<u64> = pending.iter().map(|r| r.id).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(ids.len(), pending.len(), "request ids must be unique");
+        let plan_seed = config.fault_plan.as_ref().map(|p| p.seed);
+        Sim {
+            model,
+            config,
+            kv_bytes,
+            lanes,
+            shard: ShardPlan {
+                pipeline_stages: spec.pipeline_stages,
+                tensor_parallel: spec.tensor_parallel,
+                fabric_bandwidth_bps: config.link_bandwidth_bps,
+                fabric_latency_s: config.link_latency_s,
+            },
+            planner,
+            ledger: KvLedger::new(lanes as usize, config.kv_capacity_bytes, kv_bytes),
+            queue: VecDeque::new(),
+            active: BTreeMap::new(),
+            agenda,
+            report: ServingReport::default(),
+            now: Nanos::ZERO,
+            chaos_rng: XorShift64::new(plan_seed.map_or(1, |s| s ^ 0x5e21_1a7e)),
+            slo: SloTracker::new(config.slo.clone()),
         }
-        let mut pending: VecDeque<ServingRequest> = pending.into();
+    }
 
-        let mut ledger = KvLedger::new(lanes, self.config.kv_capacity_bytes, kv_bytes);
-        let mut queue: VecDeque<Job> = VecDeque::new();
-        let mut active: BTreeMap<u64, Job> = BTreeMap::new();
-        let mut report = ServingReport::default();
-        let mut now = Nanos::ZERO;
-        let mut steps = 0u64;
-        let mut span_id = 1u64;
-        let mut chaos_rng = XorShift64::new(
-            self.config
-                .fault_plan
-                .as_ref()
-                .map_or(1, |p| p.seed ^ 0x5e21_1a7e),
-        );
-        let mut slo = SloTracker::new(self.config.slo.clone());
-        let mut migrating: BTreeMap<u64, PendingMigration> = BTreeMap::new();
+    /// Jobs active on `lane`, in ascending request id.
+    fn members(&self, lane: u32) -> impl Iterator<Item = &Job> {
+        self.active.values().filter(move |j| j.lane == lane)
+    }
 
-        loop {
-            // 1. Pump arrivals and migration landings due by `now` into
-            //    the queue, merged in virtual-time order (ties: arrivals
-            //    first, then ascending request id) so queue FIFO order
-            //    is the event-time order.
-            loop {
-                let next_arrival = pending
-                    .front()
-                    .filter(|r| r.arrival <= now)
-                    .map(|r| r.arrival);
-                let next_landing = migrating
-                    .iter()
-                    .filter(|(_, m)| m.event_at() <= now)
-                    .map(|(id, m)| (m.event_at(), *id))
-                    .min();
-                let take_arrival = match (next_arrival, next_landing) {
-                    (Some(a), Some((l, _))) => a <= l,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                if take_arrival {
-                    let req = pending.pop_front().expect("front checked");
-                    push_event(&mut report, req.arrival, req.id, EventKind::Arrive, &ledger);
-                    if queue.len() >= self.config.max_queue {
-                        self.shed(
-                            &mut report,
-                            &ledger,
-                            &mut slo,
-                            req.id,
-                            req.tenant,
-                            ShedReason::QueueFull,
-                            now,
-                        );
-                    } else {
-                        queue.push_back(Job::new(req));
+    /// This step's slices: its roster, by lane then ascending id.
+    fn step_slices(&self) -> &[StepSlice] {
+        let slices = &self.report.slices;
+        &slices[slices.partition_point(|s| s.step < self.report.steps)..]
+    }
+
+    fn push_event(&mut self, at: Nanos, request: u64, kind: EventKind) {
+        let kv_resident_bytes = self.ledger.total_bytes();
+        self.report.events.push(LogEvent {
+            at,
+            request,
+            kind,
+            kv_resident_bytes,
+        });
+    }
+
+    fn shed(&mut self, id: u64, tenant: u64, reason: ShedReason) {
+        self.slo.observe(tenant, true);
+        let at = self.now;
+        let outcome = Outcome::Shed { reason, at };
+        self.report.outcomes.insert(id, outcome);
+        self.push_event(at, id, EventKind::Shed(reason));
+    }
+
+    /// Append a span with the next deterministic id: an interval on a
+    /// device track ("serving") or a runtime-track instant ("causal").
+    fn span(&mut self, name: &str, track: Track, start: Nanos, dur: Nanos, attrs: SemAttrs) {
+        let (category, kind) = match track {
+            Track::Runtime => ("causal", SpanKind::Instant),
+            _ => ("serving", SpanKind::Span),
+        };
+        let id = self.report.spans.len() as u64 + 1;
+        self.report.spans.push(SpanRecord {
+            id,
+            parent: None,
+            name: name.into(),
+            category: category.into(),
+            kind,
+            track,
+            start_ns: start.0,
+            dur_ns: dur.0,
+            attrs,
+            thread: 1,
+            seq: id,
+        });
+    }
+
+    /// Phase 1: deliver every agenda event due by `now` into the queue,
+    /// so queue FIFO order is event-time order.
+    fn pump(&mut self) {
+        while self.agenda.peek_time().is_some_and(|t| t <= self.now) {
+            let job = match self.agenda.pop().expect("peeked") {
+                (at, Event::Arrive(req)) => {
+                    self.push_event(at, req.id, EventKind::Arrive);
+                    if self.queue.len() >= self.config.max_queue {
+                        self.shed(req.id, req.tenant, ShedReason::QueueFull);
+                        continue;
                     }
-                    continue;
+                    Job::new(req)
                 }
-                let (_, id) = next_landing.expect("landing checked");
-                let m = migrating.remove(&id).expect("landing id present");
-                let mut job = m.job;
-                match m.outcome {
-                    TransferOutcome::Delivered { done_at } => {
-                        let (to, _) = ledger.complete_migration(id);
-                        report.migrations_completed += 1;
-                        report.migrated_kv_bytes += m.bytes;
+                (at, Event::Land(mut job, intact)) => {
+                    let id = job.req.id;
+                    job.enqueued_at = at;
+                    if intact {
+                        let (to, tokens) = self.ledger.complete_migration(id);
+                        self.report.migrations_completed += 1;
+                        self.report.migrated_kv_bytes += tokens * self.kv_bytes;
                         job.landed = Some(to as u32);
-                        job.enqueued_at = done_at;
-                        push_event(
-                            &mut report,
-                            done_at,
-                            id,
-                            EventKind::MigrateDone { to: m.to },
-                            &ledger,
-                        );
+                        self.push_event(at, id, EventKind::MigrateDone { to: to as u32 });
+                    } else {
+                        let to = self.ledger.fail_migration(id).to as u32;
+                        self.report.migrations_failed += 1;
+                        job.lose_kv(ReprefillCause::FailedMigration);
+                        self.push_event(at, id, EventKind::MigrateFail { to });
                     }
-                    TransferOutcome::Lost { at } => {
-                        ledger.fail_migration(id);
-                        report.migrations_failed += 1;
-                        job.kv = None;
-                        job.landed = None;
-                        job.reprefill_cause = Some(ReprefillCause::FailedMigration);
-                        job.enqueued_at = at;
-                        push_event(
-                            &mut report,
-                            at,
-                            id,
-                            EventKind::MigrateFail { to: m.to },
-                            &ledger,
-                        );
-                        if self.config.record_telemetry {
-                            genie_telemetry::global()
-                                .metrics
-                                .counter("genie_serving_migration_failed_total", &[])
-                                .inc();
-                        }
-                    }
-                }
-                queue.push_back(job);
-            }
-
-            // 2. Shed queued requests that already blew the SLO budget —
-            //    *before* admission, so no admitted request has waited
-            //    longer than the budget.
-            let budget = self.config.queue_budget;
-            let mut kept: VecDeque<Job> = VecDeque::new();
-            while let Some(job) = queue.pop_front() {
-                if now.saturating_sub(job.enqueued_at) > budget {
-                    // A landed-but-never-admitted job still holds lane
-                    // residency; release it before recording the shed.
-                    if let Some(lane) = job.landed {
-                        ledger.evict(lane as usize, job.req.id);
-                    }
-                    self.shed(
-                        &mut report,
-                        &ledger,
-                        &mut slo,
-                        job.req.id,
-                        job.req.tenant,
-                        ShedReason::QueueOverSlo,
-                        now,
-                    );
-                } else {
-                    kept.push_back(job);
-                }
-            }
-            queue = kept;
-
-            // 3. Admit FIFO onto the emptiest lane of each job's pool
-            //    with batch headroom. Pools block independently
-            //    (head-of-line blocking is per pool): with one pool
-            //    (colocated) this is exactly the classic FIFO admit;
-            //    under disaggregation a stalled decode pool cannot
-            //    starve fresh prefills or vice versa. A job whose
-            //    migrated prefix landed on a lane admits only there.
-            let pool_of = |job: &Job| -> Pool {
-                if disagg.is_none() {
-                    Pool::Decode
-                } else if let Some(lane) = job.landed {
-                    Pool::Lane(lane)
-                } else if job.tokens.is_empty() {
-                    Pool::Prefill
-                } else {
-                    Pool::Decode
+                    job
                 }
             };
-            let lane_range = |pool: Pool| -> (usize, usize) {
-                match pool {
-                    Pool::Decode => (0, decode_lanes),
-                    Pool::Prefill => (decode_lanes, lanes),
-                    Pool::Lane(l) => (l as usize, l as usize + 1),
-                }
-            };
-            let mut blocked: Vec<Pool> = Vec::new();
-            let mut kept: VecDeque<Job> = VecDeque::new();
-            while let Some(mut job) = queue.pop_front() {
-                let pool = pool_of(&job);
-                if blocked.contains(&pool) {
-                    kept.push_back(job);
-                    continue;
-                }
-                if job.landed.is_none() {
-                    let need = job.next_resident_tokens(0);
-                    if need * kv_bytes > self.config.kv_capacity_bytes {
-                        self.shed(
-                            &mut report,
-                            &ledger,
-                            &mut slo,
-                            job.req.id,
-                            job.req.tenant,
-                            ShedReason::KvCapacity,
-                            now,
-                        );
-                        continue;
-                    }
-                }
-                let (lo, hi) = lane_range(pool);
-                let mut best: Option<(usize, u32)> = None;
-                for lane in lo..hi {
-                    let members = active.values().filter(|j| j.lane == lane as u32).count();
-                    if members < self.config.max_batch && best.is_none_or(|(m, _)| members < m) {
-                        best = Some((members, lane as u32));
-                    }
-                }
-                match best {
-                    Some((_, lane)) => {
-                        job.lane = lane;
-                        push_event(
-                            &mut report,
-                            now,
-                            job.req.id,
-                            EventKind::Admit { lane },
-                            &ledger,
-                        );
-                        active.insert(job.req.id, job);
-                    }
-                    None => {
-                        blocked.push(pool);
-                        kept.push_back(job);
-                    }
-                }
-            }
-            queue = kept;
-
-            // 4. Idle: jump the clock to the next arrival or migration
-            //    landing, or drain out.
-            if active.is_empty() {
-                let next_arrival = pending.front().map(|r| r.arrival);
-                let next_landing = migrating.values().map(PendingMigration::event_at).min();
-                let next = match (next_arrival, next_landing) {
-                    (Some(a), Some(l)) => Some(a.min(l)),
-                    (a, l) => a.or(l),
-                };
-                if let Some(t) = next {
-                    now = t;
-                    continue;
-                }
-                // Unreachable in practice (an empty fleet always admits or
-                // sheds the whole queue above), but guarantee termination
-                // with a terminal outcome for every request regardless.
-                while let Some(job) = queue.pop_front() {
-                    if let Some(lane) = job.landed {
-                        ledger.evict(lane as usize, job.req.id);
-                    }
-                    self.shed(
-                        &mut report,
-                        &ledger,
-                        &mut slo,
-                        job.req.id,
-                        job.req.tenant,
-                        ShedReason::QueueOverSlo,
-                        now,
-                    );
-                }
-                break;
-            }
-
-            // 5. Enforce per-lane KV capacity for the upcoming step: LRU
-            //    eviction (least-recently-stepped, ties by id) until the
-            //    after-step working set fits; a lone member that can
-            //    never fit is shed.
-            for lane in 0..lanes as u32 {
-                loop {
-                    // The lane's after-step working set: running members'
-                    // growth, plus bytes pinned by inbound migration
-                    // reservations and landed-but-queued prefixes.
-                    let mut needed = ledger.reserved_tokens(lane as usize);
-                    for j in queue.iter().filter(|j| j.landed == Some(lane)) {
-                        needed += ledger.resident_tokens(lane as usize, j.req.id);
-                    }
-                    let mut members = 0usize;
-                    for j in active.values().filter(|j| j.lane == lane) {
-                        needed +=
-                            j.next_resident_tokens(ledger.resident_tokens(lane as usize, j.req.id));
-                        members += 1;
-                    }
-                    if needed * kv_bytes <= self.config.kv_capacity_bytes {
-                        break;
-                    }
-                    // Displace an idle landed prefix (latest first)
-                    // before preempting a running member: the queued job
-                    // just falls back to lineage re-prefill.
-                    let idle = queue
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, j)| j.landed == Some(lane))
-                        .max_by_key(|(_, j)| (j.enqueued_at, j.req.id))
-                        .map(|(i, _)| i);
-                    if let Some(idx) = idle {
-                        let job = &mut queue[idx];
-                        let id = job.req.id;
-                        ledger.evict(lane as usize, id);
-                        job.kv = None;
-                        job.landed = None;
-                        job.reprefill_cause = Some(ReprefillCause::Eviction);
-                        report.preemptions += 1;
-                        push_event(&mut report, now, id, EventKind::Preempt, &ledger);
-                        if self.config.record_telemetry {
-                            genie_telemetry::global()
-                                .metrics
-                                .counter("genie_serving_preempt_total", &[])
-                                .inc();
-                        }
-                        continue;
-                    }
-                    if members == 0 {
-                        break;
-                    }
-                    if members == 1 {
-                        let (id, tenant) = {
-                            let j = active
-                                .values()
-                                .find(|j| j.lane == lane)
-                                .expect("counted above");
-                            (j.req.id, j.req.tenant)
-                        };
-                        active.remove(&id);
-                        ledger.evict(lane as usize, id);
-                        self.shed(
-                            &mut report,
-                            &ledger,
-                            &mut slo,
-                            id,
-                            tenant,
-                            ShedReason::KvCapacity,
-                            now,
-                        );
-                        break;
-                    }
-                    let victim = active
-                        .values()
-                        .filter(|j| j.lane == lane)
-                        .min_by_key(|j| (j.last_step, j.req.id))
-                        .expect("members >= 2")
-                        .req
-                        .id;
-                    let mut job = active.remove(&victim).expect("victim is active");
-                    ledger.evict(lane as usize, victim);
-                    job.kv = None;
-                    job.landed = None;
-                    job.enqueued_at = now;
-                    job.reprefill_cause = Some(ReprefillCause::Eviction);
-                    report.preemptions += 1;
-                    push_event(&mut report, now, victim, EventKind::Preempt, &ledger);
-                    if self.config.record_telemetry {
-                        genie_telemetry::global()
-                            .metrics
-                            .counter("genie_serving_preempt_total", &[])
-                            .inc();
-                    }
-                    queue.push_back(job);
-                }
-            }
-
-            // Rosters: member ids per lane, ascending (BTreeMap order).
-            let rosters: Vec<Vec<u64>> = (0..lanes as u32)
-                .map(|lane| {
-                    active
-                        .values()
-                        .filter(|j| j.lane == lane)
-                        .map(|j| j.req.id)
-                        .collect()
-                })
-                .collect();
-            if rosters.iter().all(|r| r.is_empty()) {
-                continue; // everything shed under KV pressure; re-admit
-            }
-
-            // 6. Price each lane's batched step on the roofline model,
-            //    then degrade through the fault schedule: derates slow
-            //    the wire, jitter adds seeded latency, and a severed link
-            //    stalls the lane until its outage window closes.
-            let mut lane_secs = vec![0.0f64; lanes];
-            // Per-lane causal decomposition of this step: (compute,
-            // net-latency, net-payload, fault) seconds plus the member
-            // roster with phases, recorded as [`StepSlice`]s for blame
-            // analysis.
-            let mut lane_parts = vec![(0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64); lanes];
-            let mut lane_members: Vec<Vec<StepMember>> = vec![Vec::new(); lanes];
-            for (lane, roster) in rosters.iter().enumerate() {
-                if roster.is_empty() {
-                    continue;
-                }
-                let mut prefill_members = 0u64;
-                let mut prefill_tokens = 0u64;
-                let mut decode_members = 0u64;
-                let mut kv_resident_tokens = 0u64;
-                for id in roster {
-                    let job = &active[id];
-                    let resident = ledger.resident_tokens(lane, *id);
-                    let phase = if resident > 0 {
-                        decode_members += 1;
-                        kv_resident_tokens += resident;
-                        MemberPhase::Decode
-                    } else {
-                        prefill_members += 1;
-                        prefill_tokens += job.next_resident_tokens(0);
-                        if job.tokens.is_empty() {
-                            MemberPhase::Prefill
-                        } else {
-                            MemberPhase::Reprefill
-                        }
-                    };
-                    lane_members[lane].push(StepMember {
-                        request: *id,
-                        phase,
-                    });
-                }
-                let work = StepWork {
-                    prefill_members,
-                    prefill_tokens,
-                    decode_members,
-                    kv_resident_tokens,
-                };
-                let (cost, collective_s) = match &self.config.shard {
-                    Some(spec) if spec.shards() > 1 => sharded_step_time(
-                        &cfg,
-                        &work,
-                        &self.config.gpu,
-                        self.config.link_bandwidth_bps,
-                        self.config.link_latency_s,
-                        self.config.batched,
-                        &ShardPlan {
-                            pipeline_stages: spec.pipeline_stages,
-                            tensor_parallel: spec.tensor_parallel,
-                            fabric_bandwidth_bps: self.config.link_bandwidth_bps,
-                            fabric_latency_s: self.config.link_latency_s,
-                        },
-                    ),
-                    _ => (
-                        batched_step_time(
-                            &cfg,
-                            &work,
-                            &self.config.gpu,
-                            self.config.link_bandwidth_bps,
-                            self.config.link_latency_s,
-                            self.config.batched,
-                        ),
-                        0.0,
-                    ),
-                };
-                let clean_s = cost.total_s() + collective_s;
-                let mut secs = clean_s;
-                if let Some(plan) = &self.config.fault_plan {
-                    let host = 1 + lane as u32;
-                    let mut derate = 1.0f64;
-                    let mut jitter = 0.0f64;
-                    for fault in plan.faults_for(0, host) {
-                        match fault {
-                            FaultSpec::Derate { factor, .. } => derate *= factor.max(1e-3),
-                            FaultSpec::Jitter { max, .. } => {
-                                jitter += chaos_rng.next_f64() * max.as_secs_f64();
-                            }
-                            _ => {}
-                        }
-                    }
-                    // Collectives ride the same derated fabric.
-                    secs = cost.compute_s + (cost.network_s + collective_s) / derate + jitter;
-                    // A severed link stalls the lane until every outage
-                    // window containing the stall point has closed.
-                    let mut resume = now;
-                    loop {
-                        let mut blocked: Option<Nanos> = None;
-                        for fault in plan.faults_for(0, host) {
-                            if let Some((from, until)) = fault.window() {
-                                if resume >= from && resume < until {
-                                    blocked = Some(blocked.map_or(until, |b: Nanos| b.max(until)));
-                                }
-                            }
-                        }
-                        match blocked {
-                            Some(until) => resume = until,
-                            None => break,
-                        }
-                    }
-                    secs += resume.saturating_sub(now).as_secs_f64();
-                }
-                // Everything the fault schedule added over the clean
-                // roofline cost (derate inflation, jitter, outage
-                // stall) is fault-attributable time.
-                let fault_s = (secs - clean_s).max(0.0);
-                lane_parts[lane] = (
-                    cost.compute_s,
-                    cost.net_latency_s,
-                    cost.net_payload_s,
-                    fault_s,
-                    collective_s,
-                );
-                lane_secs[lane] = secs;
-            }
-
-            // Lanes step in parallel; the loop ticks at the slowest lane.
-            let step_secs = lane_secs.iter().copied().fold(0.0f64, f64::max);
-            let step_dur = Nanos::from_secs_f64(step_secs);
-            let step_end = now + step_dur;
-
-            // Record each busy lane's causal slice against the *global*
-            // barrier end: the unassigned residue inside a faster lane's
-            // slice is synchronization wait, which blame analysis
-            // charges to queue.
-            for (lane, members) in lane_members.iter_mut().enumerate() {
-                if members.is_empty() {
-                    continue;
-                }
-                let (compute_s, net_latency_s, net_payload_s, fault_s, collective_s) =
-                    lane_parts[lane];
-                report.slices.push(
-                    StepSlice::from_secs(
-                        lane as u32,
-                        steps,
-                        now.0,
-                        step_end.0,
-                        compute_s,
-                        net_latency_s,
-                        net_payload_s,
-                        fault_s,
-                        std::mem::take(members),
-                    )
-                    .with_collective(collective_s),
-                );
-            }
-
-            // 7. Execute every member: prefill (fresh or re-prefill) or
-            //    one incremental decode step, in ascending request id.
-            let mut finished: Vec<(u64, usize)> = Vec::new();
-            for (lane, roster) in rosters.iter().enumerate() {
-                for id in roster {
-                    let resident = ledger.resident_tokens(lane, *id);
-                    let job = active.get_mut(id).expect("rostered");
-                    if resident == 0 {
-                        let generated = job.tokens.len();
-                        let mut seq = job.req.prompt.clone();
-                        if generated > 0 {
-                            seq.extend_from_slice(&job.tokens[..generated - 1]);
-                            report.reprefills += 1;
-                            match job
-                                .reprefill_cause
-                                .take()
-                                .unwrap_or(ReprefillCause::Eviction)
-                            {
-                                ReprefillCause::Eviction => report.reprefills_evicted += 1,
-                                ReprefillCause::FailedMigration => report.reprefills_migration += 1,
-                                ReprefillCause::Planned => report.reprefills_planned += 1,
-                            }
-                            push_event(&mut report, now, *id, EventKind::Reprefill, &ledger);
-                            if self.config.record_telemetry {
-                                genie_telemetry::global()
-                                    .metrics
-                                    .counter("genie_serving_reprefill_total", &[])
-                                    .inc();
-                            }
-                        }
-                        match &self.model {
-                            ServingModel::Functional(m) => {
-                                let (token, kv) = m.prefill_step(&seq);
-                                job.kv = Some(kv);
-                                if generated == 0 {
-                                    job.tokens.push(token);
-                                }
-                                // A re-prefill's sampled token reproduces
-                                // the already-generated prefix tail; the
-                                // differential suite catches divergence.
-                            }
-                            ServingModel::Spec(_) => {
-                                if generated == 0 {
-                                    job.tokens.push(synth_token(&cfg, *id, 0));
-                                }
-                            }
-                        }
-                        ledger.set(lane, *id, seq.len() as u64);
-                        if generated == 0 {
-                            let ttft = step_end.saturating_sub(job.req.arrival);
-                            job.ttft = Some(ttft);
-                            let value = *job.tokens.last().expect("first token pushed");
-                            push_event(
-                                &mut report,
-                                step_end,
-                                *id,
-                                EventKind::Token { value },
-                                &ledger,
-                            );
-                            self.record_token(ttft.as_secs_f64(), step_secs, true);
-                        }
-                    } else {
-                        let last = *job.tokens.last().expect("resident implies generated");
-                        let token = match &self.model {
-                            ServingModel::Functional(m) => {
-                                let kv = job.kv.as_ref().expect("functional resident KV");
-                                let (token, kv_next) = m.decode_step(last, kv);
-                                job.kv = Some(kv_next);
-                                token
-                            }
-                            ServingModel::Spec(_) => synth_token(&cfg, *id, job.tokens.len()),
-                        };
-                        job.tokens.push(token);
-                        ledger.set(lane, *id, resident + 1);
-                        push_event(
-                            &mut report,
-                            step_end,
-                            *id,
-                            EventKind::Token { value: token },
-                            &ledger,
-                        );
-                        self.record_token(0.0, step_secs, false);
-                    }
-                    job.last_step = steps + 1;
-                    if job.tokens.len() >= job.req.total_tokens {
-                        finished.push((*id, lane));
-                    }
-                }
-            }
-
-            // 8. Retire completions: free KV, record outcomes.
-            for (id, lane) in finished {
-                let job = active.remove(&id).expect("finished job is active");
-                ledger.evict(lane, id);
-                let ttft = job.ttft.expect("completed implies first token");
-                slo.observe(job.req.tenant, ttft > self.config.slo.ttft_target);
-                report.outcomes.insert(
-                    id,
-                    Outcome::Completed {
-                        tokens: job.tokens,
-                        ttft,
-                        finished: step_end,
-                    },
-                );
-                push_event(&mut report, step_end, id, EventKind::Complete, &ledger);
-                if self.config.record_telemetry {
-                    genie_telemetry::global()
-                        .metrics
-                        .counter("genie_serving_requests_total", &[("outcome", "completed")])
-                        .inc();
-                }
-            }
-
-            // 8b. Disaggregation: every request still active on a
-            //     prefill lane finished its prefill this step. Price
-            //     ship-vs-reprefill with the planner and either put the
-            //     KV prefix on the fabric (real simulated link traffic,
-            //     resolved through the fault schedule) or evict it and
-            //     fall back to lineage re-prefill on the decode pool.
-            if let (Some(d), Some(planner)) = (&disagg, &planner) {
-                let leaving: Vec<u64> = active
-                    .values()
-                    .filter(|j| (j.lane as usize) >= decode_lanes)
-                    .map(|j| j.req.id)
-                    .collect();
-                for id in leaving {
-                    let mut job = active.remove(&id).expect("leaving job is active");
-                    let from_lane = job.lane;
-                    let tokens = ledger.resident_tokens(from_lane as usize, id);
-                    // Destination: the decode lane with the most free
-                    // capacity that fits the prefix (ties: lowest lane).
-                    let mut best: Option<(u64, u32)> = None;
-                    for lane in 0..decode_lanes {
-                        if ledger.fits(lane, tokens) {
-                            let free = self.config.kv_capacity_bytes - ledger.lane_bytes(lane);
-                            if best.is_none_or(|(f, _)| free > f) {
-                                best = Some((free, lane as u32));
-                            }
-                        }
-                    }
-                    let ship_to: Option<u32> = match d.policy {
-                        MigrationPolicy::AlwaysReprefill => None,
-                        MigrationPolicy::AlwaysShip => best.map(|(_, l)| l),
-                        MigrationPolicy::Planner => best.map(|(_, l)| l).filter(|&l| {
-                            planner.plan(id, from_lane, l, tokens).decision
-                                == MigrationDecision::Ship
-                        }),
-                    };
-                    let Some(to) = ship_to else {
-                        // Re-prefill from lineage at the decode pool.
-                        ledger.evict(from_lane as usize, id);
-                        job.kv = None;
-                        job.landed = None;
-                        job.reprefill_cause = Some(ReprefillCause::Planned);
-                        job.enqueued_at = step_end;
-                        queue.push_back(job);
-                        continue;
-                    };
-                    ledger.begin_migration(id, from_lane as usize, to as usize);
-                    let bytes = tokens * kv_bytes;
-                    let outcome = match &self.config.fault_plan {
-                        Some(plan) => plan.transfer_outcome(
-                            &mut chaos_rng,
-                            1 + from_lane,
-                            1 + to,
-                            bytes,
-                            d.migrate_bandwidth_bps,
-                            d.migrate_latency_s,
-                            step_end,
-                        ),
-                        None => TransferOutcome::Delivered {
-                            done_at: step_end
-                                + Nanos::from_secs_f64(
-                                    d.migrate_latency_s
-                                        + bytes as f64 * 8.0 / d.migrate_bandwidth_bps,
-                                ),
-                        },
-                    };
-                    report.migrations += 1;
-                    push_event(
-                        &mut report,
-                        step_end,
-                        id,
-                        EventKind::MigrateStart {
-                            from: from_lane,
-                            to,
-                            bytes,
-                        },
-                        &ledger,
-                    );
-                    let until = match outcome {
-                        TransferOutcome::Delivered { done_at } => done_at,
-                        TransferOutcome::Lost { at } => at,
-                    };
-                    let record = SpanRecord {
-                        id: span_id,
-                        parent: None,
-                        name: "kv.migrate".into(),
-                        category: "serving".into(),
-                        kind: SpanKind::Span,
-                        track: Track::Device(to),
-                        start_ns: step_end.0,
-                        dur_ns: until.saturating_sub(step_end).0,
-                        attrs: SemAttrs::new()
-                            .request(id)
-                            .with("from_lane", from_lane.to_string())
-                            .with("to_lane", to.to_string())
-                            .with("bytes", bytes.to_string())
-                            .with(
-                                "outcome",
-                                match outcome {
-                                    TransferOutcome::Delivered { .. } => "delivered",
-                                    TransferOutcome::Lost { .. } => "lost",
-                                },
-                            ),
-                        thread: 1,
-                        seq: span_id,
-                    };
-                    span_id += 1;
-                    if self.config.record_telemetry {
-                        genie_telemetry::global().collector.push(record.clone());
-                        genie_telemetry::global()
-                            .metrics
-                            .counter("genie_serving_migration_total", &[])
-                            .inc();
-                    }
-                    report.spans.push(record);
-                    migrating.insert(
-                        id,
-                        PendingMigration {
-                            job,
-                            to,
-                            bytes,
-                            outcome,
-                        },
-                    );
-                }
-            }
-
-            // 9. Emit one serving span per busy lane with deterministic
-            //    ids on the lane's device track.
-            for (lane, roster) in rosters.iter().enumerate() {
-                if roster.is_empty() {
-                    continue;
-                }
-                let record = SpanRecord {
-                    id: span_id,
-                    parent: None,
-                    name: "serving.step".into(),
-                    category: "serving".into(),
-                    kind: SpanKind::Span,
-                    track: Track::Device(lane as u32),
-                    start_ns: now.0,
-                    dur_ns: step_dur.0,
-                    attrs: SemAttrs::new()
-                        .phase("llm_decode")
-                        .device(lane as u32)
-                        .with("members", roster.len().to_string())
-                        .with("step", steps.to_string()),
-                    thread: 1,
-                    seq: span_id,
-                };
-                span_id += 1;
-                if self.config.record_telemetry {
-                    genie_telemetry::global().collector.push(record.clone());
-                }
-                report.spans.push(record);
-            }
-            if self.config.record_telemetry {
-                genie_telemetry::global()
-                    .metrics
-                    .counter("genie_serving_steps_total", &[])
-                    .inc();
-            }
-
-            now = step_end;
-            steps += 1;
-            assert!(steps < 10_000_000, "serving loop failed to converge");
+            self.queue.push_back(job);
         }
+    }
 
-        report.makespan = now;
-        report.steps = steps;
-        report.peak_kv_bytes = ledger.peak_bytes();
-        report.slo = slo.stats();
+    /// Phase 2: shed queued jobs that waited past the budget.
+    fn shed_stale(&mut self) {
+        let mut i = 0;
+        while i < self.queue.len() {
+            if self.now.saturating_sub(self.queue[i].enqueued_at) > self.config.queue_budget {
+                // A landed-but-never-admitted job still holds lane
+                // residency; release it before recording the shed.
+                let job = self.queue.remove(i).expect("index in range");
+                if let Some(lane) = job.landed {
+                    self.ledger.evict(lane as usize, job.req.id);
+                }
+                self.shed(job.req.id, job.req.tenant, ShedReason::QueueOverSlo);
+            } else {
+                i += 1;
+            }
+        }
+    }
 
-        // Causal lifecycle instants: one per non-token event, each
-        // carrying its request id and a `cause` edge to the request's
-        // previous lifecycle instant. Category "causal" keeps them out
-        // of the per-step serving-span contract.
+    /// Phase 3: admit FIFO onto the emptiest lane of each job's pool with
+    /// batch headroom. Head-of-line blocking is per pool: colocated (one
+    /// pool) this is the classic FIFO admit; disaggregated, a stalled
+    /// decode pool cannot starve fresh prefills or vice versa.
+    fn admit(&mut self) {
+        let decode_lanes = self.config.lanes;
+        let mut blocked: Vec<Pool> = Vec::new();
+        let mut i = 0;
+        while i < self.queue.len() {
+            let job = &self.queue[i];
+            let (id, tenant) = (job.req.id, job.req.tenant);
+            let (pool, lanes) = match job.landed {
+                _ if self.config.disagg.is_none() => (Pool::Decode, 0..decode_lanes),
+                Some(lane) => (Pool::Lane(lane), lane..lane + 1),
+                None if job.tokens.is_empty() => (Pool::Prefill, decode_lanes..self.lanes),
+                None => (Pool::Decode, 0..decode_lanes),
+            };
+            if blocked.contains(&pool) {
+                i += 1;
+                continue;
+            }
+            let need = job.next_resident_tokens(0) * self.kv_bytes;
+            if job.landed.is_none() && need > self.config.kv_capacity_bytes {
+                self.queue.remove(i);
+                self.shed(id, tenant, ShedReason::KvCapacity);
+                continue;
+            }
+            let emptiest = lanes
+                .map(|lane| (self.members(lane).count(), lane))
+                .filter(|&(members, _)| members < self.config.max_batch)
+                .min();
+            if let Some((_, lane)) = emptiest {
+                let mut job = self.queue.remove(i).expect("index in range");
+                job.lane = lane;
+                self.push_event(self.now, id, EventKind::Admit { lane });
+                self.active.insert(id, job);
+            } else {
+                blocked.push(pool);
+                i += 1;
+            }
+        }
+    }
+
+    /// Phase 5, one relief action if `lane`'s after-step working set
+    /// overflows: LRU eviction (least-recently-stepped, ties by id), or
+    /// shedding a lone member that can never fit. False once it fits.
+    fn relieve(&mut self, lane: u32) -> bool {
+        let at = lane as usize;
+        // Running members' growth, plus bytes pinned by inbound
+        // migration reservations and landed-but-queued prefixes.
+        let mut needed = self.ledger.reserved_tokens(at);
+        for j in self.queue.iter().filter(|j| j.landed == Some(lane)) {
+            needed += self.ledger.resident_tokens(at, j.req.id);
+        }
+        let mut members = 0usize;
+        for j in self.members(lane) {
+            needed += j.next_resident_tokens(self.ledger.resident_tokens(at, j.req.id));
+            members += 1;
+        }
+        if needed * self.kv_bytes <= self.config.kv_capacity_bytes {
+            return false;
+        }
+        // Displace an idle landed prefix (latest first) before
+        // preempting a running member: the queued job just falls back
+        // to lineage re-prefill.
+        let idle = self.queue.iter_mut().filter(|j| j.landed == Some(lane));
+        let victim = if let Some(job) = idle.max_by_key(|j| (j.enqueued_at, j.req.id)) {
+            job.lose_kv(ReprefillCause::Eviction);
+            job.req.id
+        } else if members == 0 {
+            return false;
+        } else if members == 1 {
+            let lone = self.members(lane).next().expect("counted above");
+            let (id, tenant) = (lone.req.id, lone.req.tenant);
+            self.active.remove(&id);
+            self.ledger.evict(at, id);
+            self.shed(id, tenant, ShedReason::KvCapacity);
+            return false;
+        } else {
+            let lru = self.members(lane).min_by_key(|j| (j.last_step, j.req.id));
+            let id = lru.expect("members >= 2").req.id;
+            let mut job = self.active.remove(&id).expect("victim is active");
+            job.lose_kv(ReprefillCause::Eviction);
+            job.enqueued_at = self.now;
+            self.queue.push_back(job);
+            id
+        };
+        self.ledger.evict(at, victim);
+        self.report.preemptions += 1;
+        self.push_event(self.now, victim, EventKind::Preempt);
+        true
+    }
+
+    /// Phase 6: price each busy lane's batched step on the roofline
+    /// model, degraded through the fault schedule (derate, jitter, and a
+    /// stall until a severed link is back). Returns the barrier.
+    fn price(&mut self) -> Nanos {
+        let c = self.config;
+        let mut priced = Vec::new();
+        for lane in 0..self.lanes {
+            let mut work = StepWork::default();
+            let mut members = Vec::new();
+            for job in self.members(lane) {
+                let resident = self.ledger.resident_tokens(lane as usize, job.req.id);
+                let phase = if resident > 0 {
+                    work.decode_members += 1;
+                    work.kv_resident_tokens += resident;
+                    MemberPhase::Decode
+                } else {
+                    work.prefill_members += 1;
+                    work.prefill_tokens += job.next_resident_tokens(0);
+                    match job.tokens.is_empty() {
+                        true => MemberPhase::Prefill,
+                        false => MemberPhase::Reprefill,
+                    }
+                };
+                let request = job.req.id;
+                members.push(StepMember { request, phase });
+            }
+            if members.is_empty() {
+                continue;
+            }
+            let (cost, collective_s) = sharded_step_time(
+                self.model.config(),
+                &work,
+                &c.gpu,
+                c.link_bandwidth_bps,
+                c.link_latency_s,
+                c.batched,
+                &self.shard,
+            );
+            let mut secs = cost.total_s() + collective_s;
+            if let Some(plan) = &c.fault_plan {
+                let host = 1 + lane;
+                let (derate, jitter_s) = plan.link_condition(&mut self.chaos_rng, 0, host);
+                // Collectives ride the same derated fabric.
+                secs = cost.compute_s + (cost.network_s + collective_s) / derate + jitter_s;
+                let stall = plan.clear_at(0, host, self.now).saturating_sub(self.now);
+                secs += stall.as_secs_f64();
+            }
+            priced.push((lane, cost, collective_s, secs, members));
+        }
+        let step_secs = priced.iter().map(|p| p.3).fold(0.0f64, f64::max);
+        let step_end = self.now + Nanos::from_secs_f64(step_secs);
+        // Each slice runs to the *global* barrier end: the residue in a
+        // faster lane's slice is synchronization wait, which blame
+        // analysis charges to queue. All time over the clean cost is fault.
+        for (lane, cost, collective_s, secs, members) in priced {
+            let slice = StepSlice::from_secs(
+                lane,
+                self.report.steps,
+                self.now.0,
+                step_end.0,
+                cost.compute_s,
+                cost.net_latency_s,
+                cost.net_payload_s,
+                (secs - (cost.total_s() + collective_s)).max(0.0),
+                members,
+            );
+            self.report.slices.push(slice.with_collective(collective_s));
+        }
+        step_end
+    }
+
+    /// Phase 7: execute every member — prefill (fresh or re-prefill) or
+    /// one incremental decode step. Returns the jobs now complete.
+    fn execute(&mut self, step_end: Nanos) -> Vec<(u64, usize)> {
+        let mut roster = Vec::new();
+        for s in self.step_slices() {
+            roster.extend(s.members.iter().map(|m| (m.request, s.lane as usize)));
+        }
+        roster.retain(|&(id, lane)| match self.ledger.resident_tokens(lane, id) {
+            0 => self.prefill_member(lane, id, step_end),
+            resident => self.decode_member(lane, id, resident, step_end),
+        });
+        roster
+    }
+
+    /// Build `id`'s KV over prompt + all but the last generated token.
+    /// A re-prefill's sample reproduces the generated prefix tail (the
+    /// differential suite catches divergence) and is dropped.
+    fn prefill_member(&mut self, lane: usize, id: u64, step_end: Nanos) -> bool {
+        let job = self.active.get_mut(&id).expect("rostered");
+        job.last_step = self.report.steps + 1;
+        let generated = job.tokens.len();
+        let mut seq = job.req.prompt.clone();
+        seq.extend_from_slice(&job.tokens[..generated.saturating_sub(1)]);
+        let sampled = match self.model {
+            ServingModel::Functional(m) => {
+                let (token, kv) = m.prefill_step(&seq);
+                job.kv = Some(kv);
+                token
+            }
+            ServingModel::Spec(_) => synth_token(self.model.config(), id, 0),
+        };
+        if generated == 0 {
+            job.tokens.push(sampled);
+            job.ttft = Some(step_end.saturating_sub(job.req.arrival));
+            let done = job.tokens.len() >= job.req.total_tokens;
+            self.ledger.set(lane, id, seq.len() as u64);
+            self.push_event(step_end, id, EventKind::Token { value: sampled });
+            return done;
+        }
+        let done = job.tokens.len() >= job.req.total_tokens;
+        match job.reprefill_cause.take() {
+            Some(ReprefillCause::FailedMigration) => self.report.reprefills_migration += 1,
+            Some(ReprefillCause::Planned) => self.report.reprefills_planned += 1,
+            Some(ReprefillCause::Eviction) | None => self.report.reprefills_evicted += 1,
+        }
+        self.report.reprefills += 1;
+        self.push_event(self.now, id, EventKind::Reprefill);
+        self.ledger.set(lane, id, seq.len() as u64);
+        done
+    }
+
+    fn decode_member(&mut self, lane: usize, id: u64, resident: u64, step_end: Nanos) -> bool {
+        let job = self.active.get_mut(&id).expect("rostered");
+        job.last_step = self.report.steps + 1;
+        let last = *job.tokens.last().expect("resident implies generated");
+        let value = match self.model {
+            ServingModel::Functional(m) => {
+                let kv = job.kv.as_ref().expect("functional resident KV");
+                let (token, kv_next) = m.decode_step(last, kv);
+                job.kv = Some(kv_next);
+                token
+            }
+            ServingModel::Spec(_) => synth_token(self.model.config(), id, job.tokens.len()),
+        };
+        job.tokens.push(value);
+        let done = job.tokens.len() >= job.req.total_tokens;
+        self.ledger.set(lane, id, resident + 1);
+        self.push_event(step_end, id, EventKind::Token { value });
+        done
+    }
+
+    /// Phase 8: retire completions — free KV, record outcomes.
+    fn retire(&mut self, finished: Vec<(u64, usize)>, step_end: Nanos) {
+        for (id, lane) in finished {
+            let job = self.active.remove(&id).expect("finished job is active");
+            self.ledger.evict(lane, id);
+            let ttft = job.ttft.expect("completed implies first token");
+            let late = ttft > self.config.slo.ttft_target;
+            self.slo.observe(job.req.tenant, late);
+            let outcome = Outcome::Completed {
+                tokens: job.tokens,
+                ttft,
+                finished: step_end,
+            };
+            self.report.outcomes.insert(id, outcome);
+            self.push_event(step_end, id, EventKind::Complete);
+        }
+    }
+
+    /// Phase 8b: every request still active on a prefill lane finished
+    /// its prefill and leaves for the decode pool. Its KV prefix ships
+    /// to the least-loaded decode lane that fits it (ties: lowest) if
+    /// the policy agrees; else it is rebuilt there from lineage.
+    fn depart_prefills(&mut self, step_end: Nanos) {
+        let Some(policy) = self.config.disagg.as_ref().map(|d| d.policy) else {
+            return;
+        };
+        let mut leaving = Vec::new();
+        for job in self.active.values().filter(|j| j.lane >= self.config.lanes) {
+            leaving.push(job.req.id);
+        }
+        for id in leaving {
+            let mut job = self.active.remove(&id).expect("leaving job is active");
+            let from = job.lane;
+            let tokens = self.ledger.resident_tokens(from as usize, id);
+            let fits = (0..self.config.lanes)
+                .filter(|&lane| self.ledger.fits(lane as usize, tokens))
+                .min_by_key(|&lane| self.ledger.lane_bytes(lane as usize));
+            let planner = self.planner.as_ref().expect("disaggregated");
+            let ship_to = fits.filter(|&to| match policy {
+                MigrationPolicy::AlwaysReprefill => false,
+                MigrationPolicy::AlwaysShip => true,
+                // `plan` records a `kv.plan` instant; `price` does not.
+                MigrationPolicy::Planner if self.config.record_telemetry => {
+                    planner.plan(id, from, to, tokens).decision == MigrationDecision::Ship
+                }
+                MigrationPolicy::Planner => {
+                    planner.price(id, from, to, tokens).decision == MigrationDecision::Ship
+                }
+            });
+            match ship_to {
+                Some(to) => self.ship(job, to, tokens, step_end),
+                None => {
+                    self.ledger.evict(from as usize, id);
+                    job.lose_kv(ReprefillCause::Planned);
+                    job.enqueued_at = step_end;
+                    self.queue.push_back(job);
+                }
+            }
+        }
+    }
+
+    /// Put `job`'s prefix on the fabric: real simulated link traffic,
+    /// resolved now through the fault schedule, landing via the agenda.
+    fn ship(&mut self, job: Job, to: u32, tokens: u64, step_end: Nanos) {
+        let d = self.config.disagg.as_ref().expect("disaggregated");
+        let (id, from) = (job.req.id, job.lane);
+        self.ledger.begin_migration(id, from as usize, to as usize);
+        let bytes = tokens * self.kv_bytes;
+        let no_faults = FaultPlan::none();
+        let plan = self.config.fault_plan.as_ref().unwrap_or(&no_faults);
+        let outcome = plan.transfer_outcome(
+            &mut self.chaos_rng,
+            1 + from,
+            1 + to,
+            bytes,
+            d.migrate_bandwidth_bps,
+            d.migrate_latency_s,
+            step_end,
+        );
+        self.report.migrations += 1;
+        self.push_event(step_end, id, EventKind::MigrateStart { from, to, bytes });
+        let (until, intact) = match outcome {
+            TransferOutcome::Delivered { done_at } => (done_at, true),
+            TransferOutcome::Lost { at } => (at, false),
+        };
+        let attrs = SemAttrs::new()
+            .request(id)
+            .with("from_lane", from.to_string())
+            .with("to_lane", to.to_string())
+            .with("bytes", bytes.to_string())
+            .with("outcome", if intact { "delivered" } else { "lost" });
+        let dur = until.saturating_sub(step_end);
+        self.span("kv.migrate", Track::Device(to), step_end, dur, attrs);
+        self.agenda
+            .schedule(until, (true, id), Event::Land(job, intact));
+    }
+
+    /// Phase 9: one serving span per busy lane; the clock advances.
+    fn end_step(&mut self, step_end: Nanos) {
+        let busy = |s: &StepSlice| (s.lane, s.members.len());
+        let busy: Vec<(u32, usize)> = self.step_slices().iter().map(busy).collect();
+        for (lane, members) in busy {
+            let attrs = SemAttrs::new()
+                .phase("llm_decode")
+                .device(lane)
+                .with("members", members.to_string())
+                .with("step", self.report.steps.to_string());
+            let dur = step_end.saturating_sub(self.now);
+            self.span("serving.step", Track::Device(lane), self.now, dur, attrs);
+        }
+        self.now = step_end;
+        self.report.steps += 1;
+        assert!(self.report.steps < 10_000_000, "run failed to converge");
+        #[cfg(debug_assertions)]
+        self.check(false);
+    }
+
+    /// Close the run: totals, then one causal lifecycle instant per
+    /// non-token event, with a `cause` edge to the request's previous
+    /// one; "causal" keeps them out of the serving-span contract.
+    fn finish(mut self) -> ServingReport {
+        // Every lane of an idle fleet has batch headroom: nothing waits.
+        assert!(self.queue.is_empty(), "drained out with jobs queued");
+        self.report.makespan = self.now;
+        self.report.peak_kv_bytes = self.ledger.peak_bytes();
+        self.report.slo = self.slo.stats();
+        #[cfg(debug_assertions)]
+        self.check(true);
         let mut last_causal: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut causal_spans: Vec<SpanRecord> = Vec::new();
-        for ev in &report.events {
+        for i in 0..self.report.events.len() {
+            let ev = &self.report.events[i];
             let name = match &ev.kind {
                 EventKind::Arrive => "request.arrive",
                 EventKind::Admit { .. } => "request.admit",
@@ -1138,104 +892,51 @@ impl ServingLoop {
                 EventKind::Shed(_) => "request.shed",
                 EventKind::Token { .. } => continue,
             };
+            let at = ev.at;
             let mut attrs = SemAttrs::new().request(ev.request);
             if let EventKind::Admit { lane } = &ev.kind {
                 attrs = attrs.device(*lane);
             }
-            if let Some(&prev) = last_causal.get(&ev.request) {
+            let id = self.report.spans.len() as u64 + 1;
+            if let Some(prev) = last_causal.insert(ev.request, id) {
                 attrs = attrs.cause(prev);
             }
-            causal_spans.push(SpanRecord {
-                id: span_id,
-                parent: None,
-                name: name.into(),
-                category: "causal".into(),
-                kind: SpanKind::Instant,
-                track: Track::Runtime,
-                start_ns: ev.at.0,
-                dur_ns: 0,
-                attrs,
-                thread: 1,
-                seq: span_id,
-            });
-            last_causal.insert(ev.request, span_id);
-            span_id += 1;
+            self.span(name, Track::Runtime, at, Nanos::ZERO, attrs);
         }
-        if self.config.record_telemetry {
-            let t = genie_telemetry::global();
-            for r in &causal_spans {
-                t.collector.push(r.clone());
-            }
-            for (tenant, s) in &report.slo.per_tenant {
-                let label = tenant.to_string();
-                t.metrics
-                    .gauge("genie_slo_burn_rate", &[("tenant", label.as_str())])
-                    .set(s.burn_rate);
-            }
-        }
-        report.spans.extend(causal_spans);
-        report
+        self.report
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn shed(
-        &self,
-        report: &mut ServingReport,
-        ledger: &KvLedger,
-        slo: &mut SloTracker,
-        id: u64,
-        tenant: u64,
-        reason: ShedReason,
-        at: Nanos,
-    ) {
-        slo.observe(tenant, true);
-        report.outcomes.insert(id, Outcome::Shed { reason, at });
-        push_event(report, at, id, EventKind::Shed(reason), ledger);
-        if self.config.record_telemetry {
-            let t = genie_telemetry::global();
-            t.metrics
-                .counter("genie_serving_requests_total", &[("outcome", "shed")])
-                .inc();
-            t.metrics
-                .counter("genie_serving_shed_total", &[("reason", reason.as_str())])
-                .inc();
+    /// The invariants the engine holds between steps, plus the
+    /// end-of-run ones when `finished` (ROADMAP 5d). Debug builds only.
+    #[cfg(debug_assertions)]
+    fn check(&self, finished: bool) {
+        let events = &self.report.events;
+        let on_time = events.last().is_none_or(|e| e.at <= self.now);
+        assert!(on_time, "virtual time ran backwards");
+        // KV conservation, single residency: the ledger holds exactly the
+        // members (own lane only), landed prefixes and reservations.
+        let reserved = |lane| self.ledger.reserved_tokens(lane as usize);
+        let mut tokens: u64 = (0..self.lanes).map(reserved).sum();
+        let placed = self.active.values().map(|j| (Some(j.lane), j));
+        for (lane, job) in placed.chain(self.queue.iter().map(|j| (j.landed, j))) {
+            let id = job.req.id;
+            let held = lane.map_or(0, |l| self.ledger.resident_tokens(l as usize, id));
+            let lanes_holding = self.ledger.residency_count(id);
+            assert_eq!(lanes_holding, usize::from(held > 0), "request {id}");
+            tokens += held;
+        }
+        assert_eq!(self.ledger.total_bytes(), tokens * self.kv_bytes, "KV leak");
+        if finished {
+            // Outcomes and terminal events are written in pairs, so equal
+            // counts mean exactly one terminal outcome per offered id.
+            let idle = self.agenda.is_empty() && self.queue.is_empty() && self.active.is_empty();
+            assert!(idle, "run ended with work outstanding");
+            let count = |f: fn(&EventKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
+            let offered = count(|k| matches!(k, EventKind::Arrive));
+            let terminal = count(|k| matches!(k, EventKind::Complete | EventKind::Shed(_)));
+            assert_eq!((terminal, self.report.outcomes.len()), (offered, offered));
         }
     }
-
-    fn record_token(&self, ttft_s: f64, step_s: f64, first: bool) {
-        if !self.config.record_telemetry {
-            return;
-        }
-        let t = genie_telemetry::global();
-        t.metrics.counter("genie_serving_tokens_total", &[]).inc();
-        t.metrics
-            .histogram(
-                "genie_serving_token_latency_seconds",
-                &[],
-                &DEFAULT_TIME_BOUNDS,
-            )
-            .observe(step_s);
-        if first {
-            t.metrics
-                .histogram("genie_serving_ttft_seconds", &[], &DEFAULT_TIME_BOUNDS)
-                .observe(ttft_s);
-        }
-    }
-}
-
-fn push_event(
-    report: &mut ServingReport,
-    at: Nanos,
-    request: u64,
-    kind: EventKind,
-    ledger: &KvLedger,
-) {
-    report.events.push(LogEvent {
-        at,
-        request,
-        kind,
-        kv_resident_bytes: ledger.total_bytes(),
-    });
 }
 
 /// Deterministic synthetic token for the spec plane: a fixed mix of
@@ -1570,7 +1271,7 @@ mod tests {
         conf.fault_plan = Some(FaultPlan::new(
             9,
             genie_netsim::FaultSchedule {
-                specs: vec![FaultSpec::LinkDown {
+                specs: vec![genie_netsim::FaultSpec::LinkDown {
                     a: 1,
                     b: 2,
                     from: Nanos::ZERO,

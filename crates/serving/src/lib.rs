@@ -7,7 +7,9 @@
 //!
 //! - [`ArrivalConfig`] — seeded open-loop (Poisson) arrival traces on
 //!   the virtual clock; a `u64` seed replays the whole offered load.
-//! - [`ServingLoop`] — the engine: SLO-budgeted admission queue,
+//! - [`ServingLoop`] — the engine: one state struct with a handler per
+//!   phase over a single [`genie_netsim::EventQueue`] agenda of
+//!   arrivals and migration landings. SLO-budgeted admission queue,
 //!   continuous batching across lanes, per-lane KV residency with LRU
 //!   eviction and lineage-style re-prefill, typed shedding
 //!   ([`ShedReason`]) under overload, and optional fault schedules
@@ -16,15 +18,17 @@
 //! - [`ServingModel`] — functional (tiny, bit-exact against the
 //!   sequential [`generate`](genie_models::TransformerLm::generate)
 //!   oracle) or spec (GPT-J scale, roofline-priced batched steps via
-//!   [`genie_backend::batched_step_time`]).
+//!   [`genie_backend::sharded_step_time`]).
 //! - [`ServingReport`] — outcomes, the deterministic event log the
 //!   property suite replays, TTFT percentiles, and serving spans ready
-//!   for the Perfetto exporter; `genie_serving_*` metrics flow into the
-//!   process-global registry when enabled.
+//!   for the Perfetto exporter. Telemetry is a projection of it: when
+//!   enabled, the `genie_serving_*` metrics and the spans are published
+//!   to the process-global sinks from the finished report.
 //! - [`fleet::bind_tenant`] — admission through the global scheduler
 //!   (memory admission control included) to derive lanes and KV budget.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 #![forbid(unsafe_code)]
 
 pub mod arrivals;

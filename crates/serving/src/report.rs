@@ -3,8 +3,10 @@
 use crate::request::{EventKind, LogEvent, Outcome, ServingRequest, ShedReason};
 use crate::slo::SloStats;
 use genie_netsim::Nanos;
-use genie_telemetry::causal::{CausalEvent, CausalEventKind, CausalTraceDoc, StepSlice};
-use genie_telemetry::SpanRecord;
+use genie_telemetry::causal::{
+    CausalEvent, CausalEventKind, CausalTraceDoc, MemberPhase, StepSlice,
+};
+use genie_telemetry::{SpanRecord, DEFAULT_TIME_BOUNDS};
 use std::collections::BTreeMap;
 
 /// Everything a serving run produced, keyed for deterministic replay.
@@ -106,6 +108,75 @@ impl ServingReport {
         CausalTraceDoc {
             events,
             slices: self.slices.clone(),
+        }
+    }
+
+    /// Project the run onto the process-global telemetry sinks: the
+    /// `genie_serving_*` metrics derived from the counters, event log and
+    /// step slices (so histograms observe integer-nanosecond stamps),
+    /// the spans in recorded order, and the SLO burn-rate gauges. The
+    /// engine itself writes only the report.
+    pub(crate) fn publish(&self) {
+        let t = genie_telemetry::global();
+        // Like `inc()` at the event itself, a zero count registers nothing.
+        let count = |name: &str, labels: &[(&str, &str)], n: u64| {
+            if n > 0 {
+                t.metrics.counter(name, labels).add(n);
+            }
+        };
+        count("genie_serving_steps_total", &[], self.steps);
+        count("genie_serving_preempt_total", &[], self.preemptions);
+        count("genie_serving_reprefill_total", &[], self.reprefills);
+        count("genie_serving_migration_total", &[], self.migrations);
+        let failed = self.migrations_failed;
+        count("genie_serving_migration_failed_total", &[], failed);
+        let (completed, shed) = (self.completed() as u64, self.shed() as u64);
+        let requests = "genie_serving_requests_total";
+        count(requests, &[("outcome", "completed")], completed);
+        count(requests, &[("outcome", "shed")], shed);
+        count("genie_serving_tokens_total", &[], self.tokens_generated());
+        // One pass over the log: sheds by reason, and TTFT as each
+        // request's first token minus its arrival.
+        let ttft = "genie_serving_ttft_seconds";
+        let ttft = t.metrics.histogram(ttft, &[], &DEFAULT_TIME_BOUNDS);
+        let mut awaiting_first: BTreeMap<u64, Nanos> = BTreeMap::new();
+        for ev in &self.events {
+            match ev.kind {
+                EventKind::Arrive => {
+                    awaiting_first.insert(ev.request, ev.at);
+                }
+                EventKind::Token { .. } => {
+                    if let Some(arrived) = awaiting_first.remove(&ev.request) {
+                        ttft.observe(ev.at.saturating_sub(arrived).as_secs_f64());
+                    }
+                }
+                EventKind::Shed(why) => {
+                    count("genie_serving_shed_total", &[("reason", why.as_str())], 1);
+                }
+                _ => {}
+            }
+        }
+        // Token latency: the barrier step, once per token it produced (a
+        // re-prefilling member rebuilds KV without emitting one).
+        let latency = "genie_serving_token_latency_seconds";
+        let latency = t.metrics.histogram(latency, &[], &DEFAULT_TIME_BOUNDS);
+        for slice in &self.slices {
+            let step_s = Nanos(slice.end_ns - slice.start_ns).as_secs_f64();
+            for m in &slice.members {
+                if m.phase != MemberPhase::Reprefill {
+                    latency.observe(step_s);
+                }
+            }
+        }
+        for span in &self.spans {
+            t.collector.push(span.clone());
+        }
+        for (tenant, s) in &self.slo.per_tenant {
+            let tenant = tenant.to_string();
+            let labels = [("tenant", tenant.as_str())];
+            t.metrics
+                .gauge("genie_slo_burn_rate", &labels)
+                .set(s.burn_rate);
         }
     }
 

@@ -15,7 +15,7 @@
 //!   [`TransportError::Exhausted`] when the budget runs out.
 
 use crate::error::{Result, TransportError};
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{recv_frame, write_frame};
 use crate::message::{Request, RequestBody, Response, ResponseBody};
 use crate::retry::RetryPolicy;
 use std::net::{SocketAddr, TcpStream};
@@ -226,7 +226,7 @@ impl Client {
             .add(payload.len() as u64 + 4);
         write_frame(&mut self.stream, &payload)?;
 
-        let frame = read_frame(&mut self.stream)?;
+        let frame = recv_frame(&mut self.stream)?;
         self.bytes_received += frame.len() as u64 + 4;
         telemetry
             .metrics

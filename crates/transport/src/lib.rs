@@ -3,7 +3,8 @@
 //! The functional counterpart of §3.4's datapath: a dependency-light TCP
 //! transport that actually moves Genie's protocol over sockets.
 //!
-//! - [`frame`] — length-prefixed framing with pre-allocation bounds;
+//! - [`frame`] — length-prefixed framing with pre-allocation bounds, one
+//!   write per frame and a bounded poll before a socket reader parks;
 //! - [`wire`] / [`message`] — a hand-rolled binary codec; tensor payloads
 //!   are [`bytes::Bytes`] slices referenced zero-copy out of the receive
 //!   buffer, graphs travel as the SRG's portable JSON;

@@ -20,7 +20,7 @@
 
 use crate::chaos::{ChaosAction, ChaosPolicy, ChaosState};
 use crate::error::Result;
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{recv_frame, write_frame};
 use crate::message::{Request, RequestBody, Response, ResponseBody};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -204,7 +204,7 @@ fn serve_connection(
     let telemetry = genie_telemetry::global();
     stream.set_nodelay(true)?;
     loop {
-        let frame = match read_frame(&mut stream) {
+        let frame = match recv_frame(&mut stream) {
             Ok(f) => f,
             Err(crate::error::TransportError::ConnectionClosed) => return Ok(()),
             Err(e) => {
