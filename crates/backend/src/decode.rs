@@ -2,14 +2,16 @@
 //!
 //! The serving runtime (`genie-serving`) advances a virtual clock one
 //! *engine step* at a time: every resident request either prefills its
-//! prompt or decodes one token. This module prices one such step with the
-//! same roofline the §3.3 cost model uses for kernels — the point being
-//! the paper's "How" argument (§3.6): tenants that share a model
-//! fingerprint amortize the weight read, so a batched decode step costs
-//! barely more than a single-request step.
+//! prompt or decodes one token. This module owns every price of such a
+//! step (DESIGN.md §4n) — batched, sharded, re-prefill — over one
+//! decomposition into terms and the roofline the §3.3 cost model uses
+//! for kernels; the point being the paper's "How" argument (§3.6):
+//! tenants that share a model fingerprint amortize the weight read, so a
+//! batched decode step costs barely more than a single-request step.
 
 use genie_cluster::GpuSpec;
 use genie_models::TransformerConfig;
+use genie_scheduler::CostModel;
 
 /// The work one engine step performs on one device lane.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -67,6 +69,64 @@ impl StepCost {
     }
 }
 
+/// One engine step decomposed into the terms every price below reads;
+/// each keeps its own operand order (f64 `+` is not associative).
+struct StepTerms {
+    /// Tokens run forward: prompt tokens plus one per decoding member.
+    new_tokens: f64,
+    flops: f64,
+    /// Decode is memory-bound and this dominates: batching streams the
+    /// weights once per step, the unbatched baseline once per member.
+    weight_stream_bytes: f64,
+    /// Attention reads every resident token and writes the new ones.
+    kv_traffic_bytes: f64,
+    /// Token IDs in, sampled IDs out, 8 bytes each; prompt IDs too.
+    payload_bytes: f64,
+    /// A batched step folds every member into one RPC round trip.
+    rpc_rounds: f64,
+}
+
+impl StepTerms {
+    fn of(cfg: &TransformerConfig, work: &StepWork, batched: bool) -> Self {
+        let new_tokens = work.prefill_tokens + work.decode_members;
+        let per_step_or_member = if batched { 1 } else { work.members() } as f64;
+        StepTerms {
+            new_tokens: new_tokens as f64,
+            flops: new_tokens as f64 * cfg.flops_per_token(),
+            weight_stream_bytes: per_step_or_member * cfg.weight_bytes() as f64,
+            kv_traffic_bytes: (work.kv_resident_tokens + new_tokens) as f64
+                * cfg.kv_bytes_per_token() as f64,
+            payload_bytes: (new_tokens + work.members()) as f64 * 8.0,
+            rpc_rounds: per_step_or_member,
+        }
+    }
+
+    /// Roofline seconds of the whole step on one device.
+    fn device_s(&self, gpu: &GpuSpec, compute_eff: f64, mem_eff: f64) -> f64 {
+        let bytes = self.weight_stream_bytes + self.kv_traffic_bytes;
+        gpu.roofline(self.flops, bytes, compute_eff, mem_eff)
+    }
+
+    /// `compute_s` plus the client link's payload and round trips.
+    fn cost(&self, compute_s: f64, link_bits_per_s: f64, link_latency_s: f64) -> StepCost {
+        let net_latency_s = self.rpc_rounds * 2.0 * link_latency_s;
+        let net_payload_s = serialization_s(self.payload_bytes, link_bits_per_s);
+        StepCost {
+            compute_s,
+            network_s: net_latency_s + net_payload_s,
+            net_latency_s,
+            net_payload_s,
+        }
+    }
+}
+
+/// Step pricing's one wire expression. Known unit error (ROADMAP item
+/// 3), not fixed here: the configs state links in bits/s, so this
+/// under-charges the wire 8×; `* 8.0` moves every sharded `sim_*` number.
+fn serialization_s(bytes: f64, link_bits_per_s: f64) -> f64 {
+    bytes / link_bits_per_s
+}
+
 /// Price one engine step of `work` for `cfg` on `gpu` behind a link of
 /// `link_bandwidth_bps` / `link_latency_s`.
 ///
@@ -86,32 +146,9 @@ pub fn batched_step_time(
     if work.is_empty() {
         return StepCost::default();
     }
-    let new_tokens = work.prefill_tokens + work.decode_members;
-    let flops = new_tokens as f64 * cfg.flops_per_token();
-
-    // Decode is memory-bound: the dominant cost is streaming the weights
-    // through the device. Batching reads them once per step; the
-    // unbatched baseline once per member.
-    let weight_reads = if batched { 1 } else { work.members() };
-    let kv_traffic =
-        (work.kv_resident_tokens + new_tokens) as f64 * cfg.kv_bytes_per_token() as f64;
-    let bytes = weight_reads as f64 * cfg.weight_bytes() as f64 + kv_traffic;
-    let compute_s = gpu.kernel_time(flops, bytes);
-
-    // Semantics-aware transport ships token IDs in and sampled IDs out —
-    // 8 bytes each way per member, plus prompt IDs for prefills. The
-    // batched step folds every member into one RPC round trip.
-    let rpc_rounds = if batched { 1 } else { work.members() };
-    let payload_bytes = (work.prefill_tokens + work.decode_members + work.members()) as f64 * 8.0;
-    let net_latency_s = rpc_rounds as f64 * 2.0 * link_latency_s;
-    let net_payload_s = payload_bytes / link_bandwidth_bps;
-
-    StepCost {
-        compute_s,
-        network_s: net_latency_s + net_payload_s,
-        net_latency_s,
-        net_payload_s,
-    }
+    let terms = StepTerms::of(cfg, work, batched);
+    let compute_s = terms.device_s(gpu, 1.0, 1.0);
+    terms.cost(compute_s, link_bandwidth_bps, link_latency_s)
 }
 
 /// How one serving lane's model is sharded across fabric-attached
@@ -160,23 +197,20 @@ pub fn sharded_step_time(
     batched: bool,
     plan: &ShardPlan,
 ) -> (StepCost, f64) {
-    let base = batched_step_time(cfg, work, gpu, link_bandwidth_bps, link_latency_s, batched);
-    let shards = plan.shards() as f64;
+    // The bubble factor below is `x * b / b` at pp = 1: not `x` in f64.
     if work.is_empty() || plan.shards() <= 1 {
-        return (base, 0.0);
+        let flat = batched_step_time(cfg, work, gpu, link_bandwidth_bps, link_latency_s, batched);
+        return (flat, 0.0);
     }
+    let terms = StepTerms::of(cfg, work, batched);
+    let shards = plan.shards() as f64;
     let pp = plan.pipeline_stages as f64;
     let tp = plan.tensor_parallel as f64;
-    let new_tokens = work.prefill_tokens + work.decode_members;
-    let flops = new_tokens as f64 * cfg.flops_per_token();
-    let weight_reads = if batched { 1 } else { work.members() } as f64;
-    let kv_traffic =
-        (work.kv_resident_tokens + new_tokens) as f64 * cfg.kv_bytes_per_token() as f64;
 
     // One stage's kernel sweep: 1/shards of the weight stream and flops,
     // 1/pp of the KV reads (caches live with their layers).
-    let stage_bytes = weight_reads * cfg.weight_bytes() as f64 / shards + kv_traffic / pp;
-    let stage_compute = gpu.kernel_time(flops / shards, stage_bytes);
+    let stage_bytes = terms.weight_stream_bytes / shards + terms.kv_traffic_bytes / pp;
+    let stage_compute = gpu.kernel_time(terms.flops / shards, stage_bytes);
     // Pipeline fill/drain bubbles: `b` in-flight members keep at most
     // `b` stages busy, so the per-step barrier is the classic
     // (pp - 1 + b) / b microbatch factor (b = 1 → ×pp, no speedup).
@@ -187,7 +221,7 @@ pub fn sharded_step_time(
     // (attention output) and one all_reduce-shaped chain (MLP row
     // partials) per layer, each moving (tp-1)/tp of the activation;
     // pipeline parallelism ships the activation across pp-1 stage hops.
-    let act_bytes = new_tokens as f64 * cfg.d_model as f64 * cfg.elem.size_bytes() as f64;
+    let act_bytes = terms.new_tokens * cfg.d_model as f64 * cfg.elem.size_bytes() as f64;
     let mut collective_bytes = 0.0f64;
     let mut collective_rounds = 0u64;
     if plan.tensor_parallel > 1 {
@@ -195,23 +229,56 @@ pub fn sharded_step_time(
         collective_bytes += rounds as f64 * act_bytes * (tp - 1.0) / tp;
         collective_rounds += rounds;
     }
-    if plan.pipeline_stages > 1 {
-        let hops = plan.pipeline_stages as u64 - 1;
-        collective_bytes += hops as f64 * act_bytes;
-        collective_rounds += hops;
-    }
-    let collective_s = collective_bytes / plan.fabric_bandwidth_bps
+    let hops = plan.pipeline_stages as u64 - 1;
+    collective_bytes += hops as f64 * act_bytes;
+    collective_rounds += hops;
+    let collective_s = serialization_s(collective_bytes, plan.fabric_bandwidth_bps)
         + collective_rounds as f64 * plan.fabric_latency_s;
 
-    (
-        StepCost {
-            compute_s,
-            network_s: base.network_s,
-            net_latency_s: base.net_latency_s,
-            net_payload_s: base.net_payload_s,
-        },
-        collective_s,
-    )
+    let cost = terms.cost(compute_s, link_bandwidth_bps, link_latency_s);
+    (cost, collective_s)
+}
+
+/// Both ways to get a finished prefill's KV prefix to its decode host.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct MigrationPrice {
+    /// Seconds to ship the bytes as one call on the migration fabric.
+    pub ship_s: f64,
+    /// Seconds to recompute the prefix at the destination from lineage.
+    pub reprefill_s: f64,
+}
+
+impl MigrationPrice {
+    /// Ties ship: the bytes exist, recompute burns the decode host.
+    pub fn ships(&self) -> bool {
+        self.ship_s <= self.reprefill_s
+    }
+}
+
+/// Price ship-vs-re-prefill for a `kv_tokens`-long prefix under `cost`'s
+/// network and kernel efficiencies. Re-prefill is a lone prefill's terms
+/// through the same roofline: at unit efficiency, the very `compute_s`
+/// [`batched_step_time`] charges for that pass. The calibration decides
+/// the direction: the measured stack (derated kernels, 0.45 s per call)
+/// re-prefills short prefixes and ships long ones; an ideal fabric does
+/// the reverse — recompute always pays the weight-read floor.
+pub fn price_migration(
+    cfg: &TransformerConfig,
+    gpu: &GpuSpec,
+    cost: &CostModel,
+    kv_tokens: u64,
+) -> MigrationPrice {
+    let lone_prefill = StepWork {
+        prefill_members: 1,
+        prefill_tokens: kv_tokens,
+        ..StepWork::default()
+    };
+    let terms = StepTerms::of(cfg, &lone_prefill, true);
+    let kv_bytes = cfg.kv_bytes_per_token() * kv_tokens;
+    MigrationPrice {
+        ship_s: cost.transfer_time(kv_bytes as f64),
+        reprefill_s: terms.device_s(gpu, cost.compute_efficiency, cost.memory_efficiency),
+    }
 }
 
 #[cfg(test)]
@@ -355,6 +422,51 @@ mod tests {
         let (busy, _) = sharded_step_time(&cfg, &eight, &gpu, 25e9, 250e-6, true, &plan);
         let base8 = batched_step_time(&cfg, &eight, &gpu, 25e9, 250e-6, true);
         assert!(busy.compute_s < base8.compute_s * 0.7);
+    }
+
+    fn gptj_migration(cost: &CostModel, kv_tokens: u64) -> MigrationPrice {
+        let cfg = TransformerConfig::gptj_6b();
+        price_migration(&cfg, &GpuSpec::a100_80gb(), cost, kv_tokens)
+    }
+
+    #[test]
+    fn short_prefix_reprefills_long_prefix_ships_on_paper_stack() {
+        let paper = CostModel::paper_stack();
+        let short = gptj_migration(&paper, 64);
+        assert!(!short.ships() && short.reprefill_s < short.ship_s);
+        let long = gptj_migration(&paper, 4096);
+        assert!(long.ships() && long.ship_s < long.reprefill_s);
+        // Nothing resident: shipping still pays the per-call overhead,
+        // recompute only the weight-read floor.
+        let empty = gptj_migration(&paper, 0);
+        assert!(!empty.ships());
+    }
+
+    #[test]
+    fn calibration_flips_the_crossover_direction() {
+        // On an ideal zero-copy fabric with full-efficiency kernels the
+        // direction is the opposite of the measured stack's: recompute
+        // per token beats the wire — long prefixes re-prefill — while
+        // tiny prefixes ship because recompute still pays the whole
+        // weight-read floor (~6 ms for 12.1 GB at 2 TB/s) and a few KV
+        // pages cross 25 GbE faster.
+        let ideal = CostModel::ideal_25g();
+        assert!(gptj_migration(&ideal, 16).ships());
+        for tokens in [256u64, 2048, 16384] {
+            let price = gptj_migration(&ideal, tokens);
+            assert!(!price.ships(), "{tokens} tokens: {price:?}");
+        }
+    }
+
+    #[test]
+    fn migration_costs_are_monotone_in_prefix_length() {
+        let paper = CostModel::paper_stack();
+        let mut prev = gptj_migration(&paper, 0);
+        for tokens in [128u64, 512, 2048, 8192] {
+            let price = gptj_migration(&paper, tokens);
+            assert!(price.ship_s >= prev.ship_s && price.reprefill_s >= prev.reprefill_s);
+            prev = price;
+        }
     }
 
     #[test]

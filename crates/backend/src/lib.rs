@@ -26,7 +26,10 @@ pub mod local;
 pub mod remote;
 pub mod sim;
 
-pub use decode::{batched_step_time, sharded_step_time, ShardPlan, StepCost, StepWork};
+pub use decode::{
+    batched_step_time, price_migration, sharded_step_time, MigrationPrice, ShardPlan, StepCost,
+    StepWork,
+};
 pub use handle::{HandleTable, RemoteHandle};
 pub use local::LocalBackend;
 pub use remote::{

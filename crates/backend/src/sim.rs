@@ -186,15 +186,15 @@ impl<'a> SimBackend<'a> {
                         ready
                     } else {
                         let gpu = &self.topo.device(dev).spec;
-                        let dur = Nanos::from_secs_f64(self.cost.kernel_time(node, gpu));
+                        let estimate_s = self.cost.kernel_time(node, gpu);
+                        let dur = Nanos::from_secs_f64(estimate_s);
                         let begin =
                             ready.max(device_free.get(&dev).copied().unwrap_or(session_ready));
                         let end = begin + dur;
                         device_free.insert(dev, end);
                         kernels_n += 1;
                         kernel_hist.observe(dur.as_secs_f64());
-                        *kernel_estimate.entry(dev).or_insert(0.0) +=
-                            self.cost.kernel_time(node, gpu);
+                        *kernel_estimate.entry(dev).or_insert(0.0) += estimate_s;
                         trace.push(tag(TraceEvent::kernel(
                             dev.0,
                             node.name.clone(),

@@ -89,13 +89,19 @@ impl GpuSpec {
         }
     }
 
-    /// Roofline execution-time estimate for a kernel of `flops` floating
-    /// point operations touching `bytes` of device memory: the max of the
-    /// compute time and the memory time, plus launch overhead.
-    pub fn kernel_time(&self, flops: f64, bytes: f64) -> f64 {
-        let compute = flops / self.peak_flops;
-        let memory = bytes / self.mem_bandwidth;
+    /// The roofline, spelled here only: a kernel of `flops` touching
+    /// `bytes` of device memory takes the max of its compute and memory
+    /// times, plus launch overhead, on a device reaching `compute_eff` of
+    /// peak FLOP/s and `mem_eff` of peak bandwidth.
+    pub fn roofline(&self, flops: f64, bytes: f64, compute_eff: f64, mem_eff: f64) -> f64 {
+        let compute = flops / (self.peak_flops * compute_eff);
+        let memory = bytes / (self.mem_bandwidth * mem_eff);
         self.kernel_launch_overhead + compute.max(memory)
+    }
+
+    /// [`roofline`](Self::roofline) at peak (`x × 1.0` is exact).
+    pub fn kernel_time(&self, flops: f64, bytes: f64) -> f64 {
+        self.roofline(flops, bytes, 1.0, 1.0)
     }
 
     /// The operational intensity (FLOP/byte) at which this device flips
@@ -128,6 +134,19 @@ mod tests {
         // Heavily memory-bound: 2 TB at peak bandwidth = 1 s.
         let t = g.kernel_time(1.0, 2.0e12);
         assert!((t - 1.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn efficiency_derates_the_side_that_binds() {
+        let g = GpuSpec::a100_80gb();
+        assert_eq!(
+            g.roofline(1e12, 1e9, 1.0, 1.0).to_bits(),
+            g.kernel_time(1e12, 1e9).to_bits()
+        );
+        // Compute-bound at half of peak: twice the time; the idle memory
+        // side's efficiency does not matter.
+        assert!((g.roofline(312e12, 1.0, 0.5, 0.1) - 2.0).abs() < 1e-3);
+        assert!((g.roofline(1.0, 2.0e12, 0.1, 0.25) - 4.0).abs() < 1e-3);
     }
 
     #[test]

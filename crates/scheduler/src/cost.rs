@@ -1,7 +1,7 @@
 //! The pluggable cost model (§3.3): end-to-end latency as a function of
 //! compute, transfers, and queuing.
 
-use genie_cluster::{ClusterState, DevId, GpuSpec, Topology};
+use genie_cluster::GpuSpec;
 use genie_srg::Node;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -29,17 +29,13 @@ pub struct KernelTimeCache {
 
 impl KernelTimeCache {
     fn lookup(&self, key: KernelTimeKey, compute: impl FnOnce() -> f64) -> f64 {
-        if let Some(&v) = self.entries.lock().expect("cost cache poisoned").get(&key) {
+        let mut entries = self.entries.lock().expect("cost cache poisoned");
+        if let Some(&v) = entries.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
-        let v = compute();
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.entries
-            .lock()
-            .expect("cost cache poisoned")
-            .insert(key, v);
-        v
+        *entries.entry(key).or_insert_with(compute)
     }
 
     fn stats(&self) -> CostCacheStats {
@@ -173,26 +169,16 @@ impl CostModel {
         let (fs, bs) = Self::tier_factors(tier);
         let flops = node.cost.flops * fs;
         let bytes = node.cost.bytes_total() * bs;
+        let (ce, me) = (self.compute_efficiency, self.memory_efficiency);
         let key = (
             flops.to_bits(),
             bytes.to_bits(),
-            (gpu.peak_flops * self.compute_efficiency).to_bits(),
-            (gpu.mem_bandwidth * self.memory_efficiency).to_bits(),
+            (gpu.peak_flops * ce).to_bits(),
+            (gpu.mem_bandwidth * me).to_bits(),
             gpu.kernel_launch_overhead.to_bits(),
         );
-        self.cache.lookup(key, || {
-            let compute = flops / (gpu.peak_flops * self.compute_efficiency);
-            let memory = bytes / (gpu.mem_bandwidth * self.memory_efficiency);
-            gpu.kernel_launch_overhead + compute.max(memory)
-        })
-    }
-
-    /// The un-memoized roofline estimate at the f32 reference tier
-    /// (reference for the cached path).
-    pub fn kernel_time_uncached(&self, node: &Node, gpu: &GpuSpec) -> f64 {
-        let compute = node.cost.flops / (gpu.peak_flops * self.compute_efficiency);
-        let memory = node.cost.bytes_total() / (gpu.mem_bandwidth * self.memory_efficiency);
-        gpu.kernel_launch_overhead + compute.max(memory)
+        self.cache
+            .lookup(key, || gpu.roofline(flops, bytes, ce, me))
     }
 
     /// Hit/miss/occupancy counters for the kernel-time cache.
@@ -207,26 +193,18 @@ impl CostModel {
 
     /// Time to move `bytes` across the network in one call.
     pub fn transfer_time(&self, bytes: f64) -> f64 {
-        self.per_call_overhead_s + bytes / self.network_bandwidth + self.network_latency_s
+        self.call_time(bytes, self.network_bandwidth)
+    }
+
+    /// One call moving `bytes` at `bytes_per_s` of goodput.
+    fn call_time(&self, bytes: f64, bytes_per_s: f64) -> f64 {
+        self.per_call_overhead_s + bytes / bytes_per_s + self.network_latency_s
     }
 
     /// Time to move `bytes` as part of an already-open call (no fresh
     /// per-call overhead).
     pub fn streaming_time(&self, bytes: f64) -> f64 {
         bytes / self.network_bandwidth
-    }
-
-    /// Queue-aware start delay on a device.
-    pub fn queue_delay(&self, state: &ClusterState, dev: DevId) -> f64 {
-        state.queue_seconds(dev)
-    }
-
-    /// Total estimated graph compute time on one device (no overlap).
-    pub fn total_kernel_time(&self, srg: &genie_srg::Srg, gpu: &GpuSpec) -> f64 {
-        srg.nodes()
-            .filter(|n| !n.op.is_source() && !n.op.is_metadata_only())
-            .map(|n| self.kernel_time(n, gpu))
-            .sum()
     }
 
     /// Price of recomputing `node` remotely versus fetching its output of
@@ -240,26 +218,7 @@ impl CostModel {
         congestion: f64,
     ) -> f64 {
         let effective_bw = self.network_bandwidth * (1.0 - congestion.clamp(0.0, 0.99));
-        let fetch = self.per_call_overhead_s + bytes / effective_bw + self.network_latency_s;
-        let recompute = self.kernel_time(node, gpu);
-        fetch - recompute
-    }
-
-    /// Relative price of a byte moved versus a flop computed — the
-    /// exchange rate used when ranking critical paths.
-    pub fn bytes_per_flop(&self, gpu: &GpuSpec) -> f64 {
-        (gpu.peak_flops * self.compute_efficiency) / self.network_bandwidth
-    }
-
-    /// Convenience: the spec of a device in a topology.
-    pub fn gpu<'a>(&self, topo: &'a Topology, dev: DevId) -> &'a GpuSpec {
-        &topo.device(dev).spec
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::ideal_25g()
+        self.call_time(bytes, effective_bw) - self.kernel_time(node, gpu)
     }
 }
 
@@ -322,15 +281,15 @@ mod tests {
     }
 
     #[test]
-    fn cached_kernel_time_matches_uncached() {
+    fn cached_kernel_time_is_the_derated_roofline() {
         let m = CostModel::paper_stack();
         let gpu = GpuSpec::a100_80gb();
         let n = node(3e12, 5e9);
-        let uncached = m.kernel_time_uncached(&n, &gpu);
-        assert_eq!(m.kernel_time(&n, &gpu), uncached);
+        let roofline = gpu.roofline(3e12, 5e9, m.compute_efficiency, m.memory_efficiency);
+        assert_eq!(m.kernel_time(&n, &gpu), roofline);
         assert_eq!(
             m.kernel_time(&n, &gpu),
-            uncached,
+            roofline,
             "hit must serve same value"
         );
         let stats = m.cache_stats();
@@ -348,8 +307,34 @@ mod tests {
         let before = m.kernel_time(&n, &gpu);
         m.compute_efficiency = 0.5;
         let after = m.kernel_time(&n, &gpu);
-        assert_eq!(after, m.kernel_time_uncached(&n, &gpu));
+        assert_eq!(after, gpu.roofline(312e12, 0.0, 0.5, 1.0));
         assert!(after > before, "halved efficiency must cost more");
+    }
+
+    #[test]
+    fn every_tier_has_one_price_warm_cold_or_spelled_out() {
+        // The "reference" path used to ignore the tier factors; now there
+        // is one path. A warm lookup, a cold model's first lookup and the
+        // roofline on the tier-scaled inputs are the same bits.
+        let gpu = GpuSpec::a100_80gb();
+        for tier in ["", "int8", "fp16", "fp4"] {
+            let mut n = node(3e12, 5e9);
+            if !tier.is_empty() {
+                n.attrs
+                    .insert(genie_analysis::KERNEL_TIER_ATTR.into(), tier.into());
+            }
+            let warm = CostModel::paper_stack();
+            warm.kernel_time(&n, &gpu);
+            assert_eq!(warm.cache_stats().misses, 1);
+            let served = warm.kernel_time(&n, &gpu);
+            assert_eq!(warm.cache_stats().hits, 1, "{tier:?} must hit");
+            let cold = CostModel::paper_stack().kernel_time(&n, &gpu);
+            let (fs, bs) = CostModel::tier_factors(tier);
+            let (ce, me) = (warm.compute_efficiency, warm.memory_efficiency);
+            let spelled = gpu.roofline(3e12 * fs, 5e9 * bs, ce, me);
+            assert_eq!(served.to_bits(), cold.to_bits(), "{tier:?}");
+            assert_eq!(served.to_bits(), spelled.to_bits(), "{tier:?}");
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@
 pub mod batching;
 pub mod elastic;
 pub mod hetero;
-pub mod migrate;
 pub mod tenant;
 
 use crate::cost::CostModel;

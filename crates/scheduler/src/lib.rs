@@ -41,7 +41,6 @@ pub mod schedule;
 pub mod view;
 
 pub use cost::{CostCacheStats, CostModel};
-pub use global::migrate::{KvMigrationPlanner, MigrationDecision, MigrationPlan};
 pub use lint::lint_plan;
 pub use plan::{CostBreakdown, ExecutionPlan, Location, Transfer};
 pub use policy::{DataAware, LeastLoaded, Policy, RoundRobin, SemanticsAware, Sharded};

@@ -37,11 +37,11 @@ use crate::kv::KvLedger;
 use crate::report::ServingReport;
 use crate::request::{EventKind, LogEvent, Outcome, ServingRequest, ShedReason};
 use crate::slo::{SloConfig, SloTracker};
-use genie_backend::{sharded_step_time, ShardPlan, StepWork};
+use genie_backend::{price_migration, sharded_step_time, ShardPlan, StepWork};
 use genie_cluster::GpuSpec;
 use genie_models::{KvState, TransformerConfig, TransformerLm};
 use genie_netsim::{EventQueue, FaultPlan, Nanos, TransferOutcome, XorShift64};
-use genie_scheduler::{CostModel, KvMigrationPlanner, MigrationDecision};
+use genie_scheduler::CostModel;
 use genie_srg::shard::ShardSpec;
 use genie_telemetry::causal::{MemberPhase, StepMember, StepSlice};
 use genie_telemetry::{SemAttrs, SpanKind, SpanRecord, Track};
@@ -74,8 +74,8 @@ impl ServingModel {
 /// How a finished prefill's KV prefix reaches the decode pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MigrationPolicy {
-    /// Price ship-vs-reprefill per request with the calibrated
-    /// [`KvMigrationPlanner`] and take the cheaper side.
+    /// Price ship-vs-reprefill per request ([`price_migration`]) and take
+    /// the cheaper side.
     Planner,
     /// Always ship the prefix (falls back to re-prefill only when no
     /// decode lane has capacity).
@@ -276,11 +276,32 @@ impl ServingLoop {
         assert!(config.lanes >= 1, "need at least one lane");
         assert!(config.max_batch >= 1, "need batch capacity of at least 1");
         assert!(config.max_queue >= 1, "need queue capacity of at least 1");
+        // A zero or non-finite rate prices a step at infinity or NaN and
+        // the virtual clock wraps: reject it here, not three calls deep.
+        let rate = |x: f64| x.is_finite() && x > 0.0;
+        let delay = |x: f64| x.is_finite() && x >= 0.0;
+        let gpu = &config.gpu;
+        assert!(
+            rate(gpu.peak_flops) && rate(gpu.mem_bandwidth) && delay(gpu.kernel_launch_overhead),
+            "device needs finite positive rates and a launch overhead >= 0"
+        );
+        assert!(
+            rate(config.link_bandwidth_bps),
+            "client link needs bandwidth"
+        );
+        assert!(
+            delay(config.link_latency_s),
+            "client link latency must be finite and >= 0"
+        );
         if let Some(d) = &config.disagg {
             assert!(d.prefill_lanes >= 1, "disaggregation needs a prefill lane");
             assert!(
-                d.migrate_bandwidth_bps > 0.0,
+                rate(d.migrate_bandwidth_bps),
                 "migration link needs bandwidth"
+            );
+            assert!(
+                delay(d.migrate_latency_s),
+                "migration link latency must be finite and >= 0"
             );
         }
         ServingLoop { model, config }
@@ -347,7 +368,8 @@ struct Sim<'a> {
     /// Decode lanes `0..config.lanes`, then any prefill lanes.
     lanes: u32,
     shard: ShardPlan,
-    planner: Option<KvMigrationPlanner>,
+    /// The migration fabric as a calibration (disaggregated runs only).
+    migrate_link: Option<CostModel>,
     ledger: KvLedger,
     /// Admission queue, FIFO in event-time order.
     queue: VecDeque<Job>,
@@ -368,17 +390,15 @@ impl<'a> Sim<'a> {
         let cfg = model.config();
         let kv_bytes = cfg.kv_bytes_per_token();
         let lanes = config.lanes + config.disagg.as_ref().map_or(0, |d| d.prefill_lanes);
-        // Ship-vs-reprefill pricing: the planner's network side is the
-        // migration fabric, and its kernel side runs at unit efficiency
-        // so its re-prefill estimate matches the engine's own roofline
-        // step pricing (`batched_step_time` does not derate either).
-        let planner = config.disagg.as_ref().map(|d| {
-            let mut cost = CostModel::ideal_25g();
-            cost.network_bandwidth = d.migrate_bandwidth_bps / 8.0;
-            cost.network_latency_s = d.migrate_latency_s;
-            cost.per_call_overhead_s = 0.0;
-            let (flops, weights) = (cfg.flops_per_token(), cfg.weight_bytes());
-            KvMigrationPlanner::new(cost, config.gpu.clone(), kv_bytes, flops, weights)
+        // Ship-vs-reprefill is priced on the migration fabric with
+        // kernels at unit efficiency, as step pricing runs them: the
+        // re-prefill estimate is then the price `price` charges for it.
+        let migrate_link = config.disagg.as_ref().map(|d| {
+            let mut link = CostModel::ideal_25g();
+            link.network_bandwidth = d.migrate_bandwidth_bps / 8.0;
+            link.network_latency_s = d.migrate_latency_s;
+            link.per_call_overhead_s = 0.0;
+            link
         });
         let spec = config.shard.unwrap_or_else(ShardSpec::single);
         let mut agenda = EventQueue::new();
@@ -397,7 +417,7 @@ impl<'a> Sim<'a> {
                 fabric_bandwidth_bps: config.link_bandwidth_bps,
                 fabric_latency_s: config.link_latency_s,
             },
-            planner,
+            migrate_link,
             ledger: KvLedger::new(lanes as usize, config.kv_capacity_bytes, kv_bytes),
             queue: VecDeque::new(),
             active: BTreeMap::new(),
@@ -786,17 +806,10 @@ impl<'a> Sim<'a> {
             let fits = (0..self.config.lanes)
                 .filter(|&lane| self.ledger.fits(lane as usize, tokens))
                 .min_by_key(|&lane| self.ledger.lane_bytes(lane as usize));
-            let planner = self.planner.as_ref().expect("disaggregated");
             let ship_to = fits.filter(|&to| match policy {
                 MigrationPolicy::AlwaysReprefill => false,
                 MigrationPolicy::AlwaysShip => true,
-                // `plan` records a `kv.plan` instant; `price` does not.
-                MigrationPolicy::Planner if self.config.record_telemetry => {
-                    planner.plan(id, from, to, tokens).decision == MigrationDecision::Ship
-                }
-                MigrationPolicy::Planner => {
-                    planner.price(id, from, to, tokens).decision == MigrationDecision::Ship
-                }
+                MigrationPolicy::Planner => self.plan_ships(id, from, to, tokens),
             });
             match ship_to {
                 Some(to) => self.ship(job, to, tokens, step_end),
@@ -808,6 +821,27 @@ impl<'a> Sim<'a> {
                 }
             }
         }
+    }
+
+    /// Price `id`'s prefix both ways; true when shipping is no dearer.
+    /// A recorded run stamps the verdict on the wall clock as a `kv.plan`
+    /// instant — the one record that is not a projection of the report.
+    fn plan_ships(&self, id: u64, from: u32, to: u32, kv_tokens: u64) -> bool {
+        let link = self.migrate_link.as_ref().expect("disaggregated");
+        let price = price_migration(self.model.config(), &self.config.gpu, link, kv_tokens);
+        if self.config.record_telemetry {
+            let attrs = SemAttrs::new()
+                .request(id)
+                .with("from", from.to_string())
+                .with("to", to.to_string())
+                .with("kv_tokens", kv_tokens.to_string())
+                .with("ship_s", format!("{:.6}", price.ship_s))
+                .with("reprefill_s", format!("{:.6}", price.reprefill_s))
+                .with("decision", if price.ships() { "Ship" } else { "Reprefill" });
+            let collector = &genie_telemetry::global().collector;
+            collector.instant("kv.plan", "scheduler", attrs);
+        }
+        price.ships()
     }
 
     /// Put `job`'s prefix on the fabric: real simulated link traffic,
@@ -971,6 +1005,46 @@ mod tests {
         let mut c = ServingConfig::paper_testbed();
         c.record_telemetry = false;
         c
+    }
+
+    /// `ServingLoop::new` over a disaggregated `spec_config()` after `edit`.
+    fn build(edit: impl FnOnce(&mut ServingConfig, &mut DisaggConfig)) {
+        let (mut c, mut d) = (spec_config(), DisaggConfig::paper_testbed(1));
+        edit(&mut c, &mut d);
+        c.disagg = Some(d);
+        ServingLoop::new(ServingModel::Spec(TransformerConfig::tiny()), c);
+    }
+
+    #[test]
+    #[should_panic(expected = "client link needs bandwidth")]
+    fn a_client_link_without_bandwidth_is_rejected() {
+        // Used to wedge: an infinite `net_payload_s` saturates the step
+        // to `u64::MAX` ns in release and virtual time runs backwards.
+        build(|c, _| c.link_bandwidth_bps = 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "client link latency must be finite and >= 0")]
+    fn a_non_finite_client_latency_is_rejected() {
+        build(|c, _| c.link_latency_s = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "device needs finite positive rates")]
+    fn a_device_without_memory_bandwidth_is_rejected() {
+        build(|c, _| c.gpu.mem_bandwidth = 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "migration link needs bandwidth")]
+    fn an_infinite_migration_bandwidth_is_rejected() {
+        build(|_, d| d.migrate_bandwidth_bps = f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "migration link latency must be finite and >= 0")]
+    fn a_negative_migration_latency_is_rejected() {
+        build(|_, d| d.migrate_latency_s = -1e-6);
     }
 
     #[test]
