@@ -483,22 +483,33 @@ mod tests {
             .total_s(),
             0.0
         );
-        let cfg = TransformerConfig::tiny();
-        let prefill = StepWork {
+        // Prefill runs every prompt token forward, decode one token per
+        // member: FLOPs scale with `prefill_tokens`. Device seconds need
+        // not — a short prefill of a small model is memory-bound, and a
+        // decode against a long cache moves more bytes.
+        let prefill = |tokens| StepWork {
             prefill_members: 1,
-            prefill_tokens: 64,
+            prefill_tokens: tokens,
             decode_members: 0,
             kv_resident_tokens: 0,
         };
-        let decode = StepWork {
+        let decode = |resident| StepWork {
             prefill_members: 0,
             prefill_tokens: 0,
             decode_members: 1,
-            kv_resident_tokens: 64,
+            kv_resident_tokens: resident,
         };
+        let cfg = TransformerConfig::tiny();
+        let flops = |work: &StepWork| StepTerms::of(&cfg, work, true).flops;
+        assert_eq!(flops(&prefill(64)), 64.0 * flops(&decode(64)));
+        assert_eq!(flops(&prefill(64)), 2.0 * flops(&prefill(32)));
+
+        // Where prefill is compute-bound, the seconds follow: GPT-J, a
+        // 2048-token prompt against one decode over the same cache.
+        let cfg = TransformerConfig::gptj_6b();
         let gpu = GpuSpec::a100_80gb();
-        let p = batched_step_time(&cfg, &prefill, &gpu, 25e9, 250e-6, true);
-        let d = batched_step_time(&cfg, &decode, &gpu, 25e9, 250e-6, true);
-        assert!(p.compute_s > d.compute_s, "prefill does 64x the flops");
+        let p = batched_step_time(&cfg, &prefill(2048), &gpu, 25e9, 250e-6, true);
+        let d = batched_step_time(&cfg, &decode(2048), &gpu, 25e9, 250e-6, true);
+        assert!(p.compute_s > d.compute_s, "{p:?} vs {d:?}");
     }
 }

@@ -8,11 +8,22 @@
 //! PyTorch), cost hints are derived from operator type and shapes, and the
 //! module / phase / modality scopes active at call time become the node's
 //! structural annotations.
+//!
+//! A context started over the previous step's finished capture
+//! ([`crate::recapture::RecaptureSession`]) *re-traces*: the same calls
+//! run, but each is compared with the node the previous capture recorded
+//! at that position, and while they match only sizes, cost hints and
+//! payloads are written — into the graph that is already there. The
+//! first call that does not match cuts the graph back to the matched
+//! prefix and the capture carries on appending, as [`CaptureCtx::new`]
+//! does from the start.
 
+use crate::interp::ExecPlan;
 use crate::value::Value;
 use genie_analysis::{run_srg_passes, LintConfig, Report};
 use genie_srg::{
-    CostHints, ElemType, Modality, Node, NodeId, OpKind, Phase, Residency, Srg, TensorMeta,
+    CostHints, EdgeId, ElemType, Modality, Node, NodeId, OpKind, Phase, Residency, Srg, TensorId,
+    TensorMeta,
 };
 use genie_telemetry::{Counter, Histogram, DEFAULT_TIME_BOUNDS};
 use genie_tensor::{IndexTensor, Tensor};
@@ -44,6 +55,22 @@ enum Tier {
 
 const TIER_LABELS: [&str; 3] = ["module", "phase", "modality"];
 
+/// How a capture related to the one it was started over: there was none,
+/// every call matched it, or one did not and the rest was captured cold.
+/// The discriminant indexes [`REUSE_LABELS`] and [`CaptureMetrics::reuse`].
+#[derive(Clone, Copy, Default)]
+enum Reuse {
+    #[default]
+    Miss,
+    Hit,
+    Diverged,
+}
+
+const REUSE_LABELS: [&str; 3] = ["miss", "hit", "diverged"];
+
+/// A node attribute as the operator methods state it.
+type Attr = (&'static str, String);
+
 /// The capture path's metric handles, resolved once per process: a
 /// registry lookup builds its key and searches under the registry mutex,
 /// a held handle is one atomic add — and a decode step records ~55 ops
@@ -54,6 +81,8 @@ struct CaptureMetrics {
     /// `(genie_capture_scopes_total, genie_capture_scope_seconds)` per tier.
     scopes: [(Counter, Histogram); 3],
     capture_seconds: Histogram,
+    /// `genie_capture_reuse_total` per [`Reuse`] outcome.
+    reuse: [Counter; 3],
 }
 
 fn capture_metrics() -> &'static CaptureMetrics {
@@ -72,12 +101,40 @@ fn capture_metrics() -> &'static CaptureMetrics {
                 )
             }),
             capture_seconds: m.histogram("genie_capture_seconds", &[], &DEFAULT_TIME_BOUNDS),
+            reuse: REUSE_LABELS
+                .map(|outcome| m.counter("genie_capture_reuse_total", &[("outcome", outcome)])),
         }
     })
 }
 
+/// Append `node`, fed by `inputs`, and allocate its output tensor.
+fn append(srg: &mut Srg, node: Node, inputs: &[&LazyTensor]) -> (NodeId, TensorId) {
+    let id = srg.add_node(node);
+    for input in inputs {
+        srg.connect_tensor(input.node, id, input.tensor, input.meta.clone());
+    }
+    let tensor = srg.fresh_tensor();
+    // One tensor per recorded call: a re-trace hands out the same ids
+    // without asking the graph.
+    debug_assert_eq!(tensor.0, id.index() as u64);
+    (id, tensor)
+}
+
+/// How far a re-trace has got through the previous capture's graph.
+struct Retrace {
+    /// Calls matched so far: the index of the node the next call must match.
+    nodes: usize,
+    /// In-edges of the matched nodes: the id of the next node's first.
+    edges: usize,
+    /// The previous capture's execution plan, handed on if every call
+    /// matches (the structure is then the one it was computed for).
+    plan: Option<ExecPlan>,
+}
+
 #[derive(Default)]
 struct CaptureState {
+    /// The graph under construction. During a re-trace it is the previous
+    /// capture's graph, correct for this step up to the cursor.
     srg: Option<Srg>,
     values: HashMap<NodeId, Value>,
     outputs: Vec<NodeId>,
@@ -89,17 +146,149 @@ struct CaptureState {
     phase_stack: Vec<Phase>,
     modality_stack: Vec<Modality>,
     started: Option<std::time::Instant>,
+    /// `Some` while every call so far has matched the previous capture.
+    retrace: Option<Retrace>,
+    reuse: Reuse,
+    /// Debug builds, on a capture started over a previous one: the same
+    /// calls recorded cold, for [`assert_same_as_cold`].
+    shadow: Option<Srg>,
 }
 
 impl CaptureState {
-    /// A node carrying the scopes active right now.
-    fn annotated(&self, op: OpKind, name: &str, residency: Residency) -> Node {
-        Node::new(NodeId::new(0), op, name)
+    /// The node one recorded call describes, carrying the scopes active
+    /// right now.
+    fn node(
+        &self,
+        op: OpKind,
+        name: &str,
+        residency: Residency,
+        cost: CostHints,
+        attrs: impl IntoIterator<Item = Attr>,
+    ) -> Node {
+        let mut node = Node::new(NodeId::new(0), op, name)
             .with_module_path(self.module_path.clone())
             .with_phase(self.phase_stack.last().cloned().unwrap_or_default())
             .with_modality(self.modality_stack.last().copied().unwrap_or_default())
             .with_residency(residency)
+            .with_cost(cost);
+        for (k, v) in attrs {
+            node = node.with_attr(k, v);
+        }
+        node
     }
+
+    /// One recorded call: matched against the previous capture while a
+    /// re-trace lasts, appended otherwise.
+    fn call<A>(
+        &mut self,
+        op: OpKind,
+        name: &str,
+        residency: Residency,
+        cost: CostHints,
+        attrs: A,
+        inputs: &[&LazyTensor],
+    ) -> (NodeId, TensorId)
+    where
+        A: IntoIterator<Item = Attr> + AsRef<[Attr]>,
+    {
+        if let Some(mut shadow) = self.shadow.take() {
+            let attrs = attrs.as_ref().iter().cloned();
+            let cold = self.node(op.clone(), name, residency, cost, attrs);
+            append(&mut shadow, cold, inputs);
+            self.shadow = Some(shadow);
+        }
+        if let Some(hit) = self.retrace_call(&op, name, residency, cost, attrs.as_ref(), inputs) {
+            return hit;
+        }
+        self.diverge();
+        let node = self.node(op, name, residency, cost, attrs);
+        let srg = self.srg.as_mut().expect("capture already finished");
+        append(srg, node, inputs)
+    }
+
+    /// If the node at the re-trace cursor is what this call would record —
+    /// same operator, name, scopes, attributes and operands — make it
+    /// describe this step and return it. What is compared is what decides
+    /// the graph's structure and the interpreter's dispatch; what may
+    /// differ from step to step (operand shapes, cost hints) and what
+    /// later code rewrites (residency by `mark_output`, the device
+    /// binding) is overwritten, so nothing of the previous step survives.
+    fn retrace_call(
+        &mut self,
+        op: &OpKind,
+        name: &str,
+        residency: Residency,
+        cost: CostHints,
+        attrs: &[Attr],
+        inputs: &[&LazyTensor],
+    ) -> Option<(NodeId, TensorId)> {
+        let rt = self.retrace.as_mut()?;
+        let srg = self.srg.as_mut().expect("capture already finished");
+        let id = NodeId::new(rt.nodes as u32);
+        let node = srg.try_node(id)?;
+        let same = node.op == *op
+            && node.name == name
+            && node.module_path == self.module_path
+            && node.phase == *self.phase_stack.last().unwrap_or(&Phase::Unknown)
+            && node.modality == self.modality_stack.last().copied().unwrap_or_default()
+            && node.attrs.len() == attrs.len()
+            && attrs.iter().all(|(k, v)| node.attrs.get(*k) == Some(v))
+            && srg.in_degree(id) == inputs.len()
+            && srg
+                .in_edges(id)
+                .zip(inputs)
+                .enumerate()
+                .all(|(i, (e, input))| {
+                    e.id.index() == rt.edges + i && e.src == input.node && e.tensor == input.tensor
+                });
+        if !same {
+            return None;
+        }
+        let node = srg.node_mut(id);
+        node.cost = cost;
+        node.residency = residency;
+        node.device = None;
+        for (i, input) in inputs.iter().enumerate() {
+            srg.edge_mut(EdgeId::new((rt.edges + i) as u32))
+                .reset_payload(&input.meta);
+        }
+        rt.nodes += 1;
+        rt.edges += inputs.len();
+        Some((id, TensorId::new(id.index() as u64)))
+    }
+
+    /// End a re-trace at the first call that does not match: cut the
+    /// graph back to the calls that did, so that appending continues a
+    /// graph indistinguishable from one captured cold. No-op otherwise.
+    fn diverge(&mut self) {
+        let Some(rt) = self.retrace.take() else {
+            return;
+        };
+        let srg = self.srg.as_mut().expect("capture already finished");
+        srg.truncate(rt.nodes, rt.edges, rt.nodes as u64);
+        self.values.retain(|id, _| id.index() < rt.nodes);
+        self.reuse = Reuse::Diverged;
+    }
+}
+
+/// Debug builds check every capture that was started over a previous one
+/// against the same calls recorded cold: every node (id, annotations,
+/// cost hints, residency, attributes), every edge (ends, tensor id, meta,
+/// rate), adjacency, and the rendered lint reports.
+fn assert_same_as_cold(srg: &Srg, cold: &Srg, report: &Report, cfg: &LintConfig) {
+    for (ours, cold) in srg.nodes().zip(cold.nodes()) {
+        assert_eq!(ours, cold, "re-traced node differs from its cold capture");
+    }
+    for (ours, cold) in srg.edges().zip(cold.edges()) {
+        assert_eq!(ours, cold, "re-traced edge differs from its cold capture");
+    }
+    assert!(srg == cold, "re-traced graph differs from its cold capture");
+    let cold_report = run_srg_passes(cold, cfg).to_string();
+    assert_eq!(
+        report.to_string(),
+        cold_report,
+        "re-trace lints differently"
+    );
 }
 
 /// A capture context: the graph under construction plus the annotation
@@ -115,6 +304,33 @@ impl CaptureCtx {
         let state = CaptureState {
             srg: Some(Srg::new(name)),
             started: Some(std::time::Instant::now()),
+            ..Default::default()
+        };
+        CaptureCtx {
+            state: Arc::new(Mutex::new(state)),
+        }
+    }
+
+    /// Start capturing `name` as a re-trace of `prev`, the finished
+    /// capture of the previous step, whose graph, payload table and
+    /// `plan` this capture takes over.
+    pub(crate) fn retrace(name: &str, mut prev: CapturedGraph, plan: Option<ExecPlan>) -> Self {
+        if prev.srg.name != name {
+            prev.srg.name = name.to_string();
+        }
+        prev.outputs.clear();
+        let state = CaptureState {
+            srg: Some(prev.srg),
+            values: prev.values,
+            outputs: prev.outputs,
+            started: Some(std::time::Instant::now()),
+            retrace: Some(Retrace {
+                nodes: 0,
+                edges: 0,
+                plan,
+            }),
+            reuse: Reuse::Hit,
+            shadow: cfg!(debug_assertions).then(|| Srg::new(name)),
             ..Default::default()
         };
         CaptureCtx {
@@ -178,12 +394,9 @@ impl CaptureCtx {
     /// Nodes recorded so far. Snapshot before/after a region to attribute
     /// the nodes it created (sharding assignment does exactly this).
     pub fn node_count(&self) -> usize {
-        self.state
-            .lock()
-            .srg
-            .as_ref()
-            .expect("capture already finished")
-            .node_count()
+        let st = self.state.lock();
+        let srg = st.srg.as_ref().expect("capture already finished");
+        st.retrace.as_ref().map_or(srg.node_count(), |rt| rt.nodes)
     }
 
     // ---- sources ----------------------------------------------------
@@ -282,7 +495,7 @@ impl CaptureCtx {
     pub fn finish(&self) -> CapturedGraph {
         match self.finish_checked(&LintConfig::new()) {
             Ok(cap) => cap,
-            Err(report) => panic!("semantic lint gate rejected capture:\n{report}"),
+            Err(report) => lint_gate_panic(&report),
         }
     }
 
@@ -290,15 +503,34 @@ impl CaptureCtx {
     /// full report instead of panicking when any `GA0xx` finding is deny
     /// under `cfg`. The capture is consumed either way.
     pub fn finish_checked(&self, cfg: &LintConfig) -> Result<CapturedGraph, Report> {
+        self.finish_traced(cfg).map(|(cap, _)| cap)
+    }
+
+    /// [`finish_checked`](Self::finish_checked), plus the previous
+    /// capture's execution plan when this one re-traced it call for call.
+    /// The lint gate runs in full either way: its verdicts depend on
+    /// sizes, and sizes are what a re-trace changes.
+    pub(crate) fn finish_traced(
+        &self,
+        cfg: &LintConfig,
+    ) -> Result<(CapturedGraph, Option<ExecPlan>), Report> {
         let telemetry = genie_telemetry::global();
-        let (srg, values, outputs, started) = {
+        let (srg, values, outputs, started, plan, reuse, shadow) = {
             let mut st = self.state.lock();
-            let srg = st.srg.take().expect("capture already finished");
+            let st = &mut *st;
+            let recorded = st.srg.as_ref().expect("capture already finished");
+            // Stopping short of the previous capture is a mismatch too.
+            if (st.retrace.as_ref()).is_some_and(|rt| rt.nodes < recorded.node_count()) {
+                st.diverge();
+            }
             (
-                srg,
+                st.srg.take().expect("checked above"),
                 std::mem::take(&mut st.values),
                 std::mem::take(&mut st.outputs),
                 st.started.take(),
+                st.retrace.take().and_then(|rt| rt.plan),
+                st.reuse,
+                st.shadow.take(),
             )
         };
         let mut span = telemetry.collector.span_with(
@@ -306,23 +538,30 @@ impl CaptureCtx {
             "frontend",
             genie_telemetry::SemAttrs::new()
                 .with("graph", srg.name.clone())
-                .with("ops", srg.node_count().to_string()),
+                .with("ops", srg.node_count().to_string())
+                .with("reuse", REUSE_LABELS[reuse as usize]),
         );
+        let metrics = capture_metrics();
+        metrics.reuse[reuse as usize].inc();
         if let Some(started) = started {
-            capture_metrics()
+            metrics
                 .capture_seconds
                 .observe(started.elapsed().as_secs_f64());
         }
         let report = run_srg_passes(&srg, cfg);
+        if let Some(cold) = &shadow {
+            assert_same_as_cold(&srg, cold, &report, cfg);
+        }
         if report.has_deny() {
             span.annotate(|a| a.extra.push(("lint".into(), "deny".into())));
             return Err(report);
         }
-        Ok(CapturedGraph {
+        let cap = CapturedGraph {
             srg,
             values,
             outputs,
-        })
+        };
+        Ok((cap, plan))
     }
 
     // ---- internals --------------------------------------------------
@@ -339,12 +578,16 @@ impl CaptureCtx {
     ) -> LazyTensor {
         capture_metrics().source_ops.inc();
         let mut st = self.state.lock();
-        let node = st.annotated(op, name, residency);
-        let srg = st.srg.as_mut().expect("capture already finished");
-        let id = srg.add_node(node);
-        let tensor = srg.fresh_tensor();
-        if let Some(value) = payload {
-            st.values.insert(id, value);
+        let (id, tensor) = st.call(op, name, residency, CostHints::ZERO, [], &[]);
+        match payload {
+            Some(value) => {
+                st.values.insert(id, value);
+            }
+            // The table a re-trace took over may still bind this node.
+            None if st.retrace.is_some() => {
+                st.values.remove(&id);
+            }
+            None => {}
         }
         drop(st);
         LazyTensor {
@@ -363,22 +606,14 @@ impl CaptureCtx {
         inputs: &[&LazyTensor],
         out_meta: TensorMeta,
         cost: CostHints,
-        attrs: impl IntoIterator<Item = (&'static str, String)>,
+        attrs: impl IntoIterator<Item = Attr> + AsRef<[Attr]>,
         residency: Residency,
     ) -> LazyTensor {
         capture_metrics().compute_ops.inc();
-        let mut st = self.state.lock();
-        let mut node = st.annotated(op, name, residency).with_cost(cost);
-        for (k, v) in attrs {
-            node = node.with_attr(k, v);
-        }
-        let srg = st.srg.as_mut().expect("capture already finished");
-        let id = srg.add_node(node);
-        for input in inputs {
-            srg.connect_tensor(input.node, id, input.tensor, input.meta.clone());
-        }
-        let tensor = srg.fresh_tensor();
-        drop(st);
+        let (id, tensor) = self
+            .state
+            .lock()
+            .call(op, name, residency, cost, attrs, inputs);
         LazyTensor {
             ctx: self.clone(),
             node: id,
@@ -471,7 +706,8 @@ impl LazyTensor {
     /// scheduler must keep treating it as pinnable state.
     pub fn mark_output(&self) {
         let mut st = self.ctx.state.lock();
-        if let Some(srg) = st.srg.as_mut() {
+        let st = &mut *st;
+        for srg in st.srg.iter_mut().chain(&mut st.shadow) {
             let node = srg.node_mut(self.node);
             if !node.residency.prefers_remote_pinning() {
                 node.residency = Residency::ModelOutput;
@@ -961,6 +1197,11 @@ impl LazyTensor {
             Residency::EphemeralActivation,
         )
     }
+}
+
+/// What [`CaptureCtx::finish`] does with a denied capture.
+pub(crate) fn lint_gate_panic(report: &Report) -> ! {
+    panic!("semantic lint gate rejected capture:\n{report}")
 }
 
 fn format_dims(dims: &[usize]) -> String {

@@ -9,10 +9,14 @@
 //! There is one executor. It groups the graph into dependency levels
 //! (longest-path depth, via [`genie_srg::traverse::levels`]), keeps live
 //! values in a dense slot table indexed by [`NodeId::index`], and
-//! evaluates level by level. Nodes within a level are mutually
-//! independent, so a level *may* be fanned out over the process-wide
-//! worker pool ([`genie_tensor::pool`]); whether it is, is decided by
-//! cost, not by count (see [`level_fans_out`]). Node-level scheduling
+//! evaluates level by level. The grouping depends on the graph's
+//! structure only, so a caller whose graph keeps its structure from one
+//! step to the next ([`crate::recapture`]) hands the same grouping back
+//! in; everyone else has it computed on entry. Nodes within a level are
+//! mutually independent, so a level *may* be fanned out over the
+//! process-wide worker pool ([`genie_tensor::pool`]); whether it is, is
+//! decided by cost, not by count (see [`level_fans_out`]), from the cost
+//! hints the graph carries now. Node-level scheduling
 //! never changes arithmetic — each node's kernel is deterministic and
 //! level order respects every edge — so [`execute`], [`execute_outputs`]
 //! and [`execute_sequential`] (the same loop told never to fan out) are
@@ -45,6 +49,11 @@ pub enum InterpError {
         /// Operator mnemonic.
         op: String,
     },
+    /// A requested output is not a node of the graph.
+    UnknownOutput {
+        /// The id that names no node.
+        node: NodeId,
+    },
 }
 
 impl std::fmt::Display for InterpError {
@@ -56,6 +65,9 @@ impl std::fmt::Display for InterpError {
             InterpError::Cycle => write!(f, "graph contains a cycle"),
             InterpError::Unsupported { node, op } => {
                 write!(f, "operator {op} at {node} unsupported in functional plane")
+            }
+            InterpError::UnknownOutput { node } => {
+                write!(f, "requested output {node} is not in the graph")
             }
         }
     }
@@ -70,7 +82,7 @@ pub fn execute(
     srg: &Srg,
     bindings: &HashMap<NodeId, Value>,
 ) -> Result<HashMap<NodeId, Value>, InterpError> {
-    run(srg, bindings, pool::size() + 1, None).map(into_map)
+    run(srg, None, bindings, pool::size() + 1, None).map(into_map)
 }
 
 /// Sequential reference: the same executor with one core, so no level
@@ -80,7 +92,7 @@ pub fn execute_sequential(
     srg: &Srg,
     bindings: &HashMap<NodeId, Value>,
 ) -> Result<HashMap<NodeId, Value>, InterpError> {
-    run(srg, bindings, 1, None).map(into_map)
+    run(srg, None, bindings, 1, None).map(into_map)
 }
 
 /// Execute and return only the requested outputs, in order. Interior
@@ -91,7 +103,18 @@ pub fn execute_outputs(
     bindings: &HashMap<NodeId, Value>,
     outputs: &[NodeId],
 ) -> Result<Vec<Value>, InterpError> {
-    let mut slots = run(srg, bindings, pool::size() + 1, Some(outputs))?;
+    execute_outputs_planned(srg, None, bindings, outputs)
+}
+
+/// [`execute_outputs`] over a plan computed earlier for this structure
+/// (`None`: compute it now).
+pub(crate) fn execute_outputs_planned(
+    srg: &Srg,
+    plan: Option<&ExecPlan>,
+    bindings: &HashMap<NodeId, Value>,
+    outputs: &[NodeId],
+) -> Result<Vec<Value>, InterpError> {
+    let mut slots = run(srg, plan, bindings, pool::size() + 1, Some(outputs))?;
     Ok(outputs
         .iter()
         .enumerate()
@@ -118,43 +141,50 @@ fn into_map(slots: Vec<Option<Value>>) -> HashMap<NodeId, Value> {
     map
 }
 
-/// Dependency levels in flat form: level `l` is
-/// `order[starts[l]..starts[l + 1]]` (ascending id within a level, so
-/// evaluation order is deterministic) and costs `flops[l]` in total.
-struct Levels {
+/// What the executor derives from a graph's structure alone — nodes,
+/// edges and their ends, not shapes, costs or payloads — so it stays
+/// valid for as long as the structure does. Level `l` is
+/// `order[starts[l]..starts[l + 1]]`, ascending id within a level, so
+/// evaluation order is deterministic.
+#[derive(Clone, Debug)]
+pub(crate) struct ExecPlan {
     order: Vec<NodeId>,
     starts: Vec<usize>,
-    flops: Vec<f64>,
 }
 
-/// Group nodes into dependency levels: every node's inputs live in a
-/// strictly earlier level, and nodes within a level are independent.
-fn level_order(srg: &Srg) -> Result<Levels, InterpError> {
-    let lv = genie_srg::traverse::levels(srg).map_err(|_| InterpError::Cycle)?;
-    let depth = lv.iter().copied().max().map_or(0, |d| d + 1);
-    let mut starts = vec![0usize; depth + 1];
-    let mut flops = vec![0f64; depth];
-    for node in srg.nodes() {
-        let l = lv[node.id.index()];
-        starts[l + 1] += 1;
-        flops[l] += node.cost.flops;
+impl ExecPlan {
+    /// Group nodes into dependency levels: every node's inputs live in a
+    /// strictly earlier level, and nodes within a level are independent.
+    pub(crate) fn of(srg: &Srg) -> Result<ExecPlan, InterpError> {
+        let lv = genie_srg::traverse::levels(srg).map_err(|_| InterpError::Cycle)?;
+        let depth = lv.iter().copied().max().map_or(0, |d| d + 1);
+        let mut starts = vec![0usize; depth + 1];
+        for &l in &lv {
+            starts[l + 1] += 1;
+        }
+        for l in 0..depth {
+            starts[l + 1] += starts[l];
+        }
+        // Counting sort by level; `cursor[l]` is the next free place of level `l`.
+        let mut cursor = starts.clone();
+        let mut order = vec![NodeId::new(0); lv.len()];
+        for id in srg.node_ids() {
+            let at = &mut cursor[lv[id.index()]];
+            order[*at] = id;
+            *at += 1;
+        }
+        Ok(ExecPlan { order, starts })
     }
-    for l in 0..depth {
-        starts[l + 1] += starts[l];
+
+    /// The levels, first to last.
+    fn levels(&self) -> impl Iterator<Item = &[NodeId]> {
+        self.starts.windows(2).map(|b| &self.order[b[0]..b[1]])
     }
-    // Counting sort by level; `cursor[l]` is the next free place of level `l`.
-    let mut cursor = starts.clone();
-    let mut order = vec![NodeId::new(0); lv.len()];
-    for id in srg.node_ids() {
-        let at = &mut cursor[lv[id.index()]];
-        order[*at] = id;
-        *at += 1;
-    }
-    Ok(Levels {
-        order,
-        starts,
-        flops,
-    })
+}
+
+/// Summed FLOP hints of one level, as the graph states them now.
+fn level_flops(srg: &Srg, level: &[NodeId]) -> f64 {
+    level.iter().map(|&id| srg.node(id).cost.flops).sum()
 }
 
 /// Whether a level of `width` independent nodes costing `flops` in total
@@ -166,19 +196,32 @@ pub fn level_fans_out(flops: f64, width: usize, cores: usize) -> bool {
     width >= 2 && cores >= 2 && flops >= ops::MATMUL_PAR_MIN_FLOPS as f64
 }
 
-/// The one evaluation loop. `cores` is pool workers plus the helping
-/// caller (1 = never fan out). With `retain = Some(outputs)` a value is
-/// released once its last consumer has run (outputs are always kept);
-/// with `None` every value is kept. Returns the slot table.
+/// The one evaluation loop. `plan` is the graph's [`ExecPlan`] when the
+/// caller kept one (`None`: computed here). `cores` is pool workers plus
+/// the helping caller (1 = never fan out). With `retain = Some(outputs)`
+/// a value is released once its last consumer has run (outputs are
+/// always kept); with `None` every value is kept. Returns the slot table.
 fn run(
     srg: &Srg,
+    plan: Option<&ExecPlan>,
     bindings: &HashMap<NodeId, Value>,
     cores: usize,
     retain: Option<&[NodeId]>,
 ) -> Result<Vec<Option<Value>>, InterpError> {
     let stats_before = genie_tensor::stats::snapshot();
-    let levels = level_order(srg)?;
     let n = srg.node_count();
+    if let Some(&node) = retain.unwrap_or_default().iter().find(|id| id.index() >= n) {
+        return Err(InterpError::UnknownOutput { node });
+    }
+    let built;
+    let plan = match plan {
+        Some(plan) => plan,
+        None => {
+            built = ExecPlan::of(srg)?;
+            &built
+        }
+    };
+    debug_assert_eq!(plan.order.len(), n, "plan belongs to another structure");
     let mut slots: Vec<Option<Value>> = vec![None; n];
     // Consumers still to run per node; `usize::MAX` pins a kept value.
     let mut remaining: Vec<usize> = match retain {
@@ -189,9 +232,8 @@ fn run(
         remaining[id.index()] = usize::MAX;
     }
 
-    for (l, bounds) in levels.starts.windows(2).enumerate() {
-        let group = &levels.order[bounds[0]..bounds[1]];
-        if level_fans_out(levels.flops[l], group.len(), cores) {
+    for group in plan.levels() {
+        if level_fans_out(level_flops(srg, group), group.len(), cores) {
             let results = eval_level_pooled(srg, group, &slots, bindings, cores);
             for (id, res) in group.iter().zip(results) {
                 slots[id.index()] = Some(res?);
@@ -697,17 +739,15 @@ mod tests {
         let y = a.add(&b);
         y.mark_output();
         let cap = ctx.finish();
-        let levels = level_order(&cap.srg).unwrap();
-        let level_of = |n: genie_srg::NodeId| {
-            let at = levels.order.iter().position(|&o| o == n).expect("placed");
-            levels.starts.iter().rposition(|&s| s <= at).expect("level")
-        };
+        let plan = ExecPlan::of(&cap.srg).unwrap();
+        let levels: Vec<&[NodeId]> = plan.levels().collect();
+        let level_of = |n: NodeId| levels.iter().position(|l| l.contains(&n)).expect("placed");
         assert_eq!(level_of(a.node), level_of(b.node), "siblings share a level");
         assert!(level_of(lx.node) < level_of(a.node));
         assert!(level_of(a.node) < level_of(y.node));
         // relu + gelu: 4 flops each; the other levels hold one node.
-        assert_eq!(levels.flops[level_of(a.node)], 8.0);
-        assert_eq!(levels.starts.last(), Some(&cap.srg.node_count()));
+        assert_eq!(level_flops(&cap.srg, levels[level_of(a.node)]), 8.0);
+        assert_eq!(plan.starts.last(), Some(&cap.srg.node_count()));
     }
 
     #[test]
@@ -737,6 +777,24 @@ mod tests {
             outs[0],
             execute_sequential(&cap.srg, &cap.values).unwrap()[&y.node]
         );
+    }
+
+    #[test]
+    fn execute_outputs_rejects_ids_outside_the_graph() {
+        // Regression: a caller-supplied id past the last node indexed the
+        // slot table out of bounds and panicked.
+        let ctx = CaptureCtx::new("g");
+        let x = ctx.input("x", [2, 2], ElemType::F32, Some(randn([2, 2], 61)));
+        let y = x.relu();
+        y.mark_output();
+        let cap = ctx.finish();
+        let stray = NodeId::new(cap.srg.node_count() as u32);
+        let err = execute_outputs(&cap.srg, &cap.values, &[y.node, stray]).unwrap_err();
+        assert!(
+            matches!(err, InterpError::UnknownOutput { node } if node == stray),
+            "{err}"
+        );
+        assert!(err.to_string().contains("not in the graph"), "{err}");
     }
 
     #[test]

@@ -24,7 +24,11 @@
 //! [`interp`] is the reference interpreter that executes captured graphs
 //! with real arithmetic — the ground truth every backend is tested
 //! against. [`recapture`] handles data-dependent control flow by
-//! re-capturing per dynamic region (§3.7).
+//! re-capturing per dynamic region (§3.7), and keeps that affordable on
+//! a per-token path: a step whose calls match the previous step's is
+//! re-traced into the graph that already exists and runs on the
+//! execution plan that was already computed, while the lint gate still
+//! sees every step in full.
 //!
 //! ```
 //! use genie_frontend::prelude::*;

@@ -9,8 +9,10 @@ use crate::config::TransformerConfig;
 use genie_frontend::capture::{CaptureCtx, LazyTensor};
 use genie_frontend::interp;
 use genie_frontend::value::Value;
+use genie_frontend::RecaptureSession;
 use genie_srg::{ElemType, NodeId, Phase};
 use genie_tensor::{init, Tensor};
+use std::sync::{Arc, Mutex};
 
 /// Per-layer weight payloads (functional plane only).
 #[derive(Clone, Debug)]
@@ -31,6 +33,19 @@ pub struct TransformerLm {
     /// Architecture.
     pub config: TransformerConfig,
     weights: Option<ModelWeights>,
+    /// Shared by clones, which capture the same graphs.
+    traces: Arc<StepTraces>,
+}
+
+/// The [`RecaptureSession`] of each phase's step function, which a step
+/// takes for its duration. Every request and every KV length captures
+/// the same structure, so one session per (model, phase) serves them
+/// all; a step that finds it taken (a concurrent caller has it) gets an
+/// empty one and captures cold.
+#[derive(Debug, Default)]
+struct StepTraces {
+    prefill: Mutex<RecaptureSession>,
+    decode: Mutex<RecaptureSession>,
 }
 
 #[derive(Clone, Debug)]
@@ -131,6 +146,7 @@ impl TransformerLm {
         TransformerLm {
             config,
             weights: Some(weights),
+            traces: Arc::default(),
         }
     }
 
@@ -140,6 +156,7 @@ impl TransformerLm {
         TransformerLm {
             config,
             weights: None,
+            traces: Arc::default(),
         }
     }
 
@@ -277,18 +294,18 @@ impl TransformerLm {
     /// Functional prefill of `prompt`: capture, lint, interpret. Returns
     /// the first sampled token and the materialized KV cache.
     pub fn prefill_step(&self, prompt: &[i64]) -> (i64, KvState) {
-        let ctx = CaptureCtx::new("prefill");
-        let cap = self.capture_prefill(&ctx, prompt);
-        run_step(&ctx, &cap)
+        run_step(&self.traces.prefill, "prefill", |ctx| {
+            self.capture_prefill(ctx, prompt)
+        })
     }
 
     /// One functional incremental decode step for `token` against `kv`:
     /// re-capture (the data-dependent token feeds in), lint, interpret.
     /// Returns the next token and the grown KV cache.
     pub fn decode_step(&self, token: i64, kv: &KvState) -> (i64, KvState) {
-        let ctx = CaptureCtx::new("decode");
-        let cap = self.capture_decode_step(&ctx, token, kv);
-        run_step(&ctx, &cap)
+        run_step(&self.traces.decode, "decode", |ctx| {
+            self.capture_decode_step(ctx, token, kv)
+        })
     }
 
     /// Functional greedy generation: prefill the prompt, then decode
@@ -320,20 +337,32 @@ impl TransformerLm {
     }
 }
 
-/// Sample from a captured step's logits, finish the capture, and run
-/// it for exactly what the next step needs: the sampled token and the
-/// grown caches. Interior values are dropped as they die.
-fn run_step(ctx: &CaptureCtx, cap: &LmCapture) -> (i64, KvState) {
+/// Capture one step as the next of `trace`'s session, sample from its
+/// logits, finish the capture, and run it for exactly what the next step
+/// needs: the sampled token and the grown caches. Interior values are
+/// dropped as they die.
+fn run_step(
+    trace: &Mutex<RecaptureSession>,
+    name: &str,
+    capture: impl FnOnce(&CaptureCtx) -> LmCapture,
+) -> (i64, KvState) {
+    // The lock is held for the two moves only, never across a step.
+    let held = "no step panics holding the session lock";
+    let mut session = std::mem::take(&mut *trace.lock().expect(held));
+    let ctx = session.begin(name);
+    let cap = capture(&ctx);
     let sampled = cap.logits.sample();
     sampled.mark_output();
-    let captured = ctx.finish();
+    session.finish(&ctx);
     let wanted: Vec<NodeId> = std::iter::once(&sampled)
         .chain(&cap.k_caches)
         .chain(&cap.v_caches)
         .map(|lt| lt.node)
         .collect();
-    let values = interp::execute_outputs(&captured.srg, &captured.values, &wanted)
+    let values = session
+        .execute_outputs(&wanted)
         .expect("captured step executes");
+    *trace.lock().expect(held) = session;
     let cache = |v: &Value| v.as_f("kv cache").clone();
     let (k, v) = values[1..].split_at(cap.k_caches.len());
     let kv = KvState {

@@ -45,6 +45,17 @@ impl Edge {
         }
     }
 
+    /// Re-describe the payload in place: afterwards the edge is what
+    /// [`Edge::new`] builds for `meta` between the same ends (pass-through
+    /// rate, normal criticality). The shape buffer is reused.
+    pub fn reset_payload(&mut self, meta: &TensorMeta) {
+        self.meta.shape.clone_from(&meta.shape);
+        self.meta.elem = meta.elem;
+        self.meta.layout = meta.layout;
+        self.rate = Rate::passthrough(meta.size_bytes() as f64);
+        self.criticality = Criticality::Normal;
+    }
+
     /// Builder-style criticality annotation.
     pub fn with_criticality(mut self, criticality: Criticality) -> Self {
         self.criticality = criticality;
@@ -85,6 +96,18 @@ mod tests {
             TensorId::new(9),
             TensorMeta::new([4, 8], ElemType::F32),
         )
+    }
+
+    #[test]
+    fn reset_payload_equals_a_new_edge() {
+        let mut e = edge()
+            .with_slot(1)
+            .with_criticality(Criticality::Critical)
+            .with_rate(Rate::passthrough(1.0));
+        let grown = TensorMeta::new([5, 8], ElemType::F16);
+        e.reset_payload(&grown);
+        let fresh = Edge::new(e.id, e.src, e.dst, e.tensor, grown).with_slot(1);
+        assert_eq!(e, fresh);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::collections::{BTreeSet, HashMap};
 /// copy with device bindings and transfer schedules; backends execute that
 /// plan. Nodes and edges are stored in flat vectors indexed by their ids so
 /// the whole structure serializes cheaply and deterministically.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Srg {
     /// Human-readable graph name (e.g. `"gptj.decode.step17"`).
     pub name: String,
@@ -118,6 +118,30 @@ impl Srg {
         self.next_tensor = self.next_tensor.max(edge.tensor.0 + 1);
         self.edges.push(edge);
         id
+    }
+
+    /// Cut the graph back to its first `nodes` nodes and first `edges`
+    /// edges, as if nothing after them had been added; the next fresh
+    /// tensor id becomes `next_tensor`. The kept edges must connect kept
+    /// nodes only (true of any prefix of a graph built node by node, each
+    /// node's in-edges added with it — what a capture does). Allocations
+    /// of the kept part are retained.
+    pub fn truncate(&mut self, nodes: usize, edges: usize, next_tensor: u64) {
+        self.nodes.truncate(nodes);
+        self.in_adj.truncate(nodes);
+        self.out_adj.truncate(nodes);
+        self.edges.truncate(edges);
+        debug_assert!(
+            self.edges
+                .iter()
+                .all(|e| e.src.index() < nodes && e.dst.index() < nodes),
+            "kept edges must connect kept nodes"
+        );
+        // Edge ids ascend within every adjacency list.
+        for adj in self.out_adj.iter_mut().chain(&mut self.in_adj) {
+            adj.truncate(adj.partition_point(|e| e.index() < edges));
+        }
+        self.next_tensor = next_tensor;
     }
 
     /// Immutable node access.
@@ -340,6 +364,27 @@ mod tests {
         assert_eq!(g.sinks(), vec![d]);
         assert_eq!(g.successors(a), vec![NodeId::new(1), NodeId::new(2)]);
         assert_eq!(g.predecessors(d), vec![NodeId::new(1), NodeId::new(2)]);
+    }
+
+    #[test]
+    fn truncate_restores_the_prefix() {
+        let meta = TensorMeta::new([2, 2], ElemType::F32);
+        let mut prefix = Srg::new("diamond");
+        let a = prefix.add_node(Node::new(NodeId::new(0), OpKind::Input, "a"));
+        let b = prefix.add_node(Node::new(NodeId::new(0), OpKind::MatMul, "b"));
+        let c = prefix.add_node(Node::new(NodeId::new(0), OpKind::Relu, "c"));
+        prefix.connect(a, b, meta.clone());
+        prefix.connect(a, c, meta);
+
+        let mut g = diamond();
+        g.truncate(3, 2, 2);
+        assert_eq!(g, prefix);
+        assert_eq!(g.out_degree(b), 0, "edges into the dropped node are gone");
+        // Growing it again gives back the diamond.
+        let d = g.add_node(Node::new(NodeId::new(0), OpKind::Add, "d"));
+        g.connect(b, d, TensorMeta::new([2, 2], ElemType::F32));
+        g.connect(c, d, TensorMeta::new([2, 2], ElemType::F32));
+        assert_eq!(g, diamond());
     }
 
     #[test]

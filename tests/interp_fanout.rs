@@ -4,7 +4,7 @@
 //! `genie_worker_pool_busy` gauge at the end of every run.
 
 use genie::frontend::capture::CaptureCtx;
-use genie::frontend::interp;
+use genie::frontend::{interp, RecaptureSession};
 use genie::models::{TransformerConfig, TransformerLm};
 use genie::srg::ElemType;
 use genie::tensor::{init, pool};
@@ -81,6 +81,38 @@ fn levels_fan_out_by_cost_not_by_count() {
         interp::execute_sequential(&wide.srg, &wide.values).expect("executes");
     });
     assert_eq!(peak, 0.0, "the sequential reference never touches the pool");
+
+    // The same four matmuls as two steps of one session, few rows and
+    // then many: the second step re-traces the first and runs on its
+    // plan, and the gate still reads the FLOPs the graph states now.
+    let mut session = RecaptureSession::new();
+    let reuse_hits = genie::telemetry::global()
+        .metrics
+        .counter("genie_capture_reuse_total", &[("outcome", "hit")]);
+    for (rows, fans_out) in [(8, false), (64, true)] {
+        let ctx = session.begin("four_matmuls");
+        let x = ctx.input(
+            "x",
+            [rows, 64],
+            ElemType::F32,
+            Some(init::randn([rows, 64], 1)),
+        );
+        let outputs: Vec<_> = (0..4u64)
+            .map(|i| {
+                let w = init::randn([64, 64], 2 + i);
+                let y = x.matmul(&ctx.parameter("w", [64, 64], ElemType::F32, Some(w)));
+                y.mark_output();
+                y.node
+            })
+            .collect();
+        let hits_before = reuse_hits.get();
+        session.finish(&ctx);
+        assert_eq!(reuse_hits.get() - hits_before, fans_out as u64);
+        let peak = pool_peak_during(|| {
+            session.execute_outputs(&outputs).expect("executes");
+        });
+        assert_eq!(peak >= 1.0, fans_out, "{rows} rows: peak {peak}");
+    }
 
     // A d_model-256, 128-token prefill still uses the pool.
     let big = transformer(256);
