@@ -12,15 +12,15 @@ use crate::handle::{HandleTable, RemoteHandle};
 use genie_frontend::capture::CapturedGraph;
 use genie_frontend::value::Value;
 use genie_srg::NodeId;
+use genie_telemetry::lock;
 use genie_tensor::{IndexTensor, Tensor};
 use genie_transport::{
     Client, PayloadKind, RequestBody, ResponseBody, RetryPolicy, Server, TensorPayload,
     TransportError,
 };
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Server-side resident store shared across connections.
 #[derive(Debug, Default)]
@@ -43,12 +43,12 @@ impl GenieExecutor {
 
     /// Number of resident objects (test observability).
     pub fn resident_count(&self) -> usize {
-        self.store.lock().objects.len()
+        lock(&self.store).objects.len()
     }
 
     /// Current epoch.
     pub fn epoch(&self) -> u64 {
-        self.store.lock().epoch
+        lock(&self.store).epoch
     }
 
     fn handle_body(&self, body: RequestBody) -> ResponseBody {
@@ -59,24 +59,24 @@ impl GenieExecutor {
                     Ok(v) => v,
                     Err(e) => return ResponseBody::Error(e),
                 };
-                let mut store = self.store.lock();
+                let mut store = lock(&self.store);
                 let epoch = store.epoch;
                 store.objects.insert(key, (value, epoch));
                 ResponseBody::Handle { key, epoch }
             }
             RequestBody::Fetch { key } => {
-                let store = self.store.lock();
+                let store = lock(&self.store);
                 match store.objects.get(&key) {
                     Some((v, _)) => ResponseBody::Tensors(vec![value_to_payload(v)]),
                     None => ResponseBody::Error(format!("no resident object {key}")),
                 }
             }
             RequestBody::Release { key } => {
-                self.store.lock().objects.remove(&key);
+                lock(&self.store).objects.remove(&key);
                 ResponseBody::Ok
             }
             RequestBody::Crash => {
-                let mut store = self.store.lock();
+                let mut store = lock(&self.store);
                 store.objects.clear();
                 store.epoch += 1;
                 ResponseBody::Ok
@@ -113,7 +113,7 @@ impl GenieExecutor {
             }
         }
         {
-            let store = self.store.lock();
+            let store = lock(&self.store);
             for (node, key, expected_epoch) in &handle_bindings {
                 match store.objects.get(key) {
                     Some((v, epoch)) if epoch == expected_epoch => {
@@ -141,7 +141,7 @@ impl GenieExecutor {
         }
         let mut handles = Vec::with_capacity(pin.len());
         {
-            let mut store = self.store.lock();
+            let mut store = lock(&self.store);
             let epoch = store.epoch;
             for (node, key) in &pin {
                 match all.get(&NodeId::new(*node)) {
@@ -433,21 +433,25 @@ pub fn value_to_payload(v: &Value) -> TensorPayload {
 
 /// Convert a wire payload to a runtime value.
 pub fn payload_to_value(p: &TensorPayload) -> Result<Value, String> {
+    // Dims come off the wire: their product can overflow, and must match
+    // the element count before a tensor may claim that shape.
+    let elements = p.dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+    let fits = |len: usize| {
+        if elements == Some(len) {
+            Ok(())
+        } else {
+            Err("payload length does not match dims".to_string())
+        }
+    };
     match p.kind {
         PayloadKind::F32 => {
-            let data =
-                genie_transport::wire::bytes_to_f32s(p.data.clone()).map_err(|e| e.to_string())?;
-            if data.len() != p.dims.iter().product::<usize>() {
-                return Err("payload length does not match dims".into());
-            }
+            let data = genie_transport::wire::bytes_to_f32s(&p.data).map_err(|e| e.to_string())?;
+            fits(data.len())?;
             Ok(Value::F(Tensor::from_vec(p.dims.clone(), data)))
         }
         PayloadKind::I64 => {
-            let data =
-                genie_transport::wire::bytes_to_i64s(p.data.clone()).map_err(|e| e.to_string())?;
-            if data.len() != p.dims.iter().product::<usize>() {
-                return Err("payload length does not match dims".into());
-            }
+            let data = genie_transport::wire::bytes_to_i64s(&p.data).map_err(|e| e.to_string())?;
+            fits(data.len())?;
             Ok(Value::I(IndexTensor::from_vec(p.dims.clone(), data)))
         }
     }
@@ -459,6 +463,18 @@ mod tests {
     use genie_frontend::capture::CaptureCtx;
     use genie_srg::ElemType;
     use genie_tensor::init::randn;
+
+    #[test]
+    fn dims_that_overflow_or_disagree_with_the_data_are_refused() {
+        let mut p = TensorPayload::from_f32(vec![2], &[1.0, 2.0]);
+        assert!(payload_to_value(&p).is_ok());
+        p.dims = vec![3];
+        assert!(payload_to_value(&p).is_err());
+        // 2^64 elements: a wrapping product is 0 and would match no data.
+        p.dims = vec![1 << 16; 4];
+        p.data = TensorPayload::from_f32(vec![0], &[]).data;
+        assert!(payload_to_value(&p).is_err());
+    }
 
     #[test]
     fn remote_matches_local_numerically() {

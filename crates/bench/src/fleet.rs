@@ -16,9 +16,7 @@
 //! decode stays pinned to the device that ran the prefill (KV-cache
 //! affinity — the co-location rule).
 
-use genie_netsim::{EventQueue, Nanos};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use genie_netsim::{EventQueue, Nanos, XorShift64};
 use serde::{Deserialize, Serialize};
 
 /// One tenant's request stream.
@@ -76,11 +74,11 @@ struct Arrival {
 fn arrivals(tenants: &[TenantLoad], horizon_s: f64, seed: u64) -> Vec<Arrival> {
     let mut out = Vec::new();
     for (i, t) in tenants.iter().enumerate() {
-        let mut rng = SmallRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15));
+        let mut rng = XorShift64::new(seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15));
         let mut now = 0.0f64;
         loop {
             // Inverse-CDF exponential gap from a uniform draw.
-            let u: f64 = rng.gen_range(1e-9..1.0);
+            let u = rng.next_f64().max(1e-9);
             now += -t.mean_interarrival_s * u.ln();
             if now >= horizon_s {
                 break;

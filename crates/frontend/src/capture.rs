@@ -25,11 +25,10 @@ use genie_srg::{
     CostHints, EdgeId, ElemType, Modality, Node, NodeId, OpKind, Phase, Residency, Srg, TensorId,
     TensorMeta,
 };
-use genie_telemetry::{Counter, Histogram, DEFAULT_TIME_BOUNDS};
+use genie_telemetry::{lock, Counter, Histogram, DEFAULT_TIME_BOUNDS};
 use genie_tensor::{IndexTensor, Tensor};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The result of a finished capture: a validated SRG plus the payloads of
 /// its source nodes (parameters and inputs) when running functionally.
@@ -344,7 +343,7 @@ impl CaptureCtx {
     /// entering an `nn.Module`'s `forward`.
     pub fn scope<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
         {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             let mark = st.module_path.len();
             if !st.module_marks.is_empty() {
                 st.module_path.push('.');
@@ -353,7 +352,7 @@ impl CaptureCtx {
             st.module_marks.push(mark);
         }
         let out = Self::timed_scope(Tier::Module, f);
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let mark = st.module_marks.pop().expect("scope pushed above");
         st.module_path.truncate(mark);
         out
@@ -362,17 +361,17 @@ impl CaptureCtx {
     /// Run `f` with an explicit phase annotation active — the
     /// `genie.annotate_phase` developer hook of §3.2.
     pub fn phase_scope<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        self.state.lock().phase_stack.push(phase);
+        lock(&self.state).phase_stack.push(phase);
         let out = Self::timed_scope(Tier::Phase, f);
-        self.state.lock().phase_stack.pop();
+        lock(&self.state).phase_stack.pop();
         out
     }
 
     /// Run `f` with a modality annotation active.
     pub fn modality_scope<R>(&self, modality: Modality, f: impl FnOnce() -> R) -> R {
-        self.state.lock().modality_stack.push(modality);
+        lock(&self.state).modality_stack.push(modality);
         let out = Self::timed_scope(Tier::Modality, f);
-        self.state.lock().modality_stack.pop();
+        lock(&self.state).modality_stack.pop();
         out
     }
 
@@ -388,13 +387,13 @@ impl CaptureCtx {
 
     /// Current dotted module path.
     pub fn module_path(&self) -> String {
-        self.state.lock().module_path.clone()
+        lock(&self.state).module_path.clone()
     }
 
     /// Nodes recorded so far. Snapshot before/after a region to attribute
     /// the nodes it created (sharding assignment does exactly this).
     pub fn node_count(&self) -> usize {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         let srg = st.srg.as_ref().expect("capture already finished");
         st.retrace.as_ref().map_or(srg.node_count(), |rt| rt.nodes)
     }
@@ -516,7 +515,7 @@ impl CaptureCtx {
     ) -> Result<(CapturedGraph, Option<ExecPlan>), Report> {
         let telemetry = genie_telemetry::global();
         let (srg, values, outputs, started, plan, reuse, shadow) = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             let st = &mut *st;
             let recorded = st.srg.as_ref().expect("capture already finished");
             // Stopping short of the previous capture is a mismatch too.
@@ -577,7 +576,7 @@ impl CaptureCtx {
         payload: Option<Value>,
     ) -> LazyTensor {
         capture_metrics().source_ops.inc();
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let (id, tensor) = st.call(op, name, residency, CostHints::ZERO, [], &[]);
         match payload {
             Some(value) => {
@@ -610,10 +609,7 @@ impl CaptureCtx {
         residency: Residency,
     ) -> LazyTensor {
         capture_metrics().compute_ops.inc();
-        let (id, tensor) = self
-            .state
-            .lock()
-            .call(op, name, residency, cost, attrs, inputs);
+        let (id, tensor) = lock(&self.state).call(op, name, residency, cost, attrs, inputs);
         LazyTensor {
             ctx: self.clone(),
             node: id,
@@ -705,7 +701,7 @@ impl LazyTensor {
     /// a KV cache returned to the caller is still a KV cache, and the
     /// scheduler must keep treating it as pinnable state.
     pub fn mark_output(&self) {
-        let mut st = self.ctx.state.lock();
+        let mut st = lock(&self.ctx.state);
         let st = &mut *st;
         for srg in st.srg.iter_mut().chain(&mut st.shadow) {
             let node = srg.node_mut(self.node);

@@ -7,14 +7,14 @@
 //! recorders contend only when they hash to the same shard, and a drain
 //! can still prove losslessness by checking the sequence.
 
+use crate::lock;
 use crate::metrics::Counter;
 use crate::span::{SemAttrs, SpanKind, SpanRecord, Track};
-use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 const SHARDS: usize = 16;
@@ -191,15 +191,14 @@ impl Collector {
             // first (cheap, already locked for the push), else the
             // first non-empty shard. `len` is unchanged on eviction.
             let evicted_here = {
-                let mut own = self.shards[shard].lock();
+                let mut own = lock(&self.shards[shard]);
                 let e = own.pop_front().is_some();
                 own.push_back(record);
                 e
             };
             let evicted = evicted_here
                 || (1..SHARDS).any(|i| {
-                    self.shards[(shard + i) % SHARDS]
-                        .lock()
+                    lock(&self.shards[(shard + i) % SHARDS])
                         .pop_front()
                         .is_some()
                 });
@@ -213,7 +212,7 @@ impl Collector {
             }
             return;
         }
-        self.shards[shard].lock().push_back(record);
+        lock(&self.shards[shard]).push_back(record);
         self.len.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -221,7 +220,7 @@ impl Collector {
     pub fn drain(&self) -> Vec<SpanRecord> {
         let mut all = Vec::with_capacity(self.len());
         for shard in &self.shards {
-            all.extend(shard.lock().drain(..));
+            all.extend(lock(shard).drain(..));
         }
         self.len.store(0, Ordering::Relaxed);
         all.sort_by_key(|r| r.seq);
@@ -232,7 +231,7 @@ impl Collector {
     pub fn snapshot(&self) -> Vec<SpanRecord> {
         let mut all = Vec::with_capacity(self.len());
         for shard in &self.shards {
-            all.extend(shard.lock().iter().cloned());
+            all.extend(lock(shard).iter().cloned());
         }
         all.sort_by_key(|r| r.seq);
         all

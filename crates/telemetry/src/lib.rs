@@ -57,7 +57,17 @@ pub use metrics::{
 pub use span::{SemAttrs, SpanKind, SpanRecord, Track};
 pub use summary::render_top;
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Lock `mutex`, poisoned or not. The sinks behind [`global()`] are
+/// process-wide and `#[should_panic]` tests share their process with every
+/// other test: a thread that died holding a guard must not take the
+/// registry from the rest. The stack's other mutexes (capture state,
+/// resident store, transport caches) lock through here too: what they
+/// guard is valid after each single update, so poisoning protects nothing.
+pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The process-wide telemetry sinks used by instrumented crates.
 pub struct Telemetry {
@@ -85,6 +95,17 @@ pub fn global() -> &'static Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_thread_that_dies_under_a_guard_does_not_take_the_mutex_with_it() {
+        let shared = Mutex::new(7);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = lock(&shared);
+            panic!("holder dies");
+        }));
+        assert!(died.is_err() && shared.is_poisoned());
+        assert_eq!(*lock(&shared), 7);
+    }
 
     #[test]
     fn global_is_shared_and_usable() {

@@ -6,11 +6,11 @@
 //! data renderable as JSON (bench artifacts) or Prometheus text
 //! exposition (scrape endpoints).
 
-use parking_lot::Mutex;
+use crate::lock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// `(name, sorted labels)` — the identity of one time series.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -181,7 +181,7 @@ impl MetricsRegistry {
 
     /// Get or create a counter.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        let mut series = self.series.lock();
+        let mut series = lock(&self.series);
         match series
             .entry(key(name, labels))
             .or_insert_with(|| Metric::Counter(Counter::default()))
@@ -193,7 +193,7 @@ impl MetricsRegistry {
 
     /// Get or create a gauge.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let mut series = self.series.lock();
+        let mut series = lock(&self.series);
         match series
             .entry(key(name, labels))
             .or_insert_with(|| Metric::Gauge(Gauge::default()))
@@ -205,7 +205,7 @@ impl MetricsRegistry {
 
     /// Get or create a histogram with the given cumulative upper bounds.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64]) -> Histogram {
-        let mut series = self.series.lock();
+        let mut series = lock(&self.series);
         match series
             .entry(key(name, labels))
             .or_insert_with(|| Metric::Histogram(Histogram::new(bounds)))
@@ -217,7 +217,7 @@ impl MetricsRegistry {
 
     /// Point-in-time copy of every series.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let series = self.series.lock();
+        let series = lock(&self.series);
         let mut snap = MetricsSnapshot::default();
         for (k, m) in series.iter() {
             match m {

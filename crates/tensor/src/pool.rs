@@ -364,13 +364,29 @@ mod tests {
 
     #[test]
     fn busy_settles_to_zero() {
+        // `busy` is process-wide and sibling tests run scopes of their own
+        // on the same pool, so a single read after `scope` returns can
+        // catch one of their jobs. What is this test's to assert: a job
+        // is counted while it runs, and the count is not left above zero
+        // once work stops — it reads zero at some point, and a leaked
+        // increment would keep it from ever doing so.
+        let lowest_seen = AtomicUsize::new(usize::MAX);
         scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
-                    std::hint::black_box(1u32);
+                    lowest_seen.fetch_min(busy(), Ordering::Relaxed);
                 });
             }
         });
-        assert_eq!(busy(), 0, "no jobs in flight after scope returns");
+        assert!(lowest_seen.load(Ordering::Relaxed) >= 1);
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while busy() != 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "busy stuck at {} with no jobs of this test in flight",
+                busy()
+            );
+            thread::yield_now();
+        }
     }
 }

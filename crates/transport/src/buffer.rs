@@ -7,10 +7,10 @@
 //! asserts the proactive path performs zero where the reactive path
 //! (`pin_memory()` after the fact) performs one per send.
 
-use bytes::{Bytes, BytesMut};
-use parking_lot::Mutex;
+use crate::wire::SharedBytes;
+use genie_telemetry::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Statistics shared by all buffers of a pool.
 #[derive(Debug, Default)]
@@ -30,14 +30,14 @@ pub struct PoolStats {
 /// A pool of reusable, "registered" buffers.
 #[derive(Clone)]
 pub struct PinnedPool {
-    free: Arc<Mutex<Vec<BytesMut>>>,
+    free: Arc<Mutex<Vec<Vec<u8>>>>,
     stats: Arc<PoolStats>,
 }
 
 /// A buffer handed out by the pool. Writing application data directly
 /// into it is the proactive path.
 pub struct PinnedBuf {
-    buf: BytesMut,
+    buf: Vec<u8>,
     pool: PinnedPool,
 }
 
@@ -59,14 +59,14 @@ impl PinnedPool {
     /// recycled buffer when possible.
     pub fn alloc(&self, capacity: usize) -> PinnedBuf {
         self.stats.allocations.fetch_add(1, Ordering::Relaxed);
-        let mut free = self.free.lock();
+        let mut free = lock(&self.free);
         let buf = if let Some(pos) = free.iter().position(|b| b.capacity() >= capacity) {
             self.stats.reuses.fetch_add(1, Ordering::Relaxed);
             let mut b = free.swap_remove(pos);
             b.clear();
             b
         } else {
-            BytesMut::with_capacity(capacity)
+            Vec::with_capacity(capacity)
         };
         PinnedBuf {
             buf,
@@ -74,28 +74,28 @@ impl PinnedPool {
         }
     }
 
-    /// Proactive path: the data already lives in a pool buffer; freezing
-    /// it for the wire is free.
-    pub fn send_proactive(&self, buf: PinnedBuf) -> Bytes {
+    /// Proactive path: the data already lives in a pool buffer; handing
+    /// it to the wire is free.
+    pub fn send_proactive(&self, buf: PinnedBuf) -> SharedBytes {
         self.stats.zero_copy_sends.fetch_add(1, Ordering::Relaxed);
-        buf.buf.freeze()
+        buf.buf.into()
     }
 
     /// Reactive path: data lives in unregistered memory and must be
     /// staged into a registered buffer first — one copy, which the pool
     /// records. This is what `pin_memory()`-after-the-fact costs.
-    pub fn send_reactive(&self, data: &[u8]) -> Bytes {
+    pub fn send_reactive(&self, data: &[u8]) -> SharedBytes {
         self.stats.staging_copies.fetch_add(1, Ordering::Relaxed);
         self.stats
             .staged_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         let mut buf = self.alloc(data.len());
         buf.buf.extend_from_slice(data);
-        buf.buf.freeze()
+        buf.buf.into()
     }
 
-    fn recycle(&self, buf: BytesMut) {
-        self.free.lock().push(buf);
+    fn recycle(&self, buf: Vec<u8>) {
+        lock(&self.free).push(buf);
     }
 }
 
@@ -107,7 +107,7 @@ impl Default for PinnedPool {
 
 impl PinnedBuf {
     /// Writable view of the underlying registered buffer.
-    pub fn bytes_mut(&mut self) -> &mut BytesMut {
+    pub fn bytes_mut(&mut self) -> &mut Vec<u8> {
         &mut self.buf
     }
 
@@ -121,15 +121,16 @@ impl PinnedBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BufMut;
 
     #[test]
     fn proactive_path_performs_no_copies() {
         let pool = PinnedPool::new();
         let mut buf = pool.alloc(1024);
-        buf.bytes_mut().put_slice(&[7u8; 100]); // app writes directly
+        buf.bytes_mut().extend_from_slice(&[7u8; 100]); // app writes directly
+        let written_at = buf.bytes_mut().as_ptr();
         let wire = pool.send_proactive(buf);
         assert_eq!(wire.len(), 100);
+        assert_eq!(wire.as_ptr(), written_at, "the wire reads the pool buffer");
         assert_eq!(pool.stats().staging_copies.load(Ordering::Relaxed), 0);
         assert_eq!(pool.stats().zero_copy_sends.load(Ordering::Relaxed), 1);
     }

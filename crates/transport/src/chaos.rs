@@ -9,7 +9,9 @@
 //! for clients: the work happened, the acknowledgement vanished, and only
 //! request-id deduplication keeps the retry idempotent.
 
-use parking_lot::Mutex;
+use genie_netsim::XorShift64;
+use genie_telemetry::lock;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// What to do with one response.
@@ -70,20 +72,15 @@ impl ChaosPolicy {
 #[derive(Debug)]
 pub struct ChaosState {
     policy: ChaosPolicy,
-    rng: Mutex<u64>,
+    rng: Mutex<XorShift64>,
 }
 
 impl ChaosState {
     /// New state for a policy.
     pub fn new(policy: ChaosPolicy) -> Self {
-        let seed = if policy.seed == 0 {
-            0x9E3779B97F4A7C15
-        } else {
-            policy.seed
-        };
         ChaosState {
+            rng: Mutex::new(XorShift64::new(policy.seed)),
             policy,
-            rng: Mutex::new(seed),
         }
     }
 
@@ -92,15 +89,7 @@ impl ChaosState {
         if self.policy.is_none() {
             return ChaosAction::Deliver;
         }
-        let draw = {
-            let mut s = self.rng.lock();
-            let mut x = *s;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *s = x;
-            (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let draw = lock(&self.rng).next_f64();
         if draw < self.policy.drop_rate {
             ChaosAction::Drop
         } else if draw < self.policy.drop_rate + self.policy.stall_rate {

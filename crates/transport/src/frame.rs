@@ -11,7 +11,7 @@
 //! exchange does not depend on which CPUs the two ends run on.
 
 use crate::error::{Result, TransportError};
-use bytes::Bytes;
+use crate::wire::SharedBytes;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -68,7 +68,7 @@ pub const POLL_BEFORE_PARK: Duration = Duration::from_micros(100);
 /// Read one frame from a socket: poll for up to [`POLL_BEFORE_PARK`], then
 /// [`read_frame`]. The socket is blocking again (timeouts included) before
 /// the read, which reports end of stream and errors as it always did.
-pub fn recv_frame(stream: &mut TcpStream) -> Result<Bytes> {
+pub fn recv_frame(stream: &mut TcpStream) -> Result<SharedBytes> {
     stream.set_nonblocking(true)?;
     let start = Instant::now();
     let mut probe = [0u8; 1];
@@ -82,7 +82,7 @@ pub fn recv_frame(stream: &mut TcpStream) -> Result<Bytes> {
 }
 
 /// Read one frame.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Bytes> {
+pub fn read_frame<R: Read>(r: &mut R) -> Result<SharedBytes> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf) as usize;
@@ -94,7 +94,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Bytes> {
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    Ok(Bytes::from(payload))
+    Ok(payload.into())
 }
 
 #[cfg(test)]

@@ -1,13 +1,16 @@
 //! # genie-transport — real user-space networking
 //!
-//! The functional counterpart of §3.4's datapath: a dependency-light TCP
-//! transport that actually moves Genie's protocol over sockets.
+//! The functional counterpart of §3.4's datapath: a TCP transport on `std`
+//! alone that actually moves Genie's protocol over sockets.
 //!
 //! - [`frame`] — length-prefixed framing with pre-allocation bounds, one
 //!   write per frame and a bounded poll before a socket reader parks;
-//! - [`wire`] / [`message`] — a hand-rolled binary codec; tensor payloads
-//!   are [`bytes::Bytes`] slices referenced zero-copy out of the receive
-//!   buffer, graphs travel as the SRG's portable JSON;
+//! - [`wire`] / [`message`] — a hand-rolled binary codec over `Vec<u8>`
+//!   (write) and [`wire::SharedBytes`] (read): tensor payloads are ranges of the
+//!   receive buffer, never copies; every length or count a peer sends is
+//!   checked against the bytes that are left, in one function, before
+//!   anything is allocated for it; graphs travel as the SRG's portable
+//!   JSON;
 //! - [`client`] / [`server`] — blocking RPC with correlation ids, per-
 //!   connection handler state, traffic counters (the paper's "network
 //!   volume via RPC counters"), and graceful shutdown;

@@ -1,13 +1,17 @@
 //! The Genie remote-execution protocol.
 //!
-//! Requests and responses are framed, hand-encoded messages. Graphs
-//! travel as JSON (the SRG's portable interchange encoding); tensor
-//! payloads travel as raw little-endian bytes referenced zero-copy from
-//! the receive buffer.
+//! A message is an envelope (`u64` id; on requests a trace-context
+//! presence byte and, when it is 1, two `u64`s), a `u8` body tag and the
+//! body's fields in declaration order, every sequence a `u32` count and
+//! its items ([`wire::put_seq`] / [`wire::get_seq`]). Graphs travel as
+//! JSON (the SRG's portable interchange encoding); a tensor is a `u8`
+//! kind, its dims and its raw little-endian element bytes, which decoding
+//! hands out as a range of the received frame, not a copy.
+//! `tests/golden/frames.txt` pins one encoded frame per body variant.
 
 use crate::error::{Result, TransportError};
 use crate::wire;
-use bytes::{Bytes, BytesMut};
+use crate::wire::SharedBytes;
 use genie_telemetry::causal::TraceCtx;
 
 /// Element kind of a tensor payload.
@@ -27,7 +31,7 @@ pub struct TensorPayload {
     /// Element kind.
     pub kind: PayloadKind,
     /// Raw little-endian element bytes.
-    pub data: Bytes,
+    pub data: SharedBytes,
 }
 
 impl TensorPayload {
@@ -54,7 +58,10 @@ impl TensorPayload {
         self.data.len()
     }
 
-    fn encode(&self, buf: &mut BytesMut) -> Result<()> {
+    /// Kind, rank and data length with nothing behind them.
+    const MIN_WIRE_BYTES: usize = 1 + 1 + 4;
+
+    fn encode(&self, buf: &mut Vec<u8>) -> Result<()> {
         wire::put_u8(
             buf,
             match self.kind {
@@ -66,7 +73,7 @@ impl TensorPayload {
         wire::put_bytes(buf, &self.data)
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut SharedBytes) -> Result<Self> {
         let kind = match wire::get_u8(buf)? {
             0 => PayloadKind::F32,
             1 => PayloadKind::I64,
@@ -175,8 +182,8 @@ impl Request {
     /// Encode to a frame payload. Fails with
     /// [`TransportError::Oversize`] on values the wire format cannot
     /// carry (rather than silently truncating them).
-    pub fn encode(&self) -> Result<Bytes> {
-        let mut buf = BytesMut::new();
+    pub fn encode(&self) -> Result<SharedBytes> {
+        let mut buf = Vec::new();
         wire::put_u64(&mut buf, self.id);
         // Trace context rides between the id and the body tag: one
         // presence byte, then (request, parent_span) when present.
@@ -204,26 +211,25 @@ impl Request {
             } => {
                 wire::put_u8(&mut buf, 2);
                 wire::put_str(&mut buf, srg_json)?;
-                wire::put_u32(&mut buf, bindings.len() as u32);
-                for (node, t) in bindings {
-                    wire::put_u32(&mut buf, *node);
-                    t.encode(&mut buf)?;
-                }
-                wire::put_u32(&mut buf, handle_bindings.len() as u32);
-                for (node, key, epoch) in handle_bindings {
-                    wire::put_u32(&mut buf, *node);
-                    wire::put_u64(&mut buf, *key);
-                    wire::put_u64(&mut buf, *epoch);
-                }
-                wire::put_u32(&mut buf, fetch.len() as u32);
-                for n in fetch {
-                    wire::put_u32(&mut buf, *n);
-                }
-                wire::put_u32(&mut buf, pin.len() as u32);
-                for (n, k) in pin {
-                    wire::put_u32(&mut buf, *n);
-                    wire::put_u64(&mut buf, *k);
-                }
+                wire::put_seq(&mut buf, bindings, |buf, (node, tensor)| {
+                    wire::put_u32(buf, *node);
+                    tensor.encode(buf)
+                })?;
+                wire::put_seq(&mut buf, handle_bindings, |buf, &(node, key, epoch)| {
+                    wire::put_u32(buf, node);
+                    wire::put_u64(buf, key);
+                    wire::put_u64(buf, epoch);
+                    Ok(())
+                })?;
+                wire::put_seq(&mut buf, fetch, |buf, &node| {
+                    wire::put_u32(buf, node);
+                    Ok(())
+                })?;
+                wire::put_seq(&mut buf, pin, |buf, &(node, key)| {
+                    wire::put_u32(buf, node);
+                    wire::put_u64(buf, key);
+                    Ok(())
+                })?;
             }
             RequestBody::Fetch { key } => {
                 wire::put_u8(&mut buf, 3);
@@ -235,11 +241,11 @@ impl Request {
             }
             RequestBody::Crash => wire::put_u8(&mut buf, 5),
         }
-        Ok(buf.freeze())
+        Ok(buf.into())
     }
 
     /// Decode from a frame payload.
-    pub fn decode(mut raw: Bytes) -> Result<Self> {
+    pub fn decode(mut raw: SharedBytes) -> Result<Self> {
         let id = wire::get_u64(&mut raw)?;
         let trace = match wire::get_u8(&mut raw)? {
             0 => None,
@@ -260,41 +266,25 @@ impl Request {
                 key: wire::get_u64(&mut raw)?,
                 tensor: TensorPayload::decode(&mut raw)?,
             },
-            2 => {
-                let srg_json = wire::get_str(&mut raw)?;
-                let n = wire::get_u32(&mut raw)? as usize;
-                let mut bindings = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let node = wire::get_u32(&mut raw)?;
-                    bindings.push((node, TensorPayload::decode(&mut raw)?));
-                }
-                let n = wire::get_u32(&mut raw)? as usize;
-                let mut handle_bindings = Vec::with_capacity(n);
-                for _ in 0..n {
-                    handle_bindings.push((
-                        wire::get_u32(&mut raw)?,
-                        wire::get_u64(&mut raw)?,
-                        wire::get_u64(&mut raw)?,
-                    ));
-                }
-                let n = wire::get_u32(&mut raw)? as usize;
-                let mut fetch = Vec::with_capacity(n);
-                for _ in 0..n {
-                    fetch.push(wire::get_u32(&mut raw)?);
-                }
-                let n = wire::get_u32(&mut raw)? as usize;
-                let mut pin = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pin.push((wire::get_u32(&mut raw)?, wire::get_u64(&mut raw)?));
-                }
-                RequestBody::Execute {
-                    srg_json,
-                    bindings,
-                    handle_bindings,
-                    fetch,
-                    pin,
-                }
-            }
+            // Fields are read in the order they are written here, which
+            // is the order they travel in.
+            2 => RequestBody::Execute {
+                srg_json: wire::get_str(&mut raw)?,
+                bindings: wire::get_seq(&mut raw, 4 + TensorPayload::MIN_WIRE_BYTES, |raw| {
+                    Ok((wire::get_u32(raw)?, TensorPayload::decode(raw)?))
+                })?,
+                handle_bindings: wire::get_seq(&mut raw, 4 + 8 + 8, |raw| {
+                    Ok((
+                        wire::get_u32(raw)?,
+                        wire::get_u64(raw)?,
+                        wire::get_u64(raw)?,
+                    ))
+                })?,
+                fetch: wire::get_seq(&mut raw, 4, wire::get_u32)?,
+                pin: wire::get_seq(&mut raw, 4 + 8, |raw| {
+                    Ok((wire::get_u32(raw)?, wire::get_u64(raw)?))
+                })?,
+            },
             3 => RequestBody::Fetch {
                 key: wire::get_u64(&mut raw)?,
             },
@@ -312,8 +302,8 @@ impl Response {
     /// Encode to a frame payload. Fails with
     /// [`TransportError::Oversize`] on values the wire format cannot
     /// carry (rather than silently truncating them).
-    pub fn encode(&self) -> Result<Bytes> {
-        let mut buf = BytesMut::new();
+    pub fn encode(&self) -> Result<SharedBytes> {
+        let mut buf = Vec::new();
         wire::put_u64(&mut buf, self.id);
         match &self.body {
             ResponseBody::Pong => wire::put_u8(&mut buf, 0),
@@ -323,12 +313,9 @@ impl Response {
                 wire::put_u64(&mut buf, *key);
                 wire::put_u64(&mut buf, *epoch);
             }
-            ResponseBody::Tensors(ts) => {
+            ResponseBody::Tensors(tensors) => {
                 wire::put_u8(&mut buf, 3);
-                wire::put_u32(&mut buf, ts.len() as u32);
-                for t in ts {
-                    t.encode(&mut buf)?;
-                }
+                wire::put_seq(&mut buf, tensors, |buf, t| t.encode(buf))?;
             }
             ResponseBody::Error(msg) => {
                 wire::put_u8(&mut buf, 4);
@@ -336,22 +323,19 @@ impl Response {
             }
             ResponseBody::ExecuteResult { tensors, handles } => {
                 wire::put_u8(&mut buf, 5);
-                wire::put_u32(&mut buf, tensors.len() as u32);
-                for t in tensors {
-                    t.encode(&mut buf)?;
-                }
-                wire::put_u32(&mut buf, handles.len() as u32);
-                for (k, e) in handles {
-                    wire::put_u64(&mut buf, *k);
-                    wire::put_u64(&mut buf, *e);
-                }
+                wire::put_seq(&mut buf, tensors, |buf, t| t.encode(buf))?;
+                wire::put_seq(&mut buf, handles, |buf, &(key, epoch)| {
+                    wire::put_u64(buf, key);
+                    wire::put_u64(buf, epoch);
+                    Ok(())
+                })?;
             }
         }
-        Ok(buf.freeze())
+        Ok(buf.into())
     }
 
     /// Decode from a frame payload.
-    pub fn decode(mut raw: Bytes) -> Result<Self> {
+    pub fn decode(mut raw: SharedBytes) -> Result<Self> {
         let id = wire::get_u64(&mut raw)?;
         let tag = wire::get_u8(&mut raw)?;
         let body = match tag {
@@ -361,28 +345,22 @@ impl Response {
                 key: wire::get_u64(&mut raw)?,
                 epoch: wire::get_u64(&mut raw)?,
             },
-            3 => {
-                let n = wire::get_u32(&mut raw)? as usize;
-                let mut ts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ts.push(TensorPayload::decode(&mut raw)?);
-                }
-                ResponseBody::Tensors(ts)
-            }
+            3 => ResponseBody::Tensors(wire::get_seq(
+                &mut raw,
+                TensorPayload::MIN_WIRE_BYTES,
+                TensorPayload::decode,
+            )?),
             4 => ResponseBody::Error(wire::get_str(&mut raw)?),
-            5 => {
-                let n = wire::get_u32(&mut raw)? as usize;
-                let mut tensors = Vec::with_capacity(n);
-                for _ in 0..n {
-                    tensors.push(TensorPayload::decode(&mut raw)?);
-                }
-                let n = wire::get_u32(&mut raw)? as usize;
-                let mut handles = Vec::with_capacity(n);
-                for _ in 0..n {
-                    handles.push((wire::get_u64(&mut raw)?, wire::get_u64(&mut raw)?));
-                }
-                ResponseBody::ExecuteResult { tensors, handles }
-            }
+            5 => ResponseBody::ExecuteResult {
+                tensors: wire::get_seq(
+                    &mut raw,
+                    TensorPayload::MIN_WIRE_BYTES,
+                    TensorPayload::decode,
+                )?,
+                handles: wire::get_seq(&mut raw, 8 + 8, |raw| {
+                    Ok((wire::get_u64(raw)?, wire::get_u64(raw)?))
+                })?,
+            },
             other => return Err(TransportError::Codec(format!("bad response tag {other}"))),
         };
         Ok(Response { id, body })
@@ -469,7 +447,7 @@ mod tests {
                 tensor: TensorPayload {
                     dims: vec![1; 300],
                     kind: PayloadKind::F32,
-                    data: Bytes::new(),
+                    data: Vec::new().into(),
                 },
             },
         };
@@ -488,11 +466,11 @@ mod tests {
 
     #[test]
     fn garbage_rejected() {
-        assert!(Request::decode(Bytes::from_static(&[1, 2, 3])).is_err());
-        let mut buf = BytesMut::new();
+        assert!(Request::decode(vec![1, 2, 3].into()).is_err());
+        let mut buf = Vec::new();
         wire::put_u64(&mut buf, 1);
         wire::put_u8(&mut buf, 250); // bad tag
-        assert!(Request::decode(buf.freeze()).is_err());
+        assert!(Request::decode(buf.into()).is_err());
     }
 
     #[test]

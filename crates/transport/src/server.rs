@@ -22,11 +22,12 @@ use crate::chaos::{ChaosAction, ChaosPolicy, ChaosState};
 use crate::error::Result;
 use crate::frame::{recv_frame, write_frame};
 use crate::message::{Request, RequestBody, Response, ResponseBody};
-use parking_lot::Mutex;
+use crate::wire::SharedBytes;
+use genie_telemetry::lock;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Application logic plugged into the server. One handler instance exists
@@ -53,16 +54,16 @@ const DEDUP_CAPACITY: usize = 1024;
 /// connections so a retry over a fresh socket still hits the cache.
 #[derive(Debug, Default)]
 struct DedupCache {
-    by_id: HashMap<u64, Vec<u8>>,
+    by_id: HashMap<u64, SharedBytes>,
     order: VecDeque<u64>,
 }
 
 impl DedupCache {
-    fn get(&self, id: u64) -> Option<Vec<u8>> {
+    fn get(&self, id: u64) -> Option<SharedBytes> {
         self.by_id.get(&id).cloned()
     }
 
-    fn insert(&mut self, id: u64, payload: Vec<u8>) {
+    fn insert(&mut self, id: u64, payload: SharedBytes) {
         if self.by_id.insert(id, payload).is_none() {
             self.order.push_back(id);
             while self.order.len() > DEDUP_CAPACITY {
@@ -125,10 +126,10 @@ impl Server {
                     if stop2.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
+                    let Ok(mut stream) = stream else { continue };
                     // Keep a handle so shutdown can unblock the reader.
                     if let Ok(clone) = stream.try_clone() {
-                        conns2.lock().push(clone);
+                        lock(&conns2).push(clone);
                     }
                     let mut handler = factory();
                     let dedup = dedup.clone();
@@ -138,11 +139,16 @@ impl Server {
                             .name("genie-conn".into())
                             .spawn(move || {
                                 let _ = serve_connection(
-                                    stream,
+                                    &mut stream,
                                     &mut handler,
                                     &dedup,
                                     chaos.as_deref(),
                                 );
+                                // `conns` holds a clone of the socket, so
+                                // dropping this one closes nothing: hang up,
+                                // or a peer whose frame was refused waits
+                                // out its whole deadline for a reply.
+                                let _ = stream.shutdown(std::net::Shutdown::Both);
                             });
                     match spawned {
                         Ok(t) => conn_threads.push(t),
@@ -180,7 +186,7 @@ impl Server {
         // Unblock accept() with a wake-up connection.
         let _ = TcpStream::connect(self.addr);
         // Unblock per-connection readers parked on live client sockets.
-        for stream in self.conns.lock().drain(..) {
+        for stream in lock(&self.conns).drain(..) {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
         if let Some(t) = self.accept_thread.take() {
@@ -196,7 +202,7 @@ impl Drop for Server {
 }
 
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     handler: &mut dyn Handler,
     dedup: &Mutex<DedupCache>,
     chaos: Option<&ChaosState>,
@@ -204,7 +210,7 @@ fn serve_connection(
     let telemetry = genie_telemetry::global();
     stream.set_nodelay(true)?;
     loop {
-        let frame = match recv_frame(&mut stream) {
+        let frame = match recv_frame(stream) {
             Ok(f) => f,
             Err(crate::error::TransportError::ConnectionClosed) => return Ok(()),
             Err(e) => {
@@ -229,7 +235,7 @@ fn serve_connection(
         // cache guard is released before the miss arm re-locks to
         // insert (a match scrutinee's temporaries live for the whole
         // match, which would self-deadlock).
-        let cached = dedup.lock().get(request.id);
+        let cached = lock(dedup).get(request.id);
         let payload = match cached {
             Some(cached) => {
                 telemetry
@@ -259,8 +265,9 @@ fn serve_connection(
                     id: request.id,
                     body,
                 };
-                let payload = response.encode()?.to_vec();
-                dedup.lock().insert(request.id, payload.clone());
+                // The cache and the socket write share the one encoded copy.
+                let payload = response.encode()?;
+                lock(dedup).insert(request.id, payload.clone());
                 payload
             }
         };
@@ -281,7 +288,6 @@ fn serve_connection(
                         .metrics
                         .counter("genie_chaos_injected_total", &[("kind", "drop")])
                         .inc();
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
                     return Ok(());
                 }
             }
@@ -297,7 +303,7 @@ fn serve_connection(
             .metrics
             .counter("genie_transport_calls_total", &[("role", "server")])
             .inc();
-        write_frame(&mut stream, &payload)?;
+        write_frame(stream, &payload)?;
     }
 }
 
@@ -388,7 +394,7 @@ mod tests {
     fn dedup_cache_is_bounded() {
         let mut cache = DedupCache::default();
         for id in 0..(DEDUP_CAPACITY as u64 + 10) {
-            cache.insert(id, vec![0u8]);
+            cache.insert(id, vec![0u8].into());
         }
         assert_eq!(cache.by_id.len(), DEDUP_CAPACITY);
         assert!(cache.get(0).is_none(), "oldest entries evicted");
@@ -415,7 +421,7 @@ mod tests {
         let mut server = Server::spawn(move || {
             let seen = seen2.clone();
             move |_body: RequestBody| {
-                *seen.lock() = causal::current();
+                *seen.lock().unwrap() = causal::current();
                 ResponseBody::Pong
             }
         })
@@ -427,7 +433,7 @@ mod tests {
         };
         let _guard = causal::with_ctx(ctx);
         assert_eq!(client.call(RequestBody::Ping).unwrap(), ResponseBody::Pong);
-        assert_eq!(*seen.lock(), Some(ctx));
+        assert_eq!(*seen.lock().unwrap(), Some(ctx));
         server.shutdown();
     }
 

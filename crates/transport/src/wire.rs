@@ -1,159 +1,255 @@
-//! Hand-rolled binary codec primitives.
+//! Binary codec primitives and the byte handle they read from.
 //!
-//! The payload path avoids generic serialization: tensor bytes travel as
-//! [`Bytes`] slices that are never re-encoded, so a payload copied into a
-//! pinned buffer at creation time reaches the socket without intermediate
-//! copies (the software half of §3.4's zero-copy story).
+//! Integers are big-endian; byte strings, strings and sequences carry a
+//! `u32` length or count in front, tensor dims a `u8` rank. Writing appends
+//! to a plain `Vec<u8>`. Reading consumes a [`SharedBytes`], so a byte
+//! string comes back as a range of the frame it arrived in: tensor bytes
+//! are never re-encoded or copied on their way in (the software half of
+//! §3.4's zero-copy story). Every length or count is the peer's word, and
+//! [`ensure`] checks it against the bytes left before anything is sized by
+//! it.
 
 use crate::error::{Result, TransportError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// A cheaply cloneable range of an immutable buffer that any number of
+/// handles share: a received frame, the tensor payloads decoded out of it,
+/// a response the server's dedup cache keeps while the socket writes it.
+/// Equality and `Debug` are those of the bytes in range.
+#[derive(Clone)]
+pub struct SharedBytes {
+    // `Arc<[u8]>: From<Vec<u8>>` would reallocate and copy; this moves.
+    buf: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
+
+impl SharedBytes {
+    /// Split off and return the first `at` bytes; `self` keeps the rest and
+    /// both share the buffer. Panics when `at > self.len()`.
+    pub fn split_to(&mut self, at: usize) -> SharedBytes {
+        assert!(at <= self.len(), "split_to {at} of {} bytes", self.len());
+        let head = SharedBytes {
+            buf: Arc::clone(&self.buf),
+            start: self.start,
+            end: self.start + at,
+        };
+        self.start += at;
+        head
+    }
+}
+
+impl Deref for SharedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+impl From<Vec<u8>> for SharedBytes {
+    /// Takes the vector over; nothing is copied.
+    fn from(buf: Vec<u8>) -> Self {
+        SharedBytes {
+            start: 0,
+            end: buf.len(),
+            buf: Arc::new(buf),
+        }
+    }
+}
+
+impl PartialEq for SharedBytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for SharedBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// Append a u8.
-pub fn put_u8(buf: &mut BytesMut, v: u8) {
-    buf.put_u8(v);
+pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
+    buf.push(v);
 }
 
 /// Append a u32 (big-endian).
-pub fn put_u32(buf: &mut BytesMut, v: u32) {
-    buf.put_u32(v);
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_be_bytes());
 }
 
 /// Append a u64 (big-endian).
-pub fn put_u64(buf: &mut BytesMut, v: u64) {
-    buf.put_u64(v);
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_be_bytes());
 }
 
-/// Append a length-prefixed byte string. Fails with
-/// [`TransportError::Oversize`] when the length exceeds the `u32` prefix
-/// (an `as u32` here would silently truncate payloads over 4 GiB and
-/// corrupt the stream).
-pub fn put_bytes(buf: &mut BytesMut, v: &[u8]) -> Result<()> {
-    let len = u32::try_from(v.len()).map_err(|_| TransportError::Oversize {
-        what: "payload length",
-        value: v.len() as u64,
-        max: u32::MAX as u64,
-    })?;
-    buf.put_u32(len);
-    buf.put_slice(v);
+/// `value` as the narrower integer the wire carries it in, or
+/// [`TransportError::Oversize`]: an `as` cast would silently truncate (a
+/// payload over 4 GiB, a rank over 255) and corrupt the stream.
+fn narrow<T: TryFrom<usize>>(what: &'static str, value: usize, max: u64) -> Result<T> {
+    T::try_from(value).map_err(|_| TransportError::Oversize {
+        what,
+        value: value as u64,
+        max,
+    })
+}
+
+/// Append a length-prefixed byte string.
+pub fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) -> Result<()> {
+    put_u32(buf, narrow("payload length", v.len(), u32::MAX as u64)?);
+    buf.extend_from_slice(v);
     Ok(())
 }
 
 /// Append a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut BytesMut, v: &str) -> Result<()> {
+pub fn put_str(buf: &mut Vec<u8>, v: &str) -> Result<()> {
     put_bytes(buf, v.as_bytes())
 }
 
+/// Append a count-prefixed sequence, each item written by `put`.
+pub fn put_seq<T>(
+    buf: &mut Vec<u8>,
+    items: &[T],
+    mut put: impl FnMut(&mut Vec<u8>, &T) -> Result<()>,
+) -> Result<()> {
+    put_u32(
+        buf,
+        narrow("sequence length", items.len(), u32::MAX as u64)?,
+    );
+    items.iter().try_for_each(|item| put(buf, item))
+}
+
 /// Append a list of u32 dims (rank ≤ 255, each dim ≤ `u32::MAX`).
-pub fn put_dims(buf: &mut BytesMut, dims: &[usize]) -> Result<()> {
-    let rank = u8::try_from(dims.len()).map_err(|_| TransportError::Oversize {
-        what: "tensor rank",
-        value: dims.len() as u64,
-        max: u8::MAX as u64,
-    })?;
-    buf.put_u8(rank);
-    for &d in dims {
-        let dim = u32::try_from(d).map_err(|_| TransportError::Oversize {
-            what: "tensor dimension",
-            value: d as u64,
-            max: u32::MAX as u64,
-        })?;
-        buf.put_u32(dim);
+pub fn put_dims(buf: &mut Vec<u8>, dims: &[usize]) -> Result<()> {
+    put_u8(buf, narrow("tensor rank", dims.len(), u8::MAX as u64)?);
+    for &dim in dims {
+        put_u32(buf, narrow("tensor dimension", dim, u32::MAX as u64)?);
     }
     Ok(())
 }
 
+/// The one place a length or count read from the peer is believed: `count`
+/// items of at least `each` bytes must fit in what is left of `buf`.
+/// Callers allocate only after this has passed, so what a frame can make
+/// its reader allocate is bounded by the frame's own size.
+fn ensure(buf: &SharedBytes, count: usize, each: usize) -> Result<()> {
+    match count.checked_mul(each) {
+        Some(need) if need <= buf.len() => Ok(()),
+        _ => Err(TransportError::Codec(format!(
+            "need {count} x {each} bytes, have {}",
+            buf.len()
+        ))),
+    }
+}
+
+fn take<const N: usize>(buf: &mut SharedBytes) -> Result<[u8; N]> {
+    ensure(buf, 1, N)?;
+    let mut head = [0u8; N];
+    head.copy_from_slice(&buf[..N]);
+    buf.start += N;
+    Ok(head)
+}
+
 /// Read a u8.
-pub fn get_u8(buf: &mut Bytes) -> Result<u8> {
-    ensure(buf, 1)?;
-    Ok(buf.get_u8())
+pub fn get_u8(buf: &mut SharedBytes) -> Result<u8> {
+    Ok(u8::from_be_bytes(take(buf)?))
 }
 
 /// Read a u32.
-pub fn get_u32(buf: &mut Bytes) -> Result<u32> {
-    ensure(buf, 4)?;
-    Ok(buf.get_u32())
+pub fn get_u32(buf: &mut SharedBytes) -> Result<u32> {
+    Ok(u32::from_be_bytes(take(buf)?))
 }
 
 /// Read a u64.
-pub fn get_u64(buf: &mut Bytes) -> Result<u64> {
-    ensure(buf, 8)?;
-    Ok(buf.get_u64())
+pub fn get_u64(buf: &mut SharedBytes) -> Result<u64> {
+    Ok(u64::from_be_bytes(take(buf)?))
 }
 
-/// Read a length-prefixed byte string (zero-copy slice of the input).
-pub fn get_bytes(buf: &mut Bytes) -> Result<Bytes> {
+/// Read a length-prefixed byte string (a range of the input, not a copy).
+pub fn get_bytes(buf: &mut SharedBytes) -> Result<SharedBytes> {
     let len = get_u32(buf)? as usize;
-    ensure(buf, len)?;
+    ensure(buf, len, 1)?;
     Ok(buf.split_to(len))
 }
 
 /// Read a length-prefixed UTF-8 string.
-pub fn get_str(buf: &mut Bytes) -> Result<String> {
+pub fn get_str(buf: &mut SharedBytes) -> Result<String> {
     let raw = get_bytes(buf)?;
     String::from_utf8(raw.to_vec()).map_err(|e| TransportError::Codec(e.to_string()))
 }
 
-/// Read dims.
-pub fn get_dims(buf: &mut Bytes) -> Result<Vec<usize>> {
-    let rank = get_u8(buf)? as usize;
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(get_u32(buf)? as usize);
+/// Read `count` items, each by `get` and each at least `min_bytes` long on
+/// the wire: a count the remaining bytes cannot hold even at that size is
+/// refused before the vector is allocated.
+fn get_items<T>(
+    buf: &mut SharedBytes,
+    count: usize,
+    min_bytes: usize,
+    mut get: impl FnMut(&mut SharedBytes) -> Result<T>,
+) -> Result<Vec<T>> {
+    ensure(buf, count, min_bytes)?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(get(buf)?);
     }
-    Ok(dims)
+    Ok(items)
 }
 
-fn ensure(buf: &Bytes, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        Err(TransportError::Codec(format!(
-            "need {n} bytes, have {}",
-            buf.remaining()
-        )))
-    } else {
-        Ok(())
-    }
+/// Read a count-prefixed sequence of items at least `min_bytes` long each,
+/// each read by `get`.
+pub fn get_seq<T>(
+    buf: &mut SharedBytes,
+    min_bytes: usize,
+    get: impl FnMut(&mut SharedBytes) -> Result<T>,
+) -> Result<Vec<T>> {
+    let count = get_u32(buf)? as usize;
+    get_items(buf, count, min_bytes, get)
+}
+
+/// Read dims.
+pub fn get_dims(buf: &mut SharedBytes) -> Result<Vec<usize>> {
+    let rank = get_u8(buf)? as usize;
+    get_items(buf, rank, 4, |buf| Ok(get_u32(buf)? as usize))
 }
 
 /// Encode an f32 slice as little-endian bytes.
-pub fn f32s_to_bytes(data: &[f32]) -> Bytes {
-    let mut out = BytesMut::with_capacity(data.len() * 4);
+pub fn f32s_to_bytes(data: &[f32]) -> SharedBytes {
+    let mut out = Vec::with_capacity(data.len() * 4);
     for &v in data {
-        out.put_f32_le(v);
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    out.freeze()
+    out.into()
 }
 
 /// Decode little-endian f32 bytes.
-pub fn bytes_to_f32s(mut raw: Bytes) -> Result<Vec<f32>> {
-    if !raw.len().is_multiple_of(4) {
+pub fn bytes_to_f32s(raw: &[u8]) -> Result<Vec<f32>> {
+    let (elems, rest) = raw.as_chunks::<4>();
+    if !rest.is_empty() {
         return Err(TransportError::Codec("f32 payload not 4-aligned".into()));
     }
-    let mut out = Vec::with_capacity(raw.len() / 4);
-    while raw.has_remaining() {
-        out.push(raw.get_f32_le());
-    }
-    Ok(out)
+    Ok(elems.iter().map(|&e| f32::from_le_bytes(e)).collect())
 }
 
 /// Encode an i64 slice as little-endian bytes.
-pub fn i64s_to_bytes(data: &[i64]) -> Bytes {
-    let mut out = BytesMut::with_capacity(data.len() * 8);
+pub fn i64s_to_bytes(data: &[i64]) -> SharedBytes {
+    let mut out = Vec::with_capacity(data.len() * 8);
     for &v in data {
-        out.put_i64_le(v);
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    out.freeze()
+    out.into()
 }
 
 /// Decode little-endian i64 bytes.
-pub fn bytes_to_i64s(mut raw: Bytes) -> Result<Vec<i64>> {
-    if !raw.len().is_multiple_of(8) {
+pub fn bytes_to_i64s(raw: &[u8]) -> Result<Vec<i64>> {
+    let (elems, rest) = raw.as_chunks::<8>();
+    if !rest.is_empty() {
         return Err(TransportError::Codec("i64 payload not 8-aligned".into()));
     }
-    let mut out = Vec::with_capacity(raw.len() / 8);
-    while raw.has_remaining() {
-        out.push(raw.get_i64_le());
-    }
-    Ok(out)
+    Ok(elems.iter().map(|&e| i64::from_le_bytes(e)).collect())
 }
 
 #[cfg(test)]
@@ -162,13 +258,13 @@ mod tests {
 
     #[test]
     fn scalar_roundtrips() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_u8(&mut buf, 7);
         put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, u64::MAX);
         put_str(&mut buf, "genie").unwrap();
         put_dims(&mut buf, &[2, 3, 4]).unwrap();
-        let mut raw = buf.freeze();
+        let mut raw = SharedBytes::from(buf);
         assert_eq!(get_u8(&mut raw).unwrap(), 7);
         assert_eq!(get_u32(&mut raw).unwrap(), 0xDEAD_BEEF);
         assert_eq!(get_u64(&mut raw).unwrap(), u64::MAX);
@@ -179,13 +275,13 @@ mod tests {
 
     #[test]
     fn short_buffer_errors() {
-        let mut raw = Bytes::from_static(&[0, 0]);
+        let mut raw = SharedBytes::from(vec![0, 0]);
         assert!(get_u32(&mut raw).is_err());
     }
 
     #[test]
     fn oversize_rank_refused_not_truncated() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let dims = vec![1usize; 300];
         let err = put_dims(&mut buf, &dims).unwrap_err();
         assert!(
@@ -208,7 +304,7 @@ mod tests {
         if usize::BITS < 64 {
             return; // dims above u32::MAX are unrepresentable on 32-bit
         }
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let too_big = u32::MAX as usize + 1;
         let err = put_dims(&mut buf, &[2, too_big]).unwrap_err();
         assert!(
@@ -225,32 +321,63 @@ mod tests {
 
     #[test]
     fn bytes_are_zero_copy_slices() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_bytes(&mut buf, &[1, 2, 3]).unwrap();
-        let frozen = buf.freeze();
-        let mut view = frozen.clone();
-        let payload = get_bytes(&mut view).unwrap();
-        // Same backing allocation: slice_ref succeeds.
+        let frame = SharedBytes::from(buf);
+        let payload = get_bytes(&mut frame.clone()).unwrap();
         assert_eq!(&payload[..], &[1, 2, 3]);
+        // A range of the frame's own allocation, past the 4-byte prefix.
+        assert_eq!(payload.as_ptr(), frame[4..].as_ptr());
     }
 
     #[test]
     fn f32_payload_roundtrip() {
         let data = vec![1.5f32, -2.25, 0.0, f32::MAX];
         let raw = f32s_to_bytes(&data);
-        assert_eq!(bytes_to_f32s(raw).unwrap(), data);
+        assert_eq!(bytes_to_f32s(&raw).unwrap(), data);
     }
 
     #[test]
     fn i64_payload_roundtrip() {
         let data = vec![i64::MIN, -1, 0, 42, i64::MAX];
         let raw = i64s_to_bytes(&data);
-        assert_eq!(bytes_to_i64s(raw).unwrap(), data);
+        assert_eq!(bytes_to_i64s(&raw).unwrap(), data);
     }
 
     #[test]
     fn misaligned_payloads_rejected() {
-        assert!(bytes_to_f32s(Bytes::from_static(&[0u8; 3])).is_err());
-        assert!(bytes_to_i64s(Bytes::from_static(&[0u8; 7])).is_err());
+        assert!(bytes_to_f32s(&[0u8; 3]).is_err());
+        assert!(bytes_to_i64s(&[0u8; 7]).is_err());
+    }
+
+    #[test]
+    fn handles_share_the_buffer_they_came_from() {
+        let buf: Vec<u8> = (0..10).collect();
+        let base = buf.as_ptr();
+        let mut rest = SharedBytes::from(buf);
+        // Taken over, not copied.
+        assert_eq!(rest.as_ptr(), base);
+        let head = rest.split_to(4);
+        let copy = rest.clone();
+        assert_eq!(&head[..], &[0, 1, 2, 3]);
+        assert_eq!(&rest[..], &[4, 5, 6, 7, 8, 9]);
+        assert_eq!(head.as_ptr(), base);
+        assert_eq!(rest.as_ptr(), base.wrapping_add(4));
+        assert_eq!(copy.as_ptr(), rest.as_ptr());
+    }
+
+    #[test]
+    fn handle_equality_and_debug_are_by_content() {
+        let mut a = SharedBytes::from(vec![9, 1, 2]);
+        a.split_to(1);
+        assert_eq!(a, SharedBytes::from(vec![1, 2]));
+        assert_ne!(a, SharedBytes::from(vec![]));
+        assert_eq!(format!("{a:?}"), "[1, 2]");
+    }
+
+    #[test]
+    #[should_panic(expected = "split_to 5 of 4 bytes")]
+    fn splitting_past_the_end_is_refused() {
+        SharedBytes::from(vec![0; 4]).split_to(5);
     }
 }
