@@ -2,8 +2,8 @@
 //! deterministic [`Report`] the passes accumulate into.
 
 use genie_cluster::DevId;
-use genie_srg::{EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
+use genie_srg::json::Value;
+use genie_srg::{json_object, EdgeId, NodeId};
 use std::fmt;
 
 /// Every lint the engine knows, numbered like compiler diagnostics:
@@ -226,7 +226,7 @@ impl LintCode {
 
 /// A family of lint passes, switchable as a unit via
 /// [`LintConfig::disable_family`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LintFamily {
     /// `GA0xx` — SRG-level semantic checks (capture-time gate).
     Graph,
@@ -276,24 +276,8 @@ impl fmt::Display for LintCode {
     }
 }
 
-impl Serialize for LintCode {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(self.code())
-    }
-}
-
-impl<'de> Deserialize<'de> for LintCode {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(d)?;
-        LintCode::parse(&s)
-            .ok_or_else(|| serde::de::Error::custom(format!("unknown lint code {s}")))
-    }
-}
-
 /// How a diagnostic is treated.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Severity {
     /// Informational; never blocks anything.
     Info,
@@ -322,7 +306,7 @@ impl fmt::Display for Severity {
 }
 
 /// What a diagnostic points at.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Anchor {
     /// The graph as a whole.
     Graph,
@@ -346,7 +330,7 @@ impl fmt::Display for Anchor {
 }
 
 /// One finding: a code, its effective severity, where, and why.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Which lint fired.
     pub code: LintCode,
@@ -370,14 +354,12 @@ impl fmt::Display for Diagnostic {
 
 /// Per-graph lint policy: severity overrides, outright suppression, and
 /// whole-pass-family selection — all from one builder.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LintConfig {
     overrides: std::collections::BTreeMap<String, Severity>,
     allowed: std::collections::BTreeSet<String>,
     /// Families (by [`LintFamily::key`]) whose diagnostics are dropped
-    /// wholesale. `serde(default)` keeps configs serialized before this
-    /// field existed deserializable.
-    #[serde(default)]
+    /// wholesale.
     disabled_families: std::collections::BTreeSet<String>,
 }
 
@@ -448,7 +430,7 @@ impl LintConfig {
 
 /// The outcome of a lint run over one graph or plan: diagnostics in a
 /// deterministic order plus enough context to render them.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Report {
     /// Name of the graph or plan that was linted.
     pub subject: String,
@@ -562,9 +544,28 @@ impl Report {
         out
     }
 
-    /// The machine-readable form written by `lint_report`.
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::to_value(self).expect("report serializes")
+    /// The machine-readable form written by `lint_report`: codes as
+    /// their `GAnnn` strings, severities and anchor kinds by variant name
+    /// (`"Deny"`, `"Graph"`, `{"Node":3}`).
+    pub fn to_json(&self) -> Value {
+        let diagnostic = |d: &Diagnostic| {
+            let anchor = |kind: &str, id: u32| Value::Object(vec![(kind.into(), id.into())]);
+            json_object! {
+                "code": d.code.code(),
+                "severity": format!("{:?}", d.severity),
+                "anchor": match d.anchor {
+                    Anchor::Graph => "Graph".into(),
+                    Anchor::Node(n) => anchor("Node", n.0),
+                    Anchor::Edge(e) => anchor("Edge", e.0),
+                    Anchor::Device(d) => anchor("Device", d.0),
+                },
+                "message": d.message.as_str(),
+            }
+        };
+        json_object! {
+            "subject": self.subject.as_str(),
+            "diagnostics": self.diagnostics.iter().map(diagnostic).collect::<Vec<_>>(),
+        }
     }
 
     /// Bump the `genie_lint_findings_total{code}` counter once per
@@ -722,24 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn config_serde_roundtrip_with_families() {
-        let cfg = LintConfig::new()
-            .disable_family(LintFamily::Precision)
-            .with_severity(LintCode::TransferOrderHazard, Severity::Warn)
-            .allow(LintCode::AnnotationGap);
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: LintConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, cfg);
-        assert!(back.is_family_disabled(LintFamily::Precision));
-        assert_eq!(back.severity(LintCode::TransferOrderHazard), Severity::Warn);
-
-        // Configs serialized before the family field existed still load.
-        let legacy = r#"{"overrides":{},"allowed":[]}"#;
-        let back: LintConfig = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back, LintConfig::new());
-    }
-
-    #[test]
     fn push_capped_never_exceeds_cap() {
         let cfg = LintConfig::new();
         let mut r = Report::new("g");
@@ -755,7 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn report_json_roundtrip() {
+    fn report_json_spells_codes_severities_and_anchors() {
         let cfg = LintConfig::new();
         let mut r = Report::new("g");
         r.push(
@@ -764,9 +747,10 @@ mod tests {
             Anchor::Device(DevId(2)),
             "needs 10 B, free 5 B".into(),
         );
-        let json = r.to_json();
-        assert_eq!(json["diagnostics"][0]["code"], "GA101");
-        let back: Report = serde_json::from_value(json).unwrap();
-        assert_eq!(back, r);
+        r.push(&cfg, LintCode::AnnotationGap, Anchor::Graph, "gap".into());
+        assert_eq!(
+            r.to_json().to_string(),
+            r#"{"subject":"g","diagnostics":[{"code":"GA101","severity":"Deny","anchor":{"Device":2},"message":"needs 10 B, free 5 B"},{"code":"GA008","severity":"Info","anchor":"Graph","message":"gap"}]}"#
+        );
     }
 }

@@ -99,10 +99,15 @@ impl GenieExecutor {
         fetch: Vec<u32>,
         pin: Vec<(u32, u64)>,
     ) -> ResponseBody {
+        // The graph is a peer's: parsed defensively, then held to every
+        // structural invariant the interpreter indexes by.
         let srg = match genie_srg::serialize::from_json(srg_json) {
             Ok(g) => g,
             Err(e) => return ResponseBody::Error(format!("bad graph: {e}")),
         };
+        if let Err(e) = srg.validate_all() {
+            return ResponseBody::Error(format!("bad graph: {e}"));
+        }
         let mut values: HashMap<NodeId, Value> = HashMap::new();
         for (node, payload) in &bindings {
             match payload_to_value(payload) {
@@ -128,9 +133,24 @@ impl GenieExecutor {
                 }
             }
         }
-        let all = match genie_frontend::interp::execute(&srg, &values) {
-            Ok(v) => v,
-            Err(e) => return ResponseBody::Error(format!("execution failed: {e}")),
+        // What validation cannot see — a binding whose kind or dims the
+        // kernels refuse — still panics inside them. That is this request's
+        // failure, not the connection's: nothing is locked here and the
+        // store has not been touched yet.
+        let run = || genie_frontend::interp::execute(&srg, &values);
+        let all = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+            Ok(Ok(v)) => v,
+            Ok(Err(e)) => return ResponseBody::Error(format!("execution failed: {e}")),
+            Err(panic) => {
+                genie_telemetry::global()
+                    .metrics
+                    .counter("genie_remote_execute_panics_total", &[])
+                    .inc();
+                // `assert_eq!` and friends format their message.
+                let why = panic.downcast_ref::<String>();
+                let why = why.map_or("a kernel panicked", String::as_str);
+                return ResponseBody::Error(format!("execution failed: {why}"));
+            }
         };
         let mut tensors = Vec::with_capacity(fetch.len());
         for node in &fetch {
@@ -474,6 +494,116 @@ mod tests {
         p.dims = vec![1 << 16; 4];
         p.data = TensorPayload::from_f32(vec![0], &[]).data;
         assert!(payload_to_value(&p).is_err());
+    }
+
+    /// Everything a peer can put in an `Execute` — text that is not JSON,
+    /// JSON that is not a graph, a graph that is not well-formed, a
+    /// well-formed graph the interpreter or a kernel cannot run — comes
+    /// back as `Error`, and the executor answers the next request.
+    #[test]
+    fn hostile_graphs_are_refused_and_the_executor_lives_on() {
+        use genie_srg::{Node, OpKind, Srg, TensorMeta};
+        let exec = GenieExecutor::new();
+        let execute = |srg_json: &str, bindings: &[(u32, &Tensor)], fetch: u32| {
+            exec.handle_body(RequestBody::Execute {
+                srg_json: srg_json.to_string(),
+                bindings: bindings
+                    .iter()
+                    .map(|(n, t)| (*n, value_to_payload(&Value::F((*t).clone()))))
+                    .collect(),
+                handle_bindings: vec![],
+                fetch: vec![fetch],
+                pin: vec![],
+            })
+        };
+        let refused = |srg_json: &str, bindings: &[(u32, &Tensor)], why: &str| match execute(
+            srg_json, bindings, 0,
+        ) {
+            ResponseBody::Error(msg) => assert!(msg.contains(why), "{msg} lacks {why}"),
+            other => panic!("accepted ({why}): {other:?}"),
+        };
+
+        // The honest request: y = x @ w.
+        let (x, w) = (randn([2, 4], 1), randn([4, 4], 2));
+        let meta = |dims: [usize; 2]| TensorMeta::new(dims, ElemType::F32);
+        let mut g = Srg::new("g");
+        let nx = g.add_node(Node::new(NodeId::new(0), OpKind::Input, "x"));
+        let nw = g.add_node(Node::new(NodeId::new(0), OpKind::Parameter, "w"));
+        let ny = g.add_node(Node::new(NodeId::new(0), OpKind::MatMul, "y"));
+        g.connect(nx, ny, meta([2, 4]));
+        g.connect(nw, ny, meta([4, 4]));
+        let honest = genie_srg::serialize::to_json(&g).unwrap();
+        let bound = [(0, &x), (1, &w)];
+        let answer = execute(&honest, &bound, 2);
+        assert!(
+            matches!(answer, ResponseBody::ExecuteResult { .. }),
+            "{answer:?}"
+        );
+
+        // Not JSON, or deeper than the parser goes.
+        refused("{not json", &[], "bad graph");
+        refused(&"[".repeat(64), &[], "bad graph");
+        refused(&"[".repeat(100_000), &[], "TooDeep");
+        refused(
+            &format!("{}{}", "[".repeat(64), "]".repeat(64)),
+            &[],
+            "bad graph",
+        );
+        // JSON, but fields of the wrong type.
+        refused(
+            &honest.replace(r#""next_tensor":2"#, r#""next_tensor":"2""#),
+            &bound,
+            "next_tensor",
+        );
+        refused(
+            &honest.replace(r#""nodes":["#, r#""nodes":[7,"#),
+            &bound,
+            "nodes",
+        );
+        refused(
+            &honest.replace(r#""id":1,"op""#, r#""id":5,"op""#),
+            &bound,
+            "position",
+        );
+        // A graph, but not a well-formed one.
+        refused(
+            &honest.replace(r#""dst":2,"#, r#""dst":99,"#),
+            &bound,
+            "missing node",
+        );
+        // Adjacency is rebuilt, never read: forged lists change nothing.
+        let forged = honest.replacen('{', r#"{"out_adj":[[9,9],[],[0]],"in_adj":[[1]],"#, 1);
+        assert_eq!(execute(&forged, &bound, 2), answer);
+
+        // Well-formed, but not runnable: a matmul with one operand…
+        let mut g = Srg::new("short");
+        let a = g.add_node(Node::new(NodeId::new(0), OpKind::Input, "a"));
+        let mm = g.add_node(Node::new(NodeId::new(0), OpKind::MatMul, "mm"));
+        g.connect(a, mm, meta([2, 4]));
+        let short = genie_srg::serialize::to_json(&g).unwrap();
+        refused(&short, &[(0, &x)], "needs 2 operands");
+        // …a reshape to a shape that is not one…
+        let reshape = short
+            .replace(r#""op":"MatMul""#, r#""op":"Reshape""#)
+            .replacen(r#""attrs":{}}],"#, r#""attrs":{"shape":"2,x"}}],"#, 1);
+        refused(&reshape, &[(0, &x)], "`shape`");
+        // …and bindings whose inner dimensions the kernel refuses.
+        let panics = || {
+            let snapshot = genie_telemetry::global().metrics.snapshot();
+            snapshot
+                .counter("genie_remote_execute_panics_total", &[])
+                .unwrap_or(0)
+        };
+        let before = panics();
+        refused(
+            &honest,
+            &[(0, &randn([2, 3], 3)), (1, &w)],
+            "execution failed",
+        );
+        assert_eq!(panics(), before + 1);
+
+        assert_eq!(exec.handle_body(RequestBody::Ping), ResponseBody::Pong);
+        assert_eq!(execute(&honest, &bound, 2), answer);
     }
 
     #[test]

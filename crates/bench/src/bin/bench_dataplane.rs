@@ -4,8 +4,8 @@
 //! sequential interpretation, and the scheduler's kernel-time cache.
 //!
 //! Pass `--quick` (CI) to shrink problem sizes and repetition counts.
-//! Timing is hand-rolled (`std::time::Instant` medians) because criterion
-//! is a dev-dependency and this binary ships with the crate.
+//! Timing is hand-rolled (`std::time::Instant` medians): the workspace
+//! has no benchmark framework and this binary ships with the crate.
 
 use genie_bench::report::{render_table, write_artifact};
 use genie_cluster::{ClusterState, Topology};
@@ -13,8 +13,8 @@ use genie_frontend::capture::CaptureCtx;
 use genie_frontend::interp;
 use genie_models::{KvState, TransformerConfig, TransformerLm};
 use genie_scheduler::{schedule, CostModel, SemanticsAware};
+use genie_srg::{json::Value, json_object};
 use genie_tensor::{init, ops, stats};
-use serde_json::json;
 use std::time::Instant;
 
 /// Median wall-clock seconds of `reps` runs of `f` (after one warmup).
@@ -31,7 +31,7 @@ fn median_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     times[times.len() / 2]
 }
 
-fn matmul_section(quick: bool) -> (serde_json::Value, Vec<Vec<String>>) {
+fn matmul_section(quick: bool) -> (Value, Vec<Vec<String>>) {
     let sizes: &[usize] = if quick {
         &[64, 128, 256]
     } else {
@@ -61,19 +61,19 @@ fn matmul_section(quick: bool) -> (serde_json::Value, Vec<Vec<String>>) {
             format!("{speedup_blocked:.2}x"),
             format!("{speedup_parallel:.2}x"),
         ]);
-        rows.push(json!({
+        rows.push(json_object! {
             "size": n,
             "scalar_s": scalar,
             "blocked_s": blocked,
             "parallel_s": parallel,
             "speedup_blocked": speedup_blocked,
             "speedup_parallel": speedup_parallel,
-        }));
+        });
     }
-    (json!(rows), table)
+    (Value::from(rows), table)
 }
 
-fn zero_copy_section(quick: bool) -> serde_json::Value {
+fn zero_copy_section(quick: bool) -> Value {
     let n = if quick { 512 } else { 1024 };
     let reps = if quick { 100 } else { 1000 };
     let t = init::randn([n, n], 3);
@@ -82,16 +82,16 @@ fn zero_copy_section(quick: bool) -> serde_json::Value {
     let deep = median_secs(reps, || {
         genie_tensor::Tensor::from_vec([n, n], t.data().to_vec()).len()
     });
-    json!({
+    json_object! {
         "elements": n * n,
         "clone_s": clone,
         "reshaped_s": reshape,
         "deep_copy_s": deep,
         "clone_speedup_vs_deep_copy": deep / clone.max(1e-12),
-    })
+    }
 }
 
-fn interp_section(quick: bool) -> serde_json::Value {
+fn interp_section(quick: bool) -> Value {
     let model = TransformerLm::new_functional(TransformerConfig::tiny(), 7);
     let prompt: Vec<i64> = (0..if quick { 8 } else { 24 }).collect();
     let ctx = CaptureCtx::new("prefill");
@@ -121,7 +121,7 @@ fn interp_section(quick: bool) -> serde_json::Value {
             .unwrap()
             .len()
     });
-    json!({
+    json_object! {
         "graph": "transformer_tiny_prefill",
         "nodes": captured.srg.node_count(),
         "prompt_tokens": prompt.len(),
@@ -129,10 +129,10 @@ fn interp_section(quick: bool) -> serde_json::Value {
         "wavefront_s": wavefront,
         "wavefront_outputs_only_s": outputs_only,
         "wavefront_speedup": sequential / wavefront.max(1e-12),
-    })
+    }
 }
 
-fn decode_section(quick: bool) -> serde_json::Value {
+fn decode_section(quick: bool) -> Value {
     // Decode-throughput workload: a functional transformer sized so the
     // per-step kernels land in the SIMD tier (d_model=64, ffn=256), run
     // through greedy generation — per-step capture plus wavefront
@@ -171,27 +171,27 @@ fn decode_section(quick: bool) -> serde_json::Value {
         calibration_s = calibration_s.min(t0.elapsed().as_secs_f64());
     }
 
-    json!({
+    json_object! {
         "workload": "greedy decode: layers=2 d_model=64 heads=4 ffn=256 vocab=512",
         "quick": quick,
         "steps": steps,
         "tokens_per_s": tokens_per_s,
         "calibration_scalar_matmul96_s": calibration_s,
         "normalized_tokens_per_calib": tokens_per_s * calibration_s,
-    })
+    }
 }
 
 /// Compare this run's decode throughput against the committed baseline
 /// (`BENCH_dataplane.baseline.json`, overridable via
 /// `GENIE_BENCH_BASELINE`). Fails on a >10% regression of the
 /// calibration-normalized tokens/s.
-fn check_baseline(decode: &serde_json::Value) -> Result<String, String> {
+fn check_baseline(decode: &Value) -> Result<String, String> {
     let path = std::env::var("GENIE_BENCH_BASELINE")
         .unwrap_or_else(|_| "BENCH_dataplane.baseline.json".to_string());
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("baseline {path} unreadable: {e} (run --update-baseline to pin)"))?;
-    let base: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("baseline {path} unparsable: {e}"))?;
+    let base =
+        genie_srg::json::parse(&text).map_err(|e| format!("baseline {path} unparsable: {e}"))?;
     if base["decode"]["quick"] != decode["quick"] {
         return Err(format!(
             "baseline {path} was pinned in quick={} mode but this run is quick={}; \
@@ -218,20 +218,20 @@ fn check_baseline(decode: &serde_json::Value) -> Result<String, String> {
 }
 
 /// Rewrite the committed baseline from this run's numbers.
-fn update_baseline(decode: &serde_json::Value) -> std::io::Result<()> {
+fn update_baseline(decode: &Value) -> std::io::Result<()> {
     let path = std::env::var("GENIE_BENCH_BASELINE")
         .unwrap_or_else(|_| "BENCH_dataplane.baseline.json".to_string());
-    let baseline = json!({
+    let baseline = json_object! {
         "bench": "dataplane",
         "method": "best-of-N greedy-decode tokens/s, normalized by a scalar 96x96x96 \
                    matmul timed in the same process; gate fails below 90% of \
                    normalized_tokens_per_calib. Re-pin with --update-baseline.",
-        "decode": decode,
-    });
-    std::fs::write(&path, serde_json::to_string_pretty(&baseline)? + "\n")
+        "decode": decode.clone(),
+    };
+    std::fs::write(&path, format!("{baseline:#}\n"))
 }
 
-fn cost_cache_section(quick: bool) -> serde_json::Value {
+fn cost_cache_section(quick: bool) -> Value {
     // GPT-J decode-step graph: the per-request planning workload.
     let m = TransformerLm::new_spec(TransformerConfig::gptj_6b());
     let ctx = CaptureCtx::new("decode");
@@ -259,7 +259,7 @@ fn cost_cache_section(quick: bool) -> serde_json::Value {
             .len()
     });
     let cache = cost.cache_stats();
-    json!({
+    json_object! {
         "graph": "gptj_6b_decode_step",
         "nodes": srg.node_count(),
         "cold_schedule_s": cold,
@@ -269,7 +269,7 @@ fn cost_cache_section(quick: bool) -> serde_json::Value {
         "cache_misses": cache.misses,
         "cache_entries": cache.entries,
         "cache_hit_rate": cache.hit_rate(),
-    })
+    }
 }
 
 fn main() {
@@ -286,18 +286,18 @@ fn main() {
     let cost_cache = cost_cache_section(quick);
 
     let after = stats::snapshot().since(&before);
-    let dispatch: Vec<serde_json::Value> = after
+    let dispatch: Vec<Value> = after
         .cells()
         .into_iter()
-        .map(|(op, path, n)| json!({ "op": op, "path": path, "calls": n }))
+        .map(|(op, path, n)| json_object! { "op": op, "path": path, "calls": n })
         .collect();
-    let by_tier: Vec<serde_json::Value> = after
+    let by_tier: Vec<Value> = after
         .by_path()
         .into_iter()
-        .map(|(path, n)| json!({ "tier": path, "calls": n }))
+        .map(|(path, n)| json_object! { "tier": path, "calls": n })
         .collect();
 
-    let artifact = json!({
+    let artifact = json_object! {
         "bench": "dataplane",
         "quick": quick,
         "matmul": matmul,
@@ -307,13 +307,15 @@ fn main() {
         "cost_cache": cost_cache,
         "kernel_dispatch": dispatch,
         "dispatch_by_tier": by_tier,
-        "worker_pool": {
+        "worker_pool": json_object! {
             "size": genie_tensor::pool::size(),
             "threads_spawned": genie_tensor::pool::threads_spawned(),
             "busy_peak": genie_tensor::pool::busy_peak_take(),
         },
-    });
+    };
     let path = write_artifact("BENCH_dataplane", &artifact).expect("artifact written");
+    let (interp_cmp, decode) = (&artifact["interp"], &artifact["decode"]);
+    let cost_cache = &artifact["cost_cache"];
 
     println!(
         "{}",
@@ -362,11 +364,11 @@ fn main() {
     println!("artifact: {}", path.display());
 
     if pin {
-        update_baseline(&decode).expect("baseline written");
+        update_baseline(decode).expect("baseline written");
         println!("baseline pinned to BENCH_dataplane.baseline.json");
     }
     if gate {
-        match check_baseline(&decode) {
+        match check_baseline(decode) {
             Ok(msg) => println!("{msg}"),
             Err(msg) => {
                 eprintln!("{msg}");

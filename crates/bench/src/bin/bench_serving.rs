@@ -22,7 +22,7 @@ use genie_cluster::GpuSpec;
 use genie_models::TransformerConfig;
 use genie_netsim::Nanos;
 use genie_serving::{ArrivalConfig, DisaggConfig, ServingConfig, ServingLoop, ServingModel};
-use serde_json::json;
+use genie_srg::json_object;
 
 fn serving_config(lanes: u32, batched: bool) -> ServingConfig {
     ServingConfig {
@@ -99,7 +99,7 @@ fn disagg_main(quick: bool) {
                 ]);
             }
             let mode_json = |report: &genie_serving::ServingReport| {
-                json!({
+                json_object! {
                     "requests": requests.len(),
                     "completed": report.completed(),
                     "shed_rate": report.shed_rate(),
@@ -114,15 +114,15 @@ fn disagg_main(quick: bool) {
                     "reprefills_planned": report.reprefills_planned,
                     "reprefills_evicted": report.reprefills_evicted,
                     "reprefills_migration": report.reprefills_migration,
-                })
+                }
             };
-            rows.push(json!({
+            rows.push(json_object! {
                 "offered_load_req_s": load,
                 "total_lanes": total,
                 "colocated": mode_json(&colocated),
                 "disagg": mode_json(&disagg),
                 "disagg_dominates": point_dominates,
-            }));
+            });
         }
     }
 
@@ -132,16 +132,16 @@ fn disagg_main(quick: bool) {
          load × fleet point of the frontier"
     );
 
-    let artifact = json!({
+    let artifact = json_object! {
         "bench": "disagg",
         "quick": quick,
         "model": "gptj_6b",
-        "seed": 42,
+        "seed": 42u64,
         "policy": "planner",
-        "fabric": { "bandwidth_bps": 25e9, "latency_s": 250e-6 },
+        "fabric": json_object! { "bandwidth_bps": 25e9, "latency_s": 250e-6 },
         "dominated_points": dominated,
         "sweep": rows,
-    });
+    };
     let path = write_artifact("BENCH_disagg", &artifact).expect("artifact written");
 
     println!(
@@ -217,7 +217,7 @@ fn main() {
                     .snapshot()
                     .histogram("ttft_seconds", &[])
                     .map_or(0.0, |h| h.quantile(0.99));
-                per_mode.push(json!({
+                per_mode.push(json_object! {
                     "batched": batched,
                     "requests": requests.len(),
                     "completed": report.completed(),
@@ -229,7 +229,7 @@ fn main() {
                     "makespan_s": report.makespan.as_secs_f64(),
                     "preemptions": report.preemptions,
                     "steps": report.steps,
-                }));
+                });
                 table.push(vec![
                     format!("{load:.1}"),
                     lanes.to_string(),
@@ -241,20 +241,22 @@ fn main() {
                     format!("{:.0}", report.tokens_per_s()),
                 ]);
             }
-            rows.push(json!({
+            rows.push(json_object! {
                 "offered_load_req_s": load,
                 "lanes": lanes,
                 "modes": per_mode,
-            }));
+            });
         }
     }
 
-    // Acceptance check: at offered load >= 2 req/s, continuous batching
+    // Acceptance check: at offered load >= 4 req/s, continuous batching
     // must beat unbatched decode on aggregate tokens/s (weight reads are
-    // amortized across the batch on a memory-bound decode step).
+    // amortized across the batch on a memory-bound decode step). Below
+    // that an unbatched lane (~150 tok/s) keeps up with the offered load,
+    // so both modes deliver it and tie to the bit.
     for row in &rows {
         let load = row["offered_load_req_s"].as_f64().unwrap();
-        if load < 2.0 {
+        if load < 4.0 {
             continue;
         }
         let modes = row["modes"].as_array().unwrap();
@@ -273,13 +275,13 @@ fn main() {
         );
     }
 
-    let artifact = json!({
+    let artifact = json_object! {
         "bench": "serving",
         "quick": quick,
         "model": "gptj_6b",
-        "seed": 42,
+        "seed": 42u64,
         "sweep": rows,
-    });
+    };
     let path = write_artifact("BENCH_serving", &artifact).expect("artifact written");
 
     println!(

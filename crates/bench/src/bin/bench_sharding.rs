@@ -34,7 +34,7 @@ use genie_models::TransformerConfig;
 use genie_netsim::Nanos;
 use genie_serving::{ArrivalConfig, ServingConfig, ServingLoop, ServingModel};
 use genie_srg::shard::ShardSpec;
-use serde_json::json;
+use genie_srg::{json::Value, json_object};
 
 /// Steady-state decode step: a full continuous batch, every member one
 /// token in, 64 tokens of KV resident each.
@@ -78,7 +78,7 @@ fn tokens_per_s(cfg: &TransformerConfig, plan: &ShardPlan) -> (f64, f64, f64) {
     (work.tokens_produced() as f64 / step_s, step_s, collective_s)
 }
 
-fn serving_section(cfg: &TransformerConfig) -> serde_json::Value {
+fn serving_section(cfg: &TransformerConfig) -> Value {
     let requests = ArrivalConfig {
         seed: 42,
         rate_per_s: 4.0,
@@ -117,7 +117,7 @@ fn serving_section(cfg: &TransformerConfig) -> serde_json::Value {
         sharded.makespan,
         flat.makespan
     );
-    json!({
+    json_object! {
         "spec": "pp1xtp2",
         "fabric_gbps": 100.0,
         "requests": requests.len(),
@@ -125,7 +125,7 @@ fn serving_section(cfg: &TransformerConfig) -> serde_json::Value {
         "sharded_makespan_s": sharded.makespan.as_secs_f64(),
         "flat_tokens_per_s": flat.tokens_per_s(),
         "sharded_tokens_per_s": sharded.tokens_per_s(),
-    })
+    }
 }
 
 fn main() {
@@ -186,7 +186,7 @@ fn main() {
                 format!("{speedup:.2}x"),
                 format!("{:.2}", efficiency),
             ]);
-            rows.push(json!({
+            rows.push(json_object! {
                 "spec": spec.clone(),
                 "pipeline_stages": pp,
                 "tensor_parallel": tp,
@@ -197,7 +197,7 @@ fn main() {
                 "tokens_per_s": tps,
                 "speedup": speedup,
                 "efficiency": efficiency,
-            }));
+            });
         }
     }
 
@@ -233,19 +233,19 @@ fn main() {
 
     let serving = serving_section(&cfg);
 
-    let artifact = json!({
+    let artifact = json_object! {
         "bench": "sharding",
         "quick": quick,
         "model": "gptj_6b",
-        "seed": 42,
-        "work": {
+        "seed": 42u64,
+        "work": json_object! {
             "decode_members": DECODE_MEMBERS,
             "kv_resident_tokens": DECODE_MEMBERS * KV_PER_MEMBER,
         },
         "fabric_latency_s": FABRIC_LATENCY_S,
         "single_tokens_per_s": single_tps,
         "sweep": rows,
-        "paper_fabric": {
+        "paper_fabric": json_object! {
             "spec": "pp1xtp2",
             "fabric_gbps": LINK_BW_BPS / 1e9,
             "fabric_latency_s": LINK_LATENCY_S,
@@ -255,7 +255,7 @@ fn main() {
             "speedup": paper_tps / single_tps,
         },
         "serving": serving,
-    });
+    };
     let path = write_artifact("BENCH_sharding", &artifact).expect("artifact written");
 
     println!(

@@ -3,13 +3,15 @@
 //!
 //! Run with: `cargo run -p genie-bench --bin figure1`
 
-use genie_bench::report::render_table;
+use genie_bench::report::{render_table, write_artifact};
 use genie_bench::stack_levels::semantic_visibility;
 
 fn main() {
     println!("Figure 1 analog — semantic facts visible at each stack level");
     println!("(what is \"lost in translation\" as computation descends)\n");
-    let rows: Vec<Vec<String>> = semantic_visibility()
+    let visibility = semantic_visibility();
+    let artifact: Vec<_> = visibility.iter().map(|r| r.to_json()).collect();
+    let rows: Vec<Vec<String>> = visibility
         .into_iter()
         .map(|r| {
             vec![
@@ -40,9 +42,8 @@ fn main() {
             &rows
         )
     );
-    if let Ok(path) = genie_bench::report::write_artifact("figure1", &semantic_visibility()) {
-        println!("artifact: {}\n", path.display());
-    }
+    let path = write_artifact("figure1", &artifact.into()).expect("artifact written");
+    println!("artifact: {}\n", path.display());
     println!("PCIe sees DMA bursts (0 facts); the driver sees kernel names only;");
     println!("the framework layer sees everything the scheduler needs.");
 }

@@ -10,6 +10,7 @@ use genie_bench::report::{render_table, write_artifact};
 use genie_cluster::{ClusterState, Topology};
 use genie_models::Workload;
 use genie_scheduler::{schedule, CostModel, SemanticsAware};
+use genie_srg::json_object;
 
 const FAMILIES: [LintFamily; 4] = [
     LintFamily::Graph,
@@ -43,13 +44,13 @@ fn main() {
             row.push(family_summary(fam, &[&graph_report, &plan_report]));
         }
         rows.push(row);
-        artifacts.push(serde_json::json!({
+        artifacts.push(json_object! {
             "workload": w.name(),
             "nodes": srg.node_count(),
             "edges": srg.edge_count(),
             "graph": graph_report.to_json(),
             "plan": plan_report.to_json(),
-        }));
+        });
     }
 
     println!(
@@ -66,9 +67,8 @@ fn main() {
             &rows
         )
     );
-    if let Ok(path) = write_artifact("lint_report", &artifacts) {
-        println!("artifact: {}\n", path.display());
-    }
+    let path = write_artifact("lint_report", &artifacts.into()).expect("artifact written");
+    println!("artifact: {}\n", path.display());
     println!("every zoo capture must be deny-clean: deny-level findings would");
     println!("have aborted capture (finish) or scheduling (schedule_checked).");
 }

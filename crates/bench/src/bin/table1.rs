@@ -4,11 +4,13 @@
 //! Run with: `cargo run -p genie-bench --bin table1`
 
 use genie_bench::characterize::table1;
-use genie_bench::report::render_table;
+use genie_bench::report::{render_table, write_artifact};
 
 fn main() {
     println!("Table 1 — workload characteristics recovered from captured SRGs\n");
-    let rows: Vec<Vec<String>> = table1()
+    let table = table1();
+    let artifact: Vec<_> = table.iter().map(|r| r.to_json()).collect();
+    let rows: Vec<Vec<String>> = table
         .into_iter()
         .map(|r| {
             vec![
@@ -33,9 +35,8 @@ fn main() {
             &rows
         )
     );
-    if let Ok(path) = genie_bench::report::write_artifact("table1", &table1()) {
-        println!("artifact: {}\n", path.display());
-    }
+    let path = write_artifact("table1", &artifact.into()).expect("artifact written");
+    println!("artifact: {}\n", path.display());
     println!("paper's rows: sequential-phased / layer-parallel / sparse+dense / cross-modal;");
     println!("all four recovered from graph statistics alone (no per-model logic).");
 }

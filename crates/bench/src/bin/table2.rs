@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run -p genie-bench --bin table2`
 
-use genie_bench::report::{fmt_mb, fmt_pct, fmt_secs, render_table};
+use genie_bench::report::{fmt_mb, fmt_pct, fmt_secs, render_table, write_artifact};
 use genie_bench::{table2, Calibration, LlmWorkload};
 
 fn main() {
@@ -72,9 +72,9 @@ fn main() {
         );
     }
 
-    if let Ok(path) = genie_bench::report::write_artifact("table2", &rows) {
-        println!("artifact: {}\n", path.display());
-    }
+    let artifact: Vec<_> = rows.iter().map(|r| r.to_json()).collect();
+    let path = write_artifact("table2", &artifact.into()).expect("artifact written");
+    println!("artifact: {}\n", path.display());
 
     let naive = &rows[1];
     let sa = &rows[3];

@@ -3,8 +3,9 @@
 //!
 //! Run with: `cargo run -p genie-bench --bin table3`
 
-use genie_bench::report::{fmt_secs, render_table};
+use genie_bench::report::{fmt_secs, render_table, write_artifact};
 use genie_bench::{table3, Calibration, LlmWorkload};
+use genie_srg::json::Value;
 
 fn main() {
     let w = LlmWorkload::paper();
@@ -32,9 +33,11 @@ fn main() {
         )
     );
 
-    if let Ok(path) = genie_bench::report::write_artifact("table3", &t3) {
-        println!("artifact: {}\n", path.display());
-    }
+    // One `[n, dkv_s, sa_s]` triple per generation length.
+    let triple = |&(n, dkv, sa): &(usize, f64, f64)| vec![Value::from(n), dkv.into(), sa.into()];
+    let artifact: Vec<_> = t3.iter().map(triple).collect();
+    let path = write_artifact("table3", &artifact.into()).expect("artifact written");
+    println!("artifact: {}\n", path.display());
     let dkv_slope = (t3[3].1 - t3[0].1) / 150.0;
     let sa_slope = (t3[3].2 - t3[0].2) / 150.0;
     println!("dKV slope:  {dkv_slope:.3} s/token (paper ~0.48) — linear in N");

@@ -23,13 +23,13 @@ use genie_serving::{
     ArrivalConfig, DisaggConfig, MigrationPolicy, ServingConfig, ServingLoop, ServingModel,
     ServingReport,
 };
+use genie_srg::{json::Value, json_object};
 use genie_telemetry::causal::{self, BlameFractions, BlameReport, WhatIf};
-use serde_json::json;
 
 /// Render blame fractions field by field — the schema the CI jq gate
 /// sums over, so every category (including `collective`) must appear.
-fn fractions_json(f: &BlameFractions) -> serde_json::Value {
-    json!({
+fn fractions_json(f: &BlameFractions) -> Value {
+    json_object! {
         "queue": f.queue,
         "compute": f.compute,
         "transfer": f.transfer,
@@ -37,7 +37,7 @@ fn fractions_json(f: &BlameFractions) -> serde_json::Value {
         "reprefill": f.reprefill,
         "migrate": f.migrate,
         "collective": f.collective,
-    })
+    }
 }
 
 const SEED: u64 = 42;
@@ -170,33 +170,33 @@ fn mean_fractions(blame: &BlameReport) -> (f64, f64, f64, f64, f64, f64) {
     )
 }
 
-fn scenario_json(blame: &BlameReport, report: &ServingReport) -> serde_json::Value {
+fn scenario_json(blame: &BlameReport, report: &ServingReport) -> Value {
     let what_ifs = [
         causal::what_if(blame, "observed", &WhatIf::observed()),
         causal::what_if(blame, "link_bandwidth_2x", &WhatIf::link_bandwidth(2.0)),
         causal::what_if(blame, "zero_faults", &WhatIf::zero_faults()),
         causal::what_if(blame, "infinite_lanes", &WhatIf::infinite_lanes()),
     ];
-    json!({
+    json_object! {
         "completed": blame.requests.len(),
         "shed": blame.shed,
         "profile_p50": fractions_json(&blame.profile_p50),
         "profile_p99": fractions_json(&blame.profile_p99),
-        "what_if": what_ifs.iter().map(|w| json!({
+        "what_if": what_ifs.iter().map(|w| json_object! {
             "scenario": w.scenario.clone(),
             "observed_mean_ns": w.observed_mean_ns,
             "predicted_mean_ns": w.predicted_mean_ns,
             "speedup": w.speedup,
-        })).collect::<Vec<_>>(),
-        "slo": json!({
-            "per_tenant": report.slo.per_tenant.iter().map(|(t, s)| json!({
-                "tenant": t,
+        }).collect::<Vec<_>>(),
+        "slo": json_object! {
+            "per_tenant": report.slo.per_tenant.iter().map(|(t, s)| json_object! {
+                "tenant": *t,
                 "observed": s.observed,
                 "violations": s.violations,
                 "burn_rate": s.burn_rate,
-            })).collect::<Vec<_>>(),
-        }),
-    })
+            }).collect::<Vec<_>>(),
+        },
+    }
 }
 
 fn main() {
@@ -257,22 +257,22 @@ fn main() {
         ]);
     }
 
-    let artifact = json!({
+    let artifact = json_object! {
         "bench": "blame",
         "seed": SEED,
         "chaos_seed": CHAOS_SEED,
         "model": "gptj_6b",
         // Per-request blame for the chaos run: the CI schema gate
         // checks these fractions sum to 1 ± 1e-6.
-        "requests": chaos_blame.requests.iter().map(|r| json!({
+        "requests": chaos_blame.requests.iter().map(|r| json_object! {
             "request": r.request,
             "ttlt_ns": r.ttlt_ns,
             "fractions": fractions_json(&r.fractions),
-        })).collect::<Vec<_>>(),
+        }).collect::<Vec<_>>(),
         "baseline": scenario_json(&baseline_blame, &baseline),
         "chaos": scenario_json(&chaos_blame, &chaos),
         "disagg": scenario_json(&disagg_blame, &disagg),
-    });
+    };
     let path = write_artifact("BENCH_blame", &artifact).expect("artifact written");
 
     println!(

@@ -69,10 +69,8 @@ fn main() {
         chrome.push_sim_trace(&report.trace, Some(&srg), Some(&plan.label()));
 
         let name = format!("trace_{key}");
-        match write_artifact(&name, &chrome) {
-            Ok(path) => println!("{key:>5}: {}", path.display()),
-            Err(e) => eprintln!("{key}: failed to write trace artifact: {e}"),
-        }
+        let path = write_artifact(&name, &chrome.to_json()).expect("artifact written");
+        println!("{key:>5}: {}", path.display());
         rows.push(vec![
             w.name().to_string(),
             srg.node_count().to_string(),
@@ -97,8 +95,7 @@ fn main() {
     );
 
     let snapshot = telemetry.metrics.snapshot();
-    if let Ok(path) = write_artifact("trace_metrics", &snapshot) {
-        println!("metrics artifact: {}\n", path.display());
-    }
+    let path = write_artifact("trace_metrics", &snapshot.to_json()).expect("artifact written");
+    println!("metrics artifact: {}\n", path.display());
     println!("{}", render_top(&snapshot, &telemetry.collector.snapshot()));
 }

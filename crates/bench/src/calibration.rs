@@ -21,10 +21,8 @@
 //! × 0.2) ≈ 30 ms), and the ΔKV per-token payload matches GPT-J's f32 KV
 //! slice (2·28·4096·4 ≈ 0.92 MB — the paper says "~1.0 MB").
 
-use serde::{Deserialize, Serialize};
-
 /// The calibrated constants.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Calibration {
     /// One-time session establishment (process + CUDA + RPC mesh).
     pub session_init_s: f64,

@@ -7,10 +7,10 @@
 
 use genie_models::Workload;
 use genie_srg::stats::GraphStats;
-use serde::{Deserialize, Serialize};
+use genie_srg::{json::Value, json_object};
 
 /// One derived Table-1 row.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Table1Row {
     /// Workload family name.
     pub workload: String,
@@ -25,6 +25,20 @@ pub struct Table1Row {
     pub nodes: usize,
     /// Supporting evidence: phases observed in the graph.
     pub phases: Vec<String>,
+}
+
+impl Table1Row {
+    /// The row as it lands in the `table1` artifact.
+    pub fn to_json(&self) -> Value {
+        json_object! {
+            "workload": self.workload.as_str(),
+            "computation_pattern": self.computation_pattern.as_str(),
+            "memory_access": self.memory_access.as_str(),
+            "key_optimization": self.key_optimization.as_str(),
+            "nodes": self.nodes,
+            "phases": self.phases.clone(),
+        }
+    }
 }
 
 /// Regenerate Table 1 from the model zoo.

@@ -17,10 +17,9 @@
 //! affinity — the co-location rule).
 
 use genie_netsim::{EventQueue, Nanos, XorShift64};
-use serde::{Deserialize, Serialize};
 
 /// One tenant's request stream.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TenantLoad {
     /// Mean seconds between request arrivals.
     pub mean_interarrival_s: f64,
@@ -49,7 +48,7 @@ impl TenantLoad {
 }
 
 /// Result of one fleet simulation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FleetReport {
     /// Devices simulated.
     pub devices: usize,

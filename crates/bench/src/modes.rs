@@ -10,10 +10,10 @@
 use crate::calibration::Calibration;
 use crate::workload::LlmWorkload;
 use genie_netsim::{LinkSim, Nanos, RpcChannel};
-use serde::{Deserialize, Serialize};
+use genie_srg::{json::Value, json_object};
 
 /// The four §4 execution modes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Model and KV cache on the client's own GPU.
     Local,
@@ -58,7 +58,7 @@ pub enum PhaseRun {
 }
 
 /// One table cell triple.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhaseMetrics {
     /// End-to-end wall-clock seconds (the paper's `/usr/bin/time`).
     pub latency_s: f64,
@@ -68,7 +68,6 @@ pub struct PhaseMetrics {
     pub gpu_util_pct: f64,
     /// Completed RPC round trips (the evaluation's "network volume via
     /// RPC counters" companion figure; 0 for local execution).
-    #[serde(default)]
     pub rpc_calls: u64,
 }
 
@@ -211,7 +210,7 @@ pub fn run_phase(mode: Mode, phase: PhaseRun, w: &LlmWorkload, cal: &Calibration
 }
 
 /// One Table-2 row: a mode's prefill and decode metrics.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Table2Row {
     /// The mode.
     pub mode: Mode,
@@ -219,6 +218,30 @@ pub struct Table2Row {
     pub prefill: PhaseMetrics,
     /// Decode metrics (50 steps).
     pub decode: PhaseMetrics,
+}
+
+impl PhaseMetrics {
+    /// The cell triple (and RPC count) as it lands in the `table2` artifact.
+    pub fn to_json(&self) -> Value {
+        json_object! {
+            "latency_s": self.latency_s,
+            "net_mb": self.net_mb,
+            "gpu_util_pct": self.gpu_util_pct,
+            "rpc_calls": self.rpc_calls,
+        }
+    }
+}
+
+impl Table2Row {
+    /// The row as it lands in the `table2` artifact; the mode goes by its
+    /// variant name.
+    pub fn to_json(&self) -> Value {
+        json_object! {
+            "mode": format!("{:?}", self.mode),
+            "prefill": self.prefill.to_json(),
+            "decode": self.decode.to_json(),
+        }
+    }
 }
 
 /// Regenerate Table 2.

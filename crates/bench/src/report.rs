@@ -1,17 +1,17 @@
 //! Table formatting and artifact recording for the regeneration binaries.
 
+use genie_srg::json::Value;
 use std::path::PathBuf;
 
 /// Write a machine-readable experiment record to
-/// `target/experiments/{name}.json` and return its path. Regeneration
-/// binaries call this so every table lands as a diffable artifact.
-pub fn write_artifact<T: serde::Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
+/// `target/experiments/{name}.json` (pretty-printed) and return its path.
+/// Regeneration binaries call this so every table lands as a diffable
+/// artifact.
+pub fn write_artifact(name: &str, value: &Value) -> std::io::Result<PathBuf> {
     let dir = PathBuf::from("target/experiments");
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    std::fs::write(&path, json)?;
+    std::fs::write(&path, format!("{value:#}"))?;
     Ok(path)
 }
 
@@ -106,12 +106,11 @@ mod tests {
 
     #[test]
     fn artifacts_are_written_and_parseable() {
-        let rows = vec![("n", 1.5f64), ("m", 2.5)];
+        let rows = genie_srg::json_object! { "n": 1.5, "m": vec![2.5, 3.5] };
         let path = write_artifact("unit_test_artifact", &rows).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let back: Vec<(String, f64)> = serde_json::from_str(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[1].1, 2.5);
+        assert!(text.contains('\n'), "artifacts are pretty-printed: {text}");
+        assert_eq!(genie_srg::json::parse(&text).unwrap(), rows);
         std::fs::remove_file(path).ok();
     }
 

@@ -14,12 +14,12 @@
 //! - **Framework level (SRG)** sees the full annotation schema.
 
 use genie_models::Workload;
-use genie_srg::{Modality, Phase, Residency, Srg};
-use serde::{Deserialize, Serialize};
+use genie_srg::json::Value;
+use genie_srg::{json_object, Modality, Phase, Residency, Srg};
 use std::collections::BTreeSet;
 
 /// Facts visible at one interposition level for one workload.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VisibilityRow {
     /// Workload family.
     pub workload: String,
@@ -37,6 +37,22 @@ pub struct VisibilityRow {
     pub structure: usize,
     /// Total semantic facts (sum of the above).
     pub total: usize,
+}
+
+impl VisibilityRow {
+    /// The row as it lands in the `figure1` artifact.
+    pub fn to_json(&self) -> Value {
+        json_object! {
+            "workload": self.workload.as_str(),
+            "level": self.level,
+            "op_kinds": self.op_kinds,
+            "phases": self.phases,
+            "residencies": self.residencies,
+            "modalities": self.modalities,
+            "structure": self.structure,
+            "total": self.total,
+        }
+    }
 }
 
 fn count_graph_facts(srg: &Srg, level: &'static str, workload: &str) -> VisibilityRow {

@@ -1,11 +1,10 @@
 //! The §4 evaluation workload: GPT-J serving one request.
 
 use genie_models::TransformerConfig;
-use serde::{Deserialize, Serialize};
 
 /// The evaluation request: a 72-token prompt followed by autoregressive
 /// decoding.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LlmWorkload {
     /// Model architecture (GPT-J-6B in the paper).
     pub config: TransformerConfig,

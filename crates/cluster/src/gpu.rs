@@ -5,11 +5,9 @@
 //! reproduce the paper's testbed (A100-80GB) plus a heterogeneous fleet for
 //! the §3.6 global-scheduling experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// Class of accelerator, used by the global scheduler's heterogeneous
 /// placement (§3.6 "Where").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GpuClass {
     /// Flagship training/inference part (A100/H100 class).
     Flagship,
@@ -20,7 +18,7 @@ pub enum GpuClass {
 }
 
 /// Static description of one accelerator.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"A100-80GB"`.
     pub name: String,

@@ -1,12 +1,10 @@
 //! Network interface specifications.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a NIC. Genie's architecture supports commodity
 /// clients (no RNIC) talking to RNIC-equipped disaggregated servers; when
 /// both ends support RDMA and the server supports GPUDirect, the datapath
 /// is NIC-to-GPU zero-copy (§3.4).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NicSpec {
     /// Marketing name, e.g. `"CX-6 25GbE"`.
     pub name: String,

@@ -2,7 +2,6 @@
 //! the static [`Topology`](crate::topology::Topology).
 
 use crate::topology::{DevId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Errors from state mutations.
@@ -43,7 +42,7 @@ impl std::fmt::Display for StateError {
 impl std::error::Error for StateError {}
 
 /// A remotely-resident object (weight blob, KV cache, …) tracked by key.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ResidentObject {
     /// Caller-chosen key (Genie uses handle ids).
     pub key: u64,
@@ -57,7 +56,7 @@ pub struct ResidentObject {
 
 /// Mutable, schedulable cluster state: per-device memory accounting,
 /// queued-work estimates, and the resident-object directory.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ClusterState {
     mem_used: BTreeMap<DevId, u64>,
     /// Seconds of queued work per device — the scheduler's queuing-delay
@@ -70,11 +69,9 @@ pub struct ClusterState {
     /// Injected bandwidth derate per host-pair in (0, 1]: the fault
     /// layer's degradation signal, multiplied into edge costs by the
     /// scheduler. Keyed by unordered host ids.
-    #[serde(default)]
     link_derate: BTreeMap<(u32, u32), f64>,
     /// Host pairs currently severed by a partition or outage. The
     /// scheduler must not place transfers across them.
-    #[serde(default)]
     partitioned: std::collections::BTreeSet<(u32, u32)>,
 }
 

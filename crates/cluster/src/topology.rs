@@ -2,14 +2,10 @@
 
 use crate::gpu::GpuSpec;
 use crate::nic::NicSpec;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifies a host (server or client machine) in the topology.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct HostId(pub u32);
 
 impl std::fmt::Display for HostId {
@@ -21,10 +17,7 @@ impl std::fmt::Display for HostId {
 /// Identifies a device (GPU) in the topology. Matches
 /// `genie_srg::DeviceId` numbering: the scheduler copies these values into
 /// node bindings.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DevId(pub u32);
 
 impl std::fmt::Display for DevId {
@@ -34,7 +27,7 @@ impl std::fmt::Display for DevId {
 }
 
 /// A host machine with a NIC and zero or more accelerators.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Host {
     /// Id within the topology.
     pub id: HostId,
@@ -48,7 +41,7 @@ pub struct Host {
 }
 
 /// A device entry: the spec plus its owning host.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Device {
     /// Id within the topology.
     pub id: DevId,
@@ -59,7 +52,7 @@ pub struct Device {
 }
 
 /// A bidirectional network link between two hosts.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Link {
     /// One endpoint.
     pub a: HostId,
@@ -80,13 +73,12 @@ impl Link {
 
 /// The static cluster description handed to the scheduler as part of
 /// `cluster_state` (§3.3).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Topology {
     hosts: Vec<Host>,
     devices: Vec<Device>,
     links: Vec<Link>,
     /// Direct-link index for fast path lookup.
-    #[serde(skip)]
     link_index: BTreeMap<(HostId, HostId), usize>,
 }
 
@@ -153,12 +145,8 @@ impl Topology {
         &self.links
     }
 
-    /// The direct link between two hosts, if any. (Rebuilds the index after
-    /// deserialization, where the skip field is empty.)
+    /// The direct link between two hosts, if any.
     pub fn link_between(&self, a: HostId, b: HostId) -> Option<&Link> {
-        if self.link_index.is_empty() && !self.links.is_empty() {
-            return self.links.iter().find(|l| key(l.a, l.b) == key(a, b));
-        }
         self.link_index.get(&key(a, b)).map(|&i| &self.links[i])
     }
 
@@ -287,13 +275,5 @@ mod tests {
         let classes: std::collections::BTreeSet<_> =
             t.devices().iter().map(|d| d.spec.class).collect();
         assert_eq!(classes.len(), 3);
-    }
-
-    #[test]
-    fn serde_roundtrip_rebuilds_lookup() {
-        let t = Topology::paper_testbed();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Topology = serde_json::from_str(&json).unwrap();
-        assert!(back.link_between(HostId(0), HostId(1)).is_some());
     }
 }

@@ -54,6 +54,22 @@ pub enum InterpError {
         /// The id that names no node.
         node: NodeId,
     },
+    /// A node has fewer in-edges than its operator reads operands.
+    MissingOperand {
+        /// The offending node.
+        node: NodeId,
+        /// Operator mnemonic.
+        op: String,
+        /// Operands the operator reads.
+        needs: usize,
+    },
+    /// An attribute the operator needs does not parse.
+    BadAttr {
+        /// The offending node.
+        node: NodeId,
+        /// The attribute key.
+        key: &'static str,
+    },
 }
 
 impl std::fmt::Display for InterpError {
@@ -68,6 +84,12 @@ impl std::fmt::Display for InterpError {
             }
             InterpError::UnknownOutput { node } => {
                 write!(f, "requested output {node} is not in the graph")
+            }
+            InterpError::MissingOperand { node, op, needs } => {
+                write!(f, "operator {op} at {node} needs {needs} operands")
+            }
+            InterpError::BadAttr { node, key } => {
+                write!(f, "attribute `{key}` of {node} does not parse")
             }
         }
     }
@@ -179,6 +201,19 @@ impl ExecPlan {
     /// The levels, first to last.
     fn levels(&self) -> impl Iterator<Item = &[NodeId]> {
         self.starts.windows(2).map(|b| &self.order[b[0]..b[1]])
+    }
+}
+
+/// How many operands [`eval_node`] reads for `op` (the collectives take
+/// however many arrive; unsupported operators are refused there).
+fn operands(op: &OpKind) -> usize {
+    use OpKind::*;
+    match op {
+        LayerNorm | Attention | Conv2d | MatMulAcc => 3,
+        MatMul | Add | Mul | RmsNorm | KvAppend | EmbeddingGather | Concat => 2,
+        Relu | Gelu | Silu | Softmax | Pool2d | Slice | Reshape | Transpose | Reduce | Sample
+        | SendActivation | Output => 1,
+        _ => 0,
     }
 }
 
@@ -331,7 +366,17 @@ pub(crate) fn eval_node<'v>(
     bindings: &HashMap<NodeId, Value>,
 ) -> Result<Value, InterpError> {
     let node = srg.node(id);
-    let arg = |i: usize| input(srg.in_edges(id).nth(i).expect("operand edge present").src);
+    // Operand `i` is read off the `i`-th in-edge; a graph from outside (a
+    // peer's, over `backend::remote`) may have too few.
+    let needs = operands(&node.op);
+    if srg.in_degree(id) < needs {
+        return Err(InterpError::MissingOperand {
+            node: id,
+            op: node.op.mnemonic().to_string(),
+            needs,
+        });
+    }
+    let arg = |i: usize| input(srg.in_edges(id).nth(i).expect("operands counted above").src);
     let attr = |key: &str| node.attrs.get(key).map_or("", String::as_str);
     let attr_usize = |key: &str| attr(key).parse::<usize>().unwrap_or(0);
 
@@ -433,11 +478,14 @@ pub(crate) fn eval_node<'v>(
             attr_usize("len"),
         )),
         OpKind::Reshape => {
-            let shape: Vec<usize> = attr("shape")
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| s.parse().expect("valid reshape attr"))
-                .collect();
+            let dims = attr("shape").split(',').filter(|s| !s.is_empty());
+            let shape: Vec<usize> =
+                dims.map(|s| s.parse())
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| InterpError::BadAttr {
+                        node: id,
+                        key: "shape",
+                    })?;
             // Zero-copy: a reshaped view shares the input's buffer.
             Value::F(arg(0).as_f("reshape").reshaped(shape))
         }

@@ -11,7 +11,6 @@
 
 use genie_srg::stats::GraphStats;
 use genie_srg::{OpKind, Srg};
-use serde::{Deserialize, Serialize};
 
 /// Dimension of the feature embedding.
 pub const FEATURES: usize = 12;
@@ -60,7 +59,7 @@ pub fn features(srg: &Srg) -> [f64; FEATURES] {
 }
 
 /// A labeled exemplar in the lexicon.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Exemplar {
     /// Class label (e.g. `"llm"`, `"vision"`).
     pub label: String,
@@ -71,7 +70,7 @@ pub struct Exemplar {
 }
 
 /// A trainable nearest-centroid lexicon.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LearnedLexicon {
     exemplars: Vec<Exemplar>,
 }

@@ -6,10 +6,9 @@
 //! to execute with real arithmetic in tests.
 
 use genie_srg::ElemType;
-use serde::{Deserialize, Serialize};
 
 /// Decoder-only transformer LM configuration.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransformerConfig {
     /// Number of transformer blocks.
     pub layers: usize,
@@ -116,7 +115,7 @@ impl TransformerConfig {
 }
 
 /// Simple CNN (ResNet-style feature extractor) configuration.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CnnConfig {
     /// Convolutional stages.
     pub stages: usize,
@@ -155,7 +154,7 @@ impl CnnConfig {
 }
 
 /// DLRM-style recommender configuration.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DlrmConfig {
     /// Number of sparse embedding tables.
     pub tables: usize,

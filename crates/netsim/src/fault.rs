@@ -11,11 +11,10 @@
 //! chaos seed reproducible from its number alone.
 
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// A tiny, deterministic xorshift64* PRNG. No wall clock, no global
 /// state: callers seed it explicitly and ownership decides the stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct XorShift64 {
     state: u64,
 }
@@ -55,7 +54,7 @@ impl XorShift64 {
 }
 
 /// One injected fault, in terms of host ids and simulated time.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FaultSpec {
     /// Multiply the link's effective bandwidth by `factor` (in `(0, 1]`)
     /// for the whole run.
@@ -143,7 +142,7 @@ impl FaultSpec {
 
 /// Outcome of shipping one bulk payload (e.g. a migrating KV prefix)
 /// over a possibly-faulted link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransferOutcome {
     /// The payload arrived; the receiving host owns it from `done_at`.
     Delivered {
@@ -159,7 +158,7 @@ pub enum TransferOutcome {
 }
 
 /// An ordered list of faults — the `schedule` half of a chaos config.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultSchedule {
     /// The faults, in declaration order.
     pub specs: Vec<FaultSpec>,
@@ -219,7 +218,7 @@ impl FaultSchedule {
 
 /// A seeded fault schedule ready to apply to a fabric: the schedule plus
 /// the RNG stream that drives per-transmission jitter draws.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed the plan (and its jitter stream) was built from.
     pub seed: u64,
@@ -537,13 +536,5 @@ mod tests {
         assert!(state.is_partitioned(0, 2));
         assert!(state.is_partitioned(1, 2));
         assert!(!state.is_partitioned(0, 1));
-    }
-
-    #[test]
-    fn plan_roundtrips_serde() {
-        let plan = FaultPlan::generate(5, 3, Nanos::from_secs_f64(1.0), 6);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

@@ -8,12 +8,11 @@
 
 use crate::fault::XorShift64;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Injected degradation state of one link (see `crate::fault`). All
 /// fields deterministic: jitter draws come from the seeded RNG carried
 /// here, never from a wall clock.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinkFault {
     /// Multiplier on effective bandwidth in `(0, 1]`.
     pub derate: f64,
@@ -38,7 +37,7 @@ impl LinkFault {
 }
 
 /// Mutable state of one simulated link direction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinkSim {
     /// Line bandwidth in bytes/s.
     pub bandwidth_bytes: f64,
@@ -53,11 +52,9 @@ pub struct LinkSim {
     /// Number of transmissions accepted.
     pub transmissions: u64,
     /// Injected fault state, when a fault plan targets this link.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fault: Option<LinkFault>,
     /// Transmissions perturbed by a fault (deferred past an outage,
     /// jittered, or slowed by a derate).
-    #[serde(default)]
     pub faults_hit: u64,
 }
 

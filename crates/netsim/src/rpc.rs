@@ -15,10 +15,9 @@
 
 use crate::link::LinkSim;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of an RPC transport.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RpcParams {
     /// One-time session establishment cost (connection, remote context).
     pub session_init: Nanos,

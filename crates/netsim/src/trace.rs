@@ -9,10 +9,9 @@
 
 use crate::time::Nanos;
 use genie_srg::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One recorded simulation event.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
     /// A kernel executed on a device.
     Kernel {
@@ -25,13 +24,10 @@ pub enum TraceEvent {
         /// End time.
         end: Nanos,
         /// SRG node this kernel realizes, when known.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
         node: Option<NodeId>,
         /// Execution-plan label (`<graph>@<policy>`) this ran under.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
         plan: Option<String>,
         /// Serving-request id this kernel is causally attributed to.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
         request: Option<u64>,
     },
     /// A network transfer completed.
@@ -47,17 +43,13 @@ pub enum TraceEvent {
         /// Delivery time.
         end: Nanos,
         /// SRG node whose output (or input) moved, when known.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
         node: Option<NodeId>,
         /// Execution-plan label this ran under.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
         plan: Option<String>,
         /// Time spent waiting for the link serializer (FIFO queueing)
         /// before the first byte hit the wire.
-        #[serde(default)]
         queue_delay: Nanos,
         /// Serving-request id this transfer is causally attributed to.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
         request: Option<u64>,
     },
     /// An RPC round-trip completed.
@@ -185,7 +177,7 @@ impl TraceEvent {
 }
 
 /// An append-only trace.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }
@@ -366,34 +358,5 @@ mod tests {
                 .with_queue_delay(Nanos::from_secs_f64(0.5)),
         );
         assert!((t.total_queue_delay_seconds() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn legacy_json_without_attribution_still_parses() {
-        // Pre-attribution serialization: no node/plan/queue_delay keys.
-        let legacy = r#"{"Kernel":{"device":0,"label":"mm","start":0,"end":1000}}"#;
-        let e: TraceEvent = serde_json::from_str(legacy).unwrap();
-        assert_eq!(e.node(), None);
-        let legacy_t = r#"{"Transfer":{"from":0,"to":1,"bytes":8,"start":0,"end":1000}}"#;
-        let e: TraceEvent = serde_json::from_str(legacy_t).unwrap();
-        match e {
-            TraceEvent::Transfer { queue_delay, .. } => assert_eq!(queue_delay, Nanos::ZERO),
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn attributed_event_roundtrips() {
-        let e = TraceEvent::transfer(0, 1, 64, Nanos(5), Nanos(20))
-            .with_node(NodeId::new(3))
-            .with_plan("vision@local")
-            .with_queue_delay(Nanos(4))
-            .with_request(41);
-        let json = serde_json::to_string(&e).unwrap();
-        let back: TraceEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
-        // Unattributed events omit the request key entirely.
-        let bare = serde_json::to_string(&TraceEvent::kernel(0, "k", Nanos(0), Nanos(1))).unwrap();
-        assert!(!bare.contains("\"request\""), "{bare}");
     }
 }

@@ -8,10 +8,9 @@
 //! network the session actually has rather than the one it assumed.
 
 use crate::cost::CostModel;
-use serde::{Deserialize, Serialize};
 
 /// EWMA-based adapter from live measurements to cost-model constants.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HintAdapter {
     /// Smoothing factor in `(0, 1]`: weight of the newest sample.
     pub alpha: f64,

@@ -3,7 +3,6 @@
 
 use genie_cluster::GpuSpec;
 use genie_srg::Node;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -82,8 +81,8 @@ impl CostCacheStats {
 /// overhead plus serialized payload time.
 ///
 /// Kernel-time estimates are memoized in a cache shared by clones of this
-/// model (equality, serialization, and debug output ignore it).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// model.
+#[derive(Clone, Debug)]
 pub struct CostModel {
     /// Fraction of peak FLOP/s actually achieved by compute-bound kernels.
     pub compute_efficiency: f64,
@@ -95,19 +94,7 @@ pub struct CostModel {
     pub network_bandwidth: f64,
     /// One-way network latency in seconds.
     pub network_latency_s: f64,
-    #[serde(skip, default)]
     cache: Arc<KernelTimeCache>,
-}
-
-impl PartialEq for CostModel {
-    fn eq(&self, other: &Self) -> bool {
-        // The cache is an implementation detail, not part of model identity.
-        self.compute_efficiency == other.compute_efficiency
-            && self.memory_efficiency == other.memory_efficiency
-            && self.per_call_overhead_s == other.per_call_overhead_s
-            && self.network_bandwidth == other.network_bandwidth
-            && self.network_latency_s == other.network_latency_s
-    }
 }
 
 impl CostModel {
@@ -357,17 +344,6 @@ mod tests {
         m.kernel_time(&n, &gpu);
         let stats = m.cache_stats();
         assert_eq!((stats.misses, stats.hits), (1, 1));
-    }
-
-    #[test]
-    fn serde_roundtrip_ignores_cache() {
-        let m = CostModel::paper_stack();
-        let gpu = GpuSpec::a100_80gb();
-        m.kernel_time(&node(1e12, 1e9), &gpu);
-        let json = serde_json::to_string(&m).unwrap();
-        let back: CostModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.cache_stats(), CostCacheStats::default());
     }
 
     #[test]

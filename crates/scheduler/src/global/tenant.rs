@@ -6,10 +6,9 @@
 
 use genie_srg::stats::GraphStats;
 use genie_srg::{Phase, Srg};
-use serde::{Deserialize, Serialize};
 
 /// Service-level objective class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Slo {
     /// Latency-sensitive, user-facing (VQA queries, chat decode).
     Interactive,
@@ -19,7 +18,7 @@ pub enum Slo {
 }
 
 /// Workload class derived from the semantic graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WorkloadClass {
     /// LLM serving (phased, stateful).
     Llm,

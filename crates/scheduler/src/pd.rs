@@ -8,10 +8,8 @@
 //! a one-time KV-cache handoff per request. Only a scheduler that sees
 //! phase annotations can weigh that trade — this module is that weighing.
 
-use serde::{Deserialize, Serialize};
-
 /// The per-request phase profile the SRG exposes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PdProfile {
     /// Prefill kernel seconds per request (compute-bound, preemptive).
     pub prefill_s: f64,
@@ -52,7 +50,7 @@ impl PdProfile {
 }
 
 /// Outcome of a pool-sizing evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PdPlan {
     /// Devices serving prefill (0 = colocated).
     pub prefill_devices: usize,

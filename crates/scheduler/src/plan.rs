@@ -7,11 +7,10 @@
 
 use genie_cluster::DevId;
 use genie_srg::{EdgeId, NodeId, Srg, TensorId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Where a node runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Location {
     /// On the client's CPU (sources, sampling, glue).
     ClientCpu,
@@ -44,7 +43,7 @@ impl std::fmt::Display for Location {
 }
 
 /// One scheduled data movement.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Transfer {
     /// The edge this transfer realizes.
     pub edge: EdgeId,
@@ -64,7 +63,7 @@ pub struct Transfer {
 }
 
 /// Cost estimate attached to a plan.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CostBreakdown {
     /// Seconds of kernel execution on the critical path.
     pub compute_s: f64,
@@ -84,7 +83,7 @@ impl CostBreakdown {
 }
 
 /// The scheduler's output: placements, transfers, and the estimate.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExecutionPlan {
     /// Name of the policy that produced this plan.
     pub policy: String,
@@ -102,7 +101,6 @@ pub struct ExecutionPlan {
     /// Findings from the plan-level lint passes (`GA1xx`), recorded by
     /// [`schedule`](crate::schedule::schedule) so callers can inspect why
     /// a placement is suspect without re-running the analyzer.
-    #[serde(default)]
     pub diagnostics: Vec<genie_analysis::Diagnostic>,
 }
 

@@ -6,10 +6,9 @@
 //! bit-stable across same-seed runs.
 
 use genie_netsim::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// One inference request offered to the serving loop.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServingRequest {
     /// Unique request id (ids order admission ties deterministically).
     pub id: u64,
@@ -26,7 +25,7 @@ pub struct ServingRequest {
 }
 
 /// Why a request was shed instead of served.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShedReason {
     /// The admission queue was already at capacity on arrival.
     QueueFull,
@@ -51,7 +50,7 @@ impl ShedReason {
 }
 
 /// Terminal state of one request.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Outcome {
     /// The request decoded to completion.
     Completed {
@@ -72,7 +71,7 @@ pub enum Outcome {
 }
 
 /// What happened in one [`LogEvent`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum EventKind {
     /// The request entered the admission queue.
     Arrive,
@@ -119,7 +118,7 @@ pub enum EventKind {
 }
 
 /// One entry of the deterministic event log.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LogEvent {
     /// Virtual timestamp.
     pub at: Nanos,

@@ -13,11 +13,10 @@
 //! `O(tenants * window)` regardless of run length.
 
 use genie_netsim::Nanos;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// SLO policy for one serving loop.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SloConfig {
     /// TTFT target: a completed request whose TTFT exceeds this counts
     /// as an SLO violation (sheds always violate).
@@ -132,7 +131,7 @@ impl SloTracker {
 }
 
 /// One tenant's SLO snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TenantSlo {
     /// Sampled terminal outcomes recorded.
     pub observed: u64,
@@ -144,7 +143,7 @@ pub struct TenantSlo {
 }
 
 /// Per-tenant SLO snapshot of one serving run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SloStats {
     /// Snapshot per tenant id.
     pub per_tenant: BTreeMap<u64, TenantSlo>,

@@ -5,13 +5,12 @@
 //! the *contract* between frontends and schedulers: it is everything a
 //! scheduler may rely on, and nothing framework-specific.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Execution-phase tag. Phases partition a workload into regions with
 /// distinct resource profiles (e.g. LLM prefill is compute-bound and
 /// parallelizable; decode is memory-bound and sequential).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Phase {
     /// No phase information is available (the default for raw captures).
     #[default]
@@ -87,9 +86,7 @@ impl fmt::Display for Phase {
 /// Intended lifetime and reuse properties of a data product. Residency is
 /// the single most valuable cue for a disaggregation scheduler: it separates
 /// a 12 GB reusable weight from a 1 MB one-shot activation.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Residency {
     /// Unclassified (the default for raw captures).
     #[default]
@@ -151,9 +148,7 @@ impl fmt::Display for Residency {
 
 /// Data modality processed by an operation, enabling placement on
 /// specialized accelerators (§3.1, §3.6 "heterogeneous placement").
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Modality {
     /// Unclassified.
     #[default]
@@ -191,7 +186,7 @@ impl fmt::Display for Modality {
 }
 
 /// Profiling- or model-based cost estimates attached to a node.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct CostHints {
     /// Estimated floating-point operations for one invocation.
     pub flops: f64,
@@ -245,7 +240,7 @@ impl CostHints {
 }
 
 /// Element types for tensors flowing along edges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ElemType {
     /// 32-bit IEEE float.
     F32,
@@ -296,7 +291,7 @@ impl fmt::Display for ElemType {
 
 /// Memory layout of a tensor as it crosses an edge. Layout mismatches force
 /// a repack, which the cost model charges for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Layout {
     /// Row-major, innermost dimension contiguous (the default).
     #[default]
@@ -310,7 +305,7 @@ pub enum Layout {
 }
 
 /// Shape, precision, and layout of the data flowing along an edge.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TensorMeta {
     /// Dimension sizes, outermost first. Empty means scalar.
     pub shape: Vec<usize>,
@@ -349,7 +344,7 @@ impl TensorMeta {
 /// Data-volume change between producer and consumer (e.g. a sampling
 /// operator that keeps 1 of 50,400 logits). The scheduler uses rates for
 /// network bandwidth reservation (§3.1).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Rate {
     /// Bytes produced per invocation of the producer.
     pub produced_bytes: f64,
@@ -386,9 +381,7 @@ impl Default for Rate {
 }
 
 /// Whether a data dependency sits on the critical path of execution.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Criticality {
     /// Transfer can be deferred or overlapped freely.
     Background,
@@ -493,15 +486,26 @@ mod tests {
     }
 
     #[test]
-    fn annotation_serde_roundtrip() {
+    fn annotation_json_roundtrip() {
         let meta = TensorMeta::new([72, 4096], ElemType::F16);
-        let json = serde_json::to_string(&meta).unwrap();
-        let back: TensorMeta = serde_json::from_str(&json).unwrap();
+        let json = meta.to_json().to_string();
+        assert_eq!(
+            json,
+            r#"{"shape":[72,4096],"elem":"F16","layout":"RowMajor"}"#
+        );
+        let back = TensorMeta::from_json(&crate::json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, meta);
 
-        let phase = Phase::Custom("x".into());
-        let json = serde_json::to_string(&phase).unwrap();
-        let back: Phase = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, phase);
+        // A custom phase keeps its own name: one spelled like a built-in
+        // label must not come back as the built-in.
+        for phase in [Phase::Custom("llm_decode".into()), Phase::LlmDecode] {
+            let json = phase.to_json().to_string();
+            let back = Phase::from_json(&crate::json::parse(&json).unwrap()).unwrap();
+            assert_eq!(back, phase, "{json}");
+        }
+        assert_eq!(
+            Phase::Custom("x".into()).to_json().to_string(),
+            r#"{"Custom":"x"}"#
+        );
     }
 }

@@ -2,12 +2,11 @@
 
 use crate::annotations::{Criticality, Rate, TensorMeta};
 use crate::ids::{EdgeId, NodeId, TensorId};
-use serde::{Deserialize, Serialize};
 
 /// A directed data dependency between two nodes. Edges carry everything the
 /// scheduler needs to price a potential network transfer: payload metadata,
 /// producer/consumer rates, and criticality (§3.1).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Edge {
     /// Id within the owning graph.
     pub id: EdgeId,
@@ -135,10 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn edge_serde_roundtrip() {
+    fn edge_json_roundtrip() {
         let e = edge().with_criticality(Criticality::Background);
-        let json = serde_json::to_string(&e).unwrap();
-        let back: Edge = serde_json::from_str(&json).unwrap();
+        let json = e.to_json().to_string();
+        let back = Edge::from_json(&crate::json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, e);
     }
 }

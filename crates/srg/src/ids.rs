@@ -5,16 +5,12 @@
 //! serializable — a requirement for the SRG's role as a *portable*
 //! interchange format between frontends, schedulers, and backends.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-        )]
-        #[serde(transparent)]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -72,8 +68,7 @@ define_id!(
 /// Identifies a logical tensor value flowing through the graph. Unlike
 /// [`EdgeId`], a single tensor may feed several consumers (several edges
 /// share one `TensorId`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TensorId(pub u64);
 
 impl TensorId {
@@ -116,14 +111,5 @@ mod tests {
     #[test]
     fn tensor_id_display() {
         assert_eq!(format!("{}", TensorId::new(7)), "t7");
-    }
-
-    #[test]
-    fn serde_transparent() {
-        let id = NodeId::new(5);
-        let json = serde_json::to_string(&id).unwrap();
-        assert_eq!(json, "5");
-        let back: NodeId = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, id);
     }
 }

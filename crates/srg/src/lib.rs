@@ -57,6 +57,7 @@ pub mod dot;
 pub mod edge;
 pub mod graph;
 pub mod ids;
+pub mod json;
 pub mod node;
 pub mod redact;
 pub mod serialize;

@@ -2,7 +2,6 @@
 
 use crate::annotations::{CostHints, Modality, Phase, Residency};
 use crate::ids::{DeviceId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -11,7 +10,7 @@ use std::fmt;
 /// matmul has different roofline behaviour than a gather), so the SRG keeps
 /// a coarse, framework-neutral vocabulary plus an escape hatch for opaque
 /// custom kernels (§3.7).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Dense matrix multiply (including batched).
     MatMul,
@@ -139,7 +138,7 @@ impl fmt::Display for OpKind {
 }
 
 /// One operation in the SRG, annotated per the §3.1 schema.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Node {
     /// Id within the owning graph.
     pub id: NodeId,
@@ -288,12 +287,29 @@ mod tests {
     }
 
     #[test]
-    fn node_serde_roundtrip() {
-        let n = Node::new(NodeId::new(3), OpKind::KvAppend, "kv")
+    fn node_json_roundtrip() {
+        let mut n = Node::new(NodeId::new(3), OpKind::KvAppend, "kv")
             .with_phase(Phase::LlmDecode)
-            .with_residency(Residency::StatefulKvCache);
-        let json = serde_json::to_string(&n).unwrap();
-        let back: Node = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, n);
+            .with_residency(Residency::StatefulKvCache)
+            .with_attr("b", "2")
+            .with_attr("a", "1");
+        for op in [
+            OpKind::KvAppend,
+            OpKind::Fused(3),
+            OpKind::CustomKernel("x".into()),
+        ] {
+            n.op = op;
+            n.device = n.device.xor(Some(crate::ids::DeviceId::new(7)));
+            let json = n.to_json().to_string();
+            let back = Node::from_json(&crate::json::parse(&json).unwrap()).unwrap();
+            assert_eq!(back, n, "{json}");
+        }
+        let json = n.to_json().to_string();
+        // Ids are bare numbers, payload variants one-key objects, attrs sorted.
+        assert!(json.starts_with(r#"{"id":3,"op":{"CustomKernel":"x"},"name":"kv","#));
+        assert!(
+            json.ends_with(r#""device":7,"attrs":{"a":"1","b":"2"}}"#),
+            "{json}"
+        );
     }
 }

@@ -25,14 +25,13 @@ use crate::graph::Srg;
 use crate::ids::{EdgeId, NodeId};
 use crate::node::{Node, OpKind};
 use crate::traverse::topo_order;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// How to shard a model: `pipeline_stages` contiguous layer blocks,
 /// each split over `tensor_parallel` ranks. The linear shard id of
 /// `(stage, rank)` is `stage * tensor_parallel + rank`; shard 0 is the
 /// single-device case when both factors are 1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ShardSpec {
     /// Number of pipeline stages (contiguous layer blocks), ≥ 1.
     pub pipeline_stages: u32,

@@ -9,10 +9,9 @@ use crate::annotations::{Modality, Phase, Residency};
 use crate::graph::Srg;
 use crate::node::OpKind;
 use crate::traverse::{levels, max_width, CycleError};
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one SRG.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphStats {
     /// Number of nodes.
     pub nodes: usize,

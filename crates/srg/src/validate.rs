@@ -320,9 +320,9 @@ mod tests {
     /// `connect_tensor` asserts endpoint bounds, so a dangling edge can
     /// only arrive from outside — e.g. a corrupted serialized graph.
     fn tampered_graph() -> Srg {
-        let mut json = serde_json::to_value(valid_graph()).unwrap();
-        json["edges"][0]["dst"] = serde_json::Value::from(99u32);
-        serde_json::from_value(json).unwrap()
+        let json = crate::serialize::to_json(&valid_graph()).unwrap();
+        assert!(json.contains(r#""src":0,"dst":1,"#), "{json}");
+        crate::serialize::from_json(&json.replace(r#""dst":1,"#, r#""dst":99,"#)).unwrap()
     }
 
     #[test]

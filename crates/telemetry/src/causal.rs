@@ -33,15 +33,13 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 // ---------------------------------------------------------------------------
 // Trace context propagation
 // ---------------------------------------------------------------------------
 
 /// Request-scoped causal context, propagated across layer boundaries
 /// (and serialized into the transport wire envelope).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Serving-request id this work is performed on behalf of.
     pub request: u64,
@@ -99,7 +97,7 @@ pub fn with_ctx(ctx: TraceCtx) -> CtxGuard {
 
 /// Request lifecycle transition kinds, mirrored (dependency-free) from
 /// the serving engine's event log.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CausalEventKind {
     /// Request entered the admission queue.
     Arrive,
@@ -132,7 +130,7 @@ pub enum CausalEventKind {
 }
 
 /// A single request lifecycle transition on the virtual clock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CausalEvent {
     /// Virtual-clock timestamp in nanoseconds.
     pub at_ns: u64,
@@ -143,7 +141,7 @@ pub struct CausalEvent {
 }
 
 /// The phase a batch member was in during one engine step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MemberPhase {
     /// First KV build over the prompt.
     Prefill,
@@ -154,7 +152,7 @@ pub enum MemberPhase {
 }
 
 /// One request's participation in one step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StepMember {
     /// Serving-request id.
     pub request: u64,
@@ -170,7 +168,7 @@ pub struct StepMember {
 /// fault_ns <= end_ns - start_ns`, and the residue is synchronization
 /// wait (blamed to queue). Produced via [`StepSlice::from_secs`],
 /// which clamps so the invariant holds bit-stably.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StepSlice {
     /// Lane (device) index this slice describes.
     pub lane: u32,
@@ -191,7 +189,6 @@ pub struct StepSlice {
     /// Collective time: all_reduce / all_gather / activation-send link
     /// traffic of a sharded tenant's step, ns. Zero for unsharded runs
     /// (and for traces recorded before sharding existed).
-    #[serde(default)]
     pub collective_ns: u64,
     /// Batch members resident on this lane for this step.
     pub members: Vec<StepMember>,
@@ -265,7 +262,7 @@ impl StepSlice {
 
 /// The full causal record of one serving run: lifecycle events plus
 /// per-step slices. Everything [`analyze`] needs, nothing more.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CausalTraceDoc {
     /// Request lifecycle transitions, in virtual-clock order.
     pub events: Vec<CausalEvent>,
@@ -279,7 +276,7 @@ pub struct CausalTraceDoc {
 
 /// Exact integer-ns blame totals for one request. The six buckets
 /// tile `[arrival, finished]`: their sum equals the observed TTLT.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BlameBreakdown {
     /// Admission-queue wait + barrier synchronization wait, ns.
     pub queue_ns: u64,
@@ -302,7 +299,6 @@ pub struct BlameBreakdown {
     pub migrate_ns: u64,
     /// Collective time (all_reduce / all_gather / activation sends) of
     /// sharded steps, ns.
-    #[serde(default)]
     pub collective_ns: u64,
 }
 
@@ -354,7 +350,7 @@ impl BlameBreakdown {
 }
 
 /// Headline blame fractions of one request (or an aggregate profile).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BlameFractions {
     /// Queue-wait share (admission queue + barrier sync).
     pub queue: f64,
@@ -369,7 +365,6 @@ pub struct BlameFractions {
     /// KV-migration share (prefill→decode prefix shipping).
     pub migrate: f64,
     /// Collective share (sharded all_reduce / all_gather / sends).
-    #[serde(default)]
     pub collective: f64,
 }
 
@@ -387,7 +382,7 @@ impl BlameFractions {
 }
 
 /// What a critical-path segment was doing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SegmentKind {
     /// Waiting in the admission queue (or re-queued after eviction).
     Wait,
@@ -403,7 +398,7 @@ pub enum SegmentKind {
 
 /// One contiguous span of a request's critical path. Segments tile
 /// `[arrival, finished]` in order with no gaps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CriticalSegment {
     /// What the request was doing.
     pub kind: SegmentKind,
@@ -416,7 +411,7 @@ pub struct CriticalSegment {
 }
 
 /// Full per-request analysis: critical path + exact blame.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RequestBlame {
     /// Serving-request id.
     pub request: u64,
@@ -436,7 +431,7 @@ pub struct RequestBlame {
 
 /// Aggregate result of [`analyze`]: per-request blame plus p50/p99
 /// blame profiles across all completed requests.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BlameReport {
     /// Completed requests in id order.
     pub requests: Vec<RequestBlame>,
@@ -668,7 +663,7 @@ pub fn analyze(doc: &CausalTraceDoc) -> BlameReport {
 // ---------------------------------------------------------------------------
 
 /// A hypothetical deployment change to replay a critical path under.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WhatIf {
     /// Multiply link bandwidth by this factor (payload time divides).
     pub link_bandwidth_x: f64,
@@ -745,7 +740,7 @@ impl WhatIf {
 }
 
 /// One scenario's aggregate prediction across a blame report.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WhatIfDelta {
     /// Human-readable scenario label.
     pub scenario: String,

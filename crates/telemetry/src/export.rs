@@ -22,8 +22,8 @@
 
 use crate::span::{SpanKind, SpanRecord, Track};
 use genie_netsim::{Trace, TraceEvent};
-use genie_srg::Srg;
-use serde::Serialize;
+use genie_srg::json::Value;
+use genie_srg::{json_object, Srg};
 use std::collections::BTreeMap;
 
 const PID_RUNTIME: u32 = 1;
@@ -31,7 +31,7 @@ const PID_DEVICES: u32 = 2;
 const PID_LINKS: u32 = 3;
 
 /// One Chrome-trace event (the subset of the format we emit).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ChromeEvent {
     /// Event name.
     pub name: String,
@@ -42,28 +42,23 @@ pub struct ChromeEvent {
     /// Timestamp in microseconds.
     pub ts: f64,
     /// Duration in microseconds (`"X"` events only).
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub dur: Option<f64>,
     /// Process row.
     pub pid: u32,
     /// Thread row within the process.
     pub tid: u32,
     /// Instant scope (`"t"` thread) — required by the UI for `"i"`.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub s: Option<String>,
     /// Key/value arguments shown in the detail pane.
-    #[serde(skip_serializing_if = "BTreeMap::is_empty")]
-    pub args: BTreeMap<String, serde_json::Value>,
+    pub args: BTreeMap<String, Value>,
 }
 
 /// The whole exportable trace document.
-#[derive(Debug, Default, Serialize)]
+#[derive(Debug, Default)]
 pub struct ChromeTrace {
     /// All events, metadata first.
-    #[serde(rename = "traceEvents")]
     pub events: Vec<ChromeEvent>,
     /// Display unit hint for the UI.
-    #[serde(rename = "displayTimeUnit")]
     pub display_time_unit: &'static str,
 }
 
@@ -78,7 +73,7 @@ impl ChromeTrace {
 
     fn meta(&mut self, pid: u32, tid: Option<u32>, name: &str) {
         let mut args = BTreeMap::new();
-        args.insert("name".to_string(), serde_json::json!(name));
+        args.insert("name".to_string(), name.into());
         self.events.push(ChromeEvent {
             name: if tid.is_some() {
                 "thread_name".into()
@@ -114,37 +109,37 @@ impl ChromeTrace {
             };
             let mut args = BTreeMap::new();
             if let Some(node) = r.attrs.node {
-                args.insert("node".into(), serde_json::json!(node.index() as u64));
+                args.insert("node".into(), node.0.into());
                 if let Some(n) = srg.and_then(|g| g.try_node(node)) {
                     args.entry("phase".into())
-                        .or_insert_with(|| serde_json::json!(n.phase.label()));
+                        .or_insert_with(|| n.phase.label().into());
                     if !n.module_path.is_empty() {
-                        args.insert("module".into(), serde_json::json!(n.module_path));
+                        args.insert("module".into(), n.module_path.as_str().into());
                     }
                     args.entry("modality".into())
-                        .or_insert_with(|| serde_json::json!(n.modality.label()));
+                        .or_insert_with(|| n.modality.label().into());
                 }
             }
             if let Some(p) = &r.attrs.phase {
-                args.insert("phase".into(), serde_json::json!(p));
+                args.insert("phase".into(), p.as_str().into());
             }
             if let Some(m) = &r.attrs.modality {
-                args.insert("modality".into(), serde_json::json!(m));
+                args.insert("modality".into(), m.as_str().into());
             }
             if let Some(d) = r.attrs.device {
-                args.insert("device".into(), serde_json::json!(d));
+                args.insert("device".into(), d.into());
             }
             if let Some(p) = &r.attrs.plan {
-                args.insert("plan".into(), serde_json::json!(p));
+                args.insert("plan".into(), p.as_str().into());
             }
             if let Some(req) = r.attrs.request {
-                args.insert("request".into(), serde_json::json!(req));
+                args.insert("request".into(), req.into());
             }
             if let Some(c) = r.attrs.cause {
-                args.insert("cause".into(), serde_json::json!(c));
+                args.insert("cause".into(), c.into());
             }
             for (k, v) in &r.attrs.extra {
-                args.insert(k.clone(), serde_json::json!(v));
+                args.insert(k.clone(), v.as_str().into());
             }
             let instant = r.kind == SpanKind::Instant;
             self.events.push(ChromeEvent {
@@ -196,20 +191,20 @@ impl ChromeTrace {
                     }
                     let mut args = BTreeMap::new();
                     if let Some(req) = request {
-                        args.insert("request".into(), serde_json::json!(req));
+                        args.insert("request".into(), (*req).into());
                     }
                     if let Some(id) = node {
-                        args.insert("node".into(), serde_json::json!(id.index() as u64));
+                        args.insert("node".into(), id.0.into());
                         if let Some(n) = srg.and_then(|g| g.try_node(*id)) {
-                            args.insert("phase".into(), serde_json::json!(n.phase.label()));
-                            args.insert("modality".into(), serde_json::json!(n.modality.label()));
+                            args.insert("phase".into(), n.phase.label().into());
+                            args.insert("modality".into(), n.modality.label().into());
                             if !n.module_path.is_empty() {
-                                args.insert("module".into(), serde_json::json!(n.module_path));
+                                args.insert("module".into(), n.module_path.as_str().into());
                             }
                         }
                     }
                     if let Some(p) = ev_plan.as_deref().or(plan) {
-                        args.insert("plan".into(), serde_json::json!(p));
+                        args.insert("plan".into(), p.into());
                     }
                     self.events.push(ChromeEvent {
                         name: label.clone(),
@@ -239,21 +234,21 @@ impl ChromeTrace {
                     }
                     let mut args = BTreeMap::new();
                     if let Some(req) = request {
-                        args.insert("request".into(), serde_json::json!(req));
+                        args.insert("request".into(), (*req).into());
                     }
-                    args.insert("bytes".into(), serde_json::json!(bytes));
+                    args.insert("bytes".into(), (*bytes).into());
                     args.insert(
                         "queue_delay_us".into(),
-                        serde_json::json!(queue_delay.0 as f64 / 1_000.0),
+                        (queue_delay.0 as f64 / 1_000.0).into(),
                     );
                     if let Some(id) = node {
-                        args.insert("node".into(), serde_json::json!(id.index() as u64));
+                        args.insert("node".into(), id.0.into());
                         if let Some(n) = srg.and_then(|g| g.try_node(*id)) {
-                            args.insert("phase".into(), serde_json::json!(n.phase.label()));
+                            args.insert("phase".into(), n.phase.label().into());
                         }
                     }
                     if let Some(p) = ev_plan.as_deref().or(plan) {
-                        args.insert("plan".into(), serde_json::json!(p));
+                        args.insert("plan".into(), p.into());
                     }
                     self.events.push(ChromeEvent {
                         name: format!("xfer {bytes}B"),
@@ -314,14 +309,39 @@ impl ChromeTrace {
         }
     }
 
-    /// Serialize to the loadable JSON document.
-    pub fn to_json_string(&self) -> String {
-        serde_json::to_string(self).expect("chrome trace serializes")
+    /// The loadable document: `traceEvents`, then `displayTimeUnit`. An
+    /// event's `dur`, `s` and `args` are absent when it has none.
+    pub fn to_json(&self) -> Value {
+        let event = |e: &ChromeEvent| {
+            let mut members = Vec::new();
+            let mut put = |key: &str, value: Value| members.push((key.to_string(), value));
+            put("name", e.name.as_str().into());
+            put("cat", e.cat.as_str().into());
+            put("ph", e.ph.as_str().into());
+            put("ts", e.ts.into());
+            if let Some(dur) = e.dur {
+                put("dur", dur.into());
+            }
+            put("pid", e.pid.into());
+            put("tid", e.tid.into());
+            if let Some(s) = &e.s {
+                put("s", s.as_str().into());
+            }
+            if !e.args.is_empty() {
+                let args = e.args.iter().map(|(k, v)| (k.clone(), v.clone()));
+                put("args", Value::Object(args.collect()));
+            }
+            Value::Object(members)
+        };
+        json_object! {
+            "traceEvents": self.events.iter().map(event).collect::<Vec<_>>(),
+            "displayTimeUnit": self.display_time_unit,
+        }
     }
 
-    /// Pretty-printed variant (for golden tests and human diffing).
-    pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).expect("chrome trace serializes")
+    /// The document as compact JSON text.
+    pub fn to_json_string(&self) -> String {
+        self.to_json().to_string()
     }
 }
 
@@ -361,15 +381,9 @@ mod tests {
         let kernel = ct.events.iter().find(|e| e.cat == "sim.kernel").unwrap();
         assert_eq!(kernel.ph, "X");
         assert_eq!(kernel.pid, PID_DEVICES);
-        assert_eq!(kernel.args["phase"], serde_json::json!("llm_decode"));
-        assert_eq!(
-            kernel.args["module"],
-            serde_json::json!("transformer.h.0.attn")
-        );
-        assert_eq!(
-            kernel.args["plan"],
-            serde_json::json!("tiny@semantics_aware")
-        );
+        assert_eq!(kernel.args["phase"], Value::from("llm_decode"));
+        assert_eq!(kernel.args["module"], Value::from("transformer.h.0.attn"));
+        assert_eq!(kernel.args["plan"], Value::from("tiny@semantics_aware"));
         assert_eq!(kernel.dur, Some(5.0));
         // Metadata rows for the device process exist.
         assert!(ct
@@ -388,9 +402,9 @@ mod tests {
         let mut ct = ChromeTrace::new();
         ct.push_sim_trace(&trace, None, Some("fallback@plan"));
         let xfer = ct.events.iter().find(|e| e.cat == "sim.transfer").unwrap();
-        assert_eq!(xfer.args["bytes"], serde_json::json!(4096));
-        assert_eq!(xfer.args["queue_delay_us"], serde_json::json!(7.0));
-        assert_eq!(xfer.args["plan"], serde_json::json!("fallback@plan"));
+        assert_eq!(xfer.args["bytes"], Value::U64(4096));
+        assert_eq!(xfer.args["queue_delay_us"], Value::F64(7.0));
+        assert_eq!(xfer.args["plan"], Value::from("fallback@plan"));
         assert_eq!(xfer.pid, PID_LINKS);
         assert_eq!(xfer.tid, link_tid(0, 1));
     }
@@ -443,8 +457,8 @@ mod tests {
     fn document_is_loadable_json() {
         let mut ct = ChromeTrace::new();
         ct.push_sim_trace(&Trace::new(), None, None);
-        let doc: serde_json::Value = serde_json::from_str(&ct.to_json_string()).unwrap();
-        assert!(doc["traceEvents"].is_array());
-        assert_eq!(doc["displayTimeUnit"], "ms");
+        let doc = genie_srg::json::parse(&ct.to_json_string()).unwrap();
+        assert!(doc["traceEvents"].as_array().is_some());
+        assert_eq!(doc["displayTimeUnit"].as_str(), Some("ms"));
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! Registration hands back cheap `Arc`-backed handles whose hot-path
 //! operations are single atomic instructions; the registry itself is only
-//! locked at registration and snapshot time. Snapshots are plain serde
+//! locked at registration and snapshot time. Snapshots are plain
 //! data renderable as JSON (bench artifacts) or Prometheus text
 //! exposition (scrape endpoints).
 
 use crate::lock;
-use serde::{Deserialize, Serialize};
+use genie_srg::{json::Value, json_object};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -260,7 +260,7 @@ impl MetricsRegistry {
 }
 
 /// One counter sample.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CounterSample {
     /// Metric name.
     pub name: String,
@@ -271,7 +271,7 @@ pub struct CounterSample {
 }
 
 /// One gauge sample.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GaugeSample {
     /// Metric name.
     pub name: String,
@@ -282,51 +282,17 @@ pub struct GaugeSample {
 }
 
 /// One cumulative histogram bucket.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BucketSample {
-    /// Upper bound (`le`), `+Inf` for the last bucket. Serialized as the
-    /// string `"+Inf"` in JSON (which has no infinity literal; plain
-    /// serde would emit `null` and fail to round-trip).
-    #[serde(with = "le_serde")]
+    /// Upper bound (`le`), `+Inf` for the last bucket (the string
+    /// `"+Inf"` in JSON, which has no infinity literal).
     pub le: f64,
     /// Observations ≤ `le`.
     pub count: u64,
 }
 
-// Referenced via `#[serde(with = "le_serde")]`, which the
-// typecheck-only derive stub does not expand — dead only under the
-// stub, load-bearing against real serde.
-#[allow(dead_code)]
-mod le_serde {
-    use serde::de::Error as _;
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(v: &f64, s: S) -> Result<S::Ok, S::Error> {
-        if v.is_infinite() {
-            s.serialize_str("+Inf")
-        } else {
-            s.serialize_f64(*v)
-        }
-    }
-
-    #[derive(Deserialize)]
-    #[serde(untagged)]
-    enum LeRepr {
-        Num(f64),
-        Str(String),
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<f64, D::Error> {
-        match LeRepr::deserialize(d)? {
-            LeRepr::Num(v) => Ok(v),
-            LeRepr::Str(s) if s == "+Inf" => Ok(f64::INFINITY),
-            LeRepr::Str(s) => Err(D::Error::custom(format!("invalid le bound: {s}"))),
-        }
-    }
-}
-
 /// One histogram sample.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HistogramSample {
     /// Metric name.
     pub name: String,
@@ -383,7 +349,7 @@ impl HistogramSample {
 }
 
 /// A point-in-time copy of the whole registry.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// All counters, sorted by name/labels.
     pub counters: Vec<CounterSample>,
@@ -489,9 +455,40 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Render as pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot serializes")
+    /// The snapshot as a JSON document: `counters`, `gauges`,
+    /// `histograms`; labels are `[key, value]` pairs.
+    pub fn to_json(&self) -> Value {
+        fn labels(pairs: &[(String, String)]) -> Vec<Value> {
+            let pair = |(k, v): &(String, String)| vec![k.as_str(), v.as_str()].into();
+            pairs.iter().map(pair).collect()
+        }
+        let sample = |name: &str, pairs: &[(String, String)], value: Value| {
+            json_object! { "name": name, "labels": labels(pairs), "value": value }
+        };
+        let counter = |c: &CounterSample| sample(&c.name, &c.labels, c.value.into());
+        let gauge = |g: &GaugeSample| sample(&g.name, &g.labels, g.value.into());
+        let bucket = |b: &BucketSample| {
+            let le = if b.le.is_infinite() {
+                "+Inf".into()
+            } else {
+                Value::from(b.le)
+            };
+            json_object! { "le": le, "count": b.count }
+        };
+        let histogram = |h: &HistogramSample| {
+            json_object! {
+                "name": h.name.as_str(),
+                "labels": labels(&h.labels),
+                "buckets": h.buckets.iter().map(bucket).collect::<Vec<_>>(),
+                "sum": h.sum,
+                "count": h.count,
+            }
+        };
+        json_object! {
+            "counters": self.counters.iter().map(counter).collect::<Vec<_>>(),
+            "gauges": self.gauges.iter().map(gauge).collect::<Vec<_>>(),
+            "histograms": self.histograms.iter().map(histogram).collect::<Vec<_>>(),
+        }
     }
 }
 
@@ -571,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrips_through_json() {
+    fn snapshot_json_shape() {
         let reg = MetricsRegistry::new();
         reg.counter("genie_a_total", &[("k", "v")]).add(3);
         reg.gauge("genie_b", &[]).set(1.25);
@@ -579,11 +576,27 @@ mod tests {
             .observe(0.002);
         let snap = reg.snapshot();
         let json = snap.to_json();
-        // The +Inf bucket serializes as the string "+Inf", not null.
-        assert!(json.contains("\"+Inf\""), "{json}");
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-        assert!(back.histograms[0].buckets.last().unwrap().le.is_infinite());
+        assert_eq!(
+            json["counters"].to_string(),
+            r#"[{"name":"genie_a_total","labels":[["k","v"]],"value":3}]"#
+        );
+        assert_eq!(
+            json["gauges"].to_string(),
+            r#"[{"name":"genie_b","labels":[],"value":1.25}]"#
+        );
+        let buckets = json["histograms"].as_array().unwrap()[0]["buckets"]
+            .as_array()
+            .unwrap();
+        assert_eq!(buckets.len(), DEFAULT_TIME_BOUNDS.len() + 1);
+        assert_eq!(
+            buckets[0].to_string(),
+            format!(r#"{{"le":{:?},"count":0}}"#, DEFAULT_TIME_BOUNDS[0])
+        );
+        // The +Inf bucket is the string "+Inf", not null.
+        assert_eq!(
+            buckets.last().unwrap().to_string(),
+            r#"{"le":"+Inf","count":1}"#
+        );
     }
 
     #[test]

@@ -3,16 +3,14 @@
 //! A [`SpanRecord`] is one timed (or instantaneous) event with the
 //! *semantic* attributes Genie's thesis revolves around: which SRG node
 //! caused it, in which phase, on which device, under which plan. Records
-//! are plain serde data so they round-trip through JSON artifacts and
-//! merge across processes.
+//! are plain data; [`crate::export`] turns them into a trace document.
 
 use genie_srg::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Which display track an event belongs to. The Chrome/Perfetto exporter
 /// maps tracks to process/thread rows: one row per device, one per link,
 /// and one per runtime thread.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Track {
     /// Host-side runtime work measured on the wall clock (capture,
     /// scheduling, transport, local execution).
@@ -30,7 +28,7 @@ pub enum Track {
 }
 
 /// Whether an event has duration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpanKind {
     /// A timed interval.
     #[default]
@@ -43,32 +41,24 @@ pub enum SpanKind {
 /// a transport frame counter knows nothing about SRG nodes — but the
 /// point of the layer is that most execution events *can* name the graph
 /// entity that caused them.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SemAttrs {
     /// The SRG node that caused this event.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub node: Option<NodeId>,
     /// Execution phase (e.g. `llm_decode`), from the node's annotation.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub phase: Option<String>,
     /// Data modality (text / vision / tabular / …).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub modality: Option<String>,
     /// Device index the event ran on.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub device: Option<u32>,
     /// Plan label (`<graph>@<policy>`) this event executed under.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub plan: Option<String>,
     /// Serving-request id this event is causally attributed to.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub request: Option<u64>,
     /// Span id of the causal parent *across* threads or layers (the
     /// `parent` field on [`SpanRecord`] only links same-thread nesting).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub cause: Option<u64>,
     /// Free-form key/value attributes.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub extra: Vec<(String, String)>,
 }
 
@@ -128,22 +118,19 @@ impl SemAttrs {
 }
 
 /// One recorded event.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// Process-unique span id.
     pub id: u64,
     /// Enclosing span, when one was active on the recording thread.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub parent: Option<u64>,
     /// Event name (span taxonomy: `capture`, `schedule`, `sim.kernel`, …).
     pub name: String,
     /// Coarse category used for filtering and Chrome's `cat` field.
     pub category: String,
     /// Interval or marker.
-    #[serde(default)]
     pub kind: SpanKind,
     /// Display track.
-    #[serde(default)]
     pub track: Track,
     /// Start time in nanoseconds. Runtime tracks measure from the
     /// collector's epoch on the wall clock; simulated tracks carry
@@ -153,88 +140,10 @@ pub struct SpanRecord {
     /// Duration in nanoseconds (zero for instants).
     pub dur_ns: u64,
     /// Semantic attributes.
-    #[serde(default)]
     pub attrs: SemAttrs,
     /// Recording thread (hashed os id), for runtime track rows.
-    #[serde(default)]
     pub thread: u64,
     /// Collector-assigned monotone sequence number; used by tests to
     /// assert lossless collection under contention.
-    #[serde(default)]
     pub seq: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn record_roundtrips_through_json() {
-        let rec = SpanRecord {
-            id: 7,
-            parent: Some(3),
-            name: "sim.kernel".into(),
-            category: "backend".into(),
-            kind: SpanKind::Span,
-            track: Track::Device(2),
-            start_ns: 1_000,
-            dur_ns: 500,
-            attrs: SemAttrs::new()
-                .node(NodeId::new(42))
-                .phase("llm_decode")
-                .device(2)
-                .plan("decode@semantics_aware")
-                .with("label", "matmul"),
-            thread: 1,
-            seq: 9,
-        };
-        let json = serde_json::to_string(&rec).unwrap();
-        let back: SpanRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, rec);
-        assert_eq!(back.attrs.node, Some(NodeId::new(42)));
-    }
-
-    #[test]
-    fn optional_fields_are_omitted_and_defaulted() {
-        let rec = SpanRecord {
-            id: 1,
-            parent: None,
-            name: "capture".into(),
-            category: "frontend".into(),
-            kind: SpanKind::Instant,
-            track: Track::Runtime,
-            start_ns: 0,
-            dur_ns: 0,
-            attrs: SemAttrs::new(),
-            thread: 0,
-            seq: 0,
-        };
-        let json = serde_json::to_string(&rec).unwrap();
-        assert!(!json.contains("\"node\""), "{json}");
-        assert!(!json.contains("\"parent\""), "{json}");
-        // A minimal document still parses (serde defaults fill the rest).
-        let min = r#"{"id":1,"name":"x","category":"c","start_ns":0,"dur_ns":0}"#;
-        let back: SpanRecord = serde_json::from_str(min).unwrap();
-        assert_eq!(back.kind, SpanKind::Span);
-        assert_eq!(back.track, Track::Runtime);
-    }
-
-    #[test]
-    fn request_attribution_roundtrips_and_is_omitted_when_absent() {
-        let attrs = SemAttrs::new().request(42).cause(7);
-        let json = serde_json::to_string(&attrs).unwrap();
-        let back: SemAttrs = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.request, Some(42));
-        assert_eq!(back.cause, Some(7));
-        let bare = serde_json::to_string(&SemAttrs::new()).unwrap();
-        assert!(!bare.contains("\"request\""), "{bare}");
-        assert!(!bare.contains("\"cause\""), "{bare}");
-    }
-
-    #[test]
-    fn link_track_roundtrip() {
-        let t = Track::Link { from: 0, to: 3 };
-        let json = serde_json::to_string(&t).unwrap();
-        assert_eq!(serde_json::from_str::<Track>(&json).unwrap(), t);
-    }
 }

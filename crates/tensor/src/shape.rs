@@ -1,12 +1,11 @@
 //! Tensor shapes and row-major index arithmetic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A tensor shape: dimension sizes, outermost first. The empty shape is a
 /// scalar. All Genie CPU tensors are contiguous row-major; strides are
 //  derived, never stored.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

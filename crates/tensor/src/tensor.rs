@@ -15,9 +15,6 @@
 //! between graph levels without deep-copying activations.
 
 use crate::shape::Shape;
-use serde::de::Error as _;
-use serde::ser::SerializeStruct;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::sync::Arc;
 
@@ -210,40 +207,6 @@ impl Tensor {
     }
 }
 
-impl Serialize for Tensor {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // Matches the former `derive(Serialize)` layout so stored artifacts
-        // and wire formats are unchanged by the Arc storage switch.
-        let mut st = serializer.serialize_struct("Tensor", 2)?;
-        st.serialize_field("shape", &self.shape)?;
-        st.serialize_field("data", &self.data[..])?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for Tensor {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        #[serde(rename = "Tensor")]
-        struct Raw {
-            shape: Shape,
-            data: Vec<f32>,
-        }
-        let raw = Raw::deserialize(deserializer)?;
-        if raw.shape.num_elements() != raw.data.len() {
-            return Err(D::Error::custom(format!(
-                "shape {} does not match {} elements",
-                raw.shape,
-                raw.data.len()
-            )));
-        }
-        Ok(Tensor {
-            shape: raw.shape,
-            data: raw.data.into(),
-        })
-    }
-}
-
 impl Drop for Tensor {
     fn drop(&mut self) {
         // A dying tensor with uniquely-owned storage hands its buffer
@@ -319,38 +282,6 @@ impl IndexTensor {
     /// Read-only data view.
     pub fn data(&self) -> &[i64] {
         &self.data
-    }
-}
-
-impl Serialize for IndexTensor {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("IndexTensor", 2)?;
-        st.serialize_field("shape", &self.shape)?;
-        st.serialize_field("data", &self.data[..])?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for IndexTensor {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        #[serde(rename = "IndexTensor")]
-        struct Raw {
-            shape: Shape,
-            data: Vec<i64>,
-        }
-        let raw = Raw::deserialize(deserializer)?;
-        if raw.shape.num_elements() != raw.data.len() {
-            return Err(D::Error::custom(format!(
-                "shape {} does not match {} elements",
-                raw.shape,
-                raw.data.len()
-            )));
-        }
-        Ok(IndexTensor {
-            shape: raw.shape,
-            data: raw.data.into(),
-        })
     }
 }
 
@@ -436,27 +367,6 @@ mod tests {
         let u = Tensor::from_shared([1, 2], buf);
         assert_eq!(t.data(), &[1.0, 2.0]);
         assert!(t.shares_storage(&u));
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_layout() {
-        let t = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let json = serde_json::to_string(&t).unwrap();
-        assert_eq!(json, r#"{"shape":[2,2],"data":[1.0,2.0,3.0,4.0]}"#);
-        let back: Tensor = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
-
-        let i = IndexTensor::from_slice(&[7, 8]);
-        let json = serde_json::to_string(&i).unwrap();
-        assert_eq!(json, r#"{"shape":[2],"data":[7,8]}"#);
-        let back: IndexTensor = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, i);
-    }
-
-    #[test]
-    fn serde_rejects_mismatched_payload() {
-        let err = serde_json::from_str::<Tensor>(r#"{"shape":[3],"data":[1.0]}"#);
-        assert!(err.is_err());
     }
 
     #[test]

@@ -138,12 +138,22 @@ impl Server {
                         std::thread::Builder::new()
                             .name("genie-conn".into())
                             .spawn(move || {
-                                let _ = serve_connection(
+                                let served = serve_connection(
                                     &mut stream,
                                     &mut handler,
                                     &dedup,
                                     chaos.as_deref(),
                                 );
+                                // However a connection fails — receiving,
+                                // decoding, encoding or writing — it is one
+                                // server-side transport error.
+                                if served.is_err() {
+                                    let labels = [("role", "server")];
+                                    genie_telemetry::global()
+                                        .metrics
+                                        .counter("genie_transport_errors_total", &labels)
+                                        .inc();
+                                }
                                 // `conns` holds a clone of the socket, so
                                 // dropping this one closes nothing: hang up,
                                 // or a peer whose frame was refused waits
@@ -213,13 +223,7 @@ fn serve_connection(
         let frame = match recv_frame(stream) {
             Ok(f) => f,
             Err(crate::error::TransportError::ConnectionClosed) => return Ok(()),
-            Err(e) => {
-                telemetry
-                    .metrics
-                    .counter("genie_transport_errors_total", &[("role", "server")])
-                    .inc();
-                return Err(e);
-            }
+            Err(e) => return Err(e),
         };
         telemetry
             .metrics

@@ -336,6 +336,13 @@ fn noise_never_panics_a_decoder() {
 #[test]
 fn a_hostile_frame_costs_its_sender_the_connection_and_nobody_else() {
     let server = Server::spawn(|| |_body: RequestBody| ResponseBody::Pong).unwrap();
+    // No other test in this binary opens a socket, so the count is exact.
+    let server_errors = || {
+        let snapshot = genie_telemetry::global().metrics.snapshot();
+        let counted = snapshot.counter("genie_transport_errors_total", &[("role", "server")]);
+        counted.unwrap_or(0)
+    };
+    let before = server_errors();
     let mut hostile = TcpStream::connect(server.addr()).unwrap();
     write_frame(&mut hostile, &abort_frame()).unwrap();
     // The server hangs up on the sender…
@@ -343,6 +350,8 @@ fn a_hostile_frame_costs_its_sender_the_connection_and_nobody_else() {
         read_frame(&mut hostile),
         Err(TransportError::ConnectionClosed | TransportError::Io(_))
     ));
+    // …having counted the frame it could not decode…
+    assert_eq!(server_errors(), before + 1);
     // …and is still there for everybody else.
     let mut client = Client::connect(server.addr()).unwrap();
     assert_eq!(client.call(RequestBody::Ping).unwrap(), ResponseBody::Pong);

@@ -5,6 +5,7 @@ use genie::backend::{simulate_once, simulate_once_faulty};
 use genie::models::Workload;
 use genie::netsim::{FaultPlan, FaultSchedule, FaultSpec, Nanos, RpcParams};
 use genie::prelude::*;
+use genie::srg::json;
 use genie::telemetry::ChromeTrace;
 
 /// Golden-shape test: a scheduled + simulated zoo run exports a
@@ -22,32 +23,38 @@ fn trace_export_attributes_every_kernel() {
 
     let mut chrome = ChromeTrace::new();
     chrome.push_sim_trace(&report.trace, Some(&srg), Some(&plan.label()));
-    let doc: serde_json::Value = serde_json::from_str(&chrome.to_json_string()).unwrap();
+    let doc = json::parse(&chrome.to_json_string()).unwrap();
 
     let events = doc["traceEvents"].as_array().unwrap();
     assert!(!events.is_empty(), "trace document must hold events");
 
-    let kernels: Vec<&serde_json::Value> =
-        events.iter().filter(|e| e["cat"] == "sim.kernel").collect();
+    let kernels: Vec<&json::Value> = events
+        .iter()
+        .filter(|e| e["cat"].as_str() == Some("sim.kernel"))
+        .collect();
     assert!(!kernels.is_empty(), "simulated run must emit kernel slices");
     for k in &kernels {
-        assert_eq!(k["ph"], "X", "kernel events are complete slices");
+        assert_eq!(
+            k["ph"].as_str(),
+            Some("X"),
+            "kernel events are complete slices"
+        );
         assert!(k["dur"].as_f64().unwrap() >= 0.0);
         assert!(
-            k["args"]["node"].is_u64(),
+            k["args"]["node"].as_u64().is_some(),
             "kernel slice missing SRG node attribution: {k}"
         );
         assert!(
-            k["args"]["phase"].is_string(),
+            k["args"]["phase"].as_str().is_some(),
             "kernel slice missing phase attribution: {k}"
         );
-        assert_eq!(k["args"]["plan"], serde_json::json!(plan.label()));
+        assert_eq!(k["args"]["plan"].as_str(), Some(plan.label().as_str()));
     }
 
     // Track naming metadata: a process-name record per simulated pid.
     let names: Vec<&str> = events
         .iter()
-        .filter(|e| e["name"] == "process_name")
+        .filter(|e| e["name"].as_str() == Some("process_name"))
         .filter_map(|e| e["args"]["name"].as_str())
         .collect();
     assert!(names.iter().any(|n| n.contains("devices")));
@@ -87,18 +94,24 @@ fn trace_export_attributes_fault_windows() {
 
     let mut chrome = ChromeTrace::new();
     chrome.push_sim_trace(&report.trace, Some(&srg), Some(&plan.label()));
-    let doc: serde_json::Value = serde_json::from_str(&chrome.to_json_string()).unwrap();
+    let doc = json::parse(&chrome.to_json_string()).unwrap();
     let events = doc["traceEvents"].as_array().unwrap();
 
-    let fault_events: Vec<&serde_json::Value> =
-        events.iter().filter(|e| e["cat"] == "sim.fault").collect();
+    let fault_events: Vec<&json::Value> = events
+        .iter()
+        .filter(|e| e["cat"].as_str() == Some("sim.fault"))
+        .collect();
     assert_eq!(
         fault_events.len(),
         3,
         "derate mark + link-down begin/end: {fault_events:?}"
     );
     for f in &fault_events {
-        assert_eq!(f["ph"], "i", "fault windows export as instants");
+        assert_eq!(
+            f["ph"].as_str(),
+            Some("i"),
+            "fault windows export as instants"
+        );
         let name = f["name"].as_str().unwrap();
         assert!(name.starts_with("fault."), "attributed label: {name}");
     }
@@ -116,7 +129,7 @@ fn trace_export_attributes_fault_windows() {
     // Ordinary marks stay out of the fault category.
     assert!(events
         .iter()
-        .filter(|e| e["cat"] == "sim.mark")
+        .filter(|e| e["cat"].as_str() == Some("sim.mark"))
         .all(|e| !e["name"].as_str().unwrap_or("").starts_with("fault.")));
 }
 
@@ -137,18 +150,20 @@ fn runtime_spans_and_skew_metrics_surface() {
     let records = telemetry.collector.snapshot();
     let mut chrome = ChromeTrace::new();
     chrome.push_records(&records, Some(&srg));
-    let doc: serde_json::Value = serde_json::from_str(&chrome.to_json_string()).unwrap();
+    let doc = json::parse(&chrome.to_json_string()).unwrap();
     let events = doc["traceEvents"].as_array().unwrap();
     assert!(
         events
             .iter()
-            .any(|e| e["name"] == "schedule" && e["cat"] == "scheduler"),
+            .any(|e| e["name"].as_str() == Some("schedule")
+                && e["cat"].as_str() == Some("scheduler")),
         "scheduling span must appear on the runtime track"
     );
     assert!(
         events
             .iter()
-            .any(|e| e["name"] == "sim.execute" && e["cat"] == "backend"),
+            .any(|e| e["name"].as_str() == Some("sim.execute")
+                && e["cat"].as_str() == Some("backend")),
         "simulation span must appear on the runtime track"
     );
 
@@ -199,23 +214,30 @@ fn serving_run_exports_spans_and_metrics() {
         "serving trace export must be stable"
     );
 
-    let doc: serde_json::Value = serde_json::from_str(&doc_of(&a)).unwrap();
+    let doc = json::parse(&doc_of(&a)).unwrap();
     let events = doc["traceEvents"].as_array().unwrap();
-    let steps: Vec<&serde_json::Value> = events.iter().filter(|e| e["cat"] == "serving").collect();
+    let steps: Vec<&json::Value> = events
+        .iter()
+        .filter(|e| e["cat"].as_str() == Some("serving"))
+        .collect();
     assert_eq!(
         steps.len() as u64,
         a.steps,
         "one serving.step slice per engine step"
     );
     for s in &steps {
-        assert_eq!(s["name"], "serving.step");
-        assert_eq!(s["ph"], "X", "steps are complete slices");
-        assert_eq!(s["pid"], 2, "serving steps ride the simulated-device rows");
+        assert_eq!(s["name"].as_str(), Some("serving.step"));
+        assert_eq!(s["ph"].as_str(), Some("X"), "steps are complete slices");
+        assert_eq!(
+            s["pid"].as_u64(),
+            Some(2),
+            "serving steps ride the simulated-device rows"
+        );
         assert!(
-            s["args"]["members"].is_string(),
+            s["args"]["members"].as_str().is_some(),
             "batch size attributed: {s}"
         );
-        assert_eq!(s["args"]["phase"], "llm_decode");
+        assert_eq!(s["args"]["phase"].as_str(), Some("llm_decode"));
     }
 
     // Metrics surface: TTFT histogram with the default time bounds, plus
