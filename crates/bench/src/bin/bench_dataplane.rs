@@ -73,6 +73,16 @@ fn matmul_section(quick: bool) -> (Value, Vec<Vec<String>>) {
     (Value::from(rows), table)
 }
 
+/// The simd tier alone on perfbench's `matmul_gflops_wide` shape: the
+/// number that moves with the artifact's `isa`.
+fn simd_wide_section(quick: bool) -> Value {
+    let (a, b) = (init::randn([128, 256], 3), init::randn([256, 1024], 4));
+    let reps = if quick { 5 } else { 15 };
+    let simd = median_secs(reps, || ops::matmul_simd(&a, &b).len());
+    let gflops = 2.0 * (128 * 256 * 1024) as f64 / simd.max(1e-12) / 1e9;
+    json_object! { "shape": "[128,256]x[256,1024]", "simd_s": simd, "simd_gflops": gflops }
+}
+
 fn zero_copy_section(quick: bool) -> Value {
     let n = if quick { 512 } else { 1024 };
     let reps = if quick { 100 } else { 1000 };
@@ -280,6 +290,7 @@ fn main() {
     let before = stats::snapshot();
 
     let (matmul, matmul_table) = matmul_section(quick);
+    let simd_wide = simd_wide_section(quick);
     let zero_copy = zero_copy_section(quick);
     let interp_cmp = interp_section(quick);
     let decode = decode_section(quick);
@@ -307,6 +318,8 @@ fn main() {
         "cost_cache": cost_cache,
         "kernel_dispatch": dispatch,
         "dispatch_by_tier": by_tier,
+        "isa": stats::isa(),
+        "simd_wide": simd_wide,
         "worker_pool": json_object! {
             "size": genie_tensor::pool::size(),
             "threads_spawned": genie_tensor::pool::threads_spawned(),
@@ -345,12 +358,14 @@ fn main() {
         cost_cache["cache_hit_rate"].as_f64().unwrap_or(0.0) * 100.0,
     );
     println!(
-        "decode: {:.0} tokens/s (normalized {:.4}), pool {} threads",
+        "decode: {:.0} tokens/s (normalized {:.4}), pool {} threads, isa {} ({:.1} GFLOP/s simd)",
         decode["tokens_per_s"].as_f64().unwrap_or(0.0),
         decode["normalized_tokens_per_calib"]
             .as_f64()
             .unwrap_or(0.0),
         genie_tensor::pool::size(),
+        stats::isa(),
+        artifact["simd_wide"]["simd_gflops"].as_f64().unwrap_or(0.0),
     );
     let tier_mix: Vec<String> = artifact["dispatch_by_tier"]
         .as_array()

@@ -8,9 +8,10 @@
 //! * `*_blocked` — register/cache-blocked: 4 output rows × 64 output
 //!   columns per tile, so each loaded B row is reused 4× and C is written
 //!   exactly once;
-//! * `*_simd` — the `[f32; 8]` register-blocked tier in [`crate::simd`]:
-//!   the accumulator tile stays in vector registers for the whole
-//!   reduction;
+//! * `*_simd` — the register-blocked tier in [`crate::simd`]: a
+//!   `4 × W` accumulator tile stays in vector registers for the whole
+//!   reduction, `W` as wide as the CPU's vector ISA allows
+//!   ([`crate::stats::isa`]);
 //! * `*_parallel` — the simd kernel with output rows (or batches)
 //!   fanned out over the persistent worker pool.
 //!
@@ -31,8 +32,10 @@ use crate::tensor::Tensor;
 /// overhead outweighs its reuse: stay on the scalar loop.
 pub const MATMUL_BLOCK_MIN_FLOPS: usize = 1 << 14;
 
-/// At or above this many FLOPs the kernel is worth spreading over cores
-/// (a pool hand-off costs ~1 µs; a 2²⁰-FLOP matmul runs ~100 µs scalar).
+/// At or above this many FLOPs the kernel is worth spreading over cores.
+/// Alone, a 2²⁰-FLOP matmul (~20 µs on the AVX-512 simd tier) no longer
+/// beats a ~30 µs hand-off to a parked worker; inside an op, 2²³ moved
+/// `prefill_wide` by less than its run-to-run spread, so this stays.
 pub const MATMUL_PAR_MIN_FLOPS: usize = 1 << 20;
 
 /// Output-row tile height of the blocked kernel.
@@ -153,7 +156,7 @@ pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Tensor {
     })
 }
 
-/// The `[f32; 8]` register-blocked matmul on one thread.
+/// The register-blocked matmul on one thread.
 pub fn matmul_simd(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k, n) = matmul_dims(a, b);
     stats::note("matmul", Path::Simd);

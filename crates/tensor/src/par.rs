@@ -106,16 +106,20 @@ mod tests {
 
     #[test]
     fn par_rows_covers_every_row_once() {
-        let mut out = vec![0.0f32; 7 * 3];
-        par_rows(&mut out, 3, |row0, chunk| {
-            for (r, row) in chunk.chunks_mut(3).enumerate() {
-                for v in row.iter_mut() {
-                    *v += (row0 + r) as f32;
+        // Odd and even row counts, fewer rows than workers included:
+        // every row is visited exactly once.
+        for rows in [1, 5, 6, 7, 37] {
+            let mut out = vec![0.0f32; rows * 3];
+            par_rows(&mut out, 3, |row0, chunk| {
+                for (r, row) in chunk.chunks_mut(3).enumerate() {
+                    for v in row.iter_mut() {
+                        *v += (row0 + r) as f32 + 1.0;
+                    }
                 }
+            });
+            for (r, row) in out.chunks(3).enumerate() {
+                assert!(row.iter().all(|&v| v == r as f32 + 1.0), "row {r}: {row:?}");
             }
-        });
-        for (r, row) in out.chunks(3).enumerate() {
-            assert!(row.iter().all(|&v| v == r as f32), "row {r}: {row:?}");
         }
     }
 

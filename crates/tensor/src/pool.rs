@@ -11,9 +11,9 @@
 //! and `scope` does not return until every closure submitted through it
 //! has finished (a join barrier on an outstanding-job count). The queue
 //! type-erases the borrow lifetime to move jobs to long-lived workers;
-//! that erasure is the one `unsafe` in the crate and is sound precisely
-//! because of the join barrier (see the safety comment in
-//! [`Scope::spawn`]).
+//! that erasure is one of the crate's two `unsafe` sites (`lib.rs` lists
+//! both) and is sound precisely because of the join barrier (see the
+//! safety comment in [`Scope::spawn`]).
 //!
 //! Deadlock freedom: the thread that called [`scope`] *helps* — while
 //! waiting on the barrier it pops and runs queued jobs (its own or those

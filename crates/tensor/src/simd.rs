@@ -1,86 +1,175 @@
 //! Register-blocked SIMD-shaped kernels on stable Rust.
 //!
 //! The `simd` tier keeps the whole accumulator tile — up to 4 output rows
-//! × one `[f32; 8]` lane block — in registers for the entire reduction,
+//! × one `[f32; W]` column strip — in registers for the entire reduction,
 //! where the cache-blocked kernel round-trips a 4×64 accumulator through
-//! the stack on every `p` step. The inner loops are written as unrolled
-//! mul-then-add over fixed `[f32; 8]` arrays so LLVM lowers them to
-//! packed vector instructions (no nightly `std::simd`, no intrinsics,
-//! no `unsafe`).
+//! the stack on every `p` step. The inner loops are unrolled mul-then-add
+//! over fixed-size arrays, which LLVM lowers to packed vector
+//! instructions of whatever ISA the enclosing function is compiled for.
+//! At the default x86-64 target that is 128-bit SSE, whatever `W` is, so
+//! the one generic micro-kernel is instantiated three times — `W = 8` for
+//! any CPU, `4×24` under `avx2` (12 accumulators + 3 B + 1 broadcast = 16
+//! `ymm`), `4×64` under `avx512f` — and [`matmul_simd_rows`] picks the
+//! widest the CPU reports, per call. No nightly `std::simd`, no
+//! intrinsics (one source for every ISA is the point), and no `unsafe`
+//! but the two detection-guarded calls.
 //!
 //! Bit-for-bit equivalence with the scalar reference is a structural
 //! property, not an accident: every output element is produced by a
 //! single f32 accumulator walking `p` in ascending order with the same
-//! `a == 0.0` skip, and `mul` and `add` stay separate instructions (an
-//! actual FMA would round once instead of twice and diverge). Lanes
-//! vectorize across *independent* output columns, never across the
-//! reduction, so no reduction order changes.
+//! `a == 0.0` skip, and `mul` and `add` stay separate instructions —
+//! rustc never contracts them into an FMA (which would round once, not
+//! twice, and diverge) without an explicit `mul_add`, under any target
+//! feature. Lanes vectorize across *independent* output columns, never
+//! across the reduction, so no reduction order changes with `W`.
 
-/// Lane width of one register block. Eight f32 = one 256-bit vector.
-pub const LANES: usize = 8;
-
-/// Output rows per micro-kernel tile (`[f32; 8]` blocks held live).
+/// Output rows per micro-kernel tile (accumulator rows held live).
 const MR: usize = 4;
 
-/// Micro-kernel: `IR` rows × one 8-column strip, accumulators
-/// register-resident across the whole `k` reduction.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn micro<const IR: usize>(
-    out_rows: &mut [f32],
+/// The operands of one row-worker call, as [`matmul_simd_rows`] takes
+/// them.
+struct Rows<'a> {
+    out_rows: &'a mut [f32],
     row0: usize,
-    i0: usize,
-    ad: &[f32],
-    bd: &[f32],
+    ad: &'a [f32],
+    bd: &'a [f32],
     k: usize,
     n: usize,
-    jt: usize,
-) {
-    let mut acc = [[0.0f32; LANES]; IR];
-    for p in 0..k {
-        let bs = &bd[p * n + jt..p * n + jt + LANES];
-        let mut bv = [0.0f32; LANES];
-        bv.copy_from_slice(bs);
-        for (r, lanes) in acc.iter_mut().enumerate() {
-            let av = ad[(row0 + i0 + r) * k + p];
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bvl) in lanes.iter_mut().zip(bv.iter()) {
-                *o += av * bvl;
+}
+
+impl Rows<'_> {
+    /// Micro-kernel: `IR` rows from `i0` × the `W`-column strip at `jt`,
+    /// accumulators register-resident across the whole `k` reduction.
+    #[inline(always)]
+    fn micro<const IR: usize, const W: usize>(&mut self, i0: usize, jt: usize) {
+        let (k, n) = (self.k, self.n);
+        let mut acc = [[0.0f32; W]; IR];
+        for p in 0..k {
+            let bs = &self.bd[p * n + jt..p * n + jt + W];
+            let mut bv = [0.0f32; W];
+            bv.copy_from_slice(bs);
+            for (r, lanes) in acc.iter_mut().enumerate() {
+                let av = self.ad[(self.row0 + i0 + r) * k + p];
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bvl) in lanes.iter_mut().zip(bv.iter()) {
+                    *o += av * bvl;
+                }
             }
         }
+        for (r, lanes) in acc.iter().enumerate() {
+            let obase = (i0 + r) * n + jt;
+            self.out_rows[obase..obase + W].copy_from_slice(lanes);
+        }
     }
-    for (r, lanes) in acc.iter().enumerate() {
-        let obase = (i0 + r) * n + jt;
-        out_rows[obase..obase + LANES].copy_from_slice(lanes);
+
+    /// `W`-wide strips of the `ir`-row tile at `i0`, from column `jt` for
+    /// as long as they fit; returns the first column left uncovered.
+    #[inline(always)]
+    fn strips<const W: usize>(&mut self, i0: usize, ir: usize, mut jt: usize) -> usize {
+        while jt + W <= self.n {
+            match ir {
+                4 => self.micro::<4, W>(i0, jt),
+                3 => self.micro::<3, W>(i0, jt),
+                2 => self.micro::<2, W>(i0, jt),
+                _ => self.micro::<1, W>(i0, jt),
+            }
+            jt += W;
+        }
+        jt
+    }
+
+    /// Every tile, widest strips first. Columns the widest strip leaves
+    /// over cascade through narrower ones — attention's `n = 96` is
+    /// `64 + 32`, not `64 + 4 × 8` — down to `W = 1`, the scalar tail. A
+    /// cascade shorter than four repeats its last width, and a repeat is
+    /// compiled out: each width is one copy of the micro-kernels.
+    #[inline(always)]
+    fn run<const W0: usize, const W1: usize, const W2: usize, const W3: usize>(&mut self) {
+        let rows = self.out_rows.len() / self.n;
+        for i0 in (0..rows).step_by(MR) {
+            let ir = (rows - i0).min(MR);
+            let mut jt = self.strips::<W0>(i0, ir, 0);
+            if W1 < W0 {
+                jt = self.strips::<W1>(i0, ir, jt);
+            }
+            if W2 < W1 {
+                jt = self.strips::<W2>(i0, ir, jt);
+            }
+            if W3 < W2 {
+                jt = self.strips::<W3>(i0, ir, jt);
+            }
+            self.strips::<1>(i0, ir, jt);
+        }
     }
 }
 
-/// Column tail (`n % 8` trailing columns) for one row, scalar
-/// per-element accumulation in the same ascending-`p` order.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn row_tail(
-    out_rows: &mut [f32],
-    row0: usize,
-    i: usize,
-    ad: &[f32],
-    bd: &[f32],
-    k: usize,
-    n: usize,
-    j0: usize,
-) {
-    for j in j0..n {
-        let mut acc = 0.0f32;
-        for p in 0..k {
-            let av = ad[(row0 + i) * k + p];
-            if av == 0.0 {
-                continue;
-            }
-            acc += av * bd[p * n + j];
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn rows_avx2(mut rows: Rows) {
+    rows.run::<24, 16, 8, 8>()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn rows_avx512f(mut rows: Rows) {
+    rows.run::<64, 32, 16, 8>()
+}
+
+/// The instantiations of the row worker, widest first. Off x86-64 only
+/// `Baseline` exists to run; the wide two are still named (`label`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) enum Isa {
+    Avx512f,
+    Avx2,
+    Baseline,
+}
+
+impl Isa {
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Isa::Avx512f => "avx512f",
+            Isa::Avx2 => "avx2",
+            Isa::Baseline => "baseline",
         }
-        out_rows[i * n + j] = acc;
+    }
+
+    /// The instantiations this CPU runs, widest first (`std` caches each
+    /// probe: an atomic load).
+    pub(crate) fn detected() -> impl Iterator<Item = Isa> {
+        #[cfg(target_arch = "x86_64")]
+        let wide = [
+            (Isa::Avx512f, is_x86_feature_detected!("avx512f")),
+            (Isa::Avx2, is_x86_feature_detected!("avx2")),
+        ];
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide: [(Isa, bool); 0] = [];
+        let wide = wide.into_iter().filter_map(|(isa, has)| has.then_some(isa));
+        wide.chain([Isa::Baseline])
+    }
+
+    /// The widest instantiation this CPU runs: the one every call takes.
+    pub(crate) fn selected() -> Isa {
+        Isa::detected().next().unwrap_or(Isa::Baseline)
+    }
+}
+
+/// One instantiation's row worker, on a CPU that has it (checked).
+fn rows_on(isa: Isa, mut rows: Rows) {
+    assert!(Isa::detected().any(|has| has == isa), "no {isa:?} here");
+    match isa {
+        // SAFETY: `isa` is among `Isa::detected()`, asserted above, which
+        // lists `Avx512f` only if `is_x86_feature_detected!("avx512f")`.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        Isa::Avx512f => unsafe { rows_avx512f(rows) },
+        // SAFETY: likewise, `is_x86_feature_detected!("avx2")`.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        Isa::Avx2 => unsafe { rows_avx2(rows) },
+        _ => rows.run::<8, 8, 8, 8>(),
     }
 }
 
@@ -97,26 +186,17 @@ pub(crate) fn matmul_simd_rows(
     k: usize,
     n: usize,
 ) {
-    let rows = out_rows.len() / n;
-    let n8 = n - n % LANES;
-    let mut i0 = 0;
-    while i0 < rows {
-        let ir = (rows - i0).min(MR);
-        for jt in (0..n8).step_by(LANES) {
-            match ir {
-                4 => micro::<4>(out_rows, row0, i0, ad, bd, k, n, jt),
-                3 => micro::<3>(out_rows, row0, i0, ad, bd, k, n, jt),
-                2 => micro::<2>(out_rows, row0, i0, ad, bd, k, n, jt),
-                _ => micro::<1>(out_rows, row0, i0, ad, bd, k, n, jt),
-            }
-        }
-        if n8 < n {
-            for r in 0..ir {
-                row_tail(out_rows, row0, i0 + r, ad, bd, k, n, n8);
-            }
-        }
-        i0 += ir;
-    }
+    rows_on(
+        Isa::selected(),
+        Rows {
+            out_rows,
+            row0,
+            ad,
+            bd,
+            k,
+            n,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -139,20 +219,63 @@ mod tests {
         out
     }
 
+    /// Every instantiation this CPU runs (the row worker is one more
+    /// input of each test below): all three in the dev container, at
+    /// least `avx2` and `baseline` on a GitHub runner.
+    fn instantiations() -> Vec<Isa> {
+        let isas: Vec<Isa> = Isa::detected().collect();
+        println!("row workers under test: {isas:?}");
+        assert_eq!(isas.last(), Some(&Isa::Baseline));
+        isas
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        isa: Isa,
+        out_rows: &mut [f32],
+        row0: usize,
+        ad: &[f32],
+        bd: &[f32],
+        k: usize,
+        n: usize,
+    ) {
+        rows_on(
+            isa,
+            Rows {
+                out_rows,
+                row0,
+                ad,
+                bd,
+                k,
+                n,
+            },
+        )
+    }
+
     #[test]
     fn simd_rows_bit_identical_to_scalar() {
-        // Ragged dims hit every micro-kernel arity and the column tail.
-        for &(m, k, n) in &[(1, 1, 1), (4, 8, 8), (5, 7, 9), (13, 31, 17), (37, 53, 71)] {
-            let ad: Vec<f32> = (0..m * k)
-                .map(|i| ((i * 2654435761usize) % 1000) as f32 / 500.0 - 1.0)
-                .collect();
-            let bd: Vec<f32> = (0..k * n)
-                .map(|i| ((i * 40503usize) % 997) as f32 / 498.5 - 1.0)
-                .collect();
-            let want = matmul_scalar_ref(&ad, &bd, m, k, n);
-            let mut got = vec![0.0f32; m * n];
-            matmul_simd_rows(&mut got, 0, &ad, &bd, k, n);
-            assert_eq!(got, want, "m={m} k={k} n={n}");
+        // Every row arity as the last tile × every strip width of both
+        // cascades, alone and stacked: 189 = 2·64 + 32 + 16 + 8 + 5,
+        // 75 = 2·24 + 16 + 8 + 3, 96 = 64 + 32 = 4·24.
+        let ns = [
+            1, 7, 8, 9, 16, 23, 24, 31, 32, 40, 47, 48, 63, 64, 71, 75, 96, 127, 189,
+        ];
+        for isa in instantiations() {
+            for m in [1, 2, 3, 4, 5, 6, 7, 13] {
+                for (i, &n) in ns.iter().enumerate() {
+                    let k = 1 + (m * 7 + i * 5) % 37;
+                    let ad: Vec<f32> = (0..m * k)
+                        .map(|i| ((i * 2654435761usize) % 1000) as f32 / 500.0 - 1.0)
+                        .collect();
+                    let bd: Vec<f32> = (0..k * n)
+                        .map(|i| ((i * 40503usize) % 997) as f32 / 498.5 - 1.0)
+                        .collect();
+                    let want = matmul_scalar_ref(&ad, &bd, m, k, n);
+                    let mut got = vec![0.0f32; m * n];
+                    run(isa, &mut got, 0, &ad, &bd, k, n);
+                    assert_eq!(got, want, "{isa:?} m={m} k={k} n={n}");
+                }
+            }
         }
     }
 
@@ -160,30 +283,47 @@ mod tests {
     fn simd_rows_respects_row_offset() {
         // Computing rows [2, 5) standalone must equal the same rows of
         // the full product — the contract the parallel tier relies on.
-        let (m, k, n) = (7usize, 11usize, 19usize);
-        let ad: Vec<f32> = (0..m * k).map(|i| (i as f32).sin()).collect();
-        let bd: Vec<f32> = (0..k * n).map(|i| (i as f32).cos()).collect();
-        let full = matmul_scalar_ref(&ad, &bd, m, k, n);
-        let mut got = vec![0.0f32; 3 * n];
-        matmul_simd_rows(&mut got, 2, &ad, &bd, k, n);
-        assert_eq!(got, &full[2 * n..5 * n]);
+        for isa in instantiations() {
+            for n in [19usize, 75, 189] {
+                let (m, k) = (7usize, 11usize);
+                let ad: Vec<f32> = (0..m * k).map(|i| (i as f32).sin()).collect();
+                let bd: Vec<f32> = (0..k * n).map(|i| (i as f32).cos()).collect();
+                let full = matmul_scalar_ref(&ad, &bd, m, k, n);
+                let mut got = vec![0.0f32; 3 * n];
+                run(isa, &mut got, 2, &ad, &bd, k, n);
+                assert_eq!(got, &full[2 * n..5 * n], "{isa:?} n={n}");
+            }
+        }
     }
 
     #[test]
     fn zero_skip_matches_scalar() {
         // Exact zeros in A exercise the skip on both sides; with lanes
         // across columns the skip stays per-(row, p), so bit-identity
-        // holds even with -0.0 and denormals nearby.
-        let (m, k, n) = (6usize, 9usize, 10usize);
-        let mut ad = vec![0.0f32; m * k];
-        for (i, v) in ad.iter_mut().enumerate() {
-            *v = if i % 3 == 0 { 0.0 } else { (i as f32) * 0.25 };
+        // holds even with -0.0 and denormals nearby. The skip is
+        // observable: under a zero in A, an `inf` or `NaN` in B must not
+        // reach the output (0 · inf = NaN), in any strip width.
+        for isa in instantiations() {
+            for n in [10usize, 75, 189] {
+                let (m, k) = (6usize, 9usize);
+                let mut ad = vec![0.0f32; m * k];
+                for (i, v) in ad.iter_mut().enumerate() {
+                    *v = if i % 3 == 0 { 0.0 } else { (i as f32) * 0.25 };
+                }
+                ad[4] = -0.0;
+                for row in ad.chunks_mut(k) {
+                    row[6] = 0.0;
+                    row[7] = -0.0;
+                }
+                let mut bd: Vec<f32> = (0..k * n).map(|i| 1.0e-3 * i as f32).collect();
+                bd[6 * n..7 * n].fill(f32::INFINITY);
+                bd[7 * n..8 * n].fill(f32::NAN);
+                let want = matmul_scalar_ref(&ad, &bd, m, k, n);
+                assert!(want.iter().all(|v| v.is_finite()));
+                let mut got = vec![0.0f32; m * n];
+                run(isa, &mut got, 0, &ad, &bd, k, n);
+                assert_eq!(got, want, "{isa:?} n={n}");
+            }
         }
-        ad[4] = -0.0;
-        let bd: Vec<f32> = (0..k * n).map(|i| 1.0e-3 * i as f32).collect();
-        let want = matmul_scalar_ref(&ad, &bd, m, k, n);
-        let mut got = vec![0.0f32; m * n];
-        matmul_simd_rows(&mut got, 0, &ad, &bd, k, n);
-        assert_eq!(got, want);
     }
 }

@@ -19,8 +19,9 @@ pub enum Path {
     Blocked,
     /// Register-blocked and spread over cores.
     Parallel,
-    /// Register-blocked `[f32; 8]` lanes, single thread. Bit-identical
-    /// to the scalar reference (per-element reduction order preserved).
+    /// Register-blocked `4 × W` accumulator tile, single thread, `W`
+    /// set by the instantiation [`isa`] names. Bit-identical to the
+    /// scalar reference (per-element reduction order preserved).
     Simd,
     /// Per-row/-column absmax int8 quantization with i32 accumulation.
     /// Approximate: bounded by the GA3xx int8 error model.
@@ -122,6 +123,14 @@ pub fn forced_path() -> Option<Path> {
         0 => None,
         raw => Some(PATHS[raw as usize - 1]),
     }
+}
+
+/// Which instantiation of the simd tier's row worker this CPU selects
+/// (`"avx512f"`, `"avx2"` or `"baseline"`): not a dispatch path — the
+/// bits are the same on all three — but what a kernel time in an
+/// artifact has to be read against.
+pub fn isa() -> &'static str {
+    crate::simd::Isa::selected().label()
 }
 
 /// A point-in-time copy of the dispatch counters.

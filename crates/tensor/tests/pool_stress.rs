@@ -1,0 +1,70 @@
+//! Help-while-waiting under the nesting `prefill_wide` runs hot: an
+//! interpreter-style outer `pool::scope` whose jobs each open scopes of
+//! their own — `matmul_parallel` (rows over the pool), a row-parallel
+//! `gelu`, and head-parallel attention, whose `par_map` jobs call
+//! `matmul` and so open a third level. The pool has `cores − 1` workers
+//! and every waiting thread runs queued jobs instead of parking, so this
+//! must neither deadlock nor lose a row, and it must never grow the pool.
+//!
+//! This is the test ROADMAP 7(e) asked for beside the pool's one
+//! `unsafe`; it is evidence, not proof (see the note in `lib.rs`).
+
+use genie_tensor::stats::{self, Path};
+use genie_tensor::{init, ops, pool, Tensor};
+
+/// A few thousand rounds where the kernels are compiled to run (an
+/// unoptimized build is ~20× slower per round).
+const ROUNDS: usize = if cfg!(debug_assertions) { 200 } else { 3000 };
+
+#[test]
+fn nested_scopes_neither_deadlock_nor_lose_a_row() {
+    // Sized so every level really fans out and no larger: 2·37·32·448
+    // FLOPs is just past the parallel tier's threshold and 37 rows end
+    // in a ragged tile, `[37, 448]` is past the pooled-`gelu` threshold,
+    // and each head's QK^T and weights·V (64 tokens × 128 columns, 2²⁰
+    // FLOPs) dispatch to the parallel tier from inside `par_map`.
+    let a = init::randn([37, 32], 1);
+    let b = init::randn([32, 448], 2);
+    let (q, k, v) = (
+        init::randn([64, 256], 3),
+        init::randn([64, 256], 4),
+        init::randn([64, 256], 5),
+    );
+    let want_ffn = ops::gelu(&ops::matmul_scalar(&a, &b));
+    let want_attn = ops::multi_head_attention_sequential(&q, &k, &v, 2, true);
+
+    // Warm the pool, then hold it to its thread count.
+    let _ = ops::matmul_parallel(&a, &b);
+    let spawned = pool::threads_spawned();
+    let dispatched = stats::snapshot();
+
+    for round in 0..ROUNDS {
+        let mut ffn: [Option<Tensor>; 3] = [None, None, None];
+        let mut attn = None;
+        pool::scope(|scope| {
+            for slot in ffn.iter_mut() {
+                scope.spawn(|| *slot = Some(ops::gelu(&ops::matmul_parallel(&a, &b))));
+            }
+            scope.spawn(|| attn = Some(ops::multi_head_attention_parallel(&q, &k, &v, 2, true)));
+        });
+        for got in ffn {
+            let got = got.expect("scope joined every job");
+            assert!(
+                got.data() == want_ffn.data(),
+                "ffn differs in round {round}"
+            );
+        }
+        let attn = attn.expect("scope joined every job");
+        assert!(
+            attn.data() == want_attn.data(),
+            "attention differs in round {round}"
+        );
+    }
+    assert_eq!(pool::threads_spawned(), spawned, "the pool grew");
+    // The nesting above is real: with a worker to hand to, all seven
+    // matmuls of a round (three FFN, two per head) took the parallel tier.
+    let parallel = stats::snapshot()
+        .since(&dispatched)
+        .get("matmul", Path::Parallel);
+    assert!(pool::size() == 0 || parallel >= 7 * ROUNDS as u64);
+}
