@@ -1,32 +1,40 @@
 //! Ablation: cross-tenant decode batching (§3.6 "How").
 //!
 //! Sweeps the number of tenants sharing one public LLM and compares fleet
-//! throughput with and without semantic batching. Only a scheduler that
-//! sees model identity in the request (the SRG's weight fingerprint) can
-//! apply it.
+//! throughput with and without semantic batching, at the price the
+//! serving engine charges for the step (`genie_backend::batched_step_time`).
+//! Only a scheduler that sees model identity in the request (the SRG's
+//! weight fingerprint) can apply it.
 //!
 //! Run with: `cargo run -p genie-bench --bin ablation_multitenant`
 
+use genie_backend::{batched_step_time, StepWork};
 use genie_bench::report::render_table;
-use genie_scheduler::global::batching;
+use genie_cluster::GpuSpec;
+use genie_models::TransformerConfig;
+
+/// Context each tenant's request holds: the paper's 72-token prompt.
+const KV_PER_TENANT: u64 = 72;
 
 fn main() {
-    let step_s = 0.0306; // calibrated single-request decode step
-    let weight_fraction = 0.9; // share of the step spent reading weights
-
-    println!("Ablation — cross-tenant decode batching (30.6 ms step, 90% weight reads)\n");
+    let (cfg, gpu) = (TransformerConfig::gptj_6b(), GpuSpec::a100_80gb());
+    println!("Ablation — cross-tenant decode batching (GPT-J on an A100, 25 Gbps / 250 µs)\n");
     let mut rows = Vec::new();
-    for b in [1usize, 2, 4, 8, 16, 32] {
-        let batched = batching::batched_step_time(step_s, weight_fraction, b);
-        let speedup = batching::batching_speedup(step_s, weight_fraction, b);
-        let tok_s_unbatched = b as f64 / (step_s * b as f64);
-        let tok_s_batched = b as f64 / batched;
+    for b in [1u64, 2, 4, 8, 16, 32] {
+        let work = StepWork {
+            decode_members: b,
+            kv_resident_tokens: b * KV_PER_TENANT,
+            ..StepWork::default()
+        };
+        let step_s =
+            |batched| batched_step_time(&cfg, &work, &gpu, 25e9, 250e-6, batched).total_s();
+        let (serial, batched) = (step_s(false), step_s(true));
         rows.push(vec![
             b.to_string(),
             format!("{:.1}", batched * 1e3),
-            format!("{tok_s_unbatched:.1}"),
-            format!("{tok_s_batched:.1}"),
-            format!("{speedup:.2}x"),
+            format!("{:.1}", b as f64 / serial),
+            format!("{:.1}", b as f64 / batched),
+            format!("{:.2}x", serial / batched),
         ]);
     }
     println!(
@@ -43,9 +51,7 @@ fn main() {
         )
     );
     println!("memory-bound decode reads the 12 GB of weights once per step no matter");
-    println!("the batch — identifying \"two requests to the same public LLM\" (§3.6)");
-    println!(
-        "is worth up to {:.1}x in fleet decode throughput.",
-        1.0 / (1.0 - weight_fraction)
-    );
+    println!("the batch, and one RPC round covers every member — identifying \"two");
+    println!("requests to the same public LLM\" (§3.6) is worth nearly the batch size");
+    println!("in fleet decode throughput until KV reads catch up with the weights.");
 }

@@ -14,7 +14,8 @@ use genie_frontend::interp;
 use genie_models::{KvState, TransformerConfig, TransformerLm};
 use genie_scheduler::{schedule, CostModel, SemanticsAware};
 use genie_srg::{json::Value, json_object};
-use genie_tensor::{init, ops, stats};
+use genie_tensor::stats::{self, Path};
+use genie_tensor::{init, ops};
 use std::time::Instant;
 
 /// Median wall-clock seconds of `reps` runs of `f` (after one warmup).
@@ -43,14 +44,12 @@ fn matmul_section(quick: bool) -> (Value, Vec<Vec<String>>) {
     for &n in sizes {
         let a = init::randn([n, n], 1);
         let b = init::randn([n, n], 2);
-        // Equivalence sanity before timing anything.
+        // Each tier checked against the scalar reference, then timed.
         let reference = ops::matmul_scalar(&a, &b);
-        assert_eq!(reference.data(), ops::matmul_blocked(&a, &b).data());
-        assert_eq!(reference.data(), ops::matmul_parallel(&a, &b).data());
-
-        let scalar = median_secs(reps, || ops::matmul_scalar(&a, &b).len());
-        let blocked = median_secs(reps, || ops::matmul_blocked(&a, &b).len());
-        let parallel = median_secs(reps, || ops::matmul_parallel(&a, &b).len());
+        let [scalar, blocked, parallel] = [Path::Scalar, Path::Blocked, Path::Parallel].map(|p| {
+            assert_eq!(reference.data(), ops::matmul_on(p, &a, &b).data(), "{p:?}");
+            median_secs(reps, || ops::matmul_on(p, &a, &b).len())
+        });
         let speedup_blocked = scalar / blocked.max(1e-12);
         let speedup_parallel = scalar / parallel.max(1e-12);
         table.push(vec![
@@ -78,7 +77,7 @@ fn matmul_section(quick: bool) -> (Value, Vec<Vec<String>>) {
 fn simd_wide_section(quick: bool) -> Value {
     let (a, b) = (init::randn([128, 256], 3), init::randn([256, 1024], 4));
     let reps = if quick { 5 } else { 15 };
-    let simd = median_secs(reps, || ops::matmul_simd(&a, &b).len());
+    let simd = median_secs(reps, || ops::matmul_on(Path::Simd, &a, &b).len());
     let gflops = 2.0 * (128 * 256 * 1024) as f64 / simd.max(1e-12) / 1e9;
     json_object! { "shape": "[128,256]x[256,1024]", "simd_s": simd, "simd_gflops": gflops }
 }

@@ -897,6 +897,10 @@ impl LazyTensor {
         let (cout, cin2, kh, kw) = (w.dims()[0], w.dims()[1], w.dims()[2], w.dims()[3]);
         assert_eq!(cin, cin2, "conv2d channel mismatch");
         assert_eq!(bias.dims(), &[cout], "conv2d bias shape");
+        assert!(
+            kh <= h + 2 * padding && kw <= wd + 2 * padding,
+            "conv2d kernel {kh}x{kw} larger than input {h}x{wd} with padding {padding}"
+        );
         let oh = (h + 2 * padding - kh) / stride + 1;
         let ow = (wd + 2 * padding - kw) / stride + 1;
         let out = TensorMeta::new([n, cout, oh, ow], self.meta.elem);
@@ -1310,6 +1314,28 @@ mod tests {
         assert_eq!(y.dims(), &[1, 16, 32, 32]);
         let p = y.pool2d(2, 2, false);
         assert_eq!(p.dims(), &[1, 16, 16, 16]);
+    }
+
+    /// Unchecked, a 3×3 kernel over a 2×2 input records a `[1,1,0,0]`
+    /// node in a release build and a 5×5 one wraps further.
+    fn capture_conv_with_kernel(k: usize) {
+        let ctx = CaptureCtx::new("g");
+        let x = ctx.input("x", [1, 1, 2, 2], ElemType::F32, None);
+        let w = ctx.parameter("w", [1, 1, k, k], ElemType::F32, None);
+        let b = ctx.parameter("b", [1], ElemType::F32, None);
+        x.conv2d(&w, &b, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than input")]
+    fn conv_capture_rejects_a_kernel_one_past_the_padded_input() {
+        capture_conv_with_kernel(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than input")]
+    fn conv_capture_rejects_a_kernel_far_past_the_padded_input() {
+        capture_conv_with_kernel(5);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! regardless of batch size, so a memory-bound decode step serves `b`
 //! requests for little more than the cost of one. Only a scheduler that
 //! can see model identity (the weight fingerprint in the semantic graph)
-//! can discover this.
+//! can discover this; this module finds the groups, and
+//! `genie_backend::batched_step_time` prices the step they share.
 
 use crate::global::tenant::TenantRequest;
 use std::collections::BTreeMap;
@@ -38,26 +39,6 @@ pub fn group_by_model(tenants: &[TenantRequest]) -> Vec<BatchGroup> {
         .collect()
 }
 
-/// Per-step kernel time for a decode batch of size `b`, given the
-/// single-request step time split into weight-read time (shared across
-/// the batch) and per-request time (KV reads + attention).
-///
-/// `weight_fraction` is the share of a single-request step spent reading
-/// weights (≈ 0.9 for large LLMs at batch 1).
-pub fn batched_step_time(single_step_s: f64, weight_fraction: f64, b: usize) -> f64 {
-    let b = b.max(1) as f64;
-    let shared = single_step_s * weight_fraction.clamp(0.0, 1.0);
-    let per_req = single_step_s * (1.0 - weight_fraction.clamp(0.0, 1.0));
-    shared + per_req * b
-}
-
-/// Throughput multiplier of batching `b` requests versus running them
-/// serially.
-pub fn batching_speedup(single_step_s: f64, weight_fraction: f64, b: usize) -> f64 {
-    let serial = single_step_s * b.max(1) as f64;
-    serial / batched_step_time(single_step_s, weight_fraction, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,30 +62,5 @@ mod tests {
         assert_eq!(groups.len(), 2);
         let big = groups.iter().find(|g| g.fingerprint == 10).unwrap();
         assert_eq!(big.tenants, vec![1, 3, 4]);
-    }
-
-    #[test]
-    fn batching_approaches_weight_sharing_limit() {
-        // 30 ms step, 90% weight reads: batching 8 is nearly 6× cheaper
-        // than 8 serial steps.
-        let speedup = batching_speedup(0.030, 0.9, 8);
-        assert!(speedup > 4.0, "speedup {speedup}");
-        // And is bounded by the serial case for b = 1.
-        assert!((batching_speedup(0.030, 0.9, 1) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn compute_bound_workloads_gain_little() {
-        // weight_fraction ≈ 0: batching is linear, no win.
-        let speedup = batching_speedup(0.030, 0.0, 8);
-        assert!((speedup - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batched_time_monotone_in_batch() {
-        let t4 = batched_step_time(0.03, 0.9, 4);
-        let t8 = batched_step_time(0.03, 0.9, 8);
-        assert!(t8 > t4);
-        assert!(t8 < 0.03 * 8.0);
     }
 }

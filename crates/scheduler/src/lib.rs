@@ -30,7 +30,6 @@ pub mod cost;
 pub mod global;
 pub mod lint;
 pub mod memory;
-pub mod pd;
 pub mod pipeline;
 pub mod plan;
 pub mod plan_dot;

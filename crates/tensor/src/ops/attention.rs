@@ -1,8 +1,15 @@
 //! Scaled dot-product attention — the core kernel of transformer models.
 //!
-//! [`multi_head_attention`] dispatches between a sequential head loop (the
-//! reference) and a parallel variant that computes heads on separate cores.
-//! Heads are independent, so both orders produce bit-identical output.
+//! Multi-head attention has three shapes of execution, bit-identical on
+//! every exact tier: the sequential head loop (the reference), the same
+//! loop with heads fanned out over the worker pool, and — for a single
+//! query (a decode step) — a fused loop that reads each head's band
+//! straight out of the packed projections. [`multi_head_attention_on`]
+//! runs the tier it is given; [`multi_head_attention`] picks one by
+//! problem size unless [`crate::stats::force_path`] names another. The
+//! per-head products are [`matmul`] calls, so a forced tier reaches them
+//! as it reaches any other matmul: that is what makes forced `simd`,
+//! `int8` or `fp16` attention run on that tier.
 
 use crate::ops::activation::softmax_lastdim;
 use crate::ops::linalg::{matmul, transpose2d, MATMUL_BLOCK_MIN_FLOPS, MATMUL_PAR_MIN_FLOPS};
@@ -55,10 +62,48 @@ pub fn attention(q: &Tensor, k: &Tensor, v: &Tensor, causal: bool) -> Tensor {
     matmul(&weights, v)
 }
 
+/// `scores[j] = q_head · k_data[j·stride + offset ..][..q_head.len()]`:
+/// one query band against the same band of every key row, off a
+/// row-major K whose rows are `stride` wide. Every score keeps one f32
+/// accumulator walking the depth axis in ascending order with the same
+/// `av == 0.0` skip as the matmul kernels, so the result is bit-identical
+/// to a matmul against the transposed band on every non-quantized tier.
+/// Inlined into its two callers: the fused decode loop runs it once per
+/// head per layer of every decode step.
+#[inline(always)]
+fn qk_band(q_head: &[f32], k_data: &[f32], stride: usize, offset: usize, scores: &mut [f32]) {
+    let tk = scores.len();
+    let mut j = 0;
+    // Eight scores at a time: eight independent accumulators, each
+    // still strictly `p`-ascending.
+    while j + 8 <= tk {
+        let mut acc = [0.0f32; 8];
+        for (p, &av) in q_head.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            for (l, a) in acc.iter_mut().enumerate() {
+                *a += av * k_data[(j + l) * stride + offset + p];
+            }
+        }
+        scores[j..j + 8].copy_from_slice(&acc);
+        j += 8;
+    }
+    for (jj, s) in scores.iter_mut().enumerate().skip(j) {
+        let row = &k_data[jj * stride + offset..][..q_head.len()];
+        let mut acc = 0.0f32;
+        for (&av, &bv) in q_head.iter().zip(row) {
+            if av == 0.0 {
+                continue;
+            }
+            acc += av * bv;
+        }
+        *s = acc;
+    }
+}
+
 /// Decode-shape (`tq == 1`) QK^T scores computed without materializing
-/// `transpose2d(k)`. Every score keeps one f32 accumulator walking the
-/// depth axis in ascending order with the same `av == 0.0` skip as the
-/// matmul kernels, so the result is bit-identical to
+/// `transpose2d(k)`: [`qk_band`] over whole rows, bit-identical to
 /// `matmul(q, transpose2d(k))` on every non-quantized tier — which is
 /// why a forced scalar/blocked/parallel/simd path may all take it.
 fn qk_decode_scores(q: &Tensor, k: &Tensor, forced: Option<Path>) -> Tensor {
@@ -72,42 +117,13 @@ fn qk_decode_scores(q: &Tensor, k: &Tensor, forced: Option<Path>) -> Tensor {
         Path::Simd
     });
     stats::note("matmul", path);
-    let qd = q.data();
-    let kd = k.data();
-    Tensor::build([1usize, tk], |out| {
-        let mut j = 0;
-        // Eight scores at a time: eight independent accumulators, each
-        // still strictly `p`-ascending.
-        while j + 8 <= tk {
-            let mut acc = [0.0f32; 8];
-            for (p, &av) in qd.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                for (l, a) in acc.iter_mut().enumerate() {
-                    *a += av * kd[(j + l) * d + p];
-                }
-            }
-            out[j..j + 8].copy_from_slice(&acc);
-            j += 8;
-        }
-        for (jj, o) in out.iter_mut().enumerate().skip(j) {
-            let row = &kd[jj * d..(jj + 1) * d];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in qd.iter().zip(row) {
-                if av == 0.0 {
-                    continue;
-                }
-                acc += av * bv;
-            }
-            *o = acc;
-        }
-    })
+    Tensor::build([1usize, tk], |out| qk_band(q.data(), k.data(), d, 0, out))
 }
 
-/// Multi-head attention over packed `[t, heads*dh]` projections. Splits
-/// heads, runs [`attention`] per head, and re-packs. Dispatches between
-/// the sequential reference loop and a head-parallel variant.
+/// Multi-head attention over packed `[t, heads*dh]` projections: splits
+/// heads, runs [`attention`] per head, and re-packs — fused for a single
+/// query, head-parallel from [`ATTENTION_PAR_MIN_FLOPS`], sequential
+/// otherwise.
 pub fn multi_head_attention(
     q: &Tensor,
     k: &Tensor,
@@ -117,28 +133,48 @@ pub fn multi_head_attention(
 ) -> Tensor {
     let (tq, dm) = (q.dims()[0], q.dims()[1]);
     let tk = k.dims()[0];
-    // Single-query (decode) calls take the fused head loop, which reads
-    // straight out of the packed projections — bit-identical to the
-    // slice-per-head reference on every non-quantized tier.
-    let forced = stats::forced_path();
-    if tq == 1 && tk > 0 && !forced.is_some_and(Path::is_quantized) {
-        return mha_decode(q, k, v, heads, forced);
+    let path = stats::forced_path().unwrap_or_else(|| {
+        // QK^T plus weights·V, both 2·tq·tk·dh per head, over all heads.
+        let flops = 4 * tq * tk * dm;
+        if tq == 1 && tk > 0 {
+            Path::Simd
+        } else if heads > 1 && flops >= ATTENTION_PAR_MIN_FLOPS && par::worker_count(heads) > 1 {
+            Path::Parallel
+        } else {
+            Path::Scalar
+        }
+    });
+    multi_head_attention_on(path, q, k, v, heads, causal)
+}
+
+/// [`multi_head_attention`] on the tier `path`, whatever the problem
+/// size: the entry for tests and benches that compare tiers. `Parallel`
+/// fans the heads out over the pool; every other tier is the sequential
+/// head loop, the reference. A single query (a decode step) takes the
+/// fused head loop on every non-quantized tier. `path` picks the loop
+/// and is what is recorded; the per-head products are [`matmul`] calls
+/// and follow [`stats::force_path`] like any other — under
+/// `force_path(Int8)` they really did run quantized, and the dispatch
+/// mix should say so.
+pub fn multi_head_attention_on(
+    path: Path,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    heads: usize,
+    causal: bool,
+) -> Tensor {
+    let (tq, tk, dm, dh) = head_geometry(q, k, heads);
+    stats::note("attention", path);
+    if tq == 1 && tk > 0 && !path.is_quantized() {
+        return mha_decode(q, k, v, heads);
     }
-    // A forced non-parallel path maps to the sequential head loop; the
-    // inner QK^T and weights·V matmuls dispatch through the same forced
-    // path, which is how the simd and quantized attention tiers run.
-    match forced {
-        Some(Path::Parallel) => return multi_head_attention_parallel(q, k, v, heads, causal),
-        Some(_) => return multi_head_attention_sequential(q, k, v, heads, causal),
-        None => {}
-    }
-    // QK^T plus weights·V, both 2·tq·tk·dh per head, over all heads.
-    let flops = 4 * tq * tk * dm;
-    if heads > 1 && flops >= ATTENTION_PAR_MIN_FLOPS && par::worker_count(heads) > 1 {
-        multi_head_attention_parallel(q, k, v, heads, causal)
-    } else {
-        multi_head_attention_sequential(q, k, v, heads, causal)
-    }
+    let head = |h| head_output(q, k, v, h, dh, causal);
+    let outs: Vec<Tensor> = match path {
+        Path::Parallel => par::par_map(heads, head),
+        _ => (0..heads).map(head).collect(),
+    };
+    pack_heads(&outs, tq, dm, dh)
 }
 
 /// Fused single-query multi-head attention: heads read their `dh`-wide
@@ -150,11 +186,9 @@ pub fn multi_head_attention(
 /// exact accumulation orders of the sliced reference, so the result is
 /// bit-for-bit identical on every non-quantized tier. Causal masking is
 /// a no-op for a single query attending over its whole cache.
-fn mha_decode(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, forced: Option<Path>) -> Tensor {
+fn mha_decode(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Tensor {
     let (_, tk, dm, dh) = head_geometry(q, k, heads);
     assert_eq!(v.dims(), k.dims(), "k/v shape mismatch");
-    let path = forced.unwrap_or(Path::Simd);
-    stats::note("attention", path);
     let qd = q.data();
     let kd = k.data();
     let vd = v.data();
@@ -163,33 +197,7 @@ fn mha_decode(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, forced: Option<P
     Tensor::build([1usize, dm], |out| {
         for h in 0..heads {
             let off = h * dh;
-            let qh = &qd[off..off + dh];
-            // QK^T for this head, eight keys at a time.
-            let mut j = 0;
-            while j + 8 <= tk {
-                let mut acc = [0.0f32; 8];
-                for (p, &av) in qh.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (l, a) in acc.iter_mut().enumerate() {
-                        *a += av * kd[(j + l) * dm + off + p];
-                    }
-                }
-                scores[j..j + 8].copy_from_slice(&acc);
-                j += 8;
-            }
-            for (jj, s) in scores.iter_mut().enumerate().skip(j) {
-                let row = &kd[jj * dm + off..jj * dm + off + dh];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in qh.iter().zip(row) {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    acc += av * bv;
-                }
-                *s = acc;
-            }
+            qk_band(&qd[off..off + dh], kd, dm, off, &mut scores);
             // Scale + softmax over the single row.
             for s in scores.iter_mut() {
                 *s *= scale;
@@ -247,40 +255,6 @@ fn pack_heads(head_outs: &[Tensor], tq: usize, dm: usize, dh: usize) -> Tensor {
             }
         }
     })
-}
-
-/// Reference multi-head attention: heads computed one after another.
-/// Notes the forced path when one is set — under `force_path(Int8)` the
-/// inner matmuls really did run quantized, and the dispatch mix should
-/// say so.
-pub fn multi_head_attention_sequential(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    heads: usize,
-    causal: bool,
-) -> Tensor {
-    let (tq, _tk, dm, dh) = head_geometry(q, k, heads);
-    stats::note("attention", stats::forced_path().unwrap_or(Path::Scalar));
-    let outs: Vec<Tensor> = (0..heads)
-        .map(|h| head_output(q, k, v, h, dh, causal))
-        .collect();
-    pack_heads(&outs, tq, dm, dh)
-}
-
-/// Multi-head attention with heads fanned out over cores (forced, for
-/// benches/tests). Bit-identical to the sequential reference.
-pub fn multi_head_attention_parallel(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    heads: usize,
-    causal: bool,
-) -> Tensor {
-    let (tq, _tk, dm, dh) = head_geometry(q, k, heads);
-    stats::note("attention", Path::Parallel);
-    let outs = par::par_map(heads, |h| head_output(q, k, v, h, dh, causal));
-    pack_heads(&outs, tq, dm, dh)
 }
 
 fn slice_head(x: &Tensor, head: usize, dh: usize) -> Tensor {
@@ -368,17 +342,6 @@ mod tests {
         let b = multi_head_attention(&q, &k, &v, 2, true);
         assert_eq!(a.dims(), &[3, 8]);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn mha_paths_agree_bitwise() {
-        let q = randn([5, 12], 21);
-        let k = randn([7, 12], 22);
-        let v = randn([7, 12], 23);
-        let seq = multi_head_attention_sequential(&q, &k, &v, 3, true);
-        let par = multi_head_attention_parallel(&q, &k, &v, 3, true);
-        assert_eq!(seq.dims(), par.dims());
-        assert_eq!(seq.data(), par.data());
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Convolution and pooling kernels (NCHW layout).
 //!
-//! [`conv2d`] dispatches between the scalar reference loop, a simd
-//! variant that register-blocks eight contiguous output columns, and a
-//! parallel variant that fans the `(n, cout)` output planes out over the
-//! worker pool; all compute every output element identically, so results
-//! are bit-for-bit equal. The quantized tiers do not cover convolution:
-//! forcing `int8`/`fp16` runs the exact scalar kernel.
+//! A convolution has three kernels, all computing every output element
+//! in the same order and therefore bit-for-bit equal: the scalar
+//! reference loop, a simd variant that register-blocks eight contiguous
+//! output columns, and a parallel variant that fans the `(n, cout)`
+//! output planes of the simd kernel out over the worker pool.
+//! [`conv2d_on`] runs the tier it is given; [`conv2d`] picks one by
+//! problem size unless [`crate::stats::force_path`] names another. There
+//! is no blocked and no quantized convolution: those tiers run, and are
+//! counted as, the scalar kernel.
 
 use crate::par;
 use crate::stats::{self, Path};
@@ -42,6 +45,12 @@ fn conv_geom(x: &Tensor, w: &Tensor, bias: &Tensor, stride: usize, padding: usiz
     let (cout, cin2, kh, kw) = (w.dims()[0], w.dims()[1], w.dims()[2], w.dims()[3]);
     assert_eq!(cin, cin2, "channel mismatch: {cin} vs {cin2}");
     assert_eq!(bias.dims(), &[cout]);
+    assert!(
+        kh <= h + 2 * padding && kw <= wd + 2 * padding,
+        "conv2d kernel {} larger than input {} with padding {padding}",
+        w.shape(),
+        x.shape()
+    );
     let oh = (h + 2 * padding - kh) / stride + 1;
     let ow = (wd + 2 * padding - kw) / stride + 1;
     ConvGeom {
@@ -59,19 +68,22 @@ fn conv_geom(x: &Tensor, w: &Tensor, bias: &Tensor, stride: usize, padding: usiz
     }
 }
 
-/// Compute one `(ni, co)` output plane into `plane` (`oh*ow` elements).
+/// Columns `ox0..` of every row of output plane `idx` (`ni·cout + co`)
+/// into `plane` (`oh*ow` elements): per element the bias first, then
+/// `(ci, ky, kx)` ascending, skipping taps that fall in the padding.
 fn conv_plane(
     plane: &mut [f32],
     g: &ConvGeom,
     xd: &[f32],
     wdta: &[f32],
-    b: f32,
-    ni: usize,
-    co: usize,
+    bd: &[f32],
+    idx: usize,
+    ox0: usize,
 ) {
+    let (ni, co) = (idx / g.cout, idx % g.cout);
     for oy in 0..g.oh {
-        for ox in 0..g.ow {
-            let mut acc = b;
+        for ox in ox0..g.ow {
+            let mut acc = bd[co];
             for ci in 0..g.cin {
                 for ky in 0..g.kh {
                     let iy = oy * g.stride + ky;
@@ -97,23 +109,23 @@ fn conv_plane(
 }
 
 /// Simd variant of [`conv_plane`]: eight contiguous output columns share
-/// one `[f32; 8]` accumulator block held across the whole reduction.
-/// Per output element the accumulation order — bias first, then
-/// `(ci, ky, kx)` ascending with the same padding skips — is identical
-/// to [`conv_plane`], so results are bit-for-bit equal.
+/// one `[f32; 8]` accumulator block held across the whole reduction, and
+/// the columns left over are [`conv_plane`]'s. Per output element the
+/// accumulation order is identical to [`conv_plane`], so results are
+/// bit-for-bit equal.
 fn conv_plane_simd(
     plane: &mut [f32],
     g: &ConvGeom,
     xd: &[f32],
     wdta: &[f32],
-    b: f32,
-    ni: usize,
-    co: usize,
+    bd: &[f32],
+    idx: usize,
 ) {
+    let (ni, co) = (idx / g.cout, idx % g.cout);
+    let full = g.ow - g.ow % LANES;
     for oy in 0..g.oh {
-        let full = g.ow - g.ow % LANES;
         for ox0 in (0..full).step_by(LANES) {
-            let mut acc = [b; LANES];
+            let mut acc = [bd[co]; LANES];
             for ci in 0..g.cin {
                 let xplane = ((ni * g.cin + ci) * g.h) * g.wd;
                 let wplane = ((co * g.cin + ci) * g.kh) * g.kw;
@@ -137,79 +149,34 @@ fn conv_plane_simd(
             }
             plane[oy * g.ow + ox0..oy * g.ow + ox0 + LANES].copy_from_slice(&acc);
         }
-        // Column tail: the scalar per-element loop, same order.
-        for ox in full..g.ow {
-            let mut acc = b;
-            for ci in 0..g.cin {
-                for ky in 0..g.kh {
-                    let iy = oy * g.stride + ky;
-                    if iy < g.padding || iy - g.padding >= g.h {
-                        continue;
-                    }
-                    let iy = iy - g.padding;
-                    for kx in 0..g.kw {
-                        let ix = ox * g.stride + kx;
-                        if ix < g.padding || ix - g.padding >= g.wd {
-                            continue;
-                        }
-                        let ix = ix - g.padding;
-                        let xv = xd[((ni * g.cin + ci) * g.h + iy) * g.wd + ix];
-                        let wv = wdta[((co * g.cin + ci) * g.kh + ky) * g.kw + kx];
-                        acc += xv * wv;
-                    }
-                }
-            }
-            plane[oy * g.ow + ox] = acc;
-        }
     }
+    conv_plane(plane, g, xd, wdta, bd, idx, full);
 }
 
 /// 2-D convolution: input `[N, Cin, H, W]`, weight `[Cout, Cin, Kh, Kw]`,
-/// bias `[Cout]`, with the given stride and symmetric zero padding.
-/// Dispatches between the scalar reference and the parallel kernel.
+/// bias `[Cout]`, with the given stride and symmetric zero padding, on
+/// the tier the problem size names (scalar, simd or parallel).
 pub fn conv2d(x: &Tensor, w: &Tensor, bias: &Tensor, stride: usize, padding: usize) -> Tensor {
     let g = conv_geom(x, w, bias, stride, padding);
-    // Forced `blocked` maps to the scalar reference (conv has no
-    // distinct blocked kernel); forced quantized tiers also fall back to
-    // the exact scalar kernel — quantization covers matmul/attention.
-    match stats::forced_path() {
-        Some(Path::Parallel) => return conv2d_parallel(x, w, bias, stride, padding),
-        Some(Path::Simd) => return conv2d_simd(x, w, bias, stride, padding),
-        Some(_) => return conv2d_scalar(x, w, bias, stride, padding),
-        None => {}
-    }
-    let macs = g.n * g.cout * g.oh * g.ow * g.cin * g.kh * g.kw;
-    let planes = g.n * g.cout;
-    if g.oh * g.ow == 0 || macs < CONV_SIMD_MIN_MACS {
-        conv2d_scalar(x, w, bias, stride, padding)
-    } else if macs >= CONV_PAR_MIN_MACS && par::worker_count(planes) > 1 {
-        conv2d_parallel(x, w, bias, stride, padding)
-    } else {
-        conv2d_simd(x, w, bias, stride, padding)
-    }
-}
-
-/// conv2d with eight output columns per `[f32; 8]` register block.
-/// Bit-identical to [`conv2d_scalar`].
-pub fn conv2d_simd(x: &Tensor, w: &Tensor, bias: &Tensor, stride: usize, padding: usize) -> Tensor {
-    let g = conv_geom(x, w, bias, stride, padding);
-    stats::note("conv2d", Path::Simd);
-    let xd = x.data();
-    let wdta = w.data();
-    let bd = bias.data();
-    let plane_len = g.oh * g.ow;
-    Tensor::build([g.n, g.cout, g.oh, g.ow], |out| {
-        if plane_len > 0 {
-            for (idx, plane) in out.chunks_mut(plane_len).enumerate() {
-                let (ni, co) = (idx / g.cout, idx % g.cout);
-                conv_plane_simd(plane, &g, xd, wdta, bd[co], ni, co);
-            }
+    let path = stats::forced_path().unwrap_or_else(|| {
+        let macs = g.n * g.cout * g.oh * g.ow * g.cin * g.kh * g.kw;
+        let planes = g.n * g.cout;
+        if macs < CONV_SIMD_MIN_MACS {
+            Path::Scalar
+        } else if macs >= CONV_PAR_MIN_MACS && par::worker_count(planes) > 1 {
+            Path::Parallel
+        } else {
+            Path::Simd
         }
-    })
+    });
+    conv2d_on(path, x, w, bias, stride, padding)
 }
 
-/// Reference conv2d: the scalar loop over every output element.
-pub fn conv2d_scalar(
+/// [`conv2d`] on the tier `path`, whatever the problem size: the entry
+/// for tests and benches that compare tiers. Ignores
+/// [`stats::force_path`].
+pub fn conv2d_on(
+    path: Path,
     x: &Tensor,
     w: &Tensor,
     bias: &Tensor,
@@ -217,45 +184,28 @@ pub fn conv2d_scalar(
     padding: usize,
 ) -> Tensor {
     let g = conv_geom(x, w, bias, stride, padding);
-    stats::note("conv2d", Path::Scalar);
-    let xd = x.data();
-    let wdta = w.data();
+    // Conv has no blocked kernel of its own, and quantization covers
+    // matmul and attention only: those tiers are the scalar reference.
+    let path = match path {
+        Path::Simd | Path::Parallel => path,
+        _ => Path::Scalar,
+    };
+    stats::note("conv2d", path);
+    let (xd, wdta, bd) = (x.data(), w.data(), bias.data());
     let plane_len = g.oh * g.ow;
-    Tensor::build([g.n, g.cout, g.oh, g.ow], |out| {
-        if plane_len > 0 {
-            for (idx, plane) in out.chunks_mut(plane_len).enumerate() {
-                let (ni, co) = (idx / g.cout, idx % g.cout);
-                conv_plane(plane, &g, xd, wdta, bias.data()[co], ni, co);
+    let planes = |plane0: usize, chunk: &mut [f32]| {
+        for (pi, plane) in chunk.chunks_mut(plane_len).enumerate() {
+            match path {
+                Path::Scalar => conv_plane(plane, &g, xd, wdta, bd, plane0 + pi, 0),
+                _ => conv_plane_simd(plane, &g, xd, wdta, bd, plane0 + pi),
             }
         }
-    })
-}
-
-/// conv2d with `(n, cout)` output planes spread over cores (forced, for
-/// benches/tests). Bit-identical to [`conv2d_scalar`].
-pub fn conv2d_parallel(
-    x: &Tensor,
-    w: &Tensor,
-    bias: &Tensor,
-    stride: usize,
-    padding: usize,
-) -> Tensor {
-    let g = conv_geom(x, w, bias, stride, padding);
-    stats::note("conv2d", Path::Parallel);
-    let xd = x.data();
-    let wdta = w.data();
-    let bd = bias.data();
-    let plane_len = g.oh * g.ow;
-    Tensor::build([g.n, g.cout, g.oh, g.ow], |out| {
-        if plane_len > 0 {
-            par::par_rows(out, plane_len, |plane0, chunk| {
-                for (pi, plane) in chunk.chunks_mut(plane_len).enumerate() {
-                    let idx = plane0 + pi;
-                    let (ni, co) = (idx / g.cout, idx % g.cout);
-                    conv_plane_simd(plane, &g, xd, wdta, bd[co], ni, co);
-                }
-            });
-        }
+    };
+    // `conv_geom` admits no kernel past the padded input, so a plane has
+    // at least one element.
+    Tensor::build([g.n, g.cout, g.oh, g.ow], |out| match path {
+        Path::Parallel => par::par_rows(out, plane_len, planes),
+        _ => planes(0, out),
     })
 }
 
@@ -371,21 +321,31 @@ mod tests {
         assert_eq!(&y.data()[4..], &[-1.0; 4]);
     }
 
+    // Unchecked, `(2 + 2·0 − 3) / 1 + 1` wraps to 0 in a release build —
+    // an empty `[1,1,0,0]` result and not a word — and a 5×5 kernel
+    // indexes past the input inside `conv_plane`.
     #[test]
-    fn conv2d_paths_agree_bitwise() {
-        let x = crate::init::randn([2, 3, 9, 11], 7);
-        let w = crate::init::randn([4, 3, 3, 3], 8);
-        let bias = crate::init::randn([4], 9);
-        let reference = conv2d_scalar(&x, &w, &bias, 2, 1);
-        let par = conv2d_parallel(&x, &w, &bias, 2, 1);
-        let simd = conv2d_simd(&x, &w, &bias, 2, 1);
-        assert_eq!(reference.dims(), par.dims());
-        assert_eq!(reference.data(), par.data());
-        assert_eq!(reference.data(), simd.data());
-        // Stride 1 with padding hits the contiguous-row lane loads.
-        let r1 = conv2d_scalar(&x, &w, &bias, 1, 1);
-        let s1 = conv2d_simd(&x, &w, &bias, 1, 1);
-        assert_eq!(r1.data(), s1.data());
+    #[should_panic(expected = "larger than input")]
+    fn conv2d_rejects_a_kernel_one_past_the_padded_input() {
+        conv2d(
+            &arange([1, 1, 2, 2]),
+            &Tensor::ones([1, 1, 3, 3]),
+            &Tensor::zeros([1]),
+            1,
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than input")]
+    fn conv2d_rejects_a_kernel_far_past_the_padded_input() {
+        conv2d(
+            &arange([1, 1, 2, 2]),
+            &Tensor::ones([1, 1, 5, 5]),
+            &Tensor::zeros([1]),
+            1,
+            0,
+        );
     }
 
     #[test]

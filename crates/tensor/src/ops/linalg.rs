@@ -1,26 +1,28 @@
 //! Dense linear algebra kernels.
 //!
-//! Each heavy kernel has four exact implementations that produce
-//! bit-identical results (accumulation order per output element is
-//! ascending `p` with a single accumulator in all of them):
+//! A matmul runs on one of six tiers, named by [`Path`]. Four are exact
+//! and produce bit-identical results (every output element is one f32
+//! accumulator walking `p` in ascending order with the same zero-skip):
 //!
-//! * `*_scalar` — the naive reference loop, kept as ground truth;
-//! * `*_blocked` — register/cache-blocked: 4 output rows × 64 output
+//! * `Scalar` — the naive reference loop, kept as ground truth;
+//! * `Blocked` — register/cache-blocked: 4 output rows × 64 output
 //!   columns per tile, so each loaded B row is reused 4× and C is written
 //!   exactly once;
-//! * `*_simd` — the register-blocked tier in [`crate::simd`]: a
+//! * `Simd` — the register-blocked row worker in [`crate::simd`]: a
 //!   `4 × W` accumulator tile stays in vector registers for the whole
 //!   reduction, `W` as wide as the CPU's vector ISA allows
 //!   ([`crate::stats::isa`]);
-//! * `*_parallel` — the simd kernel with output rows (or batches)
-//!   fanned out over the persistent worker pool.
+//! * `Parallel` — the simd worker with output rows fanned out over the
+//!   persistent worker pool.
 //!
-//! Two further *approximate* tiers live in [`crate::quant`] (int8 and
-//! fp16) and are reachable here via [`crate::stats::force_path`]; their
-//! error is bounded by the GA3xx error model, not bit-identity.
+//! `Int8` and `Fp16` are the *approximate* tiers of [`crate::quant`];
+//! their error is bounded by the GA3xx error model, not bit-identity.
 //!
-//! The public entry points ([`matmul`], [`batched_matmul`]) dispatch on
-//! problem size and record the chosen path in [`crate::stats`].
+//! [`matmul_on`] runs the tier it is given; [`matmul`] picks one by
+//! problem size (scalar, simd or parallel) unless
+//! [`crate::stats::force_path`] names another, which is the only way to
+//! the blocked and quantized tiers. Both record the tier in
+//! [`crate::stats`].
 
 use crate::par;
 use crate::quant;
@@ -43,7 +45,7 @@ const MR: usize = 4;
 /// Output-column tile width of the blocked kernel.
 const NR: usize = 64;
 
-fn matmul_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
+pub(crate) fn matmul_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
     assert_eq!(a.rank(), 2, "matmul lhs must be rank-2, got {}", a.shape());
     assert_eq!(b.rank(), 2, "matmul rhs must be rank-2, got {}", b.shape());
     let (m, k) = (a.dims()[0], a.dims()[1]);
@@ -52,8 +54,8 @@ fn matmul_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
     (m, k, n)
 }
 
-/// Reference triple loop over row slices, shared by [`matmul_scalar`] and
-/// [`batched_matmul_scalar`].
+/// Reference triple loop over row slices; accumulates into `out`, which
+/// is how [`matmul_acc`] carries a partial sum.
 fn matmul_scalar_into(out: &mut [f32], ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         let arow = &ad[i * k..(i + 1) * k];
@@ -111,194 +113,52 @@ fn matmul_blocked_rows(
     }
 }
 
-/// `C[m,n] = A[m,k] · B[k,n]`. Dispatches between the scalar reference,
-/// the simd kernel, and the simd+parallel kernel on problem size; all
-/// exact tiers produce bit-identical results. The blocked tier and the
-/// quantized tiers are reachable via [`stats::force_path`].
+/// `C[m,n] = A[m,k] · B[k,n]` on the tier the problem size names: the
+/// scalar reference, the simd kernel, or the simd kernel over the pool.
+/// All exact tiers produce bit-identical results. The blocked tier and
+/// the quantized tiers are reachable via [`stats::force_path`].
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k, n) = matmul_dims(a, b);
-    match stats::forced_path() {
-        Some(Path::Scalar) => return matmul_scalar(a, b),
-        Some(Path::Blocked) => return matmul_blocked(a, b),
-        Some(Path::Simd) => return matmul_simd(a, b),
-        Some(Path::Parallel) => return matmul_parallel(a, b),
-        Some(Path::Int8) => return quant::matmul_int8(a, b),
-        Some(Path::Fp16) => return quant::matmul_fp16(a, b),
-        None => {}
-    }
-    let flops = 2 * m * k * n;
-    if flops < MATMUL_BLOCK_MIN_FLOPS || m == 0 || k == 0 || n == 0 {
-        return matmul_scalar(a, b);
-    }
-    if flops >= MATMUL_PAR_MIN_FLOPS && par::worker_count(m) > 1 {
-        return matmul_parallel(a, b);
-    }
-    matmul_simd(a, b)
+    let path = stats::forced_path().unwrap_or_else(|| {
+        let flops = 2 * m * k * n;
+        if flops < MATMUL_BLOCK_MIN_FLOPS || m == 0 || k == 0 || n == 0 {
+            Path::Scalar
+        } else if flops >= MATMUL_PAR_MIN_FLOPS && par::worker_count(m) > 1 {
+            Path::Parallel
+        } else {
+            Path::Simd
+        }
+    });
+    matmul_on(path, a, b)
 }
 
-/// The naive reference matmul (always the scalar loop).
+/// The naive reference matmul (always the scalar loop): the oracle the
+/// other tiers are compared with.
 pub fn matmul_scalar(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_on(Path::Scalar, a, b)
+}
+
+/// [`matmul`] on the tier `path`, whatever the problem size: the entry
+/// for tests and benches that compare tiers. Ignores
+/// [`stats::force_path`].
+pub fn matmul_on(path: Path, a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k, n) = matmul_dims(a, b);
-    stats::note("matmul", Path::Scalar);
-    Tensor::build([m, n], |out| {
-        matmul_scalar_into(out, a.data(), b.data(), m, k, n);
-    })
-}
-
-/// The cache-blocked matmul on one thread (forced, for benches/tests).
-pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k, n) = matmul_dims(a, b);
-    stats::note("matmul", Path::Blocked);
-    Tensor::build([m, n], |out| {
-        if n > 0 {
-            matmul_blocked_rows(out, 0, a.data(), b.data(), k, n);
-        }
-    })
-}
-
-/// The register-blocked matmul on one thread.
-pub fn matmul_simd(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k, n) = matmul_dims(a, b);
-    stats::note("matmul", Path::Simd);
-    Tensor::build([m, n], |out| {
-        if n > 0 {
-            simd::matmul_simd_rows(out, 0, a.data(), b.data(), k, n);
-        }
-    })
-}
-
-/// The simd matmul with rows spread over the worker pool (forced, for
-/// benches/tests).
-pub fn matmul_parallel(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k, n) = matmul_dims(a, b);
-    stats::note("matmul", Path::Parallel);
-    Tensor::build([m, n], |out| {
-        if n > 0 {
-            let (ad, bd) = (a.data(), b.data());
-            par::par_rows(out, n, |row0, chunk| {
-                simd::matmul_simd_rows(chunk, row0, ad, bd, k, n);
-            });
-        }
-    })
-}
-
-fn batched_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize, usize) {
-    assert_eq!(a.rank(), 3, "batched_matmul lhs must be rank-3");
-    assert_eq!(b.rank(), 3, "batched_matmul rhs must be rank-3");
-    let (ba, m, k) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-    let (bb, k2, n) = (b.dims()[0], b.dims()[1], b.dims()[2]);
-    assert_eq!(ba, bb, "batch dims differ");
-    assert_eq!(k, k2, "inner dims differ");
-    (ba, m, k, n)
-}
-
-/// Batched matmul over matching leading batch dims:
-/// `C[b,m,n] = A[b,m,k] · B[b,k,n]`. Dispatches like [`matmul`], with
-/// parallelism across batches.
-pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let (ba, m, k, n) = batched_dims(a, b);
-    match stats::forced_path() {
-        Some(Path::Scalar) => return batched_matmul_scalar(a, b),
-        Some(Path::Blocked) => return batched_matmul_blocked(a, b),
-        Some(Path::Simd) => return batched_matmul_simd(a, b),
-        Some(Path::Parallel) => return batched_matmul_parallel(a, b),
-        Some(Path::Int8) => return quant::batched_matmul_int8(a, b),
-        Some(Path::Fp16) => return quant::batched_matmul_fp16(a, b),
-        None => {}
+    match path {
+        Path::Int8 => return quant::matmul_int8(a, b),
+        Path::Fp16 => return quant::matmul_fp16(a, b),
+        _ => stats::note("matmul", path),
     }
-    let flops = 2 * ba * m * k * n;
-    if flops < MATMUL_BLOCK_MIN_FLOPS || ba * m * k * n == 0 {
-        return batched_matmul_scalar(a, b);
-    }
-    if flops >= MATMUL_PAR_MIN_FLOPS && par::worker_count(ba) > 1 {
-        return batched_matmul_parallel(a, b);
-    }
-    batched_matmul_simd(a, b)
-}
-
-/// Reference batched matmul: the scalar row-slice loop applied per batch.
-pub fn batched_matmul_scalar(a: &Tensor, b: &Tensor) -> Tensor {
-    let (ba, m, k, n) = batched_dims(a, b);
-    stats::note("batched_matmul", Path::Scalar);
     let (ad, bd) = (a.data(), b.data());
-    Tensor::build([ba, m, n], |out| {
-        for batch in 0..ba {
-            matmul_scalar_into(
-                &mut out[batch * m * n..][..m * n],
-                &ad[batch * m * k..][..m * k],
-                &bd[batch * k * n..][..k * n],
-                m,
-                k,
-                n,
-            );
-        }
-    })
-}
-
-/// Blocked batched matmul on one thread (forced, for benches/tests).
-pub fn batched_matmul_blocked(a: &Tensor, b: &Tensor) -> Tensor {
-    let (ba, m, k, n) = batched_dims(a, b);
-    stats::note("batched_matmul", Path::Blocked);
-    let (ad, bd) = (a.data(), b.data());
-    Tensor::build([ba, m, n], |out| {
-        if n > 0 {
-            for batch in 0..ba {
-                matmul_blocked_rows(
-                    &mut out[batch * m * n..][..m * n],
-                    0,
-                    &ad[batch * m * k..][..m * k],
-                    &bd[batch * k * n..][..k * n],
-                    k,
-                    n,
-                );
-            }
-        }
-    })
-}
-
-/// Register-blocked batched matmul on one thread.
-pub fn batched_matmul_simd(a: &Tensor, b: &Tensor) -> Tensor {
-    let (ba, m, k, n) = batched_dims(a, b);
-    stats::note("batched_matmul", Path::Simd);
-    let (ad, bd) = (a.data(), b.data());
-    Tensor::build([ba, m, n], |out| {
-        if n > 0 {
-            for batch in 0..ba {
-                simd::matmul_simd_rows(
-                    &mut out[batch * m * n..][..m * n],
-                    0,
-                    &ad[batch * m * k..][..m * k],
-                    &bd[batch * k * n..][..k * n],
-                    k,
-                    n,
-                );
-            }
-        }
-    })
-}
-
-/// Simd batched matmul with batches spread over the worker pool (forced,
-/// for benches/tests).
-pub fn batched_matmul_parallel(a: &Tensor, b: &Tensor) -> Tensor {
-    let (ba, m, k, n) = batched_dims(a, b);
-    stats::note("batched_matmul", Path::Parallel);
-    let (ad, bd) = (a.data(), b.data());
-    Tensor::build([ba, m, n], |out| {
-        if m * n > 0 {
-            par::par_rows(out, m * n, |b0, chunk| {
-                for (bi, osub) in chunk.chunks_mut(m * n).enumerate() {
-                    let batch = b0 + bi;
-                    simd::matmul_simd_rows(
-                        osub,
-                        0,
-                        &ad[batch * m * k..][..m * k],
-                        &bd[batch * k * n..][..k * n],
-                        k,
-                        n,
-                    );
-                }
-            });
-        }
+    Tensor::build([m, n], |out| match path {
+        // The tiled workers count rows as `out.len() / n`.
+        _ if n == 0 => {}
+        Path::Scalar => matmul_scalar_into(out, ad, bd, m, k, n),
+        Path::Blocked => matmul_blocked_rows(out, 0, ad, bd, k, n),
+        Path::Parallel => par::par_rows(out, n, |row0, chunk| {
+            simd::matmul_simd_rows(chunk, row0, ad, bd, k, n);
+        }),
+        // Simd: the quantized tiers returned above.
+        _ => simd::matmul_simd_rows(out, 0, ad, bd, k, n),
     })
 }
 
@@ -342,26 +202,6 @@ pub fn transpose2d(a: &Tensor) -> Tensor {
     })
 }
 
-/// `y[m] = A[m,k] · x[k]` as a rank-1 result.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Tensor {
-    assert_eq!(a.rank(), 2);
-    assert_eq!(x.rank(), 1);
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    assert_eq!(k, x.dims()[0]);
-    let ad = a.data();
-    let xd = x.data();
-    let out: Vec<f32> = (0..m)
-        .map(|i| {
-            ad[i * k..(i + 1) * k]
-                .iter()
-                .zip(xd)
-                .map(|(a, b)| a * b)
-                .sum()
-        })
-        .collect();
-    Tensor::from_vec([m], out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,30 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn all_matmul_paths_agree_bitwise() {
-        // Ragged dims exercise partial MR/NR tiles and the simd column
-        // tail.
-        let a = crate::init::randn([37, 53], 1);
-        let b = crate::init::randn([53, 71], 2);
-        let reference = matmul_scalar(&a, &b);
-        assert_eq!(matmul_blocked(&a, &b), reference);
-        assert_eq!(matmul_simd(&a, &b), reference);
-        assert_eq!(matmul_parallel(&a, &b), reference);
-        assert_eq!(matmul(&a, &b), reference);
-    }
-
-    #[test]
-    fn batched_paths_agree_bitwise() {
-        let a = crate::init::randn([3, 17, 29], 3);
-        let b = crate::init::randn([3, 29, 19], 4);
-        let reference = batched_matmul_scalar(&a, &b);
-        assert_eq!(batched_matmul_blocked(&a, &b), reference);
-        assert_eq!(batched_matmul_simd(&a, &b), reference);
-        assert_eq!(batched_matmul_parallel(&a, &b), reference);
-        assert_eq!(batched_matmul(&a, &b), reference);
-    }
-
-    #[test]
     fn degenerate_dims_are_fine() {
         let a = Tensor::zeros([0usize, 4].to_vec());
         let b = Tensor::zeros([4, 5]);
@@ -441,33 +257,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_matches_loop_of_matmuls() {
-        let a = arange([2, 3, 4]);
-        let b = arange([2, 4, 5]);
-        let c = batched_matmul(&a, &b);
-        for batch in 0..2 {
-            let a2 = Tensor::from_vec([3, 4], a.data()[batch * 12..(batch + 1) * 12].to_vec());
-            let b2 = Tensor::from_vec([4, 5], b.data()[batch * 20..(batch + 1) * 20].to_vec());
-            let expect = matmul(&a2, &b2);
-            let got = &c.data()[batch * 15..(batch + 1) * 15];
-            assert_eq!(got, expect.data());
-        }
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = arange([3, 5]);
         assert_eq!(transpose2d(&transpose2d(&a)), a);
         assert_eq!(transpose2d(&a).at(&[4, 2]), a.at(&[2, 4]));
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = arange([4, 3]);
-        let x = Tensor::from_vec([3], vec![1., 2., 3.]);
-        let y = matvec(&a, &x);
-        let x_col = x.clone().reshape([3, 1]);
-        let y2 = matmul(&a, &x_col).reshape([4]);
-        assert_eq!(y, y2);
     }
 }

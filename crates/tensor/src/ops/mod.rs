@@ -13,20 +13,17 @@ pub mod shape_ops;
 
 pub use activation::{gelu, relu, sigmoid, silu, softmax_lastdim};
 pub use attention::{
-    attention, multi_head_attention, multi_head_attention_parallel,
-    multi_head_attention_sequential, ATTENTION_PAR_MIN_FLOPS,
+    attention, multi_head_attention, multi_head_attention_on, ATTENTION_PAR_MIN_FLOPS,
 };
 pub use collective::{all_gather, all_reduce_sum};
 pub use conv::{
-    conv2d, conv2d_parallel, conv2d_scalar, conv2d_simd, global_avg_pool, pool2d, PoolMode,
-    CONV_PAR_MIN_MACS, CONV_SIMD_MIN_MACS,
+    conv2d, conv2d_on, global_avg_pool, pool2d, PoolMode, CONV_PAR_MIN_MACS, CONV_SIMD_MIN_MACS,
 };
 pub use elementwise::{add, add_bias, mul, scale, sub};
 pub use embedding::{gather_rows, gather_sum};
 pub use linalg::{
-    batched_matmul, batched_matmul_blocked, batched_matmul_parallel, batched_matmul_scalar,
-    batched_matmul_simd, matmul, matmul_acc, matmul_blocked, matmul_parallel, matmul_scalar,
-    matmul_simd, matvec, transpose2d, MATMUL_BLOCK_MIN_FLOPS, MATMUL_PAR_MIN_FLOPS,
+    matmul, matmul_acc, matmul_on, matmul_scalar, transpose2d, MATMUL_BLOCK_MIN_FLOPS,
+    MATMUL_PAR_MIN_FLOPS,
 };
 pub use norm::{batch_norm_2d, layer_norm, rms_norm};
 pub use reduce::{argmax_lastdim, max_lastdim, mean_lastdim, sum_lastdim};

@@ -20,6 +20,7 @@
 //!   `|err[i,j]| ≤ k·Amax_i·Bmax_j·(2^-10 + O(2^-22))`. Advertised
 //!   per-MAC relative bound: `2^-9` ([`FP16_MAC_RELERR`]).
 
+use crate::ops::linalg::matmul_dims;
 use crate::stats::{self, Path};
 use crate::tensor::Tensor;
 
@@ -93,40 +94,13 @@ fn matmul_int8_into(out: &mut [f32], ad: &[f32], bd: &[f32], m: usize, k: usize,
     }
 }
 
-/// int8 matmul: `C[m,n] ≈ A[m,k] · B[k,n]` within the int8 error bound.
+/// int8 matmul: `C[m,n] ≈ A[m,k] · B[k,n]` within the int8 error bound
+/// — the `Int8` tier of [`crate::ops::matmul_on`].
 pub fn matmul_int8(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.rank(), 2, "matmul lhs must be rank-2");
-    assert_eq!(b.rank(), 2, "matmul rhs must be rank-2");
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, k2, "matmul inner dims: {} vs {}", a.shape(), b.shape());
+    let (m, k, n) = matmul_dims(a, b);
     stats::note("matmul", Path::Int8);
     Tensor::build([m, n], |out| {
         matmul_int8_into(out, a.data(), b.data(), m, k, n);
-    })
-}
-
-/// int8 batched matmul over matching batch dims.
-pub fn batched_matmul_int8(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.rank(), 3, "batched_matmul lhs must be rank-3");
-    assert_eq!(b.rank(), 3, "batched_matmul rhs must be rank-3");
-    let (ba, m, k) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-    let (bb, k2, n) = (b.dims()[0], b.dims()[1], b.dims()[2]);
-    assert_eq!(ba, bb, "batch dims differ");
-    assert_eq!(k, k2, "inner dims differ");
-    stats::note("batched_matmul", Path::Int8);
-    let (ad, bd) = (a.data(), b.data());
-    Tensor::build([ba, m, n], |out| {
-        for batch in 0..ba {
-            matmul_int8_into(
-                &mut out[batch * m * n..][..m * n],
-                &ad[batch * m * k..][..m * k],
-                &bd[batch * k * n..][..k * n],
-                m,
-                k,
-                n,
-            );
-        }
     })
 }
 
@@ -205,42 +179,17 @@ pub fn round_trip_f16(data: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-/// fp16 matmul: operands stored in half precision, accumulation in f32.
+/// fp16 matmul: operands stored in half precision, accumulation in f32
+/// — the `Fp16` tier of [`crate::ops::matmul_on`].
 pub fn matmul_fp16(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.rank(), 2, "matmul lhs must be rank-2");
-    assert_eq!(b.rank(), 2, "matmul rhs must be rank-2");
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, k2, "matmul inner dims: {} vs {}", a.shape(), b.shape());
+    let (m, k, n) = matmul_dims(a, b);
     stats::note("matmul", Path::Fp16);
     let ah = round_trip_f16(a.data());
     let bh = round_trip_f16(b.data());
     Tensor::build([m, n], |out| {
-        crate::simd::matmul_simd_rows(out, 0, &ah, &bh, k, n);
-    })
-}
-
-/// fp16 batched matmul over matching batch dims.
-pub fn batched_matmul_fp16(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.rank(), 3, "batched_matmul lhs must be rank-3");
-    assert_eq!(b.rank(), 3, "batched_matmul rhs must be rank-3");
-    let (ba, m, k) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-    let (bb, k2, n) = (b.dims()[0], b.dims()[1], b.dims()[2]);
-    assert_eq!(ba, bb, "batch dims differ");
-    assert_eq!(k, k2, "inner dims differ");
-    stats::note("batched_matmul", Path::Fp16);
-    let ah = round_trip_f16(a.data());
-    let bh = round_trip_f16(b.data());
-    Tensor::build([ba, m, n], |out| {
-        for batch in 0..ba {
-            crate::simd::matmul_simd_rows(
-                &mut out[batch * m * n..][..m * n],
-                0,
-                &ah[batch * m * k..][..m * k],
-                &bh[batch * k * n..][..k * n],
-                k,
-                n,
-            );
+        // The row worker counts rows as `out.len() / n`.
+        if n > 0 {
+            crate::simd::matmul_simd_rows(out, 0, &ah, &bh, k, n);
         }
     })
 }
@@ -385,31 +334,6 @@ mod tests {
                 let err = (approx.data()[i * n + j] - exact.data()[i * n + j]).abs() as f64;
                 let bound = fp16_error_bound(k, amax, bmax);
                 assert!(err <= bound, "err {err} > bound {bound} at ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_variants_match_per_batch_calls() {
-        let a = crate::init::randn([2, 5, 7], 31);
-        let b = crate::init::randn([2, 7, 6], 32);
-        for (batched, single) in [
-            (batched_matmul_int8(&a, &b), 0),
-            (batched_matmul_fp16(&a, &b), 1),
-        ] {
-            for batch in 0..2 {
-                let a2 = Tensor::from_vec([5, 7], a.data()[batch * 35..(batch + 1) * 35].to_vec());
-                let b2 = Tensor::from_vec([7, 6], b.data()[batch * 42..(batch + 1) * 42].to_vec());
-                let want = if single == 0 {
-                    matmul_int8(&a2, &b2)
-                } else {
-                    matmul_fp16(&a2, &b2)
-                };
-                assert_eq!(
-                    &batched.data()[batch * 30..(batch + 1) * 30],
-                    want.data(),
-                    "batch {batch}"
-                );
             }
         }
     }

@@ -1,12 +1,19 @@
-//! Kernel-dispatch accounting.
+//! Kernel tiers and their accounting.
 //!
-//! Every heavy kernel records which implementation served a call: the
+//! A *tier* ([`Path`]) is one way of running a kernel family: the
 //! `scalar` reference loop, the cache-`blocked` single-thread kernel, the
 //! `simd` register-blocked kernel, the `parallel` (simd + multi-core)
-//! kernel, or one of the quantized tiers (`int8`, `fp16`). The counters
-//! are process globals so the interpreter and benches can report the
-//! dispatch mix — `genie-frontend` publishes deltas into the telemetry
-//! registry as `genie_tensor_kernel_dispatch_total{op,path}`.
+//! kernel — exact, bit-identical to one another — or one of the
+//! approximate quantized tiers (`int8`, `fp16`). [`PATHS`] lists them
+//! all, and is what the equality suites iterate. Each family in [`OPS`]
+//! has one entry that runs a named tier (`ops::matmul_on`,
+//! `ops::conv2d_on`, `ops::multi_head_attention_on`) and one dispatcher
+//! that picks a tier by problem size unless [`force_path`] names one.
+//!
+//! Every call records which tier served it. The counters are process
+//! globals so the interpreter and benches can report the dispatch mix —
+//! `genie-frontend` publishes deltas into the telemetry registry as
+//! `genie_tensor_kernel_dispatch_total{op,path}`.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -71,7 +78,7 @@ impl Path {
 }
 
 /// Instrumented kernel families.
-pub const OPS: [&str; 4] = ["matmul", "batched_matmul", "conv2d", "attention"];
+pub const OPS: [&str; 3] = ["matmul", "conv2d", "attention"];
 
 /// All dispatch paths, in counter-index order.
 pub const PATHS: [Path; PATH_COUNT] = [
@@ -87,7 +94,7 @@ pub const PATHS: [Path; PATH_COUNT] = [
 const ZERO: AtomicU64 = AtomicU64::new(0);
 #[allow(clippy::declare_interior_mutable_const)]
 const ROW: [AtomicU64; PATH_COUNT] = [ZERO; PATH_COUNT];
-static COUNTS: [[AtomicU64; PATH_COUNT]; 4] = [ROW; 4];
+static COUNTS: [[AtomicU64; PATH_COUNT]; OPS.len()] = [ROW; OPS.len()];
 
 fn op_index(op: &str) -> usize {
     OPS.iter().position(|&o| o == op).expect("known op family")
@@ -100,15 +107,16 @@ pub(crate) fn note(op: &str, path: Path) {
 // 0 = no override; 1..=PATH_COUNT = Path::index() + 1.
 static FORCED: AtomicU8 = AtomicU8::new(0);
 
-/// Override kernel dispatch process-wide: every instrumented kernel
-/// takes `path` regardless of problem size until cleared with `None`.
+/// Override kernel dispatch process-wide: every dispatcher takes `path`
+/// regardless of problem size until cleared with `None`.
 ///
 /// Exists for differential testing — running the same graph on two
 /// tiers and comparing outputs against the static error bounds from
-/// `genie-analysis` — and for benchmarking a single tier in isolation.
-/// Callers must reset to `None` afterwards; tests that force a path
-/// cannot run concurrently with tests asserting the natural dispatch
-/// mix.
+/// `genie-analysis`: a whole forward cannot be handed a tier any other
+/// way (one kernel can: the `_on` entries take the tier as an
+/// argument). Callers must reset to `None` afterwards; tests that
+/// force a path cannot run concurrently with tests asserting the natural
+/// dispatch mix.
 pub fn force_path(path: Option<Path>) {
     let raw = match path {
         None => 0,
@@ -136,7 +144,7 @@ pub fn isa() -> &'static str {
 /// A point-in-time copy of the dispatch counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
-    counts: [[u64; PATH_COUNT]; 4],
+    counts: [[u64; PATH_COUNT]; OPS.len()],
 }
 
 impl Snapshot {
@@ -173,7 +181,7 @@ impl Snapshot {
 
     /// Per-cell difference versus an earlier snapshot (saturating).
     pub fn since(&self, earlier: &Snapshot) -> Snapshot {
-        let mut counts = [[0u64; PATH_COUNT]; 4];
+        let mut counts = [[0u64; PATH_COUNT]; OPS.len()];
         for (oi, row) in counts.iter_mut().enumerate() {
             for (pi, cell) in row.iter_mut().enumerate() {
                 *cell = self.counts[oi][pi].saturating_sub(earlier.counts[oi][pi]);
@@ -190,7 +198,7 @@ impl Snapshot {
 
 /// Read the current dispatch counters.
 pub fn snapshot() -> Snapshot {
-    let mut counts = [[0u64; PATH_COUNT]; 4];
+    let mut counts = [[0u64; PATH_COUNT]; OPS.len()];
     for (oi, row) in counts.iter_mut().enumerate() {
         for (pi, cell) in row.iter_mut().enumerate() {
             *cell = COUNTS[oi][pi].load(Ordering::Relaxed);

@@ -1,4 +1,4 @@
-//! Property suite for the collective algebra: the identities sharded
+//! The collective algebra as seeded loops: the identities sharded
 //! execution leans on must hold *bit for bit*, for any data, any shard
 //! count, and any exact dispatch tier.
 //!
@@ -10,17 +10,20 @@
 //! - a chain of `matmul_acc` over row splits ≡ the unsplit matmul
 //!   (the fold continues across contiguous inner ranges).
 //!
-//! Each is checked under every exact dispatch path (scalar, blocked,
-//! simd, parallel) via `stats::force_path` — the tiers are bit-equal by
-//! construction, so forcing them must not perturb the identities.
+//! Each is checked under every exact tier of `stats::PATHS` (int8/fp16
+//! are approximate by design and covered by `quant_error.rs`) via
+//! `stats::force_path` — the tiers are bit-equal by construction, so
+//! forcing them must not perturb the identities.
 
-use genie_tensor::stats::{force_path, Path};
+mod common;
+
+use common::draw;
+use genie_tensor::stats::{force_path, Path, PATHS};
 use genie_tensor::{init, ops, Tensor};
-use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The bit-exact dispatch tiers (int8/fp16 are approximate by design
-/// and covered by the GA3xx error-model tests instead).
-const EXACT_PATHS: [Path; 4] = [Path::Scalar, Path::Blocked, Path::Simd, Path::Parallel];
+/// Cases per property; a case is a function of its index alone.
+const CASES: u64 = 48;
 
 /// Split `total` into `k` contiguous non-empty ranges.
 fn ranges(total: usize, k: usize) -> Vec<(usize, usize)> {
@@ -37,24 +40,36 @@ fn ranges(total: usize, k: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// The forced tier is a process global and the tests of this binary
+/// run on parallel threads: one at a time may set it.
+static FORCING: Mutex<()> = Mutex::new(());
+
+/// Clears the forced tier when dropped: after the loop, and when a
+/// failed assertion unwinds out of it.
+struct Unforce {
+    _serial: MutexGuard<'static, ()>,
+}
+
+impl Drop for Unforce {
+    fn drop(&mut self) {
+        force_path(None);
+    }
+}
+
 fn with_each_exact_path(mut check: impl FnMut(Path)) {
-    for p in EXACT_PATHS {
+    let _unforce = Unforce {
+        _serial: FORCING.lock().unwrap_or_else(PoisonError::into_inner),
+    };
+    for p in PATHS.into_iter().filter(|p| !p.is_quantized()) {
         force_path(Some(p));
         check(p);
     }
-    force_path(None);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn all_reduce_is_bitwise_the_sequential_fold(
-        shards in 2usize..8,
-        rows in 1usize..6,
-        cols in 1usize..40,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn all_reduce_is_bitwise_the_sequential_fold() {
+    for seed in 0..CASES {
+        let [shards, rows, cols] = draw(seed, [(2, 8), (1, 6), (1, 40)]);
         let parts: Vec<Tensor> = (0..shards)
             .map(|r| init::randn([rows, cols], seed ^ (r as u64 * 0x9E37)))
             .collect();
@@ -64,27 +79,22 @@ proptest! {
         for p in &parts[1..] {
             seq = ops::add(&seq, p);
         }
-        let mut failure = None;
         with_each_exact_path(|path| {
             let reduced = ops::all_reduce_sum(&refs);
-            if reduced.data() != seq.data() {
-                failure = Some(path);
-            }
+            assert!(
+                reduced.data() == seq.data(),
+                "all_reduce diverged on {path:?}, seed={seed}"
+            );
         });
-        prop_assert!(failure.is_none(), "all_reduce diverged on {failure:?}");
     }
+}
 
-    #[test]
-    fn all_gather_of_column_splits_is_the_unsplit_matmul(
-        shards in 2usize..6,
-        m in 1usize..6,
-        k in 1usize..8,
-        n in 2usize..40,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn all_gather_of_column_splits_is_the_unsplit_matmul() {
+    for seed in 0..CASES {
+        let [shards, m, k, n] = draw(seed, [(2, 6), (1, 6), (1, 8), (2, 40)]);
         let x = init::randn([m, k], seed);
         let w = init::randn([k, n], seed ^ 0xC0FFEE);
-        let mut failure = None;
         with_each_exact_path(|path| {
             let full = ops::matmul(&x, &w);
             let parts: Vec<Tensor> = ranges(n, shards)
@@ -93,24 +103,20 @@ proptest! {
                 .collect();
             let refs: Vec<&Tensor> = parts.iter().collect();
             let gathered = ops::all_gather(&refs, 1);
-            if gathered.data() != full.data() {
-                failure = Some(path);
-            }
+            assert!(
+                gathered.data() == full.data(),
+                "all_gather diverged on {path:?}, seed={seed}"
+            );
         });
-        prop_assert!(failure.is_none(), "all_gather diverged on {failure:?}");
     }
+}
 
-    #[test]
-    fn chained_matmul_acc_over_row_splits_is_the_unsplit_matmul(
-        shards in 2usize..6,
-        m in 1usize..6,
-        k in 2usize..24,
-        n in 1usize..12,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn chained_matmul_acc_over_row_splits_is_the_unsplit_matmul() {
+    for seed in 0..CASES {
+        let [shards, m, k, n] = draw(seed, [(2, 6), (1, 6), (2, 24), (1, 12)]);
         let x = init::randn([m, k], seed);
         let w = init::randn([k, n], seed ^ 0xBEEF);
-        let mut failure = None;
         with_each_exact_path(|path| {
             let full = ops::matmul(&x, &w);
             // Rank r multiplies its contiguous inner slice and folds
@@ -125,28 +131,25 @@ proptest! {
                     Some(prev) => ops::matmul_acc(&xs, &ws, &prev),
                 });
             }
-            if acc.unwrap().data() != full.data() {
-                failure = Some(path);
-            }
+            assert!(
+                acc.unwrap().data() == full.data(),
+                "matmul_acc chain diverged on {path:?}, seed={seed}"
+            );
         });
-        prop_assert!(failure.is_none(), "matmul_acc chain diverged on {failure:?}");
     }
+}
 
-    #[test]
-    fn gather_then_reduce_compose_across_two_layers(
-        shards in 2usize..5,
-        m in 1usize..5,
-        d in 2usize..12,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn gather_then_reduce_compose_across_two_layers() {
+    for seed in 0..CASES {
         // The Megatron sandwich in miniature: column-split first layer,
         // elementwise in the middle, row-split second layer folded by
         // matmul_acc — no collective between the two, one exact output.
+        let [shards, m, d] = draw(seed, [(2, 5), (1, 5), (2, 12)]);
         let x = init::randn([m, d], seed);
         let w1 = init::randn([d, d * 2], seed ^ 0x11);
         let w2 = init::randn([d * 2, d], seed ^ 0x22);
         let oracle = ops::matmul(&ops::gelu(&ops::matmul(&x, &w1)), &w2);
-        let mut failure = None;
         with_each_exact_path(|path| {
             let mut acc: Option<Tensor> = None;
             for (s, l) in ranges(d * 2, shards) {
@@ -157,11 +160,11 @@ proptest! {
                     Some(prev) => ops::matmul_acc(&h, &ws, &prev),
                 });
             }
-            if acc.unwrap().data() != oracle.data() {
-                failure = Some(path);
-            }
+            assert!(
+                acc.unwrap().data() == oracle.data(),
+                "megatron sandwich diverged on {path:?}, seed={seed}"
+            );
         });
-        prop_assert!(failure.is_none(), "megatron sandwich diverged on {failure:?}");
     }
 }
 

@@ -1,4 +1,5 @@
-//! The optimized kernels pinned to the scalar reference, as seeded loops.
+//! Every tier of every kernel family pinned to the scalar reference, as
+//! seeded loops over the tiers `stats::PATHS` lists.
 //!
 //! The blocked, simd, and parallel paths accumulate every output element
 //! in the same order as the scalar loops (ascending inner index, single
@@ -7,20 +8,49 @@
 //! simd row worker this CPU selects. These properties are what lets the
 //! dispatcher switch paths by size, and the row worker switch width by
 //! ISA, without perturbing any numeric test elsewhere in the workspace.
+//! The quantized tiers are approximate: here they are pinned to their own
+//! kernels in `quant`, whose distance from scalar `quant_error.rs` bounds.
+//!
+//! No test names a tier's function: a tier added to `PATHS` is compared
+//! by every loop below, and `assert_matmul_tiers_agree` stops compiling
+//! until it says with what.
 
-use genie_tensor::{init, ops, Tensor};
+mod common;
 
-/// Cases per property; a case is a function of its index alone.
+use common::draw;
+use genie_tensor::stats::{self, Path, PATHS};
+use genie_tensor::{init, ops, pool, quant, Tensor};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// Cases per property.
 const CASES: u64 = 48;
 
-/// One draw per `(lo, hi)` range, `lo..hi` like the proptest strategies
-/// this file replaced, from `init`'s seeded stream.
-fn draw<const N: usize>(seed: u64, ranges: [(usize, usize); N]) -> [usize; N] {
-    let u = init::uniform([N], 0.0, 1.0, seed ^ 0xD1CE);
-    std::array::from_fn(|i| {
-        let (lo, hi) = ranges[i];
-        (lo + (u.data()[i] * (hi - lo) as f32) as usize).min(hi - 1)
-    })
+/// The dispatch counters and the forced tier are process globals, and
+/// the tests of a binary run on parallel threads: a test that reads
+/// exact counts or forces a tier holds this exclusively, every other
+/// test (all of them run kernels) shares it.
+static KERNELS: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    KERNELS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The kernels to oneself; dropping it — when an assertion unwinds too —
+/// clears whatever tier was forced meanwhile.
+struct Exclusive {
+    _kernels: RwLockWriteGuard<'static, ()>,
+}
+
+fn exclusive() -> Exclusive {
+    Exclusive {
+        _kernels: KERNELS.write().unwrap_or_else(PoisonError::into_inner),
+    }
+}
+
+impl Drop for Exclusive {
+    fn drop(&mut self) {
+        stats::force_path(None);
+    }
 }
 
 /// Bit patterns, so `-0.0` is not `0.0` and a `NaN` equals itself.
@@ -28,24 +58,25 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Every tier of `matmul_on` against what it has to reproduce bit for
+/// bit — the scalar loop for an exact tier, its own kernel in `quant` for
+/// a quantized one — and the dispatcher against the scalar loop.
 fn assert_matmul_tiers_agree(a: &Tensor, b: &Tensor, case: &str) {
-    let reference = bits(&ops::matmul_scalar(a, b));
-    assert_eq!(
-        reference,
-        bits(&ops::matmul_blocked(a, b)),
-        "blocked {case}"
-    );
-    assert_eq!(reference, bits(&ops::matmul_simd(a, b)), "simd {case}");
-    assert_eq!(
-        reference,
-        bits(&ops::matmul_parallel(a, b)),
-        "parallel {case}"
-    );
-    assert_eq!(reference, bits(&ops::matmul(a, b)), "dispatched {case}");
+    let scalar = bits(&ops::matmul_scalar(a, b));
+    for p in PATHS {
+        let want = match p {
+            Path::Scalar | Path::Blocked | Path::Simd | Path::Parallel => scalar.clone(),
+            Path::Int8 => bits(&quant::matmul_int8(a, b)),
+            Path::Fp16 => bits(&quant::matmul_fp16(a, b)),
+        };
+        assert_eq!(want, bits(&ops::matmul_on(p, a, b)), "{p:?} {case}");
+    }
+    assert_eq!(scalar, bits(&ops::matmul(a, b)), "dispatched {case}");
 }
 
 #[test]
 fn matmul_paths_bitwise_equal() {
+    let _kernels = shared();
     // `n` runs past 2·64 + 32 + 16 + 8 + tail, so every strip width of
     // the row worker's cascade is crossed (and the blocked tier's NR = 64
     // boundary with it); `m` past 2·4 rows per worker, so the parallel
@@ -65,10 +96,16 @@ fn matmul_paths_bitwise_equal() {
             assert_matmul_tiers_agree(&a, &b, &format!("m={m} k=13 n={n}"));
         }
     }
+    // An empty side on every tier: a shape, and nothing read or written.
+    for (m, k, n) in [(0, 4, 5), (3, 0, 5), (3, 4, 0)] {
+        let (a, b) = (Tensor::zeros(vec![m, k]), Tensor::zeros(vec![k, n]));
+        assert_matmul_tiers_agree(&a, &b, &format!("m={m} k={k} n={n}"));
+    }
 }
 
 #[test]
 fn zero_in_a_hides_non_finite_b_on_every_tier() {
+    let _kernels = shared();
     // The `av == 0.0` skip is observable: under an exact zero of either
     // sign in A, `±inf`/`NaN` in B never reach the product (0 · inf is
     // NaN), so the result is finite — and every tier has to skip alike.
@@ -90,31 +127,26 @@ fn zero_in_a_hides_non_finite_b_on_every_tier() {
     }
 }
 
-#[test]
-fn batched_matmul_paths_bitwise_equal() {
-    for seed in 0..CASES {
-        let [ba, m, k, n] = draw(seed, [(1, 6), (1, 12), (1, 12), (1, 120)]);
-        let a = init::randn([ba, m, k], seed);
-        let b = init::randn([ba, k, n], seed ^ 0x51F1);
-        let case = format!("seed={seed} ba={ba} m={m} k={k} n={n}");
-        let reference = bits(&ops::batched_matmul_scalar(&a, &b));
-        assert_eq!(
-            reference,
-            bits(&ops::batched_matmul_blocked(&a, &b)),
-            "{case}"
-        );
-        assert_eq!(reference, bits(&ops::batched_matmul_simd(&a, &b)), "{case}");
-        assert_eq!(
-            reference,
-            bits(&ops::batched_matmul_parallel(&a, &b)),
-            "{case}"
-        );
-        assert_eq!(reference, bits(&ops::batched_matmul(&a, &b)), "{case}");
+/// Every tier of `conv2d_on` — the blocked and quantized ones run the
+/// scalar kernel — and the dispatcher against the scalar tier.
+fn assert_conv_tiers_agree(x: &Tensor, w: &Tensor, bias: &Tensor, stride: usize, padding: usize) {
+    let case = format!(
+        "x={} w={} stride={stride} padding={padding}",
+        x.shape(),
+        w.shape()
+    );
+    let reference = bits(&ops::conv2d_on(Path::Scalar, x, w, bias, stride, padding));
+    for p in PATHS {
+        let got = ops::conv2d_on(p, x, w, bias, stride, padding);
+        assert_eq!(reference, bits(&got), "{p:?} {case}");
     }
+    let dispatched = ops::conv2d(x, w, bias, stride, padding);
+    assert_eq!(reference, bits(&dispatched), "dispatched {case}");
 }
 
 #[test]
 fn conv2d_paths_bitwise_equal() {
+    let _kernels = shared();
     for seed in 0..CASES {
         let [n, cin, cout, hw, kk, stride, padding] = draw(
             seed,
@@ -123,53 +155,199 @@ fn conv2d_paths_bitwise_equal() {
         let x = init::randn([n, cin, hw, hw], seed);
         let w = init::randn([cout, cin, kk, kk], seed ^ 0xC0);
         let bias = init::randn([cout], seed ^ 0xB1);
-        let case = format!("seed={seed} x={} w={}", x.shape(), w.shape());
-        let reference = bits(&ops::conv2d_scalar(&x, &w, &bias, stride, padding));
-        let simd = ops::conv2d_simd(&x, &w, &bias, stride, padding);
-        let parallel = ops::conv2d_parallel(&x, &w, &bias, stride, padding);
-        let dispatched = ops::conv2d(&x, &w, &bias, stride, padding);
-        assert_eq!(reference, bits(&simd), "{case}");
-        assert_eq!(reference, bits(&parallel), "{case}");
-        assert_eq!(reference, bits(&dispatched), "{case}");
+        assert_conv_tiers_agree(&x, &w, &bias, stride, padding);
     }
+    // Wider than tall: stride 2 leaves six output columns (all tail),
+    // stride 1 with padding eleven (one full lane block and a tail).
+    let x = init::randn([2, 3, 9, 11], 7);
+    let w = init::randn([4, 3, 3, 3], 8);
+    let bias = init::randn([4], 9);
+    assert_conv_tiers_agree(&x, &w, &bias, 2, 1);
+    assert_conv_tiers_agree(&x, &w, &bias, 1, 1);
+}
+
+/// Every tier of `multi_head_attention_on` and the dispatcher against
+/// the scalar tier. With nothing forced the per-head products dispatch
+/// by size on every tier, so all six are exact here; the quantized ones
+/// never take the fused single-query loop, which makes them the
+/// slice-per-head reference for it.
+fn assert_attention_tiers_agree(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    heads: usize,
+    causal: bool,
+) -> Tensor {
+    let case = format!(
+        "q={} k={} heads={heads} causal={causal}",
+        q.shape(),
+        k.shape()
+    );
+    let reference = ops::multi_head_attention_on(Path::Scalar, q, k, v, heads, causal);
+    for p in PATHS {
+        let got = ops::multi_head_attention_on(p, q, k, v, heads, causal);
+        assert_eq!(bits(&reference), bits(&got), "{p:?} {case}");
+    }
+    let dispatched = ops::multi_head_attention(q, k, v, heads, causal);
+    assert_eq!(bits(&reference), bits(&dispatched), "dispatched {case}");
+    reference
 }
 
 #[test]
 fn attention_paths_bitwise_equal() {
+    let _kernels = shared();
     // Up to 110 keys of up to 32 columns per head: QK^T (`n = tk`) and
     // weights·V (`n = dh`) leave the scalar tier on the larger draws.
     for seed in 0..CASES {
         let [heads, dh, tq, tk, causal] = draw(seed, [(1, 5), (1, 33), (1, 40), (1, 111), (0, 2)]);
-        let (dm, causal) = (heads * dh, causal == 1);
+        let dm = heads * dh;
         let q = init::randn([tq, dm], seed);
         let k = init::randn([tk, dm], seed ^ 0xAB);
         let v = init::randn([tk, dm], seed ^ 0xCD);
-        let case = format!("seed={seed} heads={heads} dh={dh} tq={tq} tk={tk} causal={causal}");
-        let reference = ops::multi_head_attention_sequential(&q, &k, &v, heads, causal);
-        let parallel = ops::multi_head_attention_parallel(&q, &k, &v, heads, causal);
-        let dispatched = ops::multi_head_attention(&q, &k, &v, heads, causal);
-        assert_eq!(bits(&reference), bits(&parallel), "{case}");
-        assert_eq!(bits(&reference), bits(&dispatched), "{case}");
+        assert_attention_tiers_agree(&q, &k, &v, heads, causal == 1);
     }
 }
 
 #[test]
 fn fused_decode_attention_bitwise_equals_sliced_reference() {
+    let _kernels = shared();
     // `tk` crosses the 8-key unrolled-tile boundary so ragged tails are
-    // hit. `tq == 1` routes the dispatcher through the fused decode
-    // kernel, which must reproduce the slice-per-head reference exactly.
+    // hit. `tq == 1` routes every exact tier through the fused decode
+    // kernel, which must reproduce the slice-per-head loop exactly — and
+    // the matmul it stands in for: the same query twice is a `tq = 2`
+    // call, which goes through `matmul(q, transpose2d(k))` per head and
+    // has to return the fused row twice.
     for seed in 0..CASES {
         let [heads, dh, tk] = draw(seed, [(1, 6), (1, 12), (1, 24)]);
         let dm = heads * dh;
         let q = init::randn([1, dm], seed);
         let k = init::randn([tk, dm], seed ^ 0xAB);
         let v = init::randn([tk, dm], seed ^ 0xCD);
-        let reference = ops::multi_head_attention_sequential(&q, &k, &v, heads, true);
-        let fused = ops::multi_head_attention(&q, &k, &v, heads, true);
+        let fused = bits(&assert_attention_tiers_agree(&q, &k, &v, heads, true));
+        let twice = ops::multi_head_attention(&ops::concat(&q, &q, 0), &k, &v, heads, false);
         assert_eq!(
-            bits(&reference),
-            bits(&fused),
+            [fused.clone(), fused].concat(),
+            bits(&twice),
             "seed={seed} heads={heads} dh={dh} tk={tk}"
         );
     }
+}
+
+/// The one `(family, tier)` cell a call may move, by one.
+fn assert_notes(family: &str, tier: Path, call: impl FnOnce() -> Tensor) -> Vec<u32> {
+    let before = stats::snapshot();
+    let out = bits(&call());
+    let moved: Vec<_> = stats::snapshot()
+        .since(&before)
+        .cells()
+        .into_iter()
+        .filter(|(op, ..)| *op == family)
+        .collect();
+    assert_eq!(moved, [(family, tier.label(), 1)], "{family} on {tier:?}");
+    out
+}
+
+#[test]
+fn a_forced_dispatcher_is_the_tier_entry_in_bits_and_in_counts() {
+    let a = init::randn([9, 13], 1);
+    let b = init::randn([13, 75], 2);
+    let x = init::randn([1, 2, 9, 11], 3);
+    let w = init::randn([3, 2, 3, 3], 4);
+    let bias = init::randn([3], 5);
+    let (q, k, v) = (
+        init::randn([5, 12], 6),
+        init::randn([7, 12], 7),
+        init::randn([7, 12], 8),
+    );
+    let q1 = init::randn([1, 12], 9);
+    for p in PATHS {
+        // Conv has a kernel of its own on two tiers; the others run, and
+        // count as, the scalar one.
+        let conv_tier = match p {
+            Path::Simd | Path::Parallel => p,
+            _ => Path::Scalar,
+        };
+        let kernels = exclusive();
+        let on = [
+            assert_notes("matmul", p, || ops::matmul_on(p, &a, &b)),
+            assert_notes("conv2d", conv_tier, || {
+                ops::conv2d_on(p, &x, &w, &bias, 1, 1)
+            }),
+        ];
+        stats::force_path(Some(p));
+        let forced = [
+            assert_notes("matmul", p, || ops::matmul(&a, &b)),
+            assert_notes("conv2d", conv_tier, || ops::conv2d(&x, &w, &bias, 1, 1)),
+        ];
+        assert_eq!(on, forced, "{p:?}");
+        // Attention's per-head products follow the forced tier through
+        // `matmul`, so its two entries are compared under the same force
+        // — `q1` is the single-query shape that goes fused when exact.
+        for q in [&q, &q1] {
+            assert_eq!(
+                assert_notes("attention", p, || {
+                    ops::multi_head_attention_on(p, q, &k, &v, 3, true)
+                }),
+                assert_notes("attention", p, || {
+                    ops::multi_head_attention(q, &k, &v, 3, true)
+                }),
+                "{p:?} q={}",
+                q.shape()
+            );
+        }
+        drop(kernels);
+        assert_eq!(stats::forced_path(), None);
+    }
+}
+
+#[test]
+fn natural_dispatch_notes_the_tier_the_size_rule_names() {
+    let _kernels = exclusive();
+    // With one core nothing fans out and the simd tier keeps the work
+    // (attention: the sequential loop).
+    let fan_out = |tier| {
+        if pool::size() > 0 {
+            Path::Parallel
+        } else {
+            tier
+        }
+    };
+
+    // matmul, `2·m·k·n` FLOPs: one column short of each threshold, then on it.
+    let a = init::randn([16, 16], 1);
+    let n = ops::MATMUL_BLOCK_MIN_FLOPS / (2 * 16 * 16);
+    for (n, tier) in [(n - 1, Path::Scalar), (n, Path::Simd)] {
+        assert_notes("matmul", tier, || ops::matmul(&a, &init::randn([16, n], 2)));
+    }
+    let a = init::randn([64, 64], 3);
+    let n = ops::MATMUL_PAR_MIN_FLOPS / (2 * 64 * 64);
+    for (n, tier) in [(n - 1, Path::Simd), (n, fan_out(Path::Simd))] {
+        assert_notes("matmul", tier, || ops::matmul(&a, &init::randn([64, n], 4)));
+    }
+
+    // conv2d, `n·cout·oh·ow·cin·kh·kw` MACs: 1×1 kernels over an 8×8
+    // plane, one output channel short of each threshold, then on it.
+    let conv = |cin: usize, cout: usize| {
+        let x = init::randn([1, cin, 8, 8], 5);
+        let w = init::randn([cout, cin, 1, 1], 6);
+        ops::conv2d(&x, &w, &init::randn([cout], 7), 1, 0)
+    };
+    let cout = ops::CONV_SIMD_MIN_MACS / (64 * 8);
+    assert_notes("conv2d", Path::Scalar, || conv(8, cout - 1));
+    assert_notes("conv2d", Path::Simd, || conv(8, cout));
+    let cout = ops::CONV_PAR_MIN_MACS / (64 * 64);
+    assert_notes("conv2d", Path::Simd, || conv(64, cout - 1));
+    assert_notes("conv2d", fan_out(Path::Simd), || conv(64, cout));
+
+    // attention, `4·tq·tk·dm` FLOPs over two heads: one key short of the
+    // threshold, then on it; one head never fans out; one query is fused.
+    let attention = |tq: usize, tk: usize, heads: usize| {
+        let (q, k) = (init::randn([tq, 64], 8), init::randn([tk, 64], 9));
+        ops::multi_head_attention(&q, &k, &init::randn([tk, 64], 10), heads, true)
+    };
+    let tk = ops::ATTENTION_PAR_MIN_FLOPS / (4 * 16 * 64);
+    assert_notes("attention", Path::Scalar, || attention(16, tk - 1, 2));
+    assert_notes("attention", fan_out(Path::Scalar), || attention(16, tk, 2));
+    assert_notes("attention", Path::Scalar, || attention(16, tk, 1));
+    assert_notes("attention", Path::Simd, || attention(1, tk, 2));
 }

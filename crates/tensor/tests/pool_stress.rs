@@ -1,6 +1,6 @@
 //! Help-while-waiting under the nesting `prefill_wide` runs hot: an
 //! interpreter-style outer `pool::scope` whose jobs each open scopes of
-//! their own — `matmul_parallel` (rows over the pool), a row-parallel
+//! their own — the parallel matmul tier (rows over the pool), a row-parallel
 //! `gelu`, and head-parallel attention, whose `par_map` jobs call
 //! `matmul` and so open a third level. The pool has `cores − 1` workers
 //! and every waiting thread runs queued jobs instead of parking, so this
@@ -31,10 +31,10 @@ fn nested_scopes_neither_deadlock_nor_lose_a_row() {
         init::randn([64, 256], 5),
     );
     let want_ffn = ops::gelu(&ops::matmul_scalar(&a, &b));
-    let want_attn = ops::multi_head_attention_sequential(&q, &k, &v, 2, true);
+    let want_attn = ops::multi_head_attention_on(Path::Scalar, &q, &k, &v, 2, true);
 
     // Warm the pool, then hold it to its thread count.
-    let _ = ops::matmul_parallel(&a, &b);
+    let _ = ops::matmul_on(Path::Parallel, &a, &b);
     let spawned = pool::threads_spawned();
     let dispatched = stats::snapshot();
 
@@ -43,9 +43,18 @@ fn nested_scopes_neither_deadlock_nor_lose_a_row() {
         let mut attn = None;
         pool::scope(|scope| {
             for slot in ffn.iter_mut() {
-                scope.spawn(|| *slot = Some(ops::gelu(&ops::matmul_parallel(&a, &b))));
+                scope.spawn(|| *slot = Some(ops::gelu(&ops::matmul_on(Path::Parallel, &a, &b))));
             }
-            scope.spawn(|| attn = Some(ops::multi_head_attention_parallel(&q, &k, &v, 2, true)));
+            scope.spawn(|| {
+                attn = Some(ops::multi_head_attention_on(
+                    Path::Parallel,
+                    &q,
+                    &k,
+                    &v,
+                    2,
+                    true,
+                ))
+            });
         });
         for got in ffn {
             let got = got.expect("scope joined every job");

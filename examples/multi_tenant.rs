@@ -8,11 +8,13 @@
 //!
 //! Run with: `cargo run --example multi_tenant`
 
-use genie::models::Workload;
+use genie::backend::{batched_step_time, StepWork};
+use genie::cluster::GpuSpec;
+use genie::models::{TransformerConfig, Workload};
 use genie::prelude::*;
 use genie::scheduler::global::elastic;
 use genie::scheduler::global::tenant::{Slo, TenantRequest};
-use genie::scheduler::global::{batching, GlobalScheduler};
+use genie::scheduler::global::GlobalScheduler;
 
 fn main() {
     let topo = Topology::heterogeneous_fleet(2, 25e9);
@@ -65,12 +67,24 @@ fn main() {
     }
 
     println!("\nHOW — cross-tenant decode batching:");
+    let (cfg, gpu) = (TransformerConfig::gptj_6b(), GpuSpec::a100_80gb());
     for group in &fleet.batch_groups {
         if group.tenants.len() > 1 {
-            let speedup = batching::batching_speedup(0.0306, 0.9, group.tenants.len());
+            // The engine's price of one decode step over 72-token
+            // contexts, each tenant on its own against all in one batch.
+            let members = group.tenants.len() as u64;
+            let work = StepWork {
+                decode_members: members,
+                kv_resident_tokens: members * 72,
+                ..StepWork::default()
+            };
+            let step_s =
+                |batched| batched_step_time(&cfg, &work, &gpu, 25e9, 250e-6, batched).total_s();
             println!(
                 "  model {:>5}: tenants {:?} batch together → {:.2}× decode throughput",
-                group.fingerprint, group.tenants, speedup
+                group.fingerprint,
+                group.tenants,
+                step_s(false) / step_s(true)
             );
         }
     }
