@@ -10,12 +10,17 @@
 //! 3. every offered request gets exactly one terminal event;
 //! 4. the loop is a pure function of (requests, config): same seed ⇒
 //!    identical logs.
+//!
+//! A seeded loop: a case is a function of its index alone, and a failing
+//! case prints the index that reproduces it.
 
+mod common;
+
+use common::Case;
 use genie_cluster::GpuSpec;
 use genie_models::TransformerConfig;
 use genie_netsim::Nanos;
 use genie_serving::{ArrivalConfig, EventKind, ServingConfig, ServingLoop, ServingModel};
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 fn config(lanes: u32, max_batch: usize, kv_tokens: u64, budget_ms: u64) -> ServingConfig {
@@ -38,18 +43,16 @@ fn config(lanes: u32, max_batch: usize, kv_tokens: u64, budget_ms: u64) -> Servi
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn admission_invariants_hold(
-        seed in any::<u64>(),
-        rate in 20u32..100,
-        lanes in 1u32..=2,
-        max_batch in 1usize..=4,
-        kv_tokens in 8u64..=64,
-        budget_ms in 5u64..=60,
-    ) {
+#[test]
+fn admission_invariants_hold() {
+    for case in 0..64 {
+        let mut case = Case::new(case);
+        let seed = case.rng.next_u64();
+        let rate = case.pick(20, 99) as u32;
+        let lanes = case.pick(1, 2) as u32;
+        let max_batch = case.pick(1, 4) as usize;
+        let kv_tokens = case.pick(8, 64);
+        let budget_ms = case.pick(5, 60);
         let model = TransformerConfig::tiny();
         let requests = ArrivalConfig {
             seed,
@@ -68,7 +71,7 @@ proptest! {
         // 1. Fleet-wide KV residency never exceeds capacity.
         let fleet_cap = conf.kv_capacity_bytes * u64::from(lanes);
         for e in &report.events {
-            prop_assert!(
+            assert!(
                 e.kv_resident_bytes <= fleet_cap,
                 "resident {} > capacity {} at {:?}",
                 e.kv_resident_bytes,
@@ -87,7 +90,7 @@ proptest! {
                 }
                 EventKind::Admit { .. } => {
                     let since = enqueued[&e.request];
-                    prop_assert!(
+                    assert!(
                         e.at.saturating_sub(since) <= conf.queue_budget,
                         "request {} admitted after {:?} > budget {:?}",
                         e.request,
@@ -106,14 +109,18 @@ proptest! {
                 *terminals.entry(e.request).or_insert(0) += 1;
             }
         }
-        prop_assert_eq!(terminals.len(), requests.len(), "every request must terminate");
+        assert_eq!(
+            terminals.len(),
+            requests.len(),
+            "every request must terminate"
+        );
         for (id, count) in &terminals {
-            prop_assert_eq!(*count, 1usize, "request {} terminated {} times", id, count);
+            assert_eq!(*count, 1usize, "request {} terminated {} times", id, count);
         }
-        prop_assert_eq!(report.outcomes.len(), requests.len());
+        assert_eq!(report.outcomes.len(), requests.len());
 
         // 4. Deterministic replay: identical inputs, identical log.
         let again = ServingLoop::new(ServingModel::Spec(model), conf).run(&requests);
-        prop_assert_eq!(&report.events, &again.events);
+        assert_eq!(&report.events, &again.events);
     }
 }

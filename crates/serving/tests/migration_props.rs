@@ -16,7 +16,13 @@
 //! 3. exactly one terminal event per offered request, migrations or not;
 //! 4. the loop is a pure function of (requests, config): same seed ⇒
 //!    byte-identical logs, outcomes, and migration counters.
+//!
+//! A seeded loop: a case is a function of its index alone, and a failing
+//! case prints the index that reproduces it.
 
+mod common;
+
+use common::Case;
 use genie_cluster::GpuSpec;
 use genie_models::TransformerConfig;
 use genie_netsim::Nanos;
@@ -24,7 +30,6 @@ use genie_serving::{
     ArrivalConfig, DisaggConfig, EventKind, MigrationPolicy, ServingConfig, ServingLoop,
     ServingModel,
 };
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 fn config(
@@ -63,19 +68,17 @@ fn policy_of(idx: u8) -> MigrationPolicy {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn migration_invariants_hold(
-        seed in any::<u64>(),
-        rate in 20u32..100,
-        lanes in 1u32..=2,
-        prefill_lanes in 1u32..=2,
-        max_batch in 1usize..=4,
-        kv_tokens in 24u64..=96,
-        policy_idx in 0u8..3,
-    ) {
+#[test]
+fn migration_invariants_hold() {
+    for case in 0..32 {
+        let mut case = Case::new(case);
+        let seed = case.rng.next_u64();
+        let rate = case.pick(20, 99) as u32;
+        let lanes = case.pick(1, 2) as u32;
+        let prefill_lanes = case.pick(1, 2) as u32;
+        let max_batch = case.pick(1, 4) as usize;
+        let kv_tokens = case.pick(24, 96);
+        let policy_idx = case.pick(0, 2) as u8;
         let model = TransformerConfig::tiny();
         let requests = ArrivalConfig {
             seed,
@@ -87,7 +90,13 @@ proptest! {
             tenants: 2,
         }
         .generate();
-        let conf = config(lanes, prefill_lanes, max_batch, kv_tokens, policy_of(policy_idx));
+        let conf = config(
+            lanes,
+            prefill_lanes,
+            max_batch,
+            kv_tokens,
+            policy_of(policy_idx),
+        );
         let report =
             ServingLoop::new(ServingModel::Spec(model.clone()), conf.clone()).run(&requests);
 
@@ -100,35 +109,36 @@ proptest! {
         for e in &report.events {
             match &e.kind {
                 EventKind::MigrateStart { from, to, bytes } => {
-                    prop_assert!(
+                    assert!(
                         !in_flight.contains_key(&e.request),
                         "request {} started a second migration mid-flight",
                         e.request
                     );
-                    prop_assert!(from != to, "migration to the same lane");
-                    prop_assert!(
+                    assert!(from != to, "migration to the same lane");
+                    assert!(
                         u64::from(*from) >= u64::from(conf.lanes),
                         "migrations depart prefill lanes only (from {from})"
                     );
-                    prop_assert!(
+                    assert!(
                         u64::from(*to) < u64::from(conf.lanes),
                         "migrations land on decode lanes only (to {to})"
                     );
-                    prop_assert!(*bytes > 0, "empty migration payload");
+                    assert!(*bytes > 0, "empty migration payload");
                     in_flight.insert(e.request, *to);
                     starts += 1;
                 }
                 EventKind::MigrateDone { to } | EventKind::MigrateFail { to } => {
                     let expected = in_flight.remove(&e.request);
-                    prop_assert_eq!(
-                        expected, Some(*to),
+                    assert_eq!(
+                        expected,
+                        Some(*to),
                         "resolution without a matching start for request {}",
                         e.request
                     );
                     resolutions += 1;
                 }
                 EventKind::Token { .. } => {
-                    prop_assert!(
+                    assert!(
                         !in_flight.contains_key(&e.request),
                         "request {} decoded while its KV was on the wire",
                         e.request
@@ -137,16 +147,16 @@ proptest! {
                 _ => {}
             }
         }
-        prop_assert!(in_flight.is_empty(), "unresolved migrations at drain");
-        prop_assert_eq!(starts, resolutions, "every start resolves exactly once");
+        assert!(in_flight.is_empty(), "unresolved migrations at drain");
+        assert_eq!(starts, resolutions, "every start resolves exactly once");
 
         // 2. Bytes conserved: resident + in-flight never exceeds fleet
         //    capacity, and the counters partition exactly.
-        let total_lanes = u64::from(conf.lanes)
-            + u64::from(conf.disagg.as_ref().unwrap().prefill_lanes);
+        let total_lanes =
+            u64::from(conf.lanes) + u64::from(conf.disagg.as_ref().unwrap().prefill_lanes);
         let fleet_cap = conf.kv_capacity_bytes * total_lanes;
         for e in &report.events {
-            prop_assert!(
+            assert!(
                 e.kv_resident_bytes <= fleet_cap,
                 "resident {} > fleet capacity {} at {:?}",
                 e.kv_resident_bytes,
@@ -154,20 +164,23 @@ proptest! {
                 e
             );
         }
-        prop_assert!(report.peak_kv_bytes <= fleet_cap);
-        prop_assert_eq!(
+        assert!(report.peak_kv_bytes <= fleet_cap);
+        assert_eq!(
             report.migrations,
             report.migrations_completed + report.migrations_failed,
             "migration counters must partition"
         );
-        prop_assert_eq!(starts, report.migrations);
-        prop_assert_eq!(
+        assert_eq!(starts, report.migrations);
+        assert_eq!(
             report.reprefills,
             report.reprefills_evicted + report.reprefills_migration + report.reprefills_planned,
             "re-prefill cause counters must partition the total"
         );
-        if matches!(conf.disagg.as_ref().unwrap().policy, MigrationPolicy::AlwaysReprefill) {
-            prop_assert_eq!(report.migrations, 0u64, "baseline never ships");
+        if matches!(
+            conf.disagg.as_ref().unwrap().policy,
+            MigrationPolicy::AlwaysReprefill
+        ) {
+            assert_eq!(report.migrations, 0u64, "baseline never ships");
         }
 
         // 3. Exactly one terminal event per offered request.
@@ -177,18 +190,22 @@ proptest! {
                 *terminals.entry(e.request).or_insert(0) += 1;
             }
         }
-        prop_assert_eq!(terminals.len(), requests.len(), "every request must terminate");
+        assert_eq!(
+            terminals.len(),
+            requests.len(),
+            "every request must terminate"
+        );
         for (id, count) in &terminals {
-            prop_assert_eq!(*count, 1usize, "request {} terminated {} times", id, count);
+            assert_eq!(*count, 1usize, "request {} terminated {} times", id, count);
         }
-        prop_assert_eq!(report.outcomes.len(), requests.len());
+        assert_eq!(report.outcomes.len(), requests.len());
 
         // 4. Deterministic replay: identical inputs, identical log and
         //    migration accounting.
         let again = ServingLoop::new(ServingModel::Spec(model), conf).run(&requests);
-        prop_assert_eq!(&report.events, &again.events);
-        prop_assert_eq!(&report.outcomes, &again.outcomes);
-        prop_assert_eq!(report.migrations, again.migrations);
-        prop_assert_eq!(report.migrated_kv_bytes, again.migrated_kv_bytes);
+        assert_eq!(&report.events, &again.events);
+        assert_eq!(&report.outcomes, &again.outcomes);
+        assert_eq!(report.migrations, again.migrations);
+        assert_eq!(report.migrated_kv_bytes, again.migrated_kv_bytes);
     }
 }
