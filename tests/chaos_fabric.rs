@@ -439,6 +439,16 @@ fn disaggregated_serving_survives_seeded_fault_schedules() {
 /// other link traffic), every request still ends in one typed outcome,
 /// the loop never wedges, and the whole story replays bit-identically
 /// from the seed.
+///
+/// What is not asserted: that the outage run ends no earlier than the
+/// fault-free one. Makespan is not monotone in faults for a batching
+/// engine — arrivals pile up behind the stall and then decode in fuller
+/// batches, and on a lane whose every step pays 56 × 250 µs of
+/// collective latency, fewer steps can beat the 60 ms lost: seed 11
+/// drains in 1.164363 s with the outage and 1.181270 s without. What
+/// the engine does guarantee is local to the window: a step on the
+/// severed lane that starts inside it does not end before it closes,
+/// and the wait is blamed as fault time.
 #[test]
 fn sharded_lane_survives_link_down_during_collectives() {
     use genie::models::TransformerConfig;
@@ -448,6 +458,7 @@ fn sharded_lane_survives_link_down_during_collectives() {
 
     let _gate = metrics_gate();
     let model = TransformerConfig::gptj_6b();
+    let (from, until) = (Nanos::from_millis(20), Nanos::from_millis(80));
     for seed in chaos_seeds() {
         let requests = ArrivalConfig {
             seed,
@@ -472,8 +483,8 @@ fn sharded_lane_survives_link_down_during_collectives() {
                 specs: vec![FaultSpec::LinkDown {
                     a: 0,
                     b: 1,
-                    from: Nanos::from_secs_f64(0.02),
-                    until: Nanos::from_secs_f64(0.08),
+                    from,
+                    until,
                 }],
             },
         ));
@@ -507,19 +518,25 @@ fn sharded_lane_survives_link_down_during_collectives() {
         );
 
         // Same seed, same story — byte for byte.
-        let again =
-            ServingLoop::new(ServingModel::Spec(model.clone()), conf.clone()).run(&requests);
+        let again = ServingLoop::new(ServingModel::Spec(model.clone()), conf).run(&requests);
         assert_eq!(faulty.events, again.events, "seed {seed}: replay diverged");
 
-        // Fault-free sharded oracle: same arrivals, no outage. Chaos can
-        // only be slower.
-        conf.fault_plan = None;
-        let oracle = ServingLoop::new(ServingModel::Spec(model.clone()), conf).run(&requests);
+        // The step the window catches waits it out, and the wait is
+        // fault time.
+        let stalled: Vec<_> = faulty
+            .slices
+            .iter()
+            .filter(|s| s.lane == 0 && (from.0..until.0).contains(&s.start_ns))
+            .collect();
+        let overlap: u64 = stalled.iter().map(|s| until.0 - s.start_ns).sum();
+        let fault_ns: u64 = stalled.iter().map(|s| s.fault_ns).sum();
         assert!(
-            faulty.makespan >= oracle.makespan,
-            "seed {seed}: outage made serving faster ({:?} < {:?})",
-            faulty.makespan,
-            oracle.makespan
+            stalled.iter().all(|s| s.end_ns >= until.0),
+            "seed {seed}: a step ran through the outage: {stalled:?}"
+        );
+        assert!(
+            overlap > 0 && fault_ns >= overlap,
+            "seed {seed}: {fault_ns} ns of fault blame for {overlap} ns of outage"
         );
     }
 }
