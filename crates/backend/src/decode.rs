@@ -120,11 +120,9 @@ impl StepTerms {
     }
 }
 
-/// Step pricing's one wire expression. Known unit error (ROADMAP item
-/// 3), not fixed here: the configs state links in bits/s, so this
-/// under-charges the wire 8×; `* 8.0` moves every sharded `sim_*` number.
+/// Step pricing's one wire expression: the configs state links in bits/s.
 fn serialization_s(bytes: f64, link_bits_per_s: f64) -> f64 {
-    bytes / link_bits_per_s
+    bytes * 8.0 / link_bits_per_s
 }
 
 /// Price one engine step of `work` for `cfg` on `gpu` behind a link of
