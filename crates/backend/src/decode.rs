@@ -9,7 +9,7 @@
 //! tenants that share a model fingerprint amortize the weight read, so a
 //! batched decode step costs barely more than a single-request step.
 
-use genie_cluster::GpuSpec;
+use genie_cluster::{serialization_s, GpuSpec};
 use genie_models::TransformerConfig;
 use genie_scheduler::CostModel;
 
@@ -118,11 +118,6 @@ impl StepTerms {
             net_payload_s,
         }
     }
-}
-
-/// Step pricing's one wire expression: the configs state links in bits/s.
-fn serialization_s(bytes: f64, link_bits_per_s: f64) -> f64 {
-    bytes * 8.0 / link_bits_per_s
 }
 
 /// Price one engine step of `work` for `cfg` on `gpu` behind a link of
@@ -377,6 +372,16 @@ mod tests {
         assert!(coll > 0.0);
         // Two devices beat one on wall clock at a 100 Gbps fabric.
         assert!(tp2.compute_s + coll < base.compute_s);
+    }
+
+    #[test]
+    fn collectives_pay_their_bytes_in_bits_and_their_rounds_in_latency() {
+        // DESIGN §4m's worked example: 28 layers × 2 rounds, each moving
+        // half of 8 tokens × 4096 × 2 B — 1 835 008 B, 146.8 µs at
+        // 100 Gbps, plus 56 × 5 µs.
+        let (_, coll) = sharded_gptj(1, 2, 100e9);
+        assert_eq!(coll, serialization_s(1_835_008.0, 100e9) + 56.0 * 5e-6);
+        assert!((coll - (146.8e-6 + 56.0 * 5e-6)).abs() < 1e-9, "{coll}");
     }
 
     #[test]

@@ -23,10 +23,8 @@ fn main() {
     let mut rows = Vec::new();
     for congestion in [0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99] {
         let advantage = cost.recompute_advantage(&producer, bytes, &gpu, congestion);
-        let fetch_s = cost.per_call_overhead_s
-            + bytes / (cost.network_bandwidth * (1.0 - congestion))
-            + cost.network_latency_s;
         let recompute_s = cost.kernel_time(&producer, &gpu);
+        let fetch_s = advantage + recompute_s;
         rows.push(vec![
             format!("{:.0}%", congestion * 100.0),
             format!("{:.2}", fetch_s * 1e3),

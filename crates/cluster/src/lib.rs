@@ -34,4 +34,4 @@ pub mod topology;
 pub use gpu::{GpuClass, GpuSpec, GIB};
 pub use nic::NicSpec;
 pub use state::{ClusterState, ResidentObject, StateError};
-pub use topology::{DevId, Device, Host, HostId, Link, Topology};
+pub use topology::{serialization_s, DevId, Device, Host, HostId, Link, Topology};

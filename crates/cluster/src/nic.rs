@@ -48,11 +48,6 @@ impl NicSpec {
         }
     }
 
-    /// Line rate in bytes/s.
-    pub fn bandwidth_bytes(&self) -> f64 {
-        self.bandwidth_bps / 8.0
-    }
-
     /// Whether a flow between `self` and `peer` can use a zero-copy RDMA
     /// path end to end.
     pub fn zero_copy_with(&self, peer: &NicSpec) -> bool {
@@ -63,11 +58,6 @@ impl NicSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bandwidth_conversion() {
-        assert_eq!(NicSpec::commodity_25g().bandwidth_bytes(), 25e9 / 8.0);
-    }
 
     #[test]
     fn zero_copy_requires_both_ends() {

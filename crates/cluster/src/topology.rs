@@ -65,10 +65,20 @@ pub struct Link {
 }
 
 impl Link {
-    /// Usable bandwidth in bytes/s.
+    /// Usable bandwidth in bytes/s: the boundary where the byte-counting
+    /// DES (`netsim::LinkSim`, `RpcParams` goodput) takes its rate.
     pub fn bandwidth_bytes(&self) -> f64 {
         self.bandwidth_bps / 8.0
     }
+}
+
+/// The wire's serialization term, spelled here only: seconds to clock
+/// `bytes` onto a link of `bits_per_s`. Every closed-form price states
+/// its link in bits/s and calls this; rounds × latency, per-call
+/// overhead, jitter and derating stay with the caller that means them.
+#[inline]
+pub fn serialization_s(bytes: f64, bits_per_s: f64) -> f64 {
+    bytes * 8.0 / bits_per_s
 }
 
 /// The static cluster description handed to the scheduler as part of
@@ -224,6 +234,12 @@ fn key(a: HostId, b: HostId) -> (HostId, HostId) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn serialization_is_bits_over_rate() {
+        assert_eq!(serialization_s(1e9, 8e9), 1.0);
+        assert_eq!(serialization_s(0.0, 25e9), 0.0);
+    }
 
     #[test]
     fn paper_testbed_shape() {

@@ -11,6 +11,7 @@
 //! chaos seed reproducible from its number alone.
 
 use crate::time::Nanos;
+use genie_cluster::serialization_s;
 
 /// A tiny, deterministic xorshift64* PRNG. No wall clock, no global
 /// state: callers seed it explicitly and ownership decides the stream.
@@ -310,8 +311,8 @@ impl FaultPlan {
         start: Nanos,
     ) -> TransferOutcome {
         let (derate, jitter) = self.link_condition(rng, a, b);
-        let wire_s = latency_s + jitter + bytes as f64 * 8.0 / (bandwidth_bps * derate).max(1.0);
-        let done_at = start + Nanos::from_secs_f64(wire_s);
+        let wire_s = serialization_s(bytes as f64, (bandwidth_bps * derate).max(1.0));
+        let done_at = start + Nanos::from_secs_f64(latency_s + jitter + wire_s);
         // The earliest outage window that overlaps [start, done_at)
         // severs the transfer.
         let severed = self

@@ -15,6 +15,7 @@ pub struct HintAdapter {
     /// Smoothing factor in `(0, 1]`: weight of the newest sample.
     pub alpha: f64,
     rtt_s: Option<f64>,
+    /// Smoothed goodput in bits/s, the unit the cost model states links in.
     bandwidth: Option<f64>,
     /// Samples folded in so far.
     pub samples: usize,
@@ -47,7 +48,7 @@ impl HintAdapter {
         if seconds <= 0.0 || bytes == 0 {
             return;
         }
-        let goodput = bytes as f64 / seconds;
+        let goodput = bytes as f64 * 8.0 / seconds;
         self.bandwidth = Some(match self.bandwidth {
             Some(prev) => prev + self.alpha * (goodput - prev),
             None => goodput,
@@ -60,7 +61,7 @@ impl HintAdapter {
         self.rtt_s
     }
 
-    /// Current smoothed goodput, if any samples arrived.
+    /// Current smoothed goodput in bits/s, if any samples arrived.
     pub fn bandwidth(&self) -> Option<f64> {
         self.bandwidth
     }
@@ -72,7 +73,7 @@ impl HintAdapter {
             cost.network_latency_s = rtt / 2.0;
         }
         if let Some(bw) = self.bandwidth {
-            cost.network_bandwidth = bw;
+            cost.network_bits_per_s = bw;
         }
     }
 }
@@ -109,7 +110,7 @@ mod tests {
         a.observe_rtt(0.004);
         assert_eq!(a.rtt(), Some(0.004));
         a.observe_transfer(1_000_000, 0.01);
-        assert_eq!(a.bandwidth(), Some(1e8));
+        assert_eq!(a.bandwidth(), Some(8e8));
     }
 
     #[test]
@@ -134,11 +135,11 @@ mod tests {
 
         let mut adapter = HintAdapter::new();
         for _ in 0..50 {
-            adapter.observe_transfer(64_000_000, 2.0); // 32 MB/s measured
+            adapter.observe_transfer(64_000_000, 2.0); // 32 MB/s = 256 Mbit/s measured
             adapter.observe_rtt(0.040);
         }
         adapter.apply(&mut cost);
-        assert!((cost.network_bandwidth - 32e6).abs() / 32e6 < 0.01);
+        assert!((cost.network_bits_per_s - 256e6).abs() / 256e6 < 0.01);
         assert!((cost.network_latency_s - 0.020).abs() < 1e-6);
         let after = cost.recompute_advantage(&producer, 64e6, &gpu, 0.0);
         assert!(after > before * 10.0, "before {before}, after {after}");

@@ -1,7 +1,7 @@
 //! The pluggable cost model (§3.3): end-to-end latency as a function of
 //! compute, transfers, and queuing.
 
-use genie_cluster::GpuSpec;
+use genie_cluster::{serialization_s, GpuSpec};
 use genie_srg::Node;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,8 +90,8 @@ pub struct CostModel {
     pub memory_efficiency: f64,
     /// Fixed cost charged per remote invocation (RPC overhead).
     pub per_call_overhead_s: f64,
-    /// Effective network goodput in bytes/s (≤ line rate).
-    pub network_bandwidth: f64,
+    /// Effective network goodput in bits/s (≤ line rate).
+    pub network_bits_per_s: f64,
     /// One-way network latency in seconds.
     pub network_latency_s: f64,
     cache: Arc<KernelTimeCache>,
@@ -105,7 +105,7 @@ impl CostModel {
             compute_efficiency: 1.0,
             memory_efficiency: 1.0,
             per_call_overhead_s: 8e-6,
-            network_bandwidth: 25e9 / 8.0,
+            network_bits_per_s: 25e9,
             network_latency_s: 250e-6,
             cache: Arc::default(),
         }
@@ -113,13 +113,14 @@ impl CostModel {
 
     /// Calibrated to the paper's measured stack: PyTorch kernels at
     /// realistic efficiency, TensorPipe RPC from Python (0.45 s/call,
-    /// 1.4 GB/s goodput). See `genie-bench::calibration` for the fit.
+    /// 1.4 GB/s goodput, stated as 11.2 Gbit/s). See
+    /// `genie-bench::calibration` for the fit.
     pub fn paper_stack() -> Self {
         CostModel {
             compute_efficiency: 0.08,
             memory_efficiency: 0.20,
             per_call_overhead_s: 0.45,
-            network_bandwidth: 1.4e9,
+            network_bits_per_s: 1.4e9 * 8.0,
             network_latency_s: 250e-6,
             cache: Arc::default(),
         }
@@ -180,18 +181,13 @@ impl CostModel {
 
     /// Time to move `bytes` across the network in one call.
     pub fn transfer_time(&self, bytes: f64) -> f64 {
-        self.call_time(bytes, self.network_bandwidth)
-    }
-
-    /// One call moving `bytes` at `bytes_per_s` of goodput.
-    fn call_time(&self, bytes: f64, bytes_per_s: f64) -> f64 {
-        self.per_call_overhead_s + bytes / bytes_per_s + self.network_latency_s
+        self.per_call_overhead_s + self.streaming_time(bytes) + self.network_latency_s
     }
 
     /// Time to move `bytes` as part of an already-open call (no fresh
     /// per-call overhead).
     pub fn streaming_time(&self, bytes: f64) -> f64 {
-        bytes / self.network_bandwidth
+        serialization_s(bytes, self.network_bits_per_s)
     }
 
     /// Price of recomputing `node` remotely versus fetching its output of
@@ -204,8 +200,10 @@ impl CostModel {
         gpu: &GpuSpec,
         congestion: f64,
     ) -> f64 {
-        let effective_bw = self.network_bandwidth * (1.0 - congestion.clamp(0.0, 0.99));
-        self.call_time(bytes, effective_bw) - self.kernel_time(node, gpu)
+        let fetch_bps = self.network_bits_per_s * (1.0 - congestion.clamp(0.0, 0.99));
+        let fetch_s =
+            self.per_call_overhead_s + serialization_s(bytes, fetch_bps) + self.network_latency_s;
+        fetch_s - self.kernel_time(node, gpu)
     }
 }
 
@@ -246,10 +244,10 @@ mod tests {
     #[test]
     fn transfer_time_components() {
         let m = CostModel::ideal_25g();
-        // 3.125 GB at 3.125 GB/s = 1 s + overheads.
-        let t = m.transfer_time(3.125e9);
-        assert!(t > 1.0 && t < 1.001);
-        assert!(m.streaming_time(3.125e9) < t);
+        // 25 Gbit at 25 Gbit/s = 1 s, plus the call's overhead and latency.
+        assert_eq!(m.streaming_time(25e9 / 8.0), 1.0);
+        let t = m.transfer_time(25e9 / 8.0);
+        assert_eq!(t, m.per_call_overhead_s + 1.0 + m.network_latency_s);
     }
 
     #[test]

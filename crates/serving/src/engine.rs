@@ -395,7 +395,7 @@ impl<'a> Sim<'a> {
         // re-prefill estimate is then the price `price` charges for it.
         let migrate_link = config.disagg.as_ref().map(|d| {
             let mut link = CostModel::ideal_25g();
-            link.network_bandwidth = d.migrate_bandwidth_bps / 8.0;
+            link.network_bits_per_s = d.migrate_bandwidth_bps;
             link.network_latency_s = d.migrate_latency_s;
             link.per_call_overhead_s = 0.0;
             link

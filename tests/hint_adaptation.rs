@@ -49,5 +49,5 @@ fn observed_transfers_update_goodput() {
 
     let mut cost = CostModel::ideal_25g();
     adapter.apply(&mut cost);
-    assert_eq!(cost.network_bandwidth, goodput);
+    assert_eq!(cost.network_bits_per_s, goodput);
 }

@@ -21,6 +21,7 @@ use genie::backend::{
 };
 use genie::cluster::GpuSpec;
 use genie::models::TransformerConfig;
+use genie::netsim::{FaultPlan, Nanos, TransferOutcome, XorShift64};
 use genie::scheduler::CostModel;
 use std::fmt::Write;
 
@@ -72,8 +73,8 @@ fn work_grid() -> Vec<(&'static str, StepWork)> {
 /// overhead, unit kernel efficiency).
 fn calibrations() -> [(&'static str, CostModel); 3] {
     let mut engine = CostModel::ideal_25g();
-    engine.network_bandwidth = 25e9 / 8.0;
-    engine.network_latency_s = 250e-6;
+    engine.network_bits_per_s = LINK_BPS;
+    engine.network_latency_s = LINK_LATENCY_S;
     engine.per_call_overhead_s = 0.0;
     [
         ("ideal_25g", CostModel::ideal_25g()),
@@ -212,6 +213,37 @@ fn the_planners_reprefill_estimate_is_the_price_the_engine_charges() {
                     step.compute_s
                 );
             }
+        }
+    }
+}
+
+/// Predicted = simulated on a clean fabric: the planner's `ship_s` under
+/// the engine's link and the fault-free fabric's delivery time are the
+/// same expression, so they land on the same nanosecond.
+#[test]
+fn the_planners_ship_estimate_is_the_clean_fabrics_delivery_time() {
+    let [_, _, (_, engine)] = calibrations();
+    let mut rng = XorShift64::new(1);
+    let start = Nanos::from_millis(3);
+    for (name, cfg) in models() {
+        for kv_tokens in KV_TOKENS {
+            let (ship_s, _, _) = migration(&cfg, &engine, kv_tokens);
+            let kv_bytes = cfg.kv_bytes_per_token() * kv_tokens;
+            let outcome = FaultPlan::none().transfer_outcome(
+                &mut rng,
+                1,
+                2,
+                kv_bytes,
+                LINK_BPS,
+                LINK_LATENCY_S,
+                start,
+            );
+            let done_at = start + Nanos::from_secs_f64(ship_s);
+            assert_eq!(
+                outcome,
+                TransferOutcome::Delivered { done_at },
+                "{name}, {kv_tokens} tokens"
+            );
         }
     }
 }
