@@ -8,8 +8,6 @@
 pub struct NicSpec {
     /// Marketing name, e.g. `"CX-6 25GbE"`.
     pub name: String,
-    /// Line rate in bits/s.
-    pub bandwidth_bps: f64,
     /// Whether the NIC supports RDMA (RoCE/InfiniBand).
     pub rdma: bool,
     /// Whether the NIC+host support GPUDirect DMA into device memory.
@@ -21,7 +19,6 @@ impl NicSpec {
     pub fn commodity_25g() -> Self {
         NicSpec {
             name: "25GbE".into(),
-            bandwidth_bps: 25e9,
             rdma: false,
             gpudirect: false,
         }
@@ -31,7 +28,6 @@ impl NicSpec {
     pub fn rnic_25g() -> Self {
         NicSpec {
             name: "CX-6 25GbE".into(),
-            bandwidth_bps: 25e9,
             rdma: true,
             gpudirect: true,
         }
@@ -42,7 +38,6 @@ impl NicSpec {
     pub fn rnic_100g() -> Self {
         NicSpec {
             name: "CX-7 100GbE".into(),
-            bandwidth_bps: 100e9,
             rdma: true,
             gpudirect: true,
         }
