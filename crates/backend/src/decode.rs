@@ -170,9 +170,10 @@ impl ShardPlan {
 
 /// Price one engine step of `work` when the lane's model is sharded per
 /// `plan`. Returns the per-device [`StepCost`] (compute is the pipeline
-/// barrier; network is the unchanged client link) plus the collective
+/// barrier; network is the unchanged client link), the collective
 /// seconds the fabric adds — all_gather/all_reduce rounds for tensor
-/// parallelism, activation hops for pipeline stages.
+/// parallelism, activation hops for pipeline stages — and the part of
+/// them that is serialization (the rest is rounds × fabric latency).
 ///
 /// The compute model matches the functional sharded capture
 /// (`genie-models`): weights split `shards` ways (each device streams
@@ -189,11 +190,11 @@ pub fn sharded_step_time(
     link_latency_s: f64,
     batched: bool,
     plan: &ShardPlan,
-) -> (StepCost, f64) {
+) -> (StepCost, f64, f64) {
     // The bubble factor below is `x * b / b` at pp = 1: not `x` in f64.
     if work.is_empty() || plan.shards() <= 1 {
         let flat = batched_step_time(cfg, work, gpu, link_bandwidth_bps, link_latency_s, batched);
-        return (flat, 0.0);
+        return (flat, 0.0, 0.0);
     }
     let terms = StepTerms::of(cfg, work, batched);
     let shards = plan.shards() as f64;
@@ -225,11 +226,11 @@ pub fn sharded_step_time(
     let hops = plan.pipeline_stages as u64 - 1;
     collective_bytes += hops as f64 * act_bytes;
     collective_rounds += hops;
-    let collective_s = serialization_s(collective_bytes, plan.fabric_bandwidth_bps)
-        + collective_rounds as f64 * plan.fabric_latency_s;
+    let collective_payload_s = serialization_s(collective_bytes, plan.fabric_bandwidth_bps);
+    let collective_s = collective_payload_s + collective_rounds as f64 * plan.fabric_latency_s;
 
     let cost = terms.cost(compute_s, link_bandwidth_bps, link_latency_s);
-    (cost, collective_s)
+    (cost, collective_s, collective_payload_s)
 }
 
 /// Both ways to get a finished prefill's KV prefix to its decode host.
@@ -331,7 +332,7 @@ mod tests {
         );
     }
 
-    fn sharded_gptj(pp: u32, tp: u32, fabric_bw: f64) -> (StepCost, f64) {
+    fn sharded_gptj(pp: u32, tp: u32, fabric_bw: f64) -> (StepCost, f64, f64) {
         let cfg = TransformerConfig::gptj_6b();
         let work = StepWork {
             prefill_members: 0,
@@ -357,16 +358,16 @@ mod tests {
 
     #[test]
     fn single_shard_matches_batched_pricing() {
-        let (cost, coll) = sharded_gptj(1, 1, 100e9);
+        let (cost, coll, coll_payload) = sharded_gptj(1, 1, 100e9);
         let base = gptj_step(8, true);
         assert_eq!(cost, base);
-        assert_eq!(coll, 0.0);
+        assert_eq!((coll, coll_payload), (0.0, 0.0));
     }
 
     #[test]
     fn tensor_parallel_splits_the_weight_stream() {
         let base = gptj_step(8, true);
-        let (tp2, coll) = sharded_gptj(1, 2, 100e9);
+        let (tp2, coll, _) = sharded_gptj(1, 2, 100e9);
         // Decode is weight-stream bound; two ranks stream half each.
         assert!(tp2.compute_s < base.compute_s * 0.6, "{tp2:?} vs {base:?}");
         assert!(coll > 0.0);
@@ -379,15 +380,16 @@ mod tests {
         // DESIGN §4m's worked example: 28 layers × 2 rounds, each moving
         // half of 8 tokens × 4096 × 2 B — 1 835 008 B, 146.8 µs at
         // 100 Gbps, plus 56 × 5 µs.
-        let (_, coll) = sharded_gptj(1, 2, 100e9);
-        assert_eq!(coll, serialization_s(1_835_008.0, 100e9) + 56.0 * 5e-6);
+        let (_, coll, coll_payload) = sharded_gptj(1, 2, 100e9);
+        assert_eq!(coll_payload, serialization_s(1_835_008.0, 100e9));
+        assert_eq!(coll, coll_payload + 56.0 * 5e-6);
         assert!((coll - (146.8e-6 + 56.0 * 5e-6)).abs() < 1e-9, "{coll}");
     }
 
     #[test]
     fn collective_time_shrinks_with_fabric_bandwidth() {
-        let (_, slow) = sharded_gptj(1, 2, 10e9);
-        let (_, fast) = sharded_gptj(1, 2, 100e9);
+        let (_, slow, _) = sharded_gptj(1, 2, 10e9);
+        let (_, fast, _) = sharded_gptj(1, 2, 100e9);
         assert!(slow > fast, "{slow} vs {fast}");
     }
 
@@ -407,7 +409,7 @@ mod tests {
             fabric_latency_s: 5e-6,
         };
         let gpu = GpuSpec::a100_80gb();
-        let (solo, _) = sharded_step_time(&cfg, &one, &gpu, 25e9, 250e-6, true, &plan);
+        let (solo, ..) = sharded_step_time(&cfg, &one, &gpu, 25e9, 250e-6, true, &plan);
         let base = batched_step_time(&cfg, &one, &gpu, 25e9, 250e-6, true);
         // One member fills one stage at a time: no compute speedup.
         assert!(
@@ -422,7 +424,7 @@ mod tests {
             kv_resident_tokens: 8 * 64,
             ..one
         };
-        let (busy, _) = sharded_step_time(&cfg, &eight, &gpu, 25e9, 250e-6, true, &plan);
+        let (busy, ..) = sharded_step_time(&cfg, &eight, &gpu, 25e9, 250e-6, true, &plan);
         let base8 = batched_step_time(&cfg, &eight, &gpu, 25e9, 250e-6, true);
         assert!(busy.compute_s < base8.compute_s * 0.7);
     }

@@ -65,7 +65,7 @@ fn decode_work() -> StepWork {
 /// (compute + client link + collectives).
 fn tokens_per_s(cfg: &TransformerConfig, plan: &ShardPlan) -> (f64, f64, f64) {
     let work = decode_work();
-    let (cost, collective_s) = sharded_step_time(
+    let (cost, collective_s, _) = sharded_step_time(
         cfg,
         &work,
         &GpuSpec::a100_80gb(),

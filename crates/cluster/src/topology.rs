@@ -73,9 +73,8 @@ impl Link {
 }
 
 /// The wire's serialization term, spelled here only: seconds to clock
-/// `bytes` onto a link of `bits_per_s`. Every closed-form price states
-/// its link in bits/s and calls this; rounds × latency, per-call
-/// overhead, jitter and derating stay with the caller that means them.
+/// `bytes` onto a link of `bits_per_s`. Round latency, per-call overhead,
+/// jitter and derating stay with the caller that means them.
 #[inline]
 pub fn serialization_s(bytes: f64, bits_per_s: f64) -> f64 {
     bytes * 8.0 / bits_per_s

@@ -15,7 +15,6 @@ pub struct HintAdapter {
     /// Smoothing factor in `(0, 1]`: weight of the newest sample.
     pub alpha: f64,
     rtt_s: Option<f64>,
-    /// Smoothed goodput in bits/s, the unit the cost model states links in.
     bandwidth: Option<f64>,
     /// Samples folded in so far.
     pub samples: usize,

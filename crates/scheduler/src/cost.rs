@@ -113,8 +113,7 @@ impl CostModel {
 
     /// Calibrated to the paper's measured stack: PyTorch kernels at
     /// realistic efficiency, TensorPipe RPC from Python (0.45 s/call,
-    /// 1.4 GB/s goodput, stated as 11.2 Gbit/s). See
-    /// `genie-bench::calibration` for the fit.
+    /// 1.4 GB/s = 11.2 Gbit/s). See `genie-bench::calibration` for the fit.
     pub fn paper_stack() -> Self {
         CostModel {
             compute_efficiency: 0.08,

@@ -656,7 +656,7 @@ impl<'a> Sim<'a> {
             if members.is_empty() {
                 continue;
             }
-            let (cost, collective_s) = sharded_step_time(
+            let (cost, collective_s, fabric_payload_s) = sharded_step_time(
                 self.model.config(),
                 &work,
                 &c.gpu,
@@ -674,14 +674,14 @@ impl<'a> Sim<'a> {
                 let stall = plan.clear_at(0, host, self.now).saturating_sub(self.now);
                 secs += stall.as_secs_f64();
             }
-            priced.push((lane, cost, collective_s, secs, members));
+            priced.push((lane, cost, (collective_s, fabric_payload_s), secs, members));
         }
         let step_secs = priced.iter().map(|p| p.3).fold(0.0f64, f64::max);
         let step_end = self.now + Nanos::from_secs_f64(step_secs);
         // Each slice runs to the *global* barrier end: the residue in a
         // faster lane's slice is synchronization wait, which blame
         // analysis charges to queue. All time over the clean cost is fault.
-        for (lane, cost, collective_s, secs, members) in priced {
+        for (lane, cost, (collective_s, fabric_payload_s), secs, members) in priced {
             let slice = StepSlice::from_secs(
                 lane,
                 self.report.steps,
@@ -693,7 +693,8 @@ impl<'a> Sim<'a> {
                 (secs - (cost.total_s() + collective_s)).max(0.0),
                 members,
             );
-            self.report.slices.push(slice.with_collective(collective_s));
+            let slice = slice.with_collective(collective_s, fabric_payload_s);
+            self.report.slices.push(slice);
         }
         step_end
     }
@@ -1171,6 +1172,51 @@ mod tests {
             sharded.makespan,
             flat.makespan
         );
+    }
+
+    /// Blame for `burst(8, 16, 16)` on a GPT-J tp2 lane behind one link.
+    fn tp2_blame(bandwidth_bps: f64, latency_s: f64) -> genie_telemetry::causal::BlameReport {
+        let mut c = spec_config();
+        c.link_bandwidth_bps = bandwidth_bps;
+        c.link_latency_s = latency_s;
+        c.shard = Some(ShardSpec::tensor(2));
+        let model = ServingModel::Spec(TransformerConfig::gptj_6b());
+        let report = ServingLoop::new(model, c).run(&burst(8, 16, 16));
+        genie_telemetry::causal::analyze(&report.causal_doc())
+    }
+
+    #[test]
+    fn a_faster_link_removes_bytes_not_round_trips() {
+        use genie_telemetry::causal::WhatIf;
+        // Paper fabric: 56 × 250 µs of every step's collective time is
+        // round latency. A link of unbounded bandwidth removes the
+        // serialization of payload and collectives, and nothing else.
+        for r in &tp2_blame(25e9, 250e-6).requests {
+            let b = &r.blame;
+            let removed = r.ttlt_ns - WhatIf::link_bandwidth(1e9).replay(r);
+            assert_eq!(removed, b.net_payload_ns + b.collective_payload_ns);
+            assert!(
+                b.collective_payload_ns > 0 && b.collective_payload_ns * 10 < b.collective_ns,
+                "serialization is a small share of {b:?}"
+            );
+        }
+        // Rack fabric: doubling the link is what re-pricing every step
+        // at 200 Gbps gives, within 1 ns per step.
+        let doubled = tp2_blame(200e9, 5e-6);
+        for (r, faster) in tp2_blame(100e9, 5e-6)
+            .requests
+            .iter()
+            .zip(&doubled.requests)
+        {
+            let predicted = WhatIf::link_bandwidth(2.0).replay(r);
+            let steps = r.critical_path.len() as u64;
+            assert!(
+                predicted.abs_diff(faster.ttlt_ns) <= steps,
+                "request {}: predicted {predicted} ns, re-priced {} ns",
+                r.request,
+                faster.ttlt_ns
+            );
+        }
     }
 
     #[test]

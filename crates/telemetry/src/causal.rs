@@ -187,9 +187,11 @@ pub struct StepSlice {
     /// Fault-induced time: derate inflation + jitter + outage stall, ns.
     pub fault_ns: u64,
     /// Collective time: all_reduce / all_gather / activation-send link
-    /// traffic of a sharded tenant's step, ns. Zero for unsharded runs
-    /// (and for traces recorded before sharding existed).
+    /// traffic of a sharded tenant's step, ns. Zero for unsharded runs.
     pub collective_ns: u64,
+    /// The part of `collective_ns` that is bytes on the fabric; the rest
+    /// is rounds × fabric latency, which a faster link does not shrink.
+    pub collective_payload_ns: u64,
     /// Batch members resident on this lane for this step.
     pub members: Vec<StepMember>,
 }
@@ -235,16 +237,18 @@ impl StepSlice {
             net_payload_ns,
             fault_ns,
             collective_ns: 0,
+            collective_payload_ns: 0,
             members,
         }
     }
 
-    /// Assign `secs` of this step to collective traffic, clamped (like
-    /// every other component) by the nanoseconds still unassigned, so
-    /// the tiling invariant survives float rounding.
-    pub fn with_collective(mut self, secs: f64) -> Self {
-        let ns = ((secs.max(0.0)) * 1e9).round() as u64;
-        self.collective_ns = ns.min(self.sync_ns());
+    /// Assign `secs` of this step to collective traffic, `payload_secs` of
+    /// them serialization, clamped (like every other component) by the
+    /// nanoseconds still unassigned, so tiling survives float rounding.
+    pub fn with_collective(mut self, secs: f64, payload_secs: f64) -> Self {
+        let ns = |secs: f64| (secs.max(0.0) * 1e9).round() as u64;
+        self.collective_ns = ns(secs).min(self.sync_ns());
+        self.collective_payload_ns = ns(payload_secs).min(self.collective_ns);
         self
     }
 
@@ -300,6 +304,8 @@ pub struct BlameBreakdown {
     /// Collective time (all_reduce / all_gather / activation sends) of
     /// sharded steps, ns.
     pub collective_ns: u64,
+    /// Serialization part of `collective_ns`: inside that bucket, not its own.
+    pub collective_payload_ns: u64,
 }
 
 impl BlameBreakdown {
@@ -597,6 +603,7 @@ pub fn analyze(doc: &CausalTraceDoc) -> BlameReport {
             blame.queue_ns += slice.sync_ns();
             blame.fault_ns += slice.fault_ns;
             blame.collective_ns += slice.collective_ns;
+            blame.collective_payload_ns += slice.collective_payload_ns;
             let kind = match phase {
                 MemberPhase::Reprefill => {
                     blame.reprefill_ns +=
@@ -717,25 +724,28 @@ impl WhatIf {
     /// Replay `r`'s critical path under this scenario, returning the
     /// predicted TTLT in ns. Monotone: removing time can only shrink
     /// the prediction, so `zero_faults` always predicts `<= ttlt_ns`.
+    ///
+    /// Bandwidth divides bytes on a wire, not round trips: of collective
+    /// time only the serialization part scales (≈ 4 % of it on the paper
+    /// fabric, where 56 × 250 µs of ≈ 14.6 ms is latency). A migration
+    /// span scales whole: it does not carry the split, and its one 250 µs
+    /// is ≈ 2 % of a 72-token GPT-J prefix's ≈ 10.8 ms at 25 Gbps.
     pub fn replay(&self, r: &RequestBlame) -> u64 {
         let b = &r.blame;
         let queue = if self.infinite_lanes { 0 } else { b.queue_ns };
         let fault = if self.zero_faults { 0 } else { b.fault_ns };
         let x = self.link_bandwidth_x.max(1e-9);
-        let payload = (b.net_payload_ns as f64 / x).round() as u64;
-        // KV migration and collectives are pure link traffic, so they
-        // scale with bandwidth the same way step payload does.
-        let migrate = (b.migrate_ns as f64 / x).round() as u64;
-        let collective = (b.collective_ns as f64 / x).round() as u64;
+        let scaled = |ns: u64| (ns as f64 / x).round() as u64;
         queue
             + b.compute_prefill_ns
             + b.compute_decode_ns
             + b.net_latency_ns
-            + payload
+            + scaled(b.net_payload_ns)
             + fault
             + b.reprefill_ns
-            + migrate
-            + collective
+            + scaled(b.migrate_ns)
+            + (b.collective_ns - b.collective_payload_ns)
+            + scaled(b.collective_payload_ns)
     }
 }
 
@@ -804,6 +814,7 @@ mod tests {
                     net_payload_ns: 30,
                     fault_ns: 10,
                     collective_ns: 0,
+                    collective_payload_ns: 0,
                     members: vec![StepMember {
                         request: 1,
                         phase: MemberPhase::Prefill,
@@ -819,6 +830,7 @@ mod tests {
                     net_payload_ns: 5,
                     fault_ns: 0,
                     collective_ns: 0,
+                    collective_payload_ns: 0,
                     members: vec![StepMember {
                         request: 1,
                         phase: MemberPhase::Decode,
@@ -830,9 +842,10 @@ mod tests {
 
     #[test]
     fn collective_time_is_blamed_and_scales_with_bandwidth() {
-        // One decode step: 100 ns total, 40 compute, 30 collective, the
-        // remaining 30 sync → queue. Collective must tile TTLT, show up
-        // in fractions, and shrink under a what-if bandwidth bump.
+        // One decode step: 100 ns total, 40 compute, 30 collective (12 of
+        // them bytes on the fabric), the remaining 30 sync → queue.
+        // Collective must tile TTLT, show up in fractions, and shrink
+        // under a what-if bandwidth bump by its serialization part only.
         let mut doc = CausalTraceDoc::default();
         doc.events.push(CausalEvent {
             at_ns: 0,
@@ -858,8 +871,8 @@ mod tests {
                 phase: MemberPhase::Decode,
             }],
         )
-        .with_collective(30e-9);
-        assert_eq!(slice.collective_ns, 30);
+        .with_collective(30e-9, 12e-9);
+        assert_eq!((slice.collective_ns, slice.collective_payload_ns), (30, 12));
         assert_eq!(slice.sync_ns(), 30);
         doc.slices.push(slice);
 
@@ -870,17 +883,18 @@ mod tests {
         assert!((r.fractions.collective - 0.30).abs() < 1e-9);
         assert!((r.fractions.sum() - 1.0).abs() < 1e-9);
 
-        // 3x link bandwidth: 30 ns of collective traffic becomes 10.
-        let predicted = WhatIf::link_bandwidth(3.0).replay(r);
-        assert_eq!(predicted, r.ttlt_ns - 20);
+        // 3x link bandwidth: the 12 ns of bytes become 4, the 18 ns of
+        // round latency stay; no bandwidth removes more than the bytes.
+        assert_eq!(WhatIf::link_bandwidth(3.0).replay(r), r.ttlt_ns - 8);
+        assert_eq!(WhatIf::link_bandwidth(1e9).replay(r), r.ttlt_ns - 12);
     }
 
     #[test]
     fn with_collective_clamps_to_unassigned_time() {
         // Only 10 ns are unassigned: a 50 ns collective claim clamps.
         let slice = StepSlice::from_secs(0, 0, 0, 100, 90e-9, 0.0, 0.0, 0.0, Vec::new())
-            .with_collective(50e-9);
-        assert_eq!(slice.collective_ns, 10);
+            .with_collective(50e-9, 20e-9);
+        assert_eq!((slice.collective_ns, slice.collective_payload_ns), (10, 10));
         assert_eq!(slice.sync_ns(), 0);
     }
 

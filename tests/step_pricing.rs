@@ -111,7 +111,7 @@ fn render() -> String {
                                 fabric_bandwidth_bps: bw,
                                 fabric_latency_s: lat,
                             };
-                            let (c, collective_s) = sharded_step_time(
+                            let (c, collective_s, _) = sharded_step_time(
                                 &cfg,
                                 &w,
                                 &gpu,
