@@ -243,9 +243,9 @@ mod tests {
     #[test]
     fn transfer_time_components() {
         let m = CostModel::ideal_25g();
-        // 25 Gbit at 25 Gbit/s = 1 s, plus the call's overhead and latency.
-        assert_eq!(m.streaming_time(25e9 / 8.0), 1.0);
-        let t = m.transfer_time(25e9 / 8.0);
+        // 3.125 GB is 25 Gbit: 1 s at 25 Gbit/s, plus overhead and latency.
+        assert_eq!(m.streaming_time(3.125e9), 1.0);
+        let t = m.transfer_time(3.125e9);
         assert_eq!(t, m.per_call_overhead_s + 1.0 + m.network_latency_s);
     }
 

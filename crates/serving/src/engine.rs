@@ -674,14 +674,14 @@ impl<'a> Sim<'a> {
                 let stall = plan.clear_at(0, host, self.now).saturating_sub(self.now);
                 secs += stall.as_secs_f64();
             }
-            priced.push((lane, cost, (collective_s, fabric_payload_s), secs, members));
+            priced.push((lane, cost, collective_s, fabric_payload_s, secs, members));
         }
-        let step_secs = priced.iter().map(|p| p.3).fold(0.0f64, f64::max);
+        let step_secs = priced.iter().map(|p| p.4).fold(0.0f64, f64::max);
         let step_end = self.now + Nanos::from_secs_f64(step_secs);
         // Each slice runs to the *global* barrier end: the residue in a
         // faster lane's slice is synchronization wait, which blame
         // analysis charges to queue. All time over the clean cost is fault.
-        for (lane, cost, (collective_s, fabric_payload_s), secs, members) in priced {
+        for (lane, cost, collective_s, fabric_payload_s, secs, members) in priced {
             let slice = StepSlice::from_secs(
                 lane,
                 self.report.steps,
