@@ -44,7 +44,7 @@ use genie_netsim::{EventQueue, FaultPlan, Nanos, TransferOutcome, XorShift64};
 use genie_scheduler::CostModel;
 use genie_srg::shard::ShardSpec;
 use genie_telemetry::causal::{MemberPhase, StepMember, StepSlice};
-use genie_telemetry::{SemAttrs, SpanKind, SpanRecord, Track};
+use genie_telemetry::SemAttrs;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The model a serving loop executes.
@@ -151,8 +151,8 @@ pub struct ServingConfig {
     /// Per-tenant SLO policy for burn-rate accounting (TTFT target,
     /// error budget, rolling window, sampling).
     pub slo: SloConfig,
-    /// Record `genie_serving_*` metrics and spans into the process-global
-    /// telemetry sinks (the report always carries its own copies).
+    /// Publish the finished report's `genie_serving_*` metrics and spans
+    /// to the process-global telemetry sinks.
     pub record_telemetry: bool,
 }
 
@@ -377,7 +377,7 @@ struct Sim<'a> {
     active: BTreeMap<u64, Job>,
     /// Future arrivals, then landings, each by request id, per instant.
     agenda: EventQueue<(bool, u64), Event>,
-    /// Its `steps` and `spans.len()` count steps and span ids.
+    /// Its `steps` counts steps.
     report: ServingReport,
     now: Nanos,
     chaos_rng: XorShift64,
@@ -434,12 +434,6 @@ impl<'a> Sim<'a> {
         self.active.values().filter(move |j| j.lane == lane)
     }
 
-    /// This step's slices: its roster, by lane then ascending id.
-    fn step_slices(&self) -> &[StepSlice] {
-        let slices = &self.report.slices;
-        &slices[slices.partition_point(|s| s.step < self.report.steps)..]
-    }
-
     fn push_event(&mut self, at: Nanos, request: u64, kind: EventKind) {
         let kv_resident_bytes = self.ledger.total_bytes();
         self.report.events.push(LogEvent {
@@ -456,29 +450,6 @@ impl<'a> Sim<'a> {
         let outcome = Outcome::Shed { reason, at };
         self.report.outcomes.insert(id, outcome);
         self.push_event(at, id, EventKind::Shed(reason));
-    }
-
-    /// Append a span with the next deterministic id: an interval on a
-    /// device track ("serving") or a runtime-track instant ("causal").
-    fn span(&mut self, name: &str, track: Track, start: Nanos, dur: Nanos, attrs: SemAttrs) {
-        let (category, kind) = match track {
-            Track::Runtime => ("causal", SpanKind::Instant),
-            _ => ("serving", SpanKind::Span),
-        };
-        let id = self.report.spans.len() as u64 + 1;
-        self.report.spans.push(SpanRecord {
-            id,
-            parent: None,
-            name: name.into(),
-            category: category.into(),
-            kind,
-            track,
-            start_ns: start.0,
-            dur_ns: dur.0,
-            attrs,
-            thread: 1,
-            seq: id,
-        });
     }
 
     /// Phase 1: deliver every agenda event due by `now` into the queue,
@@ -702,8 +673,11 @@ impl<'a> Sim<'a> {
     /// Phase 7: execute every member — prefill (fresh or re-prefill) or
     /// one incremental decode step. Returns the jobs now complete.
     fn execute(&mut self, step_end: Nanos) -> Vec<(u64, usize)> {
+        // This step's slices are its roster, by lane then ascending id.
+        let slices = &self.report.slices;
+        let priced = slices.partition_point(|s| s.step < self.report.steps);
         let mut roster = Vec::new();
-        for s in self.step_slices() {
+        for s in &slices[priced..] {
             roster.extend(s.members.iter().map(|m| (m.request, s.lane as usize)));
         }
         roster.retain(|&(id, lane)| match self.ledger.resident_tokens(lane, id) {
@@ -869,31 +843,12 @@ impl<'a> Sim<'a> {
             TransferOutcome::Delivered { done_at } => (done_at, true),
             TransferOutcome::Lost { at } => (at, false),
         };
-        let attrs = SemAttrs::new()
-            .request(id)
-            .with("from_lane", from.to_string())
-            .with("to_lane", to.to_string())
-            .with("bytes", bytes.to_string())
-            .with("outcome", if intact { "delivered" } else { "lost" });
-        let dur = until.saturating_sub(step_end);
-        self.span("kv.migrate", Track::Device(to), step_end, dur, attrs);
         self.agenda
             .schedule(until, (true, id), Event::Land(job, intact));
     }
 
-    /// Phase 9: one serving span per busy lane; the clock advances.
+    /// Phase 9: the clock advances to the barrier.
     fn end_step(&mut self, step_end: Nanos) {
-        let busy = |s: &StepSlice| (s.lane, s.members.len());
-        let busy: Vec<(u32, usize)> = self.step_slices().iter().map(busy).collect();
-        for (lane, members) in busy {
-            let attrs = SemAttrs::new()
-                .phase("llm_decode")
-                .device(lane)
-                .with("members", members.to_string())
-                .with("step", self.report.steps.to_string());
-            let dur = step_end.saturating_sub(self.now);
-            self.span("serving.step", Track::Device(lane), self.now, dur, attrs);
-        }
         self.now = step_end;
         self.report.steps += 1;
         assert!(self.report.steps < 10_000_000, "run failed to converge");
@@ -901,9 +856,7 @@ impl<'a> Sim<'a> {
         self.check(false);
     }
 
-    /// Close the run: totals, then one causal lifecycle instant per
-    /// non-token event, with a `cause` edge to the request's previous
-    /// one; "causal" keeps them out of the serving-span contract.
+    /// Close the run: totals and the end-of-run invariants.
     fn finish(mut self) -> ServingReport {
         // Every lane of an idle fleet has batch headroom: nothing waits.
         assert!(self.queue.is_empty(), "drained out with jobs queued");
@@ -912,32 +865,6 @@ impl<'a> Sim<'a> {
         self.report.slo = self.slo.stats();
         #[cfg(debug_assertions)]
         self.check(true);
-        let mut last_causal: BTreeMap<u64, u64> = BTreeMap::new();
-        for i in 0..self.report.events.len() {
-            let ev = &self.report.events[i];
-            let name = match &ev.kind {
-                EventKind::Arrive => "request.arrive",
-                EventKind::Admit { .. } => "request.admit",
-                EventKind::Reprefill => "request.reprefill",
-                EventKind::Preempt => "request.preempt",
-                EventKind::MigrateStart { .. } => "request.migrate_start",
-                EventKind::MigrateDone { .. } => "request.migrate_done",
-                EventKind::MigrateFail { .. } => "request.migrate_fail",
-                EventKind::Complete => "request.complete",
-                EventKind::Shed(_) => "request.shed",
-                EventKind::Token { .. } => continue,
-            };
-            let at = ev.at;
-            let mut attrs = SemAttrs::new().request(ev.request);
-            if let EventKind::Admit { lane } = &ev.kind {
-                attrs = attrs.device(*lane);
-            }
-            let id = self.report.spans.len() as u64 + 1;
-            if let Some(prev) = last_causal.insert(ev.request, id) {
-                attrs = attrs.cause(prev);
-            }
-            self.span(name, Track::Runtime, at, Nanos::ZERO, attrs);
-        }
         self.report
     }
 
@@ -1082,7 +1009,7 @@ mod tests {
         assert_eq!(slo.observed, 4, "every completion observed");
         assert!(
             report
-                .spans
+                .spans()
                 .iter()
                 .any(|s| s.category == "causal" && s.attrs.request.is_some()),
             "lifecycle instants attributed to requests"
@@ -1295,7 +1222,7 @@ mod tests {
         let b = ServingLoop::new(ServingModel::Spec(cfg), spec_config()).run(&reqs);
         assert_eq!(a.events, b.events);
         assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.spans.len(), b.spans.len());
+        assert_eq!(a.spans().len(), b.spans().len());
     }
 
     fn disagg_config(policy: MigrationPolicy) -> ServingConfig {
@@ -1323,7 +1250,7 @@ mod tests {
         assert!(report.migrated_kv_bytes > 0);
         assert_eq!(
             report
-                .spans
+                .spans()
                 .iter()
                 .filter(|s| s.name == "kv.migrate")
                 .count(),
@@ -1436,7 +1363,7 @@ mod tests {
         assert_eq!(a.events, b.events);
         assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(a.migrations, b.migrations);
-        assert_eq!(a.spans.len(), b.spans.len());
+        assert_eq!(a.spans().len(), b.spans().len());
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! The serving run report: outcomes, event log, SLO statistics, spans.
+//! The serving run report: outcomes, event log, step slices, SLO
+//! statistics — and the views derived from them (causal trace, spans,
+//! published telemetry).
 
 use crate::request::{EventKind, LogEvent, Outcome, ServingRequest, ShedReason};
 use crate::slo::SloStats;
@@ -6,11 +8,11 @@ use genie_netsim::Nanos;
 use genie_telemetry::causal::{
     CausalEvent, CausalEventKind, CausalTraceDoc, MemberPhase, StepSlice,
 };
-use genie_telemetry::{SpanRecord, DEFAULT_TIME_BOUNDS};
+use genie_telemetry::{SemAttrs, SpanKind, SpanRecord, Track, DEFAULT_TIME_BOUNDS};
 use std::collections::BTreeMap;
 
 /// Everything a serving run produced, keyed for deterministic replay.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServingReport {
     /// Terminal outcome per request id (covers every offered request).
     pub outcomes: BTreeMap<u64, Outcome>,
@@ -41,10 +43,6 @@ pub struct ServingReport {
     pub migrated_kv_bytes: u64,
     /// High-water mark of resident KV bytes across lanes.
     pub peak_kv_bytes: u64,
-    /// Serving spans (one per lane per step, plus lifecycle instants),
-    /// with deterministic ids — feed these to a `ChromeTrace` for a
-    /// stable Perfetto export.
-    pub spans: Vec<SpanRecord>,
     /// Per-lane causal step decompositions (compute / link latency /
     /// payload / fault, with member phases) for blame analysis.
     pub slices: Vec<StepSlice>,
@@ -82,40 +80,96 @@ impl ServingReport {
     /// (tokens elided) plus per-step slices, ready for
     /// [`genie_telemetry::causal::analyze`].
     pub fn causal_doc(&self) -> CausalTraceDoc {
-        let mut events = Vec::new();
-        for ev in &self.events {
-            let kind = match &ev.kind {
-                EventKind::Arrive => CausalEventKind::Arrive,
-                EventKind::Admit { lane } => CausalEventKind::Admit { lane: *lane },
-                EventKind::Reprefill => CausalEventKind::Reprefill,
-                EventKind::Preempt => CausalEventKind::Preempt,
-                EventKind::MigrateStart { from, to, .. } => CausalEventKind::MigrateStart {
-                    from: *from,
-                    to: *to,
-                },
-                EventKind::MigrateDone { .. } => CausalEventKind::MigrateDone,
-                EventKind::MigrateFail { .. } => CausalEventKind::MigrateFail,
-                EventKind::Complete => CausalEventKind::Complete,
-                EventKind::Shed(_) => CausalEventKind::Shed,
-                EventKind::Token { .. } => continue,
-            };
-            events.push(CausalEvent {
-                at_ns: ev.at.0,
-                request: ev.request,
+        let lifecycle = self.events.iter().filter_map(|ev| {
+            let (_, kind) = lifecycle(&ev.kind)?;
+            let (at_ns, request) = (ev.at.0, ev.request);
+            Some(CausalEvent {
+                at_ns,
+                request,
                 kind,
-            });
-        }
+            })
+        });
         CausalTraceDoc {
-            events,
+            events: lifecycle.collect(),
             slices: self.slices.clone(),
         }
+    }
+
+    /// The run as spans with deterministic ids — feed these to a
+    /// `ChromeTrace` for a stable Perfetto export. Per step, one
+    /// `kv.migrate` span per prefix that left at its end (closed by that
+    /// request's landing) and one `serving.step` span per busy lane; then
+    /// one causal instant per lifecycle event, with a `cause` edge to the
+    /// request's previous one ("causal" keeps them out of the
+    /// serving-span contract).
+    pub fn spans(&self) -> Vec<SpanRecord> {
+        let mut spans = Vec::new();
+        let log = self.events.iter().enumerate();
+        let departures = log.filter_map(|(i, e)| match e.kind {
+            EventKind::MigrateStart { from, to, bytes } => Some((i, e, from, to, bytes)),
+            _ => None,
+        });
+        let mut departures = departures.peekable();
+        for slice in &self.slices {
+            // A step's first slice takes the departures at its barrier.
+            while let Some((i, left, from, to, bytes)) =
+                departures.next_if(|(_, left, ..)| left.at.0 <= slice.end_ns)
+            {
+                let lands = |e: &&LogEvent| {
+                    let kinds = [EventKind::MigrateDone { to }, EventKind::MigrateFail { to }];
+                    e.request == left.request && kinds.contains(&e.kind)
+                };
+                let Some(landed) = self.events[i..].iter().find(lands) else {
+                    continue;
+                };
+                let intact = matches!(landed.kind, EventKind::MigrateDone { .. });
+                let attrs = SemAttrs::new()
+                    .request(left.request)
+                    .with("from_lane", from.to_string())
+                    .with("to_lane", to.to_string())
+                    .with("bytes", bytes.to_string())
+                    .with("outcome", if intact { "delivered" } else { "lost" });
+                let (track, dur) = (Track::Device(to), landed.at.saturating_sub(left.at).0);
+                push_span(&mut spans, "kv.migrate", track, left.at.0, dur, attrs);
+            }
+            let attrs = SemAttrs::new()
+                .phase("llm_decode")
+                .device(slice.lane)
+                .with("members", slice.members.len().to_string())
+                .with("step", slice.step.to_string());
+            let (track, start) = (Track::Device(slice.lane), slice.start_ns);
+            push_span(
+                &mut spans,
+                "serving.step",
+                track,
+                start,
+                slice.end_ns - start,
+                attrs,
+            );
+        }
+        let mut last_causal: BTreeMap<u64, u64> = BTreeMap::new();
+        for ev in &self.events {
+            let Some((name, kind)) = lifecycle(&ev.kind) else {
+                continue;
+            };
+            let mut attrs = SemAttrs::new().request(ev.request);
+            if let CausalEventKind::Admit { lane } = kind {
+                attrs = attrs.device(lane);
+            }
+            let id = spans.len() as u64 + 1;
+            if let Some(prev) = last_causal.insert(ev.request, id) {
+                attrs = attrs.cause(prev);
+            }
+            push_span(&mut spans, name, Track::Runtime, ev.at.0, 0, attrs);
+        }
+        spans
     }
 
     /// Project the run onto the process-global telemetry sinks: the
     /// `genie_serving_*` metrics derived from the counters, event log and
     /// step slices (so histograms observe integer-nanosecond stamps),
-    /// the spans in recorded order, and the SLO burn-rate gauges. The
-    /// engine itself writes only the report.
+    /// [`spans`](Self::spans), and the SLO burn-rate gauges. The engine
+    /// itself writes only the report.
     pub(crate) fn publish(&self) {
         let t = genie_telemetry::global();
         // Like `inc()` at the event itself, a zero count registers nothing.
@@ -168,8 +222,8 @@ impl ServingReport {
                 }
             }
         }
-        for span in &self.spans {
-            t.collector.push(span.clone());
+        for span in self.spans() {
+            t.collector.push(span);
         }
         for (tenant, s) in &self.slo.per_tenant {
             let tenant = tenant.to_string();
@@ -202,7 +256,10 @@ impl ServingReport {
         }
     }
 
-    /// Generated tokens across completed requests.
+    /// Every token the run produced: one per `Token` event, including
+    /// those of requests shed later (a preempted job that went stale in
+    /// the queue, a lone member shed for `KvCapacity`). What reached a
+    /// user is the other metric, goodput, read off `outcomes`.
     pub fn tokens_generated(&self) -> u64 {
         self.events
             .iter()
@@ -210,7 +267,8 @@ impl ServingReport {
             .count() as u64
     }
 
-    /// Aggregate decode throughput over the whole run.
+    /// [`tokens_generated`](Self::tokens_generated) over the makespan:
+    /// throughput of the devices, not goodput.
     pub fn tokens_per_s(&self) -> f64 {
         let secs = self.makespan.as_secs_f64();
         if secs <= 0.0 {
@@ -253,6 +311,56 @@ impl ServingReport {
     }
 }
 
+/// A lifecycle event (every kind but a token): its name in the trace
+/// and its kind for blame analysis.
+fn lifecycle(kind: &EventKind) -> Option<(&'static str, CausalEventKind)> {
+    Some(match *kind {
+        EventKind::Arrive => ("request.arrive", CausalEventKind::Arrive),
+        EventKind::Admit { lane } => ("request.admit", CausalEventKind::Admit { lane }),
+        EventKind::Reprefill => ("request.reprefill", CausalEventKind::Reprefill),
+        EventKind::Preempt => ("request.preempt", CausalEventKind::Preempt),
+        EventKind::MigrateStart { from, to, .. } => {
+            let kind = CausalEventKind::MigrateStart { from, to };
+            ("request.migrate_start", kind)
+        }
+        EventKind::MigrateDone { .. } => ("request.migrate_done", CausalEventKind::MigrateDone),
+        EventKind::MigrateFail { .. } => ("request.migrate_fail", CausalEventKind::MigrateFail),
+        EventKind::Complete => ("request.complete", CausalEventKind::Complete),
+        EventKind::Shed(_) => ("request.shed", CausalEventKind::Shed),
+        EventKind::Token { .. } => return None,
+    })
+}
+
+/// Append a span with the next deterministic id: an interval on a
+/// device track ("serving") or a runtime-track instant ("causal").
+fn push_span(
+    spans: &mut Vec<SpanRecord>,
+    name: &str,
+    track: Track,
+    start_ns: u64,
+    dur_ns: u64,
+    attrs: SemAttrs,
+) {
+    let (category, kind) = match track {
+        Track::Runtime => ("causal", SpanKind::Instant),
+        _ => ("serving", SpanKind::Span),
+    };
+    let id = spans.len() as u64 + 1;
+    spans.push(SpanRecord {
+        id,
+        parent: None,
+        name: name.into(),
+        category: category.into(),
+        kind,
+        track,
+        start_ns,
+        dur_ns,
+        attrs,
+        thread: 1,
+        seq: id,
+    });
+}
+
 /// Nearest-rank percentile of a sorted sample (0 for an empty one).
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -265,6 +373,7 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genie_telemetry::causal::StepMember;
 
     #[test]
     fn percentile_nearest_rank() {
@@ -298,5 +407,174 @@ mod tests {
         assert_eq!(r.shed_rate(), 1.0);
         assert_eq!(r.makespan, Nanos::from_millis(5));
         assert_eq!(r.tokens_generated(), 0);
+        // No step ran: the projection is one shed instant per request.
+        let spans = r.spans();
+        let shown: Vec<_> = spans
+            .iter()
+            .map(|s| (s.id, s.name.as_str(), s.start_ns, s.attrs.request))
+            .collect();
+        let ms = 1_000_000;
+        let expected = [
+            (1, "request.shed", ms, Some(1)),
+            (2, "request.shed", 5 * ms, Some(2)),
+        ];
+        assert_eq!(shown, expected);
+    }
+
+    /// A hand-written log: requests 1 and 2 prefill on lane 1 while lane 0
+    /// decodes, both prefixes leave at the first barrier — one lands, one
+    /// is lost — and request 3 is shed on arrival.
+    #[test]
+    fn spans_are_the_log_and_the_slices_seen_as_a_trace() {
+        let event = |at: u64, request: u64, kind: EventKind| LogEvent {
+            at: Nanos(at),
+            request,
+            kind,
+            kv_resident_bytes: 0,
+        };
+        let slice = |lane: u32, step: u64, start_ns: u64, end_ns: u64, ids: &[u64]| {
+            let phase = MemberPhase::Prefill;
+            let members = ids.iter().map(|&request| StepMember { request, phase });
+            StepSlice::from_secs(
+                lane,
+                step,
+                start_ns,
+                end_ns,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                members.collect(),
+            )
+        };
+        let (from, to) = (1, 0);
+        let report = ServingReport {
+            events: vec![
+                event(0, 1, EventKind::Arrive),
+                event(0, 2, EventKind::Arrive),
+                event(0, 1, EventKind::Admit { lane: 1 }),
+                event(0, 2, EventKind::Admit { lane: 1 }),
+                event(100, 1, EventKind::Token { value: 7 }),
+                event(100, 2, EventKind::Token { value: 8 }),
+                event(
+                    100,
+                    1,
+                    EventKind::MigrateStart {
+                        from,
+                        to,
+                        bytes: 64,
+                    },
+                ),
+                event(
+                    100,
+                    2,
+                    EventKind::MigrateStart {
+                        from,
+                        to,
+                        bytes: 32,
+                    },
+                ),
+                event(120, 3, EventKind::Arrive),
+                event(120, 3, EventKind::Shed(ShedReason::QueueFull)),
+                event(140, 2, EventKind::MigrateFail { to }),
+                event(180, 1, EventKind::MigrateDone { to }),
+            ],
+            slices: vec![
+                slice(0, 0, 0, 100, &[9]),
+                slice(1, 0, 0, 100, &[1, 2]),
+                slice(0, 1, 100, 250, &[9]),
+                slice(1, 1, 100, 250, &[]),
+            ],
+            ..ServingReport::default()
+        };
+        let spans = report.spans();
+        for (i, s) in spans.iter().enumerate() {
+            assert_eq!(
+                (s.id, s.seq, s.parent, s.thread),
+                (i as u64 + 1, s.id, None, 1)
+            );
+        }
+
+        // Step 0: the two prefixes that left at its barrier, then its
+        // slices by lane; step 1: its slices.
+        let serving: Vec<_> = spans.iter().filter(|s| s.category == "serving").collect();
+        let shown: Vec<_> = serving
+            .iter()
+            .map(|s| (s.id, s.name.as_str(), s.track, s.start_ns, s.dur_ns))
+            .collect();
+        let expected = [
+            (1, "kv.migrate", Track::Device(0), 100, 80),
+            (2, "kv.migrate", Track::Device(0), 100, 40),
+            (3, "serving.step", Track::Device(0), 0, 100),
+            (4, "serving.step", Track::Device(1), 0, 100),
+            (5, "serving.step", Track::Device(0), 100, 150),
+            (6, "serving.step", Track::Device(1), 100, 150),
+        ];
+        assert_eq!(shown, expected);
+        assert!(serving.iter().all(|s| s.kind == SpanKind::Span));
+        let extra = |s: &SpanRecord| -> Vec<(String, String)> { s.attrs.extra.clone() };
+        let pairs = |kv: &[(&str, &str)]| -> Vec<(String, String)> {
+            kv.iter().map(|&(k, v)| (k.into(), v.into())).collect()
+        };
+        assert_eq!(serving[0].attrs.request, Some(1));
+        assert_eq!(
+            extra(serving[0]),
+            pairs(&[
+                ("from_lane", "1"),
+                ("to_lane", "0"),
+                ("bytes", "64"),
+                ("outcome", "delivered")
+            ])
+        );
+        assert_eq!(serving[1].attrs.request, Some(2));
+        assert_eq!(
+            extra(serving[1]),
+            pairs(&[
+                ("from_lane", "1"),
+                ("to_lane", "0"),
+                ("bytes", "32"),
+                ("outcome", "lost")
+            ])
+        );
+        let step = &serving[3].attrs;
+        assert_eq!(step.phase.as_deref(), Some("llm_decode"));
+        assert_eq!(step.device, Some(1));
+        assert_eq!(step.extra, pairs(&[("members", "2"), ("step", "0")]));
+
+        // Then one instant per lifecycle event (tokens elided), each
+        // pointing at the same request's previous one.
+        let causal: Vec<_> = spans
+            .iter()
+            .filter(|s| s.category == "causal")
+            .map(|s| {
+                assert_eq!(
+                    (s.kind, s.track, s.dur_ns),
+                    (SpanKind::Instant, Track::Runtime, 0)
+                );
+                let a = &s.attrs;
+                (
+                    s.id,
+                    s.name.as_str(),
+                    s.start_ns,
+                    a.request,
+                    a.device,
+                    a.cause,
+                )
+            })
+            .collect();
+        let expected = [
+            (7, "request.arrive", 0, Some(1), None, None),
+            (8, "request.arrive", 0, Some(2), None, None),
+            (9, "request.admit", 0, Some(1), Some(1), Some(7)),
+            (10, "request.admit", 0, Some(2), Some(1), Some(8)),
+            (11, "request.migrate_start", 100, Some(1), None, Some(9)),
+            (12, "request.migrate_start", 100, Some(2), None, Some(10)),
+            (13, "request.arrive", 120, Some(3), None, None),
+            (14, "request.shed", 120, Some(3), None, Some(13)),
+            (15, "request.migrate_fail", 140, Some(2), None, Some(12)),
+            (16, "request.migrate_done", 180, Some(1), None, Some(11)),
+        ];
+        assert_eq!(causal, expected);
+        assert_eq!(spans.len(), 16);
     }
 }

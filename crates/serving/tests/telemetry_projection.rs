@@ -4,13 +4,15 @@
 //! test in its binary: a disaggregated, planner-priced run with
 //! `record_telemetry = false` must leave both untouched (the planner's
 //! `kv.plan` instant used to leak regardless of the flag), and the same
-//! run with the flag on must publish exactly what the report holds.
+//! run with the flag on must return the same report and publish exactly
+//! its projections.
 
 use genie_models::TransformerConfig;
 use genie_netsim::Nanos;
 use genie_serving::{
     ArrivalConfig, DisaggConfig, EventKind, ServingConfig, ServingLoop, ServingModel,
 };
+use genie_telemetry::SpanRecord;
 
 #[test]
 fn telemetry_is_off_when_off_and_equals_the_report_when_on() {
@@ -55,9 +57,12 @@ fn telemetry_is_off_when_off_and_equals_the_report_when_on() {
     );
 
     let report = run(true);
-    assert_eq!(
-        report.events, quiet.events,
-        "recording changes no behaviour"
+    assert_eq!(report.events, quiet.events, "recording moved an event");
+    assert_eq!(report.slices, quiet.slices, "recording moved a slice");
+    assert_eq!(report.outcomes, quiet.outcomes);
+    assert!(
+        report == quiet,
+        "recording moved a counter, makespan or SLO"
     );
     let snap = t.metrics.snapshot();
     let counter = |name: &str, labels: &[(&str, &str)]| snap.counter(name, labels).unwrap_or(0);
@@ -123,19 +128,15 @@ fn telemetry_is_off_when_off_and_equals_the_report_when_on() {
     }
 
     // The collector holds one `kv.plan` instant per priced prefix, then
-    // the report's spans in their recorded order with their own ids.
+    // the report's spans in projection order, field for field (the
+    // collector stamps its own arrival sequence over `seq`).
     let records = t.collector.drain();
     let plans = records.iter().filter(|r| r.name == "kv.plan").count() as u64;
     assert!(plans >= report.migrations && plans > 0);
-    let published: Vec<(u64, &str)> = records
-        .iter()
+    let published: Vec<SpanRecord> = records
+        .into_iter()
         .filter(|r| r.name != "kv.plan")
-        .map(|r| (r.id, r.name.as_str()))
+        .map(|r| SpanRecord { seq: r.id, ..r })
         .collect();
-    let recorded: Vec<(u64, &str)> = report
-        .spans
-        .iter()
-        .map(|s| (s.id, s.name.as_str()))
-        .collect();
-    assert_eq!(published, recorded);
+    assert_eq!(published, report.spans());
 }

@@ -133,8 +133,8 @@ fn migrate_blame_is_attributed_and_tiles_the_lifetime() {
 
     // Every kv.migrate span names its request and the fabric endpoints.
     let migrate_spans: Vec<_> = report
-        .spans
-        .iter()
+        .spans()
+        .into_iter()
         .filter(|s| s.name == "kv.migrate")
         .collect();
     assert_eq!(

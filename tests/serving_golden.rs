@@ -252,8 +252,9 @@ fn render(name: &str, r: &ServingReport) -> String {
     writeln!(s, "events={} fnv={:016x}", r.events.len(), fnv1a(&text)).unwrap();
     let slices = format!("{:?}", r.slices);
     writeln!(s, "slices={} fnv={:016x}", r.slices.len(), fnv1a(&slices)).unwrap();
-    let spans = format!("{:?}", r.spans);
-    writeln!(s, "spans={} fnv={:016x}", r.spans.len(), fnv1a(&spans)).unwrap();
+    let spans = r.spans();
+    let debug = format!("{spans:?}");
+    writeln!(s, "spans={} fnv={:016x}", spans.len(), fnv1a(&debug)).unwrap();
     let outcomes = format!("{:?}{:?}", r.outcomes, r.slo);
     writeln!(s, "outcomes_slo_fnv={:016x}", fnv1a(&outcomes)).unwrap();
     s

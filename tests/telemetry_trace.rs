@@ -205,7 +205,7 @@ fn serving_run_exports_spans_and_metrics() {
     // is independent of whatever else the process-global collector saw).
     let doc_of = |r: &genie::serving::ServingReport| {
         let mut chrome = ChromeTrace::new();
-        chrome.push_records(&r.spans, None);
+        chrome.push_records(&r.spans(), None);
         chrome.to_json_string()
     };
     assert_eq!(
