@@ -62,8 +62,8 @@ pub use diag::{Anchor, Diagnostic, LintCode, LintConfig, LintFamily, Report, Sev
 pub use plan_passes::{run_plan_passes, PlanFacts, TransferFact};
 pub use precision_passes::{
     check_precision_consistency, device_class_error_factor, elem_eps, error_bounds,
-    error_bounds_with, tier_for_node, ErrorBounds, KernelTier, CRITICALITY_SLACK, KERNEL_TIER_ATTR,
-    TOLERANCE_ATTR,
+    error_bounds_with, error_factor, requested_tier, tier_for_node, ErrorBounds, CRITICALITY_SLACK,
+    KERNEL_TIER_ATTR, TOLERANCE_ATTR,
 };
 pub use schedule_passes::{check_cross_plan_pinning, live_value_sets};
 pub use srg_passes::run_srg_passes;

@@ -26,8 +26,8 @@
 //! to its reduction length (k·ε for a length-k dot product). That
 //! local term is what kernel tiers and device classes scale; the k·ε
 //! worst case holds for *any* summation order, which is why the f32
-//! tiers (scalar/blocked/simd/threaded — see
-//! [`KernelTier::error_factor`]) all carry factor 1 while the
+//! tiers (scalar/blocked/simd/parallel — see [`error_factor`]) all
+//! carry factor 1 while the
 //! quantized int8/fp16 tiers widen it to their per-MAC error. The
 //! differential
 //! test in `tests/precision_consistency.rs` executes the functional
@@ -39,7 +39,9 @@ use crate::diag::{Anchor, LintCode, LintConfig, Report};
 use crate::plan_passes::PlanFacts;
 use genie_cluster::{GpuClass, Topology};
 use genie_srg::traverse::CycleError;
-use genie_srg::{Criticality, Edge, ElemType, NodeId, OpKind, Srg};
+use genie_srg::{Criticality, Edge, ElemType, Node, NodeId, OpKind, Srg};
+use genie_tensor::ops::tier_for_flops;
+use genie_tensor::stats::Path;
 use std::cell::OnceCell;
 
 /// Node attribute carrying an explicit relative-tolerance demand, e.g.
@@ -47,7 +49,7 @@ use std::cell::OnceCell;
 pub const TOLERANCE_ATTR: &str = "tolerance_rel";
 
 /// Node attribute naming the kernel tier a plan assigns to the node,
-/// e.g. `"kernel_tier" = "int8"` (any [`KernelTier::label`]). Overrides
+/// e.g. `"kernel_tier" = "int8"` (any [`Path::label`]). Overrides
 /// the flop-threshold tier in the GA3xx passes — this is how a
 /// quantization-aware planner exposes its choice to GA301, and how
 /// GA301 denies a quantized plan whose `tolerance_rel` the tier's error
@@ -73,100 +75,38 @@ pub fn elem_eps(elem: ElemType) -> f64 {
     }
 }
 
-/// The CPU kernel tiers, mirroring the dispatch paths in `genie-tensor`
-/// (`matmul` picks scalar / simd / threaded by flop count; blocked is a
-/// forced-only tier; int8 and fp16 are quantized tiers a planner must
-/// opt into via [`KERNEL_TIER_ATTR`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum KernelTier {
-    /// Naive triple loop.
-    Scalar,
-    /// Cache-blocked single-thread kernel.
-    Blocked,
-    /// Lane-unrolled (8-wide f32) single-thread kernel.
-    Simd,
-    /// Simd rows fanned across worker threads.
-    Threaded,
-    /// int8 storage with per-row/per-column absmax scales, i32
-    /// accumulate.
-    Int8,
-    /// fp16 (binary16) storage round-trip, f32 accumulate.
-    Fp16,
+/// Multiplier on a node's local error term when run on kernel tier
+/// `tier` (`genie-tensor`'s dispatch [`Path`]).
+///
+/// The f32 tiers carry factor 1: the k·ε local term already bounds
+/// a length-k reduction under *any* summation order, so lane
+/// unrolling, re-blocking, or splitting the accumulation across
+/// threads cannot exceed it. The quantized tiers scale ε up to
+/// their per-MAC relative error: `factor · ε_f32` must dominate the
+/// bound `genie-tensor`'s quantized kernels advertise —
+/// 2¹⁸·2⁻²⁴ = 2⁻⁶ ≥ `quant::INT8_MAC_RELERR` and
+/// 2¹⁵·2⁻²⁴ = 2⁻⁹ ≥ `quant::FP16_MAC_RELERR` — which the
+/// `quant_error` suite checks empirically against the scalar oracle.
+pub fn error_factor(tier: Path) -> f64 {
+    match tier {
+        Path::Scalar | Path::Blocked | Path::Simd | Path::Parallel => 1.0,
+        Path::Int8 => (2.0f64).powi(18),
+        Path::Fp16 => (2.0f64).powi(15),
+    }
 }
 
-impl KernelTier {
-    /// The tier `genie-tensor`'s dispatchers would pick for an op of
-    /// this flop count (thread availability permitting). Quantized
-    /// tiers are never picked by flop count — a planner has to ask for
-    /// them explicitly.
-    pub fn for_flops(flops: f64) -> KernelTier {
-        if flops < genie_tensor::ops::MATMUL_BLOCK_MIN_FLOPS as f64 {
-            KernelTier::Scalar
-        } else if flops >= genie_tensor::ops::MATMUL_PAR_MIN_FLOPS as f64 {
-            KernelTier::Threaded
-        } else {
-            KernelTier::Simd
-        }
-    }
-
-    /// Multiplier on a node's local error term when run on this tier.
-    ///
-    /// The f32 tiers carry factor 1: the k·ε local term already bounds
-    /// a length-k reduction under *any* summation order, so lane
-    /// unrolling, re-blocking, or splitting the accumulation across
-    /// threads cannot exceed it. The quantized tiers scale ε up to
-    /// their per-MAC relative error: `factor · ε_f32` must dominate the
-    /// bound `genie-tensor`'s quantized kernels advertise —
-    /// 2¹⁸·2⁻²⁴ = 2⁻⁶ ≥ `quant::INT8_MAC_RELERR` and
-    /// 2¹⁵·2⁻²⁴ = 2⁻⁹ ≥ `quant::FP16_MAC_RELERR` — which the
-    /// `quant_error` proptest suite checks empirically against the
-    /// scalar oracle.
-    pub fn error_factor(self) -> f64 {
-        match self {
-            KernelTier::Scalar | KernelTier::Blocked | KernelTier::Simd | KernelTier::Threaded => {
-                1.0
-            }
-            KernelTier::Int8 => (2.0f64).powi(18),
-            KernelTier::Fp16 => (2.0f64).powi(15),
-        }
-    }
-
-    /// Short label for reports; matches the dispatch-path labels in
-    /// `genie-tensor::stats`.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelTier::Scalar => "scalar",
-            KernelTier::Blocked => "blocked",
-            KernelTier::Simd => "simd",
-            KernelTier::Threaded => "threaded",
-            KernelTier::Int8 => "int8",
-            KernelTier::Fp16 => "fp16",
-        }
-    }
-
-    /// Parse a [`KernelTier::label`] back to the tier (also accepts the
-    /// dispatch-path spelling `"parallel"` for the threaded tier).
-    pub fn from_label(label: &str) -> Option<KernelTier> {
-        Some(match label {
-            "scalar" => KernelTier::Scalar,
-            "blocked" => KernelTier::Blocked,
-            "simd" => KernelTier::Simd,
-            "threaded" | "parallel" => KernelTier::Threaded,
-            "int8" => KernelTier::Int8,
-            "fp16" => KernelTier::Fp16,
-            _ => return None,
-        })
-    }
+/// The tier a plan asked for on `node` through [`KERNEL_TIER_ATTR`].
+pub fn requested_tier(node: &Node) -> Option<Path> {
+    let label = node.attrs.get(KERNEL_TIER_ATTR)?;
+    Path::from_label(label)
 }
 
 /// The kernel tier assigned to a node: an explicit [`KERNEL_TIER_ATTR`]
-/// attribute wins, else the flop-threshold natural dispatch.
-pub fn tier_for_node(srg: &Srg, id: NodeId) -> KernelTier {
+/// wins, else the tier `genie-tensor`'s dispatchers pick for its flop
+/// count (thread availability permitting; never a quantized one).
+pub fn tier_for_node(srg: &Srg, id: NodeId) -> Path {
     let node = srg.node(id);
-    node.attrs
-        .get(KERNEL_TIER_ATTR)
-        .and_then(|s| KernelTier::from_label(s))
-        .unwrap_or_else(|| KernelTier::for_flops(node.cost.flops))
+    requested_tier(node).unwrap_or_else(|| tier_for_flops(node.cost.flops as usize))
 }
 
 /// Multiplier on a node's local error term when scheduled onto a
@@ -364,13 +304,7 @@ fn critical_downstream(srg: &Srg, flow: &SrgFlow<'_>) -> Vec<bool> {
 pub fn check_precision_consistency(srg: &Srg, cfg: &LintConfig, report: &mut Report) {
     check_precision_with_factors(
         srg,
-        |id| {
-            srg.node(id)
-                .attrs
-                .get(KERNEL_TIER_ATTR)
-                .and_then(|s| KernelTier::from_label(s))
-                .map_or(1.0, KernelTier::error_factor)
-        },
+        |id| requested_tier(srg.node(id)).map_or(1.0, error_factor),
         cfg,
         report,
     );
@@ -390,7 +324,7 @@ pub fn check_precision_plan(
     check_precision_with_factors(
         srg,
         |id| {
-            let mut f = tier_for_node(srg, id).error_factor();
+            let mut f = error_factor(tier_for_node(srg, id));
             if let Some(dev) = facts.node_device(id) {
                 if (dev.0 as usize) < ndev {
                     f *= device_class_error_factor(topo.device(dev).spec.class);
@@ -697,48 +631,19 @@ mod tests {
     }
 
     #[test]
-    fn kernel_tiers_mirror_dispatch_thresholds() {
-        use genie_tensor::ops::{MATMUL_BLOCK_MIN_FLOPS, MATMUL_PAR_MIN_FLOPS};
-        assert_eq!(
-            KernelTier::for_flops(MATMUL_BLOCK_MIN_FLOPS as f64 - 1.0),
-            KernelTier::Scalar
-        );
-        assert_eq!(
-            KernelTier::for_flops(MATMUL_BLOCK_MIN_FLOPS as f64),
-            KernelTier::Simd
-        );
-        assert_eq!(
-            KernelTier::for_flops(MATMUL_PAR_MIN_FLOPS as f64),
-            KernelTier::Threaded
-        );
-        for t in [
-            KernelTier::Scalar,
-            KernelTier::Blocked,
-            KernelTier::Simd,
-            KernelTier::Threaded,
-        ] {
-            assert_eq!(t.error_factor(), 1.0, "f32 tiers share the k·ε bound");
+    fn tier_factors_dominate_the_advertised_kernel_error() {
+        for t in genie_tensor::stats::PATHS {
+            let exact = !t.is_quantized();
+            assert_eq!(
+                error_factor(t) == 1.0,
+                exact,
+                "f32 tiers share the k·ε bound"
+            );
         }
         // factor · ε_f32 must dominate the advertised per-MAC error.
         let eps = elem_eps(ElemType::F32);
-        assert!(KernelTier::Int8.error_factor() * eps >= genie_tensor::quant::INT8_MAC_RELERR);
-        assert!(KernelTier::Fp16.error_factor() * eps >= genie_tensor::quant::FP16_MAC_RELERR);
-        // Labels round-trip, including the dispatch-path alias.
-        for t in [
-            KernelTier::Scalar,
-            KernelTier::Blocked,
-            KernelTier::Simd,
-            KernelTier::Threaded,
-            KernelTier::Int8,
-            KernelTier::Fp16,
-        ] {
-            assert_eq!(KernelTier::from_label(t.label()), Some(t));
-        }
-        assert_eq!(
-            KernelTier::from_label("parallel"),
-            Some(KernelTier::Threaded)
-        );
-        assert_eq!(KernelTier::from_label("fp4"), None);
+        assert!(error_factor(Path::Int8) * eps >= genie_tensor::quant::INT8_MAC_RELERR);
+        assert!(error_factor(Path::Fp16) * eps >= genie_tensor::quant::FP16_MAC_RELERR);
     }
 
     #[test]
@@ -758,7 +663,7 @@ mod tests {
         g.node_mut(mm)
             .attrs
             .insert(KERNEL_TIER_ATTR.into(), "int8".into());
-        assert_eq!(tier_for_node(&g, mm), KernelTier::Int8);
+        assert_eq!(tier_for_node(&g, mm), Path::Int8);
         let mut r = Report::new("t");
         check_precision_consistency(&g, &LintConfig::new(), &mut r);
         let r = r.finish();

@@ -3,6 +3,7 @@
 
 use genie_cluster::{serialization_s, GpuSpec};
 use genie_srg::Node;
+use genie_tensor::stats::Path;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -126,16 +127,14 @@ impl CostModel {
     }
 
     /// Per-tier derating of the roofline inputs: `(flops_scale,
-    /// bytes_scale)` for a [`genie_analysis::KernelTier`] label. The
-    /// quantized tiers move fewer bytes (int8 = ¼, fp16 = ½ of f32
-    /// traffic) and ride the device's higher low-precision MAC
-    /// throughput (modeled as 4×/2× effective FLOP rate); every f32
-    /// tier is the reference. Unknown labels are priced as f32 so a
-    /// malformed attribute can only over-estimate, never hide cost.
-    pub fn tier_factors(tier: &str) -> (f64, f64) {
+    /// bytes_scale)` for a kernel tier. The quantized tiers move fewer
+    /// bytes (int8 = ¼, fp16 = ½ of f32 traffic) and ride the device's
+    /// higher low-precision MAC throughput (modeled as 4×/2× effective
+    /// FLOP rate); every f32 tier is the reference.
+    pub fn tier_factors(tier: Path) -> (f64, f64) {
         match tier {
-            "int8" => (0.25, 0.25),
-            "fp16" => (0.5, 0.5),
+            Path::Int8 => (0.25, 0.25),
+            Path::Fp16 => (0.5, 0.5),
             _ => (1.0, 1.0),
         }
     }
@@ -144,16 +143,14 @@ impl CostModel {
     /// derating applied to whichever side binds. A `kernel_tier` node
     /// attribute (see `genie_analysis::KERNEL_TIER_ATTR`) scales the
     /// roofline inputs by [`CostModel::tier_factors`], so quantized
-    /// plans are priced cheaper exactly where GA3xx prices them looser.
+    /// plans are priced cheaper exactly where GA3xx prices them looser;
+    /// a label that names no tier is priced as f32, so a malformed
+    /// attribute can only over-estimate, never hide cost.
     /// Memoized: repeated calls with the same (flops, bytes, derated
     /// device) are served from the model's cache.
     pub fn kernel_time(&self, node: &Node, gpu: &GpuSpec) -> f64 {
-        let tier = node
-            .attrs
-            .get(genie_analysis::KERNEL_TIER_ATTR)
-            .map(String::as_str)
-            .unwrap_or("");
-        let (fs, bs) = Self::tier_factors(tier);
+        let tier = genie_analysis::requested_tier(node);
+        let (fs, bs) = tier.map_or((1.0, 1.0), Self::tier_factors);
         let flops = node.cost.flops * fs;
         let bytes = node.cost.bytes_total() * bs;
         let (ce, me) = (self.compute_efficiency, self.memory_efficiency);
@@ -313,7 +310,7 @@ mod tests {
             let served = warm.kernel_time(&n, &gpu);
             assert_eq!(warm.cache_stats().hits, 1, "{tier:?} must hit");
             let cold = CostModel::paper_stack().kernel_time(&n, &gpu);
-            let (fs, bs) = CostModel::tier_factors(tier);
+            let (fs, bs) = Path::from_label(tier).map_or((1.0, 1.0), CostModel::tier_factors);
             let (ce, me) = (warm.compute_efficiency, warm.memory_efficiency);
             let spelled = gpu.roofline(3e12 * fs, 5e9 * bs, ce, me);
             assert_eq!(served.to_bits(), cold.to_bits(), "{tier:?}");

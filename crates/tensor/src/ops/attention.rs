@@ -12,7 +12,7 @@
 //! `int8` or `fp16` attention run on that tier.
 
 use crate::ops::activation::softmax_lastdim;
-use crate::ops::linalg::{matmul, transpose2d, MATMUL_BLOCK_MIN_FLOPS, MATMUL_PAR_MIN_FLOPS};
+use crate::ops::linalg::{dispatch_tier, matmul, transpose2d};
 use crate::par;
 use crate::stats::{self, Path};
 use crate::tensor::Tensor;
@@ -108,14 +108,7 @@ fn qk_band(q_head: &[f32], k_data: &[f32], stride: usize, offset: usize, scores:
 /// why a forced scalar/blocked/parallel/simd path may all take it.
 fn qk_decode_scores(q: &Tensor, k: &Tensor, forced: Option<Path>) -> Tensor {
     let (tk, d) = (k.dims()[0], k.dims()[1]);
-    let flops = 2 * tk * d;
-    let path = forced.unwrap_or(if flops < MATMUL_BLOCK_MIN_FLOPS {
-        Path::Scalar
-    } else if flops >= MATMUL_PAR_MIN_FLOPS && par::worker_count(tk) > 1 {
-        Path::Parallel
-    } else {
-        Path::Simd
-    });
+    let path = forced.unwrap_or_else(|| dispatch_tier(2 * tk * d, tk));
     stats::note("matmul", path);
     Tensor::build([1usize, tk], |out| qk_band(q.data(), k.data(), d, 0, out))
 }

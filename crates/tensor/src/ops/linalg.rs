@@ -40,6 +40,29 @@ pub const MATMUL_BLOCK_MIN_FLOPS: usize = 1 << 14;
 /// `prefill_wide` by less than its run-to-run spread, so this stays.
 pub const MATMUL_PAR_MIN_FLOPS: usize = 1 << 20;
 
+/// The tier the two thresholds name for `flops` of work: the scalar loop
+/// below [`MATMUL_BLOCK_MIN_FLOPS`], the pool from
+/// [`MATMUL_PAR_MIN_FLOPS`], the simd kernel between. The blocked and
+/// quantized tiers are never picked by size.
+pub fn tier_for_flops(flops: usize) -> Path {
+    if flops < MATMUL_BLOCK_MIN_FLOPS {
+        Path::Scalar
+    } else if flops >= MATMUL_PAR_MIN_FLOPS {
+        Path::Parallel
+    } else {
+        Path::Simd
+    }
+}
+
+/// [`tier_for_flops`] as a dispatcher takes it: the pool only when it
+/// has more than one worker for `rows` rows of output.
+pub(crate) fn dispatch_tier(flops: usize, rows: usize) -> Path {
+    match tier_for_flops(flops) {
+        Path::Parallel if par::worker_count(rows) <= 1 => Path::Simd,
+        tier => tier,
+    }
+}
+
 /// Output-row tile height of the blocked kernel.
 const MR: usize = 4;
 /// Output-column tile width of the blocked kernel.
@@ -119,16 +142,8 @@ fn matmul_blocked_rows(
 /// the quantized tiers are reachable via [`stats::force_path`].
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k, n) = matmul_dims(a, b);
-    let path = stats::forced_path().unwrap_or_else(|| {
-        let flops = 2 * m * k * n;
-        if flops < MATMUL_BLOCK_MIN_FLOPS || m == 0 || k == 0 || n == 0 {
-            Path::Scalar
-        } else if flops >= MATMUL_PAR_MIN_FLOPS && par::worker_count(m) > 1 {
-            Path::Parallel
-        } else {
-            Path::Simd
-        }
-    });
+    // An empty side is zero flops: the scalar loop.
+    let path = stats::forced_path().unwrap_or_else(|| dispatch_tier(2 * m * k * n, m));
     matmul_on(path, a, b)
 }
 
@@ -206,6 +221,17 @@ pub fn transpose2d(a: &Tensor) -> Tensor {
 mod tests {
     use super::*;
     use crate::init::arange;
+
+    #[test]
+    fn the_size_rule_switches_tier_at_the_two_thresholds() {
+        assert_eq!(tier_for_flops(0), Path::Scalar);
+        assert_eq!(tier_for_flops(MATMUL_BLOCK_MIN_FLOPS - 1), Path::Scalar);
+        assert_eq!(tier_for_flops(MATMUL_BLOCK_MIN_FLOPS), Path::Simd);
+        assert_eq!(tier_for_flops(MATMUL_PAR_MIN_FLOPS - 1), Path::Simd);
+        assert_eq!(tier_for_flops(MATMUL_PAR_MIN_FLOPS), Path::Parallel);
+        // One row of output is one worker: the dispatcher stays inline.
+        assert_eq!(dispatch_tier(MATMUL_PAR_MIN_FLOPS, 1), Path::Simd);
+    }
 
     #[test]
     fn matmul_known_values() {

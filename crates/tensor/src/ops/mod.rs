@@ -22,8 +22,8 @@ pub use conv::{
 pub use elementwise::{add, add_bias, mul, scale, sub};
 pub use embedding::{gather_rows, gather_sum};
 pub use linalg::{
-    matmul, matmul_acc, matmul_on, matmul_scalar, transpose2d, MATMUL_BLOCK_MIN_FLOPS,
-    MATMUL_PAR_MIN_FLOPS,
+    matmul, matmul_acc, matmul_on, matmul_scalar, tier_for_flops, transpose2d,
+    MATMUL_BLOCK_MIN_FLOPS, MATMUL_PAR_MIN_FLOPS,
 };
 pub use norm::{batch_norm_2d, layer_norm, rms_norm};
 pub use reduce::{argmax_lastdim, max_lastdim, mean_lastdim, sum_lastdim};

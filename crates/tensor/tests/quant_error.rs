@@ -75,7 +75,7 @@ fn quantized_matmul_error_within_advertised_bound() {
 
 #[test]
 fn advertised_bounds_are_the_ga3xx_tier_factors_times_eps() {
-    // GA3xx prices KernelTier::Int8 with error factor 2^18 and Fp16 with
+    // GA3xx prices `Path::Int8` with error factor 2^18 and Fp16 with
     // 2^15, against eps_f32 = 2^-24. The products must be exactly the
     // per-MAC bounds the kernels are tested against above — this is the
     // cross-crate contract that makes GA301 denials sound.
