@@ -10,6 +10,7 @@
 use genie_bench::modes::{run_phase, Mode, PhaseRun};
 use genie_bench::report::{fmt_secs, render_table};
 use genie_bench::{Calibration, LlmWorkload};
+use genie_netsim::RpcParams;
 
 fn main() {
     let w = LlmWorkload::paper();
@@ -17,12 +18,7 @@ fn main() {
         ("TensorPipe (Python, paper)", Calibration::paper()),
         (
             "tuned TCP (C++)",
-            Calibration {
-                session_init_s: 5.0,
-                rpc_per_call_s: 200e-6,
-                rpc_bandwidth: 2.8e9,
-                ..Calibration::paper()
-            },
+            Calibration::over(&RpcParams::tuned_tcp()),
         ),
         ("zero-copy RDMA (§3.4)", Calibration::rdma()),
     ];

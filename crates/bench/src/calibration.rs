@@ -21,6 +21,8 @@
 //! × 0.2) ≈ 30 ms), and the ΔKV per-token payload matches GPT-J's f32 KV
 //! slice (2·28·4096·4 ≈ 0.92 MB — the paper says "~1.0 MB").
 
+use genie_netsim::{Nanos, RpcParams};
+
 /// The calibrated constants.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Calibration {
@@ -43,39 +45,36 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// The paper's measured stack.
-    pub fn paper() -> Self {
+    /// The paper's A100 kernel times, prefill staging and 250 µs link
+    /// behind the transport `rpc`.
+    pub fn over(rpc: &RpcParams) -> Self {
         Calibration {
-            session_init_s: 109.0,
-            rpc_per_call_s: 0.45,
-            rpc_bandwidth: 1.4e9,
+            session_init_s: rpc.session_init.as_secs_f64(),
+            rpc_per_call_s: rpc.per_call_overhead.as_secs_f64(),
+            rpc_bandwidth: rpc.effective_bandwidth,
             net_latency_s: 250e-6,
             kernel_prefill_s: 0.21,
             kernel_token_s: 0.0306,
             prefill_stages: 12,
         }
+    }
+
+    /// The paper's measured stack.
+    pub fn paper() -> Self {
+        Self::over(&RpcParams::tensorpipe_python())
     }
 
     /// The §3.4 target datapath: zero-copy RDMA, no Python.
     pub fn rdma() -> Self {
-        Calibration {
-            session_init_s: 1.0,
-            rpc_per_call_s: 8e-6,
-            rpc_bandwidth: 25e9 / 8.0,
-            net_latency_s: 250e-6,
-            kernel_prefill_s: 0.21,
-            kernel_token_s: 0.0306,
-            prefill_stages: 12,
-        }
+        Self::over(&RpcParams::rdma_zero_copy())
     }
 
     /// `genie-netsim` transport parameters for this calibration.
-    pub fn rpc_params(&self) -> genie_netsim::RpcParams {
-        genie_netsim::RpcParams {
-            session_init: genie_netsim::Nanos::from_secs_f64(self.session_init_s),
-            per_call_overhead: genie_netsim::Nanos::from_secs_f64(self.rpc_per_call_s),
+    pub fn rpc_params(&self) -> RpcParams {
+        RpcParams {
+            session_init: Nanos::from_secs_f64(self.session_init_s),
+            per_call_overhead: Nanos::from_secs_f64(self.rpc_per_call_s),
             effective_bandwidth: self.rpc_bandwidth,
-            zero_copy: self.rpc_per_call_s < 1e-3,
         }
     }
 }
@@ -115,7 +114,25 @@ mod tests {
         let p = Calibration::paper();
         let r = Calibration::rdma();
         assert!(p.rpc_per_call_s / r.rpc_per_call_s > 10_000.0);
-        assert!(r.rpc_params().zero_copy);
-        assert!(!p.rpc_params().zero_copy);
+    }
+
+    #[test]
+    fn a_calibration_is_its_transport_and_the_paper_constants_are_the_literals() {
+        // Nanoseconds and back lose nothing: no price moves because the
+        // stack is stated in `RpcParams` instead of re-typed here.
+        let p = Calibration::paper();
+        let measured = (p.session_init_s, p.rpc_per_call_s, p.rpc_bandwidth);
+        assert_eq!(measured, (109.0, 0.45, 1.4e9));
+        let r = Calibration::rdma();
+        let target = (r.session_init_s, r.rpc_per_call_s, r.rpc_bandwidth);
+        assert_eq!(target, (1.0, 8e-6, 25e9 / 8.0));
+        let presets = [
+            RpcParams::tensorpipe_python(),
+            RpcParams::tuned_tcp(),
+            RpcParams::rdma_zero_copy(),
+        ];
+        for rpc in presets {
+            assert_eq!(Calibration::over(&rpc).rpc_params(), rpc);
+        }
     }
 }

@@ -26,11 +26,6 @@ pub struct RpcParams {
     /// Effective payload goodput in bytes/s (≤ line rate; serialization-
     /// bound stacks sit well below it).
     pub effective_bandwidth: f64,
-    /// Whether the datapath is zero-copy into device memory (RDMA +
-    /// GPUDirect). Zero-copy transports skip host staging, so their
-    /// effective bandwidth equals the line rate and per-call costs are
-    /// microseconds.
-    pub zero_copy: bool,
 }
 
 impl RpcParams {
@@ -41,7 +36,6 @@ impl RpcParams {
             session_init: Nanos::from_secs_f64(109.0),
             per_call_overhead: Nanos::from_secs_f64(0.45),
             effective_bandwidth: 1.4e9,
-            zero_copy: false,
         }
     }
 
@@ -52,7 +46,6 @@ impl RpcParams {
             session_init: Nanos::from_secs_f64(1.0),
             per_call_overhead: Nanos::from_micros(8),
             effective_bandwidth: 25e9 / 8.0,
-            zero_copy: true,
         }
     }
 
@@ -62,7 +55,6 @@ impl RpcParams {
             session_init: Nanos::from_secs_f64(5.0),
             per_call_overhead: Nanos::from_micros(200),
             effective_bandwidth: 2.8e9,
-            zero_copy: false,
         }
     }
 }

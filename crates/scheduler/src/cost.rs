@@ -2,6 +2,7 @@
 //! compute, transfers, and queuing.
 
 use genie_cluster::{serialization_s, GpuSpec};
+use genie_netsim::RpcParams;
 use genie_srg::Node;
 use genie_tensor::stats::Path;
 use std::collections::HashMap;
@@ -99,31 +100,30 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Pure roofline (no efficiency derating) over an ideal zero-copy
-    /// 25 GbE network — the §3.4 target datapath.
-    pub fn ideal_25g() -> Self {
+    /// Kernels at the given efficiencies behind the transport `rpc` (its
+    /// per-call cost and goodput) on the testbed's 250 µs link.
+    fn behind(rpc: RpcParams, compute_efficiency: f64, memory_efficiency: f64) -> Self {
         CostModel {
-            compute_efficiency: 1.0,
-            memory_efficiency: 1.0,
-            per_call_overhead_s: 8e-6,
-            network_bits_per_s: 25e9,
+            compute_efficiency,
+            memory_efficiency,
+            per_call_overhead_s: rpc.per_call_overhead.as_secs_f64(),
+            network_bits_per_s: rpc.effective_bandwidth * 8.0,
             network_latency_s: 250e-6,
             cache: Arc::default(),
         }
+    }
+
+    /// Pure roofline (no efficiency derating) over an ideal zero-copy
+    /// 25 GbE network — the §3.4 target datapath.
+    pub fn ideal_25g() -> Self {
+        Self::behind(RpcParams::rdma_zero_copy(), 1.0, 1.0)
     }
 
     /// Calibrated to the paper's measured stack: PyTorch kernels at
     /// realistic efficiency, TensorPipe RPC from Python (0.45 s/call,
     /// 1.4 GB/s = 11.2 Gbit/s). See `genie-bench::calibration` for the fit.
     pub fn paper_stack() -> Self {
-        CostModel {
-            compute_efficiency: 0.08,
-            memory_efficiency: 0.20,
-            per_call_overhead_s: 0.45,
-            network_bits_per_s: 1.4e9 * 8.0,
-            network_latency_s: 250e-6,
-            cache: Arc::default(),
-        }
+        Self::behind(RpcParams::tensorpipe_python(), 0.08, 0.20)
     }
 
     /// Per-tier derating of the roofline inputs: `(flops_scale,
@@ -244,6 +244,11 @@ mod tests {
         assert_eq!(m.streaming_time(3.125e9), 1.0);
         let t = m.transfer_time(3.125e9);
         assert_eq!(t, m.per_call_overhead_s + 1.0 + m.network_latency_s);
+        // The transports' nanoseconds read back as the literals they were.
+        assert_eq!((m.per_call_overhead_s, m.network_bits_per_s), (8e-6, 25e9));
+        let paper = CostModel::paper_stack();
+        let measured = (paper.per_call_overhead_s, paper.network_bits_per_s);
+        assert_eq!(measured, (0.45, 1.4e9 * 8.0));
     }
 
     #[test]
