@@ -1,6 +1,7 @@
-//! Property suite for the sharding planner (`genie_srg::shard`):
-//! random layered DAGs and transformer-shaped graphs, arbitrary
-//! `ShardSpec`s, three invariants.
+//! Properties of the sharding planner (`genie_srg::shard`) over random
+//! layered DAGs and arbitrary `ShardSpec`s, as seeded loops: a case is
+//! a function of its index alone, and a failing case prints the index
+//! that reproduces it. Three invariants.
 //!
 //! 1. **Cover exactly once** — `partition` assigns every node exactly
 //!    one in-range shard id.
@@ -10,13 +11,16 @@
 //! 3. **Round trip** — `recompose` restores the original graph
 //!    structure bit-for-bit.
 
+use genie_netsim::XorShift64;
 use genie_srg::shard::{
     cut_edges, insert_collectives, partition, recompose, same_structure, shard_subgraphs,
     ShardSpec, ATTR_TP_RANK,
 };
 use genie_srg::traverse::topo_order;
 use genie_srg::{ElemType, Node, NodeId, OpKind, Srg, TensorMeta};
-use proptest::prelude::*;
+
+/// Cases per property.
+const CASES: u64 = 64;
 
 fn meta(cols: usize) -> TensorMeta {
     TensorMeta::new([2, cols.max(1)], ElemType::F32)
@@ -60,91 +64,112 @@ fn layered_dag(layers: usize, width: usize, ranks: u32, edge_bits: u64) -> Srg {
     g
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// One case: a graph of 1..6 layers of 1..5 nodes and a spec of 1..5
+/// pipeline stages by 1..5 ranks. A panic while it is alive names the
+/// index.
+struct Case {
+    index: u64,
+    graph: Srg,
+    pp: u32,
+    tp: u32,
+}
 
-    #[test]
-    fn partition_covers_every_node_exactly_once(
-        layers in 1usize..6,
-        width in 1usize..5,
-        pp in 1u32..5,
-        tp in 1u32..5,
-        edge_bits in any::<u64>(),
-    ) {
-        let g = layered_dag(layers, width, tp, edge_bits);
-        let spec = ShardSpec::new(pp, tp);
-        let part = partition(&g, &spec);
-        prop_assert!(part.covers_exactly_once(&g));
+impl Case {
+    fn new(index: u64) -> Self {
+        // Odd multiplier: distinct indices give distinct, nonzero seeds.
+        let mut rng = XorShift64::new((index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut pick = |lo: u64, hi: u64| lo + rng.next_below(hi - lo);
+        let (layers, width) = (pick(1, 6) as usize, pick(1, 5) as usize);
+        let (pp, tp) = (pick(1, 5) as u32, pick(1, 5) as u32);
+        let graph = layered_dag(layers, width, tp, rng.next_u64());
+        Case {
+            index,
+            graph,
+            pp,
+            tp,
+        }
+    }
+}
+
+impl Drop for Case {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("failing case: {}", self.index);
+        }
+    }
+}
+
+#[test]
+fn partition_covers_every_node_exactly_once() {
+    for case in 0..CASES {
+        let case = Case::new(case);
+        let g = &case.graph;
+        let spec = ShardSpec::new(case.pp, case.tp);
+        let part = partition(g, &spec);
+        assert!(part.covers_exactly_once(g));
         // The per-shard node sets tile the graph: disjoint by
         // construction of a map, and their sizes sum to the total.
-        let total: usize = (0..spec.shards())
-            .map(|s| part.shard_nodes(s).len())
-            .sum();
-        prop_assert_eq!(total, g.node_count());
+        let total: usize = (0..spec.shards()).map(|s| part.shard_nodes(s).len()).sum();
+        assert_eq!(total, g.node_count());
         // Induced subgraphs agree with the assignment.
-        let subs = shard_subgraphs(&g, &part);
-        prop_assert_eq!(subs.len(), spec.shards() as usize);
+        let subs = shard_subgraphs(g, &part);
+        assert_eq!(subs.len(), spec.shards() as usize);
         let sub_total: usize = subs.iter().map(|(sg, _)| sg.node_count()).sum();
-        prop_assert_eq!(sub_total, g.node_count());
+        assert_eq!(sub_total, g.node_count());
     }
+}
 
-    #[test]
-    fn collectives_are_exactly_the_cut_edges(
-        layers in 1usize..6,
-        width in 1usize..5,
-        pp in 1u32..5,
-        tp in 1u32..5,
-        edge_bits in any::<u64>(),
-    ) {
-        let g = layered_dag(layers, width, tp, edge_bits);
-        let part = partition(&g, &ShardSpec::new(pp, tp));
-        let cuts = cut_edges(&g, &part);
-        let sh = insert_collectives(&g, &part);
+#[test]
+fn collectives_are_exactly_the_cut_edges() {
+    for case in 0..CASES {
+        let case = Case::new(case);
+        let g = &case.graph;
+        let part = partition(g, &ShardSpec::new(case.pp, case.tp));
+        let cuts = cut_edges(g, &part);
+        let sh = insert_collectives(g, &part);
         // One collective per cut edge, no extras, DAG preserved.
-        prop_assert_eq!(sh.collectives.len(), cuts.len());
-        prop_assert_eq!(sh.srg.node_count(), g.node_count() + cuts.len());
-        prop_assert_eq!(
+        assert_eq!(sh.collectives.len(), cuts.len());
+        assert_eq!(sh.srg.node_count(), g.node_count() + cuts.len());
+        assert_eq!(
             sh.srg.edge_count(),
             g.edge_count() + cuts.len(),
             "each cut edge becomes two hops"
         );
-        prop_assert!(topo_order(&sh.srg).is_ok());
+        assert!(topo_order(&sh.srg).is_ok());
         for (&cut, &coll) in &sh.collectives {
-            prop_assert!(cuts.contains(&cut));
+            assert!(cuts.contains(&cut));
             // The collective runs on the consuming shard and bridges
             // exactly the shards of the original endpoints.
             let hop_out = sh.srg.edges().find(|e| e.src == coll).unwrap();
-            prop_assert_eq!(sh.assignment[&coll], sh.assignment[&hop_out.dst]);
+            assert_eq!(sh.assignment[&coll], sh.assignment[&hop_out.dst]);
             let hop_in = sh.srg.in_edges(coll).next().unwrap();
-            prop_assert!(
+            assert!(
                 part.assignment[&hop_in.src] != sh.assignment[&coll],
                 "collective must bridge distinct shards"
             );
         }
         // Single-device spec: nothing to cut, nothing spliced.
-        if pp == 1 && tp == 1 {
-            prop_assert!(sh.collectives.is_empty());
+        if case.pp == 1 && case.tp == 1 {
+            assert!(sh.collectives.is_empty());
         }
     }
+}
 
-    #[test]
-    fn recompose_round_trips_bit_for_bit(
-        layers in 1usize..6,
-        width in 1usize..5,
-        pp in 1u32..5,
-        tp in 1u32..5,
-        edge_bits in any::<u64>(),
-    ) {
-        let g = layered_dag(layers, width, tp, edge_bits);
-        let part = partition(&g, &ShardSpec::new(pp, tp));
-        let sh = insert_collectives(&g, &part);
+#[test]
+fn recompose_round_trips_bit_for_bit() {
+    for case in 0..CASES {
+        let case = Case::new(case);
+        let g = &case.graph;
+        let spec = ShardSpec::new(case.pp, case.tp);
+        let part = partition(g, &spec);
+        let sh = insert_collectives(g, &part);
         let back = recompose(&sh);
-        prop_assert!(
-            same_structure(&g, &back),
+        assert!(
+            same_structure(g, &back),
             "recompose(insert_collectives(g)) != g"
         );
         // Idempotence through a second trip.
-        let part2 = partition(&back, &ShardSpec::new(pp, tp));
-        prop_assert_eq!(&part.assignment, &part2.assignment);
+        let part2 = partition(&back, &spec);
+        assert_eq!(part.assignment, part2.assignment);
     }
 }
