@@ -19,11 +19,12 @@
 //!   sequential [`generate`](genie_models::TransformerLm::generate)
 //!   oracle) or spec (GPT-J scale, roofline-priced batched steps via
 //!   [`genie_backend::sharded_step_time`]).
-//! - [`ServingReport`] — outcomes, the deterministic event log the
-//!   property suite replays, TTFT percentiles, and serving spans ready
-//!   for the Perfetto exporter. Telemetry is a projection of it: when
-//!   enabled, the `genie_serving_*` metrics and the spans are published
-//!   to the process-global sinks from the finished report.
+//! - [`ServingReport`] — what the engine writes: outcomes, the
+//!   deterministic event log the property suite replays, per-lane step
+//!   slices and counters. Everything else is a view of those: TTFT
+//!   percentiles, the causal trace, the spans for the Perfetto exporter,
+//!   and (when enabled) the `genie_serving_*` metrics published to the
+//!   process-global sinks from the finished report.
 //! - [`fleet::bind_tenant`] — admission through the global scheduler
 //!   (memory admission control included) to derive lanes and KV budget.
 

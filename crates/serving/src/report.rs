@@ -115,21 +115,24 @@ impl ServingReport {
             while let Some((i, left, from, to, bytes)) =
                 departures.next_if(|(_, left, ..)| left.at.0 <= slice.end_ns)
             {
-                let lands = |e: &&LogEvent| {
-                    let kinds = [EventKind::MigrateDone { to }, EventKind::MigrateFail { to }];
-                    e.request == left.request && kinds.contains(&e.kind)
-                };
-                let Some(landed) = self.events[i..].iter().find(lands) else {
+                let mut later = self.events[i..]
+                    .iter()
+                    .filter(|e| e.request == left.request);
+                let landing = later.find_map(|e| match e.kind {
+                    EventKind::MigrateDone { .. } => Some((e.at, "delivered")),
+                    EventKind::MigrateFail { .. } => Some((e.at, "lost")),
+                    _ => None,
+                });
+                let Some((landed, outcome)) = landing else {
                     continue;
                 };
-                let intact = matches!(landed.kind, EventKind::MigrateDone { .. });
                 let attrs = SemAttrs::new()
                     .request(left.request)
                     .with("from_lane", from.to_string())
                     .with("to_lane", to.to_string())
                     .with("bytes", bytes.to_string())
-                    .with("outcome", if intact { "delivered" } else { "lost" });
-                let (track, dur) = (Track::Device(to), landed.at.saturating_sub(left.at).0);
+                    .with("outcome", outcome);
+                let (track, dur) = (Track::Device(to), landed.saturating_sub(left.at).0);
                 push_span(&mut spans, "kv.migrate", track, left.at.0, dur, attrs);
             }
             let attrs = SemAttrs::new()
@@ -137,15 +140,9 @@ impl ServingReport {
                 .device(slice.lane)
                 .with("members", slice.members.len().to_string())
                 .with("step", slice.step.to_string());
-            let (track, start) = (Track::Device(slice.lane), slice.start_ns);
-            push_span(
-                &mut spans,
-                "serving.step",
-                track,
-                start,
-                slice.end_ns - start,
-                attrs,
-            );
+            let (start, dur) = (slice.start_ns, slice.end_ns - slice.start_ns);
+            let track = Track::Device(slice.lane);
+            push_span(&mut spans, "serving.step", track, start, dur, attrs);
         }
         let mut last_causal: BTreeMap<u64, u64> = BTreeMap::new();
         for ev in &self.events {
