@@ -421,8 +421,7 @@ mod tests {
     /// A hand-written log: requests 1 and 2 prefill on lane 1 while lane 0
     /// decodes, both prefixes leave at the first barrier — one lands, one
     /// is lost — and request 3 is shed on arrival.
-    #[test]
-    fn spans_are_the_log_and_the_slices_seen_as_a_trace() {
+    fn hand_written() -> ServingReport {
         let event = |at: u64, request: u64, kind: EventKind| LogEvent {
             at: Nanos(at),
             request,
@@ -432,20 +431,15 @@ mod tests {
         let slice = |lane: u32, step: u64, start_ns: u64, end_ns: u64, ids: &[u64]| {
             let phase = MemberPhase::Prefill;
             let members = ids.iter().map(|&request| StepMember { request, phase });
-            StepSlice::from_secs(
-                lane,
-                step,
-                start_ns,
-                end_ns,
-                0.0,
-                0.0,
-                0.0,
-                0.0,
-                members.collect(),
-            )
+            let members = members.collect();
+            StepSlice::from_secs(lane, step, start_ns, end_ns, 0.0, 0.0, 0.0, 0.0, members)
         };
-        let (from, to) = (1, 0);
-        let report = ServingReport {
+        let departs = |bytes: u64| EventKind::MigrateStart {
+            from: 1,
+            to: 0,
+            bytes,
+        };
+        ServingReport {
             events: vec![
                 event(0, 1, EventKind::Arrive),
                 event(0, 2, EventKind::Arrive),
@@ -453,28 +447,12 @@ mod tests {
                 event(0, 2, EventKind::Admit { lane: 1 }),
                 event(100, 1, EventKind::Token { value: 7 }),
                 event(100, 2, EventKind::Token { value: 8 }),
-                event(
-                    100,
-                    1,
-                    EventKind::MigrateStart {
-                        from,
-                        to,
-                        bytes: 64,
-                    },
-                ),
-                event(
-                    100,
-                    2,
-                    EventKind::MigrateStart {
-                        from,
-                        to,
-                        bytes: 32,
-                    },
-                ),
+                event(100, 1, departs(64)),
+                event(100, 2, departs(32)),
                 event(120, 3, EventKind::Arrive),
                 event(120, 3, EventKind::Shed(ShedReason::QueueFull)),
-                event(140, 2, EventKind::MigrateFail { to }),
-                event(180, 1, EventKind::MigrateDone { to }),
+                event(140, 2, EventKind::MigrateFail { to: 0 }),
+                event(180, 1, EventKind::MigrateDone { to: 0 }),
             ],
             slices: vec![
                 slice(0, 0, 0, 100, &[9]),
@@ -483,17 +461,21 @@ mod tests {
                 slice(1, 1, 100, 250, &[]),
             ],
             ..ServingReport::default()
-        };
-        let spans = report.spans();
-        for (i, s) in spans.iter().enumerate() {
-            assert_eq!(
-                (s.id, s.seq, s.parent, s.thread),
-                (i as u64 + 1, s.id, None, 1)
-            );
         }
+    }
 
-        // Step 0: the two prefixes that left at its barrier, then its
-        // slices by lane; step 1: its slices.
+    fn pairs(kv: &[(&str, &str)]) -> Vec<(String, String)> {
+        kv.iter().map(|&(k, v)| (k.into(), v.into())).collect()
+    }
+
+    #[test]
+    fn a_step_is_its_departures_then_its_slices_by_lane() {
+        let spans = hand_written().spans();
+        assert_eq!(spans.len(), 16);
+        for (i, s) in spans.iter().enumerate() {
+            let id = i as u64 + 1;
+            assert_eq!((s.id, s.seq, s.parent, s.thread), (id, id, None, 1));
+        }
         let serving: Vec<_> = spans.iter().filter(|s| s.category == "serving").collect();
         let shown: Vec<_> = serving
             .iter()
@@ -509,45 +491,38 @@ mod tests {
         ];
         assert_eq!(shown, expected);
         assert!(serving.iter().all(|s| s.kind == SpanKind::Span));
-        let extra = |s: &SpanRecord| -> Vec<(String, String)> { s.attrs.extra.clone() };
-        let pairs = |kv: &[(&str, &str)]| -> Vec<(String, String)> {
-            kv.iter().map(|&(k, v)| (k.into(), v.into())).collect()
-        };
+        let delivered = [
+            ("from_lane", "1"),
+            ("to_lane", "0"),
+            ("bytes", "64"),
+            ("outcome", "delivered"),
+        ];
         assert_eq!(serving[0].attrs.request, Some(1));
-        assert_eq!(
-            extra(serving[0]),
-            pairs(&[
-                ("from_lane", "1"),
-                ("to_lane", "0"),
-                ("bytes", "64"),
-                ("outcome", "delivered")
-            ])
-        );
+        assert_eq!(serving[0].attrs.extra, pairs(&delivered));
+        let lost = [
+            ("from_lane", "1"),
+            ("to_lane", "0"),
+            ("bytes", "32"),
+            ("outcome", "lost"),
+        ];
         assert_eq!(serving[1].attrs.request, Some(2));
-        assert_eq!(
-            extra(serving[1]),
-            pairs(&[
-                ("from_lane", "1"),
-                ("to_lane", "0"),
-                ("bytes", "32"),
-                ("outcome", "lost")
-            ])
-        );
+        assert_eq!(serving[1].attrs.extra, pairs(&lost));
         let step = &serving[3].attrs;
         assert_eq!(step.phase.as_deref(), Some("llm_decode"));
         assert_eq!(step.device, Some(1));
         assert_eq!(step.extra, pairs(&[("members", "2"), ("step", "0")]));
+    }
 
-        // Then one instant per lifecycle event (tokens elided), each
-        // pointing at the same request's previous one.
+    #[test]
+    fn lifecycle_instants_come_last_and_chain_by_request() {
+        let spans = hand_written().spans();
         let causal: Vec<_> = spans
             .iter()
             .filter(|s| s.category == "causal")
             .map(|s| {
-                assert_eq!(
-                    (s.kind, s.track, s.dur_ns),
-                    (SpanKind::Instant, Track::Runtime, 0)
-                );
+                let timing = (s.kind, s.track, s.dur_ns);
+                assert_eq!(timing, (SpanKind::Instant, Track::Runtime, 0));
+                assert!(s.attrs.extra.is_empty());
                 let a = &s.attrs;
                 (
                     s.id,
@@ -559,6 +534,7 @@ mod tests {
                 )
             })
             .collect();
+        // Tokens are elided; an admit names its lane.
         let expected = [
             (7, "request.arrive", 0, Some(1), None, None),
             (8, "request.arrive", 0, Some(2), None, None),
@@ -572,6 +548,5 @@ mod tests {
             (16, "request.migrate_done", 180, Some(1), None, Some(11)),
         ];
         assert_eq!(causal, expected);
-        assert_eq!(spans.len(), 16);
     }
 }
