@@ -102,7 +102,7 @@ pub struct CostModel {
 impl CostModel {
     /// Kernels at the given efficiencies behind the transport `rpc` (its
     /// per-call cost and goodput) on the testbed's 250 µs link.
-    fn behind(rpc: RpcParams, compute_efficiency: f64, memory_efficiency: f64) -> Self {
+    fn behind(rpc: &RpcParams, compute_efficiency: f64, memory_efficiency: f64) -> Self {
         CostModel {
             compute_efficiency,
             memory_efficiency,
@@ -116,14 +116,14 @@ impl CostModel {
     /// Pure roofline (no efficiency derating) over an ideal zero-copy
     /// 25 GbE network — the §3.4 target datapath.
     pub fn ideal_25g() -> Self {
-        Self::behind(RpcParams::rdma_zero_copy(), 1.0, 1.0)
+        Self::behind(&RpcParams::rdma_zero_copy(), 1.0, 1.0)
     }
 
     /// Calibrated to the paper's measured stack: PyTorch kernels at
     /// realistic efficiency, TensorPipe RPC from Python (0.45 s/call,
     /// 1.4 GB/s = 11.2 Gbit/s). See `genie-bench::calibration` for the fit.
     pub fn paper_stack() -> Self {
-        Self::behind(RpcParams::tensorpipe_python(), 0.08, 0.20)
+        Self::behind(&RpcParams::tensorpipe_python(), 0.08, 0.20)
     }
 
     /// Per-tier derating of the roofline inputs: `(flops_scale,
