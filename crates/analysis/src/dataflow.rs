@@ -23,7 +23,7 @@
 //!
 //! For a monotone transfer function over a finite-height lattice the
 //! solver terminates at the unique least fixpoint regardless of visit
-//! order; the proptests in `tests/fixpoint_props.rs` pin termination,
+//! order; the seeded loops in `tests/fixpoint_props.rs` pin termination,
 //! monotone convergence, and agreement with brute-force recomputation.
 
 use genie_srg::traverse::{topo_order, CycleError};

@@ -391,21 +391,9 @@ impl LintConfig {
         self
     }
 
-    /// Override a code to an arbitrary severity.
-    pub fn with_severity(mut self, code: LintCode, severity: Severity) -> Self {
-        self.overrides.insert(code.code().to_string(), severity);
-        self
-    }
-
     /// Drop every diagnostic of a pass family (`GA0xx`..`GA3xx`).
     pub fn disable_family(mut self, family: LintFamily) -> Self {
         self.disabled_families.insert(family.key().to_string());
-        self
-    }
-
-    /// Re-enable a previously disabled pass family.
-    pub fn enable_family(mut self, family: LintFamily) -> Self {
-        self.disabled_families.remove(family.key());
         self
     }
 
@@ -717,9 +705,6 @@ mod tests {
             "hidden".into(),
         );
         assert!(r.is_empty(), "disabled family is dropped");
-
-        let cfg = cfg.enable_family(LintFamily::Schedule);
-        assert!(!cfg.is_allowed(LintCode::TransferOrderHazard));
     }
 
     #[test]

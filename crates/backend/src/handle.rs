@@ -50,11 +50,6 @@ impl HandleTable {
         self.live.get(name).copied()
     }
 
-    /// Remove a binding.
-    pub fn unbind(&mut self, name: &str) -> Option<RemoteHandle> {
-        self.live.remove(name)
-    }
-
     /// Invalidate every handle (device lost): clears the table and
     /// returns what was lost, for lineage recovery to replay.
     pub fn invalidate_all(&mut self) -> Vec<(String, RemoteHandle)> {
@@ -72,11 +67,6 @@ impl HandleTable {
     pub fn is_empty(&self) -> bool {
         self.live.is_empty()
     }
-
-    /// Total bytes pinned remotely.
-    pub fn pinned_bytes(&self) -> u64 {
-        self.live.values().map(|h| h.bytes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +82,7 @@ mod tests {
     }
 
     #[test]
-    fn bind_lookup_unbind() {
+    fn bind_and_lookup() {
         let mut t = HandleTable::new();
         let h = RemoteHandle {
             key: 5,
@@ -101,9 +91,7 @@ mod tests {
         };
         t.bind("wte", h);
         assert_eq!(t.get("wte"), Some(h));
-        assert_eq!(t.pinned_bytes(), 100);
-        assert_eq!(t.unbind("wte"), Some(h));
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -420,18 +420,6 @@ impl RemoteSession {
         Ok(self.handles.invalidate_all())
     }
 
-    /// Measure one real round-trip time over the socket with a ping —
-    /// the live signal §3.3's "runtime hint adaptation" consumes.
-    pub fn probe_rtt(&mut self) -> genie_transport::Result<std::time::Duration> {
-        let start = std::time::Instant::now();
-        match self.call(RequestBody::Ping)? {
-            ResponseBody::Pong => Ok(start.elapsed()),
-            other => Err(TransportError::Codec(format!(
-                "unexpected ping response {other:?}"
-            ))),
-        }
-    }
-
     /// Total bytes over the socket in both directions.
     pub fn traffic_bytes(&self) -> u64 {
         self.client.total_bytes()

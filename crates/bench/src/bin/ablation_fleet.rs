@@ -1,37 +1,129 @@
 //! Ablation: static per-tenant allocation vs a disaggregated pool — the
-//! paper's motivating utilization argument (§1) made quantitative.
+//! paper's motivating utilization argument (§1) made quantitative on the
+//! serving engine.
 //!
-//! Run with: `cargo run -p genie-bench --bin ablation_fleet`
+//! One seeded trace of 8 tenants' GPT-J requests is served twice: by
+//! eight one-lane [`ServingLoop`]s, each fed its own tenant's requests
+//! (a GPU per tenant), and by one loop whose lanes every tenant shares.
+//! `RATE_PER_S` is chosen so a dedicated device is busy about a fifth of
+//! the time: a request decodes ~64 tokens at ~6.5 ms each (~0.42 s of
+//! device time), and each tenant sends one every ~2.1 s.
+//!
+//! The run asserts the three §1 claims: a static fleet idles more than
+//! 55 % of the time; a pool of three devices serves the same requests at
+//! more than twice the utilization and a bounded p95 latency; a smaller
+//! pool trades latency for utilization.
+//!
+//! Run with: `cargo run --release -p genie-bench --bin ablation_fleet`
 
-use genie_bench::fleet::{simulate_pooled, simulate_static, TenantLoad};
 use genie_bench::report::render_table;
+use genie_models::TransformerConfig;
+use genie_netsim::Nanos;
+use genie_serving::{
+    percentile, ArrivalConfig, Outcome, ServingConfig, ServingLoop, ServingModel, ServingReport,
+    ServingRequest,
+};
+
+const TENANTS: u64 = 8;
+/// Offered load of the whole fleet, requests per second.
+const RATE_PER_S: f64 = 3.8;
+
+/// What one allocation did with the trace.
+struct Row {
+    devices: u32,
+    completed: usize,
+    utilization: f64,
+    mean_latency_s: f64,
+    p95_latency_s: f64,
+}
+
+/// Serve `requests` on one loop of `lanes` devices.
+fn serve(requests: &[ServingRequest], lanes: u32) -> ServingReport {
+    let config = ServingConfig {
+        lanes,
+        record_telemetry: false,
+        ..ServingConfig::paper_testbed()
+    };
+    ServingLoop::new(ServingModel::Spec(TransformerConfig::gptj_6b()), config).run(requests)
+}
+
+/// Fold the reports of one allocation (`devices` in total) into a row:
+/// utilization is compute time over device time up to the last makespan,
+/// latency is arrival to last token over the completed requests.
+fn row(devices: u32, requests: &[ServingRequest], reports: &[ServingReport]) -> Row {
+    let makespan = reports.iter().map(|r| r.makespan).max().expect("a report");
+    let compute_ns: u64 = reports
+        .iter()
+        .flat_map(|r| &r.slices)
+        .map(|s| s.compute_ns)
+        .sum();
+    let mut latencies: Vec<f64> = requests
+        .iter()
+        .filter_map(|req| {
+            reports.iter().find_map(|r| match r.outcomes.get(&req.id) {
+                Some(Outcome::Completed { finished, .. }) => {
+                    Some((*finished - req.arrival).as_secs_f64())
+                }
+                _ => None,
+            })
+        })
+        .collect();
+    latencies.sort_by(f64::total_cmp);
+    Row {
+        devices,
+        completed: latencies.len(),
+        utilization: compute_ns as f64 / (devices as f64 * makespan.0 as f64),
+        mean_latency_s: latencies.iter().sum::<f64>() / latencies.len().max(1) as f64,
+        p95_latency_s: percentile(&latencies, 0.95),
+    }
+}
 
 fn main() {
-    let tenants: Vec<TenantLoad> = (0..8).map(|_| TenantLoad::chatbot(9.0)).collect();
-    let horizon = 3600.0;
-    let seed = 2026;
+    let requests = ArrivalConfig {
+        seed: 2026,
+        rate_per_s: RATE_PER_S,
+        horizon: Nanos::from_secs_f64(900.0),
+        prompt_len: (16, 48),
+        decode_tokens: (32, 96),
+        vocab: TransformerConfig::gptj_6b().vocab,
+        tenants: TENANTS,
+    }
+    .generate();
+
+    let dedicated: Vec<ServingReport> = (0..TENANTS)
+        .map(|tenant| {
+            let own: Vec<ServingRequest> = requests
+                .iter()
+                .filter(|r| r.tenant == tenant)
+                .cloned()
+                .collect();
+            serve(&own, 1)
+        })
+        .collect();
+    let stat = row(TENANTS as u32, &requests, &dedicated);
+    let pools: Vec<Row> = [6u32, 4, 3, 2]
+        .iter()
+        .map(|&lanes| row(lanes, &requests, &[serve(&requests, lanes)]))
+        .collect();
 
     println!(
-        "Ablation — fleet utilization: 8 bursty tenants (GPT-J requests, ~20% duty cycle each)\n"
+        "Ablation — fleet utilization: {TENANTS} bursty tenants, {} GPT-J requests \
+         at {RATE_PER_S} req/s (~20% duty cycle each)\n",
+        requests.len()
     );
-
-    let stat = simulate_static(&tenants, horizon, seed);
-    let mut rows = vec![vec![
-        "static (1 GPU/tenant)".to_string(),
-        stat.devices.to_string(),
-        format!("{:.0}%", stat.mean_utilization * 100.0),
-        format!("{:.2}", stat.mean_latency_s),
-        format!("{:.2}", stat.p95_latency_s),
-    ]];
-    for pool in [6usize, 4, 3, 2] {
-        let r = simulate_pooled(&tenants, pool, horizon, seed);
-        rows.push(vec![
-            format!("disaggregated pool of {pool}"),
-            pool.to_string(),
-            format!("{:.0}%", r.mean_utilization * 100.0),
-            format!("{:.2}", r.mean_latency_s),
-            format!("{:.2}", r.p95_latency_s),
-        ]);
+    let cells = |name: String, r: &Row| {
+        vec![
+            name,
+            r.devices.to_string(),
+            r.completed.to_string(),
+            format!("{:.0}%", r.utilization * 100.0),
+            format!("{:.3}", r.mean_latency_s),
+            format!("{:.3}", r.p95_latency_s),
+        ]
+    };
+    let mut rows = vec![cells("static (1 GPU/tenant)".into(), &stat)];
+    for r in &pools {
+        rows.push(cells(format!("disaggregated pool of {}", r.devices), r));
     }
     println!(
         "{}",
@@ -39,6 +131,7 @@ fn main() {
             &[
                 "Configuration",
                 "GPUs",
+                "Completed",
                 "Mean util",
                 "Mean lat [s]",
                 "p95 lat [s]"
@@ -46,6 +139,31 @@ fn main() {
             &rows
         )
     );
+
+    let (roomy, three, tight) = (&pools[0], &pools[2], &pools[3]);
+    assert!(
+        stat.utilization < 0.45,
+        "a static fleet idles more than 55%: util {}",
+        stat.utilization
+    );
+    assert_eq!(stat.completed, three.completed, "same offered load");
+    assert!(
+        three.utilization > 2.0 * stat.utilization,
+        "pool of 3 at {} vs static {}",
+        three.utilization,
+        stat.utilization
+    );
+    assert!(
+        three.p95_latency_s < 4.0 * stat.p95_latency_s,
+        "the latency cost of sharing stays bounded: {} vs {}",
+        three.p95_latency_s,
+        stat.p95_latency_s
+    );
+    assert!(
+        tight.mean_latency_s > roomy.mean_latency_s && tight.utilization > roomy.utilization,
+        "a smaller pool trades latency for utilization"
+    );
+
     println!("the static fleet reproduces the paper's \"55–60% idleness\" (§1); a");
     println!("semantics-aware pool serves the same load on ~a third of the devices");
     println!("at bounded latency cost — the capacity disaggregation reclaims.");

@@ -19,7 +19,6 @@
 
 pub mod calibration;
 pub mod characterize;
-pub mod fleet;
 pub mod modes;
 pub mod report;
 pub mod stack_levels;

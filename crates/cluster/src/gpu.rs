@@ -101,12 +101,6 @@ impl GpuSpec {
     pub fn kernel_time(&self, flops: f64, bytes: f64) -> f64 {
         self.roofline(flops, bytes, 1.0, 1.0)
     }
-
-    /// The operational intensity (FLOP/byte) at which this device flips
-    /// from memory-bound to compute-bound.
-    pub fn ridge_point(&self) -> f64 {
-        self.peak_flops / self.mem_bandwidth
-    }
 }
 
 /// One gibibyte.
@@ -120,7 +114,6 @@ mod tests {
     fn a100_matches_datasheet() {
         let g = GpuSpec::a100_80gb();
         assert_eq!(g.mem_capacity, 80 * GIB);
-        assert!((g.ridge_point() - 156.0).abs() < 1.0);
     }
 
     #[test]

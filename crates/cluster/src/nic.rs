@@ -24,15 +24,6 @@ impl NicSpec {
         }
     }
 
-    /// RDMA-capable 25 GbE NIC.
-    pub fn rnic_25g() -> Self {
-        NicSpec {
-            name: "CX-6 25GbE".into(),
-            rdma: true,
-            gpudirect: true,
-        }
-    }
-
     /// RDMA-capable 100 GbE NIC with GPUDirect — the disaggregated-server
     /// NIC.
     pub fn rnic_100g() -> Self {
@@ -41,24 +32,5 @@ impl NicSpec {
             rdma: true,
             gpudirect: true,
         }
-    }
-
-    /// Whether a flow between `self` and `peer` can use a zero-copy RDMA
-    /// path end to end.
-    pub fn zero_copy_with(&self, peer: &NicSpec) -> bool {
-        self.rdma && peer.rdma
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn zero_copy_requires_both_ends() {
-        let client = NicSpec::commodity_25g();
-        let server = NicSpec::rnic_100g();
-        assert!(!client.zero_copy_with(&server));
-        assert!(NicSpec::rnic_25g().zero_copy_with(&server));
     }
 }

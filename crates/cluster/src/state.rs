@@ -146,23 +146,6 @@ impl ClusterState {
         self.residents.get(&key)
     }
 
-    /// Grow a resident object (KV-cache append), charging the delta.
-    pub fn grow_resident(
-        &mut self,
-        topo: &Topology,
-        key: u64,
-        delta: u64,
-    ) -> Result<(), StateError> {
-        let dev = self
-            .residents
-            .get(&key)
-            .ok_or(StateError::UnknownObject { key })?
-            .device;
-        self.alloc(topo, dev, delta)?;
-        self.residents.get_mut(&key).expect("checked above").bytes += delta;
-        Ok(())
-    }
-
     /// Evict a resident object, releasing its memory. Returns the object.
     pub fn evict_resident(&mut self, key: u64) -> Result<ResidentObject, StateError> {
         let obj = self
@@ -184,14 +167,6 @@ impl ClusterState {
             .collect();
         keys.into_iter()
             .filter_map(|k| self.evict_resident(k).ok())
-            .collect()
-    }
-
-    /// All resident objects on a device.
-    pub fn residents_on(&self, dev: DevId) -> Vec<&ResidentObject> {
-        self.residents
-            .values()
-            .filter(|o| o.device == dev)
             .collect()
     }
 
@@ -300,24 +275,20 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.resident(7).unwrap().bytes, 500);
-        s.grow_resident(&t, 7, 100).unwrap();
-        assert_eq!(s.resident(7).unwrap().bytes, 600);
-        assert_eq!(s.mem_used(d), 600);
+        assert_eq!(s.mem_used(d), 500);
         let evicted = s.evict_resident(7).unwrap();
-        assert_eq!(evicted.bytes, 600);
+        assert_eq!(evicted.bytes, 500);
         assert_eq!(s.mem_used(d), 0);
         assert!(s.resident(7).is_none());
     }
 
     #[test]
     fn unknown_object_errors() {
-        let (t, _) = topo();
         let mut s = ClusterState::new();
         assert!(matches!(
-            s.grow_resident(&t, 99, 1),
+            s.evict_resident(99),
             Err(StateError::UnknownObject { key: 99 })
         ));
-        assert!(s.evict_resident(99).is_err());
     }
 
     #[test]
@@ -339,7 +310,6 @@ mod tests {
         let evicted = s.evict_device(d);
         assert_eq!(evicted.len(), 3);
         assert_eq!(s.mem_used(d), 0);
-        assert!(s.residents_on(d).is_empty());
     }
 
     #[test]

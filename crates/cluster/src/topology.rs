@@ -159,12 +159,6 @@ impl Topology {
         self.link_index.get(&key(a, b)).map(|&i| &self.links[i])
     }
 
-    /// Whether two devices are in the same host (transfers stay on PCIe /
-    /// NVLink and are modeled as free relative to network costs).
-    pub fn same_host(&self, a: DevId, b: DevId) -> bool {
-        self.device(a).host == self.device(b).host
-    }
-
     /// The host where application (client) code runs is conventionally the
     /// first host added.
     pub fn client_host(&self) -> HostId {
@@ -269,18 +263,6 @@ mod tests {
         // Server-to-server links are fatter.
         let ss = t.link_between(HostId(1), HostId(2)).unwrap();
         assert_eq!(ss.bandwidth_bps, 100e9);
-    }
-
-    #[test]
-    fn same_host_detection() {
-        let mut t = Topology::new();
-        let h = t.add_host("dual-gpu", NicSpec::rnic_100g());
-        let a = t.add_device(h, GpuSpec::a100_80gb());
-        let b = t.add_device(h, GpuSpec::a100_80gb());
-        let h2 = t.add_host("other", NicSpec::rnic_100g());
-        let c = t.add_device(h2, GpuSpec::a100_80gb());
-        assert!(t.same_host(a, b));
-        assert!(!t.same_host(a, c));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! node-level ones. After `finalize`, the SRG satisfies the full §3.1
 //! contract and is ready for a scheduler.
 
-use genie_srg::{Phase, Rate, Residency, Srg};
+use genie_srg::{Phase, Rate, Srg};
 
 /// Explicitly tag every node under `module_prefix` with a phase — the
 /// `genie.annotate_phase(self.decoder, "decode")` hook from the paper.
@@ -28,50 +28,20 @@ pub fn annotate_phase(srg: &mut Srg, module_prefix: &str, phase: Phase) -> usize
     count
 }
 
-/// Explicitly set residency for nodes whose *name* matches (developer hook
-/// for opaque custom state).
-pub fn annotate_residency(srg: &mut Srg, name: &str, residency: Residency) -> usize {
-    let mut count = 0;
-    for node in srg.nodes_mut() {
-        if node.name == name {
-            node.residency = residency;
-            count += 1;
-        }
-    }
-    count
-}
-
 /// Finalization pass:
 ///
-/// 1. derives producer→consumer [`Rate`]s on every edge (volume-reducing
-///    consumers like `Sample` get their true consumed bytes, enabling the
-///    bandwidth-reservation decisions of §3.1);
+/// 1. stamps the producer→consumer [`Rate`] of every edge with its
+///    payload's size (the bandwidth-reservation input of §3.1);
 /// 2. marks critical-path edges via the SRG's cost hints.
 ///
 /// `bytes_per_flop` prices data movement against compute when ranking
 /// paths; the scheduler derives it from the active link and device specs.
 pub fn finalize(srg: &mut Srg, bytes_per_flop: f64) {
-    // Rates: each edge carries the producer's payload; consumers that
-    // reduce volume (Sample collapses logits to one token id) are priced
-    // at their true output size.
     let edge_ids: Vec<genie_srg::EdgeId> = srg.edges().map(|e| e.id).collect();
     for id in edge_ids {
-        let (bytes, dst) = {
-            let e = srg.edge(id);
-            (e.meta.size_bytes() as f64, e.dst)
-        };
-        let consumed = match srg.node(dst).op {
-            genie_srg::OpKind::Sample => bytes, // sample reads all logits
-            _ => bytes,
-        };
-        srg.edge_mut(id).rate = Rate {
-            produced_bytes: bytes,
-            consumed_bytes: consumed,
-        };
+        let bytes = srg.edge(id).meta.size_bytes() as f64;
+        srg.edge_mut(id).rate = Rate::passthrough(bytes);
     }
-    // Output edges of Sample nodes carry 8 bytes — already reflected in
-    // their metas; nothing to shrink there.
-
     let _ = genie_srg::critical_path::mark_criticality(srg, bytes_per_flop);
 }
 
@@ -111,16 +81,6 @@ mod tests {
             Phase::Unknown,
             "'decoder' must not match prefix 'dec'"
         );
-    }
-
-    #[test]
-    fn residency_hook_by_name() {
-        let ctx = CaptureCtx::new("g");
-        let x = ctx.input("scratch_state", [2, 2], ElemType::F32, None);
-        x.relu().mark_output();
-        let mut srg = ctx.finish().srg;
-        let n = annotate_residency(&mut srg, "scratch_state", Residency::StatefulKvCache);
-        assert_eq!(n, 1);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! multi-device tensor/pipeline parallelism.
 //!
 //! [`execute_sharded`] runs a capture whose nodes carry a shard
-//! assignment (from capture-time sharding or
-//! [`genie_srg::shard::partition`]) exactly like the sequential
+//! assignment (from capture-time sharding) exactly like the sequential
 //! reference interpreter — same kernels, same topological order, so
 //! values are bit-identical to [`crate::interp::execute_sequential`] by
 //! construction — while attributing every node to its shard and

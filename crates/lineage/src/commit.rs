@@ -85,11 +85,6 @@ impl<T: Clone> CommitLog<T> {
     pub fn committed(&self) -> &[T] {
         &self.committed
     }
-
-    /// Number of staged-but-uncommitted outputs.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +145,6 @@ mod tests {
         log.commit();
         log.stage(out(2, 20));
         assert_eq!(log.abort(), 1);
-        assert_eq!(log.pending_len(), 0);
         assert_eq!(log.committed(), &[10]);
         // The aborted scope may be staged again by the replay.
         assert!(log.stage(out(2, 21)));

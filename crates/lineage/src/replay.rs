@@ -135,19 +135,6 @@ impl LineageLog {
     }
 }
 
-/// Resolve the replay inputs of recipe `idx`: names that must already be
-/// rebuilt (or survive) before it runs.
-pub fn recipe_dependencies(log: &LineageLog, idx: usize) -> Vec<String> {
-    let mut deps: Vec<String> = log.recipes()[idx]
-        .handle_inputs
-        .iter()
-        .map(|(_, n)| n.clone())
-        .collect();
-    deps.sort();
-    deps.dedup();
-    deps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,14 +214,5 @@ mod tests {
         let log = LineageLog::new();
         assert!(log.replay_set(&["x".into()], &BTreeSet::new()).is_empty());
         assert_eq!(log.replay_savings(&[]), 0.0);
-    }
-
-    #[test]
-    fn dependencies_are_sorted_and_deduped() {
-        let log = chain_log();
-        assert_eq!(
-            recipe_dependencies(&log, 2),
-            vec!["kv0".to_string(), "weights".to_string()]
-        );
     }
 }

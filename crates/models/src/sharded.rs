@@ -466,30 +466,6 @@ impl ShardedTransformerLm {
         }
         (tokens, total)
     }
-
-    /// Spec-only sharded capture of one decode step at `cached` context
-    /// length — the simulation plane's unit of sharded work.
-    pub fn capture_decode_spec(
-        &self,
-        cached: usize,
-    ) -> (genie_frontend::CapturedGraph, BTreeMap<NodeId, u32>) {
-        let kv = spec_kv(self.model.config.layers, cached, self.model.config.d_model);
-        let ctx = CaptureCtx::new(format!("decode.{}", self.spec.label()));
-        let sc = self.capture_decode_step(&ctx, 0, &kv);
-        sc.cap.logits.mark_output();
-        (ctx.finish(), sc.shard_of)
-    }
-}
-
-/// Spec-plane KV state: shape-only caches of length `cached`.
-fn spec_kv(layers: usize, cached: usize, d: usize) -> KvState {
-    if cached == 0 {
-        return KvState::default();
-    }
-    KvState {
-        k: (0..layers).map(|_| Tensor::zeros([cached, d])).collect(),
-        v: (0..layers).map(|_| Tensor::zeros([cached, d])).collect(),
-    }
 }
 
 #[cfg(test)]
@@ -527,7 +503,10 @@ mod tests {
     fn sharded_capture_contains_collective_nodes() {
         let m = tiny();
         let sharded = ShardedTransformerLm::new(m, ShardSpec::new(2, 2));
-        let (captured, shard_of) = sharded.capture_decode_spec(8);
+        let ctx = CaptureCtx::new("decode.pp2xtp2");
+        let sc = sharded.capture_decode_step(&ctx, 0, &KvState::default());
+        sc.cap.logits.mark_output();
+        let (captured, shard_of) = (ctx.finish(), sc.shard_of);
         let gathers = captured
             .srg
             .nodes()

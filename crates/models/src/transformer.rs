@@ -433,11 +433,6 @@ mod tests {
             .filter(|n| n.op == OpKind::Attention)
             .count();
         assert_eq!(attn, 28);
-        // Weight bytes visible from the graph ≈ config accounting.
-        let graph_bytes = captured.srg.parameter_bytes();
-        let cfg_bytes = m.config.weight_bytes() as f64;
-        let ratio = graph_bytes / cfg_bytes;
-        assert!((0.95..1.05).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]

@@ -15,17 +15,6 @@ use crate::trace::TraceEvent;
 use genie_cluster::{ClusterState, HostId, Topology};
 use std::collections::BTreeMap;
 
-/// Health of one link at a point in simulated time.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LinkStatus {
-    /// Full bandwidth, no injected degradation.
-    Up,
-    /// Degraded: effective bandwidth multiplied by the carried factor.
-    Degraded(f64),
-    /// Inside an outage or partition window: no traffic moves.
-    Down,
-}
-
 /// Simulated fabric: per-host-pair RPC channels with shared parameters.
 #[derive(Clone, Debug)]
 pub struct Fabric {
@@ -124,31 +113,6 @@ impl Fabric {
         self.channels.values().map(|c| c.link.faults_hit).sum()
     }
 
-    /// Health of the link between two hosts at `now`. `Down` while inside
-    /// an outage or partition window, `Degraded` under a bandwidth
-    /// derate, `Up` otherwise (including when no link exists — callers
-    /// panic on missing links elsewhere).
-    pub fn link_status(&self, a: HostId, b: HostId, now: Nanos) -> LinkStatus {
-        let Some(plan) = &self.fault_plan else {
-            return LinkStatus::Up;
-        };
-        if plan.is_severed(a.0, b.0, now) {
-            return LinkStatus::Down;
-        }
-        let derate: f64 = plan
-            .faults_for(a.0, b.0)
-            .filter_map(|s| match s {
-                FaultSpec::Derate { factor, .. } => Some(factor.clamp(f64::MIN_POSITIVE, 1.0)),
-                _ => None,
-            })
-            .product();
-        if derate < 1.0 {
-            LinkStatus::Degraded(derate)
-        } else {
-            LinkStatus::Up
-        }
-    }
-
     /// The channel between two hosts. Panics if the topology has no link
     /// between them (schedulers must only bind reachable placements).
     pub fn channel(&mut self, a: HostId, b: HostId) -> &mut RpcChannel {
@@ -170,11 +134,6 @@ impl Fabric {
     /// Total payload bytes moved across all channels.
     pub fn total_bytes(&self) -> u64 {
         self.channels.values().map(|c| c.total_bytes()).sum()
-    }
-
-    /// Total completed calls across all channels.
-    pub fn total_calls(&self) -> u64 {
-        self.channels.values().map(|c| c.calls).sum()
     }
 }
 
@@ -199,7 +158,6 @@ mod tests {
         let t0 = c.ensure_session(Nanos::ZERO);
         c.call_sync(t0, 1_000, 1_000, Nanos::ZERO);
         assert_eq!(f.total_bytes(), 2_000);
-        assert_eq!(f.total_calls(), 1);
     }
 
     #[test]
@@ -245,14 +203,6 @@ mod tests {
             },
         );
         f.apply_fault_plan(&plan);
-        assert_eq!(
-            f.link_status(HostId(0), HostId(1), Nanos::ZERO),
-            LinkStatus::Degraded(0.25)
-        );
-        assert_eq!(
-            f.link_status(HostId(0), HostId(1), Nanos::from_millis(1)),
-            LinkStatus::Down
-        );
         // Four marks: derate (one) + link-down begin/end... derate has no
         // window so it is a single mark: 1 + 2 = 3.
         assert_eq!(f.fault_events().len(), 3);

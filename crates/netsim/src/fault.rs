@@ -327,12 +327,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the pair is inside any partition or link-down window at
-    /// `now`.
-    pub fn is_severed(&self, a: u32, b: u32, now: Nanos) -> bool {
-        self.clear_at(a, b, now) > now
-    }
-
     /// Project the plan onto scheduler-visible cluster state over `hosts`
     /// host ids: whole-run derates multiply into
     /// [`link_derate`](genie_cluster::ClusterState::link_derate), and any
@@ -418,11 +412,19 @@ mod tests {
                 }],
             },
         );
-        assert!(!plan.is_severed(0, 1, Nanos(9)));
-        assert!(plan.is_severed(0, 1, Nanos(10)));
-        assert!(plan.is_severed(1, 0, Nanos(19)), "unordered pair");
-        assert!(!plan.is_severed(0, 1, Nanos(20)), "window end exclusive");
-        assert!(!plan.is_severed(0, 2, Nanos(15)), "other link untouched");
+        assert_eq!(plan.clear_at(0, 1, Nanos(9)), Nanos(9));
+        assert_eq!(plan.clear_at(0, 1, Nanos(10)), Nanos(20));
+        assert_eq!(plan.clear_at(1, 0, Nanos(19)), Nanos(20), "unordered pair");
+        assert_eq!(
+            plan.clear_at(0, 1, Nanos(20)),
+            Nanos(20),
+            "window end exclusive"
+        );
+        assert_eq!(
+            plan.clear_at(0, 2, Nanos(15)),
+            Nanos(15),
+            "other link untouched"
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod rpc;
 pub mod time;
 pub mod trace;
 
-pub use fabric::{Fabric, LinkStatus};
+pub use fabric::Fabric;
 pub use fault::{FaultPlan, FaultSchedule, FaultSpec, TransferOutcome, XorShift64};
 pub use link::{LinkFault, LinkSim};
 pub use queue::EventQueue;

@@ -74,7 +74,7 @@ mod tests {
 
     #[test]
     fn unit_key_ties_pop_in_insertion_order() {
-        // `genie-bench::fleet`'s use: no tie rule beyond arrival order.
+        // A unit key adds no tie rule beyond arrival order.
         let mut q = EventQueue::new();
         for i in 0..100 {
             q.schedule(Nanos(5), (), i);

@@ -223,28 +223,6 @@ impl Trace {
             .sum()
     }
 
-    /// Total transferred bytes.
-    pub fn transferred_bytes(&self) -> u64 {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Transfer { bytes, .. } => Some(*bytes),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Total seconds transfers spent queued behind other traffic.
-    pub fn total_queue_delay_seconds(&self) -> f64 {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Transfer { queue_delay, .. } => Some(queue_delay.as_secs_f64()),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// GPU utilization = busy / makespan for the given device (the paper's
     /// "effective GPU utilization": total kernel time over wall clock).
     pub fn utilization(&self, device: u32) -> f64 {
@@ -279,7 +257,6 @@ mod tests {
         assert_eq!(t.makespan(), Nanos::from_secs_f64(3.0));
         assert!((t.device_busy_seconds(0) - 1.0).abs() < 1e-9);
         assert!((t.utilization(0) - 1.0 / 3.0).abs() < 1e-9);
-        assert_eq!(t.transferred_bytes(), 1000);
     }
 
     #[test]
@@ -287,8 +264,6 @@ mod tests {
         let t = Trace::new();
         assert_eq!(t.makespan(), Nanos::ZERO);
         assert_eq!(t.utilization(0), 0.0);
-        assert_eq!(t.transferred_bytes(), 0);
-        assert_eq!(t.total_queue_delay_seconds(), 0.0);
     }
 
     #[test]
@@ -344,19 +319,5 @@ mod tests {
         assert_eq!(m.node(), None);
         assert_eq!(m.plan(), None);
         assert_eq!(m.request(), None);
-    }
-
-    #[test]
-    fn queue_delay_totals() {
-        let mut t = Trace::new();
-        t.push(
-            TraceEvent::transfer(0, 1, 10, Nanos::ZERO, Nanos(100))
-                .with_queue_delay(Nanos::from_secs_f64(0.25)),
-        );
-        t.push(
-            TraceEvent::transfer(1, 0, 10, Nanos::ZERO, Nanos(100))
-                .with_queue_delay(Nanos::from_secs_f64(0.5)),
-        );
-        assert!((t.total_queue_delay_seconds() - 0.75).abs() < 1e-9);
     }
 }

@@ -30,7 +30,7 @@ pub struct KernelTimeCache {
 
 impl KernelTimeCache {
     fn lookup(&self, key: KernelTimeKey, compute: impl FnOnce() -> f64) -> f64 {
-        let mut entries = self.entries.lock().expect("cost cache poisoned");
+        let mut entries = genie_telemetry::lock(&self.entries);
         if let Some(&v) = entries.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v;
@@ -43,12 +43,12 @@ impl KernelTimeCache {
         CostCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.lock().expect("cost cache poisoned").len(),
+            entries: genie_telemetry::lock(&self.entries).len(),
         }
     }
 
     fn clear(&self) {
-        self.entries.lock().expect("cost cache poisoned").clear();
+        genie_telemetry::lock(&self.entries).clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -226,6 +226,22 @@ mod tests {
         // 2 TB of traffic, no flops → 1 s memory-bound.
         let t = m.kernel_time(&node(0.0, 2e12), &gpu);
         assert!((t - 1.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn a_thread_that_dies_in_a_miss_leaves_the_cache_usable() {
+        let m = CostModel::ideal_25g();
+        let clone = m.clone();
+        let died = std::thread::spawn(move || {
+            clone
+                .cache
+                .lookup((0, 0, 0, 0, 0), || panic!("miss closure dies"))
+        })
+        .join();
+        assert!(died.is_err());
+        let gpu = GpuSpec::a100_80gb();
+        let t = m.kernel_time(&node(312e12, 0.0), &gpu);
+        assert_eq!(t.to_bits(), gpu.roofline(312e12, 0.0, 1.0, 1.0).to_bits());
     }
 
     #[test]

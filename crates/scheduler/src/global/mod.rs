@@ -83,16 +83,6 @@ impl GlobalScheduler {
         self.tenants.push(request);
     }
 
-    /// Number of admitted tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// Mutable live state (tests inject congestion / residents).
-    pub fn state_mut(&mut self) -> &mut ClusterState {
-        &mut self.state
-    }
-
     /// Plan every admitted tenant from scratch. Previously recorded load
     /// is handed back first, so repeated rounds never double-charge the
     /// fleet; tenants are then admitted in ascending id order (see

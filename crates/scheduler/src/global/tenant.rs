@@ -5,7 +5,7 @@
 //! not an opaque "give me 2 GPUs".
 
 use genie_srg::stats::GraphStats;
-use genie_srg::{Phase, Srg};
+use genie_srg::Srg;
 
 /// Service-level objective class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -53,20 +53,6 @@ impl TenantRequest {
     pub fn classify(&self) -> WorkloadClass {
         classify_graph(&self.srg)
     }
-
-    /// The dominant phase of the request (most nodes).
-    pub fn dominant_phase(&self) -> Phase {
-        let mut counts: std::collections::HashMap<Phase, usize> = std::collections::HashMap::new();
-        for node in self.srg.nodes() {
-            *counts.entry(node.phase.clone()).or_default() += 1;
-        }
-        counts
-            .into_iter()
-            .filter(|(p, _)| *p != Phase::Unknown)
-            .max_by_key(|(_, c)| *c)
-            .map(|(p, _)| p)
-            .unwrap_or(Phase::Unknown)
-    }
 }
 
 /// Classify any SRG into a workload class using its statistics.
@@ -103,7 +89,7 @@ mod tests {
     }
 
     #[test]
-    fn dominant_phase_of_llm_decode() {
+    fn llm_request_classifies_as_llm() {
         let req = TenantRequest {
             id: 1,
             name: "chat".into(),
@@ -111,7 +97,6 @@ mod tests {
             slo: Slo::Interactive,
             model_fingerprint: 42,
         };
-        assert_eq!(req.dominant_phase(), Phase::LlmDecode);
         assert_eq!(req.classify(), WorkloadClass::Llm);
     }
 }

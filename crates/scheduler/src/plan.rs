@@ -26,11 +26,6 @@ impl Location {
             Location::ClientCpu => None,
         }
     }
-
-    /// Whether this location is remote.
-    pub fn is_remote(self) -> bool {
-        matches!(self, Location::Device(_))
-    }
 }
 
 impl std::fmt::Display for Location {
@@ -162,8 +157,6 @@ mod tests {
     fn location_helpers() {
         let c = Location::ClientCpu;
         let d = Location::Device(DevId(3));
-        assert!(!c.is_remote());
-        assert!(d.is_remote());
         assert_eq!(d.device(), Some(DevId(3)));
         assert_eq!(c.device(), None);
         assert_eq!(format!("{d}"), "d3");

@@ -2,12 +2,10 @@
 //! shard *i* to the *i*-th device in the pool.
 //!
 //! Where the other policies decide placement from graph structure, this
-//! one carries a decision already made by the sharding planner
-//! ([`genie_srg::shard`] or the sharded model capture): every node's
-//! shard id picks its device, so the cut edges the planner priced are
-//! exactly the transfers the shared derivation emits. Nodes absent from
-//! the map (and collectives, which the planner assigns to their
-//! destination shard) ride shard 0.
+//! one carries a decision already made by the sharded model capture
+//! (`genie_models::sharded`): every node's shard id picks its device, so
+//! the cross-shard edges are exactly the transfers the shared derivation
+//! emits. Nodes absent from the map ride shard 0.
 
 use super::{place_with, Policy};
 use crate::plan::Location;
@@ -23,7 +21,7 @@ pub struct Sharded {
 }
 
 impl Sharded {
-    /// Policy for a planner-produced assignment.
+    /// Policy for a capture's shard assignment.
     pub fn new(shard_of: BTreeMap<NodeId, u32>) -> Self {
         Sharded { shard_of }
     }

@@ -26,33 +26,6 @@ impl<'a> ClusterView<'a> {
         self.topo.devices().iter().map(|d| d.id).collect()
     }
 
-    /// The device with the most free memory (embedding-table tiering).
-    pub fn most_free_memory(&self) -> Option<DevId> {
-        self.devices()
-            .into_iter()
-            .max_by_key(|&d| self.state.mem_free(self.topo, d))
-    }
-
-    /// The device with the highest peak compute.
-    pub fn fastest_compute(&self) -> Option<DevId> {
-        self.devices().into_iter().max_by(|&a, &b| {
-            let fa = self.topo.device(a).spec.peak_flops;
-            let fb = self.topo.device(b).spec.peak_flops;
-            fa.partial_cmp(&fb).expect("finite flops").then(b.cmp(&a))
-        })
-    }
-
-    /// The device with the highest memory bandwidth.
-    pub fn highest_bandwidth(&self) -> Option<DevId> {
-        self.devices().into_iter().max_by(|&a, &b| {
-            let ba = self.topo.device(a).spec.mem_bandwidth;
-            let bb = self.topo.device(b).spec.mem_bandwidth;
-            ba.partial_cmp(&bb)
-                .expect("finite bandwidth")
-                .then(b.cmp(&a))
-        })
-    }
-
     /// The least-loaded device by queued seconds, ties to the lowest id.
     pub fn least_loaded(&self) -> Option<DevId> {
         self.devices().into_iter().min_by(|&a, &b| {
@@ -68,20 +41,6 @@ impl<'a> ClusterView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genie_cluster::GpuSpec;
-
-    #[test]
-    fn selectors_pick_expected_devices() {
-        let topo = Topology::heterogeneous_fleet(1, 25e9);
-        let state = ClusterState::new();
-        let cost = CostModel::ideal_25g();
-        let view = ClusterView::new(&topo, &state, &cost);
-        assert_eq!(view.devices().len(), 3);
-        let fastest = view.fastest_compute().unwrap();
-        assert_eq!(topo.device(fastest).spec.name, GpuSpec::h100().name);
-        let bw = view.highest_bandwidth().unwrap();
-        assert_eq!(topo.device(bw).spec.name, "BW-OPT");
-    }
 
     #[test]
     fn least_loaded_tracks_queues() {

@@ -38,19 +38,6 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Whether this phase is known to be memory-bandwidth-bound.
-    pub fn is_memory_bound(&self) -> bool {
-        matches!(self, Phase::LlmDecode | Phase::EmbeddingLookup)
-    }
-
-    /// Whether this phase is known to be compute-bound.
-    pub fn is_compute_bound(&self) -> bool {
-        matches!(
-            self,
-            Phase::LlmPrefill | Phase::VisionEncode | Phase::DenseInteraction
-        )
-    }
-
     /// Whether operations in this phase are safely parallelizable across
     /// devices without serializing on carried state.
     pub fn is_parallelizable(&self) -> bool {
@@ -118,11 +105,6 @@ impl Residency {
                 | Residency::EmbeddingTable
                 | Residency::OptimizerState
         )
-    }
-
-    /// Whether data of this residency is immutable once materialized.
-    pub fn is_immutable(self) -> bool {
-        matches!(self, Residency::PersistentWeight | Residency::ModelInput)
     }
 
     /// Short label used in reports and DOT output.
@@ -360,15 +342,6 @@ impl Rate {
             consumed_bytes: bytes,
         }
     }
-
-    /// Ratio of consumed to produced volume (1.0 = pass-through).
-    pub fn reduction_factor(&self) -> f64 {
-        if self.produced_bytes > 0.0 {
-            self.consumed_bytes / self.produced_bytes
-        } else {
-            1.0
-        }
-    }
 }
 
 impl Default for Rate {
@@ -409,9 +382,6 @@ mod tests {
 
     #[test]
     fn phase_properties() {
-        assert!(Phase::LlmDecode.is_memory_bound());
-        assert!(!Phase::LlmDecode.is_compute_bound());
-        assert!(Phase::LlmPrefill.is_compute_bound());
         assert!(Phase::LlmPrefill.is_parallelizable());
         assert!(!Phase::LlmDecode.is_parallelizable());
     }
@@ -428,8 +398,6 @@ mod tests {
         assert!(Residency::PersistentWeight.prefers_remote_pinning());
         assert!(Residency::StatefulKvCache.prefers_remote_pinning());
         assert!(!Residency::EphemeralActivation.prefers_remote_pinning());
-        assert!(Residency::PersistentWeight.is_immutable());
-        assert!(!Residency::StatefulKvCache.is_immutable());
     }
 
     #[test]
@@ -459,16 +427,6 @@ mod tests {
         let scalar = TensorMeta::new(Vec::new(), ElemType::F32);
         assert_eq!(scalar.num_elements(), 1);
         assert_eq!(scalar.size_bytes(), 4);
-    }
-
-    #[test]
-    fn rate_reduction() {
-        let r = Rate {
-            produced_bytes: 50_400.0 * 4.0,
-            consumed_bytes: 4.0,
-        };
-        assert!(r.reduction_factor() < 1e-4);
-        assert_eq!(Rate::passthrough(8.0).reduction_factor(), 1.0);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use crate::graph::Srg;
 use crate::ids::NodeId;
-use crate::traverse::ancestors;
 use std::collections::BTreeSet;
 
 /// The minimal recomputation plan after losing the outputs of `lost`.
@@ -51,13 +50,6 @@ pub fn replay_cut(g: &Srg, lost: &BTreeSet<NodeId>, available: &BTreeSet<NodeId>
     ReplayCut { replay, frontier }
 }
 
-/// The full downstream impact of losing `lost`: every node whose output is
-/// transitively derived from lost state. Used to decide which in-flight
-/// results must be discarded before replay.
-pub fn tainted_downstream(g: &Srg, lost: &BTreeSet<NodeId>) -> BTreeSet<NodeId> {
-    crate::traverse::descendants(g, &lost.iter().copied().collect::<Vec<_>>())
-}
-
 /// Fraction of total graph cost (flops) that the replay cut saves versus
 /// re-running the whole graph. This is the headline win of lineage-based
 /// recovery over restart.
@@ -68,12 +60,6 @@ pub fn replay_savings(g: &Srg, cut: &ReplayCut) -> f64 {
     }
     let replayed: f64 = cut.replay.iter().map(|&n| g.node(n).cost.flops).sum();
     1.0 - replayed / total
-}
-
-/// Ancestor closure helper re-exported for recovery planning: everything
-/// that must exist before `targets` can run.
-pub fn required_ancestors(g: &Srg, targets: &BTreeSet<NodeId>) -> BTreeSet<NodeId> {
-    ancestors(g, &targets.iter().copied().collect::<Vec<_>>())
 }
 
 #[cfg(test)]
@@ -147,13 +133,6 @@ mod tests {
         // total = 60 flops, replayed = 30 → 50% saved.
         let savings = replay_savings(&g, &cut);
         assert!((savings - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tainted_downstream_includes_outputs() {
-        let g = pipeline();
-        let tainted = tainted_downstream(&g, &set(&[1]));
-        assert_eq!(tainted, set(&[1, 2, 3, 4]));
     }
 
     #[test]

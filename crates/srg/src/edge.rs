@@ -55,21 +55,9 @@ impl Edge {
         self.criticality = Criticality::Normal;
     }
 
-    /// Builder-style criticality annotation.
-    pub fn with_criticality(mut self, criticality: Criticality) -> Self {
-        self.criticality = criticality;
-        self
-    }
-
     /// Builder-style destination-slot annotation.
     pub fn with_slot(mut self, slot: u8) -> Self {
         self.dst_slot = slot;
-        self
-    }
-
-    /// Builder-style rate annotation.
-    pub fn with_rate(mut self, rate: Rate) -> Self {
-        self.rate = rate;
         self
     }
 
@@ -99,10 +87,11 @@ mod tests {
 
     #[test]
     fn reset_payload_equals_a_new_edge() {
-        let mut e = edge()
-            .with_slot(1)
-            .with_criticality(Criticality::Critical)
-            .with_rate(Rate::passthrough(1.0));
+        let mut e = Edge {
+            criticality: Criticality::Critical,
+            rate: Rate::passthrough(1.0),
+            ..edge().with_slot(1)
+        };
         let grown = TensorMeta::new([5, 8], ElemType::F16);
         e.reset_payload(&grown);
         let fresh = Edge::new(e.id, e.src, e.dst, e.tensor, grown).with_slot(1);
@@ -119,23 +108,22 @@ mod tests {
 
     #[test]
     fn reducing_edge_transfers_consumer_volume() {
-        let e = edge().with_rate(Rate {
-            produced_bytes: 201_600.0,
-            consumed_bytes: 4.0,
-        });
+        let e = Edge {
+            rate: Rate {
+                produced_bytes: 201_600.0,
+                consumed_bytes: 4.0,
+            },
+            ..edge()
+        };
         assert_eq!(e.transfer_bytes(), 4.0);
     }
 
     #[test]
-    fn builder_annotations() {
-        let e = edge().with_criticality(Criticality::Critical).with_slot(1);
-        assert_eq!(e.criticality, Criticality::Critical);
-        assert_eq!(e.dst_slot, 1);
-    }
-
-    #[test]
     fn edge_json_roundtrip() {
-        let e = edge().with_criticality(Criticality::Background);
+        let e = Edge {
+            criticality: Criticality::Background,
+            ..edge()
+        };
         let json = e.to_json().to_string();
         let back = Edge::from_json(&crate::json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, e);

@@ -3,7 +3,7 @@
 use crate::annotations::{Phase, TensorMeta};
 use crate::edge::Edge;
 use crate::ids::{EdgeId, NodeId, TensorId};
-use crate::node::{Node, OpKind};
+use crate::node::Node;
 use std::collections::{BTreeSet, HashMap};
 
 /// A Semantically-Rich Graph: a DAG of operations (nodes) connected by data
@@ -84,17 +84,6 @@ impl Srg {
     /// Whether the graph has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Append a node built by `f`, which receives the id the node will get.
-    pub fn add_node_with(&mut self, f: impl FnOnce(NodeId) -> Node) -> NodeId {
-        let id = NodeId::new(self.nodes.len() as u32);
-        let node = f(id);
-        debug_assert_eq!(node.id, id, "node id must match its slot");
-        self.nodes.push(node);
-        self.out_adj.push(Vec::new());
-        self.in_adj.push(Vec::new());
-        id
     }
 
     /// Append a pre-built node, renumbering its id to the next slot.
@@ -218,11 +207,6 @@ impl Srg {
         self.edges.iter()
     }
 
-    /// All edges, mutably (used by annotation passes).
-    pub fn edges_mut(&mut self) -> impl Iterator<Item = &mut Edge> {
-        self.edges.iter_mut()
-    }
-
     /// All nodes, mutably (used by annotation passes).
     pub fn nodes_mut(&mut self) -> impl Iterator<Item = &mut Node> {
         self.nodes.iter_mut()
@@ -315,53 +299,9 @@ impl Srg {
         out
     }
 
-    /// Total bytes of all `Parameter` node outputs — the model's weight
-    /// footprint as observable from the graph.
-    pub fn parameter_bytes(&self) -> f64 {
-        let mut total = 0.0;
-        let mut counted: BTreeSet<TensorId> = BTreeSet::new();
-        for node in &self.nodes {
-            if node.op == OpKind::Parameter {
-                for edge in self.out_edges(node.id) {
-                    if counted.insert(edge.tensor) {
-                        total += edge.meta.size_bytes() as f64;
-                    }
-                }
-            }
-        }
-        total
-    }
-
     /// Total flops across all nodes.
     pub fn total_flops(&self) -> f64 {
         self.nodes.iter().map(|n| n.cost.flops).sum()
-    }
-
-    /// Extract the subgraph induced by `keep`, remapping ids densely.
-    /// Returns the new graph and the old→new node id mapping. Edges whose
-    /// endpoints are not both kept are dropped.
-    pub fn induced_subgraph(&self, keep: &BTreeSet<NodeId>) -> (Srg, HashMap<NodeId, NodeId>) {
-        let mut sub = Srg::new(format!("{}.sub", self.name));
-        let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
-        for &old in keep {
-            let mut node = self.node(old).clone();
-            let new_id = NodeId::new(sub.nodes.len() as u32);
-            node.id = new_id;
-            sub.nodes.push(node);
-            sub.out_adj.push(Vec::new());
-            sub.in_adj.push(Vec::new());
-            remap.insert(old, new_id);
-        }
-        for edge in &self.edges {
-            if let (Some(&s), Some(&d)) = (remap.get(&edge.src), remap.get(&edge.dst)) {
-                let mut e = edge.clone();
-                e.src = s;
-                e.dst = d;
-                sub.add_edge(e);
-            }
-        }
-        sub.next_tensor = self.next_tensor;
-        (sub, remap)
     }
 }
 
@@ -369,6 +309,7 @@ impl Srg {
 mod tests {
     use super::*;
     use crate::annotations::ElemType;
+    use crate::node::OpKind;
 
     fn diamond() -> Srg {
         // a → b, a → c, b → d, c → d
@@ -441,34 +382,6 @@ mod tests {
         g.connect_tensor(p, y, t, meta);
         let tensors: BTreeSet<TensorId> = g.edges().map(|e| e.tensor).collect();
         assert_eq!(tensors.len(), 1);
-    }
-
-    #[test]
-    fn parameter_bytes_deduplicates_fanout() {
-        let mut g = Srg::new("params");
-        let meta = TensorMeta::new([1024], ElemType::F32); // 4096 bytes
-        let p = g.add_node(Node::new(NodeId::new(0), OpKind::Parameter, "w"));
-        let x = g.add_node(Node::new(NodeId::new(0), OpKind::MatMul, "x"));
-        let y = g.add_node(Node::new(NodeId::new(0), OpKind::MatMul, "y"));
-        let t = g.fresh_tensor();
-        g.connect_tensor(p, x, t, meta.clone());
-        g.connect_tensor(p, y, t, meta);
-        assert_eq!(g.parameter_bytes(), 4096.0);
-    }
-
-    #[test]
-    fn induced_subgraph_remaps_densely() {
-        let g = diamond();
-        let keep: BTreeSet<NodeId> = [NodeId::new(0), NodeId::new(1), NodeId::new(3)]
-            .into_iter()
-            .collect();
-        let (sub, remap) = g.induced_subgraph(&keep);
-        assert_eq!(sub.node_count(), 3);
-        // a→b survives, b→d survives; a→c and c→d dropped.
-        assert_eq!(sub.edge_count(), 2);
-        assert_eq!(remap[&NodeId::new(0)], NodeId::new(0));
-        assert_eq!(remap[&NodeId::new(3)], NodeId::new(2));
-        assert_eq!(sub.node(NodeId::new(2)).name, "d");
     }
 
     #[test]

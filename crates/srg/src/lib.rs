@@ -73,4 +73,4 @@ pub use edge::Edge;
 pub use graph::Srg;
 pub use ids::{DeviceId, EdgeId, NodeId, TensorId};
 pub use node::{Node, OpKind};
-pub use shard::{Partition, ShardSpec, ShardedGraph};
+pub use shard::{Partition, ShardSpec};

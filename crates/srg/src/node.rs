@@ -217,33 +217,6 @@ impl Node {
         self.attrs.insert(key.into(), value.into());
         self
     }
-
-    /// Whether the node has been bound to a device by the scheduler.
-    pub fn is_placed(&self) -> bool {
-        self.device.is_some()
-    }
-
-    /// Number of semantic annotations present beyond the raw dependency
-    /// structure. Used by the Figure-1 "semantic visibility" analysis.
-    pub fn semantic_annotation_count(&self) -> usize {
-        let mut count = 0;
-        if self.phase != Phase::Unknown {
-            count += 1;
-        }
-        if self.residency != Residency::Unknown {
-            count += 1;
-        }
-        if self.modality != Modality::Unknown {
-            count += 1;
-        }
-        if self.cost != CostHints::ZERO {
-            count += 1;
-        }
-        if !self.module_path.is_empty() {
-            count += 1;
-        }
-        count
-    }
 }
 
 #[cfg(test)]
@@ -261,14 +234,6 @@ mod tests {
         assert_eq!(n.phase, Phase::LlmPrefill);
         assert_eq!(n.residency, Residency::EphemeralActivation);
         assert_eq!(n.attrs["heads"], "16");
-        assert_eq!(n.semantic_annotation_count(), 4);
-    }
-
-    #[test]
-    fn fresh_node_has_no_semantics() {
-        let n = Node::new(NodeId::new(1), OpKind::Add, "add");
-        assert_eq!(n.semantic_annotation_count(), 0);
-        assert!(!n.is_placed());
     }
 
     #[test]

@@ -58,27 +58,12 @@ pub fn topo_order(g: &Srg) -> Result<Vec<NodeId>, CycleError> {
 /// All nodes reachable from `roots` following edges forward, including the
 /// roots themselves.
 pub fn descendants(g: &Srg, roots: &[NodeId]) -> BTreeSet<NodeId> {
-    reach(g, roots, false)
-}
-
-/// All nodes reachable from `roots` following edges backward, including the
-/// roots themselves.
-pub fn ancestors(g: &Srg, roots: &[NodeId]) -> BTreeSet<NodeId> {
-    reach(g, roots, true)
-}
-
-fn reach(g: &Srg, roots: &[NodeId], backward: bool) -> BTreeSet<NodeId> {
     let mut seen: BTreeSet<NodeId> = roots.iter().copied().collect();
     let mut queue: VecDeque<NodeId> = roots.iter().copied().collect();
     while let Some(n) = queue.pop_front() {
-        let nexts: Vec<NodeId> = if backward {
-            g.in_edges(n).map(|e| e.src).collect()
-        } else {
-            g.out_edges(n).map(|e| e.dst).collect()
-        };
-        for next in nexts {
-            if seen.insert(next) {
-                queue.push_back(next);
+        for edge in g.out_edges(n) {
+            if seen.insert(edge.dst) {
+                queue.push_back(edge.dst);
             }
         }
     }
@@ -174,14 +159,6 @@ mod tests {
         assert_eq!(
             desc,
             [1, 2, 3]
-                .map(NodeId::new)
-                .into_iter()
-                .collect::<BTreeSet<_>>()
-        );
-        let anc = ancestors(&g, &[NodeId::new(2)]);
-        assert_eq!(
-            anc,
-            [0, 1, 2]
                 .map(NodeId::new)
                 .into_iter()
                 .collect::<BTreeSet<_>>()

@@ -171,14 +171,6 @@ pub fn validate(g: &Srg) -> Vec<ValidationError> {
     errors
 }
 
-/// Convenience wrapper: `Ok(())` if valid, else the first error.
-pub fn validate_ok(g: &Srg) -> Result<(), ValidationError> {
-    match validate(g).into_iter().next() {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
 /// Every violation found in one graph, displayable as a single
 /// `;`-joined message — the error type of [`Srg::validate_all`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -227,7 +219,6 @@ mod tests {
     #[test]
     fn valid_graph_passes() {
         assert!(validate(&valid_graph()).is_empty());
-        assert!(validate_ok(&valid_graph()).is_ok());
     }
 
     #[test]

@@ -47,16 +47,6 @@ pub struct TraceCtx {
     pub parent_span: u64,
 }
 
-impl TraceCtx {
-    /// Context for `request` with no known parent span.
-    pub fn for_request(request: u64) -> Self {
-        TraceCtx {
-            request,
-            parent_span: 0,
-        }
-    }
-}
-
 thread_local! {
     static CURRENT: Cell<Option<TraceCtx>> = const { Cell::new(None) };
 }
@@ -970,7 +960,10 @@ mod tests {
     fn ctx_guard_restores_previous_context() {
         assert_eq!(current(), None);
         {
-            let _a = with_ctx(TraceCtx::for_request(7));
+            let _a = with_ctx(TraceCtx {
+                request: 7,
+                parent_span: 0,
+            });
             assert_eq!(current().unwrap().request, 7);
             {
                 let _b = with_ctx(TraceCtx {

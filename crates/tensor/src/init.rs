@@ -72,19 +72,6 @@ pub fn randn(shape: impl Into<Shape>, seed: u64) -> Tensor {
     Tensor::from_vec(shape, data)
 }
 
-/// Xavier/Glorot-scaled initialization for a weight of shape
-/// `[fan_in, fan_out]` (or any shape, scaled by its first two dims).
-pub fn xavier(shape: impl Into<Shape>, seed: u64) -> Tensor {
-    let shape = shape.into();
-    let (fan_in, fan_out) = match shape.dims() {
-        [] => (1, 1),
-        [n] => (*n, *n),
-        dims => (dims[0], dims[1]),
-    };
-    let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform(shape, -limit, limit, seed)
-}
-
 /// `0, 1, 2, …` reshaped — handy for exactness tests.
 pub fn arange(shape: impl Into<Shape>) -> Tensor {
     let shape = shape.into();
@@ -133,15 +120,6 @@ mod tests {
         let var: f32 = t.data().iter().map(|x| (x - mean).powi(2)).sum::<f32>() / t.len() as f32;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn xavier_limit_scales_with_fan() {
-        let small = xavier([2, 2], 3);
-        let big = xavier([1000, 1000], 3);
-        let max_small = small.data().iter().fold(0.0f32, |m, x| m.max(x.abs()));
-        let max_big = big.data().iter().fold(0.0f32, |m, x| m.max(x.abs()));
-        assert!(max_small > max_big);
     }
 
     #[test]

@@ -34,12 +34,6 @@ impl Shape {
         self.0.iter().product()
     }
 
-    /// Total element count — short alias for hot-path callers that used to
-    /// recompute `dims().iter().product()` inline.
-    pub fn numel(&self) -> usize {
-        self.num_elements()
-    }
-
     /// Split around dimension `dim` for `[outer, dim, inner]` layout
     /// arithmetic: returns `(outer, self.dim(dim), inner)` where `outer` is
     /// the product of dims before `dim` and `inner` the product after.
@@ -79,13 +73,6 @@ impl Shape {
     /// Whether `other` has the same element count (valid reshape target).
     pub fn can_reshape_to(&self, other: &Shape) -> bool {
         self.num_elements() == other.num_elements()
-    }
-
-    /// Shape with dimension `dim` replaced by `size`.
-    pub fn with_dim(&self, dim: usize, size: usize) -> Shape {
-        let mut dims = self.0.clone();
-        dims[dim] = size;
-        Shape(dims)
     }
 }
 
@@ -163,17 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn numel_and_split() {
+    fn split_at_dim_layout() {
         let s = Shape::new([2, 3, 4]);
-        assert_eq!(s.numel(), 24);
         assert_eq!(s.split_at_dim(0), (1, 2, 12));
         assert_eq!(s.split_at_dim(1), (2, 3, 4));
         assert_eq!(s.split_at_dim(2), (6, 4, 1));
-    }
-
-    #[test]
-    fn with_dim_replaces() {
-        let s = Shape::new([2, 3]).with_dim(1, 7);
-        assert_eq!(s.dims(), &[2, 7]);
     }
 }

@@ -41,19 +41,6 @@ impl Tensor {
         }
     }
 
-    /// Construct from a shape and an already-shared buffer (zero-copy).
-    /// Panics if sizes mismatch.
-    pub fn from_shared(shape: impl Into<Shape>, data: Arc<[f32]>) -> Self {
-        let shape = shape.into();
-        assert_eq!(
-            shape.num_elements(),
-            data.len(),
-            "shape {shape} does not match {} elements",
-            data.len()
-        );
-        Tensor { shape, data }
-    }
-
     /// Build a tensor by writing into a zeroed output buffer drawn from
     /// the recycling arena. This is the kernel output path: it skips the
     /// `Vec` → `Arc<[f32]>` copy of [`Tensor::from_vec`] and reuses dead
@@ -134,12 +121,6 @@ impl Tensor {
             self.data = Arc::from(&self.data[..]);
         }
         Arc::get_mut(&mut self.data).expect("buffer was just detached")
-    }
-
-    /// Consume into the backing data (copies only if the buffer is shared
-    /// with another tensor).
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data.to_vec()
     }
 
     /// True when both tensors share the same backing buffer — clones and
@@ -358,15 +339,6 @@ mod tests {
     #[should_panic(expected = "cannot reshape")]
     fn bad_reshape_panics() {
         Tensor::zeros([2, 3]).reshape([4]);
-    }
-
-    #[test]
-    fn from_shared_wraps_buffer() {
-        let buf: Arc<[f32]> = vec![1.0, 2.0].into();
-        let t = Tensor::from_shared([2], Arc::clone(&buf));
-        let u = Tensor::from_shared([1, 2], buf);
-        assert_eq!(t.data(), &[1.0, 2.0]);
-        assert!(t.shares_storage(&u));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use genie_tensor::init;
 
-/// One draw per `(lo, hi)` range, `lo..hi` like the proptest strategies
-/// these suites replaced, from `init`'s seeded stream.
+/// One draw per `(lo, hi)` range, half-open like `lo..hi`, from `init`'s
+/// seeded stream.
 pub fn draw<const N: usize>(seed: u64, ranges: [(usize, usize); N]) -> [usize; N] {
     let u = init::uniform([N], 0.0, 1.0, seed ^ 0xD1CE);
     std::array::from_fn(|i| {

@@ -1,57 +1,86 @@
 //! Property-based tests for the transport's retry layer: backoff
 //! determinism, retryability classification, and the idempotence
-//! contract between client retries and server-side deduplication.
+//! contract between client retries and server-side deduplication. The
+//! properties are seeded loops: a case is a function of its index alone,
+//! and a failing case prints the index that reproduces it.
 
+use genie_netsim::XorShift64;
 use genie_transport::chaos::ChaosPolicy;
 use genie_transport::retry::RetryPolicy;
 use genie_transport::{next_request_id, Client, RequestBody, ResponseBody, Server, TransportError};
-use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Cases per property.
+const CASES: u64 = 64;
 
-    /// Backoff is a pure function of (policy, attempt, request id): two
-    /// evaluations agree, waits never exceed cap + 50% jitter, and
-    /// attempt 0 never waits.
-    #[test]
-    fn backoff_is_pure_and_bounded(
-        seed in any::<u64>(),
-        base_ms in 1u64..500,
-        cap_ms in 1u64..5_000,
-        attempt in 0u32..64,
-        request_id in any::<u64>(),
-    ) {
-        let policy = RetryPolicy {
-            max_attempts: 8,
-            base_backoff: Duration::from_millis(base_ms),
-            max_backoff: Duration::from_millis(cap_ms),
-            deadline: Duration::from_secs(1),
-            seed,
-        };
-        let a = policy.backoff(attempt, request_id);
-        let b = policy.backoff(attempt, request_id);
-        prop_assert_eq!(a, b, "backoff must be deterministic");
-        if attempt == 0 {
-            prop_assert_eq!(a, Duration::ZERO);
-        } else {
-            let ceiling = policy.max_backoff.max(policy.base_backoff);
-            prop_assert!(a <= ceiling + ceiling / 2, "wait {a:?} above cap {ceiling:?}");
-        }
+/// One case's draws; a panic while it is alive names the index.
+struct Case {
+    index: u64,
+    rng: XorShift64,
+}
+
+impl Case {
+    fn new(index: u64) -> Self {
+        // Odd multiplier: distinct indices give distinct, nonzero seeds.
+        let rng = XorShift64::new((index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        Case { index, rng }
     }
 
-    /// The exponential part is monotone non-decreasing in the attempt
-    /// number once jitter is stripped (lower bounds compare).
-    #[test]
-    fn backoff_lower_bound_is_monotone(
-        base_ms in 1u64..200,
-        cap_ms in 200u64..5_000,
-    ) {
+    /// Uniform in `lo..hi`.
+    fn int(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.rng.next_below(hi - lo)
+    }
+}
+
+impl Drop for Case {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("failing case: {}", self.index);
+        }
+    }
+}
+
+/// Backoff is a pure function of (policy, attempt, request id): two
+/// evaluations agree, waits never exceed cap + 50% jitter, and
+/// attempt 0 never waits.
+#[test]
+fn backoff_is_pure_and_bounded() {
+    for case in 0..CASES {
+        let mut case = Case::new(case);
         let policy = RetryPolicy {
-            base_backoff: Duration::from_millis(base_ms),
-            max_backoff: Duration::from_millis(cap_ms),
+            max_attempts: 8,
+            base_backoff: Duration::from_millis(case.int(1, 500)),
+            max_backoff: Duration::from_millis(case.int(1, 5_000)),
+            deadline: Duration::from_secs(1),
+            seed: case.rng.next_u64(),
+        };
+        let (attempt, request_id) = (case.int(0, 64) as u32, case.rng.next_u64());
+        let a = policy.backoff(attempt, request_id);
+        let b = policy.backoff(attempt, request_id);
+        assert_eq!(a, b, "backoff must be deterministic");
+        if attempt == 0 {
+            assert_eq!(a, Duration::ZERO);
+        } else {
+            let ceiling = policy.max_backoff.max(policy.base_backoff);
+            assert!(
+                a <= ceiling + ceiling / 2,
+                "wait {a:?} above cap {ceiling:?}"
+            );
+        }
+    }
+}
+
+/// The exponential part is monotone non-decreasing in the attempt
+/// number once jitter is stripped (lower bounds compare).
+#[test]
+fn backoff_lower_bound_is_monotone() {
+    for case in 0..CASES {
+        let mut case = Case::new(case);
+        let policy = RetryPolicy {
+            base_backoff: Duration::from_millis(case.int(1, 200)),
+            max_backoff: Duration::from_millis(case.int(200, 5_000)),
             ..RetryPolicy::default()
         };
         let floor = |attempt: u32| {
@@ -63,29 +92,41 @@ proptest! {
         let mut prev = Duration::ZERO;
         for attempt in 1..20 {
             let f = floor(attempt);
-            prop_assert!(f >= prev);
-            prop_assert!(policy.backoff(attempt, 7) >= f, "jitter only adds");
+            assert!(f >= prev);
+            assert!(policy.backoff(attempt, 7) >= f, "jitter only adds");
             prev = f;
         }
     }
+}
 
-    /// Generated retry schedules with different request ids de-correlate
-    /// (thundering-herd protection): some pair of ids must disagree.
-    #[test]
-    fn jitter_decorrelates_request_ids(seed in any::<u64>()) {
-        let policy = RetryPolicy::default().with_seed(seed);
+/// Generated retry schedules with different request ids de-correlate
+/// (thundering-herd protection): some pair of ids must disagree.
+#[test]
+fn jitter_decorrelates_request_ids() {
+    for case in 0..CASES {
+        let mut case = Case::new(case);
+        let policy = RetryPolicy::default().with_seed(case.rng.next_u64());
         let waits: Vec<Duration> = (0..16).map(|id| policy.backoff(3, id)).collect();
         let distinct: std::collections::BTreeSet<_> = waits.iter().collect();
-        prop_assert!(distinct.len() > 1, "all 16 ids backed off identically");
+        assert!(distinct.len() > 1, "all 16 ids backed off identically");
     }
+}
 
-    /// Retryability is decided by error class alone.
-    #[test]
-    fn retryability_is_class_stable(msg in "[a-z]{1,16}") {
-        prop_assert!(!RetryPolicy::is_retryable(&TransportError::Remote(msg.clone())));
-        prop_assert!(!RetryPolicy::is_retryable(&TransportError::Codec(msg)));
-        prop_assert!(RetryPolicy::is_retryable(&TransportError::ConnectionClosed));
-        prop_assert!(RetryPolicy::is_retryable(&TransportError::Timeout {
+/// Retryability is decided by error class alone: any message of 1..17
+/// lowercase letters classifies the same.
+#[test]
+fn retryability_is_class_stable() {
+    for case in 0..CASES {
+        let mut case = Case::new(case);
+        let msg: String = (0..case.int(1, 17))
+            .map(|_| (b'a' + case.int(0, 26) as u8) as char)
+            .collect();
+        assert!(!RetryPolicy::is_retryable(&TransportError::Remote(
+            msg.clone()
+        )));
+        assert!(!RetryPolicy::is_retryable(&TransportError::Codec(msg)));
+        assert!(RetryPolicy::is_retryable(&TransportError::ConnectionClosed));
+        assert!(RetryPolicy::is_retryable(&TransportError::Timeout {
             after: Duration::ZERO
         }));
     }

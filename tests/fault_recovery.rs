@@ -102,7 +102,7 @@ fn recovery_mid_session_is_exact() {
     session.handles.bind("state", lost[0].1);
     let err = run_recipe(&mut session, &probe).unwrap_err();
     assert!(is_state_loss(&err), "stale handle must classify as loss");
-    session.handles.unbind("state");
+    session.handles.invalidate_all();
 
     // Recover and continue the remaining steps.
     let report = recover(

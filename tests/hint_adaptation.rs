@@ -5,16 +5,19 @@ use genie::backend::spawn_server;
 use genie::backend::RemoteSession;
 use genie::scheduler::adapt::HintAdapter;
 use genie::scheduler::CostModel;
+use genie::transport::{Client, RequestBody, ResponseBody};
 
 #[test]
 fn real_rtt_probes_update_the_cost_model() {
     let (server, _exec) = spawn_server().unwrap();
-    let mut session = RemoteSession::connect(server.addr()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
 
     let mut adapter = HintAdapter::new();
     for _ in 0..20 {
-        let rtt = session.probe_rtt().expect("ping");
-        adapter.observe_rtt(rtt.as_secs_f64());
+        let start = std::time::Instant::now();
+        let pong = client.call(RequestBody::Ping).expect("ping");
+        assert_eq!(pong, ResponseBody::Pong);
+        adapter.observe_rtt(start.elapsed().as_secs_f64());
     }
     let measured = adapter.rtt().expect("samples folded");
     // Loopback pings are fast but nonzero.

@@ -161,10 +161,9 @@ fn every_written_document_is_byte_identical_to_its_golden_rendering() {
     }
 }
 
-/// What `tests/property_based.rs` asserts under proptest (now in
-/// `proptests/`), over the graphs that matter, where it can run: decoding
-/// gives back an equal graph — adjacency included, it is rebuilt — and
-/// encoding that gives back the same bytes.
+/// What `tests/property_based.rs` asserts of random captures, over the
+/// graphs that matter: decoding gives back an equal graph — adjacency
+/// included, it is rebuilt — and encoding that gives back the same bytes.
 #[test]
 fn zoo_graphs_and_captures_round_trip_to_equal_graphs_and_equal_bytes() {
     let lm = TransformerLm::new_spec(TransformerConfig::tiny());

@@ -259,9 +259,17 @@ fn sharded_plans_pass_collective_deadlock_gate() {
     use genie::models::sharded::ShardedTransformerLm;
     use genie::srg::shard::ShardSpec;
 
-    let m = TransformerLm::new_spec(TransformerConfig::tiny());
-    let sharded = ShardedTransformerLm::new(m, ShardSpec::new(2, 2));
-    let (cap, shard_of) = sharded.capture_decode_spec(16);
+    let cfg = TransformerConfig::tiny();
+    let caches = vec![genie::tensor::Tensor::zeros([16, cfg.d_model]); cfg.layers];
+    let kv = genie::models::KvState {
+        k: caches.clone(),
+        v: caches,
+    };
+    let sharded = ShardedTransformerLm::new(TransformerLm::new_spec(cfg), ShardSpec::new(2, 2));
+    let ctx = CaptureCtx::new("decode.pp2xtp2");
+    let sc = sharded.capture_decode_step(&ctx, 0, &kv);
+    sc.cap.logits.mark_output();
+    let (cap, shard_of) = (ctx.finish(), sc.shard_of);
     let topo = Topology::rack(4, 25e9);
     let state = ClusterState::new();
     let cost = CostModel::ideal_25g();
