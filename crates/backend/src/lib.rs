@@ -9,10 +9,9 @@
 //!   execution over `genie-transport` TCP: pinned uploads, handle+epoch
 //!   references ([`handle::RemoteHandle`]), per-step graph shipping, and
 //!   crash injection for lineage tests;
-//! - [`sim::SimBackend`] — discrete-event simulation at paper scale:
-//!   kernels take roofline time on their placed device, transfers occupy
-//!   FIFO links, pinned uploads register resident objects so follow-up
-//!   plans run handle-only.
+//! - [`sim::SimBackend`] — list-scheduled simulation at paper scale:
+//!   roofline kernel times, FIFO links, and pinned uploads that stay
+//!   resident so follow-up plans run handle-only.
 //!
 //! The three backends consume the *same* SRG and plans — the portability
 //! claim at the heart of the paper's architecture.

@@ -1,11 +1,16 @@
-//! The simulation backend: executes an [`ExecutionPlan`] against the
-//! discrete-event network model, producing a timing/traffic trace.
+//! The simulation backend — the performance plane: walks an
+//! [`ExecutionPlan`] over the network model, producing a timing/traffic
+//! trace. Kernels take their cost-model roofline time on the placed
+//! device; every scheduled transfer occupies the FIFO link between the
+//! endpoints' hosts; pinned uploads happen once up front and register
+//! resident objects in the cluster state, so the next plan over the same
+//! session sees them as handles.
 //!
-//! This is the performance plane. Kernels take their cost-model roofline
-//! time on the placed device; every scheduled transfer occupies the FIFO
-//! link between the endpoints' hosts; pinned uploads happen once up
-//! front and register resident objects in the cluster state, so the next
-//! plan over the same session sees them as handles.
+//! It has no agenda. [`SimBackend::execute`] is one pass of list
+//! scheduling in topological order over `Fabric`'s FIFO links: a start
+//! time is final when it is computed, and no event is ever held for a
+//! future instant that a later decision could reorder, so there is
+//! nothing for `netsim::EventQueue` to own.
 
 use genie_cluster::{ClusterState, DevId, ResidentObject, Topology};
 use genie_netsim::{Fabric, FaultPlan, Nanos, RpcParams, Trace, TraceEvent};

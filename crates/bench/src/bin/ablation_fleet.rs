@@ -17,11 +17,10 @@
 //! Run with: `cargo run --release -p genie-bench --bin ablation_fleet`
 
 use genie_bench::report::render_table;
+use genie_bench::workload::gptj_arrivals;
 use genie_models::TransformerConfig;
-use genie_netsim::Nanos;
 use genie_serving::{
-    percentile, ArrivalConfig, Outcome, ServingConfig, ServingLoop, ServingModel, ServingReport,
-    ServingRequest,
+    percentile, Outcome, ServingConfig, ServingLoop, ServingModel, ServingReport, ServingRequest,
 };
 
 const TENANTS: u64 = 8;
@@ -79,16 +78,7 @@ fn row(devices: u32, requests: &[ServingRequest], reports: &[ServingReport]) -> 
 }
 
 fn main() {
-    let requests = ArrivalConfig {
-        seed: 2026,
-        rate_per_s: RATE_PER_S,
-        horizon: Nanos::from_secs_f64(900.0),
-        prompt_len: (16, 48),
-        decode_tokens: (32, 96),
-        vocab: TransformerConfig::gptj_6b().vocab,
-        tenants: TENANTS,
-    }
-    .generate();
+    let requests = gptj_arrivals(2026, RATE_PER_S, 900.0, (32, 96), TENANTS);
 
     let dedicated: Vec<ServingReport> = (0..TENANTS)
         .map(|tenant| {

@@ -18,28 +18,19 @@
 //! the virtual clock.
 
 use genie_bench::report::{render_table, write_artifact};
-use genie_cluster::GpuSpec;
+use genie_bench::workload::gptj_arrivals;
 use genie_models::TransformerConfig;
-use genie_netsim::Nanos;
-use genie_serving::{ArrivalConfig, DisaggConfig, ServingConfig, ServingLoop, ServingModel};
+use genie_serving::{DisaggConfig, ServingConfig, ServingLoop, ServingModel};
 use genie_srg::json_object;
 
 fn serving_config(lanes: u32, batched: bool) -> ServingConfig {
     ServingConfig {
         lanes,
-        max_batch: 8,
         batched,
         kv_capacity_bytes: 16 << 30,
-        queue_budget: Nanos::from_secs_f64(2.0),
         max_queue: 1024,
-        gpu: GpuSpec::a100_80gb(),
-        link_bandwidth_bps: 25e9,
-        link_latency_s: 250e-6,
-        fault_plan: None,
-        slo: genie_serving::SloConfig::paper_default(),
         record_telemetry: false,
-        disagg: None,
-        shard: None,
+        ..ServingConfig::paper_testbed()
     }
 }
 
@@ -52,7 +43,7 @@ fn disagg_main(quick: bool) {
     // Equal total lanes per fleet: `total` colocated lanes vs.
     // `total - 1` decode lanes + 1 dedicated prefill lane.
     let fleets: &[u32] = if quick { &[2] } else { &[2, 3] };
-    let horizon = Nanos::from_secs_f64(if quick { 4.0 } else { 10.0 });
+    let horizon_s = if quick { 4.0 } else { 10.0 };
     let model = TransformerConfig::gptj_6b();
 
     let mut rows = Vec::new();
@@ -60,16 +51,7 @@ fn disagg_main(quick: bool) {
     let mut dominated = 0usize;
     for &total in fleets {
         for &load in loads {
-            let requests = ArrivalConfig {
-                seed: 42,
-                rate_per_s: load,
-                horizon,
-                prompt_len: (16, 48),
-                decode_tokens: (32, 96),
-                vocab: model.vocab,
-                tenants: 4,
-            }
-            .generate();
+            let requests = gptj_arrivals(42, load, horizon_s, (32, 96), 4);
             let colocated = ServingLoop::new(
                 ServingModel::Spec(model.clone()),
                 serving_config(total, true),
@@ -180,23 +162,14 @@ fn main() {
         &[0.5, 1.0, 2.0, 4.0, 8.0]
     };
     let fleets: &[u32] = if quick { &[1] } else { &[1, 2] };
-    let horizon = Nanos::from_secs_f64(if quick { 4.0 } else { 10.0 });
+    let horizon_s = if quick { 4.0 } else { 10.0 };
     let model = TransformerConfig::gptj_6b();
 
     let mut rows = Vec::new();
     let mut table = Vec::new();
     for &lanes in fleets {
         for &load in loads {
-            let requests = ArrivalConfig {
-                seed: 42,
-                rate_per_s: load,
-                horizon,
-                prompt_len: (16, 48),
-                decode_tokens: (32, 96),
-                vocab: model.vocab,
-                tenants: 4,
-            }
-            .generate();
+            let requests = gptj_arrivals(42, load, horizon_s, (32, 96), 4);
             let mut per_mode = Vec::new();
             for batched in [true, false] {
                 let report = ServingLoop::new(

@@ -29,10 +29,10 @@
 
 use genie_backend::{batched_step_time, sharded_step_time, ShardPlan, StepWork};
 use genie_bench::report::{render_table, write_artifact};
+use genie_bench::workload::gptj_arrivals;
 use genie_cluster::GpuSpec;
 use genie_models::TransformerConfig;
-use genie_netsim::Nanos;
-use genie_serving::{ArrivalConfig, ServingConfig, ServingLoop, ServingModel};
+use genie_serving::{ServingConfig, ServingLoop, ServingModel};
 use genie_srg::shard::ShardSpec;
 use genie_srg::{json::Value, json_object};
 
@@ -79,16 +79,7 @@ fn tokens_per_s(cfg: &TransformerConfig, plan: &ShardPlan) -> (f64, f64, f64) {
 }
 
 fn serving_section(cfg: &TransformerConfig) -> Value {
-    let requests = ArrivalConfig {
-        seed: 42,
-        rate_per_s: 4.0,
-        horizon: Nanos::from_secs_f64(2.0),
-        prompt_len: (16, 48),
-        decode_tokens: (32, 96),
-        vocab: cfg.vocab,
-        tenants: 2,
-    }
-    .generate();
+    let requests = gptj_arrivals(42, 4.0, 2.0, (32, 96), 2);
     let config = |shard: Option<ShardSpec>| {
         let mut c = ServingConfig::paper_testbed();
         c.max_batch = DECODE_MEMBERS as usize;

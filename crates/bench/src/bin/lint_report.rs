@@ -12,13 +12,6 @@ use genie_models::Workload;
 use genie_scheduler::{schedule, CostModel, SemanticsAware};
 use genie_srg::json_object;
 
-const FAMILIES: [LintFamily; 4] = [
-    LintFamily::Graph,
-    LintFamily::Plan,
-    LintFamily::Schedule,
-    LintFamily::Precision,
-];
-
 fn main() {
     println!(
         "Semantic lint report — GA0xx graph / GA1xx plan / GA2xx schedule / GA3xx precision\n"
@@ -40,7 +33,7 @@ fn main() {
             w.name().to_string(),
             format!("{} nodes / {} edges", srg.node_count(), srg.edge_count()),
         ];
-        for fam in FAMILIES {
+        for fam in LintFamily::ALL {
             row.push(family_summary(fam, &[&graph_report, &plan_report]));
         }
         rows.push(row);

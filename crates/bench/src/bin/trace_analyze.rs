@@ -17,11 +17,11 @@
 //! time, bit-deterministic output.
 
 use genie_bench::report::{render_table, write_artifact};
+use genie_bench::workload::gptj_arrivals;
 use genie_models::TransformerConfig;
 use genie_netsim::{FaultPlan, FaultSchedule, FaultSpec, Nanos};
 use genie_serving::{
-    ArrivalConfig, DisaggConfig, MigrationPolicy, ServingConfig, ServingLoop, ServingModel,
-    ServingReport,
+    DisaggConfig, MigrationPolicy, ServingConfig, ServingLoop, ServingModel, ServingReport,
 };
 use genie_srg::{json::Value, json_object};
 use genie_telemetry::causal::{self, BlameFractions, BlameReport, WhatIf};
@@ -43,14 +43,6 @@ fn fractions_json(f: &BlameFractions) -> Value {
 const SEED: u64 = 42;
 const CHAOS_SEED: u64 = 7;
 
-fn config(fault_plan: Option<FaultPlan>) -> ServingConfig {
-    let mut c = ServingConfig::paper_testbed();
-    c.max_batch = 4;
-    c.fault_plan = fault_plan;
-    c.record_telemetry = false;
-    c
-}
-
 fn chaos_plan() -> FaultPlan {
     FaultPlan::new(
         CHAOS_SEED,
@@ -71,41 +63,18 @@ fn chaos_plan() -> FaultPlan {
     )
 }
 
-fn run(plan: Option<FaultPlan>) -> ServingReport {
-    let model = TransformerConfig::gptj_6b();
-    let requests = ArrivalConfig {
-        seed: SEED,
-        rate_per_s: 4.0,
-        horizon: Nanos::from_secs_f64(4.0),
-        prompt_len: (16, 48),
-        decode_tokens: (16, 48),
-        vocab: model.vocab,
-        tenants: 4,
-    }
-    .generate();
-    ServingLoop::new(ServingModel::Spec(model), config(plan)).run(&requests)
-}
-
-/// The disaggregated scenario: one prefill lane shipping every KV
-/// prefix to the decode lane, so `kv.migrate` wire time shows up as its
-/// own blame category.
-fn run_disagg() -> ServingReport {
-    let model = TransformerConfig::gptj_6b();
-    let requests = ArrivalConfig {
-        seed: SEED,
-        rate_per_s: 4.0,
-        horizon: Nanos::from_secs_f64(4.0),
-        prompt_len: (16, 48),
-        decode_tokens: (16, 48),
-        vocab: model.vocab,
-        tenants: 4,
-    }
-    .generate();
-    let mut c = config(None);
-    let mut d = DisaggConfig::paper_testbed(1);
-    d.policy = MigrationPolicy::AlwaysShip;
-    c.disagg = Some(d);
-    ServingLoop::new(ServingModel::Spec(model), c).run(&requests)
+/// Serve the pinned trace under `fault_plan`, colocated or — the
+/// disaggregated scenario — behind `disagg`.
+fn run(fault_plan: Option<FaultPlan>, disagg: Option<DisaggConfig>) -> ServingReport {
+    let requests = gptj_arrivals(SEED, 4.0, 4.0, (16, 48), 4);
+    let config = ServingConfig {
+        max_batch: 4,
+        fault_plan,
+        disagg,
+        record_telemetry: false,
+        ..ServingConfig::paper_testbed()
+    };
+    ServingLoop::new(ServingModel::Spec(TransformerConfig::gptj_6b()), config).run(&requests)
 }
 
 /// Analyze one scenario and enforce every blame invariant.
@@ -200,9 +169,17 @@ fn scenario_json(blame: &BlameReport, report: &ServingReport) -> Value {
 }
 
 fn main() {
-    let baseline = run(None);
-    let chaos = run(Some(chaos_plan()));
-    let disagg = run_disagg();
+    let baseline = run(None, None);
+    let chaos = run(Some(chaos_plan()), None);
+    // One prefill lane shipping every KV prefix to the decode lane, so
+    // `kv.migrate` wire time shows up as its own blame category.
+    let disagg = run(
+        None,
+        Some(DisaggConfig {
+            policy: MigrationPolicy::AlwaysShip,
+            ..DisaggConfig::paper_testbed(1)
+        }),
+    );
 
     let baseline_blame = analyze_checked("baseline", &baseline);
     let chaos_blame = analyze_checked("chaos", &chaos);
@@ -210,7 +187,7 @@ fn main() {
 
     // Determinism: a same-seed rerun must reproduce the blame report
     // byte for byte.
-    let rerun = analyze_checked("chaos-rerun", &run(Some(chaos_plan())));
+    let rerun = analyze_checked("chaos-rerun", &run(Some(chaos_plan()), None));
     assert_eq!(
         chaos_blame, rerun,
         "same-seed blame reports must be bit-identical"

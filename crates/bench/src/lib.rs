@@ -12,7 +12,7 @@
 //!
 //! [`calibration`] documents how the simulator's transport constants were
 //! refit from the paper's own cells; [`workload`] fixes the GPT-J request
-//! the tables measure.
+//! the tables measure and the arrival trace the serving benches offer.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

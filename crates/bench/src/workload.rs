@@ -1,6 +1,9 @@
-//! The §4 evaluation workload: GPT-J serving one request.
+//! The §4 evaluation workload — GPT-J serving one request — and the
+//! request trace the serving benches offer the same model.
 
 use genie_models::TransformerConfig;
+use genie_netsim::Nanos;
+use genie_serving::{ArrivalConfig, ServingRequest};
 
 /// The evaluation request: a 72-token prompt followed by autoregressive
 /// decoding.
@@ -51,6 +54,29 @@ impl LlmWorkload {
     pub fn boundary_activation_bytes(&self) -> f64 {
         (self.prompt_tokens * self.config.d_model * self.config.elem.size_bytes()) as f64
     }
+}
+
+/// The serving benches' open-loop trace: `rate_per_s` requests per
+/// second until `horizon_s` on the virtual clock, prompts of 16–48
+/// tokens drawn from GPT-J's vocabulary, `decode_tokens` (min, max)
+/// generated per request, round-robin over `tenants`.
+pub fn gptj_arrivals(
+    seed: u64,
+    rate_per_s: f64,
+    horizon_s: f64,
+    decode_tokens: (usize, usize),
+    tenants: u64,
+) -> Vec<ServingRequest> {
+    ArrivalConfig {
+        seed,
+        rate_per_s,
+        horizon: Nanos::from_secs_f64(horizon_s),
+        prompt_len: (16, 48),
+        decode_tokens,
+        vocab: TransformerConfig::gptj_6b().vocab,
+        tenants,
+    }
+    .generate()
 }
 
 #[cfg(test)]

@@ -46,12 +46,6 @@ impl KernelTimeCache {
             entries: genie_telemetry::lock(&self.entries).len(),
         }
     }
-
-    fn clear(&self) {
-        genie_telemetry::lock(&self.entries).clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Point-in-time counters for the kernel-time cache.
@@ -170,11 +164,6 @@ impl CostModel {
         self.cache.stats()
     }
 
-    /// Drop every memoized estimate and reset the counters.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-
     /// Time to move `bytes` across the network in one call.
     pub fn transfer_time(&self, bytes: f64) -> f64 {
         self.per_call_overhead_s + self.streaming_time(bytes) + self.network_latency_s
@@ -285,6 +274,8 @@ mod tests {
     #[test]
     fn cached_kernel_time_is_the_derated_roofline() {
         let m = CostModel::paper_stack();
+        assert_eq!(m.cache_stats(), CostCacheStats::default());
+        assert_eq!(m.cache_stats().hit_rate(), 0.0, "untouched cache");
         let gpu = GpuSpec::a100_80gb();
         let n = node(3e12, 5e9);
         let roofline = gpu.roofline(3e12, 5e9, m.compute_efficiency, m.memory_efficiency);
@@ -337,16 +328,6 @@ mod tests {
             assert_eq!(served.to_bits(), cold.to_bits(), "{tier:?}");
             assert_eq!(served.to_bits(), spelled.to_bits(), "{tier:?}");
         }
-    }
-
-    #[test]
-    fn clear_cache_resets_counters() {
-        let m = CostModel::ideal_25g();
-        let gpu = GpuSpec::a100_80gb();
-        m.kernel_time(&node(1e12, 1e9), &gpu);
-        m.clear_cache();
-        assert_eq!(m.cache_stats(), CostCacheStats::default());
-        assert_eq!(m.cache_stats().hit_rate(), 0.0);
     }
 
     #[test]

@@ -36,7 +36,8 @@ pub struct FleetBinding {
 }
 
 /// Admit `tenant` through the global scheduler at virtual time `now` and
-/// derive the serving-loop geometry from its device assignment.
+/// derive the serving-loop geometry from its device assignment: one
+/// lane per device, each holding the whole model.
 pub fn bind_tenant(
     sched: &mut GlobalScheduler,
     topo: &Topology,
@@ -44,53 +45,18 @@ pub fn bind_tenant(
     tenant: TenantRequest,
     now: Nanos,
 ) -> FleetBinding {
-    let id = tenant.id;
-    // Static gate first: a tenant whose spec graph carries deny-level
-    // lint findings never reaches the scheduler.
-    if run_srg_passes(&tenant.srg, &LintConfig::new()).has_deny() {
-        return FleetBinding {
-            admitted: false,
-            devices: Vec::new(),
-            lanes: 0,
-            kv_capacity_bytes: 0,
-        };
-    }
-    let plan = sched.step(now, vec![FleetEvent::Admit(tenant)]);
-    match plan.assignments.get(&id) {
-        Some(devices) if !devices.is_empty() && !plan.rejected.contains_key(&id) => {
-            let per_lane = devices
-                .iter()
-                .map(|d| {
-                    topo.device(*d)
-                        .spec
-                        .mem_capacity
-                        .saturating_sub(model.weight_bytes())
-                })
-                .min()
-                .unwrap_or(0);
-            FleetBinding {
-                admitted: per_lane > 0,
-                lanes: devices.len() as u32,
-                devices: devices.clone(),
-                kv_capacity_bytes: per_lane,
-            }
-        }
-        _ => FleetBinding {
-            admitted: false,
-            devices: Vec::new(),
-            lanes: 0,
-            kv_capacity_bytes: 0,
-        },
-    }
+    bind_sharded_tenant(sched, topo, model, tenant, ShardSpec::single(), now)
 }
 
-/// Admit a *sharded* tenant: same lint gate and scheduler admission as
-/// [`bind_tenant`], but the assigned devices are grouped into shard
-/// sets of `spec.shards()` — one serving lane per complete group. Each
-/// device in a group holds `1/shards` of the weights, so the per-lane
-/// KV budget is derived from that smaller resident footprint. A tenant
-/// whose spec is invalid, or whose assignment cannot fill one complete
-/// group, is refused.
+/// Admit a *sharded* tenant: the assigned devices are grouped into
+/// shard sets of `spec.shards()` — one serving lane per complete group.
+/// Each device in a group holds `1/shards` of the weights, so the
+/// per-lane KV budget is derived from that smaller resident footprint.
+/// A tenant whose spec is invalid or whose graph carries deny-level
+/// lint findings never reaches the scheduler; one the scheduler
+/// rejects, or whose assignment cannot fill one complete group with KV
+/// headroom, departs it again, so a refusal leaves nothing charged to
+/// the fleet and nothing waiting to be planned later.
 pub fn bind_sharded_tenant(
     sched: &mut GlobalScheduler,
     topo: &Topology,
@@ -105,21 +71,20 @@ pub fn bind_sharded_tenant(
         lanes: 0,
         kv_capacity_bytes: 0,
     };
-    if spec.validate().is_err() {
+    let id = tenant.id;
+    if spec.validate().is_err() || run_srg_passes(&tenant.srg, &LintConfig::new()).has_deny() {
         return refused;
     }
-    let binding = bind_tenant(sched, topo, model, tenant, now);
-    if !binding.admitted {
-        return binding;
-    }
-    let shards = spec.shards() as usize;
-    let groups = binding.devices.len() / shards;
-    if groups == 0 {
-        return refused;
-    }
+    let plan = sched.step(now, vec![FleetEvent::Admit(tenant)]);
+    let assigned = match plan.assignments.get(&id) {
+        Some(devices) if !plan.rejected.contains_key(&id) => devices.as_slice(),
+        _ => &[],
+    };
     // Keep only complete shard groups; each holds 1/shards of the
     // weights per device.
-    let devices: Vec<DevId> = binding.devices[..groups * shards].to_vec();
+    let shards = spec.shards() as usize;
+    let groups = assigned.len() / shards;
+    let devices = assigned[..groups * shards].to_vec();
     let per_shard_weights = model.weight_bytes() / shards as u64;
     let per_lane = devices
         .iter()
@@ -131,8 +96,12 @@ pub fn bind_sharded_tenant(
         })
         .min()
         .unwrap_or(0);
+    if per_lane == 0 {
+        sched.step(now, vec![FleetEvent::Depart(id)]);
+        return refused;
+    }
     FleetBinding {
-        admitted: per_lane > 0,
+        admitted: true,
         lanes: groups as u32,
         devices,
         kv_capacity_bytes: per_lane,
@@ -213,6 +182,53 @@ mod tests {
         );
         assert!(!wide.admitted);
         assert!(wide.devices.is_empty());
+    }
+
+    fn llm(id: u64) -> TenantRequest {
+        TenantRequest {
+            id,
+            name: format!("llm-{id}"),
+            srg: Workload::LlmServing.spec_graph(),
+            slo: Slo::Interactive,
+            model_fingerprint: 7,
+        }
+    }
+
+    #[test]
+    fn a_refusal_leaves_nothing_charged_to_the_fleet() {
+        let topo = Topology::heterogeneous_fleet(2, 25e9);
+        let mut sched = GlobalScheduler::new(topo.clone(), CostModel::paper_stack());
+        let cfg = TransformerConfig::gptj_6b();
+        // Thirty plans wider than the fleet: each is planned by the
+        // scheduler (weights pinned, kernels queued) and then refused
+        // for want of one complete shard group.
+        for id in 2..=31 {
+            let spec = ShardSpec::new(64, 64);
+            let wide = bind_sharded_tenant(&mut sched, &topo, &cfg, llm(id), spec, Nanos::ZERO);
+            assert!(!wide.admitted && wide.devices.is_empty());
+        }
+        // The fleet is as empty as `llm_tenant_binds_with_kv_headroom`
+        // found it.
+        let binding = bind_tenant(&mut sched, &topo, &cfg, llm(1), Nanos::ZERO);
+        assert!(binding.admitted, "refused tenants still hold the fleet");
+        assert!(binding.lanes >= 1);
+    }
+
+    #[test]
+    fn a_tenant_the_scheduler_rejected_is_not_planned_behind_its_callers_back() {
+        // 2 x 48 GB of bandwidth-optimized memory cannot hold five
+        // GPT-J tenants: the scheduler rejects the overflow.
+        let topo = Topology::heterogeneous_fleet(1, 25e9);
+        let mut sched = GlobalScheduler::new(topo.clone(), CostModel::paper_stack());
+        let cfg = TransformerConfig::gptj_6b();
+        let admitted: Vec<bool> = (1..=5)
+            .map(|id| bind_tenant(&mut sched, &topo, &cfg, llm(id), Nanos::ZERO).admitted)
+            .collect();
+        assert!(admitted[0] && admitted.contains(&false), "{admitted:?}");
+        // Their callers shed the refused tenants' traces; room freed
+        // later must not admit them with nobody left to serve them.
+        let later = sched.step(Nanos::ZERO, vec![FleetEvent::Depart(1)]);
+        assert!(later.plans.is_empty() && later.rejected.is_empty());
     }
 
     #[test]

@@ -226,6 +226,7 @@ mod tests {
         let isas: Vec<Isa> = Isa::detected().collect();
         println!("row workers under test: {isas:?}");
         assert_eq!(isas.last(), Some(&Isa::Baseline));
+        assert_eq!(crate::stats::isa(), isas[0].label(), "widest first");
         isas
     }
 
