@@ -3,7 +3,7 @@
 use crate::config::CnnConfig;
 use genie_frontend::capture::{CaptureCtx, LazyTensor};
 use genie_srg::{ElemType, Modality};
-use genie_tensor::{init, Tensor};
+use genie_tensor::{init, ops, Tensor};
 
 /// A simple CNN: `stages` conv→relu→(pool every other stage) blocks, then
 /// global average pooling and a linear classifier. Channel width doubles
@@ -44,20 +44,14 @@ impl SimpleCnn {
             weights: None,
             classifier: None,
         };
-        let mut s = seed;
-        let mut next = || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            s
-        };
+        let mut next = crate::weight_seeds(seed);
         let weights = (0..model.config.stages)
             .map(|i| {
                 let cout = model.channels(i);
                 let cin = model.in_channels(i);
                 StageWeights {
-                    w: scale(
-                        init::randn([cout, cin, 3, 3], next()),
+                    w: ops::scale(
+                        &init::randn([cout, cin, 3, 3], next()),
                         1.0 / ((cin * 9) as f32).sqrt(),
                     ),
                     b: Tensor::zeros([cout]),
@@ -66,8 +60,8 @@ impl SimpleCnn {
             .collect();
         let last = model.channels(model.config.stages - 1);
         model.classifier = Some((
-            scale(
-                init::randn([last, model.config.classes], next()),
+            ops::scale(
+                &init::randn([last, model.config.classes], next()),
                 1.0 / (last as f32).sqrt(),
             ),
             Tensor::zeros([model.config.classes]),
@@ -158,11 +152,6 @@ impl SimpleCnn {
         let cap = ctx.finish();
         genie_frontend::interp::run_single_output(&cap).expect("cnn executes")
     }
-}
-
-fn scale(t: Tensor, f: f32) -> Tensor {
-    let data = t.data().iter().map(|&x| x * f).collect();
-    Tensor::from_vec(t.dims().to_vec(), data)
 }
 
 #[cfg(test)]

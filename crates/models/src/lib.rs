@@ -37,3 +37,14 @@ pub use multimodal::{Multimodal, MultimodalConfig};
 pub use sharded::{ShardedLmCapture, ShardedTransformerLm};
 pub use transformer::{KvState, LmCapture, TransformerLm};
 pub use zoo::{functional_transformers, Workload};
+
+/// The LCG whose successive outputs seed a functional model's weight
+/// draws, one tensor each.
+pub(crate) fn weight_seeds(mut s: u64) -> impl FnMut() -> u64 {
+    move || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        s
+    }
+}

@@ -4,7 +4,7 @@
 use crate::config::{CnnConfig, TransformerConfig};
 use genie_frontend::capture::{CaptureCtx, LazyTensor};
 use genie_srg::{ElemType, Modality, Phase};
-use genie_tensor::{init, Tensor};
+use genie_tensor::{init, ops, Tensor};
 
 /// Configuration of the fusion model.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,14 +117,6 @@ impl Multimodal {
         // Vision tower: a small conv stack then projection.
         let img_vec = ctx.modality_scope(Modality::Vision, || {
             ctx.scope("vision_tower", || {
-                let cnn = if self.is_functional() {
-                    crate::cnn::SimpleCnn::new_functional(cfg.vision.clone(), 99)
-                } else {
-                    crate::cnn::SimpleCnn::new_spec(cfg.vision.clone())
-                };
-                // Reuse the CNN capture up to the feature vector: capture
-                // a fresh stack inline (classifier included is fine; we
-                // project its penultimate features via gap here instead).
                 let img = cfg.vision.image_size;
                 let mut x = ctx.input("image", [1, 3, img, img], elem, pixels);
                 for i in 0..cfg.vision.stages {
@@ -138,17 +130,12 @@ impl Multimodal {
                         &format!("conv{i}_w"),
                         [cout, cin, 3, 3],
                         elem,
-                        // Functional vision weights come from the nested
-                        // CNN's RNG; to keep payloads aligned we just
-                        // synthesize per-layer seeds here.
-                        if self.is_functional() {
-                            Some(scale(
-                                init::randn([cout, cin, 3, 3], 1000 + i as u64),
+                        self.is_functional().then(|| {
+                            ops::scale(
+                                &init::randn([cout, cin, 3, 3], 1000 + i as u64),
                                 1.0 / ((cin * 9) as f32).sqrt(),
-                            ))
-                        } else {
-                            None
-                        },
+                            )
+                        }),
                     );
                     let cb = ctx.parameter(
                         &format!("conv{i}_b"),
@@ -161,7 +148,6 @@ impl Multimodal {
                         x = x.pool2d(2, 2, false);
                     }
                 }
-                let _ = cnn;
                 let proj = ctx.parameter(
                     "img_proj",
                     [x.dims()[1], cfg.fusion_dim],
@@ -225,11 +211,6 @@ impl Multimodal {
         let cap = ctx.finish();
         genie_frontend::interp::run_single_output(&cap).expect("vqa executes")
     }
-}
-
-fn scale(t: Tensor, f: f32) -> Tensor {
-    let data = t.data().iter().map(|&x| x * f).collect();
-    Tensor::from_vec(t.dims().to_vec(), data)
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! Capture-time sharding of the transformer LM: tensor/pipeline
 //! parallelism whose collectives are first-class SRG nodes.
 //!
-//! [`ShardedTransformerLm`] re-captures the same forward pass as
-//! [`TransformerLm`] but splits the weight matrices across
-//! tensor-parallel ranks and the layers across pipeline stages,
-//! inserting the collectives the fabric must carry:
+//! [`ShardedTransformerLm`] records [`TransformerLm`]'s own forward pass
+//! (the unsharded capture is its [`ShardSpec::single()`] case) with the
+//! weight matrices split across tensor-parallel ranks and the layers
+//! across pipeline stages, inserting the collectives the fabric must
+//! carry:
 //!
 //! * **column-split** projections (`wq`/`wk`/`wv`, `w1`, `lm_head`)
 //!   compute disjoint output columns per rank and reassemble with a
@@ -23,7 +24,7 @@
 //! them — each rank applies gelu to its own column slice and feeds its
 //! row slice of w2 directly.
 //!
-//! Every captured node is attributed to a shard
+//! Every captured node, weights included, is attributed to a shard
 //! (`shard = stage * tp + rank`); the map drives
 //! [`genie_frontend::execute_sharded`], the sharded placement policy,
 //! and the netsim pricing of cut-edge traffic.
@@ -37,8 +38,6 @@ use genie_frontend::capture::{CaptureCtx, LazyTensor};
 use genie_frontend::shard::{execute_sharded, ShardExecReport};
 use genie_srg::shard::ShardSpec;
 use genie_srg::{NodeId, Phase};
-use genie_tensor::{ops, Tensor};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// A transformer LM captured under a [`ShardSpec`]. Functionally
@@ -57,29 +56,9 @@ pub struct ShardedTransformerLm {
 pub struct ShardedLmCapture {
     /// Logits / grown caches, as in the unsharded capture.
     pub cap: LmCapture,
-    /// Shard id for every captured node.
+    /// Shard id of every captured node. A node it omits is on shard 0,
+    /// as every reader takes it; at one shard it omits them all.
     pub shard_of: BTreeMap<NodeId, u32>,
-}
-
-/// Region-based shard attribution: snapshot the node counter around a
-/// closure and tag everything it created. Inner regions win (they tag
-/// first; outer regions only fill the remainder).
-struct Tagger<'a> {
-    ctx: &'a CaptureCtx,
-    map: RefCell<BTreeMap<NodeId, u32>>,
-}
-
-impl Tagger<'_> {
-    fn on<R>(&self, shard: u32, f: impl FnOnce() -> R) -> R {
-        let before = self.ctx.node_count();
-        let out = f();
-        let after = self.ctx.node_count();
-        let mut map = self.map.borrow_mut();
-        for i in before..after {
-            map.entry(NodeId::new(i as u32)).or_insert(shard);
-        }
-        out
-    }
 }
 
 impl ShardedTransformerLm {
@@ -111,16 +90,14 @@ impl ShardedTransformerLm {
 
     /// Pipeline stage owning layer `layer` (contiguous blocks).
     pub fn stage_of_layer(&self, layer: usize) -> u32 {
-        let stages = self.spec.pipeline_stages as usize;
-        let layers = self.model.config.layers;
-        ((layer * stages / layers).min(stages - 1)) as u32
+        crate::transformer::stage_of_layer(self.spec, self.model.config.layers, layer)
     }
 
     /// Capture the sharded prefill graph for a prompt.
     pub fn capture_prefill(&self, ctx: &CaptureCtx, prompt: &[i64]) -> ShardedLmCapture {
-        ctx.phase_scope(Phase::LlmPrefill, || {
-            self.capture_forward(ctx, prompt, &KvState::default())
-        })
+        let kv = KvState::default();
+        self.model
+            .capture_sharded(ctx, self.spec, Phase::LlmPrefill, prompt, &kv)
     }
 
     /// Capture one sharded decode step given the carried KV state.
@@ -130,289 +107,8 @@ impl ShardedTransformerLm {
         token: i64,
         kv: &KvState,
     ) -> ShardedLmCapture {
-        ctx.phase_scope(Phase::LlmDecode, || self.capture_forward(ctx, &[token], kv))
-    }
-
-    fn capture_forward(&self, ctx: &CaptureCtx, tokens: &[i64], kv: &KvState) -> ShardedLmCapture {
-        let cfg = &self.model.config;
-        let spec = self.spec;
-        let tp = spec.tensor_parallel;
-        let d = cfg.d_model;
-        let ffn = d * cfg.ffn_mult;
-        let elem = cfg.elem;
-        let w = self.model.weights();
-        let t = tokens.len();
-        let sid = |stage: u32, rank: u32| spec.shard_id(stage, rank);
-        let tag = Tagger {
-            ctx,
-            map: RefCell::new(BTreeMap::new()),
-        };
-
-        // Column slice `rank` of a weight payload (output-dim split).
-        let col = |payload: Option<&Tensor>, dim: usize, width: usize, rank: u32| {
-            payload.map(|p| ops::narrow(p, dim, rank as usize * width, width))
-        };
-
-        // Embedding lives on the first stage's rank 0.
-        let mut x = tag.on(sid(0, 0), || {
-            let ids = if w.is_some() {
-                ctx.input_ids("tokens", tokens)
-            } else {
-                ctx.input_ids_spec("tokens", t)
-            };
-            let wte = ctx.parameter("wte", [cfg.vocab, d], elem, w.map(|w| w.wte.clone()));
-            ctx.scope("embed", || wte.gather(&ids))
-        });
-
-        let mut k_caches = Vec::with_capacity(cfg.layers);
-        let mut v_caches = Vec::with_capacity(cfg.layers);
-        let mut stage = 0u32;
-
-        for layer in 0..cfg.layers {
-            let next_stage = self.stage_of_layer(layer);
-            if next_stage != stage {
-                // Pipeline hop: the residual stream crosses the fabric.
-                x = tag.on(sid(next_stage, 0), || {
-                    x.send_activation(sid(stage, 0), sid(next_stage, 0))
-                });
-                stage = next_stage;
-            }
-            let s = stage;
-            let lw = w.map(|w| &w.layers[layer]);
-            let cached = kv.k.get(layer).map_or(0, |c| c.dims()[0]);
-
-            x = ctx.scope("h", || {
-                ctx.scope(&layer.to_string(), || {
-                    let normed = tag.on(sid(s, 0), || {
-                        let ln_g = ctx.parameter("ln_g", [d], elem, lw.map(|l| l.ln_g.clone()));
-                        let ln_b = ctx.parameter("ln_b", [d], elem, lw.map(|l| l.ln_b.clone()));
-                        x.layer_norm(&ln_g, &ln_b, 1e-5)
-                    });
-
-                    let (attn_out, kc, vc) = ctx.scope("attn", || {
-                        // Column-split q/k/v projections: each rank owns a
-                        // d/tp-wide slice; a rank-ordered gather reassembles.
-                        let project =
-                            |name: &str, pick: fn(&crate::transformer::LayerWeights) -> &Tensor| {
-                                if tp == 1 {
-                                    let wp = ctx.parameter(
-                                        name,
-                                        [d, d],
-                                        elem,
-                                        lw.map(|l| pick(l).clone()),
-                                    );
-                                    tag.on(sid(s, 0), || normed.matmul(&wp))
-                                } else {
-                                    let width = d / tp as usize;
-                                    let parts: Vec<LazyTensor> = (0..tp)
-                                        .map(|r| {
-                                            tag.on(sid(s, r), || {
-                                                let wp = ctx.parameter(
-                                                    &format!("{name}_r{r}"),
-                                                    [d, width],
-                                                    elem,
-                                                    col(lw.map(pick), 1, width, r),
-                                                );
-                                                normed.matmul(&wp)
-                                            })
-                                        })
-                                        .collect();
-                                    let refs: Vec<&LazyTensor> = parts.iter().collect();
-                                    tag.on(sid(s, 0), || ctx.all_gather(&refs, 1))
-                                }
-                            };
-                        let q = project("wq", |l| &l.wq);
-                        let k_new = project("wk", |l| &l.wk);
-                        let v_new = project("wv", |l| &l.wv);
-
-                        // KV cache and attention stay whole on rank 0: the
-                        // cache is the serving plane's migration unit.
-                        let (o, kc, vc) = tag.on(sid(s, 0), || {
-                            let k_in = if cached > 0 {
-                                ctx.input(
-                                    &format!("k_cache_{layer}"),
-                                    [cached, d],
-                                    elem,
-                                    kv.k.get(layer).cloned().filter(|_| w.is_some()),
-                                )
-                            } else {
-                                ctx.empty_cache(&format!("k_cache_{layer}"), d, elem)
-                            };
-                            let v_in = if cached > 0 {
-                                ctx.input(
-                                    &format!("v_cache_{layer}"),
-                                    [cached, d],
-                                    elem,
-                                    kv.v.get(layer).cloned().filter(|_| w.is_some()),
-                                )
-                            } else {
-                                ctx.empty_cache(&format!("v_cache_{layer}"), d, elem)
-                            };
-                            let kc = k_in.kv_append(&k_new);
-                            let vc = v_in.kv_append(&v_new);
-                            let o = q.attention(&kc, &vc, cfg.heads, true);
-                            (o, kc, vc)
-                        });
-
-                        // Row-split output projection: chained matmul_acc in
-                        // rank order continues the exact scalar fold.
-                        let out = self.row_split_chain(
-                            ctx,
-                            &tag,
-                            &o,
-                            "wo",
-                            d,
-                            d,
-                            s,
-                            |l: &crate::transformer::LayerWeights| &l.wo,
-                            lw,
-                        );
-                        (out, kc, vc)
-                    });
-                    let x1 = tag.on(sid(s, 0), || x.add(&attn_out));
-
-                    let mlp_out = ctx.scope("mlp", || {
-                        if tp == 1 {
-                            tag.on(sid(s, 0), || {
-                                let w1 =
-                                    ctx.parameter("w1", [d, ffn], elem, lw.map(|l| l.w1.clone()));
-                                let w2 =
-                                    ctx.parameter("w2", [ffn, d], elem, lw.map(|l| l.w2.clone()));
-                                x1.matmul(&w1).gelu().matmul(&w2)
-                            })
-                        } else {
-                            // Megatron pattern: column-split w1, per-rank gelu
-                            // on own slice, row-split w2 — no collective in
-                            // between; the matmul_acc chain is the reduction.
-                            let width = ffn / tp as usize;
-                            let mut acc: Option<LazyTensor> = None;
-                            for r in 0..tp {
-                                acc = Some(tag.on(sid(s, r), || {
-                                    let w1r = ctx.parameter(
-                                        &format!("w1_r{r}"),
-                                        [d, width],
-                                        elem,
-                                        col(lw.map(|l| &l.w1), 1, width, r),
-                                    );
-                                    let w2r = ctx.parameter(
-                                        &format!("w2_r{r}"),
-                                        [width, d],
-                                        elem,
-                                        lw.map(|l| {
-                                            ops::narrow(&l.w2, 0, r as usize * width, width)
-                                        }),
-                                    );
-                                    let h = x1.matmul(&w1r).gelu();
-                                    match &acc {
-                                        None => h.matmul(&w2r),
-                                        Some(a) => h.matmul_acc(&w2r, a),
-                                    }
-                                }));
-                            }
-                            let m = acc.expect("tp >= 1");
-                            tag.on(sid(s, 0), || m.send_activation(sid(s, tp - 1), sid(s, 0)))
-                        }
-                    });
-                    k_caches.push(kc);
-                    v_caches.push(vc);
-                    tag.on(sid(s, 0), || x1.add(&mlp_out))
-                })
-            });
-        }
-
-        // LM head on the last stage; vocab-split across ranks when it
-        // divides evenly (column split, so gather is exact).
-        let last = spec.pipeline_stages - 1;
-        let logits = ctx.scope("lm_head", || {
-            let normed = tag.on(sid(last, 0), || {
-                let lnf_g = ctx.parameter("lnf_g", [d], elem, w.map(|w| w.lnf_g.clone()));
-                let lnf_b = ctx.parameter("lnf_b", [d], elem, w.map(|w| w.lnf_b.clone()));
-                x.layer_norm(&lnf_g, &lnf_b, 1e-5)
-            });
-            if tp > 1 && cfg.vocab.is_multiple_of(tp as usize) {
-                let width = cfg.vocab / tp as usize;
-                let parts: Vec<LazyTensor> = (0..tp)
-                    .map(|r| {
-                        tag.on(sid(last, r), || {
-                            let hr = ctx.parameter(
-                                &format!("lm_head_r{r}"),
-                                [d, width],
-                                elem,
-                                col(w.map(|w| &w.lm_head), 1, width, r),
-                            );
-                            normed.matmul(&hr)
-                        })
-                    })
-                    .collect();
-                let refs: Vec<&LazyTensor> = parts.iter().collect();
-                tag.on(sid(last, 0), || ctx.all_gather(&refs, 1))
-            } else {
-                tag.on(sid(last, 0), || {
-                    let head = ctx.parameter(
-                        "lm_head",
-                        [d, cfg.vocab],
-                        elem,
-                        w.map(|w| w.lm_head.clone()),
-                    );
-                    normed.matmul(&head)
-                })
-            }
-        });
-
-        ShardedLmCapture {
-            cap: LmCapture {
-                logits,
-                k_caches,
-                v_caches,
-            },
-            shard_of: tag.map.into_inner(),
-        }
-    }
-
-    /// Row-split `[rows, cols]` projection of `input` across the stage's
-    /// ranks: rank r multiplies its slice of the input columns by its
-    /// slice of the weight rows, chaining `matmul_acc` so the fold over
-    /// the inner dimension is exactly the unsharded one; the final
-    /// partial hops back to rank 0.
-    #[allow(clippy::too_many_arguments)]
-    fn row_split_chain(
-        &self,
-        ctx: &CaptureCtx,
-        tag: &Tagger<'_>,
-        input: &LazyTensor,
-        name: &str,
-        rows: usize,
-        cols: usize,
-        stage: u32,
-        pick: fn(&crate::transformer::LayerWeights) -> &Tensor,
-        lw: Option<&crate::transformer::LayerWeights>,
-    ) -> LazyTensor {
-        let tp = self.spec.tensor_parallel;
-        let elem = self.model.config.elem;
-        let sid = |rank: u32| self.spec.shard_id(stage, rank);
-        if tp == 1 {
-            let wp = ctx.parameter(name, [rows, cols], elem, lw.map(|l| pick(l).clone()));
-            return tag.on(sid(0), || input.matmul(&wp));
-        }
-        let width = rows / tp as usize;
-        let mut acc: Option<LazyTensor> = None;
-        for r in 0..tp {
-            acc = Some(tag.on(sid(r), || {
-                let wr = ctx.parameter(
-                    &format!("{name}_r{r}"),
-                    [width, cols],
-                    elem,
-                    lw.map(|l| ops::narrow(pick(l), 0, r as usize * width, width)),
-                );
-                let ir = input.narrow(1, r as usize * width, width);
-                match &acc {
-                    None => ir.matmul(&wr),
-                    Some(a) => ir.matmul_acc(&wr, a),
-                }
-            }));
-        }
-        let out = acc.expect("tp >= 1");
-        tag.on(sid(0), || out.send_activation(sid(tp - 1), sid(0)))
+        self.model
+            .capture_sharded(ctx, self.spec, Phase::LlmDecode, &[token], kv)
     }
 
     /// Sharded greedy generation: same semantics as
@@ -473,6 +169,7 @@ mod tests {
     use super::*;
     use crate::config::TransformerConfig;
     use genie_srg::OpKind;
+    use genie_tensor::Tensor;
 
     fn tiny() -> TransformerLm {
         TransformerLm::new_functional(TransformerConfig::tiny(), 42)
@@ -528,5 +225,92 @@ mod tests {
         // All four shards own captured nodes.
         let shards: std::collections::BTreeSet<u32> = shard_of.values().copied().collect();
         assert_eq!(shards.len(), 4);
+    }
+
+    fn decode_kv(cfg: &TransformerConfig, len: usize) -> KvState {
+        let caches = vec![Tensor::zeros([len, cfg.d_model]); cfg.layers];
+        KvState {
+            k: caches.clone(),
+            v: caches,
+        }
+    }
+
+    #[test]
+    fn single_shard_capture_is_the_unsharded_capture() {
+        let m = tiny();
+        let kv = decode_kv(&m.config, 3);
+        let sharded = ShardedTransformerLm::new(m.clone(), ShardSpec::single());
+        let plain = |capture: &dyn Fn(&CaptureCtx) -> LmCapture| {
+            let ctx = CaptureCtx::new("step");
+            capture(&ctx).logits.mark_output();
+            ctx.finish().srg
+        };
+        let shard = |capture: &dyn Fn(&CaptureCtx) -> ShardedLmCapture| {
+            let ctx = CaptureCtx::new("step");
+            let sc = capture(&ctx);
+            sc.cap.logits.mark_output();
+            (ctx.finish().srg, sc.shard_of)
+        };
+        let cases = [
+            (
+                plain(&|ctx| m.capture_prefill(ctx, &[1, 2, 3])),
+                shard(&|ctx| sharded.capture_prefill(ctx, &[1, 2, 3])),
+            ),
+            (
+                plain(&|ctx| m.capture_decode_step(ctx, 5, &kv)),
+                shard(&|ctx| sharded.capture_decode_step(ctx, 5, &kv)),
+            ),
+        ];
+        for (unsharded, (srg, shard_of)) in cases {
+            assert!(srg == unsharded, "{} differs at one shard", srg.name);
+            let shard = |n: &genie_srg::Node| shard_of.get(&n.id).copied().unwrap_or(0);
+            assert!(srg.nodes().all(|n| shard(n) == 0));
+        }
+    }
+
+    #[test]
+    fn every_node_and_weight_sits_on_its_stage() {
+        let m = TransformerLm::new_spec(TransformerConfig::tiny_deep());
+        let kv = decode_kv(&m.config, 4);
+        for spec in [
+            ShardSpec::pipeline(2),
+            ShardSpec::pipeline(3),
+            ShardSpec::new(2, 2),
+        ] {
+            let sharded = ShardedTransformerLm::new(m.clone(), spec);
+            let ctx = CaptureCtx::new("decode");
+            let sc = sharded.capture_decode_step(&ctx, 0, &kv);
+            sc.cap.logits.mark_output();
+            let srg = ctx.finish().srg;
+            let label = spec.label();
+            for node in srg.nodes() {
+                let shard = *sc.shard_of.get(&node.id).unwrap_or_else(|| {
+                    panic!("{label}: {} has no shard", node.name);
+                });
+                let layer = node.module_path.strip_prefix("h.");
+                let layer = layer.and_then(|p| p.split('.').next()?.parse().ok());
+                if let (OpKind::Parameter, Some(layer)) = (&node.op, layer) {
+                    assert_eq!(
+                        shard / spec.tensor_parallel,
+                        sharded.stage_of_layer(layer),
+                        "{label}: {}.{} off its stage",
+                        node.module_path,
+                        node.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pipeline_traffic_is_activations_only() {
+        // Before every weight was declared on its own rank, stage 1's
+        // attention weights defaulted to shard 0 and were "shipped": 17 920
+        // cross-shard bytes, 16 384 of them weights.
+        let sharded = ShardedTransformerLm::new(tiny(), ShardSpec::pipeline(2));
+        let (_, report) = sharded.generate_sharded(&[1, 2, 3, 5, 7], 4);
+        assert_eq!(report.cross_shard_bytes(), 1536);
+        let traffic = BTreeMap::from([((0, 1), 512), ((1, 0), 1024)]);
+        assert_eq!(report.traffic, traffic);
     }
 }

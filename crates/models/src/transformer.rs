@@ -6,25 +6,29 @@
 //! spec-only SRGs whose shapes and costs drive the performance plane.
 
 use crate::config::TransformerConfig;
+use crate::sharded::ShardedLmCapture;
 use genie_frontend::capture::{CaptureCtx, LazyTensor};
 use genie_frontend::interp;
 use genie_frontend::value::Value;
 use genie_frontend::RecaptureSession;
+use genie_srg::shard::ShardSpec;
 use genie_srg::{ElemType, NodeId, Phase};
-use genie_tensor::{init, Tensor};
+use genie_tensor::{init, ops, Tensor};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Per-layer weight payloads (functional plane only).
 #[derive(Clone, Debug)]
-pub(crate) struct LayerWeights {
-    pub(crate) wq: Tensor,
-    pub(crate) wk: Tensor,
-    pub(crate) wv: Tensor,
-    pub(crate) wo: Tensor,
-    pub(crate) w1: Tensor,
-    pub(crate) w2: Tensor,
-    pub(crate) ln_g: Tensor,
-    pub(crate) ln_b: Tensor,
+struct LayerWeights {
+    wq: Tensor,
+    wk: Tensor,
+    wv: Tensor,
+    wo: Tensor,
+    w1: Tensor,
+    w2: Tensor,
+    ln_g: Tensor,
+    ln_b: Tensor,
 }
 
 /// A transformer LM. `weights` is `Some` for functional configs.
@@ -49,12 +53,12 @@ struct StepTraces {
 }
 
 #[derive(Clone, Debug)]
-pub(crate) struct ModelWeights {
-    pub(crate) wte: Tensor,
-    pub(crate) layers: Vec<LayerWeights>,
-    pub(crate) lnf_g: Tensor,
-    pub(crate) lnf_b: Tensor,
-    pub(crate) lm_head: Tensor,
+struct ModelWeights {
+    wte: Tensor,
+    layers: Vec<LayerWeights>,
+    lnf_g: Tensor,
+    lnf_b: Tensor,
+    lm_head: Tensor,
 }
 
 /// The KV state carried between decode steps: per-layer K and V tensors.
@@ -110,38 +114,27 @@ impl TransformerLm {
         assert_eq!(config.elem, ElemType::F32, "functional plane is f32");
         let d = config.d_model;
         let ffn = d * config.ffn_mult;
-        let mut s = seed;
-        let mut next = || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            s
-        };
-        let scale = |t: Tensor, f: f32| {
-            let data = t.data().iter().map(|&x| x * f).collect();
-            Tensor::from_vec(t.dims().to_vec(), data)
-        };
+        let mut next = crate::weight_seeds(seed);
+        let mut draw = |shape: [usize; 2], f: f32| ops::scale(&init::randn(shape, next()), f);
+        let (fan_d, fan_ffn) = (1.0 / (d as f32).sqrt(), 1.0 / (ffn as f32).sqrt());
         let layers = (0..config.layers)
             .map(|_| LayerWeights {
-                wq: scale(init::randn([d, d], next()), 1.0 / (d as f32).sqrt()),
-                wk: scale(init::randn([d, d], next()), 1.0 / (d as f32).sqrt()),
-                wv: scale(init::randn([d, d], next()), 1.0 / (d as f32).sqrt()),
-                wo: scale(init::randn([d, d], next()), 1.0 / (d as f32).sqrt()),
-                w1: scale(init::randn([d, ffn], next()), 1.0 / (d as f32).sqrt()),
-                w2: scale(init::randn([ffn, d], next()), 1.0 / (ffn as f32).sqrt()),
+                wq: draw([d, d], fan_d),
+                wk: draw([d, d], fan_d),
+                wv: draw([d, d], fan_d),
+                wo: draw([d, d], fan_d),
+                w1: draw([d, ffn], fan_d),
+                w2: draw([ffn, d], fan_ffn),
                 ln_g: Tensor::ones([d]),
                 ln_b: Tensor::zeros([d]),
             })
             .collect();
         let weights = ModelWeights {
-            wte: scale(init::randn([config.vocab, d], next()), 0.5),
+            wte: draw([config.vocab, d], 0.5),
             layers,
             lnf_g: Tensor::ones([d]),
             lnf_b: Tensor::zeros([d]),
-            lm_head: scale(
-                init::randn([d, config.vocab], next()),
-                1.0 / (d as f32).sqrt(),
-            ),
+            lm_head: draw([d, config.vocab], fan_d),
         };
         TransformerLm {
             config,
@@ -165,130 +158,230 @@ impl TransformerLm {
         self.weights.is_some()
     }
 
-    /// Crate-internal weight access (the sharded wrapper narrows these).
-    pub(crate) fn weights(&self) -> Option<&ModelWeights> {
-        self.weights.as_ref()
-    }
-
     /// Capture the prefill graph for a prompt. With payloads when
     /// functional (pass the real `prompt`), spec-only otherwise (only
     /// `prompt.len()` matters).
     pub fn capture_prefill(&self, ctx: &CaptureCtx, prompt: &[i64]) -> LmCapture {
-        ctx.phase_scope(Phase::LlmPrefill, || {
-            self.capture_forward(ctx, prompt, &KvState::default(), prompt.len())
-        })
+        let single = ShardSpec::single();
+        self.capture_sharded(ctx, single, Phase::LlmPrefill, prompt, &KvState::default())
+            .cap
     }
 
     /// Capture one decode step given the carried KV state. `token` is the
     /// last sampled token.
     pub fn capture_decode_step(&self, ctx: &CaptureCtx, token: i64, kv: &KvState) -> LmCapture {
-        ctx.phase_scope(Phase::LlmDecode, || {
-            self.capture_forward(ctx, &[token], kv, 1)
-        })
+        let single = ShardSpec::single();
+        self.capture_sharded(ctx, single, Phase::LlmDecode, &[token], kv)
+            .cap
     }
 
-    /// Shared forward capture: embeds `tokens`, runs all blocks appending
-    /// to the provided caches, and projects logits.
-    fn capture_forward(
+    /// The forward pass under `spec`: embeds `tokens`, runs every block
+    /// appending to `kv`'s caches, projects logits, and attributes each
+    /// node to a shard (`shard = stage * tp + rank`). The captures above
+    /// are this pass at [`ShardSpec::single()`]; see [`crate::sharded`]
+    /// for how the splits stay bit-exact.
+    ///
+    /// Every weight is declared on the rank that owns it, and each scope
+    /// declares its weights before its first op — at one shard that is
+    /// the plain transformer's node order, at many it keeps the shard map
+    /// total. Layers go to pipeline stages in contiguous blocks; the KV
+    /// cache and attention stay whole on each stage's rank 0.
+    pub(crate) fn capture_sharded(
         &self,
         ctx: &CaptureCtx,
+        spec: ShardSpec,
+        phase: Phase,
         tokens: &[i64],
         kv: &KvState,
-        t: usize,
-    ) -> LmCapture {
-        let cfg = &self.config;
-        let d = cfg.d_model;
-        let elem = cfg.elem;
-        let w = self.weights.as_ref();
+    ) -> ShardedLmCapture {
+        ctx.phase_scope(phase, || {
+            let cfg = &self.config;
+            let (d, elem, tp) = (cfg.d_model, cfg.elem, spec.tensor_parallel);
+            let ranks = tp as usize;
+            let w = self.weights.as_ref();
+            let tag = Tagger {
+                ctx,
+                spec,
+                map: RefCell::default(),
+            };
 
-        let ids = if w.is_some() {
-            ctx.input_ids("tokens", tokens)
-        } else {
-            ctx.input_ids_spec("tokens", t)
-        };
-        let wte = ctx.parameter("wte", [cfg.vocab, d], elem, w.map(|w| w.wte.clone()));
-        let mut x = ctx.scope("embed", || wte.gather(&ids));
+            // Weights split `n` ways along their `dim`, each slice declared
+            // on the rank of `stage` that owns it: slice r of weight i is
+            // `[i * n + r]`. One rank holds each whole weight under its
+            // own name.
+            let split = |stage: u32, n: u32, weights: &[Split<'_>]| {
+                let mut out = Vec::with_capacity(weights.len() * n as usize);
+                for &(name, shape, dim, full) in weights {
+                    let mut part = shape;
+                    part[dim] /= n as usize;
+                    for r in 0..n {
+                        out.push(tag.on(stage, r, || {
+                            if n == 1 {
+                                return ctx.parameter(name, shape, elem, full.cloned());
+                            }
+                            let at = r as usize * part[dim];
+                            let slice = full.map(|p| ops::narrow(p, dim, at, part[dim]));
+                            ctx.parameter(&format!("{name}_r{r}"), part, elem, slice)
+                        }));
+                    }
+                }
+                out
+            };
+            // Column split: each rank computes its slice of the output
+            // columns; a rank-ordered gather on rank 0 reassembles them.
+            let columns = |stage: u32, input: &LazyTensor, ws: &[LazyTensor]| {
+                if let [whole] = ws {
+                    return tag.on(stage, 0, || input.matmul(whole));
+                }
+                let parts: Vec<LazyTensor> = (0..)
+                    .zip(ws)
+                    .map(|(r, wr)| tag.on(stage, r, || input.matmul(wr)))
+                    .collect();
+                let refs: Vec<&LazyTensor> = parts.iter().collect();
+                tag.on(stage, 0, || ctx.all_gather(&refs, 1))
+            };
+            // Row split: rank r multiplies `input(r)` by its weight rows,
+            // continuing the previous rank's fold; the last partial
+            // returns to rank 0.
+            let rows = |stage: u32, ws: &[LazyTensor], input: &dyn Fn(u32) -> LazyTensor| {
+                let mut acc: Option<LazyTensor> = None;
+                for (r, wr) in (0..).zip(ws) {
+                    acc = Some(tag.on(stage, r, || match &acc {
+                        None => input(r).matmul(wr),
+                        Some(a) => input(r).matmul_acc(wr, a),
+                    }));
+                }
+                let out = acc.expect("one rank at least");
+                let last = ws.len() as u32 - 1;
+                if last == 0 {
+                    return out;
+                }
+                let (from, to) = (spec.shard_id(stage, last), spec.shard_id(stage, 0));
+                tag.on(stage, 0, || out.send_activation(from, to))
+            };
 
-        let mut k_caches = Vec::with_capacity(cfg.layers);
-        let mut v_caches = Vec::with_capacity(cfg.layers);
+            // Embedding lives on the first stage's rank 0.
+            let mut x = tag.on(0, 0, || {
+                let ids = match w {
+                    Some(_) => ctx.input_ids("tokens", tokens),
+                    None => ctx.input_ids_spec("tokens", tokens.len()),
+                };
+                let wte = ctx.parameter("wte", [cfg.vocab, d], elem, w.map(|w| w.wte.clone()));
+                ctx.scope("embed", || wte.gather(&ids))
+            });
 
-        for layer in 0..cfg.layers {
-            let lw = w.map(|w| &w.layers[layer]);
-            let cached = kv.k.get(layer).map_or(0, |c| c.dims()[0]);
-            x = ctx.scope("h", || {
-                ctx.scope(&layer.to_string(), || {
-                    let ln_g = ctx.parameter("ln_g", [d], elem, lw.map(|l| l.ln_g.clone()));
-                    let ln_b = ctx.parameter("ln_b", [d], elem, lw.map(|l| l.ln_b.clone()));
-                    let normed = x.layer_norm(&ln_g, &ln_b, 1e-5);
+            let mut k_caches = Vec::with_capacity(cfg.layers);
+            let mut v_caches = Vec::with_capacity(cfg.layers);
+            let mut stage = 0;
+            for layer in 0..cfg.layers {
+                let s = stage_of_layer(spec, cfg.layers, layer);
+                if s != stage {
+                    // Pipeline hop: the residual stream crosses the fabric.
+                    let (from, to) = (spec.shard_id(stage, 0), spec.shard_id(s, 0));
+                    x = tag.on(s, 0, || x.send_activation(from, to));
+                    stage = s;
+                }
+                let lw = w.map(|w| &w.layers[layer]);
+                let cached = kv.k.get(layer).map_or(0, |c| c.dims()[0]);
+                let block = || {
+                    let normed = tag.on(s, 0, || {
+                        let ln_g = ctx.parameter("ln_g", [d], elem, lw.map(|l| l.ln_g.clone()));
+                        let ln_b = ctx.parameter("ln_b", [d], elem, lw.map(|l| l.ln_b.clone()));
+                        x.layer_norm(&ln_g, &ln_b, 1e-5)
+                    });
 
                     let (attn_out, kc, vc) = ctx.scope("attn", || {
-                        let wq = ctx.parameter("wq", [d, d], elem, lw.map(|l| l.wq.clone()));
-                        let wk = ctx.parameter("wk", [d, d], elem, lw.map(|l| l.wk.clone()));
-                        let wv = ctx.parameter("wv", [d, d], elem, lw.map(|l| l.wv.clone()));
-                        let wo = ctx.parameter("wo", [d, d], elem, lw.map(|l| l.wo.clone()));
-                        let q = normed.matmul(&wq);
-                        let k_new = normed.matmul(&wk);
-                        let v_new = normed.matmul(&wv);
+                        let ws = split(
+                            s,
+                            tp,
+                            &[
+                                ("wq", [d, d], 1, lw.map(|l| &l.wq)),
+                                ("wk", [d, d], 1, lw.map(|l| &l.wk)),
+                                ("wv", [d, d], 1, lw.map(|l| &l.wv)),
+                                ("wo", [d, d], 0, lw.map(|l| &l.wo)),
+                            ],
+                        );
+                        let [wq, wk, wv, wo] = [0, 1, 2, 3].map(|i| &ws[i * ranks..][..ranks]);
+                        let q = columns(s, &normed, wq);
+                        let k_new = columns(s, &normed, wk);
+                        let v_new = columns(s, &normed, wv);
 
-                        // Carried cache enters as a stateful input.
-                        let k_in = if cached > 0 {
-                            ctx.input(
-                                &format!("k_cache_{layer}"),
-                                [cached, d],
-                                elem,
-                                kv.k.get(layer).cloned().filter(|_| w.is_some()),
-                            )
-                        } else {
-                            ctx.empty_cache(&format!("k_cache_{layer}"), d, elem)
-                        };
-                        let v_in = if cached > 0 {
-                            ctx.input(
-                                &format!("v_cache_{layer}"),
-                                [cached, d],
-                                elem,
-                                kv.v.get(layer).cloned().filter(|_| w.is_some()),
-                            )
-                        } else {
-                            ctx.empty_cache(&format!("v_cache_{layer}"), d, elem)
-                        };
-                        let kc = k_in.kv_append(&k_new);
-                        let vc = v_in.kv_append(&v_new);
-
-                        let o = q.attention(&kc, &vc, self.config.heads, true);
-                        (o.matmul(&wo), kc, vc)
+                        // The cache is the serving plane's migration unit:
+                        // it enters whole as a stateful input.
+                        let (o, kc, vc) = tag.on(s, 0, || {
+                            let cache = |kind: char, carried: &[Tensor]| {
+                                let name = format!("{kind}_cache_{layer}");
+                                if cached == 0 {
+                                    return ctx.empty_cache(&name, d, elem);
+                                }
+                                let payload = carried.get(layer).cloned().filter(|_| w.is_some());
+                                ctx.input(&name, [cached, d], elem, payload)
+                            };
+                            let (k_in, v_in) = (cache('k', &kv.k), cache('v', &kv.v));
+                            let (kc, vc) = (k_in.kv_append(&k_new), v_in.kv_append(&v_new));
+                            (q.attention(&kc, &vc, cfg.heads, true), kc, vc)
+                        });
+                        let width = d / ranks;
+                        let out = rows(s, wo, &|r| match tp {
+                            1 => o.clone(),
+                            _ => o.narrow(1, r as usize * width, width),
+                        });
+                        (out, kc, vc)
                     });
-                    let x1 = x.add(&attn_out);
+                    let x1 = tag.on(s, 0, || x.add(&attn_out));
 
+                    // Megatron pattern: each rank applies gelu to its own
+                    // column slice of w1 and feeds its row slice of w2; the
+                    // matmul_acc chain is the only reduction.
                     let mlp_out = ctx.scope("mlp", || {
                         let ffn = d * cfg.ffn_mult;
-                        let w1 = ctx.parameter("w1", [d, ffn], elem, lw.map(|l| l.w1.clone()));
-                        let w2 = ctx.parameter("w2", [ffn, d], elem, lw.map(|l| l.w2.clone()));
-                        x1.matmul(&w1).gelu().matmul(&w2)
+                        let ws = split(
+                            s,
+                            tp,
+                            &[
+                                ("w1", [d, ffn], 1, lw.map(|l| &l.w1)),
+                                ("w2", [ffn, d], 0, lw.map(|l| &l.w2)),
+                            ],
+                        );
+                        let (w1, w2) = ws.split_at(ranks);
+                        rows(s, w2, &|r| x1.matmul(&w1[r as usize]).gelu())
                     });
                     k_caches.push(kc);
                     v_caches.push(vc);
-                    x1.add(&mlp_out)
-                })
+                    tag.on(s, 0, || x1.add(&mlp_out))
+                };
+                x = ctx.scope("h", || ctx.scope(&layer.to_string(), block));
+            }
+
+            // LM head on the last stage, vocabulary split across the ranks
+            // when it divides evenly.
+            let last = spec.pipeline_stages - 1;
+            let head_ranks = if cfg.vocab.is_multiple_of(ranks) {
+                tp
+            } else {
+                1
+            };
+            let logits = ctx.scope("lm_head", || {
+                let (lnf_g, lnf_b) = tag.on(last, 0, || {
+                    let g = ctx.parameter("lnf_g", [d], elem, w.map(|w| w.lnf_g.clone()));
+                    let b = ctx.parameter("lnf_b", [d], elem, w.map(|w| w.lnf_b.clone()));
+                    (g, b)
+                });
+                let head = ("lm_head", [d, cfg.vocab], 1, w.map(|w| &w.lm_head));
+                let head = split(last, head_ranks, &[head]);
+                let normed = tag.on(last, 0, || x.layer_norm(&lnf_g, &lnf_b, 1e-5));
+                columns(last, &normed, &head)
             });
-        }
 
-        let logits = ctx.scope("lm_head", || {
-            let lnf_g = ctx.parameter("lnf_g", [d], elem, w.map(|w| w.lnf_g.clone()));
-            let lnf_b = ctx.parameter("lnf_b", [d], elem, w.map(|w| w.lnf_b.clone()));
-            let head = ctx.parameter(
-                "lm_head",
-                [d, cfg.vocab],
-                elem,
-                w.map(|w| w.lm_head.clone()),
-            );
-            x.layer_norm(&lnf_g, &lnf_b, 1e-5).matmul(&head)
-        });
-
-        LmCapture {
-            logits,
-            k_caches,
-            v_caches,
-        }
+            ShardedLmCapture {
+                cap: LmCapture {
+                    logits,
+                    k_caches,
+                    v_caches,
+                },
+                shard_of: tag.map.into_inner(),
+            }
+        })
     }
 
     /// Functional prefill of `prompt`: capture, lint, interpret. Returns
@@ -334,6 +427,41 @@ impl TransformerLm {
         cap.logits.mark_output();
         let captured = ctx.finish();
         interp::run_single_output(&captured).expect("full forward executes")
+    }
+}
+
+/// One weight to split across ranks: name, whole shape, the dimension
+/// split, and the whole payload on the functional plane.
+type Split<'w> = (&'static str, [usize; 2], usize, Option<&'w Tensor>);
+
+/// Pipeline stage of `spec` that owns `layer` of `layers` (contiguous
+/// blocks).
+pub(crate) fn stage_of_layer(spec: ShardSpec, layers: usize, layer: usize) -> u32 {
+    let stages = spec.pipeline_stages as usize;
+    ((layer * stages / layers).min(stages - 1)) as u32
+}
+
+/// Region-based shard attribution: every node a closure records goes to
+/// one shard of the spec. One shard keeps no map (every node is on shard
+/// 0): the unsharded capture is the hot path of every functional step.
+struct Tagger<'a> {
+    ctx: &'a CaptureCtx,
+    spec: ShardSpec,
+    map: RefCell<BTreeMap<NodeId, u32>>,
+}
+
+impl Tagger<'_> {
+    fn on<R>(&self, stage: u32, rank: u32, f: impl FnOnce() -> R) -> R {
+        if self.spec.shards() == 1 {
+            return f();
+        }
+        let before = self.ctx.node_count();
+        let out = f();
+        let shard = self.spec.shard_id(stage, rank);
+        let created = before..self.ctx.node_count();
+        let mut map = self.map.borrow_mut();
+        map.extend(created.map(|i| (NodeId::new(i as u32), shard)));
+        out
     }
 }
 

@@ -17,7 +17,8 @@ pub mod tenant;
 use crate::cost::CostModel;
 use crate::plan::ExecutionPlan;
 use crate::policy::SemanticsAware;
-use crate::schedule::schedule;
+use crate::schedule::schedule_checked;
+use genie_analysis::{Diagnostic, LintConfig, Severity};
 use genie_cluster::{ClusterState, DevId, Topology};
 use genie_netsim::Nanos;
 use std::collections::BTreeMap;
@@ -61,9 +62,10 @@ pub struct FleetPlan {
     pub batch_groups: Vec<batching::BatchGroup>,
     /// Devices assigned per tenant.
     pub assignments: BTreeMap<u64, Vec<DevId>>,
-    /// Tenants whose plans exceed device memory, with the violations.
-    /// Admission control: these must wait, spill, or shrink.
-    pub rejected: BTreeMap<u64, Vec<crate::memory::MemoryViolation>>,
+    /// Tenants whose plans carry deny-level lint findings (GA101: a
+    /// device overcommitted), with those findings. Admission control:
+    /// these must wait, spill, or shrink.
+    pub rejected: BTreeMap<u64, Vec<Diagnostic>>,
 }
 
 impl GlobalScheduler {
@@ -173,21 +175,21 @@ impl GlobalScheduler {
                     masked.enqueue_work(d.id, 1e6);
                 }
             }
-            let plan = schedule(
-                &t.srg,
-                &self.topo,
-                &masked,
-                &self.cost,
-                &SemanticsAware::new(),
-            );
-            // Admission control: a plan that does not fit is rejected —
-            // its load never lands, so later tenants can still admit (and
-            // the tenant stays pending for the next step).
-            let violations = crate::memory::check(&plan, &self.topo, &self.state);
-            if !violations.is_empty() {
-                rejected.insert(t.id, violations);
-                continue;
-            }
+            let policy = SemanticsAware::new();
+            let lints = LintConfig::new();
+            // Admission control: a plan with deny-level findings is
+            // rejected — its load never lands, so later tenants can still
+            // admit (and the tenant stays pending for the next step).
+            let plan =
+                match schedule_checked(&t.srg, &self.topo, &masked, &self.cost, &policy, &lints) {
+                    Ok(plan) => plan,
+                    Err(report) => {
+                        let mut denies = report.diagnostics;
+                        denies.retain(|d| d.severity == Severity::Deny);
+                        rejected.insert(t.id, denies);
+                        continue;
+                    }
+                };
             // Record load so the next tenant sees it: queued kernel time
             // and pinned memory — remembered per tenant so a departure
             // can release it.
@@ -245,6 +247,7 @@ impl GlobalScheduler {
 mod tests {
     use super::tenant::Slo;
     use super::*;
+    use genie_analysis::LintCode;
     use genie_models::Workload;
 
     fn request(id: u64, w: Workload, fp: u64) -> TenantRequest {
@@ -255,6 +258,10 @@ mod tests {
             slo: Slo::Interactive,
             model_fingerprint: fp,
         }
+    }
+
+    fn overcommit(d: &Diagnostic) -> bool {
+        d.code == LintCode::DeviceOvercommit && d.severity == Severity::Deny
     }
 
     #[test]
@@ -280,7 +287,7 @@ mod tests {
         // 24 GB inference tier: admission control must reject it with a
         // concrete violation rather than plan an unexecutable layout.
         assert!(fleet.rejected.contains_key(&3));
-        assert!(fleet.rejected[&3].iter().all(|v| v.required > v.free));
+        assert!(fleet.rejected[&3].iter().all(overcommit));
 
         // On an A100 rack (80 GB devices) the same tenant admits.
         let roomy = Topology::rack(2, 25e9);
@@ -326,8 +333,8 @@ mod tests {
             fleet.plans.len() + fleet.rejected.len() == 5,
             "every tenant either plans or rejects"
         );
-        for violations in fleet.rejected.values() {
-            assert!(violations.iter().all(|v| v.required > v.free));
+        for denies in fleet.rejected.values() {
+            assert!(denies.iter().all(overcommit));
         }
         // At least the first tenants admit.
         assert!(fleet.plans.len() >= 2, "admitted {}", fleet.plans.len());
@@ -423,5 +430,31 @@ mod tests {
         let b = &fleet.assignments[&2];
         assert!(!a.is_empty() && !b.is_empty());
         assert_ne!(a, b, "load spreading across the affinity partition");
+    }
+
+    #[test]
+    fn admission_reads_the_plans_liveness_verdict() {
+        // Two 32.4 GB activations live together beside their 32.4 GB sum:
+        // no single value exceeds an 80 GB device, but the plan's peak
+        // does. Pinned bytes plus the largest transient admitted it.
+        let ctx = genie_frontend::capture::CaptureCtx::new("two-live");
+        let x = ctx.input("x", [90_000, 90_000], genie_srg::ElemType::F32, None);
+        x.relu().add(&x.gelu()).mark_output();
+        let tenant = TenantRequest {
+            srg: ctx.finish().srg,
+            ..request(1, Workload::LlmServing, 1)
+        };
+        let mut sched = GlobalScheduler::new(Topology::rack(1, 25e9), CostModel::paper_stack());
+        sched.admit(tenant);
+        let fleet = sched.plan_round();
+        assert!(
+            fleet.plans.is_empty(),
+            "the overcommitted plan must not land"
+        );
+        let denies = &fleet.rejected[&1];
+        assert!(
+            !denies.is_empty() && denies.iter().all(overcommit),
+            "{denies:?}"
+        );
     }
 }

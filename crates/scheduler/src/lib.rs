@@ -19,8 +19,9 @@
 //!    [`recompute::recomputation_candidates`].
 //!
 //! [`global`] scales the same machinery fleet-wide (§3.6): heterogeneous
-//! placement, elastic phase-aware scaling, and cross-tenant decode
-//! batching.
+//! placement, elastic phase-aware scaling, cross-tenant decode batching,
+//! and admission control on the plan's deny-level findings (GA101 for a
+//! device a plan overcommits) — the gate [`schedule_checked`] applies.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,7 +30,6 @@ pub mod adapt;
 pub mod cost;
 pub mod global;
 pub mod lint;
-pub mod memory;
 pub mod pipeline;
 pub mod plan;
 pub mod plan_dot;

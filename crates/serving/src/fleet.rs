@@ -2,11 +2,11 @@
 //! scheduler before its loop starts.
 //!
 //! The serving loop itself is fleet-agnostic (lanes + capacities); this
-//! module asks [`GlobalScheduler`] — memory admission control included —
-//! which devices a tenant may occupy, and converts the answer into lane
-//! count and per-lane KV budget (device memory minus resident weights).
-//! A refused tenant sheds its whole trace with
-//! [`ShedReason::AdmissionRejected`](crate::ShedReason::AdmissionRejected).
+//! module asks [`GlobalScheduler`] which devices a tenant may occupy and
+//! converts the answer into lane count and per-lane KV budget (device
+//! memory minus resident weights). The scheduler refuses a tenant on the
+//! plan's deny-level findings (GA101: a device overcommitted); a refused
+//! tenant sheds its trace, [`ShedReason::AdmissionRejected`](crate::ShedReason::AdmissionRejected).
 //!
 //! Before the scheduler ever sees the tenant, its spec graph runs through
 //! the full `genie-analysis` SRG pass stack (shape/phase/residency GA0xx

@@ -26,7 +26,7 @@
 //!   and (when enabled) the `genie_serving_*` metrics published to the
 //!   process-global sinks from the finished report.
 //! - [`fleet::bind_tenant`] — admission through the global scheduler
-//!   (memory admission control included) to derive lanes and KV budget.
+//!   (refused on the plan's deny-level findings) to derive lanes and KV budget.
 
 #![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]

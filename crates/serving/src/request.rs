@@ -33,7 +33,7 @@ pub enum ShedReason {
     QueueOverSlo,
     /// The request's KV working set can never fit a single lane.
     KvCapacity,
-    /// The fleet scheduler refused the owning tenant (memory admission).
+    /// The fleet scheduler refused the owning tenant (its plan's deny-level findings).
     AdmissionRejected,
 }
 

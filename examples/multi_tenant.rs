@@ -44,7 +44,7 @@ fn main() {
 
     let fleet = sched.plan_round();
 
-    println!("\nWHERE — heterogeneous placement (with memory admission control):");
+    println!("\nWHERE — heterogeneous placement (admission on the plan's lint verdict):");
     for (id, _, _, name) in &tenants {
         match fleet.assignments.get(id) {
             Some(devs) => {
@@ -54,15 +54,7 @@ fn main() {
                     .collect();
                 println!("  {name:<26} → {devs:?} {classes:?}");
             }
-            None => {
-                let v = &fleet.rejected[id][0];
-                println!(
-                    "  {name:<26} → REJECTED: needs {:.1} GB on {}, only {:.1} GB free",
-                    v.required as f64 / 1e9,
-                    v.device,
-                    v.free as f64 / 1e9
-                );
-            }
+            None => println!("  {name:<26} → REJECTED: {}", fleet.rejected[id][0]),
         }
     }
 
