@@ -1,22 +1,22 @@
 //! Generic fixpoint dataflow framework.
 //!
-//! Every cross-cutting lint in this crate — liveness-based memory
-//! watermarks (GA101/GA2xx), error-interval propagation (GA3xx) — is an
-//! instance of the same classic scheme: pick a join-semilattice of
-//! abstract values, pick a flow graph (the SRG in topological order, or
-//! an `ExecutionPlan`'s linear step timeline), pick a monotone transfer
-//! function per vertex, and iterate a worklist to the least fixpoint.
-//! This module is that scheme, factored once so every future pass
-//! (heterogeneous fleets, PD disaggregation — see ROADMAP item 4 and
-//! beyond) reuses the solver instead of hand-rolling its own traversal.
+//! The propagating lints in this crate — error intervals (GA3xx) and
+//! `Critical` reachability — are instances of the same classic scheme:
+//! pick a join-semilattice of abstract values, pick a flow graph (the
+//! SRG in topological order), pick a monotone transfer function per
+//! vertex, and iterate a worklist to the least fixpoint. This module is
+//! that scheme, factored once so every pass reuses the solver instead of
+//! hand-rolling its own traversal. Liveness needs no solve: over a
+//! topological order a value is live on one interval, which
+//! [`SrgFlow::live_ranges`] reads off the out-edges directly.
 //!
 //! The solver is deliberately tiny and `std`-only:
 //!
 //! - [`Lattice`] — bottom element + join; the element type only needs
 //!   `Clone + PartialEq + Debug`.
 //! - [`FlowGraph`] — vertices are `0..len()`, with `preds`/`succs`
-//!   adjacency. [`Timeline`] models a linear schedule; [`SrgFlow`]
-//!   adapts an [`Srg`] through its deterministic topological order.
+//!   adjacency. [`SrgFlow`] adapts an [`Srg`] through its deterministic
+//!   topological order.
 //! - [`solve`] — a worklist iteration in the chosen [`Direction`], with
 //!   a fuel cap so a non-monotone transfer function degrades into
 //!   `converged == false` instead of an infinite loop.
@@ -24,13 +24,14 @@
 //! For a monotone transfer function over a finite-height lattice the
 //! solver terminates at the unique least fixpoint regardless of visit
 //! order; the seeded loops in `tests/fixpoint_props.rs` pin termination,
-//! monotone convergence, and agreement with brute-force recomputation.
+//! monotone convergence, and agreement with brute-force recomputation,
+//! and hold [`SrgFlow::live_ranges`] to a backward liveness solve.
 
 use genie_srg::traverse::{topo_order, CycleError};
 use genie_srg::{NodeId, Srg};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Debug;
-use std::marker::PhantomData;
+use std::ops::RangeInclusive;
 
 /// A join-semilattice: the abstract domain a dataflow analysis runs over.
 ///
@@ -72,40 +73,6 @@ pub trait FlowGraph {
     fn succs(&self, v: usize) -> Vec<usize>;
 }
 
-/// A linear chain of `steps` vertices: the flow graph of an execution
-/// plan's step timeline, where step `i` happens-before step `i + 1`.
-#[derive(Clone, Copy, Debug)]
-pub struct Timeline {
-    steps: usize,
-}
-
-impl Timeline {
-    /// A timeline with `steps` sequential steps.
-    pub fn new(steps: usize) -> Self {
-        Timeline { steps }
-    }
-}
-
-impl FlowGraph for Timeline {
-    fn len(&self) -> usize {
-        self.steps
-    }
-    fn preds(&self, v: usize) -> Vec<usize> {
-        if v == 0 {
-            Vec::new()
-        } else {
-            vec![v - 1]
-        }
-    }
-    fn succs(&self, v: usize) -> Vec<usize> {
-        if v + 1 < self.steps {
-            vec![v + 1]
-        } else {
-            Vec::new()
-        }
-    }
-}
-
 /// An [`Srg`] adapted to [`FlowGraph`]: vertex `i` is the `i`-th node of
 /// the deterministic topological order, so a single forward (or
 /// backward) sweep of the solver visits producers before (or after)
@@ -141,6 +108,21 @@ impl<'a> SrgFlow<'a> {
     /// The underlying topological order.
     pub fn order(&self) -> &[NodeId] {
         &self.order
+    }
+
+    /// Read as a schedule that runs vertex `i` at step `i`: the steps
+    /// during which each vertex's value is resident, from the step that
+    /// produces it through the last step that reads it (only its own
+    /// step when nothing does). Entry `v` is vertex `v`'s range.
+    pub fn live_ranges(&self) -> Vec<RangeInclusive<usize>> {
+        self.order
+            .iter()
+            .enumerate()
+            .map(|(v, &n)| {
+                let last = self.srg.out_edges(n).map(|e| self.index[e.dst.index()]);
+                v..=last.max().unwrap_or(v)
+            })
+            .collect()
     }
 
     /// Vertices of `nodes`, first mention only (parallel edges collapse).
@@ -257,33 +239,6 @@ where
     }
 }
 
-/// The powerset lattice over `T`: `bottom = ∅`, `join = ∪`. Used for
-/// liveness (sets of live values) and reachability.
-pub struct SetLattice<T>(PhantomData<T>);
-
-impl<T> SetLattice<T> {
-    /// The set-union lattice.
-    pub fn new() -> Self {
-        SetLattice(PhantomData)
-    }
-}
-
-impl<T> Default for SetLattice<T> {
-    fn default() -> Self {
-        SetLattice(PhantomData)
-    }
-}
-
-impl<T: Clone + Ord + Debug> Lattice for SetLattice<T> {
-    type Elem = BTreeSet<T>;
-    fn bottom(&self) -> BTreeSet<T> {
-        BTreeSet::new()
-    }
-    fn join(&self, a: &BTreeSet<T>, b: &BTreeSet<T>) -> BTreeSet<T> {
-        a.union(b).cloned().collect()
-    }
-}
-
 /// The max-of-nonnegative-reals lattice: `bottom = 0`, `join = max`.
 /// Used for worst-case error-interval propagation (GA3xx), where `+∞`
 /// encodes "no static bound".
@@ -319,24 +274,56 @@ impl Lattice for BoolOrLattice {
 mod tests {
     use super::*;
     use genie_srg::{ElemType, Node, OpKind, TensorMeta};
+    use std::collections::BTreeSet;
+
+    /// The powerset lattice over vertices: `bottom = ∅`, `join = ∪`.
+    struct Sets;
+
+    impl Lattice for Sets {
+        type Elem = BTreeSet<usize>;
+        fn bottom(&self) -> BTreeSet<usize> {
+            BTreeSet::new()
+        }
+        fn join(&self, a: &BTreeSet<usize>, b: &BTreeSet<usize>) -> BTreeSet<usize> {
+            a.union(b).copied().collect()
+        }
+    }
+
+    /// `n` nodes `0 → 1 → … → n-1`: vertex `i` of its flow is node `i`.
+    fn chain(n: usize) -> Srg {
+        let mut g = Srg::new("chain");
+        for i in 0..n {
+            let id = g.add_node(Node::new(NodeId::new(0), OpKind::Relu, format!("n{i}")));
+            if i > 0 {
+                g.connect(
+                    NodeId::new(i as u32 - 1),
+                    id,
+                    TensorMeta::new([4], ElemType::F32),
+                );
+            }
+        }
+        g
+    }
 
     #[test]
-    fn timeline_adjacency_is_a_chain() {
-        let t = Timeline::new(3);
+    fn chain_flow_adjacency_and_live_ranges() {
+        let g = chain(3);
+        let t = SrgFlow::new(&g).expect("acyclic");
         assert_eq!(t.len(), 3);
         assert_eq!(t.preds(0), Vec::<usize>::new());
         assert_eq!(t.preds(2), vec![1]);
         assert_eq!(t.succs(0), vec![1]);
         assert_eq!(t.succs(2), Vec::<usize>::new());
-        assert!(Timeline::new(0).is_empty());
+        assert_eq!(t.live_ranges(), vec![0..=1, 1..=2, 2..=2]);
+        assert!(SrgFlow::new(&chain(0)).expect("empty").is_empty());
     }
 
     #[test]
     fn forward_reachability_on_a_chain() {
         // Transfer: out(v) = in(v) ∪ {v}. Fixpoint: out(v) = {0..=v}.
-        let t = Timeline::new(5);
-        let lat = SetLattice::<usize>::new();
-        let fx = solve(&lat, &t, Direction::Forward, |v, input| {
+        let g = chain(5);
+        let t = SrgFlow::new(&g).expect("acyclic");
+        let fx = solve(&Sets, &t, Direction::Forward, |v, input| {
             let mut s = input.clone();
             s.insert(v);
             s
@@ -349,9 +336,9 @@ mod tests {
     #[test]
     fn backward_liveness_on_a_chain() {
         // Step v defines value v and uses value v-1: classic liveness.
-        let t = Timeline::new(4);
-        let lat = SetLattice::<usize>::new();
-        let fx = solve(&lat, &t, Direction::Backward, |v, live_out| {
+        let g = chain(4);
+        let t = SrgFlow::new(&g).expect("acyclic");
+        let fx = solve(&Sets, &t, Direction::Backward, |v, live_out| {
             let mut s = live_out.clone();
             s.remove(&v); // defined here
             if v > 0 {
@@ -368,7 +355,8 @@ mod tests {
 
     #[test]
     fn max_lattice_propagates_peaks_forward() {
-        let t = Timeline::new(4);
+        let g = chain(4);
+        let t = SrgFlow::new(&g).expect("acyclic");
         let fx = solve(&MaxLattice, &t, Direction::Forward, |v, input| {
             input.max(if v == 1 { 7.0 } else { 1.0 })
         });
@@ -440,14 +428,14 @@ mod tests {
         g.connect(l, j, m.clone());
         g.connect(r, j, m);
         let flow = SrgFlow::new(&g).expect("acyclic");
-        let lat = SetLattice::<NodeId>::new();
-        let fx = solve(&lat, &flow, Direction::Forward, |v, input| {
+        let fx = solve(&Sets, &flow, Direction::Forward, |v, input| {
             let mut s = input.clone();
-            s.insert(flow.node_at(v));
+            s.insert(v);
             s
         });
         assert!(fx.converged);
         let ij = flow.index_of(j).unwrap();
-        assert_eq!(fx.outputs[ij], [a, l, r, j].into_iter().collect());
+        let all = [a, l, r, j].map(|n| flow.index_of(n).unwrap());
+        assert_eq!(fx.outputs[ij], all.into_iter().collect());
     }
 }

@@ -4,8 +4,11 @@
 //! live in `genie-scheduler` — a crate that itself depends on this one.
 //! The dependency is inverted through [`PlanFacts`]: the scheduler
 //! implements the trait for its `ExecutionPlan`, and the passes here see
-//! only neutral facts (devices, bytes, handles).
+//! only neutral facts (devices, bytes, handles). [`run_plan_passes`]
+//! reads those facts once into a `PlanView`, with the graph's one
+//! topological order, and every pass reads the view.
 
+use crate::dataflow::SrgFlow;
 use crate::diag::{timed_pass, Anchor, LintCode, LintConfig, Report};
 use genie_cluster::{ClusterState, DevId, Topology};
 use genie_srg::{EdgeId, NodeId, Phase, Residency, Srg, TensorId};
@@ -42,6 +45,37 @@ pub trait PlanFacts {
     fn pinned_uploads(&self) -> Vec<(TensorId, DevId, u64)>;
 }
 
+/// A plan as its passes read it, gathered once per gate: the graph, its
+/// topological order, each node's device, and the plan's transfer and
+/// pinned-upload lists.
+pub(crate) struct PlanView<'a> {
+    pub(crate) srg: &'a Srg,
+    /// The graph's steps in topological order; `None` when it is cyclic.
+    pub(crate) flow: Option<SrgFlow<'a>>,
+    /// Device of each node (`None` = client), indexed by [`NodeId::index`].
+    devices: Vec<Option<DevId>>,
+    pub(crate) transfers: Vec<TransferFact>,
+    pub(crate) pinned: Vec<(TensorId, DevId, u64)>,
+}
+
+impl<'a> PlanView<'a> {
+    pub(crate) fn new(facts: &'a dyn PlanFacts) -> Self {
+        let srg = facts.srg();
+        PlanView {
+            srg,
+            flow: SrgFlow::new(srg).ok(),
+            devices: srg.node_ids().map(|n| facts.node_device(n)).collect(),
+            transfers: facts.transfers(),
+            pinned: facts.pinned_uploads(),
+        }
+    }
+
+    /// Device binding of a node (`None` = client CPU).
+    pub(crate) fn device(&self, node: NodeId) -> Option<DevId> {
+        self.devices[node.index()]
+    }
+}
+
 /// Run every plan pass under `cfg` — the GA1xx local checks, the GA2xx
 /// timeline passes from [`crate::schedule_passes`], and the plan-level
 /// GA3xx precision passes — and return the merged report.
@@ -56,42 +90,43 @@ pub fn run_plan_passes(
         check_collective_deadlock, check_double_pinning, check_memory_watermark,
         check_transfer_deadlock, check_transfer_ordering,
     };
+    let plan = PlanView::new(facts);
     let mut report = Report::new(facts.subject());
     timed_pass("memory_watermark", || {
-        check_memory_watermark(facts, topo, state, cfg, &mut report)
+        check_memory_watermark(&plan, topo, state, cfg, &mut report)
     });
     timed_pass("transfer_endpoints", || {
-        check_transfer_endpoints(facts, cfg, &mut report)
+        check_transfer_endpoints(&plan, cfg, &mut report)
     });
     timed_pass("weight_shipping", || {
-        check_weight_shipping(facts, cfg, &mut report)
+        check_weight_shipping(&plan, cfg, &mut report)
     });
     timed_pass("kv_colocation", || {
-        check_kv_colocation(facts, cfg, &mut report)
+        check_kv_colocation(&plan, cfg, &mut report)
     });
     timed_pass("transfer_ordering", || {
-        check_transfer_ordering(facts, cfg, &mut report)
+        check_transfer_ordering(&plan, cfg, &mut report)
     });
     timed_pass("double_pinning", || {
-        check_double_pinning(facts, cfg, &mut report)
+        check_double_pinning(&plan, cfg, &mut report)
     });
     timed_pass("transfer_deadlock", || {
-        check_transfer_deadlock(facts, cfg, &mut report)
+        check_transfer_deadlock(&plan, cfg, &mut report)
     });
     timed_pass("collective_deadlock", || {
-        check_collective_deadlock(facts, cfg, &mut report)
+        check_collective_deadlock(&plan, cfg, &mut report)
     });
     timed_pass("precision_plan", || {
-        check_precision_plan(facts, topo, cfg, &mut report)
+        check_precision_plan(&plan, topo, cfg, &mut report)
     });
     report.finish().record_metrics()
 }
 
 /// GA102 — transfer endpoints: each transfer's `from`/`to` must equal the
 /// placements of the edge it claims to realize.
-pub fn check_transfer_endpoints(facts: &dyn PlanFacts, cfg: &LintConfig, report: &mut Report) {
-    let srg = facts.srg();
-    for t in facts.transfers() {
+fn check_transfer_endpoints(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
+    let srg = plan.srg;
+    for t in &plan.transfers {
         if t.edge.index() >= srg.edge_count() {
             report.push(
                 cfg,
@@ -102,8 +137,8 @@ pub fn check_transfer_endpoints(facts: &dyn PlanFacts, cfg: &LintConfig, report:
             continue;
         }
         let edge = srg.edge(t.edge);
-        let src_dev = facts.node_device(edge.src);
-        let dst_dev = facts.node_device(edge.dst);
+        let src_dev = plan.device(edge.src);
+        let dst_dev = plan.device(edge.dst);
         if t.from != src_dev || t.to != dst_dev {
             let show = |d: Option<DevId>| d.map_or("client".to_string(), |d| d.to_string());
             report.push(
@@ -125,9 +160,9 @@ pub fn check_transfer_endpoints(facts: &dyn PlanFacts, cfg: &LintConfig, report:
 /// GA103 — weight shipping: a persistent weight (or embedding shard)
 /// moving to a device by value instead of by handle re-pays its full
 /// footprint on every invocation.
-pub fn check_weight_shipping(facts: &dyn PlanFacts, cfg: &LintConfig, report: &mut Report) {
-    let srg = facts.srg();
-    for t in facts.transfers() {
+fn check_weight_shipping(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
+    let srg = plan.srg;
+    for t in &plan.transfers {
         if t.via_handle || t.to.is_none() || t.edge.index() >= srg.edge_count() {
             continue;
         }
@@ -154,8 +189,8 @@ pub fn check_weight_shipping(facts: &dyn PlanFacts, cfg: &LintConfig, report: &m
 /// GA104 — KV co-location: a decode-phase `StatefulKvCache` value whose
 /// producer and consumer sit on different locations forces growing state
 /// across the network every step.
-pub fn check_kv_colocation(facts: &dyn PlanFacts, cfg: &LintConfig, report: &mut Report) {
-    let srg = facts.srg();
+fn check_kv_colocation(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
+    let srg = plan.srg;
     for edge in srg.edges() {
         let src = srg.node(edge.src);
         if src.residency != Residency::StatefulKvCache {
@@ -166,8 +201,8 @@ pub fn check_kv_colocation(facts: &dyn PlanFacts, cfg: &LintConfig, report: &mut
         if !decodeish(&src.phase) && !decodeish(&dst.phase) {
             continue;
         }
-        let a = facts.node_device(edge.src);
-        let b = facts.node_device(edge.dst);
+        let a = plan.device(edge.src);
+        let b = plan.device(edge.dst);
         if a != b {
             let show = |d: Option<DevId>| d.map_or("client".to_string(), |d| d.to_string());
             report.push(

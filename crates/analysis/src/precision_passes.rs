@@ -36,7 +36,7 @@
 
 use crate::dataflow::{solve, BoolOrLattice, Direction, FlowGraph, MaxLattice, SrgFlow};
 use crate::diag::{Anchor, LintCode, LintConfig, Report};
-use crate::plan_passes::PlanFacts;
+use crate::plan_passes::PlanView;
 use genie_cluster::{GpuClass, Topology};
 use genie_srg::traverse::CycleError;
 use genie_srg::{Criticality, Edge, ElemType, Node, NodeId, OpKind, Srg};
@@ -289,9 +289,6 @@ fn critical_downstream(srg: &Srg, flow: &SrgFlow<'_>) -> Vec<bool> {
                 .any(|e| e.criticality == Criticality::Critical)
         })
         .collect();
-    if !seeds.contains(&true) {
-        return seeds; // nothing Critical, nothing upstream of it
-    }
     let fx = solve(&BoolOrLattice, flow, Direction::Backward, |v, down| {
         *down || seeds[v]
     });
@@ -302,8 +299,12 @@ fn critical_downstream(srg: &Srg, flow: &SrgFlow<'_>) -> Vec<bool> {
 /// node carries an explicit [`KERNEL_TIER_ATTR`] — a quantized tier
 /// request widens that node's local term even before any plan exists.
 pub fn check_precision_consistency(srg: &Srg, cfg: &LintConfig, report: &mut Report) {
+    let Ok(flow) = SrgFlow::new(srg) else {
+        return; // cyclic graphs are a GA0xx problem
+    };
     check_precision_with_factors(
         srg,
+        &flow,
         |id| requested_tier(srg.node(id)).map_or(1.0, error_factor),
         cfg,
         report,
@@ -313,19 +314,23 @@ pub fn check_precision_consistency(srg: &Srg, cfg: &LintConfig, report: &mut Rep
 /// GA301/GA302/GA303 against a plan: the local-error multiplier per
 /// node is its kernel tier (from the cost hints) times its device's
 /// class factor.
-pub fn check_precision_plan(
-    facts: &dyn PlanFacts,
+pub(crate) fn check_precision_plan(
+    plan: &PlanView,
     topo: &Topology,
     cfg: &LintConfig,
     report: &mut Report,
 ) {
-    let srg = facts.srg();
+    let Some(flow) = &plan.flow else {
+        return; // cyclic graphs are a GA0xx problem
+    };
+    let srg = plan.srg;
     let ndev = topo.devices().len();
     check_precision_with_factors(
         srg,
+        flow,
         |id| {
             let mut f = error_factor(tier_for_node(srg, id));
-            if let Some(dev) = facts.node_device(id) {
+            if let Some(dev) = plan.device(id) {
                 if (dev.0 as usize) < ndev {
                     f *= device_class_error_factor(topo.device(dev).spec.class);
                 }
@@ -337,29 +342,38 @@ pub fn check_precision_plan(
     );
 }
 
-/// The full GA3xx pass with an explicit per-node local-error factor.
-pub fn check_precision_with_factors<F>(srg: &Srg, factor: F, cfg: &LintConfig, report: &mut Report)
-where
+/// The full GA3xx pass over `srg`'s `flow` with an explicit per-node
+/// local-error factor.
+fn check_precision_with_factors<F>(
+    srg: &Srg,
+    flow: &SrgFlow<'_>,
+    factor: F,
+    cfg: &LintConfig,
+    report: &mut Report,
+) where
     F: Fn(NodeId) -> f64,
 {
-    let Ok(flow) = SrgFlow::new(srg) else {
-        return; // cyclic graphs are a GA0xx problem
-    };
-    // Bounds are solved when first asked for: a graph with no tolerance
-    // demand and no Critical edge (every per-step decode capture) never
-    // asks. With unit factors everywhere (any graph-level check without
-    // a `KERNEL_TIER_ATTR`) the delivered solve *is* the baseline solve.
+    // Every solve runs when first asked for. Bounds are asked for by a
+    // tolerance demand, and by a Critical edge under a non-unit factor:
+    // with unit factors everywhere (any graph-level check without a
+    // `KERNEL_TIER_ATTR`, any plan on exact tiers and unit-factor device
+    // classes) the delivered solve *is* the baseline solve, so the
+    // relative GA301 check cannot fire. `Critical` reachability is asked
+    // for only by a node that downcasts its inputs in a graph with a
+    // Critical edge.
     let unit_factors = srg.node_ids().all(|id| factor(id) == 1.0);
     let (baseline, scaled) = (OnceCell::new(), OnceCell::new());
-    let baseline = || baseline.get_or_init(|| solve_bounds(srg, &flow, |_| 1.0));
+    let baseline = || baseline.get_or_init(|| solve_bounds(srg, flow, |_| 1.0));
     let delivered = || {
         if unit_factors {
             baseline()
         } else {
-            scaled.get_or_init(|| solve_bounds(srg, &flow, &factor))
+            scaled.get_or_init(|| solve_bounds(srg, flow, &factor))
         }
     };
-    let downstream = critical_downstream(srg, &flow);
+    let any_critical = srg.edges().any(|e| e.criticality == Criticality::Critical);
+    let downstream = OnceCell::new();
+    let feeds_critical = |v: usize| downstream.get_or_init(|| critical_downstream(srg, flow))[v];
 
     for node in srg.nodes() {
         // GA303 — ops with no static error model.
@@ -409,10 +423,7 @@ where
         }
 
         // GA302 — float downcast feeding a Critical edge downstream.
-        let Some(v) = flow.index_of(node.id) else {
-            continue;
-        };
-        if !downstream[v] {
+        if !any_critical {
             continue;
         }
         let in_eps = srg
@@ -430,7 +441,7 @@ where
                 Some(acc.map_or(e, |a| a.max(e)))
             });
         if let (Some(ie), Some(oe)) = (in_eps, out_eps) {
-            if oe > ie {
+            if oe > ie && flow.index_of(node.id).is_some_and(feeds_critical) {
                 report.push(
                     cfg,
                     LintCode::PrecisionLossyCriticalPath,
@@ -448,6 +459,9 @@ where
     // GA301 (relative) — the schedule degraded a Critical value's bound
     // past the slack, even without an explicit tolerance demand. One
     // finding per offending source node.
+    if unit_factors {
+        return;
+    }
     let mut flagged: std::collections::BTreeSet<NodeId> = std::collections::BTreeSet::new();
     for edge in srg.edges() {
         if edge.criticality != Criticality::Critical || !flagged.insert(edge.src) {
@@ -555,6 +569,7 @@ mod tests {
         let mut r = Report::new("t");
         check_precision_with_factors(
             &g,
+            &SrgFlow::new(&g).unwrap(),
             |id| if id == mm { 8.0 } else { 1.0 },
             &LintConfig::new(),
             &mut r,

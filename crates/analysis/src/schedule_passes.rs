@@ -1,58 +1,34 @@
-//! Schedule-timeline safety passes (GA2xx) and the liveness-based
-//! GA101 re-anchor.
+//! Schedule-timeline safety passes (GA2xx) and GA101's memory watermark.
 //!
 //! Where `plan_passes` checks each placement/transfer locally, the
-//! passes here reason about the plan's *timeline*: which values are
-//! simultaneously live (memory watermark), in which order a channel
-//! delivers its transfers (FIFO ordering hazards), and whether the
-//! waits-for relation induced by channel FIFO order plus data
-//! dependencies is acyclic (static deadlock). All three are instances
-//! of the fixpoint framework in [`crate::dataflow`] or of a plain
-//! topological sweep over the same structures.
+//! passes here reason about the plan's *timeline*: the graph's one
+//! topological order, built once per gate into the `PlanView` every
+//! pass reads, taken as a schedule that runs the `i`-th node at step `i`.
+//!
+//! - **GA101** asks which values are live at once. A value is live
+//!   exactly from the step that produces it through the step of its
+//!   last reader ([`SrgFlow::live_ranges`]), so the watermark is one
+//!   interval sweep: one pass over the out-edges charges each value's
+//!   bytes to the devices that hold it, a per-device difference array
+//!   over the steps records where live ranges begin and end, and the
+//!   largest running sum is the device's peak — linear in nodes, edges
+//!   and steps per charged device.
+//! - **GA201** asks in which order a channel delivers its transfers.
+//! - **GA202** asks whether a buffer is pinned twice.
+//! - **GA203** asks whether the waits-for relation induced by channel
+//!   FIFO order plus data dependencies is acyclic: Kahn's algorithm over
+//!   dense vertex vectors, nodes first, then transfers.
+//! - **GA204** asks whether devices reach blocking collectives in one
+//!   consistent order.
+//!
+//! [`SrgFlow::live_ranges`]: crate::dataflow::SrgFlow::live_ranges
 
-use crate::dataflow::{solve, Direction, FlowGraph, SetLattice, SrgFlow, Timeline};
+use crate::dataflow::FlowGraph;
 use crate::diag::{Anchor, LintCode, LintConfig, Report, Severity};
-use crate::plan_passes::{PlanFacts, TransferFact};
+use crate::plan_passes::{PlanFacts, PlanView, TransferFact};
 use genie_cluster::{ClusterState, DevId, Topology};
-use genie_srg::traverse::CycleError;
 use genie_srg::{NodeId, Srg, TensorId};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Per-step live-value sets over the SRG's deterministic topological
-/// order, computed by a backward liveness solve on the step [`Timeline`].
-///
-/// Step `i` executes the `i`-th node of the topological order; the
-/// value produced by node `n` is live from the step that runs `n`
-/// through the last step that consumes it. Entry `i` of the result is
-/// the set of producer nodes whose values must be resident *while*
-/// step `i` runs (including step `i`'s own output).
-pub fn live_value_sets(srg: &Srg) -> Result<Vec<BTreeSet<NodeId>>, CycleError> {
-    let flow = SrgFlow::new(srg)?;
-    let steps = flow.len();
-    let lat = SetLattice::<NodeId>::new();
-    let fx = solve(
-        &lat,
-        &Timeline::new(steps),
-        Direction::Backward,
-        |i, live_out| {
-            let node = flow.node_at(i);
-            let mut live_in = live_out.clone();
-            live_in.remove(&node); // defined here, dead before this step
-            for p in srg.predecessors(node) {
-                live_in.insert(p); // used here, live from its producer on
-            }
-            live_in
-        },
-    );
-    debug_assert!(fx.converged, "liveness is monotone over a finite lattice");
-    Ok((0..steps)
-        .map(|i| {
-            let mut during = fx.outputs[i].clone();
-            during.insert(flow.node_at(i));
-            during
-        })
-        .collect())
-}
 
 /// The bytes held by a node's output value: the widest outgoing edge,
 /// or the node's own write-footprint hint if larger.
@@ -68,134 +44,123 @@ fn value_bytes(srg: &Srg, node: NodeId) -> u64 {
 /// peak of simultaneously-live values per device must fit in that
 /// device's free memory.
 ///
-/// This replaces the old pessimistic `pinned + largest transient` sum:
-/// a value is charged only for the steps on which it is actually live,
-/// to the device of its producer and of each consumer, and values that
-/// are backed by a pinned upload are excluded from the sweep (they are
+/// A value is charged only for the steps on which it is live, to the
+/// device of its producer and of each consumer, and values that are
+/// backed by a pinned upload are left out of the sweep (they are
 /// already counted once, on the pinned side). When the graph has no
-/// topological order the old sum runs instead, capped at warn level.
-pub fn check_memory_watermark(
-    facts: &dyn PlanFacts,
+/// topological order the pessimistic `pinned + largest transient` sum
+/// runs instead, capped at warn level.
+pub(crate) fn check_memory_watermark(
+    plan: &PlanView,
     topo: &Topology,
     state: &ClusterState,
     cfg: &LintConfig,
     report: &mut Report,
 ) {
-    let srg = facts.srg();
+    let Some(flow) = &plan.flow else {
+        check_device_capacity_pessimistic(plan, topo, state, cfg, report);
+        return;
+    };
+    let srg = plan.srg;
     let mut demand: BTreeMap<DevId, u64> = BTreeMap::new();
     let mut pinned_tensors: BTreeSet<TensorId> = BTreeSet::new();
-    for (tensor, dev, bytes) in facts.pinned_uploads() {
+    for &(tensor, dev, bytes) in &plan.pinned {
         *demand.entry(dev).or_insert(0) += bytes;
         pinned_tensors.insert(tensor);
     }
 
-    let live = match live_value_sets(srg) {
-        Ok(live) => live,
-        Err(_) => {
-            check_device_capacity_pessimistic(facts, topo, state, cfg, report);
-            return;
-        }
-    };
-
-    // Byte weight and charged devices per producer node. A value
-    // occupies memory on the device that computes it and on the device
-    // of every consumer it is copied to; `None` (the client CPU) is
-    // not capacity-checked.
-    let mut charges: BTreeMap<NodeId, (u64, BTreeSet<DevId>)> = BTreeMap::new();
-    for node in srg.nodes() {
+    // Per device, the bytes whose live range begins (`born`) and ends
+    // (`dies`) at each step. A value occupies memory on the device that
+    // computes it and on the device of every consumer it is copied to;
+    // `None` (the client CPU) is not capacity-checked.
+    let steps = flow.len();
+    let mut sweeps: BTreeMap<DevId, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
+    let mut devs: Vec<DevId> = Vec::new();
+    for (v, live) in flow.live_ranges().into_iter().enumerate() {
+        let node = flow.node_at(v);
         if srg
-            .out_edges(node.id)
+            .out_edges(node)
             .any(|e| pinned_tensors.contains(&e.tensor))
         {
             continue; // backed by a pinned upload, charged once above
         }
-        let bytes = value_bytes(srg, node.id);
+        let bytes = value_bytes(srg, node);
         if bytes == 0 {
             continue;
         }
-        let mut devs = BTreeSet::new();
-        if let Some(d) = facts.node_device(node.id) {
-            devs.insert(d);
-        }
-        for consumer in srg.successors(node.id) {
-            if let Some(d) = facts.node_device(consumer) {
-                devs.insert(d);
+        devs.clear();
+        let consumers = srg.out_edges(node).map(|e| e.dst);
+        for d in std::iter::once(node)
+            .chain(consumers)
+            .filter_map(|n| plan.device(n))
+        {
+            if !devs.contains(&d) {
+                devs.push(d);
             }
         }
-        if !devs.is_empty() {
-            charges.insert(node.id, (bytes, devs));
+        for &d in &devs {
+            let (born, dies) = sweeps
+                .entry(d)
+                .or_insert_with(|| (vec![0; steps], vec![0; steps]));
+            born[*live.start()] += bytes;
+            dies[*live.end()] += bytes;
         }
     }
-
-    // High watermark per device across the step timeline.
-    let mut peak: BTreeMap<DevId, u64> = BTreeMap::new();
-    for step in &live {
-        let mut here: BTreeMap<DevId, u64> = BTreeMap::new();
-        for node in step {
-            if let Some((bytes, devs)) = charges.get(node) {
-                for d in devs {
-                    *here.entry(*d).or_insert(0) += bytes;
-                }
-            }
+    // High watermark per device: the largest running total of live bytes.
+    for (dev, (born, dies)) in sweeps {
+        let (mut live, mut peak) = (0u64, 0u64);
+        for (b, d) in born.iter().zip(&dies) {
+            live += b;
+            peak = peak.max(live);
+            live -= d;
         }
-        for (d, b) in here {
-            let e = peak.entry(d).or_insert(0);
-            *e = (*e).max(b);
-        }
+        *demand.entry(dev).or_insert(0) += peak;
     }
-    for (d, b) in peak {
-        *demand.entry(d).or_insert(0) += b;
-    }
-
-    for (dev, required) in demand {
-        if dev.0 as usize >= topo.devices().len() {
-            report.push(
-                cfg,
-                LintCode::TransferEndpointMismatch,
-                Anchor::Device(dev),
-                format!("plan references device {dev} absent from the topology"),
-            );
-            continue;
-        }
-        let free = state.mem_free(topo, dev);
-        if required > free {
-            report.push(
-                cfg,
-                LintCode::DeviceOvercommit,
-                Anchor::Device(dev),
-                format!("plan needs {required} B on {dev} but only {free} B are free"),
-            );
-        }
-    }
+    judge_demand(demand, Severity::Deny, "", topo, state, cfg, report);
 }
 
 /// The pre-liveness GA101: pinned uploads plus the single largest
 /// transient per device. Pessimistic (ignores live ranges), so findings
 /// are capped at [`Severity::Warn`]; used only when the graph is cyclic
 /// and no topological timeline exists.
-pub fn check_device_capacity_pessimistic(
-    facts: &dyn PlanFacts,
+fn check_device_capacity_pessimistic(
+    plan: &PlanView,
     topo: &Topology,
     state: &ClusterState,
     cfg: &LintConfig,
     report: &mut Report,
 ) {
-    let srg = facts.srg();
+    let srg = plan.srg;
     let mut demand: BTreeMap<DevId, u64> = BTreeMap::new();
-    for (_, dev, bytes) in facts.pinned_uploads() {
+    for &(_, dev, bytes) in &plan.pinned {
         *demand.entry(dev).or_insert(0) += bytes;
     }
     let mut transient: BTreeMap<DevId, u64> = BTreeMap::new();
-    for node in srg.nodes() {
-        if let Some(dev) = facts.node_device(node.id) {
-            let out_bytes = value_bytes(srg, node.id);
+    for node in srg.node_ids() {
+        if let Some(dev) = plan.device(node) {
             let e = transient.entry(dev).or_insert(0);
-            *e = (*e).max(out_bytes);
+            *e = (*e).max(value_bytes(srg, node));
         }
     }
     for (dev, b) in transient {
         *demand.entry(dev).or_insert(0) += b;
     }
+    let caveat = " (pessimistic bound: graph is cyclic, liveness unavailable)";
+    judge_demand(demand, Severity::Warn, caveat, topo, state, cfg, report);
+}
+
+/// GA101's verdict on per-device demand: a device the topology lacks is
+/// a GA102 finding, and demand above a device's free memory a GA101
+/// finding of at most `cap` severity whose message ends in `caveat`.
+fn judge_demand(
+    demand: BTreeMap<DevId, u64>,
+    cap: Severity,
+    caveat: &str,
+    topo: &Topology,
+    state: &ClusterState,
+    cfg: &LintConfig,
+    report: &mut Report,
+) {
     for (dev, required) in demand {
         if dev.0 as usize >= topo.devices().len() {
             report.push(
@@ -211,12 +176,9 @@ pub fn check_device_capacity_pessimistic(
             report.push_capped(
                 cfg,
                 LintCode::DeviceOvercommit,
-                Severity::Warn,
+                cap,
                 Anchor::Device(dev),
-                format!(
-                    "plan needs {required} B on {dev} but only {free} B are free \
-                     (pessimistic bound: graph is cyclic, liveness unavailable)"
-                ),
+                format!("plan needs {required} B on {dev} but only {free} B are free{caveat}"),
             );
         }
     }
@@ -226,13 +188,14 @@ pub fn check_device_capacity_pessimistic(
 /// delivers its transfers in the order the plan lists them. A transfer
 /// queued behind one whose consumer runs *later* in the topological
 /// order arrives after its own consumer's start.
-pub fn check_transfer_ordering(facts: &dyn PlanFacts, cfg: &LintConfig, report: &mut Report) {
-    let srg = facts.srg();
-    let Ok(flow) = SrgFlow::new(srg) else {
+pub(crate) fn check_transfer_ordering(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
+    let srg = plan.srg;
+    let Some(flow) = &plan.flow else {
         return; // no step order to compare against
     };
-    let mut channels: BTreeMap<(Option<DevId>, Option<DevId>), Vec<TransferFact>> = BTreeMap::new();
-    for t in facts.transfers() {
+    let mut channels: BTreeMap<(Option<DevId>, Option<DevId>), Vec<&TransferFact>> =
+        BTreeMap::new();
+    for t in &plan.transfers {
         if t.edge.index() >= srg.edge_count() {
             continue; // GA102 reports dangling edges
         }
@@ -279,9 +242,9 @@ pub fn check_transfer_ordering(facts: &dyn PlanFacts, cfg: &LintConfig, report: 
 /// GA202 — double pinning: the same tensor pinned twice onto the same
 /// device within one plan double-counts (and double-occupies) device
 /// memory.
-pub fn check_double_pinning(facts: &dyn PlanFacts, cfg: &LintConfig, report: &mut Report) {
+pub(crate) fn check_double_pinning(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
     let mut seen: BTreeMap<(TensorId, DevId), u64> = BTreeMap::new();
-    for (tensor, dev, bytes) in facts.pinned_uploads() {
+    for &(tensor, dev, bytes) in &plan.pinned {
         if let Some(prev) = seen.insert((tensor, dev), bytes) {
             report.push(
                 cfg,
@@ -334,61 +297,61 @@ pub fn check_cross_plan_pinning(plans: &[&dyn PlanFacts], cfg: &LintConfig) -> R
 /// per-channel FIFO delivery order) and reject plans whose waits-for
 /// relation is cyclic — at runtime every participant would block
 /// forever on the others.
-pub fn check_transfer_deadlock(facts: &dyn PlanFacts, cfg: &LintConfig, report: &mut Report) {
-    let srg = facts.srg();
-    let node_ids: Vec<NodeId> = srg.node_ids().collect();
-    let n = node_ids.len();
-    let index: BTreeMap<NodeId, usize> = node_ids
+pub(crate) fn check_transfer_deadlock(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
+    let srg = plan.srg;
+    let transfers: Vec<&TransferFact> = plan
+        .transfers
         .iter()
-        .enumerate()
-        .map(|(i, &id)| (id, i))
-        .collect();
-    let transfers: Vec<TransferFact> = facts
-        .transfers()
-        .into_iter()
         .filter(|t| t.edge.index() < srg.edge_count())
         .collect();
     if transfers.is_empty() {
         return;
     }
+    // Vertex `i < n` is node `i`, vertex `n + k` transfer `k`. Besides
+    // the data dependencies (a consumer waits for each of its
+    // producers), a transfer waits for its edge's source node and for
+    // the previously-issued transfer on its channel (FIFO), and the
+    // edge's destination node waits for the transfer to land.
+    let n = srg.node_count();
     let total = n + transfers.len();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); total];
-    let mut indeg = vec![0usize; total];
-    let connect = |succs: &mut Vec<Vec<usize>>, indeg: &mut Vec<usize>, a: usize, b: usize| {
-        succs[a].push(b);
-        indeg[b] += 1;
-    };
-    // Data dependencies: a consumer waits for each of its producers.
-    for edge in srg.edges() {
-        if let (Some(&s), Some(&d)) = (index.get(&edge.src), index.get(&edge.dst)) {
-            connect(&mut succs, &mut indeg, s, d);
-        }
-    }
-    // A transfer waits for its source node; its destination node waits
-    // for the transfer to land. Channel FIFO: each transfer also waits
-    // for the previously-issued transfer on the same channel.
+    let mut indeg: Vec<usize> = srg.node_ids().map(|id| srg.in_degree(id)).collect();
+    indeg.resize(total, 0);
+    // (source node, transfer vertex), sorted: a node's transfers are a run.
+    let mut issued: Vec<(usize, usize)> = Vec::with_capacity(transfers.len());
+    let mut next_on_channel: Vec<Option<usize>> = vec![None; transfers.len()];
     let mut channel_last: BTreeMap<(Option<DevId>, Option<DevId>), usize> = BTreeMap::new();
     for (k, t) in transfers.iter().enumerate() {
-        let v = n + k;
         let edge = srg.edge(t.edge);
-        if let Some(&s) = index.get(&edge.src) {
-            connect(&mut succs, &mut indeg, s, v);
+        issued.push((edge.src.index(), n + k));
+        indeg[n + k] += 1;
+        indeg[edge.dst.index()] += 1;
+        if let Some(prev) = channel_last.insert((t.from, t.to), k) {
+            next_on_channel[prev] = Some(n + k);
+            indeg[n + k] += 1;
         }
-        if let Some(&d) = index.get(&edge.dst) {
-            connect(&mut succs, &mut indeg, v, d);
-        }
-        if let Some(&prev) = channel_last.get(&(t.from, t.to)) {
-            connect(&mut succs, &mut indeg, prev, v);
-        }
-        channel_last.insert((t.from, t.to), v);
     }
+    issued.sort_unstable();
+    let successors = |v: usize, out: &mut Vec<usize>| {
+        out.clear();
+        if v < n {
+            let node = NodeId::new(v as u32);
+            out.extend(srg.out_edges(node).map(|e| e.dst.index()));
+            let run = &issued[issued.partition_point(|&(s, _)| s < v)..];
+            out.extend(run.iter().take_while(|&&(s, _)| s == v).map(|&(_, t)| t));
+        } else {
+            out.push(srg.edge(transfers[v - n].edge).dst.index());
+            out.extend(next_on_channel[v - n]);
+        }
+    };
     // Kahn's algorithm; anything left unprocessed sits on or behind a
     // waits-for cycle.
     let mut ready: Vec<usize> = (0..total).filter(|&v| indeg[v] == 0).collect();
     let mut processed = 0usize;
+    let mut succs = Vec::new();
     while let Some(v) = ready.pop() {
         processed += 1;
-        for &s in &succs[v] {
+        successors(v, &mut succs);
+        for &s in &succs {
             indeg[s] -= 1;
             if indeg[s] == 0 {
                 ready.push(s);
@@ -400,39 +363,39 @@ pub fn check_transfer_deadlock(facts: &dyn PlanFacts, cfg: &LintConfig, report: 
     }
     // Trim downstream tails so the witness names only the cycle core:
     // repeatedly drop leftovers with no leftover successor.
-    let mut leftover: BTreeSet<usize> = (0..total).filter(|&v| indeg[v] > 0).collect();
+    let mut leftover: Vec<bool> = indeg.iter().map(|&d| d > 0).collect();
     loop {
-        let tail: Vec<usize> = leftover
-            .iter()
-            .copied()
-            .filter(|&v| succs[v].iter().all(|s| !leftover.contains(s)))
+        let tail: Vec<usize> = (0..total)
+            .filter(|&v| {
+                leftover[v] && {
+                    successors(v, &mut succs);
+                    succs.iter().all(|&s| !leftover[s])
+                }
+            })
             .collect();
         if tail.is_empty() {
             break;
         }
         for v in tail {
-            leftover.remove(&v);
+            leftover[v] = false;
         }
     }
-    let involved: Vec<String> = leftover
-        .iter()
-        .filter_map(|&v| v.checked_sub(n).map(|k| transfers[k].edge.to_string()))
+    let involved: Vec<&TransferFact> = (n..total)
+        .filter(|&v| leftover[v])
+        .map(|v| transfers[v - n])
         .collect();
-    if involved.is_empty() {
+    let Some(first) = involved.first() else {
         return; // a cycle purely in the SRG is a graph-level problem
-    }
-    let anchor = leftover
-        .iter()
-        .find_map(|&v| v.checked_sub(n).map(|k| Anchor::Edge(transfers[k].edge)))
-        .unwrap_or(Anchor::Graph);
+    };
+    let names: Vec<String> = involved.iter().map(|t| t.edge.to_string()).collect();
     report.push(
         cfg,
         LintCode::TransferDependencyCycle,
-        anchor,
+        Anchor::Edge(first.edge),
         format!(
             "transfer dependency cycle: channel FIFO order contradicts data \
              dependencies (transfers for {} wait on each other)",
-            involved.join(", ")
+            names.join(", ")
         ),
     );
 }
@@ -450,8 +413,8 @@ pub fn check_transfer_deadlock(facts: &dyn PlanFacts, cfg: &LintConfig, report: 
 /// the NCCL-style deadlock GA203 cannot see because no single transfer
 /// channel is involved. The waits-for graph over collectives (one edge
 /// per consecutive pair in each device's order) must be acyclic.
-pub fn check_collective_deadlock(facts: &dyn PlanFacts, cfg: &LintConfig, report: &mut Report) {
-    let srg = facts.srg();
+pub(crate) fn check_collective_deadlock(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
+    let srg = plan.srg;
     let collectives: Vec<NodeId> = srg
         .nodes()
         .filter(|n| {
@@ -467,7 +430,7 @@ pub fn check_collective_deadlock(facts: &dyn PlanFacts, cfg: &LintConfig, report
     if collectives.len() < 2 {
         return;
     }
-    let Ok(flow) = SrgFlow::new(srg) else {
+    let Some(flow) = &plan.flow else {
         return; // cyclic SRG: GA203 / graph passes own that finding
     };
     let index: BTreeMap<NodeId, usize> = collectives
@@ -482,7 +445,7 @@ pub fn check_collective_deadlock(facts: &dyn PlanFacts, cfg: &LintConfig, report
     for (&c, &ci) in &index {
         let mut reach: BTreeMap<DevId, usize> = BTreeMap::new();
         for e in srg.in_edges(c) {
-            let Some(dev) = facts.node_device(e.src) else {
+            let Some(dev) = plan.device(e.src) else {
                 continue;
             };
             let Some(step) = flow.index_of(e.src) else {
@@ -516,7 +479,7 @@ pub fn check_collective_deadlock(facts: &dyn PlanFacts, cfg: &LintConfig, report
     let mut processed = 0usize;
     while let Some(v) = ready.pop() {
         processed += 1;
-        for &s in &succs[v].clone() {
+        for &s in &succs[v] {
             indeg[s] -= 1;
             if indeg[s] == 0 {
                 ready.push(s);
@@ -635,7 +598,13 @@ mod tests {
         };
         let state = ClusterState::new();
         let mut r = Report::new("t");
-        check_memory_watermark(&plan, &topo, &state, &LintConfig::new(), &mut r);
+        check_memory_watermark(
+            &PlanView::new(&plan),
+            &topo,
+            &state,
+            &LintConfig::new(),
+            &mut r,
+        );
         let r = r.finish();
         assert!(
             r.with_code(LintCode::DeviceOvercommit).is_empty(),
@@ -669,7 +638,13 @@ mod tests {
         };
         let state = ClusterState::new();
         let mut r = Report::new("t");
-        check_memory_watermark(&plan, &topo, &state, &LintConfig::new(), &mut r);
+        check_memory_watermark(
+            &PlanView::new(&plan),
+            &topo,
+            &state,
+            &LintConfig::new(),
+            &mut r,
+        );
         let r = r.finish();
         let hits = r.with_code(LintCode::DeviceOvercommit);
         assert_eq!(hits.len(), 1, "a+b+c live together = 3 MB > 2.5 MB: {r}");
@@ -702,7 +677,13 @@ mod tests {
         let state = ClusterState::new();
 
         let mut old = Report::new("old");
-        check_device_capacity_pessimistic(&plan, &topo, &state, &LintConfig::new(), &mut old);
+        check_device_capacity_pessimistic(
+            &PlanView::new(&plan),
+            &topo,
+            &state,
+            &LintConfig::new(),
+            &mut old,
+        );
         assert_eq!(
             old.finish().with_code(LintCode::DeviceOvercommit).len(),
             1,
@@ -710,7 +691,13 @@ mod tests {
         );
 
         let mut new = Report::new("new");
-        check_memory_watermark(&plan, &topo, &state, &LintConfig::new(), &mut new);
+        check_memory_watermark(
+            &PlanView::new(&plan),
+            &topo,
+            &state,
+            &LintConfig::new(),
+            &mut new,
+        );
         let new = new.finish();
         assert!(
             new.with_code(LintCode::DeviceOvercommit).is_empty(),
@@ -735,7 +722,13 @@ mod tests {
         };
         let state = ClusterState::new();
         let mut r = Report::new("t");
-        check_memory_watermark(&plan, &topo, &state, &LintConfig::new(), &mut r);
+        check_memory_watermark(
+            &PlanView::new(&plan),
+            &topo,
+            &state,
+            &LintConfig::new(),
+            &mut r,
+        );
         let r = r.finish();
         let hits = r.with_code(LintCode::DeviceOvercommit);
         assert_eq!(hits.len(), 1, "{r}");
@@ -777,7 +770,7 @@ mod tests {
             pinned: Vec::new(),
         };
         let mut r = Report::new("t");
-        check_transfer_ordering(&plan, &LintConfig::new(), &mut r);
+        check_transfer_ordering(&PlanView::new(&plan), &LintConfig::new(), &mut r);
         let r = r.finish();
         let hits = r.with_code(LintCode::TransferOrderHazard);
         assert_eq!(hits.len(), 1, "{r}");
@@ -801,7 +794,7 @@ mod tests {
             pinned: Vec::new(),
         };
         let mut r = Report::new("t");
-        check_transfer_ordering(&plan, &LintConfig::new(), &mut r);
+        check_transfer_ordering(&PlanView::new(&plan), &LintConfig::new(), &mut r);
         assert!(r
             .finish()
             .with_code(LintCode::TransferOrderHazard)
@@ -819,7 +812,7 @@ mod tests {
             pinned: vec![(TensorId::new(7), d0, 1024), (TensorId::new(7), d0, 1024)],
         };
         let mut r = Report::new("t");
-        check_double_pinning(&plan, &LintConfig::new(), &mut r);
+        check_double_pinning(&PlanView::new(&plan), &LintConfig::new(), &mut r);
         let r = r.finish();
         assert_eq!(r.with_code(LintCode::DoublePinnedBuffer).len(), 1, "{r}");
         assert!(r.has_deny());
@@ -883,7 +876,7 @@ mod tests {
             pinned: Vec::new(),
         };
         let mut r = Report::new("t");
-        check_transfer_deadlock(&plan, &LintConfig::new(), &mut r);
+        check_transfer_deadlock(&PlanView::new(&plan), &LintConfig::new(), &mut r);
         let r = r.finish();
         let hits = r.with_code(LintCode::TransferDependencyCycle);
         assert_eq!(hits.len(), 1, "{r}");
@@ -915,7 +908,7 @@ mod tests {
             pinned: Vec::new(),
         };
         let mut r = Report::new("t");
-        check_transfer_deadlock(&plan, &LintConfig::new(), &mut r);
+        check_transfer_deadlock(&PlanView::new(&plan), &LintConfig::new(), &mut r);
         assert!(r
             .finish()
             .with_code(LintCode::TransferDependencyCycle)
@@ -971,7 +964,7 @@ mod tests {
             pinned: Vec::new(),
         };
         let mut r = Report::new("t");
-        check_collective_deadlock(&plan, &LintConfig::new(), &mut r);
+        check_collective_deadlock(&PlanView::new(&plan), &LintConfig::new(), &mut r);
         let r = r.finish();
         let hits = r.with_code(LintCode::CollectiveScheduleCycle);
         assert_eq!(hits.len(), 1, "{r}");
@@ -989,31 +982,10 @@ mod tests {
             pinned: Vec::new(),
         };
         let mut r = Report::new("t");
-        check_collective_deadlock(&plan, &LintConfig::new(), &mut r);
+        check_collective_deadlock(&PlanView::new(&plan), &LintConfig::new(), &mut r);
         assert!(r
             .finish()
             .with_code(LintCode::CollectiveScheduleCycle)
             .is_empty());
-    }
-
-    #[test]
-    fn live_sets_match_interval_definition() {
-        // Brute force: node n is live at step i iff pos(n) ≤ i ≤
-        // last-use(n); the dataflow answer must agree exactly.
-        let (g, ..) = ordering_fixture();
-        let flow = SrgFlow::new(&g).unwrap();
-        let live = live_value_sets(&g).unwrap();
-        for (i, set) in live.iter().enumerate() {
-            for (pos, &n) in flow.order().iter().enumerate() {
-                let last_use = g
-                    .successors(n)
-                    .into_iter()
-                    .filter_map(|s| flow.index_of(s))
-                    .max()
-                    .unwrap_or(pos);
-                let expect = pos <= i && i <= last_use;
-                assert_eq!(set.contains(&n), expect, "node {n} at step {i}");
-            }
-        }
     }
 }

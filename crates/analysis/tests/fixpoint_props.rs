@@ -1,12 +1,12 @@
 //! Properties of the generic fixpoint solver: termination within the
 //! fuel budget, convergence to a genuine fixpoint, agreement of forward
-//! reachability with brute-force closure, and agreement of the packaged
-//! liveness analysis with per-step brute-force recomputation — as seeded
-//! loops. A case is a function of its index alone, and a failing case
-//! prints the index that reproduces it.
+//! reachability with brute-force closure — and agreement of GA101's
+//! interval liveness (`SrgFlow::live_ranges`) with both a backward
+//! liveness solve over the step timeline and per-step brute-force
+//! recomputation — as seeded loops. A case is a function of its index
+//! alone, and a failing case prints the index that reproduces it.
 
-use genie_analysis::dataflow::{solve, Direction, FlowGraph, SetLattice, SrgFlow};
-use genie_analysis::live_value_sets;
+use genie_analysis::dataflow::{solve, Direction, FlowGraph, Lattice, SrgFlow};
 use genie_netsim::XorShift64;
 use genie_srg::{ElemType, Node, NodeId, OpKind, Srg, TensorMeta};
 use std::collections::BTreeSet;
@@ -53,6 +53,19 @@ impl Drop for Case {
     }
 }
 
+/// The powerset lattice over nodes: `bottom = ∅`, `join = ∪`.
+struct NodeSets;
+
+impl Lattice for NodeSets {
+    type Elem = BTreeSet<NodeId>;
+    fn bottom(&self) -> BTreeSet<NodeId> {
+        BTreeSet::new()
+    }
+    fn join(&self, a: &BTreeSet<NodeId>, b: &BTreeSet<NodeId>) -> BTreeSet<NodeId> {
+        a.union(b).copied().collect()
+    }
+}
+
 /// The transfer used throughout: out(v) = in(v) ∪ {node(v)} — forward
 /// ancestors, backward descendants. Monotone over the powerset lattice.
 fn reach(flow: &SrgFlow, v: usize, input: &BTreeSet<NodeId>) -> BTreeSet<NodeId> {
@@ -68,7 +81,7 @@ fn solver_terminates_and_converges() {
     for case in 0..CASES {
         let case = Case::new(case);
         let flow = SrgFlow::new(&case.graph).expect("built acyclic");
-        let lat = SetLattice::<NodeId>::new();
+        let lat = NodeSets;
         for direction in [Direction::Forward, Direction::Backward] {
             let fx = solve(&lat, &flow, direction, |v, input| reach(&flow, v, input));
             assert!(fx.converged, "{direction:?} must drain its worklist");
@@ -85,7 +98,7 @@ fn solution_is_a_fixpoint() {
     for case in 0..CASES {
         let case = Case::new(case);
         let flow = SrgFlow::new(&case.graph).expect("built acyclic");
-        let lat = SetLattice::<NodeId>::new();
+        let lat = NodeSets;
         for direction in [Direction::Forward, Direction::Backward] {
             let fx = solve(&lat, &flow, direction, |v, input| reach(&flow, v, input));
             for v in 0..flow.len() {
@@ -112,7 +125,7 @@ fn forward_reachability_matches_brute_force() {
     for case in 0..CASES {
         let case = Case::new(case);
         let flow = SrgFlow::new(&case.graph).expect("built acyclic");
-        let lat = SetLattice::<NodeId>::new();
+        let lat = NodeSets;
         let fx = solve(&lat, &flow, Direction::Forward, |v, input| {
             reach(&flow, v, input)
         });
@@ -138,20 +151,71 @@ fn forward_reachability_matches_brute_force() {
     }
 }
 
-/// The packaged liveness analysis agrees with its brute-force
-/// interval definition: node `m` is live during step `i` of the
-/// topological order iff `pos(m) <= i <= last_use(m)`, where
-/// `last_use` is the latest consumer position (or the definition
-/// itself when nothing consumes the value).
+/// A linear chain of `steps` vertices: a plan's step timeline, where
+/// step `i` happens-before step `i + 1`.
+struct Timeline(usize);
+
+impl FlowGraph for Timeline {
+    fn len(&self) -> usize {
+        self.0
+    }
+    fn preds(&self, v: usize) -> Vec<usize> {
+        (v > 0).then(|| v - 1).into_iter().collect()
+    }
+    fn succs(&self, v: usize) -> Vec<usize> {
+        (v + 1 < self.0).then_some(v + 1).into_iter().collect()
+    }
+}
+
+/// The oracle: per-step live sets from a backward liveness solve over
+/// the topological order's step timeline. Step `i` runs the `i`-th node;
+/// entry `i` holds the producers whose values are resident while step
+/// `i` runs, its own output included.
+fn solved_live_sets(g: &Srg, flow: &SrgFlow) -> Vec<BTreeSet<NodeId>> {
+    let lat = NodeSets;
+    let fx = solve(
+        &lat,
+        &Timeline(flow.len()),
+        Direction::Backward,
+        |i, live_out| {
+            let node = flow.node_at(i);
+            let mut live_in = live_out.clone();
+            live_in.remove(&node); // defined here, dead before this step
+            live_in.extend(g.predecessors(node)); // used here, live from its producer on
+            live_in
+        },
+    );
+    assert!(fx.converged, "liveness is monotone over a finite lattice");
+    (0..flow.len())
+        .map(|i| {
+            let mut during = fx.outputs[i].clone();
+            during.insert(flow.node_at(i));
+            during
+        })
+        .collect()
+}
+
+/// GA101's live ranges agree with the backward liveness solve and with
+/// their brute-force interval definition: node `m` is live during step
+/// `i` of the topological order iff `pos(m) <= i <= last_use(m)`, where
+/// `last_use` is the latest consumer position (or the definition itself
+/// when nothing consumes the value).
 #[test]
-fn liveness_matches_interval_brute_force() {
+fn live_ranges_match_liveness_solve_and_interval_brute_force() {
     for case in 0..CASES {
         let case = Case::new(case);
         let g = &case.graph;
         let flow = SrgFlow::new(g).expect("built acyclic");
-        let live = live_value_sets(g).expect("built acyclic");
-        assert_eq!(live.len(), flow.len());
-        for (i, set) in live.iter().enumerate() {
+        let ranges = flow.live_ranges();
+        let solved = solved_live_sets(g, &flow);
+        assert_eq!(ranges.len(), flow.len());
+        assert_eq!(solved.len(), flow.len());
+        for (i, set) in solved.iter().enumerate() {
+            let from_ranges: BTreeSet<NodeId> = (0..flow.len())
+                .filter(|&v| ranges[v].contains(&i))
+                .map(|v| flow.node_at(v))
+                .collect();
+            assert_eq!(&from_ranges, set, "live set at step {i}");
             for (pos, node) in flow.order().iter().enumerate() {
                 let last = g
                     .successors(*node)
@@ -160,6 +224,11 @@ fn liveness_matches_interval_brute_force() {
                     .max()
                     .unwrap_or(pos)
                     .max(pos);
+                assert_eq!(
+                    ranges[pos],
+                    pos..=last,
+                    "node {node:?} (pos {pos}, last use {last})"
+                );
                 let expected = pos <= i && i <= last;
                 assert_eq!(
                     set.contains(node),

@@ -1,7 +1,8 @@
 //! Runs the full semantic lint suite — `GA0xx` graph passes, `GA1xx`
 //! plan passes, `GA2xx` schedule-timeline passes, and `GA3xx` precision
 //! passes — over every workload family of the model zoo and emits a
-//! per-family summary table plus a machine-readable artifact.
+//! per-family summary table plus a machine-readable artifact. Exits
+//! non-zero when any graph or plan report carries a deny-level finding.
 //!
 //! Run with: `cargo run -p genie-bench --bin lint_report`
 
@@ -23,6 +24,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut artifacts = Vec::new();
+    let mut denied = Vec::new();
     for w in Workload::ALL {
         let srg = w.spec_graph();
         let graph_report = run_srg_passes(&srg, &cfg);
@@ -36,6 +38,12 @@ fn main() {
         for fam in LintFamily::ALL {
             row.push(family_summary(fam, &[&graph_report, &plan_report]));
         }
+        denied.extend(
+            [&graph_report, &plan_report]
+                .into_iter()
+                .filter(|r| r.has_deny())
+                .map(|r| r.render()),
+        );
         rows.push(row);
         artifacts.push(json_object! {
             "workload": w.name(),
@@ -62,8 +70,14 @@ fn main() {
     );
     let path = write_artifact("lint_report", &artifacts.into()).expect("artifact written");
     println!("artifact: {}\n", path.display());
-    println!("every zoo capture must be deny-clean: deny-level findings would");
-    println!("have aborted capture (finish) or scheduling (schedule_checked).");
+    if !denied.is_empty() {
+        eprintln!(
+            "every zoo capture and plan must be deny-clean:\n{}",
+            denied.concat()
+        );
+        std::process::exit(1);
+    }
+    println!("every zoo capture and plan is deny-clean.");
 }
 
 /// `deny/warn/info` counts for one family, summed over `reports`.
