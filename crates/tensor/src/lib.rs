@@ -22,17 +22,18 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: two places carry a documented
+// `deny`, not `forbid`: two kinds of place carry a documented
 // `#[allow(unsafe_code)]`, everything else stays unsafe-free.
 // (1) `pool::Scope::spawn` erases a job's borrow lifetime to queue it:
 // sound because `pool::scope` neither returns nor unwinds before every
-// job it spawned has run (the join barrier). (2) `simd::rows_on` calls
-// the `#[target_feature]` instantiations of the matmul row worker, safe
-// `fn`s that are `unsafe` to call from code compiled without the
-// feature: sound because each call is behind `is_x86_feature_detected!`
-// for exactly that feature. Miri is not installed here (no network), so
-// neither is machine-checked; `tests/pool_stress.rs` and `simd::tests`
-// exercise both. Nor is any target but x86-64 (this container and CI):
+// job it spawned has run (the join barrier). (2) `simd::rows_on` and
+// `simd::tanh_on` call the `#[target_feature]` instantiations of the
+// matmul row worker and of `gelu`'s lane loop, safe `fn`s that are
+// `unsafe` to call from code compiled without the feature: sound
+// because each call is behind `is_x86_feature_detected!` for exactly
+// that feature. Neither is machine-checked (no Miri); `pool_stress.rs`,
+// `simd` and `activation` tests exercise them. Nor is any target but
+// x86-64 built, in CI or locally:
 // the `not(target_arch = "x86_64")` arm of `simd`, where only the
 // baseline instantiation exists, is built and tested by flipping the
 // `cfg`s in a scratch copy (the verify skill has the recipe).

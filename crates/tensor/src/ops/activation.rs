@@ -1,12 +1,26 @@
 //! Pointwise activations and softmax.
+//!
+//! `gelu`'s tanh ([`tanh`]) is fdlibm's `tanhf` and `expm1f` — the
+//! algorithm glibc ships, whose scalar, branchy form `f32::tanh` calls and
+//! LLVM cannot vectorise — written branch-free: every lane computes each
+//! reduction path and keeps the one its input selects. Each path is the
+//! C routine's own sequence of IEEE operations, and rustc contracts no
+//! `mul` and `add` into an FMA, so every lane is the routine's result bit
+//! for bit at any vector width, whatever libm the host has. The lane loop
+//! is instantiated per ISA by `simd::tanh_on`: one thread, `gelu` on
+//! `[96, 1024]`, ≈ 2.6 / 3.4 / 7.0 ns per element under `avx512f` /
+//! `avx2` / baseline, ≈ 18 with libm's `tanhf`.
 
 use crate::par;
+use crate::simd::{self, Isa};
 use crate::tensor::Tensor;
 
-/// Elements from which a `tanhf`-bound map (`gelu`, 25 ns per element)
-/// goes out over the worker pool: ~400 µs of work against a measured
-/// ~30 µs hand-off (`[16, 1024]`: 406 → 236 µs on two threads,
-/// `[96, 1024]`: 2.49 → 1.29 ms). A decode step's `[1, ffn]` stays inline.
+/// Elements from which `gelu` goes out over the worker pool: ≈ 3.4 ns
+/// per element inline (with the output's allocation), against a hand-off
+/// of ≈ 10 µs. Measured on `[r, 1024]` (EXPERIMENTS.md): `r = 4` loses
+/// (14 → 19 µs), `r = 8` is even, and from `r = 16` on two threads win
+/// (55 → 43 µs; `[96, 1024]`, `prefill_wide`'s, 335 → 195 µs). A decode
+/// step's `[1, ffn]` stays inline.
 const TANH_PAR_MIN_ELEMS: usize = 1 << 14;
 
 /// Elementwise ReLU.
@@ -16,9 +30,8 @@ pub fn relu(x: &Tensor) -> Tensor {
 
 /// Elementwise GELU (tanh approximation, as used by GPT-style models).
 pub fn gelu(x: &Tensor) -> Tensor {
-    map_pooled(x, |v| {
-        0.5 * v * (1.0 + (0.797_884_6 * (v + 0.044_715 * v * v * v)).tanh())
-    })
+    let isa = Isa::selected();
+    map_pooled(x, |out, xs| simd::tanh_on::<true>(isa, out, xs))
 }
 
 /// Elementwise SiLU / swish.
@@ -55,37 +68,372 @@ pub fn softmax_lastdim(x: &Tensor) -> Tensor {
 }
 
 fn map(x: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
-    Tensor::build(x.dims().to_vec(), |out| map_into(out, x.data(), &f))
-}
-
-fn map_into(out: &mut [f32], xs: &[f32], f: &impl Fn(f32) -> f32) {
-    for (o, &v) in out.iter_mut().zip(xs) {
-        *o = f(v);
-    }
-}
-
-/// [`map`] for the `tanhf`-bound `gelu`: from [`TANH_PAR_MIN_ELEMS`] up,
-/// whole innermost rows go out over the worker pool. An element is still
-/// `f` of its own input alone, so the result is the single-thread loop's,
-/// bit for bit. Nothing else comes here: `expf` (`silu`, `sigmoid`) is
-/// 2.8 ns per element, so pooling loses below 2¹⁷ elements, which no
-/// model reaches, and the cheap maps (`relu`, `add`, `mul`, `scale`,
-/// `add_bias`: 5 µs on `[96, 256]`) cost less than one wake-up.
-fn map_pooled(x: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-    if x.len() < TANH_PAR_MIN_ELEMS {
-        return map(x, f);
-    }
-    let row = *x.dims().last().expect("rank 0 is below any threshold");
     Tensor::build(x.dims().to_vec(), |out| {
+        for (o, &v) in out.iter_mut().zip(x.data()) {
+            *o = f(v);
+        }
+    })
+}
+
+/// `kernel(out, xs)` over `x`, for `gelu`: from [`TANH_PAR_MIN_ELEMS`] up,
+/// whole innermost rows go out over the worker pool. An element is still
+/// a function of its own input alone, so the result is the single-thread
+/// loop's, bit for bit. Nothing else comes here: no model calls the
+/// `expf` maps (`silu`, `sigmoid`: libm, 2.8 ns per element) on more than
+/// 2¹⁴ elements, and the cheap maps (`relu`, `add`, `mul`, `scale`,
+/// `add_bias`: 5 µs on `[96, 256]`) cost less than one wake-up.
+fn map_pooled(x: &Tensor, kernel: impl Fn(&mut [f32], &[f32]) + Sync) -> Tensor {
+    Tensor::build(x.dims().to_vec(), |out| {
+        if x.len() < TANH_PAR_MIN_ELEMS {
+            return kernel(out, x.data());
+        }
+        let row = *x.dims().last().expect("rank 0 is below any threshold");
         par::par_rows(out, row, |row0, chunk| {
-            map_into(chunk, &x.data()[row0 * row..], &f)
+            kernel(chunk, &x.data()[row0 * row..])
         });
     })
+}
+
+/// `out[i] = gelu(xs[i])`, or `tanh(xs[i])` without `GELU` (the tests'
+/// view of the same lanes), for as many elements as `out` holds. The body
+/// is branch-free, so LLVM vectorises the loop at whatever width the
+/// enclosing `#[target_feature]` function allows.
+#[inline(always)]
+pub(crate) fn tanh_lanes<const GELU: bool>(out: &mut [f32], xs: &[f32]) {
+    for (o, &v) in out.iter_mut().zip(xs) {
+        *o = if GELU {
+            0.5 * v * (1.0 + tanh(0.797_884_6 * (v + 0.044_715 * v * v * v)))
+        } else {
+            tanh(v)
+        };
+    }
+}
+
+// fdlibm's `expm1f` constants, as their bit patterns in the C source.
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+const INVLN2: f32 = f32::from_bits(0x3fb8_aa3b);
+const Q: [f32; 5] = [
+    f32::from_bits(0xbd08_8889),
+    f32::from_bits(0x3ad0_0d01),
+    f32::from_bits(0xb8a6_70cd),
+    f32::from_bits(0x3686_7e54),
+    f32::from_bits(0xb457_edbb),
+];
+
+/// fdlibm `tanhf(v)`, branch-free: `1 - 2/(t + 2)` with `t =
+/// expm1f(2|v|)` from |v| ≥ 1, `-t/(t + 2)` with `t = expm1f(-2|v|)`
+/// below, `v` under 2⁻⁵⁵, ±1 from 22 on. Of `expm1f` it keeps the paths
+/// those two arguments reach — `(-2, -2⁻⁵⁴]` and `[2, 44)` — and the
+/// `tanhf` oracle in the tests is where each line below comes from.
+#[inline(always)]
+fn tanh(v: f32) -> f32 {
+    let bits = v.to_bits();
+    let ix = bits & 0x7fff_ffff;
+    let big = ix >= 0x3f80_0000;
+    // |v| clamped at 22, so that every lane, ±inf and NaN included,
+    // computes on finite values (the lanes from 22 up keep ±1).
+    let ax2 = 2.0 * f32::from_bits(ix.min(0x41b0_0000));
+    let a = if big { ax2 } else { -ax2 };
+    let ha = ax2.to_bits();
+
+    // expm1f(a). Reduce a = k·ln2 + x + c: k = 0 up to 0.5·ln2, ±1 up to
+    // 1.5·ln2, `(int)(a/ln2 ± 0.5)` beyond. Rust's saturating `as i32`
+    // does not vectorise, so the truncation rounds to nearest by adding
+    // 1.5·2²³ and steps back toward zero where that rounded away.
+    const ROUND: f32 = 12_582_912.0;
+    let y = INVLN2 * a + if big { 0.5 } else { -0.5 };
+    let r = y + ROUND;
+    let n = r.to_bits() as i32 - ROUND.to_bits() as i32;
+    let m = r - ROUND;
+    let k = if ha <= 0x3eb1_7218 {
+        0
+    } else if ha < 0x3f85_1592 {
+        -1 // `a` this small is negative: `big` starts at 2
+    } else if big {
+        n - (m > y) as i32
+    } else {
+        n + (m < y) as i32
+    };
+    let kf = k as f32;
+    let hi = a - kf * LN2_HI;
+    let lo = kf * LN2_LO;
+    let x = hi - lo;
+    let c = (hi - x) - lo;
+    let hfx = 0.5 * x;
+    let hxs = x * hfx;
+    let r1 = 1.0 + hxs * (Q[0] + hxs * (Q[1] + hxs * (Q[2] + hxs * (Q[3] + hxs * Q[4]))));
+    let t = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t) / (6.0 - x * t));
+    let ek = x * (e - c) - c - hxs;
+    let twopk = f32::from_bits(((0x7f + k) as u32) << 23);
+    let twomk = f32::from_bits(((0x7f - k) as u32) << 23);
+    let expm1 = if ha < 0x3300_0000 {
+        a
+    } else if k == 0 {
+        x - (x * e - hxs)
+    } else if k == -1 {
+        0.5 * (x - ek) - 0.5
+    } else if k <= -2 || k > 56 {
+        (1.0 - (ek - x)) * twopk - 1.0
+    } else if k < 23 {
+        // 1 - 2⁻ᵏ is exact for these k: the C source's bit pattern.
+        ((1.0 - twomk) - (ek - x)) * twopk
+    } else {
+        ((x - (ek + twomk)) + 1.0) * twopk
+    };
+
+    let num = if big { 2.0 } else { -expm1 };
+    let q = num / (expm1 + 2.0);
+    let z = if big { 1.0 - q } else { q };
+    if ix < 0x2400_0000 {
+        v // |v| < 2⁻⁵⁵, ±0 and subnormals included: `x·(1 + x)` is `x`
+    } else if ix < 0x41b0_0000 {
+        z.copysign(v) // `-z` for negative `v`: `z` is positive
+    } else if ix <= 0x7f80_0000 {
+        1.0f32.copysign(v) // ±inf included
+    } else {
+        v + v // NaN, quieted as `1/x ± 1` quiets it
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// fdlibm `expm1f`, branch for branch, on the arguments `tanhf`
+    /// passes it, `(-2, 0)` and `[2, 44)`: its branches for overflow, for
+    /// `x ≤ -27·ln2` and for `k = 1` take none of them.
+    fn expm1f(x: f32) -> f32 {
+        assert!(
+            (-2.0..0.0).contains(&x) || (2.0..44.0).contains(&x),
+            "tanhf never asks for expm1f({x})"
+        );
+        let hx = x.to_bits() & 0x7fff_ffff;
+        let neg = x < 0.0;
+        let mut x = x;
+        let (c, k);
+        if hx > 0x3eb1_7218 {
+            let (hi, lo);
+            if hx < 0x3f85_1592 {
+                (hi, lo, k) = (x + LN2_HI, -LN2_LO, -1); // `neg`, here
+            } else {
+                k = (INVLN2 * x + if neg { -0.5 } else { 0.5 }) as i32;
+                let t = k as f32;
+                hi = x - t * LN2_HI;
+                lo = t * LN2_LO;
+            }
+            x = hi - lo;
+            c = (hi - x) - lo;
+        } else if hx < 0x3300_0000 {
+            return x;
+        } else {
+            (c, k) = (0.0, 0);
+        }
+        let hfx = 0.5 * x;
+        let hxs = x * hfx;
+        let r1 = 1.0 + hxs * (Q[0] + hxs * (Q[1] + hxs * (Q[2] + hxs * (Q[3] + hxs * Q[4]))));
+        let t = 3.0 - r1 * hfx;
+        let mut e = hxs * ((r1 - t) / (6.0 - x * t));
+        if k == 0 {
+            return x - (x * e - hxs);
+        }
+        e = x * (e - c) - c;
+        e -= hxs;
+        if k == -1 {
+            return 0.5 * (x - e) - 0.5;
+        }
+        let twopk = f32::from_bits(((0x7f + k) as u32) << 23);
+        if k <= -2 || k > 56 {
+            return (1.0 - (e - x)) * twopk - 1.0;
+        }
+        if k < 23 {
+            let t = f32::from_bits(0x3f80_0000 - (0x0100_0000 >> k));
+            (t - (e - x)) * twopk
+        } else {
+            let t = f32::from_bits(((0x7f - k) as u32) << 23);
+            let y = x - (e + t);
+            (y + 1.0) * twopk
+        }
+    }
+
+    /// fdlibm `tanhf`, branch for branch: the oracle [`tanh`] is held to,
+    /// as `matmul_scalar` is for matmul.
+    fn tanhf(x: f32) -> f32 {
+        let jx = x.to_bits();
+        let ix = jx & 0x7fff_ffff;
+        if ix >= 0x7f80_0000 {
+            return if jx >> 31 == 0 {
+                1.0 / x + 1.0
+            } else {
+                1.0 / x - 1.0
+            };
+        }
+        let z = if ix >= 0x41b0_0000 {
+            1.0 - 1.0e-30
+        } else if ix == 0 {
+            return x;
+        } else if ix < 0x2400_0000 {
+            return x * (1.0 + x);
+        } else if ix >= 0x3f80_0000 {
+            let t = expm1f(2.0 * x.abs());
+            1.0 - 2.0 / (t + 2.0)
+        } else {
+            let t = expm1f(-2.0 * x.abs());
+            -t / (t + 2.0)
+        };
+        if jx >> 31 == 0 {
+            z
+        } else {
+            -z
+        }
+    }
+
+    /// Every instantiation of the lane loop this CPU runs.
+    fn instantiations() -> Vec<Isa> {
+        let isas: Vec<Isa> = Isa::detected().collect();
+        println!("tanh lane loops under test: {isas:?}");
+        isas
+    }
+
+    /// The `tanh` lanes of each of `isas` against the oracle on the bit
+    /// patterns `bits` yields, in batches of 4 096: mismatches per ISA,
+    /// the first few printed.
+    fn mismatches(isas: &[Isa], bits: impl Iterator<Item = u32>) -> Vec<u64> {
+        let mut bits = bits.peekable();
+        let mut bad = vec![0; isas.len()];
+        let (mut xs, mut want, mut got) = (Vec::new(), Vec::new(), vec![0.0; 4096]);
+        while bits.peek().is_some() {
+            xs.clear();
+            xs.extend(bits.by_ref().take(4096).map(f32::from_bits));
+            want.clear();
+            want.extend(xs.iter().map(|&x| tanhf(x).to_bits()));
+            for (&isa, bad) in isas.iter().zip(&mut bad) {
+                simd::tanh_on::<false>(isa, &mut got, &xs);
+                for ((x, want), got) in xs.iter().zip(&want).zip(&got) {
+                    if got.to_bits() != *want {
+                        if *bad < 5 {
+                            let want = f32::from_bits(*want);
+                            println!("{isa:?}: tanh({x:e}) = {got:e}, oracle {want:e}");
+                        }
+                        *bad += 1;
+                    }
+                }
+            }
+        }
+        bad
+    }
+
+    /// The sign-symmetric neighbourhood (±3 ulp) of `x`.
+    fn around(x: f32) -> impl Iterator<Item = u32> {
+        let b = x.to_bits();
+        (b.saturating_sub(3)..=b.saturating_add(3)).flat_map(|b| [b, b | 0x8000_0000])
+    }
+
+    #[test]
+    fn tanh_lanes_equal_the_oracle_on_a_sweep_and_every_branch_boundary() {
+        let ln2 = std::f32::consts::LN_2;
+        let mut edges: Vec<u32> = [
+            0.0,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            f32::from_bits(0x2400_0000), // 2⁻⁵⁵: below it tanh(x) is x
+            f32::from_bits(0x3300_0000), // 2⁻²⁵: expm1f's own `x` cut
+            0.25 * ln2,                  // expm1f(-2|x|) at 0.5·ln2 …
+            0.75 * ln2,                  // … and 1.5·ln2
+            0.5,
+            1.0,
+            22.0,
+            13.5 * ln2, // 27·ln2 for expm1f(2|x|)
+            f32::MAX,
+            f32::INFINITY,
+        ]
+        .into_iter()
+        .flat_map(around)
+        .collect();
+        edges.extend([f32::NAN.to_bits(), 0x7f80_0001, 0xffc0_1234]);
+        // Every 2¹⁶-th pattern walks all exponents, both signs and the
+        // NaNs: 65 536 inputs (4 096 let a misplaced rounding through).
+        let sweep = (0..1u32 << 16).map(|i| (i << 16) | 0x2e3b);
+        let isas = instantiations();
+        let bad = mismatches(&isas, edges.into_iter().chain(sweep));
+        assert_eq!(bad, vec![0; isas.len()], "{isas:?}");
+    }
+
+    #[test]
+    fn gelu_lanes_apply_the_oracle_tanh() {
+        // The lanes as `gelu` runs them against `gelu`'s formula over the
+        // oracle, on a dense grid of [-12, 12] and a few extremes.
+        let xs: Vec<f32> = (0..24_577)
+            .map(|i| i as f32 / 1024.0 - 12.0)
+            .chain([
+                f32::MAX,
+                f32::MIN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                -0.0,
+                1e-30,
+            ])
+            .collect();
+        let want: Vec<u32> = xs
+            .iter()
+            .map(|&v| {
+                (0.5 * v * (1.0 + tanhf(0.797_884_6 * (v + 0.044_715 * v * v * v)))).to_bits()
+            })
+            .collect();
+        for isa in instantiations() {
+            let mut out = vec![0.0; xs.len()];
+            simd::tanh_on::<true>(isa, &mut out, &xs);
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{isa:?}");
+        }
+    }
+
+    /// Every 2³² input through every instantiation, one half of the
+    /// patterns per thread (`cargo test --release -p genie-tensor --lib
+    /// -- --ignored --nocapture tanh_lanes_equal`).
+    #[test]
+    #[ignore]
+    fn tanh_lanes_equal_the_oracle_on_every_input() {
+        let isas = instantiations();
+        let halves = std::thread::scope(|s| {
+            let half = |sign: u32| {
+                let isas = &isas;
+                s.spawn(move || mismatches(isas, (0..=u32::MAX >> 1).map(move |b| b | sign)))
+            };
+            [half(0), half(1 << 31)].map(|h| h.join().expect("sweep thread"))
+        });
+        for (i, isa) in isas.iter().enumerate() {
+            let bad = halves[0][i] + halves[1][i];
+            println!("{isa:?}: {bad} mismatches in 2^32 inputs");
+            assert_eq!(bad, 0, "{isa:?}");
+        }
+    }
+
+    /// The oracle against the host's `f32::tanh` on every input: which libm
+    /// the golden files' bits agree with (glibc 2.36's `tanhf`: 0
+    /// mismatches). Not run in CI — no output of the crate reads the host
+    /// libm's `tanhf` any more.
+    #[test]
+    #[ignore]
+    fn oracle_equals_the_host_tanhf_on_every_input() {
+        let bad: u64 = std::thread::scope(|s| {
+            let half = |hi: u32| {
+                s.spawn(move || {
+                    (0..=u32::MAX >> 1)
+                        .map(|b| f32::from_bits(b | hi))
+                        .filter(|x| tanhf(*x).to_bits() != x.tanh().to_bits())
+                        .count() as u64
+                })
+            };
+            [half(0), half(1 << 31)]
+                .map(|h| h.join().expect("sweep thread"))
+                .iter()
+                .sum()
+        });
+        println!("oracle vs host tanhf: {bad} mismatches in 2^32 inputs");
+        assert_eq!(bad, 0);
+    }
 
     #[test]
     fn relu_clamps_negatives() {

@@ -12,7 +12,9 @@
 //! `ymm`), `4×64` under `avx512f` — and [`matmul_simd_rows`] picks the
 //! widest the CPU reports, per call. No nightly `std::simd`, no
 //! intrinsics (one source for every ISA is the point), and no `unsafe`
-//! but the two detection-guarded calls.
+//! but the detection-guarded calls. `gelu`'s lane loop
+//! (`ops::activation::tanh_lanes`) is instantiated the same way, by
+//! [`tanh_on`].
 //!
 //! Bit-for-bit equivalence with the scalar reference is a structural
 //! property, not an accident: every output element is produced by a
@@ -22,6 +24,8 @@
 //! twice, and diverge) without an explicit `mul_add`, under any target
 //! feature. Lanes vectorize across *independent* output columns, never
 //! across the reduction, so no reduction order changes with `W`.
+
+use crate::ops::activation::tanh_lanes;
 
 /// Output rows per micro-kernel tile (accumulator rows held live).
 const MR: usize = 4;
@@ -170,6 +174,37 @@ fn rows_on(isa: Isa, mut rows: Rows) {
         #[allow(unsafe_code)]
         Isa::Avx2 => unsafe { rows_avx2(rows) },
         _ => rows.run::<8, 8, 8, 8>(),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tanh_avx2<const GELU: bool>(out: &mut [f32], xs: &[f32]) {
+    tanh_lanes::<GELU>(out, xs)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tanh_avx512f<const GELU: bool>(out: &mut [f32], xs: &[f32]) {
+    tanh_lanes::<GELU>(out, xs)
+}
+
+/// One instantiation of `gelu`'s lane loop ([`tanh_lanes`]), on a CPU
+/// that has it (checked). The lanes are branch-free IEEE arithmetic
+/// without FMA, so the bits are the same under all three.
+pub(crate) fn tanh_on<const GELU: bool>(isa: Isa, out: &mut [f32], xs: &[f32]) {
+    assert!(Isa::detected().any(|has| has == isa), "no {isa:?} here");
+    match isa {
+        // SAFETY: `isa` is among `Isa::detected()`, asserted above, which
+        // lists `Avx512f` only if `is_x86_feature_detected!("avx512f")`.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        Isa::Avx512f => unsafe { tanh_avx512f::<GELU>(out, xs) },
+        // SAFETY: likewise, `is_x86_feature_detected!("avx2")`.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        Isa::Avx2 => unsafe { tanh_avx2::<GELU>(out, xs) },
+        _ => tanh_lanes::<GELU>(out, xs),
     }
 }
 

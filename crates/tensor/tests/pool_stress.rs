@@ -34,8 +34,18 @@ fn nested_scopes_neither_deadlock_nor_lose_a_row() {
     let want_attn = ops::multi_head_attention_on(Path::Scalar, &q, &k, &v, 2, true);
 
     // Warm the pool, then hold it to its thread count.
-    let _ = ops::matmul_on(Path::Parallel, &a, &b);
+    let ffn_in = ops::matmul_on(Path::Parallel, &a, &b);
     let spawned = pool::threads_spawned();
+    // The pooled-`gelu` threshold is private to the crate: that `[37,
+    // 448]` crosses it is observed instead. Alone, `gelu` below the
+    // threshold runs no pool job at all.
+    pool::busy_peak_take();
+    let _ = ops::gelu(&ffn_in);
+    assert!(
+        pool::size() == 0 || pool::busy_peak_take() > 0,
+        "`gelu` on {:?} no longer goes out over the pool",
+        ffn_in.dims()
+    );
     let dispatched = stats::snapshot();
 
     for round in 0..ROUNDS {
