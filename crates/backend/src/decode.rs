@@ -9,9 +9,10 @@
 //! tenants that share a model fingerprint amortize the weight read, so a
 //! batched decode step costs barely more than a single-request step.
 
-use genie_cluster::{serialization_s, GpuSpec};
+use genie_cluster::{serialization_s, GpuSpec, Link};
 use genie_models::TransformerConfig;
 use genie_scheduler::CostModel;
+use genie_srg::shard::ShardSpec;
 
 /// The work one engine step performs on one device lane.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -108,9 +109,9 @@ impl StepTerms {
     }
 
     /// `compute_s` plus the client link's payload and round trips.
-    fn cost(&self, compute_s: f64, link_bits_per_s: f64, link_latency_s: f64) -> StepCost {
-        let net_latency_s = self.rpc_rounds * 2.0 * link_latency_s;
-        let net_payload_s = serialization_s(self.payload_bytes, link_bits_per_s);
+    fn cost(&self, compute_s: f64, client: &Link) -> StepCost {
+        let net_latency_s = self.rpc_rounds * 2.0 * client.latency_s;
+        let net_payload_s = serialization_s(self.payload_bytes, client.bandwidth_bps);
         StepCost {
             compute_s,
             network_s: net_latency_s + net_payload_s,
@@ -120,8 +121,8 @@ impl StepTerms {
     }
 }
 
-/// Price one engine step of `work` for `cfg` on `gpu` behind a link of
-/// `link_bandwidth_bps` / `link_latency_s`.
+/// Price one engine step of `work` for `cfg` on `gpu` behind a client
+/// link of `bandwidth_bps` bits/s and `latency_s` one way.
 ///
 /// `batched` is the continuous-batching switch: when true the whole step
 /// is one fused kernel sweep (weights stream through the device once,
@@ -132,8 +133,8 @@ pub fn batched_step_time(
     cfg: &TransformerConfig,
     work: &StepWork,
     gpu: &GpuSpec,
-    link_bandwidth_bps: f64,
-    link_latency_s: f64,
+    bandwidth_bps: f64,
+    latency_s: f64,
     batched: bool,
 ) -> StepCost {
     if work.is_empty() {
@@ -141,39 +142,16 @@ pub fn batched_step_time(
     }
     let terms = StepTerms::of(cfg, work, batched);
     let compute_s = terms.device_s(gpu, 1.0, 1.0);
-    terms.cost(compute_s, link_bandwidth_bps, link_latency_s)
-}
-
-/// How one serving lane's model is sharded across fabric-attached
-/// devices, for step pricing. Mirrors `genie_srg::shard::ShardSpec`
-/// (pipeline stages × tensor-parallel ranks) plus the inter-device
-/// fabric the collectives ride — which may be a different link than the
-/// client↔server path `batched_step_time` prices.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ShardPlan {
-    /// Pipeline stages (contiguous layer blocks), ≥ 1.
-    pub pipeline_stages: u32,
-    /// Tensor-parallel ranks per stage, ≥ 1.
-    pub tensor_parallel: u32,
-    /// Device↔device fabric bandwidth in bits/s.
-    pub fabric_bandwidth_bps: f64,
-    /// Device↔device one-way fabric latency in seconds.
-    pub fabric_latency_s: f64,
-}
-
-impl ShardPlan {
-    /// Total devices the plan occupies.
-    pub fn shards(&self) -> u32 {
-        self.pipeline_stages * self.tensor_parallel
-    }
+    terms.cost(compute_s, &Link::new(bandwidth_bps, latency_s))
 }
 
 /// Price one engine step of `work` when the lane's model is sharded per
-/// `plan`. Returns the per-device [`StepCost`] (compute is the pipeline
-/// barrier; network is the unchanged client link), the collective
-/// seconds the fabric adds — all_gather/all_reduce rounds for tensor
-/// parallelism, activation hops for pipeline stages — and the part of
-/// them that is serialization (the rest is rounds × fabric latency).
+/// `spec` over the device↔device `fabric`, behind `client`. Returns the
+/// per-device [`StepCost`] (compute is the pipeline barrier; network is
+/// the client link's), the collective seconds the fabric adds —
+/// all_gather/all_reduce rounds for tensor parallelism, activation hops
+/// for pipeline stages — and the part of them that is serialization
+/// (the rest is rounds × fabric latency).
 ///
 /// The compute model matches the functional sharded capture
 /// (`genie-models`): weights split `shards` ways (each device streams
@@ -181,25 +159,25 @@ impl ShardPlan {
 /// holds its own layers' caches) but not across tensor ranks, and a
 /// pipeline only overlaps across in-flight members — one resident
 /// request fills a single stage at a time and gets no speedup.
-#[allow(clippy::too_many_arguments)]
 pub fn sharded_step_time(
     cfg: &TransformerConfig,
     work: &StepWork,
     gpu: &GpuSpec,
-    link_bandwidth_bps: f64,
-    link_latency_s: f64,
+    client: &Link,
     batched: bool,
-    plan: &ShardPlan,
+    spec: &ShardSpec,
+    fabric: &Link,
 ) -> (StepCost, f64, f64) {
     // The bubble factor below is `x * b / b` at pp = 1: not `x` in f64.
-    if work.is_empty() || plan.shards() <= 1 {
-        let flat = batched_step_time(cfg, work, gpu, link_bandwidth_bps, link_latency_s, batched);
+    if work.is_empty() || spec.shards() <= 1 {
+        let (bandwidth_bps, latency_s) = (client.bandwidth_bps, client.latency_s);
+        let flat = batched_step_time(cfg, work, gpu, bandwidth_bps, latency_s, batched);
         return (flat, 0.0, 0.0);
     }
     let terms = StepTerms::of(cfg, work, batched);
-    let shards = plan.shards() as f64;
-    let pp = plan.pipeline_stages as f64;
-    let tp = plan.tensor_parallel as f64;
+    let shards = spec.shards() as f64;
+    let pp = spec.pipeline_stages as f64;
+    let tp = spec.tensor_parallel as f64;
 
     // One stage's kernel sweep: 1/shards of the weight stream and flops,
     // 1/pp of the KV reads (caches live with their layers).
@@ -218,18 +196,18 @@ pub fn sharded_step_time(
     let act_bytes = terms.new_tokens * cfg.d_model as f64 * cfg.elem.size_bytes() as f64;
     let mut collective_bytes = 0.0f64;
     let mut collective_rounds = 0u64;
-    if plan.tensor_parallel > 1 {
+    if spec.tensor_parallel > 1 {
         let rounds = 2 * cfg.layers as u64;
         collective_bytes += rounds as f64 * act_bytes * (tp - 1.0) / tp;
         collective_rounds += rounds;
     }
-    let hops = plan.pipeline_stages as u64 - 1;
+    let hops = spec.pipeline_stages as u64 - 1;
     collective_bytes += hops as f64 * act_bytes;
     collective_rounds += hops;
-    let collective_payload_s = serialization_s(collective_bytes, plan.fabric_bandwidth_bps);
-    let collective_s = collective_payload_s + collective_rounds as f64 * plan.fabric_latency_s;
+    let collective_payload_s = serialization_s(collective_bytes, fabric.bandwidth_bps);
+    let collective_s = collective_payload_s + collective_rounds as f64 * fabric.latency_s;
 
-    let cost = terms.cost(compute_s, link_bandwidth_bps, link_latency_s);
+    let cost = terms.cost(compute_s, client);
     (cost, collective_s, collective_payload_s)
 }
 
@@ -344,15 +322,10 @@ mod tests {
             &cfg,
             &work,
             &GpuSpec::a100_80gb(),
-            25e9,
-            250e-6,
+            &Link::PAPER_TESTBED,
             true,
-            &ShardPlan {
-                pipeline_stages: pp,
-                tensor_parallel: tp,
-                fabric_bandwidth_bps: fabric_bw,
-                fabric_latency_s: 5e-6,
-            },
+            &ShardSpec::new(pp, tp),
+            &Link::new(fabric_bw, 5e-6),
         )
     }
 
@@ -402,14 +375,10 @@ mod tests {
             decode_members: 1,
             kv_resident_tokens: 64,
         };
-        let plan = ShardPlan {
-            pipeline_stages: 2,
-            tensor_parallel: 1,
-            fabric_bandwidth_bps: 100e9,
-            fabric_latency_s: 5e-6,
-        };
+        let (client, fabric) = (Link::PAPER_TESTBED, Link::new(100e9, 5e-6));
+        let pp2 = ShardSpec::pipeline(2);
         let gpu = GpuSpec::a100_80gb();
-        let (solo, ..) = sharded_step_time(&cfg, &one, &gpu, 25e9, 250e-6, true, &plan);
+        let (solo, ..) = sharded_step_time(&cfg, &one, &gpu, &client, true, &pp2, &fabric);
         let base = batched_step_time(&cfg, &one, &gpu, 25e9, 250e-6, true);
         // One member fills one stage at a time: no compute speedup.
         assert!(
@@ -424,7 +393,7 @@ mod tests {
             kv_resident_tokens: 8 * 64,
             ..one
         };
-        let (busy, ..) = sharded_step_time(&cfg, &eight, &gpu, 25e9, 250e-6, true, &plan);
+        let (busy, ..) = sharded_step_time(&cfg, &eight, &gpu, &client, true, &pp2, &fabric);
         let base8 = batched_step_time(&cfg, &eight, &gpu, 25e9, 250e-6, true);
         assert!(busy.compute_s < base8.compute_s * 0.7);
     }

@@ -26,8 +26,7 @@ pub mod remote;
 pub mod sim;
 
 pub use decode::{
-    batched_step_time, price_migration, sharded_step_time, MigrationPrice, ShardPlan, StepCost,
-    StepWork,
+    batched_step_time, price_migration, sharded_step_time, MigrationPrice, StepCost, StepWork,
 };
 pub use handle::{HandleTable, RemoteHandle};
 pub use local::LocalBackend;

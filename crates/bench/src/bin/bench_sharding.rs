@@ -3,7 +3,8 @@
 //!
 //! For each shard layout (tensor-parallel, pipeline, combined) the
 //! sweep prices one steady-state decode step with
-//! `genie_backend::sharded_step_time` across fabric bandwidths and
+//! `genie_backend::sharded_step_time` across fabric bandwidths — each
+//! lane the `(ShardSpec, Link)` pair `ServingConfig::shard` holds — and
 //! reports decode tokens/s, speedup over the single-device oracle, and
 //! scaling efficiency (`speedup / devices`). The whole bench is
 //! analytical (spec plane): milliseconds of wall time, bit-deterministic
@@ -27,10 +28,10 @@
 //! the same shard spec behind `ServingConfig::shard` and must finish a
 //! fixed request batch sooner than the flat single-device lane.
 
-use genie_backend::{batched_step_time, sharded_step_time, ShardPlan, StepWork};
+use genie_backend::{batched_step_time, sharded_step_time, StepWork};
 use genie_bench::report::{render_table, write_artifact};
 use genie_bench::workload::gptj_arrivals;
-use genie_cluster::GpuSpec;
+use genie_cluster::{GpuSpec, Link};
 use genie_models::TransformerConfig;
 use genie_serving::{ServingConfig, ServingLoop, ServingModel};
 use genie_srg::shard::ShardSpec;
@@ -49,8 +50,7 @@ const FABRIC_LATENCY_S: f64 = 5e-6;
 
 /// Client-facing link (token/logit traffic), identical in every layout
 /// so the comparison isolates the fabric.
-const LINK_BW_BPS: f64 = 25e9;
-const LINK_LATENCY_S: f64 = 250e-6;
+const CLIENT: Link = Link::PAPER_TESTBED;
 
 fn decode_work() -> StepWork {
     StepWork {
@@ -61,40 +61,33 @@ fn decode_work() -> StepWork {
     }
 }
 
-/// Decode tokens/s of one priced step: members over the barrier time
-/// (compute + client link + collectives).
-fn tokens_per_s(cfg: &TransformerConfig, plan: &ShardPlan) -> (f64, f64, f64) {
+/// Decode tokens/s of one priced step of a lane sharded as `spec` over
+/// `fabric`: members over the barrier time (compute + client link +
+/// collectives).
+fn tokens_per_s(cfg: &TransformerConfig, (spec, fabric): (ShardSpec, Link)) -> (f64, f64, f64) {
     let work = decode_work();
-    let (cost, collective_s, _) = sharded_step_time(
-        cfg,
-        &work,
-        &GpuSpec::a100_80gb(),
-        LINK_BW_BPS,
-        LINK_LATENCY_S,
-        true,
-        plan,
-    );
+    let gpu = GpuSpec::a100_80gb();
+    let (cost, collective_s, _) =
+        sharded_step_time(cfg, &work, &gpu, &CLIENT, true, &spec, &fabric);
     let step_s = cost.total_s() + collective_s;
     (work.tokens_produced() as f64 / step_s, step_s, collective_s)
 }
 
 fn serving_section(cfg: &TransformerConfig) -> Value {
     let requests = gptj_arrivals(42, 4.0, 2.0, (32, 96), 2);
-    let config = |shard: Option<ShardSpec>| {
+    // One rack link serves as the client link and as the fabric.
+    let rack = Link::new(100e9, FABRIC_LATENCY_S);
+    let config = |shard| {
         let mut c = ServingConfig::paper_testbed();
         c.max_batch = DECODE_MEMBERS as usize;
-        c.link_bandwidth_bps = 100e9;
-        c.link_latency_s = FABRIC_LATENCY_S;
+        c.client = rack;
         c.record_telemetry = false;
         c.shard = shard;
         c
     };
     let flat = ServingLoop::new(ServingModel::Spec(cfg.clone()), config(None)).run(&requests);
-    let sharded = ServingLoop::new(
-        ServingModel::Spec(cfg.clone()),
-        config(Some(ShardSpec::tensor(2))),
-    )
-    .run(&requests);
+    let tp2 = config(Some((ShardSpec::tensor(2), rack)));
+    let sharded = ServingLoop::new(ServingModel::Spec(cfg.clone()), tp2).run(&requests);
     assert_eq!(flat.completed(), requests.len(), "flat run must complete");
     assert_eq!(
         sharded.completed(),
@@ -135,8 +128,8 @@ fn main() {
         &cfg,
         &work,
         &GpuSpec::a100_80gb(),
-        LINK_BW_BPS,
-        LINK_LATENCY_S,
+        CLIENT.bandwidth_bps,
+        CLIENT.latency_s,
         true,
     );
     let single_tps = work.tokens_produced() as f64 / base.total_s();
@@ -145,17 +138,12 @@ fn main() {
     let mut table = Vec::new();
     let mut beats_single = 0usize;
     for &(pp, tp) in layouts {
-        let spec = format!("pp{pp}xtp{tp}");
-        let shards = pp * tp;
+        let lane = ShardSpec::new(pp, tp);
+        let (spec, shards) = (lane.label(), lane.shards());
         let mut prev_eff = f64::NEG_INFINITY;
         for &gbps in bandwidths_gbps {
-            let plan = ShardPlan {
-                pipeline_stages: pp,
-                tensor_parallel: tp,
-                fabric_bandwidth_bps: gbps * 1e9,
-                fabric_latency_s: FABRIC_LATENCY_S,
-            };
-            let (tps, step_s, collective_s) = tokens_per_s(&cfg, &plan);
+            let fabric = Link::new(gbps * 1e9, FABRIC_LATENCY_S);
+            let (tps, step_s, collective_s) = tokens_per_s(&cfg, (lane, fabric));
             let speedup = tps / single_tps;
             let efficiency = speedup / shards as f64;
             assert!(
@@ -209,13 +197,8 @@ fn main() {
     // The paper's fabric: same 2-way split, 250 us device-to-device
     // latency. 56 collective rounds per step price in at ~14 ms against
     // a ~3 ms stage — the split loses outright.
-    let paper_plan = ShardPlan {
-        pipeline_stages: 1,
-        tensor_parallel: 2,
-        fabric_bandwidth_bps: LINK_BW_BPS,
-        fabric_latency_s: LINK_LATENCY_S,
-    };
-    let (paper_tps, paper_step_s, paper_collective_s) = tokens_per_s(&cfg, &paper_plan);
+    let paper_lane = (ShardSpec::tensor(2), Link::PAPER_TESTBED);
+    let (paper_tps, paper_step_s, paper_collective_s) = tokens_per_s(&cfg, paper_lane);
     assert!(
         paper_tps < single_tps,
         "on the 250 us network-attached fabric, tensor(2) must lose to \
@@ -237,9 +220,9 @@ fn main() {
         "single_tokens_per_s": single_tps,
         "sweep": rows,
         "paper_fabric": json_object! {
-            "spec": "pp1xtp2",
-            "fabric_gbps": LINK_BW_BPS / 1e9,
-            "fabric_latency_s": LINK_LATENCY_S,
+            "spec": paper_lane.0.label(),
+            "fabric_gbps": paper_lane.1.bandwidth_bps / 1e9,
+            "fabric_latency_s": paper_lane.1.latency_s,
             "step_s": paper_step_s,
             "collective_s": paper_collective_s,
             "tokens_per_s": paper_tps,

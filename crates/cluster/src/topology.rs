@@ -51,13 +51,11 @@ pub struct Device {
     pub host: HostId,
 }
 
-/// A bidirectional network link between two hosts.
-#[derive(Clone, Debug, PartialEq)]
+/// A network link: bits/s and one-way latency, the two numbers every
+/// price of the wire reads. A topology edge, a serving lane's client,
+/// fabric and migration links and a cost model's network are all this.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Link {
-    /// One endpoint.
-    pub a: HostId,
-    /// Other endpoint.
-    pub b: HostId,
     /// Usable bandwidth in bits/s.
     pub bandwidth_bps: f64,
     /// One-way propagation latency in seconds.
@@ -65,6 +63,17 @@ pub struct Link {
 }
 
 impl Link {
+    /// The paper's evaluation link (§4): 25 Gbps, ~250 µs one way.
+    pub const PAPER_TESTBED: Link = Link::new(25e9, 250e-6);
+
+    /// A link of `bandwidth_bps` bits/s and `latency_s` seconds one way.
+    pub const fn new(bandwidth_bps: f64, latency_s: f64) -> Self {
+        Link {
+            bandwidth_bps,
+            latency_s,
+        }
+    }
+
     /// Usable bandwidth in bytes/s: the boundary where the byte-counting
     /// DES (`netsim::LinkSim`, `RpcParams` goodput) takes its rate.
     pub fn bandwidth_bytes(&self) -> f64 {
@@ -86,7 +95,8 @@ pub fn serialization_s(bytes: f64, bits_per_s: f64) -> f64 {
 pub struct Topology {
     hosts: Vec<Host>,
     devices: Vec<Device>,
-    links: Vec<Link>,
+    /// Each link with the two hosts it connects.
+    links: Vec<((HostId, HostId), Link)>,
     /// Direct-link index for fast path lookup.
     link_index: BTreeMap<(HostId, HostId), usize>,
 }
@@ -118,15 +128,9 @@ impl Topology {
     }
 
     /// Connect two hosts with a link.
-    pub fn add_link(&mut self, a: HostId, b: HostId, bandwidth_bps: f64, latency_s: f64) {
-        let idx = self.links.len();
-        self.links.push(Link {
-            a,
-            b,
-            bandwidth_bps,
-            latency_s,
-        });
-        self.link_index.insert(key(a, b), idx);
+    pub fn add_link(&mut self, a: HostId, b: HostId, link: Link) {
+        self.link_index.insert(key(a, b), self.links.len());
+        self.links.push(((a, b), link));
     }
 
     /// Host accessor.
@@ -149,14 +153,14 @@ impl Topology {
         &self.devices
     }
 
-    /// All links.
-    pub fn links(&self) -> &[Link] {
+    /// All links, each with its endpoints.
+    pub fn links(&self) -> &[((HostId, HostId), Link)] {
         &self.links
     }
 
     /// The direct link between two hosts, if any.
     pub fn link_between(&self, a: HostId, b: HostId) -> Option<&Link> {
-        self.link_index.get(&key(a, b)).map(|&i| &self.links[i])
+        self.link_index.get(&key(a, b)).map(|&i| &self.links[i].1)
     }
 
     /// The host where application (client) code runs is conventionally the
@@ -166,13 +170,13 @@ impl Topology {
     }
 
     /// The paper's evaluation setup (§4): a CPU-only client connected to an
-    /// A100-80GB server through a 25 Gbps link, ~250 µs one-way latency.
+    /// A100-80GB server through [`Link::PAPER_TESTBED`].
     pub fn paper_testbed() -> Topology {
         let mut t = Topology::new();
         let client = t.add_host("client", NicSpec::commodity_25g());
         let server = t.add_host("gpu-server", NicSpec::rnic_100g());
         t.add_device(server, GpuSpec::a100_80gb());
-        t.add_link(client, server, 25e9, 250e-6);
+        t.add_link(client, server, Link::PAPER_TESTBED);
         t
     }
 
@@ -185,12 +189,13 @@ impl Topology {
         for i in 0..n {
             let s = t.add_host(format!("gpu-server-{i}"), NicSpec::rnic_100g());
             t.add_device(s, GpuSpec::a100_80gb());
-            t.add_link(client, s, bandwidth_bps, 250e-6);
+            t.add_link(client, s, Link::new(bandwidth_bps, 250e-6));
             servers.push(s);
         }
+        let server_link = Link::new(bandwidth_bps * 4.0, 100e-6);
         for i in 0..servers.len() {
             for j in i + 1..servers.len() {
-                t.add_link(servers[i], servers[j], bandwidth_bps * 4.0, 100e-6);
+                t.add_link(servers[i], servers[j], server_link);
             }
         }
         t
@@ -209,7 +214,7 @@ impl Topology {
             for i in 0..n {
                 let s = t.add_host(format!("{class}-{i}"), NicSpec::rnic_100g());
                 t.add_device(s, spec.clone());
-                t.add_link(client, s, bandwidth_bps, 250e-6);
+                t.add_link(client, s, Link::new(bandwidth_bps, 250e-6));
             }
         }
         t
@@ -240,8 +245,9 @@ mod tests {
         assert_eq!(t.hosts().len(), 2);
         assert_eq!(t.devices().len(), 1);
         let link = t.link_between(HostId(0), HostId(1)).unwrap();
-        assert_eq!(link.bandwidth_bps, 25e9);
+        assert_eq!(*link, Link::new(25e9, 250e-6));
         assert_eq!(link.bandwidth_bytes(), 25e9 / 8.0);
+        assert_eq!(t.links()[0].0, (HostId(0), HostId(1)));
         assert!(!t.host(t.client_host()).nic.rdma);
     }
 

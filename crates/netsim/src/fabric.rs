@@ -31,12 +31,11 @@ impl Fabric {
     /// per-pair congestion from `state`.
     pub fn new(topo: &Topology, state: &ClusterState, params: RpcParams) -> Self {
         let mut channels = BTreeMap::new();
-        for link in topo.links() {
-            let key = ordered(link.a, link.b);
+        for &((a, b), link) in topo.links() {
             let mut sim =
                 LinkSim::new(link.bandwidth_bytes(), Nanos::from_secs_f64(link.latency_s));
-            sim.congestion = state.congestion(link.a.0, link.b.0);
-            channels.insert(key, RpcChannel::new(params.clone(), sim));
+            sim.congestion = state.congestion(a.0, b.0);
+            channels.insert(ordered(a, b), RpcChannel::new(params.clone(), sim));
         }
         Fabric {
             params,

@@ -69,10 +69,10 @@ impl HintAdapter {
     /// is taken as RTT/2. Unmeasured fields keep their priors.
     pub fn apply(&self, cost: &mut CostModel) {
         if let Some(rtt) = self.rtt_s {
-            cost.network_latency_s = rtt / 2.0;
+            cost.link.latency_s = rtt / 2.0;
         }
         if let Some(bw) = self.bandwidth {
-            cost.network_bits_per_s = bw;
+            cost.link.bandwidth_bps = bw;
         }
     }
 }
@@ -138,8 +138,8 @@ mod tests {
             adapter.observe_rtt(0.040);
         }
         adapter.apply(&mut cost);
-        assert!((cost.network_bits_per_s - 256e6).abs() / 256e6 < 0.01);
-        assert!((cost.network_latency_s - 0.020).abs() < 1e-6);
+        assert!((cost.link.bandwidth_bps - 256e6).abs() / 256e6 < 0.01);
+        assert!((cost.link.latency_s - 0.020).abs() < 1e-6);
         let after = cost.recompute_advantage(&producer, 64e6, &gpu, 0.0);
         assert!(after > before * 10.0, "before {before}, after {after}");
     }

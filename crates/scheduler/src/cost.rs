@@ -1,7 +1,7 @@
 //! The pluggable cost model (§3.3): end-to-end latency as a function of
 //! compute, transfers, and queuing.
 
-use genie_cluster::{serialization_s, GpuSpec};
+use genie_cluster::{serialization_s, GpuSpec, Link};
 use genie_netsim::RpcParams;
 use genie_srg::Node;
 use genie_tensor::stats::Path;
@@ -86,14 +86,25 @@ pub struct CostModel {
     pub memory_efficiency: f64,
     /// Fixed cost charged per remote invocation (RPC overhead).
     pub per_call_overhead_s: f64,
-    /// Effective network goodput in bits/s (≤ line rate).
-    pub network_bits_per_s: f64,
-    /// One-way network latency in seconds.
-    pub network_latency_s: f64,
+    /// The network a call crosses: effective goodput (≤ line rate) and
+    /// one-way latency.
+    pub link: Link,
     cache: Arc<KernelTimeCache>,
 }
 
 impl CostModel {
+    /// Kernels at unit efficiency, calls with no per-call overhead, over
+    /// `link`: a fabric stated as a calibration, as step pricing sees it.
+    pub fn over(link: Link) -> Self {
+        CostModel {
+            compute_efficiency: 1.0,
+            memory_efficiency: 1.0,
+            per_call_overhead_s: 0.0,
+            link,
+            cache: Arc::default(),
+        }
+    }
+
     /// Kernels at the given efficiencies behind the transport `rpc` (its
     /// per-call cost and goodput) on the testbed's 250 µs link.
     fn behind(rpc: &RpcParams, compute_efficiency: f64, memory_efficiency: f64) -> Self {
@@ -101,8 +112,7 @@ impl CostModel {
             compute_efficiency,
             memory_efficiency,
             per_call_overhead_s: rpc.per_call_overhead.as_secs_f64(),
-            network_bits_per_s: rpc.effective_bandwidth * 8.0,
-            network_latency_s: 250e-6,
+            link: Link::new(rpc.effective_bandwidth * 8.0, Link::PAPER_TESTBED.latency_s),
             cache: Arc::default(),
         }
     }
@@ -166,13 +176,13 @@ impl CostModel {
 
     /// Time to move `bytes` across the network in one call.
     pub fn transfer_time(&self, bytes: f64) -> f64 {
-        self.per_call_overhead_s + self.streaming_time(bytes) + self.network_latency_s
+        self.per_call_overhead_s + self.streaming_time(bytes) + self.link.latency_s
     }
 
     /// Time to move `bytes` as part of an already-open call (no fresh
     /// per-call overhead).
     pub fn streaming_time(&self, bytes: f64) -> f64 {
-        serialization_s(bytes, self.network_bits_per_s)
+        serialization_s(bytes, self.link.bandwidth_bps)
     }
 
     /// Price of recomputing `node` remotely versus fetching its output of
@@ -185,9 +195,9 @@ impl CostModel {
         gpu: &GpuSpec,
         congestion: f64,
     ) -> f64 {
-        let fetch_bps = self.network_bits_per_s * (1.0 - congestion.clamp(0.0, 0.99));
+        let fetch_bps = self.link.bandwidth_bps * (1.0 - congestion.clamp(0.0, 0.99));
         let fetch_s =
-            self.per_call_overhead_s + serialization_s(bytes, fetch_bps) + self.network_latency_s;
+            self.per_call_overhead_s + serialization_s(bytes, fetch_bps) + self.link.latency_s;
         fetch_s - self.kernel_time(node, gpu)
     }
 }
@@ -248,12 +258,19 @@ mod tests {
         // 3.125 GB is 25 Gbit: 1 s at 25 Gbit/s, plus overhead and latency.
         assert_eq!(m.streaming_time(3.125e9), 1.0);
         let t = m.transfer_time(3.125e9);
-        assert_eq!(t, m.per_call_overhead_s + 1.0 + m.network_latency_s);
+        assert_eq!(t, m.per_call_overhead_s + 1.0 + m.link.latency_s);
         // The transports' nanoseconds read back as the literals they were.
-        assert_eq!((m.per_call_overhead_s, m.network_bits_per_s), (8e-6, 25e9));
+        assert_eq!((m.per_call_overhead_s, m.link), (8e-6, Link::PAPER_TESTBED));
         let paper = CostModel::paper_stack();
-        let measured = (paper.per_call_overhead_s, paper.network_bits_per_s);
+        let measured = (paper.per_call_overhead_s, paper.link.bandwidth_bps);
         assert_eq!(measured, (0.45, 1.4e9 * 8.0));
+        // `over` is the link alone: no overhead, unit efficiency.
+        let bare = CostModel::over(Link::new(8e9, 1e-3));
+        assert_eq!(bare.transfer_time(1e9), 1.0 + 1e-3);
+        assert_eq!(
+            (bare.compute_efficiency, bare.memory_efficiency),
+            (1.0, 1.0)
+        );
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod tests {
     use crate::policy::{RoundRobin, SemanticsAware};
     use crate::schedule::{schedule, schedule_checked};
     use genie_analysis::LintCode;
-    use genie_cluster::{GpuSpec, NicSpec};
+    use genie_cluster::{GpuSpec, Link, NicSpec};
     use genie_frontend::capture::CaptureCtx;
     use genie_models::{KvState, TransformerConfig, TransformerLm};
     use genie_srg::{Node, NodeId, OpKind, Residency, TensorMeta};
@@ -89,7 +89,7 @@ mod tests {
             ..GpuSpec::a100_80gb()
         };
         t.add_device(server, spec);
-        t.add_link(client, server, 25e9, 250e-6);
+        t.add_link(client, server, Link::PAPER_TESTBED);
         t
     }
 

@@ -37,8 +37,8 @@ use crate::kv::KvLedger;
 use crate::report::ServingReport;
 use crate::request::{EventKind, LogEvent, Outcome, ServingRequest, ShedReason};
 use crate::slo::{SloConfig, SloTracker};
-use genie_backend::{price_migration, sharded_step_time, ShardPlan, StepWork};
-use genie_cluster::GpuSpec;
+use genie_backend::{price_migration, sharded_step_time, StepWork};
+use genie_cluster::{GpuSpec, Link};
 use genie_models::{KvState, TransformerConfig, TransformerLm};
 use genie_netsim::{EventQueue, FaultPlan, Nanos, TransferOutcome, XorShift64};
 use genie_scheduler::CostModel;
@@ -90,26 +90,22 @@ pub enum MigrationPolicy {
 #[derive(Clone, Debug)]
 pub struct DisaggConfig {
     /// Lanes dedicated to prefill, *in addition to*
-    /// [`ServingConfig::lanes`] decode lanes. Lane indices
-    /// `lanes..lanes + prefill_lanes`; host ids follow the same
-    /// `1 + lane` mapping as decode lanes.
+    /// [`ServingConfig::lanes`] decode lanes: lane indices
+    /// `lanes..lanes + prefill_lanes`.
     pub prefill_lanes: u32,
-    /// Prefill↔decode fabric bandwidth in bits/s.
-    pub migrate_bandwidth_bps: f64,
-    /// Prefill↔decode one-way latency in seconds.
-    pub migrate_latency_s: f64,
+    /// The prefill↔decode link KV prefixes migrate over.
+    pub migration: Link,
     /// Ship-vs-reprefill policy.
     pub policy: MigrationPolicy,
 }
 
 impl DisaggConfig {
-    /// `prefill_lanes` prefill hosts on the paper's 25 Gbps / 250 µs
-    /// fabric, planner-priced migrations.
+    /// `prefill_lanes` prefill hosts migrating over
+    /// [`Link::PAPER_TESTBED`], planner-priced migrations.
     pub fn paper_testbed(prefill_lanes: u32) -> Self {
         DisaggConfig {
             prefill_lanes,
-            migrate_bandwidth_bps: 25e9,
-            migrate_latency_s: 250e-6,
+            migration: Link::PAPER_TESTBED,
             policy: MigrationPolicy::Planner,
         }
     }
@@ -133,21 +129,20 @@ pub struct ServingConfig {
     pub max_queue: usize,
     /// Accelerator executing each lane.
     pub gpu: GpuSpec,
-    /// Client↔server link bandwidth in bits/s.
-    pub link_bandwidth_bps: f64,
-    /// Client↔server one-way link latency in seconds.
-    pub link_latency_s: f64,
-    /// Optional fault schedule; lane `l` maps to the link between host 0
-    /// (client) and host `1 + l` (its server). Migrations between lanes
-    /// `a` and `b` travel the `(1 + a, 1 + b)` link.
+    /// The client↔server link every lane's tokens cross.
+    pub client: Link,
+    /// Optional fault schedule. Host 0 is the client and lane `l` is host
+    /// `1 + l`: lane `l` steps over the `(0, 1 + l)` link, and a
+    /// migration from lane `a` to lane `b` travels the `(1 + a, 1 + b)`
+    /// link.
     pub fault_plan: Option<FaultPlan>,
     /// Prefill/decode disaggregation (colocated serving when `None`).
     pub disagg: Option<DisaggConfig>,
-    /// Shard each lane's model across fabric-attached devices
-    /// (`pipeline_stages × tensor_parallel`); `None` keeps one device
-    /// per lane. Collective traffic rides the same link the lane uses
-    /// and is blamed to the `collective` causal category.
-    pub shard: Option<ShardSpec>,
+    /// Shard each lane's model across devices (`pipeline_stages ×
+    /// tensor_parallel`) joined by the given device↔device link, which
+    /// carries the collectives (blamed to the `collective` causal
+    /// category); `None` keeps one device per lane.
+    pub shard: Option<(ShardSpec, Link)>,
     /// Per-tenant SLO policy for burn-rate accounting (TTFT target,
     /// error budget, rolling window, sampling).
     pub slo: SloConfig,
@@ -157,8 +152,8 @@ pub struct ServingConfig {
 }
 
 impl ServingConfig {
-    /// One A100 lane behind the paper's 25 Gbps / 250 µs testbed link,
-    /// batch 8, 8 GiB of KV, a 2 s queue budget.
+    /// One A100 lane behind [`Link::PAPER_TESTBED`], batch 8, 8 GiB of
+    /// KV, a 2 s queue budget.
     pub fn paper_testbed() -> Self {
         ServingConfig {
             lanes: 1,
@@ -168,8 +163,7 @@ impl ServingConfig {
             queue_budget: Nanos::from_secs_f64(2.0),
             max_queue: 256,
             gpu: GpuSpec::a100_80gb(),
-            link_bandwidth_bps: 25e9,
-            link_latency_s: 250e-6,
+            client: Link::PAPER_TESTBED,
             fault_plan: None,
             disagg: None,
             shard: None,
@@ -285,23 +279,19 @@ impl ServingLoop {
             rate(gpu.peak_flops) && rate(gpu.mem_bandwidth) && delay(gpu.kernel_launch_overhead),
             "device needs finite positive rates and a launch overhead >= 0"
         );
-        assert!(
-            rate(config.link_bandwidth_bps),
-            "client link needs bandwidth"
-        );
-        assert!(
-            delay(config.link_latency_s),
-            "client link latency must be finite and >= 0"
-        );
+        let mut links = vec![("client", config.client)];
+        if let Some((spec, fabric)) = &config.shard {
+            spec.validate().unwrap_or_else(|e| panic!("{e}"));
+            links.push(("fabric", *fabric));
+        }
         if let Some(d) = &config.disagg {
             assert!(d.prefill_lanes >= 1, "disaggregation needs a prefill lane");
+            links.push(("migration", d.migration));
+        }
+        for (name, link) in links {
             assert!(
-                rate(d.migrate_bandwidth_bps),
-                "migration link needs bandwidth"
-            );
-            assert!(
-                delay(d.migrate_latency_s),
-                "migration link latency must be finite and >= 0"
+                rate(link.bandwidth_bps) && delay(link.latency_s),
+                "{name} link needs a finite bandwidth > 0 and a finite latency >= 0"
             );
         }
         ServingLoop { model, config }
@@ -367,7 +357,9 @@ struct Sim<'a> {
     kv_bytes: u64,
     /// Decode lanes `0..config.lanes`, then any prefill lanes.
     lanes: u32,
-    shard: ShardPlan,
+    /// Each lane's shard spec and the fabric its collectives ride; one
+    /// device (no collectives) when `config.shard` is `None`.
+    shard: (ShardSpec, Link),
     /// The migration fabric as a calibration (disaggregated runs only).
     migrate_link: Option<CostModel>,
     ledger: KvLedger,
@@ -390,17 +382,6 @@ impl<'a> Sim<'a> {
         let cfg = model.config();
         let kv_bytes = cfg.kv_bytes_per_token();
         let lanes = config.lanes + config.disagg.as_ref().map_or(0, |d| d.prefill_lanes);
-        // Ship-vs-reprefill is priced on the migration fabric with
-        // kernels at unit efficiency, as step pricing runs them: the
-        // re-prefill estimate is then the price `price` charges for it.
-        let migrate_link = config.disagg.as_ref().map(|d| {
-            let mut link = CostModel::ideal_25g();
-            link.network_bits_per_s = d.migrate_bandwidth_bps;
-            link.network_latency_s = d.migrate_latency_s;
-            link.per_call_overhead_s = 0.0;
-            link
-        });
-        let spec = config.shard.unwrap_or_else(ShardSpec::single);
         let mut agenda = EventQueue::new();
         for r in requests {
             agenda.schedule(r.arrival, (false, r.id), Event::Arrive(r.clone()));
@@ -411,13 +392,11 @@ impl<'a> Sim<'a> {
             config,
             kv_bytes,
             lanes,
-            shard: ShardPlan {
-                pipeline_stages: spec.pipeline_stages,
-                tensor_parallel: spec.tensor_parallel,
-                fabric_bandwidth_bps: config.link_bandwidth_bps,
-                fabric_latency_s: config.link_latency_s,
-            },
-            migrate_link,
+            shard: config.shard.unwrap_or((ShardSpec::single(), config.client)),
+            // Ship-vs-reprefill is priced on the migration fabric with
+            // kernels at unit efficiency, as step pricing runs them: the
+            // re-prefill estimate is then the price `price` charges for it.
+            migrate_link: config.disagg.as_ref().map(|d| CostModel::over(d.migration)),
             ledger: KvLedger::new(lanes as usize, config.kv_capacity_bytes, kv_bytes),
             queue: VecDeque::new(),
             active: BTreeMap::new(),
@@ -627,20 +606,22 @@ impl<'a> Sim<'a> {
             if members.is_empty() {
                 continue;
             }
+            let (spec, fabric) = &self.shard;
             let (cost, collective_s, fabric_payload_s) = sharded_step_time(
                 self.model.config(),
                 &work,
                 &c.gpu,
-                c.link_bandwidth_bps,
-                c.link_latency_s,
+                &c.client,
                 c.batched,
-                &self.shard,
+                spec,
+                fabric,
             );
             let mut secs = cost.total_s() + collective_s;
             if let Some(plan) = &c.fault_plan {
-                let host = 1 + lane;
+                let host = host(lane);
                 let (derate, jitter_s) = plan.link_condition(&mut self.chaos_rng, 0, host);
-                // Collectives ride the same derated fabric.
+                // The fabric has no host pair of its own: collectives
+                // take the client pair's derate.
                 secs = cost.compute_s + (cost.network_s + collective_s) / derate + jitter_s;
                 let stall = plan.clear_at(0, host, self.now).saturating_sub(self.now);
                 secs += stall.as_secs_f64();
@@ -830,11 +811,11 @@ impl<'a> Sim<'a> {
         let plan = self.config.fault_plan.as_ref().unwrap_or(&no_faults);
         let outcome = plan.transfer_outcome(
             &mut self.chaos_rng,
-            1 + from,
-            1 + to,
+            host(from),
+            host(to),
             bytes,
-            d.migrate_bandwidth_bps,
-            d.migrate_latency_s,
+            d.migration.bandwidth_bps,
+            d.migration.latency_s,
             step_end,
         );
         self.report.migrations += 1;
@@ -901,6 +882,11 @@ impl<'a> Sim<'a> {
     }
 }
 
+/// Lane `lane`'s host in a fault plan ([`ServingConfig::fault_plan`]).
+fn host(lane: u32) -> u32 {
+    1 + lane
+}
+
 /// Deterministic synthetic token for the spec plane: a fixed mix of
 /// request id and position, reduced into the vocabulary.
 fn synth_token(cfg: &TransformerConfig, id: u64, position: usize) -> i64 {
@@ -944,17 +930,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "client link needs bandwidth")]
+    #[should_panic(expected = "client link needs a finite bandwidth > 0")]
     fn a_client_link_without_bandwidth_is_rejected() {
         // Used to wedge: an infinite `net_payload_s` saturates the step
         // to `u64::MAX` ns in release and virtual time runs backwards.
-        build(|c, _| c.link_bandwidth_bps = 0.0);
+        build(|c, _| c.client.bandwidth_bps = 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "client link latency must be finite and >= 0")]
+    #[should_panic(expected = "client link needs a finite bandwidth > 0")]
     fn a_non_finite_client_latency_is_rejected() {
-        build(|c, _| c.link_latency_s = f64::NAN);
+        build(|c, _| c.client.latency_s = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "fabric link needs a finite bandwidth > 0")]
+    fn a_fabric_without_bandwidth_is_rejected() {
+        // Would wedge the clock exactly like a client link without one.
+        build(|c, _| c.shard = Some((ShardSpec::tensor(2), Link::new(0.0, 5e-6))));
+    }
+
+    #[test]
+    #[should_panic(expected = "ShardSpec factors must be >= 1, got 0 x 2")]
+    fn a_shard_spec_with_a_zero_factor_is_rejected() {
+        // Used to be priced silently as one device: `shards() == 0`.
+        build(|c, _| c.shard = Some((ShardSpec::new(0, 2), c.client)));
     }
 
     #[test]
@@ -964,15 +964,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "migration link needs bandwidth")]
+    #[should_panic(expected = "migration link needs a finite bandwidth > 0")]
     fn an_infinite_migration_bandwidth_is_rejected() {
-        build(|_, d| d.migrate_bandwidth_bps = f64::INFINITY);
+        build(|_, d| d.migration.bandwidth_bps = f64::INFINITY);
     }
 
     #[test]
-    #[should_panic(expected = "migration link latency must be finite and >= 0")]
+    #[should_panic(expected = "migration link needs a finite bandwidth > 0")]
     fn a_negative_migration_latency_is_rejected() {
-        build(|_, d| d.migrate_latency_s = -1e-6);
+        build(|_, d| d.migration.latency_s = -1e-6);
     }
 
     #[test]
@@ -1038,9 +1038,8 @@ mod tests {
         // parallelism should win despite the collective tax.
         let fast = |shard: Option<ShardSpec>| {
             let mut c = spec_config();
-            c.link_bandwidth_bps = 100e9;
-            c.link_latency_s = 5e-6;
-            c.shard = shard;
+            c.client = Link::new(100e9, 5e-6);
+            c.shard = shard.map(|spec| (spec, c.client));
             c
         };
         let reqs = burst(8, 16, 16);
@@ -1090,7 +1089,7 @@ mod tests {
         let reqs = burst(8, 16, 16);
         let cfg = TransformerConfig::gptj_6b();
         let mut conf = spec_config();
-        conf.shard = Some(ShardSpec::tensor(2));
+        conf.shard = Some((ShardSpec::tensor(2), conf.client));
         let sharded = ServingLoop::new(ServingModel::Spec(cfg.clone()), conf).run(&reqs);
         let flat = ServingLoop::new(ServingModel::Spec(cfg), spec_config()).run(&reqs);
         assert!(
@@ -1101,12 +1100,70 @@ mod tests {
         );
     }
 
-    /// Blame for `burst(8, 16, 16)` on a GPT-J tp2 lane behind one link.
-    fn tp2_blame(bandwidth_bps: f64, latency_s: f64) -> genie_telemetry::causal::BlameReport {
+    #[test]
+    fn the_fabric_not_the_client_link_prices_collectives() {
+        // A tp2 lane on a 100 Gbps / 5 µs rack fabric behind the paper's
+        // 25 Gbps / 250 µs client link.
+        let (tp2, fabric) = (ShardSpec::tensor(2), Link::new(100e9, 5e-6));
+        let cfg = TransformerConfig::gptj_6b();
+        let reqs = burst(8, 16, 16);
+        let mut conf = spec_config();
+        conf.shard = Some((tp2, fabric));
+        let sharded = ServingLoop::new(ServingModel::Spec(cfg.clone()), conf).run(&reqs);
+        let flat = ServingLoop::new(ServingModel::Spec(cfg.clone()), spec_config()).run(&reqs);
+        assert_eq!(sharded.completed(), 8);
+        let (client, gpu) = (Link::PAPER_TESTBED, GpuSpec::a100_80gb());
+        for slice in &sharded.slices {
+            // Collectives move the new tokens' activations: resident KV
+            // does not enter them, so the members alone re-price them.
+            let mut work = StepWork::default();
+            for m in &slice.members {
+                match m.phase {
+                    MemberPhase::Decode => work.decode_members += 1,
+                    MemberPhase::Prefill => {
+                        work.prefill_members += 1;
+                        work.prefill_tokens += 16;
+                    }
+                    MemberPhase::Reprefill => panic!("nothing is evicted from 8 GiB"),
+                }
+            }
+            let collectives = |fabric: &Link| {
+                let (_, secs, payload) =
+                    sharded_step_time(&cfg, &work, &gpu, &client, true, &tp2, fabric);
+                (secs, payload)
+            };
+            let (on_fabric, payload) = collectives(&fabric);
+            let unpriced = StepSlice {
+                collective_ns: 0,
+                collective_payload_ns: 0,
+                ..slice.clone()
+            };
+            let step = slice.step;
+            assert_eq!(
+                unpriced.with_collective(on_fabric, payload),
+                *slice,
+                "step {step}"
+            );
+            let on_client = collectives(&client).0;
+            assert_ne!(
+                on_client, on_fabric,
+                "step {step}: the client link is not the fabric"
+            );
+        }
+        assert!(
+            sharded.makespan < flat.makespan,
+            "tp2 on a rack fabric must beat one device behind the same client link: {:?} vs {:?}",
+            sharded.makespan,
+            flat.makespan
+        );
+    }
+
+    /// Blame for `burst(8, 16, 16)` on a GPT-J tp2 lane whose client link
+    /// is also its fabric.
+    fn tp2_blame(link: Link) -> genie_telemetry::causal::BlameReport {
         let mut c = spec_config();
-        c.link_bandwidth_bps = bandwidth_bps;
-        c.link_latency_s = latency_s;
-        c.shard = Some(ShardSpec::tensor(2));
+        c.client = link;
+        c.shard = Some((ShardSpec::tensor(2), link));
         let model = ServingModel::Spec(TransformerConfig::gptj_6b());
         let report = ServingLoop::new(model, c).run(&burst(8, 16, 16));
         genie_telemetry::causal::analyze(&report.causal_doc())
@@ -1118,7 +1175,7 @@ mod tests {
         // Paper fabric: 56 × 250 µs of every step's collective time is
         // round latency. A link of unbounded bandwidth removes the
         // serialization of payload and collectives, and nothing else.
-        for r in &tp2_blame(25e9, 250e-6).requests {
+        for r in &tp2_blame(Link::PAPER_TESTBED).requests {
             let b = &r.blame;
             let removed = r.ttlt_ns - WhatIf::link_bandwidth(1e9).replay(r);
             assert_eq!(removed, b.net_payload_ns + b.collective_payload_ns);
@@ -1129,8 +1186,8 @@ mod tests {
         }
         // Rack fabric: doubling the link is what re-pricing every step
         // at 200 Gbps gives, within 1 ns per step.
-        let doubled = tp2_blame(200e9, 5e-6);
-        for (r, faster) in tp2_blame(100e9, 5e-6)
+        let doubled = tp2_blame(Link::new(200e9, 5e-6));
+        for (r, faster) in tp2_blame(Link::new(100e9, 5e-6))
             .requests
             .iter()
             .zip(&doubled.requests)

@@ -19,6 +19,11 @@
 //!   sequential [`generate`](genie_models::TransformerLm::generate)
 //!   oracle) or spec (GPT-J scale, roofline-priced batched steps via
 //!   [`genie_backend::sharded_step_time`]).
+//! - [`ServingConfig`] states every network as a [`genie_cluster::Link`]:
+//!   the `client` link each step's tokens cross, a sharded lane's fabric
+//!   beside its `ShardSpec` in `shard`, and [`DisaggConfig`]'s
+//!   `migration` link, which prices ship-vs-re-prefill as
+//!   `CostModel::over` it.
 //! - [`ServingReport`] — what the engine writes: outcomes, the
 //!   deterministic event log the property suite replays, per-lane step
 //!   slices and counters. Everything else is a view of those: TTFT

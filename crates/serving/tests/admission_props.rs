@@ -17,7 +17,7 @@
 mod common;
 
 use common::Case;
-use genie_cluster::GpuSpec;
+use genie_cluster::{GpuSpec, Link};
 use genie_models::TransformerConfig;
 use genie_netsim::Nanos;
 use genie_serving::{ArrivalConfig, EventKind, ServingConfig, ServingLoop, ServingModel};
@@ -33,8 +33,7 @@ fn config(lanes: u32, max_batch: usize, kv_tokens: u64, budget_ms: u64) -> Servi
         queue_budget: Nanos::from_millis(budget_ms),
         max_queue: 32,
         gpu: GpuSpec::a100_80gb(),
-        link_bandwidth_bps: 25e9,
-        link_latency_s: 250e-6,
+        client: Link::PAPER_TESTBED,
         fault_plan: None,
         slo: genie_serving::SloConfig::paper_default(),
         record_telemetry: false,

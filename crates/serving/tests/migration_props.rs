@@ -23,7 +23,7 @@
 mod common;
 
 use common::Case;
-use genie_cluster::GpuSpec;
+use genie_cluster::{GpuSpec, Link};
 use genie_models::TransformerConfig;
 use genie_netsim::Nanos;
 use genie_serving::{
@@ -50,8 +50,7 @@ fn config(
         queue_budget: Nanos::from_millis(200),
         max_queue: 64,
         gpu: GpuSpec::a100_80gb(),
-        link_bandwidth_bps: 25e9,
-        link_latency_s: 250e-6,
+        client: Link::PAPER_TESTBED,
         fault_plan: None,
         slo: genie_serving::SloConfig::paper_default(),
         record_telemetry: false,

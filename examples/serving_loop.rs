@@ -53,7 +53,11 @@ fn main() {
         binding.kv_capacity_bytes as f64 / 1e9
     );
 
-    // 2. Serve the same offered load with and without batched decode.
+    // 2. Serve the same offered load with and without batched decode,
+    // on the device and behind the client link the topology states.
+    let device = topo.device(binding.devices[0]);
+    let client = topo.link_between(topo.client_host(), device.host);
+    let client = *client.expect("the fleet links the client to every host");
     println!(
         "\noffered load: {} requests over {:.0} s (seed 42)",
         requests.len(),
@@ -67,9 +71,8 @@ fn main() {
             kv_capacity_bytes: binding.kv_capacity_bytes,
             queue_budget: Nanos::from_secs_f64(2.0),
             max_queue: 256,
-            gpu: topo.device(binding.devices[0]).spec.clone(),
-            link_bandwidth_bps: 25e9,
-            link_latency_s: 250e-6,
+            gpu: device.spec.clone(),
+            client,
             fault_plan: None,
             slo: genie::serving::SloConfig::paper_default(),
             record_telemetry: false,

@@ -299,7 +299,7 @@ fn derate_schedule_counts_injections_and_slows_the_run() {
 /// a wedge, never wrong numerics.
 #[test]
 fn migration_severed_by_link_down_recovers_from_lineage() {
-    use genie::cluster::GpuSpec;
+    use genie::cluster::{GpuSpec, Link};
     use genie::models::functional_transformers;
     use genie::netsim::{FaultPlan, Nanos};
     use genie::serving::{
@@ -327,8 +327,7 @@ fn migration_severed_by_link_down_recovers_from_lineage() {
             queue_budget: Nanos::from_secs_f64(1e6),
             max_queue: 64,
             gpu: GpuSpec::a100_80gb(),
-            link_bandwidth_bps: 25e9,
-            link_latency_s: 250e-6,
+            client: Link::PAPER_TESTBED,
             // Decode lane 0 is host 1, prefill lane 1 is host 2: take
             // their link down across the whole prefill burst, so every
             // early migration is severed mid-flight.
@@ -474,7 +473,7 @@ fn sharded_lane_survives_link_down_during_collectives() {
         conf.max_batch = 4;
         conf.queue_budget = Nanos::from_secs_f64(1e6);
         conf.record_telemetry = false;
-        conf.shard = Some(ShardSpec::tensor(2));
+        conf.shard = Some((ShardSpec::tensor(2), conf.client));
         // Sever lane 0's link (host 0 ↔ host 1) after a few decode
         // steps: the all_reduce window lands inside the outage.
         conf.fault_plan = Some(FaultPlan::new(

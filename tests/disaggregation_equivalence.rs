@@ -9,7 +9,7 @@
 //! its prefix shipped over the fabric, was recomputed at the decode
 //! pool by planner choice, or both across a chaotic run.
 
-use genie::cluster::GpuSpec;
+use genie::cluster::{GpuSpec, Link};
 use genie::models::functional_transformers;
 use genie::netsim::Nanos;
 use genie::serving::{
@@ -28,8 +28,7 @@ fn disagg_config(max_batch: usize, policy: MigrationPolicy) -> ServingConfig {
         queue_budget: Nanos::from_secs_f64(1e6),
         max_queue: 10_000,
         gpu: GpuSpec::a100_80gb(),
-        link_bandwidth_bps: 25e9,
-        link_latency_s: 250e-6,
+        client: Link::PAPER_TESTBED,
         fault_plan: None,
         slo: genie::serving::SloConfig::paper_default(),
         record_telemetry: false,

@@ -26,10 +26,10 @@ fn real_rtt_probes_update_the_cost_model() {
 
     // Applying the measurement rewires the model's latency term.
     let mut cost = CostModel::ideal_25g();
-    let prior = cost.network_latency_s;
+    let prior = cost.link.latency_s;
     adapter.apply(&mut cost);
-    assert!((cost.network_latency_s - measured / 2.0).abs() < 1e-9);
-    assert_ne!(cost.network_latency_s, prior);
+    assert!((cost.link.latency_s - measured / 2.0).abs() < 1e-9);
+    assert_ne!(cost.link.latency_s, prior);
 }
 
 #[test]
@@ -52,5 +52,5 @@ fn observed_transfers_update_goodput() {
 
     let mut cost = CostModel::ideal_25g();
     adapter.apply(&mut cost);
-    assert_eq!(cost.network_bits_per_s, goodput);
+    assert_eq!(cost.link.bandwidth_bps, goodput);
 }

@@ -23,7 +23,7 @@
 //! by the implementation as it stood before the interval-sweep rewrite.
 
 use genie::analysis::{run_srg_passes, LintConfig, KERNEL_TIER_ATTR, TOLERANCE_ATTR};
-use genie::cluster::{ClusterState, DevId, GpuSpec, NicSpec, Topology};
+use genie::cluster::{ClusterState, DevId, GpuSpec, Link, NicSpec, Topology};
 use genie::frontend::capture::CaptureCtx;
 use genie::models::{
     CnnConfig, Dlrm, DlrmConfig, KvState, Multimodal, MultimodalConfig, SimpleCnn,
@@ -337,7 +337,7 @@ fn two_gpus(spec: GpuSpec) -> Topology {
     let server = t.add_host("server", NicSpec::rnic_100g());
     t.add_device(server, spec.clone());
     t.add_device(server, spec);
-    t.add_link(client, server, 25e9, 250e-6);
+    t.add_link(client, server, Link::PAPER_TESTBED);
     t
 }
 

@@ -7,7 +7,7 @@
 //! through forced KV eviction and lineage-style re-prefill, where the
 //! engine rebuilds a victim's cache from prompt + generated prefix.
 
-use genie::cluster::GpuSpec;
+use genie::cluster::{GpuSpec, Link};
 use genie::models::functional_transformers;
 use genie::netsim::Nanos;
 use genie::serving::{ArrivalConfig, ServingConfig, ServingLoop, ServingModel, ServingRequest};
@@ -21,8 +21,7 @@ fn roomy_config(max_batch: usize) -> ServingConfig {
         queue_budget: Nanos::from_secs_f64(1e6),
         max_queue: 10_000,
         gpu: GpuSpec::a100_80gb(),
-        link_bandwidth_bps: 25e9,
-        link_latency_s: 250e-6,
+        client: Link::PAPER_TESTBED,
         fault_plan: None,
         slo: genie::serving::SloConfig::paper_default(),
         record_telemetry: false,

@@ -174,7 +174,7 @@ fn runs() -> Vec<(&'static str, ServingReport)> {
     ));
 
     let mut c = base();
-    c.shard = Some(ShardSpec::tensor(2));
+    c.shard = Some((ShardSpec::tensor(2), c.client));
     out.push(("tp2_sharded_lane", spec(c, &paced(10, 150, 24, 12))));
 
     let tiny = TransformerLm::new_functional(TransformerConfig::tiny(), 42);

@@ -8,26 +8,25 @@
 //!
 //! - **steps** — `sharded_step_time` (which is `batched_step_time` at
 //!   1×1) over two models × a `StepWork` grid × batched/unbatched × five
-//!   shard plans × a 3×2 fabric grid: every `StepCost` field, then the
-//!   six `collective_s`, as `f64::to_bits` hex;
+//!   `ShardSpec`s × a 3×2 grid of fabric `Link`s, behind the paper's
+//!   client link: every `StepCost` field, then the six `collective_s`,
+//!   as `f64::to_bits` hex;
 //! - **migrations** — ship and re-prefill seconds and the verdict for
 //!   eight prefix lengths under three calibrations.
 //!
 //! To re-render after a change that is *meant* to move a price, run the
 //! test: on a mismatch it prints the whole table before it fails.
 
-use genie::backend::{
-    batched_step_time, price_migration, sharded_step_time, ShardPlan, StepCost, StepWork,
-};
-use genie::cluster::GpuSpec;
+use genie::backend::{batched_step_time, price_migration, sharded_step_time, StepCost, StepWork};
+use genie::cluster::{GpuSpec, Link};
 use genie::models::TransformerConfig;
 use genie::netsim::{FaultPlan, Nanos, TransferOutcome, XorShift64};
 use genie::scheduler::CostModel;
+use genie::srg::shard::ShardSpec;
 use std::fmt::Write;
 
-/// The client link every row is priced behind (the paper testbed's).
-const LINK_BPS: f64 = 25e9;
-const LINK_LATENCY_S: f64 = 250e-6;
+/// The client link every row is priced behind.
+const CLIENT: Link = Link::PAPER_TESTBED;
 
 const PLANS: [(u32, u32); 5] = [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1)];
 const FABRIC_BPS: [f64; 3] = [10e9, 100e9, 400e9];
@@ -68,18 +67,14 @@ fn work_grid() -> Vec<(&'static str, StepWork)> {
     ]
 }
 
-/// The three migration calibrations: the two presets and the link the
-/// serving engine states for `DisaggConfig::paper_testbed` (zero per-call
-/// overhead, unit kernel efficiency).
+/// The three migration calibrations: the two presets and the one the
+/// serving engine prices `DisaggConfig::paper_testbed`'s migration link
+/// with, `CostModel::over` that link.
 fn calibrations() -> [(&'static str, CostModel); 3] {
-    let mut engine = CostModel::ideal_25g();
-    engine.network_bits_per_s = LINK_BPS;
-    engine.network_latency_s = LINK_LATENCY_S;
-    engine.per_call_overhead_s = 0.0;
     [
         ("ideal_25g", CostModel::ideal_25g()),
         ("paper_stack", CostModel::paper_stack()),
-        ("engine_link", engine),
+        ("engine_link", CostModel::over(Link::PAPER_TESTBED)),
     ]
 }
 
@@ -105,20 +100,14 @@ fn render() -> String {
                     let mut collectives = String::new();
                     for bw in FABRIC_BPS {
                         for lat in FABRIC_LATENCY_S {
-                            let plan = ShardPlan {
-                                pipeline_stages: pp,
-                                tensor_parallel: tp,
-                                fabric_bandwidth_bps: bw,
-                                fabric_latency_s: lat,
-                            };
                             let (c, collective_s, _) = sharded_step_time(
                                 &cfg,
                                 &w,
                                 &gpu,
-                                LINK_BPS,
-                                LINK_LATENCY_S,
+                                &CLIENT,
                                 batched,
-                                &plan,
+                                &ShardSpec::new(pp, tp),
+                                &Link::new(bw, lat),
                             );
                             // The fabric prices the collectives only.
                             assert_eq!(*cost.get_or_insert(c), c, "{label} {pp}x{tp}");
@@ -127,8 +116,8 @@ fn render() -> String {
                     }
                     let c = cost.expect("non-empty fabric grid");
                     if (pp, tp) == (1, 1) {
-                        let flat =
-                            batched_step_time(&cfg, &w, &gpu, LINK_BPS, LINK_LATENCY_S, batched);
+                        let (bw, lat) = (CLIENT.bandwidth_bps, CLIENT.latency_s);
+                        let flat = batched_step_time(&cfg, &w, &gpu, bw, lat, batched);
                         assert_eq!(c, flat, "1x1 is the unsharded price: {label}");
                     }
                     writeln!(
@@ -200,8 +189,8 @@ fn the_planners_reprefill_estimate_is_the_price_the_engine_charges() {
                 &cfg,
                 &lone_prefill(kv_tokens),
                 &gpu,
-                LINK_BPS,
-                LINK_LATENCY_S,
+                CLIENT.bandwidth_bps,
+                CLIENT.latency_s,
                 true,
             );
             for cost in [&ideal, &engine] {
@@ -234,8 +223,8 @@ fn the_planners_ship_estimate_is_the_clean_fabrics_delivery_time() {
                 1,
                 2,
                 kv_bytes,
-                LINK_BPS,
-                LINK_LATENCY_S,
+                Link::PAPER_TESTBED.bandwidth_bps,
+                Link::PAPER_TESTBED.latency_s,
                 start,
             );
             let done_at = start + Nanos::from_secs_f64(ship_s);
