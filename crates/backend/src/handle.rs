@@ -51,7 +51,7 @@ impl HandleTable {
     }
 
     /// Invalidate every handle (device lost): clears the table and
-    /// returns what was lost, for lineage recovery to replay.
+    /// returns what was lost.
     pub fn invalidate_all(&mut self) -> Vec<(String, RemoteHandle)> {
         let mut lost: Vec<_> = self.live.drain().collect();
         lost.sort_by(|a, b| a.0.cmp(&b.0));

@@ -8,7 +8,7 @@
 //! - [`remote::RemoteSession`] / [`remote::spawn_server`] — real remote
 //!   execution over `genie-transport` TCP: pinned uploads, handle+epoch
 //!   references ([`handle::RemoteHandle`]), per-step graph shipping, and
-//!   crash injection for lineage tests;
+//!   crash injection as a fault fixture;
 //! - [`sim::SimBackend`] — list-scheduled simulation at paper scale:
 //!   roofline kernel times, FIFO links, and pinned uploads that stay
 //!   resident so follow-up plans run handle-only.

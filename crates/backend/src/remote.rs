@@ -3,7 +3,7 @@
 //! The server side ([`GenieExecutor`]) plugs Genie's remote-executor
 //! semantics into `genie-transport`: a resident-object store with epochs,
 //! SRG execution via the reference interpreter, and a `Crash` hook that
-//! loses all device state (for lineage testing). The client side
+//! loses all device state (a fault-injection fixture). The client side
 //! ([`RemoteSession`]) uploads pinnable state once, then drives per-step
 //! graphs whose stateful inputs are handle references — the
 //! semantics-aware execution mode of §4 running on an actual TCP stack.
@@ -208,21 +208,22 @@ pub fn spawn_chaotic_server(
     Ok((server, executor))
 }
 
-/// How a remote error should be handled, from the lineage runtime's
-/// point of view.
+/// How a caller should handle a remote error; [`classify_error`] is the
+/// one classifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorClass {
     /// Transient transport trouble — the retry layer already did (or can
     /// do) its best; no remote state was lost.
     Retryable,
-    /// Remote state is gone (crash, epoch bump, severed session):
-    /// recovery must replay lineage before continuing.
+    /// Remote state is gone (crash, epoch bump, severed session): the
+    /// caller must rebuild it before continuing.
     StateLoss,
     /// A programming or protocol error retries cannot fix.
     Fatal,
 }
 
-/// Classify a transport error for the recovery path. `Exhausted` is
+/// Classify a transport error. Every I/O error is state loss: the socket,
+/// and the session's handles with it, cannot be trusted. `Exhausted` is
 /// classified by its final error: a retry budget spent against a dead
 /// server is state loss (the session, and with it the server's view of
 /// our handles, may be gone), while an exhausted budget over timeouts
@@ -414,7 +415,7 @@ impl RemoteSession {
 
     /// Inject a device loss: the server drops all resident state and
     /// bumps its epoch; every local handle is invalidated. Returns the
-    /// lost bindings for lineage recovery.
+    /// lost bindings.
     pub fn inject_crash(&mut self) -> genie_transport::Result<Vec<(String, RemoteHandle)>> {
         self.call(RequestBody::Crash)?;
         Ok(self.handles.invalidate_all())
@@ -709,8 +710,31 @@ mod tests {
         let err = session
             .execute(&cap, &[(lw.node, "w")], &[y.node], &[])
             .unwrap_err();
+        assert_eq!(classify_error(&err), ErrorClass::StateLoss);
         assert!(matches!(err, TransportError::Remote(msg) if msg.contains("handle")));
         drop(server);
+    }
+
+    /// The host vanishes mid-session: even retries cannot reach it, and
+    /// the next call classifies as state loss.
+    #[test]
+    fn a_severed_session_classifies_as_state_loss() {
+        let (server, _exec) = spawn_server().unwrap();
+        let mut session = RemoteSession::connect_with(server.addr(), RetryPolicy::fast()).unwrap();
+        session
+            .upload_pinned("w", &Value::F(randn([4, 4], 1)))
+            .unwrap();
+        drop(server);
+
+        let ctx = CaptureCtx::new("severed");
+        let lw = ctx.parameter("w", [4, 4], ElemType::F32, None);
+        let y = lw.relu();
+        y.mark_output();
+        let cap = ctx.finish();
+        let err = session
+            .execute(&cap, &[(lw.node, "w")], &[y.node], &[])
+            .unwrap_err();
+        assert_eq!(classify_error(&err), ErrorClass::StateLoss, "{err}");
     }
 
     #[test]

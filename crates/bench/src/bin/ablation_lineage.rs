@@ -1,56 +1,94 @@
 //! Ablation: lineage recovery vs full restart (§3.5).
 //!
-//! Simulates a long decode session that fails at varying points and
-//! compares the work replayed by lineage-based recovery (prefill survives
-//! as a recipe; only the lost KV chain re-executes) against restarting
-//! the whole session.
+//! A GPT-J session decodes 200 tokens after a 72-token prompt and loses
+//! its KV after `k` of them. Restart redoes the prompt's prefill and the
+//! `k − 1` decode steps that produced the lost tokens. Lineage rebuilds
+//! the same KV the way the serving engine's re-prefill does: one prefill
+//! over prompt + generated prefix − 1. Both sides are priced at the step
+//! price the engine charges (`genie_backend::batched_step_time`) on an
+//! A100 behind the 25 Gbps / 250 µs link. The bin asserts that lineage
+//! is cheaper at every `k` and that the saving grows with `k`.
 //!
 //! Run with: `cargo run -p genie-bench --bin ablation_lineage`
 
+use genie_backend::{batched_step_time, StepWork};
 use genie_bench::report::render_table;
-use genie_bench::Calibration;
+use genie_cluster::{GpuSpec, Link};
+use genie_models::TransformerConfig;
+
+/// The paper's prompt length.
+const PROMPT: u64 = 72;
+/// Tokens the session decodes.
+const DECODE: u64 = 200;
 
 fn main() {
-    let cal = Calibration::paper();
-    let prompt_kernel = cal.kernel_prefill_s;
-    let token_kernel = cal.kernel_token_s;
+    let (cfg, gpu, link) = (
+        TransformerConfig::gptj_6b(),
+        GpuSpec::a100_80gb(),
+        Link::PAPER_TESTBED,
+    );
+    let step_s = |work: StepWork| {
+        batched_step_time(&cfg, &work, &gpu, link.bandwidth_bps, link.latency_s, true).total_s()
+    };
+    let prefill_s = |tokens: u64| {
+        step_s(StepWork {
+            prefill_members: 1,
+            prefill_tokens: tokens,
+            ..StepWork::default()
+        })
+    };
+    // The decode step that samples token `i + 1` reads the KV of the
+    // prompt and of tokens 1..i−1 (token i is its input).
+    let decode_s = |i: u64| {
+        step_s(StepWork {
+            decode_members: 1,
+            kv_resident_tokens: PROMPT + i - 1,
+            ..StepWork::default()
+        })
+    };
 
-    println!("Ablation — lineage recovery vs restart (GPT-J session, checkpoint-free)\n");
-    println!("Failure at step k of a 200-token decode. Lineage replays the KV chain");
-    println!("from the last surviving state; restart redoes prefill + all k tokens.\n");
+    println!("Ablation — lineage recovery vs restart (GPT-J on an A100, 25 Gbps / 250 µs)\n");
+    println!("The KV is lost after k of 200 decoded tokens. Restart redoes the prefill");
+    println!("and the k − 1 decode steps; lineage re-prefills prompt + k − 1 tokens once.\n");
 
     let mut rows = Vec::new();
-    for fail_at in [10usize, 50, 100, 150, 200] {
-        // Restart: prefill + k decode steps redo, then continue.
-        let restart = prompt_kernel + fail_at as f64 * token_kernel;
-        // Lineage: the prompt's KV is itself remote state whose recipe is
-        // the prefill graph; if the device dies, the KV chain must
-        // rebuild — but recipes batch the rebuild as one prefill-shaped
-        // replay over the already-known tokens (teacher forcing), which
-        // runs at prefill parallelism rather than step-by-step.
-        let replay_tokens = fail_at; // tokens whose KV must re-materialize
-        let lineage = prompt_kernel * (replay_tokens as f64 / 72.0).max(1.0);
-        rows.push(vec![
-            fail_at.to_string(),
-            format!("{restart:.2}"),
-            format!("{lineage:.2}"),
-            format!("{:.1}x", restart / lineage),
-        ]);
+    let (mut restart, mut last_saving) = (prefill_s(PROMPT), 1.0);
+    for k in 2..=DECODE {
+        restart += decode_s(k - 1);
+        let lineage = prefill_s(PROMPT + k - 1);
+        let saving = restart / lineage;
+        assert!(
+            lineage < restart,
+            "k = {k}: lineage {lineage} s ≥ restart {restart} s"
+        );
+        assert!(
+            saving > last_saving,
+            "k = {k}: saving {saving} ≤ {last_saving}"
+        );
+        last_saving = saving;
+        if [10, 50, 100, 150, 200].contains(&k) {
+            rows.push(vec![
+                k.to_string(),
+                format!("{:.1}", restart * 1e3),
+                format!("{:.1}", lineage * 1e3),
+                format!("{saving:.1}x"),
+            ]);
+        }
     }
     println!(
         "{}",
         render_table(
             &[
-                "Fail at step",
-                "Restart redo [s]",
-                "Lineage replay [s]",
+                "Lost after k",
+                "Restart redo [ms]",
+                "Lineage re-prefill [ms]",
                 "Saving"
             ],
             &rows
         )
     );
-    println!("because the SRG records decode deterministically (sampled tokens are");
-    println!("part of the lineage), lost KV rebuilds as one parallel prefill-style");
-    println!("replay instead of a sequential re-decode — \"recovery of long-running");
-    println!("decode loops without restarting prefill\" (§3.5).");
+    println!("decode is weight-stream bound, so each redone step costs about as much");
+    println!("as the whole re-prefill: lost KV rebuilds as one parallel prefill-shaped");
+    println!("pass instead of a sequential re-decode — \"recovery of long-running decode");
+    println!("loops without restarting prefill\" (§3.5).");
 }

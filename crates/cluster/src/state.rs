@@ -156,20 +156,6 @@ impl ClusterState {
         Ok(obj)
     }
 
-    /// Evict every object resident on a failed device, bumping nothing —
-    /// lineage recovery decides replays. Returns the evicted objects.
-    pub fn evict_device(&mut self, dev: DevId) -> Vec<ResidentObject> {
-        let keys: Vec<u64> = self
-            .residents
-            .values()
-            .filter(|o| o.device == dev)
-            .map(|o| o.key)
-            .collect();
-        keys.into_iter()
-            .filter_map(|k| self.evict_resident(k).ok())
-            .collect()
-    }
-
     /// Set background congestion on the path between two hosts (fraction of
     /// bandwidth consumed by other traffic, in `[0, 1)`).
     pub fn set_congestion(&mut self, a: u32, b: u32, fraction: f64) {
@@ -289,27 +275,6 @@ mod tests {
             s.evict_resident(99),
             Err(StateError::UnknownObject { key: 99 })
         ));
-    }
-
-    #[test]
-    fn device_eviction_clears_all() {
-        let (t, d) = topo();
-        let mut s = ClusterState::new();
-        for key in 0..3 {
-            s.register_resident(
-                &t,
-                ResidentObject {
-                    key,
-                    device: d,
-                    bytes: 100,
-                    epoch: 1,
-                },
-            )
-            .unwrap();
-        }
-        let evicted = s.evict_device(d);
-        assert_eq!(evicted.len(), 3);
-        assert_eq!(s.mem_used(d), 0);
     }
 
     #[test]

@@ -1255,11 +1255,46 @@ mod tests {
         conf.queue_budget = Nanos::from_secs_f64(30.0);
         let capacity = conf.kv_capacity_bytes;
         let reqs = burst(2, 4, 16);
-        let report = ServingLoop::new(ServingModel::Spec(cfg), conf).run(&reqs);
+        let report = ServingLoop::new(ServingModel::Spec(cfg.clone()), conf.clone()).run(&reqs);
         assert_eq!(report.completed(), 2, "{:?}", report.outcomes);
         assert!(report.preemptions >= 1, "pressure must evict");
         assert!(report.reprefills >= 1, "evictees must re-prefill");
         assert!(report.peak_kv_bytes <= capacity, "ledger bound");
+
+        // A lone re-prefill is priced as one prefill over prompt + the
+        // tokens generated before the eviction − 1 (`ablation_lineage`
+        // prices recovery by this shape).
+        let mut lone = 0;
+        for slice in &report.slices {
+            let [member] = slice.members[..] else {
+                continue;
+            };
+            if member.phase != MemberPhase::Reprefill {
+                continue;
+            }
+            let events = report.events.iter().filter(|e| e.request == member.request);
+            let generated = events
+                .take_while(|e| !matches!(e.kind, EventKind::Preempt))
+                .filter(|e| matches!(e.kind, EventKind::Token { .. }))
+                .count();
+            let req = reqs.iter().find(|r| r.id == member.request);
+            let work = StepWork {
+                prefill_members: 1,
+                prefill_tokens: (req.expect("offered").prompt.len() + generated - 1) as u64,
+                ..StepWork::default()
+            };
+            let price = genie_backend::batched_step_time(
+                &cfg,
+                &work,
+                &conf.gpu,
+                conf.client.bandwidth_bps,
+                conf.client.latency_s,
+                true,
+            );
+            assert_eq!(slice.compute_ns, (price.compute_s * 1e9).round() as u64);
+            lone += 1;
+        }
+        assert!(lone >= 1, "an evictee re-prefills alone");
     }
 
     #[test]

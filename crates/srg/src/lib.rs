@@ -17,8 +17,6 @@
 //!   [`TensorMeta`], [`Rate`], [`Criticality`]);
 //! - traversal and analysis: [`traverse::topo_order`], [`traverse::levels`],
 //!   [`critical_path::critical_path`], [`stats::GraphStats`];
-//! - lineage support: [`cut::replay_cut`] computes minimal recomputation
-//!   sets for fault recovery (§3.5);
 //! - validation ([`validate::validate`]) and portable serialization
 //!   ([`serialize::to_json`], [`dot::to_dot`]).
 //!
@@ -52,7 +50,6 @@
 
 pub mod annotations;
 pub mod critical_path;
-pub mod cut;
 pub mod dot;
 pub mod edge;
 pub mod graph;
@@ -73,4 +70,4 @@ pub use edge::Edge;
 pub use graph::Srg;
 pub use ids::{DeviceId, EdgeId, NodeId, TensorId};
 pub use node::{Node, OpKind};
-pub use shard::{Partition, ShardSpec};
+pub use shard::ShardSpec;

@@ -1,17 +1,9 @@
 //! Shard vocabulary over the SRG: the pipeline × tensor-parallel
-//! [`ShardSpec`] every layer speaks, a node → shard [`Partition`], and
-//! the lineage bridge for a lost shard.
+//! [`ShardSpec`] every layer speaks.
 //!
 //! Shards are assigned where the structure is known — at capture time,
 //! by `genie_models::sharded`, which also records the collectives as
-//! first-class nodes. A [`Partition`] carries such an assignment to
-//! [`shard_loss_replay`], the companion of [`crate::cut`]: losing a
-//! shard is losing its nodes' outputs, and the replay cut names what
-//! must re-execute and what survives to be fetched.
-
-use crate::graph::Srg;
-use crate::ids::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+//! first-class nodes.
 
 /// How to shard a model: `pipeline_stages` contiguous layer blocks,
 /// each split over `tensor_parallel` ranks. The linear shard id of
@@ -85,40 +77,9 @@ impl ShardSpec {
     }
 }
 
-/// A total assignment of every node to exactly one linear shard id.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Partition {
-    /// The spec this partition realizes.
-    pub spec: ShardSpec,
-    /// Node → linear shard id; total over the partitioned graph.
-    pub assignment: BTreeMap<NodeId, u32>,
-}
-
-impl Partition {
-    /// Nodes assigned to `shard`, ascending.
-    pub fn shard_nodes(&self, shard: u32) -> BTreeSet<NodeId> {
-        self.assignment
-            .iter()
-            .filter(|&(_, &s)| s == shard)
-            .map(|(&n, _)| n)
-            .collect()
-    }
-}
-
-/// Lineage recovery for a severed shard: the replay cut when every
-/// node on `shard` loses its outputs and everything on surviving
-/// shards is still available.
-pub fn shard_loss_replay(g: &Srg, part: &Partition, shard: u32) -> crate::cut::ReplayCut {
-    let lost = part.shard_nodes(shard);
-    let available: BTreeSet<NodeId> = g.node_ids().filter(|n| !lost.contains(n)).collect();
-    crate::cut::replay_cut(g, &lost, &available)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotations::{ElemType, TensorMeta};
-    use crate::node::{Node, OpKind};
 
     #[test]
     fn spec_arithmetic() {
@@ -128,32 +89,5 @@ mod tests {
         assert_eq!(ShardSpec::single().shards(), 1);
         assert!(ShardSpec::new(0, 2).validate().is_err());
         assert_eq!(s.label(), "pp2xtp4");
-    }
-
-    #[test]
-    fn shard_loss_replays_only_the_lost_stage_cone() {
-        // in → mm0 | mm1 → out, cut into two pipeline stages.
-        let mut g = Srg::new("layered");
-        let ids: Vec<NodeId> = [
-            (OpKind::Input, "in"),
-            (OpKind::MatMul, "mm0"),
-            (OpKind::MatMul, "mm1"),
-            (OpKind::Output, "out"),
-        ]
-        .into_iter()
-        .map(|(op, name)| g.add_node(Node::new(NodeId::new(0), op, name)))
-        .collect();
-        for pair in ids.windows(2) {
-            g.connect(pair[0], pair[1], TensorMeta::new([2, 4], ElemType::F32));
-        }
-        let part = Partition {
-            spec: ShardSpec::pipeline(2),
-            assignment: ids.iter().map(|&n| (n, n.index() as u32 / 2)).collect(),
-        };
-        let cut = shard_loss_replay(&g, &part, 1);
-        // Losing stage 1 replays mm1 + out, fetching mm0's output.
-        assert!(cut.replay.contains(&NodeId::new(2)));
-        assert!(cut.frontier.contains(&NodeId::new(1)));
-        assert!(!cut.replay.contains(&NodeId::new(1)));
     }
 }

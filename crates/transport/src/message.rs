@@ -124,7 +124,7 @@ pub enum RequestBody {
         /// Object key.
         key: u64,
     },
-    /// Invalidate every resident object (fault-injection hook for lineage
+    /// Invalidate every resident object (fault-injection hook for
     /// tests: simulates losing the device).
     Crash,
 }
@@ -140,7 +140,7 @@ pub enum ResponseBody {
     Handle {
         /// Object key.
         key: u64,
-        /// Epoch for lineage invalidation.
+        /// Epoch; a crash bumps it and invalidates older handles.
         epoch: u64,
     },
     /// Inline tensors, ordered as requested.

@@ -11,7 +11,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`srg`] | the SRG IR: annotations, validation, traversal, lineage cuts |
+//! | [`srg`] | the SRG IR: annotations, validation, traversal, serialization |
 //! | [`analysis`] | semantic lint engine: `GA0xx` graph + `GA1xx` plan passes |
 //! | [`tensor`] | CPU tensor kernels (the functional plane's arithmetic) |
 //! | [`frontend`] | lazy-tensor intent capture, recognizers, re-capture |
@@ -23,7 +23,6 @@
 //! | [`telemetry`] | cross-layer spans, metrics registry, Perfetto export |
 //! | [`backend`] | local / simulated / remote-over-TCP execution |
 //! | [`serving`] | continuous-batching serving loop: SLO queue, KV residency |
-//! | [`lineage`] | lineage log, replay cuts, commit points |
 //! | [`bench`](mod@bench) | regeneration of every table and figure in the paper |
 //!
 //! ## Quickstart
@@ -61,7 +60,6 @@ pub use genie_backend as backend;
 pub use genie_bench as bench;
 pub use genie_cluster as cluster;
 pub use genie_frontend as frontend;
-pub use genie_lineage as lineage;
 pub use genie_models as models;
 pub use genie_netsim as netsim;
 pub use genie_scheduler as scheduler;

@@ -540,67 +540,6 @@ fn sharded_lane_survives_link_down_during_collectives() {
     }
 }
 
-/// Functional plane: sever one shard of a sharded capture and recover
-/// via lineage. `shard_loss_replay` must name exactly the lost shard's
-/// nodes as the replay set, its frontier must live on surviving shards,
-/// and re-running the capture (the re-prefill path) must reproduce the
-/// oracle's bits exactly.
-#[test]
-fn severed_shard_recovers_via_lineage_replay() {
-    use genie::frontend::{execute_sharded, CaptureCtx};
-    use genie::models::{ShardedTransformerLm, TransformerConfig, TransformerLm};
-    use genie::srg::shard::{shard_loss_replay, Partition, ShardSpec};
-
-    let _gate = metrics_gate();
-    let spec = ShardSpec::tensor(2);
-    let model = ShardedTransformerLm::new(
-        TransformerLm::new_functional(TransformerConfig::tiny(), 42),
-        spec,
-    );
-    let prompt = [1i64, 2, 3];
-    let ctx = CaptureCtx::new("chaos.shard");
-    let shc = model.capture_prefill(&ctx, &prompt);
-    let logits = shc.cap.logits.node;
-    let shard_of = shc.shard_of.clone();
-    let cap = ctx.finish();
-
-    let (oracle, _) = execute_sharded(&cap.srg, &cap.values, &shard_of).unwrap();
-
-    // Sever shard 1: everything it computed is lost, everything else
-    // survives. The replay cut is exactly the lost shard's nodes, and
-    // its frontier (the values to re-fetch) lives on surviving shards.
-    let part = Partition {
-        spec,
-        assignment: shard_of.clone(),
-    };
-    let cut = shard_loss_replay(&cap.srg, &part, 1);
-    let lost = part.shard_nodes(1);
-    assert!(!lost.is_empty(), "shard 1 must own nodes");
-    assert_eq!(
-        cut.replay, lost,
-        "with all other shards surviving, replay is exactly the lost shard"
-    );
-    assert!(!cut.frontier.is_empty(), "recovery re-fetches inputs");
-    for n in &cut.frontier {
-        assert_ne!(
-            shard_of.get(n).copied().unwrap_or(0),
-            1,
-            "frontier values must come from surviving shards"
-        );
-    }
-
-    // Lineage re-prefill: re-run the capture from retained inputs. The
-    // interpreter is deterministic, so the recovered logits are the
-    // oracle's bits.
-    let (recovered, report) = execute_sharded(&cap.srg, &cap.values, &shard_of).unwrap();
-    assert_eq!(
-        recovered[&logits].as_f("logits").data(),
-        oracle[&logits].as_f("logits").data(),
-        "recovery must be bit-identical"
-    );
-    assert_eq!(report.active_shards(), 2);
-}
-
 /// Serving plane: a seeded fault schedule drives the continuous-batching
 /// loop — derates and jitter stretch steps, outage windows stall lanes —
 /// and every offered request still ends in exactly one typed outcome.

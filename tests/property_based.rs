@@ -6,7 +6,6 @@ use genie::netsim::XorShift64;
 use genie::prelude::*;
 use genie::srg::traverse;
 use genie::tensor::{ops, Tensor};
-use std::collections::BTreeSet;
 
 /// Cases per property.
 const CASES: u64 = 48;
@@ -123,42 +122,6 @@ fn interpretation_is_deterministic() {
         let b = genie::frontend::interp::execute(&cap.srg, &cap.values).unwrap();
         for (k, v) in &a {
             assert_eq!(v, &b[k]);
-        }
-    }
-}
-
-/// Replay cuts: the cut plus the frontier always covers the lost set's
-/// ancestry, and replaying is never larger than the whole graph.
-#[test]
-fn replay_cut_covers_losses() {
-    for case in 0..CASES {
-        let mut case = Case::new(case);
-        let cap = case.capture(5, 2, 6);
-        let lost_pick = case.int(0, cap.srg.node_count());
-        let lost: BTreeSet<genie::srg::NodeId> = [genie::srg::NodeId::new(lost_pick as u32)]
-            .into_iter()
-            .collect();
-        let available: BTreeSet<genie::srg::NodeId> = cap
-            .srg
-            .nodes()
-            .filter(|node| node.op.is_source())
-            .map(|node| node.id)
-            .collect();
-        let cut = genie::srg::cut::replay_cut(&cap.srg, &lost, &available);
-        // Lost nodes always replay.
-        for l in &lost {
-            assert!(cut.replay.contains(l));
-        }
-        // Frontier is disjoint from replay and available-only.
-        for f in &cut.frontier {
-            assert!(!cut.replay.contains(f));
-            assert!(available.contains(f));
-        }
-        // Every replay node's parents are either replayed or frontier.
-        for r in &cut.replay {
-            for p in cap.srg.predecessors(*r) {
-                assert!(cut.replay.contains(&p) || cut.frontier.contains(&p));
-            }
         }
     }
 }
