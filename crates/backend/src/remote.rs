@@ -15,7 +15,7 @@ use genie_srg::NodeId;
 use genie_telemetry::lock;
 use genie_tensor::{IndexTensor, Tensor};
 use genie_transport::{
-    Client, PayloadKind, RequestBody, ResponseBody, RetryPolicy, Server, TensorPayload,
+    wire, Client, PayloadKind, RequestBody, ResponseBody, RetryPolicy, Server, TensorPayload,
     TransportError,
 };
 use std::collections::HashMap;
@@ -440,30 +440,32 @@ pub fn value_to_payload(v: &Value) -> TensorPayload {
     }
 }
 
-/// Convert a wire payload to a runtime value.
+/// Convert a wire payload to a runtime value: checked as a peer's, then
+/// decoded once, straight into the tensor's storage.
 pub fn payload_to_value(p: &TensorPayload) -> Result<Value, String> {
+    let (kind, width) = match p.kind {
+        PayloadKind::F32 => ("f32", 4),
+        PayloadKind::I64 => ("i64", 8),
+    };
+    if !p.data.len().is_multiple_of(width) {
+        return Err(format!("{kind} payload not {width}-aligned"));
+    }
     // Dims come off the wire: their product can overflow, and must match
     // the element count before a tensor may claim that shape.
     let elements = p.dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
-    let fits = |len: usize| {
-        if elements == Some(len) {
-            Ok(())
-        } else {
-            Err("payload length does not match dims".to_string())
-        }
-    };
-    match p.kind {
-        PayloadKind::F32 => {
-            let data = genie_transport::wire::bytes_to_f32s(&p.data).map_err(|e| e.to_string())?;
-            fits(data.len())?;
-            Ok(Value::F(Tensor::from_vec(p.dims.clone(), data)))
-        }
-        PayloadKind::I64 => {
-            let data = genie_transport::wire::bytes_to_i64s(&p.data).map_err(|e| e.to_string())?;
-            fits(data.len())?;
-            Ok(Value::I(IndexTensor::from_vec(p.dims.clone(), data)))
-        }
+    if elements != Some(p.data.len() / width) {
+        return Err("payload length does not match dims".to_string());
     }
+    Ok(match p.kind {
+        PayloadKind::F32 => Value::F(Tensor::build(p.dims.clone(), |out| {
+            wire::f32s_from_bytes(&p.data, out)
+        })),
+        PayloadKind::I64 => {
+            let mut data = vec![0; p.data.len() / width];
+            wire::i64s_from_bytes(&p.data, &mut data);
+            Value::I(IndexTensor::from_vec(p.dims.clone(), data))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -483,6 +485,16 @@ mod tests {
         p.dims = vec![1 << 16; 4];
         p.data = TensorPayload::from_f32(vec![0], &[]).data;
         assert!(payload_to_value(&p).is_err());
+        // Bytes that are not whole elements, whatever the dims claim.
+        for (kind, len, dims) in [(PayloadKind::F32, 7, 1), (PayloadKind::I64, 12, 1)] {
+            let p = TensorPayload {
+                dims: vec![dims],
+                kind,
+                data: vec![0u8; len].into(),
+            };
+            let err = payload_to_value(&p).unwrap_err();
+            assert!(err.contains("aligned"), "{err}");
+        }
     }
 
     /// Everything a peer can put in an `Execute` — text that is not JSON,
@@ -793,6 +805,31 @@ mod tests {
         let f = Value::F(randn([3, 2], 9));
         assert_eq!(payload_to_value(&value_to_payload(&f)).unwrap(), f);
         let i = Value::I(IndexTensor::from_slice(&[5, -3]));
+        assert_eq!(payload_to_value(&value_to_payload(&i)).unwrap(), i);
+    }
+
+    /// Conversion moves bits, not values: NaN payloads, signed zeros,
+    /// subnormals, infinities and the i64 extremes come back unchanged.
+    #[test]
+    fn payload_conversion_is_bit_exact() {
+        let bits = [
+            0x7fc0_0001u32, // quiet NaN with payload bits
+            0xff80_0001,    // negative signalling NaN
+            0x8000_0000,    // -0.0
+            0x0000_0000,    // +0.0
+            0x0000_0001,    // smallest subnormal
+            0x807f_ffff,    // largest negative subnormal
+            0x7f80_0000,    // +inf
+            0xff80_0000,    // -inf
+        ];
+        let f = Tensor::from_vec([2, 4], bits.iter().map(|&b| f32::from_bits(b)).collect());
+        let Value::F(back) = payload_to_value(&value_to_payload(&Value::F(f))).unwrap() else {
+            panic!("an f32 payload decoded to another kind");
+        };
+        assert_eq!(back.dims(), &[2, 4]);
+        let back: Vec<u32> = back.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(back, bits);
+        let i = Value::I(IndexTensor::from_vec([3], vec![i64::MIN, i64::MAX, -1]));
         assert_eq!(payload_to_value(&value_to_payload(&i)).unwrap(), i);
     }
 }

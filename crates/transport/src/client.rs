@@ -18,8 +18,10 @@ use crate::error::{Result, TransportError};
 use crate::frame::{recv_frame, write_frame};
 use crate::message::{Request, RequestBody, Response, ResponseBody};
 use crate::retry::RetryPolicy;
+use genie_telemetry::Counter;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Default per-call deadline: generous enough for weight uploads over
@@ -34,6 +36,32 @@ static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 /// Allocate a fresh request id, unique within this process.
 pub fn next_request_id() -> u64 {
     NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The client's `genie_transport_*_total` series, resolved once per
+/// process, as `interp::publish_dispatch_delta` holds its own: every call
+/// moves two or three, a registry lookup builds its key and searches under
+/// the registry mutex, and a held handle is one atomic add.
+struct Counters {
+    calls: Counter,
+    errors: Counter,
+    tx: Counter,
+    rx: Counter,
+}
+
+fn counters() -> &'static Counters {
+    static COUNTERS: OnceLock<Counters> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let metrics = &genie_telemetry::global().metrics;
+        let role = ("role", "client");
+        let bytes = |dir| metrics.counter("genie_transport_bytes_total", &[role, ("dir", dir)]);
+        Counters {
+            calls: metrics.counter("genie_transport_calls_total", &[role]),
+            errors: metrics.counter("genie_transport_errors_total", &[role]),
+            tx: bytes("tx"),
+            rx: bytes("rx"),
+        }
+    })
 }
 
 /// A synchronous client: one outstanding request at a time, correlation
@@ -120,19 +148,11 @@ impl Client {
         }
         let result = self.call_inner(id, body);
         match &result {
-            Ok(_) => {
-                telemetry
-                    .metrics
-                    .counter("genie_transport_calls_total", &[("role", "client")])
-                    .inc();
-            }
+            Ok(_) => counters().calls.inc(),
             Err(e) => {
                 let msg = e.to_string();
                 span.annotate(|a| a.extra.push(("error".into(), msg)));
-                telemetry
-                    .metrics
-                    .counter("genie_transport_errors_total", &[("role", "client")])
-                    .inc();
+                counters().errors.inc();
             }
         }
         result
@@ -206,35 +226,23 @@ impl Client {
     }
 
     fn exchange(&mut self, id: u64, body: RequestBody) -> Result<ResponseBody> {
-        let telemetry = genie_telemetry::global();
         // Stamp the caller's ambient causal context into the envelope so
         // the server (and everything it records) inherits the request
         // attribution without any API change at the call sites.
-        let payload = Request {
+        let request = Request {
             id,
             trace: genie_telemetry::causal::current(),
             body,
         }
-        .encode()?;
-        self.bytes_sent += payload.len() as u64 + 4;
-        telemetry
-            .metrics
-            .counter(
-                "genie_transport_bytes_total",
-                &[("role", "client"), ("dir", "tx")],
-            )
-            .add(payload.len() as u64 + 4);
-        write_frame(&mut self.stream, &payload)?;
+        .to_frame()?;
+        let sent = write_frame(&mut self.stream, &request.parts())?;
+        self.bytes_sent += sent;
+        counters().tx.add(sent);
 
         let frame = recv_frame(&mut self.stream)?;
-        self.bytes_received += frame.len() as u64 + 4;
-        telemetry
-            .metrics
-            .counter(
-                "genie_transport_bytes_total",
-                &[("role", "client"), ("dir", "rx")],
-            )
-            .add(frame.len() as u64 + 4);
+        let received = frame.len() as u64 + 4;
+        self.bytes_received += received;
+        counters().rx.add(received);
         let response = Response::decode(frame)?;
         if response.id != id {
             return Err(TransportError::UnexpectedResponse {

@@ -6,9 +6,9 @@
 //! cannot OOM the process.
 //!
 //! A frame costs its reader one wake-up at most: [`write_frame`] sends
-//! prefix and payload in one write, and [`recv_frame`] polls a socket for
-//! [`POLL_BEFORE_PARK`] before it parks, so the time of a request–reply
-//! exchange does not depend on which CPUs the two ends run on.
+//! prefix and parts in one vectored write, and [`recv_frame`] polls a
+//! socket for [`POLL_BEFORE_PARK`] before it parks, so the time of a
+//! request–reply exchange does not depend on which CPUs the two ends run on.
 
 use crate::error::{Result, TransportError};
 use crate::wire::SharedBytes;
@@ -20,35 +20,38 @@ use std::time::{Duration, Instant};
 /// a corrupt length prefix does not).
 pub const MAX_FRAME: usize = 256 << 20;
 
-/// Write one frame.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
-    if payload.len() > MAX_FRAME {
+/// Write one frame whose payload is `parts` in order, each from where it
+/// lies (a caller with one buffer passes one part), and return the bytes
+/// written, prefix included.
+pub fn write_frame<W: Write>(w: &mut W, parts: &[&[u8]]) -> Result<u64> {
+    let len = parts.iter().map(|p| p.len()).sum();
+    if len > MAX_FRAME {
         return Err(TransportError::FrameTooLarge {
-            len: payload.len(),
+            len,
             max: MAX_FRAME,
         });
     }
-    // Prefix and payload leave in one write: on a TCP_NODELAY socket two
+    // Prefix and parts leave in one write: on a TCP_NODELAY socket two
     // writes are two segments, and the reader can be woken for the prefix,
-    // find no payload yet and park a second time.
-    let prefix = (payload.len() as u32).to_be_bytes();
-    let total = prefix.len() + payload.len();
-    let mut sent = 0;
-    while sent < total {
-        let wrote = if sent < prefix.len() {
-            w.write_vectored(&[IoSlice::new(&prefix[sent..]), IoSlice::new(payload)])
-        } else {
-            w.write(&payload[sent - prefix.len()..])
-        };
-        match wrote {
+    // find no payload yet and park a second time. Empty parts stay out: a
+    // write of nothing but them would return 0, a peer taking no bytes.
+    let prefix = (len as u32).to_be_bytes();
+    let mut slices: Vec<IoSlice> = std::iter::once(&prefix[..])
+        .chain(parts.iter().copied())
+        .filter(|p| !p.is_empty())
+        .map(IoSlice::new)
+        .collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
             Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
-            Ok(n) => sent += n,
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
     }
     w.flush()?;
-    Ok(())
+    Ok(len as u64 + 4)
 }
 
 /// How long a socket reader polls for the next frame before it parks in
@@ -81,7 +84,8 @@ pub fn recv_frame(stream: &mut TcpStream) -> Result<SharedBytes> {
     read_frame(stream)
 }
 
-/// Read one frame.
+/// Read one frame into memory that is not zeroed first; a stream that ends
+/// inside it is [`TransportError::ConnectionClosed`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<SharedBytes> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
@@ -92,22 +96,25 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<SharedBytes> {
             max: MAX_FRAME,
         });
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len);
+    if r.take(len as u64).read_to_end(&mut payload)? < len {
+        return Err(TransportError::ConnectionClosed);
+    }
     Ok(payload.into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::{Response, ResponseBody, TensorPayload};
     use std::io::Cursor;
 
     #[test]
     fn roundtrip_frames() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        write_frame(&mut buf, &[0xAB; 1000]).unwrap();
+        write_frame(&mut buf, &[b"hello"]).unwrap();
+        write_frame(&mut buf, &[]).unwrap();
+        write_frame(&mut buf, &[&[0xAB; 600], b"", &[0xAB; 400]]).unwrap();
         let mut cur = Cursor::new(buf);
         assert_eq!(&read_frame(&mut cur).unwrap()[..], b"hello");
         assert_eq!(read_frame(&mut cur).unwrap().len(), 0);
@@ -139,18 +146,26 @@ mod tests {
 
     #[test]
     fn short_and_interrupted_writes_still_send_the_whole_frame() {
+        // Codec bytes, two payloads and an empty one, written by handle.
+        let reply = Response {
+            id: 5,
+            body: ResponseBody::Tensors(vec![
+                TensorPayload::from_f32(vec![3], &[1.0, -2.0, 0.5]),
+                TensorPayload::from_f32(vec![0], &[]),
+                TensorPayload::from_i64(vec![2], &[-1, i64::MAX]),
+            ]),
+        };
+        let frame = reply.to_frame().unwrap();
         let mut slow = Trickle {
             out: Vec::new(),
             calls: 0,
         };
-        write_frame(&mut slow, b"hello, frame").unwrap();
+        write_frame(&mut slow, &frame.parts()).unwrap();
         let mut whole = Vec::new();
-        write_frame(&mut whole, b"hello, frame").unwrap();
+        write_frame(&mut whole, &[&reply.encode().unwrap()]).unwrap();
         assert_eq!(slow.out, whole);
-        assert_eq!(
-            &read_frame(&mut Cursor::new(slow.out)).unwrap()[..],
-            b"hello, frame"
-        );
+        let back = read_frame(&mut Cursor::new(slow.out)).unwrap();
+        assert_eq!(Response::decode(back).unwrap(), reply);
     }
 
     #[test]
@@ -171,12 +186,12 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(20));
 
         // A frame already there, then one that arrives after the budget.
-        write_frame(&mut tx, b"ready").unwrap();
+        write_frame(&mut tx, &[b"ready"]).unwrap();
         assert_eq!(&recv_frame(&mut rx).unwrap()[..], b"ready");
         rx.set_read_timeout(None).unwrap();
         let late = std::thread::spawn(move || {
             std::thread::sleep(10 * POLL_BEFORE_PARK);
-            write_frame(&mut tx, b"late").unwrap();
+            write_frame(&mut tx, &[b"late"]).unwrap();
         });
         assert_eq!(&recv_frame(&mut rx).unwrap()[..], b"late");
         late.join().unwrap();
@@ -190,12 +205,27 @@ mod tests {
     #[test]
     fn truncated_stream_reports_closed() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
+        write_frame(&mut buf, &[b"hello"]).unwrap();
         buf.truncate(buf.len() - 2);
         let mut cur = Cursor::new(buf);
         assert!(matches!(
             read_frame(&mut cur),
-            Err(TransportError::ConnectionClosed) | Err(TransportError::Io(_))
+            Err(TransportError::ConnectionClosed)
+        ));
+    }
+
+    #[test]
+    fn a_peer_that_hangs_up_inside_a_frame_is_closed() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut rx, _) = listener.accept().unwrap();
+        // A prefix promising 1 MiB, ten bytes of it, and the writer is gone.
+        tx.write_all(&(1u32 << 20).to_be_bytes()).unwrap();
+        tx.write_all(&[7; 10]).unwrap();
+        drop(tx);
+        assert!(matches!(
+            read_frame(&mut rx),
+            Err(TransportError::ConnectionClosed)
         ));
     }
 

@@ -4,13 +4,15 @@
 //! alone that actually moves Genie's protocol over sockets.
 //!
 //! - [`frame`] — length-prefixed framing with pre-allocation bounds, one
-//!   write per frame and a bounded poll before a socket reader parks;
-//! - [`wire`] / [`message`] — a hand-rolled binary codec over `Vec<u8>`
-//!   (write) and [`wire::SharedBytes`] (read): tensor payloads are ranges of the
-//!   receive buffer, never copies; every length or count a peer sends is
-//!   checked against the bytes that are left, in one function, before
-//!   anything is allocated for it; graphs travel as the SRG's portable
-//!   JSON;
+//!   vectored write per frame, reads into unzeroed memory and a bounded
+//!   poll before a socket reader parks;
+//! - [`wire`] / [`message`] — a hand-rolled binary codec over
+//!   [`wire::Frame`] (write) and [`wire::SharedBytes`] (read): a tensor
+//!   payload is spliced into the frame it is written from by handle and
+//!   decoded as a range of the receive buffer, never copied either way;
+//!   every length or count a peer sends is checked against the bytes that
+//!   are left, in one function, before anything is allocated for it;
+//!   graphs travel as the SRG's portable JSON;
 //! - [`client`] / [`server`] — blocking RPC with correlation ids, per-
 //!   connection handler state, traffic counters (the paper's "network
 //!   volume via RPC counters"), and graceful shutdown;

@@ -5,13 +5,14 @@
 //! body's fields in declaration order, every sequence a `u32` count and
 //! its items ([`wire::put_seq`] / [`wire::get_seq`]). Graphs travel as
 //! JSON (the SRG's portable interchange encoding); a tensor is a `u8`
-//! kind, its dims and its raw little-endian element bytes, which decoding
-//! hands out as a range of the received frame, not a copy.
+//! kind, its dims and its raw little-endian element bytes. Encoding
+//! splices those bytes into the [`Frame`] by handle and decoding hands
+//! them out as a range of the received frame: neither copies them.
 //! `tests/golden/frames.txt` pins one encoded frame per body variant.
 
 use crate::error::{Result, TransportError};
 use crate::wire;
-use crate::wire::SharedBytes;
+use crate::wire::{Frame, SharedBytes};
 use genie_telemetry::causal::TraceCtx;
 
 /// Element kind of a tensor payload.
@@ -61,7 +62,7 @@ impl TensorPayload {
     /// Kind, rank and data length with nothing behind them.
     const MIN_WIRE_BYTES: usize = 1 + 1 + 4;
 
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<()> {
+    fn encode(&self, buf: &mut Frame) -> Result<()> {
         wire::put_u8(
             buf,
             match self.kind {
@@ -179,11 +180,11 @@ pub struct Response {
 }
 
 impl Request {
-    /// Encode to a frame payload. Fails with
-    /// [`TransportError::Oversize`] on values the wire format cannot
-    /// carry (rather than silently truncating them).
-    pub fn encode(&self) -> Result<SharedBytes> {
-        let mut buf = Vec::new();
+    /// Encode to the frame it is written as, each tensor's bytes spliced in
+    /// by handle. Fails with [`TransportError::Oversize`] on values the
+    /// wire format cannot carry (rather than silently truncating them).
+    pub fn to_frame(&self) -> Result<Frame> {
+        let mut buf = Frame::default();
         wire::put_u64(&mut buf, self.id);
         // Trace context rides between the id and the body tag: one
         // presence byte, then (request, parent_span) when present.
@@ -241,7 +242,12 @@ impl Request {
             }
             RequestBody::Crash => wire::put_u8(&mut buf, 5),
         }
-        Ok(buf.into())
+        Ok(buf)
+    }
+
+    /// [`to_frame`](Self::to_frame), joined into one buffer.
+    pub fn encode(&self) -> Result<SharedBytes> {
+        Ok(self.to_frame()?.join())
     }
 
     /// Decode from a frame payload.
@@ -299,11 +305,11 @@ impl Request {
 }
 
 impl Response {
-    /// Encode to a frame payload. Fails with
-    /// [`TransportError::Oversize`] on values the wire format cannot
-    /// carry (rather than silently truncating them).
-    pub fn encode(&self) -> Result<SharedBytes> {
-        let mut buf = Vec::new();
+    /// Encode to the frame it is written as, each tensor's bytes spliced in
+    /// by handle. Fails with [`TransportError::Oversize`] on values the
+    /// wire format cannot carry (rather than silently truncating them).
+    pub fn to_frame(&self) -> Result<Frame> {
+        let mut buf = Frame::default();
         wire::put_u64(&mut buf, self.id);
         match &self.body {
             ResponseBody::Pong => wire::put_u8(&mut buf, 0),
@@ -331,7 +337,12 @@ impl Response {
                 })?;
             }
         }
-        Ok(buf.into())
+        Ok(buf)
+    }
+
+    /// [`to_frame`](Self::to_frame), joined into one buffer.
+    pub fn encode(&self) -> Result<SharedBytes> {
+        Ok(self.to_frame()?.join())
     }
 
     /// Decode from a frame payload.
@@ -437,6 +448,51 @@ mod tests {
         }
     }
 
+    /// A frame writes each tensor from the payload's own bytes, in field
+    /// order, and joined it is the contiguous encoding.
+    #[test]
+    fn frames_splice_each_payload_by_handle() {
+        let a = TensorPayload::from_f32(vec![2], &[1.0, 2.0]);
+        let b = TensorPayload::from_i64(vec![1], &[7]);
+        let upload = Request {
+            id: 1,
+            trace: None,
+            body: RequestBody::Upload {
+                key: 3,
+                tensor: a.clone(),
+            },
+        };
+        let tensors = Response {
+            id: 2,
+            body: ResponseBody::Tensors(vec![a.clone(), b.clone()]),
+        };
+        let result = Response {
+            id: 3,
+            body: ResponseBody::ExecuteResult {
+                tensors: vec![b.clone(), a.clone()],
+                handles: vec![(4, 5)],
+            },
+        };
+        for (frame, joined, payloads) in [
+            (upload.to_frame(), upload.encode(), vec![&a]),
+            (tensors.to_frame(), tensors.encode(), vec![&a, &b]),
+            (result.to_frame(), result.encode(), vec![&b, &a]),
+        ] {
+            let (frame, joined) = (frame.unwrap(), joined.unwrap());
+            let parts = frame.parts();
+            let spliced: Vec<_> = parts
+                .iter()
+                .skip(1)
+                .step_by(2)
+                .map(|p| p.as_ptr())
+                .collect();
+            let own: Vec<_> = payloads.iter().map(|p| p.data.as_ptr()).collect();
+            assert_eq!(spliced, own);
+            assert_eq!(frame.join(), joined);
+            assert_eq!(parts.concat(), &joined[..]);
+        }
+    }
+
     #[test]
     fn oversize_tensor_rank_propagates_from_encode() {
         let req = Request {
@@ -467,10 +523,10 @@ mod tests {
     #[test]
     fn garbage_rejected() {
         assert!(Request::decode(vec![1, 2, 3].into()).is_err());
-        let mut buf = Vec::new();
+        let mut buf = Frame::default();
         wire::put_u64(&mut buf, 1);
         wire::put_u8(&mut buf, 250); // bad tag
-        assert!(Request::decode(buf.into()).is_err());
+        assert!(Request::decode(buf.join()).is_err());
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //!
 //! Two hardening features ride on the loop:
 //!
-//! - **Request deduplication** — responses are cached by request id in a
-//!   bounded FIFO shared across connections. A retried request (same id,
-//!   possibly a fresh connection) is answered from the cache without
+//! - **Request deduplication** — response frames are cached by request id
+//!   in a bounded FIFO shared across connections. A retried request (same
+//!   id, possibly a fresh connection) is answered from the cache without
 //!   re-invoking the handler, making client retries idempotent even for
-//!   state-mutating requests.
+//!   state-mutating requests. A cached frame shares its tensor bytes with
+//!   the reply the socket wrote, so caching copies none of them.
 //! - **Chaos injection** — [`Server::spawn_chaotic`] wraps the reply path
 //!   in a seeded [`ChaosState`](crate::chaos::ChaosState) that can stall
 //!   or drop responses *after* the handler ran, exercising exactly the
@@ -22,7 +23,7 @@ use crate::chaos::{ChaosAction, ChaosPolicy, ChaosState};
 use crate::error::Result;
 use crate::frame::{recv_frame, write_frame};
 use crate::message::{Request, RequestBody, Response, ResponseBody};
-use crate::wire::SharedBytes;
+use crate::wire::Frame;
 use genie_telemetry::lock;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -46,25 +47,25 @@ where
     }
 }
 
-/// How many encoded responses the dedup cache retains. Retries arrive
+/// How many response frames the dedup cache retains. Retries arrive
 /// within a handful of calls of the original, so a small FIFO suffices.
 const DEDUP_CAPACITY: usize = 1024;
 
-/// Bounded FIFO of encoded responses keyed by request id, shared across
+/// Bounded FIFO of response frames keyed by request id, shared across
 /// connections so a retry over a fresh socket still hits the cache.
 #[derive(Debug, Default)]
 struct DedupCache {
-    by_id: HashMap<u64, SharedBytes>,
+    by_id: HashMap<u64, Frame>,
     order: VecDeque<u64>,
 }
 
 impl DedupCache {
-    fn get(&self, id: u64) -> Option<SharedBytes> {
+    fn get(&self, id: u64) -> Option<Frame> {
         self.by_id.get(&id).cloned()
     }
 
-    fn insert(&mut self, id: u64, payload: SharedBytes) {
-        if self.by_id.insert(id, payload).is_none() {
+    fn insert(&mut self, id: u64, frame: Frame) {
+        if self.by_id.insert(id, frame).is_none() {
             self.order.push_back(id);
             while self.order.len() > DEDUP_CAPACITY {
                 if let Some(old) = self.order.pop_front() {
@@ -218,6 +219,12 @@ fn serve_connection(
     chaos: Option<&ChaosState>,
 ) -> Result<()> {
     let telemetry = genie_telemetry::global();
+    // Handles held for the connection: a lookup per frame builds a key and
+    // takes the registry lock.
+    let (metrics, role) = (&telemetry.metrics, ("role", "server"));
+    let bytes = |dir| metrics.counter("genie_transport_bytes_total", &[role, ("dir", dir)]);
+    let (rx, tx) = (bytes("rx"), bytes("tx"));
+    let calls = metrics.counter("genie_transport_calls_total", &[role]);
     stream.set_nodelay(true)?;
     loop {
         let frame = match recv_frame(stream) {
@@ -225,13 +232,7 @@ fn serve_connection(
             Err(crate::error::TransportError::ConnectionClosed) => return Ok(()),
             Err(e) => return Err(e),
         };
-        telemetry
-            .metrics
-            .counter(
-                "genie_transport_bytes_total",
-                &[("role", "server"), ("dir", "rx")],
-            )
-            .add(frame.len() as u64 + 4);
+        rx.add(frame.len() as u64 + 4);
         let request = Request::decode(frame)?;
         // A duplicate delivery of an already-answered request (client
         // retry after a lost response) is answered from the cache; the
@@ -240,7 +241,7 @@ fn serve_connection(
         // insert (a match scrutinee's temporaries live for the whole
         // match, which would self-deadlock).
         let cached = lock(dedup).get(request.id);
-        let payload = match cached {
+        let reply = match cached {
             Some(cached) => {
                 telemetry
                     .metrics
@@ -269,10 +270,11 @@ fn serve_connection(
                     id: request.id,
                     body,
                 };
-                // The cache and the socket write share the one encoded copy.
-                let payload = response.encode()?;
-                lock(dedup).insert(request.id, payload.clone());
-                payload
+                // The cache and the socket write share the one frame, and
+                // it shares the handler's tensor bytes.
+                let reply = response.to_frame()?;
+                lock(dedup).insert(request.id, reply.clone());
+                reply
             }
         };
         // Chaos strikes after the handler ran and the response was
@@ -296,18 +298,8 @@ fn serve_connection(
                 }
             }
         }
-        telemetry
-            .metrics
-            .counter(
-                "genie_transport_bytes_total",
-                &[("role", "server"), ("dir", "tx")],
-            )
-            .add(payload.len() as u64 + 4);
-        telemetry
-            .metrics
-            .counter("genie_transport_calls_total", &[("role", "server")])
-            .inc();
-        write_frame(stream, &payload)?;
+        tx.add(write_frame(stream, &reply.parts())?);
+        calls.inc();
     }
 }
 
@@ -398,7 +390,7 @@ mod tests {
     fn dedup_cache_is_bounded() {
         let mut cache = DedupCache::default();
         for id in 0..(DEDUP_CAPACITY as u64 + 10) {
-            cache.insert(id, vec![0u8].into());
+            cache.insert(id, Frame::default());
         }
         assert_eq!(cache.by_id.len(), DEDUP_CAPACITY);
         assert!(cache.get(0).is_none(), "oldest entries evicted");

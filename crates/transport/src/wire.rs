@@ -1,11 +1,12 @@
-//! Binary codec primitives and the byte handle they read from.
+//! Binary codec primitives, the frame they write and the bytes they read.
 //!
 //! Integers are big-endian; byte strings, strings and sequences carry a
 //! `u32` length or count in front, tensor dims a `u8` rank. Writing appends
-//! to a plain `Vec<u8>`. Reading consumes a [`SharedBytes`], so a byte
-//! string comes back as a range of the frame it arrived in: tensor bytes
-//! are never re-encoded or copied on their way in (the software half of
-//! §3.4's zero-copy story). Every length or count is the peer's word, and
+//! to a [`Frame`], which splices a byte string in by handle: tensor bytes go
+//! to the socket from where they lie. Reading consumes a [`SharedBytes`],
+//! so a byte string comes back as a range of the frame it arrived in:
+//! tensor bytes are copied neither way (the software half of §3.4's
+//! zero-copy story). Every length or count is the peer's word, and
 //! [`ensure`] checks it against the bytes left before anything is sized by
 //! it.
 
@@ -16,7 +17,7 @@ use std::sync::Arc;
 
 /// A cheaply cloneable range of an immutable buffer that any number of
 /// handles share: a received frame, the tensor payloads decoded out of it,
-/// a response the server's dedup cache keeps while the socket writes it.
+/// a payload spliced into the [`Frame`] the server's dedup cache keeps.
 /// Equality and `Debug` are those of the bytes in range.
 #[derive(Clone)]
 pub struct SharedBytes {
@@ -72,19 +73,49 @@ impl fmt::Debug for SharedBytes {
     }
 }
 
+/// A message as it is written: the codec's own bytes, with each byte
+/// string spliced in by handle at the offset it travels at. Cloning shares
+/// the byte strings.
+#[derive(Clone, Debug, Default)]
+pub struct Frame {
+    head: Vec<u8>,
+    /// `(offset in head, bytes)`, offsets in write order.
+    splices: Vec<(usize, SharedBytes)>,
+}
+
+impl Frame {
+    /// The bytes in wire order, alternating codec bytes (possibly empty)
+    /// and a spliced byte string, codec bytes first and last.
+    pub fn parts(&self) -> Vec<&[u8]> {
+        let mut parts = Vec::with_capacity(2 * self.splices.len() + 1);
+        let mut at = 0;
+        for (offset, bytes) in &self.splices {
+            parts.extend([&self.head[at..*offset], &bytes[..]]);
+            at = *offset;
+        }
+        parts.push(&self.head[at..]);
+        parts
+    }
+
+    /// The bytes joined into one buffer, as a decoder reads them.
+    pub fn join(&self) -> SharedBytes {
+        self.parts().concat().into()
+    }
+}
+
 /// Append a u8.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
+pub fn put_u8(buf: &mut Frame, v: u8) {
+    buf.head.push(v);
 }
 
 /// Append a u32 (big-endian).
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_be_bytes());
+pub fn put_u32(buf: &mut Frame, v: u32) {
+    buf.head.extend_from_slice(&v.to_be_bytes());
 }
 
 /// Append a u64 (big-endian).
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_be_bytes());
+pub fn put_u64(buf: &mut Frame, v: u64) {
+    buf.head.extend_from_slice(&v.to_be_bytes());
 }
 
 /// `value` as the narrower integer the wire carries it in, or
@@ -98,23 +129,26 @@ fn narrow<T: TryFrom<usize>>(what: &'static str, value: usize, max: u64) -> Resu
     })
 }
 
-/// Append a length-prefixed byte string.
-pub fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) -> Result<()> {
+/// Append a length-prefixed byte string by handle: the frame shares `v`
+/// and is written from it, so none of its bytes is copied here.
+pub fn put_bytes(buf: &mut Frame, v: &SharedBytes) -> Result<()> {
     put_u32(buf, narrow("payload length", v.len(), u32::MAX as u64)?);
-    buf.extend_from_slice(v);
+    buf.splices.push((buf.head.len(), v.clone()));
     Ok(())
 }
 
 /// Append a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, v: &str) -> Result<()> {
-    put_bytes(buf, v.as_bytes())
+pub fn put_str(buf: &mut Frame, v: &str) -> Result<()> {
+    put_u32(buf, narrow("payload length", v.len(), u32::MAX as u64)?);
+    buf.head.extend_from_slice(v.as_bytes());
+    Ok(())
 }
 
 /// Append a count-prefixed sequence, each item written by `put`.
 pub fn put_seq<T>(
-    buf: &mut Vec<u8>,
+    buf: &mut Frame,
     items: &[T],
-    mut put: impl FnMut(&mut Vec<u8>, &T) -> Result<()>,
+    mut put: impl FnMut(&mut Frame, &T) -> Result<()>,
 ) -> Result<()> {
     put_u32(
         buf,
@@ -124,7 +158,7 @@ pub fn put_seq<T>(
 }
 
 /// Append a list of u32 dims (rank ≤ 255, each dim ≤ `u32::MAX`).
-pub fn put_dims(buf: &mut Vec<u8>, dims: &[usize]) -> Result<()> {
+pub fn put_dims(buf: &mut Frame, dims: &[usize]) -> Result<()> {
     put_u8(buf, narrow("tensor rank", dims.len(), u8::MAX as u64)?);
     for &dim in dims {
         put_u32(buf, narrow("tensor dimension", dim, u32::MAX as u64)?);
@@ -216,40 +250,45 @@ pub fn get_dims(buf: &mut SharedBytes) -> Result<Vec<usize>> {
     get_items(buf, rank, 4, |buf| Ok(get_u32(buf)? as usize))
 }
 
-/// Encode an f32 slice as little-endian bytes.
-pub fn f32s_to_bytes(data: &[f32]) -> SharedBytes {
-    let mut out = Vec::with_capacity(data.len() * 4);
-    for &v in data {
-        out.extend_from_slice(&v.to_le_bytes());
+/// `data` as little-endian bytes, `N` to an element, sized once and stored
+/// chunk by chunk: a loop that compiles to wide copies, which appending
+/// each element's bytes to a growing vector does not.
+fn to_le<T: Copy, const N: usize>(data: &[T], le: impl Fn(T) -> [u8; N]) -> SharedBytes {
+    let mut out = vec![0u8; data.len() * N];
+    for (chunk, &v) in out.as_chunks_mut().0.iter_mut().zip(data) {
+        *chunk = le(v);
     }
     out.into()
 }
 
-/// Decode little-endian f32 bytes.
-pub fn bytes_to_f32s(raw: &[u8]) -> Result<Vec<f32>> {
-    let (elems, rest) = raw.as_chunks::<4>();
-    if !rest.is_empty() {
-        return Err(TransportError::Codec("f32 payload not 4-aligned".into()));
+/// Fill `out` from little-endian `raw` in the same one wide pass. Panics
+/// unless `raw` is exactly `out`'s elements: a caller checks a peer's
+/// payload before it sizes `out`.
+fn from_le<T, const N: usize>(raw: &[u8], out: &mut [T], le: impl Fn([u8; N]) -> T) {
+    assert_eq!(raw.len(), out.len() * N, "payload bytes for {N}-byte items");
+    for (o, &e) in out.iter_mut().zip(raw.as_chunks().0) {
+        *o = le(e);
     }
-    Ok(elems.iter().map(|&e| f32::from_le_bytes(e)).collect())
+}
+
+/// Encode an f32 slice as little-endian bytes.
+pub fn f32s_to_bytes(data: &[f32]) -> SharedBytes {
+    to_le(data, f32::to_le_bytes)
+}
+
+/// Decode little-endian f32 bytes into `out`, which they must fill.
+pub fn f32s_from_bytes(raw: &[u8], out: &mut [f32]) {
+    from_le(raw, out, f32::from_le_bytes)
 }
 
 /// Encode an i64 slice as little-endian bytes.
 pub fn i64s_to_bytes(data: &[i64]) -> SharedBytes {
-    let mut out = Vec::with_capacity(data.len() * 8);
-    for &v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.into()
+    to_le(data, i64::to_le_bytes)
 }
 
-/// Decode little-endian i64 bytes.
-pub fn bytes_to_i64s(raw: &[u8]) -> Result<Vec<i64>> {
-    let (elems, rest) = raw.as_chunks::<8>();
-    if !rest.is_empty() {
-        return Err(TransportError::Codec("i64 payload not 8-aligned".into()));
-    }
-    Ok(elems.iter().map(|&e| i64::from_le_bytes(e)).collect())
+/// Decode little-endian i64 bytes into `out`, which they must fill.
+pub fn i64s_from_bytes(raw: &[u8], out: &mut [i64]) {
+    from_le(raw, out, i64::from_le_bytes)
 }
 
 #[cfg(test)]
@@ -258,13 +297,13 @@ mod tests {
 
     #[test]
     fn scalar_roundtrips() {
-        let mut buf = Vec::new();
+        let mut buf = Frame::default();
         put_u8(&mut buf, 7);
         put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, u64::MAX);
         put_str(&mut buf, "genie").unwrap();
         put_dims(&mut buf, &[2, 3, 4]).unwrap();
-        let mut raw = SharedBytes::from(buf);
+        let mut raw = buf.join();
         assert_eq!(get_u8(&mut raw).unwrap(), 7);
         assert_eq!(get_u32(&mut raw).unwrap(), 0xDEAD_BEEF);
         assert_eq!(get_u64(&mut raw).unwrap(), u64::MAX);
@@ -281,7 +320,7 @@ mod tests {
 
     #[test]
     fn oversize_rank_refused_not_truncated() {
-        let mut buf = Vec::new();
+        let mut buf = Frame::default();
         let dims = vec![1usize; 300];
         let err = put_dims(&mut buf, &dims).unwrap_err();
         assert!(
@@ -296,7 +335,7 @@ mod tests {
             "{err}"
         );
         // Nothing half-written before the failing prefix.
-        assert!(buf.is_empty());
+        assert!(buf.join().is_empty());
     }
 
     #[test]
@@ -304,7 +343,7 @@ mod tests {
         if usize::BITS < 64 {
             return; // dims above u32::MAX are unrepresentable on 32-bit
         }
-        let mut buf = Vec::new();
+        let mut buf = Frame::default();
         let too_big = u32::MAX as usize + 1;
         let err = put_dims(&mut buf, &[2, too_big]).unwrap_err();
         assert!(
@@ -321,12 +360,20 @@ mod tests {
 
     #[test]
     fn bytes_are_zero_copy_slices() {
-        let mut buf = Vec::new();
-        put_bytes(&mut buf, &[1, 2, 3]).unwrap();
-        let frame = SharedBytes::from(buf);
+        // Written by handle: the frame's part is the payload's own bytes.
+        let sent = SharedBytes::from(vec![1, 2, 3]);
+        let mut buf = Frame::default();
+        put_u8(&mut buf, 9);
+        put_bytes(&mut buf, &sent).unwrap();
+        let parts = buf.parts();
+        assert_eq!(parts.len(), 3);
+        assert_eq!(parts[1].as_ptr(), sent.as_ptr());
+        assert_eq!(parts.concat(), [9, 0, 0, 0, 3, 1, 2, 3]);
+        // Read as a range of the frame's own allocation, past the prefix.
+        let mut frame = buf.join();
+        assert_eq!(get_u8(&mut frame).unwrap(), 9);
         let payload = get_bytes(&mut frame.clone()).unwrap();
         assert_eq!(&payload[..], &[1, 2, 3]);
-        // A range of the frame's own allocation, past the 4-byte prefix.
         assert_eq!(payload.as_ptr(), frame[4..].as_ptr());
     }
 
@@ -334,20 +381,24 @@ mod tests {
     fn f32_payload_roundtrip() {
         let data = vec![1.5f32, -2.25, 0.0, f32::MAX];
         let raw = f32s_to_bytes(&data);
-        assert_eq!(bytes_to_f32s(&raw).unwrap(), data);
+        let mut back = vec![0.0; data.len()];
+        f32s_from_bytes(&raw, &mut back);
+        assert_eq!(back, data);
     }
 
     #[test]
     fn i64_payload_roundtrip() {
         let data = vec![i64::MIN, -1, 0, 42, i64::MAX];
         let raw = i64s_to_bytes(&data);
-        assert_eq!(bytes_to_i64s(&raw).unwrap(), data);
+        let mut back = vec![0; data.len()];
+        i64s_from_bytes(&raw, &mut back);
+        assert_eq!(back, data);
     }
 
     #[test]
-    fn misaligned_payloads_rejected() {
-        assert!(bytes_to_f32s(&[0u8; 3]).is_err());
-        assert!(bytes_to_i64s(&[0u8; 7]).is_err());
+    #[should_panic(expected = "payload bytes for 8-byte items")]
+    fn readers_take_no_count_but_the_one_they_are_given() {
+        i64s_from_bytes(&[0u8; 7], &mut [0]);
     }
 
     #[test]

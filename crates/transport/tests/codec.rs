@@ -85,11 +85,13 @@ fn response_bodies() -> Vec<(&'static str, ResponseBody, Vec<Prefix>)> {
     ]
 }
 
-/// A valid encoding, the decoder it is for, and its prefixes by offset
-/// from the start of the message.
+/// A valid encoding, the frame written from its gathered parts, the
+/// decoder it is for, and its prefixes by offset from the start of the
+/// message.
 struct Case {
     name: String,
     bytes: Vec<u8>,
+    written: Vec<u8>,
     decode: fn(Vec<u8>) -> Result<(), TransportError>,
     prefixes: Vec<Prefix>,
 }
@@ -100,6 +102,13 @@ fn decode_request(bytes: Vec<u8>) -> Result<(), TransportError> {
 
 fn decode_response(bytes: Vec<u8>) -> Result<(), TransportError> {
     Response::decode(bytes.into()).map(drop)
+}
+
+/// What `write_frame` sends for `parts`.
+fn written(parts: &[&[u8]]) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_frame(&mut out, parts).unwrap();
+    out
 }
 
 /// Every variant encoded, checked on the way to decode back to itself.
@@ -123,6 +132,7 @@ fn cases() -> Vec<Case> {
             cases.push(Case {
                 name: format!("request.{name}{traced}"),
                 bytes,
+                written: written(&request.to_frame().unwrap().parts()),
                 decode: decode_request,
                 prefixes: prefixes
                     .into_iter()
@@ -138,6 +148,7 @@ fn cases() -> Vec<Case> {
         cases.push(Case {
             name: format!("response.{name}"),
             bytes,
+            written: written(&response.to_frame().unwrap().parts()),
             decode: decode_response,
             // id 8, tag.
             prefixes: prefixes
@@ -217,12 +228,13 @@ fn long_sequences_of_the_shortest_items_round_trip() {
 fn every_variant_round_trips_and_matches_its_golden_frame() {
     let mut rendered = String::new();
     for case in cases() {
-        let mut frame = Vec::new();
-        write_frame(&mut frame, &case.bytes).unwrap();
+        let frame = written(&[&case.bytes]);
         assert_eq!(
             &read_frame(&mut frame.as_slice()).unwrap()[..],
             &case.bytes[..]
         );
+        // Written from its parts, payloads by handle, the frame is the same.
+        assert_eq!(case.written, frame, "{}", case.name);
         let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
         rendered.push_str(&format!("{} {hex}\n", case.name));
     }
@@ -344,7 +356,7 @@ fn a_hostile_frame_costs_its_sender_the_connection_and_nobody_else() {
     };
     let before = server_errors();
     let mut hostile = TcpStream::connect(server.addr()).unwrap();
-    write_frame(&mut hostile, &abort_frame()).unwrap();
+    write_frame(&mut hostile, &[&abort_frame()]).unwrap();
     // The server hangs up on the sender…
     assert!(matches!(
         read_frame(&mut hostile),
