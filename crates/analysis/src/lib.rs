@@ -30,7 +30,7 @@
 //!
 //! Severities and whole families are per-graph configurable via
 //! [`LintConfig`]; reports render both human-readable and as JSON
-//! (`cargo run -p genie-bench --bin lint_report` emits one per
+//! (`cargo run --release -p genie-bench -- lint_report` emits one per
 //! model-zoo workload). Pass runners emit per-pass timing spans and a
 //! `genie_lint_findings_total{code}` counter through `genie-telemetry`.
 //!

@@ -1,12 +1,40 @@
-//! Table formatting and artifact recording for the regeneration binaries.
+//! What a report run returns, table formatting, and artifact recording.
 
 use genie_srg::json::Value;
 use std::path::PathBuf;
 
+/// What one report run prints and the files it writes.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// Exactly what the run prints.
+    pub text: String,
+    /// `(stem, value)` for each file the run writes as
+    /// `target/experiments/{stem}.json`.
+    pub artifacts: Vec<(String, Value)>,
+}
+
+impl Report {
+    /// Append to the text: `write!(report, ..)` / `writeln!(report, ..)`
+    /// print into a report the way `print!` / `println!` print to stdout.
+    pub fn write_fmt(&mut self, args: std::fmt::Arguments) {
+        std::fmt::Write::write_fmt(&mut self.text, args).expect("a String takes every write");
+    }
+
+    /// Append `line` and a newline to the text.
+    pub fn line(&mut self, line: &str) {
+        self.text.push_str(line);
+        self.text.push('\n');
+    }
+
+    /// Record `value` as the artifact `target/experiments/{stem}.json`.
+    pub fn artifact(&mut self, stem: &str, value: Value) {
+        self.artifacts.push((stem.to_string(), value));
+    }
+}
+
 /// Write a machine-readable experiment record to
-/// `target/experiments/{name}.json` (pretty-printed) and return its path.
-/// Regeneration binaries call this so every table lands as a diffable
-/// artifact.
+/// `target/experiments/{name}.json` (pretty-printed) and return its path,
+/// so every table lands as a diffable artifact.
 pub fn write_artifact(name: &str, value: &Value) -> std::io::Result<PathBuf> {
     let dir = PathBuf::from("target/experiments");
     std::fs::create_dir_all(&dir)?;

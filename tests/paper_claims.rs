@@ -21,6 +21,33 @@ fn claim_traffic_reduction_orders_of_magnitude() {
         .unwrap();
     assert!(naive.decode.net_mb / sa.decode.net_mb > 8_400.0);
     assert!(naive.prefill.net_mb / sa.prefill.net_mb > 26_000.0);
+    // Absolute magnitudes: naive prefill ~145 GB, ΔKV decode ~56 MB, SA
+    // decode ~10 MB.
+    let dkv = rows.iter().find(|r| r.mode == Mode::DeltaKv).unwrap();
+    assert!((100_000.0..200_000.0).contains(&naive.prefill.net_mb));
+    assert!((40.0..70.0).contains(&dkv.decode.net_mb));
+    assert!((5.0..15.0).contains(&sa.decode.net_mb));
+}
+
+#[test]
+fn claim_latency_cells_land_near_the_paper() {
+    // Every Table 2 latency cell but naive decode (see EXPERIMENTS.md's
+    // known discrepancies) within its tolerance of the paper's value.
+    let rows = rows();
+    let row = |m: Mode| rows.iter().find(|r| r.mode == m).unwrap();
+    let close = |ours: f64, paper: f64, tol: f64| {
+        assert!(
+            (ours - paper).abs() / paper < tol,
+            "ours {ours} vs paper {paper}"
+        );
+    };
+    close(row(Mode::Local).prefill.latency_s, 0.21, 0.01);
+    close(row(Mode::Local).decode.latency_s, 1.53, 0.01);
+    close(row(Mode::NaiveBlind).prefill.latency_s, 216.0, 0.10);
+    close(row(Mode::DeltaKv).prefill.latency_s, 110.0, 0.10);
+    close(row(Mode::SemanticsAware).prefill.latency_s, 111.0, 0.05);
+    close(row(Mode::DeltaKv).decode.latency_s, 131.0, 0.10);
+    close(row(Mode::SemanticsAware).decode.latency_s, 116.0, 0.06);
 }
 
 #[test]
@@ -33,6 +60,7 @@ fn claim_gpu_idles_without_semantics() {
     }
     // "improves utilization by 6× over the Naïve mode" — demand ≥3×.
     let naive = rows.iter().find(|r| r.mode == Mode::NaiveBlind).unwrap();
+    assert!(naive.decode.gpu_util_pct < 1.0);
     let sa = rows
         .iter()
         .find(|r| r.mode == Mode::SemanticsAware)
@@ -40,15 +68,38 @@ fn claim_gpu_idles_without_semantics() {
     assert!(sa.decode.gpu_util_pct > 3.0 * naive.decode.gpu_util_pct);
     // "the GPU still remains heavily underutilized"
     assert!(sa.decode.gpu_util_pct < 10.0);
+    // The local upper bound keeps its GPU busy.
+    let local = rows.iter().find(|r| r.mode == Mode::Local).unwrap();
+    assert!((99.0..=100.0).contains(&local.decode.gpu_util_pct));
 }
 
 #[test]
 fn claim_latency_ordering_is_preserved() {
     let rows = rows();
-    let lat = |m: Mode| rows.iter().find(|r| r.mode == m).unwrap().decode.latency_s;
+    let row = |m: Mode| rows.iter().find(|r| r.mode == m).unwrap();
+    let lat = |m: Mode| row(m).decode.latency_s;
     assert!(lat(Mode::Local) < lat(Mode::SemanticsAware));
     assert!(lat(Mode::SemanticsAware) < lat(Mode::DeltaKv));
-    assert!(lat(Mode::DeltaKv) < lat(Mode::NaiveBlind));
+    assert!(lat(Mode::DeltaKv) < lat(Mode::NaiveBlind) / 2.0);
+    assert!(
+        row(Mode::SemanticsAware).prefill.latency_s < row(Mode::NaiveBlind).prefill.latency_s / 1.5
+    );
+}
+
+#[test]
+fn claim_sa_closes_most_of_the_gap() {
+    // SA "closes 88% of the latency gap" to local versus ΔKV. The shared
+    // ~109 s session-init floor is a measurement artifact of
+    // `/usr/bin/time`; on phase work time, closure =
+    // (dkv - sa) / (dkv - local) must be large.
+    let cal = Calibration::paper();
+    let rows = rows();
+    let decode = |m: Mode| rows.iter().find(|r| r.mode == m).unwrap().decode.latency_s;
+    let local = decode(Mode::Local);
+    let dkv = decode(Mode::DeltaKv) - cal.session_init_s;
+    let sa = decode(Mode::SemanticsAware) - cal.session_init_s;
+    let closure = (dkv - sa) / (dkv - local);
+    assert!(closure > 0.85, "closure {closure}");
 }
 
 #[test]
@@ -76,6 +127,14 @@ fn claim_delta_kv_linear_sa_flat() {
         (sa_max - sa_min) / sa_min < 0.06,
         "SA not flat: {sa_min}..{sa_max}"
     );
+    // Slopes per token: ΔKV ≈ 0.48 s, SA ≈ 0.035 s.
+    let dkv_slope = (t3[3].1 - t3[0].1) / 150.0;
+    let sa_slope = (t3[3].2 - t3[0].2) / 150.0;
+    assert!(
+        (0.3..0.7).contains(&dkv_slope),
+        "ΔKV slope {dkv_slope} (paper 0.48)"
+    );
+    assert!(sa_slope < 0.05, "SA slope {sa_slope} (paper 0.035)");
     // "By 200 tokens, the Semantics-Aware design is already ~1.7× faster"
     assert!(t3[3].1 / t3[3].2 > 1.6, "ratio {}", t3[3].1 / t3[3].2);
 }
