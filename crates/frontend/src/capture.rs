@@ -532,14 +532,18 @@ impl CaptureCtx {
                 st.shadow.take(),
             )
         };
-        let mut span = telemetry.collector.span_with(
-            "capture.finish",
-            "frontend",
-            genie_telemetry::SemAttrs::new()
-                .with("graph", srg.name.clone())
-                .with("ops", srg.node_count().to_string())
-                .with("reuse", REUSE_LABELS[reuse as usize]),
-        );
+        // The attributes are only worth building for a live span.
+        let collector = &telemetry.collector;
+        let mut span = collector.is_enabled().then(|| {
+            collector.span_with(
+                "capture.finish",
+                "frontend",
+                genie_telemetry::SemAttrs::new()
+                    .with("graph", srg.name.clone())
+                    .with("ops", srg.node_count().to_string())
+                    .with("reuse", REUSE_LABELS[reuse as usize]),
+            )
+        });
         let metrics = capture_metrics();
         metrics.reuse[reuse as usize].inc();
         if let Some(started) = started {
@@ -552,7 +556,9 @@ impl CaptureCtx {
             assert_same_as_cold(&srg, cold, &report, cfg);
         }
         if report.has_deny() {
-            span.annotate(|a| a.extra.push(("lint".into(), "deny".into())));
+            if let Some(span) = &mut span {
+                span.annotate(|a| a.extra.push(("lint".into(), "deny".into())));
+            }
             return Err(report);
         }
         let cap = CapturedGraph {
@@ -663,6 +669,26 @@ impl CaptureCtx {
                 ("dim", dim.to_string()),
                 ("shards", parts.len().to_string()),
             ],
+            Residency::EphemeralActivation,
+        )
+    }
+
+    /// Concatenate `parts` along `dim`, in order, as one node.
+    pub fn concat(&self, parts: &[&LazyTensor], dim: usize) -> LazyTensor {
+        let mut shape = parts[0].dims().to_vec();
+        for p in parts {
+            assert_eq!(p.dims().len(), shape.len(), "concat rank");
+        }
+        shape[dim] = parts.iter().map(|p| p.dims()[dim]).sum();
+        let out = TensorMeta::new(shape, parts[0].meta.elem);
+        let bytes = out.size_bytes() as f64;
+        self.record(
+            OpKind::Concat,
+            "concat",
+            parts,
+            out,
+            CostHints::new(0.0, bytes, bytes),
+            [("dim", dim.to_string())],
             Residency::EphemeralActivation,
         )
     }
@@ -1059,20 +1085,7 @@ impl LazyTensor {
 
     /// Concatenate along `dim`.
     pub fn concat(&self, rhs: &LazyTensor, dim: usize) -> LazyTensor {
-        assert_eq!(self.dims().len(), rhs.dims().len(), "concat rank");
-        let mut shape = self.dims().to_vec();
-        shape[dim] += rhs.dims()[dim];
-        let out = TensorMeta::new(shape, self.meta.elem);
-        let bytes = out.size_bytes() as f64;
-        self.ctx.record(
-            OpKind::Concat,
-            "concat",
-            &[self, rhs],
-            out,
-            CostHints::new(0.0, bytes, bytes),
-            [("dim", dim.to_string())],
-            Residency::EphemeralActivation,
-        )
+        self.ctx.concat(&[self, rhs], dim)
     }
 
     /// Narrow `dim` to `[start, start+len)`.

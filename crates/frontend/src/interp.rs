@@ -481,11 +481,6 @@ pub(crate) fn eval_node<'v>(
                 Value::F(ops::gather_rows(table, idx))
             }
         }
-        OpKind::Concat => Value::F(ops::concat(
-            arg(0).as_f("concat"),
-            arg(1).as_f("concat"),
-            attr_usize("dim"),
-        )),
         OpKind::Slice => Value::F(ops::narrow(
             arg(0).as_f("narrow"),
             attr_usize("dim"),
@@ -531,10 +526,11 @@ pub(crate) fn eval_node<'v>(
                 .collect();
             Value::F(ops::all_reduce_sum(&parts))
         }
-        OpKind::AllGather => {
+        // A concat is the all-gather's fold over its parts, in slot order.
+        OpKind::Concat | OpKind::AllGather => {
             let parts: Vec<&Tensor> = srg
                 .in_edges(id)
-                .map(|e| input(e.src).as_f("all_gather"))
+                .map(|e| input(e.src).as_f(node.op.mnemonic()))
                 .collect();
             Value::F(ops::all_gather(&parts, attr_usize("dim")))
         }

@@ -54,8 +54,9 @@ pub struct ShardedTransformerLm {
 
 /// One sharded capture: the usual LM handles plus the shard assignment.
 pub struct ShardedLmCapture {
-    /// Logits / grown caches, as in the unsharded capture.
-    pub cap: LmCapture,
+    /// Each member's logits / grown caches, in order, as in the
+    /// unsharded capture (one member for this module's captures).
+    pub caps: Vec<LmCapture>,
     /// Shard id of every captured node. A node it omits is on shard 0,
     /// as every reader takes it; at one shard it omits them all.
     pub shard_of: BTreeMap<NodeId, u32>,
@@ -95,9 +96,8 @@ impl ShardedTransformerLm {
 
     /// Capture the sharded prefill graph for a prompt.
     pub fn capture_prefill(&self, ctx: &CaptureCtx, prompt: &[i64]) -> ShardedLmCapture {
-        let kv = KvState::default();
-        self.model
-            .capture_sharded(ctx, self.spec, Phase::LlmPrefill, prompt, &kv)
+        let cold = KvState::default();
+        (self.model).capture_sharded(ctx, self.spec, Phase::LlmPrefill, &[(prompt, &cold)])
     }
 
     /// Capture one sharded decode step given the carried KV state.
@@ -107,8 +107,7 @@ impl ShardedTransformerLm {
         token: i64,
         kv: &KvState,
     ) -> ShardedLmCapture {
-        self.model
-            .capture_sharded(ctx, self.spec, Phase::LlmDecode, &[token], kv)
+        (self.model).capture_sharded(ctx, self.spec, Phase::LlmDecode, &[(&[token], kv)])
     }
 
     /// Sharded greedy generation: same semantics as
@@ -132,9 +131,10 @@ impl ShardedTransformerLm {
 
         // Sample from, finish and run one sharded capture.
         let mut run = |ctx: CaptureCtx, sc: ShardedLmCapture| -> (i64, KvState) {
-            let sampled = sc.cap.logits.sample();
+            let cap = &sc.caps[0];
+            let sampled = cap.logits.sample();
             sampled.mark_output();
-            for (k, v) in sc.cap.k_caches.iter().zip(&sc.cap.v_caches) {
+            for (k, v) in cap.k_caches.iter().zip(&cap.v_caches) {
                 k.mark_output();
                 v.mark_output();
             }
@@ -144,8 +144,8 @@ impl ShardedTransformerLm {
             merge(report, &mut total);
             let cache = |lt: &LazyTensor| values[&lt.node].as_f("kv cache").clone();
             let kv = KvState {
-                k: sc.cap.k_caches.iter().map(cache).collect(),
-                v: sc.cap.v_caches.iter().map(cache).collect(),
+                k: cap.k_caches.iter().map(cache).collect(),
+                v: cap.v_caches.iter().map(cache).collect(),
             };
             (values[&sampled.node].as_i("sampled token").data()[0], kv)
         };
@@ -202,7 +202,7 @@ mod tests {
         let sharded = ShardedTransformerLm::new(m, ShardSpec::new(2, 2));
         let ctx = CaptureCtx::new("decode.pp2xtp2");
         let sc = sharded.capture_decode_step(&ctx, 0, &KvState::default());
-        sc.cap.logits.mark_output();
+        sc.caps[0].logits.mark_output();
         let (captured, shard_of) = (ctx.finish(), sc.shard_of);
         let gathers = captured
             .srg
@@ -248,7 +248,7 @@ mod tests {
         let shard = |capture: &dyn Fn(&CaptureCtx) -> ShardedLmCapture| {
             let ctx = CaptureCtx::new("step");
             let sc = capture(&ctx);
-            sc.cap.logits.mark_output();
+            sc.caps[0].logits.mark_output();
             (ctx.finish().srg, sc.shard_of)
         };
         let cases = [
@@ -280,7 +280,7 @@ mod tests {
             let sharded = ShardedTransformerLm::new(m.clone(), spec);
             let ctx = CaptureCtx::new("decode");
             let sc = sharded.capture_decode_step(&ctx, 0, &kv);
-            sc.cap.logits.mark_output();
+            sc.caps[0].logits.mark_output();
             let srg = ctx.finish().srg;
             let label = spec.label();
             for node in srg.nodes() {

@@ -94,7 +94,8 @@ impl KvState {
 /// Result of capturing one LM graph: handles to the logits and the grown
 /// caches so callers can mark outputs / carry state.
 pub struct LmCapture {
-    /// Logits for the processed positions, `[t, vocab]`.
+    /// Logits for the processed positions, `[t, vocab]` (in a batch of
+    /// several members, the member's last position only, `[1, vocab]`).
     pub logits: LazyTensor,
     /// Grown K caches per layer.
     pub k_caches: Vec<LazyTensor>,
@@ -162,24 +163,38 @@ impl TransformerLm {
     /// functional (pass the real `prompt`), spec-only otherwise (only
     /// `prompt.len()` matters).
     pub fn capture_prefill(&self, ctx: &CaptureCtx, prompt: &[i64]) -> LmCapture {
-        let single = ShardSpec::single();
-        self.capture_sharded(ctx, single, Phase::LlmPrefill, prompt, &KvState::default())
-            .cap
+        let cold = KvState::default();
+        (self.capture_batch(ctx, Phase::LlmPrefill, &[(prompt, &cold)])).remove(0)
     }
 
     /// Capture one decode step given the carried KV state. `token` is the
     /// last sampled token.
     pub fn capture_decode_step(&self, ctx: &CaptureCtx, token: i64, kv: &KvState) -> LmCapture {
-        let single = ShardSpec::single();
-        self.capture_sharded(ctx, single, Phase::LlmDecode, &[token], kv)
-            .cap
+        (self.capture_batch(ctx, Phase::LlmDecode, &[(&[token], kv)])).remove(0)
     }
 
-    /// The forward pass under `spec`: embeds `tokens`, runs every block
-    /// appending to `kv`'s caches, projects logits, and attributes each
-    /// node to a shard (`shard = stage * tp + rank`). The captures above
-    /// are this pass at [`ShardSpec::single()`]; see [`crate::sharded`]
-    /// for how the splits stay bit-exact.
+    /// Capture one `phase` step of every member (the tokens it feeds in,
+    /// the KV it carries) as one graph, one [`LmCapture`] per member. One
+    /// member records exactly the one-member graph.
+    pub fn capture_batch(
+        &self,
+        ctx: &CaptureCtx,
+        phase: Phase,
+        members: &[(&[i64], &KvState)],
+    ) -> Vec<LmCapture> {
+        let single = ShardSpec::single();
+        self.capture_sharded(ctx, single, phase, members).caps
+    }
+
+    /// The forward pass under `spec`: embeds every member's tokens as one
+    /// stack of rows, runs every block appending to each member's caches,
+    /// projects logits, and attributes each node to a shard (`shard =
+    /// stage * tp + rank`). The captures above are this pass at
+    /// [`ShardSpec::single()`]; see [`crate::sharded`] for how the splits
+    /// stay bit-exact. Only a member's q/k/v rows, cache appends, causal
+    /// attention (concatenated back into rows) and last logits row are
+    /// its own; since every exact matmul tier folds in ascending `p`, its
+    /// rows of the stack equal its own pass bit for bit.
     ///
     /// Every weight is declared on the rank that owns it, and each scope
     /// declares its weights before its first op — at one shard that is
@@ -191,8 +206,7 @@ impl TransformerLm {
         ctx: &CaptureCtx,
         spec: ShardSpec,
         phase: Phase,
-        tokens: &[i64],
-        kv: &KvState,
+        members: &[(&[i64], &KvState)],
     ) -> ShardedLmCapture {
         ctx.phase_scope(phase, || {
             let cfg = &self.config;
@@ -261,17 +275,18 @@ impl TransformerLm {
             };
 
             // Embedding lives on the first stage's rank 0.
+            let tokens: Vec<i64> = members.iter().flat_map(|m| m.0.iter().copied()).collect();
             let mut x = tag.on(0, 0, || {
                 let ids = match w {
-                    Some(_) => ctx.input_ids("tokens", tokens),
+                    Some(_) => ctx.input_ids("tokens", &tokens),
                     None => ctx.input_ids_spec("tokens", tokens.len()),
                 };
                 let wte = ctx.parameter("wte", [cfg.vocab, d], elem, w.map(|w| w.wte.clone()));
                 ctx.scope("embed", || wte.gather(&ids))
             });
 
-            let mut k_caches = Vec::with_capacity(cfg.layers);
-            let mut v_caches = Vec::with_capacity(cfg.layers);
+            // Each member's grown K and V caches, per layer.
+            let mut caches = vec![(Vec::new(), Vec::new()); members.len()];
             let mut stage = 0;
             for layer in 0..cfg.layers {
                 let s = stage_of_layer(spec, cfg.layers, layer);
@@ -282,7 +297,6 @@ impl TransformerLm {
                     stage = s;
                 }
                 let lw = w.map(|w| &w.layers[layer]);
-                let cached = kv.k.get(layer).map_or(0, |c| c.dims()[0]);
                 let block = || {
                     let normed = tag.on(s, 0, || {
                         let ln_g = ctx.parameter("ln_g", [d], elem, lw.map(|l| l.ln_g.clone()));
@@ -290,7 +304,7 @@ impl TransformerLm {
                         x.layer_norm(&ln_g, &ln_b, 1e-5)
                     });
 
-                    let (attn_out, kc, vc) = ctx.scope("attn", || {
+                    let attn_out = ctx.scope("attn", || {
                         let ws = split(
                             s,
                             tp,
@@ -306,27 +320,44 @@ impl TransformerLm {
                         let k_new = columns(s, &normed, wk);
                         let v_new = columns(s, &normed, wv);
 
-                        // The cache is the serving plane's migration unit:
-                        // it enters whole as a stateful input.
-                        let (o, kc, vc) = tag.on(s, 0, || {
-                            let cache = |kind: char, carried: &[Tensor]| {
-                                let name = format!("{kind}_cache_{layer}");
-                                if cached == 0 {
-                                    return ctx.empty_cache(&name, d, elem);
-                                }
-                                let payload = carried.get(layer).cloned().filter(|_| w.is_some());
-                                ctx.input(&name, [cached, d], elem, payload)
-                            };
-                            let (k_in, v_in) = (cache('k', &kv.k), cache('v', &kv.v));
-                            let (kc, vc) = (k_in.kv_append(&k_new), v_in.kv_append(&v_new));
-                            (q.attention(&kc, &vc, cfg.heads, true), kc, vc)
+                        // Each member attends over its own cache, the
+                        // serving plane's migration unit, which enters
+                        // whole as a stateful input.
+                        let o = tag.on(s, 0, || {
+                            let (mut outs, mut at) = (Vec::with_capacity(members.len()), 0);
+                            for ((tokens, kv), grown) in members.iter().zip(&mut caches) {
+                                let mine = |x: &LazyTensor| match members.len() {
+                                    1 => x.clone(),
+                                    _ => x.narrow(0, at, tokens.len()),
+                                };
+                                let (q, k_new, v_new) = (mine(&q), mine(&k_new), mine(&v_new));
+                                let cached = kv.k.get(layer).map_or(0, |c| c.dims()[0]);
+                                let cache = |kind: char, carried: &[Tensor]| {
+                                    let name = format!("{kind}_cache_{layer}");
+                                    if cached == 0 {
+                                        return ctx.empty_cache(&name, d, elem);
+                                    }
+                                    let payload =
+                                        carried.get(layer).cloned().filter(|_| w.is_some());
+                                    ctx.input(&name, [cached, d], elem, payload)
+                                };
+                                let (k_in, v_in) = (cache('k', &kv.k), cache('v', &kv.v));
+                                let (kc, vc) = (k_in.kv_append(&k_new), v_in.kv_append(&v_new));
+                                outs.push(q.attention(&kc, &vc, cfg.heads, true));
+                                grown.0.push(kc);
+                                grown.1.push(vc);
+                                at += tokens.len();
+                            }
+                            match &outs[..] {
+                                [o] => o.clone(),
+                                _ => ctx.concat(&outs.iter().collect::<Vec<_>>(), 0),
+                            }
                         });
                         let width = d / ranks;
-                        let out = rows(s, wo, &|r| match tp {
+                        rows(s, wo, &|r| match tp {
                             1 => o.clone(),
                             _ => o.narrow(1, r as usize * width, width),
-                        });
-                        (out, kc, vc)
+                        })
                     });
                     let x1 = tag.on(s, 0, || x.add(&attn_out));
 
@@ -346,8 +377,6 @@ impl TransformerLm {
                         let (w1, w2) = ws.split_at(ranks);
                         rows(s, w2, &|r| x1.matmul(&w1[r as usize]).gelu())
                     });
-                    k_caches.push(kc);
-                    v_caches.push(vc);
                     tag.on(s, 0, || x1.add(&mlp_out))
                 };
                 x = ctx.scope("h", || ctx.scope(&layer.to_string(), block));
@@ -373,12 +402,24 @@ impl TransformerLm {
                 columns(last, &normed, &head)
             });
 
+            // In a batch each member keeps the one row it samples.
+            let mut end = 0;
+            let caps = (members.iter().zip(caches))
+                .map(|((tokens, _), (k_caches, v_caches))| {
+                    end += tokens.len();
+                    let logits = match members.len() {
+                        1 => logits.clone(),
+                        _ => tag.on(last, 0, || logits.narrow(0, end - 1, 1)),
+                    };
+                    LmCapture {
+                        logits,
+                        k_caches,
+                        v_caches,
+                    }
+                })
+                .collect();
             ShardedLmCapture {
-                cap: LmCapture {
-                    logits,
-                    k_caches,
-                    v_caches,
-                },
+                caps,
                 shard_of: tag.map.into_inner(),
             }
         })
@@ -387,18 +428,33 @@ impl TransformerLm {
     /// Functional prefill of `prompt`: capture, lint, interpret. Returns
     /// the first sampled token and the materialized KV cache.
     pub fn prefill_step(&self, prompt: &[i64]) -> (i64, KvState) {
-        run_step(&self.traces.prefill, "prefill", |ctx| {
-            self.capture_prefill(ctx, prompt)
-        })
+        self.prefill_batch(&[prompt]).remove(0)
     }
 
     /// One functional incremental decode step for `token` against `kv`:
     /// re-capture (the data-dependent token feeds in), lint, interpret.
     /// Returns the next token and the grown KV cache.
     pub fn decode_step(&self, token: i64, kv: &KvState) -> (i64, KvState) {
-        run_step(&self.traces.decode, "decode", |ctx| {
-            self.capture_decode_step(ctx, token, kv)
-        })
+        self.decode_batch(&[(token, kv)]).remove(0)
+    }
+
+    /// [`prefill_step`](Self::prefill_step) of every prompt as one graph
+    /// ([`capture_batch`](Self::capture_batch)): one capture, one lint
+    /// gate, one interpretation. Each result, in order, is bit-identical
+    /// to the prompt's own `prefill_step`.
+    pub fn prefill_batch(&self, prompts: &[&[i64]]) -> Vec<(i64, KvState)> {
+        let cold = KvState::default();
+        let members: Vec<_> = prompts.iter().map(|p| (*p, &cold)).collect();
+        self.run_step(&self.traces.prefill, "prefill", Phase::LlmPrefill, &members)
+    }
+
+    /// [`decode_step`](Self::decode_step) of every `(token, kv)` as one
+    /// graph; each result is bit-identical to the member's own step.
+    pub fn decode_batch(&self, steps: &[(i64, &KvState)]) -> Vec<(i64, KvState)> {
+        let members: Vec<_> = (steps.iter())
+            .map(|(token, kv)| (std::slice::from_ref(token), *kv))
+            .collect();
+        self.run_step(&self.traces.decode, "decode", Phase::LlmDecode, &members)
     }
 
     /// Functional greedy generation: prefill the prompt, then decode
@@ -427,6 +483,50 @@ impl TransformerLm {
         cap.logits.mark_output();
         let captured = ctx.finish();
         interp::run_single_output(&captured).expect("full forward executes")
+    }
+
+    /// Capture one step of `members` as the next of `trace`'s session,
+    /// sample each member's logits, finish the capture, and run it for
+    /// exactly what the next step needs: every member's sampled token
+    /// and grown caches. Interior values are dropped as they die.
+    fn run_step(
+        &self,
+        trace: &Mutex<RecaptureSession>,
+        name: &str,
+        phase: Phase,
+        members: &[(&[i64], &KvState)],
+    ) -> Vec<(i64, KvState)> {
+        if members.is_empty() {
+            return Vec::new();
+        }
+        // The lock is held for the two moves only, never across a step.
+        let held = "no step panics holding the session lock";
+        let mut session = std::mem::take(&mut *trace.lock().expect(held));
+        let ctx = session.begin(name);
+        let mut wanted: Vec<NodeId> = Vec::new();
+        for cap in self.capture_batch(&ctx, phase, members) {
+            let sampled = cap.logits.sample();
+            sampled.mark_output();
+            let caches = cap.k_caches.iter().chain(&cap.v_caches);
+            wanted.extend(std::iter::once(&sampled).chain(caches).map(|lt| lt.node));
+        }
+        session.finish(&ctx);
+        let values = session
+            .execute_outputs(&wanted)
+            .expect("captured step executes");
+        *trace.lock().expect(held) = session;
+        let cache = |v: &Value| v.as_f("kv cache").clone();
+        let layers = self.config.layers;
+        (values.chunks(1 + 2 * layers))
+            .map(|member| {
+                let (k, v) = member[1..].split_at(layers);
+                let kv = KvState {
+                    k: k.iter().map(cache).collect(),
+                    v: v.iter().map(cache).collect(),
+                };
+                (member[0].as_i("sampled token").data()[0], kv)
+            })
+            .collect()
     }
 }
 
@@ -463,41 +563,6 @@ impl Tagger<'_> {
         map.extend(created.map(|i| (NodeId::new(i as u32), shard)));
         out
     }
-}
-
-/// Capture one step as the next of `trace`'s session, sample from its
-/// logits, finish the capture, and run it for exactly what the next step
-/// needs: the sampled token and the grown caches. Interior values are
-/// dropped as they die.
-fn run_step(
-    trace: &Mutex<RecaptureSession>,
-    name: &str,
-    capture: impl FnOnce(&CaptureCtx) -> LmCapture,
-) -> (i64, KvState) {
-    // The lock is held for the two moves only, never across a step.
-    let held = "no step panics holding the session lock";
-    let mut session = std::mem::take(&mut *trace.lock().expect(held));
-    let ctx = session.begin(name);
-    let cap = capture(&ctx);
-    let sampled = cap.logits.sample();
-    sampled.mark_output();
-    session.finish(&ctx);
-    let wanted: Vec<NodeId> = std::iter::once(&sampled)
-        .chain(&cap.k_caches)
-        .chain(&cap.v_caches)
-        .map(|lt| lt.node)
-        .collect();
-    let values = session
-        .execute_outputs(&wanted)
-        .expect("captured step executes");
-    *trace.lock().expect(held) = session;
-    let cache = |v: &Value| v.as_f("kv cache").clone();
-    let (k, v) = values[1..].split_at(cap.k_caches.len());
-    let kv = KvState {
-        k: k.iter().map(cache).collect(),
-        v: v.iter().map(cache).collect(),
-    };
-    (values[0].as_i("sampled token").data()[0], kv)
 }
 
 #[cfg(test)]

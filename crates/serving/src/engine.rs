@@ -655,17 +655,41 @@ impl<'a> Sim<'a> {
     /// one incremental decode step. Returns the jobs now complete.
     fn execute(&mut self, step_end: Nanos) -> Vec<(u64, usize)> {
         // This step's slices are its roster, by lane then ascending id.
-        let slices = &self.report.slices;
-        let priced = slices.partition_point(|s| s.step < self.report.steps);
-        let mut roster = Vec::new();
-        for s in &slices[priced..] {
-            roster.extend(s.members.iter().map(|m| (m.request, s.lane as usize)));
+        let priced = (self.report.slices).partition_point(|s| s.step < self.report.steps);
+        let mut finished = Vec::new();
+        for s in priced..self.report.slices.len() {
+            let mut decoded = self.decode_lane(s).into_iter();
+            let lane = self.report.slices[s].lane as usize;
+            for m in 0..self.report.slices[s].members.len() {
+                let StepMember { request: id, phase } = self.report.slices[s].members[m];
+                let done = match phase {
+                    MemberPhase::Decode => self.decode_member(lane, id, decoded.next(), step_end),
+                    _ => self.prefill_member(lane, id, step_end),
+                };
+                if done {
+                    finished.push((id, lane));
+                }
+            }
         }
-        roster.retain(|&(id, lane)| match self.ledger.resident_tokens(lane, id) {
-            0 => self.prefill_member(lane, id, step_end),
-            resident => self.decode_member(lane, id, resident, step_end),
-        });
-        roster
+        finished
+    }
+
+    /// Slice `s`'s decoding members stepped as one graph, in member order:
+    /// the batched step `price` charged the lane. Empty on the spec plane,
+    /// whose members synthesize their tokens.
+    fn decode_lane(&self, s: usize) -> Vec<(i64, KvState)> {
+        let ServingModel::Functional(m) = self.model else {
+            return Vec::new();
+        };
+        let members = self.report.slices[s].members.iter();
+        let steps: Vec<(i64, &KvState)> = (members.filter(|m| m.phase == MemberPhase::Decode))
+            .map(|m| {
+                let job = &self.active[&m.request];
+                let last = *job.tokens.last().expect("resident implies generated");
+                (last, job.kv.as_ref().expect("functional resident KV"))
+            })
+            .collect();
+        m.decode_batch(&steps)
     }
 
     /// Build `id`'s KV over prompt + all but the last generated token.
@@ -705,18 +729,23 @@ impl<'a> Sim<'a> {
         done
     }
 
-    fn decode_member(&mut self, lane: usize, id: u64, resident: u64, step_end: Nanos) -> bool {
+    /// Take `id`'s next token: `decoded` on the functional plane.
+    fn decode_member(
+        &mut self,
+        lane: usize,
+        id: u64,
+        decoded: Option<(i64, KvState)>,
+        step_end: Nanos,
+    ) -> bool {
+        let resident = self.ledger.resident_tokens(lane, id);
         let job = self.active.get_mut(&id).expect("rostered");
         job.last_step = self.report.steps + 1;
-        let last = *job.tokens.last().expect("resident implies generated");
-        let value = match self.model {
-            ServingModel::Functional(m) => {
-                let kv = job.kv.as_ref().expect("functional resident KV");
-                let (token, kv_next) = m.decode_step(last, kv);
-                job.kv = Some(kv_next);
+        let value = match decoded {
+            Some((token, kv)) => {
+                job.kv = Some(kv);
                 token
             }
-            ServingModel::Spec(_) => synth_token(self.model.config(), id, job.tokens.len()),
+            None => synth_token(self.model.config(), id, job.tokens.len()),
         };
         job.tokens.push(value);
         let done = job.tokens.len() >= job.req.total_tokens;

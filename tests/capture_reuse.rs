@@ -160,6 +160,28 @@ fn interleaved_requests_at_other_kv_lengths_all_hit() {
     }
 }
 
+#[test]
+fn batched_steps_hit_at_one_batch_size_and_diverge_once_when_it_changes() {
+    let _serial = serial();
+    let model = TransformerLm::new_functional(decode_small_config(), 11);
+    let prompts = [vec![3i64, 1, 4], vec![1, 5, 9, 2, 6], vec![5, 3]];
+    let refs: Vec<&[i64]> = prompts.iter().map(Vec::as_slice).collect();
+    let mut batch = model.prefill_batch(&refs);
+    let step = |batch: &mut Vec<(i64, KvState)>| {
+        let members: Vec<(i64, &KvState)> = batch.iter().map(|(t, kv)| (*t, kv)).collect();
+        let before = outcomes();
+        *batch = model.decode_batch(&members);
+        since(before)
+    };
+    assert_eq!(step(&mut batch), MISS, "the decode session's first step");
+    for s in 0..4 {
+        assert_eq!(step(&mut batch), HIT, "B = 3, step {s}");
+    }
+    batch.pop();
+    assert_eq!(step(&mut batch), DIVERGED, "B = 3 -> 2");
+    assert_eq!(step(&mut batch), HIT, "B = 2");
+}
+
 /// A region whose shape depends on `variant`: an extra `gelu` when it is
 /// 1, and nothing after the `relu` when it is 2.
 fn branching(ctx: &CaptureCtx, variant: usize, width: usize) {
@@ -275,7 +297,11 @@ fn two_threads_stepping_one_model_both_match_generate() {
                 let (mut token, mut kv) = model.prefill_step(prompt);
                 let mut tokens = vec![token];
                 for _ in 1..steps {
-                    (token, kv) = model.decode_step(token, &kv);
+                    // A batch of the request twice: both members step alike.
+                    let twice = model.decode_batch(&[(token, &kv), (token, &kv)]);
+                    let [a, b]: [(i64, KvState); 2] = twice.try_into().expect("two members");
+                    assert_eq!((a.0, &a.1.k), (b.0, &b.1.k));
+                    (token, kv) = a;
                     tokens.push(token);
                 }
                 tokens

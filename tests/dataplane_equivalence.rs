@@ -248,14 +248,14 @@ fn tensor_parallel_sharded_graph_matches_sequential() {
     let prompt: Vec<i64> = (0..24).map(|i| (i * 5) % 64).collect();
     let ctx = CaptureCtx::new("llm.tp2.prefill");
     let sc = sharded.capture_prefill(&ctx, &prompt);
-    sc.cap.logits.mark_output();
-    assert_wavefront_matches(&ctx.finish(), sc.cap.logits.node);
+    sc.caps[0].logits.mark_output();
+    assert_wavefront_matches(&ctx.finish(), sc.caps[0].logits.node);
 
     let (token, kv) = sharded.model.prefill_step(&prompt);
     let ctx = CaptureCtx::new("llm.tp2.decode");
     let sc = sharded.capture_decode_step(&ctx, token, &kv);
-    sc.cap.logits.mark_output();
-    assert_wavefront_matches(&ctx.finish(), sc.cap.logits.node);
+    sc.caps[0].logits.mark_output();
+    assert_wavefront_matches(&ctx.finish(), sc.caps[0].logits.node);
 }
 
 #[test]

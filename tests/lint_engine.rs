@@ -268,7 +268,7 @@ fn sharded_plans_pass_collective_deadlock_gate() {
     let sharded = ShardedTransformerLm::new(TransformerLm::new_spec(cfg), ShardSpec::new(2, 2));
     let ctx = CaptureCtx::new("decode.pp2xtp2");
     let sc = sharded.capture_decode_step(&ctx, 0, &kv);
-    sc.cap.logits.mark_output();
+    sc.caps[0].logits.mark_output();
     let (cap, shard_of) = (ctx.finish(), sc.shard_of);
     let topo = Topology::rack(4, 25e9);
     let state = ClusterState::new();

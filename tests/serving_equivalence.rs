@@ -8,9 +8,10 @@
 //! engine rebuilds a victim's cache from prompt + generated prefix.
 
 use genie::cluster::{GpuSpec, Link};
-use genie::models::functional_transformers;
+use genie::models::{functional_transformers, TransformerConfig, TransformerLm};
 use genie::netsim::Nanos;
 use genie::serving::{ArrivalConfig, ServingConfig, ServingLoop, ServingModel, ServingRequest};
+use genie::telemetry::causal::MemberPhase;
 
 fn roomy_config(max_batch: usize) -> ServingConfig {
     ServingConfig {
@@ -101,6 +102,88 @@ fn eviction_and_reprefill_preserve_oracle_tokens() {
                 r.id
             );
         }
+    }
+}
+
+/// `decode_small`'s own traffic: four requests arriving together, batched
+/// four wide, so each step runs one batched graph that shrinks as
+/// requests finish.
+#[test]
+fn decode_small_traffic_matches_the_oracle() {
+    let config = TransformerConfig {
+        layers: 2,
+        d_model: 64,
+        heads: 4,
+        ffn_mult: 4,
+        vocab: 512,
+        ..TransformerConfig::tiny()
+    };
+    let m = TransformerLm::new_functional(config, 11);
+    let requests: Vec<ServingRequest> = [(8, 12), (10, 16), (13, 20), (16, 24)]
+        .into_iter()
+        .zip(1u64..)
+        .map(|((prompt, total_tokens), id)| ServingRequest {
+            id,
+            tenant: 0,
+            arrival: Nanos::ZERO,
+            prompt: (0..prompt)
+                .map(|i| (i * 37 + id as i64 * 11) % 512)
+                .collect(),
+            total_tokens,
+        })
+        .collect();
+    let report =
+        ServingLoop::new(ServingModel::Functional(m.clone()), roomy_config(4)).run(&requests);
+    for r in &requests {
+        let want = m.generate(&r.prompt, r.total_tokens);
+        assert_eq!(
+            report.tokens_for(r.id),
+            Some(want.as_slice()),
+            "request {}",
+            r.id
+        );
+    }
+}
+
+/// A lane-step that re-prefills one member while others decode runs both
+/// batches in one step, and every token still equals the oracle's. KV
+/// capacity sweeps from tight to roomy; some of those runs must hold
+/// such a step.
+#[test]
+fn a_reprefill_beside_decodes_matches_the_oracle() {
+    for (name, m) in functional_transformers() {
+        let requests: Vec<ServingRequest> = [8, 12, 16]
+            .into_iter()
+            .zip(1u64..)
+            .map(|(total_tokens, id)| ServingRequest {
+                id,
+                tenant: 0,
+                arrival: Nanos::ZERO,
+                prompt: vec![id as i64, 1, 2, 3],
+                total_tokens,
+            })
+            .collect();
+        let mut mixed = 0;
+        for tokens in 16..=40 {
+            let mut conf = roomy_config(3);
+            conf.kv_capacity_bytes = tokens * m.config.kv_bytes_per_token();
+            let report = ServingLoop::new(ServingModel::Functional(m.clone()), conf).run(&requests);
+            mixed += report.slices.iter().any(|s| {
+                let has = |phase| s.members.iter().any(|m| m.phase == phase);
+                has(MemberPhase::Reprefill) && has(MemberPhase::Decode)
+            }) as usize;
+            // A lone member that can never fit is shed; the rest complete.
+            for r in &requests {
+                if let Some(got) = report.tokens_for(r.id) {
+                    let want = m.generate(&r.prompt, r.total_tokens);
+                    assert_eq!(got, want, "{name} {tokens} request {}", r.id);
+                }
+            }
+        }
+        assert!(
+            mixed > 0,
+            "{name}: a re-prefill must share a step with decodes"
+        );
     }
 }
 
