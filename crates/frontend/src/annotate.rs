@@ -37,10 +37,8 @@ pub fn annotate_phase(srg: &mut Srg, module_prefix: &str, phase: Phase) -> usize
 /// `bytes_per_flop` prices data movement against compute when ranking
 /// paths; the scheduler derives it from the active link and device specs.
 pub fn finalize(srg: &mut Srg, bytes_per_flop: f64) {
-    let edge_ids: Vec<genie_srg::EdgeId> = srg.edges().map(|e| e.id).collect();
-    for id in edge_ids {
-        let bytes = srg.edge(id).meta.size_bytes() as f64;
-        srg.edge_mut(id).rate = Rate::passthrough(bytes);
+    for edge in srg.parts_mut().1 {
+        edge.rate = Rate::passthrough(edge.meta.size_bytes() as f64);
     }
     let _ = genie_srg::critical_path::mark_criticality(srg, bytes_per_flop);
 }

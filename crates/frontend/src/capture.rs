@@ -22,7 +22,7 @@ use crate::interp::ExecPlan;
 use crate::value::Value;
 use genie_analysis::{run_srg_passes, LintConfig, Report};
 use genie_srg::{
-    CostHints, EdgeId, ElemType, Modality, Node, NodeId, OpKind, Phase, Residency, Srg, TensorId,
+    CostHints, ElemType, Modality, Node, NodeId, OpKind, Phase, Residency, Srg, TensorId,
     TensorMeta,
 };
 use genie_telemetry::{lock, Counter, Histogram, DEFAULT_TIME_BOUNDS};
@@ -108,10 +108,8 @@ fn capture_metrics() -> &'static CaptureMetrics {
 
 /// Append `node`, fed by `inputs`, and allocate its output tensor.
 fn append(srg: &mut Srg, node: Node, inputs: &[&LazyTensor]) -> (NodeId, TensorId) {
-    let id = srg.add_node(node);
-    for input in inputs {
-        srg.connect_tensor(input.node, id, input.tensor, input.meta.clone());
-    }
+    let fed = inputs.iter().map(|i| (i.node, i.tensor, i.meta.clone()));
+    let id = srg.add_node_fed(node, fed);
     let tensor = srg.fresh_tensor();
     // One tensor per recorded call: a re-trace hands out the same ids
     // without asking the graph.
@@ -243,13 +241,13 @@ impl CaptureState {
         if !same {
             return None;
         }
-        let node = srg.node_mut(id);
+        let (nodes, edges) = srg.parts_mut();
+        let node = &mut nodes[id.index()];
         node.cost = cost;
         node.residency = residency;
         node.device = None;
-        for (i, input) in inputs.iter().enumerate() {
-            srg.edge_mut(EdgeId::new((rt.edges + i) as u32))
-                .reset_payload(&input.meta);
+        for (edge, input) in edges[rt.edges..].iter_mut().zip(inputs) {
+            edge.reset_payload(&input.meta);
         }
         rt.nodes += 1;
         rt.edges += inputs.len();
