@@ -8,7 +8,6 @@ use genie_netsim::RpcParams;
 use genie_scheduler::recompute::{apply_recomputation, recomputation_candidates};
 use genie_scheduler::{schedule, CostModel, Location, Policy, SemanticsAware};
 use genie_srg::{ElemType, NodeId, Srg, TensorId};
-use std::collections::BTreeMap;
 
 /// A cheap, wide intermediate: act = relu(w) on d0 feeding a consumer
 /// forced onto d1. `w` is a pinnable weight whose tensor id we return so
@@ -35,15 +34,11 @@ impl Policy for ForcedSplit {
     fn name(&self) -> &'static str {
         "forced_split"
     }
-    fn place(
-        &self,
-        srg: &Srg,
-        view: &genie_scheduler::ClusterView<'_>,
-    ) -> BTreeMap<NodeId, Location> {
+    fn place(&self, srg: &Srg, view: &genie_scheduler::ClusterView<'_>) -> Vec<Location> {
         let devs = view.devices();
         let mut placements = SemanticsAware::new().place(srg, view);
-        placements.insert(self.producer, Location::Device(devs[0]));
-        placements.insert(self.consumer, Location::Device(devs[1]));
+        placements[self.producer.index()] = Location::Device(devs[0]);
+        placements[self.consumer.index()] = Location::Device(devs[1]);
         placements
     }
 }

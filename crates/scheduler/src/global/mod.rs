@@ -194,10 +194,10 @@ impl GlobalScheduler {
             // and pinned memory — remembered per tenant so a departure
             // can release it.
             let mut resources = PlannedResources::default();
-            for (node, loc) in &plan.placements {
+            for (node, loc) in plan.srg.nodes().zip(&plan.placements) {
                 if let Some(dev) = loc.device() {
                     let gpu = &self.topo.device(dev).spec;
-                    let secs = self.cost.kernel_time(plan.srg.node(*node), gpu);
+                    let secs = self.cost.kernel_time(node, gpu);
                     self.state.enqueue_work(dev, secs);
                     resources.queued.push((dev, secs));
                 }
@@ -208,11 +208,7 @@ impl GlobalScheduler {
                 }
             }
             let used: Vec<DevId> = {
-                let mut v: Vec<DevId> = plan
-                    .placements
-                    .values()
-                    .filter_map(|l| l.device())
-                    .collect();
+                let mut v: Vec<DevId> = plan.placements.iter().filter_map(|l| l.device()).collect();
                 v.sort_unstable();
                 v.dedup();
                 v

@@ -66,7 +66,6 @@ mod tests {
     use genie_frontend::capture::CaptureCtx;
     use genie_models::{KvState, TransformerConfig, TransformerLm};
     use genie_srg::{Node, NodeId, OpKind, Residency, TensorMeta};
-    use std::collections::BTreeMap;
 
     fn decode_graph() -> Srg {
         let m = TransformerLm::new_spec(TransformerConfig::tiny());
@@ -176,9 +175,7 @@ mod tests {
         let plan = ExecutionPlan {
             policy: "hand".into(),
             srg,
-            placements: [(w, Location::ClientCpu), (mm, Location::Device(dev))]
-                .into_iter()
-                .collect::<BTreeMap<_, _>>(),
+            placements: vec![Location::ClientCpu, Location::Device(dev)],
             transfers: Vec::new(),
             pinned_uploads: vec![(tensor, dev, 8_000_000)], // 8 MB into 1 MB
             estimate: CostBreakdown::default(),

@@ -5,9 +5,8 @@
 //! per cross-device edge, plus a cost estimate — a declarative plan a
 //! backend can execute without policy knowledge.
 
-use genie_cluster::DevId;
+use genie_cluster::{DevId, HostId, Topology};
 use genie_srg::{EdgeId, NodeId, Srg, TensorId};
-use std::collections::BTreeMap;
 
 /// Where a node runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,6 +24,12 @@ impl Location {
             Location::Device(d) => Some(d),
             Location::ClientCpu => None,
         }
+    }
+
+    /// The host this location is on.
+    pub fn host(self, topo: &Topology) -> HostId {
+        self.device()
+            .map_or(topo.client_host(), |d| topo.device(d).host)
     }
 }
 
@@ -82,10 +87,11 @@ impl CostBreakdown {
 pub struct ExecutionPlan {
     /// Name of the policy that produced this plan.
     pub policy: String,
-    /// The (possibly rewritten) graph this plan executes.
+    /// The (possibly rewritten) graph this plan executes, shared with the
+    /// caller's copy until either is written.
     pub srg: Srg,
-    /// Location per node, indexed by node id.
-    pub placements: BTreeMap<NodeId, Location>,
+    /// Location per node, indexed by [`NodeId::index`].
+    pub placements: Vec<Location>,
     /// Scheduled transfers in execution order.
     pub transfers: Vec<Transfer>,
     /// Tensors that must be uploaded once and pinned as resident objects
@@ -110,7 +116,7 @@ impl ExecutionPlan {
     /// Location of a node (defaults to client for unplaced nodes).
     pub fn location(&self, node: NodeId) -> Location {
         self.placements
-            .get(&node)
+            .get(node.index())
             .copied()
             .unwrap_or(Location::ClientCpu)
     }
@@ -127,11 +133,8 @@ impl ExecutionPlan {
 
     /// Number of distinct devices used.
     pub fn devices_used(&self) -> usize {
-        let devs: std::collections::BTreeSet<DevId> = self
-            .placements
-            .values()
-            .filter_map(|l| l.device())
-            .collect();
+        let devs: std::collections::BTreeSet<DevId> =
+            self.placements.iter().filter_map(|l| l.device()).collect();
         devs.len()
     }
 
@@ -168,7 +171,7 @@ mod tests {
         let plan = ExecutionPlan {
             policy: "test".into(),
             srg: Srg::new("g"),
-            placements: BTreeMap::new(),
+            placements: Vec::new(),
             transfers: vec![
                 Transfer {
                     edge: EdgeId::new(0),

@@ -25,7 +25,7 @@ pub fn plan_to_dot(plan: &ExecutionPlan) -> String {
     let _ = writeln!(out, "  node [shape=box, fontname=\"monospace\"];");
 
     // Group nodes by location.
-    let mut locations: Vec<Location> = plan.placements.values().copied().collect();
+    let mut locations = plan.placements.clone();
     locations.sort();
     locations.dedup();
     for (ci, loc) in locations.iter().enumerate() {

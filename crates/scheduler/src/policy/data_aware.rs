@@ -5,8 +5,7 @@
 use super::{place_with, Policy};
 use crate::plan::Location;
 use crate::view::ClusterView;
-use genie_srg::{NodeId, Srg};
-use std::collections::BTreeMap;
+use genie_srg::Srg;
 
 /// Greedy minimum-ingress placement: each operation goes to the device
 /// that minimizes the bytes that must move to it right now, given where
@@ -21,21 +20,17 @@ impl Policy for DataAware {
         "data_aware"
     }
 
-    fn place(&self, srg: &Srg, view: &ClusterView<'_>) -> BTreeMap<NodeId, Location> {
+    fn place(&self, srg: &Srg, view: &ClusterView<'_>) -> Vec<Location> {
         let devices = view.devices();
         assert!(!devices.is_empty(), "no devices in pool");
         // Track where producers landed as we sweep in topo order.
-        let mut landed: BTreeMap<NodeId, Location> = BTreeMap::new();
+        let mut landed = vec![Location::ClientCpu; srg.node_count()];
         let placements = place_with(srg, |id| {
             let mut best = (f64::INFINITY, devices[0]);
             for &dev in &devices {
                 let mut ingress = 0.0;
                 for edge in srg.in_edges(id) {
-                    let src_loc = landed
-                        .get(&edge.src)
-                        .copied()
-                        .unwrap_or(Location::ClientCpu);
-                    if src_loc != Location::Device(dev) {
+                    if landed[edge.src.index()] != Location::Device(dev) {
                         ingress += edge.transfer_bytes();
                     }
                 }
@@ -47,7 +42,7 @@ impl Policy for DataAware {
                 }
             }
             let loc = Location::Device(best.1);
-            landed.insert(id, loc);
+            landed[id.index()] = loc;
             loc
         });
         placements
@@ -69,7 +64,7 @@ mod tests {
         let cost = CostModel::ideal_25g();
         let view = ClusterView::new(&topo, &state, &cost);
         let p = DataAware.place(&srg, &view);
-        let used: std::collections::BTreeSet<_> = p.values().filter_map(|l| l.device()).collect();
+        let used: std::collections::BTreeSet<_> = p.iter().filter_map(|l| l.device()).collect();
         assert_eq!(used.len(), 1, "a pure chain has no reason to cross devices");
     }
 }

@@ -3,7 +3,7 @@
 use super::{place_with, Policy};
 use crate::plan::Location;
 use crate::view::ClusterView;
-use genie_srg::{NodeId, Srg};
+use genie_srg::Srg;
 use std::collections::BTreeMap;
 
 /// Sends each operation to the device with the least pending work
@@ -17,7 +17,7 @@ impl Policy for LeastLoaded {
         "least_loaded"
     }
 
-    fn place(&self, srg: &Srg, view: &ClusterView<'_>) -> BTreeMap<NodeId, Location> {
+    fn place(&self, srg: &Srg, view: &ClusterView<'_>) -> Vec<Location> {
         let devices = view.devices();
         assert!(!devices.is_empty(), "no devices in pool");
         let mut assigned: BTreeMap<genie_cluster::DevId, f64> = devices
@@ -59,7 +59,7 @@ mod tests {
         let view = ClusterView::new(&topo, &state, &cost);
         let p = LeastLoaded.place(&srg, &view);
         assert!(
-            p.values().filter_map(|l| l.device()).all(|d| d == DevId(1)),
+            p.iter().filter_map(|l| l.device()).all(|d| d == DevId(1)),
             "all work should land on the idle device"
         );
     }
@@ -72,7 +72,7 @@ mod tests {
         let cost = CostModel::ideal_25g();
         let view = ClusterView::new(&topo, &state, &cost);
         let p = LeastLoaded.place(&srg, &view);
-        let used: std::collections::BTreeSet<_> = p.values().filter_map(|l| l.device()).collect();
+        let used: std::collections::BTreeSet<_> = p.iter().filter_map(|l| l.device()).collect();
         assert_eq!(used.len(), 2, "work spreads when queues tie");
     }
 }

@@ -5,8 +5,7 @@
 use super::{place_with, Policy};
 use crate::plan::Location;
 use crate::view::ClusterView;
-use genie_srg::{NodeId, Srg};
-use std::collections::BTreeMap;
+use genie_srg::Srg;
 
 /// Treats every operation as independent and identical, cycling through
 /// devices in topological order. Maximally "fair", maximally oblivious:
@@ -19,7 +18,7 @@ impl Policy for RoundRobin {
         "round_robin"
     }
 
-    fn place(&self, srg: &Srg, view: &ClusterView<'_>) -> BTreeMap<NodeId, Location> {
+    fn place(&self, srg: &Srg, view: &ClusterView<'_>) -> Vec<Location> {
         let devices = view.devices();
         assert!(!devices.is_empty(), "no devices in pool");
         let mut i = 0usize;
@@ -46,11 +45,11 @@ mod tests {
         let cost = CostModel::ideal_25g();
         let view = ClusterView::new(&topo, &state, &cost);
         let p = RoundRobin.place(&srg, &view);
-        let used: std::collections::BTreeSet<_> = p.values().filter_map(|l| l.device()).collect();
+        let used: std::collections::BTreeSet<_> = p.iter().filter_map(|l| l.device()).collect();
         assert_eq!(used.len(), 3, "all devices touched");
         // Inputs stay on the client.
         let input = srg.nodes().find(|n| n.name == "x").unwrap().id;
-        assert_eq!(p[&input], Location::ClientCpu);
+        assert_eq!(p[input.index()], Location::ClientCpu);
     }
 
     #[test]
@@ -63,7 +62,12 @@ mod tests {
         let p = RoundRobin.place(&srg, &view);
         for node in srg.nodes() {
             if node.op.is_source() {
-                assert_eq!(p[&node.id], Location::ClientCpu, "{} on client", node.name);
+                assert_eq!(
+                    p[node.id.index()],
+                    Location::ClientCpu,
+                    "{} on client",
+                    node.name
+                );
             }
         }
     }

@@ -20,8 +20,7 @@ use super::{place_with, Policy};
 use crate::plan::Location;
 use crate::view::ClusterView;
 use genie_cluster::DevId;
-use genie_srg::{NodeId, OpKind, Phase, Residency, Srg};
-use std::collections::BTreeMap;
+use genie_srg::{OpKind, Phase, Residency, Srg};
 
 /// Genie's semantics-aware placement policy.
 #[derive(Clone, Copy, Debug, Default)]
@@ -42,7 +41,7 @@ impl Policy for SemanticsAware {
         "semantics_aware"
     }
 
-    fn place(&self, srg: &Srg, view: &ClusterView<'_>) -> BTreeMap<NodeId, Location> {
+    fn place(&self, srg: &Srg, view: &ClusterView<'_>) -> Vec<Location> {
         let devices = view.devices();
         assert!(!devices.is_empty(), "no devices in pool");
 
@@ -101,8 +100,8 @@ impl Policy for SemanticsAware {
         let tier_compute = by_key(&|d| view.topo.device(d).spec.peak_flops);
 
         // Pre-pass: producer placements for rate-aware co-location are
-        // resolved lazily via this map as we sweep in topo order.
-        let mut landed: BTreeMap<NodeId, DevId> = BTreeMap::new();
+        // resolved lazily via this table as we sweep in topo order.
+        let mut landed: Vec<Option<DevId>> = vec![None; srg.node_count()];
 
         let placements = place_with(srg, |id| {
             let node = srg.node(id);
@@ -112,8 +111,7 @@ impl Policy for SemanticsAware {
                 (_, OpKind::Sample) => srg
                     .predecessors(id)
                     .first()
-                    .and_then(|p| landed.get(p))
-                    .copied()
+                    .and_then(|p| landed[p.index()])
                     .unwrap_or(home),
                 // Stateful co-location.
                 (Phase::LlmDecode, _) | (Phase::LlmPrefill, _) => home,
@@ -137,13 +135,12 @@ impl Policy for SemanticsAware {
                             .partial_cmp(&b.transfer_bytes())
                             .expect("finite bytes")
                     })
-                    .and_then(|e| landed.get(&e.src))
-                    .copied()
+                    .and_then(|e| landed[e.src.index()])
                     .unwrap_or(home),
                 // Unknown phases: stay near inputs (home).
                 _ => home,
             };
-            landed.insert(id, dev);
+            landed[id.index()] = Some(dev);
             Location::Device(dev)
         });
         placements
@@ -197,7 +194,7 @@ mod tests {
         let cost = CostModel::ideal_25g();
         let view = view_fixture(&topo, &state, &cost);
         let p = SemanticsAware::new().place(&srg, &view);
-        let used: std::collections::BTreeSet<_> = p.values().filter_map(|l| l.device()).collect();
+        let used: std::collections::BTreeSet<_> = p.iter().filter_map(|l| l.device()).collect();
         assert_eq!(used.len(), 1, "decode must pin to the cache's device");
     }
 
@@ -234,7 +231,7 @@ mod tests {
         let cost = CostModel::ideal_25g();
         let view = view_fixture(&topo, &state, &cost);
         let p = SemanticsAware::new().place(&srg, &view);
-        let used: std::collections::BTreeSet<_> = p.values().filter_map(|l| l.device()).collect();
+        let used: std::collections::BTreeSet<_> = p.iter().filter_map(|l| l.device()).collect();
         assert_eq!(
             used,
             [DevId(2)].into_iter().collect(),
@@ -255,7 +252,7 @@ mod tests {
         let cost = CostModel::ideal_25g();
         let view = view_fixture(&topo, &state, &cost);
         let p = SemanticsAware::new().place(&srg, &view);
-        let used: std::collections::BTreeSet<_> = p.values().filter_map(|l| l.device()).collect();
+        let used: std::collections::BTreeSet<_> = p.iter().filter_map(|l| l.device()).collect();
         assert!(used.len() >= 3, "8 stages over 4 devices: {used:?}");
     }
 
@@ -273,6 +270,6 @@ mod tests {
         let cost = CostModel::ideal_25g();
         let view = view_fixture(&topo, &state, &cost);
         let p = SemanticsAware::new().place(&srg, &view);
-        assert_eq!(p[&tok.node], p[&cap.logits.node]);
+        assert_eq!(p[tok.node.index()], p[cap.logits.node.index()]);
     }
 }

@@ -37,7 +37,7 @@ impl Policy for Sharded {
         "sharded"
     }
 
-    fn place(&self, srg: &Srg, view: &ClusterView<'_>) -> BTreeMap<NodeId, Location> {
+    fn place(&self, srg: &Srg, view: &ClusterView<'_>) -> Vec<Location> {
         let devices = view.devices();
         assert!(!devices.is_empty(), "no devices in pool");
         assert!(
@@ -78,10 +78,13 @@ mod tests {
         let placed = policy.place(&srg, &view);
         let devices = view.devices();
         for (id, shard) in &shard_of {
-            assert_eq!(placed[id], Location::Device(devices[*shard as usize]));
+            assert_eq!(
+                placed[id.index()],
+                Location::Device(devices[*shard as usize])
+            );
         }
         let input = srg.nodes().find(|n| n.name == "x").unwrap().id;
-        assert_eq!(placed[&input], Location::ClientCpu);
+        assert_eq!(placed[input.index()], Location::ClientCpu);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::view::ClusterView;
 use genie_analysis::{LintConfig, Report, Severity};
 use genie_cluster::{ClusterState, Topology};
 use genie_srg::{Srg, TensorId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Produce an execution plan for `srg` on the given cluster using
 /// `policy`. Pure: neither the graph nor the cluster state is mutated.
@@ -67,7 +67,7 @@ pub fn schedule_with_lints(
     if state.has_partitions() {
         let client = topo.client_host();
         let mut reroutes = 0u64;
-        for loc in placements.values_mut() {
+        for loc in &mut placements {
             if let Location::Device(dev) = *loc {
                 let host = topo.device(dev).host;
                 if state.is_partitioned(client.0, host.0) {
@@ -84,33 +84,24 @@ pub fn schedule_with_lints(
         }
     }
 
-    // Effective bandwidth between two placements: a derated link divides
-    // goodput, multiplying the time estimate for anything crossing it.
-    let host_of = |loc: Location| match loc {
-        Location::ClientCpu => topo.client_host(),
-        Location::Device(dev) => topo.device(dev).host,
-    };
-
     let mut transfers = Vec::new();
     let mut pinned_uploads: Vec<(TensorId, genie_cluster::DevId, u64)> = Vec::new();
     let mut arrived: BTreeSet<(TensorId, Location)> = BTreeSet::new();
-    let mut edge_cost: BTreeMap<genie_srg::EdgeId, f64> = BTreeMap::new();
+    // Transfer seconds per edge id; summed in id order below.
+    let mut edge_cost: Vec<Option<f64>> = vec![None; srg.edge_count()];
 
-    let order = genie_srg::traverse::topo_order(srg).expect("valid SRG");
-    for &dst in &order {
-        let dst_loc = placements.get(&dst).copied().unwrap_or(Location::ClientCpu);
-        let in_edges: Vec<_> = srg.in_edges(dst).map(|e| e.id).collect();
-        for eid in in_edges {
-            let edge = srg.edge(eid);
-            let src_loc = placements
-                .get(&edge.src)
-                .copied()
-                .unwrap_or(Location::ClientCpu);
+    for dst in genie_srg::traverse::topo_order(srg).expect("valid SRG") {
+        let dst_loc = placements[dst.index()];
+        for edge in srg.in_edges(dst) {
+            let (eid, src_loc) = (edge.id, placements[edge.src.index()]);
             if src_loc == dst_loc {
                 continue;
             }
             let bytes = edge.transfer_bytes() as u64;
-            let derate = state.link_derate(host_of(src_loc).0, host_of(dst_loc).0);
+            // Effective bandwidth between two placements: a derated link
+            // divides goodput, multiplying the time estimate for anything
+            // crossing it.
+            let derate = state.link_derate(src_loc.host(topo).0, dst_loc.host(topo).0);
             if !arrived.insert((edge.tensor, dst_loc)) {
                 // Already shipped to this destination: free fan-out.
                 transfers.push(Transfer {
@@ -140,12 +131,12 @@ pub fn schedule_with_lints(
                         });
                     } else {
                         pinned_uploads.push((edge.tensor, dev, bytes));
-                        edge_cost.insert(eid, cost.streaming_time(bytes as f64) / derate);
+                        edge_cost[eid.index()] = Some(cost.streaming_time(bytes as f64) / derate);
                     }
                     continue;
                 }
             }
-            edge_cost.insert(eid, cost.transfer_time(bytes as f64) / derate);
+            edge_cost[eid.index()] = Some(cost.transfer_time(bytes as f64) / derate);
             transfers.push(Transfer {
                 edge: eid,
                 tensor: edge.tensor,
@@ -161,23 +152,23 @@ pub fn schedule_with_lints(
     // transfer costs derived above.
     let cp = genie_srg::critical_path::critical_path(
         srg,
-        |node| match placements.get(&node.id).copied() {
-            Some(Location::Device(dev)) if !node.op.is_source() => {
+        |node| match placements[node.id.index()] {
+            Location::Device(dev) if !node.op.is_source() => {
                 cost.kernel_time(node, &topo.device(dev).spec)
             }
             _ => 0.0,
         },
-        |edge| edge_cost.get(&edge.id).copied().unwrap_or(0.0),
+        |edge| edge_cost[edge.id.index()].unwrap_or(0.0),
     )
     .expect("valid SRG");
 
     let queue_s = placements
-        .values()
+        .iter()
         .filter_map(|l| l.device())
         .map(|d| state.queue_seconds(d))
         .fold(0.0, f64::max);
 
-    let transfer_s: f64 = edge_cost.values().sum();
+    let transfer_s: f64 = edge_cost.iter().flatten().sum();
     let compute_s = (cp.length - transfer_s).max(0.0);
 
     let mut plan = ExecutionPlan {
@@ -513,7 +504,7 @@ mod tests {
         let before = reroutes();
         let plan = schedule(&srg, &topo, &state, &cost, &SemanticsAware::new());
         assert!(
-            plan.placements.values().all(|l| *l == Location::ClientCpu),
+            plan.placements.iter().all(|l| *l == Location::ClientCpu),
             "nothing may be placed across a severed link"
         );
         assert!(plan.transfers.is_empty() && plan.pinned_uploads.is_empty());
@@ -524,7 +515,7 @@ mod tests {
         let healed = schedule(&srg, &topo, &state, &cost, &SemanticsAware::new());
         assert!(healed
             .placements
-            .values()
+            .iter()
             .any(|l| matches!(l, Location::Device(_))));
     }
 

@@ -58,8 +58,7 @@ fn main() {
 
     let mut per_phase: std::collections::BTreeMap<String, std::collections::BTreeSet<String>> =
         Default::default();
-    for (node, loc) in &plan.placements {
-        let n = plan.srg.node(*node);
+    for (n, loc) in plan.srg.nodes().zip(&plan.placements) {
         if n.phase != Phase::Unknown {
             per_phase
                 .entry(n.phase.label().to_string())
