@@ -7,7 +7,7 @@
 //! with the full prompt (`tq > 1`), decode with a single new token
 //! (`tq = 1`).
 
-use genie_srg::{Modality, NodeId, OpKind, Phase, Srg};
+use genie_srg::{Modality, OpKind, Phase, Srg};
 
 /// Annotate LLM phases and text modality. Returns the number of nodes
 /// annotated; zero when the graph shows no LLM signature.
@@ -34,13 +34,8 @@ pub fn recognize(srg: &mut Srg) -> usize {
         None => Phase::LlmDecode,
     };
 
-    let ids: Vec<NodeId> = srg.node_ids().collect();
     let mut annotated = 0;
-    for id in ids {
-        let node = srg.node_mut(id);
-        if node.op.is_source() && node.op != OpKind::Parameter {
-            // Inputs keep their own residency; still tag modality below.
-        }
+    for node in srg.nodes_mut() {
         let mut touched = false;
         if node.phase == Phase::Unknown {
             node.phase = phase.clone();

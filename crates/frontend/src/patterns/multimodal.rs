@@ -34,8 +34,9 @@ pub fn recognize(srg: &mut Srg) -> usize {
 
     let downstream = genie_srg::traverse::descendants(srg, &joins);
     let mut annotated = 0;
+    let nodes = srg.parts_mut().0;
     for id in downstream {
-        let node = srg.node_mut(id);
+        let node = &mut nodes[id.index()];
         let mut touched = false;
         if node.phase == Phase::Unknown {
             node.phase = Phase::ModalityFusion;

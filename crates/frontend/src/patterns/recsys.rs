@@ -36,8 +36,10 @@ pub fn recognize(srg: &mut Srg) -> usize {
             sparse.insert(pred);
         }
     }
+    let downstream = genie_srg::traverse::descendants(srg, &gathers);
+    let nodes = srg.parts_mut().0;
     for &id in &sparse {
-        let node = srg.node_mut(id);
+        let node = &mut nodes[id.index()];
         let mut touched = false;
         if node.phase == Phase::Unknown {
             node.phase = Phase::EmbeddingLookup;
@@ -57,12 +59,11 @@ pub fn recognize(srg: &mut Srg) -> usize {
     }
 
     // Dense side: everything downstream of the gathers.
-    let downstream = genie_srg::traverse::descendants(srg, &gathers);
     for id in downstream {
         if sparse.contains(&id) {
             continue;
         }
-        let node = srg.node_mut(id);
+        let node = &mut nodes[id.index()];
         let mut touched = false;
         if node.phase == Phase::Unknown {
             node.phase = Phase::DenseInteraction;

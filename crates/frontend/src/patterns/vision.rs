@@ -36,11 +36,12 @@ pub fn recognize(srg: &mut Srg) -> usize {
     // Stage boundaries: each conv starts a new stage; every node is tagged
     // with the stage of the latest conv at-or-before it in topo order.
     let mut stage: i64 = -1;
+    let nodes = srg.parts_mut().0;
     for id in order {
         if conv_in_order.contains(&id) {
             stage += 1;
         }
-        let node = srg.node_mut(id);
+        let node = &mut nodes[id.index()];
         let mut touched = false;
         if node.phase == Phase::Unknown {
             node.phase = Phase::VisionEncode;

@@ -92,14 +92,9 @@ pub fn critical_path_by_hints(g: &Srg, bytes_per_flop: f64) -> Result<CriticalPa
 pub fn mark_criticality(g: &mut Srg, bytes_per_flop: f64) -> Result<BTreeSet<NodeId>, CycleError> {
     let cp = critical_path_by_hints(g, bytes_per_flop)?;
     let on_path: BTreeSet<NodeId> = cp.path.iter().copied().collect();
-    let edge_ids: Vec<crate::ids::EdgeId> = g.edges().map(|e| e.id).collect();
-    for id in edge_ids {
-        let (src, dst) = {
-            let e = g.edge(id);
-            (e.src, e.dst)
-        };
-        if on_path.contains(&src) && on_path.contains(&dst) {
-            g.edge_mut(id).criticality = Criticality::Critical;
+    for e in g.parts_mut().1 {
+        if on_path.contains(&e.src) && on_path.contains(&e.dst) {
+            e.criticality = Criticality::Critical;
         }
     }
     Ok(on_path)
