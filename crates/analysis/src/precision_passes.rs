@@ -4,8 +4,8 @@
 //! scheduler picks kernel tiers and device classes. This module closes
 //! the loop statically: an *error-interval abstract domain* propagates
 //! a per-node worst-case relative error bound forward through the graph
-//! (a [`MaxLattice`] instance of the fixpoint framework), and the
-//! GA3xx passes compare what the schedule *delivers* against what the
+//! (one sweep of its topological order, [`SrgFlow`]), and the GA3xx
+//! passes compare what the schedule *delivers* against what the
 //! annotations *demand*:
 //!
 //! - **GA301** `criticality-tolerance-exceeded` — a node's explicit
@@ -34,7 +34,7 @@
 //! plane on two tiers and asserts the observed divergence sits inside
 //! the static bound.
 
-use crate::dataflow::{solve, BoolOrLattice, Direction, FlowGraph, MaxLattice, SrgFlow};
+use crate::dataflow::SrgFlow;
 use crate::diag::{Anchor, LintCode, LintConfig, Report};
 use crate::plan_passes::PlanView;
 use genie_cluster::{GpuClass, Topology};
@@ -119,13 +119,12 @@ pub fn device_class_error_factor(class: GpuClass) -> f64 {
     }
 }
 
-/// Worst-case relative error bound per node output, from a forward
-/// [`MaxLattice`] solve. `+∞` means "no static bound" (downstream of a
+/// Worst-case relative error bound per node output, from one forward
+/// sweep of the topological order. `+∞` means "no static bound" (downstream of a
 /// fused or custom kernel).
 #[derive(Clone, Debug)]
 pub struct ErrorBounds {
-    /// Indexed by [`NodeId::index`]; an acyclic graph's flow covers
-    /// every node.
+    /// Indexed by [`NodeId::index`]; the sweep covers every node.
     bounds: Vec<f64>,
 }
 
@@ -170,19 +169,19 @@ pub fn error_bounds_with<F>(srg: &Srg, factor: F) -> Result<ErrorBounds, CycleEr
 where
     F: Fn(NodeId) -> f64,
 {
-    Ok(solve_bounds(srg, &SrgFlow::new(srg)?, factor))
+    Ok(propagate_bounds(srg, &SrgFlow::new(srg)?, factor))
 }
 
-/// One forward error-propagation solve over an already-built flow.
-fn solve_bounds(srg: &Srg, flow: &SrgFlow<'_>, factor: impl Fn(NodeId) -> f64) -> ErrorBounds {
-    let fx = solve(&MaxLattice, flow, Direction::Forward, |v, joined| {
-        let id = flow.node_at(v);
-        node_bound(srg, id, *joined, factor(id))
-    });
-    debug_assert!(fx.converged, "error propagation is monotone over a DAG");
+/// One forward error-propagation sweep over an already-built flow: each
+/// node's transfer reads the max of its producers' bounds, joined from 0
+/// in in-edge order, all of them already final.
+fn propagate_bounds(srg: &Srg, flow: &SrgFlow<'_>, factor: impl Fn(NodeId) -> f64) -> ErrorBounds {
     let mut bounds = vec![f64::INFINITY; srg.node_count()];
-    for (v, &id) in flow.order().iter().enumerate() {
-        bounds[id.index()] = fx.outputs[v];
+    for &id in flow.order() {
+        let joined = srg
+            .in_edges(id)
+            .fold(0.0, |acc: f64, e| acc.max(bounds[e.src.index()]));
+        bounds[id.index()] = node_bound(srg, id, joined, factor(id));
     }
     ErrorBounds { bounds }
 }
@@ -280,19 +279,17 @@ fn node_bound(srg: &Srg, id: NodeId, joined: f64, factor: f64) -> f64 {
     }
 }
 
-/// Per-node "does a `Critical` edge sit downstream of here" flags, via
-/// a backward [`BoolOrLattice`] reachability solve.
+/// Per-node "does a `Critical` edge sit downstream of here" flags,
+/// indexed by [`NodeId::index`]: one reverse sweep of the topological
+/// order, so every consumer's flag is final before its producer's.
 fn critical_downstream(srg: &Srg, flow: &SrgFlow<'_>) -> Vec<bool> {
-    let seeds: Vec<bool> = (0..flow.len())
-        .map(|v| {
-            srg.out_edges(flow.node_at(v))
-                .any(|e| e.criticality == Criticality::Critical)
-        })
-        .collect();
-    let fx = solve(&BoolOrLattice, flow, Direction::Backward, |v, down| {
-        *down || seeds[v]
-    });
-    fx.outputs
+    let mut feeds = vec![false; srg.node_count()];
+    for &id in flow.order().iter().rev() {
+        feeds[id.index()] = srg
+            .out_edges(id)
+            .any(|e| e.criticality == Criticality::Critical || feeds[e.dst.index()]);
+    }
+    feeds
 }
 
 /// GA301/GA302/GA303 at graph level. Factors are unit except where a
@@ -353,27 +350,28 @@ fn check_precision_with_factors<F>(
 ) where
     F: Fn(NodeId) -> f64,
 {
-    // Every solve runs when first asked for. Bounds are asked for by a
+    // Every sweep runs when first asked for. Bounds are asked for by a
     // tolerance demand, and by a Critical edge under a non-unit factor:
     // with unit factors everywhere (any graph-level check without a
     // `KERNEL_TIER_ATTR`, any plan on exact tiers and unit-factor device
-    // classes) the delivered solve *is* the baseline solve, so the
+    // classes) the delivered sweep *is* the baseline sweep, so the
     // relative GA301 check cannot fire. `Critical` reachability is asked
     // for only by a node that downcasts its inputs in a graph with a
     // Critical edge.
     let unit_factors = srg.node_ids().all(|id| factor(id) == 1.0);
     let (baseline, scaled) = (OnceCell::new(), OnceCell::new());
-    let baseline = || baseline.get_or_init(|| solve_bounds(srg, flow, |_| 1.0));
+    let baseline = || baseline.get_or_init(|| propagate_bounds(srg, flow, |_| 1.0));
     let delivered = || {
         if unit_factors {
             baseline()
         } else {
-            scaled.get_or_init(|| solve_bounds(srg, flow, &factor))
+            scaled.get_or_init(|| propagate_bounds(srg, flow, &factor))
         }
     };
     let any_critical = srg.edges().any(|e| e.criticality == Criticality::Critical);
     let downstream = OnceCell::new();
-    let feeds_critical = |v: usize| downstream.get_or_init(|| critical_downstream(srg, flow))[v];
+    let feeds_critical =
+        |id: NodeId| downstream.get_or_init(|| critical_downstream(srg, flow))[id.index()];
 
     for node in srg.nodes() {
         // GA303 — ops with no static error model.
@@ -441,7 +439,7 @@ fn check_precision_with_factors<F>(
                 Some(acc.map_or(e, |a| a.max(e)))
             });
         if let (Some(ie), Some(oe)) = (in_eps, out_eps) {
-            if oe > ie && flow.index_of(node.id).is_some_and(feeds_critical) {
+            if oe > ie && feeds_critical(node.id) {
                 report.push(
                     cfg,
                     LintCode::PrecisionLossyCriticalPath,

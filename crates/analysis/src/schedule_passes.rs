@@ -23,7 +23,6 @@
 //!
 //! [`SrgFlow::live_ranges`]: crate::dataflow::SrgFlow::live_ranges
 
-use crate::dataflow::FlowGraph;
 use crate::diag::{Anchor, LintCode, LintConfig, Report, Severity};
 use crate::plan_passes::{PlanFacts, PlanView, TransferFact};
 use genie_cluster::{ClusterState, DevId, Topology};
@@ -73,7 +72,7 @@ pub(crate) fn check_memory_watermark(
     // (`dies`) at each step. A value occupies memory on the device that
     // computes it and on the device of every consumer it is copied to;
     // `None` (the client CPU) is not capacity-checked.
-    let steps = flow.len();
+    let steps = flow.order().len();
     let mut sweeps: BTreeMap<DevId, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
     let mut devs: Vec<DevId> = Vec::new();
     for (v, live) in flow.live_ranges().into_iter().enumerate() {
