@@ -12,6 +12,7 @@ use crate::dataflow::SrgFlow;
 use crate::diag::{timed_pass, Anchor, LintCode, LintConfig, Report};
 use genie_cluster::{ClusterState, DevId, Topology};
 use genie_srg::{EdgeId, NodeId, Phase, Residency, Srg, TensorId};
+use std::collections::BTreeSet;
 
 /// One scheduled data movement, reduced to what the lints need.
 /// `None` locations mean the client CPU.
@@ -188,9 +189,16 @@ fn check_weight_shipping(plan: &PlanView, cfg: &LintConfig, report: &mut Report)
 
 /// GA104 — KV co-location: a decode-phase `StatefulKvCache` value whose
 /// producer and consumer sit on different locations forces growing state
-/// across the network every step.
+/// across the network every step. A cache carried in from an earlier
+/// step (a source node) that the plan pins to its consumer's device is
+/// uploaded once and resident where it is read (§3.3's stateful
+/// co-location), so that edge counts as co-located. A cache computed in
+/// this step on one location and read on another ships every step, pinned
+/// or not.
 fn check_kv_colocation(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
     let srg = plan.srg;
+    let pinned: BTreeSet<(TensorId, DevId)> =
+        plan.pinned.iter().map(|&(t, dev, _)| (t, dev)).collect();
     for edge in srg.edges() {
         let src = srg.node(edge.src);
         if src.residency != Residency::StatefulKvCache {
@@ -203,7 +211,9 @@ fn check_kv_colocation(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
         }
         let a = plan.device(edge.src);
         let b = plan.device(edge.dst);
-        if a != b {
+        let resident_at_reader =
+            src.op.is_source() && b.is_some_and(|dev| pinned.contains(&(edge.tensor, dev)));
+        if a != b && !resident_at_reader {
             let show = |d: Option<DevId>| d.map_or("client".to_string(), |d| d.to_string());
             report.push(
                 cfg,
@@ -392,7 +402,7 @@ mod tests {
                 .with_phase(Phase::LlmDecode)
                 .with_cost(genie_srg::CostHints::new(1e6, 1.0, 1.0)),
         );
-        g.connect(kv, attn, TensorMeta::new([5, 8], ElemType::F32));
+        let e = g.connect(kv, attn, TensorMeta::new([5, 8], ElemType::F32));
 
         let split = FakePlan {
             srg: g.clone(),
@@ -402,6 +412,14 @@ mod tests {
         };
         let state = ClusterState::new();
         let r = lint(&split, &t, &state);
+        assert_eq!(r.with_code(LintCode::KvCacheNotColocated).len(), 1, "{r}");
+        // Appended to on d0 this step, the cache crosses to d1 every step
+        // even when the plan pins it to its reader.
+        let pinned = FakePlan {
+            pinned: vec![(g.edge(e).tensor, d1, 160)],
+            ..split
+        };
+        let r = lint(&pinned, &t, &state);
         assert_eq!(r.with_code(LintCode::KvCacheNotColocated).len(), 1, "{r}");
 
         let colocated = FakePlan {
@@ -413,6 +431,43 @@ mod tests {
         assert!(lint(&colocated, &t, &state)
             .with_code(LintCode::KvCacheNotColocated)
             .is_empty());
+    }
+
+    #[test]
+    fn ga104_kv_source_pinned_to_its_consumers_device_is_colocated() {
+        let mut t = Topology::new();
+        let h = t.add_host("s", NicSpec::rnic_100g());
+        let d0 = t.add_device(h, GpuSpec::a100_80gb());
+        let d1 = t.add_device(h, GpuSpec::a100_80gb());
+
+        // A KV cache carried in on the client and read by a decode step on
+        // d0: the shape `SemanticsAware` gives a decode graph.
+        let mut g = Srg::new("kv-pinned");
+        let kv = g.add_node(
+            Node::new(NodeId::new(0), OpKind::Input, "kv")
+                .with_residency(Residency::StatefulKvCache)
+                .with_phase(Phase::LlmDecode),
+        );
+        let attn = g.add_node(
+            Node::new(NodeId::new(0), OpKind::Attention, "attn").with_phase(Phase::LlmDecode),
+        );
+        let e = g.connect(kv, attn, TensorMeta::new([5, 8], ElemType::F32));
+        let tensor = g.edge(e).tensor;
+        let plan = |pins: Vec<(TensorId, DevId, u64)>| FakePlan {
+            srg: g.clone(),
+            placements: [(kv, None), (attn, Some(d0))].into_iter().collect(),
+            transfers: Vec::new(),
+            pinned: pins,
+        };
+        let state = ClusterState::new();
+
+        let r = lint(&plan(vec![(tensor, d0, 160)]), &t, &state);
+        assert!(r.with_code(LintCode::KvCacheNotColocated).is_empty(), "{r}");
+        // Unpinned, or pinned elsewhere, the cache is split from its reader.
+        for pins in [vec![], vec![(tensor, d1, 160)]] {
+            let r = lint(&plan(pins), &t, &state);
+            assert_eq!(r.with_code(LintCode::KvCacheNotColocated).len(), 1, "{r}");
+        }
     }
 
     #[test]

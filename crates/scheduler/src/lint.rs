@@ -61,7 +61,7 @@ mod tests {
     use crate::plan::{CostBreakdown, Location};
     use crate::policy::{RoundRobin, SemanticsAware};
     use crate::schedule::{schedule, schedule_checked};
-    use genie_analysis::LintCode;
+    use genie_analysis::{Anchor, LintCode};
     use genie_cluster::{GpuSpec, Link, NicSpec};
     use genie_frontend::capture::CaptureCtx;
     use genie_models::{KvState, TransformerConfig, TransformerLm};
@@ -192,14 +192,42 @@ mod tests {
         let topo = Topology::rack(4, 25e9);
         let state = ClusterState::new();
         let plan = schedule(&srg, &topo, &state, &CostModel::ideal_25g(), &RoundRobin);
-        // Blind placement splits KV caches from their consumers; the lint
-        // records it without rejecting the (legal, just bad) plan.
-        assert!(
+        let flagged = |e: genie_srg::EdgeId| {
             plan.diagnostics
                 .iter()
-                .any(|d| d.code == LintCode::KvCacheNotColocated),
-            "{:?}",
-            plan.diagnostics
+                .any(|d| d.code == LintCode::KvCacheNotColocated && d.anchor == Anchor::Edge(e))
+        };
+        // Blind placement splits KV caches from their consumers. A cache
+        // carried in from the client is pinned to the device that reads
+        // it, once, and stays quiet; one appended on one device and read
+        // on another crosses every step, and the lint records it without
+        // rejecting the (legal, just bad) plan.
+        let (mut carried, mut appended) = (0, 0);
+        for e in srg.edges() {
+            let src = srg.node(e.src);
+            let reader = plan.location(e.dst);
+            if src.residency != Residency::StatefulKvCache || plan.location(e.src) == reader {
+                continue;
+            }
+            if src.op.is_source() {
+                carried += 1;
+                let dev = reader.device().expect("a decode step reads on a device");
+                assert!(
+                    plan.pinned_uploads
+                        .iter()
+                        .any(|&(t, to, _)| t == e.tensor && to == dev),
+                    "{} is not pinned to its reader's device",
+                    e.id
+                );
+                assert!(!flagged(e.id), "{} is resident where it is read", e.id);
+            } else {
+                appended += 1;
+                assert!(flagged(e.id), "{} crosses every step unflagged", e.id);
+            }
+        }
+        assert!(
+            carried > 0 && appended > 0,
+            "{carried} carried, {appended} appended"
         );
     }
 }
