@@ -127,11 +127,6 @@ impl LintCode {
         }
     }
 
-    /// Parse a `GAnnn` identifier back to a code.
-    pub fn parse(s: &str) -> Option<LintCode> {
-        LintCode::ALL.into_iter().find(|c| c.code() == s)
-    }
-
     /// The severity a fresh [`LintConfig`] assigns this code.
     pub fn default_severity(self) -> Severity {
         match self {
@@ -224,8 +219,7 @@ impl LintCode {
     }
 }
 
-/// A family of lint passes, switchable as a unit via
-/// [`LintConfig::disable_family`].
+/// A family of lint passes: one code range, run by one pass module.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LintFamily {
     /// `GA0xx` — SRG-level semantic checks (capture-time gate).
@@ -248,7 +242,7 @@ impl LintFamily {
         LintFamily::Precision,
     ];
 
-    /// The stable range label used in configs and reports.
+    /// The stable range label used in reports.
     pub fn key(self) -> &'static str {
         match self {
             LintFamily::Graph => "GA0xx",
@@ -256,11 +250,6 @@ impl LintFamily {
             LintFamily::Schedule => "GA2xx",
             LintFamily::Precision => "GA3xx",
         }
-    }
-
-    /// Parse a range label back to a family.
-    pub fn parse(s: &str) -> Option<LintFamily> {
-        LintFamily::ALL.into_iter().find(|f| f.key() == s)
     }
 }
 
@@ -352,20 +341,16 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Per-graph lint policy: severity overrides, outright suppression, and
-/// whole-pass-family selection — all from one builder.
+/// Per-graph lint policy, built in code: codes demoted to warnings and
+/// codes suppressed outright.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LintConfig {
-    overrides: std::collections::BTreeMap<String, Severity>,
-    allowed: std::collections::BTreeSet<String>,
-    /// Families (by [`LintFamily::key`]) whose diagnostics are dropped
-    /// wholesale.
-    disabled_families: std::collections::BTreeSet<String>,
+    warned: std::collections::BTreeSet<LintCode>,
+    allowed: std::collections::BTreeSet<LintCode>,
 }
 
 impl LintConfig {
-    /// The default policy: every family enabled, every code at its
-    /// built-in severity.
+    /// The default policy: every code at its built-in severity.
     pub fn new() -> Self {
         LintConfig::default()
     }
@@ -373,46 +358,28 @@ impl LintConfig {
     /// Suppress a code entirely (diagnostics are dropped, like
     /// `#[allow(...)]`).
     pub fn allow(mut self, code: LintCode) -> Self {
-        self.allowed.insert(code.code().to_string());
-        self
-    }
-
-    /// Escalate a code to [`Severity::Deny`].
-    pub fn deny(mut self, code: LintCode) -> Self {
-        self.overrides
-            .insert(code.code().to_string(), Severity::Deny);
+        self.allowed.insert(code);
         self
     }
 
     /// Demote a code to [`Severity::Warn`].
     pub fn warn(mut self, code: LintCode) -> Self {
-        self.overrides
-            .insert(code.code().to_string(), Severity::Warn);
+        self.warned.insert(code);
         self
     }
 
-    /// Drop every diagnostic of a pass family (`GA0xx`..`GA3xx`).
-    pub fn disable_family(mut self, family: LintFamily) -> Self {
-        self.disabled_families.insert(family.key().to_string());
-        self
-    }
-
-    /// Whether a whole pass family is disabled.
-    pub fn is_family_disabled(&self, family: LintFamily) -> bool {
-        self.disabled_families.contains(family.key())
-    }
-
-    /// Whether a code is suppressed (individually or via its family).
+    /// Whether a code is suppressed.
     pub fn is_allowed(&self, code: LintCode) -> bool {
-        self.allowed.contains(code.code()) || self.is_family_disabled(code.family())
+        self.allowed.contains(&code)
     }
 
     /// The effective severity of a code under this config.
     pub fn severity(&self, code: LintCode) -> Severity {
-        self.overrides
-            .get(code.code())
-            .copied()
-            .unwrap_or_else(|| code.default_severity())
+        if self.warned.contains(&code) {
+            Severity::Warn
+        } else {
+            code.default_severity()
+        }
     }
 }
 
@@ -596,14 +563,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn codes_roundtrip_and_are_unique() {
+    fn codes_are_unique() {
         let mut seen = std::collections::BTreeSet::new();
         for code in LintCode::ALL {
             assert!(seen.insert(code.code()), "duplicate {code}");
-            assert_eq!(LintCode::parse(code.code()), Some(code));
             assert!(!code.invariant().is_empty());
         }
-        assert_eq!(LintCode::parse("GA999"), None);
     }
 
     #[test]
@@ -616,10 +581,9 @@ mod tests {
     fn config_overrides_and_allows() {
         let cfg = LintConfig::new()
             .warn(LintCode::DeviceOvercommit)
-            .deny(LintCode::KvCacheNotColocated)
             .allow(LintCode::AnnotationGap);
         assert_eq!(cfg.severity(LintCode::DeviceOvercommit), Severity::Warn);
-        assert_eq!(cfg.severity(LintCode::KvCacheNotColocated), Severity::Deny);
+        assert_eq!(cfg.severity(LintCode::KvCacheNotColocated), Severity::Warn);
         assert_eq!(cfg.severity(LintCode::ShapeMismatch), Severity::Deny);
         assert!(cfg.is_allowed(LintCode::AnnotationGap));
 
@@ -673,38 +637,12 @@ mod tests {
                 code.code().starts_with(&fam.key()[..3]),
                 "{code} sits in family {fam}"
             );
-            assert_eq!(LintFamily::parse(fam.key()), Some(fam));
         }
-        assert_eq!(
-            LintCode::parse("GA201"),
-            Some(LintCode::TransferOrderHazard)
-        );
-        assert_eq!(
-            LintCode::parse("GA301"),
-            Some(LintCode::CriticalityToleranceExceeded)
-        );
         assert!(LintCode::TransferOrderHazard.is_plan_level());
         assert!(
             !LintCode::CriticalityToleranceExceeded.is_plan_level(),
             "GA3xx is graph-checkable"
         );
-    }
-
-    #[test]
-    fn family_disable_drops_diagnostics() {
-        let cfg = LintConfig::new().disable_family(LintFamily::Schedule);
-        assert!(cfg.is_allowed(LintCode::TransferOrderHazard));
-        assert!(cfg.is_allowed(LintCode::DoublePinnedBuffer));
-        assert!(!cfg.is_allowed(LintCode::DeviceOvercommit));
-
-        let mut r = Report::new("g");
-        r.push(
-            &cfg,
-            LintCode::TransferOrderHazard,
-            Anchor::Graph,
-            "hidden".into(),
-        );
-        assert!(r.is_empty(), "disabled family is dropped");
     }
 
     #[test]

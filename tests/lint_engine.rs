@@ -16,13 +16,9 @@ fn lint_code_namespace_is_stable() {
     assert!(codes.len() >= 8, "at least 8 distinct lint codes");
     assert!(codes.iter().any(|c| c.is_plan_level()), "GA1xx present");
     assert!(codes.iter().any(|c| !c.is_plan_level()), "GA0xx present");
+    let mut seen = std::collections::BTreeSet::new();
     for c in codes {
-        assert_eq!(
-            LintCode::parse(c.code()),
-            Some(c),
-            "{} round-trips",
-            c.code()
-        );
+        assert!(seen.insert(c.code()), "{} is distinct", c.code());
         assert!(!c.invariant().is_empty());
     }
 }
