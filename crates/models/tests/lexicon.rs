@@ -72,36 +72,3 @@ fn lexicon_generalizes_across_model_scales() {
     let prod_dlrm = dlrm_graph(DlrmConfig::production_like());
     assert_eq!(lex.classify(&prod_dlrm).unwrap().0, "recsys");
 }
-
-#[test]
-fn lexicon_survives_redaction() {
-    // A fleet scheduler receiving *redacted* graphs can still classify
-    // them: the features use no identifying strings.
-    let mut lex = LearnedLexicon::new();
-    lex.learn("llm", &llm_graph(TransformerConfig::tiny()));
-    lex.learn("vision", &cnn_graph(CnnConfig::tiny()));
-
-    let secret = llm_graph(TransformerConfig::gptj_6b());
-    let redacted = genie_srg::redact::redact(&secret);
-    assert_eq!(lex.classify(&redacted).unwrap().0, "llm");
-    // And the features of original and redacted match exactly.
-    let a = genie_frontend::patterns::learned::features(&secret);
-    let b = genie_frontend::patterns::learned::features(&redacted);
-    assert_eq!(a, b);
-}
-
-#[test]
-fn redacted_fingerprints_still_enable_batching() {
-    // Two tenants running the same architecture submit redacted graphs;
-    // the structural fingerprint matches so the global scheduler can
-    // batch them (§3.6 "How") without seeing the model.
-    let a = llm_graph(TransformerConfig::gptj_6b());
-    let b = llm_graph(TransformerConfig::gptj_6b());
-    let fa = genie_srg::redact::fingerprint(&genie_srg::redact::redact(&a));
-    let fb = genie_srg::redact::fingerprint(&genie_srg::redact::redact(&b));
-    assert_eq!(fa, fb);
-
-    let other = llm_graph(TransformerConfig::tiny());
-    let fo = genie_srg::redact::fingerprint(&genie_srg::redact::redact(&other));
-    assert_ne!(fa, fo);
-}

@@ -56,7 +56,6 @@ pub mod graph;
 pub mod ids;
 pub mod json;
 pub mod node;
-pub mod redact;
 pub mod serialize;
 pub mod shard;
 pub mod stats;

@@ -13,7 +13,7 @@
 //! graph): unknown keys are ignored, everything else is checked, and what
 //! comes back can be handed to [`crate::validate::validate`] without a
 //! panic. Whether it is *well-formed* stays that function's question: a
-//! redacted or partial graph is a legitimate document.
+//! partial graph is a legitimate document.
 
 use crate::annotations::{
     CostHints, Criticality, ElemType, Layout, Modality, Phase, Rate, Residency, TensorMeta,
