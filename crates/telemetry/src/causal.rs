@@ -440,7 +440,7 @@ pub struct BlameReport {
     pub profile_p99: BlameFractions,
 }
 
-/// Nearest-rank percentile of an unsorted sample (p in [0,1]).
+/// Percentile of an unsorted sample (p in [0,1]): sorted index `round(p·(n−1))`.
 fn percentile(values: &mut [f64], p: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
