@@ -4,7 +4,9 @@
 use genie_cluster::DevId;
 use genie_srg::json::Value;
 use genie_srg::{json_object, EdgeId, NodeId};
+use genie_telemetry::Counter;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Every lint the engine knows, numbered like compiler diagnostics:
 /// `GA0xx` are SRG-level (checkable on a captured graph alone), `GA1xx`
@@ -526,11 +528,21 @@ impl Report {
     /// Bump the `genie_lint_findings_total{code}` counter once per
     /// finding, so fleet dashboards see which lints fire how often.
     /// Returns `self` for call chaining from pass runners.
+    ///
+    /// Every capture's lint gate comes here, so each code's handle is
+    /// resolved once per process, the first time the code fires (a series
+    /// still appears exactly when it first moves): a registry lookup
+    /// builds its key and searches under the registry mutex, a held
+    /// handle is one atomic add.
     pub fn record_metrics(self) -> Self {
-        let metrics = &genie_telemetry::global().metrics;
+        static FINDINGS: [OnceLock<Counter>; LintCode::ALL.len()] =
+            [const { OnceLock::new() }; LintCode::ALL.len()];
         for d in &self.diagnostics {
-            metrics
-                .counter("genie_lint_findings_total", &[("code", d.code.code())])
+            FINDINGS[d.code as usize]
+                .get_or_init(|| {
+                    let metrics = &genie_telemetry::global().metrics;
+                    metrics.counter("genie_lint_findings_total", &[("code", d.code.code())])
+                })
                 .inc();
         }
         self
@@ -565,9 +577,11 @@ mod tests {
     #[test]
     fn codes_are_unique() {
         let mut seen = std::collections::BTreeSet::new();
-        for code in LintCode::ALL {
+        for (i, code) in LintCode::ALL.into_iter().enumerate() {
             assert!(seen.insert(code.code()), "duplicate {code}");
             assert!(!code.invariant().is_empty());
+            // `record_metrics` indexes its handles by discriminant.
+            assert_eq!(code as usize, i, "{code} out of declaration order");
         }
     }
 

@@ -25,7 +25,7 @@
 //! reuse.
 
 use crate::value::Value;
-use genie_srg::{NodeId, OpKind, Srg};
+use genie_srg::{Node, NodeId, OpKind, Srg};
 use genie_telemetry::{Counter, Gauge};
 use genie_tensor::ops;
 use genie_tensor::stats::{self, OPS, PATHS, PATH_COUNT};
@@ -393,7 +393,7 @@ pub(crate) fn eval_node<'v>(
     }
     let arg = |i: usize| input(srg.in_edges(id).nth(i).expect("operands counted above").src);
     let attr = |key: &str| node.attrs.get(key).map_or("", String::as_str);
-    let attr_usize = |key: &str| attr(key).parse::<usize>().unwrap_or(0);
+    let attr_usize = |key| number(id, node, key, 0usize);
 
     Ok(match &node.op {
         OpKind::Parameter | OpKind::Input => {
@@ -419,7 +419,7 @@ pub(crate) fn eval_node<'v>(
         OpKind::Silu => Value::F(ops::silu(arg(0).as_f("silu"))),
         OpKind::Softmax => Value::F(ops::softmax_lastdim(arg(0).as_f("softmax"))),
         OpKind::LayerNorm => {
-            let eps: f32 = attr("eps").parse().unwrap_or(1e-5);
+            let eps = number(id, node, "eps", 1e-5f32)?;
             Value::F(ops::layer_norm(
                 arg(0).as_f("layer_norm"),
                 arg(1).as_f("gamma"),
@@ -428,7 +428,7 @@ pub(crate) fn eval_node<'v>(
             ))
         }
         OpKind::RmsNorm => {
-            let eps: f32 = attr("eps").parse().unwrap_or(1e-6);
+            let eps = number(id, node, "eps", 1e-6f32)?;
             Value::F(ops::rms_norm(
                 arg(0).as_f("rms_norm"),
                 arg(1).as_f("gamma"),
@@ -436,7 +436,7 @@ pub(crate) fn eval_node<'v>(
             ))
         }
         OpKind::Attention => {
-            let heads = attr_usize("heads").max(1);
+            let heads = attr_usize("heads")?.max(1);
             let causal = attr("causal") == "true";
             Value::F(ops::multi_head_attention(
                 arg(0).as_f("q"),
@@ -451,8 +451,8 @@ pub(crate) fn eval_node<'v>(
             arg(0).as_f("x"),
             arg(1).as_f("w"),
             arg(2).as_f("bias"),
-            attr_usize("stride").max(1),
-            attr_usize("padding"),
+            attr_usize("stride")?.max(1),
+            attr_usize("padding")?,
         )),
         OpKind::Pool2d => {
             let x = arg(0).as_f("pool");
@@ -466,8 +466,8 @@ pub(crate) fn eval_node<'v>(
                 };
                 Value::F(ops::pool2d(
                     x,
-                    attr_usize("k").max(1),
-                    attr_usize("stride").max(1),
+                    attr_usize("k")?.max(1),
+                    attr_usize("stride")?.max(1),
                     mode,
                 ))
             }
@@ -483,9 +483,9 @@ pub(crate) fn eval_node<'v>(
         }
         OpKind::Slice => Value::F(ops::narrow(
             arg(0).as_f("narrow"),
-            attr_usize("dim"),
-            attr_usize("start"),
-            attr_usize("len"),
+            attr_usize("dim")?,
+            attr_usize("start")?,
+            attr_usize("len")?,
         )),
         OpKind::Reshape => {
             let dims = attr("shape").split(',').filter(|s| !s.is_empty());
@@ -532,7 +532,7 @@ pub(crate) fn eval_node<'v>(
                 .in_edges(id)
                 .map(|e| input(e.src).as_f(node.op.mnemonic()))
                 .collect();
-            Value::F(ops::all_gather(&parts, attr_usize("dim")))
+            Value::F(ops::all_gather(&parts, attr_usize("dim")?))
         }
         // A point-to-point send is the identity on the value; its cost
         // lives in the plan's transfer schedule, not the arithmetic.
@@ -547,6 +547,20 @@ pub(crate) fn eval_node<'v>(
     })
 }
 
+/// The numeric attribute `key` of `node`: `default` when it is absent,
+/// [`InterpError::BadAttr`] when it is present and does not parse.
+fn number<T: std::str::FromStr>(
+    id: NodeId,
+    node: &Node,
+    key: &'static str,
+    default: T,
+) -> Result<T, InterpError> {
+    node.attrs.get(key).map_or(Ok(default), |v| {
+        v.parse()
+            .map_err(|_| InterpError::BadAttr { node: id, key })
+    })
+}
+
 /// Convenience: bind nothing extra, run, and return a single float output.
 pub fn run_single_output(cap: &crate::capture::CapturedGraph) -> Result<Tensor, InterpError> {
     let out = cap.outputs.last().expect("capture has an output");
@@ -557,7 +571,7 @@ pub fn run_single_output(cap: &crate::capture::CapturedGraph) -> Result<Tensor, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::CaptureCtx;
+    use crate::capture::{CaptureCtx, CapturedGraph};
     use genie_srg::ElemType;
     use genie_tensor::init::randn;
 
@@ -577,6 +591,37 @@ mod tests {
         let cap = ctx.finish();
         let out = run_single_output(&cap).unwrap();
         assert!(out.approx_eq(&eager, 1e-6));
+    }
+
+    #[test]
+    fn an_unparsable_numeric_attribute_is_a_typed_error() {
+        // A layer norm and an attention, captured and then handed an
+        // `eps` and a `heads` that do not parse; each runs once its
+        // attribute is gone (the defaults) and once it is well formed.
+        let ctx = CaptureCtx::new("g");
+        let f = |name, dims: [usize; 2]| {
+            ctx.input(name, dims, ElemType::F32, Some(randn(dims, dims[0] as u64)))
+        };
+        let (x, q) = (f("x", [2, 4]), f("q", [3, 4]));
+        let (g, b) = (f("g", [1, 4]).reshape([4]), f("b", [1, 4]).reshape([4]));
+        let norm = x.layer_norm(&g, &b, 1e-5);
+        let att = q.attention(&q, &q, 2, true);
+        let mut cap = ctx.finish();
+        for (node, key, bad) in [(norm.node, "eps", "x"), (att.node, "heads", "-1")] {
+            let run = |cap: &CapturedGraph| execute_outputs(&cap.srg, &cap.values, &[node]);
+            assert!(run(&cap).is_ok());
+            cap.srg.node_mut(node).attrs.insert(key.into(), bad.into());
+            let err = run(&cap).unwrap_err();
+            assert!(
+                matches!(err, InterpError::BadAttr { node: n, key: k } if n == node && k == key)
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("attribute `{key}` of {node} does not parse")
+            );
+            cap.srg.node_mut(node).attrs.remove(key);
+            assert!(run(&cap).is_ok());
+        }
     }
 
     #[test]

@@ -485,10 +485,33 @@ impl TransformerLm {
         interp::run_single_output(&captured).expect("full forward executes")
     }
 
-    /// Capture one step of `members` as the next of `trace`'s session,
-    /// sample each member's logits, finish the capture, and run it for
-    /// exactly what the next step needs: every member's sampled token
-    /// and grown caches. Interior values are dropped as they die.
+    /// Capture one `phase` step of `members` into `ctx` and sample each
+    /// member's logits under the same phase, so that every node of the
+    /// step carries it. Returns what the next step needs, member by
+    /// member: the sampled token, then the grown K and V caches.
+    fn capture_step(
+        &self,
+        ctx: &CaptureCtx,
+        phase: Phase,
+        members: &[(&[i64], &KvState)],
+    ) -> Vec<NodeId> {
+        let caps = self.capture_batch(ctx, phase.clone(), members);
+        ctx.phase_scope(phase, || {
+            let mut wanted = Vec::new();
+            for cap in caps {
+                let sampled = cap.logits.sample();
+                sampled.mark_output();
+                let caches = cap.k_caches.iter().chain(&cap.v_caches);
+                wanted.extend(std::iter::once(&sampled).chain(caches).map(|lt| lt.node));
+            }
+            wanted
+        })
+    }
+
+    /// Capture one step of `members` as the next of `trace`'s session
+    /// ([`capture_step`](Self::capture_step)), finish the capture, and run
+    /// it for exactly what the next step needs. Interior values are
+    /// dropped as they die.
     fn run_step(
         &self,
         trace: &Mutex<RecaptureSession>,
@@ -503,13 +526,7 @@ impl TransformerLm {
         let held = "no step panics holding the session lock";
         let mut session = std::mem::take(&mut *trace.lock().expect(held));
         let ctx = session.begin(name);
-        let mut wanted: Vec<NodeId> = Vec::new();
-        for cap in self.capture_batch(&ctx, phase, members) {
-            let sampled = cap.logits.sample();
-            sampled.mark_output();
-            let caches = cap.k_caches.iter().chain(&cap.v_caches);
-            wanted.extend(std::iter::once(&sampled).chain(caches).map(|lt| lt.node));
-        }
+        let wanted = self.capture_step(&ctx, phase, members);
         session.finish(&ctx);
         let values = session
             .execute_outputs(&wanted)
@@ -573,6 +590,20 @@ mod tests {
 
     fn tiny() -> TransformerLm {
         TransformerLm::new_functional(TransformerConfig::tiny(), 42)
+    }
+
+    #[test]
+    fn a_decode_batch_step_lints_clean() {
+        // Every node of a functional step carries its phase, the sampled
+        // tokens included: no GA008 (nor anything else) per member.
+        let m = tiny();
+        let (token, kv) = m.prefill_step(&[1, 2, 3]);
+        let members = vec![(std::slice::from_ref(&token), &kv); 4];
+        let ctx = CaptureCtx::new("decode");
+        m.capture_step(&ctx, Phase::LlmDecode, &members);
+        let cap = ctx.finish();
+        let report = genie_analysis::run_srg_passes(&cap.srg, &genie_analysis::LintConfig::new());
+        assert!(report.is_empty(), "{report}");
     }
 
     #[test]

@@ -170,10 +170,10 @@ pub fn matmul_on(path: Path, a: &Tensor, b: &Tensor) -> Tensor {
         Path::Scalar => matmul_scalar_into(out, ad, bd, m, k, n),
         Path::Blocked => matmul_blocked_rows(out, 0, ad, bd, k, n),
         Path::Parallel => par::par_rows(out, n, |row0, chunk| {
-            simd::matmul_simd_rows(chunk, row0, ad, bd, k, n);
+            simd::matmul_simd_rows(chunk, &ad[row0 * k..], k, bd, n, k, n);
         }),
         // Simd: the quantized tiers returned above.
-        _ => simd::matmul_simd_rows(out, 0, ad, bd, k, n),
+        _ => simd::matmul_simd_rows(out, ad, k, bd, n, k, n),
     })
 }
 

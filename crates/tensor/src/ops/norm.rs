@@ -1,4 +1,11 @@
 //! Normalization kernels.
+//!
+//! `layer_norm`'s two sums per row (the mean, then the variance about
+//! it) are each one f32 accumulator walking the row in ascending order.
+//! One row alone waits out the add latency at every element, so eight
+//! rows at a time run their sums interleaved: eight independent chains,
+//! every row's additions still in its own order, so the bits are the
+//! one-row loop's. Fewer than eight rows left take that loop.
 
 use crate::tensor::Tensor;
 
@@ -11,20 +18,51 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor
     assert_eq!(beta.dims(), &[inner], "beta must be [{inner}]");
     let rows = x.len() / inner;
     Tensor::build(dims, |out| {
-        for r in 0..rows {
-            let row = &x.data()[r * inner..(r + 1) * inner];
-            let mean: f32 = row.iter().sum::<f32>() / inner as f32;
-            let var: f32 = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / inner as f32;
-            let denom = (var + eps).sqrt();
-            for (i, (o, &v)) in out[r * inner..(r + 1) * inner]
-                .iter_mut()
-                .zip(row)
-                .enumerate()
-            {
-                *o = (v - mean) / denom * gamma.data()[i] + beta.data()[i];
+        let mut r0 = 0;
+        while r0 < rows {
+            let head = &x.data()[r0 * inner..];
+            let mut stats = [(0.0, 0.0); 8];
+            let block = if rows - r0 >= 8 {
+                stats = moments::<8>(head, inner, eps);
+                8
+            } else {
+                stats[..1].copy_from_slice(&moments::<1>(head, inner, eps));
+                1
+            };
+            for (r, &(mean, denom)) in (r0..r0 + block).zip(&stats) {
+                let row = &x.data()[r * inner..(r + 1) * inner];
+                for (i, (o, &v)) in out[r * inner..(r + 1) * inner]
+                    .iter_mut()
+                    .zip(row)
+                    .enumerate()
+                {
+                    *o = (v - mean) / denom * gamma.data()[i] + beta.data()[i];
+                }
             }
+            r0 += block;
         }
     })
+}
+
+/// `(mean, sqrt(var + eps))` of each of the `R` rows at the head of `x`,
+/// `inner` wide: the element loop outside, the rows inside, so `R` sums
+/// are in flight at once. A sum starts at `-0.0`, as `f32`'s `Sum` does.
+fn moments<const R: usize>(x: &[f32], inner: usize, eps: f32) -> [(f32, f32); R] {
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &x[r * inner..(r + 1) * inner]);
+    let mut sum = [-0.0f32; R];
+    for i in 0..inner {
+        for (s, row) in sum.iter_mut().zip(&rows) {
+            *s += row[i];
+        }
+    }
+    let mean = sum.map(|s| s / inner as f32);
+    let mut var = [-0.0f32; R];
+    for i in 0..inner {
+        for ((s, row), m) in var.iter_mut().zip(&rows).zip(&mean) {
+            *s += (row[i] - m).powi(2);
+        }
+    }
+    std::array::from_fn(|r| (mean[r], (var[r] / inner as f32 + eps).sqrt()))
 }
 
 /// RMS normalization over the innermost dimension: `y = x / rms(x) * gamma`.
@@ -110,6 +148,41 @@ mod tests {
         let affine = layer_norm(&x, &gamma, &beta, 1e-5);
         for i in 0..8 {
             assert!((affine.data()[i] - (base.data()[i] * 2.0 + 1.0)).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn interleaved_rows_equal_the_one_row_loop_bit_for_bit() {
+        // Every row count from 1 to 17 (0, 1 and 2 blocks of eight, each
+        // with every tail) and prefill's 96, against the one-row-at-a-time
+        // loop written out. A row of -0.0 pins where a sum starts, and
+        // rows of very different scales tell any two chains apart.
+        let inner = 37;
+        let gamma = randn([inner], 1);
+        let beta = randn([inner], 2);
+        let (g, b) = (gamma.data(), beta.data());
+        for rows in (1..=17).chain([96]) {
+            let mut x = randn([rows, inner], rows as u64);
+            for (r, row) in x.data_mut().chunks_mut(inner).enumerate() {
+                row.iter_mut()
+                    .for_each(|v| *v *= (r % 5) as f32 * 1e3 + 1e-3);
+            }
+            x.data_mut()[..inner].fill(-0.0);
+            let got = layer_norm(&x, &gamma, &beta, 1e-5);
+            for (r, (got, row)) in got
+                .data()
+                .chunks(inner)
+                .zip(x.data().chunks(inner))
+                .enumerate()
+            {
+                let mean: f32 = row.iter().sum::<f32>() / inner as f32;
+                let var: f32 = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / inner as f32;
+                let denom = (var + 1e-5).sqrt();
+                for (i, (&got, &v)) in got.iter().zip(row).enumerate() {
+                    let want = (v - mean) / denom * g[i] + b[i];
+                    assert_eq!(got.to_bits(), want.to_bits(), "rows={rows} row {r} col {i}");
+                }
+            }
         }
     }
 

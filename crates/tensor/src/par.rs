@@ -64,42 +64,6 @@ where
     });
 }
 
-/// Run `f(i)` for every `i` in `0..tasks` in parallel, collecting results
-/// in task order. Falls back to a sequential loop on a single core.
-pub(crate) fn par_map<T, F>(tasks: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = worker_count(tasks);
-    if workers <= 1 {
-        return (0..tasks).map(f).collect();
-    }
-    let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-    let per = tasks.div_ceil(workers);
-    pool::scope(|scope| {
-        let mut rest = slots.as_mut_slice();
-        let mut base = 0;
-        while !rest.is_empty() {
-            let take = per.min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            let fref = &f;
-            let start = base;
-            scope.spawn(move || {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    *slot = Some(fref(start + k));
-                }
-            });
-            base += take;
-            rest = tail;
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every task slot filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,17 +88,9 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order() {
-        let got = par_map(13, |i| i * i);
-        let want: Vec<usize> = (0..13).map(|i| i * i).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn empty_inputs_are_fine() {
         let mut out: Vec<f32> = Vec::new();
         par_rows(&mut out, 4, |_, _| panic!("no work expected"));
-        assert!(par_map(0, |i| i).is_empty());
     }
 
     #[test]
@@ -145,7 +101,6 @@ mod tests {
         par_rows(&mut out, 8, |_, chunk| chunk.fill(1.0));
         let spawned = pool::threads_spawned();
         for _ in 0..16 {
-            let _ = par_map(8, |i| i);
             par_rows(&mut out, 8, |_, chunk| chunk.fill(2.0));
         }
         assert_eq!(pool::threads_spawned(), spawned);

@@ -189,7 +189,7 @@ pub fn matmul_fp16(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::build([m, n], |out| {
         // The row worker counts rows as `out.len() / n`.
         if n > 0 {
-            crate::simd::matmul_simd_rows(out, 0, &ah, &bh, k, n);
+            crate::simd::matmul_simd_rows(out, &ah, k, &bh, n, k, n);
         }
     })
 }

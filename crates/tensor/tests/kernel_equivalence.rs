@@ -166,11 +166,33 @@ fn conv2d_paths_bitwise_equal() {
     assert_conv_tiers_agree(&x, &w, &bias, 1, 1);
 }
 
+/// The sliced head loop the fused one is held to, spelled out: each
+/// head's bands copied out of the packed projections, `ops::attention`
+/// on them (its products dispatch by size, all exact with nothing
+/// forced), the outputs concatenated in head order.
+fn sliced(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, causal: bool) -> Tensor {
+    let dh = q.dims()[1] / heads;
+    let band = |x: &Tensor, h: usize| ops::narrow(x, 1, h * dh, dh);
+    (0..heads)
+        .map(|h| ops::attention(&band(q, h), &band(k, h), &band(v, h), causal))
+        .reduce(|a, b| ops::concat(&a, &b, 1))
+        .expect("at least one head")
+}
+
+/// Bit patterns with every NaN as one: which NaN an operation returns
+/// is not specified, so a NaN output has to be one in both, no more.
+fn bits_up_to_nan(t: &Tensor) -> Vec<u32> {
+    let nan = f32::NAN.to_bits();
+    t.data()
+        .iter()
+        .map(|v| if v.is_nan() { nan } else { v.to_bits() })
+        .collect()
+}
+
 /// Every tier of `multi_head_attention_on` and the dispatcher against
-/// the scalar tier. With nothing forced the per-head products dispatch
-/// by size on every tier, so all six are exact here; the quantized ones
-/// never take the fused single-query loop, which makes them the
-/// slice-per-head reference for it.
+/// the sliced loop. The exact tiers run the fused loop; with nothing
+/// forced `Int8` and `Fp16` run the sliced loop itself, on exact
+/// products.
 fn assert_attention_tiers_agree(
     q: &Tensor,
     k: &Tensor,
@@ -183,13 +205,14 @@ fn assert_attention_tiers_agree(
         q.shape(),
         k.shape()
     );
-    let reference = ops::multi_head_attention_on(Path::Scalar, q, k, v, heads, causal);
+    let reference = sliced(q, k, v, heads, causal);
+    let want = bits_up_to_nan(&reference);
     for p in PATHS {
         let got = ops::multi_head_attention_on(p, q, k, v, heads, causal);
-        assert_eq!(bits(&reference), bits(&got), "{p:?} {case}");
+        assert_eq!(want, bits_up_to_nan(&got), "{p:?} {case}");
     }
     let dispatched = ops::multi_head_attention(q, k, v, heads, causal);
-    assert_eq!(bits(&reference), bits(&dispatched), "dispatched {case}");
+    assert_eq!(want, bits_up_to_nan(&dispatched), "dispatched {case}");
     reference
 }
 
@@ -209,27 +232,68 @@ fn attention_paths_bitwise_equal() {
 }
 
 #[test]
-fn fused_decode_attention_bitwise_equals_sliced_reference() {
+fn fused_attention_equals_the_sliced_loop_on_every_shape_and_special_value() {
     let _kernels = shared();
-    // `tk` crosses the 8-key unrolled-tile boundary so ragged tails are
-    // hit. `tq == 1` routes every exact tier through the fused decode
-    // kernel, which must reproduce the slice-per-head loop exactly — and
-    // the matmul it stands in for: the same query twice is a `tq = 2`
-    // call, which goes through `matmul(q, transpose2d(k))` per head and
-    // has to return the fused row twice.
-    for seed in 0..CASES {
-        let [heads, dh, tk] = draw(seed, [(1, 6), (1, 12), (1, 24)]);
+    // `(heads, dh, tq, tk)`: chunked prefill (tq < tk), decode (tq = 1),
+    // more queries than keys (tq > tk), square prompts with a ragged last
+    // tile of queries, ragged and one-column heads, and prefill_wide's
+    // 96 × 4 × 64.
+    let shapes = [
+        (3, 5, 7, 19),
+        (2, 16, 1, 33),
+        (1, 3, 1, 1),
+        (4, 3, 13, 6),
+        (2, 7, 9, 9),
+        (5, 1, 4, 4),
+        (2, 24, 30, 70),
+        (4, 64, 96, 96),
+    ];
+    for (case, &(heads, dh, tq, tk)) in shapes.iter().enumerate() {
         let dm = heads * dh;
-        let q = init::randn([1, dm], seed);
-        let k = init::randn([tk, dm], seed ^ 0xAB);
-        let v = init::randn([tk, dm], seed ^ 0xCD);
-        let fused = bits(&assert_attention_tiers_agree(&q, &k, &v, heads, true));
-        let twice = ops::multi_head_attention(&ops::concat(&q, &q, 0), &k, &v, heads, false);
-        assert_eq!(
-            [fused.clone(), fused].concat(),
-            bits(&twice),
-            "seed={seed} heads={heads} dh={dh} tk={tk}"
-        );
+        for causal in [false, true] {
+            let seed = case as u64;
+            let (mut q, k, v) = (
+                init::randn([tq, dm], seed),
+                init::randn([tk, dm], seed ^ 0xAB),
+                init::randn([tk, dm], seed ^ 0xCD),
+            );
+            // Signed zeros in Q exercise the score's zero skip.
+            for (i, x) in q.data_mut().iter_mut().enumerate() {
+                if i % 7 == 3 {
+                    *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            assert_attention_tiers_agree(&q, &k, &v, heads, causal);
+
+            // ±inf and NaN in Q, K and V: every output the reference
+            // leaves finite is the same bits, every NaN a NaN.
+            let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0];
+            let (mut qs, mut ks, mut vs) = (q.clone(), k.clone(), v.clone());
+            for (t, stride) in [(&mut qs, 11), (&mut ks, 13), (&mut vs, 17)] {
+                for (i, x) in t.data_mut().iter_mut().enumerate().skip(5) {
+                    if i % stride == 0 {
+                        *x = specials[i / stride % specials.len()];
+                    }
+                }
+            }
+            assert_attention_tiers_agree(&qs, &ks, &vs, heads, causal);
+
+            // Inf and NaN only in the last key's K and V rows: under the
+            // mask, no query before the one that sees that key — its tile
+            // of four computes the hidden scores — may read them.
+            let (mut kl, mut vl) = (k.clone(), v.clone());
+            kl.data_mut()[(tk - 1) * dm..].fill(f32::NAN);
+            vl.data_mut()[(tk - 1) * dm..].fill(f32::INFINITY);
+            let out = assert_attention_tiers_agree(&q, &kl, &vl, heads, causal);
+            if causal {
+                // Query `i` sees key `tk − 1` from `i = min(tq, tk) − 1` on.
+                let hidden = &out.data()[..(tq.min(tk) - 1) * dm];
+                assert!(
+                    hidden.iter().all(|x| x.is_finite()),
+                    "a hidden key reached the output: heads={heads} dh={dh} tq={tq} tk={tk}"
+                );
+            }
+        }
     }
 }
 
