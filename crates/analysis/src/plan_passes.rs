@@ -93,31 +93,31 @@ pub fn run_plan_passes(
     };
     let plan = PlanView::new(facts);
     let mut report = Report::new(facts.subject());
-    timed_pass("memory_watermark", || {
+    timed_pass("lint.memory_watermark", || {
         check_memory_watermark(&plan, topo, state, cfg, &mut report)
     });
-    timed_pass("transfer_endpoints", || {
+    timed_pass("lint.transfer_endpoints", || {
         check_transfer_endpoints(&plan, cfg, &mut report)
     });
-    timed_pass("weight_shipping", || {
+    timed_pass("lint.weight_shipping", || {
         check_weight_shipping(&plan, cfg, &mut report)
     });
-    timed_pass("kv_colocation", || {
+    timed_pass("lint.kv_colocation", || {
         check_kv_colocation(&plan, cfg, &mut report)
     });
-    timed_pass("transfer_ordering", || {
+    timed_pass("lint.transfer_ordering", || {
         check_transfer_ordering(&plan, cfg, &mut report)
     });
-    timed_pass("double_pinning", || {
+    timed_pass("lint.double_pinning", || {
         check_double_pinning(&plan, cfg, &mut report)
     });
-    timed_pass("transfer_deadlock", || {
+    timed_pass("lint.transfer_deadlock", || {
         check_transfer_deadlock(&plan, cfg, &mut report)
     });
-    timed_pass("collective_deadlock", || {
+    timed_pass("lint.collective_deadlock", || {
         check_collective_deadlock(&plan, cfg, &mut report)
     });
-    timed_pass("precision_plan", || {
+    timed_pass("lint.precision_plan", || {
         check_precision_plan(&plan, topo, cfg, &mut report)
     });
     report.finish().record_metrics()

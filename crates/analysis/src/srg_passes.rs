@@ -12,16 +12,18 @@ use genie_srg::{ElemType, OpKind, Phase, Residency, Srg};
 /// Run every SRG pass under `cfg` and return the merged report.
 pub fn run_srg_passes(srg: &Srg, cfg: &LintConfig) -> Report {
     let mut report = Report::new(srg.name.clone());
-    timed_pass("shapes", || check_shapes(srg, cfg, &mut report));
-    timed_pass("dtypes", || check_dtypes(srg, cfg, &mut report));
-    timed_pass("phases", || check_phases(srg, cfg, &mut report));
-    timed_pass("residency", || check_residency(srg, cfg, &mut report));
-    timed_pass("cost_hints", || check_cost_hints(srg, cfg, &mut report));
-    timed_pass("rates", || check_rates(srg, cfg, &mut report));
-    timed_pass("annotation_gaps", || {
+    timed_pass("lint.shapes", || check_shapes(srg, cfg, &mut report));
+    timed_pass("lint.dtypes", || check_dtypes(srg, cfg, &mut report));
+    timed_pass("lint.phases", || check_phases(srg, cfg, &mut report));
+    timed_pass("lint.residency", || check_residency(srg, cfg, &mut report));
+    timed_pass("lint.cost_hints", || {
+        check_cost_hints(srg, cfg, &mut report)
+    });
+    timed_pass("lint.rates", || check_rates(srg, cfg, &mut report));
+    timed_pass("lint.annotation_gaps", || {
         check_annotation_gaps(srg, cfg, &mut report)
     });
-    timed_pass("precision", || {
+    timed_pass("lint.precision", || {
         crate::precision_passes::check_precision_consistency(srg, cfg, &mut report)
     });
     report.finish().record_metrics()

@@ -26,8 +26,9 @@ use genie_srg::{
     TensorMeta,
 };
 use genie_telemetry::{lock, Counter, Histogram, DEFAULT_TIME_BOUNDS};
-use genie_tensor::{IndexTensor, Tensor};
+use genie_tensor::{IndexTensor, Shape, Tensor};
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The result of a finished capture: a validated SRG plus the payloads of
@@ -67,8 +68,48 @@ enum Reuse {
 
 const REUSE_LABELS: [&str; 3] = ["miss", "hit", "diverged"];
 
-/// A node attribute as the operator methods state it.
-type Attr = (&'static str, String);
+/// A node attribute as the operator methods state it: the value as
+/// the method has it, rendered to the `String` a node stores only when
+/// a node is appended. A re-trace compares it with the stored string in
+/// place ([`renders_as`]).
+pub(crate) type Attr<'a> = (&'static str, &'a dyn fmt::Display);
+
+/// Whether `value` renders as `stored`, checked piece by piece as it is
+/// formatted, so nothing is built.
+fn renders_as(value: &dyn fmt::Display, stored: &str) -> bool {
+    struct Rest<'s>(&'s str);
+    impl fmt::Write for Rest<'_> {
+        fn write_str(&mut self, piece: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(piece).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Rest(stored);
+    write!(rest, "{value}").is_ok() && rest.0.is_empty()
+}
+
+/// What a recorded call produces: its dims, element type and residency
+/// (an ephemeral activation unless [`Out::with`] says otherwise).
+pub(crate) struct Out<'a> {
+    dims: &'a [usize],
+    elem: ElemType,
+    residency: Residency,
+}
+
+impl<'a> Out<'a> {
+    pub(crate) fn new(dims: &'a [usize], elem: ElemType) -> Self {
+        let residency = Residency::EphemeralActivation;
+        Out {
+            dims,
+            elem,
+            residency,
+        }
+    }
+
+    fn with(self, residency: Residency) -> Self {
+        Out { residency, ..self }
+    }
+}
 
 /// The capture path's metric handles, resolved once per process: a
 /// registry lookup builds its key and searches under the registry mutex,
@@ -108,7 +149,7 @@ fn capture_metrics() -> &'static CaptureMetrics {
 
 /// Append `node`, fed by `inputs`, and allocate its output tensor.
 fn append(srg: &mut Srg, node: Node, inputs: &[&LazyTensor]) -> (NodeId, TensorId) {
-    let fed = inputs.iter().map(|i| (i.node, i.tensor, i.meta.clone()));
+    let fed = (inputs.iter()).map(|i| (i.node, i.tensor, TensorMeta::new(i.dims(), i.elem)));
     let id = srg.add_node_fed(node, fed);
     let tensor = srg.fresh_tensor();
     // One tensor per recorded call: a re-trace hands out the same ids
@@ -160,7 +201,7 @@ impl CaptureState {
         name: &str,
         residency: Residency,
         cost: CostHints,
-        attrs: impl IntoIterator<Item = Attr>,
+        attrs: &[Attr<'_>],
     ) -> Node {
         let mut node = Node::new(NodeId::new(0), op, name)
             .with_module_path(self.module_path.clone())
@@ -169,32 +210,28 @@ impl CaptureState {
             .with_residency(residency)
             .with_cost(cost);
         for (k, v) in attrs {
-            node = node.with_attr(k, v);
+            node = node.with_attr(*k, v.to_string());
         }
         node
     }
 
     /// One recorded call: matched against the previous capture while a
     /// re-trace lasts, appended otherwise.
-    fn call<A>(
+    fn call(
         &mut self,
         op: OpKind,
         name: &str,
         residency: Residency,
         cost: CostHints,
-        attrs: A,
+        attrs: &[Attr<'_>],
         inputs: &[&LazyTensor],
-    ) -> (NodeId, TensorId)
-    where
-        A: IntoIterator<Item = Attr> + AsRef<[Attr]>,
-    {
+    ) -> (NodeId, TensorId) {
         if let Some(mut shadow) = self.shadow.take() {
-            let attrs = attrs.as_ref().iter().cloned();
             let cold = self.node(op.clone(), name, residency, cost, attrs);
             append(&mut shadow, cold, inputs);
             self.shadow = Some(shadow);
         }
-        if let Some(hit) = self.retrace_call(&op, name, residency, cost, attrs.as_ref(), inputs) {
+        if let Some(hit) = self.retrace_call(&op, name, residency, cost, attrs, inputs) {
             return hit;
         }
         self.diverge();
@@ -216,7 +253,7 @@ impl CaptureState {
         name: &str,
         residency: Residency,
         cost: CostHints,
-        attrs: &[Attr],
+        attrs: &[Attr<'_>],
         inputs: &[&LazyTensor],
     ) -> Option<(NodeId, TensorId)> {
         let rt = self.retrace.as_mut()?;
@@ -229,7 +266,7 @@ impl CaptureState {
             && node.phase == *self.phase_stack.last().unwrap_or(&Phase::Unknown)
             && node.modality == self.modality_stack.last().copied().unwrap_or_default()
             && node.attrs.len() == attrs.len()
-            && attrs.iter().all(|(k, v)| node.attrs.get(*k) == Some(v))
+            && (attrs.iter()).all(|(k, v)| node.attrs.get(*k).is_some_and(|s| renders_as(*v, s)))
             && srg.in_degree(id) == inputs.len()
             && srg
                 .in_edges(id)
@@ -247,7 +284,7 @@ impl CaptureState {
         node.residency = residency;
         node.device = None;
         for (edge, input) in edges[rt.edges..].iter_mut().zip(inputs) {
-            edge.reset_payload(&input.meta);
+            edge.reset_payload(input.dims(), input.elem);
         }
         rt.nodes += 1;
         rt.edges += inputs.len();
@@ -403,79 +440,48 @@ impl CaptureCtx {
     pub fn parameter(
         &self,
         name: &str,
-        shape: impl Into<Vec<usize>>,
+        shape: impl AsRef<[usize]>,
         elem: ElemType,
         payload: Option<Tensor>,
     ) -> LazyTensor {
-        let meta = TensorMeta::new(shape, elem);
-        if let Some(t) = &payload {
-            assert_eq!(
-                t.dims(),
-                &meta.shape[..],
-                "parameter {name} payload shape mismatch"
-            );
-        }
-        let payload = payload.map(Value::F);
-        self.source(
-            OpKind::Parameter,
-            name,
-            Residency::PersistentWeight,
-            meta,
-            payload,
-        )
+        let out = Out::new(shape.as_ref(), elem).with(Residency::PersistentWeight);
+        self.dense_source(OpKind::Parameter, name, out, payload)
     }
 
     /// Declare a dense float input.
     pub fn input(
         &self,
         name: &str,
-        shape: impl Into<Vec<usize>>,
+        shape: impl AsRef<[usize]>,
         elem: ElemType,
         payload: Option<Tensor>,
     ) -> LazyTensor {
-        let meta = TensorMeta::new(shape, elem);
-        if let Some(t) = &payload {
-            assert_eq!(
-                t.dims(),
-                &meta.shape[..],
-                "input {name} payload shape mismatch"
-            );
-        }
-        let payload = payload.map(Value::F);
-        self.source(OpKind::Input, name, Residency::ModelInput, meta, payload)
+        let out = Out::new(shape.as_ref(), elem).with(Residency::ModelInput);
+        self.dense_source(OpKind::Input, name, out, payload)
     }
 
     /// Declare an integer-index input (token ids, embedding rows).
     pub fn input_ids(&self, name: &str, ids: &[i64]) -> LazyTensor {
-        let meta = TensorMeta::new([ids.len()], ElemType::I64);
-        let payload = Value::I(IndexTensor::from_slice(ids));
-        self.source(
-            OpKind::Input,
-            name,
-            Residency::ModelInput,
-            meta,
-            Some(payload),
-        )
+        let payload = Some(Value::I(IndexTensor::from_slice(ids)));
+        let dims = [ids.len()];
+        let out = Out::new(&dims, ElemType::I64).with(Residency::ModelInput);
+        self.source(OpKind::Input, name, out, payload)
     }
 
     /// Declare an index input with no payload (simulation plane).
     pub fn input_ids_spec(&self, name: &str, len: usize) -> LazyTensor {
-        let meta = TensorMeta::new([len], ElemType::I64);
-        self.source(OpKind::Input, name, Residency::ModelInput, meta, None)
+        let dims = [len];
+        let out = Out::new(&dims, ElemType::I64).with(Residency::ModelInput);
+        self.source(OpKind::Input, name, out, None)
     }
 
     /// An empty KV-cache seed of shape `[0, dim]` — the starting state of
     /// a decode loop.
     pub fn empty_cache(&self, name: &str, dim: usize, elem: ElemType) -> LazyTensor {
-        let meta = TensorMeta::new([0, dim], elem);
-        let payload = Value::F(Tensor::zeros(vec![0, dim]));
-        self.source(
-            OpKind::Input,
-            name,
-            Residency::StatefulKvCache,
-            meta,
-            Some(payload),
-        )
+        let payload = Some(Value::F(Tensor::zeros(vec![0, dim])));
+        let dims = [0, dim];
+        let out = Out::new(&dims, elem).with(Residency::StatefulKvCache);
+        self.source(OpKind::Input, name, out, payload)
     }
 
     // ---- finish -----------------------------------------------------
@@ -569,19 +575,27 @@ impl CaptureCtx {
 
     // ---- internals --------------------------------------------------
 
-    /// Record a source node, bind its payload (functional plane) and
-    /// hand back its handle, all under one lock.
-    fn source(
+    /// [`source`](Self::source) of a dense float payload, checked
+    /// against the declared shape.
+    fn dense_source(
         &self,
         op: OpKind,
         name: &str,
-        residency: Residency,
-        meta: TensorMeta,
-        payload: Option<Value>,
+        out: Out,
+        payload: Option<Tensor>,
     ) -> LazyTensor {
+        if let Some(t) = &payload {
+            assert_eq!(t.dims(), out.dims, "{op} {name} payload shape mismatch");
+        }
+        self.source(op, name, out, payload.map(Value::F))
+    }
+
+    /// Record a source node, bind its payload (functional plane) and
+    /// hand back its handle, all under one lock.
+    fn source(&self, op: OpKind, name: &str, out: Out, payload: Option<Value>) -> LazyTensor {
         capture_metrics().source_ops.inc();
         let mut st = lock(&self.state);
-        let (id, tensor) = st.call(op, name, residency, CostHints::ZERO, [], &[]);
+        let (id, tensor) = st.call(op, name, out.residency, CostHints::ZERO, &[], &[]);
         match payload {
             Some(value) => {
                 st.values.insert(id, value);
@@ -593,32 +607,31 @@ impl CaptureCtx {
             None => {}
         }
         drop(st);
-        LazyTensor {
-            ctx: self.clone(),
-            node: id,
-            tensor,
-            meta,
-        }
+        self.handle(id, tensor, out)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Record one operator call producing `out`.
     pub(crate) fn record(
         &self,
         op: OpKind,
         name: &str,
         inputs: &[&LazyTensor],
-        out_meta: TensorMeta,
+        out: Out,
         cost: CostHints,
-        attrs: impl IntoIterator<Item = Attr> + AsRef<[Attr]>,
-        residency: Residency,
+        attrs: &[Attr<'_>],
     ) -> LazyTensor {
         capture_metrics().compute_ops.inc();
-        let (id, tensor) = lock(&self.state).call(op, name, residency, cost, attrs, inputs);
+        let (id, tensor) = lock(&self.state).call(op, name, out.residency, cost, attrs, inputs);
+        self.handle(id, tensor, out)
+    }
+
+    fn handle(&self, node: NodeId, tensor: TensorId, out: Out) -> LazyTensor {
         LazyTensor {
             ctx: self.clone(),
-            node: id,
+            node,
             tensor,
-            meta: out_meta,
+            shape: Shape::new(out.dims),
+            elem: out.elem,
         }
     }
 
@@ -630,21 +643,19 @@ impl CaptureCtx {
         for p in parts {
             assert_eq!(p.dims(), parts[0].dims(), "all_reduce shape mismatch");
         }
-        let meta = parts[0].meta.clone();
-        let bytes = meta.size_bytes() as f64;
+        let bytes = parts[0].size_bytes() as f64;
         let k = parts.len() as f64;
         self.record(
             OpKind::AllReduce,
             "all_reduce",
             parts,
-            meta,
+            Out::new(parts[0].dims(), parts[0].elem),
             CostHints::new(
                 k * bytes / 4.0, // one add per element per extra shard
                 k * bytes,
                 bytes,
             ),
-            [("shards", parts.len().to_string())],
-            Residency::EphemeralActivation,
+            &[("shards", &parts.len())],
         )
     }
 
@@ -652,43 +663,37 @@ impl CaptureCtx {
     /// in ascending rank (slot) order.
     pub fn all_gather(&self, parts: &[&LazyTensor], dim: usize) -> LazyTensor {
         assert!(!parts.is_empty(), "all_gather of zero shards");
-        let mut shape = parts[0].dims().to_vec();
-        assert!(dim < shape.len(), "all_gather dim out of range");
-        shape[dim] = parts.iter().map(|p| p.dims()[dim]).sum();
-        let meta = TensorMeta::new(shape, parts[0].meta.elem);
-        let bytes = meta.size_bytes() as f64;
-        self.record(
-            OpKind::AllGather,
-            "all_gather",
-            parts,
-            meta,
-            CostHints::new(0.0, bytes, bytes),
-            [
-                ("dim", dim.to_string()),
-                ("shards", parts.len().to_string()),
-            ],
-            Residency::EphemeralActivation,
-        )
+        assert!(dim < parts[0].dims().len(), "all_gather dim out of range");
+        let attrs: [Attr; 2] = [("dim", &dim), ("shards", &parts.len())];
+        self.join(OpKind::AllGather, "all_gather", parts, dim, &attrs)
     }
 
     /// Concatenate `parts` along `dim`, in order, as one node.
     pub fn concat(&self, parts: &[&LazyTensor], dim: usize) -> LazyTensor {
-        let mut shape = parts[0].dims().to_vec();
         for p in parts {
-            assert_eq!(p.dims().len(), shape.len(), "concat rank");
+            assert_eq!(p.dims().len(), parts[0].dims().len(), "concat rank");
         }
-        shape[dim] = parts.iter().map(|p| p.dims()[dim]).sum();
-        let out = TensorMeta::new(shape, parts[0].meta.elem);
-        let bytes = out.size_bytes() as f64;
-        self.record(
-            OpKind::Concat,
-            "concat",
-            parts,
-            out,
+        self.join(OpKind::Concat, "concat", parts, dim, &[("dim", &dim)])
+    }
+
+    /// `parts` joined along `dim` in order as one `op` node.
+    fn join(
+        &self,
+        op: OpKind,
+        name: &str,
+        parts: &[&LazyTensor],
+        dim: usize,
+        attrs: &[Attr<'_>],
+    ) -> LazyTensor {
+        let mut shape = parts[0].shape.clone();
+        shape.dims_mut()[dim] = parts.iter().map(|p| p.dims()[dim]).sum();
+        let elem = parts[0].elem;
+        let bytes = size_bytes(shape.dims(), elem) as f64;
+        let (out, cost) = (
+            Out::new(shape.dims(), elem),
             CostHints::new(0.0, bytes, bytes),
-            [("dim", dim.to_string())],
-            Residency::EphemeralActivation,
-        )
+        );
+        self.record(op, name, parts, out, cost, attrs)
     }
 }
 
@@ -702,23 +707,28 @@ pub struct LazyTensor {
     /// The logical tensor this handle denotes. Every consumer edge carries
     /// the same id, so schedulers can deduplicate fan-out transfers.
     pub tensor: genie_srg::TensorId,
-    /// Shape / element-type metadata of this value.
-    pub meta: TensorMeta,
+    /// Held inline (see [`Shape`]): a handle is built without the heap.
+    shape: Shape,
+    elem: ElemType,
 }
 
 impl LazyTensor {
     /// Dimension sizes.
     pub fn dims(&self) -> &[usize] {
-        &self.meta.shape
+        self.shape.dims()
     }
 
     /// Bytes of this value at its declared precision.
     pub fn size_bytes(&self) -> usize {
-        self.meta.size_bytes()
+        size_bytes(self.dims(), self.elem)
+    }
+
+    fn num_elements(&self) -> usize {
+        self.shape.num_elements()
     }
 
     fn es(&self) -> f64 {
-        self.meta.elem.size_bytes() as f64
+        self.elem.size_bytes() as f64
     }
 
     /// Mark this value as a model output. Stateful residencies survive:
@@ -745,7 +755,6 @@ impl LazyTensor {
         let (m, k) = (self.dims()[0], self.dims()[1]);
         let (k2, n) = (rhs.dims()[0], rhs.dims()[1]);
         assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
-        let out = TensorMeta::new([m, n], self.meta.elem);
         let flops = 2.0 * m as f64 * k as f64 * n as f64;
         let read = (m * k + k * n) as f64 * self.es();
         let write = (m * n) as f64 * self.es();
@@ -753,10 +762,9 @@ impl LazyTensor {
             OpKind::MatMul,
             "matmul",
             &[self, rhs],
-            out,
+            Out::new(&[m, n], self.elem),
             CostHints::new(flops, read, write),
-            [],
-            Residency::EphemeralActivation,
+            &[],
         )
     }
 
@@ -779,15 +787,14 @@ impl LazyTensor {
             &[*self.dims().last().expect("rank >= 1")],
             "bias must match innermost dim"
         );
-        let n: f64 = self.meta.num_elements() as f64;
+        let n = self.num_elements() as f64;
         self.ctx.record(
             OpKind::Add,
             "add_bias",
             &[self, bias],
-            self.meta.clone(),
+            Out::new(self.dims(), self.elem),
             CostHints::new(n, 2.0 * n * self.es(), n * self.es()),
-            [("bias", "1".into())],
-            Residency::EphemeralActivation,
+            &[("bias", &"1")],
         )
     }
 
@@ -818,15 +825,14 @@ impl LazyTensor {
         let inner = *self.dims().last().expect("rank >= 1");
         assert_eq!(gamma.dims(), &[inner], "gamma shape");
         assert_eq!(beta.dims(), &[inner], "beta shape");
-        let n = self.meta.num_elements() as f64;
+        let n = self.num_elements() as f64;
         self.ctx.record(
             OpKind::LayerNorm,
             "layer_norm",
             &[self, gamma, beta],
-            self.meta.clone(),
+            Out::new(self.dims(), self.elem),
             CostHints::new(8.0 * n, 2.0 * n * self.es(), n * self.es()),
-            [("eps", eps.to_string())],
-            Residency::EphemeralActivation,
+            &[("eps", &eps)],
         )
     }
 
@@ -834,15 +840,14 @@ impl LazyTensor {
     pub fn rms_norm(&self, gamma: &LazyTensor, eps: f32) -> LazyTensor {
         let inner = *self.dims().last().expect("rank >= 1");
         assert_eq!(gamma.dims(), &[inner], "gamma shape");
-        let n = self.meta.num_elements() as f64;
+        let n = self.num_elements() as f64;
         self.ctx.record(
             OpKind::RmsNorm,
             "rms_norm",
             &[self, gamma],
-            self.meta.clone(),
+            Out::new(self.dims(), self.elem),
             CostHints::new(5.0 * n, 2.0 * n * self.es(), n * self.es()),
-            [("eps", eps.to_string())],
-            Residency::EphemeralActivation,
+            &[("eps", &eps)],
         )
     }
 
@@ -870,10 +875,9 @@ impl LazyTensor {
             OpKind::Attention,
             "attention",
             &[self, k, v],
-            TensorMeta::new([tq, dm], self.meta.elem),
+            Out::new(&[tq, dm], self.elem),
             CostHints::new(flops, read, write),
-            [("heads", heads.to_string()), ("causal", causal.to_string())],
-            Residency::EphemeralActivation,
+            &[("heads", &heads), ("causal", &causal)],
         )
     }
 
@@ -884,19 +888,15 @@ impl LazyTensor {
         assert_eq!(self.dims().len(), 2, "cache rank");
         assert_eq!(new.dims().len(), 2, "new rows rank");
         assert_eq!(self.dims()[1], new.dims()[1], "kv dim mismatch");
-        let out = TensorMeta::new(
-            [self.dims()[0] + new.dims()[0], self.dims()[1]],
-            self.meta.elem,
-        );
-        let delta = new.meta.size_bytes() as f64;
+        let delta = new.size_bytes() as f64;
         self.ctx.record(
             OpKind::KvAppend,
             "kv_append",
             &[self, new],
-            out,
+            Out::new(&[self.dims()[0] + new.dims()[0], self.dims()[1]], self.elem)
+                .with(Residency::StatefulKvCache),
             CostHints::new(0.0, delta, delta),
-            [],
-            Residency::StatefulKvCache,
+            &[],
         )
     }
 
@@ -927,21 +927,16 @@ impl LazyTensor {
         );
         let oh = (h + 2 * padding - kh) / stride + 1;
         let ow = (wd + 2 * padding - kw) / stride + 1;
-        let out = TensorMeta::new([n, cout, oh, ow], self.meta.elem);
         let flops = 2.0 * (n * cout * oh * ow * cin * kh * kw) as f64;
-        let read = (self.meta.num_elements() + w.meta.num_elements()) as f64 * self.es();
-        let write = out.num_elements() as f64 * self.es();
+        let read = (self.num_elements() + w.num_elements()) as f64 * self.es();
+        let write = (n * cout * oh * ow) as f64 * self.es();
         self.ctx.record(
             OpKind::Conv2d,
             "conv2d",
             &[self, w, bias],
-            out,
+            Out::new(&[n, cout, oh, ow], self.elem),
             CostHints::new(flops, read, write),
-            [
-                ("stride", stride.to_string()),
-                ("padding", padding.to_string()),
-            ],
-            Residency::EphemeralActivation,
+            &[("stride", &stride), ("padding", &padding)],
         )
     }
 
@@ -956,21 +951,15 @@ impl LazyTensor {
         );
         let oh = (h - k) / stride + 1;
         let ow = (w - k) / stride + 1;
-        let out = TensorMeta::new([n, c, oh, ow], self.meta.elem);
-        let nelem = self.meta.num_elements() as f64;
-        let out_elems = out.num_elements() as f64;
+        let nelem = self.num_elements() as f64;
+        let out_elems = (n * c * oh * ow) as f64;
         self.ctx.record(
             OpKind::Pool2d,
             "pool2d",
             &[self],
-            out,
+            Out::new(&[n, c, oh, ow], self.elem),
             CostHints::new(nelem, nelem * self.es(), out_elems * self.es()),
-            [
-                ("k", k.to_string()),
-                ("stride", stride.to_string()),
-                ("avg", avg.to_string()),
-            ],
-            Residency::EphemeralActivation,
+            &[("k", &k), ("stride", &stride), ("avg", &avg)],
         )
     }
 
@@ -978,16 +967,14 @@ impl LazyTensor {
     pub fn global_avg_pool(&self) -> LazyTensor {
         assert_eq!(self.dims().len(), 4, "gap input must be NCHW");
         let (n, c) = (self.dims()[0], self.dims()[1]);
-        let out = TensorMeta::new([n, c], self.meta.elem);
-        let nelem = self.meta.num_elements() as f64;
+        let nelem = self.num_elements() as f64;
         self.ctx.record(
             OpKind::Pool2d,
             "global_avg_pool",
             &[self],
-            out,
+            Out::new(&[n, c], self.elem),
             CostHints::new(nelem, nelem * self.es(), (n * c) as f64 * self.es()),
-            [("gap", "true".into())],
-            Residency::EphemeralActivation,
+            &[("gap", &"true")],
         )
     }
 
@@ -997,37 +984,33 @@ impl LazyTensor {
     /// `self` is the table.
     pub fn gather(&self, indices: &LazyTensor) -> LazyTensor {
         assert_eq!(self.dims().len(), 2, "gather table rank");
-        assert_eq!(indices.meta.elem, ElemType::I64, "indices must be I64");
-        let n = indices.meta.num_elements();
+        assert_eq!(indices.elem, ElemType::I64, "indices must be I64");
+        let n = indices.num_elements();
         let d = self.dims()[1];
-        let out = TensorMeta::new([n, d], self.meta.elem);
         let bytes = (n * d) as f64 * self.es();
         self.ctx.record(
             OpKind::EmbeddingGather,
             "gather",
             &[self, indices],
-            out,
+            Out::new(&[n, d], self.elem),
             CostHints::new(0.0, bytes, bytes),
-            [],
-            Residency::EphemeralActivation,
+            &[],
         )
     }
 
     /// Sum-pooled multi-hot gather (EmbeddingBag): `→ [d]`.
     pub fn gather_sum(&self, indices: &LazyTensor) -> LazyTensor {
         assert_eq!(self.dims().len(), 2, "gather table rank");
-        let n = indices.meta.num_elements();
+        let n = indices.num_elements();
         let d = self.dims()[1];
-        let out = TensorMeta::new([d], self.meta.elem);
         let bytes = (n * d) as f64 * self.es();
         self.ctx.record(
             OpKind::EmbeddingGather,
             "gather_sum",
             &[self, indices],
-            out,
+            Out::new(&[d], self.elem),
             CostHints::new((n * d) as f64, bytes, d as f64 * self.es()),
-            [("pooled", "true".into())],
-            Residency::EphemeralActivation,
+            &[("pooled", &"true")],
         )
     }
 
@@ -1045,7 +1028,6 @@ impl LazyTensor {
         let (k2, n) = (rhs.dims()[0], rhs.dims()[1]);
         assert_eq!(k, k2, "matmul_acc inner dims {k} vs {k2}");
         assert_eq!(init.dims(), &[m, n], "matmul_acc init shape");
-        let out = TensorMeta::new([m, n], self.meta.elem);
         let flops = 2.0 * m as f64 * k as f64 * n as f64;
         let read = (m * k + k * n + m * n) as f64 * self.es();
         let write = (m * n) as f64 * self.es();
@@ -1053,10 +1035,9 @@ impl LazyTensor {
             OpKind::MatMulAcc,
             "matmul_acc",
             &[self, rhs, init],
-            out,
+            Out::new(&[m, n], self.elem),
             CostHints::new(flops, read, write),
-            [],
-            Residency::EphemeralActivation,
+            &[],
         )
     }
 
@@ -1069,13 +1050,9 @@ impl LazyTensor {
             OpKind::SendActivation,
             "send",
             &[self],
-            self.meta.clone(),
+            Out::new(self.dims(), self.elem),
             CostHints::new(0.0, bytes, bytes),
-            [
-                ("from_shard", from_shard.to_string()),
-                ("to_shard", to_shard.to_string()),
-            ],
-            Residency::EphemeralActivation,
+            &[("from_shard", &from_shard), ("to_shard", &to_shard)],
         )
     }
 
@@ -1089,58 +1066,48 @@ impl LazyTensor {
     /// Narrow `dim` to `[start, start+len)`.
     pub fn narrow(&self, dim: usize, start: usize, len: usize) -> LazyTensor {
         assert!(start + len <= self.dims()[dim], "narrow out of range");
-        let mut shape = self.dims().to_vec();
-        shape[dim] = len;
-        let out = TensorMeta::new(shape, self.meta.elem);
-        let bytes = out.size_bytes() as f64;
+        let mut shape = self.shape.clone();
+        shape.dims_mut()[dim] = len;
+        let bytes = size_bytes(shape.dims(), self.elem) as f64;
         self.ctx.record(
             OpKind::Slice,
             "narrow",
             &[self],
-            out,
+            Out::new(shape.dims(), self.elem),
             CostHints::new(0.0, bytes, bytes),
-            [
-                ("dim", dim.to_string()),
-                ("start", start.to_string()),
-                ("len", len.to_string()),
-            ],
-            Residency::EphemeralActivation,
+            &[("dim", &dim), ("start", &start), ("len", &len)],
         )
     }
 
     /// Reshape (metadata only).
-    pub fn reshape(&self, shape: impl Into<Vec<usize>>) -> LazyTensor {
-        let shape = shape.into();
-        let out = TensorMeta::new(shape.clone(), self.meta.elem);
+    pub fn reshape(&self, shape: impl AsRef<[usize]>) -> LazyTensor {
+        let shape = shape.as_ref();
         assert_eq!(
-            out.num_elements(),
-            self.meta.num_elements(),
+            shape.iter().product::<usize>(),
+            self.num_elements(),
             "reshape element count"
         );
         self.ctx.record(
             OpKind::Reshape,
             "reshape",
             &[self],
-            out,
+            Out::new(shape, self.elem),
             CostHints::ZERO,
-            [("shape", format_dims(&shape))],
-            Residency::EphemeralActivation,
+            &[("shape", &format_dims(shape))],
         )
     }
 
     /// Transpose a rank-2 value.
     pub fn transpose(&self) -> LazyTensor {
         assert_eq!(self.dims().len(), 2, "transpose rank");
-        let out = TensorMeta::new([self.dims()[1], self.dims()[0]], self.meta.elem);
-        let bytes = out.size_bytes() as f64;
+        let bytes = self.size_bytes() as f64;
         self.ctx.record(
             OpKind::Transpose,
             "transpose",
             &[self],
-            out,
+            Out::new(&[self.dims()[1], self.dims()[0]], self.elem),
             CostHints::new(0.0, bytes, bytes),
-            [],
-            Residency::EphemeralActivation,
+            &[],
         )
     }
 
@@ -1152,42 +1119,37 @@ impl LazyTensor {
     /// producer/consumer rate the network layer can exploit.
     pub fn sample(&self) -> LazyTensor {
         assert_eq!(self.dims().len(), 2, "sample expects [t, vocab] logits");
-        let out = TensorMeta::new([1], ElemType::I64);
-        let n = self.meta.num_elements() as f64;
+        let n = self.num_elements() as f64;
         self.ctx.record(
             OpKind::Sample,
             "sample",
             &[self],
-            out,
+            Out::new(&[1], ElemType::I64).with(Residency::ModelOutput),
             CostHints::new(n, n * self.es(), 8.0),
-            [],
-            Residency::ModelOutput,
+            &[],
         )
     }
 
     /// Mean over the innermost dimension.
     pub fn mean_lastdim(&self) -> LazyTensor {
-        let mut shape = self.dims().to_vec();
-        shape.pop();
-        if shape.is_empty() {
-            shape.push(1);
-        }
-        let out = TensorMeta::new(shape, self.meta.elem);
-        let n = self.meta.num_elements() as f64;
-        let out_elems = out.num_elements() as f64;
+        let shape = match self.dims() {
+            [] | [_] => &[1],
+            [outer @ .., _] => outer,
+        };
+        let n = self.num_elements() as f64;
+        let out_elems = shape.iter().product::<usize>() as f64;
         self.ctx.record(
             OpKind::Reduce,
             "mean",
             &[self],
-            out,
+            Out::new(shape, self.elem),
             CostHints::new(n, n * self.es(), out_elems * self.es()),
-            [("kind", "mean".into())],
-            Residency::EphemeralActivation,
+            &[("kind", &"mean")],
         )
     }
 
     fn elementwise(&self, op: OpKind, name: &str, rhs: Option<&LazyTensor>) -> LazyTensor {
-        let n = self.meta.num_elements() as f64;
+        let n = self.num_elements() as f64;
         let reads = if rhs.is_some() { 2.0 } else { 1.0 };
         let cost = CostHints::new(n, reads * n * self.es(), n * self.es());
         let pair;
@@ -1202,10 +1164,9 @@ impl LazyTensor {
             op,
             name,
             inputs,
-            self.meta.clone(),
+            Out::new(self.dims(), self.elem),
             cost,
-            [],
-            Residency::EphemeralActivation,
+            &[],
         )
     }
 }
@@ -1220,6 +1181,11 @@ fn format_dims(dims: &[usize]) -> String {
         .map(|d| d.to_string())
         .collect::<Vec<_>>()
         .join(",")
+}
+
+/// Bytes of a `dims` tensor of `elem`.
+fn size_bytes(dims: &[usize], elem: ElemType) -> usize {
+    dims.iter().product::<usize>() * elem.size_bytes()
 }
 
 #[cfg(test)]
@@ -1295,7 +1261,7 @@ mod tests {
         let ctx = CaptureCtx::new("g");
         let logits = ctx.input("logits", [1, 50400], ElemType::F32, None);
         let tok = logits.sample();
-        assert_eq!(tok.meta.size_bytes(), 8);
+        assert_eq!(tok.size_bytes(), 8);
         let cap = ctx.finish();
         assert_eq!(cap.srg.node(tok.node).residency, Residency::ModelOutput);
     }

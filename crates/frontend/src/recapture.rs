@@ -92,8 +92,9 @@ impl RecaptureSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::Out;
     use genie_analysis::LintCode;
-    use genie_srg::{CostHints, ElemType, OpKind, Residency, TensorMeta};
+    use genie_srg::{CostHints, ElemType, OpKind};
     use genie_tensor::Tensor;
 
     /// A data-dependent loop: keep doubling until the value exceeds a
@@ -129,10 +130,9 @@ mod tests {
             OpKind::MatMul,
             "matmul",
             &[&x, &w],
-            TensorMeta::new([1, 4], ElemType::F32),
+            Out::new(&[1, 4], ElemType::F32),
             CostHints::new(flops, 4.0 * (k + 4 * k) as f64, 16.0),
-            [("tolerance_rel", "1e-6".to_string())],
-            Residency::EphemeralActivation,
+            &[("tolerance_rel", &"1e-6")],
         )
         .mark_output();
     }

@@ -36,9 +36,25 @@ struct LayerWeights {
 pub struct TransformerLm {
     /// Architecture.
     pub config: TransformerConfig,
-    weights: Option<ModelWeights>,
+    weights: Option<Arc<ModelWeights>>,
     /// Shared by clones, which capture the same graphs.
     traces: Arc<StepTraces>,
+    /// Per layer, the names its captures use, built once rather than per
+    /// member-layer of every step: the module scope (`"3"`) and the K and
+    /// V cache inputs (`"k_cache_3"`, `"v_cache_3"`).
+    layer_names: Arc<[[String; 3]]>,
+}
+
+/// [`TransformerLm::layer_names`] for `layers` layers.
+fn layer_names(layers: usize) -> Arc<[[String; 3]]> {
+    let names = |l: usize| {
+        [
+            l.to_string(),
+            format!("k_cache_{l}"),
+            format!("v_cache_{l}"),
+        ]
+    };
+    (0..layers).map(names).collect()
 }
 
 /// The [`RecaptureSession`] of each phase's step function, which a step
@@ -138,8 +154,9 @@ impl TransformerLm {
             lm_head: draw([d, config.vocab], fan_d),
         };
         TransformerLm {
+            layer_names: layer_names(config.layers),
             config,
-            weights: Some(weights),
+            weights: Some(Arc::new(weights)),
             traces: Arc::default(),
         }
     }
@@ -148,6 +165,7 @@ impl TransformerLm {
     /// simulation plane's GPT-J captures.
     pub fn new_spec(config: TransformerConfig) -> Self {
         TransformerLm {
+            layer_names: layer_names(config.layers),
             config,
             weights: None,
             traces: Arc::default(),
@@ -213,6 +231,11 @@ impl TransformerLm {
             let (d, elem, tp) = (cfg.d_model, cfg.elem, spec.tensor_parallel);
             let ranks = tp as usize;
             let w = self.weights.as_ref();
+            // `config` is public: another layer count rebuilds the names.
+            let names = match self.layer_names.len() == cfg.layers {
+                true => self.layer_names.clone(),
+                false => layer_names(cfg.layers),
+            };
             let tag = Tagger {
                 ctx,
                 spec,
@@ -297,6 +320,7 @@ impl TransformerLm {
                     stage = s;
                 }
                 let lw = w.map(|w| &w.layers[layer]);
+                let [index, k_cache, v_cache] = &names[layer];
                 let block = || {
                     let normed = tag.on(s, 0, || {
                         let ln_g = ctx.parameter("ln_g", [d], elem, lw.map(|l| l.ln_g.clone()));
@@ -332,16 +356,15 @@ impl TransformerLm {
                                 };
                                 let (q, k_new, v_new) = (mine(&q), mine(&k_new), mine(&v_new));
                                 let cached = kv.k.get(layer).map_or(0, |c| c.dims()[0]);
-                                let cache = |kind: char, carried: &[Tensor]| {
-                                    let name = format!("{kind}_cache_{layer}");
+                                let cache = |name: &str, carried: &[Tensor]| {
                                     if cached == 0 {
-                                        return ctx.empty_cache(&name, d, elem);
+                                        return ctx.empty_cache(name, d, elem);
                                     }
                                     let payload =
                                         carried.get(layer).cloned().filter(|_| w.is_some());
-                                    ctx.input(&name, [cached, d], elem, payload)
+                                    ctx.input(name, [cached, d], elem, payload)
                                 };
-                                let (k_in, v_in) = (cache('k', &kv.k), cache('v', &kv.v));
+                                let (k_in, v_in) = (cache(k_cache, &kv.k), cache(v_cache, &kv.v));
                                 let (kc, vc) = (k_in.kv_append(&k_new), v_in.kv_append(&v_new));
                                 outs.push(q.attention(&kc, &vc, cfg.heads, true));
                                 grown.0.push(kc);
@@ -379,7 +402,7 @@ impl TransformerLm {
                     });
                     tag.on(s, 0, || x1.add(&mlp_out))
                 };
-                x = ctx.scope("h", || ctx.scope(&layer.to_string(), block));
+                x = ctx.scope("h", || ctx.scope(index, block));
             }
 
             // LM head on the last stage, vocabulary split across the ranks

@@ -332,7 +332,7 @@ fn lifecycle(kind: &EventKind) -> Option<(&'static str, CausalEventKind)> {
 /// device track ("serving") or a runtime-track instant ("causal").
 fn push_span(
     spans: &mut Vec<SpanRecord>,
-    name: &str,
+    name: &'static str,
     track: Track,
     start_ns: u64,
     dur_ns: u64,
@@ -408,7 +408,7 @@ mod tests {
         let spans = r.spans();
         let shown: Vec<_> = spans
             .iter()
-            .map(|s| (s.id, s.name.as_str(), s.start_ns, s.attrs.request))
+            .map(|s| (s.id, &*s.name, s.start_ns, s.attrs.request))
             .collect();
         let ms = 1_000_000;
         let expected = [
@@ -479,7 +479,7 @@ mod tests {
         let serving: Vec<_> = spans.iter().filter(|s| s.category == "serving").collect();
         let shown: Vec<_> = serving
             .iter()
-            .map(|s| (s.id, s.name.as_str(), s.track, s.start_ns, s.dur_ns))
+            .map(|s| (s.id, &*s.name, s.track, s.start_ns, s.dur_ns))
             .collect();
         let expected = [
             (1, "kv.migrate", Track::Device(0), 100, 80),
@@ -524,14 +524,7 @@ mod tests {
                 assert_eq!(timing, (SpanKind::Instant, Track::Runtime, 0));
                 assert!(s.attrs.extra.is_empty());
                 let a = &s.attrs;
-                (
-                    s.id,
-                    s.name.as_str(),
-                    s.start_ns,
-                    a.request,
-                    a.device,
-                    a.cause,
-                )
+                (s.id, &*s.name, s.start_ns, a.request, a.device, a.cause)
             })
             .collect();
         // Tokens are elided; an admit names its lane.

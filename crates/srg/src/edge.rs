@@ -1,6 +1,6 @@
 //! SRG edges: data dependencies annotated with movement costs.
 
-use crate::annotations::{Criticality, Rate, TensorMeta};
+use crate::annotations::{Criticality, ElemType, Layout, Rate, TensorMeta};
 use crate::ids::{EdgeId, NodeId, TensorId};
 
 /// A directed data dependency between two nodes. Edges carry everything the
@@ -44,14 +44,16 @@ impl Edge {
         }
     }
 
-    /// Re-describe the payload in place: afterwards the edge is what
-    /// [`Edge::new`] builds for `meta` between the same ends (pass-through
+    /// Re-describe the payload in place as a row-major `shape` of `elem`:
+    /// afterwards the edge is what [`Edge::new`] builds for
+    /// `TensorMeta::new(shape, elem)` between the same ends (pass-through
     /// rate, normal criticality). The shape buffer is reused.
-    pub fn reset_payload(&mut self, meta: &TensorMeta) {
-        self.meta.shape.clone_from(&meta.shape);
-        self.meta.elem = meta.elem;
-        self.meta.layout = meta.layout;
-        self.rate = Rate::passthrough(meta.size_bytes() as f64);
+    pub fn reset_payload(&mut self, shape: &[usize], elem: ElemType) {
+        self.meta.shape.clear();
+        self.meta.shape.extend_from_slice(shape);
+        self.meta.elem = elem;
+        self.meta.layout = Layout::RowMajor;
+        self.rate = Rate::passthrough(self.meta.size_bytes() as f64);
         self.criticality = Criticality::Normal;
     }
 
@@ -93,7 +95,7 @@ mod tests {
             ..edge().with_slot(1)
         };
         let grown = TensorMeta::new([5, 8], ElemType::F16);
-        e.reset_payload(&grown);
+        e.reset_payload(&grown.shape, grown.elem);
         let fresh = Edge::new(e.id, e.src, e.dst, e.tensor, grown).with_slot(1);
         assert_eq!(e, fresh);
     }

@@ -24,6 +24,13 @@ impl std::error::Error for CycleError {}
 /// Kahn's algorithm. Returns node ids in a deterministic topological order
 /// (ties broken by ascending id), or a [`CycleError`].
 pub fn topo_order(g: &Srg) -> Result<Vec<NodeId>, CycleError> {
+    // When every edge runs from a lower id to a higher one — true of any
+    // graph recorded call by call, as a capture is — id order is what
+    // the loop below returns: once every lower id is out, a node is
+    // ready and the smallest ready one.
+    if g.edges().all(|e| e.src < e.dst) {
+        return Ok(g.node_ids().collect());
+    }
     let n = g.node_count();
     let mut in_deg: Vec<usize> = (0..n).map(|i| g.in_degree(NodeId::new(i as u32))).collect();
     // A min-heap gives deterministic smallest-id-first ordering (a node

@@ -9,7 +9,7 @@
 
 use crate::lock;
 use crate::metrics::Counter;
-use crate::span::{SemAttrs, SpanKind, SpanRecord, Track};
+use crate::span::{Name, SemAttrs, SpanKind, SpanRecord, Track};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -119,15 +119,15 @@ impl Collector {
 
     /// Open a timed span; the returned guard records on drop. The span
     /// nests under any span already active on this thread.
-    pub fn span(&self, name: impl Into<String>, category: impl Into<String>) -> SpanGuard<'_> {
+    pub fn span(&self, name: impl Into<Name>, category: impl Into<Name>) -> SpanGuard<'_> {
         self.span_with(name, category, SemAttrs::new())
     }
 
     /// [`span`](Self::span) with semantic attributes attached up front.
     pub fn span_with(
         &self,
-        name: impl Into<String>,
-        category: impl Into<String>,
+        name: impl Into<Name>,
+        category: impl Into<Name>,
         attrs: SemAttrs,
     ) -> SpanGuard<'_> {
         if !self.is_enabled() {
@@ -153,7 +153,7 @@ impl Collector {
     }
 
     /// Record a zero-duration marker event.
-    pub fn instant(&self, name: impl Into<String>, category: impl Into<String>, attrs: SemAttrs) {
+    pub fn instant(&self, name: impl Into<Name>, category: impl Into<Name>, attrs: SemAttrs) {
         if !self.is_enabled() {
             return;
         }
@@ -241,8 +241,8 @@ impl Collector {
 struct OpenSpan {
     id: u64,
     parent: Option<u64>,
-    name: String,
-    category: String,
+    name: Name,
+    category: Name,
     attrs: SemAttrs,
     start_ns: u64,
 }
@@ -352,7 +352,7 @@ mod tests {
         assert_eq!(c.dropped(), 2);
         assert_eq!(counter.get(), 2, "metric mirrors ring evictions");
         let recs = c.drain();
-        let names: Vec<String> = recs.iter().map(|r| r.name.clone()).collect();
+        let names: Vec<String> = recs.iter().map(|r| r.name.to_string()).collect();
         assert_eq!(names, vec!["i2", "i3", "i4"], "oldest were evicted");
     }
 

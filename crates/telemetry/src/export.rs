@@ -143,8 +143,8 @@ impl ChromeTrace {
             }
             let instant = r.kind == SpanKind::Instant;
             self.events.push(ChromeEvent {
-                name: r.name.clone(),
-                cat: r.category.clone(),
+                name: r.name.to_string(),
+                cat: r.category.to_string(),
                 ph: if instant { "i" } else { "X" }.into(),
                 ts: r.start_ns as f64 / 1_000.0,
                 dur: if instant {

@@ -6,6 +6,7 @@
 //! are plain data; [`crate::export`] turns them into a trace document.
 
 use genie_srg::NodeId;
+use std::borrow::Cow;
 
 /// Which display track an event belongs to. The Chrome/Perfetto exporter
 /// maps tracks to process/thread rows: one row per device, one per link,
@@ -117,6 +118,9 @@ impl SemAttrs {
     }
 }
 
+/// A span's name or category: a fixed one is not copied.
+pub type Name = Cow<'static, str>;
+
 /// One recorded event.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
@@ -125,9 +129,9 @@ pub struct SpanRecord {
     /// Enclosing span, when one was active on the recording thread.
     pub parent: Option<u64>,
     /// Event name (span taxonomy: `capture`, `schedule`, `sim.kernel`, …).
-    pub name: String,
+    pub name: Name,
     /// Coarse category used for filtering and Chrome's `cat` field.
-    pub category: String,
+    pub category: Name,
     /// Interval or marker.
     pub kind: SpanKind,
     /// Display track.

@@ -58,7 +58,7 @@ pub fn sigmoid(x: &Tensor) -> Tensor {
 /// `f(v, exp(-v))` for every element `v` of `x`, the `exp`s one lane
 /// loop over the output.
 fn map_exp_neg(x: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-    Tensor::build(x.dims().to_vec(), |out| {
+    Tensor::build(x.shape().clone(), |out| {
         for (o, &v) in out.iter_mut().zip(x.data()) {
             *o = -v;
         }
@@ -75,11 +75,9 @@ fn map_exp_neg(x: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
 
 /// Numerically-stable softmax over the innermost dimension.
 pub fn softmax_lastdim(x: &Tensor) -> Tensor {
-    let dims = x.dims().to_vec();
-    assert!(!dims.is_empty(), "softmax requires rank >= 1");
-    let inner = *dims.last().expect("non-empty dims");
+    let inner = *x.dims().last().expect("softmax requires rank >= 1");
     let isa = Isa::selected();
-    Tensor::build(dims, |out| {
+    Tensor::build(x.shape().clone(), |out| {
         out.copy_from_slice(x.data());
         for row in out.chunks_mut(inner) {
             softmax_row(isa, row);
@@ -107,7 +105,7 @@ pub(crate) fn softmax_row(isa: Isa, row: &mut [f32]) {
 }
 
 fn map(x: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
-    Tensor::build(x.dims().to_vec(), |out| {
+    Tensor::build(x.shape().clone(), |out| {
         for (o, &v) in out.iter_mut().zip(x.data()) {
             *o = f(v);
         }
@@ -122,7 +120,7 @@ fn map(x: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
 /// cheap maps (`relu`, `add`, `mul`, `scale`, `add_bias`: 5 µs on
 /// `[96, 256]`) cost less than one wake-up.
 fn map_pooled(x: &Tensor, kernel: impl Fn(&mut [f32], &[f32]) + Sync) -> Tensor {
-    Tensor::build(x.dims().to_vec(), |out| {
+    Tensor::build(x.shape().clone(), |out| {
         if x.len() < TANH_PAR_MIN_ELEMS {
             return kernel(out, x.data());
         }

@@ -19,7 +19,7 @@ pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Multiply every element by a scalar.
 pub fn scale(a: &Tensor, s: f32) -> Tensor {
-    Tensor::build(a.dims().to_vec(), |out| {
+    Tensor::build(a.shape().clone(), |out| {
         for (o, &v) in out.iter_mut().zip(a.data()) {
             *o = v * s;
         }
@@ -30,7 +30,7 @@ pub fn scale(a: &Tensor, s: f32) -> Tensor {
 pub fn add_bias(a: &Tensor, bias: &Tensor) -> Tensor {
     let inner = *a.dims().last().expect("add_bias requires rank >= 1");
     assert_eq!(bias.dims(), &[inner], "bias must be [{inner}]");
-    Tensor::build(a.dims().to_vec(), |out| {
+    Tensor::build(a.shape().clone(), |out| {
         for (i, (o, &v)) in out.iter_mut().zip(a.data()).enumerate() {
             *o = v + bias.data()[i % inner];
         }
@@ -39,7 +39,7 @@ pub fn add_bias(a: &Tensor, bias: &Tensor) -> Tensor {
 
 fn zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     assert_eq!(a.shape(), b.shape(), "elementwise shape mismatch");
-    Tensor::build(a.dims().to_vec(), |out| {
+    Tensor::build(a.shape().clone(), |out| {
         for ((o, &x), &y) in out.iter_mut().zip(a.data()).zip(b.data()) {
             *o = f(x, y);
         }

@@ -12,12 +12,11 @@ use crate::tensor::Tensor;
 /// Layer normalization over the innermost dimension with learned scale and
 /// bias: `y = (x - mean) / sqrt(var + eps) * gamma + beta`.
 pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
-    let dims = x.dims().to_vec();
-    let inner = *dims.last().expect("layer_norm requires rank >= 1");
+    let inner = *x.dims().last().expect("layer_norm requires rank >= 1");
     assert_eq!(gamma.dims(), &[inner], "gamma must be [{inner}]");
     assert_eq!(beta.dims(), &[inner], "beta must be [{inner}]");
     let rows = x.len() / inner;
-    Tensor::build(dims, |out| {
+    Tensor::build(x.shape().clone(), |out| {
         let mut r0 = 0;
         while r0 < rows {
             let head = &x.data()[r0 * inner..];
@@ -67,11 +66,10 @@ fn moments<const R: usize>(x: &[f32], inner: usize, eps: f32) -> [(f32, f32); R]
 
 /// RMS normalization over the innermost dimension: `y = x / rms(x) * gamma`.
 pub fn rms_norm(x: &Tensor, gamma: &Tensor, eps: f32) -> Tensor {
-    let dims = x.dims().to_vec();
-    let inner = *dims.last().expect("rms_norm requires rank >= 1");
+    let inner = *x.dims().last().expect("rms_norm requires rank >= 1");
     assert_eq!(gamma.dims(), &[inner]);
     let rows = x.len() / inner;
-    Tensor::build(dims, |out| {
+    Tensor::build(x.shape().clone(), |out| {
         for r in 0..rows {
             let row = &x.data()[r * inner..(r + 1) * inner];
             let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / inner as f32;

@@ -1,5 +1,6 @@
 //! Reductions over the innermost dimension.
 
+use crate::shape::Shape;
 use crate::tensor::{IndexTensor, Tensor};
 
 /// Sum over the innermost dimension, dropping it.
@@ -33,8 +34,8 @@ pub fn argmax_lastdim(x: &Tensor) -> IndexTensor {
         }
         out.push(best as i64);
     }
-    let outer: Vec<usize> = x.dims()[..x.rank() - 1].to_vec();
-    let shape = if outer.is_empty() { vec![1] } else { outer };
+    let outer = &x.dims()[..x.rank() - 1];
+    let shape = Shape::new(if outer.is_empty() { &[1] } else { outer });
     IndexTensor::from_vec(shape, out)
 }
 
@@ -53,8 +54,8 @@ fn fold_lastdim(
             .fold(init, |a, &v| step(a, v));
         out.push(finish(acc, inner));
     }
-    let outer: Vec<usize> = x.dims()[..x.rank() - 1].to_vec();
-    let shape = if outer.is_empty() { vec![1] } else { outer };
+    let outer = &x.dims()[..x.rank() - 1];
+    let shape = Shape::new(if outer.is_empty() { &[1] } else { outer });
     Tensor::from_vec(shape, out)
 }
 

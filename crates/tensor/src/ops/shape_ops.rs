@@ -17,8 +17,8 @@ pub fn concat(a: &Tensor, b: &Tensor, dim: usize) -> Tensor {
             );
         }
     }
-    let mut out_dims = a.dims().to_vec();
-    out_dims[dim] += b.dims()[dim];
+    let mut out_dims = a.shape().clone();
+    out_dims.dims_mut()[dim] += b.dims()[dim];
 
     // Treat layout as [outer, dim, inner].
     let (outer, a_dim, inner) = a.shape().split_at_dim(dim);
@@ -45,8 +45,8 @@ pub fn narrow(x: &Tensor, dim: usize, start: usize, len: usize) -> Tensor {
         x.dims()[dim]
     );
     let (outer, d, inner) = x.shape().split_at_dim(dim);
-    let mut dims = x.dims().to_vec();
-    dims[dim] = len;
+    let mut dims = x.shape().clone();
+    dims.dims_mut()[dim] = len;
     let chunk = len * inner;
     Tensor::build(dims, |out| {
         for o in 0..outer {

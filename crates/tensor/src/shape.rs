@@ -5,33 +5,67 @@ use std::fmt;
 /// A tensor shape: dimension sizes, outermost first. The empty shape is a
 /// scalar. All Genie CPU tensors are contiguous row-major; strides are
 //  derived, never stored.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct Shape(Vec<usize>);
+///
+/// Up to four dims (NCHW, the most any operator here uses) are held
+/// inline, so building, cloning and comparing the shape of a tensor
+/// never touches the heap; a higher rank is boxed.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Shape(Dims);
+
+/// One form per rank, so the derived comparisons compare dims.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Dims {
+    /// The rank, then the dims (zero past the rank).
+    Inline(u8, [usize; Shape::INLINE_RANK]),
+    /// Only above `INLINE_RANK`.
+    Boxed(Box<[usize]>),
+}
 
 impl Shape {
+    const INLINE_RANK: usize = 4;
+
     /// Construct from dimension sizes.
-    pub fn new(dims: impl Into<Vec<usize>>) -> Self {
-        Shape(dims.into())
+    pub fn new(dims: impl AsRef<[usize]>) -> Self {
+        let dims = dims.as_ref();
+        let mut inline = [0; Self::INLINE_RANK];
+        match inline.get_mut(..dims.len()) {
+            Some(head) => {
+                head.copy_from_slice(dims);
+                Shape(Dims::Inline(dims.len() as u8, inline))
+            }
+            None => Shape(Dims::Boxed(dims.into())),
+        }
     }
 
     /// Scalar shape.
     pub fn scalar() -> Self {
-        Shape(Vec::new())
+        Shape::new([])
     }
 
     /// Dimension sizes.
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        match &self.0 {
+            Dims::Inline(rank, dims) => &dims[..*rank as usize],
+            Dims::Boxed(dims) => dims,
+        }
+    }
+
+    /// Dimension sizes, to resize some in place.
+    pub fn dims_mut(&mut self) -> &mut [usize] {
+        match &mut self.0 {
+            Dims::Inline(rank, dims) => &mut dims[..*rank as usize],
+            Dims::Boxed(dims) => dims,
+        }
     }
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.0.len()
+        self.dims().len()
     }
 
     /// Total element count.
     pub fn num_elements(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Split around dimension `dim` for `[outer, dim, inner]` layout
@@ -39,21 +73,22 @@ impl Shape {
     /// the product of dims before `dim` and `inner` the product after.
     pub fn split_at_dim(&self, dim: usize) -> (usize, usize, usize) {
         assert!(dim < self.rank(), "dim {dim} out of range for {self}");
-        let outer = self.0[..dim].iter().product();
-        let inner = self.0[dim + 1..].iter().product();
-        (outer, self.0[dim], inner)
+        let dims = self.dims();
+        let outer = dims[..dim].iter().product();
+        let inner = dims[dim + 1..].iter().product();
+        (outer, dims[dim], inner)
     }
 
     /// Size of dimension `i`.
     pub fn dim(&self, i: usize) -> usize {
-        self.0[i]
+        self.dims()[i]
     }
 
     /// Row-major strides (innermost stride = 1).
     pub fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.rank()];
         for i in (0..self.rank().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
+            strides[i] = strides[i + 1] * self.dims()[i + 1];
         }
         strides
     }
@@ -63,10 +98,10 @@ impl Shape {
     /// vector is allocated (this sits on the per-element access path).
     pub fn offset(&self, index: &[usize]) -> usize {
         debug_assert_eq!(index.len(), self.rank());
-        debug_assert!(index.iter().zip(&self.0).all(|(&i, &d)| i < d));
+        debug_assert!(index.iter().zip(self.dims()).all(|(&i, &d)| i < d));
         index
             .iter()
-            .zip(&self.0)
+            .zip(self.dims())
             .fold(0, |off, (&i, &d)| off * d + i)
     }
 
@@ -81,7 +116,7 @@ impl fmt::Debug for Shape {
         write!(
             f,
             "[{}]",
-            self.0
+            self.dims()
                 .iter()
                 .map(|d| d.to_string())
                 .collect::<Vec<_>>()
@@ -98,13 +133,13 @@ impl fmt::Display for Shape {
 
 impl From<Vec<usize>> for Shape {
     fn from(dims: Vec<usize>) -> Self {
-        Shape(dims)
+        Shape::new(dims)
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(dims: [usize; N]) -> Self {
-        Shape(dims.to_vec())
+        Shape::new(dims)
     }
 }
 
@@ -141,6 +176,17 @@ mod tests {
         assert!(a.can_reshape_to(&Shape::new([24])));
         assert!(a.can_reshape_to(&Shape::new([2, 3, 4])));
         assert!(!a.can_reshape_to(&Shape::new([5, 5])));
+    }
+
+    #[test]
+    fn ranks_past_the_inline_ones_are_boxed_and_compare_by_dims() {
+        let deep = Shape::new([1, 2, 3, 4, 5]);
+        assert_eq!(deep.dims(), &[1, 2, 3, 4, 5]);
+        assert_eq!(deep.clone(), Shape::from(vec![1, 2, 3, 4, 5]));
+        let mut narrowed = Shape::new([6, 4]);
+        narrowed.dims_mut()[0] = 2;
+        assert_eq!(narrowed, Shape::new([2, 4]));
+        assert_ne!(narrowed, Shape::new([2, 4, 1]));
     }
 
     #[test]

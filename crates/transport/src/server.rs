@@ -51,12 +51,19 @@ where
 /// within a handful of calls of the original, so a small FIFO suffices.
 const DEDUP_CAPACITY: usize = 1024;
 
+/// How many wire bytes of response frames the dedup cache retains: a
+/// few bulk replies, not a thousand. The newest frame is kept whatever
+/// its size, so a retry of any call still finds its reply.
+const DEDUP_CAPACITY_BYTES: usize = 4 << 20;
+
 /// Bounded FIFO of response frames keyed by request id, shared across
 /// connections so a retry over a fresh socket still hits the cache.
 #[derive(Debug, Default)]
 struct DedupCache {
     by_id: HashMap<u64, Frame>,
     order: VecDeque<u64>,
+    /// Wire bytes of the frames in `by_id`.
+    bytes: usize,
 }
 
 impl DedupCache {
@@ -65,12 +72,17 @@ impl DedupCache {
     }
 
     fn insert(&mut self, id: u64, frame: Frame) {
-        if self.by_id.insert(id, frame).is_none() {
-            self.order.push_back(id);
-            while self.order.len() > DEDUP_CAPACITY {
-                if let Some(old) = self.order.pop_front() {
-                    self.by_id.remove(&old);
-                }
+        self.bytes += frame.wire_len();
+        match self.by_id.insert(id, frame) {
+            Some(replaced) => self.bytes -= replaced.wire_len(),
+            None => self.order.push_back(id),
+        }
+        while self.order.len() > DEDUP_CAPACITY
+            || (self.order.len() > 1 && self.bytes > DEDUP_CAPACITY_BYTES)
+        {
+            let oldest = self.order.pop_front().expect("more than one entry");
+            if let Some(evicted) = self.by_id.remove(&oldest) {
+                self.bytes -= evicted.wire_len();
             }
         }
     }
@@ -395,6 +407,29 @@ mod tests {
         assert_eq!(cache.by_id.len(), DEDUP_CAPACITY);
         assert!(cache.get(0).is_none(), "oldest entries evicted");
         assert!(cache.get(DEDUP_CAPACITY as u64 + 9).is_some());
+    }
+
+    #[test]
+    fn dedup_cache_is_bounded_by_bytes() {
+        let reply = |bytes: usize| {
+            let mut frame = Frame::default();
+            crate::wire::put_bytes(&mut frame, &vec![7u8; bytes].into()).unwrap();
+            frame
+        };
+        let mut cache = DedupCache::default();
+        for id in 0..20 {
+            cache.insert(id, reply(1 << 20));
+        }
+        assert!(cache.bytes <= DEDUP_CAPACITY_BYTES, "{} bytes", cache.bytes);
+        assert_eq!(cache.bytes, cache.by_id.values().map(Frame::wire_len).sum());
+        assert!(cache.get(0).is_none(), "oldest replies evicted first");
+        assert!(cache.get(19).is_some());
+        // A reply over the bound on its own is still kept until the next.
+        cache.insert(20, reply(DEDUP_CAPACITY_BYTES + 1));
+        assert_eq!(cache.order, [20]);
+        cache.insert(21, reply(8));
+        assert_eq!(cache.order, [21]);
+        assert_eq!(cache.bytes, cache.get(21).unwrap().wire_len());
     }
 
     #[test]

@@ -97,6 +97,11 @@ impl Frame {
         parts
     }
 
+    /// Bytes on the wire: the codec's own plus every spliced string.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.head.len() + self.splices.iter().map(|(_, b)| b.len()).sum::<usize>()
+    }
+
     /// The bytes joined into one buffer, as a decoder reads them.
     pub fn join(&self) -> SharedBytes {
         self.parts().concat().into()

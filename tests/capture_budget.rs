@@ -1,0 +1,129 @@
+//! The allocation budget of a re-traced step: recording and linting a
+//! decode step whose structure the previous step already had.
+//!
+//! A counting global allocator counts the heap allocations this thread
+//! makes from `RecaptureSession::begin` through `finish` (the
+//! `GA0xx`/`GA3xx` gate included, which runs in full on every step) for
+//! one lane-step of `decode_small`'s model at B = 1 and B = 4 members.
+//! Counts are deterministic where timings are not, so the bounds are the
+//! counts measured when they were set. Debug builds also record every
+//! re-trace cold into a shadow graph, so the bound holds in `--release`
+//! only (CI's release test step runs it).
+
+use genie::frontend::RecaptureSession;
+use genie::models::{KvState, TransformerConfig, TransformerLm};
+use genie::srg::Phase;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A thread being torn down has no counter left to bump.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// `decode_small`'s model (perfbench's `workloads::decode_small`).
+fn decode_small_model() -> TransformerLm {
+    let mut c = TransformerConfig::tiny();
+    c.layers = 2;
+    c.d_model = 64;
+    c.heads = 4;
+    c.ffn_mult = 4;
+    c.vocab = 512;
+    TransformerLm::new_functional(c, 11)
+}
+
+/// Allocations in record + finish of a re-traced decode step of `b`
+/// members, each at KV 16: the steps before it have the same structure,
+/// so every call of the measured one matches the previous capture.
+fn retraced_step_allocations(model: &TransformerLm, b: usize) -> u64 {
+    let prompt: Vec<i64> = (0..16).collect();
+    let (token, kv) = model.prefill_step(&prompt);
+    let members: Vec<(&[i64], &KvState)> = vec![(std::slice::from_ref(&token), &kv); b];
+    let mut session = RecaptureSession::new();
+    let mut step = || {
+        // The span ring keeps its capacity across drains, so only the
+        // first steps grow it.
+        drop(genie::telemetry::global().collector.drain());
+        let before = allocations();
+        let ctx = session.begin("decode");
+        let caps = model.capture_batch(&ctx, Phase::LlmDecode, &members);
+        let wanted = ctx.phase_scope(Phase::LlmDecode, || {
+            let mut wanted = Vec::with_capacity(caps.len() * (1 + 2 * model.config.layers));
+            for cap in &caps {
+                let sampled = cap.logits.sample();
+                sampled.mark_output();
+                wanted.push(sampled.node);
+                wanted.extend(cap.k_caches.iter().chain(&cap.v_caches).map(|t| t.node));
+            }
+            wanted
+        });
+        drop(caps);
+        session.finish(&ctx);
+        let spent = allocations() - before;
+        drop(ctx);
+        session
+            .execute_outputs(&wanted)
+            .expect("decode step executes");
+        spent
+    };
+    for _ in 0..3 {
+        step();
+    }
+    step()
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds also record every re-trace cold; run with --release"
+)]
+fn a_retraced_decode_step_records_and_lints_within_its_allocation_budget() {
+    let model = decode_small_model();
+    for (b, budget) in [(1, B1_BUDGET), (4, B4_BUDGET)] {
+        let spent = retraced_step_allocations(&model, b);
+        assert!(
+            spent <= budget,
+            "B = {b}: record + finish made {spent} allocations, budget {budget}"
+        );
+    }
+}
+
+/// The counts measured when the budget was set; the same steps made 191
+/// (B = 1) and 388 (B = 4) before the hit path stopped allocating.
+const B1_BUDGET: u64 = 29;
+const B4_BUDGET: u64 = 37;
