@@ -1,16 +1,12 @@
-//! Semantics-aware global scheduling (§3.6).
+//! Semantics-aware global scheduling (§3.6): *where*.
 //!
-//! Genie instances act as clients to a fleet-wide scheduler, submitting
-//! semantic graphs as first-class workload descriptions. The global
-//! scheduler answers three questions no intent-blind system can:
-//!
-//! - **Where** ([`hetero`]) — match workload rooflines to heterogeneous
-//!   hardware;
-//! - **When** ([`elastic`]) — scale allocations with phase transitions;
-//! - **How** ([`batching`]) — co-execute tenants that share a model.
+//! Genie instances submit semantic graphs to a fleet-wide scheduler as
+//! first-class workload descriptions. It matches workload rooflines to
+//! heterogeneous hardware ([`hetero`]) and admits a tenant only when its
+//! plan has no deny-level finding (GA101: a device overcommitted).
+//! §3.6's *when* and *how* are the serving engine's (`DisaggConfig`'s
+//! prefill/decode pools, batching in a lane).
 
-pub mod batching;
-pub mod elastic;
 pub mod hetero;
 pub mod tenant;
 
@@ -22,18 +18,19 @@ use genie_analysis::{Diagnostic, LintConfig, Severity};
 use genie_cluster::{ClusterState, DevId, Topology};
 use genie_netsim::Nanos;
 use std::collections::BTreeMap;
-use tenant::{TenantRequest, WorkloadClass};
+use tenant::TenantRequest;
 
 /// The fleet-wide scheduler: admits tenant requests, partitions the fleet
 /// by hardware affinity, and plans each tenant onto its partition with
-/// the semantics-aware local policy.
+/// the semantics-aware local policy. [`step`](Self::step) is its one
+/// entry point.
 pub struct GlobalScheduler {
     topo: Topology,
     state: ClusterState,
     cost: CostModel,
     tenants: Vec<TenantRequest>,
     /// Resources charged to the live state per planned tenant, so a
-    /// departure (or a full re-plan) can hand them back exactly.
+    /// departure can hand them back exactly.
     planned: BTreeMap<u64, PlannedResources>,
 }
 
@@ -44,7 +41,8 @@ struct PlannedResources {
     queued: Vec<(DevId, f64)>,
 }
 
-/// One event for the incremental [`GlobalScheduler::step`] entry point.
+/// One event for [`GlobalScheduler::step`]. A full re-plan is a
+/// `Depart` and an `Admit` per tenant.
 #[derive(Clone, Debug)]
 pub enum FleetEvent {
     /// A tenant arrives (same id replaces any waiting request).
@@ -53,13 +51,11 @@ pub enum FleetEvent {
     Depart(u64),
 }
 
-/// Outcome of a planning round.
+/// Outcome of one [`GlobalScheduler::step`].
 #[derive(Debug)]
 pub struct FleetPlan {
     /// Per-tenant plans, keyed by tenant id.
     pub plans: BTreeMap<u64, ExecutionPlan>,
-    /// Batch groups discovered among LLM tenants.
-    pub batch_groups: Vec<batching::BatchGroup>,
     /// Devices assigned per tenant.
     pub assignments: BTreeMap<u64, Vec<DevId>>,
     /// Tenants whose plans carry deny-level lint findings (GA101: a
@@ -80,28 +76,11 @@ impl GlobalScheduler {
         }
     }
 
-    /// Admit a tenant request.
-    pub fn admit(&mut self, request: TenantRequest) {
-        self.tenants.push(request);
-    }
-
-    /// Plan every admitted tenant from scratch. Previously recorded load
-    /// is handed back first, so repeated rounds never double-charge the
-    /// fleet; tenants are then admitted in ascending id order (see
-    /// [`step`](Self::step) for why order must be deterministic). Queue
-    /// state carries across tenants so later ids see earlier load.
-    pub fn plan_round(&mut self) -> FleetPlan {
-        let ids: Vec<u64> = self.planned.keys().copied().collect();
-        for id in ids {
-            self.release(id);
-        }
-        self.step(Nanos::ZERO, Vec::new())
-    }
-
-    /// Incremental planning: apply `events` (arrivals and departures) at
-    /// simulated time `now`, then plan every tenant that is not already
-    /// placed — new arrivals and previously rejected tenants alike — in
-    /// ascending tenant-id order.
+    /// Apply `events` (arrivals and departures) at simulated time `now`,
+    /// then plan every tenant that is not already placed — new arrivals
+    /// and previously rejected tenants alike — in ascending tenant-id
+    /// order. Queue state carries across tenants, so later ids see
+    /// earlier load.
     ///
     /// The id ordering is the admission-control contract: a departure
     /// frees memory, and whichever waiting tenants fit must re-admit in
@@ -134,16 +113,6 @@ impl GlobalScheduler {
         let mut plans = BTreeMap::new();
         let mut assignments = BTreeMap::new();
         let mut rejected = BTreeMap::new();
-
-        // Discover cross-tenant batch groups among LLM tenants first.
-        let mut llm_tenants: Vec<TenantRequest> = self
-            .tenants
-            .iter()
-            .filter(|t| t.classify() == WorkloadClass::Llm)
-            .cloned()
-            .collect();
-        llm_tenants.sort_by_key(|t| t.id);
-        let batch_groups = batching::group_by_model(&llm_tenants);
 
         // Deterministic admission order: ascending tenant id.
         let mut pending: Vec<TenantRequest> = self
@@ -220,7 +189,6 @@ impl GlobalScheduler {
 
         FleetPlan {
             plans,
-            batch_groups,
             assignments,
             rejected,
         }
@@ -241,19 +209,21 @@ impl GlobalScheduler {
 
 #[cfg(test)]
 mod tests {
-    use super::tenant::Slo;
     use super::*;
     use genie_analysis::LintCode;
     use genie_models::Workload;
 
-    fn request(id: u64, w: Workload, fp: u64) -> TenantRequest {
+    fn request(id: u64, w: Workload) -> TenantRequest {
         TenantRequest {
             id,
-            name: format!("tenant-{id}"),
             srg: w.spec_graph(),
-            slo: Slo::Interactive,
-            model_fingerprint: fp,
         }
+    }
+
+    /// One step at time zero admitting `tenants` in the order given.
+    fn admit_all(sched: &mut GlobalScheduler, tenants: Vec<TenantRequest>) -> FleetPlan {
+        let events = tenants.into_iter().map(FleetEvent::Admit).collect();
+        sched.step(Nanos::ZERO, events)
     }
 
     fn overcommit(d: &Diagnostic) -> bool {
@@ -264,10 +234,14 @@ mod tests {
     fn fleet_separates_workload_classes() {
         let topo = Topology::heterogeneous_fleet(2, 25e9);
         let mut sched = GlobalScheduler::new(topo.clone(), CostModel::ideal_25g());
-        sched.admit(request(1, Workload::LlmServing, 100));
-        sched.admit(request(2, Workload::ComputerVision, 200));
-        sched.admit(request(3, Workload::Recommendation, 300));
-        let fleet = sched.plan_round();
+        let fleet = admit_all(
+            &mut sched,
+            vec![
+                request(1, Workload::LlmServing),
+                request(2, Workload::ComputerVision),
+                request(3, Workload::Recommendation),
+            ],
+        );
 
         // LLM tenant lands on bandwidth-optimized hardware.
         let llm_devs = &fleet.assignments[&1];
@@ -288,26 +262,9 @@ mod tests {
         // On an A100 rack (80 GB devices) the same tenant admits.
         let roomy = Topology::rack(2, 25e9);
         let mut sched = GlobalScheduler::new(roomy, CostModel::paper_stack());
-        sched.admit(request(3, Workload::Recommendation, 300));
-        let fleet = sched.plan_round();
+        let fleet = admit_all(&mut sched, vec![request(3, Workload::Recommendation)]);
         assert!(fleet.rejected.is_empty());
         assert_eq!(fleet.plans.len(), 1);
-    }
-
-    #[test]
-    fn shared_model_tenants_form_batch_group() {
-        let topo = Topology::heterogeneous_fleet(2, 25e9);
-        let mut sched = GlobalScheduler::new(topo, CostModel::ideal_25g());
-        sched.admit(request(1, Workload::LlmServing, 777));
-        sched.admit(request(2, Workload::LlmServing, 777));
-        sched.admit(request(3, Workload::LlmServing, 888));
-        let fleet = sched.plan_round();
-        let shared = fleet
-            .batch_groups
-            .iter()
-            .find(|g| g.fingerprint == 777)
-            .unwrap();
-        assert_eq!(shared.tenants, vec![1, 2]);
     }
 
     #[test]
@@ -317,10 +274,10 @@ mod tests {
         // fits and rejects the rest with concrete violations.
         let topo = Topology::heterogeneous_fleet(1, 25e9);
         let mut sched = GlobalScheduler::new(topo, CostModel::paper_stack());
-        for id in 1..=5u64 {
-            sched.admit(request(id, Workload::LlmServing, id));
-        }
-        let fleet = sched.plan_round();
+        let tenants = (1..=5)
+            .map(|id| request(id, Workload::LlmServing))
+            .collect();
+        let fleet = admit_all(&mut sched, tenants);
         assert!(
             !fleet.rejected.is_empty(),
             "48 GB cannot hold 5×12 GB models plus activations"
@@ -338,17 +295,15 @@ mod tests {
 
     #[test]
     fn admission_order_is_deterministic_regardless_of_arrival_order() {
-        // Regression: plan_round used to iterate tenants in arrival
+        // Regression: planning used to iterate tenants in arrival
         // order, so the same fleet and tenant set admitted different
         // survivors depending on interleaving. Admission is now sorted by
         // tenant id.
         let plan_with_order = |ids: &[u64]| {
             let topo = Topology::heterogeneous_fleet(1, 25e9);
             let mut sched = GlobalScheduler::new(topo, CostModel::paper_stack());
-            for &id in ids {
-                sched.admit(request(id, Workload::LlmServing, id));
-            }
-            let fleet = sched.plan_round();
+            let tenants = ids.iter().map(|&id| request(id, Workload::LlmServing));
+            let fleet = admit_all(&mut sched, tenants.collect());
             let admitted: Vec<u64> = fleet.plans.keys().copied().collect();
             let rejected: Vec<u64> = fleet.rejected.keys().copied().collect();
             (admitted, rejected, fleet.assignments)
@@ -363,34 +318,14 @@ mod tests {
     }
 
     #[test]
-    fn repeated_rounds_do_not_double_charge_the_fleet() {
-        // Regression: a second plan_round used to stack queued work and
-        // pinned memory on top of the first, so tenants that fit on round
-        // one were rejected on round two.
-        let topo = Topology::heterogeneous_fleet(1, 25e9);
-        let mut sched = GlobalScheduler::new(topo, CostModel::paper_stack());
-        sched.admit(request(1, Workload::LlmServing, 1));
-        sched.admit(request(2, Workload::LlmServing, 2));
-        let first = sched.plan_round();
-        let second = sched.plan_round();
-        assert_eq!(
-            first.plans.keys().collect::<Vec<_>>(),
-            second.plans.keys().collect::<Vec<_>>(),
-            "a re-plan of the same tenant set must admit the same tenants"
-        );
-        assert_eq!(first.rejected.len(), second.rejected.len());
-    }
-
-    #[test]
     fn step_readmits_rejected_tenants_after_departure() {
-        use genie_netsim::Nanos;
         // Overfill the bandwidth-optimized tier, then depart admitted
         // tenants until the rejected ones fit: each step re-checks the
         // freed memory in ascending id order.
         let topo = Topology::heterogeneous_fleet(1, 25e9);
         let mut sched = GlobalScheduler::new(topo, CostModel::paper_stack());
         let events = (1..=5u64)
-            .map(|id| FleetEvent::Admit(request(id, Workload::LlmServing, id)))
+            .map(|id| FleetEvent::Admit(request(id, Workload::LlmServing)))
             .collect();
         let fleet = sched.step(Nanos::ZERO, events);
         assert!(!fleet.rejected.is_empty(), "fixture must overflow the tier");
@@ -417,9 +352,13 @@ mod tests {
     fn later_tenants_see_earlier_load() {
         let topo = Topology::heterogeneous_fleet(2, 25e9);
         let mut sched = GlobalScheduler::new(topo, CostModel::ideal_25g());
-        sched.admit(request(1, Workload::LlmServing, 1));
-        sched.admit(request(2, Workload::LlmServing, 2));
-        let fleet = sched.plan_round();
+        let fleet = admit_all(
+            &mut sched,
+            vec![
+                request(1, Workload::LlmServing),
+                request(2, Workload::LlmServing),
+            ],
+        );
         // Both are decode-phase LLMs → same class; the second should not
         // necessarily collide with the first if two devices exist.
         let a = &fleet.assignments[&1];
@@ -437,12 +376,11 @@ mod tests {
         let x = ctx.input("x", [90_000, 90_000], genie_srg::ElemType::F32, None);
         x.relu().add(&x.gelu()).mark_output();
         let tenant = TenantRequest {
+            id: 1,
             srg: ctx.finish().srg,
-            ..request(1, Workload::LlmServing, 1)
         };
         let mut sched = GlobalScheduler::new(Topology::rack(1, 25e9), CostModel::paper_stack());
-        sched.admit(tenant);
-        let fleet = sched.plan_round();
+        let fleet = admit_all(&mut sched, vec![tenant]);
         assert!(
             fleet.plans.is_empty(),
             "the overcommitted plan must not land"

@@ -7,16 +7,6 @@
 use genie_srg::stats::GraphStats;
 use genie_srg::Srg;
 
-/// Service-level objective class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Slo {
-    /// Latency-sensitive, user-facing (VQA queries, chat decode).
-    Interactive,
-    /// Throughput-oriented, deadline in minutes+ (batch scoring,
-    /// training).
-    Batch,
-}
-
 /// Workload class derived from the semantic graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WorkloadClass {
@@ -37,15 +27,8 @@ pub enum WorkloadClass {
 pub struct TenantRequest {
     /// Unique tenant id.
     pub id: u64,
-    /// Human-readable name.
-    pub name: String,
     /// The annotated semantic graph (the request's *description*).
     pub srg: Srg,
-    /// SLO class.
-    pub slo: Slo,
-    /// A fingerprint of the model weights: tenants sharing it run the
-    /// same public model and are batchable (§3.6 "How").
-    pub model_fingerprint: u64,
 }
 
 impl TenantRequest {
@@ -92,10 +75,7 @@ mod tests {
     fn llm_request_classifies_as_llm() {
         let req = TenantRequest {
             id: 1,
-            name: "chat".into(),
             srg: Workload::LlmServing.spec_graph(),
-            slo: Slo::Interactive,
-            model_fingerprint: 42,
         };
         assert_eq!(req.classify(), WorkloadClass::Llm);
     }

@@ -8,20 +8,20 @@
 //! [`schedule()`](schedule::schedule)`(srg, topology, state, cost_model, policy)`.
 //! Policies ([`policy`]) span the §2.2 design space from semantically
 //! blind (round-robin, least-loaded) through data-aware (ΔKV-grade) to
-//! Genie's [`policy::SemanticsAware`], which implements the paper's three
-//! showcase optimizations: stateful co-location, pipelined CNN inference
-//! ([`pipeline`]), and dynamic recomputation under congestion
-//! ([`recompute`]). The three extension points of §3.3 map directly:
+//! Genie's [`policy::SemanticsAware`], which places by annotation
+//! (stateful co-location, CNN pipeline stages, embedding tiering). It
+//! does not run [`pipeline`] (pipelined-CNN pricing), [`recompute`] or
+//! [`adapt::HintAdapter`]; their own callers do. The three extension
+//! points of §3.3 map directly:
 //!
 //! 1. graph rewrites — [`rewrite::fuse_elementwise_chains`];
 //! 2. placement policy — the [`policy::Policy`] trait;
-//! 3. runtime hint adaptation — the congestion-aware
-//!    [`recompute::recomputation_candidates`].
+//! 3. runtime hint adaptation — [`adapt::HintAdapter`] and the
+//!    congestion-aware [`recompute::recomputation_candidates`].
 //!
-//! [`global`] scales the same machinery fleet-wide (§3.6): heterogeneous
-//! placement, elastic phase-aware scaling, cross-tenant decode batching,
-//! and admission control on the plan's deny-level findings (GA101 for a
-//! device a plan overcommits) — the gate [`schedule_checked`] applies.
+//! [`global`] answers §3.6's *where* fleet-wide: placement by roofline
+//! affinity, admission on the plan's deny-level findings (GA101) — the
+//! gate [`schedule_checked`] applies. *When* and *how* are `genie-serving`'s.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

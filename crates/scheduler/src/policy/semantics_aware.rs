@@ -22,17 +22,15 @@ use crate::view::ClusterView;
 use genie_cluster::DevId;
 use genie_srg::{OpKind, Phase, Residency, Srg};
 
-/// Genie's semantics-aware placement policy.
+/// Genie's semantics-aware placement policy. Pipeline stages spread
+/// over every available device.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SemanticsAware {
-    /// Number of devices to spread pipeline stages across (0 = all).
-    pub pipeline_width: usize,
-}
+pub struct SemanticsAware;
 
 impl SemanticsAware {
-    /// Pipeline over every available device.
+    /// The semantics-aware policy.
     pub fn new() -> Self {
-        SemanticsAware { pipeline_width: 0 }
+        SemanticsAware
     }
 }
 
@@ -79,16 +77,6 @@ impl Policy for SemanticsAware {
                 .expect("avail non-empty")
         });
 
-        let pipe_devs: Vec<DevId> = if self.pipeline_width == 0 {
-            avail.clone()
-        } else {
-            avail
-                .iter()
-                .copied()
-                .take(self.pipeline_width.max(1))
-                .collect()
-        };
-
         let by_key = |f: &dyn Fn(DevId) -> f64| -> DevId {
             avail
                 .iter()
@@ -122,7 +110,7 @@ impl Policy for SemanticsAware {
                         .get("pipeline_stage")
                         .and_then(|s| s.parse().ok())
                         .unwrap_or(0);
-                    pipe_devs[stage % pipe_devs.len()]
+                    avail[stage % avail.len()]
                 }
                 // Tiering.
                 (Phase::EmbeddingLookup, _) => tier_mem,

@@ -36,7 +36,7 @@
 use crate::kv::KvLedger;
 use crate::report::ServingReport;
 use crate::request::{EventKind, LogEvent, Outcome, ServingRequest, ShedReason};
-use crate::slo::{SloConfig, SloTracker};
+use crate::slo::{SloTracker, TTFT_TARGET};
 use genie_backend::{price_migration, sharded_step_time, StepWork};
 use genie_cluster::{GpuSpec, Link};
 use genie_models::{KvState, TransformerConfig, TransformerLm};
@@ -143,9 +143,6 @@ pub struct ServingConfig {
     /// carries the collectives (blamed to the `collective` causal
     /// category); `None` keeps one device per lane.
     pub shard: Option<(ShardSpec, Link)>,
-    /// Per-tenant SLO policy for burn-rate accounting (TTFT target,
-    /// error budget, rolling window, sampling).
-    pub slo: SloConfig,
     /// Publish the finished report's `genie_serving_*` metrics and spans
     /// to the process-global telemetry sinks.
     pub record_telemetry: bool,
@@ -167,7 +164,6 @@ impl ServingConfig {
             fault_plan: None,
             disagg: None,
             shard: None,
-            slo: SloConfig::paper_default(),
             record_telemetry: true,
         }
     }
@@ -404,7 +400,7 @@ impl<'a> Sim<'a> {
             report: ServingReport::default(),
             now: Nanos::ZERO,
             chaos_rng: XorShift64::new(plan_seed.map_or(1, |s| s ^ 0x5e21_1a7e)),
-            slo: SloTracker::new(config.slo.clone()),
+            slo: SloTracker::default(),
         }
     }
 
@@ -760,7 +756,7 @@ impl<'a> Sim<'a> {
             let job = self.active.remove(&id).expect("finished job is active");
             self.ledger.evict(lane, id);
             let ttft = job.ttft.expect("completed implies first token");
-            let late = ttft > self.config.slo.ttft_target;
+            let late = ttft > TTFT_TARGET;
             self.slo.observe(job.req.tenant, late);
             let outcome = Outcome::Completed {
                 tokens: job.tokens,

@@ -36,28 +36,19 @@ pub struct FleetBinding {
 }
 
 /// Admit `tenant` through the global scheduler at virtual time `now` and
-/// derive the serving-loop geometry from its device assignment: one
-/// lane per device, each holding the whole model.
-pub fn bind_tenant(
-    sched: &mut GlobalScheduler,
-    topo: &Topology,
-    model: &TransformerConfig,
-    tenant: TenantRequest,
-    now: Nanos,
-) -> FleetBinding {
-    bind_sharded_tenant(sched, topo, model, tenant, ShardSpec::single(), now)
-}
-
-/// Admit a *sharded* tenant: the assigned devices are grouped into
-/// shard sets of `spec.shards()` — one serving lane per complete group.
-/// Each device in a group holds `1/shards` of the weights, so the
-/// per-lane KV budget is derived from that smaller resident footprint.
+/// derive the serving-loop geometry from its device assignment. The
+/// assigned devices are grouped into shard sets of `spec.shards()` —
+/// one serving lane per complete group ([`ShardSpec::single`]: one lane
+/// per device, each holding the whole model). Each device in a group
+/// holds `1/shards` of the weights, so the per-lane KV budget is
+/// derived from that resident footprint.
+///
 /// A tenant whose spec is invalid or whose graph carries deny-level
 /// lint findings never reaches the scheduler; one the scheduler
 /// rejects, or whose assignment cannot fill one complete group with KV
 /// headroom, departs it again, so a refusal leaves nothing charged to
 /// the fleet and nothing waiting to be planned later.
-pub fn bind_sharded_tenant(
+pub fn bind_tenant(
     sched: &mut GlobalScheduler,
     topo: &Topology,
     model: &TransformerConfig,
@@ -114,22 +105,22 @@ mod tests {
     use crate::report::ServingReport;
     use crate::request::{Outcome, ServingRequest, ShedReason};
     use genie_models::Workload;
-    use genie_scheduler::global::tenant::Slo;
     use genie_scheduler::CostModel;
+
+    fn llm(id: u64) -> TenantRequest {
+        TenantRequest {
+            id,
+            srg: Workload::LlmServing.spec_graph(),
+        }
+    }
 
     #[test]
     fn llm_tenant_binds_with_kv_headroom() {
         let topo = Topology::heterogeneous_fleet(2, 25e9);
         let mut sched = GlobalScheduler::new(topo.clone(), CostModel::paper_stack());
         let cfg = TransformerConfig::gptj_6b();
-        let tenant = TenantRequest {
-            id: 1,
-            name: "llm".into(),
-            srg: Workload::LlmServing.spec_graph(),
-            slo: Slo::Interactive,
-            model_fingerprint: 7,
-        };
-        let binding = bind_tenant(&mut sched, &topo, &cfg, tenant, Nanos::ZERO);
+        let single = ShardSpec::single();
+        let binding = bind_tenant(&mut sched, &topo, &cfg, llm(1), single, Nanos::ZERO);
         assert!(binding.admitted, "roomy fleet must admit one LLM tenant");
         assert!(binding.lanes >= 1);
         assert_eq!(binding.lanes as usize, binding.devices.len());
@@ -146,20 +137,20 @@ mod tests {
     fn sharded_tenant_groups_devices_and_gains_kv_headroom() {
         let topo = Topology::heterogeneous_fleet(2, 25e9);
         let cfg = TransformerConfig::gptj_6b();
-        let tenant = |id| TenantRequest {
-            id,
-            name: format!("llm-{id}"),
-            srg: Workload::LlmServing.spec_graph(),
-            slo: Slo::Interactive,
-            model_fingerprint: 7,
-        };
         let mut sched = GlobalScheduler::new(topo.clone(), CostModel::paper_stack());
-        let flat = bind_tenant(&mut sched, &topo, &cfg, tenant(1), Nanos::ZERO);
+        let flat = bind_tenant(
+            &mut sched,
+            &topo,
+            &cfg,
+            llm(1),
+            ShardSpec::single(),
+            Nanos::ZERO,
+        );
         assert!(flat.admitted);
 
         let mut sched = GlobalScheduler::new(topo.clone(), CostModel::paper_stack());
         let spec = ShardSpec::tensor(2);
-        let sharded = bind_sharded_tenant(&mut sched, &topo, &cfg, tenant(1), spec, Nanos::ZERO);
+        let sharded = bind_tenant(&mut sched, &topo, &cfg, llm(1), spec, Nanos::ZERO);
         if sharded.admitted {
             // Lanes are whole shard groups, and each device holds half
             // the weights, so the per-lane KV budget can only improve.
@@ -172,26 +163,16 @@ mod tests {
 
         // A plan wider than the whole fleet can never bind.
         let mut sched = GlobalScheduler::new(topo.clone(), CostModel::paper_stack());
-        let wide = bind_sharded_tenant(
+        let wide = bind_tenant(
             &mut sched,
             &topo,
             &cfg,
-            tenant(2),
+            llm(2),
             ShardSpec::new(64, 64),
             Nanos::ZERO,
         );
         assert!(!wide.admitted);
         assert!(wide.devices.is_empty());
-    }
-
-    fn llm(id: u64) -> TenantRequest {
-        TenantRequest {
-            id,
-            name: format!("llm-{id}"),
-            srg: Workload::LlmServing.spec_graph(),
-            slo: Slo::Interactive,
-            model_fingerprint: 7,
-        }
     }
 
     #[test]
@@ -204,12 +185,13 @@ mod tests {
         // for want of one complete shard group.
         for id in 2..=31 {
             let spec = ShardSpec::new(64, 64);
-            let wide = bind_sharded_tenant(&mut sched, &topo, &cfg, llm(id), spec, Nanos::ZERO);
+            let wide = bind_tenant(&mut sched, &topo, &cfg, llm(id), spec, Nanos::ZERO);
             assert!(!wide.admitted && wide.devices.is_empty());
         }
         // The fleet is as empty as `llm_tenant_binds_with_kv_headroom`
         // found it.
-        let binding = bind_tenant(&mut sched, &topo, &cfg, llm(1), Nanos::ZERO);
+        let single = ShardSpec::single();
+        let binding = bind_tenant(&mut sched, &topo, &cfg, llm(1), single, Nanos::ZERO);
         assert!(binding.admitted, "refused tenants still hold the fleet");
         assert!(binding.lanes >= 1);
     }
@@ -222,7 +204,17 @@ mod tests {
         let mut sched = GlobalScheduler::new(topo.clone(), CostModel::paper_stack());
         let cfg = TransformerConfig::gptj_6b();
         let admitted: Vec<bool> = (1..=5)
-            .map(|id| bind_tenant(&mut sched, &topo, &cfg, llm(id), Nanos::ZERO).admitted)
+            .map(|id| {
+                bind_tenant(
+                    &mut sched,
+                    &topo,
+                    &cfg,
+                    llm(id),
+                    ShardSpec::single(),
+                    Nanos::ZERO,
+                )
+            })
+            .map(|binding| binding.admitted)
             .collect();
         assert!(admitted[0] && admitted.contains(&false), "{admitted:?}");
         // Their callers shed the refused tenants' traces; room freed
@@ -246,14 +238,15 @@ mod tests {
         let topo = Topology::heterogeneous_fleet(2, 25e9);
         let mut sched = GlobalScheduler::new(topo.clone(), CostModel::paper_stack());
         let cfg = TransformerConfig::gptj_6b();
-        let tenant = TenantRequest {
-            id: 2,
-            name: "bad".into(),
-            srg: g,
-            slo: Slo::Interactive,
-            model_fingerprint: 8,
-        };
-        let binding = bind_tenant(&mut sched, &topo, &cfg, tenant, Nanos::ZERO);
+        let tenant = TenantRequest { id: 2, srg: g };
+        let binding = bind_tenant(
+            &mut sched,
+            &topo,
+            &cfg,
+            tenant,
+            ShardSpec::single(),
+            Nanos::ZERO,
+        );
         assert!(!binding.admitted, "deny-level graph must be refused");
         assert!(binding.devices.is_empty());
         assert_eq!(binding.lanes, 0);

@@ -47,8 +47,8 @@ pub mod slo;
 
 pub use arrivals::ArrivalConfig;
 pub use engine::{DisaggConfig, MigrationPolicy, ServingConfig, ServingLoop, ServingModel};
-pub use fleet::{bind_sharded_tenant, bind_tenant, FleetBinding};
+pub use fleet::{bind_tenant, FleetBinding};
 pub use kv::{InFlightKv, KvLedger};
 pub use report::{percentile, ServingReport};
 pub use request::{EventKind, LogEvent, Outcome, ServingRequest, ShedReason};
-pub use slo::{SloConfig, SloStats, SloTracker, TenantSlo};
+pub use slo::{SloStats, SloTracker, TenantSlo};

@@ -35,7 +35,6 @@ fn config(lanes: u32, max_batch: usize, kv_tokens: u64, budget_ms: u64) -> Servi
         gpu: GpuSpec::a100_80gb(),
         client: Link::PAPER_TESTBED,
         fault_plan: None,
-        slo: genie_serving::SloConfig::paper_default(),
         record_telemetry: false,
         disagg: None,
         shard: None,

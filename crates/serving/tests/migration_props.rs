@@ -52,7 +52,6 @@ fn config(
         gpu: GpuSpec::a100_80gb(),
         client: Link::PAPER_TESTBED,
         fault_plan: None,
-        slo: genie_serving::SloConfig::paper_default(),
         record_telemetry: false,
         disagg: Some(d),
         shard: None,

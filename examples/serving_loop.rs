@@ -12,9 +12,10 @@
 use genie::models::{TransformerConfig, Workload};
 use genie::netsim::Nanos;
 use genie::prelude::*;
-use genie::scheduler::global::tenant::{Slo, TenantRequest};
+use genie::scheduler::global::tenant::TenantRequest;
 use genie::scheduler::global::GlobalScheduler;
 use genie::serving::{bind_tenant, ShedReason};
+use genie::srg::shard::ShardSpec;
 
 fn main() {
     // 1. Fleet admission: where may this tenant's serving loop live?
@@ -23,12 +24,10 @@ fn main() {
     let model = TransformerConfig::gptj_6b();
     let tenant = TenantRequest {
         id: 1,
-        name: "chatbot".into(),
         srg: Workload::LlmServing.spec_graph(),
-        slo: Slo::Interactive,
-        model_fingerprint: 1001,
     };
-    let binding = bind_tenant(&mut sched, &topo, &model, tenant, Nanos::ZERO);
+    let single = ShardSpec::single();
+    let binding = bind_tenant(&mut sched, &topo, &model, tenant, single, Nanos::ZERO);
     let requests = ArrivalConfig {
         seed: 42,
         rate_per_s: 8.0,
@@ -74,7 +73,6 @@ fn main() {
             gpu: device.spec.clone(),
             client,
             fault_plan: None,
-            slo: genie::serving::SloConfig::paper_default(),
             record_telemetry: false,
             disagg: None,
             shard: None,

@@ -342,7 +342,6 @@ fn migration_severed_by_link_down_recovers_from_lineage() {
                     }],
                 },
             )),
-            slo: genie::serving::SloConfig::paper_default(),
             record_telemetry: false,
             disagg: Some(d),
             shard: None,

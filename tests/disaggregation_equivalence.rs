@@ -30,7 +30,6 @@ fn disagg_config(max_batch: usize, policy: MigrationPolicy) -> ServingConfig {
         gpu: GpuSpec::a100_80gb(),
         client: Link::PAPER_TESTBED,
         fault_plan: None,
-        slo: genie::serving::SloConfig::paper_default(),
         record_telemetry: false,
         disagg: Some(d),
         shard: None,

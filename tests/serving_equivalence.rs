@@ -24,7 +24,6 @@ fn roomy_config(max_batch: usize) -> ServingConfig {
         gpu: GpuSpec::a100_80gb(),
         client: Link::PAPER_TESTBED,
         fault_plan: None,
-        slo: genie::serving::SloConfig::paper_default(),
         record_telemetry: false,
         disagg: None,
         shard: None,
