@@ -496,7 +496,7 @@ mod tests {
 
     #[test]
     fn faulty_simulation_is_slower_counted_and_attributed() {
-        use genie_netsim::{FaultSchedule, FaultSpec};
+        use genie_netsim::FaultSpec;
         let (plan, topo) = decode_plan(&SemanticsAware::new());
         let cost = CostModel::paper_stack();
         let oracle = simulate_once(&plan, &topo, &cost, RpcParams::rdma_zero_copy());
@@ -512,13 +512,11 @@ mod tests {
         // Derate the client link to 10%: the 12 GB weight upload slows ~10x.
         let faults = FaultPlan::new(
             3,
-            FaultSchedule {
-                specs: vec![FaultSpec::Derate {
-                    a: 0,
-                    b: 1,
-                    factor: 0.1,
-                }],
-            },
+            vec![FaultSpec::Derate {
+                a: 0,
+                b: 1,
+                factor: 0.1,
+            }],
         );
         let degraded =
             simulate_once_faulty(&plan, &topo, &cost, RpcParams::rdma_zero_copy(), &faults);

@@ -9,7 +9,7 @@ use crate::workload::gptj_arrivals;
 use genie_backend::{batched_step_time, sharded_step_time, StepWork};
 use genie_cluster::{GpuSpec, Link};
 use genie_models::TransformerConfig;
-use genie_netsim::{FaultPlan, FaultSchedule, FaultSpec, Nanos};
+use genie_netsim::{FaultPlan, FaultSpec, Nanos};
 use genie_serving::{
     DisaggConfig, MigrationPolicy, ServingConfig, ServingLoop, ServingModel, ServingReport,
 };
@@ -520,20 +520,18 @@ const CHAOS_SEED: u64 = 7;
 fn chaos_plan() -> FaultPlan {
     FaultPlan::new(
         CHAOS_SEED,
-        FaultSchedule {
-            specs: vec![
-                FaultSpec::Derate {
-                    a: 0,
-                    b: 1,
-                    factor: 0.25,
-                },
-                FaultSpec::Jitter {
-                    a: 0,
-                    b: 1,
-                    max: Nanos::from_millis(2),
-                },
-            ],
-        },
+        vec![
+            FaultSpec::Derate {
+                a: 0,
+                b: 1,
+                factor: 0.25,
+            },
+            FaultSpec::Jitter {
+                a: 0,
+                b: 1,
+                max: Nanos::from_millis(2),
+            },
+        ],
     )
 }
 

@@ -7,21 +7,20 @@
 //! Genie's simulation backend; the compute half lives in
 //! `genie-backend::sim`.
 
-use crate::fault::{FaultPlan, FaultSpec};
-use crate::link::{LinkFault, LinkSim};
+use crate::fault::FaultPlan;
+use crate::link::LinkSim;
 use crate::rpc::{RpcChannel, RpcParams};
 use crate::time::Nanos;
 use crate::trace::TraceEvent;
 use genie_cluster::{ClusterState, HostId, Topology};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Simulated fabric: per-host-pair RPC channels with shared parameters.
 #[derive(Clone, Debug)]
 pub struct Fabric {
     params: RpcParams,
     channels: BTreeMap<(HostId, HostId), RpcChannel>,
-    /// The applied fault plan, when one is installed.
-    fault_plan: Option<FaultPlan>,
     /// Fault windows as trace marks, recorded when the plan is applied.
     fault_events: Vec<TraceEvent>,
 }
@@ -40,40 +39,22 @@ impl Fabric {
         Fabric {
             params,
             channels,
-            fault_plan: None,
             fault_events: Vec::new(),
         }
     }
 
-    /// Install a fault plan: every spec is projected onto the affected
-    /// links (derates multiply, jitter takes the max, outage and
-    /// partition windows accumulate as down windows) and each fault
-    /// window is recorded as a [`TraceEvent::Mark`] pair so exports show
-    /// when the fabric was degraded. Idempotent per plan: applying a new
-    /// plan replaces the previous one.
+    /// Install a fault plan: every link reads it for its own host pair,
+    /// drawing jitter from a stream seeded `plan.seed ^ a << 32 ^ b`, and
+    /// each fault window is recorded as a [`TraceEvent::Mark`] pair so
+    /// exports show when the fabric was degraded. Applying a new plan
+    /// replaces the previous one.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
-        self.fault_events.clear();
+        let shared = Arc::new(plan.clone());
         for (&(a, b), ch) in self.channels.iter_mut() {
-            let mut fault = LinkFault::none(plan.seed ^ (u64::from(a.0) << 32) ^ u64::from(b.0));
-            let mut touched = false;
-            for spec in plan.faults_for(a.0, b.0) {
-                touched = true;
-                match spec {
-                    FaultSpec::Derate { factor, .. } => {
-                        fault.derate *= factor.clamp(f64::MIN_POSITIVE, 1.0);
-                    }
-                    FaultSpec::Jitter { max, .. } => {
-                        fault.jitter_max = fault.jitter_max.max(*max);
-                    }
-                    FaultSpec::LinkDown { from, until, .. }
-                    | FaultSpec::Partition { from, until, .. } => {
-                        fault.down.push((*from, *until));
-                    }
-                }
-            }
-            ch.link.fault = if touched { Some(fault) } else { None };
+            ch.link.set_faults(Arc::clone(&shared), a.0, b.0);
         }
-        for spec in &plan.schedule.specs {
+        self.fault_events.clear();
+        for spec in &plan.specs {
             let label = spec.label();
             match spec.window() {
                 Some((from, until)) => {
@@ -92,12 +73,6 @@ impl Fabric {
                 }),
             }
         }
-        self.fault_plan = Some(plan.clone());
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
     }
 
     /// Fault-window trace marks recorded by [`apply_fault_plan`]
@@ -179,27 +154,25 @@ mod tests {
 
     #[test]
     fn fault_plan_projects_onto_links() {
-        use crate::fault::{FaultSchedule, FaultSpec};
+        use crate::fault::FaultSpec;
         let topo = Topology::paper_testbed();
         let state = ClusterState::new();
         let mut f = Fabric::new(&topo, &state, RpcParams::rdma_zero_copy());
         let plan = FaultPlan::new(
             7,
-            FaultSchedule {
-                specs: vec![
-                    FaultSpec::Derate {
-                        a: 0,
-                        b: 1,
-                        factor: 0.25,
-                    },
-                    FaultSpec::LinkDown {
-                        a: 0,
-                        b: 1,
-                        from: Nanos::from_millis(1),
-                        until: Nanos::from_millis(2),
-                    },
-                ],
-            },
+            vec![
+                FaultSpec::Derate {
+                    a: 0,
+                    b: 1,
+                    factor: 0.25,
+                },
+                FaultSpec::LinkDown {
+                    a: 0,
+                    b: 1,
+                    from: Nanos::from_millis(1),
+                    until: Nanos::from_millis(2),
+                },
+            ],
         );
         f.apply_fault_plan(&plan);
         // Four marks: derate (one) + link-down begin/end... derate has no

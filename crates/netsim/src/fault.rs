@@ -4,7 +4,7 @@
 //! that goes wrong on the fabric during a run: per-link degradation
 //! (bandwidth derate, latency jitter), transient link-down windows, and
 //! host partitions. Plans are either hand-built from [`FaultSpec`]s or
-//! generated pseudo-randomly from a seed with [`FaultSchedule::generate`];
+//! generated pseudo-randomly from a seed with [`FaultPlan::generate`];
 //! either way the same seed always yields the same schedule and — because
 //! the only randomness is a [`XorShift64`] threaded through the simulated
 //! links — the same simulated timeline, which is what makes a failing
@@ -57,8 +57,8 @@ impl XorShift64 {
 /// One injected fault, in terms of host ids and simulated time.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultSpec {
-    /// Multiply the link's effective bandwidth by `factor` (in `(0, 1]`)
-    /// for the whole run.
+    /// Multiply the link's effective bandwidth by `factor` for the whole
+    /// run ([`FaultPlan::derate`] reads it clamped to `[1e-3, 1]`).
     Derate {
         /// One endpoint host id.
         a: u32,
@@ -158,20 +158,46 @@ pub enum TransferOutcome {
     },
 }
 
-/// An ordered list of faults — the `schedule` half of a chaos config.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FaultSchedule {
-    /// The faults, in declaration order.
+/// How one fault degrades its link — the one interpretation of a
+/// [`FaultSpec`]'s degradation that every reader shares: a bandwidth
+/// multiplier (a derate's factor clamped to `[1e-3, 1]`, NaN as 1e-3; 1
+/// for any other fault) and, for a jitter fault, its bound in seconds.
+fn reading(fault: &FaultSpec) -> (f64, Option<f64>) {
+    match fault {
+        // `clamp` would pass NaN through; it reads as the floor.
+        FaultSpec::Derate { factor, .. } if factor.is_nan() => (1e-3, None),
+        FaultSpec::Derate { factor, .. } => (factor.clamp(1e-3, 1.0), None),
+        FaultSpec::Jitter { max, .. } => (1.0, Some(max.as_secs_f64())),
+        FaultSpec::LinkDown { .. } | FaultSpec::Partition { .. } => (1.0, None),
+    }
+}
+
+/// A seeded fault schedule: the faults to inject plus the seed of the
+/// RNG streams that drive per-transmission jitter draws. This is the one
+/// reader of a [`FaultSpec`]: the serving engine, `Fabric`'s links and
+/// the scheduler's [`project_onto_state`](Self::project_onto_state) all
+/// ask [`derate`](Self::derate), [`link_condition`](Self::link_condition)
+/// and [`clear_at`](Self::clear_at).
+#[derive(Clone, Debug, PartialEq)]
+pub struct FaultPlan {
+    /// Seed the plan (and its jitter streams) was built from.
+    pub seed: u64,
+    /// The faults to inject, in declaration order.
     pub specs: Vec<FaultSpec>,
 }
 
-impl FaultSchedule {
-    /// Empty (fault-free) schedule.
-    pub fn none() -> Self {
-        FaultSchedule::default()
+impl FaultPlan {
+    /// A plan with an explicit schedule.
+    pub fn new(seed: u64, specs: Vec<FaultSpec>) -> Self {
+        FaultPlan { seed, specs }
     }
 
-    /// Generate a pseudo-random schedule over `hosts` host ids within a
+    /// A fault-free plan (the oracle configuration).
+    pub fn none() -> Self {
+        FaultPlan::new(0, Vec::new())
+    }
+
+    /// Generate a pseudo-random plan over `hosts` host ids within a
     /// `horizon` of simulated time. Deterministic in `seed`: the same
     /// inputs always produce the same schedule. Roughly half the faults
     /// are degradations (derate/jitter), the rest outages (link-down or,
@@ -208,66 +234,37 @@ impl FaultSchedule {
                 }),
             }
         }
-        FaultSchedule { specs }
-    }
-
-    /// True when the schedule injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-}
-
-/// A seeded fault schedule ready to apply to a fabric: the schedule plus
-/// the RNG stream that drives per-transmission jitter draws.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultPlan {
-    /// Seed the plan (and its jitter stream) was built from.
-    pub seed: u64,
-    /// The faults to inject.
-    pub schedule: FaultSchedule,
-}
-
-impl FaultPlan {
-    /// A plan with an explicit schedule.
-    pub fn new(seed: u64, schedule: FaultSchedule) -> Self {
-        FaultPlan { seed, schedule }
-    }
-
-    /// A fault-free plan (the oracle configuration).
-    pub fn none() -> Self {
-        FaultPlan {
-            seed: 0,
-            schedule: FaultSchedule::none(),
-        }
-    }
-
-    /// Generate a pseudo-random plan — see [`FaultSchedule::generate`].
-    pub fn generate(seed: u64, hosts: u32, horizon: Nanos, faults: usize) -> Self {
-        FaultPlan {
-            seed,
-            schedule: FaultSchedule::generate(seed, hosts, horizon, faults),
-        }
+        FaultPlan { seed, specs }
     }
 
     /// Faults affecting the (unordered) host pair.
     pub fn faults_for(&self, a: u32, b: u32) -> impl Iterator<Item = &FaultSpec> {
-        self.schedule.specs.iter().filter(move |s| s.touches(a, b))
+        self.specs.iter().filter(move |s| s.touches(a, b))
     }
 
-    /// Whole-run degradation of the `(a, b)` link as `(derate,
-    /// jitter_s)`: derate factors multiply (each floored at 1e-3) and
-    /// every jitter fault draws once from `rng`, in schedule order.
+    /// Whole-run bandwidth multiplier of the `(a, b)` link: the product,
+    /// in schedule order, of every derate factor clamped to `[1e-3, 1]` —
+    /// a factor of 0 or NaN reads 1e-3, one above 1 reads 1 (a fault
+    /// never speeds a link up).
+    pub fn derate(&self, a: u32, b: u32) -> f64 {
+        self.faults_for(a, b)
+            .map(|fault| reading(fault).0)
+            .product()
+    }
+
+    /// The `(a, b)` link's [`derate`](Self::derate) and the extra one-way
+    /// latency, in seconds, of one transmission on it: every jitter fault
+    /// draws `next_f64() · max` once from `rng`, in schedule order (a
+    /// link without jitter draws nothing). One pass over the schedule.
     pub fn link_condition(&self, rng: &mut XorShift64, a: u32, b: u32) -> (f64, f64) {
-        let mut derate = 1.0f64;
-        let mut jitter_s = 0.0f64;
-        for fault in self.faults_for(a, b) {
-            match fault {
-                FaultSpec::Derate { factor, .. } => derate *= factor.max(1e-3),
-                FaultSpec::Jitter { max, .. } => jitter_s += rng.next_f64() * max.as_secs_f64(),
-                _ => {}
-            }
-        }
-        (derate, jitter_s)
+        self.faults_for(a, b).map(reading).fold(
+            (1.0, 0.0),
+            |(derate, jitter_s), (factor, jitter_max_s)| {
+                let jitter_s =
+                    jitter_max_s.map_or(jitter_s, |max_s| jitter_s + rng.next_f64() * max_s);
+                (derate * factor, jitter_s)
+            },
+        )
     }
 
     /// The first instant at or after `t` outside every outage window
@@ -328,7 +325,7 @@ impl FaultPlan {
     }
 
     /// Project the plan onto scheduler-visible cluster state over `hosts`
-    /// host ids: whole-run derates multiply into
+    /// host ids: each pair's [`derate`](Self::derate) multiplies into
     /// [`link_derate`](genie_cluster::ClusterState::link_derate), and any
     /// pair with an outage or partition window anywhere in the run is
     /// marked [`partitioned`](genie_cluster::ClusterState::is_partitioned)
@@ -337,17 +334,9 @@ impl FaultPlan {
     pub fn project_onto_state(&self, state: &mut genie_cluster::ClusterState, hosts: u32) {
         for a in 0..hosts {
             for b in (a + 1)..hosts {
-                for spec in self.faults_for(a, b) {
-                    match spec {
-                        FaultSpec::Derate { factor, .. } => {
-                            let current = state.link_derate(a, b);
-                            state.set_link_derate(a, b, current * factor);
-                        }
-                        FaultSpec::Jitter { .. } => {}
-                        FaultSpec::LinkDown { .. } | FaultSpec::Partition { .. } => {
-                            state.set_partitioned(a, b, true);
-                        }
-                    }
+                state.set_link_derate(a, b, state.link_derate(a, b) * self.derate(a, b));
+                if self.faults_for(a, b).any(|s| s.window().is_some()) {
+                    state.set_partitioned(a, b, true);
                 }
             }
         }
@@ -378,11 +367,11 @@ mod tests {
     #[test]
     fn generated_schedules_are_seed_deterministic() {
         let h = Nanos::from_secs_f64(10.0);
-        let s1 = FaultSchedule::generate(99, 4, h, 8);
-        let s2 = FaultSchedule::generate(99, 4, h, 8);
+        let s1 = FaultPlan::generate(99, 4, h, 8);
+        let s2 = FaultPlan::generate(99, 4, h, 8);
         assert_eq!(s1, s2);
         assert_eq!(s1.specs.len(), 8);
-        let other = FaultSchedule::generate(100, 4, h, 8);
+        let other = FaultPlan::generate(100, 4, h, 8);
         assert_ne!(s1, other, "different seeds diverge");
     }
 
@@ -403,14 +392,12 @@ mod tests {
     fn severed_windows_respect_bounds() {
         let plan = FaultPlan::new(
             1,
-            FaultSchedule {
-                specs: vec![FaultSpec::LinkDown {
-                    a: 0,
-                    b: 1,
-                    from: Nanos(10),
-                    until: Nanos(20),
-                }],
-            },
+            vec![FaultSpec::LinkDown {
+                a: 0,
+                b: 1,
+                from: Nanos(10),
+                until: Nanos(20),
+            }],
         );
         assert_eq!(plan.clear_at(0, 1, Nanos(9)), Nanos(9));
         assert_eq!(plan.clear_at(0, 1, Nanos(10)), Nanos(20));
@@ -437,9 +424,7 @@ mod tests {
         };
         let plan = FaultPlan::new(
             1,
-            FaultSchedule {
-                specs: vec![down(10, 20), down(15, 40), down(40, 45), down(60, 70)],
-            },
+            vec![down(10, 20), down(15, 40), down(40, 45), down(60, 70)],
         );
         assert_eq!(plan.clear_at(0, 1, Nanos(5)), Nanos(5), "link is up");
         assert_eq!(plan.clear_at(0, 1, Nanos(10)), Nanos(45), "10→40→45");
@@ -452,30 +437,28 @@ mod tests {
     fn link_condition_draws_once_per_jitter_fault_in_schedule_order() {
         let plan = FaultPlan::new(
             1,
-            FaultSchedule {
-                specs: vec![
-                    FaultSpec::Derate {
-                        a: 0,
-                        b: 1,
-                        factor: 0.5,
-                    },
-                    FaultSpec::Jitter {
-                        a: 0,
-                        b: 1,
-                        max: Nanos(1_000),
-                    },
-                    FaultSpec::Derate {
-                        a: 1,
-                        b: 0,
-                        factor: 0.0,
-                    },
-                    FaultSpec::Jitter {
-                        a: 1,
-                        b: 0,
-                        max: Nanos(4_000),
-                    },
-                ],
-            },
+            vec![
+                FaultSpec::Derate {
+                    a: 0,
+                    b: 1,
+                    factor: 0.5,
+                },
+                FaultSpec::Jitter {
+                    a: 0,
+                    b: 1,
+                    max: Nanos(1_000),
+                },
+                FaultSpec::Derate {
+                    a: 1,
+                    b: 0,
+                    factor: 0.0,
+                },
+                FaultSpec::Jitter {
+                    a: 1,
+                    b: 0,
+                    max: Nanos(4_000),
+                },
+            ],
         );
         let mut rng = XorShift64::new(7);
         let mut mirror = rng;
@@ -513,25 +496,23 @@ mod tests {
     fn projection_marks_scheduler_state() {
         let plan = FaultPlan::new(
             1,
-            FaultSchedule {
-                specs: vec![
-                    FaultSpec::Derate {
-                        a: 0,
-                        b: 1,
-                        factor: 0.5,
-                    },
-                    FaultSpec::Derate {
-                        a: 0,
-                        b: 1,
-                        factor: 0.5,
-                    },
-                    FaultSpec::Partition {
-                        hosts: vec![2],
-                        from: Nanos(10),
-                        until: Nanos(20),
-                    },
-                ],
-            },
+            vec![
+                FaultSpec::Derate {
+                    a: 0,
+                    b: 1,
+                    factor: 0.5,
+                },
+                FaultSpec::Derate {
+                    a: 0,
+                    b: 1,
+                    factor: 0.5,
+                },
+                FaultSpec::Partition {
+                    hosts: vec![2],
+                    from: Nanos(10),
+                    until: Nanos(20),
+                },
+            ],
         );
         let mut state = genie_cluster::ClusterState::new();
         plan.project_onto_state(&mut state, 3);

@@ -17,8 +17,10 @@
 //!   (integer nanoseconds, ties broken by a caller key, then insertion
 //!   order); the serving engine's agenda and the bench fleet run on it;
 //! - [`fault::FaultPlan`] — seeded, wall-clock-free fault injection:
-//!   bandwidth derates, latency jitter, link outages and host partitions
-//!   applied inside [`link::LinkSim`] and surfaced as trace marks;
+//!   bandwidth derates, latency jitter, link outages and host partitions,
+//!   and the one reader of them: [`link::LinkSim`], the serving engine
+//!   and the scheduler's projection all ask the plan, and the fabric
+//!   surfaces its windows as trace marks;
 //! - [`trace::Trace`] — flat records from which latency, traffic, and the
 //!   paper's "effective GPU utilization" metric are computed.
 //!
@@ -44,8 +46,8 @@ pub mod time;
 pub mod trace;
 
 pub use fabric::Fabric;
-pub use fault::{FaultPlan, FaultSchedule, FaultSpec, TransferOutcome, XorShift64};
-pub use link::{LinkFault, LinkSim};
+pub use fault::{FaultPlan, FaultSpec, TransferOutcome, XorShift64};
+pub use link::LinkSim;
 pub use queue::EventQueue;
 pub use rpc::{CallTiming, OnewayTiming, RpcChannel, RpcParams};
 pub use time::Nanos;

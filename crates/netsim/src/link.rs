@@ -4,37 +4,12 @@
 //! at the link's effective bandwidth, then experience propagation latency.
 //! Background congestion (other tenants) scales the effective bandwidth —
 //! the signal the scheduler's dynamic-recomputation policy reacts to
-//! (§3.3).
+//! (§3.3). Injected faults are not link state: a link holds the run's
+//! [`FaultPlan`] and asks it for its derate, jitter and outage windows.
 
-use crate::fault::XorShift64;
+use crate::fault::{FaultPlan, XorShift64};
 use crate::time::Nanos;
-
-/// Injected degradation state of one link (see `crate::fault`). All
-/// fields deterministic: jitter draws come from the seeded RNG carried
-/// here, never from a wall clock.
-#[derive(Clone, Debug)]
-pub struct LinkFault {
-    /// Multiplier on effective bandwidth in `(0, 1]`.
-    pub derate: f64,
-    /// Maximum extra propagation latency per transmission.
-    pub jitter_max: Nanos,
-    /// Windows `[from, until)` during which the link accepts no traffic.
-    pub down: Vec<(Nanos, Nanos)>,
-    /// Seeded stream for jitter draws.
-    pub rng: XorShift64,
-}
-
-impl LinkFault {
-    /// A no-op fault (full bandwidth, no jitter, never down).
-    pub fn none(seed: u64) -> Self {
-        LinkFault {
-            derate: 1.0,
-            jitter_max: Nanos::ZERO,
-            down: Vec::new(),
-            rng: XorShift64::new(seed),
-        }
-    }
-}
+use std::sync::Arc;
 
 /// Mutable state of one simulated link direction.
 #[derive(Clone, Debug)]
@@ -51,8 +26,9 @@ pub struct LinkSim {
     pub bytes_sent: u64,
     /// Number of transmissions accepted.
     pub transmissions: u64,
-    /// Injected fault state, when a fault plan targets this link.
-    pub fault: Option<LinkFault>,
+    /// The fault plan this link reads, the host pair it reads it for,
+    /// and this link's jitter stream (see [`set_faults`](Self::set_faults)).
+    faults: Option<(Arc<FaultPlan>, u32, u32, XorShift64)>,
     /// Transmissions perturbed by a fault (deferred past an outage,
     /// jittered, or slowed by a derate).
     pub faults_hit: u64,
@@ -80,45 +56,42 @@ impl LinkSim {
             busy_until: Nanos::ZERO,
             bytes_sent: 0,
             transmissions: 0,
-            fault: None,
+            faults: None,
             faults_hit: 0,
         }
     }
 
+    /// Read `plan`'s faults for the host pair `(a, b)` from now on,
+    /// drawing jitter from a stream seeded `plan.seed ^ a << 32 ^ b`.
+    pub(crate) fn set_faults(&mut self, plan: Arc<FaultPlan>, a: u32, b: u32) {
+        let rng = XorShift64::new(plan.seed ^ (u64::from(a) << 32) ^ u64::from(b));
+        self.faults = Some((plan, a, b, rng));
+    }
+
     /// Effective bandwidth after background congestion and any injected
-    /// derate.
+    /// derate ([`FaultPlan::derate`]).
     pub fn effective_bandwidth(&self) -> f64 {
-        let derate = self.fault.as_ref().map_or(1.0, |f| f.derate);
+        let derate = self
+            .faults
+            .as_ref()
+            .map_or(1.0, |(plan, a, b, _)| plan.derate(*a, *b));
         self.bandwidth_bytes * (1.0 - self.congestion) * derate
     }
 
-    /// Defer `at` past any injected outage window it falls inside, and
-    /// draw this transmission's latency jitter. Counts perturbed
-    /// transmissions in `faults_hit`.
-    fn apply_fault(&mut self, at: Nanos) -> (Nanos, Nanos) {
-        let Some(fault) = self.fault.as_mut() else {
-            return (at, Nanos::ZERO);
+    /// When a transmission issued at `now` starts on the wire, and its
+    /// latency jitter: once the previous transmission has left the wire
+    /// and no outage window is open ([`FaultPlan::clear_at`] of that
+    /// instant), with one [`FaultPlan::link_condition`] jitter draw.
+    /// Counts perturbed transmissions in `faults_hit`.
+    fn wire_start(&mut self, now: Nanos) -> (Nanos, Nanos) {
+        let queued = now.max(self.busy_until);
+        let Some((plan, a, b, rng)) = &mut self.faults else {
+            return (queued, Nanos::ZERO);
         };
-        let mut start = at;
-        let mut hit = fault.derate < 1.0;
-        // Windows may abut or nest; iterate until a fixed point so a
-        // transmission deferred into a later window keeps deferring.
-        let mut moved = true;
-        while moved {
-            moved = false;
-            for &(from, until) in &fault.down {
-                if start >= from && start < until {
-                    start = until;
-                    moved = true;
-                    hit = true;
-                }
-            }
-        }
-        let jitter = Nanos(fault.rng.next_below(fault.jitter_max.0.saturating_add(1)));
-        if jitter > Nanos::ZERO {
-            hit = true;
-        }
-        if hit {
+        let start = plan.clear_at(*a, *b, queued);
+        let (derate, jitter_s) = plan.link_condition(rng, *a, *b);
+        let jitter = Nanos::from_secs_f64(jitter_s);
+        if start > queued || jitter > Nanos::ZERO || derate < 1.0 {
             self.faults_hit += 1;
         }
         (start, jitter)
@@ -129,8 +102,7 @@ impl LinkSim {
     /// arrived and the previous transfer has left the wire — and, under an
     /// injected outage, not before the outage window closes.
     pub fn transmit(&mut self, now: Nanos, bytes: u64) -> TxTiming {
-        let (now, jitter) = self.apply_fault(now);
-        let start = now.max(self.busy_until);
+        let (start, jitter) = self.wire_start(now);
         let tx_time = Nanos::from_secs_f64(bytes as f64 / self.effective_bandwidth());
         let sent = start + tx_time;
         self.busy_until = sent;
@@ -153,8 +125,7 @@ impl LinkSim {
     /// [`occupy`](Self::occupy) returning `(start, jitter)`: callers that
     /// compute delivery themselves must add the drawn latency jitter.
     pub fn occupy_timed(&mut self, now: Nanos, duration: Nanos, bytes: u64) -> (Nanos, Nanos) {
-        let (now, jitter) = self.apply_fault(now);
-        let start = now.max(self.busy_until);
+        let (start, jitter) = self.wire_start(now);
         self.busy_until = start + duration;
         self.bytes_sent += bytes;
         self.transmissions += 1;
@@ -171,7 +142,7 @@ impl LinkSim {
         self.busy_until = Nanos::ZERO;
         self.bytes_sent = 0;
         self.transmissions = 0;
-        self.fault = None;
+        self.faults = None;
         self.faults_hit = 0;
     }
 }
@@ -179,6 +150,7 @@ impl LinkSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultSpec;
 
     fn gbps25() -> LinkSim {
         LinkSim::new(25e9 / 8.0, Nanos::from_micros(250))
@@ -230,23 +202,43 @@ mod tests {
         assert_eq!(t.delivered, Nanos::from_micros(250));
     }
 
+    /// A 25 Gbps link reading `specs` as the `(0, 1)` pair of a plan
+    /// seeded `seed`.
+    fn faulted(seed: u64, specs: Vec<FaultSpec>) -> LinkSim {
+        let mut l = gbps25();
+        l.set_faults(Arc::new(FaultPlan::new(seed, specs)), 0, 1);
+        l
+    }
+
+    fn down(from: Nanos, until: Nanos) -> FaultSpec {
+        FaultSpec::LinkDown {
+            a: 0,
+            b: 1,
+            from,
+            until,
+        }
+    }
+
     #[test]
     fn reset_clears_state() {
-        let mut l = gbps25();
+        let mut l = faulted(1, Vec::new());
         l.transmit(Nanos::ZERO, 1_000_000);
-        l.fault = Some(LinkFault::none(1));
         l.reset();
         assert_eq!(l.busy_until(), Nanos::ZERO);
         assert_eq!(l.bytes_sent, 0);
-        assert!(l.fault.is_none());
+        assert!(l.faults.is_none());
     }
 
     #[test]
     fn derate_slows_transmission_and_counts_hits() {
-        let mut l = gbps25();
-        let mut f = LinkFault::none(1);
-        f.derate = 0.5;
-        l.fault = Some(f);
+        let mut l = faulted(
+            1,
+            vec![FaultSpec::Derate {
+                a: 0,
+                b: 1,
+                factor: 0.5,
+            }],
+        );
         let t = l.transmit(Nanos::ZERO, 3_125_000_000);
         assert!((t.sent.as_secs_f64() - 2.0).abs() < 1e-6, "{:?}", t.sent);
         assert_eq!(l.faults_hit, 1);
@@ -254,10 +246,7 @@ mod tests {
 
     #[test]
     fn down_window_defers_transmission() {
-        let mut l = gbps25();
-        let mut f = LinkFault::none(1);
-        f.down = vec![(Nanos::ZERO, Nanos::from_millis(10))];
-        l.fault = Some(f);
+        let mut l = faulted(1, vec![down(Nanos::ZERO, Nanos::from_millis(10))]);
         let t = l.transmit(Nanos::from_millis(5), 1_000);
         assert_eq!(t.start, Nanos::from_millis(10), "deferred to window end");
         assert_eq!(l.faults_hit, 1);
@@ -269,14 +258,14 @@ mod tests {
 
     #[test]
     fn abutting_down_windows_chain() {
-        let mut l = gbps25();
-        let mut f = LinkFault::none(1);
-        f.down = vec![
-            (Nanos(0), Nanos(100)),
-            (Nanos(100), Nanos(200)),
-            (Nanos(500), Nanos(600)),
-        ];
-        l.fault = Some(f);
+        let mut l = faulted(
+            1,
+            vec![
+                down(Nanos(0), Nanos(100)),
+                down(Nanos(100), Nanos(200)),
+                down(Nanos(500), Nanos(600)),
+            ],
+        );
         let t = l.transmit(Nanos(50), 0);
         assert_eq!(t.start, Nanos(200), "chained through abutting windows");
     }
@@ -284,10 +273,14 @@ mod tests {
     #[test]
     fn jitter_is_bounded_and_seed_deterministic() {
         let run = |seed: u64| {
-            let mut l = gbps25();
-            let mut f = LinkFault::none(seed);
-            f.jitter_max = Nanos::from_micros(100);
-            l.fault = Some(f);
+            let mut l = faulted(
+                seed,
+                vec![FaultSpec::Jitter {
+                    a: 0,
+                    b: 1,
+                    max: Nanos::from_micros(100),
+                }],
+            );
             (0..20)
                 .map(|i| l.transmit(Nanos::from_millis(i * 10), 0).delivered)
                 .collect::<Vec<_>>()

@@ -1434,14 +1434,12 @@ mod tests {
         // link for the whole first second: every early migration dies.
         conf.fault_plan = Some(FaultPlan::new(
             9,
-            genie_netsim::FaultSchedule {
-                specs: vec![genie_netsim::FaultSpec::LinkDown {
-                    a: 1,
-                    b: 2,
-                    from: Nanos::ZERO,
-                    until: Nanos::from_secs_f64(1.0),
-                }],
-            },
+            vec![genie_netsim::FaultSpec::LinkDown {
+                a: 1,
+                b: 2,
+                from: Nanos::ZERO,
+                until: Nanos::from_secs_f64(1.0),
+            }],
         ));
         conf.queue_budget = Nanos::from_secs_f64(30.0);
         let reqs = burst(4, 64, 8);

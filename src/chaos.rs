@@ -1,10 +1,10 @@
 //! Chaos harness (§4g of DESIGN.md): reusable seeded fault fixtures.
 //!
 //! A [`ChaosConfig`] is the full fault story of one run, derived from a
-//! single seed: a `genie-netsim` [`FaultSchedule`] for the simulated
-//! fabric, the matching scheduler-visible [`ClusterState`] projection,
-//! and a transport-level [`ChaosPolicy`] + [`RetryPolicy`] pair for the
-//! real TCP plane. Tests sweep seeds; every derived behaviour — fault
+//! single seed: a `genie-netsim` [`FaultPlan`] for the simulated fabric,
+//! the matching scheduler-visible [`ClusterState`] projection, and a
+//! transport-level [`ChaosPolicy`] + [`RetryPolicy`] pair for the real
+//! TCP plane. Tests sweep seeds; every derived behaviour — fault
 //! windows, backoff jitter, stall/drop decisions — is a pure function of
 //! the seed, so a failing seed reproduces exactly.
 //!
@@ -17,7 +17,7 @@
 //! ```
 
 use genie_cluster::{ClusterState, Topology};
-use genie_netsim::{FaultPlan, FaultSchedule, Nanos, RpcParams};
+use genie_netsim::{FaultPlan, Nanos, RpcParams};
 use genie_scheduler::{schedule, CostModel, ExecutionPlan, SemanticsAware};
 use genie_srg::Srg;
 use genie_transport::{ChaosPolicy, RetryPolicy};
@@ -31,55 +31,27 @@ pub const CHAOS_DEADLINE: Duration = Duration::from_millis(150);
 /// A seeded chaos fixture.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
-    /// The one knob: drives schedule generation, retry jitter, and the
-    /// chaotic server's decision stream.
-    pub seed: u64,
-    /// The simulated-fabric fault schedule this seed generated (empty for
-    /// the oracle configuration).
-    pub schedule: FaultSchedule,
+    /// The simulated-fabric faults; their seed is the one knob, which also
+    /// drives retry jitter and the chaotic server's decision stream.
+    /// [`FaultPlan::none`] is the fault-free oracle configuration.
+    pub faults: FaultPlan,
 }
 
 impl ChaosConfig {
-    /// The fault-free baseline every chaotic run is compared against.
-    pub fn oracle() -> Self {
-        ChaosConfig {
-            seed: 0,
-            schedule: FaultSchedule::none(),
-        }
-    }
-
-    /// Generate a schedule of `faults` seeded faults over `hosts` hosts
-    /// and a `horizon` of simulated time.
-    pub fn generate(seed: u64, hosts: u32, horizon: Nanos, faults: usize) -> Self {
-        ChaosConfig {
-            seed,
-            schedule: FaultSchedule::generate(seed, hosts, horizon, faults),
-        }
-    }
-
-    /// [`generate`](Self::generate) sized for
-    /// [`Topology::paper_testbed`]: two hosts, an eight-second horizon
-    /// (weight uploads dominate the first ~4 s), six faults.
+    /// A seeded plan sized for [`Topology::paper_testbed`]: two hosts, an
+    /// eight-second horizon (weight uploads dominate the first ~4 s), six
+    /// faults.
     pub fn for_testbed(seed: u64) -> Self {
-        Self::generate(seed, 2, Nanos::from_secs_f64(8.0), 6)
-    }
-
-    /// True when this configuration injects nothing anywhere.
-    pub fn is_oracle(&self) -> bool {
-        self.schedule.is_empty()
-    }
-
-    /// The netsim fault plan to install with
-    /// [`Fabric::apply_fault_plan`](genie_netsim::Fabric::apply_fault_plan).
-    pub fn fault_plan(&self) -> FaultPlan {
-        FaultPlan::new(self.seed, self.schedule.clone())
+        ChaosConfig {
+            faults: FaultPlan::generate(seed, 2, Nanos::from_secs_f64(8.0), 6),
+        }
     }
 
     /// Fresh cluster state carrying the scheduler's view of this
     /// schedule: derated links and conservatively-partitioned pairs.
     pub fn planning_state(&self, topo: &Topology) -> ClusterState {
         let mut state = ClusterState::new();
-        self.fault_plan()
+        self.faults
             .project_onto_state(&mut state, topo.hosts().len() as u32);
         state
     }
@@ -88,10 +60,10 @@ impl ChaosConfig {
     /// for the oracle, otherwise drops ~25% of responses and stalls ~10%
     /// past [`CHAOS_DEADLINE`].
     pub fn transport_policy(&self) -> ChaosPolicy {
-        if self.is_oracle() {
+        if self.faults.specs.is_empty() {
             ChaosPolicy::none()
         } else {
-            ChaosPolicy::hostile(self.seed, CHAOS_DEADLINE * 2)
+            ChaosPolicy::hostile(self.faults.seed, CHAOS_DEADLINE * 2)
         }
     }
 
@@ -104,7 +76,7 @@ impl ChaosConfig {
             base_backoff: Duration::from_millis(5),
             max_backoff: Duration::from_millis(40),
             deadline: CHAOS_DEADLINE,
-            seed: self.seed,
+            seed: self.faults.seed,
         }
     }
 
@@ -112,7 +84,7 @@ impl ChaosConfig {
     /// its fault-free oracle, with the semantics-aware policy end to end:
     /// the scheduler plans against [`planning_state`](Self::planning_state)
     /// (rerouting off partitioned hosts), the fabric runs under
-    /// [`fault_plan`](Self::fault_plan).
+    /// [`faults`](Self::faults).
     pub fn run_sim(&self, srg: &Srg) -> ChaosRun {
         let topo = Topology::paper_testbed();
         let cost = CostModel::paper_stack();
@@ -125,8 +97,7 @@ impl ChaosConfig {
         let state = self.planning_state(&topo);
         let plan = schedule(srg, &topo, &state, &cost, &SemanticsAware::new());
         let rerouted = plan.devices_used() < oracle_plan.devices_used();
-        let faulty =
-            genie_backend::simulate_once_faulty(&plan, &topo, &cost, params, &self.fault_plan());
+        let faulty = genie_backend::simulate_once_faulty(&plan, &topo, &cost, params, &self.faults);
         ChaosRun {
             oracle,
             oracle_plan,

@@ -14,7 +14,7 @@
 //!    identity scenario reproduces observed TTLT exactly.
 
 use genie::models::TransformerConfig;
-use genie::netsim::{FaultPlan, FaultSchedule, FaultSpec, Nanos};
+use genie::netsim::{FaultPlan, FaultSpec, Nanos};
 use genie::serving::{ArrivalConfig, ServingConfig, ServingLoop, ServingModel, ServingReport};
 use genie::telemetry::causal::{self, WhatIf};
 
@@ -42,20 +42,18 @@ fn run(fault_plan: Option<FaultPlan>) -> ServingReport {
 fn chaos_plan() -> FaultPlan {
     FaultPlan::new(
         29,
-        FaultSchedule {
-            specs: vec![
-                FaultSpec::Derate {
-                    a: 0,
-                    b: 1,
-                    factor: 0.25,
-                },
-                FaultSpec::Jitter {
-                    a: 0,
-                    b: 1,
-                    max: Nanos::from_millis(2),
-                },
-            ],
-        },
+        vec![
+            FaultSpec::Derate {
+                a: 0,
+                b: 1,
+                factor: 0.25,
+            },
+            FaultSpec::Jitter {
+                a: 0,
+                b: 1,
+                max: Nanos::from_millis(2),
+            },
+        ],
     )
 }
 

@@ -11,8 +11,9 @@
 
 use genie::backend::{classify_error, spawn_chaotic_server, spawn_server, ErrorClass};
 use genie::chaos::ChaosConfig;
+use genie::cluster::HostId;
 use genie::models::Workload;
-use genie::netsim::{FaultSchedule, FaultSpec};
+use genie::netsim::{FaultPlan, FaultSpec};
 use genie::prelude::*;
 use genie::tensor::Tensor;
 use genie::transport::TransportError;
@@ -52,7 +53,10 @@ fn seeded_schedules_degrade_every_zoo_family_gracefully() {
         let srg = w.spec_graph();
         for &seed in &seeds {
             let cfg = ChaosConfig::for_testbed(seed);
-            assert!(!cfg.is_oracle(), "seed {seed}: generated schedule is empty");
+            assert!(
+                !cfg.faults.specs.is_empty(),
+                "seed {seed}: generated schedule is empty"
+            );
             let run = cfg.run_sim(&srg);
             eprintln!(
                 "chaos seed {seed} {}: oracle {:.4}s faulty {:.4}s rerouted={}",
@@ -231,8 +235,9 @@ fn oracle_configuration_injects_nothing() {
             .counter(name, &[])
             .unwrap_or(0)
     };
-    let cfg = ChaosConfig::oracle();
-    assert!(cfg.is_oracle());
+    let cfg = ChaosConfig {
+        faults: FaultPlan::none(),
+    };
 
     let retries_before = metric("genie_rpc_retries_total");
     let (server, _exec) = spawn_server().unwrap();
@@ -269,14 +274,14 @@ fn derate_schedule_counts_injections_and_slows_the_run() {
             .unwrap_or(0)
     };
     let cfg = ChaosConfig {
-        seed: 5,
-        schedule: FaultSchedule {
-            specs: vec![FaultSpec::Derate {
+        faults: FaultPlan::new(
+            5,
+            vec![FaultSpec::Derate {
                 a: 0,
                 b: 1,
                 factor: 0.25,
             }],
-        },
+        ),
     };
     let before = faults();
     let run = cfg.run_sim(&Workload::LlmServing.spec_graph());
@@ -301,7 +306,7 @@ fn derate_schedule_counts_injections_and_slows_the_run() {
 fn migration_severed_by_link_down_recovers_from_lineage() {
     use genie::cluster::{GpuSpec, Link};
     use genie::models::functional_transformers;
-    use genie::netsim::{FaultPlan, Nanos};
+    use genie::netsim::Nanos;
     use genie::serving::{
         DisaggConfig, MigrationPolicy, ServingConfig, ServingLoop, ServingModel, ServingRequest,
     };
@@ -333,14 +338,12 @@ fn migration_severed_by_link_down_recovers_from_lineage() {
             // early migration is severed mid-flight.
             fault_plan: Some(FaultPlan::new(
                 13,
-                FaultSchedule {
-                    specs: vec![FaultSpec::LinkDown {
-                        a: 1,
-                        b: 2,
-                        from: Nanos::ZERO,
-                        until: Nanos::from_secs_f64(0.05),
-                    }],
-                },
+                vec![FaultSpec::LinkDown {
+                    a: 1,
+                    b: 2,
+                    from: Nanos::ZERO,
+                    until: Nanos::from_secs_f64(0.05),
+                }],
             )),
             record_telemetry: false,
             disagg: Some(d),
@@ -406,7 +409,7 @@ fn disaggregated_serving_survives_seeded_fault_schedules() {
         conf.max_queue = 256;
         conf.queue_budget = Nanos::from_secs_f64(2.0);
         conf.record_telemetry = false;
-        conf.fault_plan = Some(chaos.fault_plan());
+        conf.fault_plan = Some(chaos.faults.clone());
         conf.disagg = Some(DisaggConfig::paper_testbed(1));
 
         let faulty =
@@ -450,7 +453,7 @@ fn disaggregated_serving_survives_seeded_fault_schedules() {
 #[test]
 fn sharded_lane_survives_link_down_during_collectives() {
     use genie::models::TransformerConfig;
-    use genie::netsim::{FaultPlan, Nanos};
+    use genie::netsim::Nanos;
     use genie::serving::{ArrivalConfig, ServingConfig, ServingLoop, ServingModel};
     use genie::srg::shard::ShardSpec;
 
@@ -477,14 +480,12 @@ fn sharded_lane_survives_link_down_during_collectives() {
         // steps: the all_reduce window lands inside the outage.
         conf.fault_plan = Some(FaultPlan::new(
             seed,
-            FaultSchedule {
-                specs: vec![FaultSpec::LinkDown {
-                    a: 0,
-                    b: 1,
-                    from,
-                    until,
-                }],
-            },
+            vec![FaultSpec::LinkDown {
+                a: 0,
+                b: 1,
+                from,
+                until,
+            }],
         ));
 
         let faulty =
@@ -568,7 +569,7 @@ fn serving_loop_survives_seeded_fault_schedules() {
         conf.max_batch = 4;
         conf.max_queue = 256;
         conf.queue_budget = Nanos::from_secs_f64(2.0);
-        conf.fault_plan = Some(chaos.fault_plan());
+        conf.fault_plan = Some(chaos.faults.clone());
 
         let faulty =
             ServingLoop::new(ServingModel::Spec(model.clone()), conf.clone()).run(&requests);
@@ -614,4 +615,152 @@ fn serving_loop_survives_seeded_fault_schedules() {
             oracle.makespan
         );
     }
+}
+
+/// One derate, three readers: the engine's [`FaultPlan::derate`], a
+/// paper-plane fabric link's effective bandwidth over its clean value,
+/// and the scheduler's projected `link_derate` read every factor the
+/// same way — clamped to `[1e-3, 1]`, NaN as 1e-3 — to the bit.
+#[test]
+fn one_derate_reads_the_same_on_every_plane() {
+    use genie::netsim::{Fabric, RpcParams};
+
+    let _gate = metrics_gate();
+    let derate = |factor| FaultSpec::Derate { a: 0, b: 1, factor };
+    let cases = [
+        (vec![derate(0.5)], 0.5),
+        (vec![derate(0.5), derate(0.5)], 0.25),
+        (vec![derate(0.0)], 1e-3),
+        (vec![derate(2.0)], 1.0),
+        (vec![derate(f64::NAN)], 1e-3),
+    ];
+    let topo = Topology::paper_testbed();
+    let bandwidth = |fabric: &Fabric| {
+        fabric
+            .channel_ref(HostId(0), HostId(1))
+            .unwrap()
+            .link
+            .effective_bandwidth()
+    };
+    let mut misread = Vec::new();
+    for (specs, want) in cases {
+        let plan = FaultPlan::new(3, specs);
+        let mut fabric = Fabric::new(&topo, &ClusterState::new(), RpcParams::rdma_zero_copy());
+        let clean = bandwidth(&fabric);
+        fabric.apply_fault_plan(&plan);
+        let mut state = ClusterState::new();
+        plan.project_onto_state(&mut state, 2);
+        let readings = [
+            plan.derate(0, 1),
+            bandwidth(&fabric) / clean,
+            state.link_derate(0, 1),
+        ];
+        if readings.iter().any(|r| r.to_bits() != f64::to_bits(want)) {
+            misread.push(format!("{:?}: {readings:?}, want {want}", plan.specs));
+        }
+    }
+    assert!(
+        misread.is_empty(),
+        "engine / fabric / scheduler readings: {misread:#?}"
+    );
+}
+
+/// The engine's side of the same rule: a derate above 1 reads as a
+/// clean link, so a spec-plane run under `factor: 2.0` on the client
+/// pair is the run under `factor: 1.0`, not a faster one.
+#[test]
+fn an_over_unity_derate_does_not_speed_the_engine_up() {
+    use genie::models::TransformerConfig;
+    use genie::netsim::Nanos;
+    use genie::serving::{ServingConfig, ServingLoop, ServingModel, ServingRequest};
+
+    let _gate = metrics_gate();
+    let requests: Vec<ServingRequest> = (1..=6u64)
+        .map(|id| ServingRequest {
+            id,
+            tenant: 0,
+            arrival: Nanos::ZERO,
+            prompt: vec![id as i64 % 5, 2, 1],
+            total_tokens: 6,
+        })
+        .collect();
+    let run = |factor| {
+        let mut conf = ServingConfig::paper_testbed();
+        conf.fault_plan = Some(FaultPlan::new(
+            1,
+            vec![FaultSpec::Derate { a: 0, b: 1, factor }],
+        ));
+        ServingLoop::new(ServingModel::Spec(TransformerConfig::gptj_6b()), conf).run(&requests)
+    };
+    let (doubled, clean) = (run(2.0), run(1.0));
+    assert_eq!(
+        doubled.makespan, clean.makespan,
+        "a derate above 1 sped the engine up"
+    );
+    assert!(doubled == clean, "the two runs' reports differ");
+}
+
+/// The paper plane draws the engine's jitter: a fabric link under one
+/// `Jitter { max }` fault delivers each transmission exactly
+/// `next_f64() · max` after its fault-free delivery, drawn from the
+/// link's stream seeded `seed ^ a << 32 ^ b`.
+#[test]
+fn the_paper_plane_draws_the_engines_jitter() {
+    use genie::netsim::{Fabric, Nanos, RpcParams, XorShift64};
+
+    let _gate = metrics_gate();
+    let (seed, max) = (0x5eed, Nanos::from_micros(700));
+    let plan = FaultPlan::new(seed, vec![FaultSpec::Jitter { a: 0, b: 1, max }]);
+    let topo = Topology::paper_testbed();
+    let deliveries = |plan: Option<&FaultPlan>| {
+        let mut fabric = Fabric::new(&topo, &ClusterState::new(), RpcParams::rdma_zero_copy());
+        if let Some(plan) = plan {
+            fabric.apply_fault_plan(plan);
+        }
+        let ch = fabric.channel(HostId(0), HostId(1));
+        let ready = ch.ensure_session(Nanos::ZERO);
+        (0..8u64)
+            .map(|i| ch.send_oneway(ready + Nanos::from_millis(i), 4096 << i))
+            .collect::<Vec<_>>()
+    };
+    let (clean, jittered) = (deliveries(None), deliveries(Some(&plan)));
+    // `seed ^ a << 32 ^ b` for the pair (0, 1).
+    let mut stream = XorShift64::new(seed ^ 1);
+    for (i, (c, j)) in clean.iter().zip(&jittered).enumerate() {
+        let want = Nanos::from_secs_f64(stream.next_f64() * max.as_secs_f64());
+        assert_eq!(*j - *c, want, "transmission {i}");
+    }
+}
+
+/// A transmission queued behind another starts once the earlier one
+/// has left the wire — and, when an outage window is open at that
+/// instant, not before it closes. Bytes already on the wire cross the
+/// window.
+#[test]
+fn a_queued_transmission_waits_out_an_outage_at_its_wire_start() {
+    use genie::netsim::{Fabric, Nanos, RpcParams};
+
+    let _gate = metrics_gate();
+    let topo = Topology::paper_testbed();
+    let mut fabric = Fabric::new(&topo, &ClusterState::new(), RpcParams::rdma_zero_copy());
+    fabric.apply_fault_plan(&FaultPlan::new(
+        1,
+        vec![FaultSpec::LinkDown {
+            a: 0,
+            b: 1,
+            from: Nanos::from_secs_f64(1.005),
+            until: Nanos::from_secs_f64(1.020),
+        }],
+    ));
+    let ch = fabric.channel(HostId(0), HostId(1));
+    let ready = ch.ensure_session(Nanos::ZERO);
+    assert_eq!(ready, Nanos::from_secs_f64(1.0));
+    let bulk = ch.send_oneway_timed(ready, 30_000_000);
+    let small = ch.send_oneway_timed(ready, 1_000);
+    assert_eq!(bulk.wire_start, ready, "the link is up at 1.0 s");
+    assert_eq!(
+        small.wire_start,
+        Nanos::from_secs_f64(1.020),
+        "queued until 1.0096 s, inside the outage"
+    );
 }

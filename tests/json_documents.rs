@@ -15,7 +15,7 @@ use genie::analysis::{Anchor, LintCode, LintConfig, Report};
 use genie::backend::simulate_once_faulty;
 use genie::cluster::DevId;
 use genie::models::{KvState, TransformerConfig, TransformerLm, Workload};
-use genie::netsim::{FaultPlan, FaultSchedule, FaultSpec, Nanos, RpcParams, XorShift64};
+use genie::netsim::{FaultPlan, FaultSpec, Nanos, RpcParams, XorShift64};
 use genie::prelude::*;
 use genie::srg::json::{self, Value};
 use genie::srg::serialize::{from_json, to_json};
@@ -104,7 +104,7 @@ fn trace_document() -> Value {
             until: Nanos::from_millis(5),
         },
     ];
-    let faults = FaultPlan::new(11, FaultSchedule { specs });
+    let faults = FaultPlan::new(11, specs);
     let report = simulate_once_faulty(&plan, &topo, &cost, RpcParams::tensorpipe_python(), &faults);
     let mut chrome = ChromeTrace::new();
     chrome.push_sim_trace(&report.trace, Some(&srg), Some(&plan.label()));

@@ -12,7 +12,7 @@
 //! before the state-struct rewrite.
 
 use genie::models::{TransformerConfig, TransformerLm};
-use genie::netsim::{FaultPlan, FaultSchedule, FaultSpec, Nanos};
+use genie::netsim::{FaultPlan, FaultSpec, Nanos};
 use genie::serving::{
     ArrivalConfig, DisaggConfig, MigrationPolicy, Outcome, ServingConfig, ServingLoop,
     ServingModel, ServingReport, ServingRequest, ShedReason,
@@ -133,32 +133,30 @@ fn runs() -> Vec<(&'static str, ServingReport)> {
     c.queue_budget = Nanos::from_millis(60);
     c.fault_plan = Some(FaultPlan::new(
         9,
-        FaultSchedule {
-            specs: vec![
-                FaultSpec::LinkDown {
-                    a: 1,
-                    b: 2,
-                    from: Nanos::ZERO,
-                    until: Nanos::from_millis(25),
-                },
-                FaultSpec::Derate {
-                    a: 0,
-                    b: 1,
-                    factor: 0.5,
-                },
-                FaultSpec::Jitter {
-                    a: 0,
-                    b: 1,
-                    max: Nanos::from_micros(300),
-                },
-                FaultSpec::LinkDown {
-                    a: 0,
-                    b: 1,
-                    from: Nanos::from_millis(100),
-                    until: Nanos::from_millis(130),
-                },
-            ],
-        },
+        vec![
+            FaultSpec::LinkDown {
+                a: 1,
+                b: 2,
+                from: Nanos::ZERO,
+                until: Nanos::from_millis(25),
+            },
+            FaultSpec::Derate {
+                a: 0,
+                b: 1,
+                factor: 0.5,
+            },
+            FaultSpec::Jitter {
+                a: 0,
+                b: 1,
+                max: Nanos::from_micros(300),
+            },
+            FaultSpec::LinkDown {
+                a: 0,
+                b: 1,
+                from: Nanos::from_millis(100),
+                until: Nanos::from_millis(130),
+            },
+        ],
     ));
     out.push((
         "disagg_always_ship_severed",

@@ -3,7 +3,7 @@
 
 use genie::backend::{simulate_once, simulate_once_faulty};
 use genie::models::Workload;
-use genie::netsim::{FaultPlan, FaultSchedule, FaultSpec, Nanos, RpcParams};
+use genie::netsim::{FaultPlan, FaultSpec, Nanos, RpcParams};
 use genie::prelude::*;
 use genie::srg::json;
 use genie::telemetry::ChromeTrace;
@@ -74,21 +74,19 @@ fn trace_export_attributes_fault_windows() {
     let plan = genie::scheduler::schedule(&srg, &topo, &state, &cost, &SemanticsAware::new());
     let faults = FaultPlan::new(
         11,
-        FaultSchedule {
-            specs: vec![
-                FaultSpec::Derate {
-                    a: 0,
-                    b: 1,
-                    factor: 0.5,
-                },
-                FaultSpec::LinkDown {
-                    a: 0,
-                    b: 1,
-                    from: Nanos::from_millis(2),
-                    until: Nanos::from_millis(5),
-                },
-            ],
-        },
+        vec![
+            FaultSpec::Derate {
+                a: 0,
+                b: 1,
+                factor: 0.5,
+            },
+            FaultSpec::LinkDown {
+                a: 0,
+                b: 1,
+                from: Nanos::from_millis(2),
+                until: Nanos::from_millis(5),
+            },
+        ],
     );
     let report = simulate_once_faulty(&plan, &topo, &cost, RpcParams::tensorpipe_python(), &faults);
 
