@@ -12,7 +12,6 @@ use crate::dataflow::SrgFlow;
 use crate::diag::{timed_pass, Anchor, LintCode, LintConfig, Report};
 use genie_cluster::{ClusterState, DevId, Topology};
 use genie_srg::{EdgeId, NodeId, Phase, Residency, Srg, TensorId};
-use std::collections::BTreeSet;
 
 /// One scheduled data movement, reduced to what the lints need.
 /// `None` locations mean the client CPU.
@@ -197,8 +196,9 @@ fn check_weight_shipping(plan: &PlanView, cfg: &LintConfig, report: &mut Report)
 /// or not.
 fn check_kv_colocation(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
     let srg = plan.srg;
-    let pinned: BTreeSet<(TensorId, DevId)> =
+    let mut pinned: Vec<(TensorId, DevId)> =
         plan.pinned.iter().map(|&(t, dev, _)| (t, dev)).collect();
+    pinned.sort_unstable();
     for edge in srg.edges() {
         let src = srg.node(edge.src);
         if src.residency != Residency::StatefulKvCache {
@@ -211,8 +211,8 @@ fn check_kv_colocation(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
         }
         let a = plan.device(edge.src);
         let b = plan.device(edge.dst);
-        let resident_at_reader =
-            src.op.is_source() && b.is_some_and(|dev| pinned.contains(&(edge.tensor, dev)));
+        let resident_at_reader = src.op.is_source()
+            && b.is_some_and(|dev| pinned.binary_search(&(edge.tensor, dev)).is_ok());
         if a != b && !resident_at_reader {
             let show = |d: Option<DevId>| d.map_or("client".to_string(), |d| d.to_string());
             report.push(

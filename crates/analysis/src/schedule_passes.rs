@@ -62,11 +62,11 @@ pub(crate) fn check_memory_watermark(
     };
     let srg = plan.srg;
     let mut demand: BTreeMap<DevId, u64> = BTreeMap::new();
-    let mut pinned_tensors: BTreeSet<TensorId> = BTreeSet::new();
-    for &(tensor, dev, bytes) in &plan.pinned {
+    for &(_, dev, bytes) in &plan.pinned {
         *demand.entry(dev).or_insert(0) += bytes;
-        pinned_tensors.insert(tensor);
     }
+    let mut pinned_tensors: Vec<TensorId> = plan.pinned.iter().map(|&(t, ..)| t).collect();
+    pinned_tensors.sort_unstable();
 
     // Per device, the bytes whose live range begins (`born`) and ends
     // (`dies`) at each step. A value occupies memory on the device that
@@ -79,7 +79,7 @@ pub(crate) fn check_memory_watermark(
         let node = flow.node_at(v);
         if srg
             .out_edges(node)
-            .any(|e| pinned_tensors.contains(&e.tensor))
+            .any(|e| pinned_tensors.binary_search(&e.tensor).is_ok())
         {
             continue; // backed by a pinned upload, charged once above
         }
@@ -242,19 +242,31 @@ pub(crate) fn check_transfer_ordering(plan: &PlanView, cfg: &LintConfig, report:
 /// device within one plan double-counts (and double-occupies) device
 /// memory.
 pub(crate) fn check_double_pinning(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
-    let mut seen: BTreeMap<(TensorId, DevId), u64> = BTreeMap::new();
-    for &(tensor, dev, bytes) in &plan.pinned {
-        if let Some(prev) = seen.insert((tensor, dev), bytes) {
-            report.push(
-                cfg,
-                LintCode::DoublePinnedBuffer,
-                Anchor::Device(dev),
-                format!(
-                    "tensor {tensor} pinned twice on {dev} ({prev} B and {bytes} B): \
-                     the duplicate upload double-counts device memory"
-                ),
-            );
-        }
+    // Sorted, each (tensor, device)'s pins are a run in plan order.
+    let mut pins: Vec<(TensorId, DevId, usize)> = plan
+        .pinned
+        .iter()
+        .enumerate()
+        .map(|(i, &(tensor, dev, _))| (tensor, dev, i))
+        .collect();
+    pins.sort_unstable();
+    let mut repeats: Vec<(usize, u64)> = pins
+        .windows(2)
+        .filter(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+        .map(|w| (w[1].2, plan.pinned[w[0].2].2))
+        .collect();
+    repeats.sort_unstable();
+    for (i, prev) in repeats {
+        let (tensor, dev, bytes) = plan.pinned[i];
+        report.push(
+            cfg,
+            LintCode::DoublePinnedBuffer,
+            Anchor::Device(dev),
+            format!(
+                "tensor {tensor} pinned twice on {dev} ({prev} B and {bytes} B): \
+                 the duplicate upload double-counts device memory"
+            ),
+        );
     }
 }
 

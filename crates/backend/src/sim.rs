@@ -61,7 +61,7 @@ impl<'a> SimBackend<'a> {
         let mut trace = Trace::new();
         let client = self.topo.client_host();
         let mut network_bytes: u64 = 0;
-        let plan_label = plan.label();
+        let plan_label: std::sync::Arc<str> = plan.label().into();
         let faults_before = fabric.faults_injected();
 
         let telemetry = genie_telemetry::global();
@@ -73,7 +73,7 @@ impl<'a> SimBackend<'a> {
             Some(r) => ev.with_request(r),
             None => ev,
         };
-        let mut attrs = genie_telemetry::SemAttrs::new().plan(plan_label.clone());
+        let mut attrs = genie_telemetry::SemAttrs::new().plan(&*plan_label);
         if let Some(r) = trace_req {
             attrs = attrs.request(r);
         }

@@ -25,8 +25,9 @@ pub enum TraceEvent {
         end: Nanos,
         /// SRG node this kernel realizes, when known.
         node: Option<NodeId>,
-        /// Execution-plan label (`<graph>@<policy>`) this ran under.
-        plan: Option<String>,
+        /// Execution-plan label (`<graph>@<policy>`) this ran under,
+        /// shared by every event of one plan's execution.
+        plan: Option<std::sync::Arc<str>>,
         /// Serving-request id this kernel is causally attributed to.
         request: Option<u64>,
     },
@@ -45,7 +46,7 @@ pub enum TraceEvent {
         /// SRG node whose output (or input) moved, when known.
         node: Option<NodeId>,
         /// Execution-plan label this ran under.
-        plan: Option<String>,
+        plan: Option<std::sync::Arc<str>>,
         /// Time spent waiting for the link serializer (FIFO queueing)
         /// before the first byte hit the wire.
         queue_delay: Nanos,
@@ -112,7 +113,7 @@ impl TraceEvent {
     }
 
     /// Attach the execution-plan label (no-op on `Rpc`/`Mark`).
-    pub fn with_plan(mut self, label: impl Into<String>) -> Self {
+    pub fn with_plan(mut self, label: impl Into<std::sync::Arc<str>>) -> Self {
         match &mut self {
             TraceEvent::Kernel { plan, .. } | TraceEvent::Transfer { plan, .. } => {
                 *plan = Some(label.into());

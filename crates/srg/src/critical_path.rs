@@ -9,7 +9,6 @@ use crate::annotations::Criticality;
 use crate::graph::Srg;
 use crate::ids::NodeId;
 use crate::traverse::{topo_order, CycleError};
-use std::collections::BTreeSet;
 
 /// Result of a critical-path computation.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,19 +84,20 @@ pub fn critical_path_by_hints(g: &Srg, bytes_per_flop: f64) -> Result<CriticalPa
     critical_path(g, |n| n.cost.flops, |e| e.transfer_bytes() * bytes_per_flop)
 }
 
-/// Tag every edge along the critical path as
-/// [`Criticality::Critical`](crate::annotations::Criticality::Critical) and
-/// edges with no slack above `background_slack` as `Background`. Returns
-/// the set of critical nodes.
-pub fn mark_criticality(g: &mut Srg, bytes_per_flop: f64) -> Result<BTreeSet<NodeId>, CycleError> {
+/// Tag every edge whose two ends lie on the critical path as
+/// [`Criticality::Critical`](crate::annotations::Criticality::Critical).
+pub fn mark_criticality(g: &mut Srg, bytes_per_flop: f64) -> Result<(), CycleError> {
     let cp = critical_path_by_hints(g, bytes_per_flop)?;
-    let on_path: BTreeSet<NodeId> = cp.path.iter().copied().collect();
+    let mut on_path = vec![false; g.node_count()];
+    for n in &cp.path {
+        on_path[n.index()] = true;
+    }
     for e in g.parts_mut().1 {
-        if on_path.contains(&e.src) && on_path.contains(&e.dst) {
+        if on_path[e.src.index()] && on_path[e.dst.index()] {
             e.criticality = Criticality::Critical;
         }
     }
-    Ok(on_path)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -170,8 +170,7 @@ mod tests {
     #[test]
     fn mark_criticality_tags_path_edges() {
         let mut g = weighted_diamond();
-        let critical = mark_criticality(&mut g, 0.0).unwrap();
-        assert!(critical.contains(&NodeId::new(1)));
+        mark_criticality(&mut g, 0.0).unwrap();
         let crit_edges: Vec<_> = g
             .edges()
             .filter(|e| e.criticality == Criticality::Critical)

@@ -31,9 +31,62 @@ struct Body {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
     /// Outgoing edge ids per node, parallel to `nodes`.
-    out_adj: Vec<Vec<EdgeId>>,
+    out_adj: Vec<Adj>,
     /// Incoming edge ids per node, parallel to `nodes`.
-    in_adj: Vec<Vec<EdgeId>>,
+    in_adj: Vec<Adj>,
+}
+
+/// One node's edge ids in ascending order: inline up to three, then on the heap.
+#[derive(Clone)]
+enum Adj {
+    Inline(u8, [EdgeId; 3]),
+    Spilled(Vec<EdgeId>),
+}
+
+const _: () = assert!(std::mem::size_of::<Adj>() <= std::mem::size_of::<Vec<EdgeId>>());
+
+impl Adj {
+    const EMPTY: Adj = Adj::Inline(0, [EdgeId::new(0); 3]);
+
+    #[inline]
+    fn as_slice(&self) -> &[EdgeId] {
+        match self {
+            Adj::Inline(len, ids) => &ids[..*len as usize],
+            Adj::Spilled(ids) => ids,
+        }
+    }
+
+    fn push(&mut self, id: EdgeId) {
+        match self {
+            Adj::Inline(3, ids) => *self = Adj::Spilled([&ids[..], &[id]].concat()),
+            Adj::Inline(len, ids) => {
+                ids[*len as usize] = id;
+                *len += 1;
+            }
+            Adj::Spilled(ids) => ids.push(id),
+        }
+    }
+
+    /// Drop the ids from `edges` on; a spilled list keeps its allocation.
+    fn truncate(&mut self, edges: usize) {
+        let keep = self.as_slice().partition_point(|e| e.index() < edges);
+        match self {
+            Adj::Inline(len, _) => *len = keep as u8,
+            Adj::Spilled(ids) => ids.truncate(keep),
+        }
+    }
+}
+
+impl PartialEq for Adj {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for Adj {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
 }
 
 impl Body {
@@ -41,15 +94,15 @@ impl Body {
         let id = NodeId::new(self.nodes.len() as u32);
         node.id = id;
         self.nodes.push(node);
-        self.out_adj.push(Vec::new());
-        self.in_adj.push(Vec::new());
+        self.out_adj.push(Adj::EMPTY);
+        self.in_adj.push(Adj::EMPTY);
         id
     }
 
     fn connect(&mut self, src: NodeId, dst: NodeId, tensor: TensorId, meta: TensorMeta) -> EdgeId {
         assert!(src.index() < self.nodes.len(), "src {src} out of bounds");
         assert!(dst.index() < self.nodes.len(), "dst {dst} out of bounds");
-        let slot = self.in_adj[dst.index()].len() as u8;
+        let slot = self.in_adj[dst.index()].as_slice().len() as u8;
         self.add_edge(Edge::new(EdgeId::new(0), src, dst, tensor, meta).with_slot(slot))
     }
 
@@ -84,8 +137,8 @@ impl Srg {
         edges: Vec<Edge>,
         next_tensor: u64,
     ) -> Self {
-        let mut out_adj = vec![Vec::new(); nodes.len()];
-        let mut in_adj = vec![Vec::new(); nodes.len()];
+        let mut out_adj = vec![Adj::EMPTY; nodes.len()];
+        let mut in_adj = vec![Adj::EMPTY; nodes.len()];
         for e in &edges {
             if let Some(adj) = out_adj.get_mut(e.src.index()) {
                 adj.push(e.id);
@@ -204,9 +257,8 @@ impl Srg {
                 .all(|e| e.src.index() < nodes && e.dst.index() < nodes),
             "kept edges must connect kept nodes"
         );
-        // Edge ids ascend within every adjacency list.
         for adj in body.out_adj.iter_mut().chain(&mut body.in_adj) {
-            adj.truncate(adj.partition_point(|e| e.index() < edges));
+            adj.truncate(edges);
         }
         self.next_tensor = next_tensor;
     }
@@ -263,16 +315,21 @@ impl Srg {
         self.body_mut().nodes.iter_mut()
     }
 
-    /// Outgoing edges of a node.
+    /// Outgoing edges of a node. This, `in_edges` and the two degrees are
+    /// `#[inline]`: other crates' hot loops call them out of line otherwise.
+    #[inline]
     pub fn out_edges(&self, id: NodeId) -> impl Iterator<Item = &Edge> {
         self.body.out_adj[id.index()]
+            .as_slice()
             .iter()
             .map(|e| &self.body.edges[e.index()])
     }
 
     /// Incoming edges of a node, ordered by destination slot.
+    #[inline]
     pub fn in_edges(&self, id: NodeId) -> impl Iterator<Item = &Edge> {
         self.body.in_adj[id.index()]
+            .as_slice()
             .iter()
             .map(|e| &self.body.edges[e.index()])
     }
@@ -296,13 +353,15 @@ impl Srg {
     }
 
     /// In-degree counted in edges.
+    #[inline]
     pub fn in_degree(&self, id: NodeId) -> usize {
-        self.body.in_adj[id.index()].len()
+        self.body.in_adj[id.index()].as_slice().len()
     }
 
     /// Out-degree counted in edges.
+    #[inline]
     pub fn out_degree(&self, id: NodeId) -> usize {
-        self.body.out_adj[id.index()].len()
+        self.body.out_adj[id.index()].as_slice().len()
     }
 
     /// Nodes with no incoming edges (graph inputs / parameters).
@@ -391,6 +450,64 @@ mod tests {
         assert_eq!(g.predecessors(d), vec![NodeId::new(1), NodeId::new(2)]);
     }
 
+    /// One step of building [`hub`]: a relu node, or an edge between
+    /// two nodes already there.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Node,
+        Edge(u32, u32),
+    }
+
+    /// Five sources, a hub fed by all five, then five sinks each fed by
+    /// the hub: both of the hub's lists spill.
+    const HUB: [Step; 21] = {
+        use Step::{Edge as E, Node as N};
+        [
+            N,
+            N,
+            N,
+            N,
+            N,
+            N,
+            E(0, 5),
+            E(1, 5),
+            E(2, 5),
+            E(3, 5),
+            E(4, 5),
+            N,
+            E(5, 6),
+            N,
+            E(5, 7),
+            N,
+            E(5, 8),
+            N,
+            E(5, 9),
+            N,
+            E(5, 10),
+        ]
+    };
+    const HUB_ID: NodeId = NodeId::new(5);
+
+    fn play(g: &mut Srg, steps: &[Step]) {
+        for &step in steps {
+            match step {
+                Step::Node => {
+                    g.add_node(Node::new(NodeId::new(0), OpKind::Relu, "n"));
+                }
+                Step::Edge(src, dst) => {
+                    let meta = TensorMeta::new([2, 2], ElemType::F32);
+                    g.connect(NodeId::new(src), NodeId::new(dst), meta);
+                }
+            }
+        }
+    }
+
+    fn hub() -> Srg {
+        let mut g = Srg::new("hub");
+        play(&mut g, &HUB);
+        g
+    }
+
     #[test]
     fn truncate_restores_the_prefix() {
         let meta = TensorMeta::new([2, 2], ElemType::F32);
@@ -410,12 +527,28 @@ mod tests {
         g.connect(b, d, TensorMeta::new([2, 2], ElemType::F32));
         g.connect(c, d, TensorMeta::new([2, 2], ElemType::F32));
         assert_eq!(g, diamond());
+
+        // A spilled list cut below three and grown again: the hub's
+        // in-list after two of its edges, its out-list after two.
+        for (cut, ins, outs) in [(8, 2, 0), (15, 5, 2)] {
+            let mut prefix = Srg::new("hub");
+            play(&mut prefix, &HUB[..cut]);
+            let mut g = hub();
+            let edges = prefix.edge_count();
+            g.truncate(prefix.node_count(), edges, edges as u64);
+            assert_eq!(g, prefix, "cut after step {cut}");
+            assert_eq!((g.in_degree(HUB_ID), g.out_degree(HUB_ID)), (ins, outs));
+            let ids: Vec<EdgeId> = g.in_edges(HUB_ID).map(|e| e.id).collect();
+            assert_eq!(ids, (0..ins as u32).map(EdgeId::new).collect::<Vec<_>>());
+            play(&mut g, &HUB[cut..]);
+            assert_eq!(g, hub(), "regrown after step {cut}");
+        }
     }
 
     #[test]
     fn a_clone_shares_until_written_and_a_write_never_reaches_the_other_copy() {
         const A: NodeId = NodeId::new(0);
-        const D: NodeId = NodeId::new(3);
+        const D: NodeId = HUB_ID;
         fn meta() -> TensorMeta {
             TensorMeta::new([2], ElemType::F32)
         }
@@ -439,7 +572,7 @@ mod tests {
             ("add_edge", |g| {
                 g.add_edge(g.edge(EdgeId::new(0)).clone());
             }),
-            ("truncate", |g| g.truncate(2, 1, 1)),
+            ("truncate", |g| g.truncate(6, 2, 2)),
             ("node_mut", |g| g.node_mut(D).name = "renamed".into()),
             ("edge_mut", |g| g.edge_mut(EdgeId::new(2)).meta = meta()),
             ("nodes_mut", |g| {
@@ -447,15 +580,15 @@ mod tests {
             }),
             ("parts_mut", |g| g.parts_mut().1[0].meta = meta()),
         ];
-        let snapshot = diamond();
+        let snapshot = hub();
         for (name, write) in writes {
-            let original = diamond();
+            let original = hub();
             let mut copy = original.clone();
             assert!(Arc::ptr_eq(&original.body, &copy.body), "{name}");
             write(&mut copy);
             assert_ne!(copy, snapshot, "{name} wrote nothing");
             assert_eq!(original, snapshot, "{name} on a clone reached the original");
-            let mut original = diamond();
+            let mut original = hub();
             let copy = original.clone();
             write(&mut original);
             assert_eq!(copy, snapshot, "{name} on the original reached a clone");
@@ -518,13 +651,23 @@ mod tests {
 
     #[test]
     fn graph_json_roundtrip_rebuilds_adjacency() {
-        let g = diamond();
-        let back = Srg::from_json(&g.to_json()).unwrap();
-        // Equality covers the private adjacency lists too.
-        assert_eq!(back, g);
+        for g in [diamond(), hub()] {
+            let back = Srg::from_json(&g.to_json()).unwrap();
+            // Equality covers the private adjacency lists too.
+            assert_eq!(back, g);
+            assert_eq!(
+                back.successors(NodeId::new(0)),
+                g.successors(NodeId::new(0))
+            );
+        }
+        let back = Srg::from_json(&hub().to_json()).unwrap();
         assert_eq!(
-            back.successors(NodeId::new(0)),
-            g.successors(NodeId::new(0))
+            back.predecessors(HUB_ID),
+            (0..5).map(NodeId::new).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            back.successors(HUB_ID),
+            (6..11).map(NodeId::new).collect::<Vec<_>>()
         );
     }
 }

@@ -125,15 +125,17 @@ pub fn validate(g: &Srg) -> Vec<ValidationError> {
         if !node.op.is_source() && in_deg == 0 {
             errors.push(ValidationError::OrphanCompute { node: node.id });
         }
-        // Slot uniqueness among incoming edges.
-        let mut slots_seen = std::collections::BTreeSet::new();
+        // Slot uniqueness among incoming edges: one bit per `u8` slot.
+        let mut slots_seen = [0u64; 4];
         for edge in g.in_edges(node.id) {
-            if !slots_seen.insert(edge.dst_slot) {
+            let (word, bit) = (usize::from(edge.dst_slot / 64), edge.dst_slot % 64);
+            if slots_seen[word] & 1 << bit != 0 {
                 errors.push(ValidationError::DuplicateSlot {
                     node: node.id,
                     slot: edge.dst_slot,
                 });
             }
+            slots_seen[word] |= 1 << bit;
         }
     }
 
@@ -151,21 +153,26 @@ pub fn validate(g: &Srg) -> Vec<ValidationError> {
         }
     }
 
-    // Single-producer property for logical tensors.
-    let mut producer: std::collections::BTreeMap<crate::ids::TensorId, NodeId> =
-        std::collections::BTreeMap::new();
-    for edge in g.edges() {
-        match producer.get(&edge.tensor) {
-            Some(&p) if p != edge.src => {
-                errors.push(ValidationError::TensorMultiplyProduced {
-                    first: p,
-                    second: edge.src,
-                });
-            }
-            _ => {
-                producer.insert(edge.tensor, edge.src);
+    // Single-producer property for logical tensors. Sorted, a tensor's
+    // edges are a run in id order, each held to the first one's producer.
+    let mut by_tensor: Vec<(crate::ids::TensorId, usize, NodeId)> = g
+        .edges()
+        .enumerate()
+        .map(|(i, e)| (e.tensor, i, e.src))
+        .collect();
+    by_tensor.sort_unstable();
+    let mut conflicts: Vec<(usize, NodeId, NodeId)> = Vec::new();
+    for run in by_tensor.chunk_by(|a, b| a.0 == b.0) {
+        let first = run[0].2;
+        for &(_, i, second) in &run[1..] {
+            if second != first {
+                conflicts.push((i, first, second));
             }
         }
+    }
+    conflicts.sort_unstable();
+    for (_, first, second) in conflicts {
+        errors.push(ValidationError::TensorMultiplyProduced { first, second });
     }
 
     errors

@@ -1,17 +1,25 @@
-//! The allocation budget of a re-traced step: recording and linting a
-//! decode step whose structure the previous step already had.
+//! Allocation budgets of the control path.
 //!
 //! A counting global allocator counts the heap allocations this thread
-//! makes from `RecaptureSession::begin` through `finish` (the
-//! `GA0xx`/`GA3xx` gate included, which runs in full on every step) for
-//! one lane-step of `decode_small`'s model at B = 1 and B = 4 members.
-//! Counts are deterministic where timings are not, so the bounds are the
-//! counts measured when they were set. Debug builds also record every
-//! re-trace cold into a shadow graph, so the bound holds in `--release`
-//! only (CI's release test step runs it).
+//! makes. The re-traced step: from `RecaptureSession::begin` through
+//! `finish` (the `GA0xx`/`GA3xx` gate included, which runs in full on
+//! every step) for one lane-step of `decode_small`'s model at B = 1 and
+//! B = 4 members. The cold path: one GPT-J decode graph captured afresh
+//! and carried through annotation, validation, both lint gates,
+//! scheduling and simulation, as `compile_zoo` does. Counts are
+//! deterministic where timings are not, so the bounds are the counts
+//! measured when they were set. Debug builds also record every re-trace
+//! cold into a shadow graph and check more, so the bounds hold in
+//! `--release` only (CI's release test step runs them).
 
-use genie::frontend::RecaptureSession;
+use genie::analysis::{run_srg_passes, LintConfig};
+use genie::backend::simulate_once;
+use genie::cluster::{ClusterState, Topology};
+use genie::frontend::capture::CaptureCtx;
+use genie::frontend::{annotate, patterns, RecaptureSession};
 use genie::models::{KvState, TransformerConfig, TransformerLm};
+use genie::netsim::RpcParams;
+use genie::scheduler::{schedule_with_lints, CostModel, SemanticsAware};
 use genie::srg::Phase;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -127,3 +135,60 @@ fn a_retraced_decode_step_records_and_lints_within_its_allocation_budget() {
 /// (B = 1) and 388 (B = 4) before the hit path stopped allocating.
 const B1_BUDGET: u64 = 29;
 const B4_BUDGET: u64 = 37;
+
+/// Allocations of one pass of `compile_zoo`'s `gptj_decode` family, from
+/// `CaptureCtx::new` to the simulated plan, after three passes have
+/// warmed the cost model's memo and the span ring.
+fn cold_gptj_decode_allocations() -> u64 {
+    let lm = TransformerLm::new_spec(TransformerConfig::gptj_6b());
+    let topo = Topology::paper_testbed();
+    let state = ClusterState::new();
+    let cost = CostModel::paper_stack();
+    let (policy, lints) = (SemanticsAware::new(), LintConfig::new());
+    let pass = || {
+        drop(genie::telemetry::global().collector.drain());
+        let before = allocations();
+        let ctx = CaptureCtx::new("gptj_decode");
+        let cap = lm.capture_decode_step(&ctx, 7, &KvState::default());
+        cap.logits.sample().mark_output();
+        for (k, v) in cap.k_caches.iter().zip(&cap.v_caches) {
+            k.mark_output();
+            v.mark_output();
+        }
+        drop(cap);
+        let mut srg = ctx.finish().srg;
+        drop(ctx);
+        patterns::run_all(&mut srg);
+        annotate::finalize(&mut srg, 1e-3);
+        assert!(srg.validate_all().is_ok());
+        let report = run_srg_passes(&srg, &lints);
+        let plan = schedule_with_lints(&srg, &topo, &state, &cost, &policy, &lints);
+        let sim = simulate_once(&plan, &topo, &cost, RpcParams::tensorpipe_python());
+        let spent = allocations() - before;
+        assert!(!report.has_deny() && sim.makespan_s > 0.0);
+        spent
+    };
+    for _ in 0..3 {
+        pass();
+    }
+    pass()
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds check more and allocate more; run with --release"
+)]
+fn a_cold_gptj_decode_graph_compiles_within_its_allocation_budget() {
+    let spent = cold_gptj_decode_allocations();
+    assert!(
+        spent <= COLD_BUDGET,
+        "capture to simulation made {spent} allocations, budget {COLD_BUDGET}"
+    );
+}
+
+/// The count measured when the budget was set; the same pass made 5 706
+/// while validation, criticality and the plan lints kept ordered maps
+/// keyed by ids, every trace event cloned its plan label and each
+/// adjacency list was a `Vec`.
+const COLD_BUDGET: u64 = 3_415;
