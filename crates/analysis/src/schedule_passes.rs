@@ -501,9 +501,9 @@ pub(crate) fn check_collective_deadlock(plan: &PlanView, cfg: &LintConfig, repor
         return;
     }
     let leftover: Vec<usize> = (0..n).filter(|&v| indeg[v] > 0).collect();
-    let names: Vec<String> = leftover
+    let names: Vec<&str> = leftover
         .iter()
-        .map(|&v| srg.node(collectives[v]).name.clone())
+        .map(|&v| srg.node(collectives[v]).name.as_str())
         .collect();
     let devs: BTreeSet<DevId> = blamed_dev
         .iter()

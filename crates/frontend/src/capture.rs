@@ -22,13 +22,13 @@ use crate::interp::ExecPlan;
 use crate::value::Value;
 use genie_analysis::{run_srg_passes, LintConfig, Report};
 use genie_srg::{
-    CostHints, ElemType, Modality, Node, NodeId, OpKind, Phase, Residency, Srg, TensorId,
+    CostHints, ElemType, Modality, Name, Node, NodeId, OpKind, Phase, Residency, Srg, TensorId,
     TensorMeta,
 };
 use genie_telemetry::{lock, Counter, Histogram, DEFAULT_TIME_BOUNDS};
 use genie_tensor::{IndexTensor, Shape, Tensor};
 use std::collections::HashMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The result of a finished capture: a validated SRG plus the payloads of
@@ -68,25 +68,10 @@ enum Reuse {
 
 const REUSE_LABELS: [&str; 3] = ["miss", "hit", "diverged"];
 
-/// A node attribute as the operator methods state it: the value as
-/// the method has it, rendered to the `String` a node stores only when
-/// a node is appended. A re-trace compares it with the stored string in
-/// place ([`renders_as`]).
+/// A node attribute as the operator methods state it: the value as the
+/// method has it, rendered into the [`Name`] a node stores (in place, up
+/// to 22 bytes), which a re-trace compares with the stored bytes.
 pub(crate) type Attr<'a> = (&'static str, &'a dyn fmt::Display);
-
-/// Whether `value` renders as `stored`, checked piece by piece as it is
-/// formatted, so nothing is built.
-fn renders_as(value: &dyn fmt::Display, stored: &str) -> bool {
-    struct Rest<'s>(&'s str);
-    impl fmt::Write for Rest<'_> {
-        fn write_str(&mut self, piece: &str) -> fmt::Result {
-            self.0 = self.0.strip_prefix(piece).ok_or(fmt::Error)?;
-            Ok(())
-        }
-    }
-    let mut rest = Rest(stored);
-    write!(rest, "{value}").is_ok() && rest.0.is_empty()
-}
 
 /// What a recorded call produces: its dims, element type and residency
 /// (an ephemeral activation unless [`Out::with`] says otherwise).
@@ -204,14 +189,14 @@ impl CaptureState {
         attrs: &[Attr<'_>],
     ) -> Node {
         let mut node = Node::new(NodeId::new(0), op, name)
-            .with_module_path(self.module_path.clone())
+            .with_module_path(self.module_path.as_str())
             .with_phase(self.phase_stack.last().cloned().unwrap_or_default())
             .with_modality(self.modality_stack.last().copied().unwrap_or_default())
             .with_residency(residency)
             .with_cost(cost);
-        for (k, v) in attrs {
-            node = node.with_attr(*k, v.to_string());
-        }
+        node.attrs = (attrs.iter())
+            .map(|(k, v)| (*k, Name::render(*v)))
+            .collect();
         node
     }
 
@@ -266,7 +251,8 @@ impl CaptureState {
             && node.phase == *self.phase_stack.last().unwrap_or(&Phase::Unknown)
             && node.modality == self.modality_stack.last().copied().unwrap_or_default()
             && node.attrs.len() == attrs.len()
-            && (attrs.iter()).all(|(k, v)| node.attrs.get(*k).is_some_and(|s| renders_as(*v, s)))
+            && (attrs.iter())
+                .all(|(k, v)| node.attrs.get(k).is_some_and(|s| *s == Name::render(*v)))
             && srg.in_degree(id) == inputs.len()
             && srg
                 .in_edges(id)
@@ -418,11 +404,6 @@ impl CaptureCtx {
         let out = f();
         seconds.observe(begin.elapsed().as_secs_f64());
         out
-    }
-
-    /// Current dotted module path.
-    pub fn module_path(&self) -> String {
-        lock(&self.state).module_path.clone()
     }
 
     /// Nodes recorded so far. Snapshot before/after a region to attribute
@@ -1093,7 +1074,7 @@ impl LazyTensor {
             &[self],
             Out::new(shape, self.elem),
             CostHints::ZERO,
-            &[("shape", &format_dims(shape))],
+            &[("shape", &Dims(shape))],
         )
     }
 
@@ -1176,11 +1157,18 @@ pub(crate) fn lint_gate_panic(report: &Report) -> ! {
     panic!("semantic lint gate rejected capture:\n{report}")
 }
 
-fn format_dims(dims: &[usize]) -> String {
-    dims.iter()
-        .map(|d| d.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+/// Dims as a reshape's `shape` attribute states them (`2,3,4`),
+/// rendered only where the attribute is written or compared.
+struct Dims<'a>(&'a [usize]);
+
+impl fmt::Display for Dims<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, d) in self.0.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            write!(f, "{sep}{d}")?;
+        }
+        Ok(())
+    }
 }
 
 /// Bytes of a `dims` tensor of `elem`.

@@ -25,7 +25,7 @@
 //! reuse.
 
 use crate::value::Value;
-use genie_srg::{Node, NodeId, OpKind, Srg};
+use genie_srg::{Name, Node, NodeId, OpKind, Srg};
 use genie_telemetry::{Counter, Gauge};
 use genie_tensor::ops;
 use genie_tensor::stats::{self, OPS, PATHS, PATH_COUNT};
@@ -392,7 +392,7 @@ pub(crate) fn eval_node<'v>(
         });
     }
     let arg = |i: usize| input(srg.in_edges(id).nth(i).expect("operands counted above").src);
-    let attr = |key: &str| node.attrs.get(key).map_or("", String::as_str);
+    let attr = |key: &str| node.attrs.get(key).map_or("", Name::as_str);
     let attr_usize = |key| number(id, node, key, 0usize);
 
     Ok(match &node.op {
@@ -402,7 +402,7 @@ pub(crate) fn eval_node<'v>(
                 .cloned()
                 .ok_or_else(|| InterpError::MissingValue {
                     node: id,
-                    name: node.name.clone(),
+                    name: node.name.to_string(),
                 })?
         }
         OpKind::MatMul => Value::F(ops::matmul(arg(0).as_f("matmul"), arg(1).as_f("matmul"))),

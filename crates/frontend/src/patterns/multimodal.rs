@@ -18,13 +18,10 @@ pub fn recognize(srg: &mut Srg) -> usize {
         if !matches!(node.op, OpKind::Concat | OpKind::Add) {
             continue;
         }
-        let mods: std::collections::BTreeSet<Modality> = srg
-            .predecessors(node.id)
-            .iter()
-            .map(|&p| srg.node(p).modality)
-            .filter(|m| *m != Modality::Unknown)
-            .collect();
-        if mods.len() >= 2 {
+        let mut known = (srg.in_edges(node.id))
+            .map(|e| srg.node(e.src).modality)
+            .filter(|m| *m != Modality::Unknown);
+        if known.next().is_some_and(|first| known.any(|m| m != first)) {
             joins.push(node.id);
         }
     }

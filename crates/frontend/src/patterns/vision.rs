@@ -6,7 +6,7 @@
 //! attribute) — the hook the scheduler's pipelined-CNN-inference rewrite
 //! (§3.3) keys on.
 
-use genie_srg::{Modality, NodeId, OpKind, Phase, Srg};
+use genie_srg::{Modality, Name, NodeId, OpKind, Phase, Srg};
 
 /// Annotate vision phases, modality, and pipeline stages. Returns nodes
 /// annotated (zero if fewer than two convolutions are chained).
@@ -53,7 +53,7 @@ pub fn recognize(srg: &mut Srg) -> usize {
         }
         if stage >= 0 && !node.attrs.contains_key("pipeline_stage") {
             node.attrs
-                .insert("pipeline_stage".into(), stage.to_string());
+                .insert("pipeline_stage".into(), Name::render(&stage));
             touched = true;
         }
         if touched {

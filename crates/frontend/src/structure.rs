@@ -6,12 +6,12 @@
 //! nodes belong to each — the input the scheduler's pipelining and fusion
 //! rewrites consume.
 
-use genie_srg::{NodeId, Srg};
+use genie_srg::{Name, NodeId, Srg};
 use std::collections::BTreeMap;
 
 /// Nodes grouped by exact module path.
-pub fn module_groups(srg: &Srg) -> BTreeMap<String, Vec<NodeId>> {
-    let mut groups: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
+pub fn module_groups(srg: &Srg) -> BTreeMap<Name, Vec<NodeId>> {
+    let mut groups: BTreeMap<Name, Vec<NodeId>> = BTreeMap::new();
     for node in srg.nodes() {
         groups
             .entry(node.module_path.clone())
@@ -95,7 +95,7 @@ pub fn annotate_blocks(srg: &mut Srg) -> usize {
             for &node in members {
                 srg.node_mut(node)
                     .attrs
-                    .insert("block".into(), format!("{}.{}", family.prefix, idx));
+                    .insert("block".into(), format!("{}.{}", family.prefix, idx).into());
                 count += 1;
             }
         }
@@ -168,7 +168,7 @@ mod tests {
             .nodes()
             .filter_map(|node| node.attrs.get("block"))
             .collect();
-        assert!(tagged.contains(&&"model.h.0".to_string()));
-        assert!(tagged.contains(&&"model.h.1".to_string()));
+        assert!(tagged.iter().any(|b| *b == "model.h.0"));
+        assert!(tagged.iter().any(|b| *b == "model.h.1"));
     }
 }

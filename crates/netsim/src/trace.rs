@@ -8,7 +8,7 @@
 //! every kernel names its graph node and phase.
 
 use crate::time::Nanos;
-use genie_srg::NodeId;
+use genie_srg::{Name, NodeId};
 
 /// One recorded simulation event.
 #[derive(Clone, Debug, PartialEq)]
@@ -17,8 +17,9 @@ pub enum TraceEvent {
     Kernel {
         /// Device index.
         device: u32,
-        /// Node name or label.
-        label: String,
+        /// Node name or label (held in place, so a kernel copies its
+        /// node's name rather than allocating one).
+        label: Name,
         /// Start time.
         start: Nanos,
         /// End time.
@@ -74,7 +75,7 @@ pub enum TraceEvent {
 impl TraceEvent {
     /// An unattributed kernel event (attach attribution with
     /// [`with_node`](Self::with_node) / [`with_plan`](Self::with_plan)).
-    pub fn kernel(device: u32, label: impl Into<String>, start: Nanos, end: Nanos) -> Self {
+    pub fn kernel(device: u32, label: impl Into<Name>, start: Nanos, end: Nanos) -> Self {
         TraceEvent::Kernel {
             device,
             label: label.into(),

@@ -12,7 +12,7 @@
 use crate::cost::CostModel;
 use crate::plan::{ExecutionPlan, Location};
 use genie_cluster::{ClusterState, Topology};
-use genie_srg::EdgeId;
+use genie_srg::{EdgeId, Name};
 
 /// One recomputation decision.
 #[derive(Clone, Debug, PartialEq)]
@@ -94,7 +94,7 @@ pub fn apply_recomputation(plan: &mut ExecutionPlan, decisions: &[RecomputeDecis
             plan.srg
                 .node_mut(src)
                 .attrs
-                .insert("recompute_on".into(), dev.to_string());
+                .insert("recompute_on".into(), Name::render(&dev));
         }
         saved += d.saved_s;
         plan.estimate.transfer_s = (plan.estimate.transfer_s - d.saved_s).max(0.0);

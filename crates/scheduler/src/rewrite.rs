@@ -75,7 +75,7 @@ pub fn fuse_elementwise_chains(srg: &Srg) -> (Srg, usize) {
         let mut node: Node = srg.node(id).clone();
         if let Some(&count) = absorbed_count.get(&id) {
             node.op = OpKind::Fused(count + 1);
-            node.name = format!("fused_{}", node.name);
+            node.name = format!("fused_{}", node.name).into();
             node.cost = fused_cost[&id];
         }
         let new_id = out.add_node(node);

@@ -55,6 +55,7 @@ pub mod edge;
 pub mod graph;
 pub mod ids;
 pub mod json;
+pub mod name;
 pub mod node;
 pub mod serialize;
 pub mod shard;
@@ -68,5 +69,6 @@ pub use annotations::{
 pub use edge::Edge;
 pub use graph::Srg;
 pub use ids::{DeviceId, EdgeId, NodeId, TensorId};
+pub use name::{Attrs, Name};
 pub use node::{Node, OpKind};
 pub use shard::ShardSpec;

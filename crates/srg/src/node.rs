@@ -2,7 +2,7 @@
 
 use crate::annotations::{CostHints, Modality, Phase, Residency};
 use crate::ids::{DeviceId, NodeId};
-use std::collections::BTreeMap;
+use crate::name::{Attrs, Name};
 use std::fmt;
 
 /// The operation a node performs. Genie's scheduler never needs framework
@@ -145,10 +145,10 @@ pub struct Node {
     /// Operator family.
     pub op: OpKind,
     /// Human-readable name (usually derived from the module hierarchy).
-    pub name: String,
+    pub name: Name,
     /// Dotted path in the source model's module hierarchy, e.g.
     /// `"transformer.h.17.attn"`. Filled by the structural annotation pass.
-    pub module_path: String,
+    pub module_path: Name,
     /// Execution phase this node belongs to.
     pub phase: Phase,
     /// Residency classification of this node's *output*.
@@ -161,24 +161,24 @@ pub struct Node {
     pub device: Option<DeviceId>,
     /// Free-form key/value metadata (kept ordered for deterministic
     /// serialization).
-    pub attrs: BTreeMap<String, String>,
+    pub attrs: Attrs,
 }
 
 impl Node {
     /// Create a minimally-annotated node. Frontends fill the rest via the
     /// tiered annotation pipeline.
-    pub fn new(id: NodeId, op: OpKind, name: impl Into<String>) -> Self {
+    pub fn new(id: NodeId, op: OpKind, name: impl Into<Name>) -> Self {
         Node {
             id,
             op,
             name: name.into(),
-            module_path: String::new(),
+            module_path: Name::EMPTY,
             phase: Phase::Unknown,
             residency: Residency::Unknown,
             modality: Modality::Unknown,
             cost: CostHints::ZERO,
             device: None,
-            attrs: BTreeMap::new(),
+            attrs: Attrs::default(),
         }
     }
 
@@ -207,13 +207,13 @@ impl Node {
     }
 
     /// Builder-style module path annotation.
-    pub fn with_module_path(mut self, path: impl Into<String>) -> Self {
+    pub fn with_module_path(mut self, path: impl Into<Name>) -> Self {
         self.module_path = path.into();
         self
     }
 
     /// Builder-style attribute.
-    pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_attr(mut self, key: impl Into<Name>, value: impl Into<Name>) -> Self {
         self.attrs.insert(key.into(), value.into());
         self
     }

@@ -23,6 +23,7 @@ use crate::graph::Srg;
 use crate::ids::{DeviceId, EdgeId, NodeId, TensorId};
 use crate::json::{self, Error, Value};
 use crate::json_object;
+use crate::name::Name;
 use crate::node::{Node, OpKind};
 
 /// Serialization/deserialization failure.
@@ -76,9 +77,9 @@ fn float(v: &Value) -> Result<f64, Error> {
     v.as_f64().ok_or_else(|| expected("a number"))
 }
 
-fn string(v: &Value) -> Result<String, Error> {
+fn string<S: for<'s> From<&'s str>>(v: &Value) -> Result<S, Error> {
     let s = v.as_str().ok_or_else(|| expected("a string"))?;
-    Ok(s.to_string())
+    Ok(S::from(s))
 }
 
 fn list<T>(v: &Value, read: impl Fn(&Value) -> Result<T, Error>) -> Result<Vec<T>, Error> {
@@ -200,7 +201,7 @@ impl Node {
         let attrs = self
             .attrs
             .iter()
-            .map(|(k, v)| (k.clone(), v.as_str().into()));
+            .map(|(k, v)| (k.to_string(), v.as_str().into()));
         json_object! {
             "id": self.id.0,
             "op": self.op.to_json(),
@@ -219,7 +220,7 @@ impl Node {
     pub fn from_json(v: &Value) -> Result<Node, Error> {
         let attrs = |v: &Value| {
             let members = v.as_object().ok_or_else(|| expected("an object"))?;
-            let attr = |(k, v): &(String, Value)| Ok((k.clone(), string(v)?));
+            let attr = |(k, v): &(String, Value)| Ok((Name::from(k.as_str()), string::<Name>(v)?));
             members.iter().map(attr).collect()
         };
         Ok(Node {

@@ -207,7 +207,7 @@ impl ChromeTrace {
                         args.insert("plan".into(), p.into());
                     }
                     self.events.push(ChromeEvent {
-                        name: label.clone(),
+                        name: label.to_string(),
                         cat: "sim.kernel".into(),
                         ph: "X".into(),
                         ts: start.0 as f64 / 1_000.0,
