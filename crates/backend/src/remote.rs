@@ -425,11 +425,6 @@ impl RemoteSession {
     pub fn traffic_bytes(&self) -> u64 {
         self.client.total_bytes()
     }
-
-    /// Completed calls.
-    pub fn calls(&self) -> u64 {
-        self.client.calls
-    }
 }
 
 /// Convert a runtime value to a wire payload.
@@ -675,7 +670,7 @@ mod tests {
             let cache = if cached > 0 {
                 ctx.input("kv", [cached, 4], ElemType::F32, None)
             } else {
-                ctx.empty_cache("kv", 4, ElemType::F32)
+                ctx.empty_cache("kv", 4, ElemType::F32, true)
             };
             let row = ctx.input(
                 "row",

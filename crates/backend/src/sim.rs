@@ -65,18 +65,7 @@ impl<'a> SimBackend<'a> {
         let faults_before = fabric.faults_injected();
 
         let telemetry = genie_telemetry::global();
-        // When a causal trace context is installed (serving admission, or
-        // a transport handler that adopted the wire context), attribute
-        // the whole execution and every trace event to that request.
-        let trace_req = genie_telemetry::causal::current().map(|c| c.request);
-        let tag = |ev: TraceEvent| match trace_req {
-            Some(r) => ev.with_request(r),
-            None => ev,
-        };
-        let mut attrs = genie_telemetry::SemAttrs::new().plan(&*plan_label);
-        if let Some(r) = trace_req {
-            attrs = attrs.request(r);
-        }
+        let attrs = genie_telemetry::SemAttrs::new().plan(&*plan_label);
         let mut span = telemetry
             .collector
             .span_with("sim.execute", "backend", attrs);
@@ -127,15 +116,11 @@ impl<'a> SimBackend<'a> {
             network_bytes += *bytes;
             transfers_n += 1;
             queue_hist.observe(timing.queue_delay.as_secs_f64());
-            trace.push(tag(TraceEvent::transfer(
-                client.0,
-                host.0,
-                *bytes,
-                session_ready,
-                delivered,
-            )
-            .with_plan(plan_label.clone())
-            .with_queue_delay(timing.queue_delay)));
+            trace.push(
+                TraceEvent::transfer(client.0, host.0, *bytes, session_ready, delivered)
+                    .with_plan(plan_label.clone())
+                    .with_queue_delay(timing.queue_delay),
+            );
             let _ = state.register_resident(
                 self.topo,
                 ResidentObject {
@@ -205,14 +190,11 @@ impl<'a> SimBackend<'a> {
                         kernels_n += 1;
                         kernel_hist.observe(dur.as_secs_f64());
                         *kernel_estimate.entry(dev).or_insert(0.0) += estimate_s;
-                        trace.push(tag(TraceEvent::kernel(
-                            dev.0,
-                            node.name.clone(),
-                            begin,
-                            end,
-                        )
-                        .with_node(id)
-                        .with_plan(plan_label.clone())));
+                        trace.push(
+                            TraceEvent::kernel(dev.0, node.name.clone(), begin, end)
+                                .with_node(id)
+                                .with_plan(plan_label.clone()),
+                        );
                         end
                     }
                 }
@@ -237,14 +219,11 @@ impl<'a> SimBackend<'a> {
                     device_free.insert(dev, rend);
                     kernels_n += 1;
                     kernel_hist.observe(dur.as_secs_f64());
-                    trace.push(tag(TraceEvent::kernel(
-                        dev.0,
-                        format!("recompute:{}", node.name),
-                        begin,
-                        rend,
-                    )
-                    .with_node(id)
-                    .with_plan(plan_label.clone())));
+                    trace.push(
+                        TraceEvent::kernel(dev.0, format!("recompute:{}", node.name), begin, rend)
+                            .with_node(id)
+                            .with_plan(plan_label.clone()),
+                    );
                     recompute_finish.insert((id, dev), rend);
                 }
             }
@@ -264,16 +243,12 @@ impl<'a> SimBackend<'a> {
                 network_bytes += t.bytes;
                 transfers_n += 1;
                 queue_hist.observe(timing.queue_delay.as_secs_f64());
-                trace.push(tag(TraceEvent::transfer(
-                    from_host.0,
-                    to_host.0,
-                    t.bytes,
-                    end,
-                    timing.delivered,
-                )
-                .with_node(id)
-                .with_plan(plan_label.clone())
-                .with_queue_delay(timing.queue_delay)));
+                trace.push(
+                    TraceEvent::transfer(from_host.0, to_host.0, t.bytes, end, timing.delivered)
+                        .with_node(id)
+                        .with_plan(plan_label.clone())
+                        .with_queue_delay(timing.queue_delay),
+                );
                 delivered_at[t.edge.index()] = Some(timing.delivered);
             }
         }

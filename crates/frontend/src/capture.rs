@@ -457,9 +457,16 @@ impl CaptureCtx {
     }
 
     /// An empty KV-cache seed of shape `[0, dim]` — the starting state of
-    /// a decode loop.
-    pub fn empty_cache(&self, name: &str, dim: usize, elem: ElemType) -> LazyTensor {
-        let payload = Some(Value::F(Tensor::zeros(vec![0, dim])));
+    /// a decode loop. Only a `functional` capture binds it a (zero-row)
+    /// payload; a spec capture binds none, as its parameters do.
+    pub fn empty_cache(
+        &self,
+        name: &str,
+        dim: usize,
+        elem: ElemType,
+        functional: bool,
+    ) -> LazyTensor {
+        let payload = functional.then(|| Value::F(Tensor::zeros(vec![0, dim])));
         let dims = [0, dim];
         let out = Out::new(&dims, elem).with(Residency::StatefulKvCache);
         self.source(OpKind::Input, name, out, payload)
@@ -1231,7 +1238,7 @@ mod tests {
     #[test]
     fn kv_append_grows_and_tags_residency() {
         let ctx = CaptureCtx::new("g");
-        let cache = ctx.empty_cache("kv", 8, ElemType::F32);
+        let cache = ctx.empty_cache("kv", 8, ElemType::F32, true);
         let new = ctx.input("new", [1, 8], ElemType::F32, None);
         let grown = cache.kv_append(&new);
         assert_eq!(grown.dims(), &[1, 8]);

@@ -639,7 +639,7 @@ mod tests {
     #[test]
     fn kv_append_interp_grows_cache() {
         let ctx = CaptureCtx::new("g");
-        let cache = ctx.empty_cache("kv", 4, ElemType::F32);
+        let cache = ctx.empty_cache("kv", 4, ElemType::F32, true);
         let row = ctx.input(
             "row",
             [1, 4],

@@ -60,7 +60,7 @@ mod tests {
 
     fn llm_step(query_len: usize) -> Srg {
         let ctx = CaptureCtx::new("step");
-        let cache = ctx.empty_cache("kv", 8, ElemType::F32);
+        let cache = ctx.empty_cache("kv", 8, ElemType::F32, true);
         let q = ctx.input("q", [query_len, 8], ElemType::F32, None);
         let grown = cache.kv_append(&q);
         let o = q.attention(&grown, &grown, 2, true);

@@ -68,7 +68,7 @@ mod tests {
     #[test]
     fn explicit_annotations_survive_recognizers() {
         let ctx = CaptureCtx::new("g");
-        let cache = ctx.empty_cache("kv", 4, ElemType::F32);
+        let cache = ctx.empty_cache("kv", 4, ElemType::F32, true);
         let x = ctx.input("x", [1, 4], ElemType::F32, None);
         // Developer explicitly tags this as a custom phase.
         let grown = ctx.phase_scope(Phase::Custom("speculative".into()), || cache.kv_append(&x));

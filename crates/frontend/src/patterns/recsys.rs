@@ -116,7 +116,7 @@ mod tests {
         let table = ctx.parameter("wte", [100, 8], ElemType::F32, None);
         let ids = ctx.input_ids_spec("ids", 1);
         let x = table.gather(&ids);
-        let cache = ctx.empty_cache("kv", 8, ElemType::F32);
+        let cache = ctx.empty_cache("kv", 8, ElemType::F32, true);
         let grown = cache.kv_append(&x);
         let o = x.attention(&grown, &grown, 1, true);
         o.mark_output();

@@ -2,7 +2,7 @@
 
 use crate::config::DlrmConfig;
 use genie_frontend::capture::{CaptureCtx, LazyTensor};
-use genie_srg::{ElemType, Modality};
+use genie_srg::{ElemType, Modality, Name};
 use genie_tensor::{init, Tensor};
 
 /// A recommendation model in the DLRM mold: one pooled embedding lookup
@@ -95,7 +95,7 @@ impl Dlrm {
             let mut pooled: Vec<LazyTensor> = Vec::with_capacity(cfg.tables);
             for (t, ids) in sparse_ids.iter().enumerate() {
                 let p = ctx.scope("sparse", || {
-                    ctx.scope(&t.to_string(), || {
+                    ctx.scope(&Name::render(&t), || {
                         let table = ctx.parameter(
                             "table",
                             [cfg.rows_per_table, cfg.embedding_dim],

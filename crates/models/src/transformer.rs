@@ -358,7 +358,7 @@ impl TransformerLm {
                                 let cached = kv.k.get(layer).map_or(0, |c| c.dims()[0]);
                                 let cache = |name: &str, carried: &[Tensor]| {
                                     if cached == 0 {
-                                        return ctx.empty_cache(name, d, elem);
+                                        return ctx.empty_cache(name, d, elem, w.is_some());
                                     }
                                     let payload =
                                         carried.get(layer).cloned().filter(|_| w.is_some());
@@ -667,11 +667,7 @@ mod tests {
         let cap = m.capture_prefill(&ctx, &vec![0; 72]);
         cap.logits.mark_output();
         let captured = ctx.finish();
-        // Spec captures carry no data beyond zero-byte cache seeds.
-        assert!(
-            captured.values.values().all(|v| v.size_bytes() == 0),
-            "spec capture has no payloads"
-        );
+        assert!(captured.values.is_empty(), "spec capture has no payloads");
         assert_eq!(cap.logits.dims(), &[72, 50400]);
         // 28 layers with attention each.
         let attn = captured

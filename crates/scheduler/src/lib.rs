@@ -11,13 +11,17 @@
 //! Genie's [`policy::SemanticsAware`], which places by annotation
 //! (stateful co-location, CNN pipeline stages, embedding tiering). It
 //! does not run [`pipeline`] (pipelined-CNN pricing), [`recompute`] or
-//! [`adapt::HintAdapter`]; their own callers do. The three extension
-//! points of §3.3 map directly:
+//! [`adapt::HintAdapter`]; their own callers do. Two of the three
+//! extension points of §3.3 map directly:
 //!
-//! 1. graph rewrites — [`rewrite::fuse_elementwise_chains`];
-//! 2. placement policy — the [`policy::Policy`] trait;
-//! 3. runtime hint adaptation — [`adapt::HintAdapter`] and the
+//! 1. placement policy — the [`policy::Policy`] trait;
+//! 2. runtime hint adaptation — [`adapt::HintAdapter`] and the
 //!    congestion-aware [`recompute::recomputation_candidates`].
+//!
+//! The third, graph rewrites, has no pass here: an elementwise-chain
+//! fusion would eliminate no node of any zoo or control-path graph, since
+//! no pointwise op there takes its one input from a pointwise op with one
+//! consumer.
 //!
 //! [`global`] answers §3.6's *where* fleet-wide: placement by roofline
 //! affinity, admission on the plan's deny-level findings (GA101) — the
@@ -35,7 +39,6 @@ pub mod plan;
 pub mod plan_dot;
 pub mod policy;
 pub mod recompute;
-pub mod rewrite;
 pub mod schedule;
 pub mod view;
 

@@ -293,11 +293,6 @@ impl ServingLoop {
         ServingLoop { model, config }
     }
 
-    /// The configured model.
-    pub fn model(&self) -> &ServingModel {
-        &self.model
-    }
-
     /// Drive `requests` (any order; the agenda sorts them) to completion
     /// and return the full report. Every request ends with exactly one
     /// terminal outcome: completed or shed with a typed reason.

@@ -57,11 +57,6 @@ impl KvLedger {
         }
     }
 
-    /// Per-lane capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
     /// Resident tokens for `request` on `lane` (0 if absent).
     pub fn resident_tokens(&self, lane: usize, request: u64) -> u64 {
         self.lanes[lane].get(&request).copied().unwrap_or(0)

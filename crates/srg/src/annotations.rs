@@ -38,15 +38,6 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Whether operations in this phase are safely parallelizable across
-    /// devices without serializing on carried state.
-    pub fn is_parallelizable(&self) -> bool {
-        matches!(
-            self,
-            Phase::LlmPrefill | Phase::VisionEncode | Phase::EmbeddingLookup
-        )
-    }
-
     /// Short label used in reports and DOT output.
     pub fn label(&self) -> &str {
         match self {
@@ -210,15 +201,6 @@ impl CostHints {
             None
         }
     }
-
-    /// Sum of two hint sets (used when fusing nodes).
-    pub fn combine(&self, other: &CostHints) -> CostHints {
-        CostHints {
-            flops: self.flops + other.flops,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-        }
-    }
 }
 
 /// Element types for tensors flowing along edges.
@@ -271,39 +253,21 @@ impl fmt::Display for ElemType {
     }
 }
 
-/// Memory layout of a tensor as it crosses an edge. Layout mismatches force
-/// a repack, which the cost model charges for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum Layout {
-    /// Row-major, innermost dimension contiguous (the default).
-    #[default]
-    RowMajor,
-    /// Column-major.
-    ColMajor,
-    /// Channels-last image layout (NHWC).
-    ChannelsLast,
-    /// Blocked/tiled layout produced by some kernels.
-    Blocked,
-}
-
-/// Shape, precision, and layout of the data flowing along an edge.
+/// Shape and precision of the data flowing along an edge.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TensorMeta {
     /// Dimension sizes, outermost first. Empty means scalar.
     pub shape: Vec<usize>,
     /// Element type.
     pub elem: ElemType,
-    /// Memory layout.
-    pub layout: Layout,
 }
 
 impl TensorMeta {
-    /// Construct row-major metadata.
+    /// Construct metadata.
     pub fn new(shape: impl Into<Vec<usize>>, elem: ElemType) -> Self {
         Self {
             shape: shape.into(),
             elem,
-            layout: Layout::RowMajor,
         }
     }
 
@@ -381,12 +345,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn phase_properties() {
-        assert!(Phase::LlmPrefill.is_parallelizable());
-        assert!(!Phase::LlmDecode.is_parallelizable());
-    }
-
-    #[test]
     fn custom_phase_label() {
         let p = Phase::Custom("speculative_draft".into());
         assert_eq!(p.label(), "speculative_draft");
@@ -406,16 +364,6 @@ mod tests {
         assert_eq!(h.bytes_total(), 50.0);
         assert_eq!(h.operational_intensity(), Some(2.0));
         assert_eq!(CostHints::ZERO.operational_intensity(), None);
-    }
-
-    #[test]
-    fn cost_hints_combine() {
-        let a = CostHints::new(1.0, 2.0, 3.0);
-        let b = CostHints::new(10.0, 20.0, 30.0);
-        let c = a.combine(&b);
-        assert_eq!(c.flops, 11.0);
-        assert_eq!(c.bytes_read, 22.0);
-        assert_eq!(c.bytes_written, 33.0);
     }
 
     #[test]
@@ -447,10 +395,7 @@ mod tests {
     fn annotation_json_roundtrip() {
         let meta = TensorMeta::new([72, 4096], ElemType::F16);
         let json = meta.to_json().to_string();
-        assert_eq!(
-            json,
-            r#"{"shape":[72,4096],"elem":"F16","layout":"RowMajor"}"#
-        );
+        assert_eq!(json, r#"{"shape":[72,4096],"elem":"F16"}"#);
         let back = TensorMeta::from_json(&crate::json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, meta);
 

@@ -1,6 +1,6 @@
 //! SRG edges: data dependencies annotated with movement costs.
 
-use crate::annotations::{Criticality, ElemType, Layout, Rate, TensorMeta};
+use crate::annotations::{Criticality, ElemType, Rate, TensorMeta};
 use crate::ids::{EdgeId, NodeId, TensorId};
 
 /// A directed data dependency between two nodes. Edges carry everything the
@@ -18,7 +18,7 @@ pub struct Edge {
     /// `TensorId` when one value fans out to several consumers — the
     /// scheduler must ship it only once per destination device.
     pub tensor: TensorId,
-    /// Shape / precision / layout of the payload.
+    /// Shape and precision of the payload.
     pub meta: TensorMeta,
     /// Data-volume change between producer and consumer.
     pub rate: Rate,
@@ -44,7 +44,7 @@ impl Edge {
         }
     }
 
-    /// Re-describe the payload in place as a row-major `shape` of `elem`:
+    /// Re-describe the payload in place as a `shape` of `elem`:
     /// afterwards the edge is what [`Edge::new`] builds for
     /// `TensorMeta::new(shape, elem)` between the same ends (pass-through
     /// rate, normal criticality). The shape buffer is reused.
@@ -52,7 +52,6 @@ impl Edge {
         self.meta.shape.clear();
         self.meta.shape.extend_from_slice(shape);
         self.meta.elem = elem;
-        self.meta.layout = Layout::RowMajor;
         self.rate = Rate::passthrough(self.meta.size_bytes() as f64);
         self.criticality = Criticality::Normal;
     }

@@ -64,7 +64,7 @@ pub mod traverse;
 pub mod validate;
 
 pub use annotations::{
-    CostHints, Criticality, ElemType, Layout, Modality, Phase, Rate, Residency, TensorMeta,
+    CostHints, Criticality, ElemType, Modality, Phase, Rate, Residency, TensorMeta,
 };
 pub use edge::Edge;
 pub use graph::Srg;

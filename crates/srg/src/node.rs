@@ -74,8 +74,8 @@ pub enum OpKind {
     Parameter,
     /// Graph output marker.
     Output,
-    /// A fused region produced by the scheduler's rewrite pre-pass; carries
-    /// the number of original nodes it absorbed.
+    /// A fused region (a peer's fusion pass or a hand-built graph; no pass
+    /// here produces one); carries the number of original nodes it absorbed.
     Fused(u32),
     /// Opaque user kernel: the frontend captured its I/O signature only and
     /// relies on developer-provided cost annotations.

@@ -16,7 +16,7 @@
 //! partial graph is a legitimate document.
 
 use crate::annotations::{
-    CostHints, Criticality, ElemType, Layout, Modality, Phase, Rate, Residency, TensorMeta,
+    CostHints, Criticality, ElemType, Modality, Phase, Rate, Residency, TensorMeta,
 };
 use crate::edge::Edge;
 use crate::graph::Srg;
@@ -123,7 +123,6 @@ enum_json!(Residency: Unknown PersistentWeight EphemeralActivation StatefulKvCac
     ModelOutput EmbeddingTable OptimizerState);
 enum_json!(Modality: Unknown Text Vision Audio Tabular Mixed);
 enum_json!(ElemType: F32 F16 Bf16 I8 I32 I64 Bool);
-enum_json!(Layout: RowMajor ColMajor ChannelsLast Blocked);
 enum_json!(Criticality: Background Normal Critical);
 enum_json!(OpKind: MatMul Attention LayerNorm RmsNorm Softmax Gelu Relu Silu EmbeddingGather
     Conv2d Pool2d BatchNorm Add Mul Concat Slice Reshape Transpose Reduce KvAppend Sample
@@ -174,7 +173,6 @@ impl TensorMeta {
         json_object! {
             "shape": self.shape.clone(),
             "elem": self.elem.to_json(),
-            "layout": self.layout.to_json(),
         }
     }
 
@@ -190,7 +188,6 @@ impl TensorMeta {
         Ok(TensorMeta {
             shape,
             elem: field(v, "elem", ElemType::from_json)?,
-            layout: field(v, "layout", Layout::from_json)?,
         })
     }
 }

@@ -81,12 +81,6 @@ impl SemAttrs {
         self
     }
 
-    /// Attach the modality annotation.
-    pub fn modality(mut self, modality: impl Into<String>) -> Self {
-        self.modality = Some(modality.into());
-        self
-    }
-
     /// Attach the executing device.
     pub fn device(mut self, device: u32) -> Self {
         self.device = Some(device);

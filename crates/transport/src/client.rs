@@ -122,11 +122,6 @@ impl Client {
         Ok(())
     }
 
-    /// The configured per-call deadline.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
     /// Issue a synchronous call under a fresh request id.
     pub fn call(&mut self, body: RequestBody) -> Result<ResponseBody> {
         self.call_with_id(next_request_id(), body)

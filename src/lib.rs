@@ -19,7 +19,7 @@
 //! | [`cluster`] | accelerator/NIC/topology descriptions + live state |
 //! | [`netsim`] | deterministic discrete-event network simulation |
 //! | [`transport`] | real TCP transport: framing, codec, RPC, pinned pools |
-//! | [`scheduler`] | cost model, policies, rewrites, global scheduling |
+//! | [`scheduler`] | cost model, policies, global scheduling |
 //! | [`telemetry`] | cross-layer spans, metrics registry, Perfetto export |
 //! | [`backend`] | local / simulated / remote-over-TCP execution |
 //! | [`serving`] | continuous-batching serving loop: SLO queue, KV residency |

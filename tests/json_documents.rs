@@ -184,7 +184,9 @@ fn zoo_graphs_and_captures_round_trip_to_equal_graphs_and_equal_bytes() {
 }
 
 /// A document written before adjacency left the format carries
-/// `out_adj`/`in_adj`; it still loads, and what it claims is not believed.
+/// `out_adj`/`in_adj`, and one written before edges lost their memory
+/// layout a `"layout"` member in every edge's `meta`; both still load,
+/// and what they claim is not believed.
 #[test]
 fn a_document_with_adjacency_arrays_loads_and_they_are_ignored() {
     let g = decode_capture(&tiny_lm(), 1);
@@ -194,6 +196,11 @@ fn a_document_with_adjacency_arrays_loads_and_they_are_ignored() {
         text.strip_suffix('}').unwrap()
     );
     assert_eq!(from_json(&forged).unwrap(), g);
+    let laid_out = text
+        .replace(r#""},"rate":"#, r#"","layout":"RowMajor"},"rate":"#)
+        .replacen("RowMajor", "ChannelsLast", 1);
+    assert_eq!(laid_out.matches(r#""layout":"#).count(), g.edge_count());
+    assert_eq!(from_json(&laid_out).unwrap(), g);
 }
 
 struct Mutator(XorShift64);
