@@ -31,6 +31,7 @@ use genie_tensor::ops;
 use genie_tensor::stats::{self, OPS, PATHS, PATH_COUNT};
 use genie_tensor::{pool, Tensor};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Interpretation failure.
@@ -337,7 +338,8 @@ fn eval_level_pooled(
 
 /// Publish kernel-dispatch counts accumulated since `before` as
 /// `genie_tensor_kernel_dispatch_total{op,path}` counters, plus the
-/// worker-pool occupancy high-water mark as `genie_worker_pool_busy`.
+/// worker-pool occupancy high-water mark as `genie_worker_pool_busy` and
+/// the workers' parks as `genie_worker_pool_parks_total`.
 ///
 /// Every graph executed comes here, so the handles are resolved once per
 /// process, as `capture::capture_metrics` holds its own: a registry lookup
@@ -348,6 +350,8 @@ fn publish_dispatch_delta(before: &stats::Snapshot) {
     static DISPATCH: [[OnceLock<Counter>; PATH_COUNT]; OPS.len()] =
         [const { [const { OnceLock::new() }; PATH_COUNT] }; OPS.len()];
     static POOL_BUSY: OnceLock<Gauge> = OnceLock::new();
+    static POOL_PARKS: OnceLock<Counter> = OnceLock::new();
+    static PARKS_PUBLISHED: AtomicUsize = AtomicUsize::new(0);
 
     let delta = stats::snapshot().since(before);
     if delta.total() == 0 {
@@ -369,6 +373,13 @@ fn publish_dispatch_delta(before: &stats::Snapshot) {
         POOL_BUSY
             .get_or_init(|| metrics.gauge("genie_worker_pool_busy", &[]))
             .set(peak as f64);
+    }
+    let parks = pool::parks();
+    let published = PARKS_PUBLISHED.fetch_max(parks, Ordering::Relaxed);
+    if parks > published {
+        POOL_PARKS
+            .get_or_init(|| metrics.counter("genie_worker_pool_parks_total", &[]))
+            .add((parks - published) as u64);
     }
 }
 

@@ -58,6 +58,7 @@ pub fn render_top(snapshot: &MetricsSnapshot, records: &[SpanRecord]) -> String 
         "genie_transport_bytes_total",
         "genie_transport_errors_total",
         "genie_tensor_kernel_dispatch_total",
+        "genie_worker_pool_parks_total",
     ];
     let mut any = false;
     for c in &snapshot.counters {
@@ -191,6 +192,7 @@ mod tests {
         .add(2);
         reg.gauge("genie_cost_cache_hit_rate", &[]).set(0.875);
         reg.gauge("genie_worker_pool_busy", &[]).set(3.0);
+        reg.counter("genie_worker_pool_parks_total", &[]).add(14);
         reg.histogram("genie_schedule_seconds", &[], &[0.1, 1.0])
             .observe(0.05);
         let records = vec![SpanRecord {
@@ -217,6 +219,13 @@ mod tests {
         );
         assert!(top.contains("cost-model cache hit rate:  87.5%"), "{top}");
         assert!(top.contains("worker pool busy (peak jobs): 3"), "{top}");
+        assert!(
+            top.contains(&format!(
+                "{:<44} {:>14}",
+                "genie_worker_pool_parks_total", 14
+            )),
+            "{top}"
+        );
         // Tier rollup sums per-op counters that share a path label.
         assert!(top.contains("TIER"), "{top}");
         assert!(top.contains(&format!("{:<12} {:>14}", "simd", 7)), "{top}");

@@ -35,9 +35,9 @@ use crate::tensor::Tensor;
 pub const MATMUL_BLOCK_MIN_FLOPS: usize = 1 << 14;
 
 /// At or above this many FLOPs the kernel is worth spreading over cores.
-/// Alone, a 2²⁰-FLOP matmul (~20 µs on the AVX-512 simd tier) no longer
-/// beats a ~30 µs hand-off to a parked worker; inside an op, 2²³ moved
-/// `prefill_wide` by less than its run-to-run spread, so this stays.
+/// A lone 2²⁰-FLOP matmul (~20 µs on AVX-512) does not pay for a ~30 µs
+/// hand-off to a parked worker but does for ~1 µs to a polling one
+/// (`pool`); 2²³ moved `prefill_wide` by less than its run-to-run spread.
 pub const MATMUL_PAR_MIN_FLOPS: usize = 1 << 20;
 
 /// The tier the two thresholds name for `flops` of work: the scalar loop

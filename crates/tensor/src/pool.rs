@@ -4,7 +4,11 @@
 //! per spawn, paid again by every parallel kernel. This pool spawns
 //! `available_parallelism() - 1` workers exactly once per process and
 //! re-uses them for every scoped fan-out, so the steady-state cost of a
-//! parallel kernel call is one mutex push + condvar signal per chunk.
+//! parallel kernel call is one mutex push + condvar signal per chunk. A
+//! worker out of jobs polls the queue for [`POLL_BEFORE_PARK`], yielding
+//! between probes, and only then parks on the condvar, where the next
+//! spawn has to wake it across CPUs ([`parks`] counts these): an op's
+//! kernels fan out back to back, so most find their worker polling.
 //!
 //! [`scope`] keeps the structured-concurrency contract of
 //! `thread::scope`: spawned closures may borrow from the caller's stack,
@@ -17,9 +21,11 @@
 //!
 //! Deadlock freedom: the thread that called [`scope`] *helps* — while
 //! waiting on the barrier it pops and runs queued jobs (its own or those
-//! of nested scopes) instead of parking. On a host with one core the pool
-//! has zero workers and every job runs inline in `spawn`, preserving
-//! strict sequential semantics with no thread creation at all.
+//! of nested scopes) instead of parking; with nothing left to steal it
+//! polls its barrier for the same budget before a timed wait on it. With
+//! `GENIE_POOL_THREADS=1`, or on a host with one core, the pool has zero
+//! workers and every job runs inline in `spawn`, preserving strict
+//! sequential semantics with no thread creation and no polling at all.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -28,7 +34,12 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long an idle worker polls the queue, and a [`scope`] owner with
+/// nothing to steal its barrier, before parking: the budget and the
+/// reason of the transport's socket readers (`frame::POLL_BEFORE_PARK`).
+const POLL_BEFORE_PARK: Duration = Duration::from_micros(100);
 
 /// A queued unit of work: the (lifetime-erased) closure plus the scope
 /// whose barrier it must release.
@@ -82,6 +93,8 @@ struct Shared {
     /// Total OS threads ever created by the pool. Stays constant after
     /// first use — the property the "created once per process" test pins.
     spawned: AtomicUsize,
+    /// Times a worker parked on `available`: [`parks`].
+    parks: AtomicUsize,
 }
 
 static POOL: OnceLock<Shared> = OnceLock::new();
@@ -91,19 +104,10 @@ static POOL: OnceLock<Shared> = OnceLock::new();
 /// once at pool initialization; [`crate::par`] sizes its splits off the
 /// same number so dispatch and pool capacity always agree.
 pub(crate) fn capacity() -> usize {
-    match std::env::var("GENIE_POOL_THREADS") {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            }),
-        Err(_) => thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1),
+    let set = std::env::var("GENIE_POOL_THREADS").ok();
+    match set.and_then(|v| v.parse::<usize>().ok()) {
+        Some(n) if n >= 1 => n,
+        _ => thread::available_parallelism().map_or(1, NonZeroUsize::get),
     }
 }
 
@@ -117,6 +121,7 @@ fn shared() -> &'static Shared {
             busy: AtomicUsize::new(0),
             busy_peak: AtomicUsize::new(0),
             spawned: AtomicUsize::new(0),
+            parks: AtomicUsize::new(0),
         }
     });
     // Spawn workers exactly once (guarded by `spawned` CAS from 0).
@@ -137,17 +142,20 @@ fn shared() -> &'static Shared {
 }
 
 fn worker_loop(pool: &'static Shared) {
+    let mut idle_since = Instant::now();
     loop {
-        let job = {
-            let mut queue = pool.queue.lock().unwrap();
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                queue = pool.available.wait(queue).unwrap();
-            }
-        };
-        run_job(pool, job);
+        let mut queue = pool.queue.lock().unwrap();
+        if let Some(job) = queue.pop_front() {
+            drop(queue);
+            run_job(pool, job);
+            idle_since = Instant::now();
+        } else if idle_since.elapsed() < POLL_BEFORE_PARK {
+            drop(queue);
+            thread::yield_now();
+        } else {
+            pool.parks.fetch_add(1, Ordering::Relaxed);
+            drop(pool.available.wait(queue).unwrap());
+        }
     }
 }
 
@@ -220,11 +228,17 @@ where
     let result = panic::catch_unwind(AssertUnwindSafe(|| f(&sc)));
 
     // Join barrier with work-stealing: run queued jobs (ours or a nested
-    // scope's) rather than parking while our jobs are still in flight.
+    // scope's) rather than parking while our jobs are still in flight;
+    // with nothing to steal, poll `pending` as a worker polls the queue.
+    let mut idle_since = Instant::now();
     while state.pending.load(Ordering::Acquire) != 0 {
         let stolen = pool.queue.lock().unwrap().pop_front();
         match stolen {
-            Some(job) => run_job(pool, job),
+            Some(job) => {
+                run_job(pool, job);
+                idle_since = Instant::now();
+            }
+            None if idle_since.elapsed() < POLL_BEFORE_PARK => thread::yield_now(),
             None => {
                 let guard = state.lock.lock().unwrap();
                 if state.pending.load(Ordering::Acquire) != 0 {
@@ -259,27 +273,28 @@ pub fn size() -> usize {
 
 /// Jobs executing right now — the `genie_worker_pool_busy` gauge.
 pub fn busy() -> usize {
-    match POOL.get() {
-        Some(pool) => pool.busy.load(Ordering::Relaxed),
-        None => 0,
-    }
+    POOL.get()
+        .map_or(0, |pool| pool.busy.load(Ordering::Relaxed))
 }
 
 /// High-water mark of [`busy`] since the previous call, consumed on
 /// read. The interpreter publishes this as `genie_worker_pool_busy`.
 pub fn busy_peak_take() -> usize {
-    match POOL.get() {
-        Some(pool) => pool.busy_peak.swap(0, Ordering::Relaxed),
-        None => 0,
-    }
+    POOL.get()
+        .map_or(0, |pool| pool.busy_peak.swap(0, Ordering::Relaxed))
 }
 
 /// Total OS threads the pool ever created. Constant after first use.
 pub fn threads_spawned() -> usize {
-    match POOL.get() {
-        Some(pool) => pool.spawned.load(Ordering::Relaxed),
-        None => 0,
-    }
+    POOL.get()
+        .map_or(0, |pool| pool.spawned.load(Ordering::Relaxed))
+}
+
+/// Times a worker parked since the pool started. The interpreter
+/// publishes it as `genie_worker_pool_parks_total`.
+pub fn parks() -> usize {
+    POOL.get()
+        .map_or(0, |pool| pool.parks.load(Ordering::Relaxed))
 }
 
 #[cfg(test)]
@@ -385,6 +400,33 @@ mod tests {
                 std::time::Instant::now() < deadline,
                 "busy stuck at {} with no jobs of this test in flight",
                 busy()
+            );
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn idle_workers_park_once_the_budget_is_spent() {
+        // Wake every worker with a job each (sleeping, so the owner cannot
+        // steal them all before the workers look), then go idle well past
+        // the budget: each worker parks again, so the count grows by at
+        // least the worker count. A worker that polled forever would
+        // never add to it. Sibling tests may wake workers too, which only
+        // adds parks.
+        let before = parks();
+        scope(|s| {
+            for _ in 0..2 * size() {
+                s.spawn(|| thread::sleep(Duration::from_millis(1)));
+            }
+        });
+        thread::sleep(10 * POLL_BEFORE_PARK);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while parks() < before + size() {
+            assert!(
+                Instant::now() < deadline,
+                "{} parks of {} workers since {before}",
+                parks(),
+                size()
             );
             thread::yield_now();
         }

@@ -44,8 +44,10 @@ struct Rows<'a> {
 impl Rows<'_> {
     /// Micro-kernel: `IR` rows from `i0` × the `W`-column strip at `jt`,
     /// accumulators register-resident across the whole `k` reduction.
+    /// Without `SKIP` the zero test is compiled out: [`Rows::run`] drops
+    /// it for a tile whose A rows hold no zero, where it never fires.
     #[inline(always)]
-    fn micro<const IR: usize, const W: usize>(&mut self, i0: usize, jt: usize) {
+    fn micro<const IR: usize, const W: usize, const SKIP: bool>(&mut self, i0: usize, jt: usize) {
         let n = self.n;
         let mut acc = [[0.0f32; W]; IR];
         for p in 0..self.k {
@@ -54,7 +56,7 @@ impl Rows<'_> {
             bv.copy_from_slice(bs);
             for (r, lanes) in acc.iter_mut().enumerate() {
                 let av = self.ad[(i0 + r) * self.lda + p];
-                if av == 0.0 {
+                if SKIP && av == 0.0 {
                     continue;
                 }
                 for (o, &bvl) in lanes.iter_mut().zip(bv.iter()) {
@@ -71,13 +73,17 @@ impl Rows<'_> {
     /// `W`-wide strips of the `ir`-row tile at `i0`, from column `jt` for
     /// as long as they fit; returns the first column left uncovered.
     #[inline(always)]
-    fn strips<const W: usize>(&mut self, i0: usize, ir: usize, mut jt: usize) -> usize {
+    fn strips<const W: usize>(&mut self, i0: usize, ir: usize, skip: bool, mut jt: usize) -> usize {
         while jt + W <= self.n {
-            match ir {
-                4 => self.micro::<4, W>(i0, jt),
-                3 => self.micro::<3, W>(i0, jt),
-                2 => self.micro::<2, W>(i0, jt),
-                _ => self.micro::<1, W>(i0, jt),
+            match (ir, skip) {
+                (4, true) => self.micro::<4, W, true>(i0, jt),
+                (3, true) => self.micro::<3, W, true>(i0, jt),
+                (2, true) => self.micro::<2, W, true>(i0, jt),
+                (_, true) => self.micro::<1, W, true>(i0, jt),
+                (4, false) => self.micro::<4, W, false>(i0, jt),
+                (3, false) => self.micro::<3, W, false>(i0, jt),
+                (2, false) => self.micro::<2, W, false>(i0, jt),
+                (_, false) => self.micro::<1, W, false>(i0, jt),
             }
             jt += W;
         }
@@ -88,23 +94,28 @@ impl Rows<'_> {
     /// over cascade through narrower ones — attention's `n = 96` is
     /// `64 + 32`, not `64 + 4 × 8` — down to `W = 1`, the scalar tail. A
     /// cascade shorter than four repeats its last width, and a repeat is
-    /// compiled out: each width is one copy of the micro-kernels.
+    /// compiled out: each width is two copies of the micro-kernels, with
+    /// and without the zero test. A tile gets the test if one of its A
+    /// rows holds a zero by the test's own predicate (`-0.0` does, `NaN`
+    /// does not), so every output element runs the same `mul`s and `add`s.
     #[inline(always)]
     fn run<const W0: usize, const W1: usize, const W2: usize, const W3: usize>(&mut self) {
         let rows = self.out_rows.len() / self.n;
         for i0 in (0..rows).step_by(MR) {
             let ir = (rows - i0).min(MR);
-            let mut jt = self.strips::<W0>(i0, ir, 0);
+            let a = |r: usize| &self.ad[(i0 + r) * self.lda..][..self.k];
+            let skip = (0..ir).any(|r| a(r).contains(&0.0));
+            let mut jt = self.strips::<W0>(i0, ir, skip, 0);
             if W1 < W0 {
-                jt = self.strips::<W1>(i0, ir, jt);
+                jt = self.strips::<W1>(i0, ir, skip, jt);
             }
             if W2 < W1 {
-                jt = self.strips::<W2>(i0, ir, jt);
+                jt = self.strips::<W2>(i0, ir, skip, jt);
             }
             if W3 < W2 {
-                jt = self.strips::<W3>(i0, ir, jt);
+                jt = self.strips::<W3>(i0, ir, skip, jt);
             }
-            self.strips::<1>(i0, ir, jt);
+            self.strips::<1>(i0, ir, skip, jt);
         }
     }
 }

@@ -127,6 +127,38 @@ fn zero_in_a_hides_non_finite_b_on_every_tier() {
     }
 }
 
+#[test]
+fn a_lone_zero_in_any_row_and_column_of_a_tile_is_skipped() {
+    let _kernels = shared();
+    // The row worker looks for a zero in a tile's A rows once and leaves
+    // the skip out of a tile that has none, so a scan that misses a row
+    // or a column lets `0 · inf` through. One signed zero at a time, in
+    // A's last column, in each row in turn: every tile arity and, on the
+    // parallel tier, tiles of chunks that start at `row0 > 0`; B's
+    // matching row holds `±inf` and `NaN`, at every strip width.
+    let k = 7;
+    for m in [2, 3, 5, 6, 7, 13] {
+        for n in [1, 8, 24, 31, 64, 75, 96, 189] {
+            let a = init::randn([m, k], (m * n) as u64);
+            let mut b = init::randn([k, n], (m + n) as u64);
+            for (j, x) in b.data_mut()[(k - 1) * n..].iter_mut().enumerate() {
+                *x = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY][j % 3];
+            }
+            for z in 0..m {
+                let mut a = a.clone();
+                a.data_mut()[z * k + k - 1] = if z % 2 == 0 { 0.0 } else { -0.0 };
+                let scalar = ops::matmul_scalar(&a, &b);
+                assert!(scalar.data()[z * n..][..n].iter().all(|v| v.is_finite()));
+                assert_matmul_tiers_agree(
+                    &a,
+                    &b,
+                    &format!("zero at ({z}, {}), m={m} n={n}", k - 1),
+                );
+            }
+        }
+    }
+}
+
 /// Every tier of `conv2d_on` — the blocked and quantized ones run the
 /// scalar kernel — and the dispatcher against the scalar tier.
 fn assert_conv_tiers_agree(x: &Tensor, w: &Tensor, bias: &Tensor, stride: usize, padding: usize) {
