@@ -29,8 +29,6 @@ pub enum TraceEvent {
         /// Execution-plan label (`<graph>@<policy>`) this ran under,
         /// shared by every event of one plan's execution.
         plan: Option<std::sync::Arc<str>>,
-        /// Serving-request id this kernel is causally attributed to.
-        request: Option<u64>,
     },
     /// A network transfer completed.
     Transfer {
@@ -51,8 +49,6 @@ pub enum TraceEvent {
         /// Time spent waiting for the link serializer (FIFO queueing)
         /// before the first byte hit the wire.
         queue_delay: Nanos,
-        /// Serving-request id this transfer is causally attributed to.
-        request: Option<u64>,
     },
     /// An RPC round-trip completed.
     Rpc {
@@ -83,7 +79,6 @@ impl TraceEvent {
             end,
             node: None,
             plan: None,
-            request: None,
         }
     }
 
@@ -98,7 +93,6 @@ impl TraceEvent {
             node: None,
             plan: None,
             queue_delay: Nanos::ZERO,
-            request: None,
         }
     }
 
@@ -130,25 +124,6 @@ impl TraceEvent {
             *queue_delay = delay;
         }
         self
-    }
-
-    /// Attach the causing serving request (no-op on `Rpc`/`Mark`).
-    pub fn with_request(mut self, id: u64) -> Self {
-        match &mut self {
-            TraceEvent::Kernel { request, .. } | TraceEvent::Transfer { request, .. } => {
-                *request = Some(id);
-            }
-            _ => {}
-        }
-        self
-    }
-
-    /// The attributed serving request, when present.
-    pub fn request(&self) -> Option<u64> {
-        match self {
-            TraceEvent::Kernel { request, .. } | TraceEvent::Transfer { request, .. } => *request,
-            _ => None,
-        }
     }
 
     /// The attributed SRG node, when present.
@@ -302,13 +277,11 @@ mod tests {
 
         let t = TraceEvent::transfer(0, 1, 64, Nanos(5), Nanos(20))
             .with_node(NodeId::new(3))
-            .with_queue_delay(Nanos(4))
-            .with_request(17);
+            .with_queue_delay(Nanos(4));
         match &t {
             TraceEvent::Transfer { queue_delay, .. } => assert_eq!(*queue_delay, Nanos(4)),
             _ => unreachable!(),
         }
-        assert_eq!(t.request(), Some(17));
         // No-op on events without those fields.
         let m = TraceEvent::Mark {
             label: "m".into(),
@@ -316,10 +289,8 @@ mod tests {
         }
         .with_node(NodeId::new(1))
         .with_plan("p")
-        .with_queue_delay(Nanos(1))
-        .with_request(9);
+        .with_queue_delay(Nanos(1));
         assert_eq!(m.node(), None);
         assert_eq!(m.plan(), None);
-        assert_eq!(m.request(), None);
     }
 }

@@ -116,15 +116,11 @@ impl ChromeTrace {
                     if !n.module_path.is_empty() {
                         args.insert("module".into(), n.module_path.as_str().into());
                     }
-                    args.entry("modality".into())
-                        .or_insert_with(|| n.modality.label().into());
+                    args.insert("modality".into(), n.modality.label().into());
                 }
             }
             if let Some(p) = &r.attrs.phase {
                 args.insert("phase".into(), p.as_str().into());
-            }
-            if let Some(m) = &r.attrs.modality {
-                args.insert("modality".into(), m.as_str().into());
             }
             if let Some(d) = r.attrs.device {
                 args.insert("device".into(), d.into());
@@ -184,15 +180,11 @@ impl ChromeTrace {
                     end,
                     node,
                     plan: ev_plan,
-                    request,
                 } => {
                     if !devices.contains(device) {
                         devices.push(*device);
                     }
                     let mut args = BTreeMap::new();
-                    if let Some(req) = request {
-                        args.insert("request".into(), (*req).into());
-                    }
                     if let Some(id) = node {
                         args.insert("node".into(), id.0.into());
                         if let Some(n) = srg.and_then(|g| g.try_node(*id)) {
@@ -227,15 +219,11 @@ impl ChromeTrace {
                     node,
                     plan: ev_plan,
                     queue_delay,
-                    request,
                 } => {
                     if !links.contains(&(*from, *to)) {
                         links.push((*from, *to));
                     }
                     let mut args = BTreeMap::new();
-                    if let Some(req) = request {
-                        args.insert("request".into(), (*req).into());
-                    }
                     args.insert("bytes".into(), (*bytes).into());
                     args.insert(
                         "queue_delay_us".into(),

@@ -48,8 +48,6 @@ pub struct SemAttrs {
     pub node: Option<NodeId>,
     /// Execution phase (e.g. `llm_decode`), from the node's annotation.
     pub phase: Option<String>,
-    /// Data modality (text / vision / tabular / …).
-    pub modality: Option<String>,
     /// Device index the event ran on.
     pub device: Option<u32>,
     /// Plan label (`<graph>@<policy>`) this event executed under.
