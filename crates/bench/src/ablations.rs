@@ -3,7 +3,7 @@
 
 use crate::modes::{run_phase, Mode, PhaseRun};
 use crate::report::{fmt_secs, render_table, Report};
-use crate::workload::gptj_arrivals;
+use crate::workload::{gptj_arrivals, serve};
 use crate::{Calibration, LlmWorkload};
 use genie_backend::{batched_step_time, StepWork};
 use genie_cluster::{ClusterState, GpuSpec, Link, Topology};
@@ -16,9 +16,7 @@ use genie_netsim::RpcParams;
 use genie_scheduler::{
     pipeline, schedule, CostModel, DataAware, LeastLoaded, Policy, RoundRobin, SemanticsAware,
 };
-use genie_serving::{
-    percentile, Outcome, ServingConfig, ServingLoop, ServingModel, ServingReport, ServingRequest,
-};
+use genie_serving::{percentile, Outcome, ServingConfig, ServingReport, ServingRequest};
 use genie_srg::{CostHints, ElemType, Node, NodeId, OpKind, Srg};
 use genie_transport::PinnedPool;
 use std::sync::atomic::Ordering;
@@ -519,13 +517,13 @@ pub fn ablation_fleet() -> Report {
     const TENANTS: u64 = 8;
     const RATE_PER_S: f64 = 3.8;
     let requests = gptj_arrivals(2026, RATE_PER_S, 900.0, (32, 96), TENANTS);
-    let serve = |requests: &[ServingRequest], lanes: u32| {
+    let on_lanes = |requests: &[ServingRequest], lanes: u32| {
         let config = ServingConfig {
             lanes,
             record_telemetry: false,
             ..ServingConfig::paper_testbed()
         };
-        ServingLoop::new(ServingModel::Spec(TransformerConfig::gptj_6b()), config).run(requests)
+        serve(&TransformerConfig::gptj_6b(), config, requests)
     };
 
     let dedicated: Vec<ServingReport> = (0..TENANTS)
@@ -535,13 +533,13 @@ pub fn ablation_fleet() -> Report {
                 .filter(|r| r.tenant == tenant)
                 .cloned()
                 .collect();
-            serve(&own, 1)
+            on_lanes(&own, 1)
         })
         .collect();
     let stat = fleet_row(TENANTS as u32, &requests, &dedicated);
     let pools: Vec<FleetRow> = [6u32, 4, 3, 2]
         .iter()
-        .map(|&lanes| fleet_row(lanes, &requests, &[serve(&requests, lanes)]))
+        .map(|&lanes| fleet_row(lanes, &requests, &[on_lanes(&requests, lanes)]))
         .collect();
 
     let mut r = Report::default();

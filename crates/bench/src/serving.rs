@@ -5,14 +5,12 @@
 //! engine or the cost model does.
 
 use crate::report::{render_table, Report};
-use crate::workload::gptj_arrivals;
+use crate::workload::{gptj_arrivals, serve};
 use genie_backend::{batched_step_time, sharded_step_time, StepWork};
 use genie_cluster::{GpuSpec, Link};
 use genie_models::TransformerConfig;
 use genie_netsim::{FaultPlan, FaultSpec, Nanos};
-use genie_serving::{
-    DisaggConfig, MigrationPolicy, ServingConfig, ServingLoop, ServingModel, ServingReport,
-};
+use genie_serving::{DisaggConfig, MigrationPolicy, ServingConfig, ServingReport};
 use genie_srg::shard::ShardSpec;
 use genie_srg::{json::Value, json_object};
 use genie_telemetry::causal::{self, BlameFractions, BlameReport, WhatIf};
@@ -41,11 +39,7 @@ pub fn bench_serving() -> Report {
             let requests = gptj_arrivals(42, load, 10.0, (32, 96), 4);
             let mut per_mode = Vec::new();
             for batched in [true, false] {
-                let report = ServingLoop::new(
-                    ServingModel::Spec(model.clone()),
-                    serving_config(lanes, batched),
-                )
-                .run(&requests);
+                let report = serve(&model, serving_config(lanes, batched), &requests);
                 // Bucket-interpolated p99 alongside the exact
                 // nearest-rank one: the histogram path is what live
                 // metrics collection would report.
@@ -164,14 +158,10 @@ pub fn bench_disagg() -> Report {
     for total in [2u32, 3] {
         for load in [1.0, 2.0, 4.0, 6.0] {
             let requests = gptj_arrivals(42, load, 10.0, (32, 96), 4);
-            let colocated = ServingLoop::new(
-                ServingModel::Spec(model.clone()),
-                serving_config(total, true),
-            )
-            .run(&requests);
+            let colocated = serve(&model, serving_config(total, true), &requests);
             let mut dconf = serving_config(total - 1, true);
             dconf.disagg = Some(DisaggConfig::paper_testbed(1));
-            let disagg = ServingLoop::new(ServingModel::Spec(model.clone()), dconf).run(&requests);
+            let disagg = serve(&model, dconf, &requests);
             let point_dominates = disagg.ttft_p50() < colocated.ttft_p50()
                 && disagg.tokens_per_s() >= 0.95 * colocated.tokens_per_s()
                 && disagg.shed_rate() <= colocated.shed_rate();
@@ -309,9 +299,9 @@ fn sharding_serving_section(cfg: &TransformerConfig) -> Value {
         c.shard = shard;
         c
     };
-    let flat = ServingLoop::new(ServingModel::Spec(cfg.clone()), config(None)).run(&requests);
+    let flat = serve(cfg, config(None), &requests);
     let tp2 = config(Some((ShardSpec::tensor(2), rack)));
-    let sharded = ServingLoop::new(ServingModel::Spec(cfg.clone()), tp2).run(&requests);
+    let sharded = serve(cfg, tp2, &requests);
     assert_eq!(flat.completed(), requests.len(), "flat run must complete");
     assert_eq!(
         sharded.completed(),
@@ -546,7 +536,7 @@ fn blame_run(fault_plan: Option<FaultPlan>, disagg: Option<DisaggConfig>) -> Ser
         record_telemetry: false,
         ..ServingConfig::paper_testbed()
     };
-    ServingLoop::new(ServingModel::Spec(TransformerConfig::gptj_6b()), config).run(&requests)
+    serve(&TransformerConfig::gptj_6b(), config, &requests)
 }
 
 /// Analyze one scenario and enforce every blame invariant.

@@ -16,7 +16,10 @@ use std::collections::BTreeMap;
 pub struct ServingReport {
     /// Terminal outcome per request id (covers every offered request).
     pub outcomes: BTreeMap<u64, Outcome>,
-    /// The full deterministic event log, in virtual-time order.
+    /// The full deterministic event log, in processing order: each
+    /// request's own events are in time order (a law
+    /// [`ServingLoop::audit`](crate::ServingLoop::audit) checks), but an
+    /// arrival pumped after a step carries an instant inside that step.
     pub events: Vec<LogEvent>,
     /// Virtual time when the loop drained.
     pub makespan: Nanos,

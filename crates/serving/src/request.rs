@@ -2,8 +2,8 @@
 //!
 //! Everything here is plain data with total, deterministic ordering:
 //! the engine's event log (`Vec<LogEvent>`) doubles as the ground truth
-//! for the property suite (capacity, SLO, replay) and must therefore be
-//! bit-stable across same-seed runs.
+//! the auditor ([`crate::audit`]) checks every serving law against, and
+//! must therefore be bit-stable across same-seed runs.
 
 use genie_netsim::Nanos;
 
