@@ -33,7 +33,7 @@ fn telemetry_is_off_when_off_and_equals_the_report_when_on() {
     let run = |record_telemetry: bool| {
         let mut config = config.clone();
         config.record_telemetry = record_telemetry;
-        ServingLoop::new(ServingModel::Spec(model.clone()), config).run(&requests)
+        ServingLoop::new(ServingModel::Spec(model.clone()), config).run_audited(&requests)
     };
     let t = genie_telemetry::global();
 

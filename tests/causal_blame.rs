@@ -36,7 +36,8 @@ fn run(fault_plan: Option<FaultPlan>) -> ServingReport {
     config.max_batch = 4;
     config.fault_plan = fault_plan;
     config.record_telemetry = false;
-    ServingLoop::new(ServingModel::Spec(TransformerConfig::gptj_6b()), config).run(&requests())
+    ServingLoop::new(ServingModel::Spec(TransformerConfig::gptj_6b()), config)
+        .run_audited(&requests())
 }
 
 fn chaos_plan() -> FaultPlan {
@@ -124,7 +125,8 @@ fn migrate_blame_is_attributed_and_tiles_the_lifetime() {
         let mut d = DisaggConfig::paper_testbed(1);
         d.policy = MigrationPolicy::AlwaysShip;
         config.disagg = Some(d);
-        ServingLoop::new(ServingModel::Spec(TransformerConfig::gptj_6b()), config).run(&requests())
+        ServingLoop::new(ServingModel::Spec(TransformerConfig::gptj_6b()), config)
+            .run_audited(&requests())
     };
     let report = run_disagg();
     assert!(report.migrations > 0, "AlwaysShip must migrate prefixes");

@@ -193,7 +193,8 @@ fn serving_run_exports_spans_and_metrics() {
     }
     .generate();
     let conf = ServingConfig::paper_testbed();
-    let run = || ServingLoop::new(ServingModel::Spec(model.clone()), conf.clone()).run(&requests);
+    let run =
+        || ServingLoop::new(ServingModel::Spec(model.clone()), conf.clone()).run_audited(&requests);
     let a = run();
     let b = run();
     assert!(a.completed() > 0, "pinned seed must complete requests");
