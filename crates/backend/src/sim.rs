@@ -15,7 +15,6 @@
 use genie_cluster::{ClusterState, DevId, ResidentObject, Topology};
 use genie_netsim::{Fabric, FaultPlan, Nanos, RpcParams, Trace, TraceEvent};
 use genie_scheduler::{CostModel, ExecutionPlan, Location};
-use genie_srg::NodeId;
 use std::collections::BTreeMap;
 
 /// Summary of one simulated plan execution.
@@ -81,10 +80,9 @@ impl<'a> SimBackend<'a> {
         );
         let mut kernels_n: u64 = 0;
         let mut transfers_n: u64 = 0;
-        // Scheduled (non-recompute) kernel seconds per device: the cost
-        // model's view of what each device should spend, against which the
-        // simulated busy time (which includes recompute replicas and
-        // serialization) is compared as a skew ratio.
+        // Scheduled kernel seconds per device: the cost model's view of
+        // what each device should spend, against which the simulated busy
+        // time (which includes serialization) is compared as a skew ratio.
         let mut kernel_estimate: BTreeMap<DevId, f64> = BTreeMap::new();
 
         // Session establishment on every channel this plan touches.
@@ -144,28 +142,17 @@ impl<'a> SimBackend<'a> {
         for t in plan.transfers.iter().filter(|t| !t.via_handle) {
             outbound[plan.srg.edge(t.edge).src.index()].push(t);
         }
-        // Finish time of recomputed replicas, per (producer, device).
-        let mut recompute_finish: BTreeMap<(NodeId, DevId), Nanos> = BTreeMap::new();
 
         let order = genie_srg::traverse::topo_order(&plan.srg).expect("valid plan graph");
         for &id in &order {
             let node = plan.srg.node(id);
             let loc = plan.location(id);
 
-            // Data readiness: producer finish plus any scheduled transfer
-            // — or the local recomputed replica, when the scheduler chose
-            // recomputation over a congested transfer (§3.3).
+            // Data readiness: producer finish plus any scheduled transfer.
             let mut ready = session_ready;
             for edge in plan.srg.in_edges(id) {
                 let p = finish[edge.src.index()];
-                let arrival = match loc
-                    .device()
-                    .and_then(|d| recompute_finish.get(&(edge.src, d)))
-                {
-                    Some(&replica) => replica,
-                    None => delivered_at[edge.id.index()].unwrap_or(p),
-                };
-                ready = ready.max(arrival).max(p);
+                ready = ready.max(delivered_at[edge.id.index()].unwrap_or(p)).max(p);
             }
             if let Some(dev) = loc.device() {
                 if let Some(&t) = pin_ready.get(&dev) {
@@ -200,33 +187,6 @@ impl<'a> SimBackend<'a> {
                 }
             };
             finish[id.index()] = end;
-
-            // Execute recomputed replicas on their target devices: the
-            // producer re-runs where its consumer lives, replacing the
-            // dropped transfer.
-            if let Some(target) = node.attrs.get("recompute_on") {
-                if let Some(dev) = self
-                    .topo
-                    .devices()
-                    .iter()
-                    .map(|d| d.id)
-                    .find(|d| d.to_string() == *target)
-                {
-                    let gpu = &self.topo.device(dev).spec;
-                    let dur = Nanos::from_secs_f64(self.cost.kernel_time(node, gpu));
-                    let begin = ready.max(device_free.get(&dev).copied().unwrap_or(session_ready));
-                    let rend = begin + dur;
-                    device_free.insert(dev, rend);
-                    kernels_n += 1;
-                    kernel_hist.observe(dur.as_secs_f64());
-                    trace.push(
-                        TraceEvent::kernel(dev.0, format!("recompute:{}", node.name), begin, rend)
-                            .with_node(id)
-                            .with_plan(plan_label.clone()),
-                    );
-                    recompute_finish.insert((id, dev), rend);
-                }
-            }
 
             // Issue this node's outbound scheduled transfers.
             for t in &outbound[id.index()] {

@@ -12,8 +12,8 @@
 //!    intercept every operation (the `__torch_dispatch__` analogue) and
 //!    append annotated nodes to an SRG, checking shapes eagerly and
 //!    deriving cost hints from operator type and shapes.
-//! 2. **Automated structural annotation** — [`structure`] groups nodes by
-//!    the `nn.Module`-style scope hierarchy ([`capture::CaptureCtx::scope`])
+//! 2. **Automated structural annotation** — [`structure`] reads the
+//!    `nn.Module`-style scope hierarchy ([`capture::CaptureCtx::scope`])
 //!    and detects repeated blocks (stacked transformer layers).
 //! 3. **Semi-automated semantic annotation** — [`patterns`] recognizers
 //!    identify model idioms (growing KV cache ⇒ decode, conv chains ⇒

@@ -1,38 +1,12 @@
 //! Structural annotation pass (the FX-pass analogue of §3.2).
 //!
 //! After raw capture, nodes already carry their dotted module paths. This
-//! pass derives structure *from* those paths: which modules exist, which
-//! are repeated blocks (e.g. `h.0 … h.27` transformer layers), and which
-//! nodes belong to each — the input the scheduler's pipelining and fusion
-//! rewrites consume.
+//! pass derives structure *from* those paths: which are repeated blocks
+//! (e.g. `h.0 … h.27` transformer layers), and which nodes belong to each.
+//! No scheduling decision reads it yet.
 
-use genie_srg::{Name, NodeId, Srg};
+use genie_srg::{NodeId, Srg};
 use std::collections::BTreeMap;
-
-/// Nodes grouped by exact module path.
-pub fn module_groups(srg: &Srg) -> BTreeMap<Name, Vec<NodeId>> {
-    let mut groups: BTreeMap<Name, Vec<NodeId>> = BTreeMap::new();
-    for node in srg.nodes() {
-        groups
-            .entry(node.module_path.clone())
-            .or_default()
-            .push(node.id);
-    }
-    groups
-}
-
-/// Top-level module names (first path segment), in first-appearance order.
-pub fn top_level_modules(srg: &Srg) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    for node in srg.nodes() {
-        if let Some(first) = node.module_path.split('.').next() {
-            if !first.is_empty() && !out.iter().any(|m| m == first) {
-                out.push(first.to_string());
-            }
-        }
-    }
-    out
-}
 
 /// A repeated block family: a path prefix instantiated with numeric
 /// suffixes (`h.0`, `h.1`, …) — the structural signature of stacked
@@ -84,25 +58,6 @@ pub fn repeated_blocks(srg: &Srg) -> Vec<RepeatedBlock> {
         .collect()
 }
 
-/// Assign each node a `block` attribute naming its repeated-block instance
-/// (e.g. `"h.3"`), enabling per-block scheduling decisions. Returns the
-/// number of nodes annotated.
-pub fn annotate_blocks(srg: &mut Srg) -> usize {
-    let blocks = repeated_blocks(srg);
-    let mut count = 0;
-    for family in &blocks {
-        for (idx, members) in family.instances.iter().zip(&family.members) {
-            for &node in members {
-                srg.node_mut(node)
-                    .attrs
-                    .insert("block".into(), format!("{}.{}", family.prefix, idx).into());
-                count += 1;
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,22 +82,6 @@ mod tests {
     }
 
     #[test]
-    fn groups_by_exact_path() {
-        let srg = layered_capture(2);
-        let groups = module_groups(&srg);
-        assert!(groups.contains_key("model.h.0"));
-        assert!(groups.contains_key("model.h.1"));
-        // input x has empty path
-        assert!(groups.contains_key(""));
-    }
-
-    #[test]
-    fn top_level_detection() {
-        let srg = layered_capture(2);
-        assert_eq!(top_level_modules(&srg), vec!["model".to_string()]);
-    }
-
-    #[test]
     fn repeated_blocks_found() {
         let srg = layered_capture(3);
         let blocks = repeated_blocks(&srg);
@@ -157,18 +96,5 @@ mod tests {
     fn single_instance_is_not_repeated() {
         let srg = layered_capture(1);
         assert!(repeated_blocks(&srg).is_empty());
-    }
-
-    #[test]
-    fn block_attr_annotation() {
-        let mut srg = layered_capture(2);
-        let n = annotate_blocks(&mut srg);
-        assert_eq!(n, 6);
-        let tagged: Vec<_> = srg
-            .nodes()
-            .filter_map(|node| node.attrs.get("block"))
-            .collect();
-        assert!(tagged.iter().any(|b| *b == "model.h.0"));
-        assert!(tagged.iter().any(|b| *b == "model.h.1"));
     }
 }

@@ -10,13 +10,14 @@
 //! blind (round-robin, least-loaded) through data-aware (ΔKV-grade) to
 //! Genie's [`policy::SemanticsAware`], which places by annotation
 //! (stateful co-location, CNN pipeline stages, embedding tiering). It
-//! does not run [`pipeline`] (pipelined-CNN pricing), [`recompute`] or
+//! does not run [`pipeline`] (pipelined-CNN pricing) or
 //! [`adapt::HintAdapter`]; their own callers do. Two of the three
 //! extension points of §3.3 map directly:
 //!
 //! 1. placement policy — the [`policy::Policy`] trait;
-//! 2. runtime hint adaptation — [`adapt::HintAdapter`] and the
-//!    congestion-aware [`recompute::recomputation_candidates`].
+//! 2. runtime hint adaptation — [`adapt::HintAdapter`]. Congestion-aware
+//!    recomputation is priced ([`CostModel::recompute_advantage`]) but no
+//!    pass applies it.
 //!
 //! The third, graph rewrites, has no pass here: an elementwise-chain
 //! fusion would eliminate no node of any zoo or control-path graph, since
@@ -38,7 +39,6 @@ pub mod pipeline;
 pub mod plan;
 pub mod plan_dot;
 pub mod policy;
-pub mod recompute;
 pub mod schedule;
 pub mod view;
 
