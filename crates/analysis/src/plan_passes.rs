@@ -235,7 +235,6 @@ fn check_kv_colocation(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
 mod tests {
     use super::*;
     use genie_cluster::GpuSpec;
-    use genie_cluster::NicSpec;
     use genie_srg::{ElemType, Node, OpKind, TensorMeta};
     use std::collections::BTreeMap;
 
@@ -268,7 +267,7 @@ mod tests {
 
     fn tiny_topo(mem_capacity: u64) -> (Topology, DevId) {
         let mut t = Topology::new();
-        let h = t.add_host("s", NicSpec::rnic_100g());
+        let h = t.add_host("s");
         let spec = GpuSpec {
             mem_capacity,
             ..GpuSpec::a100_80gb()
@@ -383,7 +382,7 @@ mod tests {
     #[test]
     fn ga104_split_kv_detected_and_colocated_clean() {
         let mut t = Topology::new();
-        let h = t.add_host("s", NicSpec::rnic_100g());
+        let h = t.add_host("s");
         let d0 = t.add_device(h, GpuSpec::a100_80gb());
         let d1 = t.add_device(h, GpuSpec::a100_80gb());
 
@@ -436,7 +435,7 @@ mod tests {
     #[test]
     fn ga104_kv_source_pinned_to_its_consumers_device_is_colocated() {
         let mut t = Topology::new();
-        let h = t.add_host("s", NicSpec::rnic_100g());
+        let h = t.add_host("s");
         let d0 = t.add_device(h, GpuSpec::a100_80gb());
         let d1 = t.add_device(h, GpuSpec::a100_80gb());
 

@@ -528,7 +528,7 @@ pub(crate) fn check_collective_deadlock(plan: &PlanView, cfg: &LintConfig, repor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genie_cluster::{GpuSpec, NicSpec};
+    use genie_cluster::GpuSpec;
     use genie_srg::{EdgeId, ElemType, Node, OpKind, Residency, TensorMeta};
 
     struct FakePlan {
@@ -558,7 +558,7 @@ mod tests {
 
     fn two_dev_topo(mem_capacity: u64) -> (Topology, DevId, DevId) {
         let mut t = Topology::new();
-        let h = t.add_host("s", NicSpec::rnic_100g());
+        let h = t.add_host("s");
         let spec = GpuSpec {
             mem_capacity,
             ..GpuSpec::a100_80gb()

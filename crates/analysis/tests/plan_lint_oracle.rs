@@ -10,7 +10,7 @@
 use genie_analysis::dataflow::SrgFlow;
 use genie_analysis::{run_plan_passes, Anchor, LintCode, LintConfig, PlanFacts, Report};
 use genie_analysis::{Severity, TransferFact};
-use genie_cluster::{ClusterState, DevId, GpuSpec, NicSpec, Topology};
+use genie_cluster::{ClusterState, DevId, GpuSpec, Topology};
 use genie_netsim::XorShift64;
 use genie_srg::{ElemType, Node, NodeId, OpKind, Phase, Residency, Srg, TensorId, TensorMeta};
 use std::collections::{BTreeMap, BTreeSet};
@@ -65,7 +65,7 @@ impl Case {
         // Odd multiplier: distinct indices give distinct, nonzero seeds.
         let mut rng = XorShift64::new((index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut topo = Topology::new();
-        let host = topo.add_host("s", NicSpec::rnic_100g());
+        let host = topo.add_host("s");
         let devs: Vec<DevId> = (0..2)
             .map(|_| {
                 let mem_capacity = (16 + rng.next_below(240)) << 10;

@@ -80,10 +80,6 @@ impl<'a> SimBackend<'a> {
         );
         let mut kernels_n: u64 = 0;
         let mut transfers_n: u64 = 0;
-        // Scheduled kernel seconds per device: the cost model's view of
-        // what each device should spend, against which the simulated busy
-        // time (which includes serialization) is compared as a skew ratio.
-        let mut kernel_estimate: BTreeMap<DevId, f64> = BTreeMap::new();
 
         // Session establishment on every channel this plan touches.
         let mut session_ready = start;
@@ -168,15 +164,13 @@ impl<'a> SimBackend<'a> {
                         ready
                     } else {
                         let gpu = &self.topo.device(dev).spec;
-                        let estimate_s = self.cost.kernel_time(node, gpu);
-                        let dur = Nanos::from_secs_f64(estimate_s);
+                        let dur = Nanos::from_secs_f64(self.cost.kernel_time(node, gpu));
                         let begin =
                             ready.max(device_free.get(&dev).copied().unwrap_or(session_ready));
                         let end = begin + dur;
                         device_free.insert(dev, end);
                         kernels_n += 1;
                         kernel_hist.observe(dur.as_secs_f64());
-                        *kernel_estimate.entry(dev).or_insert(0.0) += estimate_s;
                         trace.push(
                             TraceEvent::kernel(dev.0, node.name.clone(), begin, end)
                                 .with_node(id)
@@ -245,22 +239,6 @@ impl<'a> SimBackend<'a> {
                 .metrics
                 .gauge("genie_sim_device_busy_seconds", &labels)
                 .set(*busy);
-            let est = kernel_estimate.get(dev).copied().unwrap_or(0.0);
-            telemetry
-                .metrics
-                .gauge("genie_sim_device_estimate_seconds", &labels)
-                .set(est);
-            if est > 0.0 {
-                let skew = *busy / est;
-                telemetry
-                    .metrics
-                    .gauge("genie_sim_kernel_skew_ratio", &labels)
-                    .set(skew);
-                telemetry
-                    .metrics
-                    .histogram("genie_sim_kernel_skew", &[], &genie_telemetry::RATIO_BOUNDS)
-                    .observe(skew);
-            }
         }
         // Transmissions perturbed by the installed fault plan during this
         // execution (netsim itself is telemetry-free, so the backend owns
@@ -300,7 +278,7 @@ pub fn simulate_once(
     params: RpcParams,
 ) -> SimReport {
     let mut state = ClusterState::new();
-    let mut fabric = Fabric::new(topo, &state, params);
+    let mut fabric = Fabric::new(topo, params);
     SimBackend::new(topo, cost).execute(plan, &mut state, &mut fabric, Nanos::ZERO)
 }
 
@@ -315,7 +293,7 @@ pub fn simulate_once_faulty(
     faults: &FaultPlan,
 ) -> SimReport {
     let mut state = ClusterState::new();
-    let mut fabric = Fabric::new(topo, &state, params);
+    let mut fabric = Fabric::new(topo, params);
     fabric.apply_fault_plan(faults);
     let mut report =
         SimBackend::new(topo, cost).execute(plan, &mut state, &mut fabric, Nanos::ZERO);
@@ -363,7 +341,7 @@ mod tests {
         let (plan, topo) = decode_plan(&SemanticsAware::new());
         let cost = CostModel::paper_stack();
         let mut state = ClusterState::new();
-        let mut fabric = Fabric::new(&topo, &state, RpcParams::rdma_zero_copy());
+        let mut fabric = Fabric::new(&topo, RpcParams::rdma_zero_copy());
         let backend = SimBackend::new(&topo, &cost);
         let r1 = backend.execute(&plan, &mut state, &mut fabric, Nanos::ZERO);
 
@@ -398,35 +376,20 @@ mod tests {
     }
 
     #[test]
-    fn simulation_reports_skew_metrics() {
+    fn simulation_reports_busy_metrics() {
         let (plan, topo) = decode_plan(&SemanticsAware::new());
         let cost = CostModel::paper_stack();
-        let _ = simulate_once(&plan, &topo, &cost, RpcParams::rdma_zero_copy());
+        let report = simulate_once(&plan, &topo, &cost, RpcParams::rdma_zero_copy());
         let snap = genie_telemetry::global().metrics.snapshot();
         assert!(snap.counter("genie_sim_kernels_total", &[]).unwrap_or(0) > 0);
-        // Every busy device reports its cost-model estimate and the
-        // estimate-vs-actual skew ratio.
-        let busy = snap
-            .gauges
-            .iter()
-            .find(|g| g.name == "genie_sim_device_busy_seconds")
-            .expect("busy gauge");
-        let dev = busy
-            .labels
-            .iter()
-            .find(|(k, _)| k == "device")
-            .expect("device label")
-            .1
-            .clone();
-        let labels = [("device", dev.as_str())];
-        let est = snap
-            .gauge("genie_sim_device_estimate_seconds", &labels)
-            .expect("estimate gauge");
-        assert!(est > 0.0);
-        let skew = snap
-            .gauge("genie_sim_kernel_skew_ratio", &labels)
-            .expect("skew gauge");
-        assert!(skew > 0.0);
+        // Every busy device reports its simulated busy seconds.
+        for dev in report.busy_s.keys() {
+            let dev = dev.to_string();
+            let busy = snap
+                .gauge("genie_sim_device_busy_seconds", &[("device", dev.as_str())])
+                .expect("busy gauge");
+            assert!(busy > 0.0);
+        }
     }
 
     #[test]

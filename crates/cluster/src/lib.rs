@@ -5,13 +5,12 @@
 //! - [`GpuSpec`]: per-accelerator roofline parameters (peak FLOP/s, memory
 //!   bandwidth, capacity) with presets matching the paper's A100-80GB
 //!   testbed and a heterogeneous fleet for §3.6 experiments;
-//! - [`NicSpec`]: NIC capabilities (RDMA, GPUDirect) determining whether a
-//!   path can be zero-copy (§3.4);
 //! - [`Topology`]: hosts, devices, and links — the `cluster_state` input to
 //!   `schedule(srg, cluster_state, policy)`;
 //! - [`ClusterState`]: live memory accounting, per-device work queues, the
 //!   resident-object directory (weights, KV caches pinned remotely), and
-//!   background congestion used by dynamic-recomputation policies.
+//!   the fault layer's projection onto host pairs (link derates and
+//!   partitions) that the scheduler prices.
 //!
 //! ```
 //! use genie_cluster::{Topology, ClusterState};
@@ -27,11 +26,9 @@
 #![forbid(unsafe_code)]
 
 pub mod gpu;
-pub mod nic;
 pub mod state;
 pub mod topology;
 
 pub use gpu::{GpuClass, GpuSpec, GIB};
-pub use nic::NicSpec;
 pub use state::{ClusterState, ResidentObject, StateError};
 pub use topology::{serialization_s, DevId, Device, Host, HostId, Link, Topology};

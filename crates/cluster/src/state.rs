@@ -63,12 +63,10 @@ pub struct ClusterState {
     /// input.
     queue_s: BTreeMap<DevId, f64>,
     residents: BTreeMap<u64, ResidentObject>,
-    /// Background congestion per host-pair in [0, 1): fraction of link
-    /// bandwidth consumed by other tenants. Keyed by unordered host ids.
-    congestion: BTreeMap<(u32, u32), f64>,
-    /// Injected bandwidth derate per host-pair in (0, 1]: the fault
-    /// layer's degradation signal, multiplied into edge costs by the
-    /// scheduler. Keyed by unordered host ids.
+    /// Injected bandwidth derate per host-pair in (0, 1]: the projection
+    /// of the fault plan's `Derate` specs (`FaultPlan::project_onto_state`),
+    /// the one way a slow link is stated, multiplied into edge costs by
+    /// the scheduler. Keyed by unordered host ids.
     link_derate: BTreeMap<(u32, u32), f64>,
     /// Host pairs currently severed by a partition or outage. The
     /// scheduler must not place transfers across them.
@@ -156,19 +154,6 @@ impl ClusterState {
         Ok(obj)
     }
 
-    /// Set background congestion on the path between two hosts (fraction of
-    /// bandwidth consumed by other traffic, in `[0, 1)`).
-    pub fn set_congestion(&mut self, a: u32, b: u32, fraction: f64) {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.congestion.insert(key, fraction.clamp(0.0, 0.99));
-    }
-
-    /// Background congestion between two hosts.
-    pub fn congestion(&self, a: u32, b: u32) -> f64 {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.congestion.get(&key).copied().unwrap_or(0.0)
-    }
-
     /// Record an injected bandwidth derate on the path between two hosts
     /// (fraction of line rate remaining, in `(0, 1]`; `1.0` clears it).
     pub fn set_link_derate(&mut self, a: u32, b: u32, factor: f64) {
@@ -213,11 +198,10 @@ impl ClusterState {
 mod tests {
     use super::*;
     use crate::gpu::GpuSpec;
-    use crate::nic::NicSpec;
 
     fn topo() -> (Topology, DevId) {
         let mut t = Topology::new();
-        let h = t.add_host("s", NicSpec::rnic_100g());
+        let h = t.add_host("s");
         let d = t.add_device(h, GpuSpec::a100_80gb());
         (t, d)
     }
@@ -306,16 +290,5 @@ mod tests {
         assert!(s.has_partitions());
         s.set_partitioned(0, 1, false);
         assert!(!s.is_partitioned(0, 1));
-    }
-
-    #[test]
-    fn congestion_is_symmetric_and_clamped() {
-        let mut s = ClusterState::new();
-        s.set_congestion(3, 1, 0.5);
-        assert_eq!(s.congestion(1, 3), 0.5);
-        assert_eq!(s.congestion(3, 1), 0.5);
-        s.set_congestion(0, 1, 2.0);
-        assert_eq!(s.congestion(0, 1), 0.99);
-        assert_eq!(s.congestion(5, 6), 0.0);
     }
 }

@@ -1,7 +1,6 @@
 //! Cluster topology: hosts, devices, and the links between them.
 
 use crate::gpu::GpuSpec;
-use crate::nic::NicSpec;
 use std::collections::BTreeMap;
 
 /// Identifies a host (server or client machine) in the topology.
@@ -26,15 +25,13 @@ impl std::fmt::Display for DevId {
     }
 }
 
-/// A host machine with a NIC and zero or more accelerators.
+/// A host machine with zero or more accelerators.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Host {
     /// Id within the topology.
     pub id: HostId,
     /// Human-readable name.
     pub name: String,
-    /// This host's NIC.
-    pub nic: NicSpec,
     /// Devices installed in this host (ids index into
     /// [`Topology::devices`]).
     pub devices: Vec<DevId>,
@@ -107,13 +104,12 @@ impl Topology {
         Topology::default()
     }
 
-    /// Add a host with the given NIC; returns its id.
-    pub fn add_host(&mut self, name: impl Into<String>, nic: NicSpec) -> HostId {
+    /// Add a host; returns its id.
+    pub fn add_host(&mut self, name: impl Into<String>) -> HostId {
         let id = HostId(self.hosts.len() as u32);
         self.hosts.push(Host {
             id,
             name: name.into(),
-            nic,
             devices: Vec::new(),
         });
         id
@@ -173,8 +169,8 @@ impl Topology {
     /// A100-80GB server through [`Link::PAPER_TESTBED`].
     pub fn paper_testbed() -> Topology {
         let mut t = Topology::new();
-        let client = t.add_host("client", NicSpec::commodity_25g());
-        let server = t.add_host("gpu-server", NicSpec::rnic_100g());
+        let client = t.add_host("client");
+        let server = t.add_host("gpu-server");
         t.add_device(server, GpuSpec::a100_80gb());
         t.add_link(client, server, Link::PAPER_TESTBED);
         t
@@ -184,10 +180,10 @@ impl Topology {
     /// switch (modeled as pairwise links of equal bandwidth).
     pub fn rack(n: usize, bandwidth_bps: f64) -> Topology {
         let mut t = Topology::new();
-        let client = t.add_host("client", NicSpec::commodity_25g());
+        let client = t.add_host("client");
         let mut servers = Vec::new();
         for i in 0..n {
-            let s = t.add_host(format!("gpu-server-{i}"), NicSpec::rnic_100g());
+            let s = t.add_host(format!("gpu-server-{i}"));
             t.add_device(s, GpuSpec::a100_80gb());
             t.add_link(client, s, Link::new(bandwidth_bps, 250e-6));
             servers.push(s);
@@ -205,14 +201,14 @@ impl Topology {
     /// optimized, and inference-class devices across `n` hosts each.
     pub fn heterogeneous_fleet(n: usize, bandwidth_bps: f64) -> Topology {
         let mut t = Topology::new();
-        let client = t.add_host("client", NicSpec::commodity_25g());
+        let client = t.add_host("client");
         for (class, spec) in [
             ("flagship", GpuSpec::h100()),
             ("bwopt", GpuSpec::bandwidth_optimized()),
             ("infer", GpuSpec::l4()),
         ] {
             for i in 0..n {
-                let s = t.add_host(format!("{class}-{i}"), NicSpec::rnic_100g());
+                let s = t.add_host(format!("{class}-{i}"));
                 t.add_device(s, spec.clone());
                 t.add_link(client, s, Link::new(bandwidth_bps, 250e-6));
             }
@@ -248,7 +244,6 @@ mod tests {
         assert_eq!(*link, Link::new(25e9, 250e-6));
         assert_eq!(link.bandwidth_bytes(), 25e9 / 8.0);
         assert_eq!(t.links()[0].0, (HostId(0), HostId(1)));
-        assert!(!t.host(t.client_host()).nic.rdma);
     }
 
     #[test]

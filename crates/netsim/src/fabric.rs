@@ -2,9 +2,9 @@
 //!
 //! [`Fabric`] instantiates one [`RpcChannel`] per host pair from a
 //! [`Topology`](genie_cluster::Topology), applying each pair's link
-//! parameters and any background congestion from
-//! [`ClusterState`](genie_cluster::ClusterState). It is the network half of
-//! Genie's simulation backend; the compute half lives in
+//! parameters; a slow link is a fault plan's derate
+//! ([`apply_fault_plan`](Fabric::apply_fault_plan)). It is the network
+//! half of Genie's simulation backend; the compute half lives in
 //! `genie-backend::sim`.
 
 use crate::fault::FaultPlan;
@@ -12,7 +12,7 @@ use crate::link::LinkSim;
 use crate::rpc::{RpcChannel, RpcParams};
 use crate::time::Nanos;
 use crate::trace::TraceEvent;
-use genie_cluster::{ClusterState, HostId, Topology};
+use genie_cluster::{HostId, Topology};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -26,14 +26,11 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Build a fabric over `topo` using `params` for every channel, seeding
-    /// per-pair congestion from `state`.
-    pub fn new(topo: &Topology, state: &ClusterState, params: RpcParams) -> Self {
+    /// Build a fabric over `topo` using `params` for every channel.
+    pub fn new(topo: &Topology, params: RpcParams) -> Self {
         let mut channels = BTreeMap::new();
         for &((a, b), link) in topo.links() {
-            let mut sim =
-                LinkSim::new(link.bandwidth_bytes(), Nanos::from_secs_f64(link.latency_s));
-            sim.congestion = state.congestion(a.0, b.0);
+            let sim = LinkSim::new(link.bandwidth_bytes(), Nanos::from_secs_f64(link.latency_s));
             channels.insert(ordered(a, b), RpcChannel::new(params.clone(), sim));
         }
         Fabric {
@@ -126,8 +123,7 @@ mod tests {
     #[test]
     fn fabric_from_paper_testbed() {
         let topo = Topology::paper_testbed();
-        let state = ClusterState::new();
-        let mut f = Fabric::new(&topo, &state, RpcParams::rdma_zero_copy());
+        let mut f = Fabric::new(&topo, RpcParams::rdma_zero_copy());
         let c = f.channel(HostId(0), HostId(1));
         let t0 = c.ensure_session(Nanos::ZERO);
         c.call_sync(t0, 1_000, 1_000, Nanos::ZERO);
@@ -137,8 +133,7 @@ mod tests {
     #[test]
     fn channel_lookup_symmetric() {
         let topo = Topology::paper_testbed();
-        let state = ClusterState::new();
-        let f = Fabric::new(&topo, &state, RpcParams::tuned_tcp());
+        let f = Fabric::new(&topo, RpcParams::tuned_tcp());
         assert!(f.channel_ref(HostId(1), HostId(0)).is_some());
         assert!(f.channel_ref(HostId(0), HostId(0)).is_none());
     }
@@ -147,8 +142,7 @@ mod tests {
     #[should_panic(expected = "no link")]
     fn missing_link_panics() {
         let topo = Topology::paper_testbed();
-        let state = ClusterState::new();
-        let mut f = Fabric::new(&topo, &state, RpcParams::tuned_tcp());
+        let mut f = Fabric::new(&topo, RpcParams::tuned_tcp());
         f.channel(HostId(0), HostId(5));
     }
 
@@ -156,8 +150,7 @@ mod tests {
     fn fault_plan_projects_onto_links() {
         use crate::fault::FaultSpec;
         let topo = Topology::paper_testbed();
-        let state = ClusterState::new();
-        let mut f = Fabric::new(&topo, &state, RpcParams::rdma_zero_copy());
+        let mut f = Fabric::new(&topo, RpcParams::rdma_zero_copy());
         let plan = FaultPlan::new(
             7,
             vec![
@@ -188,9 +181,8 @@ mod tests {
     #[test]
     fn faulted_runs_are_seed_deterministic() {
         let topo = Topology::paper_testbed();
-        let state = ClusterState::new();
         let run = |seed| {
-            let mut f = Fabric::new(&topo, &state, RpcParams::tuned_tcp());
+            let mut f = Fabric::new(&topo, RpcParams::tuned_tcp());
             f.apply_fault_plan(&FaultPlan::generate(
                 seed,
                 topo.hosts().len() as u32,
@@ -207,16 +199,5 @@ mod tests {
             (t, f.faults_injected())
         };
         assert_eq!(run(11), run(11), "same seed, same timeline");
-    }
-
-    #[test]
-    fn congestion_carried_from_state() {
-        let topo = Topology::paper_testbed();
-        let mut state = ClusterState::new();
-        state.set_congestion(0, 1, 0.5);
-        let f = Fabric::new(&topo, &state, RpcParams::rdma_zero_copy());
-        let c = f.channel_ref(HostId(0), HostId(1)).unwrap();
-        assert_eq!(c.link.congestion, 0.5);
-        assert_eq!(c.link.effective_bandwidth(), 25e9 / 8.0 * 0.5);
     }
 }

@@ -5,7 +5,7 @@
 //! crate models exactly the quantities that set the shape of Tables 2–3:
 //!
 //! - [`link::LinkSim`] — FIFO-serialized point-to-point links with
-//!   propagation latency and background congestion;
+//!   propagation latency;
 //! - [`rpc::RpcChannel`] — RPC transports parameterized by session-init
 //!   cost, per-call overhead, and effective goodput, with calibrated
 //!   presets (`RpcParams::tensorpipe_python` reproduces the paper's

@@ -2,10 +2,9 @@
 //!
 //! Each link is a FIFO serializer: transmissions queue behind one another
 //! at the link's effective bandwidth, then experience propagation latency.
-//! Background congestion (other tenants) scales the effective bandwidth —
-//! the signal the scheduler's dynamic-recomputation policy reacts to
-//! (§3.3). Injected faults are not link state: a link holds the run's
-//! [`FaultPlan`] and asks it for its derate, jitter and outage windows.
+//! Faults, a slow link included, are not link state: a link holds the
+//! run's [`FaultPlan`] and asks it for its derate, jitter and outage
+//! windows.
 
 use crate::fault::{FaultPlan, XorShift64};
 use crate::time::Nanos;
@@ -18,8 +17,6 @@ pub struct LinkSim {
     pub bandwidth_bytes: f64,
     /// One-way propagation latency.
     pub latency: Nanos,
-    /// Fraction of bandwidth consumed by background traffic, `[0, 1)`.
-    pub congestion: f64,
     /// When the serializer becomes free.
     busy_until: Nanos,
     /// Total payload bytes accepted.
@@ -52,7 +49,6 @@ impl LinkSim {
         LinkSim {
             bandwidth_bytes,
             latency,
-            congestion: 0.0,
             busy_until: Nanos::ZERO,
             bytes_sent: 0,
             transmissions: 0,
@@ -68,14 +64,14 @@ impl LinkSim {
         self.faults = Some((plan, a, b, rng));
     }
 
-    /// Effective bandwidth after background congestion and any injected
-    /// derate ([`FaultPlan::derate`]).
+    /// Effective bandwidth after any injected derate
+    /// ([`FaultPlan::derate`]).
     pub fn effective_bandwidth(&self) -> f64 {
         let derate = self
             .faults
             .as_ref()
             .map_or(1.0, |(plan, a, b, _)| plan.derate(*a, *b));
-        self.bandwidth_bytes * (1.0 - self.congestion) * derate
+        self.bandwidth_bytes * derate
     }
 
     /// When a transmission issued at `now` starts on the wire, and its
@@ -184,14 +180,6 @@ mod tests {
         let later = Nanos::from_secs_f64(5.0);
         let t = l.transmit(later, 1_000);
         assert_eq!(t.start, later);
-    }
-
-    #[test]
-    fn congestion_halves_bandwidth() {
-        let mut l = gbps25();
-        l.congestion = 0.5;
-        let t = l.transmit(Nanos::ZERO, 3_125_000_000);
-        assert!((t.sent.as_secs_f64() - 2.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Multi-flow contention: FIFO links serialize concurrent tenants, and
 //! the channel abstraction preserves conservation of bytes and time.
 
-use genie_cluster::{ClusterState, HostId, Topology};
-use genie_netsim::{Fabric, LinkSim, Nanos, RpcChannel, RpcParams};
+use genie_cluster::{HostId, Topology};
+use genie_netsim::{Fabric, FaultPlan, FaultSpec, LinkSim, Nanos, RpcChannel, RpcParams};
 
 #[test]
 fn two_tenants_on_one_link_serialize() {
@@ -28,8 +28,7 @@ fn two_tenants_on_one_link_serialize() {
 #[test]
 fn separate_links_do_not_interfere() {
     let topo = Topology::rack(2, 25e9);
-    let state = ClusterState::new();
-    let mut fabric = Fabric::new(&topo, &state, RpcParams::rdma_zero_copy());
+    let mut fabric = Fabric::new(&topo, RpcParams::rdma_zero_copy());
     let client = HostId(0);
 
     let t0a = fabric
@@ -50,23 +49,28 @@ fn separate_links_do_not_interfere() {
     assert!((b.as_secs_f64() - t0b.as_secs_f64()) < gb_time * 1.05);
 }
 
+/// A slow link is a fault plan's derate: at half the line rate the
+/// serialization time doubles.
 #[test]
-fn congestion_scales_completion_times_proportionally() {
+fn a_derate_scales_completion_times_proportionally() {
     let topo = Topology::paper_testbed();
-    let mut state = ClusterState::new();
-    let run = |congestion: f64, state: &mut ClusterState| {
-        state.set_congestion(0, 1, congestion);
-        let mut fabric = Fabric::new(&topo, state, RpcParams::rdma_zero_copy());
+    let run = |specs: Vec<FaultSpec>| {
+        let mut fabric = Fabric::new(&topo, RpcParams::rdma_zero_copy());
+        fabric.apply_fault_plan(&FaultPlan::new(1, specs));
         let ch = fabric.channel(HostId(0), HostId(1));
+        let bandwidth = ch.link.effective_bandwidth();
         let t0 = ch.ensure_session(Nanos::ZERO);
-        ch.send_oneway(t0, 100_000_000).as_secs_f64() - t0.as_secs_f64()
+        (bandwidth, ch.link.transmit(t0, 3_125_000_000).sent - t0)
     };
-    let clear = run(0.0, &mut state);
-    let half = run(0.5, &mut state);
-    assert!(
-        (half / clear - 2.0).abs() < 0.05,
-        "50% congestion should double transfer time: {clear} vs {half}"
-    );
+    let (clear_bw, clear) = run(Vec::new());
+    let (half_bw, half) = run(vec![FaultSpec::Derate {
+        a: 0,
+        b: 1,
+        factor: 0.5,
+    }]);
+    assert_eq!(half_bw, clear_bw * 0.5);
+    assert!((clear.as_secs_f64() - 1.0).abs() < 1e-6, "{clear:?}");
+    assert!((half.as_secs_f64() - 2.0).abs() < 1e-6, "{half:?}");
 }
 
 #[test]

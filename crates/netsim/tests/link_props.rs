@@ -110,20 +110,3 @@ fn channel_accounting() {
         assert_eq!(ch.calls, calls.len() as u64);
     }
 }
-
-/// Congestion strictly slows nonzero transfers and never corrupts
-/// accounting.
-#[test]
-fn congestion_slows() {
-    for case in 0..CASES {
-        let mut case = Case::new(case);
-        let bytes = case.int(1_000, 100_000_000);
-        let congestion = case.float(0.01, 0.95);
-        let mut clear = LinkSim::new(1e9, Nanos::ZERO);
-        let mut busy = LinkSim::new(1e9, Nanos::ZERO);
-        busy.congestion = congestion;
-        let tc = clear.transmit(Nanos::ZERO, bytes).sent;
-        let tb = busy.transmit(Nanos::ZERO, bytes).sent;
-        assert!(tb >= tc);
-    }
-}

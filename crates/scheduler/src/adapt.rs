@@ -2,7 +2,7 @@
 //!
 //! Policies decide with a cost model; the cost model is only as good as
 //! its network constants. The [`HintAdapter`] folds live measurements —
-//! RTT probes, observed transfer goodput, congestion estimates — into
+//! RTT probes and observed transfer goodput — into
 //! exponentially-weighted averages and rewrites the cost model between
 //! planning rounds, so decisions like dynamic recomputation track the
 //! network the session actually has rather than the one it assumed.

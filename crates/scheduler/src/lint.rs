@@ -62,7 +62,7 @@ mod tests {
     use crate::policy::{RoundRobin, SemanticsAware};
     use crate::schedule::{schedule, schedule_checked};
     use genie_analysis::{Anchor, LintCode};
-    use genie_cluster::{GpuSpec, Link, NicSpec};
+    use genie_cluster::{GpuSpec, Link};
     use genie_frontend::capture::CaptureCtx;
     use genie_models::{KvState, TransformerConfig, TransformerLm};
     use genie_srg::{Node, NodeId, OpKind, Residency, TensorMeta};
@@ -81,8 +81,8 @@ mod tests {
 
     fn tiny_device_topo(mem_capacity: u64) -> Topology {
         let mut t = Topology::new();
-        let client = t.add_host("client", NicSpec::commodity_25g());
-        let server = t.add_host("server", NicSpec::rnic_100g());
+        let client = t.add_host("client");
+        let server = t.add_host("server");
         let spec = GpuSpec {
             mem_capacity,
             ..GpuSpec::a100_80gb()

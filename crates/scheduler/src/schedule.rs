@@ -102,48 +102,36 @@ pub fn schedule_with_lints(
             // divides goodput, multiplying the time estimate for anything
             // crossing it.
             let derate = state.link_derate(src_loc.host(topo).0, dst_loc.host(topo).0);
-            if !arrived.insert((edge.tensor, dst_loc)) {
-                // Already shipped to this destination: free fan-out.
-                transfers.push(Transfer {
-                    edge: eid,
-                    tensor: edge.tensor,
-                    from: src_loc,
-                    to: dst_loc,
-                    bytes,
-                    via_handle: true,
-                });
-                continue;
-            }
-            let pinnable = srg.node(edge.src).residency.prefers_remote_pinning();
-            if pinnable {
-                if let Location::Device(dev) = dst_loc {
-                    let already_resident = state
-                        .resident(edge.tensor.0)
-                        .is_some_and(|obj| obj.device == dev);
-                    if already_resident {
-                        transfers.push(Transfer {
-                            edge: eid,
-                            tensor: edge.tensor,
-                            from: src_loc,
-                            to: dst_loc,
-                            bytes,
-                            via_handle: true,
-                        });
-                    } else {
-                        pinned_uploads.push((edge.tensor, dev, bytes));
-                        edge_cost[eid.index()] = Some(cost.streaming_time(bytes as f64) / derate);
-                    }
+            // An already-shipped or already-resident tensor goes by handle
+            // and costs nothing; a pinnable one bound for a device is a
+            // one-time upload, priced at streaming rate, and no transfer.
+            let fan_out = !arrived.insert((edge.tensor, dst_loc));
+            let pin_to = dst_loc
+                .device()
+                .filter(|_| srg.node(edge.src).residency.prefers_remote_pinning());
+            let resident_on = |dev| {
+                state
+                    .resident(edge.tensor.0)
+                    .is_some_and(|o| o.device == dev)
+            };
+            let (via_handle, secs) = match pin_to {
+                _ if fan_out => (true, None),
+                Some(dev) if resident_on(dev) => (true, None),
+                Some(dev) => {
+                    pinned_uploads.push((edge.tensor, dev, bytes));
+                    edge_cost[eid.index()] = Some(cost.streaming_time(bytes as f64) / derate);
                     continue;
                 }
-            }
-            edge_cost[eid.index()] = Some(cost.transfer_time(bytes as f64) / derate);
+                None => (false, Some(cost.transfer_time(bytes as f64) / derate)),
+            };
+            edge_cost[eid.index()] = secs;
             transfers.push(Transfer {
                 edge: eid,
                 tensor: edge.tensor,
                 from: src_loc,
                 to: dst_loc,
                 bytes,
-                via_handle: false,
+                via_handle,
             });
         }
     }

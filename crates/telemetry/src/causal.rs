@@ -4,10 +4,9 @@
 //! collector. It has three parts:
 //!
 //! 1. **[`TraceCtx`]** — a request-scoped trace context (request id +
-//!    causal parent span) carried in a thread-local and propagated in
-//!    the transport wire envelope, so spans and sim-trace events
-//!    recorded anywhere in the stack can be attributed to the serving
-//!    request that caused them.
+//!    causal parent span) carried in the transport wire envelope, so
+//!    the server's `transport.serve` span can be attributed to the
+//!    request a peer names.
 //! 2. **A neutral causal trace document** ([`CausalTraceDoc`]) —
 //!    request lifecycle events plus per-lane [`StepSlice`] time
 //!    decompositions on the virtual clock. The serving engine emits
@@ -30,55 +29,20 @@
 //! `reprefill`: that work exists only because an eviction destroyed
 //! KV state.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
-// Trace context propagation
+// Trace context
 // ---------------------------------------------------------------------------
 
-/// Request-scoped causal context, propagated across layer boundaries
-/// (and serialized into the transport wire envelope).
+/// Request-scoped causal context, serialized into the transport wire
+/// envelope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Serving-request id this work is performed on behalf of.
     pub request: u64,
     /// Span id of the causal parent, or 0 when unknown.
     pub parent_span: u64,
-}
-
-thread_local! {
-    static CURRENT: Cell<Option<TraceCtx>> = const { Cell::new(None) };
-}
-
-/// The ambient trace context of the calling thread, if any.
-pub fn current() -> Option<TraceCtx> {
-    CURRENT.with(|c| c.get())
-}
-
-/// Replace the calling thread's ambient trace context, returning the
-/// previous one (pass it back to restore, or use [`with_ctx`]).
-pub fn set_current(ctx: Option<TraceCtx>) -> Option<TraceCtx> {
-    CURRENT.with(|c| c.replace(ctx))
-}
-
-/// RAII guard restoring the previous ambient context on drop.
-pub struct CtxGuard {
-    prev: Option<TraceCtx>,
-}
-
-impl Drop for CtxGuard {
-    fn drop(&mut self) {
-        set_current(self.prev.take());
-    }
-}
-
-/// Install `ctx` as the calling thread's ambient context for the
-/// lifetime of the returned guard.
-pub fn with_ctx(ctx: TraceCtx) -> CtxGuard {
-    CtxGuard {
-        prev: set_current(Some(ctx)),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -954,27 +918,6 @@ mod tests {
         assert_eq!(s.net_payload_ns, 10);
         assert_eq!(s.fault_ns, 0);
         assert_eq!(s.sync_ns(), 0);
-    }
-
-    #[test]
-    fn ctx_guard_restores_previous_context() {
-        assert_eq!(current(), None);
-        {
-            let _a = with_ctx(TraceCtx {
-                request: 7,
-                parent_span: 0,
-            });
-            assert_eq!(current().unwrap().request, 7);
-            {
-                let _b = with_ctx(TraceCtx {
-                    request: 9,
-                    parent_span: 3,
-                });
-                assert_eq!(current().unwrap().request, 9);
-            }
-            assert_eq!(current().unwrap().request, 7);
-        }
-        assert_eq!(current(), None);
     }
 
     /// Insert a migration interval [300, 380] into the inter-step gap of

@@ -52,7 +52,7 @@ pub use causal::{
 pub use collector::{Collector, SpanGuard};
 pub use export::{ChromeEvent, ChromeTrace};
 pub use metrics::{
-    Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, DEFAULT_TIME_BOUNDS, RATIO_BOUNDS,
+    Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, DEFAULT_TIME_BOUNDS,
 };
 pub use span::{SemAttrs, SpanKind, SpanRecord, Track};
 pub use summary::render_top;

@@ -97,9 +97,6 @@ pub struct Histogram {
 /// Default exponential bounds in seconds: 1 µs … 100 s.
 pub const DEFAULT_TIME_BOUNDS: [f64; 9] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0];
 
-/// Ratio bounds for skew-style histograms centered on 1.0.
-pub const RATIO_BOUNDS: [f64; 9] = [0.25, 0.5, 0.8, 0.95, 1.05, 1.25, 2.0, 4.0, 10.0];
-
 impl Histogram {
     fn new(bounds: &[f64]) -> Self {
         debug_assert!(

@@ -1,9 +1,9 @@
 //! `genie-top`: a human-readable summary of a telemetry capture.
 //!
 //! Renders the metrics snapshot plus the span stream as the kind of
-//! at-a-glance table an operator would watch — per-device busy/estimate/
-//! skew, link traffic and queueing, and the hottest span names by
-//! cumulative time.
+//! at-a-glance table an operator would watch — per-device busy time,
+//! link traffic and queueing, and the hottest span names by cumulative
+//! time.
 
 use crate::metrics::MetricsSnapshot;
 use crate::span::{SpanKind, SpanRecord};
@@ -15,33 +15,20 @@ pub fn render_top(snapshot: &MetricsSnapshot, records: &[SpanRecord]) -> String 
     let mut out = String::new();
     let _ = writeln!(out, "=== genie-top ===");
 
-    // --- Devices: busy vs estimate, skew ---------------------------------
-    let mut devices: BTreeMap<String, (f64, f64, f64)> = BTreeMap::new();
-    for g in &snapshot.gauges {
-        let Some(dev) = g
-            .labels
-            .iter()
-            .find(|(k, _)| k == "device")
-            .map(|(_, v)| v.clone())
-        else {
-            continue;
-        };
-        let entry = devices.entry(dev).or_insert((0.0, 0.0, 0.0));
-        match g.name.as_str() {
-            "genie_sim_device_busy_seconds" => entry.0 = g.value,
-            "genie_sim_device_estimate_seconds" => entry.1 = g.value,
-            "genie_sim_kernel_skew_ratio" => entry.2 = g.value,
-            _ => {}
-        }
-    }
+    // --- Devices: simulated busy time ------------------------------------
+    let devices: BTreeMap<&str, f64> = snapshot
+        .gauges
+        .iter()
+        .filter(|g| g.name == "genie_sim_device_busy_seconds")
+        .filter_map(|g| {
+            let (_, dev) = g.labels.iter().find(|(k, _)| k == "device")?;
+            Some((dev.as_str(), g.value))
+        })
+        .collect();
     if !devices.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<8} {:>12} {:>12} {:>8}",
-            "DEVICE", "BUSY(s)", "EST(s)", "SKEW"
-        );
-        for (dev, (busy, est, skew)) in &devices {
-            let _ = writeln!(out, "{dev:<8} {busy:>12.4} {est:>12.4} {skew:>7.2}x");
+        let _ = writeln!(out, "\n{:<8} {:>12}", "DEVICE", "BUSY(s)");
+        for (dev, busy) in &devices {
+            let _ = writeln!(out, "{dev:<8} {busy:>12.4}");
         }
     }
 
@@ -170,10 +157,6 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.gauge("genie_sim_device_busy_seconds", &[("device", "d0")])
             .set(1.5);
-        reg.gauge("genie_sim_device_estimate_seconds", &[("device", "d0")])
-            .set(1.0);
-        reg.gauge("genie_sim_kernel_skew_ratio", &[("device", "d0")])
-            .set(1.5);
         reg.counter("genie_sim_kernels_total", &[]).add(12);
         reg.counter(
             "genie_tensor_kernel_dispatch_total",
@@ -210,8 +193,13 @@ mod tests {
         }];
         let top = render_top(&reg.snapshot(), &records);
         assert!(top.contains("genie-top"), "{top}");
-        assert!(top.contains("d0"), "{top}");
-        assert!(top.contains("1.50x"), "{top}");
+        assert!(
+            top.contains(&format!(
+                "{:<8} {:>12}\n{:<8} {:>12.4}\n",
+                "DEVICE", "BUSY(s)", "d0", 1.5
+            )),
+            "{top}"
+        );
         assert!(top.contains("genie_sim_kernels_total"), "{top}");
         assert!(
             top.contains("genie_tensor_kernel_dispatch_total{op=matmul,path=blocked}"),

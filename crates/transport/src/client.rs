@@ -133,14 +133,6 @@ impl Client {
     pub fn call_with_id(&mut self, id: u64, body: RequestBody) -> Result<ResponseBody> {
         let telemetry = genie_telemetry::global();
         let mut span = telemetry.collector.span("transport.call", "transport");
-        if let Some(ctx) = genie_telemetry::causal::current() {
-            span.annotate(|a| {
-                a.request = Some(ctx.request);
-                if ctx.parent_span != 0 {
-                    a.cause = Some(ctx.parent_span);
-                }
-            });
-        }
         let result = self.call_inner(id, body);
         match &result {
             Ok(_) => counters().calls.inc(),
@@ -221,12 +213,9 @@ impl Client {
     }
 
     fn exchange(&mut self, id: u64, body: RequestBody) -> Result<ResponseBody> {
-        // Stamp the caller's ambient causal context into the envelope so
-        // the server (and everything it records) inherits the request
-        // attribution without any API change at the call sites.
         let request = Request {
             id,
-            trace: genie_telemetry::causal::current(),
+            trace: None,
             body,
         }
         .to_frame()?;

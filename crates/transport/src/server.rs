@@ -264,10 +264,7 @@ fn serve_connection(
             None => {
                 let body = {
                     let mut span = telemetry.collector.span("transport.serve", "transport");
-                    // Adopt the caller's causal context for the duration of
-                    // the handler so spans and trace events emitted inside
-                    // it carry the originating request id.
-                    let _ctx = request.trace.map(genie_telemetry::causal::with_ctx);
+                    // Attribute the serve span to the request a peer names.
                     if let Some(ctx) = request.trace {
                         span.annotate(|a| {
                             a.request = Some(ctx.request);
@@ -445,27 +442,32 @@ mod tests {
     }
 
     #[test]
-    fn trace_context_reaches_the_handler() {
-        use genie_telemetry::causal::{self, TraceCtx};
-        let seen: Arc<Mutex<Option<TraceCtx>>> = Arc::new(Mutex::new(None));
-        let seen2 = seen.clone();
-        let mut server = Server::spawn(move || {
-            let seen = seen2.clone();
-            move |_body: RequestBody| {
-                *seen.lock().unwrap() = causal::current();
-                ResponseBody::Pong
-            }
-        })
-        .unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
+    fn a_peers_trace_context_attributes_the_serve_span() {
+        use genie_telemetry::causal::TraceCtx;
+        let mut server = Server::spawn(|| |_body: RequestBody| ResponseBody::Pong).unwrap();
         let ctx = TraceCtx {
-            request: 77,
+            request: 77_077,
             parent_span: 3,
         };
-        let _guard = causal::with_ctx(ctx);
-        assert_eq!(client.call(RequestBody::Ping).unwrap(), ResponseBody::Pong);
-        assert_eq!(*seen.lock().unwrap(), Some(ctx));
+        let request = Request {
+            id: crate::client::next_request_id(),
+            trace: Some(ctx),
+            body: RequestBody::Ping,
+        }
+        .to_frame()
+        .unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        write_frame(&mut stream, &request.parts()).unwrap();
+        let reply = Response::decode(recv_frame(&mut stream).unwrap()).unwrap();
+        assert_eq!(reply.body, ResponseBody::Pong);
         server.shutdown();
+        let served = genie_telemetry::global()
+            .collector
+            .snapshot()
+            .into_iter()
+            .find(|r| r.name == "transport.serve" && r.attrs.request == Some(ctx.request))
+            .expect("serve span attributed to the peer's request");
+        assert_eq!(served.attrs.cause, Some(ctx.parent_span));
     }
 
     #[test]

@@ -612,7 +612,7 @@ fn one_derate_reads_the_same_on_every_plane() {
     let mut misread = Vec::new();
     for (specs, want) in cases {
         let plan = FaultPlan::new(3, specs);
-        let mut fabric = Fabric::new(&topo, &ClusterState::new(), RpcParams::rdma_zero_copy());
+        let mut fabric = Fabric::new(&topo, RpcParams::rdma_zero_copy());
         let clean = bandwidth(&fabric);
         fabric.apply_fault_plan(&plan);
         let mut state = ClusterState::new();
@@ -681,7 +681,7 @@ fn the_paper_plane_draws_the_engines_jitter() {
     let plan = FaultPlan::new(seed, vec![FaultSpec::Jitter { a: 0, b: 1, max }]);
     let topo = Topology::paper_testbed();
     let deliveries = |plan: Option<&FaultPlan>| {
-        let mut fabric = Fabric::new(&topo, &ClusterState::new(), RpcParams::rdma_zero_copy());
+        let mut fabric = Fabric::new(&topo, RpcParams::rdma_zero_copy());
         if let Some(plan) = plan {
             fabric.apply_fault_plan(plan);
         }
@@ -710,7 +710,7 @@ fn a_queued_transmission_waits_out_an_outage_at_its_wire_start() {
 
     let _gate = metrics_gate();
     let topo = Topology::paper_testbed();
-    let mut fabric = Fabric::new(&topo, &ClusterState::new(), RpcParams::rdma_zero_copy());
+    let mut fabric = Fabric::new(&topo, RpcParams::rdma_zero_copy());
     fabric.apply_fault_plan(&FaultPlan::new(
         1,
         vec![FaultSpec::LinkDown {

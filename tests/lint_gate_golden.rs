@@ -30,7 +30,7 @@
 
 use genie::analysis::{run_srg_passes, LintConfig, KERNEL_TIER_ATTR, TOLERANCE_ATTR};
 use genie::backend::simulate_once;
-use genie::cluster::{ClusterState, DevId, GpuSpec, Link, NicSpec, Topology};
+use genie::cluster::{ClusterState, DevId, GpuSpec, Link, Topology};
 use genie::frontend::capture::CaptureCtx;
 use genie::models::{
     CnnConfig, Dlrm, DlrmConfig, KvState, Multimodal, MultimodalConfig, SimpleCnn,
@@ -341,8 +341,8 @@ const D1: Location = Location::Device(DevId(1));
 /// A client and one server holding two devices of `spec`.
 fn two_gpus(spec: GpuSpec) -> Topology {
     let mut t = Topology::new();
-    let client = t.add_host("client", NicSpec::commodity_25g());
-    let server = t.add_host("server", NicSpec::rnic_100g());
+    let client = t.add_host("client");
+    let server = t.add_host("server");
     t.add_device(server, spec.clone());
     t.add_device(server, spec);
     t.add_link(client, server, Link::PAPER_TESTBED);

@@ -310,9 +310,11 @@ fn cost_totals(run: &Run) -> [f64; 6] {
             &run.model, &work, &c.gpu, &c.client, c.batched, &spec, &fabric,
         );
         let compute_ns = ((cost.compute_s * 1e9).round() as u64).min(slice.end_ns - slice.start_ns);
+        let members: Vec<u64> = slice.members.iter().map(|m| m.request).collect();
         assert_eq!(
             compute_ns, slice.compute_ns,
-            "{}: step {} lane {} re-prices differently",
+            "{}: step {} lane {}: compute_ns re-priced from requests {members:?} \
+             (left) is not the slice's (right)",
             run.name, slice.step, slice.lane
         );
         let terms = [
@@ -467,10 +469,35 @@ fn render(run: &Run) -> String {
     s
 }
 
-/// The golden's lines that moved, each under its run's name.
+/// What moved in one line: its label (the words before the first
+/// `key=value`) and each changed field as `key golden → now`.
+fn changed_fields(golden: Option<&str>, now: Option<&str>) -> String {
+    let (Some(w), Some(g)) = (golden, now) else {
+        let show = |l: Option<&str>| l.unwrap_or("<none>").to_string();
+        return format!("golden `{}`, now `{}`", show(golden), show(now));
+    };
+    let (wt, gt): (Vec<&str>, Vec<&str>) = (w.split(' ').collect(), g.split(' ').collect());
+    let label = gt.iter().take_while(|t| !t.contains('=')).count();
+    if wt.len() != gt.len() || wt[..label] != gt[..label] {
+        return format!("golden `{w}`, now `{g}`");
+    }
+    let mut out = gt[..label].join(" ");
+    for (a, b) in wt.iter().zip(&gt).filter(|(a, b)| a != b) {
+        match (a.split_once('='), b.split_once('=')) {
+            (Some((key, a)), Some((_, b))) => write!(out, " {key} {a} → {b}").unwrap(),
+            _ => write!(out, " {a} → {b}").unwrap(),
+        }
+    }
+    out
+}
+
+/// The golden's lines that moved, each under its run's name with the
+/// fields that changed, then per run that moved the ids of the shown
+/// requests whose times moved.
 fn moved_lines(golden: &str, rendered: &str) -> String {
     let mut out = String::new();
     let mut run = "";
+    let mut moved: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     let (mut want, mut got) = (golden.lines(), rendered.lines());
     let mut shown = 0;
     loop {
@@ -481,10 +508,27 @@ fn moved_lines(golden: &str, rendered: &str) -> String {
         if let Some(name) = g.and_then(|g| g.strip_prefix("== ")) {
             run = name;
         }
-        if w != g && shown < 24 {
-            let show = |l: Option<&str>| l.unwrap_or("<none>").to_string();
-            writeln!(out, "{run}: golden `{}`, now `{}`", show(w), show(g)).unwrap();
+        if w == g {
+            continue;
+        }
+        let requests = moved.entry(run).or_default();
+        if let Some(id) = g.or(w).and_then(|l| l.strip_prefix("req ")) {
+            requests.push(id.split(' ').next().unwrap_or(id));
+        }
+        if shown < 24 {
+            writeln!(out, "{run}: {}", changed_fields(w, g)).unwrap();
             shown += 1;
+        }
+    }
+    for (run, requests) in moved {
+        match requests.is_empty() {
+            true => writeln!(out, "{run}: no shown request's times moved").unwrap(),
+            false => writeln!(
+                out,
+                "{run}: requests whose times moved: {}",
+                requests.join(", ")
+            )
+            .unwrap(),
         }
     }
     out
