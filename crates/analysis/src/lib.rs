@@ -66,5 +66,4 @@ pub use precision_passes::{
     error_bounds_with, error_factor, requested_tier, tier_for_node, ErrorBounds, CRITICALITY_SLACK,
     KERNEL_TIER_ATTR, TOLERANCE_ATTR,
 };
-pub use schedule_passes::check_cross_plan_pinning;
 pub use srg_passes::run_srg_passes;

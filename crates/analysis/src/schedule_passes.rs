@@ -24,7 +24,7 @@
 //! [`SrgFlow::live_ranges`]: crate::dataflow::SrgFlow::live_ranges
 
 use crate::diag::{Anchor, LintCode, LintConfig, Report, Severity};
-use crate::plan_passes::{PlanFacts, PlanView, TransferFact};
+use crate::plan_passes::{PlanView, TransferFact};
 use genie_cluster::{ClusterState, DevId, Topology};
 use genie_srg::{NodeId, Srg, TensorId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -270,39 +270,6 @@ pub(crate) fn check_double_pinning(plan: &PlanView, cfg: &LintConfig, report: &m
     }
 }
 
-/// GA202 across plans: two plans that each pin the same tensor onto the
-/// same device will fight over one resident buffer (or silently hold
-/// two copies). Cross-plan the intent may be legitimate sharing, so the
-/// severity is capped at [`Severity::Warn`].
-pub fn check_cross_plan_pinning(plans: &[&dyn PlanFacts], cfg: &LintConfig) -> Report {
-    let mut report = Report::new("cross-plan pinning");
-    let mut owners: BTreeMap<(TensorId, DevId), String> = BTreeMap::new();
-    for plan in plans {
-        let subject = plan.subject();
-        let mut mine: BTreeSet<(TensorId, DevId)> = BTreeSet::new();
-        for (tensor, dev, bytes) in plan.pinned_uploads() {
-            if !mine.insert((tensor, dev)) {
-                continue; // in-plan duplicate: GA202's own finding
-            }
-            if let Some(owner) = owners.get(&(tensor, dev)) {
-                report.push_capped(
-                    cfg,
-                    LintCode::DoublePinnedBuffer,
-                    Severity::Warn,
-                    Anchor::Device(dev),
-                    format!(
-                        "tensor {tensor} ({bytes} B) pinned on {dev} by both \
-                         {owner} and {subject}"
-                    ),
-                );
-            } else {
-                owners.insert((tensor, dev), subject.clone());
-            }
-        }
-    }
-    report.finish()
-}
-
 /// GA203 — static deadlock: build the waits-for graph over compute
 /// steps and transfers (data dependencies, transfer issue/landing, and
 /// per-channel FIFO delivery order) and reject plans whose waits-for
@@ -528,6 +495,7 @@ pub(crate) fn check_collective_deadlock(plan: &PlanView, cfg: &LintConfig, repor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan_passes::PlanFacts;
     use genie_cluster::GpuSpec;
     use genie_srg::{EdgeId, ElemType, Node, OpKind, Residency, TensorMeta};
 
@@ -827,33 +795,6 @@ mod tests {
         let r = r.finish();
         assert_eq!(r.with_code(LintCode::DoublePinnedBuffer).len(), 1, "{r}");
         assert!(r.has_deny());
-    }
-
-    #[test]
-    fn ga202_cross_plan_double_pin_warns() {
-        let (g, ..) = ordering_fixture();
-        let (_, d0, d1) = two_dev_topo(80_000_000_000);
-        let mk = |name: &str, dev: DevId| {
-            let mut srg = g.clone();
-            srg.name = name.into();
-            FakePlan {
-                srg,
-                placements: BTreeMap::new(),
-                transfers: Vec::new(),
-                pinned: vec![(TensorId::new(7), dev, 1024)],
-            }
-        };
-        let p1 = mk("p1", d0);
-        let p2 = mk("p2", d0);
-        let p3 = mk("p3", d1); // same tensor, different device: fine
-        let r = check_cross_plan_pinning(&[&p1, &p2, &p3], &LintConfig::new());
-        let hits = r.with_code(LintCode::DoublePinnedBuffer);
-        assert_eq!(hits.len(), 1, "{r}");
-        assert_eq!(hits[0].severity, Severity::Warn, "{r}");
-        assert!(
-            hits[0].message.contains("p1") && hits[0].message.contains("p2"),
-            "{r}"
-        );
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //!   execution over `genie-transport` TCP: pinned uploads, handle+epoch
 //!   references ([`handle::RemoteHandle`]), per-step graph shipping, and
 //!   crash injection as a fault fixture;
-//! - [`sim::SimBackend`] — list-scheduled simulation at paper scale:
-//!   roofline kernel times, FIFO links, and pinned uploads that stay
-//!   resident so follow-up plans run handle-only.
+//! - [`sim::simulate_once`] — list-scheduled simulation of one plan at
+//!   paper scale: roofline kernel times, FIFO links, and each pinned
+//!   upload sent once before the kernels on its device. Reuse across
+//!   steps is the remote plane's: the executor that holds the bytes owns
+//!   the handles.
 //!
 //! The three backends consume the *same* SRG and plans — the portability
 //! claim at the heart of the paper's architecture.
@@ -33,4 +35,4 @@ pub use local::LocalBackend;
 pub use remote::{
     classify_error, spawn_chaotic_server, spawn_server, ErrorClass, GenieExecutor, RemoteSession,
 };
-pub use sim::{simulate_once, simulate_once_faulty, SimBackend, SimReport};
+pub use sim::{simulate_once, simulate_once_faulty, SimReport};

@@ -7,8 +7,7 @@
 //!   testbed and a heterogeneous fleet for §3.6 experiments;
 //! - [`Topology`]: hosts, devices, and links — the `cluster_state` input to
 //!   `schedule(srg, cluster_state, policy)`;
-//! - [`ClusterState`]: live memory accounting, per-device work queues, the
-//!   resident-object directory (weights, KV caches pinned remotely), and
+//! - [`ClusterState`]: live memory accounting, per-device work queues, and
 //!   the fault layer's projection onto host pairs (link derates and
 //!   partitions) that the scheduler prices.
 //!
@@ -30,5 +29,5 @@ pub mod state;
 pub mod topology;
 
 pub use gpu::{GpuClass, GpuSpec, GIB};
-pub use state::{ClusterState, ResidentObject, StateError};
+pub use state::{ClusterState, StateError};
 pub use topology::{serialization_s, DevId, Device, Host, HostId, Link, Topology};

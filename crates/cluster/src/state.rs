@@ -16,11 +16,6 @@ pub enum StateError {
         /// Bytes free before the request.
         free: u64,
     },
-    /// Attempted to free or look up an object that is not resident.
-    UnknownObject {
-        /// The missing object's key.
-        key: u64,
-    },
 }
 
 impl std::fmt::Display for StateError {
@@ -34,35 +29,20 @@ impl std::fmt::Display for StateError {
                 f,
                 "device {device} out of memory: requested {requested} B, free {free} B"
             ),
-            StateError::UnknownObject { key } => write!(f, "unknown resident object {key}"),
         }
     }
 }
 
 impl std::error::Error for StateError {}
 
-/// A remotely-resident object (weight blob, KV cache, …) tracked by key.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ResidentObject {
-    /// Caller-chosen key (Genie uses handle ids).
-    pub key: u64,
-    /// Device holding the bytes.
-    pub device: DevId,
-    /// Current size in bytes (KV caches grow).
-    pub bytes: u64,
-    /// Epoch for lineage-based invalidation (§3.5).
-    pub epoch: u64,
-}
-
 /// Mutable, schedulable cluster state: per-device memory accounting,
-/// queued-work estimates, and the resident-object directory.
+/// queued-work estimates, and the fault plan's projection.
 #[derive(Clone, Debug, Default)]
 pub struct ClusterState {
     mem_used: BTreeMap<DevId, u64>,
     /// Seconds of queued work per device — the scheduler's queuing-delay
     /// input.
     queue_s: BTreeMap<DevId, f64>,
-    residents: BTreeMap<u64, ResidentObject>,
     /// Injected bandwidth derate per host-pair in (0, 1]: the projection
     /// of the fault plan's `Derate` specs (`FaultPlan::project_onto_state`),
     /// the one way a slow link is stated, multiplied into edge costs by
@@ -126,32 +106,6 @@ impl ClusterState {
     pub fn drain_work(&mut self, dev: DevId, seconds: f64) {
         let q = self.queue_s.entry(dev).or_insert(0.0);
         *q = (*q - seconds).max(0.0);
-    }
-
-    /// Register a resident object, charging its memory.
-    pub fn register_resident(
-        &mut self,
-        topo: &Topology,
-        obj: ResidentObject,
-    ) -> Result<(), StateError> {
-        self.alloc(topo, obj.device, obj.bytes)?;
-        self.residents.insert(obj.key, obj);
-        Ok(())
-    }
-
-    /// Look up a resident object by key.
-    pub fn resident(&self, key: u64) -> Option<&ResidentObject> {
-        self.residents.get(&key)
-    }
-
-    /// Evict a resident object, releasing its memory. Returns the object.
-    pub fn evict_resident(&mut self, key: u64) -> Result<ResidentObject, StateError> {
-        let obj = self
-            .residents
-            .remove(&key)
-            .ok_or(StateError::UnknownObject { key })?;
-        self.release(obj.device, obj.bytes);
-        Ok(obj)
     }
 
     /// Record an injected bandwidth derate on the path between two hosts
@@ -228,37 +182,6 @@ mod tests {
         assert!(err.to_string().contains("out of memory"));
         // State unchanged after failure.
         assert_eq!(s.mem_used(d), 0);
-    }
-
-    #[test]
-    fn resident_lifecycle() {
-        let (t, d) = topo();
-        let mut s = ClusterState::new();
-        s.register_resident(
-            &t,
-            ResidentObject {
-                key: 7,
-                device: d,
-                bytes: 500,
-                epoch: 1,
-            },
-        )
-        .unwrap();
-        assert_eq!(s.resident(7).unwrap().bytes, 500);
-        assert_eq!(s.mem_used(d), 500);
-        let evicted = s.evict_resident(7).unwrap();
-        assert_eq!(evicted.bytes, 500);
-        assert_eq!(s.mem_used(d), 0);
-        assert!(s.resident(7).is_none());
-    }
-
-    #[test]
-    fn unknown_object_errors() {
-        let mut s = ClusterState::new();
-        assert!(matches!(
-            s.evict_resident(99),
-            Err(StateError::UnknownObject { key: 99 })
-        ));
     }
 
     #[test]

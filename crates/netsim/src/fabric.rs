@@ -19,7 +19,6 @@ use std::sync::Arc;
 /// Simulated fabric: per-host-pair RPC channels with shared parameters.
 #[derive(Clone, Debug)]
 pub struct Fabric {
-    params: RpcParams,
     channels: BTreeMap<(HostId, HostId), RpcChannel>,
     /// Fault windows as trace marks, recorded when the plan is applied.
     fault_events: Vec<TraceEvent>,
@@ -34,7 +33,6 @@ impl Fabric {
             channels.insert(ordered(a, b), RpcChannel::new(params.clone(), sim));
         }
         Fabric {
-            params,
             channels,
             fault_events: Vec::new(),
         }
@@ -96,16 +94,6 @@ impl Fabric {
     pub fn channel_ref(&self, a: HostId, b: HostId) -> Option<&RpcChannel> {
         self.channels.get(&ordered(a, b))
     }
-
-    /// Transport parameters in use.
-    pub fn params(&self) -> &RpcParams {
-        &self.params
-    }
-
-    /// Total payload bytes moved across all channels.
-    pub fn total_bytes(&self) -> u64 {
-        self.channels.values().map(|c| c.total_bytes()).sum()
-    }
 }
 
 fn ordered(a: HostId, b: HostId) -> (HostId, HostId) {
@@ -127,7 +115,10 @@ mod tests {
         let c = f.channel(HostId(0), HostId(1));
         let t0 = c.ensure_session(Nanos::ZERO);
         c.call_sync(t0, 1_000, 1_000, Nanos::ZERO);
-        assert_eq!(f.total_bytes(), 2_000);
+        assert_eq!(
+            f.channel_ref(HostId(1), HostId(0)).unwrap().total_bytes(),
+            2_000
+        );
     }
 
     #[test]

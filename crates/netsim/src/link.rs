@@ -113,33 +113,15 @@ impl LinkSim {
 
     /// Occupy the serializer for an externally-computed duration (used by
     /// transports whose goodput is below the line rate: the wire is held
-    /// for the slower serialization window). Returns the start time.
-    pub fn occupy(&mut self, now: Nanos, duration: Nanos, bytes: u64) -> Nanos {
-        self.occupy_timed(now, duration, bytes).0
-    }
-
-    /// [`occupy`](Self::occupy) returning `(start, jitter)`: callers that
-    /// compute delivery themselves must add the drawn latency jitter.
+    /// for the slower serialization window). Returns `(start, jitter)`:
+    /// callers compute delivery themselves and must add the drawn latency
+    /// jitter.
     pub fn occupy_timed(&mut self, now: Nanos, duration: Nanos, bytes: u64) -> (Nanos, Nanos) {
         let (start, jitter) = self.wire_start(now);
         self.busy_until = start + duration;
         self.bytes_sent += bytes;
         self.transmissions += 1;
         (start, jitter)
-    }
-
-    /// When the serializer frees up.
-    pub fn busy_until(&self) -> Nanos {
-        self.busy_until
-    }
-
-    /// Reset counters, availability, and fault state (new simulation run).
-    pub fn reset(&mut self) {
-        self.busy_until = Nanos::ZERO;
-        self.bytes_sent = 0;
-        self.transmissions = 0;
-        self.faults = None;
-        self.faults_hit = 0;
     }
 }
 
@@ -205,16 +187,6 @@ mod tests {
             from,
             until,
         }
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut l = faulted(1, Vec::new());
-        l.transmit(Nanos::ZERO, 1_000_000);
-        l.reset();
-        assert_eq!(l.busy_until(), Nanos::ZERO);
-        assert_eq!(l.bytes_sent, 0);
-        assert!(l.faults.is_none());
     }
 
     #[test]

@@ -88,13 +88,13 @@ pub struct CallTiming {
 /// Outcome of one one-way send, with queueing visibility.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OnewayTiming {
-    /// When the send was issued (after any session setup).
-    pub issued: Nanos,
-    /// When the first byte hit the wire (≥ `issued` under FIFO queueing).
+    /// When the first byte hit the wire (no earlier than the send's issue,
+    /// after any session setup, under FIFO queueing).
     pub wire_start: Nanos,
     /// When the last byte arrived at the receiver.
     pub delivered: Nanos,
-    /// `wire_start - issued`: time spent queued behind earlier traffic.
+    /// Time from issue to `wire_start`, spent queued behind earlier
+    /// traffic.
     pub queue_delay: Nanos,
 }
 
@@ -156,7 +156,6 @@ impl RpcChannel {
         self.bytes_up += bytes;
         self.calls += 1;
         OnewayTiming {
-            issued: now,
             wire_start: start,
             delivered,
             queue_delay: start.saturating_sub(now),
@@ -266,7 +265,7 @@ mod tests {
         assert_eq!(a.queue_delay, Nanos::ZERO);
         assert_eq!(
             b.wire_start,
-            a.wire_start + (a.delivered - a.issued) - c.link.latency
+            a.wire_start + (a.delivered - t0) - c.link.latency
         );
         assert!(
             (b.queue_delay.as_secs_f64() - 1.0).abs() < 1e-6,

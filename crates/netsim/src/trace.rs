@@ -50,15 +50,6 @@ pub enum TraceEvent {
         /// before the first byte hit the wire.
         queue_delay: Nanos,
     },
-    /// An RPC round-trip completed.
-    Rpc {
-        /// Label for the call.
-        label: String,
-        /// Issue time.
-        start: Nanos,
-        /// Response-delivered time.
-        end: Nanos,
-    },
     /// A free-form annotation (phase boundaries, failures, …).
     Mark {
         /// Annotation text.
@@ -96,7 +87,7 @@ impl TraceEvent {
         }
     }
 
-    /// Attach the causing SRG node (no-op on `Rpc`/`Mark`).
+    /// Attach the causing SRG node (no-op on `Mark`).
     pub fn with_node(mut self, id: NodeId) -> Self {
         match &mut self {
             TraceEvent::Kernel { node, .. } | TraceEvent::Transfer { node, .. } => {
@@ -107,7 +98,7 @@ impl TraceEvent {
         self
     }
 
-    /// Attach the execution-plan label (no-op on `Rpc`/`Mark`).
+    /// Attach the execution-plan label (no-op on `Mark`).
     pub fn with_plan(mut self, label: impl Into<std::sync::Arc<str>>) -> Self {
         match &mut self {
             TraceEvent::Kernel { plan, .. } | TraceEvent::Transfer { plan, .. } => {
@@ -126,28 +117,10 @@ impl TraceEvent {
         self
     }
 
-    /// The attributed SRG node, when present.
-    pub fn node(&self) -> Option<NodeId> {
-        match self {
-            TraceEvent::Kernel { node, .. } | TraceEvent::Transfer { node, .. } => *node,
-            _ => None,
-        }
-    }
-
-    /// The attributed plan label, when present.
-    pub fn plan(&self) -> Option<&str> {
-        match self {
-            TraceEvent::Kernel { plan, .. } | TraceEvent::Transfer { plan, .. } => plan.as_deref(),
-            _ => None,
-        }
-    }
-
     /// Event end time (or mark time).
     pub fn end_time(&self) -> Nanos {
         match self {
-            TraceEvent::Kernel { end, .. }
-            | TraceEvent::Transfer { end, .. }
-            | TraceEvent::Rpc { end, .. } => *end,
+            TraceEvent::Kernel { end, .. } | TraceEvent::Transfer { end, .. } => *end,
             TraceEvent::Mark { at, .. } => *at,
         }
     }
@@ -199,16 +172,6 @@ impl Trace {
             })
             .sum()
     }
-
-    /// GPU utilization = busy / makespan for the given device (the paper's
-    /// "effective GPU utilization": total kernel time over wall clock).
-    pub fn utilization(&self, device: u32) -> f64 {
-        let span = self.makespan().as_secs_f64();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        self.device_busy_seconds(device) / span
-    }
 }
 
 #[cfg(test)]
@@ -216,7 +179,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn makespan_and_utilization() {
+    fn makespan_and_busy_seconds() {
         let mut t = Trace::new();
         t.push(TraceEvent::kernel(
             0,
@@ -233,14 +196,13 @@ mod tests {
         ));
         assert_eq!(t.makespan(), Nanos::from_secs_f64(3.0));
         assert!((t.device_busy_seconds(0) - 1.0).abs() < 1e-9);
-        assert!((t.utilization(0) - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_trace_is_safe() {
         let t = Trace::new();
         assert_eq!(t.makespan(), Nanos::ZERO);
-        assert_eq!(t.utilization(0), 0.0);
+        assert_eq!(t.device_busy_seconds(0), 0.0);
     }
 
     #[test]
@@ -272,8 +234,13 @@ mod tests {
         let e = TraceEvent::kernel(1, "matmul", Nanos::ZERO, Nanos(10))
             .with_node(NodeId::new(7))
             .with_plan("llm@semantics_aware");
-        assert_eq!(e.node(), Some(NodeId::new(7)));
-        assert_eq!(e.plan(), Some("llm@semantics_aware"));
+        match &e {
+            TraceEvent::Kernel { node, plan, .. } => {
+                assert_eq!(*node, Some(NodeId::new(7)));
+                assert_eq!(plan.as_deref(), Some("llm@semantics_aware"));
+            }
+            _ => unreachable!(),
+        }
 
         let t = TraceEvent::transfer(0, 1, 64, Nanos(5), Nanos(20))
             .with_node(NodeId::new(3))
@@ -290,7 +257,6 @@ mod tests {
         .with_node(NodeId::new(1))
         .with_plan("p")
         .with_queue_delay(Nanos(1));
-        assert_eq!(m.node(), None);
-        assert_eq!(m.plan(), None);
+        assert!(matches!(m, TraceEvent::Mark { .. }));
     }
 }

@@ -3,6 +3,7 @@
 //! when debugging a placement.
 
 use crate::plan::{ExecutionPlan, Location};
+use genie_srg::dot::escape;
 use std::fmt::Write as _;
 
 /// Stable fill colors per device index (cycled).
@@ -20,7 +21,7 @@ const DEVICE_COLORS: [&str; 6] = [
 /// references dotted.
 pub fn plan_to_dot(plan: &ExecutionPlan) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "digraph \"{}\" {{", plan.srg.name.replace('"', "'"));
+    let _ = writeln!(out, "digraph \"{}\" {{", escape(&plan.srg.name));
     let _ = writeln!(out, "  rankdir=TB;");
     let _ = writeln!(out, "  node [shape=box, fontname=\"monospace\"];");
 
@@ -42,7 +43,7 @@ pub fn plan_to_dot(plan: &ExecutionPlan) -> String {
                     out,
                     "    {} [label=\"{}\\n{}\"];",
                     node.id.index(),
-                    node.name.replace('"', "'"),
+                    escape(&node.name),
                     node.op.mnemonic()
                 );
             }
@@ -107,5 +108,19 @@ mod tests {
         assert!(dot.contains("label=\"d0\""));
         assert!(dot.contains(" B\""), "transfer byte labels present");
         assert!(dot.ends_with("}\n"));
+    }
+
+    #[test]
+    fn names_with_backslashes_and_quotes_stay_inside_their_strings() {
+        let ctx = CaptureCtx::new("a\\ \"b\"");
+        let x = ctx.input("x\\", [4, 4], ElemType::F32, None);
+        x.relu().mark_output();
+        let srg = ctx.finish().srg;
+        let topo = Topology::rack(2, 25e9);
+        let state = ClusterState::new();
+        let cost = CostModel::ideal_25g();
+        let dot = plan_to_dot(&schedule(&srg, &topo, &state, &cost, &RoundRobin));
+        assert!(dot.starts_with("digraph \"a\\\\ \\\"b\\\"\" {"), "{dot}");
+        assert!(dot.contains("[label=\"x\\\\\\n"), "{dot}");
     }
 }

@@ -46,8 +46,9 @@ pub(crate) fn place_with(
     // Sources stay on the client. Everything the client holds — model
     // inputs AND weights — originates there. Weight edges to remote
     // consumers therefore cross the network, where the shared transfer
-    // derivation turns them into one-time pinned uploads (or handle
-    // references once resident). This is what makes "re-upload versus pin"
+    // derivation turns them into one-time pinned uploads (a second
+    // consumer on the same device goes by handle). This is what makes
+    // "re-upload versus pin"
     // an observable cost rather than an accounting fiction.
     let mut placements = vec![Location::ClientCpu; srg.node_count()];
     for id in genie_srg::traverse::topo_order(srg).expect("valid SRG") {

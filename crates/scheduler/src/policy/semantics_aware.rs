@@ -4,8 +4,8 @@
 //! code:
 //!
 //! - **Stateful co-location** — every node in a stateful phase
-//!   (`LlmDecode`) lands on the home device of its KV cache, eliminating
-//!   cache movement.
+//!   (`LlmDecode`) lands on one home device, the least-loaded, where its
+//!   KV cache is pinned, eliminating cache movement.
 //! - **Pipeline parallelism** — `VisionEncode` nodes follow their
 //!   `pipeline_stage` attribute across devices so stages overlap.
 //! - **Data tiering** — `EmbeddingLookup` goes to the device with the
@@ -20,7 +20,7 @@ use super::{place_with, Policy};
 use crate::plan::Location;
 use crate::view::ClusterView;
 use genie_cluster::DevId;
-use genie_srg::{OpKind, Phase, Residency, Srg};
+use genie_srg::{OpKind, Phase, Srg};
 
 /// Genie's semantics-aware placement policy. Pipeline stages spread
 /// over every available device.
@@ -61,21 +61,18 @@ impl Policy for SemanticsAware {
             avail
         };
 
-        // Home device for stateful phases: where the session's resident
-        // objects already live if any, else the least-loaded device.
-        let home = resident_home(srg, view).unwrap_or_else(|| {
-            avail
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    view.state
-                        .queue_seconds(a)
-                        .partial_cmp(&view.state.queue_seconds(b))
-                        .expect("finite queues")
-                        .then(a.cmp(&b))
-                })
-                .expect("avail non-empty")
-        });
+        // Home device for stateful phases: the least-loaded device.
+        let home = avail
+            .iter()
+            .copied()
+            .min_by(|&a, &b| {
+                view.state
+                    .queue_seconds(a)
+                    .partial_cmp(&view.state.queue_seconds(b))
+                    .expect("finite queues")
+                    .then(a.cmp(&b))
+            })
+            .expect("avail non-empty");
 
         let by_key = |f: &dyn Fn(DevId) -> f64| -> DevId {
             avail
@@ -135,25 +132,11 @@ impl Policy for SemanticsAware {
     }
 }
 
-/// If the cluster already pins resident objects for this session's
-/// stateful tensors, reuse their device (sessions stick to their cache).
-fn resident_home(srg: &Srg, view: &ClusterView<'_>) -> Option<DevId> {
-    for edge in srg.edges() {
-        let src = srg.node(edge.src);
-        if src.residency == Residency::StatefulKvCache {
-            if let Some(obj) = view.state.resident(edge.tensor.0) {
-                return Some(obj.device);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use genie_cluster::{ClusterState, ResidentObject, Topology};
+    use genie_cluster::{ClusterState, Topology};
     use genie_frontend::capture::CaptureCtx;
     use genie_models::{CnnConfig, SimpleCnn, TransformerConfig, TransformerLm};
 
@@ -184,47 +167,6 @@ mod tests {
         let p = SemanticsAware::new().place(&srg, &view);
         let used: std::collections::BTreeSet<_> = p.iter().filter_map(|l| l.device()).collect();
         assert_eq!(used.len(), 1, "decode must pin to the cache's device");
-    }
-
-    #[test]
-    fn session_follows_existing_resident_cache() {
-        let m = TransformerLm::new_spec(TransformerConfig::gptj_6b());
-        let ctx = CaptureCtx::new("d");
-        let cap = m.capture_decode_step(&ctx, 0, &genie_models::KvState::default());
-        cap.logits.sample().mark_output();
-        let srg = ctx.finish().srg;
-
-        // Find a stateful tensor id and pin it on device 2.
-        let kv_tensor = srg
-            .edges()
-            .find(|e| srg.node(e.src).residency == Residency::StatefulKvCache)
-            .unwrap()
-            .tensor;
-        let topo = Topology::rack(4, 25e9);
-        let mut state = ClusterState::new();
-        state
-            .register_resident(
-                &topo,
-                ResidentObject {
-                    key: kv_tensor.0,
-                    device: DevId(2),
-                    bytes: 1,
-                    epoch: 1,
-                },
-            )
-            .unwrap();
-        // Make another device idle-est so least-loaded would pick it.
-        state.enqueue_work(DevId(2), 10.0);
-
-        let cost = CostModel::ideal_25g();
-        let view = view_fixture(&topo, &state, &cost);
-        let p = SemanticsAware::new().place(&srg, &view);
-        let used: std::collections::BTreeSet<_> = p.iter().filter_map(|l| l.device()).collect();
-        assert_eq!(
-            used,
-            [DevId(2)].into_iter().collect(),
-            "the session must follow its pinned cache, even to a busy device"
-        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! 1. derive transfers for every cross-location edge, deduplicated per
 //!    `(tensor, destination)` — a value ships at most once per device;
 //! 2. route pinnable residencies (weights, KV caches, embedding tables)
-//!    through the resident-object directory: already-pinned state costs a
-//!    handle reference, new state becomes a one-time pinned upload;
+//!    bound for a device as one-time pinned uploads, which its later
+//!    consumers there read by handle;
 //! 3. estimate end-to-end latency via a critical-path pass over kernel
 //!    and transfer times plus queue delays.
 
@@ -102,21 +102,15 @@ pub fn schedule_with_lints(
             // divides goodput, multiplying the time estimate for anything
             // crossing it.
             let derate = state.link_derate(src_loc.host(topo).0, dst_loc.host(topo).0);
-            // An already-shipped or already-resident tensor goes by handle
-            // and costs nothing; a pinnable one bound for a device is a
-            // one-time upload, priced at streaming rate, and no transfer.
+            // An already-shipped tensor goes by handle and costs nothing; a
+            // pinnable one bound for a device is a one-time upload, priced
+            // at streaming rate, and no transfer.
             let fan_out = !arrived.insert((edge.tensor, dst_loc));
             let pin_to = dst_loc
                 .device()
                 .filter(|_| srg.node(edge.src).residency.prefers_remote_pinning());
-            let resident_on = |dev| {
-                state
-                    .resident(edge.tensor.0)
-                    .is_some_and(|o| o.device == dev)
-            };
             let (via_handle, secs) = match pin_to {
                 _ if fan_out => (true, None),
-                Some(dev) if resident_on(dev) => (true, None),
                 Some(dev) => {
                     pinned_uploads.push((edge.tensor, dev, bytes));
                     edge_cost[eid.index()] = Some(cost.streaming_time(bytes as f64) / derate);
@@ -261,10 +255,9 @@ pub fn schedule_checked(
 mod tests {
     use super::*;
     use crate::policy::{DataAware, RoundRobin, SemanticsAware};
-    use genie_cluster::ResidentObject;
     use genie_frontend::capture::CaptureCtx;
     use genie_models::{KvState, TransformerConfig, TransformerLm};
-    use genie_srg::ElemType;
+    use genie_srg::{ElemType, Residency};
 
     fn decode_graph() -> Srg {
         let m = TransformerLm::new_spec(TransformerConfig::gptj_6b());
@@ -310,43 +303,23 @@ mod tests {
     }
 
     #[test]
-    fn pinned_weights_upload_once_then_reference() {
+    fn pinned_weights_upload_once_and_never_cross_the_wire() {
         let srg = decode_graph();
         let topo = Topology::paper_testbed();
-        let mut state = ClusterState::new();
+        let state = ClusterState::new();
         let cost = CostModel::ideal_25g();
 
-        // First plan: weights become pinned uploads (~12 GB).
-        let first = schedule(&srg, &topo, &state, &cost, &SemanticsAware::new());
-        let upload_bytes: u64 = first.pinned_uploads.iter().map(|(_, _, b)| b).sum();
+        // Weights become pinned uploads (~12 GB), never wire transfers.
+        let plan = schedule(&srg, &topo, &state, &cost, &SemanticsAware::new());
+        let upload_bytes: u64 = plan.pinned_uploads.iter().map(|(_, _, b)| b).sum();
         assert!(
             upload_bytes > 11_000_000_000,
-            "first plan uploads weights: {upload_bytes}"
+            "weights go as pinned uploads: {upload_bytes}"
         );
-
-        // Register those residents (as the backend would after executing).
-        for (tensor, dev, bytes) in &first.pinned_uploads {
-            state
-                .register_resident(
-                    &topo,
-                    ResidentObject {
-                        key: tensor.0,
-                        device: *dev,
-                        bytes: *bytes,
-                        epoch: 1,
-                    },
-                )
-                .unwrap();
-        }
-
-        // Second plan over the same graph: everything pinned is a handle.
-        let second = schedule(&srg, &topo, &state, &cost, &SemanticsAware::new());
-        assert!(second.pinned_uploads.is_empty(), "nothing re-uploads");
-        assert!(
-            second.network_bytes() < 1_000_000,
-            "steady-state decode ships ~KBs, got {}",
-            second.network_bytes()
-        );
+        let weights_on_wire = plan.transfers.iter().filter(|t| {
+            !t.via_handle && srg.node(srg.edge(t.edge).src).residency == Residency::PersistentWeight
+        });
+        assert_eq!(weights_on_wire.count(), 0, "no weight ships by value");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use genie_cluster::{ClusterState, DevId, Topology};
 pub struct ClusterView<'a> {
     /// Static cluster description.
     pub topo: &'a Topology,
-    /// Live allocations / queues / residents / link derates / partitions.
+    /// Live allocations / queues / link derates / partitions.
     pub state: &'a ClusterState,
     /// Pluggable cost model.
     pub cost: &'a CostModel,

@@ -69,7 +69,9 @@ pub fn to_dot(g: &Srg) -> String {
     out
 }
 
-fn escape(s: &str) -> String {
+/// `s` as the body of a DOT double-quoted string: backslashes and
+/// quotes escaped.
+pub fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 

@@ -250,19 +250,6 @@ impl ChromeTrace {
                         args,
                     });
                 }
-                TraceEvent::Rpc { label, start, end } => {
-                    self.events.push(ChromeEvent {
-                        name: label.clone(),
-                        cat: "sim.rpc".into(),
-                        ph: "X".into(),
-                        ts: start.0 as f64 / 1_000.0,
-                        dur: Some((end.0 - start.0) as f64 / 1_000.0),
-                        pid: PID_LINKS,
-                        tid: 0,
-                        s: None,
-                        args: BTreeMap::new(),
-                    });
-                }
                 TraceEvent::Mark { label, at } => {
                     // Injected-fault marks get their own category so fault
                     // windows are filterable in the Perfetto UI.

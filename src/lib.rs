@@ -72,7 +72,7 @@ pub use genie_transport as transport;
 /// The items most programs need.
 pub mod prelude {
     pub use crate::chaos::ChaosConfig;
-    pub use genie_backend::{LocalBackend, RemoteSession, SimBackend};
+    pub use genie_backend::{LocalBackend, RemoteSession};
     pub use genie_cluster::{ClusterState, Topology};
     pub use genie_frontend::capture::{CaptureCtx, CapturedGraph, LazyTensor};
     pub use genie_frontend::value::Value;

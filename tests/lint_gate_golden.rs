@@ -708,9 +708,6 @@ fn trace_fields(events: &[TraceEvent]) -> String {
                 "transfer {from}>{to} {bytes} {} {} {node:?} {plan:?} {}",
                 start.0, end.0, queue_delay.0
             ),
-            TraceEvent::Rpc { label, start, end } => {
-                writeln!(out, "rpc {label} {} {}", start.0, end.0)
-            }
             TraceEvent::Mark { label, at } => writeln!(out, "mark {label} {}", at.0),
         }
         .unwrap();
