@@ -26,11 +26,12 @@
 //!   `CostModel::over` it.
 //! - [`ServingReport`] — what the engine writes: outcomes, the
 //!   deterministic event log, per-lane step slices and counters.
-//!   Everything else is a view of those: TTFT percentiles, the causal
-//!   trace, the spans for the Perfetto exporter, and (when enabled) the
+//!   Everything else is a view of those: TTFT percentiles, the spans
+//!   for the Perfetto exporter, and (when enabled) the
 //!   `genie_serving_*` metrics published to the process-global sinks
 //!   from the finished report. [`ServingLoop::audit`] replays the log
-//!   against every serving [`Law`].
+//!   against every serving [`Law`], and blame analysis borrows it as it
+//!   is ([`ServingReport::causal_doc`]).
 //! - [`fleet::bind_tenant`] — admission through the global scheduler
 //!   (refused on the plan's deny-level findings) to derive lanes and KV budget.
 

@@ -1,13 +1,11 @@
 //! The serving run report: outcomes, event log, step slices, SLO
-//! statistics — and the views derived from them (causal trace, spans,
-//! published telemetry).
+//! statistics — and the views derived from them (spans, published
+//! telemetry). Blame analysis borrows the log and the slices as they are.
 
 use crate::request::{EventKind, LogEvent, Outcome, ServingRequest, ShedReason};
 use crate::slo::SloStats;
 use genie_netsim::Nanos;
-use genie_telemetry::causal::{
-    CausalEvent, CausalEventKind, CausalTraceDoc, MemberPhase, StepSlice,
-};
+use genie_telemetry::causal::{CausalTraceDoc, MemberPhase, StepSlice};
 use genie_telemetry::{SemAttrs, SpanKind, SpanRecord, Track, DEFAULT_TIME_BOUNDS};
 use std::collections::BTreeMap;
 
@@ -79,22 +77,13 @@ impl ServingReport {
         report
     }
 
-    /// The causal trace document for this run: lifecycle events
-    /// (tokens elided) plus per-step slices, ready for
+    /// The causal trace document for this run: the event log and the
+    /// per-step slices, borrowed for
     /// [`genie_telemetry::causal::analyze`].
-    pub fn causal_doc(&self) -> CausalTraceDoc {
-        let lifecycle = self.events.iter().filter_map(|ev| {
-            let (_, kind) = lifecycle(&ev.kind)?;
-            let (at_ns, request) = (ev.at.0, ev.request);
-            Some(CausalEvent {
-                at_ns,
-                request,
-                kind,
-            })
-        });
+    pub fn causal_doc(&self) -> CausalTraceDoc<'_> {
         CausalTraceDoc {
-            events: lifecycle.collect(),
-            slices: self.slices.clone(),
+            events: &self.events,
+            slices: &self.slices,
         }
     }
 
@@ -149,11 +138,11 @@ impl ServingReport {
         }
         let mut last_causal: BTreeMap<u64, u64> = BTreeMap::new();
         for ev in &self.events {
-            let Some((name, kind)) = lifecycle(&ev.kind) else {
+            let Some(name) = lifecycle(&ev.kind) else {
                 continue;
             };
             let mut attrs = SemAttrs::new().request(ev.request);
-            if let CausalEventKind::Admit { lane } = kind {
+            if let EventKind::Admit { lane } = ev.kind {
                 attrs = attrs.device(lane);
             }
             let id = spans.len() as u64 + 1;
@@ -311,22 +300,18 @@ impl ServingReport {
     }
 }
 
-/// A lifecycle event (every kind but a token): its name in the trace
-/// and its kind for blame analysis.
-fn lifecycle(kind: &EventKind) -> Option<(&'static str, CausalEventKind)> {
-    Some(match *kind {
-        EventKind::Arrive => ("request.arrive", CausalEventKind::Arrive),
-        EventKind::Admit { lane } => ("request.admit", CausalEventKind::Admit { lane }),
-        EventKind::Reprefill => ("request.reprefill", CausalEventKind::Reprefill),
-        EventKind::Preempt => ("request.preempt", CausalEventKind::Preempt),
-        EventKind::MigrateStart { from, to, .. } => {
-            let kind = CausalEventKind::MigrateStart { from, to };
-            ("request.migrate_start", kind)
-        }
-        EventKind::MigrateDone { .. } => ("request.migrate_done", CausalEventKind::MigrateDone),
-        EventKind::MigrateFail { .. } => ("request.migrate_fail", CausalEventKind::MigrateFail),
-        EventKind::Complete => ("request.complete", CausalEventKind::Complete),
-        EventKind::Shed(_) => ("request.shed", CausalEventKind::Shed),
+/// A lifecycle event's name in the trace (every kind but a token).
+fn lifecycle(kind: &EventKind) -> Option<&'static str> {
+    Some(match kind {
+        EventKind::Arrive => "request.arrive",
+        EventKind::Admit { .. } => "request.admit",
+        EventKind::Reprefill => "request.reprefill",
+        EventKind::Preempt => "request.preempt",
+        EventKind::MigrateStart { .. } => "request.migrate_start",
+        EventKind::MigrateDone { .. } => "request.migrate_done",
+        EventKind::MigrateFail { .. } => "request.migrate_fail",
+        EventKind::Complete => "request.complete",
+        EventKind::Shed(_) => "request.shed",
         EventKind::Token { .. } => return None,
     })
 }

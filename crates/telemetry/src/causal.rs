@@ -7,11 +7,12 @@
 //!    causal parent span) carried in the transport wire envelope, so
 //!    the server's `transport.serve` span can be attributed to the
 //!    request a peer names.
-//! 2. **A neutral causal trace document** ([`CausalTraceDoc`]) —
-//!    request lifecycle events plus per-lane [`StepSlice`] time
-//!    decompositions on the virtual clock. The serving engine emits
-//!    it; this module only consumes it, so the dependency arrow stays
-//!    `serving -> telemetry`.
+//! 2. **The serving engine's record** — its event log ([`LogEvent`],
+//!    [`EventKind`], [`ShedReason`]) and per-lane [`StepSlice`] time
+//!    decompositions on the virtual clock. The types live here so the
+//!    dependency arrow stays `serving -> telemetry`; the engine writes
+//!    them, and [`CausalTraceDoc`] borrows them from its report as they
+//!    are, with nothing translated or copied.
 //! 3. **[`analyze`]** — reconstructs each request's causal chain,
 //!    extracts its critical path, and produces an exact integer-ns
 //!    blame breakdown (queue / compute / transfer / fault /
@@ -29,6 +30,7 @@
 //! `reprefill`: that work exists only because an eviction destroyed
 //! KV state.
 
+use genie_netsim::Nanos;
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
@@ -46,52 +48,92 @@ pub struct TraceCtx {
 }
 
 // ---------------------------------------------------------------------------
-// Causal trace document
+// The serving record: event log and step slices
 // ---------------------------------------------------------------------------
 
-/// Request lifecycle transition kinds, mirrored (dependency-free) from
-/// the serving engine's event log.
+/// Why a request was shed instead of served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CausalEventKind {
-    /// Request entered the admission queue.
-    Arrive,
-    /// Request was admitted onto a lane.
-    Admit {
-        /// Lane index the request was admitted onto.
-        lane: u32,
-    },
-    /// Request was evicted mid-decode and re-queued.
-    Preempt,
-    /// Request rebuilt evicted KV state from prompt + prefix.
-    Reprefill,
-    /// The request's KV prefix started migrating between hosts
-    /// (prefill/decode disaggregation).
-    MigrateStart {
-        /// Source lane (host) index.
-        from: u32,
-        /// Destination lane (host) index.
-        to: u32,
-    },
-    /// The migrating KV prefix landed on the destination host.
-    MigrateDone,
-    /// The migration was severed mid-flight; the KV prefix is lost and
-    /// the request falls back to lineage re-prefill.
-    MigrateFail,
-    /// Request finished its final token.
-    Complete,
-    /// Request was shed without completing.
-    Shed,
+pub enum ShedReason {
+    /// The admission queue was already at capacity on arrival.
+    QueueFull,
+    /// The request waited past the SLO queue budget without a free slot.
+    QueueOverSlo,
+    /// The request's KV working set can never fit a single lane.
+    KvCapacity,
+    /// The fleet scheduler refused the owning tenant (its plan's deny-level findings).
+    AdmissionRejected,
 }
 
-/// A single request lifecycle transition on the virtual clock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CausalEvent {
-    /// Virtual-clock timestamp in nanoseconds.
-    pub at_ns: u64,
-    /// Serving-request id.
+impl ShedReason {
+    /// Stable label for metrics and logs.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            ShedReason::QueueFull => "queue_full",
+            ShedReason::QueueOverSlo => "queue_over_slo",
+            ShedReason::KvCapacity => "kv_capacity",
+            ShedReason::AdmissionRejected => "admission_rejected",
+        }
+    }
+}
+
+/// What happened in one [`LogEvent`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum EventKind {
+    /// The request entered the admission queue.
+    Arrive,
+    /// The request was admitted onto a lane.
+    Admit {
+        /// Lane (device) index the request will decode on.
+        lane: u32,
+    },
+    /// An evicted request re-ran prefill over prompt + generated prefix
+    /// to restore its KV cache (lineage-style re-materialization).
+    Reprefill,
+    /// One token was produced.
+    Token {
+        /// The sampled token id.
+        value: i64,
+    },
+    /// The request's KV was evicted (LRU) and it re-queued.
+    Preempt,
+    /// The request's KV prefix left its prefill lane for a decode lane
+    /// as simulated link traffic (disaggregated serving).
+    MigrateStart {
+        /// Source lane (prefill host).
+        from: u32,
+        /// Destination lane (decode host).
+        to: u32,
+        /// KV bytes on the wire.
+        bytes: u64,
+    },
+    /// The migrated prefix landed; the request decodes on `to`.
+    MigrateDone {
+        /// Destination lane now holding the prefix.
+        to: u32,
+    },
+    /// A fault severed the migration; the in-flight prefix is lost and
+    /// the request falls back to lineage re-prefill on the decode pool.
+    MigrateFail {
+        /// Destination lane the transfer was bound for.
+        to: u32,
+    },
+    /// The request finished.
+    Complete,
+    /// The request was shed.
+    Shed(ShedReason),
+}
+
+/// One entry of the serving engine's deterministic event log.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LogEvent {
+    /// Virtual timestamp.
+    pub at: Nanos,
+    /// Subject request id.
     pub request: u64,
     /// What happened.
-    pub kind: CausalEventKind,
+    pub kind: EventKind,
+    /// Total KV bytes resident across all lanes *after* this event.
+    pub kv_resident_bytes: u64,
 }
 
 /// The phase a batch member was in during one engine step.
@@ -218,14 +260,15 @@ impl StepSlice {
     }
 }
 
-/// The full causal record of one serving run: lifecycle events plus
-/// per-step slices. Everything [`analyze`] needs, nothing more.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CausalTraceDoc {
-    /// Request lifecycle transitions, in virtual-clock order.
-    pub events: Vec<CausalEvent>,
+/// The full causal record of one serving run, borrowed from its report:
+/// the event log plus per-step slices. Everything [`analyze`] needs,
+/// nothing more.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct CausalTraceDoc<'a> {
+    /// The event log, in processing order (tokens included).
+    pub events: &'a [LogEvent],
     /// Per-lane step decompositions, in step order.
-    pub slices: Vec<StepSlice>,
+    pub slices: &'a [StepSlice],
 }
 
 // ---------------------------------------------------------------------------
@@ -485,7 +528,7 @@ fn fill_gap(
 /// step slices overlap or extend past its completion): the engine
 /// emits contiguous barrier steps, so any gap is a bug worth
 /// surfacing loudly rather than absorbing.
-pub fn analyze(doc: &CausalTraceDoc) -> BlameReport {
+pub fn analyze(doc: &CausalTraceDoc<'_>) -> BlameReport {
     // Arrival / completion / shed per request.
     let mut arrival: BTreeMap<u64, u64> = BTreeMap::new();
     let mut finished: BTreeMap<u64, u64> = BTreeMap::new();
@@ -494,26 +537,29 @@ pub fn analyze(doc: &CausalTraceDoc) -> BlameReport {
     // in log order (the engine serializes migrations per request).
     let mut migrations: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
     let mut open_migration: BTreeMap<u64, u64> = BTreeMap::new();
-    for ev in &doc.events {
+    for ev in doc.events {
+        let at_ns = ev.at.0;
         match ev.kind {
-            CausalEventKind::Arrive => {
-                arrival.entry(ev.request).or_insert(ev.at_ns);
+            EventKind::Arrive => {
+                arrival.entry(ev.request).or_insert(at_ns);
             }
-            CausalEventKind::Complete => {
-                finished.insert(ev.request, ev.at_ns);
+            EventKind::Complete => {
+                finished.insert(ev.request, at_ns);
             }
-            CausalEventKind::Shed => shed += 1,
-            CausalEventKind::MigrateStart { .. } => {
-                open_migration.insert(ev.request, ev.at_ns);
+            EventKind::Shed(_) => shed += 1,
+            EventKind::MigrateStart { .. } => {
+                open_migration.insert(ev.request, at_ns);
             }
-            CausalEventKind::MigrateDone | CausalEventKind::MigrateFail => {
+            EventKind::MigrateDone { .. } | EventKind::MigrateFail { .. } => {
                 if let Some(start) = open_migration.remove(&ev.request) {
                     migrations
                         .entry(ev.request)
                         .or_default()
-                        .push((start, ev.at_ns.max(start)));
+                        .push((start, at_ns.max(start)));
                 }
             }
+            // Tokens, admissions, preemptions and re-prefills carry no
+            // blame: the slices do.
             _ => {}
         }
     }
@@ -523,7 +569,7 @@ pub fn analyze(doc: &CausalTraceDoc) -> BlameReport {
 
     // Per-request step participation, in step order.
     let mut steps: BTreeMap<u64, Vec<(&StepSlice, MemberPhase)>> = BTreeMap::new();
-    for slice in &doc.slices {
+    for slice in doc.slices {
         for m in &slice.members {
             steps.entry(m.request).or_default().push((slice, m.phase));
         }
@@ -734,28 +780,40 @@ pub fn what_if(report: &BlameReport, label: &str, w: &WhatIf) -> WhatIfDelta {
 mod tests {
     use super::*;
 
-    fn doc_one_request() -> CausalTraceDoc {
+    /// An owned event log and its slices, as a serving report holds them.
+    struct Fixture {
+        events: Vec<LogEvent>,
+        slices: Vec<StepSlice>,
+    }
+
+    impl Fixture {
+        fn analyze(&self) -> BlameReport {
+            analyze(&CausalTraceDoc {
+                events: &self.events,
+                slices: &self.slices,
+            })
+        }
+    }
+
+    fn ev(at_ns: u64, request: u64, kind: EventKind) -> LogEvent {
+        LogEvent {
+            at: Nanos(at_ns),
+            request,
+            kind,
+            kv_resident_bytes: 0,
+        }
+    }
+
+    fn doc_one_request() -> Fixture {
         // arrive at 0, admitted at 100 (queue 100), prefill step
         // [100, 300] (compute 120, lat 20, pay 30, fault 10, sync 20),
         // decode step [300, 400] (compute 80, lat 10, pay 5, fault 0,
         // sync 5), complete at 400.
-        CausalTraceDoc {
+        Fixture {
             events: vec![
-                CausalEvent {
-                    at_ns: 0,
-                    request: 1,
-                    kind: CausalEventKind::Arrive,
-                },
-                CausalEvent {
-                    at_ns: 100,
-                    request: 1,
-                    kind: CausalEventKind::Admit { lane: 0 },
-                },
-                CausalEvent {
-                    at_ns: 400,
-                    request: 1,
-                    kind: CausalEventKind::Complete,
-                },
+                ev(0, 1, EventKind::Arrive),
+                ev(100, 1, EventKind::Admit { lane: 0 }),
+                ev(400, 1, EventKind::Complete),
             ],
             slices: vec![
                 StepSlice {
@@ -800,17 +858,7 @@ mod tests {
         // them bytes on the fabric), the remaining 30 sync → queue.
         // Collective must tile TTLT, show up in fractions, and shrink
         // under a what-if bandwidth bump by its serialization part only.
-        let mut doc = CausalTraceDoc::default();
-        doc.events.push(CausalEvent {
-            at_ns: 0,
-            request: 1,
-            kind: CausalEventKind::Arrive,
-        });
-        doc.events.push(CausalEvent {
-            at_ns: 100,
-            request: 1,
-            kind: CausalEventKind::Complete,
-        });
+        let events = vec![ev(0, 1, EventKind::Arrive), ev(100, 1, EventKind::Complete)];
         let slice = StepSlice::from_secs(
             0,
             0,
@@ -828,9 +876,12 @@ mod tests {
         .with_collective(30e-9, 12e-9);
         assert_eq!((slice.collective_ns, slice.collective_payload_ns), (30, 12));
         assert_eq!(slice.sync_ns(), 30);
-        doc.slices.push(slice);
+        let doc = Fixture {
+            events,
+            slices: vec![slice],
+        };
 
-        let report = analyze(&doc);
+        let report = doc.analyze();
         let r = &report.requests[0];
         assert_eq!(r.blame.collective_ns, 30);
         assert_eq!(r.blame.total_ns(), r.ttlt_ns, "collective tiles TTLT");
@@ -854,7 +905,7 @@ mod tests {
 
     #[test]
     fn blame_tiles_ttlt_exactly() {
-        let report = analyze(&doc_one_request());
+        let report = doc_one_request().analyze();
         assert_eq!(report.requests.len(), 1);
         let r = &report.requests[0];
         assert_eq!(r.ttlt_ns, 400);
@@ -879,7 +930,7 @@ mod tests {
     fn reprefill_steps_are_blamed_to_reprefill_not_compute() {
         let mut doc = doc_one_request();
         doc.slices[1].members[0].phase = MemberPhase::Reprefill;
-        let report = analyze(&doc);
+        let report = doc.analyze();
         let r = &report.requests[0];
         assert_eq!(r.blame.compute_decode_ns, 0);
         assert_eq!(r.blame.reprefill_ns, 80 + 10 + 5);
@@ -888,7 +939,7 @@ mod tests {
 
     #[test]
     fn what_if_replay_is_monotone_and_exact() {
-        let report = analyze(&doc_one_request());
+        let report = doc_one_request().analyze();
         let r = &report.requests[0];
         assert_eq!(WhatIf::observed().replay(r), r.ttlt_ns);
         assert_eq!(WhatIf::zero_faults().replay(r), r.ttlt_ns - 10);
@@ -923,27 +974,21 @@ mod tests {
     /// Insert a migration interval [300, 380] into the inter-step gap of
     /// a widened doc: prefill [100, 300], migrate [300, 380], decode
     /// [400, 500], complete at 500.
-    fn doc_with_migration() -> CausalTraceDoc {
+    fn doc_with_migration() -> Fixture {
         let mut doc = doc_one_request();
         doc.slices[1].start_ns = 400;
         doc.slices[1].end_ns = 500;
-        doc.events[2].at_ns = 500; // Complete
-        doc.events.push(CausalEvent {
-            at_ns: 300,
-            request: 1,
-            kind: CausalEventKind::MigrateStart { from: 1, to: 0 },
-        });
-        doc.events.push(CausalEvent {
-            at_ns: 380,
-            request: 1,
-            kind: CausalEventKind::MigrateDone,
-        });
+        doc.events[2].at = Nanos(500); // Complete
+        let (from, to, bytes) = (1, 0, 64);
+        let start = EventKind::MigrateStart { from, to, bytes };
+        doc.events.push(ev(300, 1, start));
+        doc.events.push(ev(380, 1, EventKind::MigrateDone { to }));
         doc
     }
 
     #[test]
     fn migration_blame_tiles_the_gap_and_ttlt() {
-        let report = analyze(&doc_with_migration());
+        let report = doc_with_migration().analyze();
         let r = &report.requests[0];
         assert_eq!(r.ttlt_ns, 500);
         assert_eq!(r.blame.total_ns(), 500);
@@ -971,8 +1016,8 @@ mod tests {
         // Replace MigrateDone with MigrateFail at the same timestamp;
         // the wire time until the severance is still migration blame.
         let last = doc.events.len() - 1;
-        doc.events[last].kind = CausalEventKind::MigrateFail;
-        let report = analyze(&doc);
+        doc.events[last].kind = EventKind::MigrateFail { to: 0 };
+        let report = doc.analyze();
         let r = &report.requests[0];
         assert_eq!(r.blame.migrate_ns, 80);
         assert_eq!(r.blame.total_ns(), r.ttlt_ns);
@@ -980,7 +1025,7 @@ mod tests {
 
     #[test]
     fn what_if_bandwidth_scales_migration_time() {
-        let report = analyze(&doc_with_migration());
+        let report = doc_with_migration().analyze();
         let r = &report.requests[0];
         assert_eq!(WhatIf::observed().replay(r), r.ttlt_ns);
         // 2x bandwidth halves payload (35 -> 18 rounded) and migrate
@@ -991,18 +1036,26 @@ mod tests {
     #[test]
     fn shed_requests_are_counted_but_not_blamed() {
         let mut doc = doc_one_request();
-        doc.events.push(CausalEvent {
-            at_ns: 50,
-            request: 2,
-            kind: CausalEventKind::Arrive,
-        });
-        doc.events.push(CausalEvent {
-            at_ns: 90,
-            request: 2,
-            kind: CausalEventKind::Shed,
-        });
-        let report = analyze(&doc);
+        doc.events.push(ev(50, 2, EventKind::Arrive));
+        let why = ShedReason::QueueOverSlo;
+        doc.events.push(ev(90, 2, EventKind::Shed(why)));
+        let report = doc.analyze();
         assert_eq!(report.shed, 1);
         assert_eq!(report.requests.len(), 1);
+    }
+
+    #[test]
+    fn token_events_carry_no_blame() {
+        let quiet = doc_with_migration();
+        let mut chatty = doc_with_migration();
+        // A token after every event, and one of a request that never
+        // arrived: the log is read as the engine wrote it.
+        let token = |e: &LogEvent| ev(e.at.0, e.request, EventKind::Token { value: 7 });
+        let interleaved = quiet.events.iter().flat_map(|e| [e.clone(), token(e)]);
+        chatty.events = interleaved.collect();
+        let stray = ev(350, 9, EventKind::Token { value: 8 });
+        chatty.events.push(stray);
+        assert_eq!(chatty.events.len(), 2 * quiet.events.len() + 1);
+        assert_eq!(chatty.analyze(), quiet.analyze());
     }
 }

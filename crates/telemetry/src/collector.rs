@@ -1,11 +1,11 @@
-//! The span collector: a sharded, lock-cheap sink for [`SpanRecord`]s.
+//! The span collector: one bounded ring of [`SpanRecord`]s under one lock.
 //!
-//! Hot paths (per-op capture, per-kernel simulation, per-frame transport)
-//! must not serialize on one mutex. The collector keeps one buffer per
-//! shard, picks a shard from the recording thread's id, and hands out a
-//! global monotone sequence number from an atomic — so concurrent
-//! recorders contend only when they hash to the same shard, and a drain
-//! can still prove losslessness by checking the sequence.
+//! Spans come from the control path (capture, scheduling, the simulated
+//! run, the serving report's projection) and from the transport's client
+//! and server threads, so recorders are few and a push is short. Each
+//! record takes its sequence number under the same lock that appends it:
+//! buffer order is sequence order, a drain can prove losslessness by
+//! checking the sequence, and the cap holds exactly.
 
 use crate::lock;
 use crate::metrics::Counter;
@@ -13,11 +13,9 @@ use crate::span::{Name, SemAttrs, SpanKind, SpanRecord, Track};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-const SHARDS: usize = 16;
 
 /// Process-global span id source, shared by all collectors so parent
 /// links never collide across collector instances.
@@ -34,14 +32,20 @@ fn thread_hash() -> u64 {
     h.finish()
 }
 
+/// The buffered records, oldest first, with the next sequence number
+/// and the eviction count.
+#[derive(Default)]
+struct Ring {
+    records: VecDeque<SpanRecord>,
+    seq: u64,
+    dropped: u64,
+}
+
 /// A thread-safe span sink.
 pub struct Collector {
     enabled: AtomicBool,
-    seq: AtomicU64,
-    len: AtomicUsize,
-    dropped: AtomicU64,
     max_events: usize,
-    shards: Vec<Mutex<VecDeque<SpanRecord>>>,
+    ring: Mutex<Ring>,
     drop_metric: OnceLock<Counter>,
     epoch: Instant,
 }
@@ -68,11 +72,8 @@ impl Collector {
     pub fn with_capacity(max_events: usize) -> Self {
         Collector {
             enabled: AtomicBool::new(true),
-            seq: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
             max_events,
-            shards: (0..SHARDS).map(|_| Mutex::new(VecDeque::new())).collect(),
+            ring: Mutex::default(),
             drop_metric: OnceLock::new(),
             epoch: Instant::now(),
         }
@@ -104,7 +105,7 @@ impl Collector {
 
     /// Number of records currently buffered.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        lock(&self.ring).records.len()
     }
 
     /// Whether no records are buffered.
@@ -114,7 +115,7 @@ impl Collector {
 
     /// Records evicted because the cap was reached (ring overwrites).
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        lock(&self.ring).dropped
     }
 
     /// Open a timed span; the returned guard records on drop. The span
@@ -181,60 +182,33 @@ impl Collector {
         if !self.is_enabled() {
             return;
         }
-        record.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         if record.thread == 0 {
             record.thread = thread_hash();
         }
-        let shard = (record.thread as usize) % SHARDS;
-        if self.len.load(Ordering::Relaxed) >= self.max_events {
-            // Evict the oldest reachable record: this thread's shard
-            // first (cheap, already locked for the push), else the
-            // first non-empty shard. `len` is unchanged on eviction.
-            let evicted_here = {
-                let mut own = lock(&self.shards[shard]);
-                let e = own.pop_front().is_some();
-                own.push_back(record);
-                e
-            };
-            let evicted = evicted_here
-                || (1..SHARDS).any(|i| {
-                    lock(&self.shards[(shard + i) % SHARDS])
-                        .pop_front()
-                        .is_some()
-                });
-            if evicted {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = self.drop_metric.get() {
-                    c.inc();
-                }
-            } else {
-                self.len.fetch_add(1, Ordering::Relaxed);
-            }
+        let mut ring = lock(&self.ring);
+        record.seq = ring.seq;
+        ring.seq += 1;
+        ring.records.push_back(record);
+        if ring.records.len() <= self.max_events {
             return;
         }
-        lock(&self.shards[shard]).push_back(record);
-        self.len.fetch_add(1, Ordering::Relaxed);
+        // The oldest record goes; it is freed after the lock is released.
+        let _evicted = ring.records.pop_front();
+        ring.dropped += 1;
+        drop(ring);
+        if let Some(c) = self.drop_metric.get() {
+            c.inc();
+        }
     }
 
     /// Take every buffered record, ordered by sequence number.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        let mut all = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(lock(shard).drain(..));
-        }
-        self.len.store(0, Ordering::Relaxed);
-        all.sort_by_key(|r| r.seq);
-        all
+        lock(&self.ring).records.drain(..).collect()
     }
 
     /// Copy every buffered record (sequence order) without clearing.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut all = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(lock(shard).iter().cloned());
-        }
-        all.sort_by_key(|r| r.seq);
-        all
+        lock(&self.ring).records.iter().cloned().collect()
     }
 }
 
@@ -354,6 +328,39 @@ mod tests {
         let recs = c.drain();
         let names: Vec<String> = recs.iter().map(|r| r.name.to_string()).collect();
         assert_eq!(names, vec!["i2", "i3", "i4"], "oldest were evicted");
+    }
+
+    #[test]
+    fn ring_evicts_the_oldest_record_whichever_thread_pushed_it() {
+        let c = std::sync::Arc::new(Collector::with_capacity(2));
+        let other = c.clone();
+        std::thread::spawn(move || other.instant("r0", "c", SemAttrs::new()))
+            .join()
+            .unwrap();
+        c.instant("r1", "c", SemAttrs::new());
+        c.instant("r2", "c", SemAttrs::new());
+        let names: Vec<String> = c.drain().iter().map(|r| r.name.to_string()).collect();
+        assert_eq!(names, vec!["r1", "r2"]);
+    }
+
+    #[test]
+    fn concurrent_recorders_never_exceed_the_cap() {
+        let c = std::sync::Arc::new(Collector::with_capacity(100));
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let c = c.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..500 {
+                        c.instant("i", "stress", SemAttrs::new());
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(c.len(), 100);
+        assert_eq!(c.dropped(), 8 * 500 - 100);
     }
 
     #[test]

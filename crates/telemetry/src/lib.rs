@@ -10,9 +10,9 @@
 //!
 //! Three pieces:
 //!
-//! - [`collector::Collector`] + [`span::SpanRecord`] — a sharded,
-//!   lock-cheap span sink with RAII guards, parent links, and semantic
-//!   attributes ([`span::SemAttrs`]);
+//! - [`collector::Collector`] + [`span::SpanRecord`] — a bounded span
+//!   ring with RAII guards, parent links, and semantic attributes
+//!   ([`span::SemAttrs`]);
 //! - [`metrics::MetricsRegistry`] — counters, gauges, and fixed-bucket
 //!   histograms, snapshottable to JSON and Prometheus text exposition;
 //! - exporters — [`export::ChromeTrace`] (Perfetto / `chrome://tracing`
@@ -32,8 +32,8 @@
 //!
 //! Instrumented crates call [`global()`]; the collector is enabled by
 //! default and cheap enough to leave on (one atomic branch when
-//! disabled, a sharded push when enabled). Tools that want an isolated
-//! capture construct their own [`Collector`]/[`MetricsRegistry`].
+//! disabled, one short locked push when enabled). Tools that want an
+//! isolated capture construct their own [`Collector`]/[`MetricsRegistry`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
