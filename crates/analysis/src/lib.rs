@@ -18,8 +18,9 @@
 //!   deny-level findings.
 //! - **Plan passes** ([`plan_passes`], codes `GA1xx`) run inside
 //!   `genie-scheduler::schedule` as a post-gate over placements and
-//!   transfers, reported through the scheduler-neutral
-//!   [`plan_passes::PlanFacts`] trait.
+//!   transfers. They read the [`plan::ExecutionPlan`] itself: the plan
+//!   type lives in this crate, beside the [`Diagnostic`] it carries, and
+//!   the scheduler re-exports it.
 //! - **Schedule-timeline passes** ([`schedule_passes`], codes `GA2xx`)
 //!   reason over the plan's step timeline: the liveness-based memory
 //!   watermark, channel-FIFO transfer-ordering hazards, double pinning,
@@ -54,13 +55,14 @@
 
 pub mod dataflow;
 pub mod diag;
+pub mod plan;
 pub mod plan_passes;
 pub mod precision_passes;
 pub mod schedule_passes;
 pub mod srg_passes;
 
 pub use diag::{Anchor, Diagnostic, LintCode, LintConfig, LintFamily, Report, Severity};
-pub use plan_passes::{run_plan_passes, PlanFacts, TransferFact};
+pub use plan_passes::run_plan_passes;
 pub use precision_passes::{
     check_precision_consistency, device_class_error_factor, elem_eps, error_bounds,
     error_bounds_with, error_factor, requested_tier, tier_for_node, ErrorBounds, CRITICALITY_SLACK,

@@ -1,86 +1,21 @@
 //! Plan-level passes: the post-`schedule()` gate.
 //!
-//! These checks need placements, transfers, and live cluster state, which
-//! live in `genie-scheduler` — a crate that itself depends on this one.
-//! The dependency is inverted through [`PlanFacts`]: the scheduler
-//! implements the trait for its `ExecutionPlan`, and the passes here see
-//! only neutral facts (devices, bytes, handles). [`run_plan_passes`]
-//! reads those facts once into a `PlanView`, with the graph's one
-//! topological order, and every pass reads the view.
+//! These checks need placements, transfers, and live cluster state. They
+//! read the [`ExecutionPlan`] the scheduler emits — the type is this
+//! crate's ([`crate::plan`]). The passes that walk the plan's timeline
+//! also read the graph's one topological order, built once per gate.
 
 use crate::dataflow::SrgFlow;
 use crate::diag::{timed_pass, Anchor, LintCode, LintConfig, Report};
+use crate::plan::{ExecutionPlan, Location};
 use genie_cluster::{ClusterState, DevId, Topology};
-use genie_srg::{EdgeId, NodeId, Phase, Residency, Srg, TensorId};
-
-/// One scheduled data movement, reduced to what the lints need.
-/// `None` locations mean the client CPU.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TransferFact {
-    /// The SRG edge this transfer realizes.
-    pub edge: EdgeId,
-    /// The logical tensor moved.
-    pub tensor: TensorId,
-    /// Source device (`None` = client).
-    pub from: Option<DevId>,
-    /// Destination device (`None` = client).
-    pub to: Option<DevId>,
-    /// Payload bytes.
-    pub bytes: u64,
-    /// Whether the payload is addressed by resident-object handle.
-    pub via_handle: bool,
-}
-
-/// The scheduler-neutral view of an execution plan.
-pub trait PlanFacts {
-    /// A name for the report subject (typically "graph@policy").
-    fn subject(&self) -> String;
-    /// The graph the plan executes.
-    fn srg(&self) -> &Srg;
-    /// Device binding of a node (`None` = client CPU).
-    fn node_device(&self, node: NodeId) -> Option<DevId>;
-    /// All scheduled transfers.
-    fn transfers(&self) -> Vec<TransferFact>;
-    /// One-time pinned uploads: (tensor, destination, bytes).
-    fn pinned_uploads(&self) -> Vec<(TensorId, DevId, u64)>;
-}
-
-/// A plan as its passes read it, gathered once per gate: the graph, its
-/// topological order, each node's device, and the plan's transfer and
-/// pinned-upload lists.
-pub(crate) struct PlanView<'a> {
-    pub(crate) srg: &'a Srg,
-    /// The graph's steps in topological order; `None` when it is cyclic.
-    pub(crate) flow: Option<SrgFlow<'a>>,
-    /// Device of each node (`None` = client), indexed by [`NodeId::index`].
-    devices: Vec<Option<DevId>>,
-    pub(crate) transfers: Vec<TransferFact>,
-    pub(crate) pinned: Vec<(TensorId, DevId, u64)>,
-}
-
-impl<'a> PlanView<'a> {
-    pub(crate) fn new(facts: &'a dyn PlanFacts) -> Self {
-        let srg = facts.srg();
-        PlanView {
-            srg,
-            flow: SrgFlow::new(srg).ok(),
-            devices: srg.node_ids().map(|n| facts.node_device(n)).collect(),
-            transfers: facts.transfers(),
-            pinned: facts.pinned_uploads(),
-        }
-    }
-
-    /// Device binding of a node (`None` = client CPU).
-    pub(crate) fn device(&self, node: NodeId) -> Option<DevId> {
-        self.devices[node.index()]
-    }
-}
+use genie_srg::{Phase, Residency, TensorId};
 
 /// Run every plan pass under `cfg` — the GA1xx local checks, the GA2xx
 /// timeline passes from [`crate::schedule_passes`], and the plan-level
 /// GA3xx precision passes — and return the merged report.
 pub fn run_plan_passes(
-    facts: &dyn PlanFacts,
+    plan: &ExecutionPlan,
     topo: &Topology,
     state: &ClusterState,
     cfg: &LintConfig,
@@ -90,42 +25,44 @@ pub fn run_plan_passes(
         check_collective_deadlock, check_double_pinning, check_memory_watermark,
         check_transfer_deadlock, check_transfer_ordering,
     };
-    let plan = PlanView::new(facts);
-    let mut report = Report::new(facts.subject());
+    let mut report = Report::new(plan.label());
+    // The graph's steps in topological order; `None` when it is cyclic.
+    let flow = SrgFlow::new(&plan.srg).ok();
+    let flow = flow.as_ref();
     timed_pass("lint.memory_watermark", || {
-        check_memory_watermark(&plan, topo, state, cfg, &mut report)
+        check_memory_watermark(plan, flow, topo, state, cfg, &mut report)
     });
     timed_pass("lint.transfer_endpoints", || {
-        check_transfer_endpoints(&plan, cfg, &mut report)
+        check_transfer_endpoints(plan, cfg, &mut report)
     });
     timed_pass("lint.weight_shipping", || {
-        check_weight_shipping(&plan, cfg, &mut report)
+        check_weight_shipping(plan, cfg, &mut report)
     });
     timed_pass("lint.kv_colocation", || {
-        check_kv_colocation(&plan, cfg, &mut report)
+        check_kv_colocation(plan, cfg, &mut report)
     });
     timed_pass("lint.transfer_ordering", || {
-        check_transfer_ordering(&plan, cfg, &mut report)
+        check_transfer_ordering(plan, flow, cfg, &mut report)
     });
     timed_pass("lint.double_pinning", || {
-        check_double_pinning(&plan, cfg, &mut report)
+        check_double_pinning(plan, cfg, &mut report)
     });
     timed_pass("lint.transfer_deadlock", || {
-        check_transfer_deadlock(&plan, cfg, &mut report)
+        check_transfer_deadlock(plan, cfg, &mut report)
     });
     timed_pass("lint.collective_deadlock", || {
-        check_collective_deadlock(&plan, cfg, &mut report)
+        check_collective_deadlock(plan, flow, cfg, &mut report)
     });
     timed_pass("lint.precision_plan", || {
-        check_precision_plan(&plan, topo, cfg, &mut report)
+        check_precision_plan(plan, flow, topo, cfg, &mut report)
     });
     report.finish().record_metrics()
 }
 
 /// GA102 — transfer endpoints: each transfer's `from`/`to` must equal the
 /// placements of the edge it claims to realize.
-fn check_transfer_endpoints(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
-    let srg = plan.srg;
+fn check_transfer_endpoints(plan: &ExecutionPlan, cfg: &LintConfig, report: &mut Report) {
+    let srg = &plan.srg;
     for t in &plan.transfers {
         if t.edge.index() >= srg.edge_count() {
             report.push(
@@ -137,20 +74,16 @@ fn check_transfer_endpoints(plan: &PlanView, cfg: &LintConfig, report: &mut Repo
             continue;
         }
         let edge = srg.edge(t.edge);
-        let src_dev = plan.device(edge.src);
-        let dst_dev = plan.device(edge.dst);
-        if t.from != src_dev || t.to != dst_dev {
-            let show = |d: Option<DevId>| d.map_or("client".to_string(), |d| d.to_string());
+        let src = plan.location(edge.src);
+        let dst = plan.location(edge.dst);
+        if t.from != src || t.to != dst {
             report.push(
                 cfg,
                 LintCode::TransferEndpointMismatch,
                 Anchor::Edge(t.edge),
                 format!(
-                    "transfer {}→{} disagrees with placements {}→{}",
-                    show(t.from),
-                    show(t.to),
-                    show(src_dev),
-                    show(dst_dev)
+                    "transfer {}→{} disagrees with placements {src}→{dst}",
+                    t.from, t.to
                 ),
             );
         }
@@ -160,10 +93,10 @@ fn check_transfer_endpoints(plan: &PlanView, cfg: &LintConfig, report: &mut Repo
 /// GA103 — weight shipping: a persistent weight (or embedding shard)
 /// moving to a device by value instead of by handle re-pays its full
 /// footprint on every invocation.
-fn check_weight_shipping(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
-    let srg = plan.srg;
+fn check_weight_shipping(plan: &ExecutionPlan, cfg: &LintConfig, report: &mut Report) {
+    let srg = &plan.srg;
     for t in &plan.transfers {
-        if t.via_handle || t.to.is_none() || t.edge.index() >= srg.edge_count() {
+        if t.via_handle || t.to == Location::ClientCpu || t.edge.index() >= srg.edge_count() {
             continue;
         }
         let src = srg.node(srg.edge(t.edge).src);
@@ -177,9 +110,7 @@ fn check_weight_shipping(plan: &PlanView, cfg: &LintConfig, report: &mut Report)
                 Anchor::Edge(t.edge),
                 format!(
                     "{} B {} re-ships by value to {}",
-                    t.bytes,
-                    src.residency,
-                    t.to.expect("checked above")
+                    t.bytes, src.residency, t.to
                 ),
             );
         }
@@ -194,10 +125,13 @@ fn check_weight_shipping(plan: &PlanView, cfg: &LintConfig, report: &mut Report)
 /// co-location), so that edge counts as co-located. A cache computed in
 /// this step on one location and read on another ships every step, pinned
 /// or not.
-fn check_kv_colocation(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
-    let srg = plan.srg;
-    let mut pinned: Vec<(TensorId, DevId)> =
-        plan.pinned.iter().map(|&(t, dev, _)| (t, dev)).collect();
+fn check_kv_colocation(plan: &ExecutionPlan, cfg: &LintConfig, report: &mut Report) {
+    let srg = &plan.srg;
+    let mut pinned: Vec<(TensorId, DevId)> = plan
+        .pinned_uploads
+        .iter()
+        .map(|&(t, dev, _)| (t, dev))
+        .collect();
     pinned.sort_unstable();
     for edge in srg.edges() {
         let src = srg.node(edge.src);
@@ -209,22 +143,19 @@ fn check_kv_colocation(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
         if !decodeish(&src.phase) && !decodeish(&dst.phase) {
             continue;
         }
-        let a = plan.device(edge.src);
-        let b = plan.device(edge.dst);
+        let a = plan.location(edge.src);
+        let b = plan.location(edge.dst);
         let resident_at_reader = src.op.is_source()
-            && b.is_some_and(|dev| pinned.binary_search(&(edge.tensor, dev)).is_ok());
+            && b.device()
+                .is_some_and(|dev| pinned.binary_search(&(edge.tensor, dev)).is_ok());
         if a != b && !resident_at_reader {
-            let show = |d: Option<DevId>| d.map_or("client".to_string(), |d| d.to_string());
             report.push(
                 cfg,
                 LintCode::KvCacheNotColocated,
                 Anchor::Edge(edge.id),
                 format!(
-                    "kv cache {} on {} consumed by {} on {}",
-                    edge.src,
-                    show(a),
-                    edge.dst,
-                    show(b)
+                    "kv cache {} on {a} consumed by {} on {b}",
+                    edge.src, edge.dst
                 ),
             );
         }
@@ -234,34 +165,21 @@ fn check_kv_colocation(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{CostBreakdown, Transfer};
     use genie_cluster::GpuSpec;
-    use genie_srg::{ElemType, Node, OpKind, TensorMeta};
-    use std::collections::BTreeMap;
+    use genie_srg::{EdgeId, ElemType, Node, NodeId, OpKind, Srg, TensorMeta};
 
-    /// A hand-built plan for tests: the scheduler-free implementation of
-    /// [`PlanFacts`].
-    struct FakePlan {
-        srg: Srg,
-        placements: BTreeMap<NodeId, Option<DevId>>,
-        transfers: Vec<TransferFact>,
-        pinned: Vec<(TensorId, DevId, u64)>,
-    }
-
-    impl PlanFacts for FakePlan {
-        fn subject(&self) -> String {
-            format!("{}@fake", self.srg.name)
-        }
-        fn srg(&self) -> &Srg {
-            &self.srg
-        }
-        fn node_device(&self, node: NodeId) -> Option<DevId> {
-            self.placements.get(&node).copied().flatten()
-        }
-        fn transfers(&self) -> Vec<TransferFact> {
-            self.transfers.clone()
-        }
-        fn pinned_uploads(&self) -> Vec<(TensorId, DevId, u64)> {
-            self.pinned.clone()
+    /// A hand-built plan for tests: `placements` per node index (nodes
+    /// past its end are on the client), no transfers, nothing pinned.
+    fn plan(srg: Srg, placements: Vec<Location>) -> ExecutionPlan {
+        ExecutionPlan {
+            policy: "fake".into(),
+            srg,
+            placements,
+            transfers: Vec::new(),
+            pinned_uploads: Vec::new(),
+            estimate: CostBreakdown::default(),
+            diagnostics: Vec::new(),
         }
     }
 
@@ -276,7 +194,8 @@ mod tests {
         (t, d)
     }
 
-    fn two_node_graph() -> (Srg, NodeId, NodeId, EdgeId) {
+    /// `w → mm`: node 0 a persistent weight, node 1 its matmul.
+    fn two_node_graph() -> (Srg, EdgeId) {
         let mut g = Srg::new("plan-g");
         let a = g.add_node(
             Node::new(NodeId::new(0), OpKind::Parameter, "w")
@@ -284,22 +203,20 @@ mod tests {
         );
         let b = g.add_node(Node::new(NodeId::new(0), OpKind::MatMul, "mm"));
         let e = g.connect(a, b, TensorMeta::new([1024, 1024], ElemType::F32));
-        (g, a, b, e)
+        (g, e)
     }
 
-    fn lint(facts: &FakePlan, topo: &Topology, state: &ClusterState) -> Report {
-        run_plan_passes(facts, topo, state, &LintConfig::new())
+    fn lint(plan: &ExecutionPlan, topo: &Topology, state: &ClusterState) -> Report {
+        run_plan_passes(plan, topo, state, &LintConfig::new())
     }
 
     #[test]
     fn ga101_overcommit_detected() {
         let (topo, dev) = tiny_topo(1_000_000); // 1 MB device
-        let (srg, a, b, _) = two_node_graph();
-        let plan = FakePlan {
-            srg,
-            placements: [(a, None), (b, Some(dev))].into_iter().collect(),
-            transfers: Vec::new(),
-            pinned: vec![(TensorId::new(0), dev, 8_000_000)], // 8 MB of weights
+        let (srg, _) = two_node_graph();
+        let plan = ExecutionPlan {
+            pinned_uploads: vec![(TensorId::new(0), dev, 8_000_000)], // 8 MB of weights
+            ..plan(srg, vec![Location::ClientCpu, Location::Device(dev)])
         };
         let state = ClusterState::new();
         let r = lint(&plan, &topo, &state);
@@ -312,12 +229,10 @@ mod tests {
     #[test]
     fn ga101_fits_is_clean() {
         let (topo, dev) = tiny_topo(80_000_000_000);
-        let (srg, a, b, _) = two_node_graph();
-        let plan = FakePlan {
-            srg,
-            placements: [(a, None), (b, Some(dev))].into_iter().collect(),
-            transfers: Vec::new(),
-            pinned: vec![(TensorId::new(0), dev, 8_000_000)],
+        let (srg, _) = two_node_graph();
+        let plan = ExecutionPlan {
+            pinned_uploads: vec![(TensorId::new(0), dev, 8_000_000)],
+            ..plan(srg, vec![Location::ClientCpu, Location::Device(dev)])
         };
         let state = ClusterState::new();
         assert!(lint(&plan, &topo, &state)
@@ -328,20 +243,18 @@ mod tests {
     #[test]
     fn ga102_endpoint_mismatch_detected() {
         let (topo, dev) = tiny_topo(80_000_000_000);
-        let (srg, a, b, e) = two_node_graph();
-        let plan = FakePlan {
-            srg,
-            placements: [(a, None), (b, Some(dev))].into_iter().collect(),
+        let (srg, e) = two_node_graph();
+        let plan = ExecutionPlan {
             // Claims device→device although the edge runs client→device.
-            transfers: vec![TransferFact {
+            transfers: vec![Transfer {
                 edge: e,
                 tensor: TensorId::new(0),
-                from: Some(dev),
-                to: Some(dev),
+                from: Location::Device(dev),
+                to: Location::Device(dev),
                 bytes: 64,
                 via_handle: true,
             }],
-            pinned: Vec::new(),
+            ..plan(srg, vec![Location::ClientCpu, Location::Device(dev)])
         };
         let state = ClusterState::new();
         let r = lint(&plan, &topo, &state);
@@ -355,19 +268,17 @@ mod tests {
     #[test]
     fn ga103_weight_by_value_detected() {
         let (topo, dev) = tiny_topo(80_000_000_000);
-        let (srg, a, b, e) = two_node_graph();
-        let plan = FakePlan {
-            srg,
-            placements: [(a, None), (b, Some(dev))].into_iter().collect(),
-            transfers: vec![TransferFact {
+        let (srg, e) = two_node_graph();
+        let plan = ExecutionPlan {
+            transfers: vec![Transfer {
                 edge: e,
                 tensor: TensorId::new(0),
-                from: None,
-                to: Some(dev),
+                from: Location::ClientCpu,
+                to: Location::Device(dev),
                 bytes: 4 << 20,
                 via_handle: false, // weights must go via pinned upload
             }],
-            pinned: Vec::new(),
+            ..plan(srg, vec![Location::ClientCpu, Location::Device(dev)])
         };
         let state = ClusterState::new();
         let r = lint(&plan, &topo, &state);
@@ -383,7 +294,7 @@ mod tests {
     fn ga104_split_kv_detected_and_colocated_clean() {
         let mut t = Topology::new();
         let h = t.add_host("s");
-        let d0 = t.add_device(h, GpuSpec::a100_80gb());
+        let d0 = Location::Device(t.add_device(h, GpuSpec::a100_80gb()));
         let d1 = t.add_device(h, GpuSpec::a100_80gb());
 
         let mut g = Srg::new("kv-g");
@@ -402,31 +313,23 @@ mod tests {
                 .with_cost(genie_srg::CostHints::new(1e6, 1.0, 1.0)),
         );
         let e = g.connect(kv, attn, TensorMeta::new([5, 8], ElemType::F32));
+        let client = Location::ClientCpu;
 
-        let split = FakePlan {
-            srg: g.clone(),
-            placements: [(kv, Some(d0)), (attn, Some(d1))].into_iter().collect(),
-            transfers: Vec::new(),
-            pinned: Vec::new(),
-        };
+        // kv, seed, row, attn.
+        let split = plan(g.clone(), vec![d0, client, client, Location::Device(d1)]);
         let state = ClusterState::new();
         let r = lint(&split, &t, &state);
         assert_eq!(r.with_code(LintCode::KvCacheNotColocated).len(), 1, "{r}");
         // Appended to on d0 this step, the cache crosses to d1 every step
         // even when the plan pins it to its reader.
-        let pinned = FakePlan {
-            pinned: vec![(g.edge(e).tensor, d1, 160)],
+        let pinned = ExecutionPlan {
+            pinned_uploads: vec![(g.edge(e).tensor, d1, 160)],
             ..split
         };
         let r = lint(&pinned, &t, &state);
         assert_eq!(r.with_code(LintCode::KvCacheNotColocated).len(), 1, "{r}");
 
-        let colocated = FakePlan {
-            srg: g,
-            placements: [(kv, Some(d0)), (attn, Some(d0))].into_iter().collect(),
-            transfers: Vec::new(),
-            pinned: Vec::new(),
-        };
+        let colocated = plan(g, vec![d0, client, client, d0]);
         assert!(lint(&colocated, &t, &state)
             .with_code(LintCode::KvCacheNotColocated)
             .is_empty());
@@ -452,19 +355,17 @@ mod tests {
         );
         let e = g.connect(kv, attn, TensorMeta::new([5, 8], ElemType::F32));
         let tensor = g.edge(e).tensor;
-        let plan = |pins: Vec<(TensorId, DevId, u64)>| FakePlan {
-            srg: g.clone(),
-            placements: [(kv, None), (attn, Some(d0))].into_iter().collect(),
-            transfers: Vec::new(),
-            pinned: pins,
+        let pinned = |pins: Vec<(TensorId, DevId, u64)>| ExecutionPlan {
+            pinned_uploads: pins,
+            ..plan(g.clone(), vec![Location::ClientCpu, Location::Device(d0)])
         };
         let state = ClusterState::new();
 
-        let r = lint(&plan(vec![(tensor, d0, 160)]), &t, &state);
+        let r = lint(&pinned(vec![(tensor, d0, 160)]), &t, &state);
         assert!(r.with_code(LintCode::KvCacheNotColocated).is_empty(), "{r}");
         // Unpinned, or pinned elsewhere, the cache is split from its reader.
         for pins in [vec![], vec![(tensor, d1, 160)]] {
-            let r = lint(&plan(pins), &t, &state);
+            let r = lint(&pinned(pins), &t, &state);
             assert_eq!(r.with_code(LintCode::KvCacheNotColocated).len(), 1, "{r}");
         }
     }
@@ -472,14 +373,9 @@ mod tests {
     #[test]
     fn unknown_device_reported_not_panicked() {
         let (topo, _) = tiny_topo(1_000_000);
-        let (srg, a, b, _) = two_node_graph();
+        let (srg, _) = two_node_graph();
         let ghost = DevId(42);
-        let plan = FakePlan {
-            srg,
-            placements: [(a, None), (b, Some(ghost))].into_iter().collect(),
-            transfers: Vec::new(),
-            pinned: Vec::new(),
-        };
+        let plan = plan(srg, vec![Location::ClientCpu, Location::Device(ghost)]);
         let state = ClusterState::new();
         let r = lint(&plan, &topo, &state);
         assert_eq!(

@@ -36,7 +36,7 @@
 
 use crate::dataflow::SrgFlow;
 use crate::diag::{Anchor, LintCode, LintConfig, Report};
-use crate::plan_passes::PlanView;
+use crate::plan::ExecutionPlan;
 use genie_cluster::{GpuClass, Topology};
 use genie_srg::traverse::CycleError;
 use genie_srg::{Criticality, Edge, ElemType, Node, NodeId, OpKind, Srg};
@@ -312,22 +312,23 @@ pub fn check_precision_consistency(srg: &Srg, cfg: &LintConfig, report: &mut Rep
 /// node is its kernel tier (from the cost hints) times its device's
 /// class factor.
 pub(crate) fn check_precision_plan(
-    plan: &PlanView,
+    plan: &ExecutionPlan,
+    flow: Option<&SrgFlow>,
     topo: &Topology,
     cfg: &LintConfig,
     report: &mut Report,
 ) {
-    let Some(flow) = &plan.flow else {
+    let Some(flow) = flow else {
         return; // cyclic graphs are a GA0xx problem
     };
-    let srg = plan.srg;
+    let srg = &plan.srg;
     let ndev = topo.devices().len();
     check_precision_with_factors(
         srg,
         flow,
         |id| {
             let mut f = error_factor(tier_for_node(srg, id));
-            if let Some(dev) = plan.device(id) {
+            if let Some(dev) = plan.location(id).device() {
                 if (dev.0 as usize) < ndev {
                     f *= device_class_error_factor(topo.device(dev).spec.class);
                 }

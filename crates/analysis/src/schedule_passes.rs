@@ -2,8 +2,8 @@
 //!
 //! Where `plan_passes` checks each placement/transfer locally, the
 //! passes here reason about the plan's *timeline*: the graph's one
-//! topological order, built once per gate into the `PlanView` every
-//! pass reads, taken as a schedule that runs the `i`-th node at step `i`.
+//! topological order, built once per gate and shared by the passes,
+//! taken as a schedule that runs the `i`-th node at step `i`.
 //!
 //! - **GA101** asks which values are live at once. A value is live
 //!   exactly from the step that produces it through the step of its
@@ -23,8 +23,9 @@
 //!
 //! [`SrgFlow::live_ranges`]: crate::dataflow::SrgFlow::live_ranges
 
+use crate::dataflow::SrgFlow;
 use crate::diag::{Anchor, LintCode, LintConfig, Report, Severity};
-use crate::plan_passes::{PlanView, TransferFact};
+use crate::plan::{ExecutionPlan, Location, Transfer};
 use genie_cluster::{ClusterState, DevId, Topology};
 use genie_srg::{NodeId, Srg, TensorId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -50,22 +51,23 @@ fn value_bytes(srg: &Srg, node: NodeId) -> u64 {
 /// topological order the pessimistic `pinned + largest transient` sum
 /// runs instead, capped at warn level.
 pub(crate) fn check_memory_watermark(
-    plan: &PlanView,
+    plan: &ExecutionPlan,
+    flow: Option<&SrgFlow>,
     topo: &Topology,
     state: &ClusterState,
     cfg: &LintConfig,
     report: &mut Report,
 ) {
-    let Some(flow) = &plan.flow else {
+    let Some(flow) = flow else {
         check_device_capacity_pessimistic(plan, topo, state, cfg, report);
         return;
     };
-    let srg = plan.srg;
+    let srg = &plan.srg;
     let mut demand: BTreeMap<DevId, u64> = BTreeMap::new();
-    for &(_, dev, bytes) in &plan.pinned {
+    for &(_, dev, bytes) in &plan.pinned_uploads {
         *demand.entry(dev).or_insert(0) += bytes;
     }
-    let mut pinned_tensors: Vec<TensorId> = plan.pinned.iter().map(|&(t, ..)| t).collect();
+    let mut pinned_tensors: Vec<TensorId> = plan.pinned_uploads.iter().map(|&(t, ..)| t).collect();
     pinned_tensors.sort_unstable();
 
     // Per device, the bytes whose live range begins (`born`) and ends
@@ -91,7 +93,7 @@ pub(crate) fn check_memory_watermark(
         let consumers = srg.out_edges(node).map(|e| e.dst);
         for d in std::iter::once(node)
             .chain(consumers)
-            .filter_map(|n| plan.device(n))
+            .filter_map(|n| plan.location(n).device())
         {
             if !devs.contains(&d) {
                 devs.push(d);
@@ -123,20 +125,20 @@ pub(crate) fn check_memory_watermark(
 /// are capped at [`Severity::Warn`]; used only when the graph is cyclic
 /// and no topological timeline exists.
 fn check_device_capacity_pessimistic(
-    plan: &PlanView,
+    plan: &ExecutionPlan,
     topo: &Topology,
     state: &ClusterState,
     cfg: &LintConfig,
     report: &mut Report,
 ) {
-    let srg = plan.srg;
+    let srg = &plan.srg;
     let mut demand: BTreeMap<DevId, u64> = BTreeMap::new();
-    for &(_, dev, bytes) in &plan.pinned {
+    for &(_, dev, bytes) in &plan.pinned_uploads {
         *demand.entry(dev).or_insert(0) += bytes;
     }
     let mut transient: BTreeMap<DevId, u64> = BTreeMap::new();
     for node in srg.node_ids() {
-        if let Some(dev) = plan.device(node) {
+        if let Some(dev) = plan.location(node).device() {
             let e = transient.entry(dev).or_insert(0);
             *e = (*e).max(value_bytes(srg, node));
         }
@@ -187,20 +189,23 @@ fn judge_demand(
 /// delivers its transfers in the order the plan lists them. A transfer
 /// queued behind one whose consumer runs *later* in the topological
 /// order arrives after its own consumer's start.
-pub(crate) fn check_transfer_ordering(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
-    let srg = plan.srg;
-    let Some(flow) = &plan.flow else {
+pub(crate) fn check_transfer_ordering(
+    plan: &ExecutionPlan,
+    flow: Option<&SrgFlow>,
+    cfg: &LintConfig,
+    report: &mut Report,
+) {
+    let srg = &plan.srg;
+    let Some(flow) = flow else {
         return; // no step order to compare against
     };
-    let mut channels: BTreeMap<(Option<DevId>, Option<DevId>), Vec<&TransferFact>> =
-        BTreeMap::new();
+    let mut channels: BTreeMap<(Location, Location), Vec<&Transfer>> = BTreeMap::new();
     for t in &plan.transfers {
         if t.edge.index() >= srg.edge_count() {
             continue; // GA102 reports dangling edges
         }
         channels.entry((t.from, t.to)).or_default().push(t);
     }
-    let show = |d: Option<DevId>| d.map_or("client".to_string(), |d| d.to_string());
     for ((from, to), list) in channels {
         let mut latest: Option<(usize, genie_srg::EdgeId)> = None;
         for t in list {
@@ -215,14 +220,11 @@ pub(crate) fn check_transfer_ordering(plan: &PlanView, cfg: &LintConfig, report:
                         LintCode::TransferOrderHazard,
                         Anchor::Edge(t.edge),
                         format!(
-                            "transfer for {} is queued on channel {}→{} behind the \
-                             transfer for {} whose consumer runs later (step {step} < \
+                            "transfer for {} is queued on channel {from}→{to} behind the \
+                             transfer for {blocker} whose consumer runs later (step {step} < \
                              step {blocker_step}): FIFO delivery lands it after its \
                              consumer starts",
-                            t.edge,
-                            show(from),
-                            show(to),
-                            blocker
+                            t.edge
                         ),
                     );
                 }
@@ -241,10 +243,10 @@ pub(crate) fn check_transfer_ordering(plan: &PlanView, cfg: &LintConfig, report:
 /// GA202 — double pinning: the same tensor pinned twice onto the same
 /// device within one plan double-counts (and double-occupies) device
 /// memory.
-pub(crate) fn check_double_pinning(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
+pub(crate) fn check_double_pinning(plan: &ExecutionPlan, cfg: &LintConfig, report: &mut Report) {
     // Sorted, each (tensor, device)'s pins are a run in plan order.
     let mut pins: Vec<(TensorId, DevId, usize)> = plan
-        .pinned
+        .pinned_uploads
         .iter()
         .enumerate()
         .map(|(i, &(tensor, dev, _))| (tensor, dev, i))
@@ -253,11 +255,11 @@ pub(crate) fn check_double_pinning(plan: &PlanView, cfg: &LintConfig, report: &m
     let mut repeats: Vec<(usize, u64)> = pins
         .windows(2)
         .filter(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
-        .map(|w| (w[1].2, plan.pinned[w[0].2].2))
+        .map(|w| (w[1].2, plan.pinned_uploads[w[0].2].2))
         .collect();
     repeats.sort_unstable();
     for (i, prev) in repeats {
-        let (tensor, dev, bytes) = plan.pinned[i];
+        let (tensor, dev, bytes) = plan.pinned_uploads[i];
         report.push(
             cfg,
             LintCode::DoublePinnedBuffer,
@@ -275,9 +277,9 @@ pub(crate) fn check_double_pinning(plan: &PlanView, cfg: &LintConfig, report: &m
 /// per-channel FIFO delivery order) and reject plans whose waits-for
 /// relation is cyclic — at runtime every participant would block
 /// forever on the others.
-pub(crate) fn check_transfer_deadlock(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
-    let srg = plan.srg;
-    let transfers: Vec<&TransferFact> = plan
+pub(crate) fn check_transfer_deadlock(plan: &ExecutionPlan, cfg: &LintConfig, report: &mut Report) {
+    let srg = &plan.srg;
+    let transfers: Vec<&Transfer> = plan
         .transfers
         .iter()
         .filter(|t| t.edge.index() < srg.edge_count())
@@ -297,7 +299,7 @@ pub(crate) fn check_transfer_deadlock(plan: &PlanView, cfg: &LintConfig, report:
     // (source node, transfer vertex), sorted: a node's transfers are a run.
     let mut issued: Vec<(usize, usize)> = Vec::with_capacity(transfers.len());
     let mut next_on_channel: Vec<Option<usize>> = vec![None; transfers.len()];
-    let mut channel_last: BTreeMap<(Option<DevId>, Option<DevId>), usize> = BTreeMap::new();
+    let mut channel_last: BTreeMap<(Location, Location), usize> = BTreeMap::new();
     for (k, t) in transfers.iter().enumerate() {
         let edge = srg.edge(t.edge);
         issued.push((edge.src.index(), n + k));
@@ -358,7 +360,7 @@ pub(crate) fn check_transfer_deadlock(plan: &PlanView, cfg: &LintConfig, report:
             leftover[v] = false;
         }
     }
-    let involved: Vec<&TransferFact> = (n..total)
+    let involved: Vec<&Transfer> = (n..total)
         .filter(|&v| leftover[v])
         .map(|v| transfers[v - n])
         .collect();
@@ -391,8 +393,13 @@ pub(crate) fn check_transfer_deadlock(plan: &PlanView, cfg: &LintConfig, report:
 /// the NCCL-style deadlock GA203 cannot see because no single transfer
 /// channel is involved. The waits-for graph over collectives (one edge
 /// per consecutive pair in each device's order) must be acyclic.
-pub(crate) fn check_collective_deadlock(plan: &PlanView, cfg: &LintConfig, report: &mut Report) {
-    let srg = plan.srg;
+pub(crate) fn check_collective_deadlock(
+    plan: &ExecutionPlan,
+    flow: Option<&SrgFlow>,
+    cfg: &LintConfig,
+    report: &mut Report,
+) {
+    let srg = &plan.srg;
     let collectives: Vec<NodeId> = srg
         .nodes()
         .filter(|n| {
@@ -408,7 +415,7 @@ pub(crate) fn check_collective_deadlock(plan: &PlanView, cfg: &LintConfig, repor
     if collectives.len() < 2 {
         return;
     }
-    let Some(flow) = &plan.flow else {
+    let Some(flow) = flow else {
         return; // cyclic SRG: GA203 / graph passes own that finding
     };
     let index: BTreeMap<NodeId, usize> = collectives
@@ -423,7 +430,7 @@ pub(crate) fn check_collective_deadlock(plan: &PlanView, cfg: &LintConfig, repor
     for (&c, &ci) in &index {
         let mut reach: BTreeMap<DevId, usize> = BTreeMap::new();
         for e in srg.in_edges(c) {
-            let Some(dev) = plan.device(e.src) else {
+            let Some(dev) = plan.location(e.src).device() else {
                 continue;
             };
             let Some(step) = flow.index_of(e.src) else {
@@ -495,36 +502,26 @@ pub(crate) fn check_collective_deadlock(plan: &PlanView, cfg: &LintConfig, repor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan_passes::PlanFacts;
+    use crate::plan::CostBreakdown;
     use genie_cluster::GpuSpec;
     use genie_srg::{EdgeId, ElemType, Node, OpKind, Residency, TensorMeta};
 
-    struct FakePlan {
-        srg: Srg,
-        placements: BTreeMap<NodeId, Option<DevId>>,
-        transfers: Vec<TransferFact>,
-        pinned: Vec<(TensorId, DevId, u64)>,
-    }
+    const CLIENT: Location = Location::ClientCpu;
 
-    impl PlanFacts for FakePlan {
-        fn subject(&self) -> String {
-            format!("{}@fake", self.srg.name)
-        }
-        fn srg(&self) -> &Srg {
-            &self.srg
-        }
-        fn node_device(&self, node: NodeId) -> Option<DevId> {
-            self.placements.get(&node).copied().flatten()
-        }
-        fn transfers(&self) -> Vec<TransferFact> {
-            self.transfers.clone()
-        }
-        fn pinned_uploads(&self) -> Vec<(TensorId, DevId, u64)> {
-            self.pinned.clone()
+    /// A hand-built plan: `placements` per node index, nothing moved.
+    fn plan(srg: Srg, placements: Vec<Location>) -> ExecutionPlan {
+        ExecutionPlan {
+            policy: "fake".into(),
+            srg,
+            placements,
+            transfers: Vec::new(),
+            pinned_uploads: Vec::new(),
+            estimate: CostBreakdown::default(),
+            diagnostics: Vec::new(),
         }
     }
 
-    fn two_dev_topo(mem_capacity: u64) -> (Topology, DevId, DevId) {
+    fn two_dev_topo(mem_capacity: u64) -> (Topology, Location, Location) {
         let mut t = Topology::new();
         let h = t.add_host("s");
         let spec = GpuSpec {
@@ -533,11 +530,11 @@ mod tests {
         };
         let d0 = t.add_device(h, spec.clone());
         let d1 = t.add_device(h, spec);
-        (t, d0, d1)
+        (t, Location::Device(d0), Location::Device(d1))
     }
 
-    fn xfer(edge: EdgeId, tensor: u64, from: Option<DevId>, to: Option<DevId>) -> TransferFact {
-        TransferFact {
+    fn xfer(edge: EdgeId, tensor: u64, from: Location, to: Location) -> Transfer {
+        Transfer {
             edge,
             tensor: TensorId::new(tensor),
             from,
@@ -567,18 +564,12 @@ mod tests {
         // consumer's output) fits, while a naive all-values sum (3 MB)
         // would not.
         let (topo, d0, _) = two_dev_topo(2_500_000);
-        let plan = FakePlan {
-            srg: g,
-            placements: [(a, Some(d0)), (b, Some(d0)), (c, Some(d0)), (d, Some(d0))]
-                .into_iter()
-                .collect(),
-            transfers: Vec::new(),
-            pinned: Vec::new(),
-        };
+        let plan = plan(g, vec![d0; 4]);
         let state = ClusterState::new();
         let mut r = Report::new("t");
         check_memory_watermark(
-            &PlanView::new(&plan),
+            &plan,
+            SrgFlow::new(&plan.srg).ok().as_ref(),
             &topo,
             &state,
             &LintConfig::new(),
@@ -607,18 +598,12 @@ mod tests {
         g.connect(c, d, m);
 
         let (topo, d0, _) = two_dev_topo(2_500_000);
-        let plan = FakePlan {
-            srg: g,
-            placements: [(a, Some(d0)), (b, Some(d0)), (c, Some(d0)), (d, Some(d0))]
-                .into_iter()
-                .collect(),
-            transfers: Vec::new(),
-            pinned: Vec::new(),
-        };
+        let plan = plan(g, vec![d0; 4]);
         let state = ClusterState::new();
         let mut r = Report::new("t");
         check_memory_watermark(
-            &PlanView::new(&plan),
+            &plan,
+            SrgFlow::new(&plan.srg).ok().as_ref(),
             &topo,
             &state,
             &LintConfig::new(),
@@ -647,22 +632,14 @@ mod tests {
         // 10 MB free: pinned 8 MB fits; the old 8 MB + 8 MB = 16 MB
         // double count would have flagged it.
         let (topo, d0, _) = two_dev_topo(10_000_000);
-        let plan = FakePlan {
-            srg: g,
-            placements: [(w, Some(d0)), (mm, Some(d0))].into_iter().collect(),
-            transfers: Vec::new(),
-            pinned: vec![(tensor, d0, 8_000_000)],
+        let plan = ExecutionPlan {
+            pinned_uploads: vec![(tensor, d0.device().unwrap(), 8_000_000)],
+            ..plan(g, vec![d0; 2])
         };
         let state = ClusterState::new();
 
         let mut old = Report::new("old");
-        check_device_capacity_pessimistic(
-            &PlanView::new(&plan),
-            &topo,
-            &state,
-            &LintConfig::new(),
-            &mut old,
-        );
+        check_device_capacity_pessimistic(&plan, &topo, &state, &LintConfig::new(), &mut old);
         assert_eq!(
             old.finish().with_code(LintCode::DeviceOvercommit).len(),
             1,
@@ -671,7 +648,8 @@ mod tests {
 
         let mut new = Report::new("new");
         check_memory_watermark(
-            &PlanView::new(&plan),
+            &plan,
+            SrgFlow::new(&plan.srg).ok().as_ref(),
             &topo,
             &state,
             &LintConfig::new(),
@@ -693,16 +671,12 @@ mod tests {
         g.connect(a, b, m.clone());
         g.connect(b, a, m); // cycle: no topological timeline
         let (topo, d0, _) = two_dev_topo(500_000); // 0.5 MB: 1 MB transient overcommits
-        let plan = FakePlan {
-            srg: g,
-            placements: [(a, Some(d0)), (b, Some(d0))].into_iter().collect(),
-            transfers: Vec::new(),
-            pinned: Vec::new(),
-        };
+        let plan = plan(g, vec![d0; 2]);
         let state = ClusterState::new();
         let mut r = Report::new("t");
         check_memory_watermark(
-            &PlanView::new(&plan),
+            &plan,
+            SrgFlow::new(&plan.srg).ok().as_ref(),
             &topo,
             &state,
             &LintConfig::new(),
@@ -715,8 +689,9 @@ mod tests {
         assert!(!r.has_deny());
     }
 
-    fn ordering_fixture() -> (Srg, NodeId, NodeId, NodeId, EdgeId, EdgeId) {
-        // a → early (consumed at step 1), a → late-chain (consumed last).
+    fn ordering_fixture() -> (Srg, EdgeId, EdgeId) {
+        // a → early (consumed at step 1), a → late-chain (consumed last);
+        // nodes a, early, mid, late.
         let mut g = Srg::new("ord");
         let a = g.add_node(Node::new(NodeId::new(0), OpKind::Input, "a"));
         let early = g.add_node(Node::new(NodeId::new(0), OpKind::Relu, "early"));
@@ -727,29 +702,27 @@ mod tests {
         g.connect(early, mid, m.clone());
         g.connect(mid, late, m.clone());
         let e_late = g.connect(a, late, m);
-        (g, a, early, late, e_early, e_late)
+        (g, e_early, e_late)
     }
 
     #[test]
     fn ga201_inverted_channel_order_flagged() {
-        let (g, a, early, late, e_early, e_late) = ordering_fixture();
+        let (g, e_early, e_late) = ordering_fixture();
         let (topo, d0, _) = two_dev_topo(80_000_000_000);
         let _ = topo;
         // Channel client→d0 lists the late consumer's transfer FIRST:
         // FIFO delivery parks the early consumer's payload behind it.
-        let plan = FakePlan {
-            srg: g,
-            placements: [(a, None), (early, Some(d0)), (late, Some(d0))]
-                .into_iter()
-                .collect(),
-            transfers: vec![
-                xfer(e_late, 1, None, Some(d0)),
-                xfer(e_early, 0, None, Some(d0)),
-            ],
-            pinned: Vec::new(),
+        let plan = ExecutionPlan {
+            transfers: vec![xfer(e_late, 1, CLIENT, d0), xfer(e_early, 0, CLIENT, d0)],
+            ..plan(g, vec![CLIENT, d0, CLIENT, d0])
         };
         let mut r = Report::new("t");
-        check_transfer_ordering(&PlanView::new(&plan), &LintConfig::new(), &mut r);
+        check_transfer_ordering(
+            &plan,
+            SrgFlow::new(&plan.srg).ok().as_ref(),
+            &LintConfig::new(),
+            &mut r,
+        );
         let r = r.finish();
         let hits = r.with_code(LintCode::TransferOrderHazard);
         assert_eq!(hits.len(), 1, "{r}");
@@ -759,21 +732,19 @@ mod tests {
 
     #[test]
     fn ga201_consumer_order_is_clean() {
-        let (g, a, early, late, e_early, e_late) = ordering_fixture();
+        let (g, e_early, e_late) = ordering_fixture();
         let (_, d0, _) = two_dev_topo(80_000_000_000);
-        let plan = FakePlan {
-            srg: g,
-            placements: [(a, None), (early, Some(d0)), (late, Some(d0))]
-                .into_iter()
-                .collect(),
-            transfers: vec![
-                xfer(e_early, 0, None, Some(d0)),
-                xfer(e_late, 1, None, Some(d0)),
-            ],
-            pinned: Vec::new(),
+        let plan = ExecutionPlan {
+            transfers: vec![xfer(e_early, 0, CLIENT, d0), xfer(e_late, 1, CLIENT, d0)],
+            ..plan(g, vec![CLIENT, d0, CLIENT, d0])
         };
         let mut r = Report::new("t");
-        check_transfer_ordering(&PlanView::new(&plan), &LintConfig::new(), &mut r);
+        check_transfer_ordering(
+            &plan,
+            SrgFlow::new(&plan.srg).ok().as_ref(),
+            &LintConfig::new(),
+            &mut r,
+        );
         assert!(r
             .finish()
             .with_code(LintCode::TransferOrderHazard)
@@ -784,14 +755,13 @@ mod tests {
     fn ga202_in_plan_double_pin_denied() {
         let (g, ..) = ordering_fixture();
         let (_, d0, _) = two_dev_topo(80_000_000_000);
-        let plan = FakePlan {
-            srg: g,
-            placements: BTreeMap::new(),
-            transfers: Vec::new(),
-            pinned: vec![(TensorId::new(7), d0, 1024), (TensorId::new(7), d0, 1024)],
+        let d0 = d0.device().unwrap();
+        let plan = ExecutionPlan {
+            pinned_uploads: vec![(TensorId::new(7), d0, 1024), (TensorId::new(7), d0, 1024)],
+            ..plan(g, Vec::new())
         };
         let mut r = Report::new("t");
-        check_double_pinning(&PlanView::new(&plan), &LintConfig::new(), &mut r);
+        check_double_pinning(&plan, &LintConfig::new(), &mut r);
         let r = r.finish();
         assert_eq!(r.with_code(LintCode::DoublePinnedBuffer).len(), 1, "{r}");
         assert!(r.has_deny());
@@ -813,22 +783,15 @@ mod tests {
         g.connect(y, z, m.clone());
         let e1 = g.connect(z, w, m);
         let (_, d0, d1) = two_dev_topo(80_000_000_000);
-        let plan = FakePlan {
-            srg: g,
-            placements: [(x, Some(d0)), (y, Some(d1)), (z, Some(d1)), (w, Some(d0))]
-                .into_iter()
-                .collect(),
+        let plan = ExecutionPlan {
             // Both transfers share one declared channel (d0→d1), FIFO
             // order [e1, e2]: e2 waits behind e1, while e1's source z
             // transitively needs e2's payload.
-            transfers: vec![
-                xfer(e1, 2, Some(d0), Some(d1)),
-                xfer(e2, 0, Some(d0), Some(d1)),
-            ],
-            pinned: Vec::new(),
+            transfers: vec![xfer(e1, 2, d0, d1), xfer(e2, 0, d0, d1)],
+            ..plan(g, vec![d0, d1, d1, d0])
         };
         let mut r = Report::new("t");
-        check_transfer_deadlock(&PlanView::new(&plan), &LintConfig::new(), &mut r);
+        check_transfer_deadlock(&plan, &LintConfig::new(), &mut r);
         let r = r.finish();
         let hits = r.with_code(LintCode::TransferDependencyCycle);
         assert_eq!(hits.len(), 1, "{r}");
@@ -848,19 +811,12 @@ mod tests {
         g.connect(y, z, m.clone());
         let e1 = g.connect(z, w, m);
         let (_, d0, d1) = two_dev_topo(80_000_000_000);
-        let plan = FakePlan {
-            srg: g,
-            placements: [(x, Some(d0)), (y, Some(d1)), (z, Some(d1)), (w, Some(d0))]
-                .into_iter()
-                .collect(),
-            transfers: vec![
-                xfer(e2, 0, Some(d0), Some(d1)),
-                xfer(e1, 2, Some(d0), Some(d1)),
-            ],
-            pinned: Vec::new(),
+        let plan = ExecutionPlan {
+            transfers: vec![xfer(e2, 0, d0, d1), xfer(e1, 2, d0, d1)],
+            ..plan(g, vec![d0, d1, d1, d0])
         };
         let mut r = Report::new("t");
-        check_transfer_deadlock(&PlanView::new(&plan), &LintConfig::new(), &mut r);
+        check_transfer_deadlock(&plan, &LintConfig::new(), &mut r);
         assert!(r
             .finish()
             .with_code(LintCode::TransferDependencyCycle)
@@ -871,7 +827,7 @@ mod tests {
     /// contradictory orders: d0 reaches c1 early and c2 late, d1 reaches
     /// c2 early and c1 late — each device blocks in a collective the
     /// other has not entered.
-    fn collective_fixture(contradictory: bool) -> (Srg, BTreeMap<NodeId, Option<DevId>>) {
+    fn collective_fixture(contradictory: bool) -> ExecutionPlan {
         let mut g = Srg::new("coll");
         let m = TensorMeta::new([4, 4], ElemType::F32);
         let p0 = g.add_node(Node::new(NodeId::new(0), OpKind::Relu, "p0")); // d0 early
@@ -893,30 +849,20 @@ mod tests {
             g.connect(q0, c2, m.clone());
         }
         let (_, d0, d1) = two_dev_topo(80_000_000_000);
-        let placements = [
-            (p0, Some(d0)),
-            (q0, Some(d0)),
-            (p1, Some(d1)),
-            (q1, Some(d1)),
-            (c1, Some(d0)),
-            (c2, Some(d1)),
-        ]
-        .into_iter()
-        .collect();
-        (g, placements)
+        // p0, p1, q0, q1, c1, c2.
+        plan(g, vec![d0, d1, d0, d1, d0, d1])
     }
 
     #[test]
     fn ga204_contradictory_collective_orders_denied() {
-        let (g, placements) = collective_fixture(true);
-        let plan = FakePlan {
-            srg: g,
-            placements,
-            transfers: Vec::new(),
-            pinned: Vec::new(),
-        };
+        let plan = collective_fixture(true);
         let mut r = Report::new("t");
-        check_collective_deadlock(&PlanView::new(&plan), &LintConfig::new(), &mut r);
+        check_collective_deadlock(
+            &plan,
+            SrgFlow::new(&plan.srg).ok().as_ref(),
+            &LintConfig::new(),
+            &mut r,
+        );
         let r = r.finish();
         let hits = r.with_code(LintCode::CollectiveScheduleCycle);
         assert_eq!(hits.len(), 1, "{r}");
@@ -926,15 +872,14 @@ mod tests {
 
     #[test]
     fn ga204_consistent_collective_order_is_clean() {
-        let (g, placements) = collective_fixture(false);
-        let plan = FakePlan {
-            srg: g,
-            placements,
-            transfers: Vec::new(),
-            pinned: Vec::new(),
-        };
+        let plan = collective_fixture(false);
         let mut r = Report::new("t");
-        check_collective_deadlock(&PlanView::new(&plan), &LintConfig::new(), &mut r);
+        check_collective_deadlock(
+            &plan,
+            SrgFlow::new(&plan.srg).ok().as_ref(),
+            &LintConfig::new(),
+            &mut r,
+        );
         assert!(r
             .finish()
             .with_code(LintCode::CollectiveScheduleCycle)

@@ -8,8 +8,8 @@
 //! index alone, and a failing case prints the index that reproduces it.
 
 use genie_analysis::dataflow::SrgFlow;
-use genie_analysis::{run_plan_passes, Anchor, LintCode, LintConfig, PlanFacts, Report};
-use genie_analysis::{Severity, TransferFact};
+use genie_analysis::plan::{CostBreakdown, ExecutionPlan, Location};
+use genie_analysis::{run_plan_passes, Anchor, LintCode, LintConfig, Report, Severity};
 use genie_cluster::{ClusterState, DevId, GpuSpec, Topology};
 use genie_netsim::XorShift64;
 use genie_srg::{ElemType, Node, NodeId, OpKind, Phase, Residency, Srg, TensorId, TensorMeta};
@@ -27,37 +27,18 @@ const CODES: [LintCode; 4] = [
     LintCode::DoublePinnedBuffer,
 ];
 
-/// A hand-built plan: a device (or the client) per node, and pins.
-struct FakePlan {
-    srg: Srg,
-    devices: Vec<Option<DevId>>,
-    pinned: Vec<(TensorId, DevId, u64)>,
+/// The device of `node` under `plan` (`None`: the client), as the
+/// oracles compare placements.
+fn device(plan: &ExecutionPlan, node: NodeId) -> Option<DevId> {
+    plan.location(node).device()
 }
 
-impl PlanFacts for FakePlan {
-    fn subject(&self) -> String {
-        format!("{}@fake", self.srg.name)
-    }
-    fn srg(&self) -> &Srg {
-        &self.srg
-    }
-    fn node_device(&self, node: NodeId) -> Option<DevId> {
-        self.devices[node.index()]
-    }
-    fn transfers(&self) -> Vec<TransferFact> {
-        Vec::new()
-    }
-    fn pinned_uploads(&self) -> Vec<(TensorId, DevId, u64)> {
-        self.pinned.clone()
-    }
-}
-
-/// One case's topology and plan; a panic while it is alive names the
-/// index.
+/// One case's topology and hand-built plan (a location per node, and
+/// pins); a panic while it is alive names the index.
 struct Case {
     index: u64,
     topo: Topology,
-    plan: FakePlan,
+    plan: ExecutionPlan,
 }
 
 impl Case {
@@ -122,10 +103,10 @@ impl Case {
         }
 
         let placement = |rng: &mut XorShift64| match rng.next_below(3) {
-            0 => None,
-            d => Some(devs[d as usize - 1]),
+            0 => Location::ClientCpu,
+            d => Location::Device(devs[d as usize - 1]),
         };
-        let devices = (0..n).map(|_| placement(&mut rng)).collect();
+        let placements = (0..n).map(|_| placement(&mut rng)).collect();
         let tensors: Vec<TensorId> = srg.edges().map(|e| e.tensor).collect();
         let mut pinned: Vec<(TensorId, DevId, u64)> = Vec::new();
         for _ in 0..rng.next_below(6) {
@@ -151,10 +132,14 @@ impl Case {
         Case {
             index,
             topo,
-            plan: FakePlan {
+            plan: ExecutionPlan {
+                policy: "fake".into(),
                 srg,
-                devices,
-                pinned,
+                placements,
+                transfers: Vec::new(),
+                pinned_uploads: pinned,
+                estimate: CostBreakdown::default(),
+                diagnostics: Vec::new(),
             },
         }
     }
@@ -178,7 +163,7 @@ fn value_bytes(srg: &Srg, node: NodeId) -> u64 {
 
 /// GA101 with a `BTreeSet<TensorId>` of pinned tensors.
 fn oracle_watermark(
-    plan: &FakePlan,
+    plan: &ExecutionPlan,
     topo: &Topology,
     state: &ClusterState,
     cfg: &LintConfig,
@@ -186,13 +171,13 @@ fn oracle_watermark(
 ) {
     let srg = &plan.srg;
     let mut demand: BTreeMap<DevId, u64> = BTreeMap::new();
-    for &(_, dev, bytes) in &plan.pinned {
+    for &(_, dev, bytes) in &plan.pinned_uploads {
         *demand.entry(dev).or_insert(0) += bytes;
     }
     let Ok(flow) = SrgFlow::new(srg) else {
         let mut transient: BTreeMap<DevId, u64> = BTreeMap::new();
         for node in srg.node_ids() {
-            if let Some(dev) = plan.node_device(node) {
+            if let Some(dev) = device(plan, node) {
                 let e = transient.entry(dev).or_insert(0);
                 *e = (*e).max(value_bytes(srg, node));
             }
@@ -203,7 +188,7 @@ fn oracle_watermark(
         let caveat = " (pessimistic bound: graph is cyclic, liveness unavailable)";
         return judge(demand, Severity::Warn, caveat, topo, state, cfg, report);
     };
-    let pinned_tensors: BTreeSet<TensorId> = plan.pinned.iter().map(|&(t, ..)| t).collect();
+    let pinned_tensors: BTreeSet<TensorId> = plan.pinned_uploads.iter().map(|&(t, ..)| t).collect();
     let steps = flow.order().len();
     let mut sweeps: BTreeMap<DevId, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
     for (v, live) in flow.live_ranges().into_iter().enumerate() {
@@ -221,7 +206,7 @@ fn oracle_watermark(
         let consumers = srg.out_edges(node).map(|e| e.dst);
         let devs: BTreeSet<DevId> = std::iter::once(node)
             .chain(consumers)
-            .filter_map(|n| plan.node_device(n))
+            .filter_map(|n| device(plan, n))
             .collect();
         for d in devs {
             let (born, dies) = sweeps
@@ -276,10 +261,13 @@ fn judge(
 }
 
 /// GA104 with a `BTreeSet<(TensorId, DevId)>` of pins.
-fn oracle_kv_colocation(plan: &FakePlan, cfg: &LintConfig, report: &mut Report) {
+fn oracle_kv_colocation(plan: &ExecutionPlan, cfg: &LintConfig, report: &mut Report) {
     let srg = &plan.srg;
-    let pinned: BTreeSet<(TensorId, DevId)> =
-        plan.pinned.iter().map(|&(t, dev, _)| (t, dev)).collect();
+    let pinned: BTreeSet<(TensorId, DevId)> = plan
+        .pinned_uploads
+        .iter()
+        .map(|&(t, dev, _)| (t, dev))
+        .collect();
     for edge in srg.edges() {
         let src = srg.node(edge.src);
         if src.residency != Residency::StatefulKvCache {
@@ -290,8 +278,8 @@ fn oracle_kv_colocation(plan: &FakePlan, cfg: &LintConfig, report: &mut Report) 
         if !decodeish(&src.phase) && !decodeish(&dst.phase) {
             continue;
         }
-        let a = plan.node_device(edge.src);
-        let b = plan.node_device(edge.dst);
+        let a = device(plan, edge.src);
+        let b = device(plan, edge.dst);
         let resident_at_reader =
             src.op.is_source() && b.is_some_and(|dev| pinned.contains(&(edge.tensor, dev)));
         if a != b && !resident_at_reader {
@@ -313,9 +301,9 @@ fn oracle_kv_colocation(plan: &FakePlan, cfg: &LintConfig, report: &mut Report) 
 }
 
 /// GA202 with a `BTreeMap<(TensorId, DevId), u64>` of the latest pin.
-fn oracle_double_pinning(plan: &FakePlan, cfg: &LintConfig, report: &mut Report) {
+fn oracle_double_pinning(plan: &ExecutionPlan, cfg: &LintConfig, report: &mut Report) {
     let mut seen: BTreeMap<(TensorId, DevId), u64> = BTreeMap::new();
-    for &(tensor, dev, bytes) in &plan.pinned {
+    for &(tensor, dev, bytes) in &plan.pinned_uploads {
         if let Some(prev) = seen.insert((tensor, dev), bytes) {
             report.push(
                 cfg,
@@ -340,7 +328,7 @@ fn ga101_ga104_and_ga202_agree_with_their_ordered_set_oracles() {
     for index in 0..CASES {
         let case = Case::new(index);
         let got = run_plan_passes(&case.plan, &case.topo, &state, &cfg);
-        let mut want = Report::new(case.plan.subject());
+        let mut want = Report::new(case.plan.label());
         oracle_watermark(&case.plan, &case.topo, &state, &cfg, &mut want);
         oracle_kv_colocation(&case.plan, &cfg, &mut want);
         oracle_double_pinning(&case.plan, &cfg, &mut want);
@@ -351,8 +339,8 @@ fn ga101_ga104_and_ga202_agree_with_their_ordered_set_oracles() {
                 *fired.entry(format!("{code:?}")).or_default() += 1;
             }
         }
-        let (g, pins) = (&case.plan.srg, &case.plan.pinned);
-        let dev = |n: NodeId| case.plan.node_device(n);
+        let (g, pins) = (&case.plan.srg, &case.plan.pinned_uploads);
+        let dev = |n: NodeId| device(&case.plan, n);
         if g.edges().any(|e| {
             let src = g.node(e.src);
             src.residency == Residency::StatefulKvCache

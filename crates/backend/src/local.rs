@@ -7,8 +7,6 @@
 use genie_frontend::capture::CapturedGraph;
 use genie_frontend::interp::{self, InterpError};
 use genie_frontend::value::Value;
-use genie_srg::NodeId;
-use std::collections::HashMap;
 
 /// The local backend. Stateless; exists as a type so call sites read the
 /// same as the remote backend.
@@ -16,16 +14,6 @@ use std::collections::HashMap;
 pub struct LocalBackend;
 
 impl LocalBackend {
-    /// Execute a captured graph, returning every node's value.
-    pub fn execute(&self, cap: &CapturedGraph) -> Result<HashMap<NodeId, Value>, InterpError> {
-        let _span = genie_telemetry::global().collector.span_with(
-            "local.execute",
-            "backend",
-            genie_telemetry::SemAttrs::new().with("graph", cap.srg.name.clone()),
-        );
-        interp::execute(&cap.srg, &cap.values)
-    }
-
     /// Execute and return the marked outputs in marking order.
     pub fn execute_outputs(&self, cap: &CapturedGraph) -> Result<Vec<Value>, InterpError> {
         let _span = genie_telemetry::global().collector.span_with(
@@ -63,6 +51,6 @@ mod tests {
         let x = ctx.input("x", [2, 2], ElemType::F32, None);
         x.relu().mark_output();
         let cap = ctx.finish();
-        assert!(LocalBackend.execute(&cap).is_err());
+        assert!(LocalBackend.execute_outputs(&cap).is_err());
     }
 }

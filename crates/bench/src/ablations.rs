@@ -292,9 +292,9 @@ pub fn ablation_rpc() -> Report {
         rows.push(vec![
             name.to_string(),
             fmt_secs(decode.latency_s),
-            fmt_secs(decode.latency_s - cal.session_init_s),
+            fmt_secs(decode.latency_s - cal.rpc.session_init.as_secs_f64()),
             format!("{:.1}", decode.gpu_util_pct),
-            fmt_secs(dkv.latency_s - cal.session_init_s),
+            fmt_secs(dkv.latency_s - cal.rpc.session_init.as_secs_f64()),
         ]);
     }
     writeln!(

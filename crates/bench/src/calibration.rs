@@ -10,9 +10,9 @@
 //!
 //! | constant | value | evidence |
 //! |---|---|---|
-//! | `session_init_s` | 109 s | ΔKV/SA prefill rows are 110/111 s with ≈1 s of work; every remote row shares the same ~109 s floor |
-//! | `rpc_per_call_s` | 0.45 s | Table 3 ΔKV slope: (204.3 − 132.0)/150 tokens ≈ 0.48 s/token ≈ per-call overhead + ~1 MB transfer + 0.03 s kernel |
-//! | `rpc_bandwidth_Bps` | 1.4 GB/s | Naïve prefill: 12 weight re-uploads ≈ 147 GB in (216 − 109) s ≈ 1.4 GB/s effective goodput (≈45% of the 25 GbE line rate — serialization-bound) |
+//! | `rpc.session_init` | 109 s | ΔKV/SA prefill rows are 110/111 s with ≈1 s of work; every remote row shares the same ~109 s floor |
+//! | `rpc.per_call_overhead` | 0.45 s | Table 3 ΔKV slope: (204.3 − 132.0)/150 tokens ≈ 0.48 s/token ≈ per-call overhead + ~1 MB transfer + 0.03 s kernel |
+//! | `rpc.effective_bandwidth` | 1.4 GB/s | Naïve prefill: 12 weight re-uploads ≈ 147 GB in (216 − 109) s ≈ 1.4 GB/s effective goodput (≈45% of the 25 GbE line rate — serialization-bound) |
 //! | `kernel_prefill_s` | 0.21 s | the Local prefill row |
 //! | `kernel_token_s` | 0.0306 s | Local decode: 1.53 s / 50 tokens |
 //!
@@ -21,19 +21,15 @@
 //! × 0.2) ≈ 30 ms), and the ΔKV per-token payload matches GPT-J's f32 KV
 //! slice (2·28·4096·4 ≈ 0.92 MB — the paper says "~1.0 MB").
 
-use genie_netsim::{Nanos, RpcParams};
+use genie_netsim::RpcParams;
 
 /// The calibrated constants.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Calibration {
-    /// One-time session establishment (process + CUDA + RPC mesh).
-    pub session_init_s: f64,
-    /// Fixed cost per synchronous RPC round trip.
-    pub rpc_per_call_s: f64,
-    /// Effective TensorPipe goodput in bytes/s.
-    pub rpc_bandwidth: f64,
-    /// One-way network latency.
-    pub net_latency_s: f64,
+    /// The transport the table was fitted over: session establishment
+    /// (process + CUDA + RPC mesh), the fixed cost per synchronous round
+    /// trip, and the effective goodput.
+    pub rpc: RpcParams,
     /// Measured A100 kernel time for the 72-token GPT-J prefill.
     pub kernel_prefill_s: f64,
     /// Measured A100 kernel time per decoded token.
@@ -45,14 +41,11 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// The paper's A100 kernel times, prefill staging and 250 µs link
-    /// behind the transport `rpc`.
+    /// The paper's A100 kernel times and prefill staging behind the
+    /// transport `rpc`.
     pub fn over(rpc: &RpcParams) -> Self {
         Calibration {
-            session_init_s: rpc.session_init.as_secs_f64(),
-            rpc_per_call_s: rpc.per_call_overhead.as_secs_f64(),
-            rpc_bandwidth: rpc.effective_bandwidth,
-            net_latency_s: 250e-6,
+            rpc: rpc.clone(),
             kernel_prefill_s: 0.21,
             kernel_token_s: 0.0306,
             prefill_stages: 12,
@@ -68,15 +61,6 @@ impl Calibration {
     pub fn rdma() -> Self {
         Self::over(&RpcParams::rdma_zero_copy())
     }
-
-    /// `genie-netsim` transport parameters for this calibration.
-    pub fn rpc_params(&self) -> RpcParams {
-        RpcParams {
-            session_init: Nanos::from_secs_f64(self.session_init_s),
-            per_call_overhead: Nanos::from_secs_f64(self.rpc_per_call_s),
-            effective_bandwidth: self.rpc_bandwidth,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +72,8 @@ mod tests {
         let c = Calibration::paper();
         // Per-token ΔKV cost: overhead + ~0.92 MB + kernel.
         let kv_delta = 2.0 * 28.0 * 4096.0 * 4.0;
-        let per_token = c.rpc_per_call_s + kv_delta / c.rpc_bandwidth + c.kernel_token_s;
+        let per_call = c.rpc.per_call_overhead.as_secs_f64();
+        let per_token = per_call + kv_delta / c.rpc.effective_bandwidth + c.kernel_token_s;
         let paper_slope = (204.3 - 132.0) / 150.0;
         assert!(
             (per_token - paper_slope).abs() < 0.1,
@@ -100,8 +85,9 @@ mod tests {
     fn paper_constants_fit_naive_prefill() {
         let c = Calibration::paper();
         let weights = 12.1e9;
-        let latency = c.session_init_s
-            + c.prefill_stages as f64 * (c.rpc_per_call_s + weights / c.rpc_bandwidth)
+        let per_call = c.rpc.per_call_overhead.as_secs_f64();
+        let latency = c.rpc.session_init.as_secs_f64()
+            + c.prefill_stages as f64 * (per_call + weights / c.rpc.effective_bandwidth)
             + c.kernel_prefill_s;
         assert!(
             (latency - 216.0).abs() / 216.0 < 0.05,
@@ -113,26 +99,23 @@ mod tests {
     fn rdma_is_orders_faster_per_call() {
         let p = Calibration::paper();
         let r = Calibration::rdma();
-        assert!(p.rpc_per_call_s / r.rpc_per_call_s > 10_000.0);
+        let per_call = |c: Calibration| c.rpc.per_call_overhead.as_secs_f64();
+        assert!(per_call(p) / per_call(r) > 10_000.0);
     }
 
     #[test]
     fn a_calibration_is_its_transport_and_the_paper_constants_are_the_literals() {
         // Nanoseconds and back lose nothing: no price moves because the
         // stack is stated in `RpcParams` instead of re-typed here.
-        let p = Calibration::paper();
-        let measured = (p.session_init_s, p.rpc_per_call_s, p.rpc_bandwidth);
-        assert_eq!(measured, (109.0, 0.45, 1.4e9));
-        let r = Calibration::rdma();
-        let target = (r.session_init_s, r.rpc_per_call_s, r.rpc_bandwidth);
-        assert_eq!(target, (1.0, 8e-6, 25e9 / 8.0));
-        let presets = [
-            RpcParams::tensorpipe_python(),
-            RpcParams::tuned_tcp(),
-            RpcParams::rdma_zero_copy(),
-        ];
-        for rpc in presets {
-            assert_eq!(Calibration::over(&rpc).rpc_params(), rpc);
-        }
+        let secs = |c: Calibration| {
+            let per_call = c.rpc.per_call_overhead.as_secs_f64();
+            (
+                c.rpc.session_init.as_secs_f64(),
+                per_call,
+                c.rpc.effective_bandwidth,
+            )
+        };
+        assert_eq!(secs(Calibration::paper()), (109.0, 0.45, 1.4e9));
+        assert_eq!(secs(Calibration::rdma()), (1.0, 8e-6, 25e9 / 8.0));
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::calibration::Calibration;
 use crate::workload::LlmWorkload;
+use genie_cluster::Link;
 use genie_netsim::{LinkSim, Nanos, RpcChannel};
 use genie_srg::{json::Value, json_object};
 
@@ -71,9 +72,14 @@ pub struct PhaseMetrics {
     pub rpc_calls: u64,
 }
 
+/// The calibrated transport over the paper's 25 GbE testbed link.
 fn fresh_channel(cal: &Calibration) -> RpcChannel {
-    let link = LinkSim::new(25e9 / 8.0, Nanos::from_secs_f64(cal.net_latency_s));
-    RpcChannel::new(cal.rpc_params(), link)
+    let testbed = Link::PAPER_TESTBED;
+    let link = LinkSim::new(
+        testbed.bandwidth_bytes(),
+        Nanos::from_secs_f64(testbed.latency_s),
+    );
+    RpcChannel::new(cal.rpc.clone(), link)
 }
 
 /// Run one mode through one phase, reproducing the paper's measurement

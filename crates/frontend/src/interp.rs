@@ -18,11 +18,13 @@
 //! decided by cost, not by count (see [`level_fans_out`]), from the cost
 //! hints the graph carries now. Node-level scheduling
 //! never changes arithmetic — each node's kernel is deterministic and
-//! level order respects every edge — so [`execute`], [`execute_outputs`]
-//! and [`execute_sequential`] (the same loop told never to fan out) are
-//! bit-identical. Dead intermediates dropped by [`execute_outputs`]
-//! return their buffers to the tensor arena for the next allocation to
-//! reuse.
+//! level order respects every edge — so [`execute`] and
+//! [`execute_outputs`] are bit-identical to [`execute_sequential`], the
+//! reference they are tested against: a plain loop over the graph's
+//! topological order through the same kernels, sharing no grouping with
+//! the executor and never touching the pool. Dead intermediates dropped
+//! by [`execute_outputs`] return their buffers to the tensor arena for
+//! the next allocation to reuse.
 
 use crate::value::Value;
 use genie_srg::{Name, Node, NodeId, OpKind, Srg};
@@ -108,17 +110,29 @@ pub fn execute(
     srg: &Srg,
     bindings: &HashMap<NodeId, Value>,
 ) -> Result<HashMap<NodeId, Value>, InterpError> {
-    run(srg, None, bindings, pool::size() + 1, None).map(into_map)
+    run(srg, None, bindings, None).map(into_map)
 }
 
-/// Sequential reference: the same executor with one core, so no level
-/// ever fans out. The oracle the pooled path is tested against; also for
-/// environments where touching the worker pool is unwanted.
+/// Sequential reference: every node in the graph's topological order,
+/// one at a time, through the same kernels. It shares no level grouping
+/// with the executor and never touches the worker pool, so it is the
+/// independent oracle the executor is tested against; also for
+/// environments where touching the pool is unwanted. Returns the value of
+/// every node.
 pub fn execute_sequential(
     srg: &Srg,
     bindings: &HashMap<NodeId, Value>,
 ) -> Result<HashMap<NodeId, Value>, InterpError> {
-    run(srg, None, bindings, 1, None).map(into_map)
+    let stats_before = stats::snapshot();
+    let order = genie_srg::traverse::topo_order(srg).map_err(|_| InterpError::Cycle)?;
+    let mut values: HashMap<NodeId, Value> = HashMap::with_capacity(order.len());
+    for id in order {
+        let input = |src: NodeId| values.get(&src).expect("topo order guarantees inputs");
+        let value = eval_node(srg, id, input, bindings)?;
+        values.insert(id, value);
+    }
+    publish_dispatch_delta(&stats_before);
+    Ok(values)
 }
 
 /// Execute and return only the requested outputs, in order. Interior
@@ -140,7 +154,7 @@ pub(crate) fn execute_outputs_planned(
     bindings: &HashMap<NodeId, Value>,
     outputs: &[NodeId],
 ) -> Result<Vec<Value>, InterpError> {
-    let mut slots = run(srg, plan, bindings, pool::size() + 1, Some(outputs))?;
+    let mut slots = run(srg, plan, bindings, Some(outputs))?;
     Ok(outputs
         .iter()
         .enumerate()
@@ -236,18 +250,18 @@ pub fn level_fans_out(flops: f64, width: usize, cores: usize) -> bool {
 }
 
 /// The one evaluation loop. `plan` is the graph's [`ExecPlan`] when the
-/// caller kept one (`None`: computed here). `cores` is pool workers plus
-/// the helping caller (1 = never fan out). With `retain = Some(outputs)`
+/// caller kept one (`None`: computed here). With `retain = Some(outputs)`
 /// a value is released once its last consumer has run (outputs are
 /// always kept); with `None` every value is kept. Returns the slot table.
 fn run(
     srg: &Srg,
     plan: Option<&ExecPlan>,
     bindings: &HashMap<NodeId, Value>,
-    cores: usize,
     retain: Option<&[NodeId]>,
 ) -> Result<Vec<Option<Value>>, InterpError> {
     let stats_before = stats::snapshot();
+    // Pool workers plus the helping caller.
+    let cores = pool::size() + 1;
     let n = srg.node_count();
     if let Some(&node) = retain.unwrap_or_default().iter().find(|id| id.index() >= n) {
         return Err(InterpError::UnknownOutput { node });
@@ -385,7 +399,7 @@ fn publish_dispatch_delta(before: &stats::Snapshot) {
 
 /// Evaluate one node. `input` resolves a producer to its value; operand
 /// `i` is the producer on the node's `i`-th in-edge (slot order).
-pub(crate) fn eval_node<'v>(
+fn eval_node<'v>(
     srg: &Srg,
     id: NodeId,
     input: impl Fn(NodeId) -> &'v Value,

@@ -57,7 +57,7 @@ pub mod value;
 
 pub use capture::{CaptureCtx, CapturedGraph, LazyTensor};
 pub use recapture::RecaptureSession;
-pub use shard::{execute_sharded, ShardExecReport};
+pub use shard::ShardExecReport;
 pub use value::Value;
 
 /// Convenient glob import for frontend users.

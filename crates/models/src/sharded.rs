@@ -25,9 +25,10 @@
 //! row slice of w2 directly.
 //!
 //! Every captured node, weights included, is attributed to a shard
-//! (`shard = stage * tp + rank`); the map drives
-//! [`genie_frontend::execute_sharded`], the sharded placement policy,
-//! and the netsim pricing of cut-edge traffic.
+//! (`shard = stage * tp + rank`); the map drives the fabric accounting
+//! ([`ShardExecReport::of`]), the sharded placement policy, and the
+//! netsim pricing of cut-edge traffic. The arithmetic runs on the one
+//! interpreter: sharding moves no value.
 //!
 //! [`all_gather`]: genie_frontend::capture::CaptureCtx::all_gather
 //! [`matmul_acc`]: genie_frontend::capture::LazyTensor::matmul_acc
@@ -35,7 +36,8 @@
 
 use crate::transformer::{KvState, LmCapture, TransformerLm};
 use genie_frontend::capture::{CaptureCtx, LazyTensor};
-use genie_frontend::shard::{execute_sharded, ShardExecReport};
+use genie_frontend::interp::execute_sequential;
+use genie_frontend::shard::ShardExecReport;
 use genie_srg::shard::ShardSpec;
 use genie_srg::{NodeId, Phase};
 use std::collections::BTreeMap;
@@ -111,9 +113,10 @@ impl ShardedTransformerLm {
     }
 
     /// Sharded greedy generation: same semantics as
-    /// [`TransformerLm::generate`], executed through the sharded
-    /// interpreter. Returns the tokens plus the aggregated execution
-    /// report (per-shard work, collective counts, cross-shard bytes).
+    /// [`TransformerLm::generate`], each sharded step run through
+    /// [`execute_sequential`]. Returns the tokens plus the steps' summed
+    /// [`ShardExecReport::of`] (per-shard work, collective counts,
+    /// cross-shard bytes).
     pub fn generate_sharded(&self, prompt: &[i64], steps: usize) -> (Vec<i64>, ShardExecReport) {
         assert!(self.model.is_functional(), "generate needs real weights");
         let mut tokens = Vec::with_capacity(steps);
@@ -139,9 +142,9 @@ impl ShardedTransformerLm {
                 v.mark_output();
             }
             let captured = ctx.finish();
-            let (values, report) = execute_sharded(&captured.srg, &captured.values, &sc.shard_of)
-                .expect("sharded step executes");
-            merge(report, &mut total);
+            let values =
+                execute_sequential(&captured.srg, &captured.values).expect("sharded step executes");
+            merge(ShardExecReport::of(&captured.srg, &sc.shard_of), &mut total);
             let cache = |lt: &LazyTensor| values[&lt.node].as_f("kv cache").clone();
             let kv = KvState {
                 k: cap.k_caches.iter().map(cache).collect(),
@@ -265,6 +268,33 @@ mod tests {
             assert!(srg == unsharded, "{} differs at one shard", srg.name);
             let shard = |n: &genie_srg::Node| shard_of.get(&n.id).copied().unwrap_or(0);
             assert!(srg.nodes().all(|n| shard(n) == 0));
+        }
+    }
+
+    #[test]
+    fn the_report_reads_shapes_only() {
+        let cfg = TransformerConfig::tiny();
+        let kv = decode_kv(&cfg, 3);
+        let functional = tiny();
+        let spec = TransformerLm::new_spec(cfg);
+        for shards in [ShardSpec::tensor(2), ShardSpec::new(2, 2)] {
+            let report = |m: &TransformerLm, decode: bool| {
+                let sharded = ShardedTransformerLm::new(m.clone(), shards);
+                let ctx = CaptureCtx::new("step");
+                let sc = if decode {
+                    sharded.capture_decode_step(&ctx, 5, &kv)
+                } else {
+                    sharded.capture_prefill(&ctx, &[1, 2, 3])
+                };
+                sc.caps[0].logits.mark_output();
+                ShardExecReport::of(&ctx.finish().srg, &sc.shard_of)
+            };
+            for decode in [false, true] {
+                let want = report(&functional, decode);
+                assert!(want.collective_ops > 0 && want.cross_shard_bytes() > 0);
+                let label = shards.label();
+                assert_eq!(report(&spec, decode), want, "{label} decode={decode}");
+            }
         }
     }
 

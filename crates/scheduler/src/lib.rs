@@ -27,6 +27,10 @@
 //! [`global`] answers §3.6's *where* fleet-wide: placement by roofline
 //! affinity, admission on the plan's deny-level findings (GA101) — the
 //! gate [`schedule_checked`] applies. *When* and *how* are `genie-serving`'s.
+//!
+//! The plan type is `genie-analysis`'s ([`plan`] re-exports its module),
+//! so the lint gate every plan passes, [`lint_plan`], reads the plan the
+//! scheduler emits and no copy of it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,16 +38,18 @@
 pub mod adapt;
 pub mod cost;
 pub mod global;
-pub mod lint;
 pub mod pipeline;
-pub mod plan;
 pub mod plan_dot;
 pub mod policy;
 pub mod schedule;
 pub mod view;
 
 pub use cost::{CostCacheStats, CostModel};
-pub use lint::lint_plan;
+pub use genie_analysis::plan;
+/// Run every plan pass (`GA1xx`, `GA2xx`, plan-level `GA3xx`) over a plan
+/// against the cluster it was scheduled for: the gate
+/// [`schedule`](schedule::schedule) records on every plan it emits.
+pub use genie_analysis::run_plan_passes as lint_plan;
 pub use plan::{CostBreakdown, ExecutionPlan, Location, Transfer};
 pub use policy::{DataAware, LeastLoaded, Policy, RoundRobin, SemanticsAware, Sharded};
 pub use schedule::{schedule, schedule_checked, schedule_with_lints};

@@ -163,12 +163,10 @@ pub fn schedule_with_lints(
             compute_s,
             transfer_s,
             queue_s,
-            bytes_moved: 0.0,
         },
         diagnostics: Vec::new(),
     };
-    plan.estimate.bytes_moved = plan.network_bytes() as f64;
-    plan.diagnostics = crate::lint::lint_plan(&plan, topo, state, lints).diagnostics;
+    plan.diagnostics = crate::lint_plan(&plan, topo, state, lints).diagnostics;
 
     let label = plan.label();
     span.annotate(|a| a.plan = Some(label.clone()));
@@ -242,9 +240,8 @@ pub fn schedule_checked(
         .iter()
         .any(|d| d.severity == Severity::Deny)
     {
-        let subject = format!("{}@{}", plan.srg.name, plan.policy);
         return Err(Report {
-            subject,
+            subject: plan.label(),
             diagnostics: plan.diagnostics,
         });
     }
@@ -255,12 +252,18 @@ pub fn schedule_checked(
 mod tests {
     use super::*;
     use crate::policy::{DataAware, RoundRobin, SemanticsAware};
+    use genie_analysis::{Anchor, LintCode};
+    use genie_cluster::{GpuSpec, Link};
     use genie_frontend::capture::CaptureCtx;
     use genie_models::{KvState, TransformerConfig, TransformerLm};
-    use genie_srg::{ElemType, Residency};
+    use genie_srg::{ElemType, Node, NodeId, OpKind, Residency, TensorMeta};
 
     fn decode_graph() -> Srg {
-        let m = TransformerLm::new_spec(TransformerConfig::gptj_6b());
+        decode_graph_of(TransformerConfig::gptj_6b())
+    }
+
+    fn decode_graph_of(config: TransformerConfig) -> Srg {
+        let m = TransformerLm::new_spec(config);
         let ctx = CaptureCtx::new("decode");
         let cap = m.capture_decode_step(&ctx, 0, &KvState::default());
         cap.logits.sample().mark_output();
@@ -490,5 +493,157 @@ mod tests {
         let s = plan.summary();
         assert!(s.contains("semantics_aware"));
         assert!(s.contains("devices"));
+    }
+
+    fn tiny_device_topo(mem_capacity: u64) -> Topology {
+        let mut t = Topology::new();
+        let client = t.add_host("client");
+        let server = t.add_host("server");
+        let spec = GpuSpec {
+            mem_capacity,
+            ..GpuSpec::a100_80gb()
+        };
+        t.add_device(server, spec);
+        t.add_link(client, server, Link::PAPER_TESTBED);
+        t
+    }
+
+    #[test]
+    fn scheduled_plans_carry_deny_clean_diagnostics() {
+        let srg = decode_graph_of(TransformerConfig::tiny());
+        let topo = Topology::paper_testbed();
+        let state = ClusterState::new();
+        let plan = schedule(
+            &srg,
+            &topo,
+            &state,
+            &CostModel::ideal_25g(),
+            &SemanticsAware::new(),
+        );
+        let denies: Vec<_> = plan
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == genie_analysis::Severity::Deny)
+            .collect();
+        assert!(denies.is_empty(), "real plans lint deny-clean: {denies:?}");
+    }
+
+    #[test]
+    fn schedule_checked_rejects_overcommitted_device() {
+        let srg = decode_graph_of(TransformerConfig::tiny());
+        // A "GPU" with 4 KB of memory: even the tiny model's weights
+        // cannot be pinned, so GA101 fires at deny level.
+        let topo = tiny_device_topo(4096);
+        let state = ClusterState::new();
+        let err = schedule_checked(
+            &srg,
+            &topo,
+            &state,
+            &CostModel::ideal_25g(),
+            &SemanticsAware::new(),
+            &LintConfig::new(),
+        )
+        .expect_err("4 KB device must overcommit");
+        assert!(err.has_deny(), "{err}");
+        assert!(
+            !err.with_code(LintCode::DeviceOvercommit).is_empty(),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn schedule_checked_warn_override_lets_plan_through() {
+        let srg = decode_graph_of(TransformerConfig::tiny());
+        let topo = tiny_device_topo(4096);
+        let state = ClusterState::new();
+        let cfg = LintConfig::new().warn(LintCode::DeviceOvercommit);
+        let plan = schedule_checked(
+            &srg,
+            &topo,
+            &state,
+            &CostModel::ideal_25g(),
+            &SemanticsAware::new(),
+            &cfg,
+        )
+        .expect("demoted to warn, plan goes through");
+        assert!(plan
+            .diagnostics
+            .iter()
+            .any(|d| d.code == LintCode::DeviceOvercommit));
+    }
+
+    #[test]
+    fn hand_built_overcommit_plan_is_flagged() {
+        let topo = tiny_device_topo(1_000_000);
+        let dev = topo.devices()[0].id;
+        let mut srg = Srg::new("hand");
+        let w = srg.add_node(
+            Node::new(NodeId::new(0), OpKind::Parameter, "w")
+                .with_residency(Residency::PersistentWeight),
+        );
+        let mm = srg.add_node(Node::new(NodeId::new(0), OpKind::MatMul, "mm"));
+        srg.connect(
+            w,
+            mm,
+            TensorMeta::new([1024, 1024], genie_srg::ElemType::F32),
+        );
+        let tensor = srg.edge(genie_srg::EdgeId::new(0)).tensor;
+        let plan = ExecutionPlan {
+            policy: "hand".into(),
+            srg,
+            placements: vec![Location::ClientCpu, Location::Device(dev)],
+            transfers: Vec::new(),
+            pinned_uploads: vec![(tensor, dev, 8_000_000)], // 8 MB into 1 MB
+            estimate: CostBreakdown::default(),
+            diagnostics: Vec::new(),
+        };
+        let r = crate::lint_plan(&plan, &topo, &ClusterState::new(), &LintConfig::new());
+        assert!(r.has_deny(), "{r}");
+        assert_eq!(r.with_code(LintCode::DeviceOvercommit).len(), 1, "{r}");
+    }
+
+    #[test]
+    fn round_robin_kv_splits_surface_as_warnings() {
+        let srg = decode_graph_of(TransformerConfig::tiny());
+        let topo = Topology::rack(4, 25e9);
+        let state = ClusterState::new();
+        let plan = schedule(&srg, &topo, &state, &CostModel::ideal_25g(), &RoundRobin);
+        let flagged = |e: genie_srg::EdgeId| {
+            plan.diagnostics
+                .iter()
+                .any(|d| d.code == LintCode::KvCacheNotColocated && d.anchor == Anchor::Edge(e))
+        };
+        // Blind placement splits KV caches from their consumers. A cache
+        // carried in from the client is pinned to the device that reads
+        // it, once, and stays quiet; one appended on one device and read
+        // on another crosses every step, and the lint records it without
+        // rejecting the (legal, just bad) plan.
+        let (mut carried, mut appended) = (0, 0);
+        for e in srg.edges() {
+            let src = srg.node(e.src);
+            let reader = plan.location(e.dst);
+            if src.residency != Residency::StatefulKvCache || plan.location(e.src) == reader {
+                continue;
+            }
+            if src.op.is_source() {
+                carried += 1;
+                let dev = reader.device().expect("a decode step reads on a device");
+                assert!(
+                    plan.pinned_uploads
+                        .iter()
+                        .any(|&(t, to, _)| t == e.tensor && to == dev),
+                    "{} is not pinned to its reader's device",
+                    e.id
+                );
+                assert!(!flagged(e.id), "{} is resident where it is read", e.id);
+            } else {
+                appended += 1;
+                assert!(flagged(e.id), "{} crosses every step unflagged", e.id);
+            }
+        }
+        assert!(
+            carried > 0 && appended > 0,
+            "{carried} carried, {appended} appended"
+        );
     }
 }

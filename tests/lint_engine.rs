@@ -53,34 +53,10 @@ fn every_zoo_family_is_deny_clean_end_to_end() {
 /// their stable code strings, so fleet tooling can key on them.
 #[test]
 fn ga2xx_findings_render_to_json() {
-    use genie::analysis::{run_plan_passes, PlanFacts, TransferFact};
+    use genie::analysis::plan::{CostBreakdown, ExecutionPlan, Location, Transfer};
+    use genie::analysis::run_plan_passes;
     use genie::cluster::DevId;
     use genie::srg::{ElemType, Node, NodeId, OpKind, Srg, TensorId, TensorMeta};
-    use std::collections::BTreeMap;
-
-    struct FakePlan {
-        srg: Srg,
-        devices: BTreeMap<NodeId, DevId>,
-        transfers: Vec<TransferFact>,
-        pinned: Vec<(TensorId, DevId, u64)>,
-    }
-    impl PlanFacts for FakePlan {
-        fn subject(&self) -> String {
-            "fixture@test".into()
-        }
-        fn srg(&self) -> &Srg {
-            &self.srg
-        }
-        fn node_device(&self, node: NodeId) -> Option<DevId> {
-            self.devices.get(&node).copied()
-        }
-        fn transfers(&self) -> Vec<TransferFact> {
-            self.transfers.clone()
-        }
-        fn pinned_uploads(&self) -> Vec<(TensorId, DevId, u64)> {
-            self.pinned.clone()
-        }
-    }
 
     // a on d0 feeds both the first and the last step of a chain on d1.
     // Shipping the later consumer's payload first inverts the channel
@@ -98,22 +74,26 @@ fn ga2xx_findings_render_to_json() {
     let e_late = g.connect(a, late, meta);
 
     let (d0, d1) = (DevId(0), DevId(1));
-    let xfer = |edge, tensor| TransferFact {
+    let xfer = |edge, tensor| Transfer {
         edge,
         tensor,
-        from: Some(d0),
-        to: Some(d1),
+        from: Location::Device(d0),
+        to: Location::Device(d1),
         bytes: 16,
         via_handle: false,
     };
-    let plan = FakePlan {
-        devices: [(a, d0), (early, d1), (mid, d1), (late, d1)].into(),
+    let plan = ExecutionPlan {
+        policy: "test".into(),
+        // a, early, mid, late.
+        placements: [d0, d1, d1, d1].map(Location::Device).into(),
         transfers: vec![
             xfer(e_late, g.edge(e_late).tensor),
             xfer(e_early, g.edge(e_early).tensor),
         ],
-        pinned: vec![(TensorId::new(99), d1, 1024), (TensorId::new(99), d1, 1024)],
+        pinned_uploads: vec![(TensorId::new(99), d1, 1024), (TensorId::new(99), d1, 1024)],
         srg: g,
+        estimate: CostBreakdown::default(),
+        diagnostics: Vec::new(),
     };
 
     let topo = Topology::rack(2, 25e9);
@@ -187,32 +167,10 @@ fn ga3xx_findings_render_to_json() {
 /// every rank, must stay clean.
 #[test]
 fn ga204_collective_schedule_cycle_denied() {
-    use genie::analysis::{run_plan_passes, PlanFacts, TransferFact};
+    use genie::analysis::plan::{CostBreakdown, ExecutionPlan, Location};
+    use genie::analysis::run_plan_passes;
     use genie::cluster::DevId;
-    use genie::srg::{ElemType, Node, NodeId, OpKind, Srg, TensorId, TensorMeta};
-    use std::collections::BTreeMap;
-
-    struct FakePlan {
-        srg: Srg,
-        devices: BTreeMap<NodeId, DevId>,
-    }
-    impl PlanFacts for FakePlan {
-        fn subject(&self) -> String {
-            "collective-fixture@test".into()
-        }
-        fn srg(&self) -> &Srg {
-            &self.srg
-        }
-        fn node_device(&self, node: NodeId) -> Option<DevId> {
-            self.devices.get(&node).copied()
-        }
-        fn transfers(&self) -> Vec<TransferFact> {
-            Vec::new()
-        }
-        fn pinned_uploads(&self) -> Vec<(TensorId, DevId, u64)> {
-            Vec::new()
-        }
-    }
+    use genie::srg::{ElemType, Node, NodeId, OpKind, Srg, TensorMeta};
 
     // d0 produces p0 (early) and q0 (late); d1 produces p1 (early) and
     // q1 (late). c1 consumes {p0, q1}, c2 consumes {p1, q0}: d0 reaches
@@ -232,9 +190,15 @@ fn ga204_collective_schedule_cycle_denied() {
     g.connect(q0, c2, meta);
 
     let (d0, d1) = (DevId(0), DevId(1));
-    let plan = FakePlan {
-        devices: [(p0, d0), (q0, d0), (p1, d1), (q1, d1), (c1, d0), (c2, d1)].into(),
+    let plan = ExecutionPlan {
+        policy: "test".into(),
+        // p0, p1, q0, q1, c1, c2.
+        placements: [d0, d1, d0, d1, d0, d1].map(Location::Device).into(),
+        transfers: Vec::new(),
+        pinned_uploads: Vec::new(),
         srg: g,
+        estimate: CostBreakdown::default(),
+        diagnostics: Vec::new(),
     };
     let topo = Topology::rack(2, 25e9);
     let report = run_plan_passes(&plan, &topo, &ClusterState::new(), &LintConfig::new());

@@ -652,7 +652,7 @@ fn render_plan(out: &mut String, plan: &ExecutionPlan, topo: &Topology, cost: &C
         e.compute_s.to_bits(),
         e.transfer_s.to_bits(),
         e.queue_s.to_bits(),
-        e.bytes_moved.to_bits()
+        (plan.network_bytes() as f64).to_bits()
     )
     .unwrap();
     out.push_str("codes");

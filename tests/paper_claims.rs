@@ -96,8 +96,8 @@ fn claim_sa_closes_most_of_the_gap() {
     let rows = rows();
     let decode = |m: Mode| rows.iter().find(|r| r.mode == m).unwrap().decode.latency_s;
     let local = decode(Mode::Local);
-    let dkv = decode(Mode::DeltaKv) - cal.session_init_s;
-    let sa = decode(Mode::SemanticsAware) - cal.session_init_s;
+    let dkv = decode(Mode::DeltaKv) - cal.rpc.session_init.as_secs_f64();
+    let sa = decode(Mode::SemanticsAware) - cal.rpc.session_init.as_secs_f64();
     let closure = (dkv - sa) / (dkv - local);
     assert!(closure > 0.85, "closure {closure}");
 }
@@ -152,7 +152,7 @@ fn claim_rpc_bound_not_data_bound() {
         &w,
         &Calibration::rdma(),
     );
-    let work = rdma.latency_s - Calibration::rdma().session_init_s;
+    let work = rdma.latency_s - Calibration::rdma().rpc.session_init.as_secs_f64();
     assert!(
         work < local * 1.5,
         "RDMA semantics-aware decode {work}s should approach local {local}s"
