@@ -13,7 +13,9 @@
 //!   reduction, `W` as wide as the CPU's vector ISA allows
 //!   ([`crate::stats::isa`]);
 //! * `Parallel` — the simd worker with output rows fanned out over the
-//!   persistent worker pool.
+//!   persistent worker pool, one contiguous chunk per worker. The worker
+//!   reads each B strip once per block of up to 256 rows, so the B
+//!   traffic grows with the number of workers, not of row tiles.
 //!
 //! `Int8` and `Fp16` are the *approximate* tiers of [`crate::quant`];
 //! their error is bounded by the GA3xx error model, not bit-identity.

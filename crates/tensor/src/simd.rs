@@ -17,6 +17,10 @@
 //! the `exp` lanes (`ops::activation::exp_lanes`) are instantiated the
 //! same way, through [`on`].
 //!
+//! The row worker's loop order is about memory, not arithmetic: within
+//! a block of row tiles the column strip is the outer loop, so a worker
+//! loads each strip of B once per block, not once per 4-row tile.
+//!
 //! Bit-for-bit equivalence with the scalar reference is a structural
 //! property, not an accident: every output element is produced by a
 //! single f32 accumulator walking `p` in ascending order with the same
@@ -28,6 +32,9 @@
 
 /// Output rows per micro-kernel tile (accumulator rows held live).
 const MR: usize = 4;
+
+/// Row tiles that share each pass over a B strip: a bit each of a `u64`.
+const BLOCK: usize = 64;
 
 /// The operands of one row-worker call, as [`matmul_simd_rows`] takes
 /// them.
@@ -71,10 +78,16 @@ impl Rows<'_> {
     }
 
     /// `W`-wide strips of the `ir`-row tile at `i0`, from column `jt` for
-    /// as long as they fit; returns the first column left uncovered.
+    /// as long as they fit below `end`; returns the first column left
+    /// uncovered.
     #[inline(always)]
-    fn strips<const W: usize>(&mut self, i0: usize, ir: usize, skip: bool, mut jt: usize) -> usize {
-        while jt + W <= self.n {
+    fn strips<const W: usize>(
+        &mut self,
+        (i0, ir, skip): (usize, usize, bool),
+        mut jt: usize,
+        end: usize,
+    ) -> usize {
+        while jt + W <= end {
             match (ir, skip) {
                 (4, true) => self.micro::<4, W, true>(i0, jt),
                 (3, true) => self.micro::<3, W, true>(i0, jt),
@@ -90,32 +103,47 @@ impl Rows<'_> {
         jt
     }
 
-    /// Every tile, widest strips first. Columns the widest strip leaves
-    /// over cascade through narrower ones — attention's `n = 96` is
-    /// `64 + 32`, not `64 + 4 × 8` — down to `W = 1`, the scalar tail. A
-    /// cascade shorter than four repeats its last width, and a repeat is
-    /// compiled out: each width is two copies of the micro-kernels, with
-    /// and without the zero test. A tile gets the test if one of its A
-    /// rows holds a zero by the test's own predicate (`-0.0` does, `NaN`
-    /// does not), so every output element runs the same `mul`s and `add`s.
+    /// Every tile, a block of up to [`BLOCK`] tiles at a time. A block
+    /// runs its widest strips strip-outer, so each `k × W0` strip of B
+    /// comes from memory once per block, not once per tile (a one-tile
+    /// block, every decode matmul, makes the tile-outer loop's calls);
+    /// then, tile by tile, the columns left over cascade through narrower
+    /// strips — attention's `n = 96` is `64 + 32`, not `64 + 4 × 8` —
+    /// down to `W = 1`, the scalar tail. A cascade shorter than four
+    /// repeats its last width, which is compiled out. A tile gets the
+    /// zero test if one of its A rows holds a zero by the test's own
+    /// predicate (`-0.0` does, `NaN` does not), so every output element
+    /// runs the same `mul`s and `add`s in either loop order.
     #[inline(always)]
     fn run<const W0: usize, const W1: usize, const W2: usize, const W3: usize>(&mut self) {
-        let rows = self.out_rows.len() / self.n;
-        for i0 in (0..rows).step_by(MR) {
-            let ir = (rows - i0).min(MR);
-            let a = |r: usize| &self.ad[(i0 + r) * self.lda..][..self.k];
-            let skip = (0..ir).any(|r| a(r).contains(&0.0));
-            let mut jt = self.strips::<W0>(i0, ir, skip, 0);
-            if W1 < W0 {
-                jt = self.strips::<W1>(i0, ir, skip, jt);
+        let (rows, n) = (self.out_rows.len() / self.n, self.n);
+        for b0 in (0..rows).step_by(MR * BLOCK) {
+            let tiles = (b0..rows.min(b0 + MR * BLOCK)).step_by(MR).enumerate();
+            let mut skip = 0u64;
+            for (t, i0) in tiles.clone() {
+                let zero = |i: usize| self.ad[i * self.lda..][..self.k].contains(&0.0);
+                skip |= u64::from((i0..rows.min(i0 + MR)).any(zero)) << t;
             }
-            if W2 < W1 {
-                jt = self.strips::<W2>(i0, ir, skip, jt);
+            let tile = |(t, i0): (usize, usize)| (i0, (rows - i0).min(MR), skip >> t & 1 != 0);
+            let from = n - n % W0;
+            for jt in (0..from).step_by(W0) {
+                for t in tiles.clone() {
+                    self.strips::<W0>(tile(t), jt, jt + W0);
+                }
             }
-            if W3 < W2 {
-                jt = self.strips::<W3>(i0, ir, skip, jt);
+            for tile in tiles.map(tile) {
+                let mut jt = from;
+                if W1 < W0 {
+                    jt = self.strips::<W1>(tile, jt, n);
+                }
+                if W2 < W1 {
+                    jt = self.strips::<W2>(tile, jt, n);
+                }
+                if W3 < W2 {
+                    jt = self.strips::<W3>(tile, jt, n);
+                }
+                self.strips::<1>(tile, jt, n);
             }
-            self.strips::<1>(i0, ir, skip, jt);
         }
     }
 }
@@ -364,6 +392,57 @@ mod tests {
                 };
                 rows_on(isa, rows);
                 assert_eq!(got, &full[2 * n..5 * n], "{isa:?} n={n} strided");
+            }
+        }
+    }
+
+    #[test]
+    fn simd_rows_across_block_boundaries() {
+        // Up to 75 tiles: one block, a full one, one row past it, a
+        // partial second block. B's last row holds `±inf` and `NaN`, and
+        // one row in every third tile of the first block, and the last
+        // row, hides it behind a signed zero in A's last column, so a
+        // zero-test mask shifted by a tile lets `0 · inf` through, and a
+        // block that drops its last partial tile leaves zeros. Operands
+        // are strided, as attention reads a head's band.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let k = 9usize;
+        for isa in instantiations() {
+            for m in [255usize, 256, 257, 300] {
+                for n in [19usize, 75, 189] {
+                    let mut ad: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
+                    let zero_rows = (1..64).step_by(3).map(|t| 4 * t + t % 4).chain([m - 1]);
+                    for (z, r) in zero_rows.enumerate() {
+                        ad[r * k + k - 1] = [0.0, -0.0][z % 2];
+                    }
+                    let mut bd: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.11).cos()).collect();
+                    for (j, x) in bd[(k - 1) * n..].iter_mut().enumerate() {
+                        *x = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY][j % 3];
+                    }
+                    let want = matmul_scalar_ref(&ad, &bd, m, k, n);
+                    assert!(want[(m - 1) * n..].iter().all(|v| v.is_finite()));
+                    let (lda, ldb) = (k + 3, n + 5);
+                    let mut wide_a = vec![f32::NAN; m * lda];
+                    for (row, src) in wide_a.chunks_mut(lda).zip(ad.chunks(k)) {
+                        row[1..=k].copy_from_slice(src);
+                    }
+                    let mut wide_b = vec![f32::NAN; k * ldb];
+                    for (row, src) in wide_b.chunks_mut(ldb).zip(bd.chunks(n)) {
+                        row[1..=n].copy_from_slice(src);
+                    }
+                    let mut got = vec![0.0f32; m * n];
+                    let rows = Rows {
+                        out_rows: &mut got,
+                        ad: &wide_a[1..],
+                        lda,
+                        bd: &wide_b[1..],
+                        ldb,
+                        k,
+                        n,
+                    };
+                    rows_on(isa, rows);
+                    assert_eq!(bits(&got), bits(&want), "{isa:?} m={m} n={n}");
+                }
             }
         }
     }

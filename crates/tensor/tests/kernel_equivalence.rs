@@ -159,6 +159,35 @@ fn a_lone_zero_in_any_row_and_column_of_a_tile_is_skipped() {
     }
 }
 
+#[test]
+fn many_tiles_across_a_block_boundary_on_every_tier() {
+    let _kernels = shared();
+    // The row worker runs its tiles in blocks of 64 (256 rows), each with
+    // its own zero-test mask: one block, a full one, one row past it, a
+    // partial second block, and on the parallel tier row counts that
+    // split unevenly over the workers (97, 257). One row in every third
+    // tile of the first block, and the last row, holds a signed zero in
+    // A's last column, over B's `±inf`/`NaN` last row: a mask shifted by
+    // a tile lets `0 · inf` through, a dropped partial tile leaves zeros.
+    let k = 9;
+    for m in [97, 255, 256, 257, 300] {
+        for n in [24, 75, 189] {
+            let mut a = init::randn([m, k], (m * n) as u64);
+            let mut b = init::randn([k, n], (m + n) as u64);
+            let zero_rows = (1..64).step_by(3).map(|t| 4 * t + t % 4).filter(|&r| r < m);
+            for (z, r) in zero_rows.chain([m - 1]).enumerate() {
+                a.data_mut()[r * k + k - 1] = [0.0, -0.0][z % 2];
+            }
+            for (j, x) in b.data_mut()[(k - 1) * n..].iter_mut().enumerate() {
+                *x = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY][j % 3];
+            }
+            let scalar = ops::matmul_scalar(&a, &b);
+            assert!(scalar.data()[(m - 1) * n..].iter().all(|v| v.is_finite()));
+            assert_matmul_tiers_agree(&a, &b, &format!("m={m} k={k} n={n}"));
+        }
+    }
+}
+
 /// Every tier of `conv2d_on` — the blocked and quantized ones run the
 /// scalar kernel — and the dispatcher against the scalar tier.
 fn assert_conv_tiers_agree(x: &Tensor, w: &Tensor, bias: &Tensor, stride: usize, padding: usize) {
