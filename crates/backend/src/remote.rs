@@ -3,9 +3,11 @@
 //! The server side ([`GenieExecutor`]) plugs Genie's remote-executor
 //! semantics into `genie-transport`: a resident-object store with epochs,
 //! SRG execution via the reference interpreter, and a `Crash` hook that
-//! loses all device state (a fault-injection fixture). The client side
-//! ([`RemoteSession`]) uploads pinnable state once, then drives per-step
-//! graphs whose stateful inputs are handle references — the
+//! loses all device state (a fault-injection fixture). An upload is kept
+//! in the bytes it arrived in, which a fetch of it sends back; the first
+//! `Execute` that binds it decodes it once, for every later step. The
+//! client side ([`RemoteSession`]) uploads pinnable state once, then drives
+//! per-step graphs whose stateful inputs are handle references — the
 //! semantics-aware execution mode of §4 running on an actual TCP stack.
 
 use crate::handle::{HandleTable, RemoteHandle};
@@ -22,10 +24,19 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
-/// Server-side resident store shared across connections.
+/// A resident object: the payload an upload arrived in until an `Execute`
+/// needs it as a tensor, then the tensor.
+#[derive(Clone, Debug)]
+enum Resident {
+    Wire(TensorPayload),
+    Value(Value),
+}
+
+/// Server-side resident store shared across connections. What it removes or
+/// replaces is dropped after its lock is released, never under it.
 #[derive(Debug, Default)]
 struct Store {
-    objects: HashMap<u64, (Value, u64)>,
+    objects: HashMap<u64, (Resident, u64)>,
     epoch: u64,
 }
 
@@ -55,30 +66,32 @@ impl GenieExecutor {
         match body {
             RequestBody::Ping => ResponseBody::Pong,
             RequestBody::Upload { key, tensor } => {
-                let value = match payload_to_value(&tensor) {
-                    Ok(v) => v,
-                    Err(e) => return ResponseBody::Error(e),
-                };
+                if let Err(e) = check_payload(&tensor) {
+                    return ResponseBody::Error(e);
+                }
                 let mut store = lock(&self.store);
                 let epoch = store.epoch;
-                store.objects.insert(key, (value, epoch));
+                let _replaced = store.objects.insert(key, (Resident::Wire(tensor), epoch));
+                drop(store);
                 ResponseBody::Handle { key, epoch }
             }
             RequestBody::Fetch { key } => {
-                let store = lock(&self.store);
-                match store.objects.get(&key) {
-                    Some((v, _)) => ResponseBody::Tensors(vec![value_to_payload(v)]),
+                let found = lock(&self.store).objects.get(&key).map(|(r, _)| r.clone());
+                match found {
+                    Some(Resident::Wire(tensor)) => ResponseBody::Tensors(vec![tensor]),
+                    Some(Resident::Value(v)) => ResponseBody::Tensors(vec![value_to_payload(&v)]),
                     None => ResponseBody::Error(format!("no resident object {key}")),
                 }
             }
             RequestBody::Release { key } => {
-                lock(&self.store).objects.remove(&key);
+                let _released = lock(&self.store).objects.remove(&key);
                 ResponseBody::Ok
             }
             RequestBody::Crash => {
                 let mut store = lock(&self.store);
-                store.objects.clear();
                 store.epoch += 1;
+                let _lost = std::mem::take(&mut store.objects);
+                drop(store);
                 ResponseBody::Ok
             }
             RequestBody::Execute {
@@ -117,12 +130,27 @@ impl GenieExecutor {
                 Err(e) => return ResponseBody::Error(e),
             }
         }
+        // Forms the store let go of, dropped after its guard on every path.
+        let mut dropped = Vec::new();
         {
-            let store = lock(&self.store);
+            let mut store = lock(&self.store);
             for (node, key, expected_epoch) in &handle_bindings {
-                match store.objects.get(key) {
-                    Some((v, epoch)) if epoch == expected_epoch => {
-                        values.insert(NodeId::new(*node), v.clone());
+                match store.objects.get_mut(key) {
+                    Some((resident, epoch)) if epoch == expected_epoch => {
+                        // The first step to bind an upload decodes it, under
+                        // the lock so that it is decoded once; later steps
+                        // bind the tensor by `Arc` clone.
+                        if let Resident::Wire(tensor) = resident {
+                            match payload_to_value(tensor) {
+                                Ok(v) => {
+                                    dropped.push(std::mem::replace(resident, Resident::Value(v)))
+                                }
+                                Err(e) => return ResponseBody::Error(e),
+                            }
+                        }
+                        if let Resident::Value(v) = resident {
+                            values.insert(NodeId::new(*node), v.clone());
+                        }
                     }
                     Some((_, epoch)) => {
                         return ResponseBody::Error(format!(
@@ -136,7 +164,7 @@ impl GenieExecutor {
         // What validation cannot see — a binding whose kind or dims the
         // kernels refuse — still panics inside them. That is this request's
         // failure, not the connection's: nothing is locked here and the
-        // store has not been touched yet.
+        // store holds the same objects (a decoded upload changed form only).
         let run = || genie_frontend::interp::execute(&srg, &values);
         let all = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
             Ok(Ok(v)) => v,
@@ -166,7 +194,8 @@ impl GenieExecutor {
             for (node, key) in &pin {
                 match all.get(&NodeId::new(*node)) {
                     Some(v) => {
-                        store.objects.insert(*key, (v.clone(), epoch));
+                        let resident = (Resident::Value(v.clone()), epoch);
+                        dropped.extend(store.objects.insert(*key, resident).map(|(r, _)| r));
                         handles.push((*key, epoch));
                     }
                     None => return ResponseBody::Error(format!("pin of unknown node {node}")),
@@ -435,9 +464,9 @@ pub fn value_to_payload(v: &Value) -> TensorPayload {
     }
 }
 
-/// Convert a wire payload to a runtime value: checked as a peer's, then
-/// decoded once, straight into the tensor's storage.
-pub fn payload_to_value(p: &TensorPayload) -> Result<Value, String> {
+/// Check a payload as a peer's: whole elements of its kind, and dims whose
+/// product is the element count. Returns that count.
+fn check_payload(p: &TensorPayload) -> Result<usize, String> {
     let (kind, width) = match p.kind {
         PayloadKind::F32 => ("f32", 4),
         PayloadKind::I64 => ("i64", 8),
@@ -447,16 +476,23 @@ pub fn payload_to_value(p: &TensorPayload) -> Result<Value, String> {
     }
     // Dims come off the wire: their product can overflow, and must match
     // the element count before a tensor may claim that shape.
-    let elements = p.dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
-    if elements != Some(p.data.len() / width) {
+    let elements = p.data.len() / width;
+    if p.dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) != Some(elements) {
         return Err("payload length does not match dims".to_string());
     }
+    Ok(elements)
+}
+
+/// Convert a wire payload to a runtime value: checked as a peer's, then
+/// decoded once, straight into the tensor's storage.
+pub fn payload_to_value(p: &TensorPayload) -> Result<Value, String> {
+    let elements = check_payload(p)?;
     Ok(match p.kind {
         PayloadKind::F32 => Value::F(Tensor::build(p.dims.clone(), |out| {
             wire::f32s_from_bytes(&p.data, out)
         })),
         PayloadKind::I64 => {
-            let mut data = vec![0; p.data.len() / width];
+            let mut data = vec![0; elements];
             wire::i64s_from_bytes(&p.data, &mut data);
             Value::I(IndexTensor::from_vec(p.dims.clone(), data))
         }
@@ -793,6 +829,128 @@ mod tests {
         let v = session.fetch("w").unwrap();
         assert_eq!(v.as_f("w").dims(), &[4, 4]);
         drop(server);
+    }
+
+    /// `y = x @ w` over a `[1, 4]` input (node 0) and a `[4, 4]` weight
+    /// (node 1), and an `Execute` of it with the weight bound by handle.
+    fn execute_with_weight(exec: &GenieExecutor, key: u64, epoch: u64) -> ResponseBody {
+        use genie_srg::{Node, OpKind, Srg, TensorMeta};
+        let mut g = Srg::new("g");
+        let nx = g.add_node(Node::new(NodeId::new(0), OpKind::Input, "x"));
+        let nw = g.add_node(Node::new(NodeId::new(0), OpKind::Parameter, "w"));
+        let ny = g.add_node(Node::new(NodeId::new(0), OpKind::MatMul, "y"));
+        g.connect(nx, ny, TensorMeta::new([1, 4], ElemType::F32));
+        g.connect(nw, ny, TensorMeta::new([4, 4], ElemType::F32));
+        exec.handle_body(RequestBody::Execute {
+            srg_json: genie_srg::serialize::to_json(&g).unwrap(),
+            bindings: vec![(0, value_to_payload(&Value::F(randn([1, 4], 5))))],
+            handle_bindings: vec![(1, key, epoch)],
+            fetch: vec![2],
+            pin: vec![],
+        })
+    }
+
+    fn upload(exec: &GenieExecutor, key: u64, tensor: TensorPayload) -> ResponseBody {
+        exec.handle_body(RequestBody::Upload { key, tensor })
+    }
+
+    fn fetched(exec: &GenieExecutor, key: u64) -> TensorPayload {
+        match exec.handle_body(RequestBody::Fetch { key }) {
+            ResponseBody::Tensors(mut ts) if ts.len() == 1 => ts.remove(0),
+            other => panic!("fetch of {key}: {other:?}"),
+        }
+    }
+
+    /// The resident form of `key`: the tensor's storage when decoded.
+    fn decoded_at(exec: &GenieExecutor, key: u64) -> Option<*const f32> {
+        match &lock(&exec.store).objects[&key].0 {
+            Resident::Wire(_) => None,
+            Resident::Value(v) => Some(v.as_f("w").data().as_ptr()),
+        }
+    }
+
+    /// A 4×4 weight whose bits include a NaN payload and a signed zero.
+    fn weight() -> TensorPayload {
+        let mut w = randn([4, 4], 2).data().to_vec();
+        w[0] = f32::from_bits(0x7fc0_0001);
+        w[1] = -0.0;
+        TensorPayload::from_f32(vec![4, 4], &w)
+    }
+
+    #[test]
+    fn an_upload_is_fetched_from_the_bytes_it_arrived_in() {
+        let exec = GenieExecutor::new();
+        let sent = weight();
+        let answer = upload(&exec, 7, sent.clone());
+        assert_eq!(answer, ResponseBody::Handle { key: 7, epoch: 0 });
+        assert_eq!(decoded_at(&exec, 7), None);
+        for _ in 0..2 {
+            let back = fetched(&exec, 7);
+            assert_eq!(back, sent);
+            assert_eq!(back.data.as_ptr(), sent.data.as_ptr(), "copied, not shared");
+        }
+    }
+
+    #[test]
+    fn the_first_execute_decodes_an_upload_and_later_ones_share_it() {
+        let exec = GenieExecutor::new();
+        let sent = weight();
+        upload(&exec, 7, sent.clone());
+        let first = execute_with_weight(&exec, 7, 0);
+        assert!(
+            matches!(first, ResponseBody::ExecuteResult { .. }),
+            "{first:?}"
+        );
+        let decoded = decoded_at(&exec, 7).expect("decoded by the first step");
+        assert_eq!(execute_with_weight(&exec, 7, 0), first);
+        assert_eq!(decoded_at(&exec, 7), Some(decoded), "decoded again");
+        // Encoded back from the tensor now, bit for bit what arrived.
+        let back = fetched(&exec, 7);
+        assert_eq!(back, sent);
+        assert_ne!(back.data.as_ptr(), sent.data.as_ptr());
+    }
+
+    #[test]
+    fn a_refused_upload_stores_nothing() {
+        let exec = GenieExecutor::new();
+        let misaligned = TensorPayload {
+            dims: vec![2],
+            kind: PayloadKind::F32,
+            data: vec![0u8; 7].into(),
+        };
+        let mut mismatched = weight();
+        mismatched.dims = vec![4, 5];
+        for (tensor, why) in [
+            (misaligned, "f32 payload not 4-aligned"),
+            (mismatched, "payload length does not match dims"),
+        ] {
+            assert_eq!(upload(&exec, 7, tensor), ResponseBody::Error(why.into()));
+        }
+        assert_eq!(exec.resident_count(), 0);
+    }
+
+    #[test]
+    fn a_crash_empties_both_forms_and_a_stale_wire_handle_is_refused() {
+        let exec = GenieExecutor::new();
+        upload(&exec, 1, weight());
+        upload(&exec, 2, weight());
+        execute_with_weight(&exec, 2, 0);
+        assert_eq!(decoded_at(&exec, 1), None);
+        assert!(decoded_at(&exec, 2).is_some());
+
+        assert_eq!(exec.handle_body(RequestBody::Crash), ResponseBody::Ok);
+        assert_eq!(exec.resident_count(), 0);
+        assert_eq!(exec.epoch(), 1);
+
+        assert_eq!(
+            upload(&exec, 1, weight()),
+            ResponseBody::Handle { key: 1, epoch: 1 }
+        );
+        match execute_with_weight(&exec, 1, 0) {
+            ResponseBody::Error(msg) => assert_eq!(msg, "stale handle 1: epoch 0 != 1"),
+            other => panic!("stale handle accepted: {other:?}"),
+        }
+        assert_eq!(decoded_at(&exec, 1), None, "a refused step decoded");
     }
 
     #[test]

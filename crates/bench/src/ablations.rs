@@ -502,8 +502,9 @@ fn fleet_row(devices: u32, requests: &[ServingRequest], reports: &[ServingReport
 /// engine.
 ///
 /// One seeded trace of 8 tenants' GPT-J requests is served twice: by
-/// eight one-lane [`ServingLoop`]s, each fed its own tenant's requests
-/// (a GPU per tenant), and by one loop whose lanes every tenant shares.
+/// eight one-lane [`ServingLoop`](genie_serving::ServingLoop)s, each fed
+/// its own tenant's requests (a GPU per tenant), and by one loop whose
+/// lanes every tenant shares.
 /// The offered load (3.8 req/s for the fleet) is chosen so a dedicated
 /// device is busy about a fifth of the time: a request decodes ~64 tokens
 /// at ~6.5 ms each (~0.42 s of device time), and each tenant sends one

@@ -1,5 +1,5 @@
 //! Live cluster state — the mutable view the scheduler consumes alongside
-//! the static [`Topology`](crate::topology::Topology).
+//! the static [`Topology`].
 
 use crate::topology::{DevId, Topology};
 use std::collections::BTreeMap;

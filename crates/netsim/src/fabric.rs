@@ -1,11 +1,10 @@
 //! A simulated network fabric over a cluster topology.
 //!
 //! [`Fabric`] instantiates one [`RpcChannel`] per host pair from a
-//! [`Topology`](genie_cluster::Topology), applying each pair's link
-//! parameters; a slow link is a fault plan's derate
-//! ([`apply_fault_plan`](Fabric::apply_fault_plan)). It is the network
-//! half of Genie's simulation backend; the compute half lives in
-//! `genie-backend::sim`.
+//! [`Topology`], applying each pair's link parameters; a slow link is a
+//! fault plan's derate ([`apply_fault_plan`](Fabric::apply_fault_plan)).
+//! It is the network half of Genie's simulation backend; the compute half
+//! lives in `genie-backend::sim`.
 
 use crate::fault::FaultPlan;
 use crate::link::LinkSim;
@@ -70,9 +69,10 @@ impl Fabric {
         }
     }
 
-    /// Fault-window trace marks recorded by [`apply_fault_plan`]
-    /// (push them into a [`Trace`](crate::Trace) alongside the run's
-    /// events so exports attribute degradation windows).
+    /// Fault-window trace marks recorded by
+    /// [`apply_fault_plan`](Self::apply_fault_plan) (push them into a
+    /// [`Trace`](crate::Trace) alongside the run's events so exports
+    /// attribute degradation windows).
     pub fn fault_events(&self) -> &[TraceEvent] {
         &self.fault_events
     }

@@ -2,7 +2,7 @@
 //!
 //! A policy maps each SRG node to a [`Location`]. Everything else
 //! (transfer derivation, handle reuse, cost estimation) is shared
-//! machinery in [`crate::schedule`], so policies stay small and
+//! machinery in [`mod@crate::schedule`], so policies stay small and
 //! comparable. The four built-ins span the design space of §2.2:
 //!
 //! | policy | §2.2 characterization |

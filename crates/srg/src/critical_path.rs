@@ -85,7 +85,7 @@ pub fn critical_path_by_hints(g: &Srg, bytes_per_flop: f64) -> Result<CriticalPa
 }
 
 /// Tag every edge whose two ends lie on the critical path as
-/// [`Criticality::Critical`](crate::annotations::Criticality::Critical).
+/// [`Criticality::Critical`].
 pub fn mark_criticality(g: &mut Srg, bytes_per_flop: f64) -> Result<(), CycleError> {
     let cp = critical_path_by_hints(g, bytes_per_flop)?;
     let mut on_path = vec![false; g.node_count()];

@@ -2,7 +2,7 @@
 //!
 //! Two libm routines are ported as branch-free lanes, so that LLVM
 //! vectorises them and no output reads the host's libm: `gelu`'s tanh
-//! ([`tanh`]: fdlibm's `tanhf` and `expm1f`, the algorithm glibc ships)
+//! (`tanh`: fdlibm's `tanhf` and `expm1f`, the algorithm glibc ships)
 //! and `exp` (glibc 2.36's `expf`) for `silu`, `sigmoid` and every
 //! softmax. A lane computes each path of the C routine and keeps the one
 //! its input selects; each path is the routine's own IEEE operations in

@@ -8,7 +8,7 @@
 //! * `Blocked` — register/cache-blocked: 4 output rows × 64 output
 //!   columns per tile, so each loaded B row is reused 4× and C is written
 //!   exactly once;
-//! * `Simd` — the register-blocked row worker in [`crate::simd`]: a
+//! * `Simd` — the register-blocked row worker in `crate::simd`: a
 //!   `4 × W` accumulator tile stays in vector registers for the whole
 //!   reduction, `W` as wide as the CPU's vector ISA allows
 //!   ([`crate::stats::isa`]);
@@ -182,7 +182,7 @@ pub fn matmul_on(path: Path, a: &Tensor, b: &Tensor) -> Tensor {
 /// `C[m,n] = init[m,n] + A[m,k] · B[k,n]`, continuing `init`'s
 /// accumulation: each output element starts from the carried partial and
 /// folds `A`'s reduction in ascending-`p` order with the same zero-skip
-/// as [`matmul_scalar_into`]. Chaining
+/// as `matmul_scalar_into`. Chaining
 /// `matmul_acc(a_i, b_i, partial_{i-1})` over contiguous k-range chunks
 /// `(a_i, b_i)` therefore replays the *identical* f32 operation sequence
 /// as the unsharded `matmul(a, b)` — the bit-exact row-parallel

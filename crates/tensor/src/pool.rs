@@ -5,7 +5,7 @@
 //! `available_parallelism() - 1` workers exactly once per process and
 //! re-uses them for every scoped fan-out, so the steady-state cost of a
 //! parallel kernel call is one mutex push + condvar signal per chunk. A
-//! worker out of jobs polls the queue for [`POLL_BEFORE_PARK`], yielding
+//! worker out of jobs polls the queue for `POLL_BEFORE_PARK`, yielding
 //! between probes, and only then parks on the condvar, where the next
 //! spawn has to wake it across CPUs ([`parks`] counts these): an op's
 //! kernels fan out back to back, so most find their worker polling.

@@ -15,9 +15,9 @@
 //!   state-mutating requests. A cached frame shares its tensor bytes with
 //!   the reply the socket wrote, so caching copies none of them.
 //! - **Chaos injection** — [`Server::spawn_chaotic`] wraps the reply path
-//!   in a seeded [`ChaosState`](crate::chaos::ChaosState) that can stall
-//!   or drop responses *after* the handler ran, exercising exactly the
-//!   ambiguity retries must survive.
+//!   in a seeded [`ChaosState`] that can stall or drop responses *after*
+//!   the handler ran, exercising exactly the ambiguity retries must
+//!   survive.
 
 use crate::chaos::{ChaosAction, ChaosPolicy, ChaosState};
 use crate::error::Result;
@@ -71,20 +71,28 @@ impl DedupCache {
         self.by_id.get(&id).cloned()
     }
 
-    fn insert(&mut self, id: u64, frame: Frame) {
+    /// Cache `frame` under `id`. Returns the frames it pushed out, for the
+    /// caller to drop once the cache's lock is released.
+    fn insert(&mut self, id: u64, frame: Frame) -> Vec<Frame> {
+        let mut evicted = Vec::new();
         self.bytes += frame.wire_len();
         match self.by_id.insert(id, frame) {
-            Some(replaced) => self.bytes -= replaced.wire_len(),
+            Some(replaced) => {
+                self.bytes -= replaced.wire_len();
+                evicted.push(replaced);
+            }
             None => self.order.push_back(id),
         }
         while self.order.len() > DEDUP_CAPACITY
             || (self.order.len() > 1 && self.bytes > DEDUP_CAPACITY_BYTES)
         {
             let oldest = self.order.pop_front().expect("more than one entry");
-            if let Some(evicted) = self.by_id.remove(&oldest) {
-                self.bytes -= evicted.wire_len();
+            if let Some(frame) = self.by_id.remove(&oldest) {
+                self.bytes -= frame.wire_len();
+                evicted.push(frame);
             }
         }
+        evicted
     }
 }
 
@@ -253,6 +261,9 @@ fn serve_connection(
         // insert (a match scrutinee's temporaries live for the whole
         // match, which would self-deadlock).
         let cached = lock(dedup).get(request.id);
+        // Frames the cache evicts, freed after the reply is written rather
+        // than under the cache's lock or ahead of the reply.
+        let mut evicted = Vec::new();
         let reply = match cached {
             Some(cached) => {
                 telemetry
@@ -282,7 +293,7 @@ fn serve_connection(
                 // The cache and the socket write share the one frame, and
                 // it shares the handler's tensor bytes.
                 let reply = response.to_frame()?;
-                lock(dedup).insert(request.id, reply.clone());
+                evicted = lock(dedup).insert(request.id, reply.clone());
                 reply
             }
         };
@@ -309,6 +320,7 @@ fn serve_connection(
         }
         tx.add(write_frame(stream, &reply.parts())?);
         calls.inc();
+        drop(evicted);
     }
 }
 

@@ -7,7 +7,7 @@
 //! so a byte string comes back as a range of the frame it arrived in:
 //! tensor bytes are copied neither way (the software half of §3.4's
 //! zero-copy story). Every length or count is the peer's word, and
-//! [`ensure`] checks it against the bytes left before anything is sized by
+//! `ensure` checks it against the bytes left before anything is sized by
 //! it.
 
 use crate::error::{Result, TransportError};
