@@ -16,8 +16,9 @@ use genie_frontend::value::Value;
 use genie_srg::NodeId;
 use genie_telemetry::lock;
 use genie_tensor::{IndexTensor, Tensor};
+use genie_transport::wire::SharedBytes;
 use genie_transport::{
-    wire, Client, PayloadKind, RequestBody, ResponseBody, RetryPolicy, Server, TensorPayload,
+    Client, PayloadKind, RequestBody, ResponseBody, RetryPolicy, Server, TensorPayload,
     TransportError,
 };
 use std::collections::HashMap;
@@ -456,17 +457,24 @@ impl RemoteSession {
     }
 }
 
-/// Convert a runtime value to a wire payload.
+/// Convert a runtime value to a wire payload that shares the value's
+/// storage: its bytes are the tensor's own (lent as little-endian bytes),
+/// so the payload is sent, cached and fetched with no copy made.
 pub fn value_to_payload(v: &Value) -> TensorPayload {
-    match v {
-        Value::F(t) => TensorPayload::from_f32(t.dims().to_vec(), t.data()),
-        Value::I(t) => TensorPayload::from_i64(t.shape().dims().to_vec(), t.data()),
+    let (kind, dims, bytes) = match v {
+        Value::F(t) => (PayloadKind::F32, t.dims(), t.le_bytes()),
+        Value::I(t) => (PayloadKind::I64, t.shape().dims(), t.le_bytes()),
+    };
+    TensorPayload {
+        dims: dims.to_vec(),
+        kind,
+        data: SharedBytes::from_owner(bytes),
     }
 }
 
 /// Check a payload as a peer's: whole elements of its kind, and dims whose
-/// product is the element count. Returns that count.
-fn check_payload(p: &TensorPayload) -> Result<usize, String> {
+/// product is the element count.
+fn check_payload(p: &TensorPayload) -> Result<(), String> {
     let (kind, width) = match p.kind {
         PayloadKind::F32 => ("f32", 4),
         PayloadKind::I64 => ("i64", 8),
@@ -480,22 +488,16 @@ fn check_payload(p: &TensorPayload) -> Result<usize, String> {
     if p.dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) != Some(elements) {
         return Err("payload length does not match dims".to_string());
     }
-    Ok(elements)
+    Ok(())
 }
 
 /// Convert a wire payload to a runtime value: checked as a peer's, then
 /// decoded once, straight into the tensor's storage.
 pub fn payload_to_value(p: &TensorPayload) -> Result<Value, String> {
-    let elements = check_payload(p)?;
+    check_payload(p)?;
     Ok(match p.kind {
-        PayloadKind::F32 => Value::F(Tensor::build(p.dims.clone(), |out| {
-            wire::f32s_from_bytes(&p.data, out)
-        })),
-        PayloadKind::I64 => {
-            let mut data = vec![0; elements];
-            wire::i64s_from_bytes(&p.data, &mut data);
-            Value::I(IndexTensor::from_vec(p.dims.clone(), data))
-        }
+        PayloadKind::F32 => Value::F(Tensor::from_le_bytes(p.dims.clone(), &p.data)),
+        PayloadKind::I64 => Value::I(IndexTensor::from_le_bytes(p.dims.clone(), &p.data)),
     })
 }
 
@@ -904,10 +906,12 @@ mod tests {
         let decoded = decoded_at(&exec, 7).expect("decoded by the first step");
         assert_eq!(execute_with_weight(&exec, 7, 0), first);
         assert_eq!(decoded_at(&exec, 7), Some(decoded), "decoded again");
-        // Encoded back from the tensor now, bit for bit what arrived.
+        // Sent from the tensor's storage now, bit for bit what arrived.
         let back = fetched(&exec, 7);
         assert_eq!(back, sent);
         assert_ne!(back.data.as_ptr(), sent.data.as_ptr());
+        #[cfg(target_endian = "little")]
+        assert_eq!(back.data.as_ptr(), decoded.cast::<u8>(), "copied, not lent");
     }
 
     #[test]
@@ -961,6 +965,28 @@ mod tests {
         assert_eq!(payload_to_value(&value_to_payload(&i)).unwrap(), i);
     }
 
+    #[test]
+    fn a_payload_is_lent_from_the_values_storage() {
+        let mut f = randn([3, 5], 4);
+        let i = IndexTensor::from_vec([4], vec![i64::MIN, -1, 0, i64::MAX]);
+        let (pf, pi) = (
+            value_to_payload(&Value::F(f.clone())),
+            value_to_payload(&Value::I(i.clone())),
+        );
+        // Lent where the target is little-endian, copied where it is not.
+        #[cfg(target_endian = "little")]
+        {
+            assert_eq!(pf.data.as_ptr(), f.data().as_ptr().cast::<u8>());
+            assert_eq!(pi.data.as_ptr(), i.data().as_ptr().cast::<u8>());
+        }
+        assert_eq!(pi, TensorPayload::from_i64(vec![4], i.data()));
+        // A later write to the tensor copies its storage first: the
+        // payload keeps the bytes it was made from.
+        let before = f.clone();
+        f.data_mut()[0] = 42.0;
+        assert_eq!(payload_to_value(&pf).unwrap(), Value::F(before));
+    }
+
     /// Conversion moves bits, not values: NaN payloads, signed zeros,
     /// subnormals, infinities and the i64 extremes come back unchanged.
     #[test]
@@ -976,7 +1002,9 @@ mod tests {
             0xff80_0000,    // -inf
         ];
         let f = Tensor::from_vec([2, 4], bits.iter().map(|&b| f32::from_bits(b)).collect());
-        let Value::F(back) = payload_to_value(&value_to_payload(&Value::F(f))).unwrap() else {
+        let sent = value_to_payload(&Value::F(f.clone()));
+        assert_eq!(sent.data, genie_transport::wire::f32s_to_bytes(f.data()));
+        let Value::F(back) = payload_to_value(&sent).unwrap() else {
             panic!("an f32 payload decoded to another kind");
         };
         assert_eq!(back.dims(), &[2, 4]);

@@ -8,9 +8,10 @@
 //! draws from it and the interpreter returns dead intermediates via
 //! [`recycle`].
 //!
-//! Buffers are handed out zeroed, so a recycled allocation is
-//! observationally identical to a fresh `vec![0.0; len]` — reuse can
-//! never change results, only allocation counts. Only buffers with no
+//! Buffers are handed out zeroed ([`alloc_zeroed`]) or with every element
+//! written ([`alloc_from`]), so a recycled allocation is observationally
+//! identical to a fresh one — reuse can never change results, only
+//! allocation counts. Only buffers with no
 //! other strong or weak references are retained; everything else is
 //! dropped on the spot.
 
@@ -45,27 +46,52 @@ fn arena() -> &'static Mutex<Arena> {
     ARENA.get_or_init(|| Mutex::new(Arena::default()))
 }
 
+/// A recycled buffer of exactly `len` floats, unique and holding what it
+/// last held, or `None` when none is free.
+fn take(len: usize) -> Option<Arc<[f32]>> {
+    if len == 0 {
+        return None;
+    }
+    let mut guard = arena().lock().unwrap();
+    let reuse = guard.free.get_mut(&len).and_then(Vec::pop);
+    match reuse {
+        Some(_) => {
+            guard.held_floats -= len;
+            guard.hits += 1;
+        }
+        None => guard.misses += 1,
+    }
+    // `recycle` only retains unique buffers; re-checked, so a caller's
+    // `get_mut` cannot fail.
+    reuse.filter(|buf| Arc::strong_count(buf) == 1 && Arc::weak_count(buf) == 0)
+}
+
 /// A zeroed buffer of `len` floats, recycled when one of that exact
 /// length is free, freshly allocated otherwise.
 pub fn alloc_zeroed(len: usize) -> Arc<[f32]> {
-    if len > 0 {
-        let mut guard = arena().lock().unwrap();
-        let reuse = guard.free.get_mut(&len).and_then(Vec::pop);
-        if let Some(mut buf) = reuse {
-            guard.held_floats -= len;
-            guard.hits += 1;
-            drop(guard);
-            // `recycle` only retains unique buffers, so `get_mut`
-            // succeeds; re-checked rather than unwrapped for safety.
-            if let Some(slice) = Arc::get_mut(&mut buf) {
-                slice.fill(0.0);
-                return buf;
-            }
-        } else {
-            guard.misses += 1;
+    match take(len) {
+        Some(mut buf) => {
+            Arc::get_mut(&mut buf)
+                .expect("taken buffers are unique")
+                .fill(0.0);
+            buf
         }
+        None => vec![0.0f32; len].into(),
     }
-    vec![0.0f32; len].into()
+}
+
+/// A buffer holding `values`: a recycled one of their length when one is
+/// free, written over in one pass (not zeroed first), a fresh one
+/// otherwise.
+pub fn alloc_from(values: impl ExactSizeIterator<Item = f32>) -> Arc<[f32]> {
+    match take(values.len()) {
+        Some(mut buf) => {
+            let out = Arc::get_mut(&mut buf).expect("taken buffers are unique");
+            out.iter_mut().zip(values).for_each(|(out, v)| *out = v);
+            buf
+        }
+        None => values.collect(),
+    }
 }
 
 /// Offer a dead tensor's storage back to the arena. Shared or oversized

@@ -22,7 +22,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: two kinds of place carry a documented
+// `deny`, not `forbid`: three kinds of place carry a documented
 // `#[allow(unsafe_code)]`, everything else stays unsafe-free.
 // (1) `pool::Scope::spawn` erases a job's borrow lifetime to queue it:
 // sound because `pool::scope` neither returns nor unwinds before every
@@ -31,15 +31,22 @@
 // instantiate the `tanh` and `exp` lanes and the matmul row worker per
 // ISA, safe `fn`s that are `unsafe` to call from code compiled without
 // the features: sound because each call is behind
-// `is_x86_feature_detected!` for every feature it is compiled with. Neither is machine-checked (no Miri); `pool_stress.rs`,
-// `simd` and `activation` tests exercise them. Nor is any target but
+// `is_x86_feature_detected!` for every feature it is compiled with.
+// (3) `bytes::bytes_of`, on little-endian targets only, reads an f32 or
+// i64 slice as its bytes, so a tensor is sent from its own storage:
+// sound because neither type has padding, `u8` has alignment 1, and the
+// view borrows storage whose `Arc` it holds, which is written only while
+// unique (copy-on-write). None is machine-checked (no Miri); `pool_stress.rs`,
+// `simd`, `activation` and `bytes` tests exercise them. Nor is any target but
 // x86-64 built, in CI or locally:
 // the `not(target_arch = "x86_64")` arm of `simd`, where only the
-// baseline instantiation exists, is built and tested by flipping the
-// `cfg`s in a scratch copy (the verify skill has the recipe).
+// baseline instantiation exists, and the big-endian arm of `bytes` are
+// built and tested by flipping the `cfg`s in a scratch copy (the verify
+// skill has the recipe).
 #![deny(unsafe_code)]
 
 pub mod arena;
+pub mod bytes;
 pub mod init;
 pub mod ops;
 mod par;
@@ -50,5 +57,6 @@ mod simd;
 pub mod stats;
 pub mod tensor;
 
+pub use bytes::LeBytes;
 pub use shape::Shape;
 pub use tensor::{IndexTensor, Tensor};

@@ -14,6 +14,7 @@
 //! to its sibling. This is what lets the wavefront interpreter hand values
 //! between graph levels without deep-copying activations.
 
+use crate::bytes::LeBytes;
 use crate::shape::Shape;
 use std::fmt;
 use std::sync::Arc;
@@ -50,6 +51,22 @@ impl Tensor {
         let mut data = crate::arena::alloc_zeroed(shape.num_elements());
         f(Arc::get_mut(&mut data).expect("freshly allocated buffer is unique"));
         Tensor { shape, data }
+    }
+
+    /// Decode little-endian f32 bytes into a tensor of `shape`, in one
+    /// pass over an arena buffer that is not zeroed first. Panics unless
+    /// `raw` is exactly the shape's elements (a caller checks a peer's).
+    pub fn from_le_bytes(shape: impl Into<Shape>, raw: &[u8]) -> Self {
+        let shape = shape.into();
+        let elements = le_elements(raw, &shape).iter();
+        let data = crate::arena::alloc_from(elements.map(|e| f32::from_le_bytes(*e)));
+        Tensor { shape, data }
+    }
+
+    /// The elements as little-endian bytes, lent from this tensor's
+    /// storage on a little-endian target (a later write copies it first).
+    pub fn le_bytes(&self) -> LeBytes {
+        LeBytes::from(Arc::clone(&self.data))
     }
 
     /// Consume the tensor and return its backing buffer — the hand-off
@@ -237,6 +254,20 @@ impl IndexTensor {
         }
     }
 
+    /// Decode little-endian i64 bytes into an index tensor of `shape`, in
+    /// one pass. Panics unless `raw` is exactly the shape's elements.
+    pub fn from_le_bytes(shape: impl Into<Shape>, raw: &[u8]) -> Self {
+        let shape = shape.into();
+        let elements = le_elements(raw, &shape).iter();
+        let data = elements.map(|e| i64::from_le_bytes(*e)).collect();
+        IndexTensor { shape, data }
+    }
+
+    /// The indices as little-endian bytes, lent like [`Tensor::le_bytes`].
+    pub fn le_bytes(&self) -> LeBytes {
+        LeBytes::from(Arc::clone(&self.data))
+    }
+
     /// 1-D index tensor.
     pub fn from_slice(data: &[i64]) -> Self {
         IndexTensor {
@@ -270,6 +301,18 @@ impl fmt::Debug for IndexTensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "IndexTensor{} {:?}", self.shape, &self.data[..])
     }
+}
+
+/// `raw` as the `N`-byte elements of `shape`: panics unless it is exactly
+/// them.
+fn le_elements<'a, const N: usize>(raw: &'a [u8], shape: &Shape) -> &'a [[u8; N]] {
+    let (elements, rest) = raw.as_chunks();
+    assert!(
+        rest.is_empty() && elements.len() == shape.num_elements(),
+        "{} bytes are not {shape}'s {N}-byte elements",
+        raw.len()
+    );
+    elements
 }
 
 #[cfg(test)]
@@ -356,6 +399,57 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.data(), &[7, 8, 9]);
         assert_eq!(t.shape().dims(), &[3]);
+    }
+
+    #[test]
+    fn le_bytes_roundtrip_bit_for_bit() {
+        let bits = [
+            0x7fc0_0001u32,
+            0xff80_0001,
+            0x8000_0000,
+            0x0000_0001,
+            0x7f80_0000,
+        ];
+        let t = Tensor::from_vec([5], bits.iter().map(|&b| f32::from_bits(b)).collect());
+        let back = Tensor::from_le_bytes([5], t.le_bytes().as_ref());
+        let back: Vec<u32> = back.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(back, bits);
+        let i = IndexTensor::from_vec([3], vec![i64::MIN, -1, i64::MAX]);
+        assert_eq!(IndexTensor::from_le_bytes([3], i.le_bytes().as_ref()), i);
+        assert_eq!(Tensor::from_le_bytes([0], &[]).len(), 0);
+    }
+
+    #[test]
+    fn a_write_after_lending_leaves_the_lent_bytes_alone() {
+        let mut t = Tensor::from_vec([2], vec![1.0, 2.0]);
+        let lent = t.le_bytes();
+        t.data_mut()[0] = 9.0;
+        assert_eq!(
+            Tensor::from_le_bytes([2], lent.as_ref()).data(),
+            &[1.0, 2.0]
+        );
+    }
+
+    #[test]
+    fn a_decode_over_a_recycled_buffer_writes_every_element() {
+        // A length no other test allocates, so the recycled buffer is this one.
+        let n = 34_567;
+        drop(Tensor::full([n], 7.0));
+        let raw: Vec<u8> = (0..n).flat_map(|i| (i as f32).to_le_bytes()).collect();
+        let t = Tensor::from_le_bytes([n], &raw);
+        assert!(t.data().iter().enumerate().all(|(i, &v)| v == i as f32));
+    }
+
+    #[test]
+    #[should_panic(expected = "8 bytes are not [3]'s 4-byte elements")]
+    fn decoding_refuses_bytes_that_are_not_the_shapes_elements() {
+        Tensor::from_le_bytes([3], &[0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "7 bytes are not [1]'s 8-byte elements")]
+    fn decoding_refuses_a_partial_element() {
+        IndexTensor::from_le_bytes([1], &[0; 7]);
     }
 
     #[test]

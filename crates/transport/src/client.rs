@@ -15,7 +15,7 @@
 //!   [`TransportError::Exhausted`] when the budget runs out.
 
 use crate::error::{Result, TransportError};
-use crate::frame::{recv_frame, write_frame};
+use crate::frame::{write_frame, FrameReader};
 use crate::message::{Request, RequestBody, Response, ResponseBody};
 use crate::retry::RetryPolicy;
 use genie_telemetry::Counter;
@@ -69,6 +69,8 @@ fn counters() -> &'static Counters {
 /// "network volume via RPC counters").
 pub struct Client {
     stream: TcpStream,
+    /// The stream's reader: what it read ahead belongs to this stream.
+    reader: FrameReader,
     addr: SocketAddr,
     deadline: Option<Duration>,
     /// Set after a transport-level failure: the stream may hold a stale
@@ -94,6 +96,7 @@ impl Client {
         let stream = Client::open(addr, deadline)?;
         Ok(Client {
             stream,
+            reader: FrameReader::default(),
             addr,
             deadline,
             poisoned: false,
@@ -115,9 +118,11 @@ impl Client {
     }
 
     /// Drop the current socket and dial a fresh one (same address, same
-    /// deadline). Counters survive; in-flight state does not.
+    /// deadline). Counters survive; in-flight state does not, bytes the
+    /// old stream's reader read ahead included.
     pub fn reconnect(&mut self) -> Result<()> {
         self.stream = Client::open(self.addr, self.deadline)?;
+        self.reader = FrameReader::default();
         self.poisoned = false;
         Ok(())
     }
@@ -223,7 +228,7 @@ impl Client {
         self.bytes_sent += sent;
         counters().tx.add(sent);
 
-        let frame = recv_frame(&mut self.stream)?;
+        let frame = self.reader.recv(&mut self.stream)?;
         let received = frame.len() as u64 + 4;
         self.bytes_received += received;
         counters().rx.add(received);

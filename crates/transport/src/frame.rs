@@ -6,9 +6,14 @@
 //! cannot OOM the process.
 //!
 //! A frame costs its reader one wake-up at most: [`write_frame`] sends
-//! prefix and parts in one vectored write, and [`recv_frame`] polls a
+//! prefix and parts in one vectored write, and a [`FrameReader`] polls a
 //! socket for [`POLL_BEFORE_PARK`] before it parks, so the time of a
-//! request–reply exchange does not depend on which CPUs the two ends run on.
+//! request–reply exchange does not depend on which CPUs the two ends run
+//! on. It polls with reads into a small read-ahead, not with probes: a
+//! small frame, prefix and payload, costs one read, and one already read
+//! ahead (a pipelining peer) costs none. A long frame copies only its
+//! read-ahead part; the rest is read straight into its own buffer.
+//! [`read_frame`] is the same reader over any `Read`.
 
 use crate::error::{Result, TransportError};
 use crate::wire::SharedBytes;
@@ -65,42 +70,116 @@ pub fn write_frame<W: Write>(w: &mut W, parts: &[&[u8]]) -> Result<u64> {
 /// runs of one binary that differ by half. A reply to a small call arrives
 /// well inside this budget, so polling first makes an exchange cost the
 /// same under either placement; a reader with nothing to read gives the
-/// CPU up between probes and parks when the budget is spent.
+/// CPU up between reads and parks when the budget is spent.
 pub const POLL_BEFORE_PARK: Duration = Duration::from_micros(100);
 
-/// Read one frame from a socket: poll for up to [`POLL_BEFORE_PARK`], then
-/// [`read_frame`]. The socket is blocking again (timeouts included) before
-/// the read, which reports end of stream and errors as it always did.
-pub fn recv_frame(stream: &mut TcpStream) -> Result<SharedBytes> {
-    stream.set_nonblocking(true)?;
-    let start = Instant::now();
-    let mut probe = [0u8; 1];
-    while matches!(stream.peek(&mut probe), Err(e) if e.kind() == ErrorKind::WouldBlock)
-        && start.elapsed() < POLL_BEFORE_PARK
-    {
-        std::thread::yield_now();
-    }
-    stream.set_nonblocking(false)?;
-    read_frame(stream)
+/// Bytes a [`FrameReader`] reads ahead: a small frame arrives in one read.
+const READ_AHEAD: usize = 16 << 10;
+
+/// Reads the frames of one byte stream in order. What a read takes past
+/// the end of a frame (a peer may pipeline) is kept for the next one, so a
+/// stream keeps one reader for as long as it is read.
+pub struct FrameReader {
+    /// Bytes read and not yet handed out are `ahead[start..end]`.
+    ahead: Box<[u8]>,
+    start: usize,
+    end: usize,
 }
 
-/// Read one frame into memory that is not zeroed first; a stream that ends
-/// inside it is [`TransportError::ConnectionClosed`].
+impl Default for FrameReader {
+    fn default() -> Self {
+        FrameReader::reading_ahead(READ_AHEAD)
+    }
+}
+
+impl FrameReader {
+    fn reading_ahead(len: usize) -> FrameReader {
+        let ahead = vec![0; len].into_boxed_slice();
+        FrameReader {
+            ahead,
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Read the next frame from `stream`, this reader's socket. Unless the
+    /// frame is already read ahead, the socket is read without blocking
+    /// for up to [`POLL_BEFORE_PARK`], until a read returns bytes or end of
+    /// stream, then with blocking (and its timeouts) for whatever is
+    /// missing. The socket is blocking again on every return.
+    pub fn recv(&mut self, stream: &mut TcpStream) -> Result<SharedBytes> {
+        let held = &self.ahead[self.start..self.end];
+        let whole = held
+            .split_first_chunk()
+            .is_some_and(|(len, rest)| u32::from_be_bytes(*len) as usize <= rest.len());
+        if !whole {
+            stream.set_nonblocking(true)?;
+            let start = Instant::now();
+            let polled = loop {
+                match self.fill(stream) {
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        if start.elapsed() >= POLL_BEFORE_PARK {
+                            break Ok(0);
+                        }
+                        std::thread::yield_now();
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    done => break done,
+                }
+            };
+            stream.set_nonblocking(false)?;
+            polled?;
+        }
+        self.read(stream)
+    }
+
+    /// One read into the free end of the read-ahead, after moving the held
+    /// bytes to its front; the count read, 0 at end of stream.
+    fn fill<R: Read>(&mut self, r: &mut R) -> std::io::Result<usize> {
+        self.ahead.copy_within(self.start..self.end, 0);
+        (self.start, self.end) = (0, self.end - self.start);
+        let n = r.read(&mut self.ahead[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Read the next frame from `r`, blocking: the prefix through the
+    /// read-ahead, then the payload into memory that is not zeroed first,
+    /// the read-ahead's part copied and the rest read straight into it.
+    fn read<R: Read>(&mut self, r: &mut R) -> Result<SharedBytes> {
+        while self.end - self.start < 4 {
+            match self.fill(r) {
+                Ok(0) => return Err(TransportError::ConnectionClosed),
+                Err(e) if e.kind() != ErrorKind::Interrupted => return Err(e.into()),
+                _ => {}
+            }
+        }
+        let prefix = self.ahead[self.start..].first_chunk();
+        let len = u32::from_be_bytes(*prefix.expect("the loop above holds four bytes")) as usize;
+        self.start += 4;
+        if len > MAX_FRAME {
+            return Err(TransportError::FrameTooLarge {
+                len,
+                max: MAX_FRAME,
+            });
+        }
+        let held = len.min(self.end - self.start);
+        let mut payload = Vec::with_capacity(len);
+        payload.extend_from_slice(&self.ahead[self.start..self.start + held]);
+        self.start += held;
+        let rest = len - held;
+        if r.by_ref().take(rest as u64).read_to_end(&mut payload)? < rest {
+            return Err(TransportError::ConnectionClosed);
+        }
+        Ok(payload.into())
+    }
+}
+
+/// Read one frame from any byte stream, with the [`FrameReader`] reading
+/// ahead no further than the prefix, so nothing past the frame is taken.
+/// A stream that ends inside it is [`TransportError::ConnectionClosed`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<SharedBytes> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(TransportError::FrameTooLarge {
-            len,
-            max: MAX_FRAME,
-        });
-    }
-    let mut payload = Vec::with_capacity(len);
-    if r.take(len as u64).read_to_end(&mut payload)? < len {
-        return Err(TransportError::ConnectionClosed);
-    }
-    Ok(payload.into())
+    FrameReader::reading_ahead(4).read(r)
 }
 
 #[cfg(test)]
@@ -168,11 +247,34 @@ mod tests {
         assert_eq!(Response::decode(back).unwrap(), reply);
     }
 
-    #[test]
-    fn recv_frame_polls_then_parks_and_leaves_the_socket_blocking() {
+    /// Two ends of a loopback connection, `tx` writing segments as given.
+    fn socket_pair() -> (TcpStream, TcpStream) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut rx, _) = listener.accept().unwrap();
+        let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        tx.set_nodelay(true).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        (tx, rx)
+    }
+
+    /// `payload` framed, prefix and all, as one buffer.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_frame(&mut out, &[payload]).unwrap();
+        out
+    }
+
+    /// True when a read of `rx` blocks until its read timeout.
+    fn blocks(rx: &mut TcpStream, timeout: Duration) -> bool {
+        rx.set_read_timeout(Some(timeout)).unwrap();
+        let start = Instant::now();
+        let timed_out = matches!(rx.read(&mut [0]), Err(e) if e.kind() == ErrorKind::WouldBlock);
+        timed_out && start.elapsed() >= timeout
+    }
+
+    #[test]
+    fn recv_polls_then_parks_and_leaves_the_socket_blocking() {
+        let (mut tx, mut rx) = socket_pair();
+        let mut reader = FrameReader::default();
         rx.set_read_timeout(Some(Duration::from_millis(20)))
             .unwrap();
 
@@ -180,24 +282,135 @@ mod tests {
         // timeout reports it, after the timeout and not after the budget.
         let start = Instant::now();
         assert!(matches!(
-            recv_frame(&mut rx),
+            reader.recv(&mut rx),
             Err(TransportError::Timeout { .. })
         ));
         assert!(start.elapsed() >= Duration::from_millis(20));
+        assert!(blocks(&mut rx, Duration::from_millis(5)));
 
         // A frame already there, then one that arrives after the budget.
         write_frame(&mut tx, &[b"ready"]).unwrap();
-        assert_eq!(&recv_frame(&mut rx).unwrap()[..], b"ready");
+        assert_eq!(&reader.recv(&mut rx).unwrap()[..], b"ready");
+        assert!(blocks(&mut rx, Duration::from_millis(5)));
         rx.set_read_timeout(None).unwrap();
         let late = std::thread::spawn(move || {
             std::thread::sleep(10 * POLL_BEFORE_PARK);
             write_frame(&mut tx, &[b"late"]).unwrap();
         });
-        assert_eq!(&recv_frame(&mut rx).unwrap()[..], b"late");
+        assert_eq!(&reader.recv(&mut rx).unwrap()[..], b"late");
         late.join().unwrap();
         // The writer hung up: end of stream, not a busy loop.
         assert!(matches!(
-            recv_frame(&mut rx),
+            reader.recv(&mut rx),
+            Err(TransportError::ConnectionClosed)
+        ));
+    }
+
+    #[test]
+    fn frames_sent_in_one_write_are_each_delivered_in_order() {
+        let (mut tx, mut rx) = socket_pair();
+        let mut reader = FrameReader::default();
+        let frames = [&b"first"[..], b"", &[7; 300], b"last"];
+        tx.write_all(&frames.map(framed).concat()).unwrap();
+        for frame in frames {
+            assert_eq!(&reader.recv(&mut rx).unwrap()[..], frame);
+        }
+        drop(tx);
+        assert!(matches!(
+            reader.recv(&mut rx),
+            Err(TransportError::ConnectionClosed)
+        ));
+    }
+
+    #[test]
+    fn a_frame_trickled_a_byte_at_a_time_arrives_whole() {
+        let (mut tx, mut rx) = socket_pair();
+        let mut reader = FrameReader::default();
+        let bytes = [framed(b"one byte at a time"), framed(b"next")].concat();
+        let trickle = std::thread::spawn(move || {
+            for b in bytes {
+                tx.write_all(&[b]).unwrap();
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        });
+        assert_eq!(&reader.recv(&mut rx).unwrap()[..], b"one byte at a time");
+        assert_eq!(&reader.recv(&mut rx).unwrap()[..], b"next");
+        trickle.join().unwrap();
+    }
+
+    #[test]
+    fn a_frame_longer_than_the_read_ahead_arrives_bit_exact() {
+        let (mut tx, mut rx) = socket_pair();
+        let mut reader = FrameReader::default();
+        let long: Vec<u8> = (0..5 * READ_AHEAD + 3)
+            .map(|i| (i * 31 % 251) as u8)
+            .collect();
+        // The frame after it shares the write, so the read-ahead that ends
+        // the long frame may hold the start of the next.
+        let bytes = [framed(&long), framed(b"after")].concat();
+        let writer = std::thread::spawn(move || tx.write_all(&bytes).unwrap());
+        assert_eq!(&reader.recv(&mut rx).unwrap()[..], &long[..]);
+        assert_eq!(&reader.recv(&mut rx).unwrap()[..], b"after");
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn a_hang_up_inside_a_frame_is_closed() {
+        let whole = framed(&[9; 100]);
+        for cut in [2, 4 + 50] {
+            let (mut tx, mut rx) = socket_pair();
+            tx.write_all(&whole[..cut]).unwrap();
+            drop(tx);
+            assert!(
+                matches!(
+                    FrameReader::default().recv(&mut rx),
+                    Err(TransportError::ConnectionClosed)
+                ),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_oversized_prefix_is_refused_by_the_socket_reader() {
+        let (mut tx, mut rx) = socket_pair();
+        tx.write_all(&u32::MAX.to_be_bytes()).unwrap();
+        assert!(matches!(
+            FrameReader::default().recv(&mut rx),
+            Err(TransportError::FrameTooLarge { len, .. }) if len == u32::MAX as usize
+        ));
+    }
+
+    /// A reader that hands out one byte a call, with an interrupt
+    /// before every other one.
+    struct OneByte<'a>(&'a [u8], usize);
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.1 += 1;
+            if self.1.is_multiple_of(2) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let Some((first, rest)) = self.0.split_first() else {
+                return Ok(0);
+            };
+            match buf.first_mut() {
+                Some(b) => *b = *first,
+                None => return Ok(0),
+            }
+            self.0 = rest;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn read_frame_takes_nothing_past_its_frame() {
+        let bytes = [framed(b"abc"), framed(b"de")].concat();
+        let mut slow = OneByte(&bytes, 0);
+        assert_eq!(&read_frame(&mut slow).unwrap()[..], b"abc");
+        assert_eq!(&read_frame(&mut slow).unwrap()[..], b"de");
+        assert!(matches!(
+            read_frame(&mut slow),
             Err(TransportError::ConnectionClosed)
         ));
     }

@@ -4,12 +4,16 @@
 //! alone that actually moves Genie's protocol over sockets.
 //!
 //! - [`frame`] — length-prefixed framing with pre-allocation bounds, one
-//!   vectored write per frame, reads into unzeroed memory and a bounded
-//!   poll before a socket reader parks;
+//!   vectored write per frame, and a per-connection [`frame::FrameReader`]
+//!   that polls a socket with reads into a small read-ahead for a bounded
+//!   time before it parks: a small frame, prefix and payload, arrives in
+//!   one read, and a long one is read into memory that is never zeroed;
 //! - [`wire`] / [`message`] — a hand-rolled binary codec over
 //!   [`wire::Frame`] (write) and [`wire::SharedBytes`] (read): a tensor
 //!   payload is spliced into the frame it is written from by handle and
-//!   decoded as a range of the receive buffer, never copied either way;
+//!   decoded as a range of the receive buffer, never copied either way,
+//!   and a `SharedBytes` can be lent by any owner of bytes, so a tensor is
+//!   spliced from its own storage (`genie_tensor::LeBytes`);
 //!   every length or count a peer sends is checked against the bytes that
 //!   are left, in one function, before anything is allocated for it;
 //!   graphs travel as the SRG's portable JSON;

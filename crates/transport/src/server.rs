@@ -21,7 +21,7 @@
 
 use crate::chaos::{ChaosAction, ChaosPolicy, ChaosState};
 use crate::error::Result;
-use crate::frame::{recv_frame, write_frame};
+use crate::frame::{write_frame, FrameReader};
 use crate::message::{Request, RequestBody, Response, ResponseBody};
 use crate::wire::Frame;
 use genie_telemetry::lock;
@@ -246,8 +246,9 @@ fn serve_connection(
     let (rx, tx) = (bytes("rx"), bytes("tx"));
     let calls = metrics.counter("genie_transport_calls_total", &[role]);
     stream.set_nodelay(true)?;
+    let mut reader = FrameReader::default();
     loop {
-        let frame = match recv_frame(stream) {
+        let frame = match reader.recv(stream) {
             Ok(f) => f,
             Err(crate::error::TransportError::ConnectionClosed) => return Ok(()),
             Err(e) => return Err(e),
@@ -470,7 +471,7 @@ mod tests {
         .unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         write_frame(&mut stream, &request.parts()).unwrap();
-        let reply = Response::decode(recv_frame(&mut stream).unwrap()).unwrap();
+        let reply = Response::decode(FrameReader::default().recv(&mut stream).unwrap()).unwrap();
         assert_eq!(reply.body, ResponseBody::Pong);
         server.shutdown();
         let served = genie_telemetry::global()

@@ -17,17 +17,31 @@ use std::sync::Arc;
 
 /// A cheaply cloneable range of an immutable buffer that any number of
 /// handles share: a received frame, the tensor payloads decoded out of it,
-/// a payload spliced into the [`Frame`] the server's dedup cache keeps.
-/// Equality and `Debug` are those of the bytes in range.
+/// a payload spliced into the [`Frame`] the server's dedup cache keeps, a
+/// tensor's own storage lent as bytes. Equality and `Debug` are those of
+/// the bytes in range.
 #[derive(Clone)]
 pub struct SharedBytes {
-    // `Arc<[u8]>: From<Vec<u8>>` would reallocate and copy; this moves.
-    buf: Arc<Vec<u8>>,
+    // Whatever holds the bytes: a vector moved in (`Arc<[u8]>: From<Vec>`
+    // would reallocate and copy), or an owner that lends them.
+    buf: Arc<dyn AsRef<[u8]> + Send + Sync>,
     start: usize,
     end: usize,
 }
 
 impl SharedBytes {
+    /// All of `owner`'s bytes, shared with it: nothing is copied, and the
+    /// owner lives until the last handle to any range of it is dropped.
+    /// Its bytes must not change while it lives.
+    pub fn from_owner(owner: impl AsRef<[u8]> + Send + Sync + 'static) -> Self {
+        let end = owner.as_ref().len();
+        SharedBytes {
+            buf: Arc::new(owner),
+            start: 0,
+            end,
+        }
+    }
+
     /// Split off and return the first `at` bytes; `self` keeps the rest and
     /// both share the buffer. Panics when `at > self.len()`.
     pub fn split_to(&mut self, at: usize) -> SharedBytes {
@@ -46,18 +60,14 @@ impl Deref for SharedBytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.buf[self.start..self.end]
+        &(*self.buf).as_ref()[self.start..self.end]
     }
 }
 
 impl From<Vec<u8>> for SharedBytes {
     /// Takes the vector over; nothing is copied.
     fn from(buf: Vec<u8>) -> Self {
-        SharedBytes {
-            start: 0,
-            end: buf.len(),
-            buf: Arc::new(buf),
-        }
+        SharedBytes::from_owner(buf)
     }
 }
 
@@ -266,34 +276,14 @@ fn to_le<T: Copy, const N: usize>(data: &[T], le: impl Fn(T) -> [u8; N]) -> Shar
     out.into()
 }
 
-/// Fill `out` from little-endian `raw` in the same one wide pass. Panics
-/// unless `raw` is exactly `out`'s elements: a caller checks a peer's
-/// payload before it sizes `out`.
-fn from_le<T, const N: usize>(raw: &[u8], out: &mut [T], le: impl Fn([u8; N]) -> T) {
-    assert_eq!(raw.len(), out.len() * N, "payload bytes for {N}-byte items");
-    for (o, &e) in out.iter_mut().zip(raw.as_chunks().0) {
-        *o = le(e);
-    }
-}
-
 /// Encode an f32 slice as little-endian bytes.
 pub fn f32s_to_bytes(data: &[f32]) -> SharedBytes {
     to_le(data, f32::to_le_bytes)
 }
 
-/// Decode little-endian f32 bytes into `out`, which they must fill.
-pub fn f32s_from_bytes(raw: &[u8], out: &mut [f32]) {
-    from_le(raw, out, f32::from_le_bytes)
-}
-
 /// Encode an i64 slice as little-endian bytes.
 pub fn i64s_to_bytes(data: &[i64]) -> SharedBytes {
     to_le(data, i64::to_le_bytes)
-}
-
-/// Decode little-endian i64 bytes into `out`, which they must fill.
-pub fn i64s_from_bytes(raw: &[u8], out: &mut [i64]) {
-    from_le(raw, out, i64::from_le_bytes)
 }
 
 #[cfg(test)]
@@ -386,24 +376,50 @@ mod tests {
     fn f32_payload_roundtrip() {
         let data = vec![1.5f32, -2.25, 0.0, f32::MAX];
         let raw = f32s_to_bytes(&data);
-        let mut back = vec![0.0; data.len()];
-        f32s_from_bytes(&raw, &mut back);
+        let back: Vec<f32> = raw
+            .as_chunks()
+            .0
+            .iter()
+            .map(|c| f32::from_le_bytes(*c))
+            .collect();
         assert_eq!(back, data);
+        assert_eq!(
+            &raw[..4],
+            &[0, 0, 0xC0, 0x3F],
+            "1.5, least significant byte first"
+        );
     }
 
     #[test]
     fn i64_payload_roundtrip() {
         let data = vec![i64::MIN, -1, 0, 42, i64::MAX];
         let raw = i64s_to_bytes(&data);
-        let mut back = vec![0; data.len()];
-        i64s_from_bytes(&raw, &mut back);
+        let back: Vec<i64> = raw
+            .as_chunks()
+            .0
+            .iter()
+            .map(|c| i64::from_le_bytes(*c))
+            .collect();
         assert_eq!(back, data);
     }
 
     #[test]
-    #[should_panic(expected = "payload bytes for 8-byte items")]
-    fn readers_take_no_count_but_the_one_they_are_given() {
-        i64s_from_bytes(&[0u8; 7], &mut [0]);
+    fn an_owner_lends_its_bytes_and_lives_as_long_as_a_range_of_them() {
+        struct Lent(Arc<Vec<u8>>);
+        impl AsRef<[u8]> for Lent {
+            fn as_ref(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        let owner = Arc::new((0..8).collect::<Vec<u8>>());
+        let mut all = SharedBytes::from_owner(Lent(Arc::clone(&owner)));
+        assert_eq!(all.as_ptr(), owner.as_ptr(), "lent, not copied");
+        let head = all.split_to(3);
+        drop(all);
+        assert_eq!(Arc::strong_count(&owner), 2, "the head still holds it");
+        assert_eq!(head, SharedBytes::from(vec![0, 1, 2]));
+        drop(head);
+        assert_eq!(Arc::strong_count(&owner), 1);
     }
 
     #[test]
